@@ -37,6 +37,17 @@ type request struct {
 	tag   uint64
 }
 
+// queueCap bounds each CE's pending requests at the cache.
+const queueCap = 8
+
+// ring is one CE's request queue: a fixed circular buffer of queueCap
+// slots, so accepting and serving an access never allocates.
+type ring struct {
+	buf  [queueCap]request
+	head int
+	n    int
+}
+
 type frame struct {
 	tag   uint64 // line address, or invalidTag
 	dirty bool
@@ -60,7 +71,8 @@ type Cache struct {
 	clock     int64 // LRU stamp source
 
 	frames   []frame
-	queues   [][]request
+	queues   []ring
+	queued   int // requests across all queues
 	missOut  []int
 	mshrs    map[uint64]*mshr
 	mshrFree []*mshr // retired entries, reused so misses stop allocating
@@ -126,7 +138,7 @@ func New(p params.Machine, nCE int, mem *cmem.Memory) *Cache {
 		numSets:   numSets,
 		ways:      ways,
 		frames:    make([]frame, numSets*uint64(ways)),
-		queues:    make([][]request, nCE),
+		queues:    make([]ring, nCE),
 		missOut:   make([]int, nCE),
 		mshrs:     make(map[uint64]*mshr),
 	}
@@ -137,9 +149,6 @@ func New(p params.Machine, nCE int, mem *cmem.Memory) *Cache {
 	return c
 }
 
-// queueCap bounds each CE's pending requests at the cache.
-const queueCap = 8
-
 // Stats returns cumulative counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
@@ -148,13 +157,7 @@ func (c *Cache) Stats() Stats { return c.stats }
 func (c *Cache) MSHRInUse() int { return len(c.mshrs) }
 
 // QueuedRequests returns the word accesses waiting in per-CE queues.
-func (c *Cache) QueuedRequests() int {
-	n := 0
-	for _, q := range c.queues {
-		n += len(q)
-	}
-	return n
-}
+func (c *Cache) QueuedRequests() int { return c.queued }
 
 // Submit enqueues a word access for a CE. sink.CacheDone(tag, cycle)
 // fires when the word is available (reads) or accepted (writes); sink may
@@ -165,10 +168,13 @@ func (c *Cache) Submit(ce int, addr uint64, write bool, value int64, sink Sink, 
 	if ce < 0 || ce >= c.nCE {
 		panic(fmt.Sprintf("cache: CE %d out of range", ce))
 	}
-	if len(c.queues[ce]) >= queueCap {
+	q := &c.queues[ce]
+	if q.n == queueCap {
 		return false
 	}
-	c.queues[ce] = append(c.queues[ce], request{addr: addr, write: write, value: value, sink: sink, tag: tag})
+	q.buf[(q.head+q.n)%queueCap] = request{addr: addr, write: write, value: value, sink: sink, tag: tag}
+	q.n++
+	c.queued++
 	if c.wake != nil {
 		c.wake(0) // clamps to the currently executing cycle
 	}
@@ -187,10 +193,8 @@ func (c *Cache) NextWakeup(now int64) int64 {
 	if c.wake == nil {
 		return now
 	}
-	for _, q := range c.queues {
-		if len(q) > 0 {
-			return now
-		}
+	if c.queued > 0 {
+		return now
 	}
 	w := never
 	for i := range c.firing {
@@ -206,15 +210,7 @@ func (c *Cache) NextWakeup(now int64) int64 {
 
 // Idle reports whether no requests are queued, in flight, or completing.
 func (c *Cache) Idle() bool {
-	if len(c.mshrs) != 0 || len(c.firing) != 0 {
-		return false
-	}
-	for _, q := range c.queues {
-		if len(q) != 0 {
-			return false
-		}
-	}
-	return true
+	return len(c.mshrs) == 0 && len(c.firing) == 0 && c.queued == 0
 }
 
 // set returns the frames of the set holding line.
@@ -266,15 +262,8 @@ func (c *Cache) Tick(cycle int64) {
 		}
 	}
 	c.lastTick = cycle
-	queued := false
-	for _, q := range c.queues {
-		if len(q) > 0 {
-			queued = true
-			break
-		}
-	}
 	switch {
-	case queued:
+	case c.queued > 0:
 		c.stats.BusyCyc++
 	case len(c.mshrs) > 0 || len(c.firing) > 0:
 		c.stats.WaitCyc++
@@ -302,7 +291,7 @@ func (c *Cache) Tick(cycle int64) {
 	start := int((cycle + 1) % int64(c.nCE)) //lint:allow cycleint remainder bounded by nCE, fits int
 	for scan := 0; scan < c.nCE && credit > 0; scan++ {
 		ce := (start + scan) % c.nCE
-		for served := 0; served < 2 && credit > 0 && len(c.queues[ce]) > 0; served++ {
+		for served := 0; served < 2 && credit > 0 && c.queues[ce].n > 0; served++ {
 			if !c.serveHead(ce, cycle) {
 				c.stats.StallCyc++
 				break
@@ -315,8 +304,8 @@ func (c *Cache) Tick(cycle int64) {
 // serveHead attempts the head request of a CE queue. It reports whether a
 // request was consumed (hit, write, or miss initiation/attachment).
 func (c *Cache) serveHead(ce int, cycle int64) bool {
-	q := c.queues[ce]
-	r := q[0]
+	q := &c.queues[ce]
+	r := q.buf[q.head]
 	line := r.addr / c.lineWords
 	c.clock++
 
@@ -333,7 +322,7 @@ func (c *Cache) serveHead(ce int, cycle int64) bool {
 		} else if r.sink != nil {
 			c.firing = append(c.firing, firing{at: cycle + int64(c.p.CacheHitLatency), sink: r.sink, tag: r.tag})
 		}
-		c.queues[ce] = q[1:]
+		c.popHead(q)
 		return true
 	}
 
@@ -341,7 +330,7 @@ func (c *Cache) serveHead(ce int, cycle int64) bool {
 		// Fold into the in-flight fill.
 		c.stats.MissAttach++
 		m.waiting = append(m.waiting, r)
-		c.queues[ce] = q[1:]
+		c.popHead(q)
 		return true
 	}
 
@@ -355,7 +344,7 @@ func (c *Cache) serveHead(ce int, cycle int64) bool {
 	m.owner = ce
 	m.waiting = append(m.waiting, r)
 	c.mshrs[line] = m
-	c.queues[ce] = q[1:]
+	c.popHead(q)
 
 	// Evict the set's LRU occupant (write-back if dirty) and fetch.
 	fr := c.victim(line)
@@ -369,6 +358,13 @@ func (c *Cache) serveHead(ce int, cycle int64) bool {
 	// per-miss closure is needed.
 	c.mem.Submit(int(c.lineWords), c, line)
 	return true
+}
+
+// popHead consumes the head request of a CE queue.
+func (c *Cache) popHead(q *ring) {
+	q.head = (q.head + 1) % queueCap
+	q.n--
+	c.queued--
 }
 
 // FillDone implements cmem.Sink: a line fetch submitted with the line

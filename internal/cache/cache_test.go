@@ -321,3 +321,46 @@ func TestLRUWithinSet(t *testing.T) {
 		t.Error("C not installed")
 	}
 }
+
+// countSink counts completions without a per-request closure.
+type countSink struct{ done int64 }
+
+func (s *countSink) CacheDone(uint64, int64) { s.done++ }
+
+// TestSteadyStateAllocsSubmitTick is the runtime allocation gate on the
+// cache: once the per-CE rings exist, the firing list has grown and the
+// MSHR free-list has filled, neither a hit stream nor a stream that opens
+// a fresh line on every fourth access may allocate in Submit or Tick.
+// (The hotalloc analyzer cannot see a slide-forward slice queue — append
+// growth is not a syntactic allocation — so this test is the guard.)
+func TestSteadyStateAllocsSubmitTick(t *testing.T) {
+	for _, hit := range []bool{true, false} {
+		r := newRig()
+		sink := &countSink{}
+		lineWords := uint64(r.p.CacheLineBytes / params.WordBytes)
+		pos := make([]uint64, r.p.CEsPerCluster)
+		drive := func() {
+			for n := 0; n < 400; n++ {
+				for ce := range pos {
+					// Regions 64 lines apart: the streams never share a set.
+					base := uint64(ce)<<24 + uint64(ce)*64*lineWords
+					addr := base + pos[ce]%lineWords
+					if !hit && pos[ce]%4 == 3 {
+						addr = base + (1+pos[ce]/4)*lineWords
+					}
+					if r.c.Submit(ce, addr, false, 0, sink, 0) {
+						pos[ce]++
+					}
+				}
+				r.tick()
+			}
+		}
+		drive()
+		if avg := testing.AllocsPerRun(10, drive); avg != 0 {
+			t.Errorf("hit=%v: Submit+Tick allocate %.1f times per 400 cycles, want 0", hit, avg)
+		}
+		if sink.done == 0 {
+			t.Fatalf("hit=%v: no access completed", hit)
+		}
+	}
+}

@@ -54,7 +54,11 @@ type Runtime struct {
 // cycle barrier orders them.
 
 type ceCtl struct {
+	// q[head:] are the instructions still to issue. Next advances head
+	// rather than reslicing, and rewinds both once the queue drains, so a
+	// participant's steady issue/refill cycle reuses one buffer.
 	q        []*ce.Instr
+	head     int
 	poll     func(cycle int64) bool
 	finished bool
 	// cdSeen is the last concurrency-bus generation this CE processed;
@@ -188,9 +192,12 @@ func (r *Runtime) Next(ceID int, cycle int64) (*ce.Instr, ce.Status) {
 	}
 	c := r.ctl[ci]
 	for {
-		if len(c.q) > 0 {
-			in := c.q[0]
-			c.q = c.q[1:]
+		if c.head < len(c.q) {
+			in := c.q[c.head]
+			c.q[c.head] = nil
+			if c.head++; c.head == len(c.q) {
+				c.q, c.head = c.q[:0], 0
+			}
 			return in, ce.Ready
 		}
 		if c.finished {

@@ -320,3 +320,38 @@ func TestVectorBodiesThroughRuntime(t *testing.T) {
 		t.Errorf("aggregate %.1f MFLOPS, want substantial parallel rate", res.MFLOPS)
 	}
 }
+
+// TestSteadyStateAllocsControllerQueue is the runtime allocation gate on
+// the controller instruction queue: a participant that issues everything
+// it was handed and is then refilled — the shape of every claim / body /
+// barrier round — must reuse one buffer, so Next and enq allocate nothing
+// once it has grown. (Out of the hotalloc analyzer's reach: a
+// slide-forward slice queue allocates through append growth only.)
+func TestSteadyStateAllocsControllerQueue(t *testing.T) {
+	m := mach(t, 1)
+	rt := New(m, Config{UseCedarSync: true}, Serial{Body: func() []*ce.Instr { return nil }})
+	id := rt.ces[0].ID
+	for st := ce.Ready; st == ce.Ready; { // drain what New enqueued
+		_, st = rt.Next(id, 0)
+	}
+	body := make([]*ce.Instr, 12)
+	for i := range body {
+		body[i] = scalarInstr(1)
+	}
+	round := func() {
+		rt.enq(0, body[:5]...)
+		rt.enq(0, body[5:]...)
+		for i := range body {
+			if in, st := rt.Next(id, 0); st != ce.Ready || in != body[i] {
+				t.Fatalf("instruction %d: got %p status %v, want %p ready", i, in, st, body[i])
+			}
+		}
+		if _, st := rt.Next(id, 0); st == ce.Ready {
+			t.Fatal("queue not drained after issuing every instruction")
+		}
+	}
+	round()
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Errorf("Next/enq allocate %.1f times per drained-and-refilled round, want 0", avg)
+	}
+}

@@ -70,11 +70,36 @@ func run(m *core.Machine, cfg cfrt.Config, limit int64, phases ...cfrt.Phase) (R
 	return Result{Result: res, Blocks: bs}, nil
 }
 
+// rkRank is the rank of the update: the A panel is n×rkRank.
+const rkRank = 64
+
+// rkColumn builds one column's worth of the update: rkRank chained
+// multiply-add sweeps, sweep k reading the length-n stream src(k), then
+// the store of the column of C at cCol. The instructions and their source
+// streams come from two slabs: a body is built per column per CE, and one
+// allocation per instruction would make program construction outweigh
+// the simulation in the rank-update points' allocation counts.
+func rkColumn(n int, cCol uint64, src func(k int) ce.Stream) []*ce.Instr {
+	slab := make([]ce.Instr, rkRank+1)
+	srcs := make([]ce.Stream, rkRank)
+	ins := make([]*ce.Instr, rkRank+1)
+	for k := range srcs {
+		srcs[k] = src(k)
+		slab[k] = ce.Instr{Op: ce.OpVector, N: n, Flops: 2, Srcs: srcs[k : k+1 : k+1]}
+		ins[k] = &slab[k]
+	}
+	slab[rkRank] = ce.Instr{
+		Op: ce.OpVector, N: n, Flops: 0,
+		Dst: &ce.Stream{Space: ce.SpaceGlobal, Base: cCol, Stride: 1},
+	}
+	ins[rkRank] = &slab[rkRank]
+	return ins
+}
+
 // RankUpdate computes a rank-64 update to an n×n matrix: C += A·B with A
 // n×64 and B 64×n, all in global memory (2·64·n² flops).
 func RankUpdate(m *core.Machine, n int, mode RKMode) (Result, error) {
-	const rank = 64
-	aBase := m.AllocGlobalAligned(n*rank, 64)
+	aBase := m.AllocGlobalAligned(n*rkRank, 64)
 	cBase := m.AllocGlobalAligned(n*n, 64)
 
 	switch mode {
@@ -87,27 +112,14 @@ func RankUpdate(m *core.Machine, n int, mode RKMode) (Result, error) {
 		// chained multiply-add sweeps over a column of A, then stores
 		// the column of C.
 		body := func(j int) []*ce.Instr {
-			ins := make([]*ce.Instr, 0, rank+1)
-			for kk := 0; kk < rank; kk++ {
+			return rkColumn(n, cBase+uint64(j*n), func(kk int) ce.Stream {
 				// Skew the panel sweep by column so concurrent CEs read
 				// different columns of A instead of marching over the
 				// same addresses in lockstep (the hand-coded kernel's
 				// access pattern).
-				k := (kk + j) % rank
-				ins = append(ins, &ce.Instr{
-					Op: ce.OpVector, N: n, Flops: 2,
-					Srcs: []ce.Stream{{
-						Space:  ce.SpaceGlobal,
-						Base:   aBase + uint64(k*n),
-						Stride: 1, PrefBlock: pref,
-					}},
-				})
-			}
-			ins = append(ins, &ce.Instr{
-				Op: ce.OpVector, N: n, Flops: 0,
-				Dst: &ce.Stream{Space: ce.SpaceGlobal, Base: cBase + uint64(j*n), Stride: 1},
+				k := (kk + j) % rkRank
+				return ce.Stream{Space: ce.SpaceGlobal, Base: aBase + uint64(k*n), Stride: 1, PrefBlock: pref}
 			})
-			return ins
 		}
 		return run(m, cfrt.Config{UseCedarSync: true}, 1<<40,
 			cfrt.XDoall{N: n, Static: true, Body: body})
@@ -117,7 +129,7 @@ func RankUpdate(m *core.Machine, n int, mode RKMode) (Result, error) {
 		// array (prefetched global loads, cluster stores). Phase 2: the
 		// columns of C are distributed over clusters; all A accesses hit
 		// the cached work array.
-		words := n * rank
+		words := n * rkRank
 		workBase := make([]uint64, len(m.Clusters))
 		for i, cl := range m.Clusters {
 			workBase[i] = cl.AllocLocal(words)
@@ -155,19 +167,9 @@ func RankUpdate(m *core.Machine, n int, mode RKMode) (Result, error) {
 				return []cfrt.ClusterPhase{cfrt.CDoall{
 					N: hi - lo,
 					Body: func(jj int) []*ce.Instr {
-						j := lo + jj
-						ins := make([]*ce.Instr, 0, rank+1)
-						for k := 0; k < rank; k++ {
-							ins = append(ins, &ce.Instr{
-								Op: ce.OpVector, N: n, Flops: 2,
-								Srcs: []ce.Stream{{Space: ce.SpaceCluster, Base: workBase[i] + uint64(k*n), Stride: 1}},
-							})
-						}
-						ins = append(ins, &ce.Instr{
-							Op: ce.OpVector, N: n, Flops: 0,
-							Dst: &ce.Stream{Space: ce.SpaceGlobal, Base: cBase + uint64(j*n), Stride: 1},
+						return rkColumn(n, cBase+uint64((lo+jj)*n), func(k int) ce.Stream {
+							return ce.Stream{Space: ce.SpaceCluster, Base: workBase[i] + uint64(k*n), Stride: 1}
 						})
-						return ins
 					},
 				}}
 			},

@@ -24,12 +24,22 @@ func LoadLatency(m *core.Machine, n int, gap int64) (Result, error) {
 		return Result{}, fmt.Errorf("kernels: negative gap")
 	}
 	base := m.AllocGlobal(n)
-	instrs := make([]*ce.Instr, 0, 2*n)
+	// One slab for the whole program: building it is benchmark set-up, not
+	// simulation, and must not dominate the probe's allocation count.
+	per := 1
+	if gap > 0 {
+		per = 2
+	}
+	slab := make([]ce.Instr, 0, per*n)
 	for i := 0; i < n; i++ {
-		instrs = append(instrs, &ce.Instr{Op: ce.OpGlobalLoad, Addr: base + uint64(i)})
+		slab = append(slab, ce.Instr{Op: ce.OpGlobalLoad, Addr: base + uint64(i)})
 		if gap > 0 {
-			instrs = append(instrs, &ce.Instr{Op: ce.OpScalar, Cycles: gap})
+			slab = append(slab, ce.Instr{Op: ce.OpScalar, Cycles: gap})
 		}
+	}
+	instrs := make([]*ce.Instr, len(slab))
+	for i := range slab {
+		instrs[i] = &slab[i]
 	}
 	prog := &ce.Program{Instrs: instrs}
 	res, err := m.RunOn(m.CEs[:1], prog, 1<<40)

@@ -18,6 +18,35 @@
 //
 // Arguments of panic(...) are exempt: a panicking simulator is already
 // dead, so formatting the autopsy may allocate freely.
+//
+// # What it has caught
+//
+// Real findings fixed in this module, not testdata (EXPERIMENTS.md,
+// "cedarvet v2: hot-path allocation fixes", has the before/after): the
+// per-packet &Packet{} and per-miss &mshr{} literals that became
+// network.PacketPool and the cache's MSHR free-list; the per-event
+// completion closures that became the sink+tag interfaces (cache.Sink,
+// cmem.Sink); per-instruction scratch slices in the CE's vector unit;
+// and, in PR 9, a per-shard-per-cycle deferred closure in the phase-A
+// worker pool (sim.shardRunner.capture is a method for that reason).
+//
+// # What it cannot see
+//
+// The rules are syntactic, so an allocation with no allocating construct
+// at the site is out of reach. Two kinds have mattered: implicit
+// interface boxing (container/heap boxed an element per Push on the
+// crossbar; see DESIGN.md), and slide-forward slice queues — q = q[1:]
+// on pop with q = append(q, x) on push is exactly the self-append idiom
+// this analyzer blesses, yet the window walks off the end of its backing
+// array and append reallocates every few operations for ever. The
+// per-CE request queues in cache.Submit and the controller queue in
+// cfrt.Runtime.Next/enq were that shape and made 61% and 34% of the
+// dense and suite workloads' mallocs. Their guard is dynamic: the
+// testing.AllocsPerRun gates TestSteadyStateAllocsSubmitTick
+// (internal/cache), TestSteadyStateAllocsEngineRun (internal/sim),
+// TestSteadyStateAllocsControllerQueue (internal/cfrt) and
+// TestSteadyStateAllocsOmega (internal/network), which scripts/check.sh
+// runs as their own step.
 package hotalloc
 
 import (

@@ -111,6 +111,13 @@ type Omega struct {
 	radix  int
 	stages int
 	ports  int
+	// shufTab[l] is the line the perfect radix-k shuffle wires line l to
+	// (the base-k digits of l rotated left by one), and routeDiv[t] the
+	// power of the radix whose quotient exposes the destination digit that
+	// self-routes a packet at stage t. Both are fixed by the geometry and
+	// read per head packet per hop, so NewOmega computes them once.
+	shufTab  []int
+	routeDiv []int
 
 	// in[t][l] is the queue at the input of stage t, line l.
 	in [][]wordQueue
@@ -202,6 +209,8 @@ func NewOmega(cfg OmegaConfig) *Omega {
 		radix:       cfg.Radix,
 		stages:      stages,
 		ports:       cfg.Ports,
+		shufTab:     make([]int, cfg.Ports),
+		routeDiv:    make([]int, stages),
 		in:          make([][]wordQueue, stages),
 		egress:      make([]wordQueue, cfg.Ports),
 		rr:          make([][]int, stages),
@@ -215,6 +224,14 @@ func NewOmega(cfg OmegaConfig) *Omega {
 	}
 	for p := range o.lastRefuse {
 		o.lastRefuse[p] = -1
+	}
+	for l := range o.shufTab {
+		v := l * cfg.Radix
+		o.shufTab[l] = v%cfg.Ports + v/cfg.Ports
+	}
+	// Stage t routes on digit stages-1-t of the destination (tag control).
+	for t, div := stages-1, 1; t >= 0; t, div = t-1, div*cfg.Radix {
+		o.routeDiv[t] = div
 	}
 	lineCap := 2 * cfg.QueueWords
 	for t := 0; t < stages; t++ {
@@ -296,21 +313,6 @@ func (o *Omega) Queued() int {
 // network attribution).
 func (o *Omega) Lines() int { return o.ports * (o.stages + 1) }
 
-// shuffle rotates the base-k digits of line left by one: the perfect
-// radix-k shuffle wiring between stages.
-func (o *Omega) shuffle(line int) int {
-	v := line * o.radix
-	return v%o.ports + v/o.ports
-}
-
-// digit extracts base-k digit i (0 = least significant) of v.
-func (o *Omega) digit(v, i int) int {
-	for ; i > 0; i-- {
-		v /= o.radix
-	}
-	return v % o.radix
-}
-
 // Offer implements Fabric. The packet enters the stage-0 queue on the
 // shuffled line for its source port. Panics if a port is out of range —
 // a wiring bug, not a runtime condition.
@@ -322,7 +324,7 @@ func (o *Omega) Offer(p *Packet) bool {
 		o.refuse(p.Src)
 		return false
 	}
-	line := o.shuffle(p.Src)
+	line := o.shufTab[p.Src]
 	q := &o.in[0][line]
 	if !q.canAccept(p.Words()) {
 		o.refuse(p.Src)
@@ -426,13 +428,15 @@ func (o *Omega) Tick(cycle int64) {
 func (o *Omega) tickStage(t int, cycle int64) {
 	nsw := o.ports / o.radix
 	k := o.radix
-	routeDigit := o.stages - 1 - t
+	div := o.routeDiv[t]
+	in, rr, outBusy, swCount := o.in[t], o.rr[t], o.outBusy[t], o.swCount[t]
+	last := t == o.stages-1
 	// Release output wires occupied by multi-word packets.
 	if len(o.busyWires[t]) > 0 {
 		keep := o.busyWires[t][:0]
 		for _, w := range o.busyWires[t] {
-			o.outBusy[t][w]--
-			if o.outBusy[t][w] > 0 {
+			outBusy[w]--
+			if outBusy[w] > 0 {
 				keep = append(keep, w)
 			}
 		}
@@ -443,18 +447,18 @@ func (o *Omega) tickStage(t int, cycle int64) {
 	// order. This is O(k) per switch instead of O(k²).
 	var wantOut [maxRadix]int8 // desired output per input, -1 = none
 	for sw := 0; sw < nsw; sw++ {
-		if o.swCount[t][sw] == 0 {
+		if swCount[sw] == 0 {
 			continue
 		}
 		base := sw * k
 		outMask := 0
 		for inp := 0; inp < k; inp++ {
 			wantOut[inp] = -1
-			h := o.in[t][base+inp].headPkt()
+			h := in[base+inp].headPkt()
 			if h == nil || h.readyAt > cycle {
 				continue
 			}
-			out := o.digit(h.Dst, routeDigit)
+			out := h.Dst / div % k
 			wantOut[inp] = int8(out)
 			outMask |= 1 << out
 		}
@@ -466,53 +470,54 @@ func (o *Omega) tickStage(t int, cycle int64) {
 				continue
 			}
 			gout := base + out
-			if o.outBusy[t][gout] > 0 {
+			if outBusy[gout] > 0 {
 				continue
 			}
-			if o.inj.StageJam(o.name, t, gout, cycle) {
+			if o.inj != nil && o.inj.StageJam(o.name, t, gout, cycle) {
 				continue // the output wire is jammed this cycle
 			}
 			// Round-robin scan starting after the last winner.
-			start := o.rr[t][gout]
+			inp := rr[gout]
 			for i := 0; i < k; i++ {
-				inp := (start + 1 + i) % k
+				if inp++; inp >= k {
+					inp -= k
+				}
 				if wantOut[inp] != int8(out) {
 					continue
 				}
-				if h := o.in[t][base+inp].headPkt(); droppable(h) &&
+				src := &in[base+inp]
+				if o.inj != nil && droppable(src.headPkt()) &&
 					o.inj.LinkDrop(o.name, t, gout, cycle) {
 					// The wire eats the packet: it leaves its queue and
 					// never arrives. Only idempotent prefetch reads are
 					// droppable; the PFU reissues the element.
-					o.in[t][base+inp].pop()
-					o.swCount[t][sw]--
+					src.pop()
+					swCount[sw]--
 					o.inflight--
 					break
 				}
-				var dst *wordQueue
-				if t == o.stages-1 {
-					dst = &o.egress[gout]
-				} else {
-					dst = &o.in[t+1][o.shuffle(gout)]
+				dst := &o.egress[gout]
+				if !last {
+					dst = &o.in[t+1][o.shufTab[gout]]
 				}
-				if !dst.canAccept(o.in[t][base+inp].headPkt().Words()) {
+				if !dst.canAccept(src.headPkt().Words()) {
 					break // head-of-line blocking: this output stalls
 				}
-				h := o.in[t][base+inp].pop()
-				o.swCount[t][sw]--
+				h := src.pop()
+				swCount[sw]--
 				h.readyAt = cycle + int64(h.Words())
 				dst.push(h)
-				if t < o.stages-1 {
-					o.swCount[t+1][o.shuffle(gout)/o.radix]++
+				if !last {
+					o.swCount[t+1][o.shufTab[gout]/k]++
 				} else if w := o.portWake[gout]; w != nil {
 					// Final hop: tell the egress consumer when the packet
 					// becomes consumable (readyAt for sinks ticking after
 					// the fabric; before-fabric sinks add one themselves).
 					w(h.readyAt)
 				}
-				o.rr[t][gout] = inp
+				rr[gout] = inp
 				if w := h.Words() - 1; w > 0 {
-					o.outBusy[t][gout] = w
+					outBusy[gout] = w
 					o.busyWires[t] = append(o.busyWires[t], gout)
 				}
 				o.stats.WordHops += int64(h.Words())

@@ -320,7 +320,7 @@ func TestShuffleIsPermutationProperty(t *testing.T) {
 	o := cedarOmega("fwd")
 	seen := make([]bool, 64)
 	for p := 0; p < 64; p++ {
-		s := o.shuffle(p)
+		s := o.shufTab[p]
 		if s < 0 || s >= 64 {
 			t.Fatalf("shuffle(%d) = %d out of range", p, s)
 		}
@@ -334,7 +334,7 @@ func TestShuffleIsPermutationProperty(t *testing.T) {
 		p := int(v) % 64
 		s := p
 		for i := 0; i < o.stages; i++ {
-			s = o.shuffle(s)
+			s = o.shufTab[s]
 		}
 		return s == p
 	}
@@ -422,5 +422,72 @@ func TestMutOpApply(t *testing.T) {
 		if got := c.op.Apply(c.v, c.arg); got != c.want {
 			t.Errorf("op %d Apply(%d,%d) = %d, want %d", c.op, c.v, c.arg, got, c.want)
 		}
+	}
+}
+
+// TestRoutingTablesMatchFormulas pins the tables NewOmega precomputes to
+// the definitions they replaced — shuffle as a base-k digit rotation
+// computed with % and /, the routing digit extracted by repeated division
+// — for every (port, stage) at radix 2, 4 and 8, including the 64-port
+// paper fabric and the 512-port fabric of the Cedar16/Cedar64 presets.
+func TestRoutingTablesMatchFormulas(t *testing.T) {
+	shuffle := func(line, radix, ports int) int {
+		v := line * radix
+		return v%ports + v/ports
+	}
+	digit := func(v, i, radix int) int {
+		for ; i > 0; i-- {
+			v /= radix
+		}
+		return v % radix
+	}
+	for _, g := range []struct{ radix, ports int }{
+		{2, 2}, {2, 64}, {4, 16}, {4, 256}, {8, 8}, {8, 64}, {8, 512},
+	} {
+		o := NewOmega(OmegaConfig{Name: "tab", Ports: g.ports, Radix: g.radix, QueueWords: 2})
+		for p := 0; p < g.ports; p++ {
+			if got, want := o.shufTab[p], shuffle(p, g.radix, g.ports); got != want {
+				t.Fatalf("radix %d ports %d: shufTab[%d] = %d, want %d", g.radix, g.ports, p, got, want)
+			}
+			for st := 0; st < o.stages; st++ {
+				got := p / o.routeDiv[st] % g.radix
+				if want := digit(p, o.stages-1-st, g.radix); got != want {
+					t.Fatalf("radix %d ports %d: stage %d routes dst %d to output %d, want %d",
+						g.radix, g.ports, st, p, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSteadyStateAllocsOmega is the runtime allocation gate on the
+// fabric: Offer/Tick/Poll under uniform traffic with pooled packets must
+// not allocate once the pool and the fabric's work lists have filled.
+func TestSteadyStateAllocsOmega(t *testing.T) {
+	o := cedarOmega("fwd")
+	var pool PacketPool
+	cycle, dst := int64(0), 0
+	drive := func() {
+		for n := 0; n < 200; n++ {
+			for src := 0; src < 64; src += 2 {
+				dst = (dst*5 + 7) % 64 // full-period walk over the ports
+				p := pool.Get()
+				p.Kind, p.Src, p.Dst = ReadReq, src, dst
+				if !o.Offer(p) {
+					pool.Put(p)
+				}
+			}
+			o.Tick(cycle)
+			cycle++
+			for port := 0; port < 64; port++ {
+				for p := o.Poll(port); p != nil; p = o.Poll(port) {
+					pool.Put(p)
+				}
+			}
+		}
+	}
+	drive()
+	if avg := testing.AllocsPerRun(10, drive); avg != 0 {
+		t.Errorf("omega allocates %.1f times per 200 cycles of uniform traffic, want 0", avg)
 	}
 }

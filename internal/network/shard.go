@@ -106,7 +106,7 @@ func (o *Omega) DrainShards() {
 	for s := range o.shards.boxes {
 		b := &o.shards.boxes[s]
 		for _, src := range b.accepted {
-			line := o.shuffle(src)
+			line := o.shufTab[src]
 			o.swCount[0][line/o.radix]++
 			o.ingressList = append(o.ingressList, src)
 		}

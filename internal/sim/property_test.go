@@ -155,4 +155,5 @@ func TestRandomWakeInterleavingsMatchStepped(t *testing.T) {
 				seed, event, steppedLog)
 		}
 	}
+	checkWakeScenarios(t)
 }

@@ -52,8 +52,7 @@ func (e *Engine) RegisterShard(shard int, cs ...Component) []Handle {
 			e.shardOf = []int{}
 		}
 		e.shardHi = append(e.shardHi, len(e.components))
-		e.spos = append(e.spos, 0)
-		e.heaps = append(e.heaps, nil)
+		e.wheels = append(e.wheels, wheel{due: -1})
 	case shard == len(e.shardHi)-1: // extending the current shard
 	default:
 		panic(fmt.Sprintf("sim: RegisterShard(%d) out of order (have %d shards)", shard, len(e.shardHi)))
@@ -97,26 +96,17 @@ func (e *Engine) hubLo() int {
 	return 0
 }
 
-// tickShard executes shard s's slice of the current cycle: every due
-// component in index order, with the same dueness and requery rules as
-// the sequential pass. It runs on whichever worker claimed the shard;
-// all state it touches (component state, wake entries, the shard heap,
-// spos) is owned by the shard, so the claim schedule is invisible.
+// tickShard executes shard s's slice of the current cycle, with the same
+// dueness and requery rules as the sequential pass (tickRange). It runs
+// on whichever worker claimed the shard; all state it touches (component
+// state, wake entries, the shard's wheel) is owned by the shard, so the
+// claim schedule is invisible.
 func (e *Engine) tickShard(s int, c int64) {
 	lo := 0
 	if s > 0 {
 		lo = e.shardHi[s-1]
 	}
-	for i := lo; i < e.shardHi[s]; i++ {
-		e.spos[s] = i
-		sc := e.sched[i]
-		if sc == nil || e.stepped || e.wake[i] <= c {
-			e.components[i].Tick(c)
-			if sc != nil && !e.stepped {
-				e.setWake(i, sc.NextWakeup(c+1))
-			}
-		}
-	}
+	e.tickRange(&e.wheels[s+1], lo, e.shardHi[s], c)
 }
 
 // stepSharded executes one cycle of a sharded engine: phase A over all
@@ -124,8 +114,14 @@ func (e *Engine) tickShard(s int, c int64) {
 // results are identical), the drain hook, then the serial hub pass.
 func (e *Engine) stepSharded() {
 	c := e.cycle
+	// Until the hub pass starts every hub component's turn is still ahead
+	// (a drain-phase wake may land on this cycle), while each shard's pos
+	// ends phase A on its last component (a drain-phase wake lands on the
+	// next) — exactly the floors a sequential pass positioned between the
+	// two regions would compute.
+	hub := &e.wheels[0]
+	hub.pos = e.hubLo() - 1
 	e.inCycle = true
-	e.phaseA = true
 	if e.runner != nil {
 		e.runner.runCycle(c)
 	} else {
@@ -133,25 +129,10 @@ func (e *Engine) stepSharded() {
 			e.tickShard(s, c)
 		}
 	}
-	e.phaseA = false
-	// Drain-phase wakes: every shard component has ticked (floor is the
-	// next cycle), every hub component is still ahead (floor is this
-	// cycle) — exactly the floors a sequential pass positioned between
-	// the two regions would compute.
-	e.pos = e.hubLo() - 1
 	if e.drain != nil {
 		e.drain(c)
 	}
-	for i := e.hubLo(); i < len(e.components); i++ {
-		e.pos = i
-		s := e.sched[i]
-		if s == nil || e.stepped || e.wake[i] <= c {
-			e.components[i].Tick(c)
-			if s != nil && !e.stepped {
-				e.setWake(i, s.NextWakeup(c+1))
-			}
-		}
-	}
+	e.tickRange(hub, e.hubLo(), len(e.components), c)
 	e.inCycle = false
 	e.cycle = c + 1
 }

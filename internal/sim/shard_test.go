@@ -242,6 +242,7 @@ func TestShardedMatchesFlat(t *testing.T) {
 			}
 		}
 	}
+	checkWakeScenarios(t, 1, 2, 8)
 }
 
 // TestSleepingShardDoesNotBlockJump is the regression test for the

@@ -123,6 +123,29 @@ type wakeEntry struct {
 	idx int
 }
 
+// wheel is the scheduling state of one tick region: the hub (wheel 0, the
+// only one on an unsharded engine) or shard s (wheel s+1). During phase A
+// a wheel is written only by the worker that owns its shard, so it is
+// padded to a cache line of its own.
+type wheel struct {
+	// heap indexes the region's future wakes with lazy invalidation: an
+	// entry is live iff its at equals wake[idx]. It only ever chooses jump
+	// targets — dueness is decided by wake[i] alone — so wakes landing on
+	// the executing or the next cycle never enter it.
+	heap []wakeEntry
+	// due is the cycle at which component dueIdx was last scheduled to be
+	// due by such a next-cycle wake: while due == cycle and wake[dueIdx]
+	// still agrees, tryJump knows the cycle executes without consulting
+	// any heap.
+	due    int64
+	dueIdx int
+	// pos is the region's in-cycle position: components at or before it
+	// have had their turn this cycle, so a wake aimed at them lands on the
+	// next cycle; later ones can still execute the current one.
+	pos int
+	_   [64 - 48]byte
+}
+
 // Engine drives a set of components with a shared clock.
 type Engine struct {
 	components []Component
@@ -134,14 +157,12 @@ type Engine struct {
 	// components, which are ticked every cycle).
 	sched []Sleeper
 	// wake is the authoritative next-wake cycle per component; entries for
-	// plain components are unused. The heaps index the same values with
-	// lazy invalidation: an entry is live iff its at equals wake[idx].
-	// heaps[0] is the hub heap (and the only heap on an unsharded
-	// engine); shard s posts into heaps[s+1], so phase-A workers never
-	// contend on a shared heap. The global jump target is the min over
-	// all heaps.
-	wake  []int64
-	heaps [][]wakeEntry
+	// plain components are unused. wheels[0] schedules the hub (everything,
+	// on an unsharded engine); shard s posts into wheels[s+1], so phase-A
+	// workers never contend on shared scheduling state. The global jump
+	// target is the min over all wheel heaps.
+	wake   []int64
+	wheels []wheel
 	// plain counts registered non-Sleeper components; while it is nonzero
 	// the clock can never jump (the busy-region rule).
 	plain   int
@@ -150,26 +171,19 @@ type Engine struct {
 	// stepped pins this engine to the pure per-cycle schedule (captured
 	// from the process-wide mode at New).
 	stepped bool
-	// inCycle/pos track the in-progress tick pass so wakes aimed at or
-	// before the current cycle land on the earliest cycle the target can
-	// still legally execute: the current one if its turn is still ahead,
-	// the next one otherwise. On a sharded engine pos covers only the
-	// drain + hub passes; phase A uses the per-shard spos instead.
+	// inCycle is true during a tick pass; with the owning wheel's pos it
+	// makes wakes aimed at or before the current cycle land on the earliest
+	// cycle the target can still legally execute: the current one if its
+	// turn is still ahead, the next one otherwise.
 	inCycle bool
-	pos     int
 
 	// Sharding (see shard.go). shardHi[s] is one past the last component
 	// index of shard s; shards are contiguous from index 0, so shard s
 	// spans [shardHi[s-1], shardHi[s]) and every index ≥ shardHi[last] is
 	// a hub component. shardOf maps a component index to its shard, or -1
-	// for hub components. spos[s] is shard s's in-cycle position during
-	// phase A, written and read only by the worker that owns the shard.
+	// for hub components.
 	shardHi []int
 	shardOf []int
-	spos    []int
-	// phaseA is true while shard workers are ticking; it routes setWake's
-	// floor decision to the per-shard position.
-	phaseA bool
 	// drain applies deferred cross-shard effects (fabric mailboxes, scope
 	// span sinks) between phase A and the hub pass, in fixed shard order.
 	drain func(cycle int64)
@@ -200,7 +214,7 @@ func New() *Engine {
 	return &Engine{
 		stepped:    steppedMode.Load(),
 		maxWorkers: Shards(),
-		heaps:      make([][]wakeEntry, 1),
+		wheels:     []wheel{{due: -1}},
 	}
 }
 
@@ -227,40 +241,53 @@ func (h Handle) Wake(at int64) {
 	}
 }
 
-// setWake records component i's next wake as at (clamping to the
-// earliest legally executable cycle) and indexes it in the owning heap.
-// During phase A the floor comes from the owning shard's position —
-// same-shard producers are the only legal phase-A wakers, so the check
-// mirrors the sequential one shard-locally; during the drain and hub
-// passes the global pos covers every already-ticked component.
+// setWake records component i's next wake as at, clamped to the earliest
+// cycle i can still execute: the current one while its turn in the pass
+// is ahead, the next one once its wheel's pos has reached it. (During
+// phase A same-shard producers are the only legal wakers, so the check is
+// shard-local; during the drain every shard's pos rests on its last
+// component and the hub's just before its first.) A wake landing on the
+// executing or the next cycle needs no heap entry — the pass, or the next
+// cycle's pass, finds it in wake[i] — only the due mark that tells
+// tryJump the next cycle executes; genuinely future wakes are indexed in
+// the owning wheel's heap.
 func (e *Engine) setWake(i int, at int64) {
+	w := &e.wheels[0]
+	if e.shardOf != nil {
+		w = &e.wheels[e.shardOf[i]+1]
+	}
 	floor := e.cycle
-	if e.inCycle {
-		if e.phaseA {
-			if s := e.shardOf[i]; s >= 0 && i <= e.spos[s] {
-				floor = e.cycle + 1
-			}
-		} else if i <= e.pos {
-			floor = e.cycle + 1
-		}
+	if e.inCycle && i <= w.pos {
+		floor++
 	}
 	if at < floor {
 		at = floor
 	}
 	e.wake[i] = at
-	if at != Never {
-		h := 0
-		if e.shardOf != nil {
-			h = e.shardOf[i] + 1
+	if e.inCycle && at <= e.cycle+1 {
+		if at > e.cycle {
+			w.due, w.dueIdx = at, i
 		}
-		e.heaps[h] = append(e.heaps[h], wakeEntry{at: at, idx: i})
-		e.siftUp(h, len(e.heaps[h])-1)
+		return
 	}
+	if at == Never {
+		return
+	}
+	// Entries dated before floor are dead weight: every wake is consumed or
+	// re-armed by the cycle it names, and the executing cycle's pass reads
+	// wake[i], not the heap. Dropping them here bounds the heap on engines
+	// that never consult it — dense runs the due mark carries, and runs a
+	// plain component keeps from jumping.
+	for len(w.heap) > 0 && w.heap[0].at < floor {
+		w.popHeap()
+	}
+	w.heap = append(w.heap, wakeEntry{at: at, idx: i})
+	w.siftUp(len(w.heap) - 1)
 }
 
-// siftUp restores heap h's order after an append.
-func (e *Engine) siftUp(h, i int) {
-	hp := e.heaps[h]
+// siftUp restores the heap's order after an append.
+func (w *wheel) siftUp(i int) {
+	hp := w.heap
 	for i > 0 {
 		p := (i - 1) / 2
 		if hp[p].at <= hp[i].at {
@@ -271,12 +298,12 @@ func (e *Engine) siftUp(h, i int) {
 	}
 }
 
-// popHeap removes heap h's minimum entry.
-func (e *Engine) popHeap(h int) {
-	hp := e.heaps[h]
+// popHeap removes the heap's minimum entry.
+func (w *wheel) popHeap() {
+	hp := w.heap
 	n := len(hp) - 1
 	hp[0] = hp[n]
-	e.heaps[h] = hp[:n]
+	w.heap = hp[:n]
 	// Sift down.
 	i := 0
 	for {
@@ -296,32 +323,52 @@ func (e *Engine) popHeap(h int) {
 	}
 }
 
-// nextWakeOf returns heap h's earliest live wake cycle, discarding stale
-// entries (whose at no longer matches the component's authoritative
-// wake) along the way.
-func (e *Engine) nextWakeOf(h int) int64 {
-	for len(e.heaps[h]) > 0 {
-		top := e.heaps[h][0]
-		if top.at == e.wake[top.idx] {
-			return top.at
+// nextWake returns the earliest live wake cycle across every wheel's heap
+// — on a sharded engine the global jump target is the min over the
+// per-shard heaps and the hub heap, so a shard whose components all sleep
+// never blocks the jump — discarding stale entries (whose at no longer
+// matches the component's authoritative wake) along the way. Never means
+// no component has a pending wake.
+func (e *Engine) nextWake() int64 {
+	next := Never
+	for h := range e.wheels {
+		w := &e.wheels[h]
+		for len(w.heap) > 0 {
+			top := w.heap[0]
+			if top.at == e.wake[top.idx] {
+				if top.at < next {
+					next = top.at
+				}
+				break
+			}
+			w.popHeap()
 		}
-		e.popHeap(h)
 	}
-	return Never
+	return next
 }
 
-// nextWake returns the earliest live wake cycle across every heap — on a
-// sharded engine the global jump target is the min over the per-shard
-// wake heaps and the hub heap, so a shard whose components all sleep
-// never blocks the jump. Never means no component has a pending wake.
-func (e *Engine) nextWake() int64 {
-	w := Never
-	for h := range e.heaps {
-		if hw := e.nextWakeOf(h); hw < w {
-			w = hw
+// dueNow reports whether a next-cycle wake recorded during the previous
+// cycle makes some component due now. The mark names the last component
+// so scheduled; if a later same-cycle wake pulled that one in and it
+// re-armed elsewhere, the mark is stale and only a scan of wake can tell
+// (rare: a component woken for both the executing and the next cycle).
+func (e *Engine) dueNow() bool {
+	for h := range e.wheels {
+		w := &e.wheels[h]
+		if w.due != e.cycle {
+			continue
 		}
+		if e.wake[w.dueIdx] <= e.cycle {
+			return true
+		}
+		for _, at := range e.wake {
+			if at <= e.cycle {
+				return true
+			}
+		}
+		return false
 	}
-	return w
+	return false
 }
 
 // Register appends components to the tick order and returns their
@@ -449,10 +496,7 @@ func (e *Engine) limitErr(limit int64) error {
 }
 
 // stepOnce executes the current cycle: every plain component, and every
-// Sleeper whose wake is due. Dueness is evaluated when the iteration
-// reaches the component, so a producer ticking earlier in the pass can
-// still hand a later consumer same-cycle work via Wake. After a due
-// Sleeper ticks, its schedule is re-queried for the next cycle.
+// Sleeper whose wake is due.
 func (e *Engine) stepOnce() {
 	if len(e.shardHi) > 0 {
 		e.stepSharded()
@@ -460,18 +504,39 @@ func (e *Engine) stepOnce() {
 	}
 	c := e.cycle
 	e.inCycle = true
-	for i, comp := range e.components {
-		e.pos = i
-		s := e.sched[i]
-		if s == nil || e.stepped || e.wake[i] <= c {
-			comp.Tick(c)
-			if s != nil && !e.stepped {
-				e.setWake(i, s.NextWakeup(c+1))
-			}
-		}
-	}
+	e.tickRange(&e.wheels[0], 0, len(e.components), c)
 	e.inCycle = false
 	e.cycle = c + 1
+}
+
+// tickRange executes wheel w's components [lo, hi) for cycle c, in index
+// order. Dueness is evaluated when the iteration reaches the component,
+// so a producer ticking earlier in the pass can still hand a later
+// consumer same-cycle work via Wake. After a due Sleeper ticks, its
+// schedule is re-queried for the next cycle; a component that stays busy
+// answers "next cycle", which is setWake's heap-free case (it has had its
+// turn, so the floor is c+1) spelled out here to keep the call off the
+// per-tick path.
+func (e *Engine) tickRange(w *wheel, lo, hi int, c int64) {
+	next := c + 1
+	for i := lo; i < hi; i++ {
+		w.pos = i
+		s := e.sched[i]
+		if s == nil || e.stepped {
+			e.components[i].Tick(c)
+			continue
+		}
+		if e.wake[i] > c {
+			continue
+		}
+		e.components[i].Tick(c)
+		if at := s.NextWakeup(next); at <= next {
+			e.wake[i] = next
+			w.due, w.dueIdx = next, i
+		} else {
+			e.setWake(i, at)
+		}
+	}
 }
 
 // tryJump advances the clock to the earliest pending wake when no
@@ -479,7 +544,7 @@ func (e *Engine) stepOnce() {
 // matches a stepped run, and reports whether it moved. Jumps are what
 // FastForwarded counts: cycles in which nothing at all ran.
 func (e *Engine) tryJump(deadline int64) bool {
-	if e.stepped || e.plain > 0 {
+	if e.stepped || e.plain > 0 || e.dueNow() {
 		return false
 	}
 	w := e.nextWake()

@@ -1,0 +1,335 @@
+package sim
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
+
+// This file holds the hand-written scenarios that pin each branch of the
+// wheel's next-cycle path — wakes that land on the executing or the next
+// cycle bypass the heap and leave only a due mark — plus the bounds on
+// what the heap may hold. TestRandomWakeInterleavingsMatchStepped and
+// TestShardedMatchesFlat run every scenario, so they sit behind the same
+// -race gates as the seeded property tests.
+
+// msg is one wake an actor hands a peer while working its own schedule.
+type msg struct {
+	to int   // index of the receiving actor
+	at int64 // the cycle passed to Handle.Wake, and when the item matures
+	// poke sends the wake alone, with no inbox item: a spurious wake, which
+	// must cost a no-op tick and nothing else.
+	poke bool
+	// cancel makes the receiver drop the rest of its own schedule when it
+	// consumes the item — whatever wake it had posted for that work goes
+	// stale and must never execute.
+	cancel bool
+}
+
+// actorSpec is one scripted Sleeper, as pure data.
+type actorSpec struct {
+	shard int             // owning shard on the sharded run; -1 is the hub
+	own   []int64         // ascending cycles at which it has work of its own
+	sends map[int64][]msg // wakes fired while working own cycle k
+}
+
+// wakeScenario is a component set plus the run entries that drive it.
+// Actors are listed shard-major with the hub last, so flat and sharded
+// registration order agree; wakes stay inside a shard or leave the hub,
+// the only legal phase-A producers.
+type wakeScenario struct {
+	name   string
+	actors []actorSpec
+	limits []int64 // one RunUntilIdle per entry; all but the last may hit the limit
+}
+
+var wakePathScenarios = []wakeScenario{
+	{
+		name: "next-cycle wake from an earlier component",
+		actors: []actorSpec{
+			{own: []int64{5}, sends: map[int64][]msg{5: {{to: 1, at: 6}}}},
+			{own: []int64{90}},
+		},
+	},
+	{
+		name: "next-cycle and clamped current-cycle wakes from a later component",
+		actors: []actorSpec{
+			{own: []int64{90}},
+			{own: []int64{120}},
+			{own: []int64{5, 40}, sends: map[int64][]msg{5: {{to: 0, at: 6}}, 40: {{to: 1, at: 40}}}},
+		},
+	},
+	{
+		name: "current-cycle wake on a component not yet reached",
+		actors: []actorSpec{
+			{own: []int64{5}, sends: map[int64][]msg{5: {{to: 1, at: 5}, {to: 2, at: 3}}}},
+			{own: []int64{70}},
+			{},
+		},
+	},
+	{
+		name: "far wake pulled in to the next cycle does not resurrect",
+		actors: []actorSpec{
+			{own: []int64{10}, sends: map[int64][]msg{10: {{to: 1, at: 11, cancel: true}}}},
+			{own: []int64{100, 150}},
+			{shard: -1, own: []int64{300}},
+		},
+	},
+	{
+		name: "next-cycle wake pulled in to the executing cycle leaves a stale mark",
+		actors: []actorSpec{
+			{own: []int64{10}, sends: map[int64][]msg{10: {{to: 2, at: 11, poke: true}}}},
+			{own: []int64{10}, sends: map[int64][]msg{10: {{to: 2, at: 10}}}},
+			{},
+			{shard: -1, own: []int64{200}},
+		},
+	},
+	{
+		name: "hub wakes into a shard land on the next cycle",
+		actors: []actorSpec{
+			{own: []int64{80}},
+			{shard: 1},
+			{shard: -1, own: []int64{7, 20}, sends: map[int64][]msg{7: {{to: 0, at: 7}, {to: 1, at: 8}}, 20: {{to: 3, at: 20}}}},
+			{shard: -1},
+		},
+	},
+	{
+		name: "wake landing exactly on start+limit",
+		actors: []actorSpec{
+			{own: []int64{10, 49}, sends: map[int64][]msg{10: {{to: 1, at: 50}}, 49: {{to: 2, at: 50}}}},
+			{},
+			{},
+		},
+		limits: []int64{50, 1000},
+	},
+	{
+		name: "jump immediately after a run of dense cycles",
+		actors: []actorSpec{
+			{own: []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}},
+			{own: []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 400, 401, 900}},
+		},
+	},
+}
+
+// actor executes an actorSpec. Its Tick is a no-op unless own work or a
+// matured inbox item is present, as the Sleeper contract requires.
+type actor struct {
+	id    string
+	own   []int64
+	sends map[int64][]msg
+	inbox []msg
+	ticks []int64 // effective ticks
+	calls []int64 // every cycle the engine invoked Tick, effective or not
+	env   *actorEnv
+}
+
+// actorEnv is what the actors of one run share.
+type actorEnv struct {
+	actors  []*actor
+	handles []Handle
+}
+
+func (a *actor) Name() string { return a.id }
+func (a *actor) Tick(c int64) {
+	a.calls = append(a.calls, c)
+	worked := false
+	for len(a.own) > 0 && a.own[0] <= c {
+		k := a.own[0]
+		a.own = a.own[1:]
+		worked = true
+		for _, m := range a.sends[k] {
+			if !m.poke {
+				to := a.env.actors[m.to]
+				to.inbox = append(to.inbox, m)
+			}
+			a.env.handles[m.to].Wake(m.at)
+		}
+	}
+	keep := a.inbox[:0]
+	for _, m := range a.inbox {
+		switch {
+		case m.at > c:
+			keep = append(keep, m)
+		case m.cancel:
+			a.own = nil
+			fallthrough
+		default:
+			worked = true
+		}
+	}
+	a.inbox = keep
+	if worked {
+		a.ticks = append(a.ticks, c)
+	}
+}
+func (a *actor) Idle() bool { return len(a.own) == 0 && len(a.inbox) == 0 }
+func (a *actor) NextWakeup(now int64) int64 {
+	w := Never
+	if len(a.own) > 0 {
+		w = a.own[0]
+	}
+	for _, m := range a.inbox {
+		if m.at < w {
+			w = m.at
+		}
+	}
+	if w < now {
+		return now
+	}
+	return w
+}
+
+// runWakeScenario executes one scenario and returns its run log: every
+// actor's effective ticks, then cycle, jump count and error per run
+// entry. On an event-wheel run it also checks the jump accounting from
+// the inside: the executed cycles are exactly those in which some Tick
+// ran — a cycle executed for nobody is as wrong as one skipped over work.
+func runWakeScenario(t *testing.T, sc wakeScenario, stepped, sharded bool, workers int) string {
+	t.Helper()
+	e := New()
+	e.stepped = stepped
+	e.maxWorkers = workers
+	env := &actorEnv{}
+	shard := 0
+	for i, sp := range sc.actors {
+		a := &actor{id: fmt.Sprintf("a%d", i), own: append([]int64(nil), sp.own...), sends: sp.sends, env: env}
+		env.actors = append(env.actors, a)
+		if sharded && sp.shard >= 0 {
+			for shard < sp.shard { // open skipped shards empty, in order
+				e.RegisterShard(shard)
+				shard++
+			}
+			env.handles = append(env.handles, e.RegisterShard(sp.shard, a)[0])
+			shard = sp.shard
+		} else {
+			env.handles = append(env.handles, e.Register(a)[0])
+		}
+	}
+	limits := sc.limits
+	if limits == nil {
+		limits = []int64{2000}
+	}
+	var b strings.Builder
+	for _, limit := range limits {
+		err := e.RunUntilIdle(limit)
+		fmt.Fprintf(&b, "cycle:%d limit-hit:%v\n", e.Cycle(), err != nil)
+	}
+	for _, a := range env.actors {
+		fmt.Fprintf(&b, "%s:%v\n", a.id, a.ticks)
+	}
+	if stepped {
+		if e.FastForwarded() != 0 {
+			t.Errorf("%s: stepped run jumped %d cycles", sc.name, e.FastForwarded())
+		}
+		return b.String()
+	}
+	called := map[int64]bool{}
+	for _, a := range env.actors {
+		for _, c := range a.calls {
+			called[c] = true
+		}
+	}
+	if executed := e.Cycle() - e.FastForwarded(); executed != int64(len(called)) {
+		t.Errorf("%s (sharded=%v): %d cycles executed but Ticks ran in %d: FastForwarded()=%d is off",
+			sc.name, sharded, executed, len(called), e.FastForwarded())
+	}
+	return b.String()
+}
+
+// checkWakeScenarios runs every scenario stepped (the reference) and on
+// the event wheel — flat when workers is 0, sharded otherwise.
+func checkWakeScenarios(t *testing.T, workers ...int) {
+	t.Helper()
+	for _, sc := range wakePathScenarios {
+		want := runWakeScenario(t, sc, true, false, 1)
+		if len(workers) == 0 {
+			if got := runWakeScenario(t, sc, false, false, 1); got != want {
+				t.Errorf("%s: event run diverges from stepped\nevent:\n%s\nstepped:\n%s", sc.name, got, want)
+			}
+		}
+		for _, w := range workers {
+			if got := runWakeScenario(t, sc, false, true, w); got != want {
+				t.Errorf("%s workers=%d: sharded event run diverges from stepped\nsharded:\n%s\nstepped:\n%s", sc.name, w, got, want)
+			}
+		}
+	}
+}
+
+// heapLen is the total number of entries across every wheel's heap.
+func heapLen(e *Engine) int {
+	n := 0
+	for i := range e.wheels {
+		n += len(e.wheels[i].heap)
+	}
+	return n
+}
+
+// TestWakeHeapBoundedWithPlainComponent is the regression test for the
+// heap leak behind a plain component: tryJump never reaches nextWake
+// while one is registered, so nothing popped what the Sleepers' re-arms
+// pushed — one entry per re-arm, 100001 after 1e5 cycles.
+func TestWakeHeapBoundedWithPlainComponent(t *testing.T) {
+	e := New()
+	e.Register(Func{ID: "plain", F: func(int64) {}})
+	e.Register(SchedFunc{ID: "due", F: func(int64) {}, W: func(now int64) int64 { return now }})
+	// One that really sleeps, so far wakes keep arriving behind the plain
+	// component too.
+	e.Register(SchedFunc{ID: "napper", F: func(int64) {}, W: func(now int64) int64 { return now + 7 }})
+	e.Run(100_000)
+	if n := heapLen(e); n > 2 {
+		t.Errorf("heap holds %d entries after 1e5 cycles, want ≤ 2 (one per Sleeper)", n)
+	}
+}
+
+// denseEngine builds an all-Sleeper engine of 8 components, component i
+// re-arming gap(i) cycles out (0 = always due) — flat, or as two shards
+// of three plus two hub components.
+func denseEngine(sharded bool, gap func(i int) int64) *Engine {
+	e := New()
+	var cs []Component
+	for i := 0; i < 8; i++ {
+		g := gap(i)
+		cs = append(cs, SchedFunc{ID: fmt.Sprintf("s%d", i), F: func(int64) {}, W: func(now int64) int64 { return now + g }})
+	}
+	if sharded {
+		e.RegisterShard(0, cs[:3]...)
+		e.RegisterShard(1, cs[3:6]...)
+		e.Register(cs[6:]...)
+	} else {
+		e.Register(cs...)
+	}
+	return e
+}
+
+// TestWakeHeapBoundedWhenDense pins the same bound where the due mark,
+// not a plain component, keeps the heap from being consulted: an
+// all-Sleeper engine with something due every cycle, flat and sharded.
+func TestWakeHeapBoundedWhenDense(t *testing.T) {
+	for _, sharded := range []bool{false, true} {
+		// Every fourth component is always due; the others nap 1–3 cycles.
+		e := denseEngine(sharded, func(i int) int64 { return int64(i % 4) })
+		for i := 0; i < 10; i++ { // re-entry re-polls every Sleeper into the heap
+			e.Run(10_000)
+		}
+		if e.FastForwarded() != 0 {
+			t.Fatalf("sharded=%v: dense engine jumped %d cycles", sharded, e.FastForwarded())
+		}
+		if n := heapLen(e); n > e.Components() {
+			t.Errorf("sharded=%v: heap holds %d entries after 1e5 dense cycles, want ≤ %d (one per Sleeper)", sharded, n, e.Components())
+		}
+	}
+}
+
+// TestSteadyStateAllocsEngineRun is the runtime allocation gate on the
+// tick path: Engine.Run over always-due Sleepers must not allocate once
+// the heaps have reached their bound — unsharded, and with two shards on
+// the serial phase-A path.
+func TestSteadyStateAllocsEngineRun(t *testing.T) {
+	for _, sharded := range []bool{false, true} {
+		e := denseEngine(sharded, func(int) int64 { return 0 })
+		e.Run(100)
+		if avg := testing.AllocsPerRun(20, func() { e.Run(500) }); avg != 0 {
+			t.Errorf("sharded=%v: Engine.Run allocates %.1f times per 500 dense cycles, want 0", sharded, avg)
+		}
+	}
+}

@@ -51,7 +51,9 @@ echo "==> stepped-vs-event engine equivalence (-race)"
 # with the wheel on and with pure per-cycle stepping and byte-compare
 # every artifact, plus the seeded random-interleaving property test.
 go test -race -count=1 -run '^(TestSteppedVsEventEquality|TestSteppedVsEventDegraded)$' .
-go test -race -count=1 -run '^TestRandomWakeInterleavingsMatchStepped$' ./internal/sim
+# The sim line also covers the hand-written next-cycle-path scenarios
+# (run inside the property test) and the wake-heap bounds.
+go test -race -count=1 -run '^(TestRandomWakeInterleavingsMatchStepped|TestWakeHeapBoundedWithPlainComponent|TestWakeHeapBoundedWhenDense)$' ./internal/sim
 
 echo "==> sharded-vs-sequential engine equality (-race, parallel phase A)"
 # The intra-run parallel engine must be invisible: -shards 1 and
@@ -63,6 +65,17 @@ echo "==> sharded-vs-sequential engine equality (-race, parallel phase A)"
 go test -race -count=1 -run '^(TestShardsVsSequentialEquality|TestShardsVsSequentialDegraded)$' .
 go test -race -count=1 -run '^(TestShardedMachineMatchesSequential|TestAttributionConservationParallel)$' ./internal/core
 go test -race -count=1 -run '^(TestShardedMatchesFlat|TestSleepingShardDoesNotBlockJump)$' ./internal/sim
+
+echo "==> steady-state allocation gates"
+# The complement of cedarvet's hotalloc analyzer: testing.AllocsPerRun
+# asserts zero allocations per run on the warmed tick path — cache
+# Submit+Tick (hit and miss streams), Engine.Run over always-due Sleepers
+# (flat and two shards), the cfrt controller queue, and the omega under
+# uniform pooled traffic. A slide-forward slice queue allocates through
+# append growth alone, which no syntactic rule can see. Run
+# uninstrumented and uncached: the count asserted is the production
+# build's, and the gates are single-goroutine, so -race adds nothing.
+go test -count=1 -run '^TestSteadyStateAllocs' ./internal/sim ./internal/cache ./internal/cfrt ./internal/network
 
 echo "==> cedarserve cached-vs-fresh response equality (-race)"
 # The serving daemon's cache must be invisible: a response served from
@@ -108,4 +121,4 @@ go test -run='^$' -fuzz='^FuzzOmegaRouting$' -fuzztime="$FUZZTIME" ./internal/ne
 go test -run='^$' -fuzz='^FuzzInstability$' -fuzztime="$FUZZTIME" ./internal/ppt
 go test -run='^$' -fuzz='^FuzzBands$' -fuzztime="$FUZZTIME" ./internal/ppt
 
-echo "OK: build, vet, cedarvet, race tests, shard equality, serve equality, bench campaigns and fuzz smoke all green"
+echo "OK: build, vet, cedarvet, race tests, shard equality, allocation gates, serve equality, bench campaigns and fuzz smoke all green"
