@@ -8,6 +8,12 @@
 // params.CacheWays, direct-mapped by default) so capacity and conflict
 // behaviour are genuine, but reads data through the shared backing store;
 // the cache's job in the simulation is timing, the store's is values.
+//
+// The tag array is demand-paged: it is held as pages of pageSets sets, and
+// a page exists only once a fill has landed in it. An absent page reads as
+// pageSets empty sets — the zero frame is the empty frame — so a run pays
+// host memory for the lines it touches, not for the 512 KB capacity
+// (DESIGN.md, "Demand-materialised state").
 package cache
 
 import (
@@ -16,9 +22,6 @@ import (
 	"cedar/internal/cmem"
 	"cedar/internal/params"
 )
-
-// invalidTag marks an empty cache frame.
-const invalidTag = ^uint64(0)
 
 // Sink receives word-access completions. Completions carry the
 // submitter's tag instead of a per-request closure so that the CE's
@@ -48,8 +51,14 @@ type ring struct {
 	n    int
 }
 
+// pageSets is the number of sets per tag-store page.
+const pageSets = 256
+
+// frame is one cache line's tag entry. The zero value is an empty frame,
+// which is what lets an unmaterialised page stand for pageSets empty sets.
 type frame struct {
-	tag   uint64 // line address, or invalidTag
+	line  uint64 // line address, meaningful only when valid
+	valid bool
 	dirty bool
 	used  int64 // last-touch stamp for LRU within a set
 }
@@ -70,7 +79,9 @@ type Cache struct {
 	ways      int
 	clock     int64 // LRU stamp source
 
-	frames   []frame
+	// pages[i] holds sets [i*pageSets, (i+1)*pageSets), ways frames each;
+	// nil until the first fill into that range.
+	pages    [][]frame
 	queues   []ring
 	queued   int // requests across all queues
 	missOut  []int
@@ -137,13 +148,10 @@ func New(p params.Machine, nCE int, mem *cmem.Memory) *Cache {
 		lineWords: lineWords,
 		numSets:   numSets,
 		ways:      ways,
-		frames:    make([]frame, numSets*uint64(ways)),
+		pages:     make([][]frame, (numSets+pageSets-1)/pageSets),
 		queues:    make([]ring, nCE),
 		missOut:   make([]int, nCE),
 		mshrs:     make(map[uint64]*mshr),
-	}
-	for i := range c.frames {
-		c.frames[i].tag = invalidTag
 	}
 	c.lastTick = -1
 	return c
@@ -213,29 +221,47 @@ func (c *Cache) Idle() bool {
 	return len(c.mshrs) == 0 && len(c.firing) == 0 && c.queued == 0
 }
 
-// set returns the frames of the set holding line.
+// set returns the frames of the set holding line, or nil when no fill has
+// reached the set's page yet (every frame in it is empty). It never
+// allocates.
 func (c *Cache) set(line uint64) []frame {
-	s := (line % c.numSets) * uint64(c.ways)
-	return c.frames[s : s+uint64(c.ways)]
+	s := line % c.numSets
+	pg := c.pages[s/pageSets]
+	if pg == nil {
+		return nil
+	}
+	o := (s % pageSets) * uint64(c.ways)
+	return pg[o : o+uint64(c.ways)]
+}
+
+// fillSet is set for the one caller that writes a tag: it materialises
+// the page on first touch.
+func (c *Cache) fillSet(line uint64) []frame {
+	pi := (line % c.numSets) / pageSets
+	if c.pages[pi] == nil {
+		sets := min(pageSets, c.numSets-pi*pageSets)
+		c.pages[pi] = make([]frame, sets*uint64(c.ways)) //lint:allow hotalloc first-touch materialisation: at most one per tag-store page per run
+	}
+	return c.set(line)
 }
 
 // lookup returns the frame holding line, or nil.
 func (c *Cache) lookup(line uint64) *frame {
 	set := c.set(line)
 	for i := range set {
-		if set[i].tag == line {
+		if set[i].valid && set[i].line == line {
 			return &set[i]
 		}
 	}
 	return nil
 }
 
-// victim returns the set's LRU frame.
-func (c *Cache) victim(line uint64) *frame {
-	set := c.set(line)
+// victim returns the set's replacement frame: LRU, except that an empty
+// frame past the first is taken as soon as it is seen.
+func victim(set []frame) *frame {
 	v := &set[0]
 	for i := 1; i < len(set); i++ {
-		if set[i].tag == invalidTag {
+		if !set[i].valid {
 			return &set[i]
 		}
 		if set[i].used < v.used {
@@ -346,14 +372,17 @@ func (c *Cache) serveHead(ce int, cycle int64) bool {
 	c.mshrs[line] = m
 	c.popHead(q)
 
-	// Evict the set's LRU occupant (write-back if dirty) and fetch.
-	fr := c.victim(line)
-	if fr.tag != invalidTag && fr.dirty {
-		c.stats.WriteBacks++
-		c.mem.Submit(int(c.lineWords), nil, 0)
+	// Evict the set's LRU occupant (write-back if dirty) and fetch. A set
+	// on an absent page is all empty: there is nothing to evict.
+	if set := c.set(line); set != nil {
+		fr := victim(set)
+		if fr.valid && fr.dirty {
+			c.stats.WriteBacks++
+			c.mem.Submit(int(c.lineWords), nil, 0)
+		}
+		fr.valid = false
+		fr.dirty = false
 	}
-	fr.tag = invalidTag
-	fr.dirty = false
 	// The cache itself is the fill sink: the tag carries the line, so no
 	// per-miss closure is needed.
 	c.mem.Submit(int(c.lineWords), c, line)
@@ -406,9 +435,10 @@ func (c *Cache) fill(line uint64, cycle int64) {
 	}
 	delete(c.mshrs, line)
 	c.missOut[m.owner]--
-	fr := c.victim(line)
+	fr := victim(c.fillSet(line))
 	c.clock++
-	fr.tag = line
+	fr.line = line
+	fr.valid = true
 	fr.dirty = false
 	fr.used = c.clock
 	earliest := never

@@ -336,6 +336,9 @@ func (s *countSink) CacheDone(uint64, int64) { s.done++ }
 func TestSteadyStateAllocsSubmitTick(t *testing.T) {
 	for _, hit := range []bool{true, false} {
 		r := newRig()
+		// Tag-store pages appear on first fill, at most once each per run:
+		// that is set-up, so the fresh-line stream gets them all up front.
+		r.c.materialiseAll()
 		sink := &countSink{}
 		lineWords := uint64(r.p.CacheLineBytes / params.WordBytes)
 		pos := make([]uint64, r.p.CEsPerCluster)

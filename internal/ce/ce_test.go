@@ -2,6 +2,7 @@ package ce
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"cedar/internal/cache"
@@ -296,5 +297,73 @@ func TestVectorValidation(t *testing.T) {
 			r.ces[0].SetController(prog(tc.in))
 			r.eng.Run(10)
 		}()
+	}
+}
+
+// TestGeneratorMatchesProgram runs the same two-CE instruction sequence
+// stored (Program) and streamed (Generator): same retire order, same
+// cycle, same flops — and each CE sees its own id in fill.
+func TestGeneratorMatchesProgram(t *testing.T) {
+	const n = 6
+	// Instruction i: scalar work on even i, a dependent global load on odd.
+	fill := func(ceID, i int, in *Instr) {
+		if i%2 == 0 {
+			in.Op, in.Cycles, in.Flops = OpScalar, int64(3+ceID+i), 2
+		} else {
+			in.Op, in.Addr = OpGlobalLoad, uint64(100*ceID+i)
+		}
+	}
+	type outcome struct {
+		cycle int64
+		flops [2]int64
+		done  [2][]int64
+	}
+	run := func(ctrl func(ceID int, done *[]int64) Controller) outcome {
+		r := newRig(t, 2)
+		var o outcome
+		for id, c := range r.ces {
+			c.SetController(ctrl(id, &o.done[id]))
+		}
+		r.run(t, 10000)
+		o.cycle = r.eng.Cycle()
+		for id, c := range r.ces {
+			o.flops[id] = c.Flops()
+		}
+		return o
+	}
+	stored := run(func(ceID int, done *[]int64) Controller {
+		p := &Program{}
+		for i := 0; i < n; i++ {
+			in := &Instr{OnDone: func(cy int64) { *done = append(*done, cy) }}
+			fill(ceID, i, in)
+			p.Instrs = append(p.Instrs, in)
+		}
+		return p
+	})
+	// One Generator shared by both CEs, as a kernel would share it.
+	var sinks [2]*[]int64
+	gen := NewGenerator(2, n, func(ceID, i int, in *Instr) {
+		if in.Op != 0 || in.Cycles != 0 || in.Flops != 0 || in.Addr != 0 || in.OnDone != nil {
+			t.Errorf("ce%d instr %d: scratch not zeroed before fill", ceID, i)
+		}
+		fill(ceID, i, in)
+		done := sinks[ceID]
+		in.OnDone = func(cy int64) { *done = append(*done, cy) }
+	})
+	streamed := run(func(ceID int, done *[]int64) Controller {
+		sinks[ceID] = done
+		return gen
+	})
+	if stored.cycle != streamed.cycle || stored.flops != streamed.flops {
+		t.Errorf("stored: cycle %d flops %v; streamed: cycle %d flops %v",
+			stored.cycle, stored.flops, streamed.cycle, streamed.flops)
+	}
+	for id := range stored.done {
+		if len(stored.done[id]) != n || !slices.Equal(stored.done[id], streamed.done[id]) {
+			t.Errorf("ce%d retire cycles: stored %v, streamed %v", id, stored.done[id], streamed.done[id])
+		}
+	}
+	if _, st := gen.Next(0, 0); st != Finished {
+		t.Errorf("exhausted generator returned status %v, want Finished", st)
 	}
 }

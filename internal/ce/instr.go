@@ -145,3 +145,40 @@ func (p *Program) Next(ceID int, cycle int64) (*Instr, Status) {
 	p.pos[ceID] = i + 1
 	return p.Instrs[i], Ready
 }
+
+// Generator is a Controller whose program is computed, not stored: every
+// CE runs n instructions, and instruction i of CE ceID is whatever fill
+// writes into the (zeroed) Instr it is handed. The Instr is a scratch
+// slot the CE executes in place — a CE retires its current instruction
+// before it asks for the next, so one slot per CE suffices and a probe of
+// a million loads costs the host one Instr, not a million. The slots sit
+// in a slice indexed by CE id and each CE touches only its own, which is
+// what makes Next safe across cluster shards without Program's mutex.
+type Generator struct {
+	n    int
+	fill func(ceID, i int, in *Instr)
+	ces  []generated
+}
+
+// generated is one CE's position and scratch instruction.
+type generated struct {
+	next int
+	in   Instr
+}
+
+// NewGenerator builds a Generator for the CEs with ids below nCE.
+func NewGenerator(nCE, n int, fill func(ceID, i int, in *Instr)) *Generator {
+	return &Generator{n: n, fill: fill, ces: make([]generated, nCE)}
+}
+
+// Next implements Controller.
+func (g *Generator) Next(ceID int, cycle int64) (*Instr, Status) {
+	s := &g.ces[ceID]
+	if s.next >= g.n {
+		return nil, Finished
+	}
+	s.in = Instr{}
+	g.fill(ceID, s.next, &s.in)
+	s.next++
+	return &s.in, Ready
+}

@@ -144,3 +144,33 @@ func TestAttachBlockStats(t *testing.T) {
 		t.Errorf("min latency %d below hardware floor", bs.MinLatency())
 	}
 }
+
+// TestBuildBudget bounds what core.New allocates: a machine's host
+// footprint at construction is its wiring, not its simulated capacity —
+// cache tags, prefetch buffers and histogrammers appear when a run touches
+// them (DESIGN.md, "Demand-materialised state"). An eager 512 KB tag store
+// or 512-slot PFU buffer per CE blows these budgets several times over.
+func TestBuildBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		p      params.Machine
+		budget int64
+	}{
+		{"Cedar", params.Default(), 256 << 10},
+		{"Cedar64", params.Cedar64(), 3 << 20},
+	} {
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(tc.p, Options{NoFaults: true}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if got := res.AllocedBytesPerOp(); got > tc.budget {
+			t.Errorf("core.New(%s) allocates %d KB, budget %d KB", tc.name, got>>10, tc.budget>>10)
+		} else {
+			t.Logf("core.New(%s): %d KB, %d allocs, %.2f ms", tc.name, got>>10, res.AllocsPerOp(), float64(res.NsPerOp())/1e6)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package fleet
 
-import "reflect"
+import (
+	"bytes"
+	"reflect"
+)
 
 // deepCopy returns a structurally independent copy of v, so a value
 // handed out by the run cache can be mutated by its receiver without
@@ -10,9 +13,15 @@ import "reflect"
 // pointer internals (e.g. a histogram buried in a perfmon struct)
 // cannot be reached by reflection and stay shared — results cached by
 // fleet treat those as read-only.
+//
+// A []byte — what every cedarserve response is cached as — is cloned
+// directly: the reflection walk would visit it one byte at a time.
 func deepCopy(v any) any {
 	if v == nil {
 		return nil
+	}
+	if b, ok := v.([]byte); ok {
+		return bytes.Clone(b)
 	}
 	return copyValue(reflect.ValueOf(v)).Interface()
 }

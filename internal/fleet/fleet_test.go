@@ -263,6 +263,44 @@ func TestCacheHitsAreIsolated(t *testing.T) {
 	}
 }
 
+// TestCacheHitsAreIsolatedBytes is the same regression for the []byte fast
+// path — the shape every cedarserve response is cached in. The clone must
+// still sever the hit from the cached original and from sibling hits, and
+// keep nil nil and empty empty.
+func TestCacheHitsAreIsolatedBytes(t *testing.T) {
+	cache := NewCache()
+	job := Job[[]byte]{
+		Key: "served-body",
+		Run: func(*scope.Hub) ([]byte, error) { return []byte(`{"cycles":1234}`), nil },
+	}
+	first, err := Run(Config{Jobs: 1, Cache: cache}, []Job[[]byte]{job})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first[0][2] = 'X'
+	first[0] = append(first[0], "trailing"...)
+	second, err := Run(Config{Jobs: 1, Cache: cache}, []Job[[]byte]{job})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(second[0]) != `{"cycles":1234}` {
+		t.Fatalf("cache hit observed a sibling's mutation: %q", second[0])
+	}
+	if &first[0][0] == &second[0][0] {
+		t.Fatal("two cache hits share backing storage")
+	}
+	if cache.Stats().Hits != 1 {
+		t.Fatalf("stats %+v, want the second run served from cache", cache.Stats())
+	}
+
+	if got := deepCopy([]byte(nil)).([]byte); got != nil {
+		t.Errorf("copy of a nil body = %v, want nil", got)
+	}
+	if got := deepCopy([]byte{}).([]byte); got == nil || len(got) != 0 {
+		t.Errorf("copy of an empty body = %v, want empty and non-nil", got)
+	}
+}
+
 // TestKeySeesDefaultFaultPlan: the process-wide fault plan changes every
 // machine a job builds, so it must be part of every cache key — a
 // healthy run must never be served a faulted run's result.

@@ -24,24 +24,19 @@ func LoadLatency(m *core.Machine, n int, gap int64) (Result, error) {
 		return Result{}, fmt.Errorf("kernels: negative gap")
 	}
 	base := m.AllocGlobal(n)
-	// One slab for the whole program: building it is benchmark set-up, not
-	// simulation, and must not dominate the probe's allocation count.
+	// The program is streamed: a load, then (gap > 0) the scalar work
+	// after it. Stored, it would be the probe's largest allocation.
 	per := 1
 	if gap > 0 {
 		per = 2
 	}
-	slab := make([]ce.Instr, 0, per*n)
-	for i := 0; i < n; i++ {
-		slab = append(slab, ce.Instr{Op: ce.OpGlobalLoad, Addr: base + uint64(i)})
-		if gap > 0 {
-			slab = append(slab, ce.Instr{Op: ce.OpScalar, Cycles: gap})
+	prog := ce.NewGenerator(1, per*n, func(_, i int, in *ce.Instr) {
+		if i%per == 0 {
+			in.Op, in.Addr = ce.OpGlobalLoad, base+uint64(i/per)
+		} else {
+			in.Op, in.Cycles = ce.OpScalar, gap
 		}
-	}
-	instrs := make([]*ce.Instr, len(slab))
-	for i := range slab {
-		instrs[i] = &slab[i]
-	}
-	prog := &ce.Program{Instrs: instrs}
+	})
 	res, err := m.RunOn(m.CEs[:1], prog, 1<<40)
 	if err != nil {
 		return Result{}, err

@@ -2,7 +2,6 @@ package kernels
 
 import (
 	"fmt"
-	"sync"
 
 	"cedar/internal/ce"
 	"cedar/internal/core"
@@ -47,15 +46,15 @@ func MemBW(m *core.Machine, nCE int, stride int64, wordsPerCE int) (MemBWPoint, 
 	for i := range bases {
 		bases[i] = m.AllocGlobalAligned(int(span)+align, align)
 	}
-	prog := &perCEProgram{instrs: func(i int) []*ce.Instr {
-		return []*ce.Instr{{
+	prog := ce.NewGenerator(nCE, 1, func(ceID, _ int, in *ce.Instr) {
+		*in = ce.Instr{
 			Op: ce.OpVector, N: wordsPerCE, Flops: 0,
 			Srcs: []ce.Stream{{
-				Space: ce.SpaceGlobal, Base: bases[i], Stride: stride,
+				Space: ce.SpaceGlobal, Base: bases[ceID], Stride: stride,
 				PrefBlock: 256,
 			}},
-		}}
-	}}
+		}
+	})
 	res, err := m.RunOn(m.CEs[:nCE], prog, 1<<40)
 	if err != nil {
 		return MemBWPoint{}, err
@@ -68,36 +67,4 @@ func MemBW(m *core.Machine, nCE int, stride int64, wordsPerCE int) (MemBWPoint, 
 		WordsPerCycle: wpc,
 		MBps:          wpc * params.WordBytes * params.CyclesPerSecond / 1e6,
 	}, nil
-}
-
-// perCEProgram hands each CE its own fixed instruction sequence.
-type perCEProgram struct {
-	instrs func(ceID int) []*ce.Instr
-	// mu guards the lazily built maps: CEs in different cluster shards
-	// call Next concurrently on an intra-run parallel engine, and each
-	// only touches its own entries.
-	mu   sync.Mutex
-	seqs map[int][]*ce.Instr
-	pos  map[int]int
-}
-
-// Next implements ce.Controller.
-func (p *perCEProgram) Next(ceID int, cycle int64) (*ce.Instr, ce.Status) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.pos == nil {
-		p.pos = make(map[int]int)
-		p.seqs = make(map[int][]*ce.Instr)
-	}
-	seq, ok := p.seqs[ceID]
-	if !ok {
-		seq = p.instrs(ceID)
-		p.seqs[ceID] = seq
-	}
-	i := p.pos[ceID]
-	if i >= len(seq) {
-		return nil, ce.Finished
-	}
-	p.pos[ceID] = i + 1
-	return seq[i], ce.Ready
 }

@@ -19,6 +19,28 @@
 // Arguments of panic(...) are exempt: a panicking simulator is already
 // dead, so formatting the autopsy may allocate freely.
 //
+// # Sanctioned allows
+//
+// A //lint:allow hotalloc is for an allocation that is reachable from a
+// tick but bounded per run, not per cycle, and its reason must state the
+// bound. The kinds in the tree today:
+//
+//   - reject-path and terminal-fault error construction (at most once per
+//     block, CE or run, on a path a healthy run never takes)
+//   - pool refill on first use (packets, MSHRs: steady state reuses
+//     retired entries)
+//   - grow-once scratch (vector-unit slices that reach the widest
+//     instruction and are reused from then on)
+//   - one-time lazy initialisation of a controller
+//   - first-touch materialisation: state sized by a hardware capacity
+//     that appears when the run first reaches it — a cache tag-store page
+//     (at most one per page per run), a PFU buffer growing to a longer
+//     block (at most PFUBufferWords slots per run), a global-memory chunk.
+//     DESIGN.md, "Demand-materialised state", has the rule.
+//
+// Anything that recurs per cycle, per packet or per block is a finding to
+// fix, not to allow.
+//
 // # What it has caught
 //
 // Real findings fixed in this module, not testdata (EXPERIMENTS.md,

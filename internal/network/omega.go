@@ -212,7 +212,7 @@ func NewOmega(cfg OmegaConfig) *Omega {
 		shufTab:     make([]int, cfg.Ports),
 		routeDiv:    make([]int, stages),
 		in:          make([][]wordQueue, stages),
-		egress:      make([]wordQueue, cfg.Ports),
+		egress:      newWordQueues(cfg.Ports, egressCap),
 		rr:          make([][]int, stages),
 		outBusy:     make([][]int, stages),
 		busyWires:   make([][]int, stages),
@@ -235,16 +235,10 @@ func NewOmega(cfg OmegaConfig) *Omega {
 	}
 	lineCap := 2 * cfg.QueueWords
 	for t := 0; t < stages; t++ {
-		o.in[t] = make([]wordQueue, cfg.Ports)
+		o.in[t] = newWordQueues(cfg.Ports, lineCap)
 		o.rr[t] = make([]int, cfg.Ports)
 		o.outBusy[t] = make([]int, cfg.Ports)
 		o.swCount[t] = make([]int, cfg.Ports/cfg.Radix)
-		for l := 0; l < cfg.Ports; l++ {
-			o.in[t][l] = newWordQueue(lineCap)
-		}
-	}
-	for p := 0; p < cfg.Ports; p++ {
-		o.egress[p] = newWordQueue(egressCap)
 	}
 	return o
 }

@@ -17,10 +17,19 @@ type wordQueue struct {
 	n        int
 }
 
-func newWordQueue(capWords int) wordQueue {
+// newWordQueues builds n queues of capWords words whose rings are carved
+// from one slab, so a fabric stage costs one allocation, not one per line.
+// The three-index slices cap each ring at its own slots.
+func newWordQueues(n, capWords int) []wordQueue {
 	// At most one packet per word, plus one slot for the oversized
 	// packet an empty queue must accept.
-	return wordQueue{capWords: capWords, ring: make([]*Packet, capWords+1)}
+	slots := capWords + 1
+	slab := make([]*Packet, n*slots)
+	qs := make([]wordQueue, n)
+	for i := range qs {
+		qs[i] = wordQueue{capWords: capWords, ring: slab[i*slots : (i+1)*slots : (i+1)*slots]}
+	}
+	return qs
 }
 
 // canAccept reports whether a packet of w words may be pushed now.

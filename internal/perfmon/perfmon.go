@@ -11,7 +11,7 @@ package perfmon
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Event is one time-stamped trace record.
@@ -63,7 +63,10 @@ const HistogramBins = 1 << 16
 // last counter (an overflow bucket), and counters saturate at 2³²-1 like
 // the 32-bit hardware counters.
 type Histogram struct {
+	// bins holds the counters up to the highest bin touched so far; the
+	// rest of the size hardware counters are zero and not stored.
 	bins []uint32
+	size int
 }
 
 // NewHistogram builds a histogrammer cascaded from n units.
@@ -71,7 +74,7 @@ func NewHistogram(units int) *Histogram {
 	if units < 1 {
 		units = 1
 	}
-	return &Histogram{bins: make([]uint32, units*HistogramBins)}
+	return &Histogram{size: units * HistogramBins}
 }
 
 // Add increments the counter for bin.
@@ -79,12 +82,27 @@ func (h *Histogram) Add(bin int) {
 	if bin < 0 {
 		bin = 0
 	}
+	if bin >= h.size {
+		bin = h.size - 1
+	}
 	if bin >= len(h.bins) {
-		bin = len(h.bins) - 1
+		h.grow(bin)
 	}
 	if h.bins[bin] != math.MaxUint32 {
 		h.bins[bin]++
 	}
+}
+
+// grow extends the stored counters to cover bin, doubling so that a
+// histogram reaching bin b has reallocated O(log b) times.
+func (h *Histogram) grow(bin int) {
+	n := max(2*len(h.bins), 64)
+	for n <= bin {
+		n *= 2
+	}
+	bins := make([]uint32, min(n, h.size))
+	copy(bins, h.bins)
+	h.bins = bins
 }
 
 // Count returns the value of one counter.
@@ -140,7 +158,7 @@ func (h *Histogram) Percentile(frac float64) int {
 			return b
 		}
 	}
-	return len(h.bins) - 1
+	return h.size - 1
 }
 
 // BlockStats aggregates prefetch-block observations the way the paper's
@@ -157,6 +175,7 @@ type BlockStats struct {
 	interN   int64
 	latMin   int64
 	latMax   int64
+	sorted   []int64 // Observe's scratch, reused across blocks
 }
 
 // NewBlockStats builds an aggregator.
@@ -170,14 +189,15 @@ func NewBlockStats() *BlockStats {
 
 // Observe records one block: the issue cycle of its first address and the
 // arrival cycles of its words. It is directly pluggable as a
-// prefetch.BlockObserver.
+// prefetch.BlockObserver: arrivals is neither kept nor modified (the
+// sort runs on a scratch copy the aggregator owns).
 func (b *BlockStats) Observe(firstIssue int64, arrivals []int64) {
 	if len(arrivals) == 0 {
 		return
 	}
-	sorted := make([]int64, len(arrivals))
-	copy(sorted, arrivals)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	b.sorted = append(b.sorted[:0], arrivals...)
+	slices.Sort(b.sorted)
+	sorted := b.sorted
 
 	lat := sorted[0] - firstIssue
 	b.blocks++

@@ -1,6 +1,9 @@
 package perfmon
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -164,5 +167,135 @@ func TestHistogramPercentileExtremes(t *testing.T) {
 	// Empty histogram: defined as 0 at any fraction.
 	if p := NewHistogram(1).Percentile(1); p != 0 {
 		t.Errorf("empty p100 = %d, want 0", p)
+	}
+}
+
+// eagerHist is the histogrammer as it was before bins grew on touch: every
+// counter allocated up front. The grow-on-touch Histogram must read the
+// same through every accessor.
+type eagerHist struct{ bins []uint32 }
+
+func (h *eagerHist) add(bin int) {
+	if bin < 0 {
+		bin = 0
+	}
+	if bin >= len(h.bins) {
+		bin = len(h.bins) - 1
+	}
+	if h.bins[bin] != math.MaxUint32 {
+		h.bins[bin]++
+	}
+}
+
+func (h *eagerHist) percentile(frac float64) int {
+	var total int64
+	for _, v := range h.bins {
+		total += int64(v)
+	}
+	if total == 0 {
+		return 0
+	}
+	target := int64(frac * float64(total))
+	if target >= total {
+		target = total - 1
+	}
+	if target < 0 {
+		target = 0
+	}
+	var cum int64
+	for b, v := range h.bins {
+		cum += int64(v)
+		if cum > target {
+			return b
+		}
+	}
+	return len(h.bins) - 1
+}
+
+func TestHistogramGrowOnTouchMatchesEager(t *testing.T) {
+	for _, units := range []int{1, 2} {
+		size := units * HistogramBins
+		h := NewHistogram(units)
+		ref := &eagerHist{bins: make([]uint32, size)}
+		probes := []int{-1, 0, 1, 63, 64, 65, 1000, size - 2, size - 1, size, size + 7}
+		same := func(when string) {
+			t.Helper()
+			for _, b := range probes {
+				want := uint32(0)
+				if b >= 0 && b < size {
+					want = ref.bins[b]
+				}
+				if got := h.Count(b); got != want {
+					t.Fatalf("units=%d %s: Count(%d) = %d, eager %d", units, when, b, got, want)
+				}
+			}
+			for _, frac := range []float64{0, 0.25, 0.5, 0.99, 1} {
+				if got, want := h.Percentile(frac), ref.percentile(frac); got != want {
+					t.Fatalf("units=%d %s: Percentile(%v) = %d, eager %d", units, when, frac, got, want)
+				}
+			}
+		}
+		add := func(bin int) {
+			h.Add(bin)
+			ref.add(bin)
+		}
+
+		same("empty")
+		if len(h.bins) != 0 {
+			t.Fatalf("units=%d: NewHistogram stored %d counters before any Add", units, len(h.bins))
+		}
+		add(0)
+		same("after bin 0")
+		if len(h.bins) >= size {
+			t.Fatalf("units=%d: one Add(0) stored all %d counters", units, len(h.bins))
+		}
+		rng := rand.New(rand.NewSource(int64(units)))
+		for i := 0; i < 2000; i++ {
+			add(rng.Intn(1500) - 20) // small bins and a few negatives
+		}
+		same("after small bins")
+		if len(h.bins) > 2048 {
+			t.Errorf("units=%d: bins up to 1479 stored %d counters, want ≤ 2048", units, len(h.bins))
+		}
+		add(size - 1)
+		same("after last bin")
+		add(size)
+		add(size + 100000)
+		same("after overflow clamp")
+		if len(h.bins) != size {
+			t.Errorf("units=%d: stored %d counters after touching the last bin, want %d", units, len(h.bins), size)
+		}
+
+		// Saturation: park a counter one short of the 32-bit ceiling on both
+		// sides, then push past it.
+		fresh := NewHistogram(units)
+		fresh.Add(9)
+		fresh.bins[9] = math.MaxUint32 - 1
+		fresh.Add(9)
+		fresh.Add(9)
+		if got := fresh.Count(9); got != math.MaxUint32 {
+			t.Errorf("units=%d: saturated counter reads %d, want %d", units, got, uint32(math.MaxUint32))
+		}
+		if got, want := fresh.Total(), int64(math.MaxUint32); got != want {
+			t.Errorf("units=%d: Total with a saturated counter = %d, want %d", units, got, want)
+		}
+	}
+}
+
+// TestBlockStatsObserveOwnsItsScratch pins the observer contract from the
+// aggregator's side: it neither reorders the caller's arrivals (a later
+// observer sees the same snapshot) nor allocates per block once warm.
+func TestBlockStatsObserveOwnsItsScratch(t *testing.T) {
+	b := NewBlockStats()
+	arr := []int64{30, 10, 20, 15}
+	b.Observe(5, arr)
+	if want := []int64{30, 10, 20, 15}; !slices.Equal(arr, want) {
+		t.Errorf("Observe reordered the caller's arrivals: %v", arr)
+	}
+	if b.MeanLatency() != 5 || b.MeanInterarrival() != 20.0/3 {
+		t.Errorf("latency %v interarrival %v, want 5 and %v", b.MeanLatency(), b.MeanInterarrival(), 20.0/3)
+	}
+	if avg := testing.AllocsPerRun(50, func() { b.Observe(5, arr) }); avg != 0 {
+		t.Errorf("a warm Observe allocates %.1f times, want 0", avg)
 	}
 }

@@ -11,6 +11,11 @@
 // until the processor supplies the first address of the new page, because
 // the PFU only handles physical addresses. Arming again invalidates the
 // buffer.
+//
+// The host-side buffer is sized by the blocks a run arms, not by the
+// 512-word capacity: it grows to the longest block armed so far and each
+// Arm clears only that block's slots (DESIGN.md, "Demand-materialised
+// state").
 package prefetch
 
 import (
@@ -30,7 +35,9 @@ const TagBit = network.PrefetchTagBit
 // BlockObserver receives one record per fired prefetch block, mirroring
 // what Cedar's external hardware monitor captured: the cycle the first
 // address was issued to the forward network and the cycle each datum
-// returned from the reverse network.
+// returned from the reverse network. arrivals is the PFU's own record,
+// in arrival order, reused for the next block: an observer must neither
+// modify it nor retain it past the call.
 type BlockObserver func(firstIssue int64, arrivals []int64)
 
 type slot struct {
@@ -56,6 +63,8 @@ type PFU struct {
 	// prefetch-block tracer) that ride alongside the primary observe hook.
 	extraObs []BlockObserver
 
+	// buf holds the armed block's slots: len(buf) is the longest block
+	// armed so far, and only buf[:length] is live.
 	buf   []slot
 	epoch uint32
 
@@ -138,7 +147,6 @@ func New(p params.Machine, port int, fwd network.Fabric, modFor func(uint64) int
 		fwd:    fwd,
 		modFor: modFor,
 		pool:   pool,
-		buf:    make([]slot, p.PFUBufferWords),
 	}
 }
 
@@ -195,8 +203,10 @@ func (u *PFU) Arm(length int, stride int64, mask []bool) error {
 	u.retryQ = u.retryQ[:0]
 	u.timeoutQ = u.timeoutQ[:0]
 	u.err = nil
-	for i := range u.buf {
-		u.buf[i] = slot{}
+	if length > len(u.buf) {
+		u.buf = make([]slot, length) //lint:allow hotalloc first-touch materialisation: at most one per longer block armed, ≤ PFUBufferWords slots per run
+	} else {
+		clear(u.buf[:length])
 	}
 	return nil
 }
@@ -502,13 +512,11 @@ func (u *PFU) Consumed() int { return u.consumeIdx }
 func (u *PFU) flushBlock() {
 	if u.fired && (u.observe != nil || len(u.extraObs) > 0) &&
 		u.firstIssue >= 0 && len(u.arrivals) > 0 {
-		arr := make([]int64, len(u.arrivals)) //lint:allow hotalloc per-block observer snapshot; arrivals is reused, so observers need their own copy
-		copy(arr, u.arrivals)
 		if u.observe != nil {
-			u.observe(u.firstIssue, arr)
+			u.observe(u.firstIssue, u.arrivals)
 		}
 		for _, o := range u.extraObs {
-			o(u.firstIssue, arr)
+			o(u.firstIssue, u.arrivals)
 		}
 	}
 	u.fired = false

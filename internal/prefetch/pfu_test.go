@@ -25,7 +25,8 @@ func newRig(t *testing.T) *rig {
 	fwd := network.NewOmega(network.OmegaConfig{Name: "fwd", Ports: p.NetPorts, Radix: p.NetRadix, QueueWords: p.NetQueueWords})
 	rev := network.NewOmega(network.OmegaConfig{Name: "rev", Ports: p.NetPorts, Radix: p.NetRadix, QueueWords: p.NetQueueWords})
 	mem := gmem.New(p, fwd, rev, nil)
-	pfu := New(p, 0, fwd, mem.ModuleFor, nil)
+	pool := &network.PacketPool{}
+	pfu := New(p, 0, fwd, mem.ModuleFor, pool)
 	eng := sim.New()
 	r := &rig{p: p, eng: eng, pfu: pfu, mem: mem}
 	drainer := sim.Func{ID: "ce0", F: func(cycle int64) {
@@ -37,6 +38,7 @@ func newRig(t *testing.T) *rig {
 			if !pfu.Deliver(pkt, cycle) {
 				t.Fatalf("non-PFU reply: %v", pkt)
 			}
+			pool.Put(pkt) // as the CE does: replies retire to the issuer's pool
 		}
 		if r.autoResume && pfu.Suspended() {
 			pfu.Resume(pfu.PendingAddr())
@@ -67,24 +69,7 @@ func TestPrefetchBlockCompletes(t *testing.T) {
 	}
 	r.runUntilDone(t, 10000)
 
-	// Consume in order with correct values.
-	deadline := r.eng.Cycle() + int64(r.p.CELoadOverhead) + 5
-	got := 0
-	for cycle := r.eng.Cycle(); cycle < deadline && got < 32; cycle++ {
-		for {
-			v, ok := r.pfu.TryConsume(cycle)
-			if !ok {
-				break
-			}
-			if v != int64(1000+got) {
-				t.Fatalf("element %d = %d, want %d", got, v, 1000+got)
-			}
-			got++
-		}
-	}
-	if got != 32 {
-		t.Fatalf("consumed %d, want 32", got)
-	}
+	r.consumeAll(t, 32, 1000)
 	st := r.pfu.Stats()
 	if st.Issued != 32 || st.Returned != 32 {
 		t.Errorf("stats %+v, want 32 issued/returned", st)
@@ -106,7 +91,7 @@ func TestPrefetchStreamsOnePerCycle(t *testing.T) {
 	}
 	r.pfu.SetObserver(func(first int64, arr []int64) {
 		rec.first = first
-		rec.arrivals = arr
+		rec.arrivals = append([]int64(nil), arr...) // arrivals is the PFU's to reuse
 	})
 	if err := r.pfu.Fire(0); err != nil {
 		t.Fatal(err)
@@ -274,5 +259,121 @@ func TestConsumeRespectsCEOverhead(t *testing.T) {
 	}
 	if _, ok := r.pfu.TryConsume(arrived + int64(r.p.CELoadOverhead)); !ok {
 		t.Error("not consumable after CE overhead elapsed")
+	}
+}
+
+// consumeAll drains the armed block in order and checks element i holds
+// base+i.
+func (r *rig) consumeAll(t *testing.T, n int, base int64) {
+	t.Helper()
+	got := 0
+	deadline := r.eng.Cycle() + int64(r.p.CELoadOverhead) + 5
+	for cycle := r.eng.Cycle(); cycle < deadline && got < n; cycle++ {
+		for {
+			v, ok := r.pfu.TryConsume(cycle)
+			if !ok {
+				break
+			}
+			if v != base+int64(got) {
+				t.Fatalf("element %d = %d, want %d", got, v, base+int64(got))
+			}
+			got++
+		}
+	}
+	if got != n {
+		t.Fatalf("consumed %d, want %d", got, n)
+	}
+}
+
+// TestRearmShorterThenLonger walks the buffer through the three cases of
+// its block-sized life: first growth, a shorter block (only its own slots
+// are cleared, the tail keeps block one's words) and a block longer than
+// any before (which must not see that tail as already arrived).
+func TestRearmShorterThenLonger(t *testing.T) {
+	r := newRig(t)
+	for i := 0; i < 200; i++ {
+		r.mem.Store().StoreWord(uint64(i), int64(7000+i))
+	}
+	if len(r.pfu.buf) != 0 {
+		t.Fatalf("New allocated a %d-slot buffer; it should wait for Arm", len(r.pfu.buf))
+	}
+	for _, blk := range []struct{ n, at int }{{64, 0}, {8, 100}, {128, 50}, {8, 0}} {
+		if err := r.pfu.Arm(blk.n, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < blk.n; i++ {
+			if s := r.pfu.buf[i]; s != (slot{}) {
+				t.Fatalf("block of %d: slot %d not cleared by Arm: %+v", blk.n, i, s)
+			}
+		}
+		if _, ok := r.pfu.NextConsumableAt(); ok {
+			t.Fatalf("block of %d: a word is consumable before Fire", blk.n)
+		}
+		if err := r.pfu.Fire(uint64(blk.at)); err != nil {
+			t.Fatal(err)
+		}
+		r.runUntilDone(t, 10000)
+		r.consumeAll(t, blk.n, int64(7000+blk.at))
+	}
+	if got := len(r.pfu.buf); got != 128 {
+		t.Errorf("buffer holds %d slots after blocks of 64, 8, 128, 8; want 128 (the longest)", got)
+	}
+}
+
+// TestStaleReplyBeyondBlockDropped: a reply of the current epoch whose
+// element index lies past the armed block — and past the buffer, which is
+// only as long as the longest block — is counted and dropped, not indexed.
+func TestStaleReplyBeyondBlockDropped(t *testing.T) {
+	r := newRig(t)
+	if err := r.pfu.Arm(8, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.pfu.Fire(0); err != nil {
+		t.Fatal(err)
+	}
+	for _, idx := range []uint32{8, 9, 511} {
+		pkt := &network.Packet{Kind: network.ReadReply, Tag: TagBit | (r.pfu.epoch&0x7fff)<<16 | idx}
+		before := r.pfu.Stats().Dropped
+		if !r.pfu.Deliver(pkt, 1) {
+			t.Fatalf("idx %d: PFU-tagged reply not claimed", idx)
+		}
+		if got := r.pfu.Stats().Dropped; got != before+1 {
+			t.Errorf("idx %d: Dropped went %d → %d, want +1", idx, before, got)
+		}
+	}
+	if r.pfu.Stats().Returned != 0 {
+		t.Error("an out-of-block reply was booked as returned")
+	}
+}
+
+// TestSteadyStateAllocsRearm is the PFU's allocation gate: once the
+// buffer and the arrivals record have reached the block length, arming, firing, draining and reporting block after block allocates
+// nothing.
+func TestSteadyStateAllocsRearm(t *testing.T) {
+	r := newRig(t)
+	var blocks, words int
+	r.pfu.SetObserver(func(_ int64, arrivals []int64) {
+		blocks++
+		words += len(arrivals)
+	})
+	block := func() {
+		if err := r.pfu.Arm(32, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.pfu.Fire(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.eng.RunUntil(r.pfu.Done, 10000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		block()
+	}
+	if avg := testing.AllocsPerRun(20, block); avg != 0 {
+		t.Errorf("a re-armed 32-word block allocates %.1f times, want 0", avg)
+	}
+	if blocks == 0 || words != 32*blocks {
+		t.Errorf("observer saw %d blocks, %d words; want 32 words per block", blocks, words)
 	}
 }

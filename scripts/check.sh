@@ -70,12 +70,16 @@ echo "==> steady-state allocation gates"
 # The complement of cedarvet's hotalloc analyzer: testing.AllocsPerRun
 # asserts zero allocations per run on the warmed tick path — cache
 # Submit+Tick (hit and miss streams), Engine.Run over always-due Sleepers
-# (flat and two shards), the cfrt controller queue, and the omega under
-# uniform pooled traffic. A slide-forward slice queue allocates through
+# (flat and two shards), the cfrt controller queue, the omega under
+# uniform pooled traffic, PFU re-arm at a fixed block length, and tag-store
+# lookups on absent pages. A slide-forward slice queue allocates through
 # append growth alone, which no syntactic rule can see. Run
 # uninstrumented and uncached: the count asserted is the production
 # build's, and the gates are single-goroutine, so -race adds nothing.
-go test -count=1 -run '^TestSteadyStateAllocs' ./internal/sim ./internal/cache ./internal/cfrt ./internal/network
+# TestBuildBudget is the same idea for construction: core.New allocates a
+# machine's wiring (≤ 256 KB Cedar, ≤ 3 MB Cedar64), never its capacity.
+go test -count=1 -run '^TestSteadyStateAllocs' ./internal/sim ./internal/cache ./internal/cfrt ./internal/network ./internal/prefetch
+go test -count=1 -run '^TestBuildBudget$' ./internal/core
 
 echo "==> cedarserve cached-vs-fresh response equality (-race)"
 # The serving daemon's cache must be invisible: a response served from
