@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"cedar"
-	"cedar/internal/params"
 	"cedar/internal/tables"
 )
 
@@ -29,7 +28,7 @@ const benchTableN = 192
 // GM/no-pref, GM/pref and GM/cache on 1-4 clusters.
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t1, err := tables.RunTable1(benchTableN)
+		t1, err := tables.RunTable1(tables.Env{}, benchTableN)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -47,7 +46,7 @@ func BenchmarkTable1(b *testing.B) {
 func BenchmarkScopeOverhead(b *testing.B) {
 	b.Run("disabled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := tables.RunTable1(benchTableN); err != nil {
+			if _, err := tables.RunTable1(tables.Env{}, benchTableN); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -55,7 +54,7 @@ func BenchmarkScopeOverhead(b *testing.B) {
 	b.Run("enabled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			hub := cedar.NewHub()
-			t1, err := tables.RunTable1(benchTableN, hub)
+			t1, err := tables.RunTable1(tables.Env{Hub: hub}, benchTableN)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -71,7 +70,7 @@ func BenchmarkScopeOverhead(b *testing.B) {
 // study for the VL, TM, RK and CG kernels on 8/16/32 CEs.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t2, err := tables.RunTable2Small()
+		t2, err := tables.RunTable2(tables.Env{}, true)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,7 +101,7 @@ func benchSuite(b *testing.B) *tables.SuiteResult {
 				sel = append(sel, c)
 			}
 		}
-		benchSuiteRes, benchSuiteErr = tables.RunSuite(params.Default(), sel, nil)
+		benchSuiteRes, benchSuiteErr = tables.RunSuite(tables.Env{}, sel, nil)
 	})
 	if benchSuiteErr != nil {
 		b.Fatal(benchSuiteErr)
@@ -175,7 +174,7 @@ func BenchmarkFigure3(b *testing.B) {
 // BenchmarkPPT4 regenerates the scalability study (reduced sweep).
 func BenchmarkPPT4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := tables.RunPPT4(false)
+		res, err := tables.RunPPT4(tables.Env{}, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -188,7 +187,7 @@ func BenchmarkPPT4(b *testing.B) {
 // BenchmarkDoallOverheads regenerates the §3.2 runtime costs.
 func BenchmarkDoallOverheads(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		ov, err := tables.RunOverheads()
+		ov, err := tables.RunOverheads(tables.Env{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -203,7 +202,7 @@ func BenchmarkDoallOverheads(b *testing.B) {
 // network type.
 func BenchmarkNetworkAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := tables.RunNetworkAblation(benchTableN)
+		rows, err := tables.RunNetworkAblation(tables.Env{}, benchTableN)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -216,7 +215,7 @@ func BenchmarkNetworkAblation(b *testing.B) {
 // BenchmarkPrefetchBlock isolates the prefetch block-size design choice.
 func BenchmarkPrefetchBlock(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := tables.RunPrefetchBlockAblation(benchTableN)
+		rows, err := tables.RunPrefetchBlockAblation(tables.Env{}, benchTableN)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -230,7 +229,7 @@ func BenchmarkPrefetchBlock(b *testing.B) {
 // scheduling on balanced and imbalanced loops.
 func BenchmarkSchedulingAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := tables.RunSchedulingAblation()
+		rows, err := tables.RunSchedulingAblation(tables.Env{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -250,7 +249,7 @@ func BenchmarkSchedulingAblation(b *testing.B) {
 // BenchmarkMemBW runs the [GJTV91] characterization at full machine width.
 func BenchmarkMemBW(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bw, err := tables.RunMemBW(2048)
+		bw, err := tables.RunMemBW(tables.Env{}, 2048)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,7 +261,7 @@ func BenchmarkMemBW(b *testing.B) {
 // Cedar-like machine with a proportionally scaled network and memory.
 func BenchmarkScaledCedar(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := tables.RunScaledCedar(benchTableN)
+		rows, err := tables.RunScaledCedar(tables.Env{}, benchTableN)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -279,12 +278,11 @@ func BenchmarkScaledCedar(b *testing.B) {
 func BenchmarkSuiteParallel(b *testing.B) {
 	for _, jobs := range []int{1, 4} {
 		b.Run(fmt.Sprintf("jobs%d", jobs), func(b *testing.B) {
-			cedar.SetJobs(jobs)
-			b.Cleanup(func() { cedar.SetJobs(0) })
 			for i := 0; i < b.N; i++ {
 				cedar.ResetRunCache()
 				err := cedar.WriteReport(io.Discard, cedar.ReportConfig{
 					RankN:           benchTableN,
+					Env:             cedar.Env{Jobs: jobs},
 					SkipPerfect:     true,
 					SkipMethodology: true,
 				})

@@ -255,6 +255,12 @@ func Instability(perf []float64, e int) float64 { return ppt.Instability(perf, e
 
 // Experiment harness: every table and figure of the evaluation.
 type (
+	// Env is the run configuration every experiment runner takes: the
+	// observing Hub, the fault plan, the worker count and the base
+	// machine width. The zero Env is an unobserved healthy run on the
+	// as-built Cedar at GOMAXPROCS workers. Those four travel only in
+	// the Env: two Envs in one process do not see each other.
+	Env = tables.Env
 	// Table1Result is the rank-64 update memory study.
 	Table1Result = tables.Table1Result
 	// Table2Result is the latency/interarrival study.
@@ -265,12 +271,11 @@ type (
 	PPT4Result = tables.PPT4Result
 )
 
-// RunTable1 regenerates Table 1 for matrices of order n. An optional Hub
-// observes every machine in the sweep.
-func RunTable1(n int, obs ...*Hub) (*Table1Result, error) { return tables.RunTable1(n, obs...) }
+// RunTable1 regenerates Table 1 for matrices of order n.
+var RunTable1 = tables.RunTable1
 
-// RunTable2 regenerates Table 2.
-func RunTable2(obs ...*Hub) (*Table2Result, error) { return tables.RunTable2(obs...) }
+// RunTable2 regenerates Table 2 (small selects reduced kernel slices).
+var RunTable2 = tables.RunTable2
 
 // RunPerfectSuite runs every variant of the suite (pass nil for all 13
 // codes); feed the result to BuildTable3..BuildFigure3.
@@ -286,7 +291,7 @@ var (
 )
 
 // RunPPT4 regenerates the CG-vs-CM-5 scalability study.
-func RunPPT4(full bool, obs ...*Hub) (*PPT4Result, error) { return tables.RunPPT4(full, obs...) }
+var RunPPT4 = tables.RunPPT4
 
 // ReportConfig selects what WriteReport includes and at what scale.
 type ReportConfig = tables.ReportConfig
@@ -347,15 +352,7 @@ var FormatAttribution = scope.FormatAttribution
 // simulated machine remains single-goroutine — the pool dispatches whole
 // independent experiment points and reassembles results in submission
 // order, so every report, JSON, and trace artifact is byte-identical to a
-// sequential run.
-
-// SetJobs sets the process-wide worker count used by the experiment
-// runners (RunTable1 ... RunPPT4, RunPerfectSuite, WriteReport). n ≤ 0
-// restores the default, GOMAXPROCS. The CLIs wire their -jobs flag here.
-var SetJobs = fleet.SetJobs
-
-// Jobs reports the effective worker count.
-var Jobs = fleet.Jobs
+// sequential run. The worker count is Env.Jobs (the CLIs' -jobs flag).
 
 // ResetRunCache drops the process-wide memoized run results. Repeated
 // identical configurations normally simulate once per process; reset when
@@ -374,8 +371,8 @@ var RunSchedulingAblation = tables.RunSchedulingAblation
 
 // Fault injection: the cedarfault layer (see internal/fault). A Plan is
 // seed-deterministic data; build a machine with Options{Faults: plan}
-// (or install a process default via SetDefaultFaults, what the CLIs'
-// -faults flag does) and the machine degrades instead of crashing:
+// (or run an experiment under Env{Faults: plan}, what the CLIs' -faults
+// flag does) and the machine degrades instead of crashing:
 // dead banks remap the interleave, NACKed or lost prefetch reads retry
 // with exponential backoff, and exhausted retries surface as an
 // ErrDegraded result.
@@ -406,20 +403,13 @@ var ErrDegraded = fault.ErrDegraded
 // LoadFaultPlan reads and validates a JSON fault plan file.
 var LoadFaultPlan = fault.Load
 
-// SetDefaultFaults installs (nil clears) the process-wide fault plan
-// used by machines built without an explicit Options.Faults.
-var SetDefaultFaults = fault.SetDefault
-
 // DemoFaultPlan is the built-in dead-bank + stage-jam + NACK scenario.
 var DemoFaultPlan = fault.DemoPlan
 
 // RunDegraded measures the degraded-mode ablation: the prefetched
-// rank-n update under each fault class, plus the given plan when
-// non-nil.
+// rank-n update under each fault class, plus the Env's plan when it has
+// one. The result's Format method renders the table.
 var RunDegraded = tables.RunDegraded
-
-// FormatDegraded renders the degraded-mode table.
-var FormatDegraded = tables.FormatDegraded
 
 // Benchmarking: the cedarbench campaign runner (see internal/bench). A
 // BenchCampaign declares a matrix of (machine × workload × fault plan);

@@ -28,10 +28,9 @@ import (
 	"strings"
 	"time"
 
-	cedar "cedar"
-
 	"cedar/internal/bench"
 	"cedar/internal/cliutil"
+	"cedar/internal/sim"
 )
 
 func main() {
@@ -73,15 +72,18 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	// Campaigns declare their own fault plans per matrix axis; Setup here
-	// only validates the worker flags and clears any leftover process-wide
-	// plan so a campaign's healthy points really are healthy.
-	if _, err := cliutil.Setup(fs, cliutil.Flags{Jobs: *jobs, Shards: *shards, Clusters: *clusters}); err != nil {
+	// Campaigns declare their own fault plans and machines; the shared
+	// flags contribute only their validation here.
+	shared := cliutil.Flags{Jobs: *jobs, Shards: *shards, Clusters: *clusters}
+	if err := shared.Validate(fs); err != nil {
 		lg.Print(err)
 		return 2
 	}
 	if *stepped {
-		cedar.SetSteppedEngine(true)
+		// Process-wide, and run() is driven in-process by tests: put the
+		// previous mode back on the way out.
+		defer sim.SetSteppedMode(sim.SteppedModeEnabled())
+		sim.SetSteppedMode(true)
 	}
 	prof, err := cliutil.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
@@ -99,6 +101,17 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 		if c, err = bench.Load(*config); err != nil {
 			lg.Print(err)
 			return 2
+		}
+	}
+	if *clusters > 0 {
+		// -clusters swaps the base machine: every entry that does not
+		// name a scaled base of its own starts from this one, and applies
+		// its overrides (clusters, modules, ...) on top as usual.
+		c.Machines = append([]bench.MachineSpec(nil), c.Machines...)
+		for i := range c.Machines {
+			if c.Machines[i].Scaled == 0 {
+				c.Machines[i].Scaled = *clusters
+			}
 		}
 	}
 	opt := bench.RunOptions{Jobs: *jobs, Shards: *shards, Now: time.Now, Progress: stderr}

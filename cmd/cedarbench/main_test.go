@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cedar/internal/bench"
+	"cedar/internal/sim"
 )
 
 // miniConfig is a one-point campaign small enough for CLI tests.
@@ -48,6 +49,51 @@ func TestRunModeProducesArtifact(t *testing.T) {
 	}
 	if len(art.Measured.Points) != 1 {
 		t.Error("CLI runs should record per-point wall times")
+	}
+}
+
+// TestRunModeClustersAndStepped: -clusters rewrites the campaign —
+// a machine entry with no scaled base of its own starts from the flag's,
+// one that names its base keeps it — and -stepped pins the engine mode
+// for this run only, without moving a deterministic byte.
+func TestRunModeClustersAndStepped(t *testing.T) {
+	dir := t.TempDir()
+	campaign := func(baseSpec string) string {
+		return `{"area": "w", "machines": [{"name": "base"` + baseSpec + `}, {"name": "own", "scaled": 8}],
+			"workloads": [{"name": "vl", "kind": "vectorload", "n": 256}]}`
+	}
+	det := func(cfg string, flags ...string) []byte {
+		t.Helper()
+		out := filepath.Join(dir, "a.json")
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"run", "-config", write(t, dir, "c.json", cfg), "-out", out, "-q"}, flags...)
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("run %v: exit %d, stderr: %s", flags, code, stderr.String())
+		}
+		art, err := bench.ReadArtifact(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := art.DeterministicBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	asBuilt := det(campaign(""))
+	flagged := det(campaign(""), "-clusters", "16")
+	if bytes.Equal(flagged, asBuilt) {
+		t.Error("-clusters 16 did not reach the default-machine point")
+	}
+	if explicit := det(campaign(`, "scaled": 16`)); !bytes.Equal(flagged, explicit) {
+		t.Errorf("-clusters 16 is not the campaign with scaled: 16 written out:\n%s\nvs\n%s", flagged, explicit)
+	}
+
+	if stepped := det(campaign(""), "-stepped"); !bytes.Equal(stepped, asBuilt) {
+		t.Error("-stepped changed the deterministic section")
+	}
+	if sim.SteppedModeEnabled() {
+		t.Error("-stepped leaked the engine mode past run()")
 	}
 }
 
@@ -100,6 +146,7 @@ func TestExitCodes(t *testing.T) {
 		{"unknown mode", []string{"frobnicate"}, 2},
 		{"run bad flag", []string{"run", "-no-such-flag"}, 2},
 		{"run bad jobs", []string{"run", "-jobs", "-3"}, 2},
+		{"run bad clusters", []string{"run", "-clusters", "-2"}, 2},
 		{"run missing config", []string{"run", "-config", filepath.Join(dir, "nope.json")}, 2},
 		{"run invalid config", []string{"run", "-config", badCfg}, 2},
 		{"diff missing args", []string{"diff", base}, 2},

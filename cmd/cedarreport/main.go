@@ -23,9 +23,7 @@ import (
 	"time"
 
 	"cedar/internal/cliutil"
-	"cedar/internal/fleet"
 	"cedar/internal/perfect"
-	"cedar/internal/scope"
 	"cedar/internal/tables"
 )
 
@@ -40,42 +38,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("cedarreport", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		n         = fs.Int("n", 256, "rank-64 update order (paper: 1K)")
-		full      = fs.Bool("full", false, "use the paper's largest CG sizes")
-		codes     = fs.String("codes", "", "comma-separated Perfect subset (default all 13)")
-		kernOnly  = fs.Bool("kernels-only", false, "skip the Perfect suite and methodology")
-		quiet     = fs.Bool("q", false, "suppress progress lines")
-		tracePath = fs.String("trace", "", "write a Chrome trace-event JSON file (Perfetto / chrome://tracing)")
-		metrics   = fs.String("metrics", "", "write the metrics snapshot as CSV")
-		jobs      = fs.Int("jobs", 0, "parallel experiment jobs (0 = GOMAXPROCS); output is identical at any value")
-		shards    = fs.Int("shards", 0, "intra-run parallel engine worker bound (1 = sequential); artifacts are byte-identical at any value")
-		faults    = fs.String("faults", "", "JSON fault plan (or \"demo\") injected into every simulated machine")
-		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = fs.String("memprofile", "", "write a heap profile to this file")
+		n        = fs.Int("n", 256, "rank-64 update order (paper: 1K)")
+		full     = fs.Bool("full", false, "use the paper's largest CG sizes")
+		codes    = fs.String("codes", "", "comma-separated Perfect subset (default all 13)")
+		kernOnly = fs.Bool("kernels-only", false, "skip the Perfect suite and methodology")
+		quiet    = fs.Bool("q", false, "suppress progress lines")
+		shared   = cliutil.Register(fs, false)
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if _, err := cliutil.Setup(fs, cliutil.Flags{Jobs: *jobs, Shards: *shards, Faults: *faults}); err != nil {
-		lg.Print(err)
-		return 2
-	}
-	prof, err := cliutil.StartProfiles(*cpuProf, *memProf)
+	s, err := shared.Open(fs, false)
 	if err != nil {
 		lg.Print(err)
 		return 2
 	}
-	defer func() {
-		if err := prof.Stop(); err != nil {
-			lg.Print(err)
-		}
-	}()
-
-	var hub *scope.Hub
-	if *tracePath != "" || *metrics != "" {
-		hub = scope.NewHub()
-		fleet.PublishMetrics(hub)
-	}
+	defer s.Abort()
 
 	cfg := tables.ReportConfig{
 		RankN:    *n,
@@ -84,8 +62,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// The CLI wants the elapsed-time trailer; library callers get
 		// byte-identical reports by leaving Now nil.
 		Now: time.Now,
-		// A hub adds the cycle-attribution section to the report.
-		Scope: hub,
+		// A hub in the Env adds the cycle-attribution section.
+		Env: s.Env,
 	}
 	if *quiet {
 		cfg.Progress = nil
@@ -113,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		lg.Print(err)
 		return 1
 	}
-	if err := scope.WriteArtifacts(hub, *tracePath, *metrics); err != nil {
+	if err := s.Close(stdout, false); err != nil {
 		lg.Print(err)
 		return 1
 	}

@@ -33,6 +33,7 @@ import (
 
 	"cedar/internal/cliutil"
 	"cedar/internal/serve"
+	"cedar/internal/sim"
 	"cedar/internal/store"
 )
 
@@ -102,12 +103,14 @@ func setup(args []string, stderr io.Writer) (http.Handler, string, int) {
 			return nil, "", 2
 		}
 	}
-	// Faults arrive per request, so the daemon itself always starts with
-	// a clean process-wide plan; Setup also validates the worker flags.
-	if _, err := cliutil.Setup(fs, cliutil.Flags{Jobs: *jobs, Shards: *shards}); err != nil {
+	// Faults and machines arrive per request; the shared flags contribute
+	// their validation and the process-wide shard bound.
+	shared := cliutil.Flags{Jobs: *jobs, Shards: *shards}
+	if err := shared.Validate(fs); err != nil {
 		lg.Print(err)
 		return nil, "", 2
 	}
+	sim.SetShards(*shards)
 
 	cfg := serve.Config{Jobs: *jobs}
 	if *storeDir != "" {

@@ -34,7 +34,6 @@ import (
 	"os"
 
 	"cedar/internal/cliutil"
-	"cedar/internal/fleet"
 	"cedar/internal/scope"
 	"cedar/internal/tables"
 )
@@ -45,9 +44,9 @@ import (
 // attached it also carries the experiment's slice of the metrics
 // registry alongside the result. The header is the only jobs-dependent
 // part — byte comparisons across -jobs values look at result+metrics.
-func emit(w io.Writer, asJSON bool, hub *scope.Hub, meta cliutil.Meta, prefix string, v interface{}, format func() string) error {
+func emit(w io.Writer, asJSON bool, hub *scope.Hub, meta cliutil.Meta, prefix string, res tables.Result) error {
 	if !asJSON {
-		_, err := fmt.Fprintln(w, format())
+		_, err := fmt.Fprintln(w, res.Format())
 		return err
 	}
 	var out interface{}
@@ -56,12 +55,12 @@ func emit(w io.Writer, asJSON bool, hub *scope.Hub, meta cliutil.Meta, prefix st
 			Header  cliutil.Meta   `json:"header"`
 			Result  interface{}    `json:"result"`
 			Metrics []scope.Sample `json:"metrics"`
-		}{meta, v, hub.SnapshotUnder(prefix)}
+		}{meta, res, hub.SnapshotUnder(prefix)}
 	} else {
 		out = struct {
 			Header cliutil.Meta `json:"header"`
 			Result interface{}  `json:"result"`
-		}{meta, v}
+		}{meta, res}
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -88,170 +87,59 @@ func run(args []string, stdout, stderr io.Writer) int {
 		membw     = fs.Bool("membw", false, "run the [GJTV91] memory characterization sweep")
 		asJSON    = fs.Bool("json", false, "emit results as JSON instead of tables")
 		all       = fs.Bool("all", false, "run everything")
-		tracePath = fs.String("trace", "", "write a Chrome trace-event JSON file (Perfetto / chrome://tracing)")
-		metrics   = fs.String("metrics", "", "write the metrics snapshot as CSV")
-		jobs      = fs.Int("jobs", 0, "parallel experiment jobs (0 = GOMAXPROCS); output is identical at any value")
-		shards    = fs.Int("shards", 0, "intra-run parallel engine worker bound (1 = sequential); artifacts are byte-identical at any value")
-		clusters  = fs.Int("clusters", 0, "simulated machine width in clusters (0 = as-built 4; 16/64 = scale-up presets)")
-		faults    = fs.String("faults", "", "JSON fault plan (or \"demo\") injected into every simulated machine")
-		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = fs.String("memprofile", "", "write a heap profile to this file")
+		shared    = cliutil.Register(fs, true)
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	plan, err := cliutil.Setup(fs, cliutil.Flags{Jobs: *jobs, Shards: *shards, Clusters: *clusters, Faults: *faults})
+	// -json wants each experiment's metrics next to its result, so it
+	// observes even without -trace/-metrics.
+	s, err := shared.Open(fs, *asJSON)
 	if err != nil {
 		lg.Print(err)
 		return 2
 	}
-	prof, err := cliutil.StartProfiles(*cpuProf, *memProf)
-	if err != nil {
-		lg.Print(err)
-		return 2
-	}
-	defer func() {
-		if err := prof.Stop(); err != nil {
-			lg.Print(err)
-		}
-	}()
-	meta := cliutil.NewMeta("cedarsim", plan)
+	defer s.Abort()
+	env := s.Env
+	meta := cliutil.NewMeta("cedarsim", env.Jobs, env.Faults)
 
-	// The hub exists whenever an artifact or JSON metrics are wanted;
-	// otherwise machines are built uninstrumented at zero cost.
-	var hub *scope.Hub
-	if *tracePath != "" || *metrics != "" || *asJSON {
-		hub = scope.NewHub()
-		// Surface the shared run cache's counters in -metrics output.
-		// (Observed experiments always execute rather than consult the
-		// cache, so these stay zero and artifacts stay byte-stable.)
-		fleet.PublishMetrics(hub)
-	}
-
-	ran := false
-	if *all || *overheads {
-		ran = true
-		ov, err := tables.RunOverheads(hub)
-		if err != nil {
-			lg.Print(err)
-			return 1
-		}
-		if err := emit(stdout, *asJSON, hub, meta, "overheads", ov, ov.Format); err != nil {
-			lg.Print(err)
-			return 1
+	// Catalogue names in output order, each with the flag that selects
+	// it; -faults adds the degraded-mode table.
+	var names []string
+	for _, pick := range []struct {
+		name string
+		on   bool
+	}{
+		{"overheads", *overheads},
+		{"t1", *table == 1},
+		{"t2", *table == 2},
+		{"net", *ablation == "net"},
+		{"sched", *ablation == "sched"},
+		{"prefblock", *ablation == "pref"},
+		{"scaled", *scaled},
+		{"membw", *membw},
+		{"degraded", env.Faults != nil},
+	} {
+		if *all || pick.on {
+			names = append(names, pick.name)
 		}
 	}
-	if *all || *table == 1 {
-		ran = true
-		t1, err := tables.RunTable1(*n, hub)
-		if err != nil {
-			lg.Print(err)
-			return 1
-		}
-		if err := emit(stdout, *asJSON, hub, meta, "t1", t1, t1.Format); err != nil {
-			lg.Print(err)
-			return 1
-		}
-	}
-	if *all || *table == 2 {
-		ran = true
-		var t2 *tables.Table2Result
-		var err error
-		if *small {
-			t2, err = tables.RunTable2Small(hub)
-		} else {
-			t2, err = tables.RunTable2(hub)
-		}
-		if err != nil {
-			lg.Print(err)
-			return 1
-		}
-		if err := emit(stdout, *asJSON, hub, meta, "t2", t2, t2.Format); err != nil {
-			lg.Print(err)
-			return 1
-		}
-	}
-	if *all || *ablation == "net" {
-		ran = true
-		rows, err := tables.RunNetworkAblation(*n, hub)
-		if err != nil {
-			lg.Print(err)
-			return 1
-		}
-		if err := emit(stdout, *asJSON, hub, meta, "net", rows, func() string { return tables.FormatNetworkAblation(rows) }); err != nil {
-			lg.Print(err)
-			return 1
-		}
-	}
-	if *all || *ablation == "sched" {
-		ran = true
-		rows, err := tables.RunSchedulingAblation(hub)
-		if err != nil {
-			lg.Print(err)
-			return 1
-		}
-		if err := emit(stdout, *asJSON, hub, meta, "sched", rows, func() string { return tables.FormatScheduling(rows) }); err != nil {
-			lg.Print(err)
-			return 1
-		}
-	}
-	if *all || *ablation == "pref" {
-		ran = true
-		rows, err := tables.RunPrefetchBlockAblation(*n, hub)
-		if err != nil {
-			lg.Print(err)
-			return 1
-		}
-		if err := emit(stdout, *asJSON, hub, meta, "prefblock", rows, func() string { return tables.FormatPrefetchBlock(rows) }); err != nil {
-			lg.Print(err)
-			return 1
-		}
-	}
-	if *all || *scaled {
-		ran = true
-		rows, err := tables.RunScaledCedar(*n, hub)
-		if err != nil {
-			lg.Print(err)
-			return 1
-		}
-		if err := emit(stdout, *asJSON, hub, meta, "scaled", rows, func() string { return tables.FormatScaled(rows) }); err != nil {
-			lg.Print(err)
-			return 1
-		}
-	}
-	if *all || *membw {
-		ran = true
-		bw, err := tables.RunMemBW(4096, hub)
-		if err != nil {
-			lg.Print(err)
-			return 1
-		}
-		if err := emit(stdout, *asJSON, hub, meta, "membw", bw, bw.Format); err != nil {
-			lg.Print(err)
-			return 1
-		}
-	}
-	if *all || plan != nil {
-		ran = true
-		rows, err := tables.RunDegraded(*n, plan, hub)
-		if err != nil {
-			lg.Print(err)
-			return 1
-		}
-		if err := emit(stdout, *asJSON, hub, meta, "degraded", rows, func() string { return tables.FormatDegraded(rows) }); err != nil {
-			lg.Print(err)
-			return 1
-		}
-	}
-	if !ran {
+	if len(names) == 0 {
 		fs.Usage()
 		return 2
 	}
-	if hub != nil && !*asJSON {
-		fmt.Fprintln(stdout, "cycle attribution")
-		fmt.Fprint(stdout, scope.FormatAttribution(hub.Attribution()))
+	sizes := tables.Sizes{RankN: *n, Table2Small: *small, MemBWWords: 4096}
+	for _, e := range tables.Experiments(names...) {
+		res, err := e.Run(env, sizes)
+		if err == nil {
+			err = emit(stdout, *asJSON, env.Hub, meta, e.Name, res)
+		}
+		if err != nil {
+			lg.Print(err)
+			return 1
+		}
 	}
-	if err := scope.WriteArtifacts(hub, *tracePath, *metrics); err != nil {
+	if err := s.Close(stdout, !*asJSON); err != nil {
 		lg.Print(err)
 		return 1
 	}

@@ -6,16 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"cedar/internal/fault"
-	"cedar/internal/fleet"
 )
 
 func TestRunRejectsBadInvocations(t *testing.T) {
-	t.Cleanup(func() {
-		fault.SetDefault(nil)
-		fleet.SetJobs(0)
-	})
 	malformed := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(malformed, []byte(`{"seed": 1, "faults": [{"kind": "warp-core"}]}`), 0o644); err != nil {
 		t.Fatal(err)

@@ -23,9 +23,6 @@ import (
 	"os"
 
 	"cedar/internal/cliutil"
-	"cedar/internal/fleet"
-	"cedar/internal/params"
-	"cedar/internal/scope"
 	"cedar/internal/tables"
 )
 
@@ -40,48 +37,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("judge", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		ppt4Only  = fs.Bool("ppt4", false, "run only the PPT4 scalability study")
-		full      = fs.Bool("full", false, "use the paper's largest problem sizes")
-		all       = fs.Bool("all", false, "run everything")
-		quiet     = fs.Bool("q", false, "suppress per-run progress lines")
-		tracePath = fs.String("trace", "", "write a Chrome trace-event JSON file (Perfetto / chrome://tracing)")
-		metrics   = fs.String("metrics", "", "write the metrics snapshot as CSV")
-		jobs      = fs.Int("jobs", 0, "parallel experiment jobs (0 = GOMAXPROCS); output is identical at any value")
-		shards    = fs.Int("shards", 0, "intra-run parallel engine worker bound (1 = sequential); artifacts are byte-identical at any value")
-		faults    = fs.String("faults", "", "JSON fault plan (or \"demo\") injected into every simulated machine")
-		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = fs.String("memprofile", "", "write a heap profile to this file")
+		ppt4Only = fs.Bool("ppt4", false, "run only the PPT4 scalability study")
+		full     = fs.Bool("full", false, "use the paper's largest problem sizes")
+		all      = fs.Bool("all", false, "run everything")
+		quiet    = fs.Bool("q", false, "suppress per-run progress lines")
+		shared   = cliutil.Register(fs, false)
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if _, err := cliutil.Setup(fs, cliutil.Flags{Jobs: *jobs, Shards: *shards, Faults: *faults}); err != nil {
-		lg.Print(err)
-		return 2
-	}
-	prof, err := cliutil.StartProfiles(*cpuProf, *memProf)
+	s, err := shared.Open(fs, false)
 	if err != nil {
 		lg.Print(err)
 		return 2
 	}
-	defer func() {
-		if err := prof.Stop(); err != nil {
-			lg.Print(err)
-		}
-	}()
-
-	var hub *scope.Hub
-	if *tracePath != "" || *metrics != "" {
-		hub = scope.NewHub()
-		fleet.PublishMetrics(hub)
-	}
+	defer s.Abort()
 
 	if !*ppt4Only || *all {
 		var progress io.Writer = stderr
 		if *quiet {
 			progress = nil
 		}
-		suite, err := tables.RunSuite(params.Default(), nil, progress, hub)
+		suite, err := tables.RunSuite(s.Env, nil, progress)
 		if err != nil {
 			lg.Print(err)
 			return 1
@@ -94,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, tables.BuildFigure3(suite).Format())
 	}
 	if *ppt4Only || *all {
-		res, err := tables.RunPPT4(*full, hub)
+		res, err := tables.RunPPT4(s.Env, *full)
 		if err != nil {
 			lg.Print(err)
 			return 1
@@ -102,11 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "PPT4: code and architecture scalability")
 		fmt.Fprintln(stdout, res.Format())
 	}
-	if hub != nil {
-		fmt.Fprintln(stdout, "cycle attribution")
-		fmt.Fprint(stdout, scope.FormatAttribution(hub.Attribution()))
-	}
-	if err := scope.WriteArtifacts(hub, *tracePath, *metrics); err != nil {
+	if err := s.Close(stdout, true); err != nil {
 		lg.Print(err)
 		return 1
 	}

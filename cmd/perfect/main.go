@@ -23,10 +23,7 @@ import (
 	"strings"
 
 	"cedar/internal/cliutil"
-	"cedar/internal/fleet"
-	"cedar/internal/params"
 	"cedar/internal/perfect"
-	"cedar/internal/scope"
 	"cedar/internal/tables"
 )
 
@@ -43,37 +40,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		codesFlag = fs.String("codes", "", "comma-separated subset of codes (default: all 13)")
 		quiet     = fs.Bool("q", false, "suppress per-run progress lines")
-		tracePath = fs.String("trace", "", "write a Chrome trace-event JSON file (Perfetto / chrome://tracing)")
-		metrics   = fs.String("metrics", "", "write the metrics snapshot as CSV")
-		jobs      = fs.Int("jobs", 0, "parallel experiment jobs (0 = GOMAXPROCS); output is identical at any value")
-		shards    = fs.Int("shards", 0, "intra-run parallel engine worker bound (1 = sequential); artifacts are byte-identical at any value")
-		faults    = fs.String("faults", "", "JSON fault plan (or \"demo\") injected into every simulated machine")
-		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = fs.String("memprofile", "", "write a heap profile to this file")
+		shared    = cliutil.Register(fs, false)
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if _, err := cliutil.Setup(fs, cliutil.Flags{Jobs: *jobs, Shards: *shards, Faults: *faults}); err != nil {
-		lg.Print(err)
-		return 2
-	}
-	prof, err := cliutil.StartProfiles(*cpuProf, *memProf)
+	s, err := shared.Open(fs, false)
 	if err != nil {
 		lg.Print(err)
 		return 2
 	}
-	defer func() {
-		if err := prof.Stop(); err != nil {
-			lg.Print(err)
-		}
-	}()
-
-	var hub *scope.Hub
-	if *tracePath != "" || *metrics != "" {
-		hub = scope.NewHub()
-		fleet.PublishMetrics(hub)
-	}
+	defer s.Abort()
 
 	codes := perfect.All()
 	if *codesFlag != "" {
@@ -98,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *quiet {
 		progress = nil
 	}
-	suite, err := tables.RunSuite(params.Default(), codes, progress, hub)
+	suite, err := tables.RunSuite(s.Env, codes, progress)
 	if err != nil {
 		lg.Print(err)
 		return 1
@@ -106,12 +83,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintln(stdout, "Table 3: Cedar execution time, MFLOPS and speed improvement for the Perfect Benchmarks")
 	fmt.Fprintln(stdout, tables.BuildTable3(suite).Format())
 	fmt.Fprintln(stdout, "Table 4: execution times for manually altered Perfect codes")
-	fmt.Fprintln(stdout, tables.FormatTable4(tables.BuildTable4(suite)))
-	if hub != nil {
-		fmt.Fprintln(stdout, "cycle attribution")
-		fmt.Fprint(stdout, scope.FormatAttribution(hub.Attribution()))
-	}
-	if err := scope.WriteArtifacts(hub, *tracePath, *metrics); err != nil {
+	fmt.Fprintln(stdout, tables.BuildTable4(suite).Format())
+	if err := s.Close(stdout, true); err != nil {
 		lg.Print(err)
 		return 1
 	}

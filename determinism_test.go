@@ -115,23 +115,22 @@ func TestParallelVsSequentialEquality(t *testing.T) {
 	}
 	run := func(jobs int) artifacts {
 		t.Helper()
-		cedar.SetJobs(jobs)
-		defer cedar.SetJobs(0)
 		cedar.ResetRunCache()
 		hub := cedar.NewHub()
+		env := cedar.Env{Hub: hub, Jobs: jobs}
 		var rep bytes.Buffer
 
-		t1, err := cedar.RunTable1(64, hub)
+		t1, err := cedar.RunTable1(env, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rep.WriteString(t1.Format())
-		ov, err := cedar.RunOverheads(hub)
+		ov, err := cedar.RunOverheads(env)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rep.WriteString(ov.Format())
-		bw, err := cedar.RunMemBW(256, hub)
+		bw, err := cedar.RunMemBW(env, 256)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,11 +183,11 @@ func TestParallelVsSequentialEquality(t *testing.T) {
 // ResetRunCache forces a fresh simulation.
 func TestRunCacheMemoizes(t *testing.T) {
 	cedar.ResetRunCache()
-	first, err := cedar.RunOverheads()
+	first, err := cedar.RunOverheads(cedar.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := cedar.RunOverheads()
+	second, err := cedar.RunOverheads(cedar.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +195,7 @@ func TestRunCacheMemoizes(t *testing.T) {
 		t.Errorf("memoized overheads disagree: %+v vs %+v", first, second)
 	}
 	cedar.ResetRunCache()
-	third, err := cedar.RunOverheads()
+	third, err := cedar.RunOverheads(cedar.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,11 +244,9 @@ func TestFaultedRunDeterministic(t *testing.T) {
 	}
 	run := func(jobs int) artifacts {
 		t.Helper()
-		cedar.SetJobs(jobs)
-		defer cedar.SetJobs(0)
 		cedar.ResetRunCache()
 		hub := cedar.NewHub()
-		rows, err := cedar.RunDegraded(48, plan, hub)
+		rows, err := cedar.RunDegraded(cedar.Env{Hub: hub, Faults: plan, Jobs: jobs}, 48)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +264,7 @@ func TestFaultedRunDeterministic(t *testing.T) {
 		if err := hub.WriteMetricsCSV(&mb); err != nil {
 			t.Fatal(err)
 		}
-		return artifacts{[]byte(cedar.FormatDegraded(rows)), jsonOut, tb.Bytes(), mb.Bytes(), rows}
+		return artifacts{[]byte(rows.Format()), jsonOut, tb.Bytes(), mb.Bytes(), rows}
 	}
 
 	seq, par := run(1), run(8)

@@ -25,17 +25,17 @@ func suiteArtifacts(t *testing.T) (report, jsonOut, trace, metrics []byte) {
 	hub := cedar.NewHub()
 	var rep bytes.Buffer
 
-	t1, err := cedar.RunTable1(64, hub)
+	t1, err := cedar.RunTable1(cedar.Env{Hub: hub}, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep.WriteString(t1.Format())
-	ov, err := cedar.RunOverheads(hub)
+	ov, err := cedar.RunOverheads(cedar.Env{Hub: hub})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep.WriteString(ov.Format())
-	bw, err := cedar.RunMemBW(256, hub)
+	bw, err := cedar.RunMemBW(cedar.Env{Hub: hub}, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func TestSteppedVsEventDegraded(t *testing.T) {
 	run := func() []byte {
 		t.Helper()
 		cedar.ResetRunCache()
-		rows, err := cedar.RunDegraded(48, plan, nil)
+		rows, err := cedar.RunDegraded(cedar.Env{Faults: plan}, 48)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return []byte(cedar.FormatDegraded(rows))
+		return []byte(rows.Format())
 	}
 	cedar.SetSteppedEngine(true)
 	stepped := run()

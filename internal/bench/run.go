@@ -235,10 +235,9 @@ func Run(c *Campaign, opt RunOptions) (*Artifact, error) {
 // RunSpec executes one (machine × workload × fault plan) point on a
 // freshly built machine with a private hub — cedarserve's entry into the
 // bench vocabulary. metrics filters the scope snapshot captured into the
-// outcome (nil selects DefaultMetrics); plan nil runs healthy, ignoring
-// any process-wide default. A run that degrades under its plan returns
-// Status "degraded" with partial timing and a nil error, exactly like a
-// campaign point.
+// outcome (nil selects DefaultMetrics); plan nil runs healthy. A run
+// that degrades under its plan returns Status "degraded" with partial
+// timing and a nil error, exactly like a campaign point.
 func RunSpec(ms MachineSpec, ws WorkloadSpec, plan *fault.Plan, metrics []string) (Outcome, error) {
 	fabric, err := ms.fabricKind()
 	if err != nil {
@@ -262,10 +261,7 @@ func RunSpec(ms MachineSpec, ws WorkloadSpec, plan *fault.Plan, metrics []string
 // private hub, returning the identity-free outcome the cache stores.
 func runPoint(pt point, metrics []string, now func() time.Time) (Outcome, error) {
 	hub := scope.NewHub()
-	m, err := core.New(pt.pm, core.Options{
-		Fabric: pt.fabric, Scope: hub,
-		Faults: pt.plan, NoFaults: pt.plan == nil,
-	})
+	m, err := core.New(pt.pm, core.Options{Fabric: pt.fabric, Scope: hub, Faults: pt.plan})
 	if err != nil {
 		return Outcome{}, fmt.Errorf("bench: point %s: %w", pt.id, err)
 	}

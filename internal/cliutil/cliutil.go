@@ -1,22 +1,26 @@
-// Package cliutil holds the flag plumbing shared by the commands:
-// validation of the -jobs worker count, the -shards intra-run engine
-// bound, the -clusters machine width, and loading/installing the
-// -faults plan. Keeping it in one place means the commands cannot
-// drift apart in how they reject bad invocations.
+// Package cliutil holds the flag plumbing shared by the commands: one
+// registration of the shared flags, one validation of them, and one
+// session that turns them into the run configuration (tables.Env) and
+// owes the artifacts at exit. Keeping it in one place means the commands
+// cannot drift apart in how they reject bad invocations or in what a
+// flag means.
 package cliutil
 
 import (
 	"flag"
 	"fmt"
+	"io"
 
 	"cedar/internal/fault"
 	"cedar/internal/fleet"
 	"cedar/internal/params"
+	"cedar/internal/scope"
 	"cedar/internal/sim"
+	"cedar/internal/tables"
 )
 
 // Flags carries the parsed values of the shared command flags. The zero
-// value of every field means "not set, keep the process default".
+// value of every field means "not set, keep the default".
 type Flags struct {
 	// Jobs is the fleet worker count (-jobs); 0 means GOMAXPROCS.
 	Jobs int
@@ -30,45 +34,124 @@ type Flags struct {
 	Clusters int
 	// Faults names a JSON fault plan file, or the literal "demo".
 	Faults string
+	// Trace and Metrics name the observability artifacts to write.
+	Trace, Metrics string
+	// CPUProfile and MemProfile name the pprof profiles to write.
+	CPUProfile, MemProfile string
 }
 
-// Setup applies the shared flags after fs has been parsed. jobs and
-// shards must be positive when the user set them explicitly (the unset
-// default 0 means GOMAXPROCS for jobs and sequential for shards).
-// Faults, when non-empty, names a JSON fault plan — or the literal
-// "demo" for the built-in dead-bank-plus-network-fault scenario — which
-// is validated and installed as the process-wide default so every
-// machine the command builds runs under it. The loaded plan (nil when
-// Faults is empty) is returned; errors are suitable for printing
-// followed by exit 2.
-func Setup(fs *flag.FlagSet, f Flags) (*fault.Plan, error) {
+// Register declares the shared flags on fs and returns where their
+// values land once fs is parsed. -clusters is offered only by commands
+// whose experiments all start from the base machine.
+func Register(fs *flag.FlagSet, clusters bool) *Flags {
+	f := &Flags{}
+	fs.StringVar(&f.Trace, "trace", "", "write a Chrome trace-event JSON file (Perfetto / chrome://tracing)")
+	fs.StringVar(&f.Metrics, "metrics", "", "write the metrics snapshot as CSV")
+	fs.IntVar(&f.Jobs, "jobs", 0, "parallel experiment jobs (0 = GOMAXPROCS); output is identical at any value")
+	fs.IntVar(&f.Shards, "shards", 0, "intra-run parallel engine worker bound (1 = sequential); artifacts are byte-identical at any value")
+	if clusters {
+		fs.IntVar(&f.Clusters, "clusters", 0, "simulated machine width in clusters (0 = as-built 4; 16/64 = scale-up presets)")
+	}
+	fs.StringVar(&f.Faults, "faults", "", "JSON fault plan (or \"demo\") injected into every simulated machine")
+	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to this file")
+	return f
+}
+
+// Validate checks the worker and width flags after fs has been parsed:
+// -jobs and -shards must be positive when the user set them explicitly
+// (the unset default 0 means GOMAXPROCS for jobs and sequential for
+// shards), and -clusters must name a machine that validates. Errors are
+// suitable for printing followed by exit 2.
+func (f *Flags) Validate(fs *flag.FlagSet) error {
 	explicit := map[string]bool{}
 	fs.Visit(func(fl *flag.Flag) { explicit[fl.Name] = true })
 	if explicit["jobs"] && f.Jobs <= 0 {
-		return nil, fmt.Errorf("-jobs must be at least 1, got %d", f.Jobs)
+		return fmt.Errorf("-jobs must be at least 1, got %d", f.Jobs)
 	}
 	if explicit["shards"] && f.Shards <= 0 {
-		return nil, fmt.Errorf("-shards must be at least 1, got %d", f.Shards)
+		return fmt.Errorf("-shards must be at least 1, got %d", f.Shards)
 	}
-	fleet.SetJobs(f.Jobs)
-	sim.SetShards(f.Shards)
-	if err := params.SetDefaultClusters(f.Clusters); err != nil {
-		return nil, fmt.Errorf("-clusters %d: %w", f.Clusters, err)
+	if f.Clusters < 0 {
+		return fmt.Errorf("-clusters %d: params: clusters must be ≥ 1, got %d", f.Clusters, f.Clusters)
 	}
-
-	var plan *fault.Plan
-	if f.Faults != "" {
-		if f.Faults == "demo" {
-			plan = fault.DemoPlan()
-		} else {
-			var err error
-			if plan, err = fault.Load(f.Faults); err != nil {
-				return nil, err
-			}
+	if f.Clusters > 0 {
+		if err := params.Scaled(f.Clusters).Validate(); err != nil {
+			return fmt.Errorf("-clusters %d: %w", f.Clusters, err)
 		}
 	}
-	// Install unconditionally: a command invoked without -faults must
-	// clear any plan a previous test or library caller left behind.
-	fault.SetDefault(plan)
-	return plan, nil
+	return nil
 }
+
+// Session is one command invocation: the run configuration its
+// experiments execute under, plus the profiles and artifacts it owes
+// when it ends.
+type Session struct {
+	// Env is what the invocation's flags asked for: hub (when an artifact
+	// was requested), fault plan, worker count, machine width.
+	Env tables.Env
+
+	flags *Flags
+	prof  *Profiles
+}
+
+// Open validates the parsed flags, loads the -faults plan ("demo" is the
+// built-in dead-bank-plus-network-fault scenario), sets the intra-run
+// shard bound, starts the profiles and builds the hub. The hub exists
+// whenever -trace or -metrics is given or observe is set; otherwise
+// machines are built uninstrumented at zero cost. Every error is a bad
+// invocation: print it and exit 2. Defer Abort, and Close on success.
+func (f *Flags) Open(fs *flag.FlagSet, observe bool) (*Session, error) {
+	if err := f.Validate(fs); err != nil {
+		return nil, err
+	}
+	var plan *fault.Plan
+	if f.Faults == "demo" {
+		plan = fault.DemoPlan()
+	} else if f.Faults != "" {
+		var err error
+		if plan, err = fault.Load(f.Faults); err != nil {
+			return nil, err
+		}
+	}
+	// The shard bound is one of the two process-wide engine knobs left
+	// (DESIGN.md "Run configuration"): machines read it at build time.
+	sim.SetShards(f.Shards)
+	prof, err := StartProfiles(f.CPUProfile, f.MemProfile)
+	if err != nil {
+		return nil, err
+	}
+	var hub *scope.Hub
+	if f.Trace != "" || f.Metrics != "" || observe {
+		hub = scope.NewHub()
+		// Surface the shared run cache's counters in -metrics output.
+		// (Observed experiments always execute rather than consult the
+		// cache, so these stay zero and artifacts stay byte-stable.)
+		fleet.PublishMetrics(hub)
+	}
+	return &Session{
+		Env:   tables.Env{Hub: hub, Faults: plan, Jobs: f.Jobs, Clusters: f.Clusters},
+		flags: f,
+		prof:  prof,
+	}, nil
+}
+
+// Close ends a successful run: with attribution set and a hub attached
+// it prints the cycle-attribution table to stdout, then it writes the
+// -trace/-metrics artifacts and stops the profiles.
+func (s *Session) Close(stdout io.Writer, attribution bool) error {
+	if hub := s.Env.Hub; hub != nil && attribution {
+		fmt.Fprintln(stdout, "cycle attribution")
+		fmt.Fprint(stdout, scope.FormatAttribution(hub.Attribution()))
+	}
+	err := scope.WriteArtifacts(s.Env.Hub, s.flags.Trace, s.flags.Metrics)
+	if perr := s.prof.Stop(); err == nil {
+		err = perr
+	}
+	return err
+}
+
+// Abort stops the profiles of a run that is ending without Close — the
+// failure paths. A no-op after Close. Its own error is dropped: the
+// failure that ended the run is the one worth reporting.
+func (s *Session) Abort() { _ = s.prof.Stop() }

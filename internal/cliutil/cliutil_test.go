@@ -9,105 +9,90 @@ import (
 	"testing"
 
 	"cedar/internal/fault"
-	"cedar/internal/fleet"
 	"cedar/internal/params"
 	"cedar/internal/sim"
+	"cedar/internal/tables"
 )
 
-// newFS builds the flag set every command declares, pre-parsed with args.
-func newFS(t *testing.T, args ...string) (*flag.FlagSet, *int, *string) {
+// open registers the shared flags (with -clusters), parses args and
+// opens the session, as every command does.
+func open(t *testing.T, args ...string) (*Session, error) {
 	t.Helper()
+	t.Cleanup(func() { sim.SetShards(1) })
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	jobs := fs.Int("jobs", 0, "")
-	faults := fs.String("faults", "", "")
+	shared := Register(fs, true)
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("parse %v: %v", args, err)
 	}
-	return fs, jobs, faults
-}
-
-func reset(t *testing.T) {
-	t.Helper()
-	t.Cleanup(func() {
-		fault.SetDefault(nil)
-		fleet.SetJobs(0)
-		sim.SetShards(1)
-		if err := params.SetDefaultClusters(0); err != nil {
-			t.Fatal(err)
-		}
-	})
+	s, err := shared.Open(fs, false)
+	if err == nil {
+		t.Cleanup(s.Abort)
+	}
+	return s, err
 }
 
 func TestSetupJobsValidation(t *testing.T) {
-	reset(t)
 	for _, args := range [][]string{
 		{"-jobs", "0"},
 		{"-jobs=-4"},
 	} {
-		fs, jobs, faults := newFS(t, args...)
-		if _, err := Setup(fs, Flags{Jobs: *jobs, Faults: *faults}); err == nil {
-			t.Errorf("Setup(%v): want error for non-positive explicit -jobs", args)
+		if _, err := open(t, args...); err == nil {
+			t.Errorf("Open(%v): want error for non-positive explicit -jobs", args)
 		} else if !strings.Contains(err.Error(), "-jobs") {
-			t.Errorf("Setup(%v): error %q does not name the flag", args, err)
+			t.Errorf("Open(%v): error %q does not name the flag", args, err)
 		}
 	}
 
-	// Unset -jobs keeps the GOMAXPROCS default without complaint.
-	fs, jobs, faults := newFS(t)
-	if _, err := Setup(fs, Flags{Jobs: *jobs, Faults: *faults}); err != nil {
-		t.Fatalf("Setup with defaults: %v", err)
+	// Unset flags keep the defaults without complaint: GOMAXPROCS
+	// workers, the as-built machine, healthy, unobserved.
+	s, err := open(t)
+	if err != nil {
+		t.Fatalf("Open with defaults: %v", err)
+	}
+	if s.Env != (tables.Env{}) {
+		t.Fatalf("Env with no flags = %+v, want the zero Env", s.Env)
 	}
 
-	fs, jobs, faults = newFS(t, "-jobs", "3")
-	if _, err := Setup(fs, Flags{Jobs: *jobs, Faults: *faults}); err != nil {
-		t.Fatalf("Setup(-jobs 3): %v", err)
+	if s, err = open(t, "-jobs", "3"); err != nil {
+		t.Fatalf("Open(-jobs 3): %v", err)
 	}
-	if got := fleet.Jobs(); got != 3 {
-		t.Fatalf("fleet.Jobs() = %d, want 3", got)
+	if s.Env.Jobs != 3 {
+		t.Fatalf("Env.Jobs = %d, want 3", s.Env.Jobs)
 	}
 }
 
 func TestSetupFaultPlans(t *testing.T) {
-	reset(t)
-
-	fs, jobs, faults := newFS(t, "-faults", "demo")
-	plan, err := Setup(fs, Flags{Jobs: *jobs, Faults: *faults})
+	s, err := open(t, "-faults", "demo")
 	if err != nil {
-		t.Fatalf("Setup(-faults demo): %v", err)
+		t.Fatalf("Open(-faults demo): %v", err)
 	}
-	if plan == nil || len(plan.Faults) == 0 {
+	if plan := s.Env.Faults; plan == nil || len(plan.Faults) == 0 {
 		t.Fatal("demo plan is empty")
-	}
-	if fault.Default() != plan {
-		t.Fatal("demo plan was not installed as the default")
 	}
 
 	good := filepath.Join(t.TempDir(), "plan.json")
 	if err := os.WriteFile(good, []byte(`{"seed": 7, "faults": [{"kind": "bank-dead", "module": 2}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fs, jobs, faults = newFS(t, "-faults", good)
-	plan, err = Setup(fs, Flags{Jobs: *jobs, Faults: *faults})
-	if err != nil {
-		t.Fatalf("Setup(-faults %s): %v", good, err)
+	if s, err = open(t, "-faults", good); err != nil {
+		t.Fatalf("Open(-faults %s): %v", good, err)
 	}
-	if plan.Seed != 7 || len(plan.Faults) != 1 || plan.Faults[0].Kind != fault.BankDead {
+	if plan := s.Env.Faults; plan.Seed != 7 || len(plan.Faults) != 1 || plan.Faults[0].Kind != fault.BankDead {
 		t.Fatalf("loaded plan = %+v", plan)
 	}
 
-	// No -faults clears a previously installed plan.
-	fs, jobs, faults = newFS(t)
-	if _, err := Setup(fs, Flags{Jobs: *jobs, Faults: *faults}); err != nil {
+	// The plan belongs to its session: a later one opened without
+	// -faults is healthy.
+	if s, err = open(t); err != nil {
 		t.Fatal(err)
 	}
-	if fault.Default() != nil {
-		t.Fatal("Setup without -faults left a stale default plan")
+	if s.Env.Faults != nil {
+		t.Fatal("session without -faults carries a plan")
 	}
 }
 
 func TestSetupFaultErrors(t *testing.T) {
-	reset(t)
 	bad := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(bad, []byte(`{"seed": 1, "faults": [{"kind": "bank-dead", "module": -1}]}`), 0o644); err != nil {
 		t.Fatal(err)
@@ -116,57 +101,89 @@ func TestSetupFaultErrors(t *testing.T) {
 		filepath.Join(t.TempDir(), "missing.json"),
 		bad,
 	} {
-		fs, jobs, faults := newFS(t, "-faults", path)
-		if _, err := Setup(fs, Flags{Jobs: *jobs, Faults: *faults}); err == nil {
-			t.Errorf("Setup(-faults %s): want error", path)
+		if _, err := open(t, "-faults", path); err == nil {
+			t.Errorf("Open(-faults %s): want error", path)
 		}
 	}
 }
 
 func TestSetupShardsAndClusters(t *testing.T) {
-	reset(t)
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	shards := fs.Int("shards", 0, "")
-	clusters := fs.Int("clusters", 0, "")
-	if err := fs.Parse([]string{"-shards", "4", "-clusters", "16"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Setup(fs, Flags{Shards: *shards, Clusters: *clusters}); err != nil {
+	s, err := open(t, "-shards", "4", "-clusters", "16")
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := sim.Shards(); got != 4 {
 		t.Errorf("sim.Shards() = %d, want 4", got)
 	}
-	if got := params.Default().Clusters; got != 16 {
-		t.Errorf("Default().Clusters = %d, want 16", got)
+	if got := s.Env.Machine(); got != params.Cedar16() {
+		t.Errorf("Env.Machine() = %+v, want Cedar16", got)
+	}
+	// The width travels in the Env only: the as-built machine is still
+	// what params.Default means.
+	if got := params.Default().Clusters; got != 4 {
+		t.Errorf("Default().Clusters = %d under -clusters 16, want 4", got)
 	}
 
-	// Explicit non-positive -shards is rejected like -jobs.
-	fs = flag.NewFlagSet("test", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	shards = fs.Int("shards", 0, "")
-	if err := fs.Parse([]string{"-shards", "0"}); err != nil {
+	// Explicit non-positive -shards is rejected like -jobs, and an
+	// invalid width by params validation.
+	for flagName, args := range map[string][]string{
+		"-shards":   {"-shards", "-1"},
+		"-clusters": {"-clusters", "-2"},
+	} {
+		if _, err := open(t, args...); err == nil {
+			t.Errorf("Open(%v): want error", args)
+		} else if !strings.Contains(err.Error(), flagName) {
+			t.Errorf("Open(%v): error %q does not name the flag", args, err)
+		}
+	}
+}
+
+// TestSessionArtifacts: Close owes what the flags asked for — the
+// attribution printout only when asked and observed, the trace and
+// metrics files, the profiles — and Abort after Close is a no-op.
+func TestSessionArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	trace, metrics, mem := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.csv"), filepath.Join(dir, "mem.pb.gz")
+	s, err := open(t, "-trace", trace, "-metrics", metrics, "-memprofile", mem)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Setup(fs, Flags{Shards: *shards}); err == nil {
-		t.Error("Setup(-shards 0): want error")
-	} else if !strings.Contains(err.Error(), "-shards") {
-		t.Errorf("error %q does not name the flag", err)
+	if s.Env.Hub == nil {
+		t.Fatal("-trace/-metrics did not build a hub")
 	}
+	var out strings.Builder
+	if err := s.Close(&out, true); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out.String(), "cycle attribution\n") {
+		t.Errorf("Close(attribution) printed %q", out.String())
+	}
+	for _, path := range []string{trace, metrics, mem} {
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Errorf("%s missing or empty after Close (err %v)", path, err)
+		}
+	}
+	s.Abort()
 
-	// An invalid width is rejected by params validation.
-	if _, err := Setup(flag.NewFlagSet("t", flag.ContinueOnError), Flags{Clusters: -2}); err == nil {
-		t.Error("Setup(-clusters -2): want error")
+	// Unobserved, nothing owed: Close prints and writes nothing.
+	if s, err = open(t); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := s.Close(&out, true); err != nil || out.Len() != 0 {
+		t.Errorf("unobserved Close = %v, printed %q", err, out.String())
 	}
 }
 
 func TestNewMetaHostFields(t *testing.T) {
-	reset(t)
+	t.Cleanup(func() { sim.SetShards(1) })
 	sim.SetShards(3)
-	m := NewMeta("test", nil)
+	m := NewMeta("test", 0, nil)
 	if m.Shards != 3 {
 		t.Errorf("Meta.Shards = %d, want 3", m.Shards)
+	}
+	if m.Jobs != m.GoMaxProcs {
+		t.Errorf("Meta.Jobs = %d for an unset -jobs, want GOMAXPROCS (%d)", m.Jobs, m.GoMaxProcs)
 	}
 	if m.GoMaxProcs < 1 || m.NumCPU < 1 {
 		t.Errorf("host fields unset: %+v", m)

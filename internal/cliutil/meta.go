@@ -4,7 +4,6 @@ import (
 	"runtime"
 
 	"cedar/internal/fault"
-	"cedar/internal/fleet"
 	"cedar/internal/sim"
 )
 
@@ -30,19 +29,22 @@ type Meta struct {
 	Shards     int `json:"shards"`
 	GoMaxProcs int `json:"gomaxprocs"`
 	NumCPU     int `json:"num_cpu"`
-	// FaultSeed and FaultPlan identify the process-wide fault plan
-	// (absent when healthy); FaultPlan is the plan's short content hash.
+	// FaultSeed and FaultPlan identify the run's fault plan (absent when
+	// healthy); FaultPlan is the plan's short content hash.
 	FaultSeed uint64 `json:"fault_seed,omitempty"`
 	FaultPlan string `json:"fault_plan,omitempty"`
 }
 
-// NewMeta builds the header for tool under the given plan (nil for a
-// healthy run).
-func NewMeta(tool string, plan *fault.Plan) Meta {
+// NewMeta builds the header for tool at the given -jobs value (0 =
+// GOMAXPROCS) under the given plan (nil for a healthy run).
+func NewMeta(tool string, jobs int, plan *fault.Plan) Meta {
+	if jobs <= 0 {
+		jobs = runtime.GOMAXPROCS(0)
+	}
 	m := Meta{
 		Schema:     MetaSchema,
 		Tool:       tool,
-		Jobs:       fleet.Jobs(),
+		Jobs:       jobs,
 		Shards:     sim.Shards(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cedar/internal/fault"
-	"cedar/internal/fleet"
 )
 
 func TestProfilesWriteBothFiles(t *testing.T) {
@@ -66,10 +65,7 @@ func TestProfilesBadPath(t *testing.T) {
 }
 
 func TestNewMeta(t *testing.T) {
-	fleet.SetJobs(3)
-	defer fleet.SetJobs(0)
-
-	m := NewMeta("cedarsim", nil)
+	m := NewMeta("cedarsim", 3, nil)
 	if m.Schema != MetaSchema || m.Tool != "cedarsim" || m.Jobs != 3 {
 		t.Fatalf("healthy meta: %+v", m)
 	}
@@ -78,7 +74,7 @@ func TestNewMeta(t *testing.T) {
 	}
 
 	plan := fault.DemoPlan()
-	m = NewMeta("judge", plan)
+	m = NewMeta("judge", 0, plan)
 	if m.FaultSeed != plan.Seed || m.FaultPlan != plan.Hash() || m.FaultPlan == "" {
 		t.Fatalf("faulted meta: %+v", m)
 	}

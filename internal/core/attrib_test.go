@@ -17,7 +17,7 @@ import (
 func TestAttributionConservation(t *testing.T) {
 	p := params.Default()
 	hub := scope.NewHub()
-	m := MustNew(p, Options{Scope: hub, NoFaults: true})
+	m := MustNew(p, Options{Scope: hub})
 
 	// A program touching every attributed class: global vector traffic
 	// (gmem, network), prefetched and plain streams (PFU), cluster cache

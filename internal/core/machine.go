@@ -49,10 +49,8 @@ type Options struct {
 	// publishes metrics, trace spans, and cycle attribution on. Nil (the
 	// default) builds an uninstrumented machine at zero overhead.
 	Scope *scope.Hub
-	// Faults, when non-nil, is the fault plan this machine runs under.
-	// Nil falls back to the process-wide plan installed by the CLIs'
-	// -faults flag (fault.SetDefault); NoFaults forces a healthy machine
-	// regardless of either.
+	// Faults, when non-nil, is the fault plan this machine runs under;
+	// nil builds a healthy machine. NoFaults ignores Faults.
 	Faults   *fault.Plan
 	NoFaults bool
 }
@@ -169,12 +167,8 @@ func New(p params.Machine, opt Options) (*Machine, error) {
 		m.shards = p.Clusters
 	}
 
-	plan := opt.Faults
-	if plan == nil && !opt.NoFaults {
-		plan = fault.Default()
-	}
-	if !opt.NoFaults && plan != nil {
-		inj, err := fault.NewInjector(p, plan)
+	if !opt.NoFaults && opt.Faults != nil {
+		inj, err := fault.NewInjector(p, opt.Faults)
 		if err != nil {
 			return nil, err
 		}

@@ -162,7 +162,7 @@ func TestBuildBudget(t *testing.T) {
 		res := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := New(tc.p, Options{NoFaults: true}); err != nil {
+				if _, err := New(tc.p, Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -18,7 +18,7 @@ func shardWorkload(t *testing.T) (string, *scope.Hub) {
 	t.Helper()
 	p := params.Default()
 	hub := scope.NewHub()
-	m := MustNew(p, Options{Scope: hub, NoFaults: true})
+	m := MustNew(p, Options{Scope: hub})
 
 	gbase := m.AllocGlobal(8192)
 	lbase := m.Clusters[0].AllocLocal(512)

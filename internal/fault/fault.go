@@ -20,7 +20,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync/atomic"
 )
 
 // Kind names a fault mechanism.
@@ -231,23 +230,6 @@ func (p *Plan) Hash() string {
 	sum := sha256.Sum256([]byte(fp))
 	return hex.EncodeToString(sum[:8])
 }
-
-// defaultPlan holds the process-wide plan installed by the CLIs'
-// -faults flag; machines built without an explicit Options.Faults use
-// it. Reads and writes go through an atomic pointer so tests and
-// worker goroutines never race.
-var defaultPlan atomic.Pointer[Plan]
-
-// SetDefault installs (or, with nil, clears) the process-wide plan.
-func SetDefault(p *Plan) { defaultPlan.Store(p) }
-
-// Default returns the process-wide plan, or nil.
-func Default() *Plan { return defaultPlan.Load() }
-
-// DefaultFingerprint returns the fingerprint of the process-wide plan
-// for run-cache keys, so healthy and faulted runs of the same
-// configuration never collide in the cache.
-func DefaultFingerprint() string { return Default().Fingerprint() }
 
 // ErrDegraded marks a run that completed (or was abandoned) in degraded
 // mode: faults exhausted a retry budget or starved the program past its

@@ -258,25 +258,3 @@ func TestFingerprint(t *testing.T) {
 		t.Fatal("different seeds share a fingerprint")
 	}
 }
-
-func TestDefaultPlanInstall(t *testing.T) {
-	t.Cleanup(func() { SetDefault(nil) })
-	if Default() != nil {
-		t.Fatal("default plan not nil at start")
-	}
-	if DefaultFingerprint() != "" {
-		t.Fatal("nil default has a fingerprint")
-	}
-	p := DemoPlan()
-	SetDefault(p)
-	if Default() != p {
-		t.Fatal("SetDefault did not install")
-	}
-	if DefaultFingerprint() != p.Fingerprint() {
-		t.Fatal("default fingerprint mismatch")
-	}
-	SetDefault(nil)
-	if Default() != nil {
-		t.Fatal("SetDefault(nil) did not clear")
-	}
-}

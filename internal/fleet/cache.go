@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"sync"
 
-	"cedar/internal/fault"
 	"cedar/internal/scope"
 )
 
@@ -145,8 +144,9 @@ func ResetCache() { shared.Clear() }
 // only re-pay the failure. That includes degraded-run errors
 // (fault.ErrDegraded with partial results): the entry is pinned to its
 // key, and a later healthy run of the same inputs can never be served it
-// because the process-wide fault-plan fingerprint is mixed into every
-// Key — the healthy run presents a different key. The only uncached
+// as long as the key names the plan — which is the caller's job: the
+// plan fingerprint is an explicit Key part wherever a plan can apply,
+// so the healthy run presents a different key. The only uncached
 // outcome is a panic: the entry is poisoned with an error for any
 // coalesced waiters (so they fail instead of hanging), dropped from the
 // map (so the key stays retryable), and the panic unwinds through to the
@@ -233,20 +233,13 @@ func (c *Cache) Clear() {
 // structs of scalars, slices, strings — never pointers or maps, whose
 // rendering is not stable. Distinct inputs yield distinct keys; the kind
 // label keeps experiments with coincidentally equal inputs (and different
-// result types) apart.
+// result types) apart. Nothing ambient is mixed in: an input the parts do
+// not name — a fault plan, say — is an input the key does not cover.
 func Key(kind string, parts ...any) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s", kind)
 	for _, p := range parts {
 		fmt.Fprintf(h, "|%#v", p)
-	}
-	// The process-wide fault plan changes every machine a job builds, so
-	// it is an implicit input of every keyed job: mixing it in keeps a
-	// healthy run from ever being served a faulted run's cached result
-	// (or vice versa). Jobs that pass an explicit plan also include it
-	// in their parts.
-	if fp := fault.DefaultFingerprint(); fp != "" {
-		fmt.Fprintf(h, "|faults:%s", fp)
 	}
 	return kind + ":" + hex.EncodeToString(h.Sum(nil)[:16])
 }

@@ -44,8 +44,7 @@ type Job[T any] struct {
 
 // Config controls one Run call.
 type Config struct {
-	// Jobs is the worker count; 0 means the process-wide default
-	// (SetJobs, falling back to GOMAXPROCS).
+	// Jobs is the worker count; 0 means GOMAXPROCS.
 	Jobs int
 	// Hub, when non-nil, observes every job through a forked child hub
 	// that is adopted back in submission order.
@@ -54,28 +53,6 @@ type Config struct {
 	// cache; use a private Cache (or clear the shared one) in benchmarks
 	// that must re-simulate.
 	Cache *Cache
-}
-
-// defaultJobs holds the process-wide worker default set via SetJobs;
-// 0 means "use GOMAXPROCS".
-var defaultJobs atomic.Int32
-
-// SetJobs sets the process-wide default worker count used when
-// Config.Jobs is zero. n <= 0 restores the GOMAXPROCS default. CLIs wire
-// their -jobs flag here.
-func SetJobs(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultJobs.Store(int32(n))
-}
-
-// Jobs returns the process-wide default worker count.
-func Jobs() int {
-	if n := defaultJobs.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Run executes the jobs on a bounded worker pool and returns their
@@ -103,7 +80,7 @@ func Run[T any](cfg Config, jobs []Job[T]) ([]T, error) {
 	}
 	workers := cfg.Jobs
 	if workers <= 0 {
-		workers = Jobs()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(jobs) {
 		workers = len(jobs)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -195,16 +196,26 @@ func TestRunEmpty(t *testing.T) {
 	}
 }
 
+// TestJobsDefault: Config.Jobs == 0 means GOMAXPROCS workers, read at the
+// call — there is no process-wide override. Two jobs that each wait for
+// the other to start can only finish if both are running at once.
 func TestJobsDefault(t *testing.T) {
-	SetJobs(0)
-	if Jobs() < 1 {
-		t.Errorf("default Jobs() = %d, want >= 1", Jobs())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	here := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	rendezvous := func(i int) Job[int] {
+		return Job[int]{Run: func(*scope.Hub) (int, error) {
+			close(here[i])
+			select {
+			case <-here[1-i]:
+				return 0, nil
+			case <-time.After(10 * time.Second):
+				return 0, errors.New("the other job never started: one worker")
+			}
+		}}
 	}
-	SetJobs(3)
-	if Jobs() != 3 {
-		t.Errorf("Jobs() after SetJobs(3) = %d", Jobs())
+	if _, err := Run(Config{}, []Job[int]{rendezvous(0), rendezvous(1)}); err != nil {
+		t.Fatal(err)
 	}
-	SetJobs(0)
 }
 
 // rowResult is a cache-hostile result shape: every reference kind the
@@ -298,24 +309,6 @@ func TestCacheHitsAreIsolatedBytes(t *testing.T) {
 	}
 	if got := deepCopy([]byte{}).([]byte); got == nil || len(got) != 0 {
 		t.Errorf("copy of an empty body = %v, want empty and non-nil", got)
-	}
-}
-
-// TestKeySeesDefaultFaultPlan: the process-wide fault plan changes every
-// machine a job builds, so it must be part of every cache key — a
-// healthy run must never be served a faulted run's result.
-func TestKeySeesDefaultFaultPlan(t *testing.T) {
-	t.Cleanup(func() { fault.SetDefault(nil) })
-	fault.SetDefault(nil)
-	healthy := Key("point", 1)
-	fault.SetDefault(fault.DemoPlan())
-	faulted := Key("point", 1)
-	if healthy == faulted {
-		t.Fatal("cache key ignores the installed fault plan")
-	}
-	fault.SetDefault(nil)
-	if again := Key("point", 1); again != healthy {
-		t.Fatalf("healthy key unstable: %q vs %q", again, healthy)
 	}
 }
 
@@ -561,44 +554,38 @@ func TestErrorsCachedForever(t *testing.T) {
 }
 
 // TestHealthyAfterFaultedNotServedDegraded: a degraded-run error cached
-// while a fault plan was installed must never be served to a healthy run
-// of the same inputs. The protection is structural — Key mixes the
-// process-wide plan fingerprint in — so the healthy run presents a
-// different key and simulates fresh.
+// under a fault plan must never be served to a healthy run of the same
+// inputs. Key mixes nothing ambient in, so the protection is the caller
+// naming the plan as a key part — which is what this pins: same kind and
+// sizes, different plan fingerprint, different entry.
 func TestHealthyAfterFaultedNotServedDegraded(t *testing.T) {
-	t.Cleanup(func() { fault.SetDefault(nil) })
 	cache := NewCache()
 	var computes atomic.Int64
-	point := func() Job[string] {
-		// Key is built at submission time, exactly like the tables
-		// runners do, so it sees the plan installed *now*.
-		return Job[string]{Key: Key("exp", "rank", 48), Run: func(*scope.Hub) (string, error) {
+	point := func(plan *fault.Plan) Job[string] {
+		return Job[string]{Key: Key("exp", "rank", 48, plan.Fingerprint()), Run: func(*scope.Hub) (string, error) {
 			computes.Add(1)
-			if fault.Default() != nil {
+			if plan != nil {
 				return "partial", fault.ErrDegraded
 			}
 			return "complete", nil
 		}}
 	}
 
-	fault.SetDefault(fault.DemoPlan())
-	if _, err := Run(Config{Jobs: 1, Cache: cache}, []Job[string]{point()}); !errors.Is(err, fault.ErrDegraded) {
+	if _, err := Run(Config{Jobs: 1, Cache: cache}, []Job[string]{point(fault.DemoPlan())}); !errors.Is(err, fault.ErrDegraded) {
 		t.Fatalf("faulted run err = %v, want ErrDegraded", err)
 	}
-	// Same inputs, plan cleared: must simulate fresh and succeed, never
-	// see the cached degraded entry.
-	fault.SetDefault(nil)
-	got, err := Run(Config{Jobs: 1, Cache: cache}, []Job[string]{point()})
+	// Same inputs, no plan: must simulate fresh and succeed, never see
+	// the cached degraded entry.
+	got, err := Run(Config{Jobs: 1, Cache: cache}, []Job[string]{point(nil)})
 	if err != nil {
 		t.Fatalf("healthy run was served the degraded entry: %v", err)
 	}
 	if got[0] != "complete" || computes.Load() != 2 {
 		t.Fatalf("healthy run got %q after %d computes, want fresh \"complete\" after 2", got[0], computes.Load())
 	}
-	// Re-installing the same plan reuses the degraded entry (errors are
-	// cached forever under their key).
-	fault.SetDefault(fault.DemoPlan())
-	if _, err := Run(Config{Jobs: 1, Cache: cache}, []Job[string]{point()}); !errors.Is(err, fault.ErrDegraded) {
+	// The same plan again reuses the degraded entry (errors are cached
+	// forever under their key).
+	if _, err := Run(Config{Jobs: 1, Cache: cache}, []Job[string]{point(fault.DemoPlan())}); !errors.Is(err, fault.ErrDegraded) {
 		t.Fatalf("re-faulted run err = %v, want the cached ErrDegraded", err)
 	}
 	if n := computes.Load(); n != 2 {

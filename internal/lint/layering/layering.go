@@ -37,8 +37,13 @@ type Config struct {
 //	 6  core xylem       (whole-machine assembly, workload gen)
 //	 7  cfrt             (kernel runtime over core)
 //	 8  kernels perfect  (paper workloads + cross-validation)
-//	 9  fleet store      (experiment orchestration, durable result store)
-//	10  tables cliutil bench  (paper tables, CLI plumbing, perf campaigns)
+//	 9  fleet store      (experiment orchestration over scope alone — fleet
+//	                      imports no fault, params or machine package: what a
+//	                      key covers is its caller's business — and the
+//	                      durable result store)
+//	10  tables cliutil bench  (paper tables and their run configuration
+//	                      tables.Env, the CLI session that builds one, perf
+//	                      campaigns)
 //	11  cedar serve      (module root facade, experiment-serving daemon core)
 //	12  cmd/* examples/* (binaries and examples)
 var DefaultConfig = Config{

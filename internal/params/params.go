@@ -7,10 +7,7 @@
 // cycle equals the paper's 11.8 MFLOPS per CE.
 package params
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // CycleNS is the CE instruction cycle time in nanoseconds.
 const CycleNS = 170.0
@@ -90,47 +87,11 @@ type Machine struct {
 	BarrierClusterCy int // intra-cluster barrier via CC bus
 }
 
-// defaultClusters holds the process-wide cluster-count override set by
-// the -clusters CLI flag (0 or 4 = the as-built Cedar). Atomic for the
-// same reason sim.SetShards is: tests and fleet workers read it
-// concurrently.
-var defaultClusters atomic.Int64
-
-// SetDefaultClusters installs a process-wide cluster count consulted by
-// Default: 0 or 4 selects the as-built Cedar, any other valid count the
-// corresponding Scaled configuration (16 and 64 are the named presets).
-// CLI commands call this from the -clusters flag so every experiment in
-// the invocation runs on the wider machine; the fleet cache keys runs by
-// the full parameter set, so cached artifacts never cross widths.
-func SetDefaultClusters(n int) error {
-	if n < 0 {
-		return fmt.Errorf("params: clusters must be ≥ 1, got %d", n)
-	}
-	if n > 0 {
-		if err := Scaled(n).Validate(); err != nil {
-			return err
-		}
-	}
-	defaultClusters.Store(int64(n))
-	return nil
-}
-
-// DefaultClusters reports the installed override (0 = as built).
-func DefaultClusters() int { return int(defaultClusters.Load()) }
-
-// Default returns the Cedar machine the process is configured for: as
-// built — four 8-CE clusters, a 64-port two-stage omega network of 8×8
-// crossbars, and 32 interleaved global memory modules — unless
-// SetDefaultClusters installed a wider scale-up.
+// Default returns the Cedar machine as built and published in 1993: four
+// 8-CE clusters, a 64-port two-stage omega network of 8×8 crossbars, and
+// 32 interleaved global memory modules. It means the same machine in
+// every process; a run on a wider machine says so explicitly (Scaled).
 func Default() Machine {
-	if n := DefaultClusters(); n > 0 && n != asBuilt().Clusters {
-		return Scaled(n)
-	}
-	return asBuilt()
-}
-
-// asBuilt is the published 1993 configuration.
-func asBuilt() Machine {
 	return Machine{
 		Clusters:      4,
 		CEsPerCluster: 8,
@@ -179,11 +140,8 @@ func asBuilt() Machine {
 
 // Scaled returns a Cedar-like machine scaled to the given cluster count,
 // growing the network and memory system proportionally (the PPT5 probe).
-// It always starts from the published base, never from an installed
-// SetDefaultClusters override, so Scaled(n) means the same machine in
-// every process.
 func Scaled(clusters int) Machine {
-	m := asBuilt()
+	m := Default()
 	m.Clusters = clusters
 	ces := clusters * m.CEsPerCluster
 	m.NetPorts = nextPowerOf(m.NetRadix, ces)

@@ -58,6 +58,11 @@ func TestScaled(t *testing.T) {
 			t.Errorf("Scaled(%d): network too small: %d ports", clusters, m.NetPorts)
 		}
 	}
+	// A run configured for 4 clusters is the as-built machine, so
+	// "-clusters 4" and no flag at all build (and key) the same thing.
+	if Scaled(4) != Default() {
+		t.Errorf("Scaled(4) = %+v, want Default()", Scaled(4))
+	}
 }
 
 func TestValidateRejectsBadConfigs(t *testing.T) {
@@ -201,33 +206,5 @@ func TestClusterPresets(t *testing.T) {
 			t.Errorf("%s: network narrower than the machine: %d ports, %d CEs, %d modules",
 				tc.name, tc.m.NetPorts, tc.m.CEs(), tc.m.MemModules)
 		}
-	}
-}
-
-func TestSetDefaultClusters(t *testing.T) {
-	defer func() {
-		if err := SetDefaultClusters(0); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	if err := SetDefaultClusters(16); err != nil {
-		t.Fatal(err)
-	}
-	if got := Default(); got.Clusters != 16 || got != Cedar16() {
-		t.Errorf("Default under -clusters 16 = %+v, want Cedar16", got)
-	}
-	// Scaled must ignore the override: it always starts from the
-	// published base.
-	if got := Scaled(2); got.Clusters != 2 || got.NetPorts != 64 {
-		t.Errorf("Scaled(2) under override = %+v", got)
-	}
-	if err := SetDefaultClusters(-1); err == nil {
-		t.Error("SetDefaultClusters(-1) accepted")
-	}
-	if err := SetDefaultClusters(0); err != nil {
-		t.Fatal(err)
-	}
-	if got := Default(); got != asBuilt() {
-		t.Errorf("Default after reset = %+v", got)
 	}
 }

@@ -32,17 +32,27 @@ type Outcome struct {
 	SimCycles int64 // cycles actually simulated (one slice)
 }
 
-// Run executes a code variant on a freshly built machine. An optional
-// scope hub observes the run (callers namespace it via Sub).
+// Run executes a code variant on a freshly built healthy machine. An
+// optional scope hub observes the run (callers namespace it via Sub).
 func Run(pm params.Machine, p Profile, spec Spec, obs ...*scope.Hub) (Outcome, error) {
-	if err := p.Validate(); err != nil {
-		return Outcome{}, err
+	var hub *scope.Hub
+	if len(obs) > 0 {
+		hub = obs[0]
 	}
-	m, err := core.New(pm, core.Options{Scope: scope.Of(obs)})
+	m, err := core.New(pm, core.Options{Scope: hub})
 	if err != nil {
 		return Outcome{}, err
 	}
-	b := &builder{m: m, pm: pm, p: p, spec: spec}
+	return RunOn(m, p, spec)
+}
+
+// RunOn executes a code variant on m, which must be freshly built: the
+// caller chooses what the machine is observed by and runs under.
+func RunOn(m *core.Machine, p Profile, spec Spec) (Outcome, error) {
+	if err := p.Validate(); err != nil {
+		return Outcome{}, err
+	}
+	b := &builder{m: m, p: p, spec: spec}
 	phases, err := b.phases()
 	if err != nil {
 		return Outcome{}, err
@@ -97,7 +107,7 @@ func (b *builder) fixedSeconds(clusters int) float64 {
 		if phases < 1 {
 			phases = 1
 		}
-		pen := vm.MulticlusterPenaltySeconds(b.pm, p.VMFootprintWords, clusters) * float64(phases)
+		pen := vm.MulticlusterPenaltySeconds(b.m.P, p.VMFootprintWords, clusters) * float64(phases)
 		switch spec.Variant {
 		case Auto:
 			s += pen
@@ -112,7 +122,6 @@ func (b *builder) fixedSeconds(clusters int) float64 {
 
 type builder struct {
 	m    *core.Machine
-	pm   params.Machine
 	p    Profile
 	spec Spec
 }

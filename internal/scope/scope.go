@@ -83,16 +83,6 @@ func NewHub() *Hub {
 	return &Hub{st: &state{taken: map[string]int{}, spanCap: perfmon.TracerCap}}
 }
 
-// Of returns the first hub of an optional variadic parameter (nil when
-// absent), so experiment APIs can take `obs ...*scope.Hub` and remain
-// call-compatible with observability off.
-func Of(obs []*Hub) *Hub {
-	if len(obs) > 0 {
-		return obs[0]
-	}
-	return nil
-}
-
 // Sub returns a view of the hub that prefixes every metric name and trace
 // track with prefix + "/". Sweeps use it to keep per-run registrations
 // unique. Sub of a nil hub is nil.

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync/atomic"
 
@@ -44,8 +45,7 @@ const SchemaVersion = 1
 
 // Config configures a Server.
 type Config struct {
-	// Jobs bounds concurrently running simulations; 0 means the fleet
-	// process default (GOMAXPROCS unless fleet.SetJobs overrode it).
+	// Jobs bounds concurrently running simulations; 0 means GOMAXPROCS.
 	Jobs int
 	// Store, when non-nil, backs the in-process response cache with a
 	// durable second level — internal/store's Store is the intended
@@ -125,7 +125,7 @@ var runSpec = bench.RunSpec
 func New(cfg Config) *Server {
 	jobs := cfg.Jobs
 	if jobs <= 0 {
-		jobs = fleet.Jobs()
+		jobs = runtime.GOMAXPROCS(0)
 	}
 	s := &Server{
 		cache: fleet.NewCache(),

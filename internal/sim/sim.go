@@ -77,9 +77,7 @@ type Sleeper interface {
 // steppedMode is the process-wide engine-mode default, captured by New:
 // when set, engines tick every component every cycle with no skips or
 // jumps — the pure stepped schedule the event wheel must reproduce
-// byte-for-byte. It exists for the stepped-vs-event equivalence gates
-// and follows the same process-wide-default pattern as the fleet's jobs
-// count.
+// byte-for-byte. It exists for the stepped-vs-event equivalence gates.
 var steppedMode atomic.Bool
 
 // SetSteppedMode sets the process-wide engine mode for engines built
@@ -93,8 +91,7 @@ func SteppedModeEnabled() bool { return steppedMode.Load() }
 // shardsDefault is the process-wide phase-A worker bound, captured by
 // New like steppedMode: ≤ 1 (the default) keeps every engine on the
 // single-goroutine schedule; N > 1 lets machines built afterwards shard
-// their clusters and tick up to N shards concurrently. It follows the
-// same process-wide-default pattern as the fleet's jobs count.
+// their clusters and tick up to N shards concurrently.
 var shardsDefault atomic.Int64
 
 // SetShards sets the process-wide intra-run parallelism for engines

@@ -6,10 +6,8 @@ import (
 	"cedar/internal/ce"
 	"cedar/internal/cfrt"
 	"cedar/internal/core"
-	"cedar/internal/fleet"
 	"cedar/internal/kernels"
 	"cedar/internal/params"
-	"cedar/internal/scope"
 )
 
 // NetworkAblationRow is one fabric configuration's result on the
@@ -21,54 +19,50 @@ type NetworkAblationRow struct {
 	Inter   float64
 }
 
+// NetworkAblation is the [Turn93] fabric ablation, one row per
+// configuration.
+type NetworkAblation []NetworkAblationRow
+
 // RunNetworkAblation supports the [Turn93] claim quoted in §4.1: the
 // contention degradation "is not inherent in the type of network used but
 // is a result of specific implementation constraints". It runs the
 // prefetched rank-64 update on all 32 CEs under the omega network as
 // built (2-word queues), an omega with deeper (8-word) queues, and an
 // ideal crossbar of the same port bandwidth.
-func RunNetworkAblation(n int, obs ...*scope.Hub) ([]NetworkAblationRow, error) {
-	hub := scope.Of(obs)
-	configs := []struct {
-		name string
-		key  string // scope-namespace token (no spaces)
-		opt  core.Options
-	}{
-		{"omega 2-word queues (as built)", "omega-2w", core.Options{Fabric: core.FabricOmega}},
-		{"omega 8-word queues", "omega-8w", core.Options{Fabric: core.FabricOmega, QueueWords: 8}},
-		{"ideal crossbar", "crossbar", core.Options{Fabric: core.FabricCrossbar}},
+func RunNetworkAblation(env Env, n int) (NetworkAblation, error) {
+	type config struct {
+		name   string
+		scope  string // scope-namespace token (no spaces)
+		fabric core.FabricKind
+		queue  int
 	}
-	jobs := make([]fleet.Job[NetworkAblationRow], len(configs))
-	for i, cfg := range configs {
-		jobs[i] = fleet.Job[NetworkAblationRow]{
-			// cfg.key uniquely identifies the fabric and queue depth, so it
-			// stands in for the (pointer-bearing) core.Options in the key.
-			Key: fleet.Key("netablation", params.Default(), cfg.key, n),
-			Run: func(h *scope.Hub) (NetworkAblationRow, error) {
-				opt := cfg.opt
-				opt.Scope = h.Sub("net/" + cfg.key)
-				m, err := core.New(params.Default(), opt)
-				if err != nil {
-					return NetworkAblationRow{}, err
-				}
-				out, err := kernels.RankUpdate(m, n, kernels.RKPref)
-				if err != nil {
-					return NetworkAblationRow{}, fmt.Errorf("ablation %s: %w", cfg.name, err)
-				}
-				return NetworkAblationRow{
-					Config:  cfg.name,
-					MFLOPS:  out.MFLOPS,
-					Latency: out.Blocks.MeanLatency(),
-					Inter:   out.Blocks.MeanInterarrival(),
-				}, nil
-			},
-		}
+	configs := []config{
+		{"omega 2-word queues (as built)", "omega-2w", core.FabricOmega, 0},
+		{"omega 8-word queues", "omega-8w", core.FabricOmega, 8},
+		{"ideal crossbar", "crossbar", core.FabricCrossbar, 0},
 	}
-	return fleet.Run(fleet.Config{Hub: hub}, jobs)
+	return sweep(env, "netablation", configs,
+		func(cfg config) build {
+			b := env.at("net/"+cfg.scope, env.Machine(), n)
+			b.opt.Fabric, b.opt.QueueWords = cfg.fabric, cfg.queue
+			return b
+		},
+		func(cfg config, m *core.Machine) (NetworkAblationRow, error) {
+			out, err := kernels.RankUpdate(m, n, kernels.RKPref)
+			if err != nil {
+				return NetworkAblationRow{}, err
+			}
+			return NetworkAblationRow{
+				Config:  cfg.name,
+				MFLOPS:  out.MFLOPS,
+				Latency: out.Blocks.MeanLatency(),
+				Inter:   out.Blocks.MeanInterarrival(),
+			}, nil
+		})
 }
 
-// FormatNetworkAblation renders the ablation.
-func FormatNetworkAblation(rows []NetworkAblationRow) string {
+// Format renders the ablation.
+func (rows NetworkAblation) Format() string {
 	header := []string{"network", "MFLOPS", "latency", "interarrival"}
 	var out [][]string
 	for _, r := range rows {
@@ -90,51 +84,38 @@ type PrefetchBlockRow struct {
 	MFLOPS float64
 }
 
+// PrefetchBlocks is the prefetch block-size ablation, one row per size.
+type PrefetchBlocks []PrefetchBlockRow
+
 // RunPrefetchBlockAblation isolates design choice 2 of DESIGN.md: the
 // compiler's 32-word blocks versus RK's aggressive 256-word blocks versus
 // no prefetch, on one cluster.
-func RunPrefetchBlockAblation(n int, obs ...*scope.Hub) ([]PrefetchBlockRow, error) {
-	hub := scope.Of(obs)
-	p := params.Default()
+func RunPrefetchBlockAblation(env Env, n int) (PrefetchBlocks, error) {
+	p := env.Machine()
 	p.Clusters = 1
-	blocks := []int{0, 32, 128, 256, 512}
-	jobs := make([]fleet.Job[PrefetchBlockRow], len(blocks))
-	for i, block := range blocks {
-		jobs[i] = fleet.Job[PrefetchBlockRow]{
-			Key: fleet.Key("prefblock", p, block, n),
-			Run: func(h *scope.Hub) (PrefetchBlockRow, error) {
-				m, err := core.New(p, core.Options{
-					Scope: h.Sub(fmt.Sprintf("prefblock/%d", block)),
-				})
-				if err != nil {
-					return PrefetchBlockRow{}, err
+	return sweep(env, "prefblock", []int{0, 32, 128, 256, 512},
+		func(block int) build { return env.at(fmt.Sprintf("prefblock/%d", block), p, block, n) },
+		func(block int, m *core.Machine) (PrefetchBlockRow, error) {
+			aBase := m.AllocGlobalAligned(n*64, 64)
+			body := func(j int) []*ce.Instr {
+				ins := make([]*ce.Instr, 0, 64)
+				for k := 0; k < 64; k++ {
+					ins = append(ins, &ce.Instr{
+						Op: ce.OpVector, N: n, Flops: 2,
+						Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: aBase + uint64(k*n), Stride: 1, PrefBlock: block}},
+					})
 				}
-				aBase := m.AllocGlobalAligned(n*64, 64)
-				body := func(j int) []*ce.Instr {
-					ins := make([]*ce.Instr, 0, 64)
-					for k := 0; k < 64; k++ {
-						ins = append(ins, &ce.Instr{
-							Op: ce.OpVector, N: n, Flops: 2,
-							Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: aBase + uint64(k*n), Stride: 1, PrefBlock: block}},
-						})
-					}
-					return ins
-				}
-				rt := cfrt.New(m, cfrt.Config{UseCedarSync: true},
-					cfrt.XDoall{N: n / 8, Static: true, Body: body})
-				res, err := rt.Run(1 << 40)
-				if err != nil {
-					return PrefetchBlockRow{}, fmt.Errorf("prefetch block %d: %w", block, err)
-				}
-				return PrefetchBlockRow{Block: block, MFLOPS: res.MFLOPS}, nil
-			},
-		}
-	}
-	return fleet.Run(fleet.Config{Hub: hub}, jobs)
+				return ins
+			}
+			rt := cfrt.New(m, cfrt.Config{UseCedarSync: true},
+				cfrt.XDoall{N: n / 8, Static: true, Body: body})
+			res, err := rt.Run(1 << 40)
+			return PrefetchBlockRow{Block: block, MFLOPS: res.MFLOPS}, err
+		})
 }
 
-// FormatPrefetchBlock renders the block-size ablation.
-func FormatPrefetchBlock(rows []PrefetchBlockRow) string {
+// Format renders the block-size ablation.
+func (rows PrefetchBlocks) Format() string {
 	header := []string{"prefetch block (words)", "MFLOPS (1 cluster)"}
 	var out [][]string
 	for _, r := range rows {
@@ -155,12 +136,14 @@ type ScaledRow struct {
 	CGMFLOPS float64
 }
 
+// ScaledCedar is the PPT5 probe, one row per machine size.
+type ScaledCedar []ScaledRow
+
 // RunScaledCedar probes PPT5 (§4.3's closing note: "collecting detailed
 // simulation data for various computations on scaled-up Cedar-like
 // systems"): the prefetched rank-64 update and CG on Cedar scaled to 8
 // clusters with a proportionally larger network and memory system.
-func RunScaledCedar(n int, obs ...*scope.Hub) ([]ScaledRow, error) {
-	hub := scope.Of(obs)
+func RunScaledCedar(env Env, n int) (ScaledCedar, error) {
 	clusterCounts := []int{4, 8}
 	// The RK and CG runs of one machine size are themselves independent
 	// simulations, so each (size, kernel) pair is its own pool job.
@@ -172,38 +155,22 @@ func RunScaledCedar(n int, obs ...*scope.Hub) ([]ScaledRow, error) {
 	for _, clusters := range clusterCounts {
 		points = append(points, point{clusters, "rk"}, point{clusters, "cg"})
 	}
-	jobs := make([]fleet.Job[float64], len(points))
-	for i, pt := range points {
-		pm := params.Scaled(pt.clusters)
-		jobs[i] = fleet.Job[float64]{
-			Key: fleet.Key("scaled", pm, pt.kernel, n),
-			Run: func(h *scope.Hub) (float64, error) {
-				m, err := core.New(pm, core.Options{
-					Scope: h.Sub(fmt.Sprintf("scaled/%dcl/%s", pt.clusters, pt.kernel)),
-				})
-				if err != nil {
-					return 0, err
-				}
-				if pt.kernel == "rk" {
-					out, err := kernels.RankUpdate(m, n, kernels.RKPref)
-					if err != nil {
-						return 0, fmt.Errorf("scaled RK %d clusters: %w", pt.clusters, err)
-					}
-					return out.MFLOPS, nil
-				}
-				out, err := kernels.CG(m, kernels.CGConfig{N: 32 << 10, Iters: 2})
-				if err != nil {
-					return 0, fmt.Errorf("scaled CG %d clusters: %w", pt.clusters, err)
-				}
-				return out.MFLOPS, nil
-			},
-		}
-	}
-	outs, err := fleet.Run(fleet.Config{Hub: hub}, jobs)
+	outs, err := sweep(env, "scaled", points,
+		func(pt point) build {
+			return env.at(fmt.Sprintf("scaled/%dcl/%s", pt.clusters, pt.kernel), params.Scaled(pt.clusters), pt.kernel, n)
+		},
+		func(pt point, m *core.Machine) (float64, error) {
+			if pt.kernel == "rk" {
+				out, err := kernels.RankUpdate(m, n, kernels.RKPref)
+				return out.MFLOPS, err
+			}
+			out, err := kernels.CG(m, kernels.CGConfig{N: 32 << 10, Iters: 2})
+			return out.MFLOPS, err
+		})
 	if err != nil {
 		return nil, err
 	}
-	var rows []ScaledRow
+	var rows ScaledCedar
 	for i, clusters := range clusterCounts {
 		rows = append(rows, ScaledRow{
 			Clusters: clusters, CEs: params.Scaled(clusters).CEs(),
@@ -213,8 +180,8 @@ func RunScaledCedar(n int, obs ...*scope.Hub) ([]ScaledRow, error) {
 	return rows, nil
 }
 
-// FormatScaled renders the PPT5 probe.
-func FormatScaled(rows []ScaledRow) string {
+// Format renders the PPT5 probe.
+func (rows ScaledCedar) Format() string {
 	header := []string{"clusters", "CEs", "RK GM/pref MFLOPS", "CG 32K MFLOPS"}
 	var out [][]string
 	for _, r := range rows {

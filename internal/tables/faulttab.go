@@ -6,10 +6,7 @@ import (
 
 	"cedar/internal/core"
 	"cedar/internal/fault"
-	"cedar/internal/fleet"
 	"cedar/internal/kernels"
-	"cedar/internal/params"
-	"cedar/internal/scope"
 )
 
 // DegradedRow is one fault scenario's result on the 32-CE prefetched
@@ -28,18 +25,22 @@ type DegradedRow struct {
 // degradedSeed keys the built-in scenarios' probability draws.
 const degradedSeed = 0xCEDA2
 
+// Degraded is the degraded-mode table, one row per fault scenario.
+type Degraded []DegradedRow
+
 // RunDegraded measures graceful degradation: the prefetched rank-n
 // update under a healthy machine and under each fault class — a dead
 // memory bank (interleave remaps around it), a jammed first network
-// stage, transient module NACKs, and lossy links — plus the caller's
-// plan when one is given. Failures surface as a row status, never as a
-// crashed table: that is the point of the exercise.
-func RunDegraded(n int, plan *fault.Plan, obs ...*scope.Hub) ([]DegradedRow, error) {
-	hub := scope.Of(obs)
+// stage, transient module NACKs, and lossy links — plus the Env's own
+// plan when it has one. Every scenario names its plan itself, so the
+// healthy row stays healthy under a faulted Env. Failures surface as a
+// row status, never as a crashed table: that is the point of the
+// exercise.
+func RunDegraded(env Env, n int) (Degraded, error) {
 	type scenario struct {
-		name string
-		key  string // scope-namespace token (no spaces)
-		plan *fault.Plan
+		name  string
+		scope string // scope-namespace token (no spaces)
+		plan  *fault.Plan
 	}
 	scenarios := []scenario{
 		{"healthy (no faults)", "healthy", nil},
@@ -57,58 +58,54 @@ func RunDegraded(n int, plan *fault.Plan, obs ...*scope.Hub) ([]DegradedRow, err
 		}}},
 		{"combined (dead bank + jam + nacks)", "combined", fault.DemoPlan()},
 	}
-	if plan != nil {
-		scenarios = append(scenarios, scenario{"as configured (-faults plan)", "configured", plan})
+	if env.Faults != nil {
+		scenarios = append(scenarios, scenario{"as configured (-faults plan)", "configured", env.Faults})
 	}
 
-	jobs := make([]fleet.Job[DegradedRow], len(scenarios))
-	for i, sc := range scenarios {
-		jobs[i] = fleet.Job[DegradedRow]{
-			// The plan fingerprint stands in for the (pointer-bearing)
-			// plan itself; "" is the healthy machine.
-			Key: fleet.Key("degraded", params.Default(), sc.key, sc.plan.Fingerprint(), n),
-			Run: func(h *scope.Hub) (DegradedRow, error) {
-				opt := core.Options{Scope: h.Sub("degraded/" + sc.key), Faults: sc.plan, NoFaults: sc.plan == nil}
-				m, err := core.New(params.Default(), opt)
-				if err != nil {
-					return DegradedRow{}, err
-				}
-				row := DegradedRow{Scenario: sc.name, Status: "ok"}
-				out, err := kernels.RankUpdate(m, n, kernels.RKPref)
-				switch {
-				case err == nil:
-					row.MFLOPS = out.MFLOPS
-					row.Cycles = out.Cycles
-				case errors.Is(err, fault.ErrDegraded):
-					// The run was abandoned; report what the machine
-					// measured before giving up.
-					row.Status = "degraded"
-					row.Cycles = m.Engine.Cycle()
-				default:
-					return DegradedRow{}, fmt.Errorf("degraded %s: %w", sc.name, err)
-				}
-				fc := m.FaultCounters()
-				row.Injected = fc.Injected
-				row.Retries = fc.Retries
-				row.DeadMods = fc.DeadMods
-				return row, nil
-			},
-		}
-	}
-	rows, err := fleet.Run(fleet.Config{Hub: hub}, jobs)
+	rows, err := sweep(env, "degraded", scenarios,
+		func(sc scenario) build {
+			b := env.at("degraded/"+sc.scope, env.Machine(), n)
+			b.opt.Faults = sc.plan
+			return b
+		},
+		func(sc scenario, m *core.Machine) (DegradedRow, error) {
+			row := DegradedRow{Status: "ok"}
+			out, err := kernels.RankUpdate(m, n, kernels.RKPref)
+			switch {
+			case err == nil:
+				row.MFLOPS = out.MFLOPS
+				row.Cycles = out.Cycles
+			case errors.Is(err, fault.ErrDegraded):
+				// The run was abandoned; report what the machine
+				// measured before giving up.
+				row.Status = "degraded"
+				row.Cycles = m.Engine.Cycle()
+			default:
+				return DegradedRow{}, err
+			}
+			fc := m.FaultCounters()
+			row.Injected = fc.Injected
+			row.Retries = fc.Retries
+			row.DeadMods = fc.DeadMods
+			return row, nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	if len(rows) > 0 && rows[0].Cycles > 0 {
-		for i := range rows {
+	// Rows are labelled here, not in the body: the key names the plan, not
+	// the scenario, so two scenarios with one plan (the demo plan given as
+	// -faults) share a simulation and differ only in their label.
+	for i := range rows {
+		rows[i].Scenario = scenarios[i].name
+		if rows[0].Cycles > 0 {
 			rows[i].Slowdown = float64(rows[i].Cycles) / float64(rows[0].Cycles)
 		}
 	}
 	return rows, nil
 }
 
-// FormatDegraded renders the degraded-mode table.
-func FormatDegraded(rows []DegradedRow) string {
+// Format renders the degraded-mode table.
+func (rows Degraded) Format() string {
 	header := []string{"scenario", "MFLOPS", "cycles", "slowdown", "injected", "retries", "dead", "status"}
 	var out [][]string
 	for _, r := range rows {

@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"cedar/internal/core"
-	"cedar/internal/fleet"
 	"cedar/internal/kernels"
 	"cedar/internal/params"
-	"cedar/internal/scope"
 )
 
 // MemBWResult is the memory-system characterization study of [GJTV91],
@@ -22,9 +20,8 @@ type MemBWResult struct {
 // RunMemBW executes the sweep: CE counts across the machine, with unit
 // stride (all modules), a half-modules power-of-two stride, and the
 // full-conflict stride that serializes every reference on one module.
-func RunMemBW(wordsPerCE int, obs ...*scope.Hub) (*MemBWResult, error) {
-	hub := scope.Of(obs)
-	p := params.Default()
+func RunMemBW(env Env, wordsPerCE int) (*MemBWResult, error) {
+	p := env.Machine()
 	type point struct {
 		nCE    int
 		stride int64
@@ -35,26 +32,13 @@ func RunMemBW(wordsPerCE int, obs ...*scope.Hub) (*MemBWResult, error) {
 			points = append(points, point{nCE: nCE, stride: stride})
 		}
 	}
-	jobs := make([]fleet.Job[kernels.MemBWPoint], len(points))
-	for i, pt := range points {
-		jobs[i] = fleet.Job[kernels.MemBWPoint]{
-			Key: fleet.Key("membw", p, pt.nCE, pt.stride, wordsPerCE),
-			Run: func(h *scope.Hub) (kernels.MemBWPoint, error) {
-				m, err := core.New(p, core.Options{
-					Scope: h.Sub(fmt.Sprintf("membw/%dce/stride%d", pt.nCE, pt.stride)),
-				})
-				if err != nil {
-					return kernels.MemBWPoint{}, err
-				}
-				out, err := kernels.MemBW(m, pt.nCE, pt.stride, wordsPerCE)
-				if err != nil {
-					return kernels.MemBWPoint{}, fmt.Errorf("membw nCE=%d stride=%d: %w", pt.nCE, pt.stride, err)
-				}
-				return out, nil
-			},
-		}
-	}
-	outs, err := fleet.Run(fleet.Config{Hub: hub}, jobs)
+	outs, err := sweep(env, "membw", points,
+		func(pt point) build {
+			return env.at(fmt.Sprintf("membw/%dce/stride%d", pt.nCE, pt.stride), p, pt.nCE, pt.stride, wordsPerCE)
+		},
+		func(pt point, m *core.Machine) (kernels.MemBWPoint, error) {
+			return kernels.MemBW(m, pt.nCE, pt.stride, wordsPerCE)
+		})
 	if err != nil {
 		return nil, err
 	}

@@ -6,9 +6,7 @@ import (
 	"cedar/internal/ce"
 	"cedar/internal/cfrt"
 	"cedar/internal/core"
-	"cedar/internal/fleet"
 	"cedar/internal/params"
-	"cedar/internal/scope"
 )
 
 // OverheadsResult measures the §3.2 runtime library costs on the
@@ -26,48 +24,35 @@ type OverheadsResult struct {
 // RunOverheads performs the microbenchmarks. The five machine runs are
 // independent; they dispatch as pool jobs and the derived quantities are
 // computed from the reassembled times.
-func RunOverheads(obs ...*scope.Hub) (*OverheadsResult, error) {
-	hub := scope.Of(obs)
-	pm := params.Default()
+func RunOverheads(env Env) (*OverheadsResult, error) {
+	pm := env.Machine()
 	const iters = 64
-	jobs := []fleet.Job[float64]{
-		// XDOALL startup: cycles from loop entry until the first iteration
-		// body executes (the paper's "typical loop startup latency").
-		{
-			Key: fleet.Key("overheads/startup", pm),
-			Run: func(h *scope.Hub) (float64, error) {
-				return timeToFirstIteration(h.Sub("overheads/startup"))
-			},
-		},
-		// Iteration fetch: the marginal cost per iteration of an empty
-		// loop, measured on one CE to avoid overlap (iterations - 1 extra
-		// fetches), with and without Cedar synchronization.
-		{
-			Key: fleet.Key("overheads/fetch", pm, iters, false),
-			Run: func(h *scope.Hub) (float64, error) {
-				return timeXDoallOneCE(iters, false, h.Sub(fmt.Sprintf("overheads/fetch-lib-%d", iters)))
-			},
-		},
-		{
-			Key: fleet.Key("overheads/fetch", pm, 1, false),
-			Run: func(h *scope.Hub) (float64, error) {
-				return timeXDoallOneCE(1, false, h.Sub("overheads/fetch-lib-1"))
-			},
-		},
-		{
-			Key: fleet.Key("overheads/fetch", pm, iters, true),
-			Run: func(h *scope.Hub) (float64, error) {
-				return timeXDoallOneCE(iters, true, h.Sub(fmt.Sprintf("overheads/fetch-sync-%d", iters)))
-			},
-		},
-		{
-			Key: fleet.Key("overheads/fetch", pm, 1, true),
-			Run: func(h *scope.Hub) (float64, error) {
-				return timeXDoallOneCE(1, true, h.Sub("overheads/fetch-sync-1"))
-			},
-		},
+	// n == 0 is the XDOALL startup probe: cycles from loop entry until
+	// the first iteration body executes (the paper's "typical loop
+	// startup latency"). The others time the iteration fetch: the
+	// marginal cost per iteration of an empty loop, measured on one CE to
+	// avoid overlap (iterations - 1 extra fetches), with and without
+	// Cedar synchronization.
+	type point struct {
+		scope string
+		n     int
+		sync  bool
 	}
-	t, err := fleet.Run(fleet.Config{Hub: hub}, jobs)
+	points := []point{
+		{"startup", 0, true},
+		{fmt.Sprintf("fetch-lib-%d", iters), iters, false},
+		{"fetch-lib-1", 1, false},
+		{fmt.Sprintf("fetch-sync-%d", iters), iters, true},
+		{"fetch-sync-1", 1, true},
+	}
+	t, err := sweep(env, "overheads", points,
+		func(pt point) build { return env.at("overheads/"+pt.scope, pm, pt.n, pt.sync) },
+		func(pt point, m *core.Machine) (float64, error) {
+			if pt.n == 0 {
+				return timeToFirstIteration(m)
+			}
+			return timeXDoallOneCE(m, pt.n, pt.sync)
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -86,11 +71,7 @@ func emptyBody(int) []*ce.Instr {
 
 // timeToFirstIteration measures XDOALL startup: the delay before any CE
 // executes the first iteration of a freshly started machine-wide loop.
-func timeToFirstIteration(hub *scope.Hub) (float64, error) {
-	m, err := core.New(params.Default(), core.Options{Scope: hub})
-	if err != nil {
-		return 0, err
-	}
+func timeToFirstIteration(m *core.Machine) (float64, error) {
 	first := int64(-1)
 	body := func(int) []*ce.Instr {
 		return []*ce.Instr{{Op: ce.OpScalar, Cycles: 1, OnDone: func(cy int64) {
@@ -106,31 +87,11 @@ func timeToFirstIteration(hub *scope.Hub) (float64, error) {
 	return params.CyclesToSeconds(first), nil
 }
 
-func timeXDoall(n int, sync bool) (float64, error) {
-	m, err := core.New(params.Default(), core.Options{})
-	if err != nil {
-		return 0, err
-	}
-	rt := cfrt.New(m, cfrt.Config{UseCedarSync: sync}, cfrt.XDoall{N: n, Body: emptyBody})
-	res, err := rt.Run(100_000_000)
-	if err != nil {
-		return 0, err
-	}
-	return res.Seconds, nil
-}
-
-func timeXDoallOneCE(n int, sync bool, hub *scope.Hub) (float64, error) {
-	m, err := core.New(params.Default(), core.Options{Scope: hub})
-	if err != nil {
-		return 0, err
-	}
+func timeXDoallOneCE(m *core.Machine, n int, sync bool) (float64, error) {
 	rt := cfrt.New(m, cfrt.Config{UseCedarSync: sync, MaxCEs: 1},
 		cfrt.XDoall{N: n, Body: emptyBody})
 	res, err := rt.Run(100_000_000)
-	if err != nil {
-		return 0, err
-	}
-	return res.Seconds, nil
+	return res.Seconds, err
 }
 
 // Format renders the measurements.

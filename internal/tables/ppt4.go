@@ -7,7 +7,6 @@ import (
 	"cedar/internal/core"
 	"cedar/internal/fleet"
 	"cedar/internal/kernels"
-	"cedar/internal/params"
 	"cedar/internal/ppt"
 	"cedar/internal/scope"
 )
@@ -43,15 +42,14 @@ const ppt4Iters = 3
 
 // RunPPT4 executes the study. full selects the paper's largest sizes;
 // otherwise a reduced sweep with the same structure runs.
-func RunPPT4(full bool, obs ...*scope.Hub) (*PPT4Result, error) {
-	hub := scope.Of(obs)
+func RunPPT4(env Env, full bool) (*PPT4Result, error) {
 	ns := []int{1 << 10, 4 << 10, 16 << 10, 64 << 10}
 	if full {
 		ns = append(ns, 172<<10)
 	}
 	ps := []int{2, 4, 8, 16, 32}
 	res := &PPT4Result{CM5: map[int][]PPT4Point{}, CedarBanded: map[int][]PPT4Point{}}
-	pm := params.Default()
+	pm := env.Machine()
 
 	// Per-processor-count baselines come from the 2-CE run scaled down;
 	// the efficiency baseline is a single CE running the same kernel. The
@@ -66,16 +64,14 @@ func RunPPT4(full bool, obs ...*scope.Hub) (*PPT4Result, error) {
 			cgPoints = append(cgPoints, cgPoint{n, p})
 		}
 	}
-	cgJobs := make([]fleet.Job[core.Result], len(cgPoints))
-	for i, pt := range cgPoints {
-		cgJobs[i] = fleet.Job[core.Result]{
-			Key: fleet.Key("ppt4/cg", pm, pt.n, pt.p, ppt4Iters),
-			Run: func(h *scope.Hub) (core.Result, error) {
-				return runCG(pt.n, pt.p, h)
-			},
-		}
-	}
-	cgOuts, err := fleet.Run(fleet.Config{Hub: hub}, cgJobs)
+	cgOuts, err := sweep(env, "ppt4/cg", cgPoints,
+		func(pt cgPoint) build {
+			return env.at(fmt.Sprintf("ppt4/cg/n%d/p%d", pt.n, pt.p), pm, pt.n, pt.p, ppt4Iters)
+		},
+		func(pt cgPoint, m *core.Machine) (core.Result, error) {
+			out, err := kernels.CG(m, kernels.CGConfig{N: pt.n, Iters: ppt4Iters, MaxCEs: pt.p})
+			return out.Result, err
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -103,26 +99,14 @@ func RunPPT4(full bool, obs ...*scope.Hub) (*PPT4Result, error) {
 			bandedPoints = append(bandedPoints, bandedPoint{bw: bw, n: n})
 		}
 	}
-	bandedJobs := make([]fleet.Job[float64], len(bandedPoints))
-	for i, pt := range bandedPoints {
-		bandedJobs[i] = fleet.Job[float64]{
-			Key: fleet.Key("ppt4/banded", pm, pt.n, pt.bw),
-			Run: func(h *scope.Hub) (float64, error) {
-				m, err := core.New(pm, core.Options{
-					Scope: h.Sub(fmt.Sprintf("ppt4/banded/bw%d/n%d", pt.bw, pt.n)),
-				})
-				if err != nil {
-					return 0, err
-				}
-				out, err := kernels.Banded(m, kernels.BandedConfig{N: pt.n, BW: pt.bw})
-				if err != nil {
-					return 0, fmt.Errorf("ppt4 banded n=%d bw=%d: %w", pt.n, pt.bw, err)
-				}
-				return out.MFLOPS, nil
-			},
-		}
-	}
-	bandedOuts, err := fleet.Run(fleet.Config{Hub: hub}, bandedJobs)
+	bandedOuts, err := sweep(env, "ppt4/banded", bandedPoints,
+		func(pt bandedPoint) build {
+			return env.at(fmt.Sprintf("ppt4/banded/bw%d/n%d", pt.bw, pt.n), pm, pt.n, pt.bw)
+		},
+		func(pt bandedPoint, m *core.Machine) (float64, error) {
+			out, err := kernels.Banded(m, kernels.BandedConfig{N: pt.n, BW: pt.bw})
+			return out.MFLOPS, err
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +118,8 @@ func RunPPT4(full bool, obs ...*scope.Hub) (*PPT4Result, error) {
 
 	// The CM-5 comparator sweep: analytic, but still a set of independent
 	// machine evaluations, dispatched like the simulated ones (uncached —
-	// the evaluation is cheaper than a cache key).
+	// the evaluation is cheaper than a cache key). It builds no Cedar, so
+	// it is the one sweep that does not go through the sweep helper.
 	type cm5Point struct{ bw, p, n int }
 	var cm5Points []cm5Point
 	for _, bw := range []int{3, 11} {
@@ -156,7 +141,7 @@ func RunPPT4(full bool, obs ...*scope.Hub) (*PPT4Result, error) {
 			},
 		}
 	}
-	cm5Outs, err := fleet.Run(fleet.Config{Hub: hub}, cm5Jobs)
+	cm5Outs, err := fleet.Run(env.fleet(), cm5Jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -164,21 +149,6 @@ func RunPPT4(full bool, obs ...*scope.Hub) (*PPT4Result, error) {
 		res.CM5[pt.bw] = append(res.CM5[pt.bw], cm5Outs[i])
 	}
 	return res, nil
-}
-
-func runCG(n, p int, hub *scope.Hub) (core.Result, error) {
-	pm := params.Default()
-	m, err := core.New(pm, core.Options{
-		Scope: hub.Sub(fmt.Sprintf("ppt4/cg/n%d/p%d", n, p)),
-	})
-	if err != nil {
-		return core.Result{}, err
-	}
-	out, err := kernels.CG(m, kernels.CGConfig{N: n, Iters: ppt4Iters, MaxCEs: p})
-	if err != nil {
-		return core.Result{}, fmt.Errorf("ppt4 CG n=%d p=%d: %w", n, p, err)
-	}
-	return out.Result, nil
 }
 
 // Cedar32Range returns the min and max 32-CE MFLOPS over N ≥ 10K (the

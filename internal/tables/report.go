@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"cedar/internal/params"
 	"cedar/internal/perfect"
 	"cedar/internal/scope"
 )
@@ -29,10 +28,13 @@ type ReportConfig struct {
 	// identical runs produce byte-identical reports; CLIs that want the
 	// timing pass time.Now.
 	Now func() time.Time
-	// Scope, when non-nil, observes every machine the report builds and
-	// adds a cycle-attribution section.
-	Scope *scope.Hub
+	// Env is what every machine the report builds runs under. A hub in
+	// it adds a cycle-attribution section.
+	Env Env
 }
+
+// reportKernels is the report's kernel-level half, in section order.
+var reportKernels = []string{"overheads", "t1", "t2", "membw", "net", "prefblock", "sched", "scaled"}
 
 // WriteReport regenerates the paper's complete evaluation and writes a
 // markdown-ish report to w. It is the programmatic equivalent of running
@@ -46,74 +48,34 @@ func WriteReport(w io.Writer, cfg ReportConfig) error {
 		started = cfg.Now()
 	}
 	fmt.Fprintf(w, "# Cedar evaluation report\n\n")
+	env, base := cfg.Env, cfg.Env.Machine()
 	fmt.Fprintf(w, "machine: %d clusters × %d CEs, %.0f MFLOPS peak, %.0f effective\n\n",
-		params.Default().Clusters, params.Default().CEsPerCluster,
-		params.Default().PeakMFLOPS(), params.Default().EffectivePeakMFLOPS())
+		base.Clusters, base.CEsPerCluster, base.PeakMFLOPS(), base.EffectivePeakMFLOPS())
 
 	section := func(title string) { fmt.Fprintf(w, "\n## %s\n\n", title) }
+	sizes := Sizes{RankN: cfg.RankN, Table2Small: true, MemBWWords: 2048, FullPPT4: cfg.FullPPT4}
+	run := func(names ...string) error {
+		for _, e := range Experiments(names...) {
+			section(e.Title(sizes))
+			res, err := e.Run(env, sizes)
+			if err != nil {
+				return err
+			}
+			fmt.Fprint(w, res.Format())
+		}
+		return nil
+	}
 
 	if !cfg.SkipKernels {
-		section("§3.2 runtime overheads")
-		ov, err := RunOverheads(cfg.Scope)
-		if err != nil {
+		if err := run(reportKernels...); err != nil {
 			return err
 		}
-		fmt.Fprint(w, ov.Format())
-
-		section(fmt.Sprintf("Table 1 — rank-64 update (n=%d)", cfg.RankN))
-		t1, err := RunTable1(cfg.RankN, cfg.Scope)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, t1.Format())
-
-		section("Table 2 — global memory performance")
-		t2, err := RunTable2Small(cfg.Scope)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, t2.Format())
-
-		section("[GJTV91] memory characterization")
-		bw, err := RunMemBW(2048, cfg.Scope)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, bw.Format())
-
-		section("[Turn93] network ablation")
-		net, err := RunNetworkAblation(cfg.RankN, cfg.Scope)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, FormatNetworkAblation(net))
-
-		section("Prefetch block-size ablation")
-		pref, err := RunPrefetchBlockAblation(cfg.RankN, cfg.Scope)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, FormatPrefetchBlock(pref))
-
-		section("Loop scheduling ablation")
-		sched, err := RunSchedulingAblation(cfg.Scope)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, FormatScheduling(sched))
-
-		section("PPT5 probe — scaled Cedar")
-		scaled, err := RunScaledCedar(cfg.RankN, cfg.Scope)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, FormatScaled(scaled))
 	}
 
 	var suite *SuiteResult
 	if !cfg.SkipPerfect || !cfg.SkipMethodology {
 		var err error
-		suite, err = RunSuite(params.Default(), cfg.Codes, cfg.Progress, cfg.Scope)
+		suite, err = RunSuite(env, cfg.Codes, cfg.Progress)
 		if err != nil {
 			return err
 		}
@@ -124,7 +86,7 @@ func WriteReport(w io.Writer, cfg ReportConfig) error {
 		fmt.Fprint(w, BuildTable3(suite).Format())
 
 		section("Table 4 — manually altered Perfect codes")
-		fmt.Fprint(w, FormatTable4(BuildTable4(suite)))
+		fmt.Fprint(w, BuildTable4(suite).Format())
 	}
 
 	if !cfg.SkipMethodology {
@@ -137,17 +99,14 @@ func WriteReport(w io.Writer, cfg ReportConfig) error {
 		section("Figure 3 — YMP/8 vs Cedar efficiency")
 		fmt.Fprint(w, BuildFigure3(suite).Format())
 
-		section("PPT4 — scalability")
-		p4, err := RunPPT4(cfg.FullPPT4, cfg.Scope)
-		if err != nil {
+		if err := run("ppt4"); err != nil {
 			return err
 		}
-		fmt.Fprint(w, p4.Format())
 	}
 
-	if cfg.Scope != nil {
+	if env.Hub != nil {
 		section("Cycle attribution")
-		fmt.Fprint(w, scope.FormatAttribution(cfg.Scope.Attribution()))
+		fmt.Fprint(w, scope.FormatAttribution(env.Hub.Attribution()))
 	}
 
 	if cfg.Now != nil {

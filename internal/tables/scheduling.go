@@ -6,9 +6,7 @@ import (
 	"cedar/internal/ce"
 	"cedar/internal/cfrt"
 	"cedar/internal/core"
-	"cedar/internal/fleet"
 	"cedar/internal/params"
-	"cedar/internal/scope"
 )
 
 // SchedulingRow is one (policy, sync, workload) measurement of the loop
@@ -22,11 +20,13 @@ type SchedulingRow struct {
 	Cycles    int64
 }
 
+// Scheduling is the loop scheduling ablation, one row per measurement.
+type Scheduling []SchedulingRow
+
 // RunSchedulingAblation times a balanced and an imbalanced 512-iteration
 // loop under static, self- and guided scheduling, with and without the
 // Cedar synchronization instructions.
-func RunSchedulingAblation(obs ...*scope.Hub) ([]SchedulingRow, error) {
-	hub := scope.Of(obs)
+func RunSchedulingAblation(env Env) (Scheduling, error) {
 	balanced := func(i int) []*ce.Instr {
 		return []*ce.Instr{{Op: ce.OpScalar, Cycles: 60, Flops: 20}}
 	}
@@ -69,37 +69,26 @@ func RunSchedulingAblation(obs ...*scope.Hub) ([]SchedulingRow, error) {
 			}
 		}
 	}
-	jobs := make([]fleet.Job[SchedulingRow], len(points))
-	for i, pt := range points {
-		jobs[i] = fleet.Job[SchedulingRow]{
+	return sweep(env, "sched", points,
+		func(pt point) build {
 			// The body closures are stateless, so workload name stands in
 			// for them in the key.
-			Key: fleet.Key("sched", params.Default(), pt.wlName, pt.polName, pt.sync),
-			Run: func(h *scope.Hub) (SchedulingRow, error) {
-				m, err := core.New(params.Default(), core.Options{
-					Scope: h.Sub(fmt.Sprintf("sched/%s/%s/sync=%v", pt.wlName, pt.polName, pt.sync)),
-				})
-				if err != nil {
-					return SchedulingRow{}, err
-				}
-				rt := cfrt.New(m, cfrt.Config{UseCedarSync: pt.sync},
-					cfrt.XDoall{N: 512, Sched: pt.sched, Body: pt.body})
-				res, err := rt.Run(1 << 40)
-				if err != nil {
-					return SchedulingRow{}, fmt.Errorf("scheduling %s/%s: %w", pt.polName, pt.wlName, err)
-				}
-				return SchedulingRow{
-					Policy: pt.polName, CedarSync: pt.sync,
-					Workload: pt.wlName, Cycles: res.Cycles,
-				}, nil
-			},
-		}
-	}
-	return fleet.Run(fleet.Config{Hub: hub}, jobs)
+			return env.at(fmt.Sprintf("sched/%s/%s/sync=%v", pt.wlName, pt.polName, pt.sync),
+				env.Machine(), pt.wlName, pt.polName, pt.sync)
+		},
+		func(pt point, m *core.Machine) (SchedulingRow, error) {
+			rt := cfrt.New(m, cfrt.Config{UseCedarSync: pt.sync},
+				cfrt.XDoall{N: 512, Sched: pt.sched, Body: pt.body})
+			res, err := rt.Run(1 << 40)
+			return SchedulingRow{
+				Policy: pt.polName, CedarSync: pt.sync,
+				Workload: pt.wlName, Cycles: res.Cycles,
+			}, err
+		})
 }
 
-// FormatScheduling renders the ablation.
-func FormatScheduling(rows []SchedulingRow) string {
+// Format renders the ablation.
+func (rows Scheduling) Format() string {
 	header := []string{"workload", "policy", "Cedar sync", "cycles", "µs"}
 	var out [][]string
 	for _, r := range rows {

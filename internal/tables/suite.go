@@ -15,10 +15,8 @@ import (
 	"sort"
 	"strings"
 
-	"cedar/internal/fleet"
-	"cedar/internal/params"
+	"cedar/internal/core"
 	"cedar/internal/perfect"
-	"cedar/internal/scope"
 )
 
 // SuiteResult holds every Perfect outcome the later tables need.
@@ -34,12 +32,12 @@ type SuiteResult struct {
 }
 
 // RunSuite executes all variants of the given Perfect codes (nil = full
-// suite). progress, if non-nil, receives one line per completed run, in
-// submission order. The (code × variant) points are independent whole
-// simulations, so they dispatch to the fleet worker pool; the maps are
-// filled from the reassembled results only, never from worker goroutines.
-func RunSuite(pm params.Machine, codes []perfect.Profile, progress io.Writer, obs ...*scope.Hub) (*SuiteResult, error) {
-	hub := scope.Of(obs)
+// suite) on the Env's base machine. progress, if non-nil, receives one
+// line per completed run, in submission order. The (code × variant)
+// points are independent whole simulations, so they dispatch to the fleet
+// worker pool; the maps are filled from the reassembled results only,
+// never from worker goroutines.
+func RunSuite(env Env, codes []perfect.Profile, progress io.Writer) (*SuiteResult, error) {
 	if codes == nil {
 		codes = perfect.All()
 	}
@@ -79,21 +77,14 @@ func RunSuite(pm params.Machine, codes []perfect.Profile, progress io.Writer, ob
 			points = append(points, point{p, v})
 		}
 	}
-	jobs := make([]fleet.Job[perfect.Outcome], len(points))
-	for i, pt := range points {
-		jobs[i] = fleet.Job[perfect.Outcome]{
-			Key: fleet.Key("perfect", pm, pt.profile, pt.v.spec),
-			Run: func(h *scope.Hub) (perfect.Outcome, error) {
-				out, err := perfect.Run(pm, pt.profile, pt.v.spec,
-					h.Sub(fmt.Sprintf("perfect/%s/%s", pt.profile.Name, label(pt.v.spec))))
-				if err != nil {
-					return out, fmt.Errorf("tables: %s: %w", pt.profile.Name, err)
-				}
-				return out, nil
-			},
-		}
-	}
-	outs, err := fleet.Run(fleet.Config{Hub: hub}, jobs)
+	pm := env.Machine()
+	outs, err := sweep(env, "perfect", points,
+		func(pt point) build {
+			return env.at(fmt.Sprintf("perfect/%s/%s", pt.profile.Name, label(pt.v.spec)), pm, pt.profile, pt.v.spec)
+		},
+		func(pt point, m *core.Machine) (perfect.Outcome, error) {
+			return perfect.RunOn(m, pt.profile, pt.v.spec)
+		})
 	if err != nil {
 		return nil, err
 	}

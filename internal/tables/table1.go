@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"cedar/internal/core"
-	"cedar/internal/fleet"
 	"cedar/internal/kernels"
 	"cedar/internal/params"
-	"cedar/internal/scope"
 )
 
 // Table1 reproduces "MFLOPS for rank-64 update on Cedar": three memory
@@ -23,11 +21,9 @@ type Table1Result struct {
 }
 
 // RunTable1 executes the sweep. n is the matrix order (the paper used 1K;
-// 256 preserves the shape at a fraction of the simulation cost). An
-// optional scope hub observes every machine in the sweep, each under its
-// own t1/<mode>/<k>cl namespace.
-func RunTable1(n int, obs ...*scope.Hub) (*Table1Result, error) {
-	hub := scope.Of(obs)
+// 256 preserves the shape at a fraction of the simulation cost). Each
+// machine reports under its own t1/<mode>/<k>cl namespace.
+func RunTable1(env Env, n int) (*Table1Result, error) {
 	modes := []kernels.RKMode{kernels.RKNoPref, kernels.RKPref, kernels.RKCache}
 	res := &Table1Result{N: n, Modes: modes, MFLOPS: make([][]float64, len(modes))}
 	type point struct {
@@ -42,28 +38,16 @@ func RunTable1(n int, obs ...*scope.Hub) (*Table1Result, error) {
 			points = append(points, point{mi: mi, clusters: clusters, mode: mode})
 		}
 	}
-	jobs := make([]fleet.Job[float64], len(points))
-	for i, pt := range points {
-		p := params.Default()
-		p.Clusters = pt.clusters
-		jobs[i] = fleet.Job[float64]{
-			Key: fleet.Key("table1", p, int(pt.mode), n),
-			Run: func(h *scope.Hub) (float64, error) {
-				m, err := core.New(p, core.Options{
-					Scope: h.Sub(fmt.Sprintf("t1/%s/%dcl", rkShort(pt.mode), pt.clusters)),
-				})
-				if err != nil {
-					return 0, err
-				}
-				out, err := kernels.RankUpdate(m, n, pt.mode)
-				if err != nil {
-					return 0, fmt.Errorf("table1 %v %d clusters: %w", pt.mode, pt.clusters, err)
-				}
-				return out.MFLOPS, nil
-			},
-		}
-	}
-	outs, err := fleet.Run(fleet.Config{Hub: hub}, jobs)
+	outs, err := sweep(env, "table1", points,
+		func(pt point) build {
+			p := env.Machine()
+			p.Clusters = pt.clusters
+			return env.at(fmt.Sprintf("t1/%s/%dcl", rkShort(pt.mode), pt.clusters), p, int(pt.mode), n)
+		},
+		func(pt point, m *core.Machine) (float64, error) {
+			out, err := kernels.RankUpdate(m, n, pt.mode)
+			return out.MFLOPS, err
+		})
 	if err != nil {
 		return nil, err
 	}

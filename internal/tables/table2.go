@@ -2,14 +2,10 @@ package tables
 
 import (
 	"fmt"
-
 	"strings"
 
 	"cedar/internal/core"
-	"cedar/internal/fleet"
 	"cedar/internal/kernels"
-	"cedar/internal/params"
-	"cedar/internal/scope"
 )
 
 // Table2 reproduces "Global memory performance": mean first-word latency
@@ -36,16 +32,6 @@ type table2Size struct {
 	cgN     int
 }
 
-// RunTable2 executes the kernel × processor-count sweep.
-func RunTable2(obs ...*scope.Hub) (*Table2Result, error) {
-	return runTable2(table2Size{vlWords: 4096, tmN: 16384, rkN: 192, cgN: 16384}, scope.Of(obs))
-}
-
-// RunTable2Small is a reduced version for tests.
-func RunTable2Small(obs ...*scope.Hub) (*Table2Result, error) {
-	return runTable2(table2Size{vlWords: 1024, tmN: 4096, rkN: 96, cgN: 4096}, scope.Of(obs))
-}
-
 // t2Stats is one (kernel, CE-count) point's measurements.
 type t2Stats struct {
 	Latency float64
@@ -53,7 +39,13 @@ type t2Stats struct {
 	Blocks  int64
 }
 
-func runTable2(sz table2Size, hub *scope.Hub) (*Table2Result, error) {
+// RunTable2 executes the kernel × processor-count sweep; small selects
+// reduced slices for tests and quick reports.
+func RunTable2(env Env, small bool) (*Table2Result, error) {
+	sz := table2Size{vlWords: 4096, tmN: 16384, rkN: 192, cgN: 16384}
+	if small {
+		sz = table2Size{vlWords: 1024, tmN: 4096, rkN: 96, cgN: 4096}
+	}
 	res := &Table2Result{
 		Kernels: []string{"VL", "TM", "RK", "CG"},
 		CEs:     []int{8, 16, 32},
@@ -90,33 +82,23 @@ func runTable2(sz table2Size, hub *scope.Hub) (*Table2Result, error) {
 			points = append(points, point{name: name, ces: ces})
 		}
 	}
-	jobs := make([]fleet.Job[t2Stats], len(points))
-	for i, pt := range points {
-		p := params.Default()
-		p.Clusters = pt.ces / p.CEsPerCluster
-		f := kernel[pt.name]
-		jobs[i] = fleet.Job[t2Stats]{
-			Key: fleet.Key("table2", p, pt.name, sz),
-			Run: func(h *scope.Hub) (t2Stats, error) {
-				m, err := core.New(p, core.Options{
-					Scope: h.Sub(fmt.Sprintf("t2/%s/%dce", strings.ToLower(pt.name), pt.ces)),
-				})
-				if err != nil {
-					return t2Stats{}, err
-				}
-				out, err := f(m)
-				if err != nil {
-					return t2Stats{}, fmt.Errorf("table2 %s %d CEs: %w", pt.name, pt.ces, err)
-				}
-				return t2Stats{
-					Latency: out.Blocks.MeanLatency(),
-					Inter:   out.Blocks.MeanInterarrival(),
-					Blocks:  out.Blocks.Blocks(),
-				}, nil
-			},
-		}
-	}
-	outs, err := fleet.Run(fleet.Config{Hub: hub}, jobs)
+	outs, err := sweep(env, "table2", points,
+		func(pt point) build {
+			p := env.Machine()
+			p.Clusters = pt.ces / p.CEsPerCluster
+			return env.at(fmt.Sprintf("t2/%s/%dce", strings.ToLower(pt.name), pt.ces), p, pt.name, sz)
+		},
+		func(pt point, m *core.Machine) (t2Stats, error) {
+			out, err := kernel[pt.name](m)
+			if err != nil {
+				return t2Stats{}, err
+			}
+			return t2Stats{
+				Latency: out.Blocks.MeanLatency(),
+				Inter:   out.Blocks.MeanInterarrival(),
+				Blocks:  out.Blocks.Blocks(),
+			}, nil
+		})
 	if err != nil {
 		return nil, err
 	}

@@ -91,10 +91,13 @@ type Table4Row struct {
 	Improvement float64
 }
 
+// Table4 is the hand-optimized table, one row per altered code.
+type Table4 []Table4Row
+
 // BuildTable4 derives Table 4. The reference variant (auto + prefetch,
 // no Cedar sync) equals the suite's NoSync run.
-func BuildTable4(s *SuiteResult) []Table4Row {
-	var rows []Table4Row
+func BuildTable4(s *SuiteResult) Table4 {
+	var rows Table4
 	for _, p := range s.Profiles {
 		hand, ok := s.Hand[p.Name]
 		if !ok {
@@ -110,8 +113,8 @@ func BuildTable4(s *SuiteResult) []Table4Row {
 	return rows
 }
 
-// FormatTable4 renders Table 4.
-func FormatTable4(rows []Table4Row) string {
+// Format renders Table 4.
+func (rows Table4) Format() string {
 	header := []string{"Code", "Time(s)", "Improvement"}
 	var out [][]string
 	for _, r := range rows {

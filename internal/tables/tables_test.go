@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"cedar/internal/params"
 	"cedar/internal/perfect"
 	"cedar/internal/ppt"
 )
@@ -21,7 +20,7 @@ func smallSuite(t *testing.T) *SuiteResult {
 	if smallSuiteCache != nil {
 		return smallSuiteCache
 	}
-	s, err := RunSuite(params.Default(),
+	s, err := RunSuite(Env{},
 		[]perfect.Profile{perfect.ARC2D(), perfect.QCD(), perfect.SPICE()}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +90,7 @@ func TestTable4Structure(t *testing.T) {
 			t.Errorf("%s: hand version slower than automatable (%.2f)", r.Code, r.Improvement)
 		}
 	}
-	if out := FormatTable4(rows); !strings.Contains(out, "QCD") {
+	if out := rows.Format(); !strings.Contains(out, "QCD") {
 		t.Error("format lost a code")
 	}
 }
@@ -148,7 +147,7 @@ func TestTable1SmallShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table 1 sweep in -short mode")
 	}
-	t1, err := RunTable1(96)
+	t1, err := RunTable1(Env{}, 96)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +175,7 @@ func TestTable2SmallShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table 2 sweep in -short mode")
 	}
-	t2, err := RunTable2Small()
+	t2, err := RunTable2(Env{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +201,7 @@ func TestTable2SmallShape(t *testing.T) {
 }
 
 func TestOverheadsMatchPaper(t *testing.T) {
-	ov, err := RunOverheads()
+	ov, err := RunOverheads(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +224,7 @@ func TestNetworkAblationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation in -short mode")
 	}
-	rows, err := RunNetworkAblation(96)
+	rows, err := RunNetworkAblation(Env{}, 96)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +241,7 @@ func TestNetworkAblationShape(t *testing.T) {
 	if asBuilt.MFLOPS > xbar.MFLOPS*1.05 {
 		t.Errorf("ideal crossbar slower than as-built: %.1f vs %.1f", xbar.MFLOPS, asBuilt.MFLOPS)
 	}
-	if !strings.Contains(FormatNetworkAblation(rows), "Turn93") {
+	if !strings.Contains(rows.Format(), "Turn93") {
 		t.Error("format incomplete")
 	}
 }
@@ -251,7 +250,7 @@ func TestPrefetchBlockAblationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation in -short mode")
 	}
-	rows, err := RunPrefetchBlockAblation(128)
+	rows, err := RunPrefetchBlockAblation(Env{}, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +287,7 @@ func TestSchedulingAblationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation in -short mode")
 	}
-	rows, err := RunSchedulingAblation()
+	rows, err := RunSchedulingAblation(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +315,7 @@ func TestSchedulingAblationShape(t *testing.T) {
 	if !(get("imbalanced", "self", true) < get("imbalanced", "static", true)) {
 		t.Error("self should beat static on an imbalanced tail")
 	}
-	if !strings.Contains(FormatScheduling(rows), "guided") {
+	if !strings.Contains(rows.Format(), "guided") {
 		t.Error("format incomplete")
 	}
 }

@@ -29,6 +29,11 @@ if ! go run ./cmd/cedarvet -json ./... > artifacts/cedarvet.json; then
 fi
 
 echo "==> go test ./..."
+# This unraced pass is the only one that runs the full-report integration
+# tests, among them TestWriteReportGolden (internal/tables): the kernel
+# report byte-compared against testdata generated at an earlier commit —
+# the cross-commit half of the byte-identity invariant, which the
+# in-process jobs/shards/stepped gates below cannot see.
 go test ./...
 
 echo "==> go test -race ./..."
@@ -44,6 +49,11 @@ echo "==> cedarfleet parallel-vs-sequential equality (-race, pool enabled)"
 # degraded runs alike. -count=1 defeats the test cache so the gate always
 # exercises the pool.
 go test -race -count=1 -run '^(TestParallelVsSequentialEquality|TestFaultedRunDeterministic|TestBenchArtifactDeterminism)$' .
+# Two run configurations at once: a demo-plan Env at jobs 1 beside a
+# healthy Env at jobs 4 on one sweep and the shared run cache, each
+# byte-equal to its solo run — nothing a run executes under is
+# process-wide, so they cannot see each other.
+go test -race -count=1 -run '^TestTwoEnvsAtOnce$' ./internal/tables
 
 echo "==> stepped-vs-event engine equivalence (-race)"
 # The event wheel (internal/sim) skips sleeping components and jumps the
@@ -89,10 +99,14 @@ echo "==> cedarserve cached-vs-fresh response equality (-race)"
 # watching the real concurrent submissions. The store's own half of the
 # contract is its durable round trip. Plus the fleet-pool crash-safety
 # regressions: a panicking job surfaces on the caller, never a stray
-# goroutine, and a failed cache copy recomputes instead of aliasing.
+# goroutine, a failed cache copy recomputes instead of aliasing, and a
+# degraded entry is pinned to the key that names its plan — at the cache
+# (fleet) and through the sweep helper for every catalogue experiment
+# (tables: the plan fingerprint is an explicit key part, not ambient).
 go test -race -count=1 -run '^(TestCacheHitByteEquality|TestCoalescedRequestsShareOneSimulation|TestPanicBecomes500)$' ./internal/serve
 go test -race -count=1 -run '^TestRoundTripDeterminism$' ./internal/store
 go test -race -count=1 -run '^(TestWorkerPanicRethrownOnCaller|TestCopyFailureRecomputesNeverAliases|TestHealthyAfterFaultedNotServedDegraded)$' ./internal/fleet
+go test -race -count=1 -run '^(TestHealthyEnvAfterFaultedEnv|TestFaultedEnvReachesEveryExperiment)$' ./internal/tables
 
 echo "==> cedarbench smoke campaign + regression diff"
 # The smoke campaign runs the full matrix once per declared jobs value

@@ -74,11 +74,11 @@ func TestShardsVsSequentialDegraded(t *testing.T) {
 		cedar.ResetRunCache()
 		cedar.SetShards(shards)
 		defer cedar.SetShards(1)
-		rows, err := cedar.RunDegraded(48, plan, nil)
+		rows, err := cedar.RunDegraded(cedar.Env{Faults: plan}, 48)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return []byte(cedar.FormatDegraded(rows))
+		return []byte(rows.Format())
 	}
 	sequential := run(1)
 	sharded := run(4)
