@@ -27,6 +27,16 @@
 //	m := cedar.NewMachine(cedar.DefaultParams(), cedar.Options{})
 //	res, err := cedar.RankUpdate(m, 256, cedar.RKPref)
 //	fmt.Printf("%.1f MFLOPS\n", res.MFLOPS)
+//
+// A custom workload is a list of runtime phases. A loop body appends the
+// iteration's instructions to the queue it is handed, as append does —
+// instructions are values, never retained pointers:
+//
+//	rt := cedar.NewRuntime(m, cedar.RuntimeConfig{UseCedarSync: true},
+//		cedar.XDoall{N: 100, Body: func(i int, q []cedar.Instr) []cedar.Instr {
+//			return append(q, cedar.Instr{Op: cedar.OpScalar, Cycles: 25, Flops: 4})
+//		}})
+//	res, err := rt.Run(10_000_000)
 package cedar
 
 import (

@@ -41,9 +41,9 @@ func TestRuntimeThroughFacade(t *testing.T) {
 	m := cedar.NewMachine(cedar.DefaultParams(), cedar.Options{})
 	ran := 0
 	rt := cedar.NewRuntime(m, cedar.RuntimeConfig{UseCedarSync: true},
-		cedar.XDoall{N: 16, Body: func(i int) []*cedar.Instr {
-			return []*cedar.Instr{{Op: cedar.OpScalar, Cycles: 10, Flops: 5,
-				OnDone: func(int64) { ran++ }}}
+		cedar.XDoall{N: 16, Body: func(i int, q []cedar.Instr) []cedar.Instr {
+			return append(q, cedar.Instr{Op: cedar.OpScalar, Cycles: 10, Flops: 5,
+				OnDone: func(int64) { ran++ }})
 		}})
 	res, err := rt.Run(10_000_000)
 	if err != nil {

@@ -11,8 +11,8 @@ import (
 func ExampleNewRuntime() {
 	m := cedar.NewMachine(cedar.DefaultParams(), cedar.Options{})
 	rt := cedar.NewRuntime(m, cedar.RuntimeConfig{UseCedarSync: true},
-		cedar.XDoall{N: 100, Body: func(i int) []*cedar.Instr {
-			return []*cedar.Instr{{Op: cedar.OpScalar, Cycles: 25, Flops: 4}}
+		cedar.XDoall{N: 100, Body: func(i int, q []cedar.Instr) []cedar.Instr {
+			return append(q, cedar.Instr{Op: cedar.OpScalar, Cycles: 25, Flops: 4})
 		}})
 	res, err := rt.Run(10_000_000)
 	if err != nil {

@@ -16,8 +16,8 @@ import (
 
 func main() {
 	p := cedar.DefaultParams()
-	body := func(i int) []*cedar.Instr {
-		return []*cedar.Instr{{Op: cedar.OpScalar, Cycles: 50, Flops: 10}}
+	body := func(i int, q []cedar.Instr) []cedar.Instr {
+		return append(q, cedar.Instr{Op: cedar.OpScalar, Cycles: 50, Flops: 10})
 	}
 	phases := func() []cedar.Phase {
 		var phs []cedar.Phase

@@ -28,8 +28,8 @@ func main() {
 
 	// Each iteration is one chained multiply-add sweep over its slice,
 	// prefetched in 256-word blocks.
-	body := func(i int) []*cedar.Instr {
-		return []*cedar.Instr{{
+	body := func(i int, q []cedar.Instr) []cedar.Instr {
+		return append(q, cedar.Instr{
 			Op: cedar.OpVector, N: vecLen, Flops: 2,
 			Srcs: []cedar.Stream{{
 				Space:     cedar.SpaceGlobal,
@@ -37,7 +37,7 @@ func main() {
 				Stride:    1,
 				PrefBlock: 256,
 			}},
-		}}
+		})
 	}
 
 	// An XDOALL self-schedules the iterations over all 32 CEs using the

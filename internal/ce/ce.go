@@ -26,7 +26,7 @@ type CE struct {
 	IDInCluster int
 	Port        int // network port
 
-	p      params.Machine
+	p      timing
 	fwd    network.Fabric
 	rev    network.Fabric
 	pfu    *prefetch.PFU
@@ -40,6 +40,12 @@ type CE struct {
 	// on the same port.
 	pool network.PacketPool
 
+	// reg is the instruction register: the controller fills it and the CE
+	// executes from it, so no controller storage is read after Next
+	// returns — an instruction's OnResult may rewrite the queue slot it
+	// was issued from, and the CE still reads Flops and OnDone afterwards.
+	// cur points at reg while an instruction is in progress, nil when idle.
+	reg Instr
 	cur *Instr
 
 	// Scalar execution.
@@ -75,6 +81,17 @@ type CE struct {
 	// Fault recovery (degraded-mode runs).
 	faulty  bool  // fault plan active: poll the PFU for terminal errors
 	failErr error // terminal fault; the CE abandons its program
+}
+
+// timing is what a CE reads of params.Machine. A CE keeps these four
+// constants, not a copy of the whole parameter set: a copy is 272 bytes on
+// every CE of every machine built, and beside the instruction register it
+// pushes the CE up an allocator size class.
+type timing struct {
+	CELoadOverhead int
+	MaxOutstanding int
+	MaxVL          int
+	VectorStartup  int
 }
 
 type vecState struct {
@@ -113,12 +130,17 @@ func New(p params.Machine, id, clusterID, idInCluster, port int,
 		Cluster:     clusterID,
 		IDInCluster: idInCluster,
 		Port:        port,
-		p:           p,
-		fwd:         fwd,
-		rev:         rev,
-		cache:       cch,
-		modFor:      modFor,
-		lastTick:    -1,
+		p: timing{
+			CELoadOverhead: p.CELoadOverhead,
+			MaxOutstanding: p.MaxOutstanding,
+			MaxVL:          p.MaxVL,
+			VectorStartup:  p.VectorStartup,
+		},
+		fwd:      fwd,
+		rev:      rev,
+		cache:    cch,
+		modFor:   modFor,
+		lastTick: -1,
 	}
 	c.pfu = prefetch.New(p, port, fwd, modFor, &c.pool)
 	return c
@@ -315,14 +337,13 @@ func (c *CE) fetch(cycle int64) {
 		c.doneAt = cycle
 		return
 	}
-	in, st := c.ctrl.Next(c.ID, cycle)
-	switch st {
+	switch c.ctrl.Next(c.ID, cycle, &c.reg) {
 	case Finished:
 		c.finished = true
 		c.doneAt = cycle
 	case Wait:
 	case Ready:
-		c.cur = in
+		c.cur = &c.reg
 		c.started = false
 	}
 }

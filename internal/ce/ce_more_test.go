@@ -111,16 +111,17 @@ type waitThenRun struct {
 	given     bool
 }
 
-func (w *waitThenRun) Next(ceID int, cycle int64) (*Instr, Status) {
+func (w *waitThenRun) Next(ceID int, cycle int64, in *Instr) Status {
 	if w.waitTicks > 0 {
 		w.waitTicks--
-		return nil, Wait
+		return Wait
 	}
 	if !w.given {
 		w.given = true
-		return &Instr{Op: OpScalar, Cycles: 5}, Ready
+		*in = Instr{Op: OpScalar, Cycles: 5}
+		return Ready
 	}
-	return nil, Finished
+	return Finished
 }
 
 func TestControllerWaitCounted(t *testing.T) {

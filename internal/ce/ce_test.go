@@ -363,7 +363,7 @@ func TestGeneratorMatchesProgram(t *testing.T) {
 			t.Errorf("ce%d retire cycles: stored %v, streamed %v", id, stored.done[id], streamed.done[id])
 		}
 	}
-	if _, st := gen.Next(0, 0); st != Finished {
+	if st := gen.Next(0, 0, new(Instr)); st != Finished {
 		t.Errorf("exhausted generator returned status %v, want Finished", st)
 	}
 }

@@ -116,8 +116,15 @@ const (
 
 // Controller feeds instructions to a CE. The Cedar Fortran runtime
 // implements Controller to schedule loops; tests use canned sequences.
+//
+// Next fills in — the CE's own instruction register — and returns Ready,
+// or leaves it alone and returns Wait or Finished. The CE executes from
+// its register and never looks at controller storage again, so whatever a
+// controller filled in from is dead the moment Next returns: it may be
+// rewritten from inside the instruction's own OnResult. in arrives
+// holding the previous instruction; a controller assigns all of it.
 type Controller interface {
-	Next(ceID int, cycle int64) (*Instr, Status)
+	Next(ceID int, cycle int64, in *Instr) Status
 }
 
 // Program is a fixed instruction sequence implementing Controller.
@@ -132,7 +139,7 @@ type Program struct {
 }
 
 // Next implements Controller: every CE runs the same sequence privately.
-func (p *Program) Next(ceID int, cycle int64) (*Instr, Status) {
+func (p *Program) Next(ceID int, cycle int64, in *Instr) Status {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.pos == nil {
@@ -140,45 +147,39 @@ func (p *Program) Next(ceID int, cycle int64) (*Instr, Status) {
 	}
 	i := p.pos[ceID]
 	if i >= len(p.Instrs) {
-		return nil, Finished
+		return Finished
 	}
 	p.pos[ceID] = i + 1
-	return p.Instrs[i], Ready
+	*in = *p.Instrs[i]
+	return Ready
 }
 
 // Generator is a Controller whose program is computed, not stored: every
 // CE runs n instructions, and instruction i of CE ceID is whatever fill
-// writes into the (zeroed) Instr it is handed. The Instr is a scratch
-// slot the CE executes in place — a CE retires its current instruction
-// before it asks for the next, so one slot per CE suffices and a probe of
-// a million loads costs the host one Instr, not a million. The slots sit
-// in a slice indexed by CE id and each CE touches only its own, which is
-// what makes Next safe across cluster shards without Program's mutex.
+// writes into the (zeroed) Instr it is handed — the CE's own register, so
+// a probe of a million loads costs the host no Instr at all. The
+// positions sit in a slice indexed by CE id and each CE touches only its
+// own, which is what makes Next safe across cluster shards without
+// Program's mutex.
 type Generator struct {
 	n    int
 	fill func(ceID, i int, in *Instr)
-	ces  []generated
-}
-
-// generated is one CE's position and scratch instruction.
-type generated struct {
-	next int
-	in   Instr
+	next []int // per CE: the index of its next instruction
 }
 
 // NewGenerator builds a Generator for the CEs with ids below nCE.
 func NewGenerator(nCE, n int, fill func(ceID, i int, in *Instr)) *Generator {
-	return &Generator{n: n, fill: fill, ces: make([]generated, nCE)}
+	return &Generator{n: n, fill: fill, next: make([]int, nCE)}
 }
 
 // Next implements Controller.
-func (g *Generator) Next(ceID int, cycle int64) (*Instr, Status) {
-	s := &g.ces[ceID]
-	if s.next >= g.n {
-		return nil, Finished
+func (g *Generator) Next(ceID int, cycle int64, in *Instr) Status {
+	i := g.next[ceID]
+	if i >= g.n {
+		return Finished
 	}
-	s.in = Instr{}
-	g.fill(ceID, s.next, &s.in)
-	s.next++
-	return &s.in, Ready
+	*in = Instr{}
+	g.fill(ceID, i, in)
+	g.next[ceID] = i + 1
+	return Ready
 }

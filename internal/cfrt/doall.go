@@ -28,14 +28,22 @@ func (r *Runtime) startXDoall(ci, k int, ph XDoall) {
 	r.pollFlag(ci, r.flagAddr, int64(k+1), work)
 }
 
+// runBody appends iteration iter of body to the participant's queue and,
+// behind it, the loop branch that runs then — the one instruction a body's
+// reservation leaves room for.
+func (r *Runtime) runBody(ci int, body BodyFn, iter int, then func(cycle int64)) {
+	c := r.ctl[ci]
+	c.q = body(iter, c.q)
+	r.after(ci, then)
+}
+
 // runChunk executes iterations [lo, hi) sequentially, then barriers.
 func (r *Runtime) runChunk(ci, k int, body BodyFn, lo, hi int) {
 	if lo >= hi {
 		r.barrier(ci, k)
 		return
 	}
-	r.enq(ci, body(lo)...)
-	r.after(ci, func(int64) { r.runChunk(ci, k, body, lo+1, hi) })
+	r.runBody(ci, body, lo, func(int64) { r.runChunk(ci, k, body, lo+1, hi) })
 }
 
 // claimLoop self-schedules iterations until the counter runs out.
@@ -45,8 +53,7 @@ func (r *Runtime) claimLoop(ci, k int, ph XDoall) {
 			r.barrier(ci, k)
 			return
 		}
-		r.enq(ci, ph.Body(int(ticket))...)
-		r.after(ci, func(int64) { r.claimLoop(ci, k, ph) })
+		r.runBody(ci, ph.Body, int(ticket), func(int64) { r.claimLoop(ci, k, ph) })
 	})
 }
 
@@ -54,17 +61,15 @@ func (r *Runtime) claimLoop(ci, k int, ph XDoall) {
 // masters; the other CEs of each cluster watch the concurrency control
 // bus for CDOALLs spawned inside the iteration body.
 func (r *Runtime) startSDoall(ci, k int, ph SDoall) {
-	e := r.ces[ci]
-	cs := r.clusterForCE(ci)
-	if e.IDInCluster != 0 {
+	cs := r.ctl[ci].cs
+	if r.ces[ci].IDInCluster != 0 {
 		// Worker: wait for bus broadcasts until the cluster is done.
 		r.workerWait(ci, k, cs)
 		return
 	}
-	clusterIdx := r.clusterIndex(cs)
 	work := func() {
 		if ph.Static {
-			r.masterStatic(ci, k, ph, cs, clusterIdx, clusterIdx)
+			r.masterStatic(ci, k, ph, cs, r.ctl[ci].clusterIdx)
 		} else {
 			r.masterClaim(ci, k, ph, cs)
 		}
@@ -77,38 +82,16 @@ func (r *Runtime) startSDoall(ci, k int, ph SDoall) {
 	r.pollFlag(ci, r.flagAddr, int64(k+1), work)
 }
 
-// clusterForCE resolves a CE index to its participating cluster. Panics
-// if the CE belongs to no participating cluster — a scheduling bug.
-func (r *Runtime) clusterForCE(ci int) *clusterCtl {
-	cl := r.ces[ci].Cluster
-	for _, cs := range r.clusters {
-		if cs.cl.ID == cl {
-			return cs
-		}
-	}
-	panic("cfrt: CE outside participating clusters")
-}
-
-func (r *Runtime) clusterIndex(cs *clusterCtl) int {
-	for i, c := range r.clusters {
-		if c == cs {
-			return i
-		}
-	}
-	return -1
-}
-
 // masterStatic runs SDOALL iterations iter, iter+stride, ... on this
 // cluster — the affinity scheduling that keeps partitions in place.
-func (r *Runtime) masterStatic(ci, k int, ph SDoall, cs *clusterCtl, iter, first int) {
-	_ = first
+func (r *Runtime) masterStatic(ci, k int, ph SDoall, cs *clusterCtl, iter int) {
 	if iter >= ph.N {
 		cs.donePhase = k
 		r.barrier(ci, k)
 		return
 	}
 	r.runClusterWork(ci, k, cs, iter, ph.Body(iter), 0, func() {
-		r.masterStatic(ci, k, ph, cs, iter+len(r.clusters), first)
+		r.masterStatic(ci, k, ph, cs, iter+len(r.clusters))
 	})
 }
 
@@ -141,7 +124,8 @@ func (r *Runtime) runClusterWork(ci, k int, cs *clusterCtl, iter int, work []Clu
 		// Data private to an SDOALL iteration but shared by the cluster
 		// lives in cluster memory; the serial part runs on the master
 		// while workers keep watching the bus.
-		r.enq(ci, cp.Body()...)
+		c := r.ctl[ci]
+		c.q = cp.Body(c.q)
 		r.after(ci, func(int64) { next() })
 
 	case CDoall:
@@ -217,8 +201,7 @@ func (r *Runtime) cdClaim(ci, k int, cs *clusterCtl, cd *CDoall, iter int, isMas
 			return
 		}
 		r.waitUntil(ci, at, func() {
-			r.enq(ci, cd.Body(j)...)
-			r.after(ci, func(int64) {
+			r.runBody(ci, cd.Body, j, func(int64) {
 				r.cdClaim(ci, k, cs, cd, iter, isMaster, cont)
 			})
 		})
@@ -230,8 +213,7 @@ func (r *Runtime) runCDBlock(ci int, cd *CDoall, iter, lo, hi int, cont func()) 
 		cont()
 		return
 	}
-	r.enq(ci, cd.Body(lo)...)
-	r.after(ci, func(int64) { r.runCDBlock(ci, cd, iter, lo+1, hi, cont) })
+	r.runBody(ci, cd.Body, lo, func(int64) { r.runCDBlock(ci, cd, iter, lo+1, hi, cont) })
 }
 
 // cdJoin arrives at the cluster join and waits for it to complete.

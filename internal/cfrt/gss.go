@@ -73,14 +73,14 @@ func (r *Runtime) guidedClaim(ci, k, n int, got func(first int64, chunk int)) {
 	if r.cfg.UseCedarSync {
 		r.enq(ci,
 			scalarInstr(r.syncPathCycles),
-			&ce.Instr{
+			ce.Instr{
 				Op: ce.OpGlobalLoad, Addr: res.counter,
 				OnResult: func(v int64, _ bool, _ int64) {
 					chunk := gssChunk(n, v, p)
 					if chunk < 1 {
 						chunk = 1
 					}
-					r.enq(ci, &ce.Instr{
+					r.enq(ci, ce.Instr{
 						Op: ce.OpSync, Addr: res.counter,
 						Test: network.TestAlways, Mut: network.OpAdd, Value: int64(chunk),
 						OnResult: func(first int64, _ bool, _ int64) {
@@ -95,7 +95,7 @@ func (r *Runtime) guidedClaim(ci, k, n int, got func(first int64, chunk int)) {
 	// counter, so the estimate folds into it at no extra traffic.
 	r.enq(ci, scalarInstr(r.lockPathCycles))
 	r.takeLockThen(ci, func() {
-		r.enq(ci, &ce.Instr{
+		r.enq(ci, ce.Instr{
 			Op: ce.OpGlobalLoad, Addr: res.counter,
 			OnResult: func(v int64, _ bool, _ int64) {
 				chunk := gssChunk(n, v, p)
@@ -103,8 +103,8 @@ func (r *Runtime) guidedClaim(ci, k, n int, got func(first int64, chunk int)) {
 					chunk = 1
 				}
 				r.enq(ci,
-					&ce.Instr{Op: ce.OpGlobalStore, Addr: res.counter, Value: v + int64(chunk)},
-					&ce.Instr{Op: ce.OpGlobalStore, Addr: r.lockAddr, Value: 0,
+					ce.Instr{Op: ce.OpGlobalStore, Addr: res.counter, Value: v + int64(chunk)},
+					ce.Instr{Op: ce.OpGlobalStore, Addr: r.lockAddr, Value: 0,
 						OnDone: func(int64) { got(v, chunk) }},
 				)
 			},
@@ -118,6 +118,5 @@ func (r *Runtime) runChunkThen(ci, lo, hi int, body BodyFn, cont func()) {
 		cont()
 		return
 	}
-	r.enq(ci, body(lo)...)
-	r.after(ci, func(int64) { r.runChunkThen(ci, lo+1, hi, body, cont) })
+	r.runBody(ci, body, lo, func(int64) { r.runChunkThen(ci, lo+1, hi, body, cont) })
 }

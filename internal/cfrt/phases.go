@@ -19,20 +19,52 @@
 //
 // Loops can be self-scheduled or statically chunked, again matching the
 // runtime library options the paper describes.
+//
+// A program is a list of phases whose bodies append instructions to the
+// queue of whichever CE runs the iteration:
+//
+//	rt := cfrt.New(m, cfrt.Config{UseCedarSync: true},
+//		cfrt.XDoall{N: 100, Body: func(i int, q []ce.Instr) []ce.Instr {
+//			return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 25, Flops: 4})
+//		}})
+//	res, err := rt.Run(10_000_000)
+//
+// Instructions are values from the body to the CE: a participant's queue
+// is a []ce.Instr, Next copies the head into the CE's own instruction
+// register, and the runtime's waits — the barrier flag poll, the claim
+// lock — are per-participant state reissuing one instruction, so neither
+// a queued instruction nor a failed poll is a heap object (DESIGN.md,
+// "Instruction ownership").
 package cfrt
 
 import "cedar/internal/ce"
 
-// BodyFn produces the instruction sequence of one loop iteration.
-type BodyFn func(iter int) []*ce.Instr
+// BodyFn appends the instruction sequence of one loop iteration to q and
+// returns the extended slice, as append does. q is the executing CE's own
+// instruction queue: a body only appends — it neither reads, rewrites nor
+// retains q — and the runtime copies each instruction into the CE's
+// register when it issues, so a body builds values, never heap objects:
+//
+//	func(i int, q []ce.Instr) []ce.Instr {
+//		return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 25, Flops: 4})
+//	}
+//
+// A body that knows its length n reserves it once — slices.Grow(q, n+1):
+// its instructions and the loop branch the runtime issues behind every
+// body — instead of letting a long sequence grow the queue one doubling
+// at a time, or an exact fit be doubled by that one branch. Srcs slices
+// and Dst pointers stay owned by the body that built them; the runtime
+// never recycles them.
+type BodyFn func(iter int, q []ce.Instr) []ce.Instr
 
 // Phase is one machine-wide step of a program. Phases are separated by
 // multicluster barriers through global memory.
 type Phase interface{ isPhase() }
 
 // Serial runs on CE 0 while every other CE waits at the phase barrier.
+// Body appends like a BodyFn without the iteration number.
 type Serial struct {
-	Body func() []*ce.Instr
+	Body func(q []ce.Instr) []ce.Instr
 }
 
 func (Serial) isPhase() {}
@@ -77,7 +109,7 @@ type ClusterPhase interface{ isClusterPhase() }
 
 // ClusterSerial runs on the cluster's master CE.
 type ClusterSerial struct {
-	Body func() []*ce.Instr
+	Body func(q []ce.Instr) []ce.Instr
 }
 
 func (ClusterSerial) isClusterPhase() {}

@@ -20,7 +20,7 @@ type Runtime struct {
 	ph  []Phase
 
 	ces      []*ce.CE
-	ceIdx    map[int]int // CE id -> participant index
+	ceIdx    []int // CE id -> participant index, -1 = not a participant
 	clusters []*clusterCtl
 	ctl      []*ceCtl
 
@@ -54,13 +54,23 @@ type Runtime struct {
 // cycle barrier orders them.
 
 type ceCtl struct {
-	// q[head:] are the instructions still to issue. Next advances head
-	// rather than reslicing, and rewinds both once the queue drains, so a
-	// participant's steady issue/refill cycle reuses one buffer.
-	q        []*ce.Instr
+	// q[head:] are the instructions still to issue, by value: Next copies
+	// one into the CE's register and advances head rather than reslicing,
+	// and rewinds both once the queue drains, so a participant's steady
+	// issue/refill cycle reuses one buffer and no runtime-issued
+	// instruction is a heap object. Loop bodies append to q directly.
+	q        []ce.Instr
 	head     int
 	poll     func(cycle int64) bool
 	finished bool
+	// wait is the spin this participant is in, if any; onSpin is its
+	// OnResult, bound once in New so a failed attempt allocates nothing.
+	wait   spinWait
+	onSpin func(value int64, passed bool, cycle int64)
+	// cs and clusterIdx are the participant's cluster and its index among
+	// the participating clusters.
+	cs         *clusterCtl
+	clusterIdx int
 	// cdSeen is the last concurrency-bus generation this CE processed;
 	// the bus broadcast can fire before a slow worker enters the phase,
 	// and this counter guarantees it still joins that loop.
@@ -107,8 +117,11 @@ func New(m *core.Machine, cfg Config, phases ...Phase) *Runtime {
 		m:           m,
 		cfg:         cfg,
 		ph:          phases,
-		ceIdx:       make(map[int]int),
+		ceIdx:       make([]int, len(m.CEs)),
 		pollBackoff: 25,
+	}
+	for id := range r.ceIdx {
+		r.ceIdx[id] = -1
 	}
 	hasSDoall := false
 	for _, ph := range phases {
@@ -118,14 +131,17 @@ func New(m *core.Machine, cfg Config, phases ...Phase) *Runtime {
 	}
 	for c := 0; c < nclusters; c++ {
 		cluster := m.Clusters[c]
-		r.clusters = append(r.clusters, &clusterCtl{cl: cluster, donePhase: -1})
+		cs := &clusterCtl{cl: cluster, donePhase: -1}
+		r.clusters = append(r.clusters, cs)
 		for _, e := range cluster.CEs {
 			if !hasSDoall && cfg.MaxCEs > 0 && len(r.ces) >= cfg.MaxCEs {
 				break
 			}
 			r.ceIdx[e.ID] = len(r.ces)
 			r.ces = append(r.ces, e)
-			r.ctl = append(r.ctl, &ceCtl{})
+			ctl := &ceCtl{cs: cs, clusterIdx: c}
+			ctl.onSpin = ctl.spinResult
+			r.ctl = append(r.ctl, ctl)
 		}
 	}
 	// Global words for scheduling: a phase flag, a claim lock, and
@@ -185,32 +201,34 @@ func (r *Runtime) Run(limit int64) (core.Result, error) {
 func (r *Runtime) P() int { return len(r.ces) }
 
 // Next implements ce.Controller.
-func (r *Runtime) Next(ceID int, cycle int64) (*ce.Instr, ce.Status) {
-	ci, ok := r.ceIdx[ceID]
-	if !ok {
-		return nil, ce.Finished
+func (r *Runtime) Next(ceID int, cycle int64, in *ce.Instr) ce.Status {
+	ci := r.ceIdx[ceID]
+	if ci < 0 {
+		return ce.Finished
 	}
 	c := r.ctl[ci]
 	for {
 		if c.head < len(c.q) {
-			in := c.q[c.head]
-			c.q[c.head] = nil
+			*in = c.q[c.head]
+			// Drop the slot's references: its closures and streams are
+			// the CE's now.
+			c.q[c.head] = ce.Instr{}
 			if c.head++; c.head == len(c.q) {
 				c.q, c.head = c.q[:0], 0
 			}
-			return in, ce.Ready
+			return ce.Ready
 		}
 		if c.finished {
-			return nil, ce.Finished
+			return ce.Finished
 		}
 		if c.poll != nil && c.poll(cycle) {
 			continue
 		}
-		return nil, ce.Wait
+		return ce.Wait
 	}
 }
 
-func (r *Runtime) enq(ci int, ins ...*ce.Instr) {
+func (r *Runtime) enq(ci int, ins ...ce.Instr) {
 	r.ctl[ci].q = append(r.ctl[ci].q, ins...)
 }
 
@@ -218,7 +236,7 @@ func (r *Runtime) enq(ci int, ins ...*ce.Instr) {
 // runtime's "branch" primitive (costs one issue cycle, like real control
 // flow at loop ends).
 func (r *Runtime) after(ci int, f func(cycle int64)) {
-	r.enq(ci, &ce.Instr{Op: ce.OpScalar, Cycles: 0, OnDone: f})
+	r.enq(ci, ce.Instr{Op: ce.OpScalar, Cycles: 0, OnDone: f})
 }
 
 // enterPhase routes a participant into phase k. Panics on an unknown
@@ -235,7 +253,8 @@ func (r *Runtime) enterPhase(ci, k int) {
 	switch ph := r.ph[k].(type) {
 	case Serial:
 		if ci == 0 {
-			r.enq(ci, ph.Body()...)
+			c := r.ctl[ci]
+			c.q = ph.Body(c.q)
 		}
 		r.barrier(ci, k)
 
@@ -255,14 +274,14 @@ func (r *Runtime) enterPhase(ci, k int) {
 func (r *Runtime) barrier(ci, k int) {
 	res := &r.res[k]
 	p := int64(len(r.ces))
-	r.enq(ci, &ce.Instr{
+	r.enq(ci, ce.Instr{
 		Op: ce.OpSync, Addr: res.barCount,
 		Test: network.TestAlways, Mut: network.OpAdd, Value: 1,
 		OnResult: func(v int64, _ bool, cy int64) {
 			r.post(ci, cy, EvBarrierArrive, int64(k))
 			if v == p-1 {
 				// Last arrival releases the others.
-				r.enq(ci, &ce.Instr{
+				r.enq(ci, ce.Instr{
 					Op: ce.OpGlobalStore, Addr: res.barFlag, Value: 1,
 					OnDone: func(cy2 int64) {
 						r.post(ci, cy2, EvBarrierPass, int64(k))
@@ -276,33 +295,74 @@ func (r *Runtime) barrier(ci, k int) {
 	})
 }
 
+// spinWait is a participant's wait in progress: the sync instruction it
+// reissues until the test passes, the scalar stall before the next
+// attempt (doubling up to limit) and what runs once it passes. It is
+// state, not a closure per attempt, so how long a wait lasts costs the
+// host nothing.
+type spinWait struct {
+	try     ce.Instr
+	backoff int64
+	limit   int64
+	cont    func()
+}
+
+// spin issues try until its test passes, then runs cont. A participant
+// is in one wait at a time — every caller sits at the tail of the
+// participant's control flow — and a second would overwrite the first's
+// state, so that is a panic, not a queue.
+func (r *Runtime) spin(ci int, try ce.Instr, backoff, limit int64, cont func()) {
+	c := r.ctl[ci]
+	if c.wait.cont != nil {
+		panic("cfrt: wait started inside an unfinished wait")
+	}
+	try.OnResult = c.onSpin
+	c.wait = spinWait{try: try, backoff: backoff, limit: limit, cont: cont}
+	c.q = append(c.q, try)
+}
+
+// spinResult is the OnResult of every spin attempt. The CE executes from
+// its own register, so appending the same instruction again from inside
+// its completion is safe. The wait is cleared before cont runs: cont may
+// start the next wait (a barrier pass leads straight to the next phase's
+// flag poll), which must not inherit this one's backoff or continuation.
+func (c *ceCtl) spinResult(_ int64, passed bool, _ int64) {
+	w := &c.wait
+	if passed {
+		cont := w.cont
+		*w = spinWait{}
+		cont()
+		return
+	}
+	c.q = append(c.q, scalarInstr(w.backoff), w.try)
+	if w.backoff *= 2; w.backoff > w.limit {
+		w.backoff = w.limit
+	}
+}
+
 // pollFlag spins on a global word with Test-And-Read until it reaches
 // want, then runs cont. Backoff doubles up to a cap so that dozens of
 // waiting CEs do not turn the flag's memory module into a hot spot that
 // saturates the network for the processors still computing.
 func (r *Runtime) pollFlag(ci int, addr uint64, want int64, cont func()) {
-	r.pollFlagBackoff(ci, addr, want, r.pollBackoff, cont)
+	r.spin(ci, ce.Instr{
+		Op: ce.OpSync, Addr: addr,
+		Test: network.TestGE, TestArg: want, Mut: network.OpNone,
+	}, r.pollBackoff, pollBackoffCap, cont)
 }
 
 const pollBackoffCap = 400
 
-func (r *Runtime) pollFlagBackoff(ci int, addr uint64, want int64, backoff int64, cont func()) {
-	r.enq(ci, &ce.Instr{
-		Op: ce.OpSync, Addr: addr,
-		Test: network.TestGE, TestArg: want, Mut: network.OpNone,
-		OnResult: func(_ int64, passed bool, _ int64) {
-			if passed {
-				cont()
-				return
-			}
-			next := backoff * 2
-			if next > pollBackoffCap {
-				next = pollBackoffCap
-			}
-			r.enq(ci, &ce.Instr{Op: ce.OpScalar, Cycles: backoff})
-			r.pollFlagBackoff(ci, addr, want, next, cont)
-		},
-	})
+// lockRetry is the fixed stall between Test-And-Set attempts.
+const lockRetry = 20
+
+// takeLockThen spins on the claim lock with Test-And-Set, then runs cont
+// holding it.
+func (r *Runtime) takeLockThen(ci int, cont func()) {
+	r.spin(ci, ce.Instr{
+		Op: ce.OpSync, Addr: r.lockAddr,
+		Test: network.TestEQ, TestArg: 0, Mut: network.OpWrite, Value: 1,
+	}, lockRetry, lockRetry, cont)
 }
 
 // claim performs one iteration claim against the phase counter, honouring
@@ -311,8 +371,8 @@ func (r *Runtime) claim(ci, k int, got func(ticket int64)) {
 	res := &r.res[k]
 	if r.cfg.UseCedarSync {
 		r.enq(ci,
-			&ce.Instr{Op: ce.OpScalar, Cycles: r.syncPathCycles},
-			&ce.Instr{
+			scalarInstr(r.syncPathCycles),
+			ce.Instr{
 				Op: ce.OpSync, Addr: res.counter,
 				Test: network.TestAlways, Mut: network.OpAdd, Value: 1,
 				OnResult: func(v int64, _ bool, cy int64) {
@@ -323,14 +383,14 @@ func (r *Runtime) claim(ci, k int, got func(ticket int64)) {
 		return
 	}
 	// Library path: scalar prologue, then lock / read / write / unlock.
-	r.enq(ci, &ce.Instr{Op: ce.OpScalar, Cycles: r.lockPathCycles})
+	r.enq(ci, scalarInstr(r.lockPathCycles))
 	r.takeLockThen(ci, func() {
-		r.enq(ci, &ce.Instr{
+		r.enq(ci, ce.Instr{
 			Op: ce.OpGlobalLoad, Addr: res.counter,
 			OnResult: func(v int64, _ bool, _ int64) {
 				r.enq(ci,
-					&ce.Instr{Op: ce.OpGlobalStore, Addr: res.counter, Value: v + 1},
-					&ce.Instr{Op: ce.OpGlobalStore, Addr: r.lockAddr, Value: 0,
+					ce.Instr{Op: ce.OpGlobalStore, Addr: res.counter, Value: v + 1},
+					ce.Instr{Op: ce.OpGlobalStore, Addr: r.lockAddr, Value: 0,
 						OnDone: func(int64) { got(v) }},
 				)
 			},
@@ -338,27 +398,12 @@ func (r *Runtime) claim(ci, k int, got func(ticket int64)) {
 	})
 }
 
-func (r *Runtime) takeLockThen(ci int, cont func()) {
-	r.enq(ci, &ce.Instr{
-		Op: ce.OpSync, Addr: r.lockAddr,
-		Test: network.TestEQ, TestArg: 0, Mut: network.OpWrite, Value: 1,
-		OnResult: func(_ int64, passed bool, _ int64) {
-			if passed {
-				cont()
-				return
-			}
-			r.enq(ci, &ce.Instr{Op: ce.OpScalar, Cycles: 20})
-			r.takeLockThen(ci, cont)
-		},
-	})
-}
-
 // scalarInstr builds a plain scalar-work instruction.
-func scalarInstr(cycles int64) *ce.Instr {
-	return &ce.Instr{Op: ce.OpScalar, Cycles: cycles}
+func scalarInstr(cycles int64) ce.Instr {
+	return ce.Instr{Op: ce.OpScalar, Cycles: cycles}
 }
 
 // storeFlagInstr builds the phase-release store.
-func (r *Runtime) storeFlagInstr(k int) *ce.Instr {
-	return &ce.Instr{Op: ce.OpGlobalStore, Addr: r.flagAddr, Value: int64(k + 1)}
+func (r *Runtime) storeFlagInstr(k int) ce.Instr {
+	return ce.Instr{Op: ce.OpGlobalStore, Addr: r.flagAddr, Value: int64(k + 1)}
 }

@@ -27,13 +27,13 @@ type record struct {
 }
 
 func bodyRecording(recs *[]record, work int64) BodyFn {
-	return func(iter int) []*ce.Instr {
-		return []*ce.Instr{{
+	return func(iter int, q []ce.Instr) []ce.Instr {
+		return append(q, ce.Instr{
 			Op: ce.OpScalar, Cycles: work,
 			OnDone: func(cy int64) {
 				*recs = append(*recs, record{iter: iter, cycle: cy})
 			},
-		}}
+		})
 	}
 }
 
@@ -123,9 +123,9 @@ func TestSerialPhaseRunsOnCEZeroOnly(t *testing.T) {
 	m := mach(t, 2)
 	ran := 0
 	rt := New(m, Config{UseCedarSync: true},
-		Serial{Body: func() []*ce.Instr {
-			return []*ce.Instr{{Op: ce.OpScalar, Cycles: 500, Flops: 123,
-				OnDone: func(int64) { ran++ }}}
+		Serial{Body: func(q []ce.Instr) []ce.Instr {
+			return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 500, Flops: 123,
+				OnDone: func(int64) { ran++ }})
 		}})
 	res, err := rt.Run(10_000_000)
 	if err != nil {
@@ -142,20 +142,20 @@ func TestSerialPhaseRunsOnCEZeroOnly(t *testing.T) {
 func TestPhasesAreOrderedByBarriers(t *testing.T) {
 	m := mach(t, 4)
 	var phase1End, phase2Start int64 = -1, 1 << 62
-	b1 := func(iter int) []*ce.Instr {
-		return []*ce.Instr{{Op: ce.OpScalar, Cycles: 40, OnDone: func(cy int64) {
+	b1 := func(iter int, q []ce.Instr) []ce.Instr {
+		return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 40, OnDone: func(cy int64) {
 			if cy > phase1End {
 				phase1End = cy
 			}
-		}}}
+		}})
 	}
-	b2 := func(iter int) []*ce.Instr {
-		return []*ce.Instr{{Op: ce.OpScalar, Cycles: 40, OnDone: func(cy int64) {
+	b2 := func(iter int, q []ce.Instr) []ce.Instr {
+		return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 40, OnDone: func(cy int64) {
 			start := cy - 40
 			if start < phase2Start {
 				phase2Start = start
 			}
-		}}}
+		}})
 	}
 	rt := New(m, Config{UseCedarSync: true},
 		XDoall{N: 64, Body: b1},
@@ -176,12 +176,12 @@ func TestSDoallCDoallNest(t *testing.T) {
 	rt := New(m, Config{UseCedarSync: true},
 		SDoall{N: 8, Body: func(i int) []ClusterPhase {
 			return []ClusterPhase{
-				ClusterSerial{Body: func() []*ce.Instr {
-					return []*ce.Instr{{Op: ce.OpScalar, Cycles: 20}}
+				ClusterSerial{Body: func(q []ce.Instr) []ce.Instr {
+					return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 20})
 				}},
-				CDoall{N: 16, Body: func(j int) []*ce.Instr {
-					return []*ce.Instr{{Op: ce.OpScalar, Cycles: 25,
-						OnDone: func(int64) { seen[key{i, j}]++ }}}
+				CDoall{N: 16, Body: func(j int, q []ce.Instr) []ce.Instr {
+					return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 25,
+						OnDone: func(int64) { seen[key{i, j}]++ }})
 				}},
 			}
 		}})
@@ -203,8 +203,8 @@ func TestSDoallUsesAllClusterCEs(t *testing.T) {
 	byCE := make(map[int]int)
 	rt := New(m, Config{UseCedarSync: true},
 		SDoall{N: 1, Body: func(i int) []ClusterPhase {
-			return []ClusterPhase{CDoall{N: 160, Body: func(j int) []*ce.Instr {
-				return []*ce.Instr{{Op: ce.OpScalar, Cycles: 200}}
+			return []ClusterPhase{CDoall{N: 160, Body: func(j int, q []ce.Instr) []ce.Instr {
+				return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 200})
 			}}}
 		}})
 	res, err := rt.Run(100_000_000)
@@ -233,9 +233,9 @@ func TestSDoallStaticAffinity(t *testing.T) {
 	seen := make(map[key]int)
 	rt := New(m, Config{UseCedarSync: true},
 		SDoall{N: 12, Static: true, Body: func(i int) []ClusterPhase {
-			return []ClusterPhase{CDoall{N: 8, Body: func(j int) []*ce.Instr {
-				return []*ce.Instr{{Op: ce.OpScalar, Cycles: 30,
-					OnDone: func(int64) { seen[key{i, j}]++ }}}
+			return []ClusterPhase{CDoall{N: 8, Body: func(j int, q []ce.Instr) []ce.Instr {
+				return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 30,
+					OnDone: func(int64) { seen[key{i, j}]++ }})
 			}}}
 		}})
 	if _, err := rt.Run(100_000_000); err != nil {
@@ -255,8 +255,8 @@ func TestClustersRestriction(t *testing.T) {
 	// Confining execution to one cluster: only 8 CEs work.
 	m := mach(t, 4)
 	rt := New(m, Config{UseCedarSync: true, Clusters: 1},
-		XDoall{N: 64, Body: func(i int) []*ce.Instr {
-			return []*ce.Instr{{Op: ce.OpScalar, Cycles: 100, Flops: 10}}
+		XDoall{N: 64, Body: func(i int, q []ce.Instr) []ce.Instr {
+			return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 100, Flops: 10})
 		}})
 	if rt.P() != 8 {
 		t.Fatalf("participants = %d, want 8", rt.P())
@@ -282,9 +282,9 @@ func TestTwoSDoallPhasesBackToBack(t *testing.T) {
 	count := 0
 	phase := func() Phase {
 		return SDoall{N: 4, Body: func(i int) []ClusterPhase {
-			return []ClusterPhase{CDoall{N: 8, Body: func(j int) []*ce.Instr {
-				return []*ce.Instr{{Op: ce.OpScalar, Cycles: 10,
-					OnDone: func(int64) { count++ }}}
+			return []ClusterPhase{CDoall{N: 8, Body: func(j int, q []ce.Instr) []ce.Instr {
+				return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 10,
+					OnDone: func(int64) { count++ }})
 			}}}
 		}}
 	}
@@ -301,12 +301,12 @@ func TestVectorBodiesThroughRuntime(t *testing.T) {
 	// End-to-end: an XDOALL whose body is a prefetched global vector op.
 	m := mach(t, 4)
 	rt := New(m, Config{UseCedarSync: true},
-		XDoall{N: 64, Body: func(i int) []*ce.Instr {
+		XDoall{N: 64, Body: func(i int, q []ce.Instr) []ce.Instr {
 			base := uint64(i * 512)
-			return []*ce.Instr{{
+			return append(q, ce.Instr{
 				Op: ce.OpVector, N: 256, Flops: 2,
 				Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: base, Stride: 1, PrefBlock: 256}},
-			}}
+			})
 		}})
 	res, err := rt.Run(100_000_000)
 	if err != nil {
@@ -324,30 +324,42 @@ func TestVectorBodiesThroughRuntime(t *testing.T) {
 // TestSteadyStateAllocsControllerQueue is the runtime allocation gate on
 // the controller instruction queue: a participant that issues everything
 // it was handed and is then refilled — the shape of every claim / body /
-// barrier round — must reuse one buffer, so Next and enq allocate nothing
-// once it has grown. (Out of the hotalloc analyzer's reach: a
-// slide-forward slice queue allocates through append growth only.)
+// barrier round — must reuse one buffer, so Next, enq and an appending
+// body allocate nothing once it has grown, and every instruction reaches
+// the CE's register by value, in order. (Out of the hotalloc analyzer's
+// reach: a slide-forward slice queue allocates through append growth
+// only.)
 func TestSteadyStateAllocsControllerQueue(t *testing.T) {
 	m := mach(t, 1)
-	rt := New(m, Config{UseCedarSync: true}, Serial{Body: func() []*ce.Instr { return nil }})
+	rt := New(m, Config{UseCedarSync: true}, Serial{Body: func(q []ce.Instr) []ce.Instr { return q }})
 	id := rt.ces[0].ID
-	for st := ce.Ready; st == ce.Ready; { // drain what New enqueued
-		_, st = rt.Next(id, 0)
+	var reg ce.Instr
+	for rt.Next(id, 0, &reg) == ce.Ready { // drain what New enqueued
 	}
-	body := make([]*ce.Instr, 12)
-	for i := range body {
-		body[i] = scalarInstr(1)
+	body := func(first int, q []ce.Instr) []ce.Instr {
+		for i := 0; i < 7; i++ {
+			q = append(q, scalarInstr(int64(first+i)))
+		}
+		return q
 	}
+	branch := func(int64) {}
 	round := func() {
-		rt.enq(0, body[:5]...)
-		rt.enq(0, body[5:]...)
-		for i := range body {
-			if in, st := rt.Next(id, 0); st != ce.Ready || in != body[i] {
-				t.Fatalf("instruction %d: got %p status %v, want %p ready", i, in, st, body[i])
+		rt.enq(0, scalarInstr(1), scalarInstr(2), scalarInstr(3))
+		rt.enq(0, scalarInstr(4), scalarInstr(5))
+		rt.runBody(0, body, 6, branch)
+		for want := int64(1); want <= 12; want++ {
+			if st := rt.Next(id, 0, &reg); st != ce.Ready || reg.Cycles != want {
+				t.Fatalf("instruction %d: status %v, register %+v", want, st, reg)
 			}
 		}
-		if _, st := rt.Next(id, 0); st == ce.Ready {
+		if st := rt.Next(id, 0, &reg); st != ce.Ready || reg.Cycles != 0 || reg.OnDone == nil {
+			t.Fatalf("loop branch behind the body: status %v, register %+v", st, reg)
+		}
+		if rt.Next(id, 0, &reg) == ce.Ready {
 			t.Fatal("queue not drained after issuing every instruction")
+		}
+		if c := rt.ctl[0]; c.head != 0 || len(c.q) != 0 {
+			t.Fatalf("drained queue not rewound: head %d, len %d", c.head, len(c.q))
 		}
 	}
 	round()

@@ -11,12 +11,12 @@ func TestTracerCapturesRuntimeEvents(t *testing.T) {
 	m := mach(t, 2)
 	tr := perfmon.NewTracer(1)
 	rt := New(m, Config{UseCedarSync: true},
-		XDoall{N: 24, Body: func(i int) []*ce.Instr {
-			return []*ce.Instr{{Op: ce.OpScalar, Cycles: 20}}
+		XDoall{N: 24, Body: func(i int, q []ce.Instr) []ce.Instr {
+			return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 20})
 		}},
 		SDoall{N: 2, Body: func(i int) []ClusterPhase {
-			return []ClusterPhase{CDoall{N: 8, Body: func(j int) []*ce.Instr {
-				return []*ce.Instr{{Op: ce.OpScalar, Cycles: 10}}
+			return []ClusterPhase{CDoall{N: 8, Body: func(j int, q []ce.Instr) []ce.Instr {
+				return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 10})
 			}}}
 		}},
 	)
@@ -64,8 +64,8 @@ func TestTracerCapturesRuntimeEvents(t *testing.T) {
 func TestTracerDetached(t *testing.T) {
 	m := mach(t, 1)
 	rt := New(m, Config{UseCedarSync: true},
-		XDoall{N: 4, Body: func(i int) []*ce.Instr {
-			return []*ce.Instr{{Op: ce.OpScalar, Cycles: 5}}
+		XDoall{N: 4, Body: func(i int, q []ce.Instr) []ce.Instr {
+			return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 5})
 		}})
 	// No tracer attached: must run without posting anywhere.
 	if _, err := rt.Run(10_000_000); err != nil {

@@ -45,34 +45,31 @@ func Banded(m *core.Machine, cfg BandedConfig) (Result, error) {
 		p = cfg.MaxCEs
 	}
 
-	body := func(part int) []*ce.Instr {
+	body := func(part int, q []ce.Instr) []ce.Instr {
 		lo := part * n / p
 		cnt := (part+1)*n/p - lo
 		if cnt <= 0 {
-			return nil
+			return q
 		}
 		off := uint64(lo)
-		ins := []*ce.Instr{
-			// x into registers (the halo is covered by the partition
-			// overlap in the register file).
-			{Op: ce.OpVector, N: cnt, Flops: 0,
-				Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: xBase + off, Stride: 1, PrefBlock: 32}}},
-		}
+		// x into registers (the halo is covered by the partition overlap
+		// in the register file).
+		q = append(q, ce.Instr{Op: ce.OpVector, N: cnt, Flops: 0,
+			Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: xBase + off, Stride: 1, PrefBlock: 32}}})
 		for d := 0; d < cfg.BW; d++ {
 			flops := int64(2)
 			if d == cfg.BW-1 {
 				flops = 1 // final sweep carries the last register add
 			}
-			ins = append(ins, &ce.Instr{
+			q = append(q, ce.Instr{
 				Op: ce.OpVector, N: cnt, Flops: flops,
 				Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: diags[d] + off, Stride: 1, PrefBlock: 32}},
 			})
 		}
-		ins = append(ins, &ce.Instr{
+		return append(q, ce.Instr{
 			Op: ce.OpVector, N: cnt, Flops: 0,
 			Dst: &ce.Stream{Space: ce.SpaceGlobal, Base: yBase + off, Stride: 1},
 		})
-		return ins
 	}
 	return run(m, cfrt.Config{UseCedarSync: true, MaxCEs: cfg.MaxCEs}, 1<<40,
 		cfrt.XDoall{N: p, Static: true, Body: body})

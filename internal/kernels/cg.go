@@ -50,61 +50,59 @@ func CG(m *core.Machine, cfg CGConfig) (Result, error) {
 
 	// Phase A: q = A·p (5-diagonal), then partial dot p·q accumulated on
 	// the synchronization processor.
-	matvecBody := func(i int) []*ce.Instr {
+	matvecBody := func(i int, q []ce.Instr) []ce.Instr {
 		lo, cnt := part(i)
 		if cnt <= 0 {
-			return nil
+			return q
 		}
-		ins := []*ce.Instr{
-			// Load p into registers.
-			{Op: ce.OpVector, N: cnt, Flops: 0, Srcs: []ce.Stream{gstream(pBase, lo)}},
-		}
+		// Load p into registers.
+		q = append(q, ce.Instr{Op: ce.OpVector, N: cnt, Flops: 0, Srcs: []ce.Stream{gstream(pBase, lo)}})
 		// Five diagonal sweeps: multiply-add chains; the last carries the
 		// final register-register adds.
-		flops := []int64{2, 2, 2, 2, 1}
-		for d := 0; d < 5; d++ {
-			ins = append(ins, &ce.Instr{
-				Op: ce.OpVector, N: cnt, Flops: flops[d],
+		flops := [5]int64{2, 2, 2, 2, 1}
+		for d, f := range flops {
+			q = append(q, ce.Instr{
+				Op: ce.OpVector, N: cnt, Flops: f,
 				Srcs: []ce.Stream{gstream(diag[d], lo)},
 			})
 		}
-		ins = append(ins,
-			// Store q.
-			&ce.Instr{Op: ce.OpVector, N: cnt, Flops: 0,
+		return append(q,
+			// Store the product vector.
+			ce.Instr{Op: ce.OpVector, N: cnt, Flops: 0,
 				Dst: &ce.Stream{Space: ce.SpaceGlobal, Base: qBase + uint64(lo), Stride: 1}},
-			// Local part of p·q: q still flowing through registers.
-			&ce.Instr{Op: ce.OpVector, N: cnt, Flops: 2},
+			// Local part of the dot product: the vector is still flowing
+			// through registers.
+			ce.Instr{Op: ce.OpVector, N: cnt, Flops: 2},
 			// Accumulate the partial sum at the memory module.
-			&ce.Instr{Op: ce.OpSync, Addr: accum,
+			ce.Instr{Op: ce.OpSync, Addr: accum,
 				Test: network.TestAlways, Mut: network.OpAdd, Value: 1},
 		)
-		return ins
 	}
 
 	// Phase B: x += αp, r -= αq, r·r reduction, p = r + βp.
-	updateBody := func(i int) []*ce.Instr {
+	updateBody := func(i int, q []ce.Instr) []ce.Instr {
 		lo, cnt := part(i)
 		if cnt <= 0 {
-			return nil
+			return q
 		}
-		return []*ce.Instr{
+		return append(q,
 			// x update: load x, AXPY with p (registers), store x.
-			{Op: ce.OpVector, N: cnt, Flops: 2,
+			ce.Instr{Op: ce.OpVector, N: cnt, Flops: 2,
 				Srcs: []ce.Stream{gstream(xBase, lo)},
 				Dst:  &ce.Stream{Space: ce.SpaceGlobal, Base: xBase + uint64(lo), Stride: 1}},
 			// r update: load r and q.
-			{Op: ce.OpVector, N: cnt, Flops: 0, Srcs: []ce.Stream{gstream(qBase, lo)}},
-			{Op: ce.OpVector, N: cnt, Flops: 2,
+			ce.Instr{Op: ce.OpVector, N: cnt, Flops: 0, Srcs: []ce.Stream{gstream(qBase, lo)}},
+			ce.Instr{Op: ce.OpVector, N: cnt, Flops: 2,
 				Srcs: []ce.Stream{gstream(rBase, lo)},
 				Dst:  &ce.Stream{Space: ce.SpaceGlobal, Base: rBase + uint64(lo), Stride: 1}},
 			// r·r: register-register.
-			{Op: ce.OpVector, N: cnt, Flops: 2},
-			{Op: ce.OpSync, Addr: accum + 1,
+			ce.Instr{Op: ce.OpVector, N: cnt, Flops: 2},
+			ce.Instr{Op: ce.OpSync, Addr: accum + 1,
 				Test: network.TestAlways, Mut: network.OpAdd, Value: 1},
 			// p = r + βp, store p.
-			{Op: ce.OpVector, N: cnt, Flops: 2,
+			ce.Instr{Op: ce.OpVector, N: cnt, Flops: 2,
 				Dst: &ce.Stream{Space: ce.SpaceGlobal, Base: pBase + uint64(lo), Stride: 1}},
-		}
+		)
 	}
 
 	var phases []cfrt.Phase

@@ -16,6 +16,7 @@ package kernels
 
 import (
 	"fmt"
+	"slices"
 
 	"cedar/internal/ce"
 	"cedar/internal/cfrt"
@@ -73,27 +74,26 @@ func run(m *core.Machine, cfg cfrt.Config, limit int64, phases ...cfrt.Phase) (R
 // rkRank is the rank of the update: the A panel is n×rkRank.
 const rkRank = 64
 
-// rkColumn builds one column's worth of the update: rkRank chained
+// rkColumn appends one column's worth of the update to q: rkRank chained
 // multiply-add sweeps, sweep k reading the length-n stream src(k), then
-// the store of the column of C at cCol. The instructions and their source
-// streams come from two slabs: a body is built per column per CE, and one
-// allocation per instruction would make program construction outweigh
-// the simulation in the rank-update points' allocation counts.
-func rkColumn(n int, cCol uint64, src func(k int) ce.Stream) []*ce.Instr {
-	slab := make([]ce.Instr, rkRank+1)
+// the store of the column of C at cCol. It reserves its rkRank+1
+// instructions and the runtime's loop branch once — grown an append at a
+// time, a queue doubles its way to a column per CE and the rank-update
+// points' allocated bytes go up, not down — and the source streams come
+// from one slab: a body is built per column per CE, and one allocation
+// per instruction would make program construction outweigh the
+// simulation.
+func rkColumn(q []ce.Instr, n int, cCol uint64, src func(k int) ce.Stream) []ce.Instr {
+	q = slices.Grow(q, rkRank+2)
 	srcs := make([]ce.Stream, rkRank)
-	ins := make([]*ce.Instr, rkRank+1)
 	for k := range srcs {
 		srcs[k] = src(k)
-		slab[k] = ce.Instr{Op: ce.OpVector, N: n, Flops: 2, Srcs: srcs[k : k+1 : k+1]}
-		ins[k] = &slab[k]
+		q = append(q, ce.Instr{Op: ce.OpVector, N: n, Flops: 2, Srcs: srcs[k : k+1 : k+1]})
 	}
-	slab[rkRank] = ce.Instr{
+	return append(q, ce.Instr{
 		Op: ce.OpVector, N: n, Flops: 0,
 		Dst: &ce.Stream{Space: ce.SpaceGlobal, Base: cCol, Stride: 1},
-	}
-	ins[rkRank] = &slab[rkRank]
-	return ins
+	})
 }
 
 // RankUpdate computes a rank-64 update to an n×n matrix: C += A·B with A
@@ -111,8 +111,8 @@ func RankUpdate(m *core.Machine, n int, mode RKMode) (Result, error) {
 		// One XDOALL over the n columns of C; each column performs 64
 		// chained multiply-add sweeps over a column of A, then stores
 		// the column of C.
-		body := func(j int) []*ce.Instr {
-			return rkColumn(n, cBase+uint64(j*n), func(kk int) ce.Stream {
+		body := func(j int, q []ce.Instr) []ce.Instr {
+			return rkColumn(q, n, cBase+uint64(j*n), func(kk int) ce.Stream {
 				// Skew the panel sweep by column so concurrent CEs read
 				// different columns of A instead of marching over the
 				// same addresses in lockstep (the hand-coded kernel's
@@ -141,20 +141,20 @@ func RankUpdate(m *core.Machine, n int, mode RKMode) (Result, error) {
 			Body: func(i int) []cfrt.ClusterPhase {
 				return []cfrt.ClusterPhase{cfrt.CDoall{
 					N: per, Static: true,
-					Body: func(part int) []*ce.Instr {
+					Body: func(part int, q []ce.Instr) []ce.Instr {
 						lo := part * chunk
 						cnt := chunk
 						if lo+cnt > words {
 							cnt = words - lo
 						}
 						if cnt <= 0 {
-							return nil
+							return q
 						}
-						return []*ce.Instr{{
+						return append(q, ce.Instr{
 							Op: ce.OpVector, N: cnt, Flops: 0,
 							Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: aBase + uint64(lo), Stride: 1, PrefBlock: rkPrefBlock}},
 							Dst:  &ce.Stream{Space: ce.SpaceCluster, Base: workBase[i] + uint64(lo), Stride: 1},
-						}}
+						})
 					},
 				}}
 			},
@@ -166,8 +166,8 @@ func RankUpdate(m *core.Machine, n int, mode RKMode) (Result, error) {
 				hi := (i + 1) * n / len(m.Clusters)
 				return []cfrt.ClusterPhase{cfrt.CDoall{
 					N: hi - lo,
-					Body: func(jj int) []*ce.Instr {
-						return rkColumn(n, cBase+uint64((lo+jj)*n), func(k int) ce.Stream {
+					Body: func(jj int, q []ce.Instr) []ce.Instr {
+						return rkColumn(q, n, cBase+uint64((lo+jj)*n), func(k int) ce.Stream {
 							return ce.Stream{Space: ce.SpaceCluster, Base: workBase[i] + uint64(k*n), Stride: 1}
 						})
 					},
@@ -184,11 +184,11 @@ func RankUpdate(m *core.Machine, n int, mode RKMode) (Result, error) {
 // Each CE loads total words in sweeps of n.
 func VectorLoad(m *core.Machine, n, sweeps int) (Result, error) {
 	base := m.AllocGlobalAligned(n*len(m.CEs), 64)
-	body := func(i int) []*ce.Instr {
-		return []*ce.Instr{{
+	body := func(i int, q []ce.Instr) []ce.Instr {
+		return append(q, ce.Instr{
 			Op: ce.OpVector, N: n, Flops: 0,
 			Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: base + uint64(i*n), Stride: 1, PrefBlock: 32}},
-		}}
+		})
 	}
 	phases := make([]cfrt.Phase, 0, sweeps)
 	for s := 0; s < sweeps; s++ {
@@ -210,32 +210,31 @@ func TriMat(m *core.Machine, n int) (Result, error) {
 	yBase := m.AllocGlobalAligned(n, 64)
 
 	p := len(m.CEs)
-	body := func(part int) []*ce.Instr {
+	body := func(part int, q []ce.Instr) []ce.Instr {
 		lo := part * n / p
 		hi := (part + 1) * n / p
 		cnt := hi - lo
 		if cnt <= 0 {
-			return nil
+			return q
 		}
 		off := uint64(lo)
-		ins := []*ce.Instr{
+		return append(q,
 			// Load x into vector registers (no flops).
-			{Op: ce.OpVector, N: cnt, Flops: 0,
+			ce.Instr{Op: ce.OpVector, N: cnt, Flops: 0,
 				Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: xBase + off, Stride: 1, PrefBlock: 32}}},
 			// a(i)·x(i-1): multiply-add against the sub-diagonal.
-			{Op: ce.OpVector, N: cnt, Flops: 2,
+			ce.Instr{Op: ce.OpVector, N: cnt, Flops: 2,
 				Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: diag[0] + off, Stride: 1, PrefBlock: 32}}},
 			// b(i)·x(i): multiply-add against the main diagonal.
-			{Op: ce.OpVector, N: cnt, Flops: 2,
+			ce.Instr{Op: ce.OpVector, N: cnt, Flops: 2,
 				Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: diag[1] + off, Stride: 1, PrefBlock: 32}}},
 			// c(i)·x(i+1): multiply and final register-register add.
-			{Op: ce.OpVector, N: cnt, Flops: 1,
+			ce.Instr{Op: ce.OpVector, N: cnt, Flops: 1,
 				Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: diag[2] + off, Stride: 1, PrefBlock: 32}}},
 			// Store y.
-			{Op: ce.OpVector, N: cnt, Flops: 0,
+			ce.Instr{Op: ce.OpVector, N: cnt, Flops: 0,
 				Dst: &ce.Stream{Space: ce.SpaceGlobal, Base: yBase + off, Stride: 1}},
-		}
-		return ins
+		)
 	}
 	return run(m, cfrt.Config{UseCedarSync: true}, 1<<40,
 		cfrt.XDoall{N: p, Static: true, Body: body})

@@ -55,7 +55,7 @@
 // # What it cannot see
 //
 // The rules are syntactic, so an allocation with no allocating construct
-// at the site is out of reach. Two kinds have mattered: implicit
+// at the site is out of reach. Three kinds have mattered: implicit
 // interface boxing (container/heap boxed an element per Push on the
 // crossbar; see DESIGN.md), and slide-forward slice queues — q = q[1:]
 // on pop with q = append(q, x) on push is exactly the self-append idiom
@@ -69,6 +69,20 @@
 // TestSteadyStateAllocsControllerQueue (internal/cfrt) and
 // TestSteadyStateAllocsOmega (internal/network), which scripts/check.sh
 // runs as their own step.
+//
+// The third kind is not a missing construct but a missing call edge: a
+// continuation reached only through a func-valued field. The runtime's
+// scheduling runs inside ce.Instr.OnResult and OnDone, which the CE's
+// Tick calls as c.cur.OnResult(...) — a dynamic call the module call
+// graph has no callee for — and cfrt is not a hot package, so nothing a
+// completion callback allocates is ever reported. cfrt's flag poll and
+// lock retry built a closure and two heap instructions per failed
+// attempt that way, every few hundred cycles for as long as a CE waited:
+// 78% of the suite workload's objects. They are participant state now
+// (DESIGN.md, "Instruction ownership"), and the guard is again dynamic:
+// TestSteadyStateAllocsWaitLoops (internal/cfrt) runs a barrier spin and
+// a contended lock claim at two wait lengths and requires equal object
+// counts, and TestRunBudget (internal/perfect) bounds whole proxy runs.
 package hotalloc
 
 import (

@@ -2,6 +2,7 @@ package perfect
 
 import (
 	"fmt"
+	"slices"
 
 	"cedar/internal/ce"
 	"cedar/internal/cfrt"
@@ -200,12 +201,12 @@ func (b *builder) placement(seg *Segment) Placement {
 // serialPhase is a chunk running on CE 0 only.
 func (b *builder) serialPhase(seg *Segment, flops int64, vector bool) cfrt.Phase {
 	if !vector {
-		return cfrt.Serial{Body: func() []*ce.Instr {
-			return []*ce.Instr{{Op: ce.OpScalar, Cycles: flops * scalarCPF, Flops: flops}}
+		return cfrt.Serial{Body: func(q []ce.Instr) []ce.Instr {
+			return append(q, ce.Instr{Op: ce.OpScalar, Cycles: flops * scalarCPF, Flops: flops})
 		}}
 	}
-	ins := b.vectorOps(seg, flops, b.segArray(seg, flops))
-	return cfrt.Serial{Body: func() []*ce.Instr { return ins }}
+	ins := b.vectorOps(nil, seg, flops, b.segArray(seg, flops))
+	return cfrt.Serial{Body: func(q []ce.Instr) []ce.Instr { return append(q, ins...) }}
 }
 
 // parallelPhase is a chunk spread across the machine.
@@ -221,14 +222,14 @@ func (b *builder) parallelPhase(seg *Segment, flops int64, vector bool) cfrt.Pha
 	grainFlops := flops / int64(n)
 	arr := b.segArray(seg, flops)
 
-	body := func(iter int) []*ce.Instr {
+	body := func(iter int, q []ce.Instr) []ce.Instr {
 		switch {
 		case seg.ScalarAccess:
-			return b.scalarAccessBody(seg, grainFlops, arr, iter)
+			return b.scalarAccessBody(q, seg, grainFlops, arr, iter)
 		case vector:
-			return b.vectorOps(seg, grainFlops, arr.at(iter))
+			return b.vectorOps(q, seg, grainFlops, arr.at(iter))
 		default:
-			return []*ce.Instr{{Op: ce.OpScalar, Cycles: grainFlops * scalarCPF, Flops: grainFlops}}
+			return append(q, ce.Instr{Op: ce.OpScalar, Cycles: grainFlops * scalarCPF, Flops: grainFlops})
 		}
 	}
 
@@ -246,8 +247,8 @@ func (b *builder) parallelPhase(seg *Segment, flops int64, vector bool) cfrt.Pha
 			if cnt < 0 {
 				cnt = 0
 			}
-			return []cfrt.ClusterPhase{cfrt.CDoall{N: cnt, Body: func(j int) []*ce.Instr {
-				return body(lo + j)
+			return []cfrt.ClusterPhase{cfrt.CDoall{N: cnt, Body: func(j int, q []ce.Instr) []ce.Instr {
+				return body(lo+j, q)
 			}}}
 		}}
 	}
@@ -305,23 +306,22 @@ func (b *builder) segArray(seg *Segment, flops int64) segArray {
 	return segArray{place: PlaceGlobal, base: base, words: uint64(words), grainWords: uint64(grainWords)}
 }
 
-// vectorOps emits vector instructions totalling the given flops with the
-// segment's memory intensity.
-func (b *builder) vectorOps(seg *Segment, flops int64, arr segArray) []*ce.Instr {
+// vectorOps appends vector instructions totalling the given flops with
+// the segment's memory intensity.
+func (b *builder) vectorOps(q []ce.Instr, seg *Segment, flops int64, arr segArray) []ce.Instr {
 	elems := int(flops / 2)
 	if elems < 4 {
 		elems = 4
 	}
 	const maxOp = 2048
 	wpf := seg.WordsPerFlop
-	var ins []*ce.Instr
 	opIdx := 0
 	for rem := elems; rem > 0; rem -= maxOp {
 		n := rem
 		if n > maxOp {
 			n = maxOp
 		}
-		in := &ce.Instr{Op: ce.OpVector, N: n, Flops: 2}
+		in := ce.Instr{Op: ce.OpVector, N: n, Flops: 2}
 		nstreams := 0
 		switch {
 		case wpf >= 0.9:
@@ -336,10 +336,10 @@ func (b *builder) vectorOps(seg *Segment, flops int64, arr segArray) []*ce.Instr
 		for s := 0; s < nstreams; s++ {
 			in.Srcs = append(in.Srcs, b.stream(arr, n, s == 0))
 		}
-		ins = append(ins, in)
+		q = append(q, in)
 		opIdx++
 	}
-	return ins
+	return q
 }
 
 // stream builds one operand stream over the segment array. Only the first
@@ -361,7 +361,7 @@ func (b *builder) stream(arr segArray, n int, first bool) ce.Stream {
 
 // scalarAccessBody models TRACK-style work: scalar global loads
 // interleaved with short scalar computation.
-func (b *builder) scalarAccessBody(seg *Segment, flops int64, arr segArray, iter int) []*ce.Instr {
+func (b *builder) scalarAccessBody(q []ce.Instr, seg *Segment, flops int64, arr segArray, iter int) []ce.Instr {
 	loads := int(float64(flops) * seg.WordsPerFlop)
 	if loads < 1 {
 		loads = 1
@@ -370,13 +370,13 @@ func (b *builder) scalarAccessBody(seg *Segment, flops int64, arr segArray, iter
 		loads = 48
 	}
 	per := flops / int64(loads)
-	ins := make([]*ce.Instr, 0, 2*loads)
+	q = slices.Grow(q, 2*loads+1) // and the runtime's loop branch
 	for l := 0; l < loads; l++ {
 		addr := arr.base + (uint64(iter*loads+l)*7)%arr.words
-		ins = append(ins,
-			&ce.Instr{Op: ce.OpGlobalLoad, Addr: addr},
-			&ce.Instr{Op: ce.OpScalar, Cycles: per * scalarCPF, Flops: per},
+		q = append(q,
+			ce.Instr{Op: ce.OpGlobalLoad, Addr: addr},
+			ce.Instr{Op: ce.OpScalar, Cycles: per * scalarCPF, Flops: per},
 		)
 	}
-	return ins
+	return q
 }

@@ -232,3 +232,40 @@ func TestKAPOneClusterConfinement(t *testing.T) {
 		t.Error("confined KAP run produced no time")
 	}
 }
+
+// TestRunBudget bounds what a whole proxy run allocates, machine and all,
+// at the slice length cedarperf's suite workload uses (twice the paper's
+// Reps). The two points are the ones whose cost used to be waiting, not
+// work: TRACK auto without Cedar synchronization spends its run retrying
+// the claim lock and building 96-instruction scalar-access bodies, QCD
+// under KAP spends it polling barrier flags. With instructions queued by
+// value and waits held as participant state (DESIGN.md, "Instruction
+// ownership") they cost ≈7,000 and ≈1,100 objects; a closure per poll or
+// a heap Instr per body instruction puts them back at 328,000 and
+// 169,000.
+func TestRunBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		prof   Profile
+		spec   Spec
+		budget int64
+	}{
+		{"TRACK auto-nosync", TRACK(), Spec{Variant: Auto, NoSync: true}, 12_000},
+		{"QCD kap", QCD(), Spec{Variant: KAP}, 2_500},
+	} {
+		tc.prof.Reps *= 2
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(params.Default(), tc.prof, tc.spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if got := res.AllocsPerOp(); got > tc.budget {
+			t.Errorf("%s allocates %d objects per run, budget %d", tc.name, got, tc.budget)
+		} else {
+			t.Logf("%s: %d objects, %d KB, %.0f ms per run", tc.name, got, res.AllocedBytesPerOp()>>10, float64(res.NsPerOp())/1e6)
+		}
+	}
+}

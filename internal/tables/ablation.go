@@ -2,6 +2,7 @@ package tables
 
 import (
 	"fmt"
+	"slices"
 
 	"cedar/internal/ce"
 	"cedar/internal/cfrt"
@@ -97,15 +98,15 @@ func RunPrefetchBlockAblation(env Env, n int) (PrefetchBlocks, error) {
 		func(block int) build { return env.at(fmt.Sprintf("prefblock/%d", block), p, block, n) },
 		func(block int, m *core.Machine) (PrefetchBlockRow, error) {
 			aBase := m.AllocGlobalAligned(n*64, 64)
-			body := func(j int) []*ce.Instr {
-				ins := make([]*ce.Instr, 0, 64)
+			body := func(j int, q []ce.Instr) []ce.Instr {
+				q = slices.Grow(q, 64+1) // and the runtime's loop branch
 				for k := 0; k < 64; k++ {
-					ins = append(ins, &ce.Instr{
+					q = append(q, ce.Instr{
 						Op: ce.OpVector, N: n, Flops: 2,
 						Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: aBase + uint64(k*n), Stride: 1, PrefBlock: block}},
 					})
 				}
-				return ins
+				return q
 			}
 			rt := cfrt.New(m, cfrt.Config{UseCedarSync: true},
 				cfrt.XDoall{N: n / 8, Static: true, Body: body})

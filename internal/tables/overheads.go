@@ -65,20 +65,20 @@ func RunOverheads(env Env) (*OverheadsResult, error) {
 	}, nil
 }
 
-func emptyBody(int) []*ce.Instr {
-	return []*ce.Instr{{Op: ce.OpScalar, Cycles: 1}}
+func emptyBody(_ int, q []ce.Instr) []ce.Instr {
+	return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 1})
 }
 
 // timeToFirstIteration measures XDOALL startup: the delay before any CE
 // executes the first iteration of a freshly started machine-wide loop.
 func timeToFirstIteration(m *core.Machine) (float64, error) {
 	first := int64(-1)
-	body := func(int) []*ce.Instr {
-		return []*ce.Instr{{Op: ce.OpScalar, Cycles: 1, OnDone: func(cy int64) {
+	body := func(_ int, q []ce.Instr) []ce.Instr {
+		return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 1, OnDone: func(cy int64) {
 			if first < 0 {
 				first = cy
 			}
-		}}}
+		}})
 	}
 	rt := cfrt.New(m, cfrt.Config{UseCedarSync: true}, cfrt.XDoall{N: 64, Body: body})
 	if _, err := rt.Run(100_000_000); err != nil {

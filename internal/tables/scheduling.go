@@ -27,15 +27,15 @@ type Scheduling []SchedulingRow
 // loop under static, self- and guided scheduling, with and without the
 // Cedar synchronization instructions.
 func RunSchedulingAblation(env Env) (Scheduling, error) {
-	balanced := func(i int) []*ce.Instr {
-		return []*ce.Instr{{Op: ce.OpScalar, Cycles: 60, Flops: 20}}
+	balanced := func(i int, q []ce.Instr) []ce.Instr {
+		return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 60, Flops: 20})
 	}
-	imbalanced := func(i int) []*ce.Instr {
+	imbalanced := func(i int, q []ce.Instr) []ce.Instr {
 		cost := int64(15)
 		if i >= 480 {
 			cost = 2500
 		}
-		return []*ce.Instr{{Op: ce.OpScalar, Cycles: cost, Flops: 20}}
+		return append(q, ce.Instr{Op: ce.OpScalar, Cycles: cost, Flops: 20})
 	}
 	policies := []struct {
 		name  string

@@ -89,8 +89,9 @@ func (t *TimeSharer) taskDone(task int) bool {
 	return true
 }
 
-// Next implements ce.Controller.
-func (t *TimeSharer) Next(ceID int, cycle int64) (*ce.Instr, ce.Status) {
+// Next implements ce.Controller: the running task fills in directly, and
+// the context-switch stall is written into it too.
+func (t *TimeSharer) Next(ceID int, cycle int64, in *ce.Instr) ce.Status {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	cl := &t.cluster[ceID/t.p.CEsPerCluster]
@@ -116,7 +117,8 @@ func (t *TimeSharer) Next(ceID int, cycle int64) (*ce.Instr, ce.Status) {
 	}
 	if cl.pendingSwitch[inCluster] {
 		cl.pendingSwitch[inCluster] = false
-		return &ce.Instr{Op: ce.OpScalar, Cycles: t.sw}, ce.Ready
+		*in = ce.Instr{Op: ce.OpScalar, Cycles: t.sw}
+		return ce.Ready
 	}
 
 	cur := cl.current
@@ -125,25 +127,21 @@ func (t *TimeSharer) Next(ceID int, cycle int64) (*ce.Instr, ce.Status) {
 		// next rotation (or finish if every task is done for it).
 		for task := range t.tasks {
 			if !t.finished[task][ceID] {
-				return nil, ce.Wait
+				return ce.Wait
 			}
 		}
-		return nil, ce.Finished
+		return ce.Finished
 	}
 
-	in, st := t.tasks[cur].Next(ceID, cycle)
-	switch st {
-	case ce.Finished:
+	st := t.tasks[cur].Next(ceID, cycle, in)
+	if st == ce.Finished {
 		t.finished[cur][ceID] = true
 		if t.taskDone(cur) && t.doneAt[cur] == 0 {
 			t.doneAt[cur] = cycle
 		}
-		return nil, ce.Wait
-	case ce.Wait:
-		return nil, ce.Wait
-	default:
-		return in, ce.Ready
+		return ce.Wait
 	}
+	return st
 }
 
 // nextLiveTask returns the next task with any unfinished CE, or cur.
@@ -174,12 +172,13 @@ func NewFixedWork(instrs int, cycles int64) *FixedWork {
 }
 
 // Next implements ce.Controller.
-func (f *FixedWork) Next(ceID int, cycle int64) (*ce.Instr, ce.Status) {
+func (f *FixedWork) Next(ceID int, cycle int64, in *ce.Instr) ce.Status {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.pos[ceID] >= f.instrs {
-		return nil, ce.Finished
+		return ce.Finished
 	}
 	f.pos[ceID]++
-	return &ce.Instr{Op: ce.OpScalar, Cycles: f.cycles, Flops: 1}, ce.Ready
+	*in = ce.Instr{Op: ce.OpScalar, Cycles: f.cycles, Flops: 1}
+	return ce.Ready
 }

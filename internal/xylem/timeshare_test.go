@@ -59,8 +59,8 @@ func TestTimeSharerSingleTaskNoOverhead(t *testing.T) {
 // task.
 func TestMultiprogrammingPerturbsBarrierCode(t *testing.T) {
 	p := params.Default()
-	body := func(i int) []*ce.Instr {
-		return []*ce.Instr{{Op: ce.OpScalar, Cycles: 50, Flops: 10}}
+	body := func(i int, q []ce.Instr) []ce.Instr {
+		return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 50, Flops: 10})
 	}
 	barrierPhases := func() []cfrt.Phase {
 		var phs []cfrt.Phase

@@ -75,6 +75,14 @@ echo "==> sharded-vs-sequential engine equality (-race, parallel phase A)"
 go test -race -count=1 -run '^(TestShardsVsSequentialEquality|TestShardsVsSequentialDegraded)$' .
 go test -race -count=1 -run '^(TestShardedMachineMatchesSequential|TestAttributionConservationParallel)$' ./internal/core
 go test -race -count=1 -run '^(TestShardedMatchesFlat|TestSleepingShardDoesNotBlockJump)$' ./internal/sim
+# Instruction ownership rides the same line: a controller that rewrites
+# its storage the moment Next returns matches a stored Program flat and
+# at shards 2 (ce), and the runtime's cycles and tracer stream on the
+# event, stepped and two-shard engines match a golden generated at the
+# commit before instructions moved into the CE (cfrt) — the callbacks
+# under test fire inside concurrent shard ticks.
+go test -race -count=1 -run '^TestScribblingControllerMatchesProgram$' ./internal/ce
+go test -race -count=1 -run '^TestGoldenAcrossCommits$' ./internal/cfrt
 
 echo "==> steady-state allocation gates"
 # The complement of cedarvet's hotalloc analyzer: testing.AllocsPerRun
@@ -86,10 +94,17 @@ echo "==> steady-state allocation gates"
 # append growth alone, which no syntactic rule can see. Run
 # uninstrumented and uncached: the count asserted is the production
 # build's, and the gates are single-goroutine, so -race adds nothing.
+# The same pattern picks up cfrt's TestSteadyStateAllocsWaitLoops: a
+# barrier spin and a contended lock claim allocate the same number of
+# objects however long the wait lasts.
 # TestBuildBudget is the same idea for construction: core.New allocates a
 # machine's wiring (≤ 256 KB Cedar, ≤ 3 MB Cedar64), never its capacity.
+# TestRunBudget is the same idea for a whole Perfect proxy run: the two
+# points that wait the most (TRACK auto without Cedar sync, QCD under
+# KAP) stay within a few thousand objects, machine included.
 go test -count=1 -run '^TestSteadyStateAllocs' ./internal/sim ./internal/cache ./internal/cfrt ./internal/network ./internal/prefetch
 go test -count=1 -run '^TestBuildBudget$' ./internal/core
+go test -count=1 -run '^TestRunBudget$' ./internal/perfect
 
 echo "==> cedarserve cached-vs-fresh response equality (-race)"
 # The serving daemon's cache must be invisible: a response served from
