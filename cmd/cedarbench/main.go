@@ -62,7 +62,6 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 		config   = fs.String("config", "", "campaign config JSON (default: the built-in smoke campaign)")
 		out      = fs.String("out", "", "artifact path (default BENCH_<area>.json in the current directory)")
 		jobs     = fs.Int("jobs", 0, "override the campaign's jobs list with one worker count")
-		shards   = fs.Int("shards", 0, "override the campaign's shards list with one intra-run worker bound")
 		clusters = fs.Int("clusters", 0, "simulated machine width for default-machine points (0 = as built; 16/64 = scale-up presets)")
 		quiet    = fs.Bool("q", false, "suppress progress lines")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -74,7 +73,7 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 	}
 	// Campaigns declare their own fault plans and machines; the shared
 	// flags contribute only their validation here.
-	shared := cliutil.Flags{Jobs: *jobs, Shards: *shards, Clusters: *clusters}
+	shared := cliutil.Flags{Jobs: *jobs, Clusters: *clusters}
 	if err := shared.Validate(fs); err != nil {
 		lg.Print(err)
 		return 2
@@ -114,7 +113,7 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	opt := bench.RunOptions{Jobs: *jobs, Shards: *shards, Now: time.Now, Progress: stderr}
+	opt := bench.RunOptions{Jobs: *jobs, Now: time.Now, Progress: stderr}
 	if *quiet {
 		opt.Progress = nil
 	}

@@ -146,6 +146,7 @@ func TestExitCodes(t *testing.T) {
 		{"unknown mode", []string{"frobnicate"}, 2},
 		{"run bad flag", []string{"run", "-no-such-flag"}, 2},
 		{"run bad jobs", []string{"run", "-jobs", "-3"}, 2},
+		{"run shards flag removed", []string{"run", "-shards", "2"}, 2},
 		{"run bad clusters", []string{"run", "-clusters", "-2"}, 2},
 		{"run missing config", []string{"run", "-config", filepath.Join(dir, "nope.json")}, 2},
 		{"run invalid config", []string{"run", "-config", badCfg}, 2},

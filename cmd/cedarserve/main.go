@@ -11,7 +11,7 @@
 //	cedarserve                                  # serve on localhost:8347, memory cache only
 //	cedarserve -addr :9000 -store /var/cedar    # durable store, all interfaces
 //	cedarserve -store d -store-max-mb 256       # bound the store to 256 MiB (LRU)
-//	cedarserve -jobs 4 -shards 2                # at most 4 concurrent simulations, 2 engine workers each
+//	cedarserve -jobs 4                          # at most 4 concurrent simulations
 //
 // Submit a point with e.g.:
 //
@@ -33,7 +33,6 @@ import (
 
 	"cedar/internal/cliutil"
 	"cedar/internal/serve"
-	"cedar/internal/sim"
 	"cedar/internal/store"
 )
 
@@ -74,7 +73,6 @@ func setup(args []string, stderr io.Writer) (http.Handler, string, int) {
 		storeDir = fs.String("store", "", "durable response store directory (empty: in-memory cache only)")
 		storeMax = fs.Int("store-max-mb", 1024, "store size budget in MiB before LRU eviction (0 = unbounded)")
 		jobs     = fs.Int("jobs", 0, "max concurrently running simulations (0 = GOMAXPROCS)")
-		shards   = fs.Int("shards", 0, "intra-run engine worker bound per simulation (0/1 = sequential)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, "", 2
@@ -104,13 +102,12 @@ func setup(args []string, stderr io.Writer) (http.Handler, string, int) {
 		}
 	}
 	// Faults and machines arrive per request; the shared flags contribute
-	// their validation and the process-wide shard bound.
-	shared := cliutil.Flags{Jobs: *jobs, Shards: *shards}
+	// only their validation.
+	shared := cliutil.Flags{Jobs: *jobs}
 	if err := shared.Validate(fs); err != nil {
 		lg.Print(err)
 		return nil, "", 2
 	}
-	sim.SetShards(*shards)
 
 	cfg := serve.Config{Jobs: *jobs}
 	if *storeDir != "" {

@@ -28,7 +28,7 @@ func TestBadInvocationsExit2(t *testing.T) {
 		{"positional args", []string{"serve"}, "unexpected arguments"},
 		{"empty addr", []string{"-addr", ""}, "-addr must not be empty"},
 		{"negative jobs", []string{"-jobs", "-3"}, "-jobs must be at least 1"},
-		{"zero shards", []string{"-shards", "0"}, "-shards must be at least 1"},
+		{"shards flag removed", []string{"-shards", "2"}, "flag provided but not defined: -shards"},
 		{"negative store budget", []string{"-store", t.TempDir(), "-store-max-mb", "-1"}, "non-negative"},
 		{"budget without store", []string{"-store-max-mb", "64"}, "without -store"},
 		{"store at a regular file", []string{"-store", regular}, regular},

@@ -29,11 +29,10 @@
 // findings.
 //
 // Scope: maporder, paramhygiene, cycleint, and the whole-module
-// hotalloc, layering, and shardsafe checks run everywhere;
-// nondeterminism, concsafe, and
-// errflow cover the root package and internal/** (the simulator proper) —
-// commands and examples may legitimately read the wall clock, exit the
-// process, and print unchecked.
+// hotalloc and layering checks run everywhere; nondeterminism, concsafe,
+// and errflow cover the root package and internal/** (the simulator
+// proper) — commands and examples may legitimately read the wall clock,
+// exit the process, and print unchecked.
 package main
 
 import (
@@ -54,7 +53,6 @@ import (
 	"cedar/internal/lint/maporder"
 	"cedar/internal/lint/nondeterminism"
 	"cedar/internal/lint/paramhygiene"
-	"cedar/internal/lint/shardsafe"
 )
 
 // simulatorOnly restricts a check to the model itself.
@@ -75,7 +73,6 @@ var suite = &lint.Suite{
 	Module: []*lint.ModuleAnalyzer{
 		hotalloc.Analyzer,
 		layering.Analyzer,
-		shardsafe.Analyzer,
 	},
 }
 

@@ -36,10 +36,6 @@ type Header struct {
 	Notes  string `json:"notes,omitempty"`
 	// Jobs lists the worker counts the matrix was executed at.
 	Jobs []int `json:"jobs"`
-	// Shards lists the intra-run engine worker bounds the matrix was
-	// executed at (one full pass per jobs × shards combination). Like
-	// Jobs, it is excluded from the deterministic byte comparison.
-	Shards []int `json:"shards,omitempty"`
 	// Points is the matrix size (machines × workloads × faults).
 	Points int `json:"points"`
 	// Faults records each fault axis entry's seed and plan hash, so an
@@ -111,12 +107,12 @@ type Outcome struct {
 // Measured holds everything timing- and environment-dependent.
 type Measured struct {
 	// GoMaxProcs and NumCPU record how much host parallelism the measured
-	// runs actually had. A committed artifact's throughput — and any
-	// shards-axis speedup — can only be read in that context: -shards 4
-	// on a 1-CPU host is a schedule change, not a speedup.
+	// runs actually had. A committed artifact's throughput can only be
+	// read in that context: -jobs 8 on a 1-CPU host is a schedule change,
+	// not a speedup.
 	GoMaxProcs int `json:"gomaxprocs"`
 	NumCPU     int `json:"num_cpu"`
-	// Runs has one entry per jobs × shards pass.
+	// Runs has one entry per jobs pass.
 	Runs []RunMeasure `json:"runs"`
 	// Points carries per-point wall times from the first pass.
 	Points []PointMeasure `json:"points,omitempty"`
@@ -125,8 +121,6 @@ type Measured struct {
 // RunMeasure is one matrix pass's cost.
 type RunMeasure struct {
 	Jobs int `json:"jobs"`
-	// Shards is the intra-run engine worker bound the pass ran under.
-	Shards int `json:"shards"`
 	// WallNS is the pass's wall-clock duration (0 when no clock was
 	// injected — e.g. library runs under the nondeterminism lint).
 	WallNS int64 `json:"wall_ns,omitempty"`

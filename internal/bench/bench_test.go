@@ -46,7 +46,6 @@ func TestValidateRejectsBadCampaigns(t *testing.T) {
 		{"negative size", func(c *Campaign) { c.Workloads[0].N = -1 }, "non-negative"},
 		{"bad fabric", func(c *Campaign) { c.Machines[0].Fabric = "token-ring" }, "fabric"},
 		{"zero jobs", func(c *Campaign) { c.Jobs = []int{0} }, "jobs"},
-		{"zero shards", func(c *Campaign) { c.Shards = []int{0} }, "shards"},
 	}
 	for _, tc := range cases {
 		c := mini()
@@ -73,13 +72,17 @@ func TestFaultSpecSourcesAreExclusive(t *testing.T) {
 }
 
 func TestLoadRejectsUnknownFields(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "c.json")
-	if err := os.WriteFile(path, []byte(`{"area":"x","machines":[{"name":"m"}],"workloads":[{"name":"w","kind":"trimat"}],"surprise":1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "surprise") {
-		t.Fatalf("unknown field should fail load, got %v", err)
+	// "shards" was a campaign axis until the intra-run parallel engine
+	// was removed; a config still carrying it must fail by name, not run
+	// with the axis silently dropped.
+	for name, value := range map[string]string{"surprise": "1", "shards": "[1,4]"} {
+		path := filepath.Join(t.TempDir(), "c.json")
+		if err := os.WriteFile(path, []byte(`{"area":"x","machines":[{"name":"m"}],"workloads":[{"name":"w","kind":"trimat"}],"`+name+`":`+value+`}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown field %s should fail load by name, got %v", name, err)
+		}
 	}
 }
 
@@ -134,42 +137,6 @@ func TestRunDeterministicAcrossJobs(t *testing.T) {
 	}
 	if !bytes.Equal(b1, b8) {
 		t.Fatalf("deterministic sections differ between jobs=1 and jobs=8:\n%s\n---\n%s", b1, b8)
-	}
-}
-
-// TestRunDeterministicAcrossShards exercises the shards pass axis: one
-// Run at shards {1, 4} must byte-agree across its own passes (Run's
-// internal check fails otherwise), record one measured entry per pass,
-// and report the host parallelism the wall times were taken under.
-func TestRunDeterministicAcrossShards(t *testing.T) {
-	c := mini()
-	c.Shards = []int{1, 4}
-	art, err := Run(c, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := art.Header.Shards; len(got) != 2 || got[0] != 1 || got[1] != 4 {
-		t.Errorf("Header.Shards = %v, want [1 4]", got)
-	}
-	if len(art.Measured.Runs) != 2 {
-		t.Fatalf("Measured.Runs has %d entries, want one per shards pass (2)", len(art.Measured.Runs))
-	}
-	for i, want := range []int{1, 4} {
-		if art.Measured.Runs[i].Shards != want {
-			t.Errorf("Runs[%d].Shards = %d, want %d", i, art.Measured.Runs[i].Shards, want)
-		}
-	}
-	if art.Measured.GoMaxProcs < 1 || art.Measured.NumCPU < 1 {
-		t.Errorf("host fields missing: gomaxprocs=%d num_cpu=%d", art.Measured.GoMaxProcs, art.Measured.NumCPU)
-	}
-
-	// The shards override narrows the axis to one pass, like -jobs.
-	art, err = Run(mini(), RunOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(art.Measured.Runs) != 1 || art.Measured.Runs[0].Shards != 2 {
-		t.Errorf("Shards override: runs = %+v, want one pass at shards=2", art.Measured.Runs)
 	}
 }
 

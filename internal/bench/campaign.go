@@ -51,14 +51,6 @@ type Campaign struct {
 	// verifies this); the measured section records one wall-time and
 	// allocation entry per pass. Empty means a single pass at 1.
 	Jobs []int `json:"jobs,omitempty"`
-	// Shards lists the intra-run engine worker bounds to execute the
-	// matrix at — the second pass axis, crossed with Jobs. 1 is the
-	// sequential schedule; higher values let each simulation tick its
-	// clusters concurrently. The deterministic section must agree
-	// byte-for-byte across shard passes too, so every successful Run is
-	// also a sequential-vs-parallel equivalence proof. Empty means the
-	// process default (normally 1).
-	Shards []int `json:"shards,omitempty"`
 	// Metrics lists the scope counter/gauge name prefixes captured into
 	// each point's deterministic record ("gmem.", "pfu.", ...). Empty
 	// selects DefaultMetrics. A whole-machine snapshot would bloat the
@@ -291,11 +283,6 @@ func (c *Campaign) Validate() error {
 	for _, j := range c.Jobs {
 		if j < 1 {
 			return fmt.Errorf("bench: jobs values must be ≥ 1, got %d", j)
-		}
-	}
-	for _, s := range c.Shards {
-		if s < 1 {
-			return fmt.Errorf("bench: shards values must be ≥ 1, got %d", s)
 		}
 	}
 	return nil

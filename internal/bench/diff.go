@@ -24,6 +24,10 @@ const (
 	DefaultAllocThreshold = 0.30
 )
 
+// staleBaseline is the baseline-to-measured malloc ratio above which
+// Diff notes the baseline as stale.
+const staleBaseline = 1.3
+
 // DiffReport is the outcome of comparing a new artifact against an old
 // baseline.
 type DiffReport struct {
@@ -32,7 +36,10 @@ type DiffReport struct {
 	// threshold, malloc growth past the alloc threshold, or a point that
 	// disappeared from the matrix.
 	Regressions []DiffLine `json:"regressions,omitempty"`
-	// Improvements and Notes are informational.
+	// Improvements and Notes are informational. A "stale baseline" note
+	// says the baseline's malloc count is so far above the measured one
+	// that AllocThreshold, a fraction of the baseline, no longer guards
+	// the measured level: refresh the committed artifact.
 	Improvements []DiffLine `json:"improvements,omitempty"`
 	Notes        []string   `json:"notes,omitempty"`
 }
@@ -144,23 +151,22 @@ func Diff(old, new *Artifact, opt DiffOptions) (*DiffReport, error) {
 		}
 	}
 
-	// Passes pair up by their full axis position. Artifacts from before
-	// the shards axis carry 0 there, which still pairs correctly against
-	// other pre-shards artifacts.
-	type runKey struct{ jobs, shards int }
-	oldRuns := map[runKey]RunMeasure{}
+	// Passes pair up by jobs value. The first baseline entry per value
+	// wins: artifacts written while campaigns had a second pass axis
+	// repeat a jobs value, and their first pass is the one that ran the
+	// schedule every artifact since runs.
+	oldRuns := map[int]RunMeasure{}
 	for _, m := range old.Measured.Runs {
-		oldRuns[runKey{m.Jobs, m.Shards}] = m
+		if _, dup := oldRuns[m.Jobs]; !dup {
+			oldRuns[m.Jobs] = m
+		}
 	}
 	for _, nm := range new.Measured.Runs {
-		om, ok := oldRuns[runKey{nm.Jobs, nm.Shards}]
+		om, ok := oldRuns[nm.Jobs]
 		if !ok {
 			continue
 		}
 		id := fmt.Sprintf("jobs=%d allocs", nm.Jobs)
-		if nm.Shards > 1 {
-			id = fmt.Sprintf("jobs=%d shards=%d allocs", nm.Jobs, nm.Shards)
-		}
 		if om.Mallocs == 0 {
 			// Same zero-baseline rule as simcycles: explicit new-vs-zero,
 			// never a NaN or +Inf percentage. Allocations from a baseline
@@ -180,6 +186,10 @@ func Diff(old, new *Artifact, opt DiffOptions) (*DiffReport, error) {
 			r.Regressions = append(r.Regressions, l)
 		case delta < -allocThr:
 			r.Improvements = append(r.Improvements, l)
+		}
+		if float64(om.Mallocs) > staleBaseline*float64(nm.Mallocs) {
+			r.Notes = append(r.Notes, fmt.Sprintf("stale baseline: %s baseline %d is more than %.1fx the measured %d; refresh the committed artifact",
+				id, om.Mallocs, staleBaseline, nm.Mallocs))
 		}
 	}
 	return r, nil

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -97,25 +99,49 @@ func TestDiffNewPointIsNote(t *testing.T) {
 	}
 }
 
+// TestDiffFlagsAllocRegression is the table for the measured half of the
+// diff: how passes pair up, when malloc growth fails it, and what the
+// comparison says about the baseline itself.
 func TestDiffFlagsAllocRegression(t *testing.T) {
-	n := fix()
-	n.Measured.Runs[0].Mallocs = 15000 // +50% > 30% default
-	r, err := Diff(fix(), n, DiffOptions{})
-	if err != nil {
+	// The baseline is a PR-9-era artifact: campaigns then had a second
+	// pass axis, so the header and every run carry "shards" and a jobs
+	// value repeats. It must still load, and its first pass per jobs
+	// value — the one schedule every artifact since runs — is the baseline.
+	legacy := filepath.Join(t.TempDir(), "BENCH_t.json")
+	if err := os.WriteFile(legacy, []byte(`{"header":{"schema":1,"tool":"cedarbench","area":"t","jobs":[1],"shards":[1,4],"points":0},
+		"deterministic":{"points":[],"fleet":{"lookups":0,"misses":0,"served":0,"hit_rate":0}},
+		"measured":{"gomaxprocs":1,"num_cpu":1,"runs":[{"jobs":1,"shards":1,"mallocs":10000,"alloc_bytes":1},{"jobs":1,"shards":4,"mallocs":99999,"alloc_bytes":1}]}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Regressions) != 1 || r.Regressions[0].Metric != "mallocs" {
-		t.Fatalf("want one alloc regression: %s", r.Format())
-	}
-	// Runs are matched by jobs value: a pass the baseline never ran is
-	// not comparable.
-	n.Measured.Runs[0].Jobs = 8
-	r, err = Diff(fix(), n, DiffOptions{})
+	old, err := ReadArtifact(legacy)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("artifact with a shards axis must still load: %v", err)
 	}
-	if r.HasRegressions() {
-		t.Fatalf("unmatched jobs pass must not compare: %s", r.Format())
+	for _, tc := range []struct {
+		name           string
+		jobs           int
+		mallocs        uint64
+		wantRegression bool
+		wantNote       string
+	}{
+		{"+50% is past the 30% default", 1, 15000, true, ""},
+		{"a pass the baseline never ran is not comparable", 8, 15000, false, ""},
+		{"first pass per jobs value is the baseline", 1, 10000, false, ""},
+		{"baseline within 1.3x of measured", 1, 8000, false, ""},
+		{"baseline past 1.3x measured warns without failing", 1, 7000, false, "stale baseline"},
+	} {
+		n := &Artifact{Header: Header{Area: "t"}, Measured: Measured{Runs: []RunMeasure{{Jobs: tc.jobs, Mallocs: tc.mallocs}}}}
+		r, err := Diff(old, n, DiffOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := r.Format()
+		if r.HasRegressions() != tc.wantRegression || tc.wantRegression && r.Regressions[0].Metric != "mallocs" {
+			t.Errorf("%s: regressions = %v, want %v on mallocs: %s", tc.name, r.HasRegressions(), tc.wantRegression, out)
+		}
+		if tc.wantNote == "" && len(r.Notes) != 0 || !strings.Contains(out, tc.wantNote) {
+			t.Errorf("%s: want note %q, got: %s", tc.name, tc.wantNote, out)
+		}
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"cedar/internal/kernels"
 	"cedar/internal/params"
 	"cedar/internal/scope"
-	"cedar/internal/sim"
 )
 
 // RunOptions tunes one campaign execution.
@@ -23,9 +22,6 @@ type RunOptions struct {
 	// Jobs, when > 0, overrides the campaign's jobs list with this single
 	// worker count — the CLI's -jobs flag.
 	Jobs int
-	// Shards, when > 0, overrides the campaign's shards list with this
-	// single intra-run engine worker bound — the CLI's -shards flag.
-	Shards int
 	// Now, when non-nil, supplies the wall clock for the measured
 	// section (the CLI passes time.Now). Nil omits wall times — library
 	// and test runs stay clean under the nondeterminism lint, and the
@@ -55,15 +51,13 @@ type workloadKey struct {
 	CEs, Stride, Gap     int
 }
 
-// Run executes the campaign: one full matrix pass per jobs × shards
-// combination, each against a fresh private run cache, every point
-// dispatched through the fleet pool. The first pass fills the artifact's
-// deterministic section; every later pass re-derives it and
-// byte-compares against the first, so a successful Run is itself a
-// determinism proof across worker counts AND a sequential-vs-parallel
-// engine equivalence proof across shard bounds. Points that degrade
-// under their fault plan report status "degraded" with partial timing;
-// any other failure aborts the campaign.
+// Run executes the campaign: one full matrix pass per jobs value, each
+// against a fresh private run cache, every point dispatched through the
+// fleet pool. The first pass fills the artifact's deterministic section;
+// every later pass re-derives it and byte-compares against the first, so
+// a successful Run is itself a determinism proof across worker counts.
+// Points that degrade under their fault plan report status "degraded"
+// with partial timing; any other failure aborts the campaign.
 func Run(c *Campaign, opt RunOptions) (*Artifact, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -74,13 +68,6 @@ func Run(c *Campaign, opt RunOptions) (*Artifact, error) {
 	}
 	if len(jobsList) == 0 {
 		jobsList = []int{1}
-	}
-	shardsList := c.Shards
-	if opt.Shards > 0 {
-		shardsList = []int{opt.Shards}
-	}
-	if len(shardsList) == 0 {
-		shardsList = []int{sim.Shards()}
 	}
 	faults := c.Faults
 	if len(faults) == 0 {
@@ -134,31 +121,14 @@ func Run(c *Campaign, opt RunOptions) (*Artifact, error) {
 		Area:   c.Area,
 		Notes:  c.Notes,
 		Jobs:   jobsList,
-		Shards: shardsList,
 		Points: len(points),
 		Faults: faultMeta,
 	}}
 	art.Measured.GoMaxProcs = runtime.GOMAXPROCS(0)
 	art.Measured.NumCPU = runtime.NumCPU()
 
-	// The shard bound is process-wide state (machines read it at build
-	// time); pin it per pass and restore the caller's setting on every
-	// path out.
-	prevShards := sim.Shards()
-	defer sim.SetShards(prevShards)
-
-	type pass struct{ shards, jobs int }
-	var passes []pass
-	for _, s := range shardsList {
-		for _, j := range jobsList {
-			passes = append(passes, pass{shards: s, jobs: j})
-		}
-	}
-
 	var baseline []byte
-	for passIdx, ps := range passes {
-		j := ps.jobs
-		sim.SetShards(ps.shards)
+	for passIdx, j := range jobsList {
 		cache := fleet.NewCache()
 		fjobs := make([]fleet.Job[Outcome], len(points))
 		for i, pt := range points {
@@ -215,18 +185,18 @@ func Run(c *Campaign, opt RunOptions) (*Artifact, error) {
 				}
 			}
 		} else if !bytes.Equal(b, baseline) {
-			return nil, fmt.Errorf("bench: determinism violation — deterministic section at jobs=%d shards=%d differs from jobs=%d shards=%d",
-				j, ps.shards, passes[0].jobs, passes[0].shards)
+			return nil, fmt.Errorf("bench: determinism violation — deterministic section at jobs=%d differs from jobs=%d",
+				j, jobsList[0])
 		}
 
-		run := RunMeasure{Jobs: j, Shards: ps.shards, Mallocs: ms1.Mallocs - ms0.Mallocs, AllocBytes: ms1.TotalAlloc - ms0.TotalAlloc}
+		run := RunMeasure{Jobs: j, Mallocs: ms1.Mallocs - ms0.Mallocs, AllocBytes: ms1.TotalAlloc - ms0.TotalAlloc}
 		if opt.Now != nil {
 			run.WallNS = opt.Now().Sub(start).Nanoseconds()
 		}
 		art.Measured.Runs = append(art.Measured.Runs, run)
 		if opt.Progress != nil {
-			fmt.Fprintf(opt.Progress, "bench %s: pass %d/%d (jobs=%d shards=%d): %d points, cache served %d/%d\n",
-				c.Area, passIdx+1, len(passes), j, ps.shards, len(points), st.Served(), st.Lookups)
+			fmt.Fprintf(opt.Progress, "bench %s: pass %d/%d (jobs=%d): %d points, cache served %d/%d\n",
+				c.Area, passIdx+1, len(jobsList), j, len(points), st.Served(), st.Lookups)
 		}
 	}
 	return art, nil

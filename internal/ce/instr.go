@@ -11,11 +11,7 @@
 // which is how the Cedar Fortran runtime schedules loop iterations.
 package ce
 
-import (
-	"sync"
-
-	"cedar/internal/network"
-)
+import "cedar/internal/network"
 
 // Space says where a stream's data lives.
 type Space uint8
@@ -127,21 +123,15 @@ type Controller interface {
 	Next(ceID int, cycle int64, in *Instr) Status
 }
 
-// Program is a fixed instruction sequence implementing Controller.
+// Program is a fixed instruction sequence implementing Controller. It
+// keeps each CE's position, so one Program drives one machine's run.
 type Program struct {
 	Instrs []*Instr
-	// mu guards the lazily built position map: CEs in different cluster
-	// shards call Next concurrently on an intra-run parallel engine. Each
-	// CE only ever touches its own entry, so the values — and therefore
-	// the simulated behavior — are schedule-independent.
-	mu  sync.Mutex
-	pos map[int]int
+	pos    map[int]int
 }
 
 // Next implements Controller: every CE runs the same sequence privately.
 func (p *Program) Next(ceID int, cycle int64, in *Instr) Status {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.pos == nil {
 		p.pos = make(map[int]int) //lint:allow hotalloc one-time lazy initialisation per program, not per-cycle work
 	}
@@ -157,10 +147,7 @@ func (p *Program) Next(ceID int, cycle int64, in *Instr) Status {
 // Generator is a Controller whose program is computed, not stored: every
 // CE runs n instructions, and instruction i of CE ceID is whatever fill
 // writes into the (zeroed) Instr it is handed — the CE's own register, so
-// a probe of a million loads costs the host no Instr at all. The
-// positions sit in a slice indexed by CE id and each CE touches only its
-// own, which is what makes Next safe across cluster shards without
-// Program's mutex.
+// a probe of a million loads costs the host no Instr at all.
 type Generator struct {
 	n    int
 	fill func(ceID, i int, in *Instr)

@@ -9,7 +9,6 @@ import (
 	"cedar/internal/core"
 	"cedar/internal/network"
 	"cedar/internal/params"
-	"cedar/internal/sim"
 )
 
 // scribbleLog is what one CE's program observed: the cycle each
@@ -103,7 +102,7 @@ func (s *scribbler) Next(_ int, _ int64, in *ce.Instr) ce.Status {
 // again from inside OnResult, before the CE reads the instruction's Flops
 // and OnDone — gives the same cycles, flops, returned values and OnDone
 // order as a Program holding every instruction forever. One CE in each of
-// two clusters, on the flat engine and with the clusters in two shards.
+// two clusters.
 func TestScribblingControllerMatchesProgram(t *testing.T) {
 	type outcome struct {
 		res   core.Result
@@ -138,17 +137,13 @@ func TestScribblingControllerMatchesProgram(t *testing.T) {
 		}
 		return o
 	}
-	defer sim.SetShards(1)
-	for _, shards := range []int{1, 2} {
-		sim.SetShards(shards)
-		stored, scribbled := run(false), run(true)
-		if n := len(stored.logs[0].done); n != 9 || len(stored.logs[0].results) != 4 {
-			t.Fatalf("shards %d: stored program retired %d instructions with %d results, want 9 and 4",
-				shards, n, len(stored.logs[0].results))
-		}
-		if !reflect.DeepEqual(stored, scribbled) {
-			t.Errorf("shards %d: scribbling controller diverges from Program:\nstored    %+v\nscribbled %+v",
-				shards, stored, scribbled)
-		}
+	stored, scribbled := run(false), run(true)
+	if n := len(stored.logs[0].done); n != 9 || len(stored.logs[0].results) != 4 {
+		t.Fatalf("stored program retired %d instructions with %d results, want 9 and 4",
+			n, len(stored.logs[0].results))
+	}
+	if !reflect.DeepEqual(stored, scribbled) {
+		t.Errorf("scribbling controller diverges from Program:\nstored    %+v\nscribbled %+v",
+			stored, scribbled)
 	}
 }

@@ -223,9 +223,8 @@ func (r *Runtime) cdJoin(ci int, cs *clusterCtl, cont func()) {
 		r.post(ci, cy, EvCDJoin, gen)
 		if last {
 			// The last arrival closes the loop instance's trace span:
-			// broadcast to join completion. The post runs inside this
-			// CE's tick, so it goes through the cluster's sink.
-			r.sinks[ci].Span(fmt.Sprintf("cfrt/cluster%d", cs.cl.ID),
+			// broadcast to join completion.
+			r.obs.Span(fmt.Sprintf("cfrt/cluster%d", cs.cl.ID),
 				"cdoall", cs.cdStartCy, doneAt)
 			r.waitUntil(ci, doneAt, cont)
 			return

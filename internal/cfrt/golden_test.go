@@ -74,28 +74,22 @@ func goldenLines(t *testing.T) []byte {
 // TestGoldenAcrossCommits pins behaviour across the commit that moved
 // instruction storage into the CE and waits into participant state:
 // testdata/golden_5271b73.txt was generated at the parent commit 5271b73
-// (slice-of-pointers bodies, closure-per-poll waits), and the flat event
-// engine, the stepped engine and a two-shard run must each reproduce it —
-// the cross-commit half of the byte-identity invariant, which the
-// in-process stepped-vs-event and shards-1-vs-N gates cannot see. On a
-// deliberate model change, regenerate the file from the failure output
-// at the commit before the change under test.
+// (slice-of-pointers bodies, closure-per-poll waits), and the event
+// engine and the stepped engine must each reproduce it — the cross-commit
+// half of the byte-identity invariant, which the in-process
+// stepped-vs-event gate cannot see. On a deliberate model change,
+// regenerate the file from the failure output at the commit before the
+// change under test.
 func TestGoldenAcrossCommits(t *testing.T) {
 	want, err := os.ReadFile("testdata/golden_5271b73.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.SetShards(1)
 	defer sim.SetSteppedMode(false)
-	for _, mode := range []struct {
-		name    string
-		stepped bool
-		shards  int
-	}{{"event", false, 1}, {"stepped", true, 1}, {"shards2", false, 2}} {
-		sim.SetSteppedMode(mode.stepped)
-		sim.SetShards(mode.shards)
+	for _, stepped := range []bool{false, true} {
+		sim.SetSteppedMode(stepped)
 		if got := goldenLines(t); !bytes.Equal(got, want) {
-			t.Errorf("%s engine differs from testdata/golden_5271b73.txt:\n%s", mode.name, got)
+			t.Errorf("stepped=%v engine differs from testdata/golden_5271b73.txt:\n%s", stepped, got)
 		}
 	}
 }

@@ -39,19 +39,11 @@ type Runtime struct {
 	// obs is the machine's observability hub (nil when off). Runtime
 	// events double as scope counters and phase/loop trace spans.
 	obs *scope.Hub
-	// sinks[ci] is the scope hub participant ci posts spans to from
-	// instruction callbacks: its cluster's shard sink on a sharded
-	// machine, obs itself otherwise.
-	sinks []*scope.Hub
 }
 
-// Runtime observation state lives per participant (ceCtl below) rather
-// than on the Runtime: instruction callbacks fire inside CE ticks, which
-// run concurrently across cluster shards on an intra-run parallel
-// engine. Counters are summed at snapshot time and the phase-span start
-// is the minimum over participants at the barrier pass — both reads
-// happen cycles after the last write they observe, so the engine's
-// cycle barrier orders them.
+// Runtime observation state lives per participant (ceCtl below):
+// counters are summed at snapshot time and the phase-span start is the
+// minimum over participants at the barrier pass.
 
 type ceCtl struct {
 	// q[head:] are the instructions still to issue, by value: Next copies
@@ -81,9 +73,6 @@ type ceCtl struct {
 	// phaseStart[k] is the cycle this participant entered phase k (-1
 	// until then); the span start is the minimum over participants.
 	phaseStart []int64
-	// trace buffers tracer events on a sharded machine, flushed to the
-	// shared tracer in participant order by the engine's drain phase.
-	trace []perfmon.Event
 }
 
 type phaseRes struct {
@@ -156,22 +145,17 @@ func New(m *core.Machine, cfg Config, phases ...Phase) *Runtime {
 		})
 	}
 	r.obs = m.Scope
-	for ci, e := range r.ces {
-		c := r.ctl[ci]
+	for _, c := range r.ctl {
 		c.phaseStart = make([]int64, len(phases))
 		for i := range c.phaseStart {
 			c.phaseStart[i] = -1
 		}
-		r.sinks = append(r.sinks, m.ClusterScope(e.Cluster))
 	}
 	r.obs.Counter("cfrt.phase_enters", func() int64 { return r.sumEv(EvPhaseEnter) })
 	r.obs.Counter("cfrt.claims", func() int64 { return r.sumEv(EvClaim) })
 	r.obs.Counter("cfrt.barrier_arrivals", func() int64 { return r.sumEv(EvBarrierArrive) })
 	r.obs.Counter("cfrt.cd_starts", func() int64 { return r.sumEv(EvCDStart) })
 	r.obs.Counter("cfrt.cd_joins", func() int64 { return r.sumEv(EvCDJoin) })
-	// On a sharded machine the tracer buffers flush once per cycle, in
-	// participant order — the order the sequential schedule posts in.
-	m.AddDrain(func(int64) { r.flushTrace() })
 	// Library path lengths: the non-sync claim performs the full lock /
 	// read / increment / write / unlock sequence over the network (≈4
 	// round trips ≈ 52 cycles); the rest of the ≈30 µs iteration fetch

@@ -15,7 +15,6 @@ import (
 	"cedar/internal/fleet"
 	"cedar/internal/params"
 	"cedar/internal/scope"
-	"cedar/internal/sim"
 	"cedar/internal/tables"
 )
 
@@ -24,11 +23,6 @@ import (
 type Flags struct {
 	// Jobs is the fleet worker count (-jobs); 0 means GOMAXPROCS.
 	Jobs int
-	// Shards is the intra-run parallel engine's worker bound (-shards);
-	// 0 or 1 keeps the sequential schedule. Artifacts are byte-identical
-	// at any value — the flag only changes how much host parallelism one
-	// simulation may use.
-	Shards int
 	// Clusters is the simulated machine width (-clusters); 0 keeps the
 	// as-built 4-cluster Cedar, 16 and 64 select the scale-up presets.
 	Clusters int
@@ -48,7 +42,6 @@ func Register(fs *flag.FlagSet, clusters bool) *Flags {
 	fs.StringVar(&f.Trace, "trace", "", "write a Chrome trace-event JSON file (Perfetto / chrome://tracing)")
 	fs.StringVar(&f.Metrics, "metrics", "", "write the metrics snapshot as CSV")
 	fs.IntVar(&f.Jobs, "jobs", 0, "parallel experiment jobs (0 = GOMAXPROCS); output is identical at any value")
-	fs.IntVar(&f.Shards, "shards", 0, "intra-run parallel engine worker bound (1 = sequential); artifacts are byte-identical at any value")
 	if clusters {
 		fs.IntVar(&f.Clusters, "clusters", 0, "simulated machine width in clusters (0 = as-built 4; 16/64 = scale-up presets)")
 	}
@@ -59,18 +52,14 @@ func Register(fs *flag.FlagSet, clusters bool) *Flags {
 }
 
 // Validate checks the worker and width flags after fs has been parsed:
-// -jobs and -shards must be positive when the user set them explicitly
-// (the unset default 0 means GOMAXPROCS for jobs and sequential for
-// shards), and -clusters must name a machine that validates. Errors are
-// suitable for printing followed by exit 2.
+// -jobs must be positive when the user set it explicitly (the unset
+// default 0 means GOMAXPROCS), and -clusters must name a machine that
+// validates. Errors are suitable for printing followed by exit 2.
 func (f *Flags) Validate(fs *flag.FlagSet) error {
 	explicit := map[string]bool{}
 	fs.Visit(func(fl *flag.Flag) { explicit[fl.Name] = true })
 	if explicit["jobs"] && f.Jobs <= 0 {
 		return fmt.Errorf("-jobs must be at least 1, got %d", f.Jobs)
-	}
-	if explicit["shards"] && f.Shards <= 0 {
-		return fmt.Errorf("-shards must be at least 1, got %d", f.Shards)
 	}
 	if f.Clusters < 0 {
 		return fmt.Errorf("-clusters %d: params: clusters must be ≥ 1, got %d", f.Clusters, f.Clusters)
@@ -96,8 +85,8 @@ type Session struct {
 }
 
 // Open validates the parsed flags, loads the -faults plan ("demo" is the
-// built-in dead-bank-plus-network-fault scenario), sets the intra-run
-// shard bound, starts the profiles and builds the hub. The hub exists
+// built-in dead-bank-plus-network-fault scenario), starts the profiles
+// and builds the hub. The hub exists
 // whenever -trace or -metrics is given or observe is set; otherwise
 // machines are built uninstrumented at zero cost. Every error is a bad
 // invocation: print it and exit 2. Defer Abort, and Close on success.
@@ -114,9 +103,6 @@ func (f *Flags) Open(fs *flag.FlagSet, observe bool) (*Session, error) {
 			return nil, err
 		}
 	}
-	// The shard bound is one of the two process-wide engine knobs left
-	// (DESIGN.md "Run configuration"): machines read it at build time.
-	sim.SetShards(f.Shards)
 	prof, err := StartProfiles(f.CPUProfile, f.MemProfile)
 	if err != nil {
 		return nil, err

@@ -10,20 +10,19 @@ import (
 
 	"cedar/internal/fault"
 	"cedar/internal/params"
-	"cedar/internal/sim"
 	"cedar/internal/tables"
 )
 
 // open registers the shared flags (with -clusters), parses args and
-// opens the session, as every command does.
+// opens the session, as every command does; a parse error is returned
+// like any other bad invocation (the commands exit 2 on either).
 func open(t *testing.T, args ...string) (*Session, error) {
 	t.Helper()
-	t.Cleanup(func() { sim.SetShards(1) })
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	shared := Register(fs, true)
 	if err := fs.Parse(args); err != nil {
-		t.Fatalf("parse %v: %v", args, err)
+		return nil, err
 	}
 	s, err := shared.Open(fs, false)
 	if err == nil {
@@ -108,12 +107,9 @@ func TestSetupFaultErrors(t *testing.T) {
 }
 
 func TestSetupShardsAndClusters(t *testing.T) {
-	s, err := open(t, "-shards", "4", "-clusters", "16")
+	s, err := open(t, "-clusters", "16")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := sim.Shards(); got != 4 {
-		t.Errorf("sim.Shards() = %d, want 4", got)
 	}
 	if got := s.Env.Machine(); got != params.Cedar16() {
 		t.Errorf("Env.Machine() = %+v, want Cedar16", got)
@@ -124,10 +120,11 @@ func TestSetupShardsAndClusters(t *testing.T) {
 		t.Errorf("Default().Clusters = %d under -clusters 16, want 4", got)
 	}
 
-	// Explicit non-positive -shards is rejected like -jobs, and an
-	// invalid width by params validation.
+	// -shards left with the intra-run parallel engine: the flag package
+	// rejects it on every command that registers the shared flags. An
+	// invalid width is rejected by params validation.
 	for flagName, args := range map[string][]string{
-		"-shards":   {"-shards", "-1"},
+		"-shards":   {"-shards", "2"},
 		"-clusters": {"-clusters", "-2"},
 	} {
 		if _, err := open(t, args...); err == nil {
@@ -176,12 +173,7 @@ func TestSessionArtifacts(t *testing.T) {
 }
 
 func TestNewMetaHostFields(t *testing.T) {
-	t.Cleanup(func() { sim.SetShards(1) })
-	sim.SetShards(3)
 	m := NewMeta("test", 0, nil)
-	if m.Shards != 3 {
-		t.Errorf("Meta.Shards = %d, want 3", m.Shards)
-	}
 	if m.Jobs != m.GoMaxProcs {
 		t.Errorf("Meta.Jobs = %d for an unset -jobs, want GOMAXPROCS (%d)", m.Jobs, m.GoMaxProcs)
 	}

@@ -4,17 +4,18 @@ import (
 	"runtime"
 
 	"cedar/internal/fault"
-	"cedar/internal/sim"
 )
 
-// MetaSchema versions the run-metadata header format.
-const MetaSchema = 2
+// MetaSchema versions the run-metadata header format (3: the header no
+// longer names an intra-run worker bound, there being one engine
+// schedule).
+const MetaSchema = 3
 
 // Meta is the self-describing run-metadata header embedded in JSON
 // artifacts (cedarsim -json; cedarbench carries the same facts in its
 // own header): enough to tell, from the artifact alone, which tool
 // produced it under which fault plan and worker configuration. The
-// host-parallelism fields — Jobs, Shards, GoMaxProcs, NumCPU — may
+// host-parallelism fields — Jobs, GoMaxProcs, NumCPU — may
 // differ between byte-compared runs without the payload differing;
 // consumers comparing artifacts across worker configurations must
 // compare the payload, not the header.
@@ -22,11 +23,9 @@ type Meta struct {
 	Schema int    `json:"schema"`
 	Tool   string `json:"tool"`
 	Jobs   int    `json:"jobs"`
-	// Shards is the intra-run parallel engine's worker bound (1 = the
-	// sequential schedule); GoMaxProcs and NumCPU record how much host
-	// parallelism was actually available, so a committed artifact's
-	// measured throughput can be read in context.
-	Shards     int `json:"shards"`
+	// GoMaxProcs and NumCPU record how much host parallelism was actually
+	// available, so a committed artifact's measured throughput can be
+	// read in context.
 	GoMaxProcs int `json:"gomaxprocs"`
 	NumCPU     int `json:"num_cpu"`
 	// FaultSeed and FaultPlan identify the run's fault plan (absent when
@@ -45,7 +44,6 @@ func NewMeta(tool string, jobs int, plan *fault.Plan) Meta {
 		Schema:     MetaSchema,
 		Tool:       tool,
 		Jobs:       jobs,
-		Shards:     sim.Shards(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 	}

@@ -5,7 +5,6 @@ import (
 
 	"cedar/internal/ce"
 	"cedar/internal/core"
-	"cedar/internal/sim"
 )
 
 // loadLatencyStored is LoadLatency with its program held in memory as a
@@ -24,38 +23,23 @@ func loadLatencyStored(m *core.Machine, n int, gap int64) (core.Result, error) {
 
 // TestLoadLatencyStreamedMatchesStored: the streamed probe is cycle- and
 // flop-identical to the stored one, back to back and with scalar work
-// between loads, on the sequential and on the sharded engine; and the
-// sharded MemBW run — one Generator fed to CEs in two cluster shards at
-// once — matches the sequential one (with -race, this is the Generator's
-// shard-safety check).
+// between loads.
 func TestLoadLatencyStreamedMatchesStored(t *testing.T) {
-	defer sim.SetShards(1)
-	var bw [2]MemBWPoint
-	for si, shards := range []int{1, 2} {
-		sim.SetShards(shards)
-		for _, gap := range []int64{0, 100} {
-			want, err := loadLatencyStored(mach(t, 4), 200, gap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := LoadLatency(mach(t, 4), 200, gap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Cycles != want.Cycles || got.Flops != want.Flops {
-				t.Errorf("shards=%d gap=%d: streamed %d cycles / %d flops, stored %d / %d",
-					shards, gap, got.Cycles, got.Flops, want.Cycles, want.Flops)
-			}
-			if min := int64(200) * (13 + gap); got.Cycles < min {
-				t.Errorf("shards=%d gap=%d: %d cycles for 200 dependent loads, want ≥ %d", shards, gap, got.Cycles, min)
-			}
-		}
-		var err error
-		if bw[si], err = MemBW(mach(t, 4), 16, 1, 512); err != nil {
+	for _, gap := range []int64{0, 100} {
+		want, err := loadLatencyStored(mach(t, 4), 200, gap)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if bw[0] != bw[1] {
-		t.Errorf("MemBW on 16 CEs: sequential %+v, shards 2 %+v", bw[0], bw[1])
+		got, err := LoadLatency(mach(t, 4), 200, gap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cycles != want.Cycles || got.Flops != want.Flops {
+			t.Errorf("gap=%d: streamed %d cycles / %d flops, stored %d / %d",
+				gap, got.Cycles, got.Flops, want.Cycles, want.Flops)
+		}
+		if min := int64(200) * (13 + gap); got.Cycles < min {
+			t.Errorf("gap=%d: %d cycles for 200 dependent loads, want ≥ %d", gap, got.Cycles, min)
+		}
 	}
 }

@@ -48,9 +48,7 @@
 // per-packet &Packet{} and per-miss &mshr{} literals that became
 // network.PacketPool and the cache's MSHR free-list; the per-event
 // completion closures that became the sink+tag interfaces (cache.Sink,
-// cmem.Sink); per-instruction scratch slices in the CE's vector unit;
-// and, in PR 9, a per-shard-per-cycle deferred closure in the phase-A
-// worker pool (sim.shardRunner.capture is a method for that reason).
+// cmem.Sink); and per-instruction scratch slices in the CE's vector unit.
 //
 // # What it cannot see
 //

@@ -28,10 +28,6 @@ type Crossbar struct {
 	inj      *fault.Injector
 	wake     func(at int64)
 	portWake []func(at int64)
-	// shards holds the port→shard ownership map and per-shard deferred
-	// mailboxes on an intra-run parallel engine; nil keeps every call
-	// inline (the unsharded schedule).
-	shards *portShards
 }
 
 // NewCrossbar builds an ideal crossbar with the given minimum transit
@@ -130,13 +126,6 @@ func (c *Crossbar) Offer(p *Packet) bool {
 	if p.Src < 0 || p.Src >= c.ports || p.Dst < 0 || p.Dst >= c.ports {
 		panic(fmt.Sprintf("network %s: port out of range: %v", c.name, p))
 	}
-	if b := c.shards.inBox(p.Src); b != nil {
-		// Shard-owned port: the sequence number — the deterministic
-		// arrival tie-break — is assigned at DrainShards, in shard-major
-		// offer order, so it matches the sequential interleaving.
-		b.pkts = append(b.pkts, p)
-		return true
-	}
 	p.readyAt = -1 // filled in when scheduled below
 	c.seq++
 	c.pending.push(pendingPkt{pkt: p, seq: c.seq})
@@ -199,16 +188,10 @@ func (c *Crossbar) Peek(port int) *Packet {
 	return c.egress[port].headPkt()
 }
 
-// Poll implements Fabric. The egress queue is port-private; the
-// delivery counters defer on shard-owned ports.
+// Poll implements Fabric.
 func (c *Crossbar) Poll(port int) *Packet {
 	p := c.egress[port].pop()
 	if p != nil {
-		if b := c.shards.outBox(port); b != nil {
-			b.delivered++
-			b.inflight--
-			return p
-		}
 		c.stats.Delivered++
 		c.inflight--
 	}

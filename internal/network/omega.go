@@ -64,16 +64,6 @@ type Fabric interface {
 	// the queue is empty. Sleeping consumers fold it into NextWakeup so a
 	// requery never forgets work already waiting at the port.
 	NextAt(port int, now int64) int64
-	// SetShards configures deferred submission for intra-run parallel
-	// engines: ingressOf maps each port to the shard owning its Offer
-	// caller, egressOf to the shard owning its Poll caller; -1 (or a nil
-	// map) means hub-owned, which keeps the fully inline path. Calls on
-	// shard-owned sides record their shared-state effects in per-shard
-	// mailboxes instead of applying them (see shard.go).
-	SetShards(ingressOf, egressOf func(port int) int, n int)
-	// DrainShards replays the deferred effects in fixed shard order; the
-	// engine's drain hook calls it between phase A and the hub pass.
-	DrainShards()
 }
 
 // Stats holds cumulative fabric counters.
@@ -152,10 +142,6 @@ type Omega struct {
 	// lastRefuse[p] is the o.now stamp of port p's last counted refusal,
 	// deduplicating RefusedCyc to one per port-cycle.
 	lastRefuse []int64
-	// shards holds the port→shard ownership map and per-shard deferred
-	// mailboxes on an intra-run parallel engine; nil keeps every call
-	// inline (the unsharded schedule).
-	shards *portShards
 	// now is the next cycle this fabric will execute. Offer stamps packets
 	// with it so a packet injected during cycle c takes its first hop at
 	// tick c; Poll uses it so a packet that completed its last hop during
@@ -327,15 +313,6 @@ func (o *Omega) Offer(p *Packet) bool {
 	p.readyAt = o.now
 	q.push(p)
 	o.ingressBusy[p.Src] = p.Words()
-	if b := o.shards.inBox(p.Src); b != nil {
-		// Shard-owned port: the line queue and ingress wire above are
-		// port-private; everything shared waits for DrainShards.
-		b.accepted = append(b.accepted, p.Src)
-		b.offered++
-		b.inflight++
-		b.wake = true
-		return true
-	}
 	o.swCount[0][line/o.radix]++
 	o.ingressList = append(o.ingressList, p.Src)
 	o.stats.Offered++
@@ -350,22 +327,11 @@ func (o *Omega) Offer(p *Packet) bool {
 
 // refuse records one rejected Offer, deduplicating the per-port-cycle
 // RefusedCyc stall counter via o.now (current while the fabric is
-// non-empty, which a refusal implies). The dedup stamp is port-private;
-// the counters defer on shard-owned ports.
+// non-empty, which a refusal implies).
 func (o *Omega) refuse(port int) {
-	first := o.lastRefuse[port] != o.now
-	if first {
-		o.lastRefuse[port] = o.now
-	}
-	if b := o.shards.inBox(port); b != nil {
-		b.refused++
-		if first {
-			b.refusedCyc++
-		}
-		return
-	}
 	o.stats.Refused++
-	if first {
+	if o.lastRefuse[port] != o.now {
+		o.lastRefuse[port] = o.now
 		o.stats.RefusedCyc++
 	}
 }
@@ -379,18 +345,12 @@ func (o *Omega) Peek(port int) *Packet {
 	return h
 }
 
-// Poll implements Fabric. The egress queue is port-private; the
-// delivery counters defer on shard-owned ports.
+// Poll implements Fabric.
 func (o *Omega) Poll(port int) *Packet {
 	if o.Peek(port) == nil {
 		return nil
 	}
 	p := o.egress[port].pop()
-	if b := o.shards.outBox(port); b != nil {
-		b.delivered++
-		b.inflight--
-		return p
-	}
 	o.stats.Delivered++
 	o.inflight--
 	return p

@@ -153,39 +153,6 @@ func (h *Hub) Adopt(child *Hub) {
 	h.st.attribs = append(h.st.attribs, child.st.attribs...)
 }
 
-// SpanSink returns a detached span buffer sharing h's namespace, for one
-// shard of an intra-run parallel engine: spans and instants posted to the
-// sink during phase A stay shard-private until DrainSpans merges them.
-// The sink's own buffer is effectively unbounded — the parent's capacity
-// and drop accounting apply at drain time, in merge order, so the
-// dropped-event count matches a sequential run byte for byte. SpanSink of
-// a nil hub is nil (posting to a nil sink is the usual no-op).
-func (h *Hub) SpanSink() *Hub {
-	if h == nil {
-		return nil
-	}
-	const unbounded = int(^uint(0) >> 1)
-	return &Hub{prefix: h.prefix, st: &state{taken: map[string]int{}, spanCap: unbounded}}
-}
-
-// DrainSpans moves everything posted to sink since the last drain into h,
-// in posting order, under h's capacity and drop accounting, and empties
-// the sink. Draining cluster sinks in fixed shard order between phases
-// reproduces the span order (and drop count) of a sequential pass, because
-// within a shard components tick — and post — in the same index order as
-// the flat schedule. DrainSpans of or onto nil is a no-op.
-func (h *Hub) DrainSpans(sink *Hub) {
-	if h == nil || sink == nil || h.st == sink.st {
-		return
-	}
-	for _, s := range sink.st.spans {
-		h.add(s)
-	}
-	h.st.dropped += sink.st.dropped
-	sink.st.dropped = 0
-	sink.st.spans = sink.st.spans[:0]
-}
-
 // Counter publishes a monotonic count read on demand through read. The
 // closure must be deterministic and must stay valid for the life of the
 // hub.

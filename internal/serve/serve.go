@@ -8,9 +8,9 @@
 //   - Byte-determinism. The response body for a given request is computed
 //     once, cached as bytes, and every later identical request is served
 //     those exact bytes. A cached response is byte-identical to a fresh
-//     simulation — the same invariant the -jobs/-shards equality gates
-//     pin, extended across process restarts when a durable store backs
-//     the cache.
+//     simulation — the same invariant the -jobs equality gates pin,
+//     extended across process restarts when a durable store backs the
+//     cache.
 //   - Single flight. In-flight identical requests coalesce on the fleet
 //     run cache: the first computes, the rest wait and share the result.
 //   - Crash isolation. A panicking simulation is captured by the handler

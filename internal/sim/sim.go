@@ -18,12 +18,10 @@
 // no-op, the schedule of effective ticks — and therefore every
 // deterministic artifact — is byte-identical to the stepped run.
 //
-// The engine can additionally shard the tick order (see RegisterShard
-// and shard.go): components registered into shards tick concurrently in
-// phase A of each cycle on a bounded worker set, a drain hook applies
-// deferred cross-shard effects in fixed shard order, and the remaining
-// (hub) components tick serially. Sharding is a pure execution-strategy
-// change — artifacts must stay byte-identical to the unsharded order.
+// There is one schedule and one goroutine per engine. A second,
+// intra-run parallel schedule was tried, measured slower on every
+// workload and removed (EXPERIMENTS.md, "Intra-run parallelism");
+// parallelism lives between runs, in internal/fleet.
 package sim
 
 import (
@@ -88,59 +86,22 @@ func SetSteppedMode(on bool) { steppedMode.Store(on) }
 // SteppedModeEnabled reports the current process-wide default.
 func SteppedModeEnabled() bool { return steppedMode.Load() }
 
-// shardsDefault is the process-wide phase-A worker bound, captured by
-// New like steppedMode: ≤ 1 (the default) keeps every engine on the
-// single-goroutine schedule; N > 1 lets machines built afterwards shard
-// their clusters and tick up to N shards concurrently.
-var shardsDefault atomic.Int64
+// SetShards does nothing: every engine runs the one single-goroutine
+// schedule. Retained for the frozen cmd/cedarperf seam; delete with it.
+func SetShards(int) {}
 
-// SetShards sets the process-wide intra-run parallelism for engines
-// built afterwards: n ≤ 1 (the default) disables sharding, n > 1 bounds
-// the phase-A worker set. Sharding is required to be invisible — the
-// shards-1-vs-N equivalence gates byte-compare every artifact — so like
-// SetSteppedMode this is a strategy switch, never a semantic one.
-func SetShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	shardsDefault.Store(int64(n))
-}
+// Shards returns 1. Retained for the frozen cmd/cedarperf seam; delete
+// with it.
+func Shards() int { return 1 }
 
-// Shards reports the current process-wide worker bound (minimum 1).
-func Shards() int {
-	if n := shardsDefault.Load(); n > 1 {
-		return int(n)
-	}
-	return 1
-}
+// RegisterShard is Register. Retained for the frozen cmd/cedarperf seam;
+// delete with it.
+func (e *Engine) RegisterShard(_ int, cs ...Component) []Handle { return e.Register(cs...) }
 
 // wakeEntry is one pending (cycle, component) wake in the wheel's heap.
 type wakeEntry struct {
 	at  int64
 	idx int
-}
-
-// wheel is the scheduling state of one tick region: the hub (wheel 0, the
-// only one on an unsharded engine) or shard s (wheel s+1). During phase A
-// a wheel is written only by the worker that owns its shard, so it is
-// padded to a cache line of its own.
-type wheel struct {
-	// heap indexes the region's future wakes with lazy invalidation: an
-	// entry is live iff its at equals wake[idx]. It only ever chooses jump
-	// targets — dueness is decided by wake[i] alone — so wakes landing on
-	// the executing or the next cycle never enter it.
-	heap []wakeEntry
-	// due is the cycle at which component dueIdx was last scheduled to be
-	// due by such a next-cycle wake: while due == cycle and wake[dueIdx]
-	// still agrees, tryJump knows the cycle executes without consulting
-	// any heap.
-	due    int64
-	dueIdx int
-	// pos is the region's in-cycle position: components at or before it
-	// have had their turn this cycle, so a wake aimed at them lands on the
-	// next cycle; later ones can still execute the current one.
-	pos int
-	_   [64 - 48]byte
 }
 
 // Engine drives a set of components with a shared clock.
@@ -154,12 +115,23 @@ type Engine struct {
 	// components, which are ticked every cycle).
 	sched []Sleeper
 	// wake is the authoritative next-wake cycle per component; entries for
-	// plain components are unused. wheels[0] schedules the hub (everything,
-	// on an unsharded engine); shard s posts into wheels[s+1], so phase-A
-	// workers never contend on shared scheduling state. The global jump
-	// target is the min over all wheel heaps.
-	wake   []int64
-	wheels []wheel
+	// plain components are unused.
+	wake []int64
+	// heap indexes the future wakes with lazy invalidation: an entry is
+	// live iff its at equals wake[idx]. It only ever chooses jump targets
+	// — dueness is decided by wake[i] alone — so wakes landing on the
+	// executing or the next cycle never enter it.
+	heap []wakeEntry
+	// due is the cycle at which component dueIdx was last scheduled to be
+	// due by such a next-cycle wake: while due == cycle and wake[dueIdx]
+	// still agrees, tryJump knows the cycle executes without consulting
+	// the heap.
+	due    int64
+	dueIdx int
+	// pos is the in-cycle position: components at or before it have had
+	// their turn this cycle, so a wake aimed at them lands on the next
+	// cycle; later ones can still execute the current one.
+	pos int
 	// plain counts registered non-Sleeper components; while it is nonzero
 	// the clock can never jump (the busy-region rule).
 	plain   int
@@ -168,27 +140,11 @@ type Engine struct {
 	// stepped pins this engine to the pure per-cycle schedule (captured
 	// from the process-wide mode at New).
 	stepped bool
-	// inCycle is true during a tick pass; with the owning wheel's pos it
-	// makes wakes aimed at or before the current cycle land on the earliest
-	// cycle the target can still legally execute: the current one if its
-	// turn is still ahead, the next one otherwise.
+	// inCycle is true during a tick pass; with pos it makes wakes aimed at
+	// or before the current cycle land on the earliest cycle the target can
+	// still legally execute: the current one if its turn is still ahead,
+	// the next one otherwise.
 	inCycle bool
-
-	// Sharding (see shard.go). shardHi[s] is one past the last component
-	// index of shard s; shards are contiguous from index 0, so shard s
-	// spans [shardHi[s-1], shardHi[s]) and every index ≥ shardHi[last] is
-	// a hub component. shardOf maps a component index to its shard, or -1
-	// for hub components.
-	shardHi []int
-	shardOf []int
-	// drain applies deferred cross-shard effects (fabric mailboxes, scope
-	// span sinks) between phase A and the hub pass, in fixed shard order.
-	drain func(cycle int64)
-	// maxWorkers bounds phase-A concurrency; captured from the
-	// process-wide SetShards default at New.
-	maxWorkers int
-	// runner is the live worker pool while a Run/RunUntil is in flight.
-	runner *shardRunner
 }
 
 type namedIdler struct {
@@ -208,11 +164,7 @@ var ErrNonPositiveLimit = errors.New("sim: non-positive cycle limit")
 
 // New returns an empty engine at cycle 0 in the process-wide mode.
 func New() *Engine {
-	return &Engine{
-		stepped:    steppedMode.Load(),
-		maxWorkers: Shards(),
-		wheels:     []wheel{{due: -1}},
-	}
+	return &Engine{stepped: steppedMode.Load(), due: -1}
 }
 
 // Handle names one registered component and carries wakes to it. The
@@ -240,21 +192,14 @@ func (h Handle) Wake(at int64) {
 
 // setWake records component i's next wake as at, clamped to the earliest
 // cycle i can still execute: the current one while its turn in the pass
-// is ahead, the next one once its wheel's pos has reached it. (During
-// phase A same-shard producers are the only legal wakers, so the check is
-// shard-local; during the drain every shard's pos rests on its last
-// component and the hub's just before its first.) A wake landing on the
+// is ahead, the next one once pos has reached it. A wake landing on the
 // executing or the next cycle needs no heap entry — the pass, or the next
 // cycle's pass, finds it in wake[i] — only the due mark that tells
 // tryJump the next cycle executes; genuinely future wakes are indexed in
-// the owning wheel's heap.
+// the heap.
 func (e *Engine) setWake(i int, at int64) {
-	w := &e.wheels[0]
-	if e.shardOf != nil {
-		w = &e.wheels[e.shardOf[i]+1]
-	}
 	floor := e.cycle
-	if e.inCycle && i <= w.pos {
+	if e.inCycle && i <= e.pos {
 		floor++
 	}
 	if at < floor {
@@ -263,7 +208,7 @@ func (e *Engine) setWake(i int, at int64) {
 	e.wake[i] = at
 	if e.inCycle && at <= e.cycle+1 {
 		if at > e.cycle {
-			w.due, w.dueIdx = at, i
+			e.due, e.dueIdx = at, i
 		}
 		return
 	}
@@ -275,16 +220,16 @@ func (e *Engine) setWake(i int, at int64) {
 	// wake[i], not the heap. Dropping them here bounds the heap on engines
 	// that never consult it — dense runs the due mark carries, and runs a
 	// plain component keeps from jumping.
-	for len(w.heap) > 0 && w.heap[0].at < floor {
-		w.popHeap()
+	for len(e.heap) > 0 && e.heap[0].at < floor {
+		e.popHeap()
 	}
-	w.heap = append(w.heap, wakeEntry{at: at, idx: i})
-	w.siftUp(len(w.heap) - 1)
+	e.heap = append(e.heap, wakeEntry{at: at, idx: i})
+	e.siftUp(len(e.heap) - 1)
 }
 
 // siftUp restores the heap's order after an append.
-func (w *wheel) siftUp(i int) {
-	hp := w.heap
+func (e *Engine) siftUp(i int) {
+	hp := e.heap
 	for i > 0 {
 		p := (i - 1) / 2
 		if hp[p].at <= hp[i].at {
@@ -296,11 +241,11 @@ func (w *wheel) siftUp(i int) {
 }
 
 // popHeap removes the heap's minimum entry.
-func (w *wheel) popHeap() {
-	hp := w.heap
+func (e *Engine) popHeap() {
+	hp := e.heap
 	n := len(hp) - 1
 	hp[0] = hp[n]
-	w.heap = hp[:n]
+	e.heap = hp[:n]
 	// Sift down.
 	i := 0
 	for {
@@ -320,28 +265,18 @@ func (w *wheel) popHeap() {
 	}
 }
 
-// nextWake returns the earliest live wake cycle across every wheel's heap
-// — on a sharded engine the global jump target is the min over the
-// per-shard heaps and the hub heap, so a shard whose components all sleep
-// never blocks the jump — discarding stale entries (whose at no longer
-// matches the component's authoritative wake) along the way. Never means
-// no component has a pending wake.
+// nextWake returns the earliest live wake cycle in the heap, discarding
+// stale entries (whose at no longer matches the component's authoritative
+// wake) along the way. Never means no component has a pending wake.
 func (e *Engine) nextWake() int64 {
-	next := Never
-	for h := range e.wheels {
-		w := &e.wheels[h]
-		for len(w.heap) > 0 {
-			top := w.heap[0]
-			if top.at == e.wake[top.idx] {
-				if top.at < next {
-					next = top.at
-				}
-				break
-			}
-			w.popHeap()
+	for len(e.heap) > 0 {
+		top := e.heap[0]
+		if top.at == e.wake[top.idx] {
+			return top.at
 		}
+		e.popHeap()
 	}
-	return next
+	return Never
 }
 
 // dueNow reports whether a next-cycle wake recorded during the previous
@@ -350,20 +285,16 @@ func (e *Engine) nextWake() int64 {
 // re-armed elsewhere, the mark is stale and only a scan of wake can tell
 // (rare: a component woken for both the executing and the next cycle).
 func (e *Engine) dueNow() bool {
-	for h := range e.wheels {
-		w := &e.wheels[h]
-		if w.due != e.cycle {
-			continue
-		}
-		if e.wake[w.dueIdx] <= e.cycle {
+	if e.due != e.cycle {
+		return false
+	}
+	if e.wake[e.dueIdx] <= e.cycle {
+		return true
+	}
+	for _, at := range e.wake {
+		if at <= e.cycle {
 			return true
 		}
-		for _, at := range e.wake {
-			if at <= e.cycle {
-				return true
-			}
-		}
-		return false
 	}
 	return false
 }
@@ -372,10 +303,7 @@ func (e *Engine) dueNow() bool {
 // handles, one per component, for wake wiring. Newly registered
 // components are due immediately; their first NextWakeup requery (at the
 // next run entry) installs the real schedule, so registration order and
-// wiring order never race. On a sharded engine, Register places
-// components in the hub: they tick serially after every shard's phase-A
-// pass, so fabrics, global memory, and samplers observe a fully drained
-// machine each cycle.
+// wiring order never race.
 func (e *Engine) Register(cs ...Component) []Handle {
 	hs := make([]Handle, len(cs))
 	for k, c := range cs {
@@ -392,9 +320,6 @@ func (e *Engine) Register(cs ...Component) []Handle {
 		}
 		e.sched = append(e.sched, s)
 		e.wake = append(e.wake, e.cycle)
-		if e.shardOf != nil {
-			e.shardOf = append(e.shardOf, -1)
-		}
 		hs[k] = Handle{e: e, idx: i}
 	}
 	return hs
@@ -493,31 +418,19 @@ func (e *Engine) limitErr(limit int64) error {
 }
 
 // stepOnce executes the current cycle: every plain component, and every
-// Sleeper whose wake is due.
+// Sleeper whose wake is due, in index order. Dueness is evaluated when
+// the iteration reaches the component, so a producer ticking earlier in
+// the pass can still hand a later consumer same-cycle work via Wake.
+// After a due Sleeper ticks, its schedule is re-queried for the next
+// cycle; a component that stays busy answers "next cycle", which is
+// setWake's heap-free case (it has had its turn, so the floor is c+1)
+// spelled out here to keep the call off the per-tick path.
 func (e *Engine) stepOnce() {
-	if len(e.shardHi) > 0 {
-		e.stepSharded()
-		return
-	}
 	c := e.cycle
-	e.inCycle = true
-	e.tickRange(&e.wheels[0], 0, len(e.components), c)
-	e.inCycle = false
-	e.cycle = c + 1
-}
-
-// tickRange executes wheel w's components [lo, hi) for cycle c, in index
-// order. Dueness is evaluated when the iteration reaches the component,
-// so a producer ticking earlier in the pass can still hand a later
-// consumer same-cycle work via Wake. After a due Sleeper ticks, its
-// schedule is re-queried for the next cycle; a component that stays busy
-// answers "next cycle", which is setWake's heap-free case (it has had its
-// turn, so the floor is c+1) spelled out here to keep the call off the
-// per-tick path.
-func (e *Engine) tickRange(w *wheel, lo, hi int, c int64) {
 	next := c + 1
-	for i := lo; i < hi; i++ {
-		w.pos = i
+	e.inCycle = true
+	for i := range e.components {
+		e.pos = i
 		s := e.sched[i]
 		if s == nil || e.stepped {
 			e.components[i].Tick(c)
@@ -529,11 +442,13 @@ func (e *Engine) tickRange(w *wheel, lo, hi int, c int64) {
 		e.components[i].Tick(c)
 		if at := s.NextWakeup(next); at <= next {
 			e.wake[i] = next
-			w.due, w.dueIdx = next, i
+			e.due, e.dueIdx = next, i
 		} else {
 			e.setWake(i, at)
 		}
 	}
+	e.inCycle = false
+	e.cycle = next
 }
 
 // tryJump advances the clock to the earliest pending wake when no
@@ -572,8 +487,6 @@ func (e *Engine) Run(n int64) {
 	if n <= 0 {
 		return
 	}
-	stop := e.startWorkers()
-	defer stop()
 	e.pollAll()
 	deadline := e.cycle + n
 	for e.cycle < deadline {
@@ -591,8 +504,6 @@ func (e *Engine) RunUntil(done func() bool, limit int64) error {
 	if limit <= 0 {
 		return fmt.Errorf("%w: %d", ErrNonPositiveLimit, limit)
 	}
-	stop := e.startWorkers()
-	defer stop()
 	e.pollAll()
 	start := e.cycle
 	for !done() {

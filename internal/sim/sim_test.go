@@ -470,3 +470,50 @@ func TestFastForwardWakeBoundaryMidRun(t *testing.T) {
 		t.Errorf("cycle = %d, want %d", e.Cycle(), warmup+limit)
 	}
 }
+
+// TestRegisterShardContract pins the three names kept for the frozen
+// cmd/cedarperf seam to doing nothing of their own, so they cannot grow
+// behaviour back: SetShards leaves Shards at 1, and an engine wired
+// through RegisterShard is the engine Register builds — same handles,
+// same tick order, same jumps.
+func TestRegisterShardContract(t *testing.T) {
+	SetShards(2)
+	if got := Shards(); got != 1 {
+		t.Fatalf("Shards() = %d after SetShards(2), want 1", got)
+	}
+	build := func(viaShim bool) (log []string, hs []Handle, e *Engine) {
+		e = New()
+		var cs []Component
+		for i, period := range []int64{3, 7, 7, 50, 11} {
+			p := &periodic{id: string(rune('a' + i)), period: period, want: 6}
+			cs = append(cs, SchedFunc{ID: p.id, W: p.NextWakeup, F: func(c int64) {
+				if c%p.period == 0 {
+					log = append(log, p.id)
+				}
+			}})
+		}
+		if viaShim {
+			hs = append(hs, e.RegisterShard(0, cs[:2]...)...)
+			hs = append(hs, e.RegisterShard(1, cs[2:4]...)...)
+			hs = append(hs, e.Register(cs[4:]...)...)
+		} else {
+			hs = e.Register(cs...)
+		}
+		e.Run(400)
+		return log, hs, e
+	}
+	wantLog, wantHs, want := build(false)
+	gotLog, gotHs, got := build(true)
+	if strings.Join(gotLog, "") != strings.Join(wantLog, "") {
+		t.Errorf("tick order via RegisterShard differs from Register:\n got %v\nwant %v", gotLog, wantLog)
+	}
+	for i := range wantHs {
+		if gotHs[i].idx != wantHs[i].idx || gotHs[i].e != got {
+			t.Errorf("handle %d = {%p %d}, want {%p %d}", i, gotHs[i].e, gotHs[i].idx, got, wantHs[i].idx)
+		}
+	}
+	if got.FastForwarded() != want.FastForwarded() || got.Cycle() != want.Cycle() || want.FastForwarded() == 0 {
+		t.Errorf("cycle/jumped = %d/%d via RegisterShard, %d/%d via Register (jumps must be nonzero)",
+			got.Cycle(), got.FastForwarded(), want.Cycle(), want.FastForwarded())
+	}
+}

@@ -9,9 +9,9 @@ import (
 // This file holds the hand-written scenarios that pin each branch of the
 // wheel's next-cycle path — wakes that land on the executing or the next
 // cycle bypass the heap and leave only a due mark — plus the bounds on
-// what the heap may hold. TestRandomWakeInterleavingsMatchStepped and
-// TestShardedMatchesFlat run every scenario, so they sit behind the same
-// -race gates as the seeded property tests.
+// what the heap may hold. TestRandomWakeInterleavingsMatchStepped runs
+// every scenario, so they sit behind the same -race gate as the seeded
+// property test.
 
 // msg is one wake an actor hands a peer while working its own schedule.
 type msg struct {
@@ -28,15 +28,12 @@ type msg struct {
 
 // actorSpec is one scripted Sleeper, as pure data.
 type actorSpec struct {
-	shard int             // owning shard on the sharded run; -1 is the hub
 	own   []int64         // ascending cycles at which it has work of its own
 	sends map[int64][]msg // wakes fired while working own cycle k
 }
 
-// wakeScenario is a component set plus the run entries that drive it.
-// Actors are listed shard-major with the hub last, so flat and sharded
-// registration order agree; wakes stay inside a shard or leave the hub,
-// the only legal phase-A producers.
+// wakeScenario is a component set, in registration order, plus the run
+// entries that drive it.
 type wakeScenario struct {
 	name   string
 	actors []actorSpec
@@ -72,7 +69,7 @@ var wakePathScenarios = []wakeScenario{
 		actors: []actorSpec{
 			{own: []int64{10}, sends: map[int64][]msg{10: {{to: 1, at: 11, cancel: true}}}},
 			{own: []int64{100, 150}},
-			{shard: -1, own: []int64{300}},
+			{own: []int64{300}},
 		},
 	},
 	{
@@ -81,16 +78,16 @@ var wakePathScenarios = []wakeScenario{
 			{own: []int64{10}, sends: map[int64][]msg{10: {{to: 2, at: 11, poke: true}}}},
 			{own: []int64{10}, sends: map[int64][]msg{10: {{to: 2, at: 10}}}},
 			{},
-			{shard: -1, own: []int64{200}},
+			{own: []int64{200}},
 		},
 	},
 	{
-		name: "hub wakes into a shard land on the next cycle",
+		name: "a later component's wakes on earlier ones land on the next cycle",
 		actors: []actorSpec{
 			{own: []int64{80}},
-			{shard: 1},
-			{shard: -1, own: []int64{7, 20}, sends: map[int64][]msg{7: {{to: 0, at: 7}, {to: 1, at: 8}}, 20: {{to: 3, at: 20}}}},
-			{shard: -1},
+			{},
+			{own: []int64{7, 20}, sends: map[int64][]msg{7: {{to: 0, at: 7}, {to: 1, at: 8}}, 20: {{to: 3, at: 20}}}},
+			{},
 		},
 	},
 	{
@@ -184,26 +181,15 @@ func (a *actor) NextWakeup(now int64) int64 {
 // entry. On an event-wheel run it also checks the jump accounting from
 // the inside: the executed cycles are exactly those in which some Tick
 // ran — a cycle executed for nobody is as wrong as one skipped over work.
-func runWakeScenario(t *testing.T, sc wakeScenario, stepped, sharded bool, workers int) string {
+func runWakeScenario(t *testing.T, sc wakeScenario, stepped bool) string {
 	t.Helper()
 	e := New()
 	e.stepped = stepped
-	e.maxWorkers = workers
 	env := &actorEnv{}
-	shard := 0
 	for i, sp := range sc.actors {
 		a := &actor{id: fmt.Sprintf("a%d", i), own: append([]int64(nil), sp.own...), sends: sp.sends, env: env}
 		env.actors = append(env.actors, a)
-		if sharded && sp.shard >= 0 {
-			for shard < sp.shard { // open skipped shards empty, in order
-				e.RegisterShard(shard)
-				shard++
-			}
-			env.handles = append(env.handles, e.RegisterShard(sp.shard, a)[0])
-			shard = sp.shard
-		} else {
-			env.handles = append(env.handles, e.Register(a)[0])
-		}
+		env.handles = append(env.handles, e.Register(a)[0])
 	}
 	limits := sc.limits
 	if limits == nil {
@@ -230,38 +216,22 @@ func runWakeScenario(t *testing.T, sc wakeScenario, stepped, sharded bool, worke
 		}
 	}
 	if executed := e.Cycle() - e.FastForwarded(); executed != int64(len(called)) {
-		t.Errorf("%s (sharded=%v): %d cycles executed but Ticks ran in %d: FastForwarded()=%d is off",
-			sc.name, sharded, executed, len(called), e.FastForwarded())
+		t.Errorf("%s: %d cycles executed but Ticks ran in %d: FastForwarded()=%d is off",
+			sc.name, executed, len(called), e.FastForwarded())
 	}
 	return b.String()
 }
 
 // checkWakeScenarios runs every scenario stepped (the reference) and on
-// the event wheel — flat when workers is 0, sharded otherwise.
-func checkWakeScenarios(t *testing.T, workers ...int) {
+// the event wheel.
+func checkWakeScenarios(t *testing.T) {
 	t.Helper()
 	for _, sc := range wakePathScenarios {
-		want := runWakeScenario(t, sc, true, false, 1)
-		if len(workers) == 0 {
-			if got := runWakeScenario(t, sc, false, false, 1); got != want {
-				t.Errorf("%s: event run diverges from stepped\nevent:\n%s\nstepped:\n%s", sc.name, got, want)
-			}
-		}
-		for _, w := range workers {
-			if got := runWakeScenario(t, sc, false, true, w); got != want {
-				t.Errorf("%s workers=%d: sharded event run diverges from stepped\nsharded:\n%s\nstepped:\n%s", sc.name, w, got, want)
-			}
+		want := runWakeScenario(t, sc, true)
+		if got := runWakeScenario(t, sc, false); got != want {
+			t.Errorf("%s: event run diverges from stepped\nevent:\n%s\nstepped:\n%s", sc.name, got, want)
 		}
 	}
-}
-
-// heapLen is the total number of entries across every wheel's heap.
-func heapLen(e *Engine) int {
-	n := 0
-	for i := range e.wheels {
-		n += len(e.wheels[i].heap)
-	}
-	return n
 }
 
 // TestWakeHeapBoundedWithPlainComponent is the regression test for the
@@ -276,60 +246,46 @@ func TestWakeHeapBoundedWithPlainComponent(t *testing.T) {
 	// component too.
 	e.Register(SchedFunc{ID: "napper", F: func(int64) {}, W: func(now int64) int64 { return now + 7 }})
 	e.Run(100_000)
-	if n := heapLen(e); n > 2 {
+	if n := len(e.heap); n > 2 {
 		t.Errorf("heap holds %d entries after 1e5 cycles, want ≤ 2 (one per Sleeper)", n)
 	}
 }
 
 // denseEngine builds an all-Sleeper engine of 8 components, component i
-// re-arming gap(i) cycles out (0 = always due) — flat, or as two shards
-// of three plus two hub components.
-func denseEngine(sharded bool, gap func(i int) int64) *Engine {
+// re-arming gap(i) cycles out (0 = always due).
+func denseEngine(gap func(i int) int64) *Engine {
 	e := New()
-	var cs []Component
 	for i := 0; i < 8; i++ {
 		g := gap(i)
-		cs = append(cs, SchedFunc{ID: fmt.Sprintf("s%d", i), F: func(int64) {}, W: func(now int64) int64 { return now + g }})
-	}
-	if sharded {
-		e.RegisterShard(0, cs[:3]...)
-		e.RegisterShard(1, cs[3:6]...)
-		e.Register(cs[6:]...)
-	} else {
-		e.Register(cs...)
+		e.Register(SchedFunc{ID: fmt.Sprintf("s%d", i), F: func(int64) {}, W: func(now int64) int64 { return now + g }})
 	}
 	return e
 }
 
 // TestWakeHeapBoundedWhenDense pins the same bound where the due mark,
 // not a plain component, keeps the heap from being consulted: an
-// all-Sleeper engine with something due every cycle, flat and sharded.
+// all-Sleeper engine with something due every cycle.
 func TestWakeHeapBoundedWhenDense(t *testing.T) {
-	for _, sharded := range []bool{false, true} {
-		// Every fourth component is always due; the others nap 1–3 cycles.
-		e := denseEngine(sharded, func(i int) int64 { return int64(i % 4) })
-		for i := 0; i < 10; i++ { // re-entry re-polls every Sleeper into the heap
-			e.Run(10_000)
-		}
-		if e.FastForwarded() != 0 {
-			t.Fatalf("sharded=%v: dense engine jumped %d cycles", sharded, e.FastForwarded())
-		}
-		if n := heapLen(e); n > e.Components() {
-			t.Errorf("sharded=%v: heap holds %d entries after 1e5 dense cycles, want ≤ %d (one per Sleeper)", sharded, n, e.Components())
-		}
+	// Every fourth component is always due; the others nap 1–3 cycles.
+	e := denseEngine(func(i int) int64 { return int64(i % 4) })
+	for i := 0; i < 10; i++ { // re-entry re-polls every Sleeper into the heap
+		e.Run(10_000)
+	}
+	if e.FastForwarded() != 0 {
+		t.Fatalf("dense engine jumped %d cycles", e.FastForwarded())
+	}
+	if n := len(e.heap); n > e.Components() {
+		t.Errorf("heap holds %d entries after 1e5 dense cycles, want ≤ %d (one per Sleeper)", n, e.Components())
 	}
 }
 
 // TestSteadyStateAllocsEngineRun is the runtime allocation gate on the
 // tick path: Engine.Run over always-due Sleepers must not allocate once
-// the heaps have reached their bound — unsharded, and with two shards on
-// the serial phase-A path.
+// the heap has reached its bound.
 func TestSteadyStateAllocsEngineRun(t *testing.T) {
-	for _, sharded := range []bool{false, true} {
-		e := denseEngine(sharded, func(int) int64 { return 0 })
-		e.Run(100)
-		if avg := testing.AllocsPerRun(20, func() { e.Run(500) }); avg != 0 {
-			t.Errorf("sharded=%v: Engine.Run allocates %.1f times per 500 dense cycles, want 0", sharded, avg)
-		}
+	e := denseEngine(func(int) int64 { return 0 })
+	e.Run(100)
+	if avg := testing.AllocsPerRun(20, func() { e.Run(500) }); avg != 0 {
+		t.Errorf("Engine.Run allocates %.1f times per 500 dense cycles, want 0", avg)
 	}
 }

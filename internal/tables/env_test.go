@@ -15,7 +15,7 @@ import (
 
 // TestWriteReportGolden is the cross-commit half of the byte-identity
 // invariant: the kernel-level report must equal the bytes committed in
-// testdata. The in-process jobs/shards/stepped gates compare a build
+// testdata. The in-process jobs/stepped gates compare a build
 // with itself and cannot see a refactor that moves every mode the same
 // way; this can. Regenerate the file only for a deliberate model change.
 func TestWriteReportGolden(t *testing.T) {

@@ -1,8 +1,6 @@
 package xylem
 
 import (
-	"sync"
-
 	"cedar/internal/ce"
 	"cedar/internal/params"
 )
@@ -20,13 +18,9 @@ import (
 // share of the machine, because a task's barrier can spin while its
 // partner CEs run a different task.
 //
-// Rotation decisions read machine-wide completion flags, so the result
-// is only defined for the sequential engine schedule: run time-sharing
-// studies with -shards 1. The mutex below keeps a sharded run safe (no
-// data races), but its rotations then depend on cross-cluster tick
-// interleaving and are not byte-comparable across shard counts.
+// Rotation decisions read machine-wide completion flags as of the
+// calling CE's turn in the engine's tick order.
 type TimeSharer struct {
-	mu      sync.Mutex
 	p       params.Machine
 	quantum int64
 	sw      int64 // context switch cost in cycles
@@ -92,8 +86,6 @@ func (t *TimeSharer) taskDone(task int) bool {
 // Next implements ce.Controller: the running task fills in directly, and
 // the context-switch stall is written into it too.
 func (t *TimeSharer) Next(ceID int, cycle int64, in *ce.Instr) ce.Status {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	cl := &t.cluster[ceID/t.p.CEsPerCluster]
 	inCluster := ceID % t.p.CEsPerCluster
 
@@ -162,7 +154,6 @@ func (t *TimeSharer) nextLiveTask(cur int) int {
 type FixedWork struct {
 	instrs int
 	cycles int64
-	mu     sync.Mutex
 	pos    map[int]int
 }
 
@@ -173,8 +164,6 @@ func NewFixedWork(instrs int, cycles int64) *FixedWork {
 
 // Next implements ce.Controller.
 func (f *FixedWork) Next(ceID int, cycle int64, in *ce.Instr) ce.Status {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.pos[ceID] >= f.instrs {
 		return ce.Finished
 	}

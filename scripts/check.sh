@@ -9,10 +9,21 @@ cd "$(dirname "$0")/.."
 
 FUZZTIME="${FUZZTIME:-5s}"
 
-echo "==> go build ./..."
+# stage prints the elapsed seconds of the stage it ends, then the header
+# of the one it starts ("" starts none), so the gate's time budget is a
+# number per stage and in total rather than an impression.
+SECONDS=0
+stage_name=""
+stage() {
+  [ -z "$stage_name" ] || echo "    [$((SECONDS - stage_start))s] $stage_name"
+  stage_name="$1" stage_start=$SECONDS
+  [ -z "$1" ] || echo "==> $1"
+}
+
+stage "go build ./..."
 go build ./...
 
-echo "==> go vet ./..."
+stage "go vet ./..."
 go vet ./...
 
 # cedarvet runs after stock vet on purpose: its analyzers assume a
@@ -20,7 +31,7 @@ go vet ./...
 # vet findings would only show up here as noise. The -json artifact is
 # what CI uploads; on failure we print it so the findings are visible in
 # the log too.
-echo "==> cedarvet (hot-path allocs, layering, concurrency, error flow, determinism)"
+stage "cedarvet (hot-path allocs, layering, concurrency, error flow, determinism)"
 mkdir -p artifacts
 if ! go run ./cmd/cedarvet -json ./... > artifacts/cedarvet.json; then
   cat artifacts/cedarvet.json
@@ -28,21 +39,21 @@ if ! go run ./cmd/cedarvet -json ./... > artifacts/cedarvet.json; then
   exit 1
 fi
 
-echo "==> go test ./..."
+stage "go test ./..."
 # This unraced pass is the only one that runs the full-report integration
 # tests, among them TestWriteReportGolden (internal/tables): the kernel
 # report byte-compared against testdata generated at an earlier commit —
 # the cross-commit half of the byte-identity invariant, which the
-# in-process jobs/shards/stepped gates below cannot see.
+# in-process jobs/stepped gates below cannot see.
 go test ./...
 
-echo "==> go test -race ./..."
+stage "go test -race ./..."
 # The full-report integration tests skip themselves under -race (they
 # multiply minutes of simulation by the detector's overhead); the line
 # above runs them unraced.
 go test -race ./...
 
-echo "==> cedarfleet parallel-vs-sequential equality (-race, pool enabled)"
+stage "cedarfleet parallel-vs-sequential equality (-race, pool enabled)"
 # The worker pool must be invisible: -jobs 8 and -jobs 1 byte-identical
 # report/JSON/trace/metrics, with the detector watching the real parallel
 # execution — for healthy runs and for fault-injected (cedarfault)
@@ -55,7 +66,7 @@ go test -race -count=1 -run '^(TestParallelVsSequentialEquality|TestFaultedRunDe
 # process-wide, so they cannot see each other.
 go test -race -count=1 -run '^TestTwoEnvsAtOnce$' ./internal/tables
 
-echo "==> stepped-vs-event engine equivalence (-race)"
+stage "stepped-vs-event engine equivalence (-race)"
 # The event wheel (internal/sim) skips sleeping components and jumps the
 # clock over empty cycles; both must be invisible. These run the suite
 # with the wheel on and with pure per-cycle stepping and byte-compare
@@ -65,30 +76,19 @@ go test -race -count=1 -run '^(TestSteppedVsEventEquality|TestSteppedVsEventDegr
 # (run inside the property test) and the wake-heap bounds.
 go test -race -count=1 -run '^(TestRandomWakeInterleavingsMatchStepped|TestWakeHeapBoundedWithPlainComponent|TestWakeHeapBoundedWhenDense)$' ./internal/sim
 
-echo "==> sharded-vs-sequential engine equality (-race, parallel phase A)"
-# The intra-run parallel engine must be invisible: -shards 1 and
-# -shards N byte-identical report/JSON/trace/metrics — healthy and
-# fault-degraded — with the race detector watching the real phase-A
-# worker pool. Plus the machine-level equality run, the seeded property
-# test over random shard counts and worker interleavings, and the
-# all-asleep-shard jump regression.
-go test -race -count=1 -run '^(TestShardsVsSequentialEquality|TestShardsVsSequentialDegraded)$' .
-go test -race -count=1 -run '^(TestShardedMachineMatchesSequential|TestAttributionConservationParallel)$' ./internal/core
-go test -race -count=1 -run '^(TestShardedMatchesFlat|TestSleepingShardDoesNotBlockJump)$' ./internal/sim
 # Instruction ownership rides the same line: a controller that rewrites
-# its storage the moment Next returns matches a stored Program flat and
-# at shards 2 (ce), and the runtime's cycles and tracer stream on the
-# event, stepped and two-shard engines match a golden generated at the
-# commit before instructions moved into the CE (cfrt) — the callbacks
-# under test fire inside concurrent shard ticks.
+# its storage the moment Next returns matches a stored Program (ce), and
+# the runtime's cycles and tracer stream on the event and stepped engines
+# match a golden generated at the commit before instructions moved into
+# the CE (cfrt).
 go test -race -count=1 -run '^TestScribblingControllerMatchesProgram$' ./internal/ce
 go test -race -count=1 -run '^TestGoldenAcrossCommits$' ./internal/cfrt
 
-echo "==> steady-state allocation gates"
+stage "steady-state allocation gates"
 # The complement of cedarvet's hotalloc analyzer: testing.AllocsPerRun
 # asserts zero allocations per run on the warmed tick path — cache
-# Submit+Tick (hit and miss streams), Engine.Run over always-due Sleepers
-# (flat and two shards), the cfrt controller queue, the omega under
+# Submit+Tick (hit and miss streams), Engine.Run over always-due
+# Sleepers, the cfrt controller queue, the omega under
 # uniform pooled traffic, PFU re-arm at a fixed block length, and tag-store
 # lookups on absent pages. A slide-forward slice queue allocates through
 # append growth alone, which no syntactic rule can see. Run
@@ -106,7 +106,7 @@ go test -count=1 -run '^TestSteadyStateAllocs' ./internal/sim ./internal/cache .
 go test -count=1 -run '^TestBuildBudget$' ./internal/core
 go test -count=1 -run '^TestRunBudget$' ./internal/perfect
 
-echo "==> cedarserve cached-vs-fresh response equality (-race)"
+stage "cedarserve cached-vs-fresh response equality (-race)"
 # The serving daemon's cache must be invisible: a response served from
 # the in-process cache, from a coalesced in-flight computation, or from
 # the durable on-disk store across a daemon restart must be
@@ -123,7 +123,7 @@ go test -race -count=1 -run '^TestRoundTripDeterminism$' ./internal/store
 go test -race -count=1 -run '^(TestWorkerPanicRethrownOnCaller|TestCopyFailureRecomputesNeverAliases|TestHealthyAfterFaultedNotServedDegraded)$' ./internal/fleet
 go test -race -count=1 -run '^(TestHealthyEnvAfterFaultedEnv|TestFaultedEnvReachesEveryExperiment)$' ./internal/tables
 
-echo "==> cedarbench smoke campaign + regression diff"
+stage "cedarbench smoke campaign + regression diff"
 # The smoke campaign runs the full matrix once per declared jobs value
 # ([1, 8]) and fails itself if the deterministic sections differ, so a
 # successful run is a cross-jobs byte-equality proof. The diff then
@@ -132,7 +132,7 @@ echo "==> cedarbench smoke campaign + regression diff"
 go run ./cmd/cedarbench run -config bench/campaigns/smoke.json -out artifacts/BENCH_smoke.json -q
 go run ./cmd/cedarbench diff bench/BENCH_smoke.json artifacts/BENCH_smoke.json -threshold 5% -alloc-threshold 30%
 
-echo "==> cedarbench latency campaign (event-wheel win) + regression diff"
+stage "cedarbench latency campaign (event-wheel win) + regression diff"
 # The latency campaign is dominated by long memory waits — exactly what
 # the event wheel jumps over — so its simcycles are also the regression
 # gate on the wheel's scheduling (a missed wake changes cycle counts
@@ -140,18 +140,16 @@ echo "==> cedarbench latency campaign (event-wheel win) + regression diff"
 go run ./cmd/cedarbench run -config bench/campaigns/latency.json -out artifacts/BENCH_latency.json -q
 go run ./cmd/cedarbench diff bench/BENCH_latency.json artifacts/BENCH_latency.json -threshold 5% -alloc-threshold 30%
 
-echo "==> cedarbench wide campaign (16/64-cluster presets, shards 1 vs 4) + regression diff"
-# The wide campaign runs the scale-up machines once per declared shards
-# value and fails itself if the deterministic sections differ, so a
-# green run is a sequential-vs-sharded byte-equality proof on the
-# machines big enough for sharding to matter. The diff gates their
-# simcycles like any other committed baseline.
+stage "cedarbench wide campaign (16/64-cluster presets) + regression diff"
+# The wide campaign is the simcycle baseline for the scale-up machines:
+# the diff gates Cedar16 and Cedar64 like any other committed baseline.
 go run ./cmd/cedarbench run -config bench/campaigns/wide.json -out artifacts/BENCH_wide.json -q
 go run ./cmd/cedarbench diff bench/BENCH_wide.json artifacts/BENCH_wide.json -threshold 5% -alloc-threshold 30%
 
-echo "==> fuzz smoke ($FUZZTIME per target)"
+stage "fuzz smoke ($FUZZTIME per target)"
 go test -run='^$' -fuzz='^FuzzOmegaRouting$' -fuzztime="$FUZZTIME" ./internal/network
 go test -run='^$' -fuzz='^FuzzInstability$' -fuzztime="$FUZZTIME" ./internal/ppt
 go test -run='^$' -fuzz='^FuzzBands$' -fuzztime="$FUZZTIME" ./internal/ppt
 
-echo "OK: build, vet, cedarvet, race tests, shard equality, allocation gates, serve equality, bench campaigns and fuzz smoke all green"
+stage ""
+echo "OK in ${SECONDS}s: build, vet, cedarvet, tests, race tests, jobs and stepped equality, allocation gates, serve equality, bench campaigns and fuzz smoke all green"
