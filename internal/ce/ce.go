@@ -214,14 +214,23 @@ func (c *CE) Idle() bool {
 // the layering DAG).
 const never = int64(1<<63 - 1)
 
-// SetWaker installs the engine wake callback used by cache completions;
-// the machine wires the reverse network's port waker separately. Until a
-// waker is wired the CE never sleeps.
+// SetWaker installs the engine wake callback used by cache completions
+// and by PortReady. Until a waker is wired the CE never sleeps.
 func (c *CE) SetWaker(wake func(at int64)) { c.wake = wake }
+
+// PortReady implements network.PortSink for the reverse fabric (the
+// machine installs the CE as the sink of its own port): a reply has landed,
+// consumable by an after-fabric sink from cycle at on. The CE ticks before
+// the reverse fabric, so it can take the packet one cycle later.
+func (c *CE) PortReady(_ int, at int64) {
+	if c.wake != nil {
+		c.wake(at + 1)
+	}
+}
 
 // NextWakeup implements sim.Sleeper: the earliest cycle this CE must
 // tick given its instruction state. External completions reach it by
-// push — the reverse network's port waker and the cache's CacheDone —
+// push — the reverse network's PortReady and the cache's CacheDone —
 // so phases that only await them sleep indefinitely.
 func (c *CE) NextWakeup(now int64) int64 {
 	if c.wake == nil {

@@ -166,12 +166,8 @@ func New(p params.Machine, opt Options) (*Machine, error) {
 			}
 			cluster.CEs = append(cluster.CEs, c)
 			m.CEs = append(m.CEs, c)
-			h := m.Engine.Register(c)[0]
-			c.SetWaker(h.Wake)
-			// The CE ticks before the reverse fabric, so an egress packet
-			// is consumable the cycle after it lands.
-			wake := h.Wake
-			rev.SetPortWaker(c.Port, func(at int64) { wake(at + 1) })
+			c.SetWaker(m.Engine.Register(c)[0].Wake)
+			rev.SetPortSink(c.Port, c)
 		}
 		m.Clusters = append(m.Clusters, cluster)
 		// Cache and cluster memory tick as one composite, after the
@@ -193,8 +189,6 @@ func New(p params.Machine, opt Options) (*Machine, error) {
 	}
 	hs := m.Engine.Register(fwd, m.Mem, rev)
 	fwd.SetWaker(hs[0].Wake)
-	// The memory ticks after the forward fabric, so SetWaker's port hooks
-	// deliver arrival cycles directly.
 	m.Mem.SetWaker(hs[1].Wake)
 	rev.SetWaker(hs[2].Wake)
 	m.instrument()

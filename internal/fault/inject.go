@@ -227,10 +227,26 @@ func (in *Injector) drawWire(idxs []int, salt uint64, fabric string, stage, line
 	return false
 }
 
+// emit posts one injection on the trace track of the site it hit.
 func (in *Injector) emit(where, what string, cycle int64) {
 	if in.hub != nil {
-		in.hub.Emit("faults/"+where, what, cycle)
+		in.hub.Emit(track(where), what, cycle)
 	}
+}
+
+// track names a fault site's trace track. The machine has three sites and
+// their names are constants, so a fired fault builds no string — whether
+// the hub keeps the event or its span buffer is full and drops it.
+func track(where string) string {
+	switch where {
+	case "gmem":
+		return "faults/gmem"
+	case "fwd":
+		return "faults/fwd"
+	case "rev":
+		return "faults/rev"
+	}
+	return "faults/" + where // a fabric under test with a name of its own
 }
 
 // jamScanCap bounds JamDelay's look-ahead.

@@ -2,6 +2,7 @@ package gmem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cedar/internal/fault"
 	"cedar/internal/network"
@@ -22,6 +23,12 @@ import (
 // (SyncOpLatency more for synchronization instructions), and retires one
 // reply per cycle into the reverse network, with back-pressure stalling
 // initiation when replies bank up.
+//
+// A tick costs what is in flight, not what is built: the memory is the
+// forward fabric's PortSink for every module port, and keeps the set of
+// modules that hold or may be about to receive a packet; Tick,
+// NextWakeup, Idle and InFlight walk that set only (DESIGN.md,
+// "Occupancy-driven data path").
 type Memory struct {
 	p          params.Machine
 	fwd        network.Fabric
@@ -35,6 +42,16 @@ type Memory struct {
 	// the mapping reduces to the plain addr % MemModules interleave.
 	live []int
 	inj  *fault.Injector
+
+	// active has bit i set while module i's pipeline or reply stage is
+	// non-empty or its forward egress queue may hold a packet. PortReady
+	// sets it, the tick that finds all three empty clears it. A module
+	// outside the set has nothing tickModule could classify, retire, offer
+	// or initiate, so skipping it is skipping a no-op.
+	active []uint64
+	// visits counts tickModule calls — the work unit the active set exists
+	// to cut (BenchmarkMemoryTick reports it per cycle).
+	visits int64
 
 	stats Stats
 	// lastTick is the last executed cycle, for exact per-cycle counter
@@ -100,10 +117,28 @@ func New(p params.Machine, fwd, rev network.Fabric, data *Store) *Memory {
 		data:       data,
 		mods:       make([]module, p.MemModules),
 		portStride: stride,
+		active:     make([]uint64, (p.MemModules+63)/64),
 		lastTick:   -1,
 	}
 	m.remap()
+	if fwd != nil {
+		for i := range m.mods {
+			fwd.SetPortSink(m.PortOf(i), m)
+		}
+	}
 	return m
+}
+
+// PortReady implements network.PortSink for the forward fabric: a request
+// has landed at a module's port, consumable from cycle at on (the memory
+// ticks after the forward fabric). The module joins the active set, and
+// the engine — when one is wired — is told, so a sleeping memory wakes.
+func (m *Memory) PortReady(port int, at int64) {
+	i := port / m.portStride
+	m.active[i>>6] |= 1 << (i & 63)
+	if m.wake != nil {
+		m.wake(at)
+	}
 }
 
 // SetFaults installs a fault injector and remaps interleaving around
@@ -131,15 +166,7 @@ func (m *Memory) LiveModules() int { return len(m.live) }
 func (m *Memory) Name() string { return "gmem" }
 
 // Idle implements sim.Idler.
-func (m *Memory) Idle() bool {
-	for i := range m.mods {
-		md := &m.mods[i]
-		if len(md.pipe) > 0 || len(md.out) > 0 {
-			return false
-		}
-	}
-	return true
-}
+func (m *Memory) Idle() bool { return m.InFlight() == 0 }
 
 // Stats returns cumulative counters.
 func (m *Memory) Stats() Stats { return m.stats }
@@ -149,9 +176,11 @@ func (m *Memory) Stats() Stats { return m.stats }
 // observability hub.
 func (m *Memory) InFlight() int {
 	n := 0
-	for i := range m.mods {
-		md := &m.mods[i]
-		n += len(md.pipe) + len(md.out)
+	for wi, word := range m.active {
+		for ; word != 0; word &= word - 1 {
+			md := &m.mods[wi<<6+bits.TrailingZeros64(word)]
+			n += len(md.pipe) + len(md.out)
+		}
 	}
 	return n
 }
@@ -176,62 +205,62 @@ func (m *Memory) PortOf(i int) int { return i * m.portStride }
 
 // Tick implements sim.Component.
 func (m *Memory) Tick(cycle int64) {
-	if gap := cycle - m.lastTick - 1; gap > 0 {
-		// The engine skipped the memory entirely for gap cycles. A module
-		// can only sleep with a non-empty pipeline (busy; replies staged
-		// or consumable port traffic force wakefulness) or fully empty
-		// (idle), and its state is frozen while asleep, so bulk-adding
-		// the gap reproduces the stepped run's counters exactly.
-		for i := range m.mods {
-			if len(m.mods[i].pipe) > 0 {
+	// gap > 0: the engine skipped the memory entirely for gap cycles. A
+	// module can only sleep with a non-empty pipeline (busy; replies staged
+	// or consumable port traffic force wakefulness) or fully empty (idle),
+	// and its state is frozen while asleep, so bulk-adding the gap
+	// reproduces the stepped run's counters exactly.
+	gap := cycle - m.lastTick - 1
+	m.lastTick = cycle
+	for wi, word := range m.active {
+		for ; word != 0; word &= word - 1 {
+			i := wi<<6 + bits.TrailingZeros64(word)
+			md := &m.mods[i]
+			if gap > 0 && len(md.pipe) > 0 {
 				m.stats.BusyCyc += gap
+			}
+			m.tickModule(i, cycle)
+			if len(md.pipe) == 0 && len(md.out) == 0 && m.fwd.NextAt(m.PortOf(i), cycle) == never {
+				// Nothing held and nothing at the port: every later tick
+				// is a no-op until PortReady says otherwise.
+				m.active[wi] &^= 1 << (i & 63)
 			}
 		}
 	}
-	m.lastTick = cycle
-	for i := range m.mods {
-		m.tickModule(i, cycle)
-	}
 }
 
-// SetWaker installs the engine wake callback and hooks the forward
-// fabric's port wakers so packets that arrive while the memory sleeps
-// rouse it. Until a waker is wired the memory never sleeps: without the
-// port hooks a future-wake answer could strand arriving traffic.
-func (m *Memory) SetWaker(wake func(at int64)) {
-	m.wake = wake
-	if m.fwd != nil {
-		for i := range m.mods {
-			m.fwd.SetPortWaker(m.PortOf(i), wake)
-		}
-	}
-}
+// SetWaker installs the engine wake callback, through which PortReady
+// rouses a sleeping memory when a request lands at a module port. Until a
+// waker is wired the memory never sleeps: a future-wake answer could
+// strand arriving traffic.
+func (m *Memory) SetWaker(wake func(at int64)) { m.wake = wake }
 
 // NextWakeup implements sim.Sleeper: the earliest cycle any module must
 // act — now while replies are staged (one offer per cycle) or a
 // consumable request waits at a port, the earliest pipeline retirement
 // or port arrival otherwise. Packets that arrive while the memory
-// sleeps wake it through the forward fabric's port wakers.
+// sleeps wake it through PortReady.
 func (m *Memory) NextWakeup(now int64) int64 {
 	if m.wake == nil {
 		return now
 	}
 	w := never
-	for i := range m.mods {
-		md := &m.mods[i]
-		if len(md.out) > 0 {
-			return now
-		}
-		if len(md.pipe) > 0 {
-			t := md.pipe[0].done
-			if t < now {
-				t = now
+	for wi, word := range m.active {
+		for ; word != 0; word &= word - 1 {
+			i := wi<<6 + bits.TrailingZeros64(word)
+			md := &m.mods[i]
+			if len(md.out) > 0 {
+				return now
 			}
-			if t < w {
-				w = t
+			if len(md.pipe) > 0 {
+				t := md.pipe[0].done
+				if t < now {
+					t = now
+				}
+				if t < w {
+					w = t
+				}
 			}
-		}
-		if m.fwd != nil {
 			if t := m.fwd.NextAt(m.PortOf(i), now); t < w {
 				// Wake when the packet is consumable even if nextInit gates
 				// actual initiation: the waiting cycles are the module's
@@ -247,13 +276,14 @@ func (m *Memory) NextWakeup(now int64) int64 {
 // the pipeline, and emit due replies. Panics on a packet kind a memory
 // module cannot serve — a routing bug, not a runtime condition.
 func (m *Memory) tickModule(i int, cycle int64) {
+	m.visits++
 	md := &m.mods[i]
 	switch {
 	case len(md.pipe) > 0:
 		m.stats.BusyCyc++
 	case len(md.out) > 0:
 		m.stats.DrainCyc++
-	case cycle < md.nextInit && m.fwd != nil && m.fwd.Peek(m.PortOf(i)) != nil:
+	case cycle < md.nextInit && m.fwd.Peek(m.PortOf(i)) != nil:
 		m.stats.StallCyc++
 	}
 

@@ -27,7 +27,7 @@ type Crossbar struct {
 	seq      int64
 	inj      *fault.Injector
 	wake     func(at int64)
-	portWake []func(at int64)
+	sinks    []PortSink
 }
 
 // NewCrossbar builds an ideal crossbar with the given minimum transit
@@ -41,12 +41,12 @@ func NewCrossbar(name string, ports int, latency int) *Crossbar {
 		latency = 1
 	}
 	return &Crossbar{
-		name:     name,
-		ports:    ports,
-		latency:  int64(latency),
-		egress:   make([]unboundedQueue, ports),
-		outFree:  make([]int64, ports),
-		portWake: make([]func(at int64), ports),
+		name:    name,
+		ports:   ports,
+		latency: int64(latency),
+		egress:  make([]unboundedQueue, ports),
+		outFree: make([]int64, ports),
+		sinks:   make([]PortSink, ports),
 	}
 }
 
@@ -70,8 +70,8 @@ func (c *Crossbar) SetFaults(inj *fault.Injector) { c.inj = inj }
 // SetWaker implements Fabric.
 func (c *Crossbar) SetWaker(wake func(at int64)) { c.wake = wake }
 
-// SetPortWaker implements Fabric.
-func (c *Crossbar) SetPortWaker(port int, wake func(at int64)) { c.portWake[port] = wake }
+// SetPortSink implements Fabric.
+func (c *Crossbar) SetPortSink(port int, s PortSink) { c.sinks[port] = s }
 
 // NextWakeup implements Fabric (sim.Sleeper). Egress packets are fully
 // delivered (Peek is not clock-gated), so only the transit heap needs
@@ -176,9 +176,9 @@ func (c *Crossbar) Tick(cycle int64) {
 		}
 		p := c.pending.pop().pkt
 		c.egress[p.Dst].push(p)
-		if w := c.portWake[p.Dst]; w != nil {
+		if s := c.sinks[p.Dst]; s != nil {
 			// Consumable this very cycle by an after-fabric sink.
-			w(cycle)
+			s.PortReady(p.Dst, cycle)
 		}
 	}
 }

@@ -5,7 +5,8 @@ import "testing"
 // FuzzOmegaRouting drives the fabric with attacker-chosen traffic and
 // checks the invariants that every other component depends on: packets
 // are delivered exactly once, at their destination, in per-pair order,
-// and the fabric drains to idle.
+// and the fabric drains to idle — with the occupancy bits and counts the
+// tick is driven by agreeing with the queues after every cycle.
 func FuzzOmegaRouting(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3}, uint8(2))
 	f.Add([]byte{63, 63, 63, 0, 0, 0}, uint8(1))
@@ -36,6 +37,7 @@ func FuzzOmegaRouting(f *testing.F) {
 				}
 			}
 			o.Tick(cycle)
+			assertOccupancy(t, o)
 			for p := 0; p < 64; p++ {
 				for {
 					pkt := o.Poll(p)
@@ -61,6 +63,7 @@ func FuzzOmegaRouting(f *testing.F) {
 		}
 		for !o.Idle() {
 			o.Tick(cycle)
+			assertOccupancy(t, o)
 			for p := 0; p < 64; p++ {
 				for o.Poll(p) != nil {
 					recv++

@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"cedar/internal/fault"
 )
@@ -15,8 +16,8 @@ import (
 // and sinks after it so a packet traverses at most one stage per cycle.
 // It is also a sim.Sleeper: NextWakeup keeps the fabric ticking exactly
 // while packets are inside it, SetWaker lets Offer rouse a sleeping
-// fabric, and SetPortWaker/NextAt carry delivery times to sleeping
-// egress consumers (the waker and NextAt both report the first cycle an
+// fabric, and SetPortSink/NextAt carry delivery times to sleeping
+// egress consumers (PortReady and NextAt both report the first cycle an
 // after-fabric sink can consume the packet; sinks registered before the
 // fabric see it one cycle later and add that themselves).
 type Fabric interface {
@@ -55,15 +56,23 @@ type Fabric interface {
 	// SetWaker installs the fabric's own wake callback (its engine
 	// handle); Offer invokes it so an injection rouses a sleeping fabric.
 	SetWaker(wake func(at int64))
-	// SetPortWaker installs a per-egress-port callback invoked when a
-	// packet finishes arriving at that port, with the first cycle an
-	// after-fabric sink could consume it.
-	SetPortWaker(port int, wake func(at int64))
+	// SetPortSink installs the consumer of an egress port: its PortReady
+	// is invoked once for every packet that finishes arriving there.
+	SetPortSink(port int, s PortSink)
 	// NextAt returns the first cycle ≥ now at which an after-fabric sink
 	// could consume the packet at the egress port's head, or Never when
 	// the queue is empty. Sleeping consumers fold it into NextWakeup so a
 	// requery never forgets work already waiting at the port.
 	NextAt(port int, now int64) int64
+}
+
+// PortSink is the consumer side of an egress port. PortReady(port, at)
+// says a packet has landed in the port's delivery queue and that at is
+// the first cycle an after-fabric sink could consume it. One sink serves
+// any number of ports (a memory system takes all its modules' ports), so
+// wiring a machine costs no per-port callback.
+type PortSink interface {
+	PortReady(port int, at int64)
 }
 
 // Stats holds cumulative fabric counters.
@@ -96,49 +105,42 @@ const never = int64(math.MaxInt64)
 // one queue of their combined capacity). Flow control between stages
 // prevents overflow: a packet advances only if the downstream queue has
 // space. A W-word packet occupies its output wire for W cycles.
+//
+// A tick costs what is queued, not what is built: every stage keeps one
+// occupancy bit per input line and a packet count, so Tick skips empty
+// stages and tickStage visits only the switches, and of those only the
+// inputs, that hold a packet (DESIGN.md, "Occupancy-driven data path").
 type Omega struct {
 	name   string
 	radix  int
 	stages int
 	ports  int
-	// shufTab[l] is the line the perfect radix-k shuffle wires line l to
-	// (the base-k digits of l rotated left by one), and routeDiv[t] the
-	// power of the radix whose quotient exposes the destination digit that
-	// self-routes a packet at stage t. Both are fixed by the geometry and
-	// read per head packet per hop, so NewOmega computes them once.
-	shufTab  []int
-	routeDiv []int
+	// shuf[l] is where the perfect radix-k shuffle wires line l. It is
+	// fixed by the geometry and read per packet per hop, so NewOmega
+	// computes it once.
+	shuf []wire
 
-	// in[t][l] is the queue at the input of stage t, line l.
-	in [][]wordQueue
+	st []stage
 	// egress[p] is the delivery queue at egress port p.
 	egress []wordQueue
-	// rr[t][l] is the round-robin arbitration pointer for the output wire
-	// at stage t, global output line l (which input of the switch last won).
-	rr [][]int
-	// outBusy[t][l] counts remaining cycles the output wire at stage t,
-	// line l is occupied by a multi-word packet.
-	outBusy [][]int
-	// busyWires[t] lists wires with outBusy > 0, so idle switches can be
-	// skipped without freezing in-flight multi-word transfers.
-	busyWires [][]int
-	// swCount[t][sw] counts packets queued at the inputs of switch sw in
-	// stage t; empty switches are skipped in the hot loop.
-	swCount [][]int
 	// ingressBusy[p] counts remaining cycles port p's ingress wire is
 	// occupied; ingressList tracks the busy ones.
-	ingressBusy []int
+	ingressBusy []uint8
 	ingressList []int
 
 	egressCap int
 	stats     Stats
 	inflight  int
-	inj       *fault.Injector
+	// heads counts the queue heads tickStage has inspected — the work
+	// unit the occupancy bits exist to cut (BenchmarkOmegaTick reports it
+	// per hop, the differential test compares it with the full scan's).
+	heads int64
+	inj   *fault.Injector
 	// wake is the fabric's own engine handle (Offer rouses a sleeping
-	// fabric through it); portWake[p] notifies egress port p's consumer
-	// when a packet finishes arriving. Both are optional.
-	wake     func(at int64)
-	portWake []func(at int64)
+	// fabric through it); sinks[p] is told when a packet finishes arriving
+	// at egress port p. Both are optional.
+	wake  func(at int64)
+	sinks []PortSink
 	// lastRefuse[p] is the o.now stamp of port p's last counted refusal,
 	// deduplicating RefusedCyc to one per port-cycle.
 	lastRefuse []int64
@@ -149,6 +151,46 @@ type Omega struct {
 	// so a sink at cycle c+1 sees it one cycle after arrival).
 	now int64
 }
+
+// wire is the far end of a shuffle wire: the input line it reaches (the
+// base-k digits of the near line rotated left by one) and that line's bit
+// in the stage's occupancy words.
+type wire struct {
+	line, bit int32
+}
+
+// stage is one switch column with the queues at its inputs.
+type stage struct {
+	// in[l] is the queue at input line l.
+	in []wordQueue
+	// digit[d] is the switch output a packet for egress port d takes here:
+	// base-k digit stages-1-t of d (tag control), tabulated so a hop costs
+	// a byte load instead of two divisions by a runtime radix.
+	digit []uint8
+	// rr[l] is the round-robin arbitration pointer for output line l
+	// (which input of the switch last won).
+	rr []uint8
+	// outBusy[l] counts remaining cycles output wire l is occupied by a
+	// multi-word packet; busyWires lists the wires with outBusy > 0, so
+	// in-flight multi-word transfers are released without a scan.
+	outBusy   []uint8
+	busyWires []int
+	// occ has one bit per input line, set exactly while the line's queue
+	// is non-empty. Switch sw owns the occBits-wide field at bit
+	// sw*occBits (input i at bit i of it), so a switch's inputs never
+	// straddle a word whatever the radix. count is the packets queued at
+	// the stage: Σ in[l].len().
+	occ   []uint64
+	count int
+}
+
+// occBits is the width of a switch's field in stage.occ, and maxRadix the
+// largest crossbar arity that fits it.
+const (
+	occShift = 4
+	occBits  = 1 << occShift
+	maxRadix = occBits
+)
 
 // OmegaConfig configures an Omega fabric.
 type OmegaConfig struct {
@@ -190,41 +232,51 @@ func NewOmega(cfg OmegaConfig) *Omega {
 	if egressCap == 0 {
 		egressCap = 2 * cfg.QueueWords
 	}
+	// Per-line state is carved from one slab per element type, the way
+	// newWordQueues carves its rings, and the per-line counters are bytes
+	// (a digit, a round-robin pointer and a wire's busy cycles are all
+	// below maxRadix): what a fabric costs core.New is eleven objects
+	// whatever its stage count.
+	n, k := cfg.Ports, cfg.Radix
+	bytes := make([]uint8, (1+3*stages)*n)
+	carve := func() []uint8 {
+		s := bytes[:n:n]
+		bytes = bytes[n:]
+		return s
+	}
 	o := &Omega{
 		name:        cfg.Name,
-		radix:       cfg.Radix,
+		radix:       k,
 		stages:      stages,
-		ports:       cfg.Ports,
-		shufTab:     make([]int, cfg.Ports),
-		routeDiv:    make([]int, stages),
-		in:          make([][]wordQueue, stages),
-		egress:      newWordQueues(cfg.Ports, egressCap),
-		rr:          make([][]int, stages),
-		outBusy:     make([][]int, stages),
-		busyWires:   make([][]int, stages),
-		swCount:     make([][]int, stages),
-		ingressBusy: make([]int, cfg.Ports),
+		ports:       n,
+		shuf:        make([]wire, n),
+		st:          make([]stage, stages),
+		egress:      newWordQueues(n, egressCap),
+		ingressBusy: carve(),
 		egressCap:   egressCap,
-		portWake:    make([]func(at int64), cfg.Ports),
-		lastRefuse:  make([]int64, cfg.Ports),
+		sinks:       make([]PortSink, n),
+		lastRefuse:  make([]int64, n),
 	}
 	for p := range o.lastRefuse {
 		o.lastRefuse[p] = -1
 	}
-	for l := range o.shufTab {
-		v := l * cfg.Radix
-		o.shufTab[l] = v%cfg.Ports + v/cfg.Ports
+	for l := range o.shuf {
+		v := l * k
+		line := v%n + v/n
+		o.shuf[l] = wire{line: int32(line), bit: int32(line/k<<occShift + line%k)}
 	}
+	occWords := (n/k<<occShift + 63) / 64
+	queues := newWordQueues(stages*n, 2*cfg.QueueWords)
+	occ := make([]uint64, stages*occWords)
 	// Stage t routes on digit stages-1-t of the destination (tag control).
-	for t, div := stages-1, 1; t >= 0; t, div = t-1, div*cfg.Radix {
-		o.routeDiv[t] = div
-	}
-	lineCap := 2 * cfg.QueueWords
-	for t := 0; t < stages; t++ {
-		o.in[t] = newWordQueues(cfg.Ports, lineCap)
-		o.rr[t] = make([]int, cfg.Ports)
-		o.outBusy[t] = make([]int, cfg.Ports)
-		o.swCount[t] = make([]int, cfg.Ports/cfg.Radix)
+	for t, div := stages-1, 1; t >= 0; t, div = t-1, div*k {
+		st := &o.st[t]
+		st.in = queues[t*n : (t+1)*n : (t+1)*n]
+		st.occ = occ[t*occWords : (t+1)*occWords : (t+1)*occWords]
+		st.digit, st.rr, st.outBusy = carve(), carve(), carve()
+		for d := range st.digit {
+			st.digit[d] = uint8(d / div % k)
+		}
 	}
 	return o
 }
@@ -247,8 +299,8 @@ func (o *Omega) SetFaults(inj *fault.Injector) { o.inj = inj }
 // SetWaker implements Fabric.
 func (o *Omega) SetWaker(wake func(at int64)) { o.wake = wake }
 
-// SetPortWaker implements Fabric.
-func (o *Omega) SetPortWaker(port int, wake func(at int64)) { o.portWake[port] = wake }
+// SetPortSink implements Fabric.
+func (o *Omega) SetPortSink(port int, s PortSink) { o.sinks[port] = s }
 
 // NextWakeup implements Fabric (sim.Sleeper): the omega must tick every
 // cycle a packet is anywhere inside it — stage queues, egress queues
@@ -277,12 +329,12 @@ func (o *Omega) NextAt(port int, now int64) int64 {
 // Queued implements Fabric: words buffered in the stage and egress queues.
 func (o *Omega) Queued() int {
 	w := 0
-	for t := 0; t < o.stages; t++ {
-		for l := 0; l < o.ports; l++ {
-			w += o.in[t][l].words
+	for t := range o.st {
+		for l := range o.st[t].in {
+			w += o.st[t].in[l].words
 		}
 	}
-	for p := 0; p < o.ports; p++ {
+	for p := range o.egress {
 		w += o.egress[p].words
 	}
 	return w
@@ -304,16 +356,16 @@ func (o *Omega) Offer(p *Packet) bool {
 		o.refuse(p.Src)
 		return false
 	}
-	line := o.shufTab[p.Src]
-	q := &o.in[0][line]
+	st, to := &o.st[0], o.shuf[p.Src]
+	q := &st.in[to.line]
 	if !q.canAccept(p.Words()) {
 		o.refuse(p.Src)
 		return false
 	}
 	p.readyAt = o.now
 	q.push(p)
-	o.ingressBusy[p.Src] = p.Words()
-	o.swCount[0][line/o.radix]++
+	st.arrive(to.bit)
+	o.ingressBusy[p.Src] = uint8(p.Words())
 	o.ingressList = append(o.ingressList, p.Src)
 	o.stats.Offered++
 	o.inflight++
@@ -323,6 +375,24 @@ func (o *Omega) Offer(p *Packet) bool {
 		o.wake(0)
 	}
 	return true
+}
+
+// arrive accounts a packet pushed onto the input line whose occupancy
+// bit is bit. With depart it is the only place occ and count change: one
+// call beside each of the three queue operations a stage sees (Offer's
+// push, a hop's push downstream, a hop's or a drop's pop).
+func (st *stage) arrive(bit int32) {
+	st.occ[bit>>6] |= 1 << (bit & 63)
+	st.count++
+}
+
+// depart accounts a packet popped from q, the queue of the input line
+// whose occupancy bit is bit.
+func (st *stage) depart(q *wordQueue, bit int32) {
+	if q.n == 0 {
+		st.occ[bit>>6] &^= 1 << (bit & 63)
+	}
+	st.count--
 }
 
 // refuse records one rejected Offer, deduplicating the per-port-cycle
@@ -360,6 +430,8 @@ func (o *Omega) Poll(port int) *Packet {
 // output wire. Stages are processed last-first so a packet vacating a queue
 // frees space for the upstream stage within the same cycle (pipelining),
 // while the readyAt stamp still limits each packet to one hop per cycle.
+// A stage with no packet queued and no wire still busy has nothing to
+// move or release and is skipped.
 func (o *Omega) Tick(cycle int64) {
 	o.now = cycle + 1
 	if len(o.ingressList) > 0 {
@@ -375,113 +447,110 @@ func (o *Omega) Tick(cycle int64) {
 		o.ingressList = keep
 	}
 	for t := o.stages - 1; t >= 0; t-- {
-		o.tickStage(t, cycle)
+		if st := &o.st[t]; st.count > 0 || len(st.busyWires) > 0 {
+			o.tickStage(t, cycle)
+		}
 	}
 }
 
 func (o *Omega) tickStage(t int, cycle int64) {
-	nsw := o.ports / o.radix
+	st := &o.st[t]
 	k := o.radix
-	div := o.routeDiv[t]
-	in, rr, outBusy, swCount := o.in[t], o.rr[t], o.outBusy[t], o.swCount[t]
+	in, digit, rr, outBusy := st.in, st.digit, st.rr, st.outBusy
 	last := t == o.stages-1
 	// Release output wires occupied by multi-word packets.
-	if len(o.busyWires[t]) > 0 {
-		keep := o.busyWires[t][:0]
-		for _, w := range o.busyWires[t] {
+	if len(st.busyWires) > 0 {
+		keep := st.busyWires[:0]
+		for _, w := range st.busyWires {
 			outBusy[w]--
 			if outBusy[w] > 0 {
 				keep = append(keep, w)
 			}
 		}
-		o.busyWires[t] = keep
+		st.busyWires = keep
 	}
-	// Per switch: one pass over the inputs collects each head packet's
-	// desired output; a second pass arbitrates per output in round-robin
-	// order. This is O(k) per switch instead of O(k²).
-	var wantOut [maxRadix]int8 // desired output per input, -1 = none
-	for sw := 0; sw < nsw; sw++ {
-		if swCount[sw] == 0 {
-			continue
-		}
-		base := sw * k
-		outMask := 0
-		for inp := 0; inp < k; inp++ {
-			wantOut[inp] = -1
-			h := in[base+inp].headPkt()
-			if h == nil || h.readyAt > cycle {
-				continue
-			}
-			out := h.Dst / div % k
-			wantOut[inp] = int8(out)
-			outMask |= 1 << out
-		}
-		if outMask == 0 {
-			continue
-		}
-		for out := 0; out < k; out++ {
-			if outMask&(1<<out) == 0 {
-				continue
-			}
-			gout := base + out
-			if outBusy[gout] > 0 {
-				continue
-			}
-			if o.inj != nil && o.inj.StageJam(o.name, t, gout, cycle) {
-				continue // the output wire is jammed this cycle
-			}
-			// Round-robin scan starting after the last winner.
-			inp := rr[gout]
-			for i := 0; i < k; i++ {
-				if inp++; inp >= k {
-					inp -= k
-				}
-				if wantOut[inp] != int8(out) {
+	// Switches in index order, as a scan of every switch would visit them
+	// — the occupancy words only drop the ones with nothing queued. Per
+	// switch, one pass over the non-empty inputs files each ready head
+	// under the output it wants; the outputs then arbitrate in index order.
+	var cand [maxRadix]uint32 // cand[out]: inputs whose ready head wants out
+	for wi, word := range st.occ {
+		for word != 0 {
+			field := uint(bits.TrailingZeros64(word)) &^ (occBits - 1)
+			inputs := uint32(word>>field) & (1<<occBits - 1)
+			word &^= (1<<occBits - 1) << field
+			swBit := wi<<6 + int(field) // occupancy bit of the switch's input 0
+			base := (swBit >> occShift) * k
+			outMask := uint32(0)
+			for m := inputs; m != 0; m &= m - 1 {
+				inp := uint(bits.TrailingZeros32(m))
+				h := in[base+int(inp)].first()
+				o.heads++
+				if h.readyAt > cycle {
 					continue
 				}
+				out := digit[h.Dst]
+				if outMask&(1<<out) == 0 {
+					outMask |= 1 << out
+					cand[out] = 0
+				}
+				cand[out] |= 1 << inp
+			}
+			for ; outMask != 0; outMask &= outMask - 1 {
+				out := bits.TrailingZeros32(outMask)
+				gout := base + out
+				if outBusy[gout] > 0 {
+					continue
+				}
+				if o.inj != nil && o.inj.StageJam(o.name, t, gout, cycle) {
+					continue // the output wire is jammed this cycle
+				}
+				// Round robin: the first candidate after the last winner,
+				// wrapping to the lowest. Every other candidate waits.
+				c := cand[out]
+				if after := c &^ (2<<rr[gout] - 1); after != 0 {
+					c = after
+				}
+				inp := bits.TrailingZeros32(c)
 				src := &in[base+inp]
-				if o.inj != nil && droppable(src.headPkt()) &&
-					o.inj.LinkDrop(o.name, t, gout, cycle) {
+				h := src.first()
+				if o.inj != nil && droppable(h) && o.inj.LinkDrop(o.name, t, gout, cycle) {
 					// The wire eats the packet: it leaves its queue and
 					// never arrives. Only idempotent prefetch reads are
 					// droppable; the PFU reissues the element.
 					src.pop()
-					swCount[sw]--
+					st.depart(src, int32(swBit+inp))
 					o.inflight--
-					break
+					continue
 				}
-				dst := &o.egress[gout]
+				dst, to := &o.egress[gout], o.shuf[gout]
 				if !last {
-					dst = &o.in[t+1][o.shufTab[gout]]
+					dst = &o.st[t+1].in[to.line]
 				}
-				if !dst.canAccept(src.headPkt().Words()) {
-					break // head-of-line blocking: this output stalls
+				if !dst.canAccept(h.Words()) {
+					continue // head-of-line blocking: this output stalls
 				}
-				h := src.pop()
-				swCount[sw]--
+				src.pop()
+				st.depart(src, int32(swBit+inp))
 				h.readyAt = cycle + int64(h.Words())
 				dst.push(h)
 				if !last {
-					o.swCount[t+1][o.shufTab[gout]/k]++
-				} else if w := o.portWake[gout]; w != nil {
+					o.st[t+1].arrive(to.bit)
+				} else if s := o.sinks[gout]; s != nil {
 					// Final hop: tell the egress consumer when the packet
 					// becomes consumable (readyAt for sinks ticking after
 					// the fabric; before-fabric sinks add one themselves).
-					w(h.readyAt)
+					s.PortReady(gout, h.readyAt)
 				}
-				rr[gout] = inp
+				rr[gout] = uint8(inp)
 				if w := h.Words() - 1; w > 0 {
-					outBusy[gout] = w
-					o.busyWires[t] = append(o.busyWires[t], gout)
+					outBusy[gout] = uint8(w)
+					st.busyWires = append(st.busyWires, gout)
 				}
 				o.stats.WordHops += int64(h.Words())
-				break
 			}
 		}
 	}
 }
-
-// maxRadix bounds the stack-allocated arbitration scratch space.
-const maxRadix = 16
 
 var _ Fabric = (*Omega)(nil)

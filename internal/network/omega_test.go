@@ -320,7 +320,7 @@ func TestShuffleIsPermutationProperty(t *testing.T) {
 	o := cedarOmega("fwd")
 	seen := make([]bool, 64)
 	for p := 0; p < 64; p++ {
-		s := o.shufTab[p]
+		s := int(o.shuf[p].line)
 		if s < 0 || s >= 64 {
 			t.Fatalf("shuffle(%d) = %d out of range", p, s)
 		}
@@ -334,7 +334,7 @@ func TestShuffleIsPermutationProperty(t *testing.T) {
 		p := int(v) % 64
 		s := p
 		for i := 0; i < o.stages; i++ {
-			s = o.shufTab[s]
+			s = int(o.shuf[s].line)
 		}
 		return s == p
 	}
@@ -428,8 +428,10 @@ func TestMutOpApply(t *testing.T) {
 // TestRoutingTablesMatchFormulas pins the tables NewOmega precomputes to
 // the definitions they replaced — shuffle as a base-k digit rotation
 // computed with % and /, the routing digit extracted by repeated division
-// — for every (port, stage) at radix 2, 4 and 8, including the 64-port
-// paper fabric and the 512-port fabric of the Cedar16/Cedar64 presets.
+// — for every (port, stage) at radix 2, 3, 4, 8 and 16, including the
+// 64-port paper fabric and the 512-port fabric of the Cedar16/Cedar64
+// presets, and the occupancy bit of every shuffled line to its switch
+// field (input i of switch sw at bit sw·occBits + i).
 func TestRoutingTablesMatchFormulas(t *testing.T) {
 	shuffle := func(line, radix, ports int) int {
 		v := line * radix
@@ -442,15 +444,16 @@ func TestRoutingTablesMatchFormulas(t *testing.T) {
 		return v % radix
 	}
 	for _, g := range []struct{ radix, ports int }{
-		{2, 2}, {2, 64}, {4, 16}, {4, 256}, {8, 8}, {8, 64}, {8, 512},
+		{2, 2}, {2, 64}, {3, 27}, {4, 16}, {4, 256}, {8, 8}, {8, 64}, {8, 512}, {16, 256},
 	} {
 		o := NewOmega(OmegaConfig{Name: "tab", Ports: g.ports, Radix: g.radix, QueueWords: 2})
 		for p := 0; p < g.ports; p++ {
-			if got, want := o.shufTab[p], shuffle(p, g.radix, g.ports); got != want {
-				t.Fatalf("radix %d ports %d: shufTab[%d] = %d, want %d", g.radix, g.ports, p, got, want)
+			line := shuffle(p, g.radix, g.ports)
+			if want := (wire{line: int32(line), bit: int32(line/g.radix*occBits + line%g.radix)}); o.shuf[p] != want {
+				t.Fatalf("radix %d ports %d: shuf[%d] = %+v, want %+v", g.radix, g.ports, p, o.shuf[p], want)
 			}
 			for st := 0; st < o.stages; st++ {
-				got := p / o.routeDiv[st] % g.radix
+				got := int(o.st[st].digit[p])
 				if want := digit(p, o.stages-1-st, g.radix); got != want {
 					t.Fatalf("radix %d ports %d: stage %d routes dst %d to output %d, want %d",
 						g.radix, g.ports, st, p, got, want)

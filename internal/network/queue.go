@@ -42,7 +42,11 @@ func (q *wordQueue) canAccept(w int) bool {
 
 // push appends the packet. The caller must have checked canAccept.
 func (q *wordQueue) push(p *Packet) {
-	q.ring[(q.head+q.n)%len(q.ring)] = p
+	i := q.head + q.n
+	if i >= len(q.ring) {
+		i -= len(q.ring)
+	}
+	q.ring[i] = p
 	q.n++
 	q.words += p.Words()
 }
@@ -55,6 +59,10 @@ func (q *wordQueue) headPkt() *Packet {
 	return q.ring[q.head]
 }
 
+// first returns the oldest packet of a queue the caller knows is
+// non-empty (the omega's occupancy bits say so), skipping headPkt's check.
+func (q *wordQueue) first() *Packet { return q.ring[q.head] }
+
 // pop removes and returns the oldest packet, or nil.
 func (q *wordQueue) pop() *Packet {
 	if q.n == 0 {
@@ -62,7 +70,9 @@ func (q *wordQueue) pop() *Packet {
 	}
 	p := q.ring[q.head]
 	q.ring[q.head] = nil
-	q.head = (q.head + 1) % len(q.ring)
+	if q.head++; q.head == len(q.ring) {
+		q.head = 0
+	}
 	q.n--
 	q.words -= p.Words()
 	return p

@@ -83,14 +83,21 @@ go test -race -count=1 -run '^(TestRandomWakeInterleavingsMatchStepped|TestWakeH
 # the CE (cfrt).
 go test -race -count=1 -run '^TestScribblingControllerMatchesProgram$' ./internal/ce
 go test -race -count=1 -run '^TestGoldenAcrossCommits$' ./internal/cfrt
+# So does the occupancy-driven data path: the omega's bitset arbiter
+# against the scan-every-switch reference on six geometries (same offers,
+# deliveries, Stats and injections every cycle, occupancy invariants after
+# every Tick), and gmem's active-module set against tick-every-module
+# (same replies and counters, bare and with wakers, across skipped ticks).
+go test -race -count=1 -run '^(TestOccupancyArbiterMatchesScan|TestSparseLoadInspectsFewHeads)$' ./internal/network
+go test -race -count=1 -run '^(TestActiveSetMatchesEveryModule|TestWiredMemoryIsSkipped)$' ./internal/gmem
 
 stage "steady-state allocation gates"
 # The complement of cedarvet's hotalloc analyzer: testing.AllocsPerRun
 # asserts zero allocations per run on the warmed tick path — cache
 # Submit+Tick (hit and miss streams), Engine.Run over always-due
 # Sleepers, the cfrt controller queue, the omega under
-# uniform pooled traffic, PFU re-arm at a fixed block length, and tag-store
-# lookups on absent pages. A slide-forward slice queue allocates through
+# uniform pooled traffic, streaming reads through every memory module, PFU
+# re-arm at a fixed block length, and tag-store lookups on absent pages. A slide-forward slice queue allocates through
 # append growth alone, which no syntactic rule can see. Run
 # uninstrumented and uncached: the count asserted is the production
 # build's, and the gates are single-goroutine, so -race adds nothing.
@@ -98,13 +105,17 @@ stage "steady-state allocation gates"
 # barrier spin and a contended lock claim allocate the same number of
 # objects however long the wait lasts.
 # TestBuildBudget is the same idea for construction: core.New allocates a
-# machine's wiring (≤ 256 KB Cedar, ≤ 3 MB Cedar64), never its capacity.
+# machine's wiring (≤ 256 KB and 400 objects Cedar, ≤ 3 MB and 4,700
+# Cedar64), never its capacity.
 # TestRunBudget is the same idea for a whole Perfect proxy run: the two
 # points that wait the most (TRACK auto without Cedar sync, QCD under
 # KAP) stay within a few thousand objects, machine included.
-go test -count=1 -run '^TestSteadyStateAllocs' ./internal/sim ./internal/cache ./internal/cfrt ./internal/network ./internal/prefetch
+go test -count=1 -run '^TestSteadyStateAllocs' ./internal/sim ./internal/cache ./internal/cfrt ./internal/network ./internal/gmem ./internal/prefetch
 go test -count=1 -run '^TestBuildBudget$' ./internal/core
 go test -count=1 -run '^TestRunBudget$' ./internal/perfect
+# One iteration of the data-path benchmarks, so the command that states
+# the win in counts (heads/hop, modules/cycle) cannot rot.
+go test -run '^$' -bench '^(BenchmarkOmegaTick|BenchmarkMemoryTick)$' -benchtime=1x ./internal/network ./internal/gmem
 
 stage "cedarserve cached-vs-fresh response equality (-race)"
 # The serving daemon's cache must be invisible: a response served from
@@ -152,4 +163,4 @@ go test -run='^$' -fuzz='^FuzzInstability$' -fuzztime="$FUZZTIME" ./internal/ppt
 go test -run='^$' -fuzz='^FuzzBands$' -fuzztime="$FUZZTIME" ./internal/ppt
 
 stage ""
-echo "OK in ${SECONDS}s: build, vet, cedarvet, tests, race tests, jobs and stepped equality, allocation gates, serve equality, bench campaigns and fuzz smoke all green"
+echo "OK in ${SECONDS}s: build, vet, cedarvet, tests, race tests, jobs, stepped and data-path equality, allocation gates, serve equality, bench campaigns and fuzz smoke all green"
