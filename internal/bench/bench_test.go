@@ -45,6 +45,7 @@ func TestValidateRejectsBadCampaigns(t *testing.T) {
 		{"bad variant", func(c *Campaign) { c.Workloads[2].Variant = "turbo" }, "variant"},
 		{"negative size", func(c *Campaign) { c.Workloads[0].N = -1 }, "non-negative"},
 		{"bad fabric", func(c *Campaign) { c.Machines[0].Fabric = "token-ring" }, "fabric"},
+		{"impossible machine", func(c *Campaign) { c.Machines[0].Clusters = 64 }, "params: NetPorts"},
 		{"zero jobs", func(c *Campaign) { c.Jobs = []int{0} }, "jobs"},
 	}
 	for _, tc := range cases {
@@ -60,12 +61,27 @@ func TestValidateRejectsBadCampaigns(t *testing.T) {
 	}
 }
 
+// TestUnknownKindErrorListsEveryKind: the rejection names every kind the
+// validator accepts — the list is derived from workloadKinds, not kept
+// beside it.
+func TestUnknownKindErrorListsEveryKind(t *testing.T) {
+	err := WorkloadSpec{Name: "w", Kind: "sort"}.Validate()
+	if err == nil {
+		t.Fatal("kind \"sort\" validated")
+	}
+	for kind := range workloadKinds {
+		if !strings.Contains(err.Error(), kind) {
+			t.Errorf("unknown-kind error %q omits the accepted kind %q", err, kind)
+		}
+	}
+}
+
 func TestFaultSpecSourcesAreExclusive(t *testing.T) {
 	fs := FaultSpec{Name: "both", Demo: true, Path: "x.json"}
-	if _, err := fs.resolve(""); err == nil {
+	if _, err := fs.Resolve(""); err == nil {
 		t.Fatal("demo+path should be rejected")
 	}
-	plan, err := FaultSpec{Name: "healthy"}.resolve("")
+	plan, err := FaultSpec{Name: "healthy"}.Resolve("")
 	if err != nil || plan != nil {
 		t.Fatalf("healthy spec: got plan=%v err=%v", plan, err)
 	}
@@ -104,7 +120,7 @@ func TestLoadResolvesFaultPathsRelativeToConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := c.Faults[0].resolve(c.baseDir)
+	plan, err := c.Faults[0].Resolve(c.baseDir)
 	if err != nil {
 		t.Fatalf("relative plan path should resolve against config dir: %v", err)
 	}

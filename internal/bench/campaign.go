@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"cedar/internal/core"
@@ -113,10 +114,17 @@ func (ms MachineSpec) fabricKind() (core.FabricKind, error) {
 }
 
 // Validate checks the machine spec in isolation — what cedarserve runs
-// on a submitted config before building anything.
+// on a submitted config before building anything: a known fabric, and a
+// parameter set core.New will accept, so an impossible machine is a
+// rejected config and never a failed (and cached) simulation.
 func (ms MachineSpec) Validate() error {
-	_, err := ms.fabricKind()
-	return err
+	if _, err := ms.fabricKind(); err != nil {
+		return err
+	}
+	if err := ms.Params().Validate(); err != nil {
+		return fmt.Errorf("bench: machine %q: %w", ms.Name, err)
+	}
+	return nil
 }
 
 // Validate checks the workload spec in isolation: a known kind, a known
@@ -124,7 +132,7 @@ func (ms MachineSpec) Validate() error {
 func (ws WorkloadSpec) Validate() error {
 	if !workloadKinds[ws.Kind] {
 		return fmt.Errorf("bench: workload %q: unknown kind %q (want one of %s)",
-			ws.Name, ws.Kind, strings.Join(kindList(), ", "))
+			ws.Name, ws.Kind, kindList())
 	}
 	if ws.Kind == "rank" {
 		switch ws.Variant {
@@ -187,8 +195,11 @@ type FaultSpec struct {
 	Plan *fault.Plan `json:"plan,omitempty"`
 }
 
-// resolve loads the spec's plan (nil for a healthy entry).
-func (fs FaultSpec) resolve(baseDir string) (*fault.Plan, error) {
+// Resolve loads the spec's plan (nil for a healthy entry), resolving a
+// relative Path against baseDir. It is the one place the sources'
+// mutual exclusion and an inline plan's validity are checked — the
+// campaign runner and cedarserve both come through here.
+func (fs FaultSpec) Resolve(baseDir string) (*fault.Plan, error) {
 	sources := 0
 	for _, set := range []bool{fs.Demo, fs.Path != "", fs.Plan != nil} {
 		if set {
@@ -288,8 +299,14 @@ func (c *Campaign) Validate() error {
 	return nil
 }
 
-func kindList() []string {
-	return []string{"banded", "cg", "membw", "rank", "trimat", "vectorload"}
+// kindList renders the valid kinds, sorted, for the unknown-kind error.
+func kindList() string {
+	kinds := make([]string, 0, len(workloadKinds))
+	for k := range workloadKinds {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	return strings.Join(kinds, ", ")
 }
 
 // Load reads and validates a campaign config file. Relative fault-plan

@@ -29,6 +29,11 @@ type RunOptions struct {
 	Now func() time.Time
 	// Progress, when non-nil, receives one line per matrix pass.
 	Progress io.Writer
+	// Stepped builds every point's machine as the pure per-cycle reference
+	// (core.Options.Stepped) — the CLI's -stepped flag. The deterministic
+	// section must not change; compare wall times to price the event
+	// wheel.
+	Stepped bool
 }
 
 // point is one fully resolved matrix cell.
@@ -81,7 +86,7 @@ func Run(c *Campaign, opt RunOptions) (*Artifact, error) {
 	plans := make([]*fault.Plan, len(faults))
 	faultMeta := make([]FaultMeta, len(faults))
 	for i, fs := range faults {
-		plan, err := fs.resolve(c.baseDir)
+		plan, err := fs.Resolve(c.baseDir)
 		if err != nil {
 			return nil, err
 		}
@@ -143,7 +148,7 @@ func Run(c *Campaign, opt RunOptions) (*Artifact, error) {
 				// capturing metrics and attribution as plain result data.
 				Key: fleet.Key("bench", pt.pm, int(pt.fabric), wk, pt.plan.Fingerprint(), strings.Join(metrics, ",")),
 				Run: func(*scope.Hub) (Outcome, error) {
-					return runPoint(pt, metrics, opt.Now)
+					return runPoint(pt, metrics, opt)
 				},
 			}
 		}
@@ -224,20 +229,21 @@ func RunSpec(ms MachineSpec, ws WorkloadSpec, plan *fault.Plan, metrics []string
 		machine: ms.Name, workload: ws.Name,
 		pm: ms.Params(), fabric: fabric, w: ws, plan: plan,
 	}
-	return runPoint(pt, metrics, nil)
+	return runPoint(pt, metrics, RunOptions{})
 }
 
 // runPoint simulates one matrix cell on a freshly built machine with a
 // private hub, returning the identity-free outcome the cache stores.
-func runPoint(pt point, metrics []string, now func() time.Time) (Outcome, error) {
+// Of opt it reads the clock and the engine choice.
+func runPoint(pt point, metrics []string, opt RunOptions) (Outcome, error) {
 	hub := scope.NewHub()
-	m, err := core.New(pt.pm, core.Options{Fabric: pt.fabric, Scope: hub, Faults: pt.plan})
+	m, err := core.New(pt.pm, core.Options{Fabric: pt.fabric, Scope: hub, Faults: pt.plan, Stepped: opt.Stepped})
 	if err != nil {
 		return Outcome{}, fmt.Errorf("bench: point %s: %w", pt.id, err)
 	}
 	var start time.Time
-	if now != nil {
-		start = now()
+	if opt.Now != nil {
+		start = opt.Now()
 	}
 	res, err := runWorkload(m, pt.w)
 	out := Outcome{Status: "ok"}
@@ -255,8 +261,8 @@ func runPoint(pt point, metrics []string, now func() time.Time) (Outcome, error)
 	default:
 		return Outcome{}, fmt.Errorf("bench: point %s: %w", pt.id, err)
 	}
-	if now != nil {
-		out.WallNS = now().Sub(start).Nanoseconds()
+	if opt.Now != nil {
+		out.WallNS = opt.Now().Sub(start).Nanoseconds()
 	}
 	out.Faults = m.FaultCounters()
 	out.Metrics = filterMetrics(hub.Snapshot(), metrics)

@@ -10,17 +10,25 @@ import (
 	"testing"
 
 	"cedar/internal/ce"
+	"cedar/internal/core"
+	"cedar/internal/params"
 	"cedar/internal/perfmon"
-	"cedar/internal/sim"
 )
 
-// goldenRun executes one program on a fresh machine with a tracer
-// attached and renders its golden line: total cycles, event count and an
-// FNV-64a hash of the tracer's event stream in posting order.
-func goldenRun(t *testing.T, name string, clusters int, cfg Config, phases []Phase) string {
+// goldenRun executes one program on a fresh machine — on the stepped
+// engine when asked — with a tracer attached and renders its golden line:
+// total cycles, event count and an FNV-64a hash of the tracer's event
+// stream in posting order.
+func goldenRun(t *testing.T, stepped bool, name string, clusters int, cfg Config, phases []Phase) string {
 	t.Helper()
 	tr := perfmon.NewTracer(4)
-	rt := New(mach(t, clusters), cfg, phases...)
+	p := params.Default()
+	p.Clusters = clusters
+	m, err := core.New(p, core.Options{Stepped: stepped})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := New(m, cfg, phases...)
 	rt.SetTracer(tr)
 	res, err := rt.Run(500_000_000)
 	if err != nil {
@@ -35,27 +43,27 @@ func goldenRun(t *testing.T, name string, clusters int, cfg Config, phases []Pha
 	return fmt.Sprintf("%s cycles=%d events=%d fnv64a=%016x\n", name, res.Cycles, len(tr.Events()), h.Sum64())
 }
 
-// goldenLines runs the pinned programs under the current engine settings:
+// goldenLines runs the pinned programs on the given engine:
 // the 12 seeded programs of TestRandomProgramsTerminateAndCover, a guided
 // XDOALL on the lock path (contended lock retries, then a barrier spin)
 // and a static SDOALL whose iterations run a cluster-serial step, a
 // block-claimed CDOALL and a self-scheduled one.
-func goldenLines(t *testing.T) []byte {
+func goldenLines(t *testing.T, stepped bool) []byte {
 	t.Helper()
 	var out bytes.Buffer
 	rng := rand.New(rand.NewSource(1993))
 	for trial := 0; trial < 12; trial++ {
 		clusters, cfg, phases, _ := randomProgram(rng, nil)
-		out.WriteString(goldenRun(t, fmt.Sprintf("random/%d", trial), clusters, cfg, phases))
+		out.WriteString(goldenRun(t, stepped, fmt.Sprintf("random/%d", trial), clusters, cfg, phases))
 	}
 	scalar := func(cycles, flops int64) BodyFn {
 		return func(_ int, q []ce.Instr) []ce.Instr {
 			return append(q, ce.Instr{Op: ce.OpScalar, Cycles: cycles, Flops: flops})
 		}
 	}
-	out.WriteString(goldenRun(t, "guided-nosync", 4, Config{},
+	out.WriteString(goldenRun(t, stepped, "guided-nosync", 4, Config{},
 		[]Phase{XDoall{N: 150, Sched: GuidedSchedule, Body: scalar(40, 8)}}))
-	out.WriteString(goldenRun(t, "static-nest", 4, Config{UseCedarSync: true},
+	out.WriteString(goldenRun(t, stepped, "static-nest", 4, Config{UseCedarSync: true},
 		[]Phase{SDoall{N: 8, Static: true, Body: func(i int) []ClusterPhase {
 			return []ClusterPhase{
 				ClusterSerial{Body: func(q []ce.Instr) []ce.Instr {
@@ -85,10 +93,8 @@ func TestGoldenAcrossCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.SetSteppedMode(false)
 	for _, stepped := range []bool{false, true} {
-		sim.SetSteppedMode(stepped)
-		if got := goldenLines(t); !bytes.Equal(got, want) {
+		if got := goldenLines(t, stepped); !bytes.Equal(got, want) {
 			t.Errorf("stepped=%v engine differs from testdata/golden_5271b73.txt:\n%s", stepped, got)
 		}
 	}

@@ -12,7 +12,6 @@ import (
 	"io"
 
 	"cedar/internal/fault"
-	"cedar/internal/fleet"
 	"cedar/internal/params"
 	"cedar/internal/scope"
 	"cedar/internal/tables"
@@ -110,10 +109,6 @@ func (f *Flags) Open(fs *flag.FlagSet, observe bool) (*Session, error) {
 	var hub *scope.Hub
 	if f.Trace != "" || f.Metrics != "" || observe {
 		hub = scope.NewHub()
-		// Surface the shared run cache's counters in -metrics output.
-		// (Observed experiments always execute rather than consult the
-		// cache, so these stay zero and artifacts stay byte-stable.)
-		fleet.PublishMetrics(hub)
 	}
 	return &Session{
 		Env:   tables.Env{Hub: hub, Faults: plan, Jobs: f.Jobs, Clusters: f.Clusters},

@@ -215,6 +215,6 @@ func attr(busy, stall, elapsed int64) scope.Attr {
 func (m *Machine) AttachSampler(interval int64) *perfmon.Sampler {
 	s := perfmon.NewSampler(interval)
 	m.Scope.AttachSampler(s)
-	m.Engine.Register(s)
+	m.register(s)
 	return s
 }

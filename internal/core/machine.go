@@ -42,9 +42,6 @@ const (
 // Options tune machine construction beyond the parameter set.
 type Options struct {
 	Fabric FabricKind
-	// QueueWords overrides params.NetQueueWords when > 0 (queue-depth
-	// ablation).
-	QueueWords int
 	// Scope, when non-nil, is the observability hub every component
 	// publishes metrics, trace spans, and cycle attribution on. Nil (the
 	// default) builds an uninstrumented machine at zero overhead.
@@ -53,6 +50,11 @@ type Options struct {
 	// nil builds a healthy machine. NoFaults ignores Faults.
 	Faults   *fault.Plan
 	NoFaults bool
+	// Stepped builds the reference machine of the equivalence gates: every
+	// component is registered through sim.Plain, so the engine ticks all of
+	// them every cycle and never jumps. Results are byte-identical to the
+	// event-wheel machine's; only the host time differs.
+	Stepped bool
 }
 
 // Cluster is one Alliant FX/8.
@@ -88,15 +90,24 @@ type Machine struct {
 	// Faults is the machine's fault injector; nil on healthy machines.
 	Faults *fault.Injector
 
+	stepped    bool
 	nextGlobal uint64
 	flopsBase  int64
 }
 
+// register appends cs to the engine's tick order — through sim.Plain on
+// a stepped machine — and returns their wake handles.
+func (m *Machine) register(cs ...sim.Component) []sim.Handle {
+	if m.stepped {
+		for i, c := range cs {
+			cs[i] = sim.Plain(c)
+		}
+	}
+	return m.Engine.Register(cs...)
+}
+
 // New builds a machine. It returns an error for invalid parameter sets.
 func New(p params.Machine, opt Options) (*Machine, error) {
-	if opt.QueueWords > 0 {
-		p.NetQueueWords = opt.QueueWords
-	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -121,7 +132,7 @@ func New(p params.Machine, opt Options) (*Machine, error) {
 		return nil, fmt.Errorf("core: unknown fabric kind %d", opt.Fabric)
 	}
 
-	m := &Machine{P: p, Engine: sim.New(), Fwd: fwd, Rev: rev, Scope: opt.Scope}
+	m := &Machine{P: p, Engine: sim.New(), Fwd: fwd, Rev: rev, Scope: opt.Scope, stepped: opt.Stepped}
 	m.Mem = gmem.New(p, fwd, rev, nil)
 
 	if !opt.NoFaults && opt.Faults != nil {
@@ -166,14 +177,14 @@ func New(p params.Machine, opt Options) (*Machine, error) {
 			}
 			cluster.CEs = append(cluster.CEs, c)
 			m.CEs = append(m.CEs, c)
-			c.SetWaker(m.Engine.Register(c)[0].Wake)
+			c.SetWaker(m.register(c)[0].Wake)
 			rev.SetPortSink(c.Port, c)
 		}
 		m.Clusters = append(m.Clusters, cluster)
 		// Cache and cluster memory tick as one composite, after the
 		// cluster's CEs (which submit to the cache) and with the cache
 		// ahead of the memory behind it.
-		ch := m.Engine.Register(sim.SchedFunc{
+		ch := m.register(sim.SchedFunc{
 			ID: fmt.Sprintf("cluster%d", cl),
 			F:  func(cy int64) { cc.Tick(cy); cm.Tick(cy) },
 			W: func(now int64) int64 {
@@ -187,7 +198,7 @@ func New(p params.Machine, opt Options) (*Machine, error) {
 		cc.SetWaker(ch.Wake)
 		cm.SetWaker(ch.Wake)
 	}
-	hs := m.Engine.Register(fwd, m.Mem, rev)
+	hs := m.register(fwd, m.Mem, rev)
 	fwd.SetWaker(hs[0].Wake)
 	m.Mem.SetWaker(hs[1].Wake)
 	rev.SetWaker(hs[2].Wake)

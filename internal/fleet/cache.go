@@ -60,12 +60,13 @@ type entry struct {
 	err      error
 }
 
-// CacheStats counts run-cache activity. Every keyed, unobserved job is
-// exactly one lookup; single flight guarantees each distinct key is
-// computed once, so Lookups, Misses and Served (= Hits + Coalesced) are
-// deterministic at any worker count. Only the Hits/Coalesced split is
-// timing-dependent: whether a repeat presenter found the first
-// computation finished or still in flight depends on scheduling.
+// CacheStats counts run-cache activity. Every keyed, unobserved job run
+// against the cache is exactly one lookup; single flight guarantees each
+// distinct key is computed once, so Lookups, Misses and Served (= Hits +
+// Coalesced) are deterministic at any worker count. Only the
+// Hits/Coalesced split is timing-dependent: whether a repeat presenter
+// found the first computation finished or still in flight depends on
+// scheduling.
 // Byte-compared artifacts must therefore report Served, never the split.
 type CacheStats struct {
 	Lookups   int64 // keyed jobs presented to the cache
@@ -90,9 +91,7 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Served()) / float64(s.Lookups)
 }
 
-// Stats returns a snapshot of the cache's counters. Counters are
-// monotonic for the life of the cache: Clear empties the entries but
-// keeps the counts, so scope can publish them as counters.
+// Stats returns a snapshot of the cache's counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -102,9 +101,7 @@ func (c *Cache) Stats() CacheStats {
 // Publish registers the cache's counters and entry count on h under the
 // fleet.cache.* namespace. Note the Hits/Coalesced caveat on CacheStats:
 // runs that must be byte-identical across -jobs values should only rely
-// on lookups, misses and the derived served count. (CLI runs that build
-// a hub never consult the cache — observed jobs always execute — so for
-// them these read as zeros and artifacts stay byte-stable regardless.)
+// on lookups, misses and the derived served count.
 func (c *Cache) Publish(h *scope.Hub) {
 	h.Counter("fleet.cache.lookups", func() int64 { return c.Stats().Lookups })
 	h.Counter("fleet.cache.misses", func() int64 { return c.Stats().Misses })
@@ -114,23 +111,10 @@ func (c *Cache) Publish(h *scope.Hub) {
 	h.Gauge("fleet.cache.entries", func() int64 { return int64(c.Len()) })
 }
 
-// PublishMetrics registers the process-wide shared run cache on h — what
-// the CLIs call so -metrics output carries fleet.cache.* counters.
-func PublishMetrics(h *scope.Hub) { shared.Publish(h) }
-
 // NewCache returns an empty cache.
 func NewCache() *Cache {
 	return &Cache{m: map[string]*entry{}}
 }
-
-// shared is the process-wide cache: configurations repeated across suites
-// (the same machine running the same workload for two different tables)
-// simulate once per process.
-var shared = NewCache()
-
-// ResetCache empties the process-wide shared cache. Benchmarks and
-// equality tests use it to force re-simulation.
-func ResetCache() { shared.Clear() }
 
 // do returns the cached value for key, computing it via compute on first
 // presentation. Concurrent callers of the same key block until the first
@@ -216,14 +200,6 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)
-}
-
-// Clear empties the cache. In-flight computations complete normally but
-// are not retained.
-func (c *Cache) Clear() {
-	c.mu.Lock()
-	c.m = map[string]*entry{}
-	c.mu.Unlock()
 }
 
 // Key builds a content-addressed cache key: a stable hash over the

@@ -12,12 +12,15 @@
 // Adopt), which keeps -trace and -metrics output stable under any worker
 // count.
 //
-// A content-addressed run cache (Cache, keyed via Key over machine
-// parameters, workload profile and scheduling policy) memoizes repeated
-// configurations so they simulate once per process. Caching applies only
-// to unobserved jobs: a cache hit skips the simulation, so it cannot
-// replay instrumentation, and jobs running under a hub therefore always
-// execute.
+// A caller that owns a content-addressed run cache (NewCache, keyed via
+// Key over everything that determines the result) passes it in
+// Config.Cache: repeated keys then simulate once for the life of that
+// cache — the campaign runner's per-pass cache, the daemon's response
+// cache over its durable store. There is no process-wide cache: without
+// one in the Config every job runs (EXPERIMENTS.md, "The process-wide run
+// cache — measured traffic"). Caching applies only to unobserved jobs: a
+// cache hit skips the simulation, so it cannot replay instrumentation,
+// and jobs running under a hub therefore always execute.
 package fleet
 
 import (
@@ -31,9 +34,10 @@ import (
 // Job is one experiment point: an independent simulation (or any other
 // self-contained computation) producing a T.
 type Job[T any] struct {
-	// Key, when non-empty, memoizes the job in the run cache. It must be
+	// Key, when non-empty, memoizes the job in Config.Cache. It must be
 	// content-addressed over every input that affects the result (build it
-	// with Key). Jobs observed by a hub ignore it.
+	// with Key). Jobs observed by a hub, and runs without a cache, ignore
+	// it.
 	Key string
 	// Run executes the point. hub is the job's private scope view (nil
 	// when the caller runs unobserved); the job must build all mutable
@@ -49,9 +53,8 @@ type Config struct {
 	// Hub, when non-nil, observes every job through a forked child hub
 	// that is adopted back in submission order.
 	Hub *scope.Hub
-	// Cache overrides the process-wide run cache. nil selects the shared
-	// cache; use a private Cache (or clear the shared one) in benchmarks
-	// that must re-simulate.
+	// Cache, when non-nil, memoizes keyed unobserved jobs for as long as
+	// the caller keeps it. nil runs every job.
 	Cache *Cache
 }
 
@@ -75,9 +78,6 @@ func Run[T any](cfg Config, jobs []Job[T]) ([]T, error) {
 		return nil, nil
 	}
 	cache := cfg.Cache
-	if cache == nil {
-		cache = shared
-	}
 	workers := cfg.Jobs
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

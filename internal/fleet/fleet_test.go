@@ -115,6 +115,25 @@ func TestCacheSingleFlight(t *testing.T) {
 	}
 }
 
+// TestNoCacheRunsEveryJob: there is no process-wide cache behind a nil
+// Config.Cache — equal keys in one Run, and again in a second Run, all
+// execute.
+func TestNoCacheRunsEveryJob(t *testing.T) {
+	var computes atomic.Int64
+	job := Job[int]{Key: "same-point", Run: func(*scope.Hub) (int, error) {
+		computes.Add(1)
+		return 42, nil
+	}}
+	for _, workers := range []int{1, 2} {
+		if _, err := Run(Config{Jobs: workers}, []Job[int]{job, job}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := computes.Load(); n != 4 {
+		t.Errorf("compute ran %d times, want 4 (no cache, every job runs)", n)
+	}
+}
+
 // TestHubDisablesCache: a cache hit skips the simulation and therefore
 // cannot replay instrumentation, so observed jobs must always execute.
 func TestHubDisablesCache(t *testing.T) {
@@ -344,27 +363,6 @@ func TestCacheStatsDeterministicAtAnyWorkerCount(t *testing.T) {
 	}
 }
 
-// TestCacheStatsSurviveClear: the counters are monotonic for the life of
-// the cache (scope publishes them as counters), even though Clear drops
-// the entries.
-func TestCacheStatsSurviveClear(t *testing.T) {
-	cache := NewCache()
-	job := []Job[int]{{Key: "k", Run: func(*scope.Hub) (int, error) { return 1, nil }}}
-	for i := 0; i < 2; i++ {
-		if _, err := Run(Config{Jobs: 1, Cache: cache}, job); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cache.Clear()
-	if cache.Len() != 0 {
-		t.Errorf("Len() = %d after Clear, want 0", cache.Len())
-	}
-	st := cache.Stats()
-	if st.Lookups != 2 || st.Misses != 1 || st.Hits != 1 {
-		t.Errorf("stats %+v after Clear, want lookups 2, misses 1, hits 1", st)
-	}
-}
-
 // TestCachePublish: fleet.cache.* metrics land on the hub and read the
 // live counters.
 func TestCachePublish(t *testing.T) {
@@ -394,8 +392,6 @@ func TestCachePublish(t *testing.T) {
 			t.Errorf("%s = %d, want %d (snapshot: %v)", name, got[name], v, got)
 		}
 	}
-	// Publish of the shared cache must be nil-hub safe.
-	PublishMetrics(nil)
 }
 
 // TestWorkerPanicRethrownOnCaller is the pool-crash regression: a

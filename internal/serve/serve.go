@@ -240,7 +240,8 @@ func (s *Server) decode(r *http.Request) (Request, *fault.Plan, []string, error)
 // resolveFault materializes a request's fault plan: nil (healthy), the
 // built-in demo plan, or a validated inline plan. Plan files are a
 // campaign-runner affordance; a daemon reading server-side paths named
-// by clients would be a confused deputy, so Path is rejected.
+// by clients would be a confused deputy, so Path is rejected here and the
+// rest is the campaign runner's resolver.
 func resolveFault(fs *bench.FaultSpec) (*fault.Plan, error) {
 	if fs == nil {
 		return nil, nil
@@ -248,19 +249,7 @@ func resolveFault(fs *bench.FaultSpec) (*fault.Plan, error) {
 	if fs.Path != "" {
 		return nil, errors.New("serve: fault.path is not accepted; inline the plan or use demo")
 	}
-	if fs.Demo && fs.Plan != nil {
-		return nil, errors.New("serve: fault demo and plan are mutually exclusive")
-	}
-	switch {
-	case fs.Demo:
-		return fault.DemoPlan(), nil
-	case fs.Plan != nil:
-		if err := fs.Plan.Validate(); err != nil {
-			return nil, fmt.Errorf("serve: fault plan: %w", err)
-		}
-		return fs.Plan, nil
-	}
-	return nil, nil
+	return fs.Resolve("")
 }
 
 // respond produces the response body for a validated submission — from

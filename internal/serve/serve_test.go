@@ -174,6 +174,7 @@ func TestBadRequests(t *testing.T) {
 		{"truncated json", `{"machine":`, "decoding request"},
 		{"unknown field", `{"machine":{"name":"m","fabrik":"omega"}}`, "unknown field"},
 		{"bad fabric", `{"machine":{"fabric":"hypercube"},"workload":{"kind":"trimat"}}`, "unknown fabric"},
+		{"impossible machine", `{"machine":{"name":"m","clusters":64},"workload":{"name":"w","kind":"rank","n":8}}`, "params: NetPorts"},
 		{"bad kind", `{"workload":{"kind":"sort"}}`, "unknown kind"},
 		{"negative size", `{"workload":{"kind":"trimat","n":-4}}`, "non-negative"},
 		{"bad rank variant", `{"workload":{"kind":"rank","variant":"turbo"}}`, "unknown rank variant"},

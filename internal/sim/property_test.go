@@ -74,24 +74,25 @@ func (p *poker) NextWakeup(now int64) int64 {
 func runScenario(t *testing.T, sc scenario, stepped bool) string {
 	t.Helper()
 	e := New()
-	e.stepped = stepped // per-engine, so the test doesn't touch the process mode
+	// The stepped reference is the same engine with every component's
+	// Sleeper half hidden.
+	register := func(c Component, plain bool) Handle {
+		if stepped || plain {
+			c = Plain(c)
+		}
+		return e.Register(c)[0]
+	}
 
 	var logs []func() string
 	var handles []Handle
 	for i := range sc.periodics {
 		p := sc.periodics[i] // copy
-		var h Handle
-		if i < sc.plain {
-			h = e.Register(hidden{&p})[0]
-		} else {
-			h = e.Register(&p)[0]
-		}
-		handles = append(handles, h)
+		handles = append(handles, register(&p, i < sc.plain))
 		logs = append(logs, func() string { return fmt.Sprintf("%s:%v", p.id, p.ticks) })
 	}
 	for i, at := range sc.onces {
 		w := &wakeOnce{id: fmt.Sprintf("once%d", i), at: at}
-		handles = append(handles, e.Register(w)[0])
+		handles = append(handles, register(w, false))
 		logs = append(logs, func() string { return fmt.Sprintf("%s:%v", w.id, w.ticks) })
 	}
 	for i, ps := range sc.pokers {
@@ -102,7 +103,7 @@ func runScenario(t *testing.T, sc scenario, stepped bool) string {
 			rng:     rand.New(rand.NewSource(ps.seed)),
 			targets: handles,
 		}
-		e.Register(pk)
+		register(pk, false)
 		logs = append(logs, func() string { return fmt.Sprintf("%s:%v", pk.id, pk.ticks) })
 	}
 
@@ -119,8 +120,7 @@ func runScenario(t *testing.T, sc scenario, stepped bool) string {
 // TestRandomWakeInterleavingsMatchStepped is the property test: 40
 // seeded scenarios, each run both ways, logs compared byte for byte. It
 // runs under -race in the repo gate (scripts/check.sh) like the other
-// equivalence checks; the engine is single-goroutine, so the detector
-// guards the process-wide mode plumbing rather than the wheel itself.
+// equivalence checks.
 func TestRandomWakeInterleavingsMatchStepped(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -10,10 +10,12 @@
 // implementing Sleeper post their next effective-tick cycle; within a
 // cycle only the components that are due are ticked, and when nothing at
 // all is due the clock jumps straight to the earliest pending wake.
-// Per-cycle ticking of everything survives only while a non-Sleeper
-// component is registered (the busy-region rule: such a component is
-// assumed live every cycle) or while SetSteppedMode pins the engine to
-// the pure stepped schedule. Because due components still run in
+// Per-cycle ticking survives only for components that declare no sleep
+// (the busy-region rule: a non-Sleeper is assumed live every cycle, and
+// while one is registered the clock never jumps). That rule is also the
+// whole of the pure stepped schedule the equivalence gates compare
+// against: an engine whose components were all registered through Plain
+// ticks everything every cycle. Because due components still run in
 // registration order and a skipped component's Tick is by contract a
 // no-op, the schedule of effective ticks — and therefore every
 // deterministic artifact — is byte-identical to the stepped run.
@@ -29,7 +31,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync/atomic"
 )
 
 // Never is the NextWakeup value meaning "no effective tick is scheduled";
@@ -72,19 +73,28 @@ type Sleeper interface {
 	NextWakeup(now int64) int64
 }
 
-// steppedMode is the process-wide engine-mode default, captured by New:
-// when set, engines tick every component every cycle with no skips or
-// jumps — the pure stepped schedule the event wheel must reproduce
-// byte-for-byte. It exists for the stepped-vs-event equivalence gates.
-var steppedMode atomic.Bool
+// Plain returns c with its Sleeper half hidden: the engine ticks the
+// result every cycle, never asks it for a wakeup, and treats Wake on its
+// handle as a no-op. Idle still reports through, so RunUntilIdle sees the
+// same quiescence. An engine whose components were all registered through
+// Plain runs the pure stepped schedule — every component, every cycle, no
+// jumps — which is the reference the event wheel must reproduce
+// byte-for-byte.
+func Plain(c Component) Component {
+	if id, ok := c.(Idler); ok {
+		return plainIdler{c, id}
+	}
+	return plain{c}
+}
 
-// SetSteppedMode sets the process-wide engine mode for engines built
-// afterwards: true forces pure per-cycle stepping, false (the default)
-// enables the event wheel.
-func SetSteppedMode(on bool) { steppedMode.Store(on) }
+// plain and plainIdler embed the interfaces, not the value, so only
+// Name, Tick (and Idle) are promoted and NextWakeup stays out of reach.
+type plain struct{ Component }
 
-// SteppedModeEnabled reports the current process-wide default.
-func SteppedModeEnabled() bool { return steppedMode.Load() }
+type plainIdler struct {
+	Component
+	Idler
+}
 
 // SetShards does nothing: every engine runs the one single-goroutine
 // schedule. Retained for the frozen cmd/cedarperf seam; delete with it.
@@ -137,9 +147,6 @@ type Engine struct {
 	plain   int
 	cycle   int64
 	skipped int64
-	// stepped pins this engine to the pure per-cycle schedule (captured
-	// from the process-wide mode at New).
-	stepped bool
 	// inCycle is true during a tick pass; with pos it makes wakes aimed at
 	// or before the current cycle land on the earliest cycle the target can
 	// still legally execute: the current one if its turn is still ahead,
@@ -162,9 +169,9 @@ var ErrCycleLimit = errors.New("sim: cycle limit exceeded")
 // run that legitimately ran out of cycles, and no component is ticked.
 var ErrNonPositiveLimit = errors.New("sim: non-positive cycle limit")
 
-// New returns an empty engine at cycle 0 in the process-wide mode.
+// New returns an empty engine at cycle 0.
 func New() *Engine {
-	return &Engine{stepped: steppedMode.Load(), due: -1}
+	return &Engine{due: -1}
 }
 
 // Handle names one registered component and carries wakes to it. The
@@ -182,7 +189,7 @@ type Handle struct {
 // earlier, so a spurious Wake costs one no-op tick and nothing else.
 func (h Handle) Wake(at int64) {
 	e := h.e
-	if e == nil || e.stepped || e.sched[h.idx] == nil {
+	if e == nil || e.sched[h.idx] == nil {
 		return
 	}
 	if at < e.wake[h.idx] {
@@ -330,9 +337,6 @@ func (e *Engine) Register(cs ...Component) []Handle {
 // runs — a controller assigned, a sampler attached — are picked up
 // without requiring the mutator to know about wakes.
 func (e *Engine) pollAll() {
-	if e.stepped {
-		return
-	}
 	for i, s := range e.sched {
 		if s != nil {
 			e.setWake(i, s.NextWakeup(e.cycle))
@@ -360,7 +364,7 @@ func (e *Engine) AwakeComponents() []string {
 	var names []string
 	for i, c := range e.components {
 		s := e.sched[i]
-		if s == nil || e.stepped || s.NextWakeup(e.cycle) <= e.cycle {
+		if s == nil || s.NextWakeup(e.cycle) <= e.cycle {
 			names = append(names, c.Name())
 		}
 	}
@@ -432,7 +436,7 @@ func (e *Engine) stepOnce() {
 	for i := range e.components {
 		e.pos = i
 		s := e.sched[i]
-		if s == nil || e.stepped {
+		if s == nil {
 			e.components[i].Tick(c)
 			continue
 		}
@@ -456,7 +460,7 @@ func (e *Engine) stepOnce() {
 // matches a stepped run, and reports whether it moved. Jumps are what
 // FastForwarded counts: cycles in which nothing at all ran.
 func (e *Engine) tryJump(deadline int64) bool {
-	if e.stepped || e.plain > 0 || e.dueNow() {
+	if e.plain > 0 || e.dueNow() {
 		return false
 	}
 	w := e.nextWake()

@@ -194,14 +194,6 @@ func (p *periodic) NextWakeup(now int64) int64 {
 	return now - now%p.period + p.period
 }
 
-// hidden wraps a periodic, hiding its Sleeper implementation so the same
-// workload can run with fast-forwarding disabled.
-type hidden struct{ p *periodic }
-
-func (h hidden) Name() string     { return h.p.Name() }
-func (h hidden) Tick(cycle int64) { h.p.Tick(cycle) }
-func (h hidden) Idle() bool       { return h.p.Idle() }
-
 func TestFastForwardMatchesSteppedRun(t *testing.T) {
 	run := func(fastForward bool) (*periodic, *periodic, *Engine) {
 		a := &periodic{id: "a", period: 10, want: 4}
@@ -210,7 +202,7 @@ func TestFastForwardMatchesSteppedRun(t *testing.T) {
 		if fastForward {
 			e.Register(a, b)
 		} else {
-			e.Register(hidden{a}, hidden{b})
+			e.Register(Plain(a), Plain(b))
 		}
 		if err := e.RunUntilIdle(1000); err != nil {
 			t.Fatal(err)
@@ -238,6 +230,48 @@ func TestFastForwardMatchesSteppedRun(t *testing.T) {
 				t.Errorf("%s tick %d at cycle %d, stepped run at %d", f.id, i, f.ticks[i], s.ticks[i])
 			}
 		}
+	}
+}
+
+// TestPlainHidesSleeper: Plain is the whole of the stepped schedule. An
+// engine of Plain-wrapped Sleepers ticks every component every cycle,
+// never asks for a wakeup, never jumps, treats Wake as a no-op, and still
+// ends RunUntilIdle where the wrapped components report Idle.
+func TestPlainHidesSleeper(t *testing.T) {
+	w := &wakeOnce{id: "wake", at: 40}
+	ticks := 0
+	napper := SchedFunc{ID: "napper", F: func(int64) { ticks++ }, W: func(int64) int64 {
+		t.Error("NextWakeup asked of a Plain component")
+		return Never
+	}}
+	if _, ok := Plain(w).(Sleeper); ok {
+		t.Fatal("Plain(w) still implements Sleeper")
+	}
+	if _, ok := Plain(napper).(Idler); ok {
+		t.Fatal("Plain of a non-Idler implements Idler")
+	}
+
+	e := New()
+	hs := e.Register(Plain(w), Plain(napper))
+	hs[0].Wake(3)
+	hs[1].Wake(1 << 20)
+	if len(e.heap) != 0 || e.wake[0] != 0 || e.wake[1] != 0 {
+		t.Errorf("Wake on Plain components left a mark: heap %v, wake %v", e.heap, e.wake)
+	}
+	if got := e.AwakeComponents(); len(got) != 2 {
+		t.Errorf("AwakeComponents = %v, want both (plain components are always awake)", got)
+	}
+	if err := e.RunUntilIdle(100); err != nil {
+		t.Fatal(err)
+	}
+	if e.Cycle() != 41 || e.FastForwarded() != 0 {
+		t.Errorf("ended at cycle %d having jumped %d, want 41 and 0", e.Cycle(), e.FastForwarded())
+	}
+	if ticks != 41 {
+		t.Errorf("napper ticked %d times in 41 cycles, want every cycle", ticks)
+	}
+	if len(w.ticks) != 1 || w.ticks[0] != 40 {
+		t.Errorf("effective ticks %v, want [40]", w.ticks)
 	}
 }
 
@@ -292,14 +326,6 @@ func (w *wakeOnce) NextWakeup(now int64) int64 {
 	return w.at
 }
 
-// hiddenWake strips the Sleeper interface off a wakeOnce so the same
-// workload can run fully stepped.
-type hiddenWake struct{ w *wakeOnce }
-
-func (h hiddenWake) Name() string     { return h.w.Name() }
-func (h hiddenWake) Tick(cycle int64) { h.w.Tick(cycle) }
-func (h hiddenWake) Idle() bool       { return h.w.Idle() }
-
 // TestFastForwardWakeOnLimitBoundary pins the boundary semantics of the
 // fast-forward clamp: a wakeup exactly at the deadline (or past it) must
 // time out at exactly the limit, and a wakeup one cycle inside must
@@ -327,7 +353,7 @@ func TestFastForwardWakeOnLimitBoundary(t *testing.T) {
 				if fastForward {
 					e.Register(w)
 				} else {
-					e.Register(hiddenWake{w})
+					e.Register(Plain(w))
 				}
 				return w, e, e.RunUntilIdle(limit)
 			}
@@ -414,7 +440,7 @@ func TestFastForwardedAcrossReentry(t *testing.T) {
 	// cycle count and never fast-forwards.
 	sw := &wakeOnce{id: "wake", at: 100}
 	se := New()
-	se.Register(hiddenWake{sw})
+	se.Register(Plain(sw))
 	if err := se.RunUntilIdle(30); !errors.Is(err, ErrCycleLimit) {
 		t.Fatalf("stepped first entry: %v", err)
 	}

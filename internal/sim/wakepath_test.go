@@ -184,12 +184,15 @@ func (a *actor) NextWakeup(now int64) int64 {
 func runWakeScenario(t *testing.T, sc wakeScenario, stepped bool) string {
 	t.Helper()
 	e := New()
-	e.stepped = stepped
 	env := &actorEnv{}
 	for i, sp := range sc.actors {
 		a := &actor{id: fmt.Sprintf("a%d", i), own: append([]int64(nil), sp.own...), sends: sp.sends, env: env}
 		env.actors = append(env.actors, a)
-		env.handles = append(env.handles, e.Register(a)[0])
+		var c Component = a
+		if stepped {
+			c = Plain(a)
+		}
+		env.handles = append(env.handles, e.Register(c)[0])
 	}
 	limits := sc.limits
 	if limits == nil {

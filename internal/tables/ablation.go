@@ -42,10 +42,14 @@ func RunNetworkAblation(env Env, n int) (NetworkAblation, error) {
 		{"omega 8-word queues", "omega-8w", core.FabricOmega, 8},
 		{"ideal crossbar", "crossbar", core.FabricCrossbar, 0},
 	}
-	return sweep(env, "netablation", configs,
+	return sweep(env, configs,
 		func(cfg config) build {
-			b := env.at("net/"+cfg.scope, env.Machine(), n)
-			b.opt.Fabric, b.opt.QueueWords = cfg.fabric, cfg.queue
+			pm := env.Machine()
+			if cfg.queue > 0 {
+				pm.NetQueueWords = cfg.queue
+			}
+			b := env.at("net/"+cfg.scope, pm)
+			b.opt.Fabric = cfg.fabric
 			return b
 		},
 		func(cfg config, m *core.Machine) (NetworkAblationRow, error) {
@@ -94,8 +98,8 @@ type PrefetchBlocks []PrefetchBlockRow
 func RunPrefetchBlockAblation(env Env, n int) (PrefetchBlocks, error) {
 	p := env.Machine()
 	p.Clusters = 1
-	return sweep(env, "prefblock", []int{0, 32, 128, 256, 512},
-		func(block int) build { return env.at(fmt.Sprintf("prefblock/%d", block), p, block, n) },
+	return sweep(env, []int{0, 32, 128, 256, 512},
+		func(block int) build { return env.at(fmt.Sprintf("prefblock/%d", block), p) },
 		func(block int, m *core.Machine) (PrefetchBlockRow, error) {
 			aBase := m.AllocGlobalAligned(n*64, 64)
 			body := func(j int, q []ce.Instr) []ce.Instr {
@@ -156,9 +160,9 @@ func RunScaledCedar(env Env, n int) (ScaledCedar, error) {
 	for _, clusters := range clusterCounts {
 		points = append(points, point{clusters, "rk"}, point{clusters, "cg"})
 	}
-	outs, err := sweep(env, "scaled", points,
+	outs, err := sweep(env, points,
 		func(pt point) build {
-			return env.at(fmt.Sprintf("scaled/%dcl/%s", pt.clusters, pt.kernel), params.Scaled(pt.clusters), pt.kernel, n)
+			return env.at(fmt.Sprintf("scaled/%dcl/%s", pt.clusters, pt.kernel), params.Scaled(pt.clusters))
 		},
 		func(pt point, m *core.Machine) (float64, error) {
 			if pt.kernel == "rk" {

@@ -16,11 +16,10 @@ import (
 // a test, a library caller): two Envs in one process never see each
 // other, which is what lets a daemon or a test run a faulted and a
 // healthy sweep side by side. The zero Env is an unobserved healthy run
-// on the as-built Cedar at GOMAXPROCS workers.
+// on the as-built Cedar's event-wheel engine at GOMAXPROCS workers.
 type Env struct {
 	// Hub, when non-nil, observes every machine the run builds, each
-	// under its own namespace. Observed points always simulate; unobserved
-	// ones go through the run cache.
+	// under its own namespace.
 	Hub *scope.Hub
 	// Faults is the plan every machine runs under; nil is healthy.
 	Faults *fault.Plan
@@ -30,13 +29,17 @@ type Env struct {
 	// Clusters is the base machine's width: 0 keeps the as-built
 	// 4-cluster Cedar, anything else selects params.Scaled(Clusters).
 	Clusters int
+	// Stepped builds every machine as the pure per-cycle reference
+	// (core.Options.Stepped) — the equivalence gates' other side. Output
+	// is byte-identical either way.
+	Stepped bool
 
-	// audit, when non-nil, collects each sweep's cache keys in place of
-	// running it; tests use it to check what a key covers.
-	audit *[]string
+	// audit, when non-nil, collects each sweep's builds in place of
+	// running them; tests use it to check what a point runs under.
+	audit *[]build
 }
 
-// errAudited ends a sweep whose keys went to Env.audit.
+// errAudited ends a sweep whose builds went to Env.audit.
 var errAudited = errors.New("tables: sweep audited, not run")
 
 // Machine returns the base machine experiments start from before applying
@@ -50,39 +53,34 @@ func (e Env) Machine() params.Machine {
 
 func (e Env) fleet() fleet.Config { return fleet.Config{Jobs: e.Jobs, Hub: e.Hub} }
 
-// build describes the machine one sweep point runs on and everything
-// else its result depends on.
+// build describes the machine one sweep point runs on.
 type build struct {
 	// scope is the point's hub namespace ("t1/pref/2cl").
 	scope string
 	pm    params.Machine
-	// opt carries the fabric, queue-depth and fault-plan choices; sweep
-	// fills in Scope. Env.at presets Faults from the Env.
+	// opt carries the fabric, fault-plan and engine choices; sweep fills
+	// in Scope. Env.at presets Faults and Stepped from the Env.
 	opt core.Options
-	// key lists the inputs beyond the machine: workload sizes, modes,
-	// policies. Plain values only: they are rendered into the cache key.
-	key []any
 }
 
-// at is the usual build: pm under the Env's fault plan.
-func (e Env) at(scope string, pm params.Machine, key ...any) build {
-	return build{scope: scope, pm: pm, opt: core.Options{Faults: e.Faults}, key: key}
+// at is the usual build: pm under the Env's fault plan and engine.
+func (e Env) at(scope string, pm params.Machine) build {
+	return build{scope: scope, pm: pm, opt: core.Options{Faults: e.Faults, Stepped: e.Stepped}}
 }
 
-// sweep runs one whole-machine simulation per point and returns the
-// results in point order. It is the only place a table builds a machine
-// or a cache key, so the key is derived from exactly the values the
-// machine is built from — parameters, fabric, queue depth, fault plan —
-// plus the point's own key parts, and a point can never run under a
-// configuration its key does not name. Errors carry the point's scope
-// name.
-func sweep[P, T any](env Env, kind string, points []P, at func(P) build, body func(P, *core.Machine) (T, error)) ([]T, error) {
+// sweep runs one whole-machine simulation per point — every point, every
+// time — and returns the results in point order. It is the only place a
+// table builds a machine, so no experiment can forget the Env's plan or
+// engine. Errors carry the point's scope name.
+func sweep[P, T any](env Env, points []P, at func(P) build, body func(P, *core.Machine) (T, error)) ([]T, error) {
 	jobs := make([]fleet.Job[T], len(points))
 	for i, pt := range points {
 		b := at(pt)
-		parts := append([]any{b.pm, int(b.opt.Fabric), b.opt.QueueWords, b.opt.Faults.Fingerprint()}, b.key...)
+		if env.audit != nil {
+			*env.audit = append(*env.audit, b)
+			continue
+		}
 		jobs[i] = fleet.Job[T]{
-			Key: fleet.Key(kind, parts...),
 			Run: func(h *scope.Hub) (out T, err error) {
 				opt := b.opt
 				opt.Scope = h.Sub(b.scope)
@@ -98,9 +96,6 @@ func sweep[P, T any](env Env, kind string, points []P, at func(P) build, body fu
 		}
 	}
 	if env.audit != nil {
-		for _, j := range jobs {
-			*env.audit = append(*env.audit, j.Key)
-		}
 		return nil, errAudited
 	}
 	return fleet.Run(env.fleet(), jobs)

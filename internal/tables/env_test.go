@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"cedar/internal/fault"
-	"cedar/internal/fleet"
 	"cedar/internal/scope"
 )
 
@@ -63,15 +62,17 @@ func envArtifacts(t *testing.T, env Env) []byte {
 	return out.Bytes()
 }
 
-// TestTwoEnvsAtOnce: two run configurations in one process at the same
-// time — the demo plan at jobs 1 and a healthy run at jobs 4, on the
-// same sweep and (unobserved) the same shared run cache — each produce
-// exactly the bytes of their solo run: nothing a run executes under is
-// process-wide. It runs under -race on purpose.
+// TestTwoEnvsAtOnce: three run configurations in one process at the same
+// time — the demo plan at jobs 1, a healthy run at jobs 4 and a healthy
+// run on the stepped engine — on the same sweep. Each produces exactly
+// the bytes of its solo run, and the stepped run the event run's bytes:
+// nothing a run executes under is process-wide, the engine schedule
+// included. It runs under -race on purpose.
 func TestTwoEnvsAtOnce(t *testing.T) {
+	names := []string{"faulted jobs-1", "healthy jobs-4", "healthy stepped"}
 	for _, observed := range []bool{false, true} {
 		envs := func() []Env {
-			e := []Env{{Faults: fault.DemoPlan(), Jobs: 1}, {Jobs: 4}}
+			e := []Env{{Faults: fault.DemoPlan(), Jobs: 1}, {Jobs: 4}, {Jobs: 2, Stepped: true}}
 			for i := range e {
 				if observed {
 					e[i].Hub = scope.NewHub()
@@ -79,16 +80,14 @@ func TestTwoEnvsAtOnce(t *testing.T) {
 			}
 			return e
 		}
-		var solo [2][]byte
+		solo := make([][]byte, len(names))
 		for i, env := range envs() {
-			fleet.ResetCache()
 			solo[i] = envArtifacts(t, env)
 		}
 		if bytes.Equal(solo[0], solo[1]) {
 			t.Fatalf("observed=%v: the demo plan left no mark on the sweep", observed)
 		}
-		fleet.ResetCache()
-		var together [2][]byte
+		together := make([][]byte, len(names))
 		var wg sync.WaitGroup
 		for i, env := range envs() {
 			wg.Add(1)
@@ -98,24 +97,26 @@ func TestTwoEnvsAtOnce(t *testing.T) {
 			}(i, env)
 		}
 		wg.Wait()
-		for i, name := range []string{"faulted jobs-1", "healthy jobs-4"} {
+		for i, name := range names {
 			if !bytes.Equal(together[i], solo[i]) {
 				t.Errorf("observed=%v: %s run differs from its solo run:\n%s\nvs solo\n%s",
 					observed, name, together[i], solo[i])
 			}
 		}
+		if !bytes.Equal(together[2], together[1]) {
+			t.Errorf("observed=%v: stepped run beside an event run differs from it:\n%s\nvs event\n%s",
+				observed, together[2], together[1])
+		}
 	}
 }
 
-// TestHealthyEnvAfterFaultedEnv: on one sweep and one cache, a healthy
-// Env after a faulted one never sees the faulted entries — not the
-// degraded error a hopeless plan caches, not a surviving plan's slower
-// rows — because the plan fingerprint is part of every sweep key.
+// TestHealthyEnvAfterFaultedEnv: a healthy Env after faulted ones — a
+// hopeless plan that degrades every point, a surviving plan with slower
+// rows — produces exactly the solo healthy bytes: a plan lives in the Env
+// that names it and nowhere else.
 func TestHealthyEnvAfterFaultedEnv(t *testing.T) {
-	fleet.ResetCache()
 	healthySolo := envArtifacts(t, Env{})
 
-	fleet.ResetCache()
 	hopeless := &fault.Plan{Seed: 1, Faults: []fault.Fault{{Kind: fault.PFUNack, Module: -1, Rate: 1}}}
 	if _, err := RunNetworkAblation(Env{Faults: hopeless}, 32); !errors.Is(err, fault.ErrDegraded) {
 		t.Fatalf("all-NACK plan: err = %v, want ErrDegraded", err)
@@ -130,40 +131,46 @@ func TestHealthyEnvAfterFaultedEnv(t *testing.T) {
 	}
 }
 
-// TestFaultedEnvReachesEveryExperiment: every catalogue entry keys (and
-// therefore builds) its machines under the Env's plan — no experiment
-// bypasses the sweep helper or forgets the plan. The degraded table is
-// the deliberate exception in one row only: its scenarios name their own
-// plans, so its healthy row keeps the healthy key under a faulted Env
-// (TestFaultedRunDeterministic checks that row really runs clean).
+// TestFaultedEnvReachesEveryExperiment: every catalogue entry builds its
+// machines under the Env's plan and engine — no experiment bypasses the
+// sweep helper or forgets either. The degraded table is the deliberate
+// exception for the plan only: its scenarios name their own, so its
+// healthy row stays healthy under a faulted Env (TestFaultedRunDeterministic
+// checks that row really runs clean) and the Env's plan is one more row.
 func TestFaultedEnvReachesEveryExperiment(t *testing.T) {
-	keys := func(e Experiment, plan *fault.Plan) []string {
-		var got []string
-		_, err := e.Run(Env{Faults: plan, audit: &got}, Sizes{RankN: 32, Table2Small: true, MemBWWords: 64})
+	builds := func(e Experiment, env Env) []build {
+		var got []build
+		env.audit = &got
+		_, err := e.Run(env, Sizes{RankN: 32, Table2Small: true, MemBWWords: 64})
 		if !errors.Is(err, errAudited) || len(got) == 0 {
-			t.Fatalf("%s: audit err = %v with %d keys; the experiment does not go through sweep", e.Name, err, len(got))
+			t.Fatalf("%s: audit err = %v with %d builds; the experiment does not go through sweep", e.Name, err, len(got))
 		}
 		return got
 	}
+	plan := fault.DemoPlan()
 	for _, e := range catalogue {
-		healthy, faulted := keys(e, nil), keys(e, fault.DemoPlan())
-		if e.Name == "degraded" {
-			if healthy[0] != faulted[0] {
-				t.Error("degraded: the healthy scenario's key follows the Env's plan")
+		healthy, faulted := builds(e, Env{}), builds(e, Env{Faults: plan, Stepped: true})
+		for i, b := range healthy {
+			if b.opt.Stepped || (b.opt.Faults != nil && e.Name != "degraded") {
+				t.Errorf("%s: point %d (%s) of the zero Env builds with %+v", e.Name, i, b.scope, b.opt)
 			}
-			if len(faulted) != len(healthy)+1 {
-				t.Errorf("degraded: %d scenarios under a faulted Env, want the built-in %d plus the Env's plan", len(faulted), len(healthy))
+		}
+		for i, b := range faulted {
+			if !b.opt.Stepped {
+				t.Errorf("%s: point %d (%s) ignores the Env's engine", e.Name, i, b.scope)
 			}
+			if b.opt.Faults != plan && e.Name != "degraded" {
+				t.Errorf("%s: point %d (%s) ignores the Env's plan", e.Name, i, b.scope)
+			}
+		}
+		if e.Name != "degraded" {
 			continue
 		}
-		seen := map[string]bool{}
-		for _, k := range healthy {
-			seen[k] = true
+		if faulted[0].opt.Faults != nil {
+			t.Error("degraded: the healthy scenario follows the Env's plan")
 		}
-		for i, k := range faulted {
-			if seen[k] {
-				t.Errorf("%s: point %d has the same key healthy and under the demo plan", e.Name, i)
-			}
+		if len(faulted) != len(healthy)+1 || faulted[len(faulted)-1].opt.Faults != plan {
+			t.Errorf("degraded: %d scenarios under a faulted Env, want the built-in %d plus the Env's plan", len(faulted), len(healthy))
 		}
 	}
 }

@@ -62,9 +62,9 @@ func RunDegraded(env Env, n int) (Degraded, error) {
 		scenarios = append(scenarios, scenario{"as configured (-faults plan)", "configured", env.Faults})
 	}
 
-	rows, err := sweep(env, "degraded", scenarios,
+	rows, err := sweep(env, scenarios,
 		func(sc scenario) build {
-			b := env.at("degraded/"+sc.scope, env.Machine(), n)
+			b := env.at("degraded/"+sc.scope, env.Machine())
 			b.opt.Faults = sc.plan
 			return b
 		},
@@ -92,9 +92,6 @@ func RunDegraded(env Env, n int) (Degraded, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Rows are labelled here, not in the body: the key names the plan, not
-	// the scenario, so two scenarios with one plan (the demo plan given as
-	// -faults) share a simulation and differ only in their label.
 	for i := range rows {
 		rows[i].Scenario = scenarios[i].name
 		if rows[0].Cycles > 0 {

@@ -32,10 +32,8 @@ func RunMemBW(env Env, wordsPerCE int) (*MemBWResult, error) {
 			points = append(points, point{nCE: nCE, stride: stride})
 		}
 	}
-	outs, err := sweep(env, "membw", points,
-		func(pt point) build {
-			return env.at(fmt.Sprintf("membw/%dce/stride%d", pt.nCE, pt.stride), p, pt.nCE, pt.stride, wordsPerCE)
-		},
+	outs, err := sweep(env, points,
+		func(pt point) build { return env.at(fmt.Sprintf("membw/%dce/stride%d", pt.nCE, pt.stride), p) },
 		func(pt point, m *core.Machine) (kernels.MemBWPoint, error) {
 			return kernels.MemBW(m, pt.nCE, pt.stride, wordsPerCE)
 		})

@@ -45,8 +45,8 @@ func RunOverheads(env Env) (*OverheadsResult, error) {
 		{fmt.Sprintf("fetch-sync-%d", iters), iters, true},
 		{"fetch-sync-1", 1, true},
 	}
-	t, err := sweep(env, "overheads", points,
-		func(pt point) build { return env.at("overheads/"+pt.scope, pm, pt.n, pt.sync) },
+	t, err := sweep(env, points,
+		func(pt point) build { return env.at("overheads/"+pt.scope, pm) },
 		func(pt point, m *core.Machine) (float64, error) {
 			if pt.n == 0 {
 				return timeToFirstIteration(m)

@@ -64,10 +64,8 @@ func RunPPT4(env Env, full bool) (*PPT4Result, error) {
 			cgPoints = append(cgPoints, cgPoint{n, p})
 		}
 	}
-	cgOuts, err := sweep(env, "ppt4/cg", cgPoints,
-		func(pt cgPoint) build {
-			return env.at(fmt.Sprintf("ppt4/cg/n%d/p%d", pt.n, pt.p), pm, pt.n, pt.p, ppt4Iters)
-		},
+	cgOuts, err := sweep(env, cgPoints,
+		func(pt cgPoint) build { return env.at(fmt.Sprintf("ppt4/cg/n%d/p%d", pt.n, pt.p), pm) },
 		func(pt cgPoint, m *core.Machine) (core.Result, error) {
 			out, err := kernels.CG(m, kernels.CGConfig{N: pt.n, Iters: ppt4Iters, MaxCEs: pt.p})
 			return out.Result, err
@@ -99,10 +97,8 @@ func RunPPT4(env Env, full bool) (*PPT4Result, error) {
 			bandedPoints = append(bandedPoints, bandedPoint{bw: bw, n: n})
 		}
 	}
-	bandedOuts, err := sweep(env, "ppt4/banded", bandedPoints,
-		func(pt bandedPoint) build {
-			return env.at(fmt.Sprintf("ppt4/banded/bw%d/n%d", pt.bw, pt.n), pm, pt.n, pt.bw)
-		},
+	bandedOuts, err := sweep(env, bandedPoints,
+		func(pt bandedPoint) build { return env.at(fmt.Sprintf("ppt4/banded/bw%d/n%d", pt.bw, pt.n), pm) },
 		func(pt bandedPoint, m *core.Machine) (float64, error) {
 			out, err := kernels.Banded(m, kernels.BandedConfig{N: pt.n, BW: pt.bw})
 			return out.MFLOPS, err
@@ -117,9 +113,9 @@ func RunPPT4(env Env, full bool) (*PPT4Result, error) {
 	}
 
 	// The CM-5 comparator sweep: analytic, but still a set of independent
-	// machine evaluations, dispatched like the simulated ones (uncached —
-	// the evaluation is cheaper than a cache key). It builds no Cedar, so
-	// it is the one sweep that does not go through the sweep helper.
+	// machine evaluations, dispatched like the simulated ones. It builds
+	// no Cedar, so it is the one sweep that does not go through the sweep
+	// helper.
 	type cm5Point struct{ bw, p, n int }
 	var cm5Points []cm5Point
 	for _, bw := range []int{3, 11} {

@@ -69,12 +69,9 @@ func RunSchedulingAblation(env Env) (Scheduling, error) {
 			}
 		}
 	}
-	return sweep(env, "sched", points,
+	return sweep(env, points,
 		func(pt point) build {
-			// The body closures are stateless, so workload name stands in
-			// for them in the key.
-			return env.at(fmt.Sprintf("sched/%s/%s/sync=%v", pt.wlName, pt.polName, pt.sync),
-				env.Machine(), pt.wlName, pt.polName, pt.sync)
+			return env.at(fmt.Sprintf("sched/%s/%s/sync=%v", pt.wlName, pt.polName, pt.sync), env.Machine())
 		},
 		func(pt point, m *core.Machine) (SchedulingRow, error) {
 			rt := cfrt.New(m, cfrt.Config{UseCedarSync: pt.sync},

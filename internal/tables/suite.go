@@ -78,9 +78,9 @@ func RunSuite(env Env, codes []perfect.Profile, progress io.Writer) (*SuiteResul
 		}
 	}
 	pm := env.Machine()
-	outs, err := sweep(env, "perfect", points,
+	outs, err := sweep(env, points,
 		func(pt point) build {
-			return env.at(fmt.Sprintf("perfect/%s/%s", pt.profile.Name, label(pt.v.spec)), pm, pt.profile, pt.v.spec)
+			return env.at(fmt.Sprintf("perfect/%s/%s", pt.profile.Name, label(pt.v.spec)), pm)
 		},
 		func(pt point, m *core.Machine) (perfect.Outcome, error) {
 			return perfect.RunOn(m, pt.profile, pt.v.spec)

@@ -38,11 +38,11 @@ func RunTable1(env Env, n int) (*Table1Result, error) {
 			points = append(points, point{mi: mi, clusters: clusters, mode: mode})
 		}
 	}
-	outs, err := sweep(env, "table1", points,
+	outs, err := sweep(env, points,
 		func(pt point) build {
 			p := env.Machine()
 			p.Clusters = pt.clusters
-			return env.at(fmt.Sprintf("t1/%s/%dcl", rkShort(pt.mode), pt.clusters), p, int(pt.mode), n)
+			return env.at(fmt.Sprintf("t1/%s/%dcl", rkShort(pt.mode), pt.clusters), p)
 		},
 		func(pt point, m *core.Machine) (float64, error) {
 			out, err := kernels.RankUpdate(m, n, pt.mode)

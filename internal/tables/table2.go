@@ -82,11 +82,11 @@ func RunTable2(env Env, small bool) (*Table2Result, error) {
 			points = append(points, point{name: name, ces: ces})
 		}
 	}
-	outs, err := sweep(env, "table2", points,
+	outs, err := sweep(env, points,
 		func(pt point) build {
 			p := env.Machine()
 			p.Clusters = pt.ces / p.CEsPerCluster
-			return env.at(fmt.Sprintf("t2/%s/%dce", strings.ToLower(pt.name), pt.ces), p, pt.name, sz)
+			return env.at(fmt.Sprintf("t2/%s/%dce", strings.ToLower(pt.name), pt.ces), p)
 		},
 		func(pt point, m *core.Machine) (t2Stats, error) {
 			out, err := kernel[pt.name](m)
