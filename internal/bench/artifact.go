@@ -80,9 +80,8 @@ type PointResult struct {
 }
 
 // Outcome is the identity-free simulation result — what the fleet cache
-// stores, shared by every point with the same semantic inputs. All
-// fields are exported because cached results round-trip through the
-// fleet deep copy, which only recurses exported fields.
+// stores, shared by every point with the same semantic inputs, slices
+// included: read-only once runPoint has returned it.
 type Outcome struct {
 	// Status is "ok" or "degraded" (the fault plan exhausted a retry
 	// budget or starved the program; partial timing is still reported).

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -216,6 +217,31 @@ func TestRunOutcomes(t *testing.T) {
 	}
 	if len(art.Measured.Points) != 0 {
 		t.Errorf("per-point wall times recorded without a clock")
+	}
+}
+
+// TestPointKeyCoversEveryWorkloadField: the run-cache key is built from
+// the workload spec itself, so every field but the name moves it — a
+// field added to WorkloadSpec can never let two different points share
+// one simulation.
+func TestPointKeyCoversEveryWorkloadField(t *testing.T) {
+	base := point{w: WorkloadSpec{Name: "w", Kind: "cg", N: 64}}
+	k0 := base.key(DefaultMetrics)
+	typ := reflect.TypeOf(base.w)
+	for i := 0; i < typ.NumField(); i++ {
+		pt := base
+		switch f := reflect.ValueOf(&pt.w).Elem().Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString(f.String() + "x")
+		case reflect.Int:
+			f.SetInt(f.Int() + 1)
+		default:
+			t.Fatalf("WorkloadSpec.%s has kind %s: teach this test to change it", typ.Field(i).Name, f.Kind())
+		}
+		name, moved := typ.Field(i).Name, pt.key(DefaultMetrics) != k0
+		if want := name != "Name"; moved != want {
+			t.Errorf("changing WorkloadSpec.%s moved the key: %v, want %v", name, moved, want)
+		}
 	}
 }
 

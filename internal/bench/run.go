@@ -46,14 +46,13 @@ type point struct {
 	plan   *fault.Plan
 }
 
-// workloadKey is the semantic (name-free) view of a workload spec used
-// for cache keying: two differently named specs with equal semantics
-// share one simulation.
-type workloadKey struct {
-	Kind, Variant        string
-	N, Sweeps, Iters, BW int
-	MaxCEs               int
-	CEs, Stride, Gap     int
+// key is the point's run-cache key, over semantics only — the workload
+// spec less its name, never the axis names — so coincidentally equal
+// points simulate once.
+func (pt point) key(metrics []string) string {
+	w := pt.w
+	w.Name = ""
+	return fleet.Key("bench", pt.pm, int(pt.fabric), w, pt.plan.Fingerprint(), strings.Join(metrics, ","))
 }
 
 // Run executes the campaign: one full matrix pass per jobs value, each
@@ -137,16 +136,12 @@ func Run(c *Campaign, opt RunOptions) (*Artifact, error) {
 		cache := fleet.NewCache()
 		fjobs := make([]fleet.Job[Outcome], len(points))
 		for i, pt := range points {
-			wk := workloadKey{Kind: pt.w.Kind, Variant: pt.w.Variant,
-				N: pt.w.N, Sweeps: pt.w.Sweeps, Iters: pt.w.Iters, BW: pt.w.BW,
-				MaxCEs: pt.w.MaxCEs, CEs: pt.w.CEs, Stride: pt.w.Stride, Gap: pt.w.Gap}
 			fjobs[i] = fleet.Job[Outcome]{
-				// Keyed over semantics only — never the axis names — so
-				// coincidentally equal points simulate once. The job builds
-				// its own hub internally (the fleet-level hub stays nil)
-				// precisely so keyed jobs remain cacheable while still
-				// capturing metrics and attribution as plain result data.
-				Key: fleet.Key("bench", pt.pm, int(pt.fabric), wk, pt.plan.Fingerprint(), strings.Join(metrics, ",")),
+				// The job builds its own hub internally (the fleet-level
+				// hub stays nil) precisely so keyed jobs remain cacheable
+				// while still capturing metrics and attribution as plain
+				// result data.
+				Key: pt.key(metrics),
 				Run: func(*scope.Hub) (Outcome, error) {
 					return runPoint(pt, metrics, opt)
 				},
@@ -159,6 +154,8 @@ func Run(c *Campaign, opt RunOptions) (*Artifact, error) {
 		if opt.Now != nil {
 			start = opt.Now()
 		}
+		// Points that share a key share one Outcome, slices included; it
+		// is only marshalled from here on.
 		results, err := fleet.Run(fleet.Config{Jobs: j, Cache: cache}, fjobs)
 		if err != nil {
 			return nil, err

@@ -30,8 +30,9 @@ type Cache struct {
 // the cache consults Get before computing, and writes a freshly computed
 // []byte value through with Put. Values of any other type bypass the
 // second level entirely (the store is byte-addressed; cedarserve's
-// response bodies are the intended tenants). Put must not retain the
-// slice past the call: it aliases the cached value.
+// response bodies are the intended tenants). Both slices are the cached
+// value itself, which every presenter of the key receives: Put must not
+// modify its argument, and Get must not reuse what it returned.
 type SecondLevel interface {
 	Get(key string) ([]byte, bool)
 	Put(key string, blob []byte)

@@ -21,6 +21,13 @@
 // cache — measured traffic"). Caching applies only to unobserved jobs: a
 // cache hit skips the simulation, so it cannot replay instrumentation,
 // and jobs running under a hub therefore always execute.
+//
+// A cache hands out the value it holds, not a copy: every presenter of a
+// key — the one that computed it included — receives the same T, backing
+// arrays and pointees shared. A value returned through a cache is
+// therefore read-only to its receivers; one that needs to change it
+// copies it first. (The receivers in this module only read: serve writes
+// the cached bytes to the socket, bench marshals the outcomes.)
 package fleet
 
 import (
@@ -169,11 +176,6 @@ func (r *recovered) first() any {
 	return r.p
 }
 
-// cacheCopy is the deep-copy hook runOne uses on every cached return. A
-// package variable only so the copy-failure fallback (recompute, never
-// alias) stays testable; production code always runs deepCopy.
-var cacheCopy = deepCopy
-
 // runOne executes one job, through the cache when it is unobserved and
 // keyed.
 func runOne[T any](j Job[T], hub *scope.Hub, cache *Cache) (T, error) {
@@ -184,18 +186,10 @@ func runOne[T any](j Job[T], hub *scope.Hub, cache *Cache) (T, error) {
 			return zero, err
 		}
 		if tv, ok := v.(T); ok {
-			// Every caller — including the one that just computed the
-			// value — gets a deep copy, so mutating a returned result
-			// can never corrupt the cached original or a sibling hit.
-			if cp, ok := cacheCopy(tv).(T); ok {
-				return cp, nil
-			}
-			// The copy machinery could not reproduce T. Fall through and
-			// recompute: handing out the cached value itself would alias
-			// cache internals to a caller that is free to mutate them.
+			return tv, nil
 		}
-		// A key collision across result types (or an uncopyable value) is
-		// recomputed rather than served a foreign or shared reference.
+		// A key collision across result types is recomputed rather than
+		// served a foreign value.
 	}
 	return j.Run(hub)
 }

@@ -237,97 +237,35 @@ func TestJobsDefault(t *testing.T) {
 	}
 }
 
-// rowResult is a cache-hostile result shape: every reference kind the
-// deep copy must sever, including nesting.
-type rowResult struct {
-	Rows   []float64
-	Labels map[string]int
-	Peak   *int64
-	Nested []*rowResult
-}
-
-// TestCacheHitsAreIsolated is the aliasing regression: results handed
-// out by the run cache must be structurally independent, so a caller
-// that mutates its result (tables post-process rows in place, e.g.
-// normalizing cycles into slowdowns) cannot corrupt the cached original
-// or a sibling cache hit.
-func TestCacheHitsAreIsolated(t *testing.T) {
+// TestCacheHandsOutTheCachedValue pins the read-only contract from the
+// cache's side: presenters of one key receive the value the cache holds —
+// the same backing array, no copy — whether they computed it, coalesced
+// on it or hit it later.
+func TestCacheHandsOutTheCachedValue(t *testing.T) {
 	cache := NewCache()
-	peak := int64(99)
-	job := Job[*rowResult]{
-		Key: "aliased-point",
-		Run: func(*scope.Hub) (*rowResult, error) {
-			p := peak
-			return &rowResult{
-				Rows:   []float64{1, 2, 3},
-				Labels: map[string]int{"a": 1},
-				Peak:   &p,
-				Nested: []*rowResult{{Rows: []float64{9}}},
-			}, nil
-		},
-	}
-
-	first, err := Run(Config{Jobs: 1, Cache: cache}, []Job[*rowResult]{job})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The first caller (the one that computed the value) mutates every
-	// layer of its copy.
-	first[0].Rows[0] = -1
-	first[0].Labels["a"] = -1
-	*first[0].Peak = -1
-	first[0].Nested[0].Rows[0] = -1
-
-	second, err := Run(Config{Jobs: 1, Cache: cache}, []Job[*rowResult]{job})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := second[0]
-	if got.Rows[0] != 1 || got.Labels["a"] != 1 || *got.Peak != 99 || got.Nested[0].Rows[0] != 9 {
-		t.Fatalf("cache hit observed a sibling's mutations: %+v (peak %d, nested %v)",
-			got, *got.Peak, got.Nested[0].Rows)
-	}
-	// And the two hits must not alias each other either.
-	if &first[0].Rows[0] == &second[0].Rows[0] || first[0].Peak == second[0].Peak {
-		t.Fatal("two cache hits share backing storage")
-	}
-}
-
-// TestCacheHitsAreIsolatedBytes is the same regression for the []byte fast
-// path — the shape every cedarserve response is cached in. The clone must
-// still sever the hit from the cached original and from sibling hits, and
-// keep nil nil and empty empty.
-func TestCacheHitsAreIsolatedBytes(t *testing.T) {
-	cache := NewCache()
+	var computes atomic.Int64
 	job := Job[[]byte]{
 		Key: "served-body",
-		Run: func(*scope.Hub) ([]byte, error) { return []byte(`{"cycles":1234}`), nil },
+		Run: func(*scope.Hub) ([]byte, error) {
+			computes.Add(1)
+			return []byte(`{"cycles":1234}`), nil
+		},
 	}
-	first, err := Run(Config{Jobs: 1, Cache: cache}, []Job[[]byte]{job})
+	both, err := Run(Config{Jobs: 2, Cache: cache}, []Job[[]byte]{job, job})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first[0][2] = 'X'
-	first[0] = append(first[0], "trailing"...)
-	second, err := Run(Config{Jobs: 1, Cache: cache}, []Job[[]byte]{job})
+	later, err := Run(Config{Jobs: 1, Cache: cache}, []Job[[]byte]{job})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(second[0]) != `{"cycles":1234}` {
-		t.Fatalf("cache hit observed a sibling's mutation: %q", second[0])
+	for i, got := range [][]byte{both[1], later[0]} {
+		if string(got) != `{"cycles":1234}` || &got[0] != &both[0][0] {
+			t.Errorf("presenter %d received %q at %p, want the cached array at %p", i+1, got, &got[0], &both[0][0])
+		}
 	}
-	if &first[0][0] == &second[0][0] {
-		t.Fatal("two cache hits share backing storage")
-	}
-	if cache.Stats().Hits != 1 {
-		t.Fatalf("stats %+v, want the second run served from cache", cache.Stats())
-	}
-
-	if got := deepCopy([]byte(nil)).([]byte); got != nil {
-		t.Errorf("copy of a nil body = %v, want nil", got)
-	}
-	if got := deepCopy([]byte{}).([]byte); got == nil || len(got) != 0 {
-		t.Errorf("copy of an empty body = %v, want empty and non-nil", got)
+	if st := cache.Stats(); computes.Load() != 1 || st.Lookups != 3 || st.Misses != 1 || st.Served() != 2 {
+		t.Errorf("%d computes, stats %+v; want 1 compute, 3 lookups, 1 miss, 2 served", computes.Load(), st)
 	}
 }
 
@@ -483,45 +421,6 @@ func TestPanickedComputePoisonsCoalescedWaiters(t *testing.T) {
 	}
 }
 
-// TestCopyFailureRecomputesNeverAliases is the runOne fallback
-// regression: when the deep copy cannot reproduce the cached value's
-// type, the job is recomputed — the old code handed out the cached
-// original itself, aliasing cache internals to a caller free to mutate
-// them.
-func TestCopyFailureRecomputesNeverAliases(t *testing.T) {
-	orig := cacheCopy
-	cacheCopy = func(any) any { return nil } // every copy "fails"
-	defer func() { cacheCopy = orig }()
-
-	var computes atomic.Int64
-	cache := NewCache()
-	job := Job[*rowResult]{
-		Key: "uncopyable",
-		Run: func(*scope.Hub) (*rowResult, error) {
-			computes.Add(1)
-			return &rowResult{Rows: []float64{1}}, nil
-		},
-	}
-	first, err := Run(Config{Jobs: 1, Cache: cache}, []Job[*rowResult]{job})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first[0].Rows[0] = -1 // would corrupt the cached original if aliased
-	second, err := Run(Config{Jobs: 1, Cache: cache}, []Job[*rowResult]{job})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second[0] == first[0] || &second[0].Rows[0] == &first[0].Rows[0] {
-		t.Fatal("copy-failure fallback handed out an aliased reference")
-	}
-	if second[0].Rows[0] != 1 {
-		t.Fatalf("second caller saw the first caller's mutation: %v", second[0].Rows)
-	}
-	if n := computes.Load(); n < 2 {
-		t.Fatalf("computes = %d, want ≥ 2 (fallback must recompute, not alias)", n)
-	}
-}
-
 // TestErrorsCachedForever pins the do() error-caching contract: a failing
 // configuration fails again from cache — deterministically — for the life
 // of the entry.
@@ -651,15 +550,6 @@ func TestSecondLevelStore(t *testing.T) {
 	st := cold.Stats()
 	if st.Misses != 1 || st.DiskHits != 1 {
 		t.Fatalf("cold stats %+v, want 1 miss answered by 1 disk hit", st)
-	}
-	// A disk-served value is deep-copied per caller like any other hit.
-	second[0][0] = 'X'
-	third, err := Run(Config{Jobs: 1, Cache: cold}, []Job[[]byte]{job})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if third[0][0] == 'X' {
-		t.Fatal("disk-backed cache entry was aliased to a previous caller")
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strings"
@@ -189,7 +190,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	req, plan, metrics, err := s.decode(r)
+	req, plan, metrics, err := s.decode(w, r)
 	if err != nil {
 		s.badRequests.Add(1)
 		s.writeError(w, http.StatusBadRequest, err.Error())
@@ -211,13 +212,28 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// decode parses and validates a submission, resolving its fault plan and
+// maxRequestBytes bounds a submission's body; the largest legitimate one,
+// an inline fault plan, fits with room to spare.
+const maxRequestBytes = 1 << 20
+
+// decode parses and validates a submission — one JSON object of at most
+// maxRequestBytes and nothing after it — resolving its fault plan and
 // metric filter. All rejections are client errors.
-func (s *Server) decode(r *http.Request) (Request, *fault.Plan, []string, error) {
+func (s *Server) decode(w http.ResponseWriter, r *http.Request) (Request, *fault.Plan, []string, error) {
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		// The object must be the whole body: the next token is its end.
+		switch _, err = dec.Token(); err {
+		case io.EOF:
+			err = nil
+		case nil:
+			err = errors.New("data after the request object")
+		}
+	}
+	if err != nil {
 		return req, nil, nil, fmt.Errorf("decoding request: %w", err)
 	}
 	if err := req.Machine.Validate(); err != nil {
@@ -285,6 +301,8 @@ func (s *Server) respond(req Request, plan *fault.Plan, metrics []string) ([]byt
 			return append(body, '\n'), nil
 		},
 	}
+	// res[0] is the cached slice itself, shared with every other request
+	// for the key: the handler writes it to the socket and nothing more.
 	res, err := fleet.Run(fleet.Config{Jobs: 1, Cache: s.cache}, []fleet.Job[[]byte]{job})
 	if err != nil {
 		return nil, "", err

@@ -83,6 +83,20 @@ func TestCacheHitByteEquality(t *testing.T) {
 	if sims := s1.Stats().Simulations; sims != 1 {
 		t.Fatalf("simulations = %d, want 1 (repeat must be served)", sims)
 	}
+	// Hits are handed the cached slice itself; under -race, concurrent
+	// ones prove that serving only reads it, and the body they leave
+	// behind is still the first.
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, hit := postRun(t, ts1.URL, reqBody); !bytes.Equal(fresh, hit) {
+				t.Error("concurrent hit served different bytes")
+			}
+		}()
+	}
+	wg.Wait()
 
 	// A second server on the same store is a daemon restart: cold memory
 	// cache, warm disk. The response must come back byte-identical with
@@ -180,6 +194,8 @@ func TestBadRequests(t *testing.T) {
 		{"bad rank variant", `{"workload":{"kind":"rank","variant":"turbo"}}`, "unknown rank variant"},
 		{"fault path", `{"workload":{"kind":"trimat"},"fault":{"path":"/etc/passwd"}}`, "not accepted"},
 		{"fault demo+plan", `{"workload":{"kind":"trimat"},"fault":{"demo":true,"plan":{}}}`, "mutually exclusive"},
+		{"second object and garbage", reqBody + ` {"workload":{"kind":"nonsense"}} trailing garbage`, "data after the request object"},
+		{"unbounded padding", reqBody + strings.Repeat(" ", 5<<20), "request body too large"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -6,26 +6,30 @@
 // then simulate — and cedarserve's cached responses survive process
 // restarts.
 //
-// Layout under the root directory:
+// Layout under the root directory — the directory is the index, and
+// nothing is written beside the blobs that could fall out of step with
+// them:
 //
-//	index.json        global index: key → blob file, size, sha256, LRU seq
-//	blobs/<sha>       one file per blob, named by sha256 of the KEY
+//	blobs/<sha>       one file per blob, named by sha256 of the KEY: the
+//	                  payload's sha256 (64 hex digits, newline), then the
+//	                  payload
 //	tmp-*             in-flight writes (swept at Open)
 //
 // Durability contract:
 //
-//   - Writes are crash-safe: blob bytes and the index are each written to
-//     a temp file in the same directory and renamed into place, so a
-//     crash leaves either the old state or the new state, never a torn
-//     file. Orphans (a blob whose index write never landed, or a leftover
-//     tmp- file) are swept at Open.
-//   - Reads are verified: Get recomputes the blob's sha256 and checks its
-//     size against the index; any mismatch — truncation, bit rot, manual
-//     editing — drops the entry and reads as a miss, so a corrupt blob
-//     degrades to a re-simulation, never a wrong answer or a crash.
-//   - Eviction is LRU over a size budget: Put evicts least-recently-used
-//     entries until the store fits. Recency is persisted on writes; a
-//     crash loses recency (not data), leaving the order approximate.
+//   - Writes are crash-safe: a blob is written to a temp file in the same
+//     directory, fsynced and renamed into place, so a crash leaves the
+//     old blob, the new blob or none, never a torn file. A leftover tmp-
+//     file is swept at Open.
+//   - Reads are verified: Get recomputes the payload's sha256 and checks
+//     it against the blob's own header; any mismatch — truncation, bit
+//     rot, manual editing, a file in an older layout — drops the blob and
+//     reads as a miss, so a corrupt blob degrades to a re-simulation,
+//     never a wrong answer or a crash.
+//   - Eviction is LRU over a budget of payload bytes: Put evicts
+//     least-recently-used entries until the store fits. Across a restart
+//     recency is the blobs' modification order, ties by name: reads since
+//     the last write are forgotten (operational state, never data).
 //
 // The store is single-writer: one process (the daemon) owns a directory.
 package store
@@ -33,7 +37,6 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -44,13 +47,13 @@ import (
 	"cedar/internal/scope"
 )
 
-// SchemaVersion identifies the index wire format.
-const SchemaVersion = 1
-
 const (
-	indexFile = "index.json"
 	blobDir   = "blobs"
 	tmpPrefix = "tmp-"
+	// sumLen is a sha256 in hex: a blob's file name, and the checksum
+	// that, with a newline, is its header.
+	sumLen    = 2 * sha256.Size
+	headerLen = sumLen + 1
 )
 
 // Store is a durable content-addressed blob store. Methods are safe for
@@ -60,19 +63,17 @@ const (
 type Store struct {
 	mu      sync.Mutex
 	dir     string
-	max     int64 // byte budget; 0 = unbounded
-	seq     int64 // monotonically increasing access stamp
-	entries map[string]*entry
+	max     int64            // byte budget; 0 = unbounded
+	seq     int64            // monotonically increasing access stamp
+	entries map[string]entry // by blob file name
 	bytes   int64
 	stats   Stats
 }
 
-// entry is the in-memory index record for one blob.
+// entry is what the store remembers about one blob file.
 type entry struct {
-	file string // blob file name under blobs/
-	size int64
-	sum  string // sha256 of the blob bytes, hex
-	seq  int64  // last-access stamp for LRU
+	size int64 // payload bytes
+	seq  int64 // last-access stamp for LRU
 }
 
 // Stats counts store activity since Open. Counters are monotonic for the
@@ -81,35 +82,20 @@ type Stats struct {
 	Gets      int64 // lookups presented
 	Hits      int64 // answered from a verified blob
 	Misses    int64 // unknown key
-	Puts      int64 // blobs written (or refreshed)
+	Puts      int64 // blobs written
 	Evictions int64 // entries removed to fit the size budget
-	Corrupt   int64 // blobs that failed size/checksum verification
+	Corrupt   int64 // blobs that failed checksum verification
 	Rejected  int64 // blobs larger than the whole budget, not stored
-	Errors    int64 // IO failures (write, rename, index persist)
-}
-
-// indexEntry is the wire form of one index record.
-type indexEntry struct {
-	Key  string `json:"key"`
-	File string `json:"file"`
-	Size int64  `json:"size"`
-	Sum  string `json:"sum"`
-	Seq  int64  `json:"seq"`
-}
-
-// indexDoc is the index.json wire format.
-type indexDoc struct {
-	Schema  int          `json:"schema"`
-	Entries []indexEntry `json:"entries"`
+	Errors    int64 // IO failures (write, rename, remove)
 }
 
 // Open opens (creating if necessary) a store rooted at dir with the given
-// byte budget (0 = unbounded). It sweeps crash debris — tmp files, blobs
-// the index does not reference, index entries whose blob is missing or
-// mis-sized — and evicts down to the budget if a previous run was allowed
-// a larger one. A corrupt index file is an error: it cannot appear
-// through a crash (writes are rename-atomic), so losing it silently
-// would hide external interference.
+// byte budget (0 = unbounded). It removes tmp files and anything under
+// blobs/ that cannot be a blob — a name that is no key hash, something
+// other than a regular file, a file shorter than the header — takes every
+// other file as an entry, oldest modification first (content is verified
+// lazily at Get), and evicts down to the budget if a previous run was
+// allowed a larger one.
 func Open(dir string, maxBytes int64) (*Store, error) {
 	if maxBytes < 0 {
 		return nil, fmt.Errorf("store: negative size budget %d", maxBytes)
@@ -117,93 +103,50 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, blobDir), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, max: maxBytes, entries: map[string]*entry{}}
-	if err := s.loadIndex(); err != nil {
-		return nil, err
-	}
-	if err := s.sweep(); err != nil {
-		return nil, err
-	}
-	s.evictToFit(0)
-	// Persist the post-sweep view so a crash before the first Put does
-	// not resurrect swept entries.
-	if err := s.writeIndex(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// loadIndex reads index.json into memory; a missing file is an empty
-// store.
-func (s *Store) loadIndex() error {
-	b, err := os.ReadFile(filepath.Join(s.dir, indexFile))
-	if os.IsNotExist(err) {
-		return nil
-	}
+	s := &Store{dir: dir, max: maxBytes, entries: map[string]entry{}}
+	rootEnts, err := os.ReadDir(dir)
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	var doc indexDoc
-	if err := json.Unmarshal(b, &doc); err != nil {
-		return fmt.Errorf("store: %s is corrupt (%v); refusing to guess — move it aside to start fresh", indexFile, err)
-	}
-	if doc.Schema != SchemaVersion {
-		return fmt.Errorf("store: index schema %d, tool speaks %d", doc.Schema, SchemaVersion)
-	}
-	for _, ie := range doc.Entries {
-		s.entries[ie.Key] = &entry{file: ie.File, size: ie.Size, sum: ie.Sum, seq: ie.Seq}
-		s.bytes += ie.Size
-		if ie.Seq > s.seq {
-			s.seq = ie.Seq
-		}
-	}
-	return nil
-}
-
-// sweep removes crash debris: tmp files, unreferenced blobs, and index
-// entries whose blob is missing or has the wrong size (content is
-// verified lazily at Get).
-func (s *Store) sweep() error {
-	// Index entries first, so the referenced-file set is accurate.
-	keys := make([]string, 0, len(s.entries))
-	for k := range s.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	referenced := map[string]bool{}
-	for _, k := range keys {
-		e := s.entries[k]
-		fi, err := os.Stat(s.blobPath(e.file))
-		if err != nil || fi.Size() != e.size {
-			s.dropLocked(k, e)
-			continue
-		}
-		referenced[e.file] = true
-	}
-
-	ents, err := os.ReadDir(filepath.Join(s.dir, blobDir))
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	for _, de := range ents {
-		if !referenced[de.Name()] {
-			if err := os.Remove(s.blobPath(de.Name())); err != nil {
-				return fmt.Errorf("store: sweep orphan blob: %w", err)
-			}
-		}
-	}
-	rootEnts, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	for _, de := range rootEnts {
 		if strings.HasPrefix(de.Name(), tmpPrefix) {
-			if err := os.Remove(filepath.Join(s.dir, de.Name())); err != nil {
-				return fmt.Errorf("store: sweep tmp file: %w", err)
+			if err := os.Remove(filepath.Join(dir, de.Name())); err != nil {
+				return nil, fmt.Errorf("store: sweep tmp file: %w", err)
 			}
 		}
 	}
-	return nil
+	ents, err := os.ReadDir(filepath.Join(dir, blobDir))
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	blobs := make([]os.FileInfo, 0, len(ents))
+	for _, de := range ents {
+		fi, err := de.Info()
+		if err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
+		if isBlobName(fi.Name()) && fi.Mode().IsRegular() && fi.Size() >= headerLen {
+			blobs = append(blobs, fi)
+		} else if err := os.RemoveAll(s.blobPath(fi.Name())); err != nil {
+			return nil, fmt.Errorf("store: sweep %s: %w", fi.Name(), err)
+		}
+	}
+	// ReadDir sorts by name and this sort is stable: equal times stay in
+	// name order.
+	sort.SliceStable(blobs, func(i, j int) bool { return blobs[i].ModTime().Before(blobs[j].ModTime()) })
+	for _, fi := range blobs {
+		s.seq++
+		s.entries[fi.Name()] = entry{size: fi.Size() - headerLen, seq: s.seq}
+		s.bytes += fi.Size() - headerLen
+	}
+	s.evictToFit(0)
+	return s, nil
+}
+
+// isBlobName reports whether name could have come from fileNameFor.
+func isBlobName(name string) bool {
+	_, err := hex.DecodeString(name)
+	return err == nil && len(name) == sumLen && name == strings.ToLower(name)
 }
 
 // blobPath returns the on-disk path for a blob file name.
@@ -219,46 +162,47 @@ func fileNameFor(key string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Get returns the blob stored under key, verifying its size and checksum
-// against the index. A failed verification drops the entry (and file)
+// header returns the blob header for a payload: its sha256 in hex and a
+// newline.
+func header(payload []byte) (h [headerLen]byte) {
+	sum := sha256.Sum256(payload)
+	hex.Encode(h[:sumLen], sum[:])
+	h[sumLen] = '\n'
+	return h
+}
+
+// Get returns the blob stored under key, verifying the payload against
+// the checksum in its own header. A failed verification drops the blob
 // and reads as a miss, so callers re-simulate instead of consuming a
 // corrupt result. Implements fleet.SecondLevel.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Gets++
-	e, ok := s.entries[key]
+	file := fileNameFor(key)
+	e, ok := s.entries[file]
 	if !ok {
 		s.stats.Misses++
 		return nil, false
 	}
-	b, err := os.ReadFile(s.blobPath(e.file))
-	if err != nil {
+	b, err := os.ReadFile(s.blobPath(file))
+	if err != nil || len(b) < headerLen || [headerLen]byte(b[:headerLen]) != header(b[headerLen:]) {
 		s.stats.Corrupt++
-		s.dropLocked(key, e)
-		s.persistLocked()
-		return nil, false
-	}
-	sum := sha256.Sum256(b)
-	if int64(len(b)) != e.size || hex.EncodeToString(sum[:]) != e.sum {
-		s.stats.Corrupt++
-		s.dropLocked(key, e)
-		s.persistLocked()
+		s.dropLocked(file)
 		return nil, false
 	}
 	s.stats.Hits++
 	s.seq++
-	e.seq = s.seq
-	return b, true
+	s.entries[file] = entry{size: e.size, seq: s.seq}
+	return b[headerLen:], true
 }
 
 // Put stores blob under key, evicting least-recently-used entries to fit
-// the size budget. An identical re-Put just refreshes recency; a
-// different blob under an existing key replaces it (the key schema makes
-// that a simulator-version change, not a collision). Errors are counted,
-// not returned — the store is a cache, and a failed write only costs a
-// future re-simulation. Implements fleet.SecondLevel; the blob slice is
-// not retained.
+// the size budget. A blob under an existing key replaces it (the key
+// schema makes different bytes a simulator-version change, not a
+// collision). Errors are counted, not returned — the store is a cache,
+// and a failed write only costs a future re-simulation. Implements
+// fleet.SecondLevel; the blob slice is not retained.
 func (s *Store) Put(key string, blob []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -267,60 +211,44 @@ func (s *Store) Put(key string, blob []byte) {
 		s.stats.Rejected++
 		return
 	}
-	sum := sha256.Sum256(blob)
-	hexSum := hex.EncodeToString(sum[:])
-	if e, ok := s.entries[key]; ok && e.sum == hexSum {
-		s.stats.Puts++
-		s.seq++
-		e.seq = s.seq
-		s.persistLocked()
-		return
-	}
 	file := fileNameFor(key)
 	if err := s.writeBlob(file, blob); err != nil {
 		s.stats.Errors++
 		return
 	}
-	if old, ok := s.entries[key]; ok {
-		// Same key, new content: the blob file was just overwritten in
-		// place (same name), only the accounting changes.
-		s.bytes -= old.size
-	}
+	// A replaced blob was renamed over in place, so only the accounting
+	// changes (by the zero entry when the key is new).
+	s.bytes += size - s.entries[file].size
 	s.seq++
-	s.entries[key] = &entry{file: file, size: size, sum: hexSum, seq: s.seq}
-	s.bytes += size
+	s.entries[file] = entry{size: size, seq: s.seq}
 	s.stats.Puts++
 	s.evictToFit(s.seq)
-	s.persistLocked()
 }
 
-// writeBlob writes blob crash-safely: temp file in the store root,
-// fsync, rename into blobs/.
-func (s *Store) writeBlob(file string, blob []byte) error {
+// writeBlob writes header and payload crash-safely: temp file in the
+// store root, fsync, rename into blobs/.
+func (s *Store) writeBlob(file string, payload []byte) error {
 	tmp, err := os.CreateTemp(s.dir, tmpPrefix)
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(blob); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
-		return err
+	h := header(payload)
+	if _, err = tmp.Write(h[:]); err == nil {
+		_, err = tmp.Write(payload)
 	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
-		return err
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmpName)
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmpName, s.blobPath(file)); err != nil {
-		_ = os.Remove(tmpName)
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), s.blobPath(file))
 	}
-	return nil
+	if err != nil {
+		_ = os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // evictToFit removes least-recently-used entries until the store fits
@@ -330,84 +258,28 @@ func (s *Store) evictToFit(keep int64) {
 	if s.max <= 0 {
 		return
 	}
-	for s.bytes > s.max && len(s.entries) > 0 {
-		victimKey := ""
-		var victim *entry
-		for k, e := range s.entries {
-			if e.seq == keep {
-				continue
-			}
-			if victim == nil || e.seq < victim.seq {
-				victimKey, victim = k, e
+	for s.bytes > s.max {
+		victim, found := "", false
+		for file, e := range s.entries {
+			if e.seq != keep && (!found || e.seq < s.entries[victim].seq) {
+				victim, found = file, true
 			}
 		}
-		if victim == nil {
+		if !found {
 			return
 		}
 		s.stats.Evictions++
-		s.dropLocked(victimKey, victim)
+		s.dropLocked(victim)
 	}
 }
 
 // dropLocked removes an entry and its blob file. Called with mu held.
-func (s *Store) dropLocked(key string, e *entry) {
-	delete(s.entries, key)
-	s.bytes -= e.size
-	if err := os.Remove(s.blobPath(e.file)); err != nil && !os.IsNotExist(err) {
+func (s *Store) dropLocked(file string) {
+	s.bytes -= s.entries[file].size
+	delete(s.entries, file)
+	if err := os.Remove(s.blobPath(file)); err != nil && !os.IsNotExist(err) {
 		s.stats.Errors++
 	}
-}
-
-// persistLocked writes the index, folding failures into the error
-// counter. Called with mu held on mutation paths; a lost index write
-// costs cached entries on the next Open, never correctness.
-func (s *Store) persistLocked() {
-	if err := s.writeIndex(); err != nil {
-		s.stats.Errors++
-	}
-}
-
-// writeIndex persists the index crash-safely (temp + rename), entries
-// sorted by key for deterministic bytes.
-func (s *Store) writeIndex() error {
-	keys := make([]string, 0, len(s.entries))
-	for k := range s.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	doc := indexDoc{Schema: SchemaVersion, Entries: make([]indexEntry, 0, len(keys))}
-	for _, k := range keys {
-		e := s.entries[k]
-		doc.Entries = append(doc.Entries, indexEntry{Key: k, File: e.file, Size: e.size, Sum: e.sum, Seq: e.seq})
-	}
-	b, err := json.MarshalIndent(&doc, "", "  ")
-	if err != nil {
-		return fmt.Errorf("store: encode index: %w", err)
-	}
-	tmp, err := os.CreateTemp(s.dir, tmpPrefix)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmpName, filepath.Join(s.dir, indexFile)); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
 }
 
 // Len returns the number of stored blobs.
@@ -417,7 +289,7 @@ func (s *Store) Len() int {
 	return len(s.entries)
 }
 
-// Bytes returns the total stored blob size.
+// Bytes returns the total stored payload size.
 func (s *Store) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

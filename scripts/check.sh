@@ -128,13 +128,17 @@ stage "go test -race ./..."
 # across a daemon restart must be byte-identical to the freshly simulated
 # one — with the race detector watching the real concurrent submissions
 # (serve: TestCacheHitByteEquality, TestCoalescedRequestsShareOneSimulation,
-# TestPanicBecomes500). The store's own half of the contract is its
-# durable round trip (store: TestRoundTripDeterminism). Plus the
-# fleet-pool crash-safety regressions: a panicking job surfaces on the
-# caller, never a stray goroutine, a failed cache copy recomputes instead
-# of aliasing, and a degraded entry is pinned to the key that names its
+# TestPanicBecomes500). The cache hands out the slice it holds, so the
+# first of those also fires concurrent hits at one key and requires the
+# body still to equal the first (fleet: TestCacheHandsOutTheCachedValue
+# is the contract from the cache's side). The store's own half is its
+# durable round trip and what a crash can leave behind a Put — old blob,
+# new blob or none, never torn bytes, no index to disagree with them
+# (store: TestRoundTripDeterminism, TestCrashAtEveryStep,
+# TestCorruptBlobReadsAsMiss). Plus the fleet-pool crash-safety
+# regressions: a panicking job surfaces on the caller, never a stray
+# goroutine, and a degraded entry is pinned to the key that names its
 # plan (fleet: TestWorkerPanicRethrownOnCaller,
-# TestCopyFailureRecomputesNeverAliases,
 # TestHealthyAfterFaultedNotServedDegraded). In tables, where nothing is
 # cached, the same concern is that a plan lives only in the Env that names
 # it (TestHealthyEnvAfterFaultedEnv) and that every catalogue experiment
@@ -169,6 +173,9 @@ stage "fuzz smoke ($FUZZTIME per target)"
 go test -run='^$' -fuzz='^FuzzOmegaRouting$' -fuzztime="$FUZZTIME" ./internal/network
 go test -run='^$' -fuzz='^FuzzInstability$' -fuzztime="$FUZZTIME" ./internal/ppt
 go test -run='^$' -fuzz='^FuzzBands$' -fuzztime="$FUZZTIME" ./internal/ppt
+# The one on-disk format: arbitrary bytes under a blob's name open, and
+# read as a verified payload or a counted miss.
+go test -run='^$' -fuzz='^FuzzBlobOnDisk$' -fuzztime="$FUZZTIME" ./internal/store
 
 stage ""
 echo "OK in ${SECONDS}s: build, vet, cedarvet, tests (allocation gates, report goldens), race tests (jobs, stepped, data-path and serve equality), bench campaigns and fuzz smoke all green"
