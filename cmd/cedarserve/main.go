@@ -30,6 +30,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"time"
 
 	"cedar/internal/cliutil"
 	"cedar/internal/serve"
@@ -54,11 +55,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	fmt.Fprintf(stdout, "cedarserve: serving on http://%s\n", ln.Addr())
-	if err := (&http.Server{Handler: handler}).Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := newServer(handler, readHeaderTimeout).Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		lg.Print(err)
 		return 1
 	}
 	return 0
+}
+
+// A client gets readHeaderTimeout to finish its request headers, and an
+// idle keep-alive connection is closed after idleTimeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds the daemon's HTTP server: a connection that never
+// finishes its request line, or idles after a response, gives its
+// goroutine and descriptor back. There is deliberately no WriteTimeout —
+// it would start at the end of the headers and cover the simulation, and
+// a legitimate one can run for minutes.
+func newServer(h http.Handler, headerTimeout time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: headerTimeout, IdleTimeout: idleTimeout}
 }
 
 // setup parses and validates the flags and builds the daemon's handler,

@@ -2,13 +2,16 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestBadInvocationsExit2 pins the flag-validation contract: every bad
@@ -100,5 +103,47 @@ func TestSetupServesAndPersists(t *testing.T) {
 	source, restarted := post(t, h2)
 	if source != "cache" || !bytes.Equal(fresh, restarted) {
 		t.Fatalf("restart: source=%q equal=%v — the store did not persist", source, bytes.Equal(fresh, restarted))
+	}
+}
+
+// TestServerTimeouts pins the listener's limits: header and idle
+// timeouts set, and no write timeout, which would cut off a simulation
+// that legitimately runs for minutes.
+func TestServerTimeouts(t *testing.T) {
+	srv := newServer(http.NotFoundHandler(), readHeaderTimeout)
+	if srv.ReadHeaderTimeout != 10*time.Second || srv.IdleTimeout != 2*time.Minute || srv.WriteTimeout != 0 {
+		t.Errorf("ReadHeaderTimeout %v, IdleTimeout %v, WriteTimeout %v; want 10s, 2m0s, 0s",
+			srv.ReadHeaderTimeout, srv.IdleTimeout, srv.WriteTimeout)
+	}
+}
+
+// TestHalfSentHeaderIsClosed: a client that opens a connection and never
+// finishes its request headers is disconnected once the header timeout
+// passes, not held forever.
+func TestHalfSentHeaderIsClosed(t *testing.T) {
+	ln, err := net.Listen("tcp", "localhost:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(http.NotFoundHandler(), 50*time.Millisecond)
+	served := make(chan struct{})
+	go func() { defer close(served); _ = srv.Serve(ln) }()
+	defer func() { _ = srv.Close(); <-served }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	if _, err := io.WriteString(conn, "POST /v1/run HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// The read returns when the server answers or hangs up; the deadline
+	// only bounds the test should it do neither.
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, err = io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("server still holds a connection whose headers never finished")
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -241,6 +243,46 @@ func TestPointKeyCoversEveryWorkloadField(t *testing.T) {
 		name, moved := typ.Field(i).Name, pt.key(DefaultMetrics) != k0
 		if want := name != "Name"; moved != want {
 			t.Errorf("changing WorkloadSpec.%s moved the key: %v, want %v", name, moved, want)
+		}
+	}
+}
+
+// TestWorkloadKindsNameEveryField pins the table of which fields each
+// kind reads: every WorkloadSpec field but Name and Kind is read by some
+// kind (so a field added to the spec cannot be left out of the table),
+// and for each kind a non-zero value validates in a field the kind reads
+// and is rejected, by JSON name, in one it does not.
+func TestWorkloadKindsNameEveryField(t *testing.T) {
+	typ := reflect.TypeOf(WorkloadSpec{})
+	for i := 0; i < typ.NumField(); i++ {
+		field := typ.Field(i)
+		if field.Name == "Name" || field.Name == "Kind" {
+			continue
+		}
+		jsonName, _, _ := strings.Cut(field.Tag.Get("json"), ",")
+		readers := 0
+		for kind, reads := range workloadKinds {
+			ws := WorkloadSpec{Name: "w", Kind: kind}
+			switch f := reflect.ValueOf(&ws).Elem().Field(i); f.Kind() {
+			case reflect.String:
+				f.SetString("pref") // the one string field is the rank variant
+			case reflect.Int:
+				f.SetInt(3)
+			default:
+				t.Fatalf("WorkloadSpec.%s has kind %s: teach this test to set it", field.Name, f.Kind())
+			}
+			err := ws.Validate()
+			if slices.Contains(reads, jsonName) {
+				readers++
+				if err != nil {
+					t.Errorf("%s with %s set: %v, want it to validate", kind, jsonName, err)
+				}
+			} else if err == nil || !strings.Contains(err.Error(), strconv.Quote(jsonName)) {
+				t.Errorf("%s with %s set: err = %v, want a rejection naming the field", kind, jsonName, err)
+			}
+		}
+		if readers == 0 {
+			t.Errorf("no kind in workloadKinds reads WorkloadSpec.%s (%q)", field.Name, jsonName)
 		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -127,19 +128,33 @@ func (ms MachineSpec) Validate() error {
 	return nil
 }
 
-// Validate checks the workload spec in isolation: a known kind, a known
-// rank variant, non-negative sizes.
+// Validate checks the workload spec in isolation: a known kind, no
+// field set that the kind's kernel never reads (the whole spec is hashed
+// into the run-cache and cedarserve keys, so such a field would make one
+// point many), a known rank variant, non-negative sizes.
 func (ws WorkloadSpec) Validate() error {
-	if !workloadKinds[ws.Kind] {
+	reads, ok := workloadKinds[ws.Kind]
+	if !ok {
 		return fmt.Errorf("bench: workload %q: unknown kind %q (want one of %s)",
 			ws.Name, ws.Kind, kindList())
 	}
-	if ws.Kind == "rank" {
-		switch ws.Variant {
-		case "", "nopref", "pref", "cache":
-		default:
-			return fmt.Errorf("bench: workload %q: unknown rank variant %q (want nopref, pref or cache)", ws.Name, ws.Variant)
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"n", ws.N != 0}, {"variant", ws.Variant != ""}, {"sweeps", ws.Sweeps != 0},
+		{"iters", ws.Iters != 0}, {"bw", ws.BW != 0}, {"max_ces", ws.MaxCEs != 0},
+		{"ces", ws.CEs != 0}, {"gap", ws.Gap != 0}, {"stride", ws.Stride != 0},
+	} {
+		if f.set && !slices.Contains(reads, f.name) {
+			return fmt.Errorf("bench: workload %q: kind %q does not read %q (it reads %s)",
+				ws.Name, ws.Kind, f.name, strings.Join(reads, ", "))
 		}
+	}
+	switch ws.Variant {
+	case "", "nopref", "pref", "cache":
+	default:
+		return fmt.Errorf("bench: workload %q: unknown rank variant %q (want nopref, pref or cache)", ws.Name, ws.Variant)
 	}
 	if ws.N < 0 || ws.Sweeps < 0 || ws.Iters < 0 || ws.BW < 0 || ws.MaxCEs < 0 ||
 		ws.CEs < 0 || ws.Stride < 0 || ws.Gap < 0 {
@@ -150,7 +165,7 @@ func (ws WorkloadSpec) Validate() error {
 
 // WorkloadSpec is one workload axis entry: a paper kernel plus its
 // sizing. Kind selects the kernel; the other fields parameterize it and
-// unused ones must stay zero.
+// the ones its kind does not read (workloadKinds) must stay zero.
 type WorkloadSpec struct {
 	Name string `json:"name"`
 	// Kind is one of "rank" (rank-64 update; Variant selects the memory
@@ -227,10 +242,16 @@ func (fs FaultSpec) Resolve(baseDir string) (*fault.Plan, error) {
 	return nil, nil
 }
 
-// workloadKinds names the valid WorkloadSpec.Kind values.
-var workloadKinds = map[string]bool{
-	"rank": true, "vectorload": true, "trimat": true, "cg": true, "banded": true,
-	"membw": true, "latency": true,
+// workloadKinds names the valid WorkloadSpec.Kind values and, by JSON
+// name, the fields runWorkload reads for each.
+var workloadKinds = map[string][]string{
+	"rank":       {"n", "variant"},
+	"vectorload": {"n", "sweeps"},
+	"trimat":     {"n"},
+	"cg":         {"n", "iters", "max_ces"},
+	"banded":     {"n", "bw", "max_ces"},
+	"membw":      {"n", "ces", "stride"},
+	"latency":    {"n", "gap"},
 }
 
 // Validate checks the campaign against the schema: a named area, at

@@ -26,6 +26,7 @@ type pokerSpec struct {
 // scenario is pure data, so the stepped and event runs instantiate
 // identical component sets.
 type scenario struct {
+	seed      int64       // names the scenario in failure messages
 	periodics []periodic  // values copied per run
 	onces     []int64     // wakeOnce cycles
 	pokers    []pokerSpec // spurious-wake emitters
@@ -108,6 +109,7 @@ func runScenario(t *testing.T, sc scenario, stepped bool) string {
 	}
 
 	err := e.RunUntilIdle(5000)
+	checkSoonest(t, e, fmt.Sprintf("seed %d", sc.seed))
 	var b strings.Builder
 	for _, f := range logs {
 		b.WriteString(f())
@@ -124,7 +126,7 @@ func runScenario(t *testing.T, sc scenario, stepped bool) string {
 func TestRandomWakeInterleavingsMatchStepped(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		sc := scenario{}
+		sc := scenario{seed: seed}
 		for i, n := 0, 1+rng.Intn(5); i < n; i++ {
 			sc.periodics = append(sc.periodics, periodic{
 				id:     fmt.Sprintf("p%d", i),

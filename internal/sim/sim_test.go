@@ -255,8 +255,8 @@ func TestPlainHidesSleeper(t *testing.T) {
 	hs := e.Register(Plain(w), Plain(napper))
 	hs[0].Wake(3)
 	hs[1].Wake(1 << 20)
-	if len(e.heap) != 0 || e.wake[0] != 0 || e.wake[1] != 0 {
-		t.Errorf("Wake on Plain components left a mark: heap %v, wake %v", e.heap, e.wake)
+	if e.soonest != Never || e.wake[0] != 0 || e.wake[1] != 0 {
+		t.Errorf("Wake on Plain components left a mark: soonest %d, wake %v", e.soonest, e.wake)
 	}
 	if got := e.AwakeComponents(); len(got) != 2 {
 		t.Errorf("AwakeComponents = %v, want both (plain components are always awake)", got)

@@ -7,9 +7,11 @@ import (
 )
 
 // This file holds the hand-written scenarios that pin each branch of the
-// wheel's next-cycle path — wakes that land on the executing or the next
-// cycle bypass the heap and leave only a due mark — plus the bounds on
-// what the heap may hold. TestRandomWakeInterleavingsMatchStepped runs
+// wheel's wake path: where a wake may land (the executing cycle while the
+// target's turn is ahead, the next one after), and which of those the
+// pass, not setWake, folds into soonest. Each event run checks the
+// invariant soonest == min(wake) from the inside and that no cycle was
+// executed for nobody. TestRandomWakeInterleavingsMatchStepped runs
 // every scenario, so they sit behind the same -race gate as the seeded
 // property test.
 
@@ -38,6 +40,9 @@ type wakeScenario struct {
 	name   string
 	actors []actorSpec
 	limits []int64 // one RunUntilIdle per entry; all but the last may hit the limit
+	// cancelled lists the actors whose own work is dropped between the
+	// first run entry and the second, raising their posted wake to Never.
+	cancelled []int
 }
 
 var wakePathScenarios = []wakeScenario{
@@ -73,7 +78,7 @@ var wakePathScenarios = []wakeScenario{
 		},
 	},
 	{
-		name: "next-cycle wake pulled in to the executing cycle leaves a stale mark",
+		name: "next-cycle wake pulled in to the executing cycle",
 		actors: []actorSpec{
 			{own: []int64{10}, sends: map[int64][]msg{10: {{to: 2, at: 11, poke: true}}}},
 			{own: []int64{10}, sends: map[int64][]msg{10: {{to: 2, at: 10}}}},
@@ -104,6 +109,21 @@ var wakePathScenarios = []wakeScenario{
 		actors: []actorSpec{
 			{own: []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}},
 			{own: []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 400, 401, 900}},
+		},
+	},
+	{
+		name: "wake raised between two run entries",
+		actors: []actorSpec{
+			{own: []int64{5, 100}},
+			{own: []int64{300}},
+		},
+		limits:    []int64{50, 1000},
+		cancelled: []int{0},
+	},
+	{
+		name: "a component's clamped wake on itself is overwritten by its re-arm",
+		actors: []actorSpec{
+			{own: []int64{5, 60}, sends: map[int64][]msg{5: {{to: 0, at: 3, poke: true}}}},
 		},
 	},
 }
@@ -176,11 +196,27 @@ func (a *actor) NextWakeup(now int64) int64 {
 	return w
 }
 
+// checkSoonest asserts the wheel's invariant between tick passes: soonest
+// is the minimum of wake over the Sleepers, Never when there are none.
+func checkSoonest(t *testing.T, e *Engine, where string) {
+	t.Helper()
+	want := Never
+	for i, s := range e.sched {
+		if s != nil {
+			want = min(want, e.wake[i])
+		}
+	}
+	if e.soonest != want {
+		t.Errorf("%s: at cycle %d soonest = %d, min(wake) = %d (wake %v)", where, e.cycle, e.soonest, want, e.wake)
+	}
+}
+
 // runWakeScenario executes one scenario and returns its run log: every
 // actor's effective ticks, then cycle, jump count and error per run
-// entry. On an event-wheel run it also checks the jump accounting from
-// the inside: the executed cycles are exactly those in which some Tick
-// ran — a cycle executed for nobody is as wrong as one skipped over work.
+// entry. On an event-wheel run it also checks the wheel from the inside:
+// soonest == min(wake) after every run entry, and the executed cycles are
+// exactly those in which some Tick ran — a cycle executed for nobody is
+// as wrong as one skipped over work.
 func runWakeScenario(t *testing.T, sc wakeScenario, stepped bool) string {
 	t.Helper()
 	e := New()
@@ -199,8 +235,14 @@ func runWakeScenario(t *testing.T, sc wakeScenario, stepped bool) string {
 		limits = []int64{2000}
 	}
 	var b strings.Builder
-	for _, limit := range limits {
+	for k, limit := range limits {
+		if k == 1 {
+			for _, i := range sc.cancelled {
+				env.actors[i].own = nil
+			}
+		}
 		err := e.RunUntilIdle(limit)
+		checkSoonest(t, e, sc.name)
 		fmt.Fprintf(&b, "cycle:%d limit-hit:%v\n", e.Cycle(), err != nil)
 	}
 	for _, a := range env.actors {
@@ -237,23 +279,6 @@ func checkWakeScenarios(t *testing.T) {
 	}
 }
 
-// TestWakeHeapBoundedWithPlainComponent is the regression test for the
-// heap leak behind a plain component: tryJump never reaches nextWake
-// while one is registered, so nothing popped what the Sleepers' re-arms
-// pushed — one entry per re-arm, 100001 after 1e5 cycles.
-func TestWakeHeapBoundedWithPlainComponent(t *testing.T) {
-	e := New()
-	e.Register(Func{ID: "plain", F: func(int64) {}})
-	e.Register(SchedFunc{ID: "due", F: func(int64) {}, W: func(now int64) int64 { return now }})
-	// One that really sleeps, so far wakes keep arriving behind the plain
-	// component too.
-	e.Register(SchedFunc{ID: "napper", F: func(int64) {}, W: func(now int64) int64 { return now + 7 }})
-	e.Run(100_000)
-	if n := len(e.heap); n > 2 {
-		t.Errorf("heap holds %d entries after 1e5 cycles, want ≤ 2 (one per Sleeper)", n)
-	}
-}
-
 // denseEngine builds an all-Sleeper engine of 8 components, component i
 // re-arming gap(i) cycles out (0 = always due).
 func denseEngine(gap func(i int) int64) *Engine {
@@ -265,26 +290,8 @@ func denseEngine(gap func(i int) int64) *Engine {
 	return e
 }
 
-// TestWakeHeapBoundedWhenDense pins the same bound where the due mark,
-// not a plain component, keeps the heap from being consulted: an
-// all-Sleeper engine with something due every cycle.
-func TestWakeHeapBoundedWhenDense(t *testing.T) {
-	// Every fourth component is always due; the others nap 1–3 cycles.
-	e := denseEngine(func(i int) int64 { return int64(i % 4) })
-	for i := 0; i < 10; i++ { // re-entry re-polls every Sleeper into the heap
-		e.Run(10_000)
-	}
-	if e.FastForwarded() != 0 {
-		t.Fatalf("dense engine jumped %d cycles", e.FastForwarded())
-	}
-	if n := len(e.heap); n > e.Components() {
-		t.Errorf("heap holds %d entries after 1e5 dense cycles, want ≤ %d (one per Sleeper)", n, e.Components())
-	}
-}
-
 // TestSteadyStateAllocsEngineRun is the runtime allocation gate on the
-// tick path: Engine.Run over always-due Sleepers must not allocate once
-// the heap has reached its bound.
+// tick path: Engine.Run over always-due Sleepers must not allocate.
 func TestSteadyStateAllocsEngineRun(t *testing.T) {
 	e := denseEngine(func(int) int64 { return 0 })
 	e.Run(100)

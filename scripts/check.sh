@@ -104,9 +104,9 @@ stage "go test -race ./..."
 # byte-compare every artifact; sim's
 # TestRandomWakeInterleavingsMatchStepped is the seeded
 # random-interleaving property test against an engine of sim.Plain
-# wrappers, and also covers the hand-written next-cycle-path scenarios
-# (run inside the property test); TestWakeHeapBoundedWithPlainComponent
-# and TestWakeHeapBoundedWhenDense are the wake-heap bounds.
+# wrappers, and also covers the hand-written wake-path scenarios (run
+# inside the property test); both check the wheel from the inside after
+# every run entry: soonest == min(wake) over the Sleepers.
 # Instruction ownership rides the same line: a controller that rewrites
 # its storage the moment Next returns matches a stored Program (ce:
 # TestScribblingControllerMatchesProgram), and the runtime's cycles and
