@@ -234,6 +234,9 @@ func RunSpec(ms MachineSpec, ws WorkloadSpec, plan *fault.Plan, metrics []string
 // Of opt it reads the clock and the engine choice.
 func runPoint(pt point, metrics []string, opt RunOptions) (Outcome, error) {
 	hub := scope.NewHub()
+	// An Outcome carries the hub's metrics and attribution, never a span:
+	// capture nothing rather than a record per prefetch block and phase.
+	hub.SetTraceCap(0)
 	m, err := core.New(pt.pm, core.Options{Fabric: pt.fabric, Scope: hub, Faults: pt.plan, Stepped: opt.Stepped})
 	if err != nil {
 		return Outcome{}, fmt.Errorf("bench: point %s: %w", pt.id, err)

@@ -77,7 +77,8 @@ type Instr struct {
 	// Flops: total for OpScalar, per element for OpVector.
 	Flops int64
 
-	// OpVector.
+	// OpVector. No other op reads N, so a controller may carry a tag of
+	// its own there (cfrt: the step the instruction's completion runs).
 	N    int
 	Srcs []Stream
 	Dst  *Stream
@@ -119,6 +120,12 @@ const (
 // controller filled in from is dead the moment Next returns: it may be
 // rewritten from inside the instruction's own OnResult. in arrives
 // holding the previous instruction; a controller assigns all of it.
+//
+// A CE has one instruction in progress and asks for the next only after
+// that one retired, so completion callbacks fire strictly in the order
+// Next handed instructions over, and a callback that fires belongs to the
+// last one handed over: a controller can keep per-instruction context in
+// one variable written in Next instead of in a closure per instruction.
 type Controller interface {
 	Next(ceID int, cycle int64, in *Instr) Status
 }

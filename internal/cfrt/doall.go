@@ -1,253 +1,444 @@
 package cfrt
 
-import "fmt"
+import "cedar/internal/ce"
 
-// startXDoall enters an XDOALL phase for one participant: the machine-wide
-// loop whose startup and scheduling run through global memory.
-func (r *Runtime) startXDoall(ci, k int, ph XDoall) {
-	work := func() {
-		switch ph.schedule() {
-		case StaticSchedule:
-			p := len(r.ces)
-			lo := ci * ph.N / p
-			hi := (ci + 1) * ph.N / p
-			r.runChunk(ci, k, ph.Body, lo, hi)
-		case GuidedSchedule:
-			r.guidedLoop(ci, k, ph)
-		default:
-			r.claimLoop(ci, k, ph)
+// step names a point in a participant's control flow: what the completion
+// of a runtime-issued instruction does next. An instruction carries its
+// step in N, a field only vector instructions read; Next notes it as the
+// instruction goes to the CE, and the participant's one OnDone and one
+// OnResult hand it to advance. Steps that follow a wait (spinWait.then,
+// frame.then) are the same codes: a wait ends by running, or by issuing a
+// branch that carries, the step it was given.
+type step uint8
+
+const (
+	stNone step = iota
+
+	// Phase entry and the end-of-phase barrier.
+	stPhaseEnter     // branch: post the phase entry
+	stLoopStart      // the phase flag is up: start this participant's loop
+	stBarrierArrive  // barrier fetch-add returned this arrival's rank
+	stBarrierRelease // the last arrival's flag store retired
+	stNextPhase      // the barrier flag is up
+
+	// The wait in progress.
+	stSpin // result of one attempt of c.wait.try
+
+	// Iteration claims against the phase counter (gss.go).
+	stClaimed       // Test-And-Add returned a ticket
+	stLockHeld      // the claim lock is ours: read the counter
+	stClaimRead     // counter value under the lock
+	stClaimUnlocked // the unlock store retired: the ticket is ours
+	stGuidedRead    // counter estimate on the Cedar-sync path
+	stGuidedClaimed // fetch-add of the guided chunk returned its first iteration
+
+	// Loop bodies.
+	stIterDone    // loop branch behind an XDOALL iteration
+	stClusterNext // branch behind a cluster-serial step
+	stCDStart     // branch: broadcast the CDOALL on the bus
+
+	// waitUntil and the CDOALL steps that follow one.
+	stWaitUntil   // branch: stall until c.until, then branch to c.then
+	stCDEnter     // the broadcast has landed: go and claim
+	stCDClaim     // branch: claim an iteration or a block on the bus
+	stCDRun       // the claim has landed: run [cdLo, cdHi)
+	stCDIterDone  // loop branch behind a CDOALL iteration
+	stCDJoinEnter // the loop is exhausted: go and join
+	stCDJoin      // branch: arrive at the cluster join
+	stCDDone      // the join is complete
+)
+
+// loopKind is the loop a participant's current phase runs.
+type loopKind uint8
+
+const (
+	xdSelf loopKind = iota
+	xdStatic
+	xdGuided
+	sdStatic
+	sdClaimed
+)
+
+// watchKind is what a participant with an empty queue watches for on the
+// concurrency control bus. Watching is free — the hardware wakes CEs
+// directly — so it is a test in Next, not an instruction.
+type watchKind uint8
+
+const (
+	watchNone watchKind = iota
+	watchBus            // worker: a CDOALL broadcast, or the end of the cluster's SDOALL work
+	watchJoin           // the join of generation joinGen completing
+)
+
+// frame is where a participant is in its program: one per participant,
+// overwritten as control moves, never stacked — a Cedar Fortran loop nest
+// is at most SDOALL → cluster phase → CDOALL deep and each level has its
+// own fields. Every transfer of control the runtime makes — next
+// iteration, next claim, next cluster phase, join, barrier — reads and
+// writes these fields from advance; none builds a closure.
+type frame struct {
+	k    int      // current phase
+	loop loopKind // and its loop
+	n    int      // iterations of the phase's loop
+
+	// XDOALL: the chunk [lo, hi) in progress.
+	body   BodyFn
+	lo, hi int
+	// A claim in flight: the counter value read under the lock, and the
+	// guided chunk being claimed.
+	ticket int64
+	chunk  int
+
+	// SDOALL master: iteration iter is running cluster phase work[j].
+	sbody func(iter int) []ClusterPhase
+	iter  int
+	work  []ClusterPhase
+	j     int
+
+	// The CDOALL in flight and the claimed block [cdLo, cdHi) of it.
+	cd         CDoall
+	cdLo, cdHi int
+	watch      watchKind
+	joinGen    int64
+
+	// waitUntil: stall to cycle until, then run step then.
+	until int64
+	then  step
+}
+
+// advance runs step s of participant c: the one place a completion
+// callback leads. v and passed are the instruction's result (zero for a
+// retire), cy the cycle it completed. Panics on a code that names no step
+// — an instruction built with the runtime's callback and no step is a
+// runtime bug, not a runtime condition.
+func (r *Runtime) advance(c *ceCtl, s step, v int64, passed bool, cy int64) {
+	switch s {
+	case stPhaseEnter:
+		r.post(c.ci, cy, EvPhaseEnter, int64(c.k))
+
+	case stLoopStart:
+		r.startWork(c)
+
+	case stBarrierArrive:
+		r.post(c.ci, cy, EvBarrierArrive, int64(c.k))
+		if v == int64(len(r.ces))-1 {
+			// Last arrival releases the others.
+			c.enq(ce.Instr{
+				Op: ce.OpGlobalStore, Addr: r.res[c.k].barFlag, Value: 1,
+				N: int(stBarrierRelease), OnDone: c.onDone,
+			})
+		} else {
+			r.pollFlag(c, r.res[c.k].barFlag, 1, stNextPhase)
 		}
+
+	case stBarrierRelease:
+		r.post(c.ci, cy, EvBarrierPass, int64(c.k))
+		r.enterPhase(c, c.k+1)
+
+	case stNextPhase:
+		r.enterPhase(c, c.k+1)
+
+	case stSpin:
+		// The CE executes from its own register, so appending the same
+		// instruction again from inside its completion is safe. The wait
+		// is cleared before its step runs: the step may start the next
+		// wait (a barrier pass leads straight to the next phase's flag
+		// poll), which must not inherit this one's backoff or step.
+		w := &c.wait
+		if passed {
+			then := w.then
+			*w = spinWait{}
+			r.advance(c, then, 0, false, cy)
+			return
+		}
+		c.q = append(c.q, scalarInstr(w.backoff), w.try)
+		if w.backoff *= 2; w.backoff > w.limit {
+			w.backoff = w.limit
+		}
+
+	case stClaimed:
+		r.post(c.ci, cy, EvClaim, v)
+		r.claimed(c, v)
+
+	case stLockHeld:
+		c.enq(ce.Instr{
+			Op: ce.OpGlobalLoad, Addr: r.res[c.k].counter,
+			N: int(stClaimRead), OnResult: c.onResult,
+		})
+
+	case stClaimRead:
+		r.claimUnderLock(c, v)
+
+	case stClaimUnlocked:
+		r.claimed(c, c.ticket)
+
+	case stGuidedRead:
+		r.guidedClaim(c, v)
+
+	case stGuidedClaimed:
+		r.claimed(c, v)
+
+	case stIterDone:
+		c.lo++
+		r.runChunk(c)
+
+	case stClusterNext:
+		c.j++
+		r.runClusterWork(c)
+
+	case stCDStart:
+		cs := c.cs
+		at := cs.cl.Bus.ConcurrentStart(cy, c.cd.N)
+		r.post(c.ci, cy, EvCDStart, int64(c.cd.N))
+		cs.cd = c.cd
+		cs.startAt = at
+		cs.cdStartCy = cy
+		cs.gen++
+		r.waitUntil(c, at, stCDEnter)
+
+	case stWaitUntil:
+		if d := c.until - cy; d > 0 {
+			c.enq(scalarInstr(d))
+		}
+		c.branch(c.then)
+
+	case stCDEnter:
+		c.branch(stCDClaim)
+
+	case stCDClaim:
+		r.cdClaim(c, cy)
+
+	case stCDRun:
+		r.runCDBlock(c)
+
+	case stCDIterDone:
+		c.cdLo++
+		r.runCDBlock(c)
+
+	case stCDJoinEnter:
+		c.branch(stCDJoin)
+
+	case stCDJoin:
+		r.cdJoin(c, cy)
+
+	case stCDDone:
+		if r.ces[c.ci].IDInCluster != 0 {
+			c.watch = watchBus
+			return
+		}
+		c.j++
+		r.runClusterWork(c)
+
+	default:
+		panic("cfrt: completion of an instruction that carries no step")
 	}
-	if ci == 0 {
-		// The initiating processor pays the ≈90 µs library startup and
-		// then releases the machine by writing the phase flag.
-		r.enq(ci, scalarInstr(int64(r.m.P.XDoallStartup)), r.storeFlagInstr(k))
-		r.after(ci, func(int64) { work() })
+}
+
+// startLoop opens an XDOALL or an SDOALL master's loop, whose startup and
+// scheduling run through global memory: the initiating processor pays the
+// ≈90 µs library startup and then releases the machine by writing the
+// phase flag, which everyone else polls.
+func (r *Runtime) startLoop(c *ceCtl) {
+	if c.ci == 0 {
+		c.enq(scalarInstr(int64(r.m.P.XDoallStartup)), r.storeFlagInstr(c.k))
+		c.branch(stLoopStart)
 		return
 	}
-	r.pollFlag(ci, r.flagAddr, int64(k+1), work)
+	r.pollFlag(c, r.flagAddr, int64(c.k+1), stLoopStart)
+}
+
+// startWork takes a participant's first share of the loop it has just
+// been released into.
+func (r *Runtime) startWork(c *ceCtl) {
+	switch c.loop {
+	case xdStatic:
+		p := len(r.ces)
+		c.lo = c.ci * c.n / p
+		c.hi = (c.ci + 1) * c.n / p
+		r.runChunk(c)
+	case sdStatic:
+		// Iterations iter, iter+stride, ... run on this cluster — the
+		// affinity scheduling that keeps partitions in place.
+		c.iter = c.clusterIdx
+		r.runClusterIter(c)
+	default:
+		r.claim(c)
+	}
 }
 
 // runBody appends iteration iter of body to the participant's queue and,
-// behind it, the loop branch that runs then — the one instruction a body's
-// reservation leaves room for.
-func (r *Runtime) runBody(ci int, body BodyFn, iter int, then func(cycle int64)) {
-	c := r.ctl[ci]
+// behind it, the loop branch that runs step then — the one instruction a
+// body's reservation leaves room for.
+func (c *ceCtl) runBody(body BodyFn, iter int, then step) {
 	c.q = body(iter, c.q)
-	r.after(ci, then)
+	c.branch(then)
 }
 
-// runChunk executes iterations [lo, hi) sequentially, then barriers.
-func (r *Runtime) runChunk(ci, k int, body BodyFn, lo, hi int) {
-	if lo >= hi {
-		r.barrier(ci, k)
-		return
+// runChunk executes what is left of the XDOALL chunk [lo, hi), one
+// iteration per call, then takes the next share: another claim, or the
+// barrier when the schedule is static. A self-scheduled iteration is a
+// chunk of one.
+func (r *Runtime) runChunk(c *ceCtl) {
+	switch {
+	case c.lo < c.hi:
+		c.runBody(c.body, c.lo, stIterDone)
+	case c.loop == xdStatic:
+		r.barrier(c)
+	default:
+		r.claim(c)
 	}
-	r.runBody(ci, body, lo, func(int64) { r.runChunk(ci, k, body, lo+1, hi) })
 }
 
-// claimLoop self-schedules iterations until the counter runs out.
-func (r *Runtime) claimLoop(ci, k int, ph XDoall) {
-	r.claim(ci, k, func(ticket int64) {
-		if ticket >= int64(ph.N) {
-			r.barrier(ci, k)
-			return
+// claimed hands a participant the ticket its claim drew: the first
+// iteration of its next chunk, or — at or past n — the end of its loop.
+func (r *Runtime) claimed(c *ceCtl, ticket int64) {
+	if ticket >= int64(c.n) {
+		if c.loop == sdClaimed {
+			c.cs.donePhase = c.k
 		}
-		r.runBody(ci, ph.Body, int(ticket), func(int64) { r.claimLoop(ci, k, ph) })
-	})
-}
-
-// startSDoall enters an SDOALL phase: iterations are claimed by cluster
-// masters; the other CEs of each cluster watch the concurrency control
-// bus for CDOALLs spawned inside the iteration body.
-func (r *Runtime) startSDoall(ci, k int, ph SDoall) {
-	cs := r.ctl[ci].cs
-	if r.ces[ci].IDInCluster != 0 {
-		// Worker: wait for bus broadcasts until the cluster is done.
-		r.workerWait(ci, k, cs)
+		r.barrier(c)
 		return
 	}
-	work := func() {
-		if ph.Static {
-			r.masterStatic(ci, k, ph, cs, r.ctl[ci].clusterIdx)
+	switch c.loop {
+	case sdClaimed:
+		c.iter = int(ticket)
+		r.runClusterIter(c)
+	case xdGuided:
+		// The loop end clips an over-claimed tail.
+		c.lo, c.hi = int(ticket), min(int(ticket)+c.chunk, c.n)
+		r.runChunk(c)
+	default:
+		c.lo, c.hi = int(ticket), int(ticket)+1
+		r.runChunk(c)
+	}
+}
+
+// runClusterIter starts SDOALL iteration iter on this master's cluster, or
+// ends the cluster's share of a static SDOALL when iter is past the loop.
+func (r *Runtime) runClusterIter(c *ceCtl) {
+	if c.iter >= c.n {
+		c.cs.donePhase = c.k
+		r.barrier(c)
+		return
+	}
+	c.work, c.j = c.sbody(c.iter), 0
+	r.runClusterWork(c)
+}
+
+// runClusterWork executes cluster phase j of the SDOALL iteration on the
+// master; past the last it moves to the master's next iteration. Panics
+// on an unknown cluster-phase type — a malformed program, not a runtime
+// condition.
+func (r *Runtime) runClusterWork(c *ceCtl) {
+	if c.j >= len(c.work) {
+		c.work = nil
+		if c.loop == sdStatic {
+			c.iter += len(r.clusters)
+			r.runClusterIter(c)
 		} else {
-			r.masterClaim(ci, k, ph, cs)
+			r.claim(c)
 		}
-	}
-	if ci == 0 {
-		r.enq(ci, scalarInstr(int64(r.m.P.XDoallStartup)), r.storeFlagInstr(k))
-		r.after(ci, func(int64) { work() })
 		return
 	}
-	r.pollFlag(ci, r.flagAddr, int64(k+1), work)
-}
-
-// masterStatic runs SDOALL iterations iter, iter+stride, ... on this
-// cluster — the affinity scheduling that keeps partitions in place.
-func (r *Runtime) masterStatic(ci, k int, ph SDoall, cs *clusterCtl, iter int) {
-	if iter >= ph.N {
-		cs.donePhase = k
-		r.barrier(ci, k)
-		return
-	}
-	r.runClusterWork(ci, k, cs, iter, ph.Body(iter), 0, func() {
-		r.masterStatic(ci, k, ph, cs, iter+len(r.clusters))
-	})
-}
-
-// masterClaim self-schedules SDOALL iterations through the global counter.
-func (r *Runtime) masterClaim(ci, k int, ph SDoall, cs *clusterCtl) {
-	r.claim(ci, k, func(ticket int64) {
-		if ticket >= int64(ph.N) {
-			cs.donePhase = k
-			r.barrier(ci, k)
-			return
-		}
-		iter := int(ticket)
-		r.runClusterWork(ci, k, cs, iter, ph.Body(iter), 0, func() {
-			r.masterClaim(ci, k, ph, cs)
-		})
-	})
-}
-
-// runClusterWork executes the j-th cluster phase of an SDOALL iteration on
-// the master, then cont. Panics on an unknown cluster-phase type — a
-// malformed program, not a runtime condition.
-func (r *Runtime) runClusterWork(ci, k int, cs *clusterCtl, iter int, work []ClusterPhase, j int, cont func()) {
-	if j >= len(work) {
-		cont()
-		return
-	}
-	next := func() { r.runClusterWork(ci, k, cs, iter, work, j+1, cont) }
-	switch cp := work[j].(type) {
+	switch cp := c.work[c.j].(type) {
 	case ClusterSerial:
 		// Data private to an SDOALL iteration but shared by the cluster
 		// lives in cluster memory; the serial part runs on the master
 		// while workers keep watching the bus.
-		c := r.ctl[ci]
 		c.q = cp.Body(c.q)
-		r.after(ci, func(int64) { next() })
+		c.branch(stClusterNext)
 
 	case CDoall:
-		cd := cp
-		r.after(ci, func(cy int64) {
-			at := cs.cl.Bus.ConcurrentStart(cy, cd.N)
-			r.post(ci, cy, EvCDStart, int64(cd.N))
-			cs.cd = &cd
-			cs.iterArg = iter
-			cs.startAt = at
-			cs.cdStartCy = cy
-			cs.gen++
-			r.waitUntil(ci, at, func() {
-				r.cdClaim(ci, k, cs, &cd, iter, true, next)
-			})
-		})
+		c.cd = cp
+		c.branch(stCDStart)
 
 	default:
 		panic("cfrt: unknown cluster phase")
 	}
 }
 
-// workerWait parks a non-master CE until the bus broadcasts a CDOALL (or
-// the cluster's SDOALL work ends). Watching the bus is free — the
-// concurrency control hardware wakes CEs directly.
-func (r *Runtime) workerWait(ci, k int, cs *clusterCtl) {
-	ctl := r.ctl[ci]
-	ctl.poll = func(cy int64) bool {
-		if cs.gen > ctl.cdSeen {
-			// Joins are cluster-wide, so the master is never more than
-			// one generation ahead of any worker.
-			ctl.poll = nil
-			ctl.cdSeen = cs.gen
-			cd := cs.cd
-			iter := cs.iterArg
-			r.waitUntil(ci, cs.startAt, func() {
-				r.cdClaim(ci, k, cs, cd, iter, false, func() {
-					r.workerWait(ci, k, cs)
-				})
-			})
-			return true
+// pollBus is Next's test for a participant with nothing to issue that is
+// watching the concurrency control bus; it reports whether the watch
+// ended and enqueued something.
+func (r *Runtime) pollBus(c *ceCtl, cy int64) bool {
+	cs := c.cs
+	if c.watch == watchJoin {
+		at, ok := cs.cl.Bus.JoinDone(c.joinGen, cy)
+		if !ok {
+			return false
 		}
-		if cs.donePhase == k {
-			ctl.poll = nil
-			r.barrier(ci, k)
-			return true
-		}
-		return false
+		c.watch = watchNone
+		r.waitUntil(c, at, stCDDone)
+		return true
 	}
+	// A worker parked until the bus broadcasts a CDOALL or the cluster's
+	// SDOALL work ends.
+	if cs.gen > c.cdSeen {
+		// Joins are cluster-wide, so the master is never more than one
+		// generation ahead of any worker.
+		c.watch = watchNone
+		c.cdSeen = cs.gen
+		c.cd = cs.cd
+		r.waitUntil(c, cs.startAt, stCDEnter)
+		return true
+	}
+	if cs.donePhase == c.k {
+		c.watch = watchNone
+		r.barrier(c)
+		return true
+	}
+	return false
 }
 
-// cdClaim self-schedules (or block-claims) CDOALL iterations on the bus,
-// then joins; after the join completes, cont runs.
-func (r *Runtime) cdClaim(ci, k int, cs *clusterCtl, cd *CDoall, iter int, isMaster bool, cont func()) {
-	r.after(ci, func(cy int64) {
-		if cd.Static {
-			chunk := (cd.N + len(cs.cl.CEs) - 1) / len(cs.cl.CEs)
-			first, count, at := cs.cl.Bus.ClaimBlock(cy, chunk)
-			if count == 0 {
-				r.waitUntil(ci, at, func() { r.cdJoin(ci, cs, cont) })
-				return
-			}
-			r.waitUntil(ci, at, func() {
-				r.runCDBlock(ci, cd, iter, first, first+count, func() {
-					r.cdClaim(ci, k, cs, cd, iter, isMaster, cont)
-				})
-			})
-			return
-		}
-		j, at := cs.cl.Bus.Claim(cy)
-		if j < 0 {
-			r.waitUntil(ci, at, func() { r.cdJoin(ci, cs, cont) })
-			return
-		}
-		r.waitUntil(ci, at, func() {
-			r.runBody(ci, cd.Body, j, func(int64) {
-				r.cdClaim(ci, k, cs, cd, iter, isMaster, cont)
-			})
-		})
-	})
-}
-
-func (r *Runtime) runCDBlock(ci int, cd *CDoall, iter, lo, hi int, cont func()) {
-	if lo >= hi {
-		cont()
+// cdClaim self-schedules (or block-claims) CDOALL iterations on the bus;
+// an exhausted loop leads to the join.
+func (r *Runtime) cdClaim(c *ceCtl, cy int64) {
+	bus := c.cs.cl.Bus
+	var first, count int
+	var at int64
+	if c.cd.Static {
+		ces := len(c.cs.cl.CEs)
+		first, count, at = bus.ClaimBlock(cy, (c.cd.N+ces-1)/ces)
+	} else if first, at = bus.Claim(cy); first >= 0 {
+		count = 1
+	}
+	if count == 0 {
+		r.waitUntil(c, at, stCDJoinEnter)
 		return
 	}
-	r.runBody(ci, cd.Body, lo, func(int64) { r.runCDBlock(ci, cd, iter, lo+1, hi, cont) })
+	c.cdLo, c.cdHi = first, first+count
+	r.waitUntil(c, at, stCDRun)
+}
+
+// runCDBlock executes what is left of the claimed block [cdLo, cdHi), one
+// iteration per call, then claims again.
+func (r *Runtime) runCDBlock(c *ceCtl) {
+	if c.cdLo >= c.cdHi {
+		c.branch(stCDClaim)
+		return
+	}
+	c.runBody(c.cd.Body, c.cdLo, stCDIterDone)
 }
 
 // cdJoin arrives at the cluster join and waits for it to complete.
-func (r *Runtime) cdJoin(ci int, cs *clusterCtl, cont func()) {
-	r.after(ci, func(cy int64) {
-		gen, doneAt, last := cs.cl.Bus.JoinArrive(cy)
-		r.post(ci, cy, EvCDJoin, gen)
-		if last {
-			// The last arrival closes the loop instance's trace span:
-			// broadcast to join completion.
-			r.obs.Span(fmt.Sprintf("cfrt/cluster%d", cs.cl.ID),
-				"cdoall", cs.cdStartCy, doneAt)
-			r.waitUntil(ci, doneAt, cont)
-			return
-		}
-		r.ctl[ci].poll = func(pollCy int64) bool {
-			at, ok := cs.cl.Bus.JoinDone(gen, pollCy)
-			if !ok {
-				return false
-			}
-			r.ctl[ci].poll = nil
-			r.waitUntil(ci, at, cont)
-			return true
-		}
-	})
+func (r *Runtime) cdJoin(c *ceCtl, cy int64) {
+	cs := c.cs
+	gen, doneAt, last := cs.cl.Bus.JoinArrive(cy)
+	r.post(c.ci, cy, EvCDJoin, gen)
+	if last {
+		// The last arrival closes the loop instance's trace span:
+		// broadcast to join completion.
+		r.obs.Span(cs.track, "cdoall", cs.cdStartCy, doneAt)
+		r.waitUntil(c, doneAt, stCDDone)
+		return
+	}
+	c.joinGen, c.watch = gen, watchJoin
 }
 
-// waitUntil stalls the participant until the target cycle, then cont.
-func (r *Runtime) waitUntil(ci int, target int64, cont func()) {
-	r.after(ci, func(cy int64) {
-		d := target - cy
-		if d > 0 {
-			r.enq(ci, scalarInstr(d))
-		}
-		r.after(ci, func(int64) { cont() })
-	})
+// waitUntil stalls the participant until the target cycle, then runs step
+// then: a branch that reads the clock, the stall, and the branch that
+// carries then.
+func (r *Runtime) waitUntil(c *ceCtl, target int64, then step) {
+	c.until, c.then = target, then
+	c.branch(stWaitUntil)
 }

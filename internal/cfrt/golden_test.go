@@ -79,23 +79,74 @@ func goldenLines(t *testing.T, stepped bool) []byte {
 	return out.Bytes()
 }
 
-// TestGoldenAcrossCommits pins behaviour across the commit that moved
-// instruction storage into the CE and waits into participant state:
-// testdata/golden_5271b73.txt was generated at the parent commit 5271b73
-// (slice-of-pointers bodies, closure-per-poll waits), and the event
-// engine and the stepped engine must each reproduce it — the cross-commit
-// half of the byte-identity invariant, which the in-process
+// loopShapeLines runs the loop shapes goldenLines does not reach: a
+// claimed (non-static) SDOALL on the lock path whose iterations run a
+// cluster-serial step and a self-scheduled CDOALL, static XDOALLs whose N
+// is not a multiple of P (one with more participants than iterations, so
+// some chunks are empty) and a Serial → XDOALL → SDOALL program.
+func loopShapeLines(t *testing.T, stepped bool) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	scalar := func(cycles, flops int64) BodyFn {
+		return func(_ int, q []ce.Instr) []ce.Instr {
+			return append(q, ce.Instr{Op: ce.OpScalar, Cycles: cycles, Flops: flops})
+		}
+	}
+	serial := func(cycles int64) func(q []ce.Instr) []ce.Instr {
+		return func(q []ce.Instr) []ce.Instr {
+			return append(q, ce.Instr{Op: ce.OpScalar, Cycles: cycles})
+		}
+	}
+	out.WriteString(goldenRun(t, stepped, "claimed-nest-nosync", 3, Config{},
+		[]Phase{SDoall{N: 10, Body: func(i int) []ClusterPhase {
+			return []ClusterPhase{
+				ClusterSerial{Body: serial(int64(10 + i))},
+				CDoall{N: 14, Body: scalar(30, 2)},
+			}
+		}}}))
+	out.WriteString(goldenRun(t, stepped, "static-uneven", 2, Config{UseCedarSync: true},
+		[]Phase{XDoall{N: 37, Static: true, Body: scalar(20, 4)}}))
+	out.WriteString(goldenRun(t, stepped, "static-sparse", 1, Config{},
+		[]Phase{XDoall{N: 5, Static: true, Body: scalar(35, 1)}}))
+	out.WriteString(goldenRun(t, stepped, "three-phase", 2, Config{UseCedarSync: true},
+		[]Phase{
+			Serial{Body: serial(120)},
+			XDoall{N: 45, Body: scalar(25, 4)},
+			SDoall{N: 5, Body: func(int) []ClusterPhase {
+				return []ClusterPhase{CDoall{N: 11, Static: true, Body: scalar(18, 2)}}
+			}},
+		}))
+	return out.Bytes()
+}
+
+// TestGoldenAcrossCommits pins behaviour across the two commits that
+// changed how the runtime holds its control flow, each against a file
+// generated at the commit before: testdata/golden_5271b73.txt
+// (slice-of-pointers bodies, closure-per-poll waits; the change moved
+// instruction storage into the CE and waits into participant state) and
+// testdata/golden_981d579.txt (a closure chain per iteration, claim, join
+// and barrier; the change made every loop a participant frame). The event
+// engine and the stepped engine must each reproduce both — the
+// cross-commit half of the byte-identity invariant, which the in-process
 // stepped-vs-event gate cannot see. On a deliberate model change,
-// regenerate the file from the failure output at the commit before the
+// regenerate the files from the failure output at the commit before the
 // change under test.
 func TestGoldenAcrossCommits(t *testing.T) {
-	want, err := os.ReadFile("testdata/golden_5271b73.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, stepped := range []bool{false, true} {
-		if got := goldenLines(t, stepped); !bytes.Equal(got, want) {
-			t.Errorf("stepped=%v engine differs from testdata/golden_5271b73.txt:\n%s", stepped, got)
+	for _, g := range []struct {
+		file  string
+		lines func(t *testing.T, stepped bool) []byte
+	}{
+		{"testdata/golden_5271b73.txt", goldenLines},
+		{"testdata/golden_981d579.txt", loopShapeLines},
+	} {
+		want, err := os.ReadFile(g.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, stepped := range []bool{false, true} {
+			if got := g.lines(t, stepped); !bytes.Equal(got, want) {
+				t.Errorf("stepped=%v engine differs from %s:\n%s", stepped, g.file, got)
+			}
 		}
 	}
 }

@@ -43,79 +43,73 @@ func gssChunk(n int, claimed int64, p int) int {
 	return c
 }
 
-// guidedLoop self-schedules iterations with guided chunks.
-func (r *Runtime) guidedLoop(ci, k int, ph XDoall) {
-	r.guidedClaim(ci, k, ph.N, func(first int64, chunk int) {
-		if first >= int64(ph.N) {
-			r.barrier(ci, k)
-			return
-		}
-		hi := int(first) + chunk
-		if hi > ph.N {
-			hi = ph.N
-		}
-		r.runChunkThen(ci, int(first), hi, ph.Body, func() {
-			r.guidedLoop(ci, k, ph)
+// claim draws the participant's next ticket from the phase counter —
+// the next iteration of a self-scheduled XDOALL or a claimed SDOALL, the
+// first of a guided chunk — honouring the Cedar-sync configuration;
+// claimed receives it.
+//
+// With Cedar synchronization a claim is a short stub plus one
+// Test-And-Add. A guided claim first reads the counter to estimate the
+// remaining work, locally computes the GSS chunk, then claims it with a
+// fetch-add (the loop end clips over-claimed tails); the estimate costs a
+// real global load — every processor's view of the machine-wide progress
+// travels through the network, never through simulator-side shared state.
+//
+// Without it the library path runs: a scalar prologue, then lock / read /
+// write / unlock over the network. The locked read-modify-write already
+// reads the counter, so a guided estimate folds into it at no extra
+// traffic.
+func (r *Runtime) claim(c *ceCtl) {
+	if !r.cfg.UseCedarSync {
+		c.enq(scalarInstr(r.lockPathCycles))
+		r.takeLockThen(c, stLockHeld)
+		return
+	}
+	counter := r.res[c.k].counter
+	if c.loop == xdGuided {
+		c.enq(scalarInstr(r.syncPathCycles), ce.Instr{
+			Op: ce.OpGlobalLoad, Addr: counter,
+			N: int(stGuidedRead), OnResult: c.onResult,
 		})
+		return
+	}
+	c.enq(scalarInstr(r.syncPathCycles), ce.Instr{
+		Op: ce.OpSync, Addr: counter,
+		Test: network.TestAlways, Mut: network.OpAdd, Value: 1,
+		N: int(stClaimed), OnResult: c.onResult,
 	})
 }
 
-// guidedClaim performs one guided claim against the phase counter: read
-// the counter to estimate remaining work, locally compute the GSS chunk,
-// then claim it with a fetch-add (the loop end clips over-claimed
-// tails). The estimate costs a real global load — every processor's view
-// of the machine-wide progress travels through the network, never
-// through simulator-side shared state.
-func (r *Runtime) guidedClaim(ci, k, n int, got func(first int64, chunk int)) {
-	p := len(r.ces)
-	res := &r.res[k]
-	if r.cfg.UseCedarSync {
-		r.enq(ci,
-			scalarInstr(r.syncPathCycles),
-			ce.Instr{
-				Op: ce.OpGlobalLoad, Addr: res.counter,
-				OnResult: func(v int64, _ bool, _ int64) {
-					chunk := gssChunk(n, v, p)
-					if chunk < 1 {
-						chunk = 1
-					}
-					r.enq(ci, ce.Instr{
-						Op: ce.OpSync, Addr: res.counter,
-						Test: network.TestAlways, Mut: network.OpAdd, Value: int64(chunk),
-						OnResult: func(first int64, _ bool, _ int64) {
-							got(first, chunk)
-						},
-					})
-				},
-			})
-		return
-	}
-	// Library path: the locked read-modify-write already reads the
-	// counter, so the estimate folds into it at no extra traffic.
-	r.enq(ci, scalarInstr(r.lockPathCycles))
-	r.takeLockThen(ci, func() {
-		r.enq(ci, ce.Instr{
-			Op: ce.OpGlobalLoad, Addr: res.counter,
-			OnResult: func(v int64, _ bool, _ int64) {
-				chunk := gssChunk(n, v, p)
-				if chunk < 1 {
-					chunk = 1
-				}
-				r.enq(ci,
-					ce.Instr{Op: ce.OpGlobalStore, Addr: res.counter, Value: v + int64(chunk)},
-					ce.Instr{Op: ce.OpGlobalStore, Addr: r.lockAddr, Value: 0,
-						OnDone: func(int64) { got(v, chunk) }},
-				)
-			},
-		})
+// guidedChunk is the chunk a guided claim takes when it read v from the
+// counter: never less than one iteration, so that a claim past the end
+// still draws a ticket and learns the loop is over.
+func (r *Runtime) guidedChunk(c *ceCtl, v int64) int {
+	return max(gssChunk(c.n, v, len(r.ces)), 1)
+}
+
+// guidedClaim claims the GSS chunk for a counter estimate of v with one
+// fetch-add.
+func (r *Runtime) guidedClaim(c *ceCtl, v int64) {
+	c.chunk = r.guidedChunk(c, v)
+	c.enq(ce.Instr{
+		Op: ce.OpSync, Addr: r.res[c.k].counter,
+		Test: network.TestAlways, Mut: network.OpAdd, Value: int64(c.chunk),
+		N: int(stGuidedClaimed), OnResult: c.onResult,
 	})
 }
 
-// runChunkThen executes iterations [lo, hi) sequentially, then cont.
-func (r *Runtime) runChunkThen(ci, lo, hi int, body BodyFn, cont func()) {
-	if lo >= hi {
-		cont()
-		return
+// claimUnderLock finishes a library-path claim that read v from the
+// counter: write it back advanced by the claim, one iteration or the
+// guided chunk, and release the lock. The ticket is the participant's
+// once the unlock retires.
+func (r *Runtime) claimUnderLock(c *ceCtl, v int64) {
+	c.ticket, c.chunk = v, 1
+	if c.loop == xdGuided {
+		c.chunk = r.guidedChunk(c, v)
 	}
-	r.runBody(ci, body, lo, func(int64) { r.runChunkThen(ci, lo+1, hi, body, cont) })
+	c.enq(
+		ce.Instr{Op: ce.OpGlobalStore, Addr: r.res[c.k].counter, Value: v + int64(c.chunk)},
+		ce.Instr{Op: ce.OpGlobalStore, Addr: r.lockAddr, Value: 0,
+			N: int(stClaimUnlocked), OnDone: c.onDone},
+	)
 }

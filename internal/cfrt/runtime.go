@@ -37,8 +37,10 @@ type Runtime struct {
 	tracer *perfmon.Tracer
 
 	// obs is the machine's observability hub (nil when off). Runtime
-	// events double as scope counters and phase/loop trace spans.
-	obs *scope.Hub
+	// events double as scope counters and phase/loop trace spans;
+	// phaseNames[k] labels phase k's span.
+	obs        *scope.Hub
+	phaseNames []string
 }
 
 // Runtime observation state lives per participant (ceCtl below):
@@ -46,6 +48,8 @@ type Runtime struct {
 // minimum over participants at the barrier pass.
 
 type ceCtl struct {
+	// ci is the participant's index in Runtime.ces and Runtime.ctl.
+	ci int
 	// q[head:] are the instructions still to issue, by value: Next copies
 	// one into the CE's register and advances head rather than reslicing,
 	// and rewinds both once the queue drains, so a participant's steady
@@ -53,12 +57,17 @@ type ceCtl struct {
 	// instruction is a heap object. Loop bodies append to q directly.
 	q        []ce.Instr
 	head     int
-	poll     func(cycle int64) bool
 	finished bool
-	// wait is the spin this participant is in, if any; onSpin is its
-	// OnResult, bound once in New so a failed attempt allocates nothing.
-	wait   spinWait
-	onSpin func(value int64, passed bool, cycle int64)
+	// issued is the step code of the instruction Next handed over last —
+	// the one in the CE's register, and so the only one whose completion
+	// can fire. onDone and onResult are the OnDone and OnResult of every
+	// runtime-issued instruction, bound once in New: they advance frame by
+	// the step issued names, so no control-flow transfer builds a closure.
+	issued   step
+	onDone   func(cycle int64)
+	onResult func(value int64, passed bool, cycle int64)
+	// wait is the spin this participant is in, if any.
+	wait spinWait
 	// cs and clusterIdx are the participant's cluster and its index among
 	// the participating clusters.
 	cs         *clusterCtl
@@ -67,6 +76,8 @@ type ceCtl struct {
 	// the bus broadcast can fire before a slow worker enters the phase,
 	// and this counter guarantees it still joins that loop.
 	cdSeen int
+
+	frame
 
 	// ev counts this participant's runtime events, indexed by kind-1.
 	ev [evKinds]int64
@@ -82,14 +93,16 @@ type phaseRes struct {
 }
 
 type clusterCtl struct {
-	cl      *core.Cluster
-	gen     int
-	cd      *CDoall
-	iterArg int
+	cl  *core.Cluster
+	gen int
+	// cd is the CDOALL the master broadcast last and startAt the cycle
+	// the broadcast lands; a worker that sees gen move copies both.
+	cd      CDoall
 	startAt int64
 	// cdStartCy is the broadcast cycle of the CDOALL in flight, the start
-	// of its trace span (closed by the last join arrival).
+	// of its trace span (closed by the last join arrival) on track.
 	cdStartCy int64
+	track     string
 	// donePhase is the index of the SDOALL phase this cluster's master
 	// has completed (-1 initially); per-phase so stale completion from
 	// an earlier SDOALL cannot release workers early.
@@ -128,8 +141,9 @@ func New(m *core.Machine, cfg Config, phases ...Phase) *Runtime {
 			}
 			r.ceIdx[e.ID] = len(r.ces)
 			r.ces = append(r.ces, e)
-			ctl := &ceCtl{cs: cs, clusterIdx: c}
-			ctl.onSpin = ctl.spinResult
+			ctl := &ceCtl{ci: len(r.ctl), cs: cs, clusterIdx: c}
+			ctl.onDone = func(cycle int64) { r.advance(ctl, ctl.issued, 0, false, cycle) }
+			ctl.onResult = func(v int64, passed bool, cycle int64) { r.advance(ctl, ctl.issued, v, passed, cycle) }
 			r.ctl = append(r.ctl, ctl)
 		}
 	}
@@ -144,7 +158,17 @@ func New(m *core.Machine, cfg Config, phases ...Phase) *Runtime {
 			barFlag:  m.AllocGlobal(1),
 		})
 	}
-	r.obs = m.Scope
+	if r.obs = m.Scope; r.obs != nil {
+		// Span labels, formatted once: a join or a barrier pass names its
+		// span by indexing.
+		for _, cs := range r.clusters {
+			cs.track = fmt.Sprintf("cfrt/cluster%d", cs.cl.ID)
+		}
+		r.phaseNames = make([]string, len(phases))
+		for k := range phases {
+			r.phaseNames[k] = r.phaseName(k)
+		}
+	}
 	for _, c := range r.ctl {
 		c.phaseStart = make([]int64, len(phases))
 		for i := range c.phaseStart {
@@ -167,8 +191,8 @@ func New(m *core.Machine, cfg Config, phases ...Phase) *Runtime {
 	}
 	r.syncPathCycles = 8
 
-	for ci := range r.ces {
-		r.enterPhase(ci, 0)
+	for _, c := range r.ctl {
+		r.enterPhase(c, 0)
 	}
 	return r
 }
@@ -194,6 +218,7 @@ func (r *Runtime) Next(ceID int, cycle int64, in *ce.Instr) ce.Status {
 	for {
 		if c.head < len(c.q) {
 			*in = c.q[c.head]
+			c.issued = step(in.N)
 			// Drop the slot's references: its closures and streams are
 			// the CE's now.
 			c.q[c.head] = ce.Instr{}
@@ -205,48 +230,68 @@ func (r *Runtime) Next(ceID int, cycle int64, in *ce.Instr) ce.Status {
 		if c.finished {
 			return ce.Finished
 		}
-		if c.poll != nil && c.poll(cycle) {
+		if c.watch != watchNone && r.pollBus(c, cycle) {
 			continue
 		}
 		return ce.Wait
 	}
 }
 
-func (r *Runtime) enq(ci int, ins ...ce.Instr) {
-	r.ctl[ci].q = append(r.ctl[ci].q, ins...)
+func (c *ceCtl) enq(ins ...ce.Instr) {
+	c.q = append(c.q, ins...)
 }
 
-// after enqueues a zero-length scalar op whose completion runs f — the
-// runtime's "branch" primitive (costs one issue cycle, like real control
-// flow at loop ends).
-func (r *Runtime) after(ci int, f func(cycle int64)) {
-	r.enq(ci, ce.Instr{Op: ce.OpScalar, Cycles: 0, OnDone: f})
+// branch enqueues a zero-length scalar op whose completion runs step s —
+// the runtime's "branch" primitive (costs one issue cycle, like real
+// control flow at loop ends).
+func (c *ceCtl) branch(s step) {
+	c.q = append(c.q, ce.Instr{Op: ce.OpScalar, N: int(s), OnDone: c.onDone})
 }
 
-// enterPhase routes a participant into phase k. Panics on an unknown
-// phase type — a malformed program, not a runtime condition.
-func (r *Runtime) enterPhase(ci, k int) {
+// enterPhase routes a participant into phase k: it fills the frame with
+// the phase's loop and enqueues the phase's opening instructions. Panics
+// on an unknown phase type — a malformed program, not a runtime condition.
+func (r *Runtime) enterPhase(c *ceCtl, k int) {
 	if k >= len(r.ph) {
-		r.ctl[ci].finished = true
+		c.finished = true
 		return
 	}
+	c.k = k
 	// The tracer may be attached after construction (phase 0 is entered
 	// inside New), so the post is enqueued unconditionally and checks the
 	// tracer when it fires.
-	r.after(ci, func(cy int64) { r.post(ci, cy, EvPhaseEnter, int64(k)) })
+	c.branch(stPhaseEnter)
 	switch ph := r.ph[k].(type) {
 	case Serial:
-		if ci == 0 {
-			c := r.ctl[ci]
+		if c.ci == 0 {
 			c.q = ph.Body(c.q)
 		}
-		r.barrier(ci, k)
+		r.barrier(c)
 
 	case XDoall:
-		r.startXDoall(ci, k, ph)
+		c.n, c.body = ph.N, ph.Body
+		switch ph.schedule() {
+		case StaticSchedule:
+			c.loop = xdStatic
+		case GuidedSchedule:
+			c.loop = xdGuided
+		default:
+			c.loop = xdSelf
+		}
+		r.startLoop(c)
 
 	case SDoall:
-		r.startSDoall(ci, k, ph)
+		c.n, c.sbody = ph.N, ph.Body
+		if c.loop = sdClaimed; ph.Static {
+			c.loop = sdStatic
+		}
+		if r.ces[c.ci].IDInCluster != 0 {
+			// Worker: watch the bus for broadcasts until the cluster is
+			// done.
+			c.watch = watchBus
+			return
+		}
+		r.startLoop(c)
 
 	default:
 		panic(fmt.Sprintf("cfrt: unknown phase type %T", r.ph[k]))
@@ -254,85 +299,49 @@ func (r *Runtime) enterPhase(ci, k int) {
 }
 
 // barrier runs the multicluster end-of-phase barrier and then advances the
-// participant to phase k+1.
-func (r *Runtime) barrier(ci, k int) {
-	res := &r.res[k]
-	p := int64(len(r.ces))
-	r.enq(ci, ce.Instr{
-		Op: ce.OpSync, Addr: res.barCount,
+// participant to the next phase.
+func (r *Runtime) barrier(c *ceCtl) {
+	c.enq(ce.Instr{
+		Op: ce.OpSync, Addr: r.res[c.k].barCount,
 		Test: network.TestAlways, Mut: network.OpAdd, Value: 1,
-		OnResult: func(v int64, _ bool, cy int64) {
-			r.post(ci, cy, EvBarrierArrive, int64(k))
-			if v == p-1 {
-				// Last arrival releases the others.
-				r.enq(ci, ce.Instr{
-					Op: ce.OpGlobalStore, Addr: res.barFlag, Value: 1,
-					OnDone: func(cy2 int64) {
-						r.post(ci, cy2, EvBarrierPass, int64(k))
-						r.enterPhase(ci, k+1)
-					},
-				})
-			} else {
-				r.pollFlag(ci, res.barFlag, 1, func() { r.enterPhase(ci, k+1) })
-			}
-		},
+		N: int(stBarrierArrive), OnResult: c.onResult,
 	})
 }
 
 // spinWait is a participant's wait in progress: the sync instruction it
 // reissues until the test passes, the scalar stall before the next
-// attempt (doubling up to limit) and what runs once it passes. It is
-// state, not a closure per attempt, so how long a wait lasts costs the
-// host nothing.
+// attempt (doubling up to limit) and the step that runs once it passes
+// (stNone: no wait in progress). It is state, not a closure per attempt,
+// so how long a wait lasts costs the host nothing.
 type spinWait struct {
 	try     ce.Instr
 	backoff int64
 	limit   int64
-	cont    func()
+	then    step
 }
 
-// spin issues try until its test passes, then runs cont. A participant
-// is in one wait at a time — every caller sits at the tail of the
-// participant's control flow — and a second would overwrite the first's
-// state, so that is a panic, not a queue.
-func (r *Runtime) spin(ci int, try ce.Instr, backoff, limit int64, cont func()) {
-	c := r.ctl[ci]
-	if c.wait.cont != nil {
+// spin issues try until its test passes, then runs step then. A
+// participant is in one wait at a time — every caller sits at the tail of
+// the participant's control flow — and a second would overwrite the
+// first's state, so that is a panic, not a queue.
+func (r *Runtime) spin(c *ceCtl, try ce.Instr, backoff, limit int64, then step) {
+	if c.wait.then != stNone {
 		panic("cfrt: wait started inside an unfinished wait")
 	}
-	try.OnResult = c.onSpin
-	c.wait = spinWait{try: try, backoff: backoff, limit: limit, cont: cont}
+	try.N, try.OnResult = int(stSpin), c.onResult
+	c.wait = spinWait{try: try, backoff: backoff, limit: limit, then: then}
 	c.q = append(c.q, try)
 }
 
-// spinResult is the OnResult of every spin attempt. The CE executes from
-// its own register, so appending the same instruction again from inside
-// its completion is safe. The wait is cleared before cont runs: cont may
-// start the next wait (a barrier pass leads straight to the next phase's
-// flag poll), which must not inherit this one's backoff or continuation.
-func (c *ceCtl) spinResult(_ int64, passed bool, _ int64) {
-	w := &c.wait
-	if passed {
-		cont := w.cont
-		*w = spinWait{}
-		cont()
-		return
-	}
-	c.q = append(c.q, scalarInstr(w.backoff), w.try)
-	if w.backoff *= 2; w.backoff > w.limit {
-		w.backoff = w.limit
-	}
-}
-
 // pollFlag spins on a global word with Test-And-Read until it reaches
-// want, then runs cont. Backoff doubles up to a cap so that dozens of
-// waiting CEs do not turn the flag's memory module into a hot spot that
-// saturates the network for the processors still computing.
-func (r *Runtime) pollFlag(ci int, addr uint64, want int64, cont func()) {
-	r.spin(ci, ce.Instr{
+// want, then runs step then. Backoff doubles up to a cap so that dozens
+// of waiting CEs do not turn the flag's memory module into a hot spot
+// that saturates the network for the processors still computing.
+func (r *Runtime) pollFlag(c *ceCtl, addr uint64, want int64, then step) {
+	r.spin(c, ce.Instr{
 		Op: ce.OpSync, Addr: addr,
 		Test: network.TestGE, TestArg: want, Mut: network.OpNone,
-	}, r.pollBackoff, pollBackoffCap, cont)
+	}, r.pollBackoff, pollBackoffCap, then)
 }
 
 const pollBackoffCap = 400
@@ -340,46 +349,13 @@ const pollBackoffCap = 400
 // lockRetry is the fixed stall between Test-And-Set attempts.
 const lockRetry = 20
 
-// takeLockThen spins on the claim lock with Test-And-Set, then runs cont
-// holding it.
-func (r *Runtime) takeLockThen(ci int, cont func()) {
-	r.spin(ci, ce.Instr{
+// takeLockThen spins on the claim lock with Test-And-Set, then runs step
+// then holding it.
+func (r *Runtime) takeLockThen(c *ceCtl, then step) {
+	r.spin(c, ce.Instr{
 		Op: ce.OpSync, Addr: r.lockAddr,
 		Test: network.TestEQ, TestArg: 0, Mut: network.OpWrite, Value: 1,
-	}, lockRetry, lockRetry, cont)
-}
-
-// claim performs one iteration claim against the phase counter, honouring
-// the Cedar-sync configuration, and hands the ticket to got.
-func (r *Runtime) claim(ci, k int, got func(ticket int64)) {
-	res := &r.res[k]
-	if r.cfg.UseCedarSync {
-		r.enq(ci,
-			scalarInstr(r.syncPathCycles),
-			ce.Instr{
-				Op: ce.OpSync, Addr: res.counter,
-				Test: network.TestAlways, Mut: network.OpAdd, Value: 1,
-				OnResult: func(v int64, _ bool, cy int64) {
-					r.post(ci, cy, EvClaim, v)
-					got(v)
-				},
-			})
-		return
-	}
-	// Library path: scalar prologue, then lock / read / write / unlock.
-	r.enq(ci, scalarInstr(r.lockPathCycles))
-	r.takeLockThen(ci, func() {
-		r.enq(ci, ce.Instr{
-			Op: ce.OpGlobalLoad, Addr: res.counter,
-			OnResult: func(v int64, _ bool, _ int64) {
-				r.enq(ci,
-					ce.Instr{Op: ce.OpGlobalStore, Addr: res.counter, Value: v + 1},
-					ce.Instr{Op: ce.OpGlobalStore, Addr: r.lockAddr, Value: 0,
-						OnDone: func(int64) { got(v) }},
-				)
-			},
-		})
-	})
+	}, lockRetry, lockRetry, then)
 }
 
 // scalarInstr builds a plain scalar-work instruction.

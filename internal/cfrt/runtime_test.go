@@ -342,23 +342,23 @@ func TestSteadyStateAllocsControllerQueue(t *testing.T) {
 		}
 		return q
 	}
-	branch := func(int64) {}
+	c := rt.ctl[0]
 	round := func() {
-		rt.enq(0, scalarInstr(1), scalarInstr(2), scalarInstr(3))
-		rt.enq(0, scalarInstr(4), scalarInstr(5))
-		rt.runBody(0, body, 6, branch)
+		c.enq(scalarInstr(1), scalarInstr(2), scalarInstr(3))
+		c.enq(scalarInstr(4), scalarInstr(5))
+		c.runBody(body, 6, stIterDone)
 		for want := int64(1); want <= 12; want++ {
 			if st := rt.Next(id, 0, &reg); st != ce.Ready || reg.Cycles != want {
 				t.Fatalf("instruction %d: status %v, register %+v", want, st, reg)
 			}
 		}
-		if st := rt.Next(id, 0, &reg); st != ce.Ready || reg.Cycles != 0 || reg.OnDone == nil {
-			t.Fatalf("loop branch behind the body: status %v, register %+v", st, reg)
+		if st := rt.Next(id, 0, &reg); st != ce.Ready || reg.Cycles != 0 || reg.OnDone == nil || c.issued != stIterDone {
+			t.Fatalf("loop branch behind the body: status %v, register %+v, step %d", st, reg, c.issued)
 		}
 		if rt.Next(id, 0, &reg) == ce.Ready {
 			t.Fatal("queue not drained after issuing every instruction")
 		}
-		if c := rt.ctl[0]; c.head != 0 || len(c.q) != 0 {
+		if c.head != 0 || len(c.q) != 0 {
 			t.Fatalf("drained queue not rewound: head %d, len %d", c.head, len(c.q))
 		}
 	}

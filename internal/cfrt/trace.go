@@ -102,11 +102,12 @@ func (r *Runtime) observe(ci int, cycle int64, kind uint16, value int64) {
 		if start < 0 {
 			start = cycle
 		}
-		r.obs.Span("cfrt/phases", r.phaseName(k), start, cycle)
+		r.obs.Span("cfrt/phases", r.phaseNames[k], start, cycle)
 	}
 }
 
-// phaseName labels a phase span by index and kind.
+// phaseName labels a phase span by index and kind (New keeps the results
+// in phaseNames).
 func (r *Runtime) phaseName(k int) string {
 	switch r.ph[k].(type) {
 	case Serial:

@@ -6,24 +6,33 @@ import (
 	"testing"
 
 	"cedar/internal/ce"
-	"cedar/internal/core"
+	"cedar/internal/network"
+	"cedar/internal/perfmon"
 )
 
-// handBuilt returns a two-participant runtime to be driven by hand. A
-// runtime built with no phases has empty queues and finished
-// participants; script gets it with both reopened and enqueues each
-// participant's instructions, ending each with done(ci) as an OnDone.
-func handBuilt(t *testing.T, script func(m *core.Machine, r *Runtime, done func(ci int) func(int64))) *Runtime {
+// leastMallocs builds and runs a program three times and reports its
+// length in cycles and the fewest objects Run allocated. The counts come
+// from raw MemStats, so the caller keeps everyone else's allocations out of
+// them the way testing.AllocsPerRun does: one P and no collection (which
+// would also empty the pools a run draws on); the least of three drops a
+// stray runtime allocation.
+func leastMallocs(t *testing.T, build func() *Runtime) (cycles int64, mallocs uint64) {
 	t.Helper()
-	m := mach(t, 1)
-	r := New(m, Config{MaxCEs: 2})
-	for _, c := range r.ctl {
-		c.finished = false
+	for i := 0; i < 3; i++ {
+		rt := build()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := rt.Run(50_000_000)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := after.Mallocs - before.Mallocs; i == 0 || n < mallocs {
+			mallocs = n
+		}
+		cycles = res.Cycles
 	}
-	script(m, r, func(ci int) func(int64) {
-		return func(int64) { r.ctl[ci].finished = true }
-	})
-	return r
+	return cycles, mallocs
 }
 
 // TestSteadyStateAllocsWaitLoops is the allocation gate on waiting: what
@@ -45,49 +54,44 @@ func TestSteadyStateAllocsWaitLoops(t *testing.T) {
 				return append(q, scalarInstr(1))
 			}})
 	}
+	// Two CEs self-schedule two iterations on the lock path. Whoever draws
+	// the second takes the claim lock again from inside its body — the
+	// other CE is still in the library prologue of its next claim, so the
+	// Test-And-Set cannot lose — and sits on it for hold cycles while the
+	// other retries.
 	lockRetries := func(hold int64) *Runtime {
-		return handBuilt(t, func(_ *core.Machine, r *Runtime, done func(int) func(int64)) {
-			unlock := func(ci int) ce.Instr {
-				return ce.Instr{Op: ce.OpGlobalStore, Addr: r.lockAddr, Value: 0, OnDone: done(ci)}
-			}
-			r.takeLockThen(0, func() { r.enq(0, scalarInstr(hold), unlock(0)) })
-			r.enq(1, scalarInstr(60)) // participant 0 wins the lock
-			r.takeLockThen(1, func() { r.enq(1, unlock(1)) })
-		})
+		var r *Runtime
+		r = New(mach(t, 1), Config{MaxCEs: 2},
+			XDoall{N: 2, Body: func(i int, q []ce.Instr) []ce.Instr {
+				if i == 0 {
+					return append(q, scalarInstr(1))
+				}
+				return append(q,
+					ce.Instr{Op: ce.OpSync, Addr: r.lockAddr,
+						Test: network.TestEQ, TestArg: 0, Mut: network.OpWrite, Value: 1,
+						OnResult: func(_ int64, passed bool, _ int64) {
+							if !passed {
+								t.Error("the body's Test-And-Set lost the claim lock: nobody is made to retry")
+							}
+						}},
+					scalarInstr(hold),
+					ce.Instr{Op: ce.OpGlobalStore, Addr: r.lockAddr, Value: 0})
+			}})
+		return r
 	}
-	// The counts come from raw MemStats, so keep everyone else's
-	// allocations out of them the way testing.AllocsPerRun does: one P, no
-	// collection (which would also empty the pools a run draws on), and
-	// the least of three runs.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	// measure runs a freshly built program three times and reports its
-	// length and the least Run allocated.
-	measure := func(build func(hold int64) *Runtime, hold int64) (cycles int64, mallocs uint64) {
-		for i := 0; i < 3; i++ {
-			rt := build(hold)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			res, err := rt.Run(10_000_000)
-			runtime.ReadMemStats(&after)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n := after.Mallocs - before.Mallocs; i == 0 || n < mallocs {
-				mallocs = n
-			}
-			cycles = res.Cycles
-		}
-		return cycles, mallocs
-	}
 	const hold = 5_000
 	for _, tc := range []struct {
 		name  string
 		build func(hold int64) *Runtime
 	}{{"barrier spin", barrierSpin}, {"lock retries", lockRetries}} {
-		measure(tc.build, hold) // warm what the first run of a process grows
-		shortCy, short := measure(tc.build, hold)
-		longCy, long := measure(tc.build, 4*hold)
+		at := func(hold int64) (int64, uint64) {
+			return leastMallocs(t, func() *Runtime { return tc.build(hold) })
+		}
+		at(hold) // warm what the first run of a process grows
+		shortCy, short := at(hold)
+		longCy, long := at(4 * hold)
 		if longCy-shortCy < 2*hold {
 			t.Fatalf("%s: %d cycles at hold %d, %d at %d: the wait did not stretch with the hold",
 				tc.name, shortCy, hold, longCy, 4*hold)
@@ -99,53 +103,155 @@ func TestSteadyStateAllocsWaitLoops(t *testing.T) {
 	}
 }
 
-// TestWaitStateDoesNotLeakIntoNextWait starts a wait from inside a wait's
-// continuation — the shape of a barrier pass leading straight into the
-// next phase's flag poll. The first wait runs long enough to back off to
-// the cap; the second must start from the base backoff with its own
-// continuation, and each continuation runs once.
+// TestSteadyStateAllocsLoops is the allocation gate on iterating: what a
+// run allocates must not depend on how many iterations it executes. Every
+// loop shape the runtime has — XDOALL self-scheduled with Cedar sync and
+// on the lock path, static and guided; SDOALL static and claimed, each
+// iteration a cluster-serial step, a block-claimed CDOALL and a
+// self-scheduled one — runs one-scalar bodies at N and at 4·N iterations,
+// and Run must allocate the same number of objects: zero per iteration,
+// claim, chunk step, cluster phase, join and wait. With control flow held
+// as a closure chain each iteration costs 2–8 objects and the longer runs
+// allocate hundreds to thousands more.
+func TestSteadyStateAllocsLoops(t *testing.T) {
+	one := func(_ int, q []ce.Instr) []ce.Instr { return append(q, scalarInstr(1)) }
+	xdoall := func(cfg Config, sched Schedule) func(n int) *Runtime {
+		return func(n int) *Runtime {
+			return New(mach(t, 2), cfg, XDoall{N: n, Sched: sched, Static: sched == StaticSchedule, Body: one})
+		}
+	}
+	// An SDOALL body returns the cluster phases of its iteration; these
+	// return one prebuilt list, so that the slice is not the measurement.
+	sdoall := func(cfg Config, static bool) func(n int) *Runtime {
+		return func(n int) *Runtime {
+			work := []ClusterPhase{
+				ClusterSerial{Body: func(q []ce.Instr) []ce.Instr { return append(q, scalarInstr(1)) }},
+				CDoall{N: n, Static: true, Body: one},
+				CDoall{N: n, Body: one},
+			}
+			return New(mach(t, 2), cfg, SDoall{N: n / 4, Static: static,
+				Body: func(int) []ClusterPhase { return work }})
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n = 48
+	for _, tc := range []struct {
+		name  string
+		build func(n int) *Runtime
+	}{
+		{"xdoall self-scheduled, Cedar sync", xdoall(Config{UseCedarSync: true}, SelfSchedule)},
+		{"xdoall self-scheduled, lock path", xdoall(Config{}, SelfSchedule)},
+		{"xdoall static", xdoall(Config{UseCedarSync: true}, StaticSchedule)},
+		{"xdoall guided, Cedar sync", xdoall(Config{UseCedarSync: true}, GuidedSchedule)},
+		{"xdoall guided, lock path", xdoall(Config{}, GuidedSchedule)},
+		{"sdoall static", sdoall(Config{UseCedarSync: true}, true)},
+		{"sdoall claimed, Cedar sync", sdoall(Config{UseCedarSync: true}, false)},
+		{"sdoall claimed, lock path", sdoall(Config{}, false)},
+	} {
+		at := func(n int) (int64, uint64) {
+			return leastMallocs(t, func() *Runtime { return tc.build(n) })
+		}
+		at(4 * n) // warm what the first run of a process grows
+		shortCy, short := at(n)
+		longCy, long := at(4 * n)
+		if longCy <= shortCy {
+			t.Fatalf("%s: %d cycles at %d iterations, %d at %d: the run did not grow with the loop",
+				tc.name, shortCy, n, longCy, 4*n)
+		}
+		if short != long {
+			t.Errorf("%s: Run allocates %d objects at %d iterations, %d at %d; iterating must cost the host nothing",
+				tc.name, short, n, long, 4*n)
+		}
+	}
+}
+
+// TestWaitStateDoesNotLeakIntoNextWait drives one participant by hand —
+// the test plays its CE, issuing from Next and answering each completion
+// — through a wait that leads straight into the next: a barrier flag poll
+// whose pass enters the next phase, which arrives at its own barrier and
+// polls again. The first wait fails often enough to back off to the cap;
+// the second must start from the base backoff with its own flag and step,
+// and each phase is entered once.
 func TestWaitStateDoesNotLeakIntoNextWait(t *testing.T) {
-	var first, second int
-	rt := handBuilt(t, func(m *core.Machine, r *Runtime, done func(int) func(int64)) {
-		flagA, flagB := m.AllocGlobal(1), m.AllocGlobal(1)
-		waiter := r.ctl[1]
-		r.enq(0,
-			ce.Instr{Op: ce.OpScalar, Cycles: 3_000, OnDone: func(int64) {
-				if got := waiter.wait.backoff; got != pollBackoffCap {
-					t.Errorf("first wait's backoff after 3000 cycles = %d, want the cap %d", got, pollBackoffCap)
-				}
-			}},
-			ce.Instr{Op: ce.OpGlobalStore, Addr: flagA, Value: 1},
-			scalarInstr(3_000),
-			ce.Instr{Op: ce.OpGlobalStore, Addr: flagB, Value: 1, OnDone: done(0)},
-		)
-		r.pollFlag(1, flagA, 1, func() {
-			first++
-			if waiter.wait.cont != nil || waiter.wait.backoff != 0 {
-				t.Errorf("wait state not cleared before its continuation ran: %+v", waiter.wait)
-			}
-			r.pollFlag(1, flagB, 1, func() {
-				second++
-				r.after(1, done(1))
-			})
-			if got := waiter.wait.backoff; got != r.pollBackoff {
-				t.Errorf("second wait starts with backoff %d, want %d", got, r.pollBackoff)
-			}
-		})
-	})
-	if _, err := rt.Run(10_000_000); err != nil {
-		t.Fatal(err)
+	nothing := Serial{Body: func(q []ce.Instr) []ce.Instr { return q }}
+	r := New(mach(t, 1), Config{UseCedarSync: true, MaxCEs: 2}, nothing, nothing)
+	tr := perfmon.NewTracer(1)
+	r.SetTracer(tr)
+	c, id := r.ctl[1], r.ces[1].ID
+	issue := func(what string) ce.Instr {
+		t.Helper()
+		var in ce.Instr
+		if st := r.Next(id, 0, &in); st != ce.Ready {
+			t.Fatalf("%s: Next says %v, want an instruction", what, st)
+		}
+		return in
 	}
-	if first != 1 || second != 1 {
-		t.Errorf("continuations ran %d and %d times, want once each", first, second)
+	// arrive retires the phase-entry branch and answers the barrier
+	// fetch-add as the first of two arrivals, which starts the flag poll.
+	arrive := func(k int) {
+		t.Helper()
+		issue("phase-entry branch").OnDone(0)
+		in := issue("barrier arrival")
+		if in.Op != ce.OpSync || in.Addr != r.res[k].barCount {
+			t.Fatalf("phase %d: arrival is %+v, want a sync on the barrier count", k, in)
+		}
+		in.OnResult(0, true, 0)
+		if w := c.wait; w.then != stNextPhase || w.try.Addr != r.res[k].barFlag || w.backoff != r.pollBackoff {
+			t.Fatalf("phase %d: flag poll starts as %+v, want backoff %d on this phase's flag", k, w, r.pollBackoff)
+		}
 	}
+	// fail answers the poll attempt in flight with a failed test and
+	// reports the stall the runtime issues before the next attempt.
+	fail := func() int64 {
+		t.Helper()
+		issue("poll attempt").OnResult(0, false, 0)
+		return issue("backoff stall").Cycles
+	}
+
+	arrive(0)
+	for i, want := range []int64{25, 50, 100, 200, 400, 400, 400} {
+		if got := fail(); got != want {
+			t.Fatalf("first wait, stall %d: %d cycles, want %d", i, got, want)
+		}
+	}
+	if c.wait.backoff != pollBackoffCap {
+		t.Fatalf("first wait's backoff = %d, want the cap %d", c.wait.backoff, pollBackoffCap)
+	}
+	issue("passing poll attempt").OnResult(1, true, 0)
+	if c.wait.then != stNone || c.wait.backoff != 0 {
+		t.Errorf("wait state not cleared by its pass: %+v", c.wait)
+	}
+	if c.k != 1 {
+		t.Fatalf("participant is in phase %d after the barrier pass, want 1", c.k)
+	}
+
+	arrive(1)
+	if got := fail(); got != r.pollBackoff {
+		t.Errorf("second wait's first stall = %d cycles, want the base %d", got, r.pollBackoff)
+	}
+	issue("passing poll attempt").OnResult(1, true, 0)
+	var in ce.Instr
+	if st := r.Next(id, 0, &in); st != ce.Finished {
+		t.Errorf("after the last barrier Next says %v, want Finished", st)
+	}
+	enters := 0
+	for _, e := range tr.Events() {
+		if e.Kind == EvPhaseEnter {
+			enters++
+		}
+	}
+	if enters != 2 {
+		t.Errorf("%d phase entries posted, want one per phase", enters)
+	}
+
 	// A second wait on a participant still inside one is a runtime bug.
-	r := New(mach(t, 1), Config{MaxCEs: 1})
-	r.pollFlag(0, r.flagAddr, 1, func() {})
+	r = New(mach(t, 1), Config{MaxCEs: 1})
+	r.pollFlag(r.ctl[0], r.flagAddr, 1, stNextPhase)
 	defer func() {
 		if recover() == nil {
 			t.Error("starting a wait inside an unfinished wait did not panic")
 		}
 	}()
-	r.takeLockThen(0, func() {})
+	r.takeLockThen(r.ctl[0], stLockHeld)
 }

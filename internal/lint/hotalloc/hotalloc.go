@@ -27,8 +27,9 @@
 //
 //   - reject-path and terminal-fault error construction (at most once per
 //     block, CE or run, on a path a healthy run never takes)
-//   - pool refill on first use (packets, MSHRs: steady state reuses
-//     retired entries)
+//   - pool refill (packets by the slab, at most 5 + peak/64 refills per
+//     pool per run; MSHRs on first use: steady state reuses retired
+//     entries)
 //   - grow-once scratch (vector-unit slices that reach the widest
 //     instruction and are reused from then on)
 //   - one-time lazy initialisation of a controller
@@ -76,11 +77,14 @@
 // completion callback allocates is ever reported. cfrt's flag poll and
 // lock retry built a closure and two heap instructions per failed
 // attempt that way, every few hundred cycles for as long as a CE waited:
-// 78% of the suite workload's objects. They are participant state now
-// (DESIGN.md, "Instruction ownership"), and the guard is again dynamic:
-// TestSteadyStateAllocsWaitLoops (internal/cfrt) runs a barrier spin and
-// a contended lock claim at two wait lengths and requires equal object
-// counts, and TestRunBudget (internal/perfect) bounds whole proxy runs.
+// 78% of the suite workload's objects; the closure chain it built per
+// iteration, claim, join and barrier was 56% of what was left. Both are
+// participant state now (DESIGN.md, "Instruction ownership"), and the
+// guard is again dynamic: TestSteadyStateAllocsWaitLoops (internal/cfrt)
+// runs a barrier spin and a contended lock claim at two wait lengths,
+// TestSteadyStateAllocsLoops (internal/cfrt) runs every loop shape at two
+// iteration counts, each requiring equal object counts, and TestRunBudget
+// (internal/perfect) bounds whole proxy runs.
 package hotalloc
 
 import (

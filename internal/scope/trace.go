@@ -25,31 +25,41 @@ type Span struct {
 // Span records a complete event covering [start, end] cycles on a track.
 // The track is namespaced by the hub's Sub prefix. When the bounded
 // buffer is full the event is dropped and counted, like the hardware
-// tracer filling up.
+// tracer filling up — before its record is built, so posting to a full
+// buffer (or to a hub whose cap is 0, which records nothing) costs a
+// counter increment.
 func (h *Hub) Span(track, name string, start, end int64) {
-	if h == nil {
+	if h == nil || h.drop() {
 		return
 	}
 	if end < start {
 		end = start
 	}
-	h.add(Span{Track: h.join(track), Name: name, Start: start, End: end})
+	h.st.spans = append(h.st.spans, Span{Track: h.join(track), Name: name, Start: start, End: end})
 }
 
 // Emit records an instant event at the given cycle.
 func (h *Hub) Emit(track, name string, cycle int64) {
-	if h == nil {
+	if h == nil || h.drop() {
 		return
 	}
-	h.add(Span{Track: h.join(track), Name: name, Start: cycle, End: cycle, Instant: true})
+	h.st.spans = append(h.st.spans, Span{Track: h.join(track), Name: name, Start: cycle, End: cycle, Instant: true})
+}
+
+// drop reports whether the span buffer is at its cap, and counts the
+// event the caller then drops.
+func (h *Hub) drop() bool {
+	if len(h.st.spans) < h.st.spanCap {
+		return false
+	}
+	h.st.dropped++
+	return true
 }
 
 func (h *Hub) add(s Span) {
-	if len(h.st.spans) >= h.st.spanCap {
-		h.st.dropped++
-		return
+	if !h.drop() {
+		h.st.spans = append(h.st.spans, s)
 	}
-	h.st.spans = append(h.st.spans, s)
 }
 
 // SetTraceCap bounds the span buffer (default perfmon.TracerCap). Call

@@ -65,13 +65,17 @@ stage "go test ./..."
 # slide-forward slice queue allocates through append growth alone, which
 # no syntactic rule can see. cfrt's TestSteadyStateAllocsWaitLoops: a
 # barrier spin and a contended lock claim allocate the same number of
-# objects however long the wait lasts.
+# objects however long the wait lasts; its TestSteadyStateAllocsLoops:
+# every loop shape (XDOALL self-scheduled, static, guided; SDOALL static
+# and claimed over cluster-serial, block- and self-claimed CDOALL steps;
+# Cedar sync and lock path) allocates the same number of objects at N and
+# at 4N iterations.
 # TestBuildBudget (core) is the same idea for construction: core.New
 # allocates a machine's wiring (≤ 256 KB and 400 objects Cedar, ≤ 3 MB and
 # 4,700 Cedar64), never its capacity.
 # TestRunBudget (perfect) is the same idea for a whole Perfect proxy run:
 # the two points that wait the most (TRACK auto without Cedar sync, QCD
-# under KAP) stay within a few thousand objects, machine included.
+# under KAP) stay within 1,000 and 850 objects, machine included.
 go test ./...
 
 stage "data-path benchmarks at 1x"
@@ -110,9 +114,9 @@ stage "go test -race ./..."
 # Instruction ownership rides the same line: a controller that rewrites
 # its storage the moment Next returns matches a stored Program (ce:
 # TestScribblingControllerMatchesProgram), and the runtime's cycles and
-# tracer stream on the event and stepped engines match a golden generated
-# at the commit before instructions moved into the CE (cfrt:
-# TestGoldenAcrossCommits).
+# tracer stream on the event and stepped engines match goldens generated
+# at the commit before instructions moved into the CE and at the commit
+# before loops became participant frames (cfrt: TestGoldenAcrossCommits).
 # So does the occupancy-driven data path: the omega's bitset arbiter
 # against the scan-every-switch reference on six geometries (same offers,
 # deliveries, Stats and injections every cycle, occupancy invariants after
