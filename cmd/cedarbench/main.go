@@ -24,6 +24,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -106,6 +107,16 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
+	// The artifact's directory exists before the campaign runs, or the
+	// run fails here rather than after simulating every point.
+	path := *out
+	if path == "" {
+		path = "BENCH_" + c.Area + ".json"
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		lg.Print(err)
+		return 2
+	}
 	opt := bench.RunOptions{Jobs: *jobs, Now: time.Now, Progress: stderr, Stepped: *stepped}
 	if *quiet {
 		opt.Progress = nil
@@ -114,10 +125,6 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		lg.Print(err)
 		return 1
-	}
-	path := *out
-	if path == "" {
-		path = "BENCH_" + c.Area + ".json"
 	}
 	if err := art.Write(path); err != nil {
 		lg.Print(err)

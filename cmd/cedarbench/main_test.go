@@ -28,10 +28,20 @@ func write(t *testing.T, dir, name, content string) string {
 	return path
 }
 
+// TestRunModeProducesArtifact also pins when -out is looked at: its
+// directory is created (a fresh clone has no artifacts/) or refused
+// before the campaign runs, not after every point has simulated.
 func TestRunModeProducesArtifact(t *testing.T) {
 	dir := t.TempDir()
 	cfg := write(t, dir, "c.json", miniConfig)
-	out := filepath.Join(dir, "BENCH_mini.json")
+	var so, se bytes.Buffer
+	if code := run([]string{"run", "-config", cfg, "-out", filepath.Join(cfg, "BENCH_mini.json")}, &so, &se); code != 2 {
+		t.Errorf("-out under a regular file: exit %d, want 2 (stderr: %s)", code, se.String())
+	}
+	if strings.Contains(se.String(), "pass 1/") {
+		t.Errorf("-out under a regular file was refused only after the campaign ran:\n%s", se.String())
+	}
+	out := filepath.Join(dir, "artifacts", "fresh", "BENCH_mini.json")
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"run", "-config", cfg, "-out", out, "-q"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())

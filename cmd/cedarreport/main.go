@@ -19,7 +19,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"strings"
 	"time"
 
 	"cedar/internal/cliutil"
@@ -72,20 +71,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.SkipPerfect = true
 		cfg.SkipMethodology = true
 	}
-	if *codes != "" {
-		want := map[string]bool{}
-		for _, c := range strings.Split(*codes, ",") {
-			want[strings.ToUpper(strings.TrimSpace(c))] = true
-		}
-		for _, p := range perfect.All() {
-			if want[p.Name] {
-				cfg.Codes = append(cfg.Codes, p)
-			}
-		}
-		if len(cfg.Codes) == 0 {
-			lg.Printf("no codes match %q", *codes)
-			return 2
-		}
+	if cfg.Codes, err = perfect.Select(*codes); err != nil {
+		lg.Print(err)
+		return 2
 	}
 	if err := tables.WriteReport(stdout, cfg); err != nil {
 		lg.Print(err)

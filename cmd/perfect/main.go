@@ -20,7 +20,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"strings"
 
 	"cedar/internal/cliutil"
 	"cedar/internal/perfect"
@@ -52,23 +51,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer s.Abort()
 
-	codes := perfect.All()
-	if *codesFlag != "" {
-		want := map[string]bool{}
-		for _, c := range strings.Split(*codesFlag, ",") {
-			want[strings.ToUpper(strings.TrimSpace(c))] = true
-		}
-		var sel []perfect.Profile
-		for _, p := range codes {
-			if want[p.Name] {
-				sel = append(sel, p)
-			}
-		}
-		if len(sel) == 0 {
-			lg.Printf("no codes match %q", *codesFlag)
-			return 2
-		}
-		codes = sel
+	codes, err := perfect.Select(*codesFlag)
+	if err != nil {
+		lg.Print(err)
+		return 2
 	}
 
 	var progress io.Writer = stderr

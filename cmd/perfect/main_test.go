@@ -25,6 +25,7 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		{"stall without extra", []string{"-faults", malformed}, 2, "extra"},
 		{"unknown flag", []string{"-bogus"}, 2, "bogus"},
 		{"no matching codes", []string{"-codes", "NOSUCH"}, 2, "NOSUCH"},
+		{"one typo among the codes", []string{"-codes", "QCD,TRAK"}, 2, `"TRAK" (valid: ADM, ARC2D`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

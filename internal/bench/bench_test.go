@@ -65,16 +65,15 @@ func TestValidateRejectsBadCampaigns(t *testing.T) {
 }
 
 // TestUnknownKindErrorListsEveryKind: the rejection names every kind the
-// validator accepts — the list is derived from workloadKinds, not kept
-// beside it.
+// validator accepts — the list is derived from kinds, not kept beside it.
 func TestUnknownKindErrorListsEveryKind(t *testing.T) {
 	err := WorkloadSpec{Name: "w", Kind: "sort"}.Validate()
 	if err == nil {
 		t.Fatal("kind \"sort\" validated")
 	}
-	for kind := range workloadKinds {
-		if !strings.Contains(err.Error(), kind) {
-			t.Errorf("unknown-kind error %q omits the accepted kind %q", err, kind)
+	for _, k := range kinds {
+		if !strings.Contains(err.Error(), k.name) {
+			t.Errorf("unknown-kind error %q omits the accepted kind %q", err, k.name)
 		}
 	}
 }
@@ -227,12 +226,12 @@ func TestRunOutcomes(t *testing.T) {
 // field added to WorkloadSpec can never let two different points share
 // one simulation.
 func TestPointKeyCoversEveryWorkloadField(t *testing.T) {
-	base := point{w: WorkloadSpec{Name: "w", Kind: "cg", N: 64}}
+	base := Point{Workload: WorkloadSpec{Name: "w", Kind: "cg", N: 64}}
 	k0 := base.key(DefaultMetrics)
-	typ := reflect.TypeOf(base.w)
+	typ := reflect.TypeOf(base.Workload)
 	for i := 0; i < typ.NumField(); i++ {
 		pt := base
-		switch f := reflect.ValueOf(&pt.w).Elem().Field(i); f.Kind() {
+		switch f := reflect.ValueOf(&pt.Workload).Elem().Field(i); f.Kind() {
 		case reflect.String:
 			f.SetString(f.String() + "x")
 		case reflect.Int:
@@ -261,7 +260,8 @@ func TestWorkloadKindsNameEveryField(t *testing.T) {
 		}
 		jsonName, _, _ := strings.Cut(field.Tag.Get("json"), ",")
 		readers := 0
-		for kind, reads := range workloadKinds {
+		for _, k := range kinds {
+			kind, reads := k.name, k.reads
 			ws := WorkloadSpec{Name: "w", Kind: kind}
 			switch f := reflect.ValueOf(&ws).Elem().Field(i); f.Kind() {
 			case reflect.String:
@@ -282,7 +282,7 @@ func TestWorkloadKindsNameEveryField(t *testing.T) {
 			}
 		}
 		if readers == 0 {
-			t.Errorf("no kind in workloadKinds reads WorkloadSpec.%s (%q)", field.Name, jsonName)
+			t.Errorf("no kind in kinds reads WorkloadSpec.%s (%q)", field.Name, jsonName)
 		}
 	}
 }

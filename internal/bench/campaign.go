@@ -19,7 +19,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 
 	"cedar/internal/core"
@@ -133,10 +132,9 @@ func (ms MachineSpec) Validate() error {
 // into the run-cache and cedarserve keys, so such a field would make one
 // point many), a known rank variant, non-negative sizes.
 func (ws WorkloadSpec) Validate() error {
-	reads, ok := workloadKinds[ws.Kind]
-	if !ok {
-		return fmt.Errorf("bench: workload %q: unknown kind %q (want one of %s)",
-			ws.Name, ws.Kind, kindList())
+	k, err := ws.kind()
+	if err != nil {
+		return err
 	}
 	for _, f := range []struct {
 		name string
@@ -146,14 +144,12 @@ func (ws WorkloadSpec) Validate() error {
 		{"iters", ws.Iters != 0}, {"bw", ws.BW != 0}, {"max_ces", ws.MaxCEs != 0},
 		{"ces", ws.CEs != 0}, {"gap", ws.Gap != 0}, {"stride", ws.Stride != 0},
 	} {
-		if f.set && !slices.Contains(reads, f.name) {
+		if f.set && !slices.Contains(k.reads, f.name) {
 			return fmt.Errorf("bench: workload %q: kind %q does not read %q (it reads %s)",
-				ws.Name, ws.Kind, f.name, strings.Join(reads, ", "))
+				ws.Name, ws.Kind, f.name, strings.Join(k.reads, ", "))
 		}
 	}
-	switch ws.Variant {
-	case "", "nopref", "pref", "cache":
-	default:
+	if _, ok := rankModes[ws.Variant]; !ok {
 		return fmt.Errorf("bench: workload %q: unknown rank variant %q (want nopref, pref or cache)", ws.Name, ws.Variant)
 	}
 	if ws.N < 0 || ws.Sweeps < 0 || ws.Iters < 0 || ws.BW < 0 || ws.MaxCEs < 0 ||
@@ -165,7 +161,7 @@ func (ws WorkloadSpec) Validate() error {
 
 // WorkloadSpec is one workload axis entry: a paper kernel plus its
 // sizing. Kind selects the kernel; the other fields parameterize it and
-// the ones its kind does not read (workloadKinds) must stay zero.
+// the ones its kind does not read (kinds) must stay zero.
 type WorkloadSpec struct {
 	Name string `json:"name"`
 	// Kind is one of "rank" (rank-64 update; Variant selects the memory
@@ -242,18 +238,6 @@ func (fs FaultSpec) Resolve(baseDir string) (*fault.Plan, error) {
 	return nil, nil
 }
 
-// workloadKinds names the valid WorkloadSpec.Kind values and, by JSON
-// name, the fields runWorkload reads for each.
-var workloadKinds = map[string][]string{
-	"rank":       {"n", "variant"},
-	"vectorload": {"n", "sweeps"},
-	"trimat":     {"n"},
-	"cg":         {"n", "iters", "max_ces"},
-	"banded":     {"n", "bw", "max_ces"},
-	"membw":      {"n", "ces", "stride"},
-	"latency":    {"n", "gap"},
-}
-
 // Validate checks the campaign against the schema: a named area, at
 // least one entry per mandatory axis, unique non-empty names, known
 // kinds, and positive jobs values. Fault plans are validated when
@@ -318,16 +302,6 @@ func (c *Campaign) Validate() error {
 		}
 	}
 	return nil
-}
-
-// kindList renders the valid kinds, sorted, for the unknown-kind error.
-func kindList() string {
-	kinds := make([]string, 0, len(workloadKinds))
-	for k := range workloadKinds {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	return strings.Join(kinds, ", ")
 }
 
 // Load reads and validates a campaign config file. Relative fault-plan

@@ -2,10 +2,12 @@ package bench
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -13,7 +15,6 @@ import (
 	"cedar/internal/fault"
 	"cedar/internal/fleet"
 	"cedar/internal/kernels"
-	"cedar/internal/params"
 	"cedar/internal/scope"
 )
 
@@ -36,23 +37,78 @@ type RunOptions struct {
 	Stepped bool
 }
 
-// point is one fully resolved matrix cell.
-type point struct {
-	id, machine, workload, fault string
-
-	pm     params.Machine
-	fabric core.FabricKind
-	w      WorkloadSpec
-	plan   *fault.Plan
+// Point is one experiment point — this workload, on this machine, under
+// this plan (nil: healthy) — and the only path from that description to
+// an outcome: a campaign cell, a cedarserve request and a row of any
+// internal/tables sweep are all a Point, built by Build and run by Run.
+type Point struct {
+	Machine  MachineSpec
+	Workload WorkloadSpec
+	Plan     *fault.Plan
 }
 
-// key is the point's run-cache key, over semantics only — the workload
-// spec less its name, never the axis names — so coincidentally equal
-// points simulate once.
-func (pt point) key(metrics []string) string {
-	w := pt.w
+// PointOutcome is what a point's machine measured.
+type PointOutcome struct {
+	kernels.Result
+	// Status is "ok", or "degraded" when the plan starved the program or
+	// exhausted a retry budget; Err is then the degradation, and Cycles
+	// what the machine had run before giving up.
+	Status string
+	Err    error
+	// Faults is the machine's injection/recovery counters (zero when
+	// healthy).
+	Faults core.FaultCounters
+}
+
+// key is the point's run-cache key, over semantics only — the resolved
+// parameters and the workload spec less its name, never the axis names —
+// so coincidentally equal points simulate once.
+func (pt Point) key(metrics []string) string {
+	w := pt.Workload
 	w.Name = ""
-	return fleet.Key("bench", pt.pm, int(pt.fabric), w, pt.plan.Fingerprint(), strings.Join(metrics, ","))
+	fabric, _ := pt.Machine.fabricKind()
+	return fleet.Key("bench", pt.Machine.Params(), int(fabric), w, pt.Plan.Fingerprint(), strings.Join(metrics, ","))
+}
+
+// Build is the one place an experiment's machine is built: the spec's
+// parameters and fabric, under the point's plan, observed by hub (nil:
+// unobserved); stepped registers every component through sim.Plain
+// (core.Options.Stepped).
+func (pt Point) Build(hub *scope.Hub, stepped bool) (*core.Machine, error) {
+	fabric, err := pt.Machine.fabricKind()
+	if err != nil {
+		return nil, err
+	}
+	return core.New(pt.Machine.Params(), core.Options{Fabric: fabric, Scope: hub, Faults: pt.Plan, Stepped: stepped})
+}
+
+// Run builds the point's machine, runs its workload's kernel and applies
+// the one degraded rule: a run abandoned under its plan is an outcome
+// with Status "degraded", not an error. Any other failure is returned
+// unwrapped; callers add the point's name.
+func (pt Point) Run(hub *scope.Hub, stepped bool) (PointOutcome, error) {
+	k, err := pt.Workload.kind()
+	if err != nil {
+		return PointOutcome{}, err
+	}
+	m, err := pt.Build(hub, stepped)
+	if err != nil {
+		return PointOutcome{}, err
+	}
+	res, err := k.run(m, pt.Workload)
+	out := PointOutcome{Result: res, Status: "ok", Faults: m.FaultCounters()}
+	switch {
+	case err == nil:
+	case errors.Is(err, fault.ErrDegraded):
+		// Report what the machine measured before giving up.
+		out.Status, out.Err = "degraded", err
+		if out.Cycles == 0 {
+			out.Cycles = m.Engine.Cycle()
+		}
+	default:
+		return PointOutcome{}, err
+	}
+	return out, nil
 }
 
 // Run executes the campaign: one full matrix pass per jobs value, each
@@ -96,24 +152,16 @@ func Run(c *Campaign, opt RunOptions) (*Artifact, error) {
 		}
 	}
 
-	var points []point
+	// cells[i] names points[i]: the axis entries it is the join of.
+	var points []Point
+	var cells []PointResult
 	for _, ms := range c.Machines {
-		fabric, err := ms.fabricKind()
-		if err != nil {
-			return nil, err
-		}
-		pm := ms.Params()
 		for _, w := range c.Workloads {
 			for fi, fs := range faults {
-				points = append(points, point{
-					id:       ms.Name + "/" + w.Name + "/" + fs.Name,
-					machine:  ms.Name,
-					workload: w.Name,
-					fault:    fs.Name,
-					pm:       pm,
-					fabric:   fabric,
-					w:        w,
-					plan:     plans[fi],
+				points = append(points, Point{Machine: ms, Workload: w, Plan: plans[fi]})
+				cells = append(cells, PointResult{
+					ID:      ms.Name + "/" + w.Name + "/" + fs.Name,
+					Machine: ms.Name, Workload: w.Name, Fault: fs.Name,
 				})
 			}
 		}
@@ -143,7 +191,7 @@ func Run(c *Campaign, opt RunOptions) (*Artifact, error) {
 				// result data.
 				Key: pt.key(metrics),
 				Run: func(*scope.Hub) (Outcome, error) {
-					return runPoint(pt, metrics, opt)
+					return runPoint(cells[i].ID, pt, metrics, opt)
 				},
 			}
 		}
@@ -162,13 +210,9 @@ func Run(c *Campaign, opt RunOptions) (*Artifact, error) {
 		}
 		runtime.ReadMemStats(&ms1)
 
-		det := Deterministic{Points: make([]PointResult, len(points))}
+		det := Deterministic{Points: slices.Clone(cells)}
 		for i, out := range results {
-			det.Points[i] = PointResult{
-				ID: points[i].id, Machine: points[i].machine,
-				Workload: points[i].workload, Fault: points[i].fault,
-				Outcome: out,
-			}
+			det.Points[i].Outcome = out
 		}
 		st := cache.Stats()
 		det.Fleet = FleetStats{Lookups: st.Lookups, Misses: st.Misses, Served: st.Served(), HitRate: st.HitRate()}
@@ -183,7 +227,7 @@ func Run(c *Campaign, opt RunOptions) (*Artifact, error) {
 			baseline = b
 			for i, out := range results {
 				if out.WallNS > 0 {
-					art.Measured.Points = append(art.Measured.Points, PointMeasure{ID: points[i].id, WallNS: out.WallNS})
+					art.Measured.Points = append(art.Measured.Points, PointMeasure{ID: cells[i].ID, WallNS: out.WallNS})
 				}
 			}
 		} else if !bytes.Equal(b, baseline) {
@@ -211,125 +255,95 @@ func Run(c *Campaign, opt RunOptions) (*Artifact, error) {
 // that degrades under its plan returns Status "degraded" with partial
 // timing and a nil error, exactly like a campaign point.
 func RunSpec(ms MachineSpec, ws WorkloadSpec, plan *fault.Plan, metrics []string) (Outcome, error) {
-	fabric, err := ms.fabricKind()
-	if err != nil {
-		return Outcome{}, err
-	}
 	if err := ws.Validate(); err != nil {
 		return Outcome{}, err
 	}
 	if len(metrics) == 0 {
 		metrics = DefaultMetrics
 	}
-	pt := point{
-		id:      ms.Name + "/" + ws.Name,
-		machine: ms.Name, workload: ws.Name,
-		pm: ms.Params(), fabric: fabric, w: ws, plan: plan,
-	}
-	return runPoint(pt, metrics, RunOptions{})
+	return runPoint(ms.Name+"/"+ws.Name, Point{Machine: ms, Workload: ws, Plan: plan}, metrics, RunOptions{})
 }
 
-// runPoint simulates one matrix cell on a freshly built machine with a
-// private hub, returning the identity-free outcome the cache stores.
-// Of opt it reads the clock and the engine choice.
-func runPoint(pt point, metrics []string, opt RunOptions) (Outcome, error) {
+// runPoint is Point.Run on a private hub, then the hub's snapshot: the
+// identity-free outcome the cache stores. Of opt it reads the clock and
+// the engine choice; id names the point in errors.
+func runPoint(id string, pt Point, metrics []string, opt RunOptions) (Outcome, error) {
 	hub := scope.NewHub()
 	// An Outcome carries the hub's metrics and attribution, never a span:
 	// capture nothing rather than a record per prefetch block and phase.
 	hub.SetTraceCap(0)
-	m, err := core.New(pt.pm, core.Options{Fabric: pt.fabric, Scope: hub, Faults: pt.plan, Stepped: opt.Stepped})
-	if err != nil {
-		return Outcome{}, fmt.Errorf("bench: point %s: %w", pt.id, err)
-	}
 	var start time.Time
 	if opt.Now != nil {
 		start = opt.Now()
 	}
-	res, err := runWorkload(m, pt.w)
-	out := Outcome{Status: "ok"}
-	switch {
-	case err == nil:
-		out.SimCycles, out.Flops, out.MFLOPS = res.Cycles, res.Flops, res.MFLOPS
-	case errors.Is(err, fault.ErrDegraded):
-		// The plan starved the program or exhausted a retry budget;
-		// report what the machine measured before giving up.
-		out.Status = "degraded"
-		out.SimCycles, out.Flops, out.MFLOPS = res.Cycles, res.Flops, res.MFLOPS
-		if out.SimCycles == 0 {
-			out.SimCycles = m.Engine.Cycle()
-		}
-	default:
-		return Outcome{}, fmt.Errorf("bench: point %s: %w", pt.id, err)
+	res, err := pt.Run(hub, opt.Stepped)
+	if err != nil {
+		return Outcome{}, fmt.Errorf("bench: point %s: %w", id, err)
 	}
+	out := Outcome{Status: res.Status, SimCycles: res.Cycles, Flops: res.Flops, MFLOPS: res.MFLOPS, Faults: res.Faults}
 	if opt.Now != nil {
 		out.WallNS = opt.Now().Sub(start).Nanoseconds()
 	}
-	out.Faults = m.FaultCounters()
 	out.Metrics = filterMetrics(hub.Snapshot(), metrics)
 	out.Attribution = hub.Attribution()
 	return out, nil
 }
 
-// runWorkload dispatches a workload spec to its kernel, applying the
-// kind defaults documented on WorkloadSpec.
-func runWorkload(m *core.Machine, w WorkloadSpec) (kernels.Result, error) {
-	n := w.N
-	pick := func(def int) int {
-		if n > 0 {
-			return n
-		}
-		return def
-	}
-	switch w.Kind {
-	case "rank":
-		mode := kernels.RKPref
-		switch w.Variant {
-		case "nopref":
-			mode = kernels.RKNoPref
-		case "cache":
-			mode = kernels.RKCache
-		}
-		return kernels.RankUpdate(m, pick(64), mode)
-	case "vectorload":
-		sweeps := w.Sweeps
-		if sweeps == 0 {
-			sweeps = 1
-		}
-		return kernels.VectorLoad(m, pick(1024), sweeps)
-	case "trimat":
-		return kernels.TriMat(m, pick(64))
-	case "cg":
-		iters := w.Iters
-		if iters == 0 {
-			iters = 2
-		}
-		return kernels.CG(m, kernels.CGConfig{N: pick(64), Iters: iters, MaxCEs: w.MaxCEs})
-	case "banded":
-		bw := w.BW
-		if bw == 0 {
-			bw = 11
-		}
-		return kernels.Banded(m, kernels.BandedConfig{N: pick(64), BW: bw, MaxCEs: w.MaxCEs})
-	case "membw":
-		nce := w.CEs
-		if nce == 0 {
-			nce = 1
-		}
-		stride := int64(w.Stride)
-		if stride == 0 {
-			stride = 1
-		}
-		pt, err := kernels.MemBW(m, nce, stride, pick(4096))
-		if err != nil {
-			return kernels.Result{}, err
-		}
+// kind is one workload kind, whole: its name, the WorkloadSpec fields its
+// kernel reads (by JSON name; Validate rejects any other) and the kernel
+// call with the kind's defaults applied. Adding a kind is one entry here.
+type kind struct {
+	name  string
+	reads []string
+	run   func(*core.Machine, WorkloadSpec) (kernels.Result, error)
+}
+
+// kinds is in name order: the unknown-kind error lists it as it stands.
+var kinds = []kind{
+	{"banded", []string{"n", "bw", "max_ces"}, func(m *core.Machine, w WorkloadSpec) (kernels.Result, error) {
+		return kernels.Banded(m, kernels.BandedConfig{N: cmp.Or(w.N, 64), BW: cmp.Or(w.BW, 11), MaxCEs: w.MaxCEs})
+	}},
+	{"cg", []string{"n", "iters", "max_ces"}, func(m *core.Machine, w WorkloadSpec) (kernels.Result, error) {
+		return kernels.CG(m, kernels.CGConfig{N: cmp.Or(w.N, 64), Iters: cmp.Or(w.Iters, 2), MaxCEs: w.MaxCEs})
+	}},
+	{"latency", []string{"n", "gap"}, func(m *core.Machine, w WorkloadSpec) (kernels.Result, error) {
+		return kernels.LoadLatency(m, cmp.Or(w.N, 2000), int64(w.Gap))
+	}},
+	{"membw", []string{"n", "ces", "stride"}, func(m *core.Machine, w WorkloadSpec) (kernels.Result, error) {
 		// The stream kernel does no arithmetic; bandwidth lives in the
 		// gmem.* metrics, the deterministic cycle count is the result.
-		return kernels.Result{Result: core.Result{Cycles: pt.Cycles}}, nil
-	case "latency":
-		return kernels.LoadLatency(m, pick(2000), int64(w.Gap))
+		pt, err := kernels.MemBW(m, cmp.Or(w.CEs, 1), int64(cmp.Or(w.Stride, 1)), cmp.Or(w.N, 4096))
+		return kernels.Result{Result: core.Result{Cycles: pt.Cycles}}, err
+	}},
+	{"rank", []string{"n", "variant"}, func(m *core.Machine, w WorkloadSpec) (kernels.Result, error) {
+		return kernels.RankUpdate(m, cmp.Or(w.N, 64), rankModes[w.Variant])
+	}},
+	{"trimat", []string{"n"}, func(m *core.Machine, w WorkloadSpec) (kernels.Result, error) {
+		return kernels.TriMat(m, cmp.Or(w.N, 64))
+	}},
+	{"vectorload", []string{"n", "sweeps"}, func(m *core.Machine, w WorkloadSpec) (kernels.Result, error) {
+		return kernels.VectorLoad(m, cmp.Or(w.N, 1024), cmp.Or(w.Sweeps, 1))
+	}},
+}
+
+// rankModes maps WorkloadSpec.Variant to the rank-update memory mode.
+var rankModes = map[string]kernels.RKMode{
+	"": kernels.RKPref, "pref": kernels.RKPref, "nopref": kernels.RKNoPref, "cache": kernels.RKCache,
+}
+
+// kind looks the spec's kind up in kinds.
+func (ws WorkloadSpec) kind() (kind, error) {
+	for _, k := range kinds {
+		if k.name == ws.Kind {
+			return k, nil
+		}
 	}
-	return kernels.Result{}, fmt.Errorf("bench: unknown workload kind %q", w.Kind)
+	names := make([]string, len(kinds))
+	for i, k := range kinds {
+		names[i] = k.name
+	}
+	return kind{}, fmt.Errorf("bench: workload %q: unknown kind %q (want one of %s)",
+		ws.Name, ws.Kind, strings.Join(names, ", "))
 }
 
 // filterMetrics keeps the samples whose name starts with any of the

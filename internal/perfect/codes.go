@@ -1,5 +1,11 @@
 package perfect
 
+import (
+	"fmt"
+	"slices"
+	"strings"
+)
+
 // The thirteen Perfect Benchmarks® profiles. Each profile encodes what
 // the paper and its companion CSRD reports say about the code: where its
 // parallelism is, what KAP already exploited, what the automatable
@@ -267,6 +273,29 @@ func All() []Profile {
 		ADM(), ARC2D(), BDNA(), DYFESM(), FLO52(), MDG(), MG3D(),
 		OCEAN(), QCD(), SPEC77(), SPICE(), TRACK(), TRFD(),
 	}
+}
+
+// Select returns the codes a comma-separated list names (the CLIs'
+// -codes flag; case-insensitive), in suite order; the empty list is the
+// full suite. A name that is no code is an error listing the valid ones.
+func Select(list string) ([]Profile, error) {
+	all := All()
+	if list == "" {
+		return all, nil
+	}
+	want := map[string]bool{}
+	for _, c := range strings.Split(list, ",") {
+		name := strings.ToUpper(strings.TrimSpace(c))
+		if !slices.ContainsFunc(all, func(p Profile) bool { return p.Name == name }) {
+			valid := make([]string, len(all))
+			for i, p := range all {
+				valid[i] = p.Name
+			}
+			return nil, fmt.Errorf("perfect: no code named %q (valid: %s)", c, strings.Join(valid, ", "))
+		}
+		want[name] = true
+	}
+	return slices.DeleteFunc(all, func(p Profile) bool { return !want[p.Name] }), nil
 }
 
 // HandOptimized returns the codes with Table 4 hand versions.

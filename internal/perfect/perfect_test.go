@@ -1,6 +1,7 @@
 package perfect
 
 import (
+	"strings"
 	"testing"
 
 	"cedar/internal/params"
@@ -20,6 +21,21 @@ func TestAllProfilesValid(t *testing.T) {
 			t.Errorf("duplicate code %s", p.Name)
 		}
 		seen[p.Name] = true
+	}
+}
+
+// TestSelect: a -codes list picks codes in suite order whatever order and
+// case it names them in; one unknown name fails the whole list.
+func TestSelect(t *testing.T) {
+	got, err := Select(" track,QCD")
+	if err != nil || len(got) != 2 || got[0].Name != "QCD" || got[1].Name != "TRACK" {
+		t.Errorf(`Select(" track,QCD") = %v, %v; want QCD then TRACK`, got, err)
+	}
+	if all, err := Select(""); err != nil || len(all) != len(All()) {
+		t.Errorf(`Select("") = %d codes, %v; want the full suite`, len(all), err)
+	}
+	if _, err := Select("QCD,TRAK"); err == nil || !strings.Contains(err.Error(), `"TRAK"`) || !strings.Contains(err.Error(), "TRACK") {
+		t.Errorf(`Select("QCD,TRAK") err = %v; want it to name TRAK and list the valid codes`, err)
 	}
 }
 

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"slices"
 
+	"cedar/internal/bench"
 	"cedar/internal/ce"
 	"cedar/internal/cfrt"
 	"cedar/internal/core"
 	"cedar/internal/kernels"
-	"cedar/internal/params"
 )
 
 // NetworkAblationRow is one fabric configuration's result on the
@@ -31,39 +31,44 @@ type NetworkAblation []NetworkAblationRow
 // built (2-word queues), an omega with deeper (8-word) queues, and an
 // ideal crossbar of the same port bandwidth.
 func RunNetworkAblation(env Env, n int) (NetworkAblation, error) {
-	type config struct {
-		name   string
-		scope  string // scope-namespace token (no spaces)
-		fabric core.FabricKind
-		queue  int
+	return runAs[NetworkAblation](env, "net", Sizes{RankN: n})
+}
+
+// netConfigs are the ablation's rows: display name, scope-namespace token
+// (no spaces) and what the machine changes.
+var netConfigs = []struct {
+	name, scope string
+	machine     bench.MachineSpec
+}{
+	{"omega 2-word queues (as built)", "omega-2w", bench.MachineSpec{}},
+	{"omega 8-word queues", "omega-8w", bench.MachineSpec{NetQueueWords: 8}},
+	{"ideal crossbar", "crossbar", bench.MachineSpec{Fabric: "crossbar"}},
+}
+
+// rankPref is the prefetched rank-64 update of order n on every CE.
+func rankPref(n int) bench.WorkloadSpec {
+	return bench.WorkloadSpec{Kind: "rank", N: n, Variant: "pref"}
+}
+
+func netPoints(env Env, s Sizes) []point {
+	var pts []point
+	for _, cfg := range netConfigs {
+		pts = append(pts, env.point("net/"+cfg.scope, cfg.machine, rankPref(s.RankN)))
 	}
-	configs := []config{
-		{"omega 2-word queues (as built)", "omega-2w", core.FabricOmega, 0},
-		{"omega 8-word queues", "omega-8w", core.FabricOmega, 8},
-		{"ideal crossbar", "crossbar", core.FabricCrossbar, 0},
-	}
-	return sweep(env, configs,
-		func(cfg config) build {
-			pm := env.Machine()
-			if cfg.queue > 0 {
-				pm.NetQueueWords = cfg.queue
-			}
-			b := env.at("net/"+cfg.scope, pm)
-			b.opt.Fabric = cfg.fabric
-			return b
-		},
-		func(cfg config, m *core.Machine) (NetworkAblationRow, error) {
-			out, err := kernels.RankUpdate(m, n, kernels.RKPref)
-			if err != nil {
-				return NetworkAblationRow{}, err
-			}
-			return NetworkAblationRow{
-				Config:  cfg.name,
-				MFLOPS:  out.MFLOPS,
-				Latency: out.Blocks.MeanLatency(),
-				Inter:   out.Blocks.MeanInterarrival(),
-			}, nil
+	return pts
+}
+
+func netTable(_ Sizes, _ []point, outs []bench.PointOutcome) Result {
+	var rows NetworkAblation
+	for i, out := range outs {
+		rows = append(rows, NetworkAblationRow{
+			Config:  netConfigs[i].name,
+			MFLOPS:  out.MFLOPS,
+			Latency: out.Blocks.MeanLatency(),
+			Inter:   out.Blocks.MeanInterarrival(),
 		})
+	}
+	return rows
 }
 
 // Format renders the ablation.
@@ -96,27 +101,44 @@ type PrefetchBlocks []PrefetchBlockRow
 // compiler's 32-word blocks versus RK's aggressive 256-word blocks versus
 // no prefetch, on one cluster.
 func RunPrefetchBlockAblation(env Env, n int) (PrefetchBlocks, error) {
-	p := env.Machine()
-	p.Clusters = 1
-	return sweep(env, []int{0, 32, 128, 256, 512},
-		func(block int) build { return env.at(fmt.Sprintf("prefblock/%d", block), p) },
-		func(block int, m *core.Machine) (PrefetchBlockRow, error) {
-			aBase := m.AllocGlobalAligned(n*64, 64)
-			body := func(j int, q []ce.Instr) []ce.Instr {
-				q = slices.Grow(q, 64+1) // and the runtime's loop branch
-				for k := 0; k < 64; k++ {
-					q = append(q, ce.Instr{
-						Op: ce.OpVector, N: n, Flops: 2,
-						Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: aBase + uint64(k*n), Stride: 1, PrefBlock: block}},
-					})
+	return runAs[PrefetchBlocks](env, "prefblock", Sizes{RankN: n})
+}
+
+// blockSizes are the swept block lengths in words; 0 is no prefetch.
+var blockSizes = []int{0, 32, 128, 256, 512}
+
+func prefBlockPoints(env Env, s Sizes) []point {
+	n := s.RankN
+	var pts []point
+	for _, block := range blockSizes {
+		pts = append(pts, env.programPoint(fmt.Sprintf("prefblock/%d", block), bench.MachineSpec{Clusters: 1},
+			func(m *core.Machine) (kernels.Result, error) {
+				aBase := m.AllocGlobalAligned(n*64, 64)
+				body := func(j int, q []ce.Instr) []ce.Instr {
+					q = slices.Grow(q, 64+1) // and the runtime's loop branch
+					for k := 0; k < 64; k++ {
+						q = append(q, ce.Instr{
+							Op: ce.OpVector, N: n, Flops: 2,
+							Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: aBase + uint64(k*n), Stride: 1, PrefBlock: block}},
+						})
+					}
+					return q
 				}
-				return q
-			}
-			rt := cfrt.New(m, cfrt.Config{UseCedarSync: true},
-				cfrt.XDoall{N: n / 8, Static: true, Body: body})
-			res, err := rt.Run(1 << 40)
-			return PrefetchBlockRow{Block: block, MFLOPS: res.MFLOPS}, err
-		})
+				rt := cfrt.New(m, cfrt.Config{UseCedarSync: true},
+					cfrt.XDoall{N: n / 8, Static: true, Body: body})
+				res, err := rt.Run(1 << 40)
+				return kernels.Result{Result: res}, err
+			}))
+	}
+	return pts
+}
+
+func prefBlockTable(_ Sizes, _ []point, outs []bench.PointOutcome) Result {
+	var rows PrefetchBlocks
+	for i, out := range outs {
+		rows = append(rows, PrefetchBlockRow{Block: blockSizes[i], MFLOPS: out.MFLOPS})
+	}
+	return rows
 }
 
 // Format renders the block-size ablation.
@@ -149,40 +171,34 @@ type ScaledCedar []ScaledRow
 // systems"): the prefetched rank-64 update and CG on Cedar scaled to 8
 // clusters with a proportionally larger network and memory system.
 func RunScaledCedar(env Env, n int) (ScaledCedar, error) {
-	clusterCounts := []int{4, 8}
-	// The RK and CG runs of one machine size are themselves independent
-	// simulations, so each (size, kernel) pair is its own pool job.
-	type point struct {
-		clusters int
-		kernel   string
+	return runAs[ScaledCedar](env, "scaled", Sizes{RankN: n})
+}
+
+var scaledClusters = []int{4, 8}
+
+// scaledPoints: the RK and CG runs of one machine size are themselves
+// independent simulations, so each (size, kernel) pair is its own point.
+// These name their own base machine; the Env's width does not apply.
+func scaledPoints(env Env, s Sizes) []point {
+	var pts []point
+	for _, clusters := range scaledClusters {
+		ms := bench.MachineSpec{Scaled: clusters}
+		pts = append(pts,
+			env.point(fmt.Sprintf("scaled/%dcl/rk", clusters), ms, rankPref(s.RankN)),
+			env.point(fmt.Sprintf("scaled/%dcl/cg", clusters), ms, bench.WorkloadSpec{Kind: "cg", N: 32 << 10, Iters: 2}))
 	}
-	var points []point
-	for _, clusters := range clusterCounts {
-		points = append(points, point{clusters, "rk"}, point{clusters, "cg"})
-	}
-	outs, err := sweep(env, points,
-		func(pt point) build {
-			return env.at(fmt.Sprintf("scaled/%dcl/%s", pt.clusters, pt.kernel), params.Scaled(pt.clusters))
-		},
-		func(pt point, m *core.Machine) (float64, error) {
-			if pt.kernel == "rk" {
-				out, err := kernels.RankUpdate(m, n, kernels.RKPref)
-				return out.MFLOPS, err
-			}
-			out, err := kernels.CG(m, kernels.CGConfig{N: 32 << 10, Iters: 2})
-			return out.MFLOPS, err
-		})
-	if err != nil {
-		return nil, err
-	}
+	return pts
+}
+
+func scaledTable(_ Sizes, pts []point, outs []bench.PointOutcome) Result {
 	var rows ScaledCedar
-	for i, clusters := range clusterCounts {
+	for i, clusters := range scaledClusters {
 		rows = append(rows, ScaledRow{
-			Clusters: clusters, CEs: params.Scaled(clusters).CEs(),
-			RKMFLOPS: outs[2*i], CGMFLOPS: outs[2*i+1],
+			Clusters: clusters, CEs: pts[2*i].Machine.Params().CEs(),
+			RKMFLOPS: outs[2*i].MFLOPS, CGMFLOPS: outs[2*i+1].MFLOPS,
 		})
 	}
-	return rows, nil
+	return rows
 }
 
 // Format renders the PPT5 probe.

@@ -1,6 +1,10 @@
 package tables
 
-import "fmt"
+import (
+	"fmt"
+
+	"cedar/internal/bench"
+)
 
 // Sizes are the problem sizes a catalogue run uses; each experiment
 // reads the fields it has a use for. The report and cedarsim differ only
@@ -22,15 +26,39 @@ type Sizes struct {
 type Result interface{ Format() string }
 
 // Experiment is one entry of the catalogue: a sweep of simulated points
-// producing one table.
+// and the table their outcomes make.
 type Experiment struct {
 	// Name identifies the experiment; it is also the scope namespace its
 	// points report under ("t1/pref/2cl" belongs to "t1").
 	Name string
 	// Title is the report's section heading.
 	Title func(Sizes) string
-	// Run executes the experiment under env at the given sizes.
-	Run func(Env, Sizes) (Result, error)
+	// points lists the sweep under an Env at the given sizes — data, not
+	// yet run; table assembles the result from the same points and their
+	// outcomes, in the same order.
+	points func(Env, Sizes) []point
+	table  func(Sizes, []point, []bench.PointOutcome) Result
+	// degrades makes a point that degrades under its plan a row of the
+	// table instead of the sweep's error.
+	degrades bool
+}
+
+// Run executes the experiment under env at the given sizes.
+func (e Experiment) Run(env Env, s Sizes) (Result, error) {
+	pts := e.points(env, s)
+	outs, err := sweep(env, pts, e.degrades)
+	if err != nil {
+		return nil, err
+	}
+	return e.table(s, pts, outs), nil
+}
+
+// runAs runs the named experiment for a RunTable1-style entry point that
+// promises its concrete result type.
+func runAs[R Result](env Env, name string, s Sizes) (R, error) {
+	res, err := Experiments(name)[0].Run(env, s)
+	r, _ := res.(R)
+	return r, err
 }
 
 func fixed(title string) func(Sizes) string { return func(Sizes) string { return title } }
@@ -38,26 +66,17 @@ func fixed(title string) func(Sizes) string { return func(Sizes) string { return
 // catalogue lists every kernel-level experiment once; WriteReport and
 // cedarsim each keep only an ordered list of names into it.
 var catalogue = []Experiment{
-	{"overheads", fixed("§3.2 runtime overheads"),
-		func(env Env, s Sizes) (Result, error) { return RunOverheads(env) }},
-	{"t1", func(s Sizes) string { return fmt.Sprintf("Table 1 — rank-64 update (n=%d)", s.RankN) },
-		func(env Env, s Sizes) (Result, error) { return RunTable1(env, s.RankN) }},
-	{"t2", fixed("Table 2 — global memory performance"),
-		func(env Env, s Sizes) (Result, error) { return RunTable2(env, s.Table2Small) }},
-	{"membw", fixed("[GJTV91] memory characterization"),
-		func(env Env, s Sizes) (Result, error) { return RunMemBW(env, s.MemBWWords) }},
-	{"net", fixed("[Turn93] network ablation"),
-		func(env Env, s Sizes) (Result, error) { return RunNetworkAblation(env, s.RankN) }},
-	{"prefblock", fixed("Prefetch block-size ablation"),
-		func(env Env, s Sizes) (Result, error) { return RunPrefetchBlockAblation(env, s.RankN) }},
-	{"sched", fixed("Loop scheduling ablation"),
-		func(env Env, s Sizes) (Result, error) { return RunSchedulingAblation(env) }},
-	{"scaled", fixed("PPT5 probe — scaled Cedar"),
-		func(env Env, s Sizes) (Result, error) { return RunScaledCedar(env, s.RankN) }},
-	{"degraded", fixed("Degraded mode — fault scenarios"),
-		func(env Env, s Sizes) (Result, error) { return RunDegraded(env, s.RankN) }},
-	{"ppt4", fixed("PPT4 — scalability"),
-		func(env Env, s Sizes) (Result, error) { return RunPPT4(env, s.FullPPT4) }},
+	{Name: "overheads", Title: fixed("§3.2 runtime overheads"), points: overheadsPoints, table: overheadsTable},
+	{Name: "t1", Title: func(s Sizes) string { return fmt.Sprintf("Table 1 — rank-64 update (n=%d)", s.RankN) },
+		points: table1Points, table: table1Table},
+	{Name: "t2", Title: fixed("Table 2 — global memory performance"), points: table2Points, table: table2Table},
+	{Name: "membw", Title: fixed("[GJTV91] memory characterization"), points: memBWPoints, table: memBWTable},
+	{Name: "net", Title: fixed("[Turn93] network ablation"), points: netPoints, table: netTable},
+	{Name: "prefblock", Title: fixed("Prefetch block-size ablation"), points: prefBlockPoints, table: prefBlockTable},
+	{Name: "sched", Title: fixed("Loop scheduling ablation"), points: schedPoints, table: schedTable},
+	{Name: "scaled", Title: fixed("PPT5 probe — scaled Cedar"), points: scaledPoints, table: scaledTable},
+	{Name: "degraded", Title: fixed("Degraded mode — fault scenarios"), points: degradedPoints, table: degradedTable, degrades: true},
+	{Name: "ppt4", Title: fixed("PPT4 — scalability"), points: ppt4Points, table: ppt4Table},
 }
 
 // Experiments returns the named catalogue entries in the order given.

@@ -1,12 +1,13 @@
 package tables
 
 import (
-	"errors"
 	"fmt"
 
+	"cedar/internal/bench"
 	"cedar/internal/core"
 	"cedar/internal/fault"
 	"cedar/internal/fleet"
+	"cedar/internal/kernels"
 	"cedar/internal/params"
 	"cedar/internal/scope"
 )
@@ -33,14 +34,7 @@ type Env struct {
 	// (core.Options.Stepped) — the equivalence gates' other side. Output
 	// is byte-identical either way.
 	Stepped bool
-
-	// audit, when non-nil, collects each sweep's builds in place of
-	// running them; tests use it to check what a point runs under.
-	audit *[]build
 }
-
-// errAudited ends a sweep whose builds went to Env.audit.
-var errAudited = errors.New("tables: sweep audited, not run")
 
 // Machine returns the base machine experiments start from before applying
 // their own overrides (cluster count, queue depth, ...).
@@ -51,52 +45,66 @@ func (e Env) Machine() params.Machine {
 	return params.Default()
 }
 
-func (e Env) fleet() fleet.Config { return fleet.Config{Jobs: e.Jobs, Hub: e.Hub} }
-
-// build describes the machine one sweep point runs on.
-type build struct {
+// point is one sweep point: a bench.Point — what every campaign cell and
+// cedarserve request also is — and the hub namespace it reports under.
+type point struct {
 	// scope is the point's hub namespace ("t1/pref/2cl").
 	scope string
-	pm    params.Machine
-	// opt carries the fabric, fault-plan and engine choices; sweep fills
-	// in Scope. Env.at presets Faults and Stepped from the Env.
-	opt core.Options
+	bench.Point
+	// program, when non-nil, runs on the point's machine in place of
+	// Workload: the sweeps (overheads, prefblock, sched, the Perfect
+	// suite) whose programs no workload kind names yet.
+	program func(*core.Machine) (kernels.Result, error)
 }
 
-// at is the usual build: pm under the Env's fault plan and engine.
-func (e Env) at(scope string, pm params.Machine) build {
-	return build{scope: scope, pm: pm, opt: core.Options{Faults: e.Faults, Stepped: e.Stepped}}
+// point is the usual sweep point: w under the Env's plan on ms, which
+// starts from the Env's base machine unless it names its own.
+func (e Env) point(scope string, ms bench.MachineSpec, w bench.WorkloadSpec) point {
+	if ms.Scaled == 0 {
+		ms.Scaled = e.Clusters
+	}
+	return point{scope: scope, Point: bench.Point{Machine: ms, Workload: w, Plan: e.Faults}}
+}
+
+// programPoint is a point that carries its program instead of a workload.
+func (e Env) programPoint(scope string, ms bench.MachineSpec, program func(*core.Machine) (kernels.Result, error)) point {
+	pt := e.point(scope, ms, bench.WorkloadSpec{})
+	pt.program = program
+	return pt
+}
+
+// run is bench.Point.Run, or for a program point the same Build and then
+// the program.
+func (pt point) run(hub *scope.Hub, stepped bool) (bench.PointOutcome, error) {
+	if pt.program == nil {
+		return pt.Run(hub, stepped)
+	}
+	m, err := pt.Build(hub, stepped)
+	if err != nil {
+		return bench.PointOutcome{}, err
+	}
+	res, err := pt.program(m)
+	return bench.PointOutcome{Result: res, Status: "ok"}, err
 }
 
 // sweep runs one whole-machine simulation per point — every point, every
-// time — and returns the results in point order. It is the only place a
-// table builds a machine, so no experiment can forget the Env's plan or
-// engine. Errors carry the point's scope name.
-func sweep[P, T any](env Env, points []P, at func(P) build, body func(P, *core.Machine) (T, error)) ([]T, error) {
-	jobs := make([]fleet.Job[T], len(points))
+// time — and returns the outcomes in point order. It is the only place a
+// table runs a machine, each in its own namespace of the Env's hub and on
+// the Env's engine. A point that degrades under its plan fails the sweep
+// unless degradedOK; errors carry the point's scope name.
+func sweep(env Env, points []point, degradedOK bool) ([]bench.PointOutcome, error) {
+	jobs := make([]fleet.Job[bench.PointOutcome], len(points))
 	for i, pt := range points {
-		b := at(pt)
-		if env.audit != nil {
-			*env.audit = append(*env.audit, b)
-			continue
-		}
-		jobs[i] = fleet.Job[T]{
-			Run: func(h *scope.Hub) (out T, err error) {
-				opt := b.opt
-				opt.Scope = h.Sub(b.scope)
-				m, err := core.New(b.pm, opt)
-				if err == nil {
-					out, err = body(pt, m)
-				}
-				if err != nil {
-					err = fmt.Errorf("tables: %s: %w", b.scope, err)
-				}
-				return out, err
-			},
+		jobs[i].Run = func(h *scope.Hub) (bench.PointOutcome, error) {
+			out, err := pt.run(h.Sub(pt.scope), env.Stepped)
+			if err == nil && !degradedOK {
+				err = out.Err
+			}
+			if err != nil {
+				err = fmt.Errorf("tables: %s: %w", pt.scope, err)
+			}
+			return out, err
 		}
 	}
-	if env.audit != nil {
-		return nil, errAudited
-	}
-	return fleet.Run(env.fleet(), jobs)
+	return fleet.Run(fleet.Config{Jobs: env.Jobs, Hub: env.Hub}, jobs)
 }

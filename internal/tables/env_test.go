@@ -5,10 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 
+	"cedar/internal/bench"
+	"cedar/internal/core"
 	"cedar/internal/fault"
+	"cedar/internal/kernels"
 	"cedar/internal/scope"
 )
 
@@ -131,45 +135,125 @@ func TestHealthyEnvAfterFaultedEnv(t *testing.T) {
 	}
 }
 
-// TestFaultedEnvReachesEveryExperiment: every catalogue entry builds its
-// machines under the Env's plan and engine — no experiment bypasses the
-// sweep helper or forgets either. The degraded table is the deliberate
+// TestOnePointTwoRoutesOneNumber: the network ablation's as-built row,
+// a bare bench.RunSpec and the committed smoke baseline's
+// cedar/rank48-pref/healthy are the same point — the prefetched rank-64
+// update of order 48 on the default machine — reached through tables,
+// through the campaign vocabulary and from disk. They agree.
+func TestOnePointTwoRoutesOneNumber(t *testing.T) {
+	rows, err := RunNetworkAblation(Env{}, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := bench.RunSpec(bench.MachineSpec{}, bench.WorkloadSpec{Kind: "rank", N: 48, Variant: "pref"}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows[0].Config != "omega 2-word queues (as built)" || rows[0].MFLOPS != out.MFLOPS {
+		t.Errorf("net row %+v, RunSpec %v MFLOPS: one point, two numbers", rows[0], out.MFLOPS)
+	}
+	art, err := bench.ReadArtifact("../../bench/BENCH_smoke.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range art.Deterministic.Points {
+		if pt.ID == "cedar/rank48-pref/healthy" {
+			if pt.SimCycles != out.SimCycles || pt.MFLOPS != out.MFLOPS {
+				t.Errorf("RunSpec: %d cycles, %v MFLOPS; committed smoke baseline: %d, %v", out.SimCycles, out.MFLOPS, pt.SimCycles, pt.MFLOPS)
+			}
+			return
+		}
+	}
+	t.Error("bench/BENCH_smoke.json has no point cedar/rank48-pref/healthy")
+}
+
+// smallSizes are the catalogue's sizes in the tests that read its points.
+var smallSizes = Sizes{RankN: 32, Table2Small: true, MemBWWords: 64}
+
+// TestCatalogueSpeaksCampaignVocabulary: every catalogue experiment's
+// points, read as data. A point that carries a workload is a valid
+// cedarbench/cedarserve spec on a valid machine; scope names are unique
+// and start with the experiment's name, which is the prefix cedarsim
+// -json slices an experiment's metrics by.
+func TestCatalogueSpeaksCampaignVocabulary(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range catalogue {
+		pts := e.points(Env{Faults: fault.DemoPlan()}, smallSizes)
+		if len(pts) == 0 {
+			t.Errorf("%s: no points", e.Name)
+		}
+		for _, pt := range pts {
+			if !strings.HasPrefix(pt.scope, e.Name+"/") {
+				t.Errorf("%s: point scope %q is outside the experiment's namespace", e.Name, pt.scope)
+			}
+			if seen[pt.scope] {
+				t.Errorf("%s: scope %q names two points", e.Name, pt.scope)
+			}
+			seen[pt.scope] = true
+			if err := pt.Machine.Validate(); err != nil {
+				t.Errorf("%s: %v", pt.scope, err)
+			}
+			if (pt.program == nil) == (pt.Workload == bench.WorkloadSpec{}) {
+				t.Errorf("%s: a point carries a workload or a program, exactly one", pt.scope)
+			}
+			if pt.program == nil {
+				if err := pt.Workload.Validate(); err != nil {
+					t.Errorf("%s: %v", pt.scope, err)
+				}
+			}
+		}
+	}
+}
+
+// TestFaultedEnvReachesEveryExperiment: every point of every catalogue
+// entry, program points included, carries the Env's plan and is built
+// under it on the Env's engine. The degraded table is the deliberate
 // exception for the plan only: its scenarios name their own, so its
 // healthy row stays healthy under a faulted Env (TestFaultedRunDeterministic
 // checks that row really runs clean) and the Env's plan is one more row.
+// The plan is read off the points; the build is observed by sweeping the
+// same points with a probe for a program: an idle machine whose every
+// component is awake was registered through sim.Plain.
 func TestFaultedEnvReachesEveryExperiment(t *testing.T) {
-	builds := func(e Experiment, env Env) []build {
-		var got []build
-		env.audit = &got
-		_, err := e.Run(env, Sizes{RankN: 32, Table2Small: true, MemBWWords: 64})
-		if !errors.Is(err, errAudited) || len(got) == 0 {
-			t.Fatalf("%s: audit err = %v with %d builds; the experiment does not go through sweep", e.Name, err, len(got))
-		}
-		return got
-	}
 	plan := fault.DemoPlan()
-	for _, e := range catalogue {
-		healthy, faulted := builds(e, Env{}), builds(e, Env{Faults: plan, Stepped: true})
-		for i, b := range healthy {
-			if b.opt.Stepped || (b.opt.Faults != nil && e.Name != "degraded") {
-				t.Errorf("%s: point %d (%s) of the zero Env builds with %+v", e.Name, i, b.scope, b.opt)
+	probed := func(e Experiment, env Env) []point {
+		pts := e.points(env, smallSizes)
+		for i := range pts {
+			pt := pts[i]
+			pts[i].program = func(m *core.Machine) (kernels.Result, error) {
+				if stepped := len(m.Engine.AwakeComponents()) == m.Engine.Components(); stepped != env.Stepped {
+					t.Errorf("%s: machine built stepped=%v under an Env with Stepped=%v", pt.scope, stepped, env.Stepped)
+				}
+				if (m.Faults != nil) != (pt.Plan != nil) {
+					t.Errorf("%s: machine built with injector=%v for a point whose plan is %v", pt.scope, m.Faults != nil, pt.Plan)
+				}
+				return kernels.Result{}, nil
 			}
 		}
-		for i, b := range faulted {
-			if !b.opt.Stepped {
-				t.Errorf("%s: point %d (%s) ignores the Env's engine", e.Name, i, b.scope)
+		if _, err := sweep(env, pts, false); err != nil {
+			t.Errorf("%s: %v", e.Name, err)
+		}
+		return pts
+	}
+	for _, e := range catalogue {
+		healthy, faulted := probed(e, Env{}), probed(e, Env{Faults: plan, Stepped: true})
+		for _, pt := range healthy {
+			if pt.Plan != nil && e.Name != "degraded" {
+				t.Errorf("%s: %s runs under a plan in the zero Env", e.Name, pt.scope)
 			}
-			if b.opt.Faults != plan && e.Name != "degraded" {
-				t.Errorf("%s: point %d (%s) ignores the Env's plan", e.Name, i, b.scope)
+		}
+		for _, pt := range faulted {
+			if pt.Plan != plan && e.Name != "degraded" {
+				t.Errorf("%s: %s ignores the Env's plan", e.Name, pt.scope)
 			}
 		}
 		if e.Name != "degraded" {
 			continue
 		}
-		if faulted[0].opt.Faults != nil {
+		if faulted[0].Plan != nil {
 			t.Error("degraded: the healthy scenario follows the Env's plan")
 		}
-		if len(faulted) != len(healthy)+1 || faulted[len(faulted)-1].opt.Faults != plan {
+		if len(faulted) != len(healthy)+1 || faulted[len(faulted)-1].Plan != plan {
 			t.Errorf("degraded: %d scenarios under a faulted Env, want the built-in %d plus the Env's plan", len(faulted), len(healthy))
 		}
 	}

@@ -1,12 +1,10 @@
 package tables
 
 import (
-	"errors"
 	"fmt"
 
-	"cedar/internal/core"
+	"cedar/internal/bench"
 	"cedar/internal/fault"
-	"cedar/internal/kernels"
 )
 
 // DegradedRow is one fault scenario's result on the 32-CE prefetched
@@ -37,68 +35,61 @@ type Degraded []DegradedRow
 // row status, never as a crashed table: that is the point of the
 // exercise.
 func RunDegraded(env Env, n int) (Degraded, error) {
-	type scenario struct {
-		name  string
-		scope string // scope-namespace token (no spaces)
-		plan  *fault.Plan
-	}
-	scenarios := []scenario{
-		{"healthy (no faults)", "healthy", nil},
-		{"dead bank (module 3 remapped)", "deadbank", &fault.Plan{Seed: degradedSeed, Faults: []fault.Fault{
-			{Kind: fault.BankDead, Module: 3},
-		}}},
-		{"stage jam (fwd stage 0, 5%)", "stagejam", &fault.Plan{Seed: degradedSeed, Faults: []fault.Fault{
-			{Kind: fault.StageJam, Fabric: "fwd", Stage: 0, Line: -1, Rate: 0.05},
-		}}},
-		{"pfu nacks (all modules, 2%)", "pfunack", &fault.Plan{Seed: degradedSeed, Faults: []fault.Fault{
-			{Kind: fault.PFUNack, Module: -1, Rate: 0.02},
-		}}},
-		{"link drops (both nets, 0.5%)", "linkdrop", &fault.Plan{Seed: degradedSeed, Faults: []fault.Fault{
-			{Kind: fault.LinkDrop, Stage: -1, Line: -1, Rate: 0.005},
-		}}},
-		{"combined (dead bank + jam + nacks)", "combined", fault.DemoPlan()},
+	return runAs[Degraded](env, "degraded", Sizes{RankN: n})
+}
+
+// degradedScenarios are the built-in rows: display name, scope-namespace
+// token (no spaces) and the plan the row runs under.
+var degradedScenarios = []struct {
+	name, scope string
+	plan        *fault.Plan
+}{
+	{"healthy (no faults)", "healthy", nil},
+	{"dead bank (module 3 remapped)", "deadbank", &fault.Plan{Seed: degradedSeed, Faults: []fault.Fault{
+		{Kind: fault.BankDead, Module: 3},
+	}}},
+	{"stage jam (fwd stage 0, 5%)", "stagejam", &fault.Plan{Seed: degradedSeed, Faults: []fault.Fault{
+		{Kind: fault.StageJam, Fabric: "fwd", Stage: 0, Line: -1, Rate: 0.05},
+	}}},
+	{"pfu nacks (all modules, 2%)", "pfunack", &fault.Plan{Seed: degradedSeed, Faults: []fault.Fault{
+		{Kind: fault.PFUNack, Module: -1, Rate: 0.02},
+	}}},
+	{"link drops (both nets, 0.5%)", "linkdrop", &fault.Plan{Seed: degradedSeed, Faults: []fault.Fault{
+		{Kind: fault.LinkDrop, Stage: -1, Line: -1, Rate: 0.005},
+	}}},
+	{"combined (dead bank + jam + nacks)", "combined", fault.DemoPlan()},
+}
+
+func degradedPoints(env Env, s Sizes) []point {
+	var pts []point
+	for _, sc := range degradedScenarios {
+		pt := env.point("degraded/"+sc.scope, bench.MachineSpec{}, rankPref(s.RankN))
+		pt.Plan = sc.plan
+		pts = append(pts, pt)
 	}
 	if env.Faults != nil {
-		scenarios = append(scenarios, scenario{"as configured (-faults plan)", "configured", env.Faults})
+		pts = append(pts, env.point("degraded/configured", bench.MachineSpec{}, rankPref(s.RankN)))
 	}
+	return pts
+}
 
-	rows, err := sweep(env, scenarios,
-		func(sc scenario) build {
-			b := env.at("degraded/"+sc.scope, env.Machine())
-			b.opt.Faults = sc.plan
-			return b
-		},
-		func(sc scenario, m *core.Machine) (DegradedRow, error) {
-			row := DegradedRow{Status: "ok"}
-			out, err := kernels.RankUpdate(m, n, kernels.RKPref)
-			switch {
-			case err == nil:
-				row.MFLOPS = out.MFLOPS
-				row.Cycles = out.Cycles
-			case errors.Is(err, fault.ErrDegraded):
-				// The run was abandoned; report what the machine
-				// measured before giving up.
-				row.Status = "degraded"
-				row.Cycles = m.Engine.Cycle()
-			default:
-				return DegradedRow{}, err
-			}
-			fc := m.FaultCounters()
-			row.Injected = fc.Injected
-			row.Retries = fc.Retries
-			row.DeadMods = fc.DeadMods
-			return row, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	for i := range rows {
-		rows[i].Scenario = scenarios[i].name
-		if rows[0].Cycles > 0 {
-			rows[i].Slowdown = float64(rows[i].Cycles) / float64(rows[0].Cycles)
+func degradedTable(_ Sizes, _ []point, outs []bench.PointOutcome) Result {
+	var rows Degraded
+	for i, out := range outs {
+		row := DegradedRow{
+			Scenario: "as configured (-faults plan)", // the row after the built-in ones
+			MFLOPS:   out.MFLOPS, Cycles: out.Cycles, Status: out.Status,
+			Injected: out.Faults.Injected, Retries: out.Faults.Retries, DeadMods: out.Faults.DeadMods,
 		}
+		if i < len(degradedScenarios) {
+			row.Scenario = degradedScenarios[i].name
+		}
+		if outs[0].Cycles > 0 {
+			row.Slowdown = float64(out.Cycles) / float64(outs[0].Cycles)
+		}
+		rows = append(rows, row)
 	}
-	return rows, nil
+	return rows
 }
 
 // Format renders the degraded-mode table.

@@ -3,7 +3,7 @@ package tables
 import (
 	"fmt"
 
-	"cedar/internal/core"
+	"cedar/internal/bench"
 	"cedar/internal/kernels"
 	"cedar/internal/params"
 )
@@ -21,26 +21,36 @@ type MemBWResult struct {
 // stride (all modules), a half-modules power-of-two stride, and the
 // full-conflict stride that serializes every reference on one module.
 func RunMemBW(env Env, wordsPerCE int) (*MemBWResult, error) {
-	p := env.Machine()
-	type point struct {
-		nCE    int
-		stride int64
-	}
-	var points []point
+	return runAs[*MemBWResult](env, "membw", Sizes{MemBWWords: wordsPerCE})
+}
+
+func memBWPoints(env Env, s Sizes) []point {
+	modules := env.Machine().MemModules
+	var pts []point
 	for _, nCE := range []int{1, 2, 4, 8, 16, 32} {
-		for _, stride := range []int64{1, 2, int64(p.MemModules)} {
-			points = append(points, point{nCE: nCE, stride: stride})
+		for _, stride := range []int{1, 2, modules} {
+			pts = append(pts, env.point(fmt.Sprintf("membw/%dce/stride%d", nCE, stride), bench.MachineSpec{},
+				bench.WorkloadSpec{Kind: "membw", N: s.MemBWWords, CEs: nCE, Stride: stride}))
 		}
 	}
-	outs, err := sweep(env, points,
-		func(pt point) build { return env.at(fmt.Sprintf("membw/%dce/stride%d", pt.nCE, pt.stride), p) },
-		func(pt point, m *core.Machine) (kernels.MemBWPoint, error) {
-			return kernels.MemBW(m, pt.nCE, pt.stride, wordsPerCE)
+	return pts
+}
+
+// memBWTable restates each point's cycle count as delivered bandwidth,
+// the way kernels.MemBW does.
+func memBWTable(_ Sizes, pts []point, outs []bench.PointOutcome) Result {
+	res := &MemBWResult{}
+	for i, out := range outs {
+		w := pts[i].Workload
+		wpc := float64(w.CEs*w.N) / float64(out.Cycles)
+		res.Points = append(res.Points, kernels.MemBWPoint{
+			CEs: w.CEs, Stride: int64(w.Stride), WordsPerCE: w.N,
+			Cycles:        out.Cycles,
+			WordsPerCycle: wpc,
+			MBps:          wpc * params.WordBytes * params.CyclesPerSecond / 1e6,
 		})
-	if err != nil {
-		return nil, err
 	}
-	return &MemBWResult{Points: outs}, nil
+	return res
 }
 
 // PeakMBps returns the best observed aggregate bandwidth.

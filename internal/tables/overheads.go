@@ -3,9 +3,11 @@ package tables
 import (
 	"fmt"
 
+	"cedar/internal/bench"
 	"cedar/internal/ce"
 	"cedar/internal/cfrt"
 	"cedar/internal/core"
+	"cedar/internal/kernels"
 	"cedar/internal/params"
 )
 
@@ -22,47 +24,45 @@ type OverheadsResult struct {
 }
 
 // RunOverheads performs the microbenchmarks. The five machine runs are
-// independent; they dispatch as pool jobs and the derived quantities are
-// computed from the reassembled times.
+// independent points; the derived quantities are computed from the
+// reassembled times.
 func RunOverheads(env Env) (*OverheadsResult, error) {
-	pm := env.Machine()
-	const iters = 64
-	// n == 0 is the XDOALL startup probe: cycles from loop entry until
-	// the first iteration body executes (the paper's "typical loop
-	// startup latency"). The others time the iteration fetch: the
-	// marginal cost per iteration of an empty loop, measured on one CE to
-	// avoid overlap (iterations - 1 extra fetches), with and without
-	// Cedar synchronization.
-	type point struct {
-		scope string
-		n     int
-		sync  bool
+	return runAs[*OverheadsResult](env, "overheads", Sizes{})
+}
+
+// overheadsIters is the long loop of each fetch-cost pair.
+const overheadsIters = 64
+
+// overheadsPoints: the startup probe times loop entry until the first
+// iteration body executes (the paper's "typical loop startup latency").
+// The others time the iteration fetch: the marginal cost per iteration of
+// an empty loop, measured on one CE to avoid overlap (iterations - 1
+// extra fetches), with and without Cedar synchronization.
+func overheadsPoints(env Env, _ Sizes) []point {
+	fetch := func(tag string, n int, sync bool) point {
+		return env.programPoint(fmt.Sprintf("overheads/fetch-%s-%d", tag, n), bench.MachineSpec{},
+			func(m *core.Machine) (kernels.Result, error) {
+				rt := cfrt.New(m, cfrt.Config{UseCedarSync: sync, MaxCEs: 1},
+					cfrt.XDoall{N: n, Body: emptyBody})
+				res, err := rt.Run(100_000_000)
+				return kernels.Result{Result: res}, err
+			})
 	}
-	points := []point{
-		{"startup", 0, true},
-		{fmt.Sprintf("fetch-lib-%d", iters), iters, false},
-		{"fetch-lib-1", 1, false},
-		{fmt.Sprintf("fetch-sync-%d", iters), iters, true},
-		{"fetch-sync-1", 1, true},
+	return []point{
+		env.programPoint("overheads/startup", bench.MachineSpec{}, timeToFirstIteration),
+		fetch("lib", overheadsIters, false), fetch("lib", 1, false),
+		fetch("sync", overheadsIters, true), fetch("sync", 1, true),
 	}
-	t, err := sweep(env, points,
-		func(pt point) build { return env.at("overheads/"+pt.scope, pm) },
-		func(pt point, m *core.Machine) (float64, error) {
-			if pt.n == 0 {
-				return timeToFirstIteration(m)
-			}
-			return timeXDoallOneCE(m, pt.n, pt.sync)
-		})
-	if err != nil {
-		return nil, err
-	}
+}
+
+func overheadsTable(_ Sizes, pts []point, t []bench.PointOutcome) Result {
 	return &OverheadsResult{
-		XDoallStartupUS:  t[0] * 1e6,
-		FetchNoSyncUS:    (t[1] - t[2]) / float64(iters-1) * 1e6,
-		FetchCedarSyncUS: (t[3] - t[4]) / float64(iters-1) * 1e6,
+		XDoallStartupUS:  t[0].Seconds * 1e6,
+		FetchNoSyncUS:    (t[1].Seconds - t[2].Seconds) / float64(overheadsIters-1) * 1e6,
+		FetchCedarSyncUS: (t[3].Seconds - t[4].Seconds) / float64(overheadsIters-1) * 1e6,
 		// CDOALL start: booked cost of the concurrent-start broadcast.
-		CDoallStartUS: float64(pm.CDoallStart) * params.CycleNS / 1e3,
-	}, nil
+		CDoallStartUS: float64(pts[0].Machine.Params().CDoallStart) * params.CycleNS / 1e3,
+	}
 }
 
 func emptyBody(_ int, q []ce.Instr) []ce.Instr {
@@ -71,7 +71,7 @@ func emptyBody(_ int, q []ce.Instr) []ce.Instr {
 
 // timeToFirstIteration measures XDOALL startup: the delay before any CE
 // executes the first iteration of a freshly started machine-wide loop.
-func timeToFirstIteration(m *core.Machine) (float64, error) {
+func timeToFirstIteration(m *core.Machine) (kernels.Result, error) {
 	first := int64(-1)
 	body := func(_ int, q []ce.Instr) []ce.Instr {
 		return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 1, OnDone: func(cy int64) {
@@ -81,17 +81,8 @@ func timeToFirstIteration(m *core.Machine) (float64, error) {
 		}})
 	}
 	rt := cfrt.New(m, cfrt.Config{UseCedarSync: true}, cfrt.XDoall{N: 64, Body: body})
-	if _, err := rt.Run(100_000_000); err != nil {
-		return 0, err
-	}
-	return params.CyclesToSeconds(first), nil
-}
-
-func timeXDoallOneCE(m *core.Machine, n int, sync bool) (float64, error) {
-	rt := cfrt.New(m, cfrt.Config{UseCedarSync: sync, MaxCEs: 1},
-		cfrt.XDoall{N: n, Body: emptyBody})
-	res, err := rt.Run(100_000_000)
-	return res.Seconds, err
+	_, err := rt.Run(100_000_000)
+	return kernels.Result{Result: core.Result{Cycles: first, Seconds: params.CyclesToSeconds(first)}}, err
 }
 
 // Format renders the measurements.

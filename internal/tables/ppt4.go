@@ -3,12 +3,9 @@ package tables
 import (
 	"fmt"
 
+	"cedar/internal/bench"
 	"cedar/internal/comparator"
-	"cedar/internal/core"
-	"cedar/internal/fleet"
-	"cedar/internal/kernels"
 	"cedar/internal/ppt"
-	"cedar/internal/scope"
 )
 
 // PPT4Point is one (P, N) measurement of the scalability study.
@@ -43,108 +40,66 @@ const ppt4Iters = 3
 // RunPPT4 executes the study. full selects the paper's largest sizes;
 // otherwise a reduced sweep with the same structure runs.
 func RunPPT4(env Env, full bool) (*PPT4Result, error) {
+	return runAs[*PPT4Result](env, "ppt4", Sizes{FullPPT4: full})
+}
+
+// ppt4Points is the CG sweep, then the banded one. The efficiency
+// baseline is a single CE running the same kernel; baseline and sweep
+// runs are all independent simulations, so every (n, p) pair — the p = 1
+// baseline first for each n — is one point, and the efficiencies are
+// derived after reassembly.
+func ppt4Points(env Env, s Sizes) []point {
 	ns := []int{1 << 10, 4 << 10, 16 << 10, 64 << 10}
-	if full {
+	if s.FullPPT4 {
 		ns = append(ns, 172<<10)
 	}
-	ps := []int{2, 4, 8, 16, 32}
-	res := &PPT4Result{CM5: map[int][]PPT4Point{}, CedarBanded: map[int][]PPT4Point{}}
-	pm := env.Machine()
-
-	// Per-processor-count baselines come from the 2-CE run scaled down;
-	// the efficiency baseline is a single CE running the same kernel. The
-	// baseline and sweep runs are all independent simulations, so every
-	// (n, p) pair — p = 1 baselines included — is one pool job, and the
-	// efficiencies are derived after reassembly.
-	type cgPoint struct{ n, p int }
-	var cgPoints []cgPoint
+	var pts []point
 	for _, n := range ns {
-		cgPoints = append(cgPoints, cgPoint{n, 1})
-		for _, p := range ps {
-			cgPoints = append(cgPoints, cgPoint{n, p})
+		for _, p := range []int{1, 2, 4, 8, 16, 32} {
+			pts = append(pts, env.point(fmt.Sprintf("ppt4/cg/n%d/p%d", n, p), bench.MachineSpec{},
+				bench.WorkloadSpec{Kind: "cg", N: n, Iters: ppt4Iters, MaxCEs: p}))
 		}
 	}
-	cgOuts, err := sweep(env, cgPoints,
-		func(pt cgPoint) build { return env.at(fmt.Sprintf("ppt4/cg/n%d/p%d", pt.n, pt.p), pm) },
-		func(pt cgPoint, m *core.Machine) (core.Result, error) {
-			out, err := kernels.CG(m, kernels.CGConfig{N: pt.n, Iters: ppt4Iters, MaxCEs: pt.p})
-			return out.Result, err
-		})
-	if err != nil {
-		return nil, err
+	// Banded matvec on Cedar itself, 32 CEs, the CM-5 problem range.
+	for _, bw := range []int{3, 11} {
+		for _, n := range []int{16 << 10, 64 << 10} {
+			pts = append(pts, env.point(fmt.Sprintf("ppt4/banded/bw%d/n%d", bw, n), bench.MachineSpec{},
+				bench.WorkloadSpec{Kind: "banded", N: n, BW: bw}))
+		}
 	}
-	i := 0
-	for range ns {
-		base := cgOuts[i]
-		i++
-		for _, p := range ps {
-			out := cgOuts[i]
-			pt := cgPoints[i]
-			i++
-			eff := ppt.Efficiency(base.Seconds/out.Seconds, p)
+	return pts
+}
+
+func ppt4Table(_ Sizes, pts []point, outs []bench.PointOutcome) Result {
+	res := &PPT4Result{CM5: map[int][]PPT4Point{}, CedarBanded: map[int][]PPT4Point{}}
+	var base bench.PointOutcome
+	for i, out := range outs {
+		switch w := pts[i].Workload; {
+		case w.Kind == "banded":
+			res.CedarBanded[w.BW] = append(res.CedarBanded[w.BW], PPT4Point{P: 32, N: w.N, MFLOPS: out.MFLOPS})
+		case w.MaxCEs == 1:
+			base = out
+		default:
+			eff := ppt.Efficiency(base.Seconds/out.Seconds, w.MaxCEs)
 			res.Cedar = append(res.Cedar, PPT4Point{
-				P: p, N: pt.n, MFLOPS: out.MFLOPS, Eff: eff,
-				Band: ppt.BandOfEfficiency(eff, p),
+				P: w.MaxCEs, N: w.N, MFLOPS: out.MFLOPS, Eff: eff,
+				Band: ppt.BandOfEfficiency(eff, w.MaxCEs),
 			})
 		}
 	}
-
-	// Banded matvec on Cedar itself, 32 CEs, the CM-5 problem range.
-	type bandedPoint struct{ bw, n int }
-	var bandedPoints []bandedPoint
-	for _, bw := range []int{3, 11} {
-		for _, n := range []int{16 << 10, 64 << 10} {
-			bandedPoints = append(bandedPoints, bandedPoint{bw: bw, n: n})
-		}
-	}
-	bandedOuts, err := sweep(env, bandedPoints,
-		func(pt bandedPoint) build { return env.at(fmt.Sprintf("ppt4/banded/bw%d/n%d", pt.bw, pt.n), pm) },
-		func(pt bandedPoint, m *core.Machine) (float64, error) {
-			out, err := kernels.Banded(m, kernels.BandedConfig{N: pt.n, BW: pt.bw})
-			return out.MFLOPS, err
-		})
-	if err != nil {
-		return nil, err
-	}
-	for i, pt := range bandedPoints {
-		res.CedarBanded[pt.bw] = append(res.CedarBanded[pt.bw], PPT4Point{
-			P: 32, N: pt.n, MFLOPS: bandedOuts[i],
-		})
-	}
-
-	// The CM-5 comparator sweep: analytic, but still a set of independent
-	// machine evaluations, dispatched like the simulated ones. It builds
-	// no Cedar, so it is the one sweep that does not go through the sweep
-	// helper.
-	type cm5Point struct{ bw, p, n int }
-	var cm5Points []cm5Point
+	// The CM-5 comparator is analytic: closed-form evaluations, no machine.
 	for _, bw := range []int{3, 11} {
 		for _, p := range []int{32, 256, 512} {
 			for _, n := range []int{16 << 10, 64 << 10, 256 << 10} {
-				cm5Points = append(cm5Points, cm5Point{bw: bw, p: p, n: n})
+				mflops, eff := comparator.NewCM5().BandedPoint(n, bw, p)
+				res.CM5[bw] = append(res.CM5[bw], PPT4Point{
+					P: p, N: n, MFLOPS: mflops,
+					Eff: eff, Band: ppt.BandOfEfficiency(eff, p),
+				})
 			}
 		}
 	}
-	cm5Jobs := make([]fleet.Job[PPT4Point], len(cm5Points))
-	for i, pt := range cm5Points {
-		cm5Jobs[i] = fleet.Job[PPT4Point]{
-			Run: func(*scope.Hub) (PPT4Point, error) {
-				mflops, eff := comparator.NewCM5().BandedPoint(pt.n, pt.bw, pt.p)
-				return PPT4Point{
-					P: pt.p, N: pt.n, MFLOPS: mflops,
-					Eff: eff, Band: ppt.BandOfEfficiency(eff, pt.p),
-				}, nil
-			},
-		}
-	}
-	cm5Outs, err := fleet.Run(env.fleet(), cm5Jobs)
-	if err != nil {
-		return nil, err
-	}
-	for i, pt := range cm5Points {
-		res.CM5[pt.bw] = append(res.CM5[pt.bw], cm5Outs[i])
-	}
-	return res, nil
+	return res
 }
 
 // Cedar32Range returns the min and max 32-CE MFLOPS over N ≥ 10K (the

@@ -3,9 +3,11 @@ package tables
 import (
 	"fmt"
 
+	"cedar/internal/bench"
 	"cedar/internal/ce"
 	"cedar/internal/cfrt"
 	"cedar/internal/core"
+	"cedar/internal/kernels"
 	"cedar/internal/params"
 )
 
@@ -27,61 +29,61 @@ type Scheduling []SchedulingRow
 // loop under static, self- and guided scheduling, with and without the
 // Cedar synchronization instructions.
 func RunSchedulingAblation(env Env) (Scheduling, error) {
-	balanced := func(i int, q []ce.Instr) []ce.Instr {
-		return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 60, Flops: 20})
-	}
-	imbalanced := func(i int, q []ce.Instr) []ce.Instr {
-		cost := int64(15)
-		if i >= 480 {
-			cost = 2500
-		}
-		return append(q, ce.Instr{Op: ce.OpScalar, Cycles: cost, Flops: 20})
-	}
-	policies := []struct {
-		name  string
-		sched cfrt.Schedule
-	}{
-		{"static", cfrt.StaticSchedule},
-		{"self", cfrt.SelfSchedule},
-		{"guided", cfrt.GuidedSchedule},
-	}
-	type point struct {
-		wlName  string
-		body    cfrt.BodyFn
-		polName string
-		sched   cfrt.Schedule
-		sync    bool
-	}
-	var points []point
-	for _, wl := range []struct {
-		name string
-		body cfrt.BodyFn
-	}{{"balanced", balanced}, {"imbalanced", imbalanced}} {
-		for _, pol := range policies {
+	return runAs[Scheduling](env, "sched", Sizes{})
+}
+
+// schedRows are the ablation's measurements, less their cycle counts.
+func schedRows() []SchedulingRow {
+	var rows []SchedulingRow
+	for _, wl := range []string{"balanced", "imbalanced"} {
+		for _, pol := range []string{"static", "self", "guided"} {
 			for _, sync := range []bool{true, false} {
-				if pol.sched == cfrt.StaticSchedule && !sync {
+				if pol == "static" && !sync {
 					continue // static never claims; sync is irrelevant
 				}
-				points = append(points, point{
-					wlName: wl.name, body: wl.body,
-					polName: pol.name, sched: pol.sched, sync: sync,
-				})
+				rows = append(rows, SchedulingRow{Policy: pol, CedarSync: sync, Workload: wl})
 			}
 		}
 	}
-	return sweep(env, points,
-		func(pt point) build {
-			return env.at(fmt.Sprintf("sched/%s/%s/sync=%v", pt.wlName, pt.polName, pt.sync), env.Machine())
+	return rows
+}
+
+func schedPoints(env Env, _ Sizes) []point {
+	bodies := map[string]cfrt.BodyFn{
+		"balanced": func(i int, q []ce.Instr) []ce.Instr {
+			return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 60, Flops: 20})
 		},
-		func(pt point, m *core.Machine) (SchedulingRow, error) {
-			rt := cfrt.New(m, cfrt.Config{UseCedarSync: pt.sync},
-				cfrt.XDoall{N: 512, Sched: pt.sched, Body: pt.body})
-			res, err := rt.Run(1 << 40)
-			return SchedulingRow{
-				Policy: pt.polName, CedarSync: pt.sync,
-				Workload: pt.wlName, Cycles: res.Cycles,
-			}, err
-		})
+		"imbalanced": func(i int, q []ce.Instr) []ce.Instr {
+			cost := int64(15)
+			if i >= 480 {
+				cost = 2500
+			}
+			return append(q, ce.Instr{Op: ce.OpScalar, Cycles: cost, Flops: 20})
+		},
+	}
+	policies := map[string]cfrt.Schedule{
+		"static": cfrt.StaticSchedule, "self": cfrt.SelfSchedule, "guided": cfrt.GuidedSchedule,
+	}
+	var pts []point
+	for _, row := range schedRows() {
+		sched, body := policies[row.Policy], bodies[row.Workload]
+		pts = append(pts, env.programPoint(fmt.Sprintf("sched/%s/%s/sync=%v", row.Workload, row.Policy, row.CedarSync),
+			bench.MachineSpec{}, func(m *core.Machine) (kernels.Result, error) {
+				rt := cfrt.New(m, cfrt.Config{UseCedarSync: row.CedarSync},
+					cfrt.XDoall{N: 512, Sched: sched, Body: body})
+				res, err := rt.Run(1 << 40)
+				return kernels.Result{Result: res}, err
+			}))
+	}
+	return pts
+}
+
+func schedTable(_ Sizes, _ []point, outs []bench.PointOutcome) Result {
+	rows := Scheduling(schedRows())
+	for i := range rows {
+		rows[i].Cycles = outs[i].Cycles
+	}
+	return rows
 }
 
 // Format renders the ablation.

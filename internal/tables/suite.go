@@ -15,7 +15,9 @@ import (
 	"sort"
 	"strings"
 
+	"cedar/internal/bench"
 	"cedar/internal/core"
+	"cedar/internal/kernels"
 	"cedar/internal/perfect"
 )
 
@@ -64,36 +66,38 @@ func RunSuite(env Env, codes []perfect.Profile, progress io.Writer) (*SuiteResul
 		{s.NoPref, perfect.Spec{Variant: perfect.Auto, NoSync: true, NoPref: true}, false},
 		{s.Hand, perfect.Spec{Variant: perfect.Hand}, true},
 	}
-	type point struct {
+	type run struct {
 		profile perfect.Profile
 		v       variant
 	}
+	var runs []run
 	var points []point
 	for _, p := range codes {
 		for _, v := range variants {
 			if v.only && !hand[p.Name] {
 				continue
 			}
-			points = append(points, point{p, v})
+			runs = append(runs, run{p, v})
+			points = append(points, env.programPoint(fmt.Sprintf("perfect/%s/%s", p.Name, label(v.spec)), bench.MachineSpec{},
+				func(m *core.Machine) (kernels.Result, error) {
+					out, err := perfect.RunOn(m, p, v.spec)
+					return kernels.Result{Result: core.Result{Cycles: out.SimCycles, MFLOPS: out.MFLOPS, Seconds: out.Seconds}}, err
+				}))
 		}
 	}
-	pm := env.Machine()
-	outs, err := sweep(env, points,
-		func(pt point) build {
-			return env.at(fmt.Sprintf("perfect/%s/%s", pt.profile.Name, label(pt.v.spec)), pm)
-		},
-		func(pt point, m *core.Machine) (perfect.Outcome, error) {
-			return perfect.RunOn(m, pt.profile, pt.v.spec)
-		})
+	outs, err := sweep(env, points, false)
 	if err != nil {
 		return nil, err
 	}
 	for i, out := range outs {
-		pt := points[i]
-		pt.v.dst[pt.profile.Name] = out
+		r := runs[i]
+		r.v.dst[r.profile.Name] = perfect.Outcome{
+			Code: r.profile.Name, Variant: r.v.spec.Variant,
+			Seconds: out.Seconds, MFLOPS: out.MFLOPS, SimCycles: out.Cycles,
+		}
 		if progress != nil {
 			fmt.Fprintf(progress, "  %-8s %-12v %8.1f s %7.2f MFLOPS\n",
-				pt.profile.Name, label(pt.v.spec), out.Seconds, out.MFLOPS)
+				r.profile.Name, label(r.v.spec), out.Seconds, out.MFLOPS)
 		}
 	}
 	return s, nil

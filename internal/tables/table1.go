@@ -3,7 +3,7 @@ package tables
 import (
 	"fmt"
 
-	"cedar/internal/core"
+	"cedar/internal/bench"
 	"cedar/internal/kernels"
 	"cedar/internal/params"
 )
@@ -24,51 +24,35 @@ type Table1Result struct {
 // 256 preserves the shape at a fraction of the simulation cost). Each
 // machine reports under its own t1/<mode>/<k>cl namespace.
 func RunTable1(env Env, n int) (*Table1Result, error) {
-	modes := []kernels.RKMode{kernels.RKNoPref, kernels.RKPref, kernels.RKCache}
-	res := &Table1Result{N: n, Modes: modes, MFLOPS: make([][]float64, len(modes))}
-	type point struct {
-		mi       int
-		clusters int
-		mode     kernels.RKMode
-	}
-	var points []point
-	for mi, mode := range modes {
-		res.MFLOPS[mi] = make([]float64, 4)
-		for clusters := 1; clusters <= 4; clusters++ {
-			points = append(points, point{mi: mi, clusters: clusters, mode: mode})
-		}
-	}
-	outs, err := sweep(env, points,
-		func(pt point) build {
-			p := env.Machine()
-			p.Clusters = pt.clusters
-			return env.at(fmt.Sprintf("t1/%s/%dcl", rkShort(pt.mode), pt.clusters), p)
-		},
-		func(pt point, m *core.Machine) (float64, error) {
-			out, err := kernels.RankUpdate(m, n, pt.mode)
-			return out.MFLOPS, err
-		})
-	if err != nil {
-		return nil, err
-	}
-	for i, pt := range points {
-		res.MFLOPS[pt.mi][pt.clusters-1] = outs[i]
-	}
-	return res, nil
+	return runAs[*Table1Result](env, "t1", Sizes{RankN: n})
 }
 
-// rkShort is the metric-namespace token for an RK mode (mode.String()
-// contains '/', which would split scope prefixes).
-func rkShort(m kernels.RKMode) string {
-	switch m {
-	case kernels.RKNoPref:
-		return "nopref"
-	case kernels.RKPref:
-		return "pref"
-	case kernels.RKCache:
-		return "cache"
+// table1Variants are the table's rows — GM/no-pref, GM/pref, GM/cache —
+// as the rank workload's Variant (and a scope name) spells them.
+var table1Variants = []string{"nopref", "pref", "cache"}
+
+func table1Points(env Env, s Sizes) []point {
+	var pts []point
+	for _, variant := range table1Variants {
+		for clusters := 1; clusters <= 4; clusters++ {
+			pts = append(pts, env.point(fmt.Sprintf("t1/%s/%dcl", variant, clusters),
+				bench.MachineSpec{Clusters: clusters},
+				bench.WorkloadSpec{Kind: "rank", N: s.RankN, Variant: variant}))
+		}
 	}
-	return fmt.Sprintf("mode%d", int(m))
+	return pts
+}
+
+func table1Table(s Sizes, _ []point, outs []bench.PointOutcome) Result {
+	res := &Table1Result{N: s.RankN, Modes: []kernels.RKMode{kernels.RKNoPref, kernels.RKPref, kernels.RKCache}}
+	for mi := range res.Modes {
+		row := make([]float64, 4)
+		for c := range row {
+			row[c] = outs[4*mi+c].MFLOPS
+		}
+		res.MFLOPS = append(res.MFLOPS, row)
+	}
+	return res
 }
 
 // PrefetchGain returns GM/pref over GM/no-pref per cluster count (the

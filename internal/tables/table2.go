@@ -2,10 +2,10 @@ package tables
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
-	"cedar/internal/core"
-	"cedar/internal/kernels"
+	"cedar/internal/bench"
 )
 
 // Table2 reproduces "Global memory performance": mean first-word latency
@@ -24,31 +24,44 @@ type Table2Result struct {
 	Blocks  map[string]map[int]int64
 }
 
-// table2Sizes keeps each kernel's simulated slice moderate.
-type table2Size struct {
-	vlWords int
-	tmN     int
-	rkN     int
-	cgN     int
-}
-
-// t2Stats is one (kernel, CE-count) point's measurements.
-type t2Stats struct {
-	Latency float64
-	Inter   float64
-	Blocks  int64
-}
-
 // RunTable2 executes the kernel × processor-count sweep; small selects
 // reduced slices for tests and quick reports.
 func RunTable2(env Env, small bool) (*Table2Result, error) {
-	sz := table2Size{vlWords: 4096, tmN: 16384, rkN: 192, cgN: 16384}
-	if small {
-		sz = table2Size{vlWords: 1024, tmN: 4096, rkN: 96, cgN: 4096}
+	return runAs[*Table2Result](env, "t2", Sizes{Table2Small: small})
+}
+
+var (
+	table2Kernels = []string{"VL", "TM", "RK", "CG"}
+	table2CEs     = []int{8, 16, 32}
+)
+
+func table2Points(env Env, s Sizes) []point {
+	// Each kernel's simulated slice is kept moderate.
+	vl, tm, rk, cg := 4096, 16384, 192, 16384
+	if s.Table2Small {
+		vl, tm, rk, cg = 1024, 4096, 96, 4096
 	}
+	workloads := []bench.WorkloadSpec{ // in table2Kernels order
+		{Kind: "vectorload", N: vl, Sweeps: 2},
+		{Kind: "trimat", N: tm},
+		rankPref(rk),
+		{Kind: "cg", N: cg, Iters: 1},
+	}
+	perCluster := env.Machine().CEsPerCluster
+	var pts []point
+	for _, ces := range table2CEs {
+		for ki, name := range table2Kernels {
+			pts = append(pts, env.point(fmt.Sprintf("t2/%s/%dce", strings.ToLower(name), ces),
+				bench.MachineSpec{Clusters: ces / perCluster}, workloads[ki]))
+		}
+	}
+	return pts
+}
+
+func table2Table(_ Sizes, _ []point, outs []bench.PointOutcome) Result {
 	res := &Table2Result{
-		Kernels: []string{"VL", "TM", "RK", "CG"},
-		CEs:     []int{8, 16, 32},
+		Kernels: slices.Clone(table2Kernels),
+		CEs:     slices.Clone(table2CEs),
 		Latency: map[string]map[int]float64{},
 		Inter:   map[string]map[int]float64{},
 		Blocks:  map[string]map[int]int64{},
@@ -58,56 +71,13 @@ func RunTable2(env Env, small bool) (*Table2Result, error) {
 		res.Inter[k] = map[int]float64{}
 		res.Blocks[k] = map[int]int64{}
 	}
-	kernel := map[string]func(m *core.Machine) (kernels.Result, error){
-		"VL": func(m *core.Machine) (kernels.Result, error) {
-			return kernels.VectorLoad(m, sz.vlWords, 2)
-		},
-		"TM": func(m *core.Machine) (kernels.Result, error) {
-			return kernels.TriMat(m, sz.tmN)
-		},
-		"RK": func(m *core.Machine) (kernels.Result, error) {
-			return kernels.RankUpdate(m, sz.rkN, kernels.RKPref)
-		},
-		"CG": func(m *core.Machine) (kernels.Result, error) {
-			return kernels.CG(m, kernels.CGConfig{N: sz.cgN, Iters: 1})
-		},
+	for i, out := range outs {
+		name, ces := table2Kernels[i%len(table2Kernels)], table2CEs[i/len(table2Kernels)]
+		res.Latency[name][ces] = out.Blocks.MeanLatency()
+		res.Inter[name][ces] = out.Blocks.MeanInterarrival()
+		res.Blocks[name][ces] = out.Blocks.Blocks()
 	}
-	type point struct {
-		name string
-		ces  int
-	}
-	var points []point
-	for _, ces := range res.CEs {
-		for _, name := range res.Kernels {
-			points = append(points, point{name: name, ces: ces})
-		}
-	}
-	outs, err := sweep(env, points,
-		func(pt point) build {
-			p := env.Machine()
-			p.Clusters = pt.ces / p.CEsPerCluster
-			return env.at(fmt.Sprintf("t2/%s/%dce", strings.ToLower(pt.name), pt.ces), p)
-		},
-		func(pt point, m *core.Machine) (t2Stats, error) {
-			out, err := kernel[pt.name](m)
-			if err != nil {
-				return t2Stats{}, err
-			}
-			return t2Stats{
-				Latency: out.Blocks.MeanLatency(),
-				Inter:   out.Blocks.MeanInterarrival(),
-				Blocks:  out.Blocks.Blocks(),
-			}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	for i, pt := range points {
-		res.Latency[pt.name][pt.ces] = outs[i].Latency
-		res.Inter[pt.name][pt.ces] = outs[i].Inter
-		res.Blocks[pt.name][pt.ces] = outs[i].Blocks
-	}
-	return res, nil
+	return res
 }
 
 // Format renders the table.

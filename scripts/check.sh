@@ -182,4 +182,8 @@ go test -run='^$' -fuzz='^FuzzBands$' -fuzztime="$FUZZTIME" ./internal/ppt
 go test -run='^$' -fuzz='^FuzzBlobOnDisk$' -fuzztime="$FUZZTIME" ./internal/store
 
 stage ""
+# The line ledger every re-anchor reads: non-test Go, whole module and
+# outside the frozen cmd/cedarperf.
+golines() { find . -name '*.go' ! -name '*_test.go' "$@" -print0 | xargs -0 cat | wc -l; }
+echo "non-test Go lines: $(golines) total, $(golines ! -path './cmd/cedarperf/*') outside cmd/cedarperf"
 echo "OK in ${SECONDS}s: build, vet, cedarvet, tests (allocation gates, report goldens), race tests (jobs, stepped, data-path and serve equality), bench campaigns and fuzz smoke all green"
