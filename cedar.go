@@ -430,9 +430,6 @@ type (
 // LoadBenchCampaign reads and validates a campaign config file.
 var LoadBenchCampaign = bench.Load
 
-// SmokeBenchCampaign returns the built-in smoke campaign check.sh runs.
-var SmokeBenchCampaign = bench.Smoke
-
 // RunBenchCampaign executes a campaign and returns its artifact.
 var RunBenchCampaign = bench.Run
 

@@ -4,10 +4,10 @@
 //
 // Usage:
 //
-//	cedarbench run                       # built-in smoke campaign -> BENCH_smoke.json
+//	cedarbench run -config bench/campaigns/smoke.json   # -> BENCH_smoke.json
 //	cedarbench run -config c.json -out artifacts/BENCH_area.json
-//	cedarbench run -jobs 8               # override the campaign's jobs list
-//	cedarbench run -cpuprofile cpu.pb.gz # attribute a flagged regression
+//	cedarbench run -config c.json -jobs 8               # override the campaign's jobs list
+//	cedarbench run -config c.json -cpuprofile cpu.pb.gz # attribute a flagged regression
 //	cedarbench diff old.json new.json -threshold 5% -alloc-threshold 30%
 //
 // `run` executes every (machine × workload × fault) point of the
@@ -59,7 +59,7 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("cedarbench run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		config   = fs.String("config", "", "campaign config JSON (default: the built-in smoke campaign)")
+		config   = fs.String("config", "", "campaign config JSON (required; the standing ones are under bench/campaigns)")
 		out      = fs.String("out", "", "artifact path (default BENCH_<area>.json in the current directory)")
 		jobs     = fs.Int("jobs", 0, "override the campaign's jobs list with one worker count")
 		clusters = fs.Int("clusters", 0, "simulated machine width for default-machine points (0 = as built; 16/64 = scale-up presets)")
@@ -78,6 +78,10 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 		lg.Print(err)
 		return 2
 	}
+	if *config == "" {
+		lg.Print("run needs -config (e.g. bench/campaigns/smoke.json)")
+		return 2
+	}
 	prof, err := cliutil.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
 		lg.Print(err)
@@ -89,12 +93,10 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	c := bench.Smoke()
-	if *config != "" {
-		if c, err = bench.Load(*config); err != nil {
-			lg.Print(err)
-			return 2
-		}
+	c, err := bench.Load(*config)
+	if err != nil {
+		lg.Print(err)
+		return 2
 	}
 	if *clusters > 0 {
 		// -clusters swaps the base machine: every entry that does not

@@ -143,31 +143,40 @@ func TestExitCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	scrap := filepath.Join(dir, "scrap.json")
 	cases := []struct {
-		name string
-		args []string
-		want int
+		name   string
+		args   []string
+		want   int
+		stderr string // when set, what the refusal must name
 	}{
-		{"no mode", nil, 2},
-		{"unknown mode", []string{"frobnicate"}, 2},
-		{"run bad flag", []string{"run", "-no-such-flag"}, 2},
-		{"run bad jobs", []string{"run", "-jobs", "-3"}, 2},
-		{"run shards flag removed", []string{"run", "-shards", "2"}, 2},
-		{"run bad clusters", []string{"run", "-clusters", "-2"}, 2},
-		{"run missing config", []string{"run", "-config", filepath.Join(dir, "nope.json")}, 2},
-		{"run invalid config", []string{"run", "-config", badCfg}, 2},
-		{"diff missing args", []string{"diff", base}, 2},
-		{"diff missing file", []string{"diff", base, filepath.Join(dir, "nope.json")}, 2},
-		{"diff bad threshold", []string{"diff", base, base, "-threshold", "lots"}, 2},
-		{"diff clean", []string{"diff", base, base}, 0},
-		{"diff regression", []string{"diff", base, worse}, 1},
-		{"diff regression flags first", []string{"diff", "-threshold", "5%", base, worse}, 1},
-		{"diff wide threshold absorbs", []string{"diff", base, worse, "-threshold", "20%"}, 0},
+		{name: "no mode", want: 2},
+		{name: "unknown mode", args: []string{"frobnicate"}, want: 2},
+		{name: "run bad flag", args: []string{"run", "-no-such-flag"}, want: 2},
+		// Both carry a loadable config: without one the missing -config
+		// alone is exit 2 and flag validation is never reached. (-out keeps
+		// a run that wrongly gets through from writing beside the sources.)
+		{name: "run bad jobs", args: []string{"run", "-config", cfg, "-out", scrap, "-jobs", "-3"}, want: 2, stderr: "-jobs"},
+		{name: "run shards flag removed", args: []string{"run", "-shards", "2"}, want: 2},
+		{name: "run bad clusters", args: []string{"run", "-config", cfg, "-out", scrap, "-clusters", "-2"}, want: 2, stderr: "-clusters"},
+		{name: "run missing config", args: []string{"run", "-config", filepath.Join(dir, "nope.json")}, want: 2},
+		{name: "run without config", args: []string{"run", "-q"}, want: 2, stderr: "-config"},
+		{name: "run invalid config", args: []string{"run", "-config", badCfg}, want: 2},
+		{name: "diff missing args", args: []string{"diff", base}, want: 2},
+		{name: "diff missing file", args: []string{"diff", base, filepath.Join(dir, "nope.json")}, want: 2},
+		{name: "diff bad threshold", args: []string{"diff", base, base, "-threshold", "lots"}, want: 2},
+		{name: "diff clean", args: []string{"diff", base, base}, want: 0},
+		{name: "diff regression", args: []string{"diff", base, worse}, want: 1},
+		{name: "diff regression flags first", args: []string{"diff", "-threshold", "5%", base, worse}, want: 1},
+		{name: "diff wide threshold absorbs", args: []string{"diff", base, worse, "-threshold", "20%"}, want: 0},
 	}
 	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer
 		if got := run(tc.args, &stdout, &stderr); got != tc.want {
 			t.Errorf("%s: exit %d, want %d (stderr: %s)", tc.name, got, tc.want, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tc.stderr) {
+			t.Errorf("%s: stderr %q does not name %q", tc.name, stderr.String(), tc.stderr)
 		}
 	}
 

@@ -92,6 +92,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *table < 0 || *table > 2 {
+		lg.Printf("unknown -table %d (accepted: 1, 2)", *table)
+		return 2
+	}
+	switch *ablation {
+	case "", "net", "pref", "sched":
+	default:
+		lg.Printf("unknown -ablation %q (accepted: net, pref, sched)", *ablation)
+		return 2
+	}
 	// -json wants each experiment's metrics next to its result, so it
 	// observes even without -trace/-metrics.
 	s, err := shared.Open(fs, *asJSON)

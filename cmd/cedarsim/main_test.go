@@ -25,6 +25,8 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		{"malformed plan", []string{"-faults", malformed}, 2, "warp-core"},
 		{"unknown flag", []string{"-bogus"}, 2, "bogus"},
 		{"nothing selected", []string{}, 2, "Usage"},
+		{"unknown ablation", []string{"-table", "1", "-ablation", "bogus"}, 2, `unknown -ablation "bogus" (accepted: net, pref, sched)`},
+		{"unknown table", []string{"-table", "7"}, 2, "unknown -table 7 (accepted: 1, 2)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -39,9 +39,10 @@ func chdir(t *testing.T, dir string) {
 }
 
 // TestJSONDeterministic vets the vetdemo golden module twice: the runs
-// must agree byte for byte, and the one planted finding (an unassigned
-// package in the layer DAG) must survive with a module-root-relative
-// path.
+// must agree byte for byte, and the one planted finding (a cycle-count
+// field declared int) must survive with a module-root-relative path. The
+// module's hotalloc waiver is live on this whole-module run, so it is not
+// reported as stale.
 func TestJSONDeterministic(t *testing.T) {
 	chdir(t, "testdata/mod")
 	runOnce := func() (int, string) {
@@ -61,7 +62,21 @@ func TestJSONDeterministic(t *testing.T) {
 	if err := json.Unmarshal([]byte(o1), &arr); err != nil {
 		t.Fatalf("output is not a JSON array: %v\n%s", err, o1)
 	}
-	if len(arr) != 1 || arr[0].Check != "layering" || arr[0].File != "a/a.go" {
-		t.Fatalf("findings = %+v, want one layering finding at a/a.go", arr)
+	if len(arr) != 1 || arr[0].Check != "cycleint" || arr[0].File != "a/a.go" {
+		t.Fatalf("findings = %+v, want one cycleint finding at a/a.go", arr)
+	}
+}
+
+// TestSinglePackageRunKeepsModuleWaivers vets vetdemo's cache package
+// alone. The Tick root that makes its waived allocation per-cycle code
+// lives in internal/sim, which the pattern did not load, so hotalloc
+// finds nothing for the //lint:allow to suppress — and that is no
+// evidence the waiver is stale: only a whole-module load judges a
+// whole-module check's directives.
+func TestSinglePackageRunKeepsModuleWaivers(t *testing.T) {
+	chdir(t, "testdata/mod")
+	var out, errb bytes.Buffer
+	if code := run([]string{"./internal/cache"}, &out, &errb); code != 0 {
+		t.Fatalf("exit = %d, want 0\n%s%s", code, out.String(), errb.String())
 	}
 }

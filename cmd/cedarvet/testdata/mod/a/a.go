@@ -1,7 +1,9 @@
 // Package a exists to give cedarvet a deterministic nonzero finding
-// set: it is not in the cedar layer DAG, so the layering check reports
-// it.
+// set: its one cycle-count field is declared int, which the cycleint
+// check reports.
 package a
 
-// V keeps the package non-empty.
-const V = 1
+// Stats holds the planted finding.
+type Stats struct {
+	StallCycles int
+}

@@ -321,28 +321,3 @@ func TestArtifactRoundTrip(t *testing.T) {
 		t.Fatalf("future schema should be refused, got %v", err)
 	}
 }
-
-// TestSmokeMatchesCommittedConfig keeps the built-in smoke campaign and
-// the committed bench/campaigns/smoke.json from drifting apart: both are
-// sources for `cedarbench run`, so they must describe the same matrix.
-func TestSmokeMatchesCommittedConfig(t *testing.T) {
-	committed, err := Load(filepath.Join("..", "..", "bench", "campaigns", "smoke.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	committed.baseDir = ""
-	want, err := json.Marshal(Smoke())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := json.Marshal(committed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("bench/campaigns/smoke.json drifted from bench.Smoke():\ncommitted: %s\nbuilt-in:  %s", got, want)
-	}
-	if err := Smoke().Validate(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -324,34 +324,3 @@ func Load(path string) (*Campaign, error) {
 	c.baseDir = filepath.Dir(path)
 	return &c, nil
 }
-
-// Smoke is the built-in smoke campaign — what `cedarbench run` with no
-// -config executes, and what bench/campaigns/smoke.json mirrors (a test
-// keeps them in sync). It is sized to finish in well under a minute so
-// scripts/check.sh can extend the perf trajectory on every PR: three
-// machine variants (as built, two-cluster, crossbar fabric) × four
-// kernels × (healthy, demo faults), at one and eight workers.
-func Smoke() *Campaign {
-	return &Campaign{
-		Schema: SchemaVersion,
-		Area:   "smoke",
-		Notes:  "standing smoke campaign run by scripts/check.sh; see DESIGN.md 'Benchmarking: cedarbench'",
-		Machines: []MachineSpec{
-			{Name: "cedar"},
-			{Name: "cedar-2cl", Clusters: 2},
-			{Name: "cedar-xbar", Fabric: "crossbar"},
-		},
-		Workloads: []WorkloadSpec{
-			{Name: "rank48-pref", Kind: "rank", N: 48, Variant: "pref"},
-			{Name: "rank48-cache", Kind: "rank", N: 48, Variant: "cache"},
-			{Name: "vl1k", Kind: "vectorload", N: 1024, Sweeps: 1},
-			{Name: "cg64", Kind: "cg", N: 64, Iters: 2},
-		},
-		Faults: []FaultSpec{
-			{Name: "healthy"},
-			{Name: "demo", Demo: true},
-		},
-		Jobs:    []int{1, 8},
-		Metrics: []string{"engine.cycle", "gmem.", "pfu.", "fault."},
-	}
-}

@@ -21,6 +21,7 @@ import (
 
 	"cedar/internal/cmem"
 	"cedar/internal/params"
+	"cedar/internal/sim"
 )
 
 // Sink receives word-access completions. Completions carry the
@@ -97,10 +98,6 @@ type Cache struct {
 	lastTick int64
 	wake     func(at int64)
 }
-
-// never mirrors sim.Never without importing sim (cache sits below it in
-// the layering DAG).
-const never = int64(1<<63 - 1)
 
 type firing struct {
 	at   int64
@@ -204,7 +201,7 @@ func (c *Cache) NextWakeup(now int64) int64 {
 	if c.queued > 0 {
 		return now
 	}
-	w := never
+	w := sim.Never
 	for i := range c.firing {
 		if at := c.firing[i].at; at < w {
 			w = at
@@ -441,7 +438,7 @@ func (c *Cache) fill(line uint64, cycle int64) {
 	fr.valid = true
 	fr.dirty = false
 	fr.used = c.clock
-	earliest := never
+	earliest := sim.Never
 	for _, r := range m.waiting {
 		if r.write {
 			fr.dirty = true
@@ -458,7 +455,7 @@ func (c *Cache) fill(line uint64, cycle int64) {
 			}
 		}
 	}
-	if earliest != never && c.wake != nil {
+	if earliest != sim.Never && c.wake != nil {
 		c.wake(earliest)
 	}
 	c.putMSHR(m)

@@ -7,6 +7,7 @@ import (
 	"cedar/internal/network"
 	"cedar/internal/params"
 	"cedar/internal/prefetch"
+	"cedar/internal/sim"
 )
 
 // Tag layout for CE-issued packets (bit 31 belongs to the PFU).
@@ -210,10 +211,6 @@ func (c *CE) Idle() bool {
 		len(c.pendingStores) == 0 && !c.pfu.Busy()
 }
 
-// never mirrors sim.Never without importing sim (ce sits below it in
-// the layering DAG).
-const never = int64(1<<63 - 1)
-
 // SetWaker installs the engine wake callback used by cache completions
 // and by PortReady. Until a waker is wired the CE never sleeps.
 func (c *CE) SetWaker(wake func(at int64)) { c.wake = wake }
@@ -236,10 +233,10 @@ func (c *CE) NextWakeup(now int64) int64 {
 	if c.wake == nil {
 		return now
 	}
-	w := never
+	w := sim.Never
 	// Reverse-port traffic: a packet that reached the fabric egress at
 	// cycle t is consumable the cycle after (the fabric ticks after us).
-	if t := c.rev.NextAt(c.Port, now-1); t != never && t+1 < w {
+	if t := c.rev.NextAt(c.Port, now-1); t != sim.Never && t+1 < w {
 		w = t + 1
 	}
 	if len(c.pendingStores) > 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cedar/internal/network"
+	"cedar/internal/sim"
 )
 
 // startVector initializes stream state for the current OpVector. The
@@ -207,7 +208,7 @@ func (c *CE) vecWakeup(now int64) int64 {
 	if vs.storesQueued > 0 {
 		return now // issueVecStores drains every cycle
 	}
-	w := never
+	w := sim.Never
 	for i := range vs.streams {
 		st := &vs.streams[i]
 		switch {

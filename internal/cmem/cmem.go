@@ -9,7 +9,10 @@
 // CEs reach cluster memory through the cache.
 package cmem
 
-import "cedar/internal/gmem"
+import (
+	"cedar/internal/gmem"
+	"cedar/internal/sim"
+)
 
 // Memory is one cluster's memory.
 type Memory struct {
@@ -22,10 +25,6 @@ type Memory struct {
 	busyCnt int64
 	wake    func(at int64)
 }
-
-// never mirrors sim.Never without importing sim (cmem sits below it in
-// the layering DAG).
-const never = int64(1<<63 - 1)
 
 // Sink receives transfer completions. Completions carry the caller's tag
 // instead of a per-request closure so that submitting on the per-cycle
@@ -86,7 +85,7 @@ func (m *Memory) NextWakeup(now int64) int64 {
 	if m.wake == nil || len(m.queue) > 0 {
 		return now
 	}
-	w := never
+	w := sim.Never
 	for i := range m.firing {
 		if at := m.firing[i].at; at < w {
 			w = at

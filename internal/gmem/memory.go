@@ -7,6 +7,7 @@ import (
 	"cedar/internal/fault"
 	"cedar/internal/network"
 	"cedar/internal/params"
+	"cedar/internal/sim"
 )
 
 // Memory is the global shared memory system: MemModules interleaved
@@ -95,10 +96,6 @@ type module struct {
 // outCap bounds banked-up replies before a module stalls initiation; it
 // models the module's reply staging buffer.
 const outCap = 4
-
-// never mirrors sim.Never without importing sim (gmem sits below it in
-// the layering DAG).
-const never = int64(1<<63 - 1)
 
 // New builds the memory system over the given fabrics. The store is shared
 // backdoor state: runtime code may Peek/Poke it directly for setup.
@@ -220,7 +217,7 @@ func (m *Memory) Tick(cycle int64) {
 				m.stats.BusyCyc += gap
 			}
 			m.tickModule(i, cycle)
-			if len(md.pipe) == 0 && len(md.out) == 0 && m.fwd.NextAt(m.PortOf(i), cycle) == never {
+			if len(md.pipe) == 0 && len(md.out) == 0 && m.fwd.NextAt(m.PortOf(i), cycle) == sim.Never {
 				// Nothing held and nothing at the port: every later tick
 				// is a no-op until PortReady says otherwise.
 				m.active[wi] &^= 1 << (i & 63)
@@ -244,7 +241,7 @@ func (m *Memory) NextWakeup(now int64) int64 {
 	if m.wake == nil {
 		return now
 	}
-	w := never
+	w := sim.Never
 	for wi, word := range m.active {
 		for ; word != 0; word &= word - 1 {
 			i := wi<<6 + bits.TrailingZeros64(word)

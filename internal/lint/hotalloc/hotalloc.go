@@ -66,8 +66,8 @@
 // testing.AllocsPerRun gates TestSteadyStateAllocsSubmitTick
 // (internal/cache), TestSteadyStateAllocsEngineRun (internal/sim),
 // TestSteadyStateAllocsControllerQueue (internal/cfrt) and
-// TestSteadyStateAllocsOmega (internal/network), which scripts/check.sh
-// runs as their own step.
+// TestSteadyStateAllocsOmega (internal/network, omega and crossbar),
+// which scripts/check.sh runs inside go test ./... .
 //
 // The third kind is not a missing construct but a missing call edge: a
 // continuation reached only through a func-valued field. The runtime's
@@ -85,6 +85,17 @@
 // TestSteadyStateAllocsLoops (internal/cfrt) runs every loop shape at two
 // iteration counts, each requiring equal object counts, and TestRunBudget
 // (internal/perfect) bounds whole proxy runs.
+//
+// # What only it sees
+//
+// The dynamic gates execute healthy runs, so a path only a fault takes is
+// out of their reach: an allocation planted at the top of the PFU's
+// reissue or expireTimeouts — the retry and timeout recovery of a degraded
+// run — passes every one of them and is reported here. Planting one in
+// each of eleven per-tick functions (EXPERIMENTS.md, "cedarvet — what each
+// check has caught"), hotalloc misses ccbus's book, reached only through
+// callbacks, and the gates miss those two; neither guard subsumes the
+// other, which is why both stay.
 package hotalloc
 
 import (

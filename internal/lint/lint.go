@@ -231,7 +231,9 @@ func (s *Suite) Has(name string) bool {
 // itself a finding (check "lintstale"), as is a directive naming a check
 // the suite has never heard of. enabled filters checks by name; nil runs
 // everything. Directives for disabled checks are left alone — they cannot
-// be judged on a partial run.
+// be judged on a partial run — and so are a module analyzer's directives
+// when pkgs is less than the whole module: what it reports from part of
+// the call graph is real, what it does not report proves nothing.
 func (s *Suite) Run(pkgs []*Package, enabled func(name string) bool) ([]Diagnostic, error) {
 	if enabled == nil {
 		enabled = func(string) bool { return true }
@@ -295,7 +297,16 @@ func (s *Suite) Run(pkgs []*Package, enabled func(name string) bool) ([]Diagnost
 	// Stale-suppression audit. Only directives naming enabled checks are
 	// judged; on a full run that is every directive, so unknown check
 	// names surface too.
+	partial := map[string]bool{} // module checks a less-than-whole load cannot judge
+	if len(pkgs) == 0 || !pkgs[0].whole {
+		for _, ma := range s.Module {
+			partial[ma.Name] = true
+		}
+	}
 	audited := func(check string) bool {
+		if partial[check] {
+			return false
+		}
 		if s.Has(check) {
 			return enabled(check)
 		}

@@ -52,7 +52,7 @@ func Run(t *testing.T, a *lint.Analyzer, dir string) {
 // go.mod — with a whole Suite (every check enabled, stale-suppression
 // audit included) and matches the result against // want comments across
 // all of the module's files. This is the harness for module analyzers
-// (layering, hotalloc), which need several packages at once, and for the
+// (hotalloc), which need several packages at once, and for the
 // suppression audit, which only runs on full Suite passes.
 func RunModule(t *testing.T, suite *lint.Suite, dir string) {
 	t.Helper()

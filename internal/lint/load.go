@@ -11,6 +11,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -28,6 +29,11 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+
+	// whole records that the load this package came from covered the
+	// whole module ("./..."), the only kind of load on which a module
+	// analyzer's silence means anything (see Suite.Run).
+	whole bool
 }
 
 // Loader type-checks packages of one module using only the standard
@@ -152,6 +158,14 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
+	whole := slices.Equal(patterns, []string{"./..."})
+	if !whole {
+		all, err := l.expand([]string{"./..."})
+		if err != nil {
+			return nil, err
+		}
+		whole = slices.Equal(dirs, all)
+	}
 	var pkgs []*Package
 	for _, dir := range dirs {
 		p, err := l.loadDir(dir)
@@ -159,6 +173,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 			return nil, err
 		}
 		if p != nil {
+			p.whole = whole
 			pkgs = append(pkgs, p)
 		}
 	}

@@ -7,9 +7,9 @@ import (
 
 // A ModuleAnalyzer is one named check over the whole module at once: it
 // sees every type-checked package of a load in a single pass, which is
-// what cross-package properties (import layering, call-graph
-// reachability) need. Module analyzers share the //lint:allow suppression
-// mechanism with per-package Analyzers.
+// what a cross-package property (call-graph reachability) needs. Module
+// analyzers share the //lint:allow suppression mechanism with per-package
+// Analyzers.
 type ModuleAnalyzer struct {
 	// Name identifies the check in output and in //lint:allow directives.
 	Name string

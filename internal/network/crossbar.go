@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cedar/internal/fault"
+	"cedar/internal/sim"
 )
 
 // Crossbar is an idealized single-stage interconnect used for the [Turn93]
@@ -83,7 +84,7 @@ func (c *Crossbar) NextWakeup(now int64) int64 {
 		return now
 	}
 	if len(c.pending) == 0 {
-		return never
+		return sim.Never
 	}
 	r := c.pending[0].pkt.readyAt
 	if r > now {
@@ -96,7 +97,7 @@ func (c *Crossbar) NextWakeup(now int64) int64 {
 // soon as they are queued.
 func (c *Crossbar) NextAt(port int, now int64) int64 {
 	if c.egress[port].headPkt() == nil {
-		return never
+		return sim.Never
 	}
 	return now
 }

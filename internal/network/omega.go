@@ -2,10 +2,10 @@ package network
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"cedar/internal/fault"
+	"cedar/internal/sim"
 )
 
 // Fabric is a unidirectional interconnection network between n ingress
@@ -86,11 +86,6 @@ type Stats struct {
 	// exceed one per port per cycle when a CE and its PFU both retry).
 	RefusedCyc int64
 }
-
-// never mirrors sim.Never without importing the engine package (the
-// layering DAG keeps network below sim): the NextWakeup value meaning
-// "asleep until woken".
-const never = int64(math.MaxInt64)
 
 // Omega is Cedar's packet-switched multistage shuffle-exchange network.
 //
@@ -311,14 +306,14 @@ func (o *Omega) NextWakeup(now int64) int64 {
 	if o.wake == nil || o.inflight > 0 || len(o.ingressList) > 0 {
 		return now
 	}
-	return never
+	return sim.Never
 }
 
 // NextAt implements Fabric.
 func (o *Omega) NextAt(port int, now int64) int64 {
 	h := o.egress[port].headPkt()
 	if h == nil {
-		return never
+		return sim.Never
 	}
 	if h.readyAt > now {
 		return h.readyAt

@@ -463,34 +463,35 @@ func TestRoutingTablesMatchFormulas(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocsOmega is the runtime allocation gate on the
-// fabric: Offer/Tick/Poll under uniform traffic with pooled packets must
+// TestSteadyStateAllocsOmega is the runtime allocation gate on both
+// fabrics: Offer/Tick/Poll under uniform traffic with pooled packets must
 // not allocate once the pool and the fabric's work lists have filled.
 func TestSteadyStateAllocsOmega(t *testing.T) {
-	o := cedarOmega("fwd")
-	var pool PacketPool
-	cycle, dst := int64(0), 0
-	drive := func() {
-		for n := 0; n < 200; n++ {
-			for src := 0; src < 64; src += 2 {
-				dst = (dst*5 + 7) % 64 // full-period walk over the ports
-				p := pool.Get()
-				p.Kind, p.Src, p.Dst = ReadReq, src, dst
-				if !o.Offer(p) {
-					pool.Put(p)
+	for _, f := range []Fabric{cedarOmega("fwd"), NewCrossbar("fwd", 64, 3)} {
+		var pool PacketPool
+		cycle, dst := int64(0), 0
+		drive := func() {
+			for n := 0; n < 200; n++ {
+				for src := 0; src < 64; src += 2 {
+					dst = (dst*5 + 7) % 64 // full-period walk over the ports
+					p := pool.Get()
+					p.Kind, p.Src, p.Dst = ReadReq, src, dst
+					if !f.Offer(p) {
+						pool.Put(p)
+					}
 				}
-			}
-			o.Tick(cycle)
-			cycle++
-			for port := 0; port < 64; port++ {
-				for p := o.Poll(port); p != nil; p = o.Poll(port) {
-					pool.Put(p)
+				f.Tick(cycle)
+				cycle++
+				for port := 0; port < 64; port++ {
+					for p := f.Poll(port); p != nil; p = f.Poll(port) {
+						pool.Put(p)
+					}
 				}
 			}
 		}
-	}
-	drive()
-	if avg := testing.AllocsPerRun(10, drive); avg != 0 {
-		t.Errorf("omega allocates %.1f times per 200 cycles of uniform traffic, want 0", avg)
+		drive()
+		if avg := testing.AllocsPerRun(10, drive); avg != 0 {
+			t.Errorf("%T allocates %.1f times per 200 cycles of uniform traffic, want 0", f, avg)
+		}
 	}
 }

@@ -24,6 +24,7 @@ import (
 
 	"cedar/internal/network"
 	"cedar/internal/params"
+	"cedar/internal/sim"
 )
 
 // TagBit marks network packet tags owned by a PFU, letting the CE dispatch
@@ -262,22 +263,18 @@ func (u *PFU) Done() bool {
 // Busy reports whether requests are outstanding or still to issue.
 func (u *PFU) Busy() bool { return u.fired && !u.Done() }
 
-// never mirrors sim.Never without importing sim (prefetch sits below it
-// in the layering DAG).
-const never = int64(1<<63 - 1)
-
 // NextWakeup reports the earliest cycle the PFU needs its CE's tick:
 // every cycle while it can issue (or must be resumed from a page-crossing
 // suspension), the earliest timeout or retry deadline otherwise. Phases
 // that only await replies sleep — the reverse port wakes the CE.
 func (u *PFU) NextWakeup(now int64) int64 {
 	if !u.fired {
-		return never
+		return sim.Never
 	}
 	if u.suspended {
 		return now // the CE resumes a suspended PFU on its next tick
 	}
-	w := never
+	w := sim.Never
 	if u.issuedIdx < u.length {
 		if u.mask != nil && !u.mask[u.issuedIdx] {
 			return now // masked elements are marked consumable by ticking

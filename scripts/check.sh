@@ -31,7 +31,7 @@ go vet ./...
 # vet findings would only show up here as noise. The -json artifact is
 # what CI uploads; on failure we print it so the findings are visible in
 # the log too.
-stage "cedarvet (hot-path allocs, layering, concurrency, error flow, determinism)"
+stage "cedarvet (nondeterminism, paramhygiene, cycleint, errflow, hotalloc)"
 mkdir -p artifacts
 if ! go run ./cmd/cedarvet -json ./... > artifacts/cedarvet.json; then
   cat artifacts/cedarvet.json
