@@ -6,8 +6,8 @@
 //
 // reproduces the study end to end. Sizes are reduced from the paper's
 // (documented per benchmark); the shapes are the reproduction target.
-// cmd/cedarsim, cmd/perfect and cmd/judge run the same experiments with
-// formatted output and full sizes.
+// cmd/cedarsim runs the same experiments by catalogue name with formatted
+// output and full sizes.
 package cedar_test
 
 import (
@@ -81,7 +81,7 @@ func BenchmarkTable2(b *testing.B) {
 }
 
 // benchSuite runs the Perfect suite once per process (three
-// representative codes keep -bench=. tractable; cmd/perfect runs all
+// representative codes keep -bench=. tractable; cedarsim t3 runs all
 // thirteen) and shares the result across the table benchmarks, which
 // differ only in how they analyze it.
 var (
@@ -101,7 +101,7 @@ func benchSuite(b *testing.B) *tables.SuiteResult {
 				sel = append(sel, c)
 			}
 		}
-		benchSuiteRes, benchSuiteErr = tables.RunSuite(tables.Env{}, sel, nil)
+		benchSuiteRes, benchSuiteErr = tables.RunSuite(tables.Env{}, sel)
 	})
 	if benchSuiteErr != nil {
 		b.Fatal(benchSuiteErr)
@@ -279,10 +279,9 @@ func BenchmarkSuiteParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("jobs%d", jobs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				err := cedar.WriteReport(io.Discard, cedar.ReportConfig{
-					RankN:           benchTableN,
-					Env:             cedar.Env{Jobs: jobs},
-					SkipPerfect:     true,
-					SkipMethodology: true,
+					Names: tables.Kernels,
+					Sizes: tables.Sizes{RankN: benchTableN},
+					Env:   cedar.Env{Jobs: jobs},
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -245,11 +245,11 @@ func Instability(perf []float64, e int) float64 { return ppt.Instability(perf, e
 type (
 	// Env is the run configuration every experiment runner takes: the
 	// observing Hub, the fault plan, the worker count, the base machine
-	// width and the engine (Stepped). The zero Env is an unobserved
-	// healthy run on the as-built Cedar's event wheel at GOMAXPROCS
-	// workers. Those five travel only in the Env: two Envs in one
-	// process do not see each other, and every point simulates — nothing
-	// is memoized between runs.
+	// width, the engine (Stepped) and where progress lines go. The zero
+	// Env is a quiet, unobserved healthy run on the as-built Cedar's
+	// event wheel at GOMAXPROCS workers. Those six travel only in the
+	// Env: two Envs in one process do not see each other, and every
+	// point simulates — nothing is memoized between runs.
 	Env = tables.Env
 	// Table1Result is the rank-64 update memory study.
 	Table1Result = tables.Table1Result
@@ -267,8 +267,8 @@ var RunTable1 = tables.RunTable1
 // RunTable2 regenerates Table 2 (small selects reduced kernel slices).
 var RunTable2 = tables.RunTable2
 
-// RunPerfectSuite runs every variant of the suite (pass nil for all 13
-// codes); feed the result to BuildTable3..BuildFigure3.
+// RunPerfectSuite runs every version of the given codes (nil for all
+// 13); feed the result to BuildTable3..BuildFigure3.
 var RunPerfectSuite = tables.RunSuite
 
 // Derived tables over a suite run.
@@ -285,6 +285,10 @@ var RunPPT4 = tables.RunPPT4
 
 // ReportConfig selects what WriteReport includes and at what scale.
 type ReportConfig = tables.ReportConfig
+
+// Evaluation names every experiment of the paper's evaluation in report
+// order: the whole paper as ReportConfig.Names.
+var Evaluation = tables.Evaluation
 
 // WriteReport regenerates the paper's complete evaluation as one report.
 // With ReportConfig.Now left nil the output is byte-identical across

@@ -68,7 +68,12 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file")
 		stepped  = fs.Bool("stepped", false, "build every machine on the pure per-cycle stepped engine (no event wheel); the deterministic section must not change — compare wall times to measure the wheel's win")
 	)
-	if err := fs.Parse(args); err != nil {
+	extra, err := cliutil.Parse(fs, args)
+	if err != nil {
+		return 2
+	}
+	if len(extra) > 0 {
+		lg.Printf("unexpected arguments %v", extra)
 		return 2
 	}
 	// Campaigns declare their own fault plans and machines; the shared
@@ -144,25 +149,16 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 		thr      = fs.String("threshold", "5%", "simcycle regression threshold (\"5%\" or \"0.05\")")
 		allocThr = fs.String("alloc-threshold", "30%", "malloc regression threshold")
 	)
-	// Flags may follow the two artifact paths; parse, then re-parse any
-	// remainder so both orders work.
-	if err := fs.Parse(args); err != nil {
+	// Flags may come before, between or after the two artifact paths.
+	paths, err := cliutil.Parse(fs, args)
+	if err != nil {
 		return 2
-	}
-	paths := fs.Args()
-	if len(paths) > 2 {
-		rest := paths[2:]
-		paths = paths[:2]
-		if err := fs.Parse(rest); err != nil {
-			return 2
-		}
 	}
 	if len(paths) != 2 {
 		fmt.Fprintln(stderr, "cedarbench: usage: cedarbench diff old.json new.json [-threshold 5%] [-alloc-threshold 30%]")
 		return 2
 	}
 	var opt bench.DiffOptions
-	var err error
 	if opt.CycleThreshold, err = parseThreshold(*thr); err != nil {
 		lg.Printf("-threshold: %v", err)
 		return 2

@@ -162,6 +162,8 @@ func TestExitCodes(t *testing.T) {
 		{name: "run missing config", args: []string{"run", "-config", filepath.Join(dir, "nope.json")}, want: 2},
 		{name: "run without config", args: []string{"run", "-q"}, want: 2, stderr: "-config"},
 		{name: "run invalid config", args: []string{"run", "-config", badCfg}, want: 2},
+		{name: "run stray argument", args: []string{"run", "-config", cfg, "-out", scrap, "extra"}, want: 2, stderr: "unexpected arguments [extra]"},
+		{name: "diff extra path", args: []string{"diff", base, base, base}, want: 2},
 		{name: "diff missing args", args: []string{"diff", base}, want: 2},
 		{name: "diff missing file", args: []string{"diff", base, filepath.Join(dir, "nope.json")}, want: 2},
 		{name: "diff bad threshold", args: []string{"diff", base, base, "-threshold", "lots"}, want: 2},

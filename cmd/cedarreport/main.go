@@ -1,14 +1,14 @@
 // Command cedarreport regenerates the paper's complete evaluation —
 // every table, figure, microbenchmark and ablation — as one markdown
-// report on stdout. It is the one-command version of running cedarsim,
-// perfect and judge back to back (expect several minutes at defaults).
+// report on stdout: cedarsim over every catalogue name but degraded, with
+// a heading per section (expect several minutes at defaults).
 //
 // Usage:
 //
 //	cedarreport > report.md
 //	cedarreport -n 512 -full           # closer to paper-scale problems
 //	cedarreport -codes ARC2D,QCD,SPICE # fast Perfect subset
-//	cedarreport -kernels-only
+//	cedarreport -kernels-only          # the kernel-level names only
 //	cedarreport -trace t.json -metrics m.csv   # observability artifacts
 //	cedarreport -jobs 8                # parallel experiment points, identical report
 //	cedarreport -faults plan.json      # every machine runs under the fault plan
@@ -44,7 +44,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		quiet    = fs.Bool("q", false, "suppress progress lines")
 		shared   = cliutil.Register(fs, false)
 	)
-	if err := fs.Parse(args); err != nil {
+	extra, err := cliutil.Parse(fs, args)
+	if err != nil {
+		return 2
+	}
+	if len(extra) > 0 {
+		lg.Printf("unexpected arguments %v", extra)
+		return 2
+	}
+	cfg := tables.ReportConfig{
+		Names: tables.Evaluation,
+		Sizes: tables.Sizes{RankN: *n, FullPPT4: *full},
+		// The CLI wants the elapsed-time trailer; library callers get
+		// byte-identical reports by leaving Now nil.
+		Now: time.Now,
+	}
+	if *kernOnly {
+		cfg.Names = tables.Kernels
+	}
+	if cfg.Sizes.Codes, err = perfect.Select(*codes); err != nil {
+		lg.Print(err)
 		return 2
 	}
 	s, err := shared.Open(fs, false)
@@ -53,27 +72,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	defer s.Abort()
-
-	cfg := tables.ReportConfig{
-		RankN:    *n,
-		FullPPT4: *full,
-		Progress: stderr,
-		// The CLI wants the elapsed-time trailer; library callers get
-		// byte-identical reports by leaving Now nil.
-		Now: time.Now,
-		// A hub in the Env adds the cycle-attribution section.
-		Env: s.Env,
-	}
-	if *quiet {
-		cfg.Progress = nil
-	}
-	if *kernOnly {
-		cfg.SkipPerfect = true
-		cfg.SkipMethodology = true
-	}
-	if cfg.Codes, err = perfect.Select(*codes); err != nil {
-		lg.Print(err)
-		return 2
+	// A hub in the Env adds the cycle-attribution section.
+	cfg.Env = s.Env
+	if !*quiet {
+		cfg.Env.Progress = stderr
 	}
 	if err := tables.WriteReport(stdout, cfg); err != nil {
 		lg.Print(err)

@@ -26,6 +26,8 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		{"unknown flag", []string{"-bogus"}, 2, "bogus"},
 		{"no matching codes", []string{"-codes", "NOSUCH"}, 2, "NOSUCH"},
 		{"one typo among the codes", []string{"-codes", "QCD,TRAK"}, 2, `"TRAK" (valid: ADM, ARC2D`},
+		{"stray argument after the flags", []string{"-n", "512", "extra"}, 2, "unexpected arguments [extra]"},
+		{"stray argument before the flags", []string{"extra", "-n", "512"}, 2, "unexpected arguments [extra]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,19 +1,22 @@
-// Command cedarsim regenerates the kernel-level experiments of the paper:
-// Table 1 (rank-64 update memory study), Table 2 (global memory latency
-// and interarrival), the §3.2 runtime overheads, and the design ablations
-// (network type and queue depth, prefetch block size, scaled-up Cedar).
+// Command cedarsim runs experiments of the paper's evaluation by
+// catalogue name and prints each one's table: overheads (§3.2), t1 and t2
+// (the memory study), membw ([GJTV91]), net, prefblock and sched (the
+// design ablations), scaled (PPT5), degraded (fault scenarios), t3 and t4
+// (the Perfect results), t5, t6 and fig3 (the methodology) and ppt4.
 //
 // Usage:
 //
-//	cedarsim -table 1 [-n 512]
-//	cedarsim -table 2 [-small]
-//	cedarsim -overheads
-//	cedarsim -ablation net|pref|sched [-n 256]
-//	cedarsim -scaled [-n 256]
-//	cedarsim -membw
-//	cedarsim -faults plan.json   # degraded-mode table under a fault plan
-//	cedarsim -faults demo        # ... under the built-in dead-bank scenario
-//	cedarsim -all
+//	cedarsim [flags] name...
+//	cedarsim -n 512 t1
+//	cedarsim -small t2 net prefblock sched
+//	cedarsim -codes ARC2D,QCD,SPICE t3 t4 t5 t6 fig3
+//	cedarsim -full ppt4
+//	cedarsim -faults plan.json t1   # every machine under the plan, plus degraded
+//	cedarsim -faults demo           # degraded under the built-in dead-bank scenario
+//
+// Flags may come before or after the names. Names run in the order given,
+// and a point several of them share (t3 … fig3 share the Perfect suite's)
+// simulates once. cedarreport runs every name but degraded as one report.
 //
 // Any run accepts -trace FILE (Chrome trace-event JSON for Perfetto or
 // chrome://tracing) and -metrics FILE (metrics snapshot CSV); -json embeds
@@ -21,6 +24,7 @@
 // independent experiment points in parallel; output is byte-identical at
 // any job count. -faults installs a seed-deterministic fault plan for
 // every machine the command builds and adds the degraded-mode table.
+// Progress goes to stderr, one line per simulated point; -q silences it.
 // -cpuprofile/-memprofile write pprof profiles of the run; -json output
 // leads with a self-describing run-metadata header.
 package main
@@ -32,8 +36,11 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
+	"strings"
 
 	"cedar/internal/cliutil"
+	"cedar/internal/perfect"
 	"cedar/internal/scope"
 	"cedar/internal/tables"
 )
@@ -77,29 +84,39 @@ func run(args []string, stdout, stderr io.Writer) int {
 	lg := log.New(stderr, "cedarsim: ", 0)
 	fs := flag.NewFlagSet("cedarsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "Usage: cedarsim [flags] name...")
+		fmt.Fprintln(stderr, "names:", strings.Join(tables.Names(), " "))
+		fs.PrintDefaults()
+	}
 	var (
-		table     = fs.Int("table", 0, "regenerate table 1 or 2")
-		n         = fs.Int("n", 256, "matrix order for the rank-64 update (paper: 1K)")
-		small     = fs.Bool("small", false, "reduced problem sizes for table 2")
-		overheads = fs.Bool("overheads", false, "measure runtime library overheads")
-		ablation  = fs.String("ablation", "", "run an ablation: net, pref, or sched")
-		scaled    = fs.Bool("scaled", false, "run the scaled-Cedar PPT5 probe")
-		membw     = fs.Bool("membw", false, "run the [GJTV91] memory characterization sweep")
-		asJSON    = fs.Bool("json", false, "emit results as JSON instead of tables")
-		all       = fs.Bool("all", false, "run everything")
-		shared    = cliutil.Register(fs, true)
+		n      = fs.Int("n", 256, "rank-64 update order of t1, net, prefblock, scaled and degraded (paper: 1K)")
+		small  = fs.Bool("small", false, "reduced kernel slices for t2")
+		full   = fs.Bool("full", false, "include the paper's largest CG sizes in ppt4")
+		codes  = fs.String("codes", "", "comma-separated Perfect subset for t3, t4, t5, t6 and fig3 (default: all 13)")
+		asJSON = fs.Bool("json", false, "emit results as JSON instead of tables")
+		quiet  = fs.Bool("q", false, "suppress per-point progress lines")
+		shared = cliutil.Register(fs, true)
 	)
-	if err := fs.Parse(args); err != nil {
+	names, err := cliutil.Parse(fs, args)
+	if err != nil {
 		return 2
 	}
-	if *table < 0 || *table > 2 {
-		lg.Printf("unknown -table %d (accepted: 1, 2)", *table)
+	if shared.Faults != "" && !slices.Contains(names, "degraded") {
+		names = append(names, "degraded")
+	}
+	if len(names) == 0 {
+		fs.Usage()
 		return 2
 	}
-	switch *ablation {
-	case "", "net", "pref", "sched":
-	default:
-		lg.Printf("unknown -ablation %q (accepted: net, pref, sched)", *ablation)
+	exps, err := tables.Experiments(names...)
+	if err != nil {
+		lg.Print(err)
+		return 2
+	}
+	sizes := tables.Sizes{RankN: *n, Table2Full: !*small, MemBWWords: 4096, FullPPT4: *full}
+	if sizes.Codes, err = perfect.Select(*codes); err != nil {
+		lg.Print(err)
 		return 2
 	}
 	// -json wants each experiment's metrics next to its result, so it
@@ -111,45 +128,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer s.Abort()
 	env := s.Env
+	if !*quiet {
+		env.Progress = stderr
+	}
 	meta := cliutil.NewMeta("cedarsim", env.Jobs, env.Faults)
-
-	// Catalogue names in output order, each with the flag that selects
-	// it; -faults adds the degraded-mode table.
-	var names []string
-	for _, pick := range []struct {
-		name string
-		on   bool
-	}{
-		{"overheads", *overheads},
-		{"t1", *table == 1},
-		{"t2", *table == 2},
-		{"net", *ablation == "net"},
-		{"sched", *ablation == "sched"},
-		{"prefblock", *ablation == "pref"},
-		{"scaled", *scaled},
-		{"membw", *membw},
-		{"degraded", env.Faults != nil},
-	} {
-		if *all || pick.on {
-			names = append(names, pick.name)
-		}
+	err = tables.RunAll(env, sizes, exps, func(e tables.Experiment, res tables.Result) error {
+		return emit(stdout, *asJSON, env.Hub, meta, e.Namespace(), res)
+	})
+	if err == nil {
+		err = s.Close(stdout, !*asJSON)
 	}
-	if len(names) == 0 {
-		fs.Usage()
-		return 2
-	}
-	sizes := tables.Sizes{RankN: *n, Table2Small: *small, MemBWWords: 4096}
-	for _, e := range tables.Experiments(names...) {
-		res, err := e.Run(env, sizes)
-		if err == nil {
-			err = emit(stdout, *asJSON, env.Hub, meta, e.Name, res)
-		}
-		if err != nil {
-			lg.Print(err)
-			return 1
-		}
-	}
-	if err := s.Close(stdout, !*asJSON); err != nil {
+	if err != nil {
 		lg.Print(err)
 		return 1
 	}

@@ -180,11 +180,7 @@ func TestParallelVsSequentialEquality(t *testing.T) {
 func TestReportBytesDeterminism(t *testing.T) {
 	gen := func() string {
 		var b strings.Builder
-		err := cedar.WriteReport(&b, cedar.ReportConfig{
-			SkipKernels:     true,
-			SkipPerfect:     true,
-			SkipMethodology: true,
-		})
+		err := cedar.WriteReport(&b, cedar.ReportConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,18 +55,6 @@ type FaultMeta struct {
 // function of the campaign config.
 type Deterministic struct {
 	Points []PointResult `json:"points"`
-	// Fleet summarizes the run cache across one full matrix pass.
-	// Single-flight makes these counts identical at any worker count.
-	Fleet FleetStats `json:"fleet"`
-}
-
-// FleetStats is the deterministic view of fleet cache activity: Served
-// deliberately collapses the timing-dependent hit/coalesce split.
-type FleetStats struct {
-	Lookups int64   `json:"lookups"`
-	Misses  int64   `json:"misses"`
-	Served  int64   `json:"served"`
-	HitRate float64 `json:"hit_rate"`
 }
 
 // PointResult is one matrix point's deterministic outcome.
@@ -79,9 +67,8 @@ type PointResult struct {
 	Outcome
 }
 
-// Outcome is the identity-free simulation result — what the fleet cache
-// stores, shared by every point with the same semantic inputs, slices
-// included: read-only once runPoint has returned it.
+// Outcome is the identity-free simulation result — what a campaign point
+// records and a cedarserve response carries.
 type Outcome struct {
 	// Status is "ok" or "degraded" (the fault plan exhausted a retry
 	// budget or starved the program; partial timing is still reported).

@@ -14,9 +14,9 @@ import (
 	"cedar/internal/fault"
 )
 
-// mini returns a small campaign for runner tests: one machine, two
-// workloads (one duplicated semantically under another name, to exercise
-// cache dedup), healthy and demo fault plans.
+// mini returns a small campaign for runner tests: one machine, three
+// workloads (one a semantic duplicate of another under a second name, which
+// must simulate to the same outcome), healthy and demo fault plans.
 func mini() *Campaign {
 	return &Campaign{
 		Area:     "mini",
@@ -135,7 +135,7 @@ func TestLoadResolvesFaultPathsRelativeToConfig(t *testing.T) {
 // determinism gate: two executions at different worker counts must agree
 // byte-for-byte on the deterministic section. (Run's internal self-check
 // covers multi-pass campaigns; this covers separate processes-worth of
-// state — fresh caches, fresh hubs.)
+// state — fresh hubs.)
 func TestRunDeterministicAcrossJobs(t *testing.T) {
 	a1, err := Run(mini(), RunOptions{Jobs: 1})
 	if err != nil {
@@ -171,12 +171,6 @@ func TestRunOutcomes(t *testing.T) {
 	if art.Header.Points != 6 || art.Header.Tool != "cedarbench" || art.Header.Schema != SchemaVersion {
 		t.Fatalf("bad header: %+v", art.Header)
 	}
-	// vl and vl-again are semantically identical: per pass, 6 lookups but
-	// only 4 distinct simulations.
-	fl := art.Deterministic.Fleet
-	if fl.Lookups != 6 || fl.Misses != 4 || fl.Served != 2 {
-		t.Fatalf("fleet stats: %+v", fl)
-	}
 	byID := map[string]PointResult{}
 	for _, p := range art.Deterministic.Points {
 		if p.SimCycles <= 0 {
@@ -190,6 +184,8 @@ func TestRunOutcomes(t *testing.T) {
 		}
 		byID[p.ID] = p
 	}
+	// vl and vl-again are the same point under two names: each simulates,
+	// and they agree.
 	dup, orig := byID["cedar/vl-again/healthy"], byID["cedar/vl/healthy"]
 	if dup.SimCycles != orig.SimCycles {
 		t.Fatalf("semantically equal points disagree: %d vs %d", dup.SimCycles, orig.SimCycles)
@@ -218,31 +214,6 @@ func TestRunOutcomes(t *testing.T) {
 	}
 	if len(art.Measured.Points) != 0 {
 		t.Errorf("per-point wall times recorded without a clock")
-	}
-}
-
-// TestPointKeyCoversEveryWorkloadField: the run-cache key is built from
-// the workload spec itself, so every field but the name moves it — a
-// field added to WorkloadSpec can never let two different points share
-// one simulation.
-func TestPointKeyCoversEveryWorkloadField(t *testing.T) {
-	base := Point{Workload: WorkloadSpec{Name: "w", Kind: "cg", N: 64}}
-	k0 := base.key(DefaultMetrics)
-	typ := reflect.TypeOf(base.Workload)
-	for i := 0; i < typ.NumField(); i++ {
-		pt := base
-		switch f := reflect.ValueOf(&pt.Workload).Elem().Field(i); f.Kind() {
-		case reflect.String:
-			f.SetString(f.String() + "x")
-		case reflect.Int:
-			f.SetInt(f.Int() + 1)
-		default:
-			t.Fatalf("WorkloadSpec.%s has kind %s: teach this test to change it", typ.Field(i).Name, f.Kind())
-		}
-		name, moved := typ.Field(i).Name, pt.key(DefaultMetrics) != k0
-		if want := name != "Name"; moved != want {
-			t.Errorf("changing WorkloadSpec.%s moved the key: %v, want %v", name, moved, want)
-		}
 	}
 }
 

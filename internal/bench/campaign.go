@@ -2,11 +2,10 @@
 // measurement substrate for the repo's own performance story. A Campaign
 // is one JSON config declaring a matrix of (machine parameters ×
 // workload × fault plan), plus the worker counts to execute it at; Run
-// drives every point through the cedarfleet pool (reusing the run cache
-// and single-flight path) and emits a BENCH_<area>.json Artifact whose
-// deterministic section — simcycles, scope counter snapshots,
-// busy/stall/idle attribution, fleet cache rates — is byte-identical at
-// any -jobs value, while measured fields (wall time, allocations) live
+// drives every point through the cedarfleet pool and emits a
+// BENCH_<area>.json Artifact whose deterministic section — simcycles,
+// scope counter snapshots, busy/stall/idle attribution — is
+// byte-identical at any -jobs value, while measured fields (wall time, allocations) live
 // in a separate section excluded from byte comparisons. Diff compares
 // two artifacts against a regression threshold; cmd/cedarbench is the
 // CLI face and scripts/check.sh runs the smoke campaign every PR so the
@@ -47,7 +46,7 @@ type Campaign struct {
 	Workloads []WorkloadSpec `json:"workloads"`
 	Faults    []FaultSpec    `json:"faults,omitempty"`
 	// Jobs lists the fleet worker counts to execute the matrix at, one
-	// full pass per value against a fresh private run cache. The
+	// full pass per value. The
 	// deterministic section must agree byte-for-byte across passes (Run
 	// verifies this); the measured section records one wall-time and
 	// allocation entry per pass. Empty means a single pass at 1.
@@ -129,7 +128,7 @@ func (ms MachineSpec) Validate() error {
 
 // Validate checks the workload spec in isolation: a known kind, no
 // field set that the kind's kernel never reads (the whole spec is hashed
-// into the run-cache and cedarserve keys, so such a field would make one
+// into the cedarserve response key, so such a field would make one
 // point many), a known rank variant, non-negative sizes.
 func (ws WorkloadSpec) Validate() error {
 	k, err := ws.kind()

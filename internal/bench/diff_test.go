@@ -16,7 +16,6 @@ func fix() *Artifact {
 				{ID: "m/w1/healthy", Outcome: Outcome{Status: "ok", SimCycles: 1000}},
 				{ID: "m/w2/healthy", Outcome: Outcome{Status: "ok", SimCycles: 2000}},
 			},
-			Fleet: FleetStats{Lookups: 2, Misses: 2},
 		},
 		Measured: Measured{Runs: []RunMeasure{{Jobs: 1, Mallocs: 10000, AllocBytes: 1 << 20}}},
 	}

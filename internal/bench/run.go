@@ -60,16 +60,6 @@ type PointOutcome struct {
 	Faults core.FaultCounters
 }
 
-// key is the point's run-cache key, over semantics only — the resolved
-// parameters and the workload spec less its name, never the axis names —
-// so coincidentally equal points simulate once.
-func (pt Point) key(metrics []string) string {
-	w := pt.Workload
-	w.Name = ""
-	fabric, _ := pt.Machine.fabricKind()
-	return fleet.Key("bench", pt.Machine.Params(), int(fabric), w, pt.Plan.Fingerprint(), strings.Join(metrics, ","))
-}
-
 // Build is the one place an experiment's machine is built: the spec's
 // parameters and fabric, under the point's plan, observed by hub (nil:
 // unobserved); stepped registers every component through sim.Plain
@@ -111,11 +101,11 @@ func (pt Point) Run(hub *scope.Hub, stepped bool) (PointOutcome, error) {
 	return out, nil
 }
 
-// Run executes the campaign: one full matrix pass per jobs value, each
-// against a fresh private run cache, every point dispatched through the
-// fleet pool. The first pass fills the artifact's deterministic section;
-// every later pass re-derives it and byte-compares against the first, so
-// a successful Run is itself a determinism proof across worker counts.
+// Run executes the campaign: one full matrix pass per jobs value, every
+// point dispatched through the fleet pool and simulated. The first pass
+// fills the artifact's deterministic section; every later pass re-derives
+// it and byte-compares against the first, so a successful Run is itself
+// a determinism proof across worker counts.
 // Points that degrade under their fault plan report status "degraded"
 // with partial timing; any other failure aborts the campaign.
 func Run(c *Campaign, opt RunOptions) (*Artifact, error) {
@@ -181,18 +171,12 @@ func Run(c *Campaign, opt RunOptions) (*Artifact, error) {
 
 	var baseline []byte
 	for passIdx, j := range jobsList {
-		cache := fleet.NewCache()
 		fjobs := make([]fleet.Job[Outcome], len(points))
 		for i, pt := range points {
-			fjobs[i] = fleet.Job[Outcome]{
-				// The job builds its own hub internally (the fleet-level
-				// hub stays nil) precisely so keyed jobs remain cacheable
-				// while still capturing metrics and attribution as plain
-				// result data.
-				Key: pt.key(metrics),
-				Run: func(*scope.Hub) (Outcome, error) {
-					return runPoint(cells[i].ID, pt, metrics, opt)
-				},
+			// The job builds its own hub (the fleet-level hub stays nil) and
+			// returns its metrics and attribution as plain result data.
+			fjobs[i].Run = func(*scope.Hub) (Outcome, error) {
+				return runPoint(cells[i].ID, pt, metrics, opt)
 			}
 		}
 
@@ -202,9 +186,7 @@ func Run(c *Campaign, opt RunOptions) (*Artifact, error) {
 		if opt.Now != nil {
 			start = opt.Now()
 		}
-		// Points that share a key share one Outcome, slices included; it
-		// is only marshalled from here on.
-		results, err := fleet.Run(fleet.Config{Jobs: j, Cache: cache}, fjobs)
+		results, err := fleet.Run(fleet.Config{Jobs: j}, fjobs)
 		if err != nil {
 			return nil, err
 		}
@@ -214,8 +196,6 @@ func Run(c *Campaign, opt RunOptions) (*Artifact, error) {
 		for i, out := range results {
 			det.Points[i].Outcome = out
 		}
-		st := cache.Stats()
-		det.Fleet = FleetStats{Lookups: st.Lookups, Misses: st.Misses, Served: st.Served(), HitRate: st.HitRate()}
 
 		probe := Artifact{Deterministic: det}
 		b, err := probe.DeterministicBytes()
@@ -241,8 +221,8 @@ func Run(c *Campaign, opt RunOptions) (*Artifact, error) {
 		}
 		art.Measured.Runs = append(art.Measured.Runs, run)
 		if opt.Progress != nil {
-			fmt.Fprintf(opt.Progress, "bench %s: pass %d/%d (jobs=%d): %d points, cache served %d/%d\n",
-				c.Area, passIdx+1, len(jobsList), j, len(points), st.Served(), st.Lookups)
+			fmt.Fprintf(opt.Progress, "bench %s: pass %d/%d (jobs=%d): %d points\n",
+				c.Area, passIdx+1, len(jobsList), j, len(points))
 		}
 	}
 	return art, nil
@@ -265,8 +245,8 @@ func RunSpec(ms MachineSpec, ws WorkloadSpec, plan *fault.Plan, metrics []string
 }
 
 // runPoint is Point.Run on a private hub, then the hub's snapshot: the
-// identity-free outcome the cache stores. Of opt it reads the clock and
-// the engine choice; id names the point in errors.
+// identity-free outcome. Of opt it reads the clock and the engine choice;
+// id names the point in errors.
 func runPoint(id string, pt Point, metrics []string, opt RunOptions) (Outcome, error) {
 	hub := scope.NewHub()
 	// An Outcome carries the hub's metrics and attribution, never a span:

@@ -50,6 +50,24 @@ func Register(fs *flag.FlagSet, clusters bool) *Flags {
 	return f
 }
 
+// Parse parses args into fs with flags and positional arguments in any
+// order — flag stops at the first non-flag, so Parse resumes after each
+// one — and returns the positional arguments in order. An error has
+// already been printed by fs: exit 2.
+func Parse(fs *flag.FlagSet, args []string) ([]string, error) {
+	var pos []string
+	for {
+		if err := fs.Parse(args); err != nil {
+			return nil, err
+		}
+		if fs.NArg() == 0 {
+			return pos, nil
+		}
+		pos = append(pos, fs.Arg(0))
+		args = fs.Args()[1:]
+	}
+}
+
 // Validate checks the worker and width flags after fs has been parsed:
 // -jobs must be positive when the user set it explicitly (the unset
 // default 0 means GOMAXPROCS), and -clusters must name a machine that

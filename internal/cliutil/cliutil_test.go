@@ -31,6 +31,26 @@ func open(t *testing.T, args ...string) (*Session, error) {
 	return s, err
 }
 
+// TestParseMixesFlagsAndArguments: flags before, between and after the
+// positional arguments all land, and the arguments come back in order.
+func TestParseMixesFlagsAndArguments(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	n := fs.Int("n", 0, "")
+	q := fs.Bool("q", false, "")
+	shared := Register(fs, false)
+	pos, err := Parse(fs, []string{"t1", "-n", "32", "t2", "-q", "-jobs", "2", "t3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(pos, " ") != "t1 t2 t3" || *n != 32 || !*q || shared.Jobs != 2 {
+		t.Errorf("Parse = %q, -n %d, -q %v, -jobs %d; want t1 t2 t3, 32, true, 2", pos, *n, *q, shared.Jobs)
+	}
+	if _, err := Parse(fs, []string{"t1", "-bogus"}); err == nil {
+		t.Error("an unknown flag after an argument parsed")
+	}
+}
+
 func TestSetupJobsValidation(t *testing.T) {
 	for _, args := range [][]string{
 		{"-jobs", "0"},

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -325,8 +326,9 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestRequestKeyDistinguishesInputs: every semantic input moves the
-// cache key, so distinct experiments can never share bytes.
+// TestRequestKeyDistinguishesInputs: the inputs beside the specs — the
+// fault plan and the metric filter — move the cache key, and identical
+// inputs keep it, so distinct experiments can never share bytes.
 func TestRequestKeyDistinguishesInputs(t *testing.T) {
 	base := Request{
 		Machine:  bench.MachineSpec{Name: "m"},
@@ -334,28 +336,45 @@ func TestRequestKeyDistinguishesInputs(t *testing.T) {
 	}
 	metrics := bench.DefaultMetrics
 	k0 := requestKey(base, nil, metrics)
-
-	variants := map[string]string{}
-	alt := base
-	alt.Workload.N = 32
-	variants["workload size"] = requestKey(alt, nil, metrics)
-	alt = base
-	alt.Machine.Fabric = "crossbar"
-	variants["fabric"] = requestKey(alt, nil, metrics)
-	variants["fault plan"] = requestKey(base, fault.DemoPlan(), metrics)
-	variants["metrics"] = requestKey(base, nil, []string{"gmem."})
-	variants["machine name"] = requestKey(Request{
-		Machine:  bench.MachineSpec{Name: "m2"},
-		Workload: base.Workload,
-	}, nil, metrics)
-
-	for what, k := range variants {
+	for what, k := range map[string]string{
+		"fault plan": requestKey(base, fault.DemoPlan(), metrics),
+		"metrics":    requestKey(base, nil, []string{"gmem."}),
+	} {
 		if k == k0 {
 			t.Errorf("changing %s did not change the key", what)
 		}
 	}
 	if again := requestKey(base, nil, metrics); again != k0 {
 		t.Error("identical inputs produced different keys")
+	}
+}
+
+// TestRequestKeyCoversEveryField: the response key is built from the specs
+// themselves, so every field of the machine and the workload spec moves it
+// — the names too, because they appear in the response body. A field added
+// to either spec can never let two different requests share one response.
+func TestRequestKeyCoversEveryField(t *testing.T) {
+	base := Request{
+		Machine:  bench.MachineSpec{Name: "m"},
+		Workload: bench.WorkloadSpec{Name: "w", Kind: "cg", N: 64},
+	}
+	k0 := requestKey(base, nil, bench.DefaultMetrics)
+	for _, spec := range []string{"Machine", "Workload"} {
+		typ := reflect.ValueOf(base).FieldByName(spec).Type()
+		for i := 0; i < typ.NumField(); i++ {
+			req := base
+			switch f := reflect.ValueOf(&req).Elem().FieldByName(spec).Field(i); f.Kind() {
+			case reflect.String:
+				f.SetString(f.String() + "x")
+			case reflect.Int:
+				f.SetInt(f.Int() + 1)
+			default:
+				t.Fatalf("%s.%s has kind %s: teach this test to change it", typ.Name(), typ.Field(i).Name, f.Kind())
+			}
+			if requestKey(req, nil, bench.DefaultMetrics) == k0 {
+				t.Errorf("changing %s.%s left the key unchanged", typ.Name(), typ.Field(i).Name)
+			}
+		}
 	}
 }
 

@@ -1,9 +1,12 @@
 package tables
 
 import (
+	"cmp"
 	"fmt"
+	"strings"
 
 	"cedar/internal/bench"
+	"cedar/internal/perfect"
 )
 
 // Sizes are the problem sizes a catalogue run uses; each experiment
@@ -13,12 +16,15 @@ type Sizes struct {
 	// RankN is the rank-64 update order (paper: 1K) of t1, net,
 	// prefblock, scaled and degraded.
 	RankN int
-	// Table2Small selects t2's reduced kernel slices.
-	Table2Small bool
+	// Table2Full selects t2's full kernel slices instead of the reduced
+	// ones.
+	Table2Full bool
 	// MemBWWords is what each CE streams in membw.
 	MemBWWords int
 	// FullPPT4 includes the paper's largest CG sizes in ppt4.
 	FullPPT4 bool
+	// Codes are the Perfect codes of t3, t4, t5, t6 and fig3 (nil: all 13).
+	Codes []perfect.Profile
 }
 
 // Result is a finished experiment: it renders itself as the paper-layout
@@ -28,8 +34,7 @@ type Result interface{ Format() string }
 // Experiment is one entry of the catalogue: a sweep of simulated points
 // and the table their outcomes make.
 type Experiment struct {
-	// Name identifies the experiment; it is also the scope namespace its
-	// points report under ("t1/pref/2cl" belongs to "t1").
+	// Name identifies the experiment.
 	Name string
 	// Title is the report's section heading.
 	Title func(Sizes) string
@@ -38,33 +43,69 @@ type Experiment struct {
 	// outcomes, in the same order.
 	points func(Env, Sizes) []point
 	table  func(Sizes, []point, []bench.PointOutcome) Result
+	// ns is the hub namespace the points report under when it is not Name:
+	// the five tables over the Perfect suite share its points, under
+	// "perfect".
+	ns string
 	// degrades makes a point that degrades under its plan a row of the
 	// table instead of the sweep's error.
 	degrades bool
 }
 
-// Run executes the experiment under env at the given sizes.
-func (e Experiment) Run(env Env, s Sizes) (Result, error) {
-	pts := e.points(env, s)
-	outs, err := sweep(env, pts, e.degrades)
-	if err != nil {
-		return nil, err
+// Namespace is the hub namespace the experiment's points report under
+// ("t1/pref/2cl" belongs to t1, "perfect/QCD/auto" to t3 … fig3) — the
+// prefix cedarsim -json slices its metrics by.
+func (e Experiment) Namespace() string { return cmp.Or(e.ns, e.Name) }
+
+// RunAll runs the experiments in order under env at the given sizes and
+// hands each result to emit as soon as its table is assembled. A scope
+// names one point, and each simulates once per call: an experiment that
+// lists a scope an earlier one already simulated reuses that outcome (t3,
+// t4, t5, t6 and fig3 share the Perfect suite's points). Nothing is kept
+// between calls.
+func RunAll(env Env, s Sizes, exps []Experiment, emit func(Experiment, Result) error) error {
+	done := map[string]bench.PointOutcome{}
+	for _, e := range exps {
+		pts := e.points(env, s)
+		var todo []point
+		for _, pt := range pts {
+			if _, ok := done[pt.scope]; !ok {
+				todo = append(todo, pt)
+			}
+		}
+		outs, err := sweep(env, todo, e.degrades)
+		if err != nil {
+			return err
+		}
+		for i, pt := range todo {
+			done[pt.scope] = outs[i]
+		}
+		all := make([]bench.PointOutcome, len(pts))
+		for i, pt := range pts {
+			all[i] = done[pt.scope]
+		}
+		if err := emit(e, e.table(s, pts, all)); err != nil {
+			return err
+		}
 	}
-	return e.table(s, pts, outs), nil
+	return nil
 }
 
-// runAs runs the named experiment for a RunTable1-style entry point that
-// promises its concrete result type.
-func runAs[R Result](env Env, name string, s Sizes) (R, error) {
-	res, err := Experiments(name)[0].Run(env, s)
-	r, _ := res.(R)
+// runAs runs the named experiment alone for a RunTable1-style entry point
+// that promises its concrete result type.
+func runAs[R Result](env Env, name string, s Sizes) (r R, err error) {
+	exps, _ := Experiments(name) // callers pass literals
+	err = RunAll(env, s, exps, func(_ Experiment, res Result) error {
+		r = res.(R)
+		return nil
+	})
 	return r, err
 }
 
 func fixed(title string) func(Sizes) string { return func(Sizes) string { return title } }
 
-// catalogue lists every kernel-level experiment once; WriteReport and
-// cedarsim each keep only an ordered list of names into it.
+// catalogue lists every experiment of the evaluation once; WriteReport
+// and cedarsim each take an ordered list of names into it.
 var catalogue = []Experiment{
 	{Name: "overheads", Title: fixed("§3.2 runtime overheads"), points: overheadsPoints, table: overheadsTable},
 	{Name: "t1", Title: func(s Sizes) string { return fmt.Sprintf("Table 1 — rank-64 update (n=%d)", s.RankN) },
@@ -76,12 +117,25 @@ var catalogue = []Experiment{
 	{Name: "sched", Title: fixed("Loop scheduling ablation"), points: schedPoints, table: schedTable},
 	{Name: "scaled", Title: fixed("PPT5 probe — scaled Cedar"), points: scaledPoints, table: scaledTable},
 	{Name: "degraded", Title: fixed("Degraded mode — fault scenarios"), points: degradedPoints, table: degradedTable, degrades: true},
+	{Name: "t3", Title: fixed("Table 3 — Perfect Benchmarks"), points: suitePoints, ns: "perfect", table: suiteTable(BuildTable3)},
+	{Name: "t4", Title: fixed("Table 4 — manually altered Perfect codes"), points: suitePoints, ns: "perfect", table: suiteTable(BuildTable4)},
+	{Name: "t5", Title: fixed("Table 5 — instability"), points: suitePoints, ns: "perfect", table: suiteTable(BuildTable5)},
+	{Name: "t6", Title: fixed("Table 6 — restructuring efficiency"), points: suitePoints, ns: "perfect", table: suiteTable(BuildTable6)},
+	{Name: "fig3", Title: fixed("Figure 3 — YMP/8 vs Cedar efficiency"), points: suitePoints, ns: "perfect", table: suiteTable(BuildFigure3)},
 	{Name: "ppt4", Title: fixed("PPT4 — scalability"), points: ppt4Points, table: ppt4Table},
 }
 
-// Experiments returns the named catalogue entries in the order given.
-// Panics on an unknown name: callers pass literals, so that is a typo.
-func Experiments(names ...string) []Experiment {
+// Kernels is the report's kernel-level half in section order; Evaluation
+// is the whole report: the kernels, the Perfect tables and the
+// methodology.
+var (
+	Kernels    = []string{"overheads", "t1", "t2", "membw", "net", "prefblock", "sched", "scaled"}
+	Evaluation = append(Kernels[:len(Kernels):len(Kernels)], "t3", "t4", "t5", "t6", "fig3", "ppt4")
+)
+
+// Experiments returns the named catalogue entries in the order given, or
+// an error naming the first unknown name and listing the valid ones.
+func Experiments(names ...string) ([]Experiment, error) {
 	out := make([]Experiment, 0, len(names))
 next:
 	for _, name := range names {
@@ -91,7 +145,16 @@ next:
 				continue next
 			}
 		}
-		panic(fmt.Sprintf("tables: no experiment named %q", name))
+		return nil, fmt.Errorf("tables: no experiment named %q (valid: %s)", name, strings.Join(Names(), ", "))
 	}
-	return out
+	return out, nil
+}
+
+// Names lists every catalogue entry's name in catalogue order.
+func Names() []string {
+	names := make([]string, len(catalogue))
+	for i, e := range catalogue {
+		names[i] = e.Name
+	}
+	return names
 }

@@ -2,6 +2,7 @@ package tables
 
 import (
 	"fmt"
+	"io"
 
 	"cedar/internal/bench"
 	"cedar/internal/core"
@@ -34,6 +35,9 @@ type Env struct {
 	// (core.Options.Stepped) — the equivalence gates' other side. Output
 	// is byte-identical either way.
 	Stepped bool
+	// Progress, when non-nil, receives one line per simulated point, in
+	// point order as each sweep finishes.
+	Progress io.Writer
 }
 
 // Machine returns the base machine experiments start from before applying
@@ -90,8 +94,9 @@ func (pt point) run(hub *scope.Hub, stepped bool) (bench.PointOutcome, error) {
 // sweep runs one whole-machine simulation per point — every point, every
 // time — and returns the outcomes in point order. It is the only place a
 // table runs a machine, each in its own namespace of the Env's hub and on
-// the Env's engine. A point that degrades under its plan fails the sweep
-// unless degradedOK; errors carry the point's scope name.
+// the Env's engine, and the one place progress lines are written. A point
+// that degrades under its plan fails the sweep unless degradedOK; errors
+// carry the point's scope name.
 func sweep(env Env, points []point, degradedOK bool) ([]bench.PointOutcome, error) {
 	jobs := make([]fleet.Job[bench.PointOutcome], len(points))
 	for i, pt := range points {
@@ -106,5 +111,11 @@ func sweep(env Env, points []point, degradedOK bool) ([]bench.PointOutcome, erro
 			return out, err
 		}
 	}
-	return fleet.Run(fleet.Config{Jobs: env.Jobs, Hub: env.Hub}, jobs)
+	outs, err := fleet.Run(fleet.Config{Jobs: env.Jobs, Hub: env.Hub}, jobs)
+	if err == nil && env.Progress != nil {
+		for i, out := range outs {
+			fmt.Fprintf(env.Progress, "  %-36s %12d cycles %9.2f MFLOPS\n", points[i].scope, out.Cycles, out.MFLOPS)
+		}
+	}
+	return outs, err
 }

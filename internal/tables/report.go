@@ -1,28 +1,23 @@
 package tables
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"time"
 
-	"cedar/internal/perfect"
 	"cedar/internal/scope"
 )
 
 // ReportConfig selects what the full report includes and at what scale.
 type ReportConfig struct {
-	// RankN is the rank-64 update order (paper: 1K; default 256).
-	RankN int
-	// FullPPT4 includes the paper's largest CG sizes.
-	FullPPT4 bool
-	// Codes restricts the Perfect suite (nil = all 13).
-	Codes []perfect.Profile
-	// Progress receives per-run lines (nil = quiet).
-	Progress io.Writer
-	// SkipKernels / SkipPerfect / SkipMethodology drop report sections.
-	SkipKernels     bool
-	SkipPerfect     bool
-	SkipMethodology bool
+	// Names lists the catalogue entries the report runs, in section
+	// order: Evaluation for the whole paper, Kernels for its kernel-level
+	// half.
+	Names []string
+	// Sizes are the problem sizes; a zero RankN is 256 and a zero
+	// MemBWWords 2048.
+	Sizes Sizes
 	// Now supplies wall-clock time for the "report generated in ..."
 	// trailer. When nil (the default) the trailer is omitted, so two
 	// identical runs produce byte-identical reports; CLIs that want the
@@ -33,16 +28,17 @@ type ReportConfig struct {
 	Env Env
 }
 
-// reportKernels is the report's kernel-level half, in section order.
-var reportKernels = []string{"overheads", "t1", "t2", "membw", "net", "prefblock", "sched", "scaled"}
-
-// WriteReport regenerates the paper's complete evaluation and writes a
-// markdown-ish report to w. It is the programmatic equivalent of running
-// cedarsim, perfect and judge back to back.
+// WriteReport regenerates the named experiments of the paper's evaluation
+// and writes a markdown-ish report to w, one section per name. It is the
+// programmatic equivalent of cedarsim over the same names.
 func WriteReport(w io.Writer, cfg ReportConfig) error {
-	if cfg.RankN == 0 {
-		cfg.RankN = 256
+	exps, err := Experiments(cfg.Names...)
+	if err != nil {
+		return err
 	}
+	sizes := cfg.Sizes
+	sizes.RankN = cmp.Or(sizes.RankN, 256)
+	sizes.MemBWWords = cmp.Or(sizes.MemBWWords, 2048)
 	var started time.Time
 	if cfg.Now != nil {
 		started = cfg.Now()
@@ -53,55 +49,13 @@ func WriteReport(w io.Writer, cfg ReportConfig) error {
 		base.Clusters, base.CEsPerCluster, base.PeakMFLOPS(), base.EffectivePeakMFLOPS())
 
 	section := func(title string) { fmt.Fprintf(w, "\n## %s\n\n", title) }
-	sizes := Sizes{RankN: cfg.RankN, Table2Small: true, MemBWWords: 2048, FullPPT4: cfg.FullPPT4}
-	run := func(names ...string) error {
-		for _, e := range Experiments(names...) {
-			section(e.Title(sizes))
-			res, err := e.Run(env, sizes)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, res.Format())
-		}
-		return nil
-	}
-
-	if !cfg.SkipKernels {
-		if err := run(reportKernels...); err != nil {
-			return err
-		}
-	}
-
-	var suite *SuiteResult
-	if !cfg.SkipPerfect || !cfg.SkipMethodology {
-		var err error
-		suite, err = RunSuite(env, cfg.Codes, cfg.Progress)
-		if err != nil {
-			return err
-		}
-	}
-
-	if !cfg.SkipPerfect {
-		section("Table 3 — Perfect Benchmarks")
-		fmt.Fprint(w, BuildTable3(suite).Format())
-
-		section("Table 4 — manually altered Perfect codes")
-		fmt.Fprint(w, BuildTable4(suite).Format())
-	}
-
-	if !cfg.SkipMethodology {
-		section("Table 5 — instability")
-		fmt.Fprint(w, BuildTable5(suite).Format())
-
-		section("Table 6 — restructuring efficiency")
-		fmt.Fprint(w, BuildTable6(suite).Format())
-
-		section("Figure 3 — YMP/8 vs Cedar efficiency")
-		fmt.Fprint(w, BuildFigure3(suite).Format())
-
-		if err := run("ppt4"); err != nil {
-			return err
-		}
+	err = RunAll(env, sizes, exps, func(e Experiment, res Result) error {
+		section(e.Title(sizes))
+		_, err := fmt.Fprint(w, res.Format())
+		return err
+	})
+	if err != nil {
+		return err
 	}
 
 	if env.Hub != nil {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cedar/internal/perfect"
+	"cedar/internal/scope"
 )
 
 func TestWriteReportKernelsOnly(t *testing.T) {
@@ -17,10 +18,9 @@ func TestWriteReportKernelsOnly(t *testing.T) {
 	}
 	var b strings.Builder
 	err := WriteReport(&b, ReportConfig{
-		RankN:           96,
-		SkipPerfect:     true,
-		SkipMethodology: true,
-		Now:             time.Now,
+		Names: Kernels,
+		Sizes: Sizes{RankN: 96},
+		Now:   time.Now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,8 +51,8 @@ func TestWriteReportMethodologySections(t *testing.T) {
 	}
 	var b strings.Builder
 	err := WriteReport(&b, ReportConfig{
-		SkipKernels: true,
-		Codes:       []perfect.Profile{perfect.QCD(), perfect.SPICE()},
+		Names: Evaluation[len(Kernels):],
+		Sizes: Sizes{Codes: []perfect.Profile{perfect.QCD(), perfect.SPICE()}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,9 @@ func TestWriteReportMethodologySections(t *testing.T) {
 
 // TestWriteReportDeterministic is the report half of the determinism
 // invariant: with no injected clock, two identical runs must produce
-// byte-identical output (see DESIGN.md "Determinism invariants").
+// byte-identical output (see DESIGN.md "Determinism invariants"). Each
+// report observes its own hub, so the second is seen to simulate every
+// point the first did: nothing is kept between calls.
 func TestWriteReportDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("report generation in -short mode")
@@ -81,19 +83,24 @@ func TestWriteReportDeterministic(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full-report simulation is too slow under the race detector")
 	}
-	gen := func() string {
+	gen := func() (string, int) {
 		var b strings.Builder
+		hub := scope.NewHub()
 		err := WriteReport(&b, ReportConfig{
-			RankN:           64,
-			SkipPerfect:     true,
-			SkipMethodology: true,
+			Names: Kernels,
+			Sizes: Sizes{RankN: 64},
+			Env:   Env{Hub: hub},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b.String()
+		return b.String(), hub.Metrics()
 	}
-	first, second := gen(), gen()
+	first, metrics1 := gen()
+	second, metrics2 := gen()
+	if metrics1 == 0 || metrics2 != metrics1 {
+		t.Errorf("the reports registered %d and %d metrics: want the same nonzero count, every point simulated twice", metrics1, metrics2)
+	}
 	if first != second {
 		line := 1
 		for i := 0; i < len(first) && i < len(second); i++ {

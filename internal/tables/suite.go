@@ -11,8 +11,6 @@ package tables
 
 import (
 	"fmt"
-	"io"
-	"sort"
 	"strings"
 
 	"cedar/internal/bench"
@@ -33,74 +31,91 @@ type SuiteResult struct {
 	Hand   map[string]perfect.Outcome // Table 4 versions where they exist
 }
 
-// RunSuite executes all variants of the given Perfect codes (nil = full
-// suite) on the Env's base machine. progress, if non-nil, receives one
-// line per completed run, in submission order. The (code × variant)
-// points are independent whole simulations, so they dispatch to the fleet
-// worker pool; the maps are filled from the reassembled results only,
-// never from worker goroutines.
-func RunSuite(env Env, codes []perfect.Profile, progress io.Writer) (*SuiteResult, error) {
+// RunSuite executes every version of the given Perfect codes (nil = full
+// suite) on the Env's base machine: the points t3, t4, t5, t6 and fig3
+// share, and the SuiteResult their tables are built from.
+func RunSuite(env Env, codes []perfect.Profile) (*SuiteResult, error) {
+	s := Sizes{Codes: codes}
+	outs, err := sweep(env, suitePoints(env, s), false)
+	if err != nil {
+		return nil, err
+	}
+	return suiteResult(s, outs), nil
+}
+
+// suiteVersions are the versions every code runs, in point order; the
+// hand version only where Table 4 has one.
+var suiteVersions = []perfect.Spec{
+	{Variant: perfect.Serial},
+	{Variant: perfect.KAP},
+	{Variant: perfect.Auto},
+	{Variant: perfect.Auto, NoSync: true},
+	{Variant: perfect.Auto, NoSync: true, NoPref: true},
+	{Variant: perfect.Hand},
+}
+
+// suiteRun is one point of the suite: a code and its version.
+type suiteRun struct {
+	code perfect.Profile
+	v    int // index into suiteVersions
+}
+
+// suiteRuns lists the suite's points, code by code.
+func suiteRuns(s Sizes) []suiteRun {
+	codes := s.Codes
 	if codes == nil {
 		codes = perfect.All()
 	}
 	hand := perfect.HandOptimized()
-	s := &SuiteResult{
-		Profiles: codes,
-		Serial:   map[string]perfect.Outcome{},
-		KAP:      map[string]perfect.Outcome{},
-		Auto:     map[string]perfect.Outcome{},
-		NoSync:   map[string]perfect.Outcome{},
-		NoPref:   map[string]perfect.Outcome{},
-		Hand:     map[string]perfect.Outcome{},
-	}
-	type variant struct {
-		dst  map[string]perfect.Outcome
-		spec perfect.Spec
-		only bool // only for hand-optimized codes
-	}
-	variants := []variant{
-		{s.Serial, perfect.Spec{Variant: perfect.Serial}, false},
-		{s.KAP, perfect.Spec{Variant: perfect.KAP}, false},
-		{s.Auto, perfect.Spec{Variant: perfect.Auto}, false},
-		{s.NoSync, perfect.Spec{Variant: perfect.Auto, NoSync: true}, false},
-		{s.NoPref, perfect.Spec{Variant: perfect.Auto, NoSync: true, NoPref: true}, false},
-		{s.Hand, perfect.Spec{Variant: perfect.Hand}, true},
-	}
-	type run struct {
-		profile perfect.Profile
-		v       variant
-	}
-	var runs []run
-	var points []point
+	var runs []suiteRun
 	for _, p := range codes {
-		for _, v := range variants {
-			if v.only && !hand[p.Name] {
-				continue
+		for v, spec := range suiteVersions {
+			if spec.Variant != perfect.Hand || hand[p.Name] {
+				runs = append(runs, suiteRun{p, v})
 			}
-			runs = append(runs, run{p, v})
-			points = append(points, env.programPoint(fmt.Sprintf("perfect/%s/%s", p.Name, label(v.spec)), bench.MachineSpec{},
-				func(m *core.Machine) (kernels.Result, error) {
-					out, err := perfect.RunOn(m, p, v.spec)
-					return kernels.Result{Result: core.Result{Cycles: out.SimCycles, MFLOPS: out.MFLOPS, Seconds: out.Seconds}}, err
-				}))
 		}
 	}
-	outs, err := sweep(env, points, false)
-	if err != nil {
-		return nil, err
+	return runs
+}
+
+// suitePoints is the (code × version) sweep, one independent whole
+// simulation per point under "perfect/<code>/<version>".
+func suitePoints(env Env, s Sizes) []point {
+	var pts []point
+	for _, r := range suiteRuns(s) {
+		p, spec := r.code, suiteVersions[r.v]
+		pts = append(pts, env.programPoint(fmt.Sprintf("perfect/%s/%s", p.Name, label(spec)), bench.MachineSpec{},
+			func(m *core.Machine) (kernels.Result, error) {
+				out, err := perfect.RunOn(m, p, spec)
+				return kernels.Result{Result: core.Result{Cycles: out.SimCycles, MFLOPS: out.MFLOPS, Seconds: out.Seconds}}, err
+			}))
 	}
-	for i, out := range outs {
-		r := runs[i]
-		r.v.dst[r.profile.Name] = perfect.Outcome{
-			Code: r.profile.Name, Variant: r.v.spec.Variant,
-			Seconds: out.Seconds, MFLOPS: out.MFLOPS, SimCycles: out.Cycles,
+	return pts
+}
+
+// suiteResult assembles the suite's outcomes, in suitePoints order.
+func suiteResult(s Sizes, outs []bench.PointOutcome) *SuiteResult {
+	res := &SuiteResult{}
+	dst := []*map[string]perfect.Outcome{&res.Serial, &res.KAP, &res.Auto, &res.NoSync, &res.NoPref, &res.Hand} // suiteVersions order
+	for _, m := range dst {
+		*m = map[string]perfect.Outcome{}
+	}
+	for i, r := range suiteRuns(s) {
+		if r.v == 0 {
+			res.Profiles = append(res.Profiles, r.code)
 		}
-		if progress != nil {
-			fmt.Fprintf(progress, "  %-8s %-12v %8.1f s %7.2f MFLOPS\n",
-				r.profile.Name, label(r.v.spec), out.Seconds, out.MFLOPS)
+		(*dst[r.v])[r.code.Name] = perfect.Outcome{
+			Code: r.code.Name, Variant: suiteVersions[r.v].Variant,
+			Seconds: outs[i].Seconds, MFLOPS: outs[i].MFLOPS, SimCycles: outs[i].Cycles,
 		}
 	}
-	return s, nil
+	return res
+}
+
+// suiteTable is the table function of a catalogue entry built from the
+// suite.
+func suiteTable[R Result](build func(*SuiteResult) R) func(Sizes, []point, []bench.PointOutcome) Result {
+	return func(s Sizes, _ []point, outs []bench.PointOutcome) Result { return build(suiteResult(s, outs)) }
 }
 
 func label(spec perfect.Spec) string {
@@ -120,23 +135,6 @@ func (s *SuiteResult) BestSeconds(code string) float64 {
 		return o.Seconds
 	}
 	return s.Auto[code].Seconds
-}
-
-// BestMFLOPS mirrors BestSeconds.
-func (s *SuiteResult) BestMFLOPS(code string) float64 {
-	if o, ok := s.Hand[code]; ok {
-		return o.MFLOPS
-	}
-	return s.Auto[code].MFLOPS
-}
-
-// Names returns the code names in suite order.
-func (s *SuiteResult) Names() []string {
-	names := make([]string, 0, len(s.Profiles))
-	for _, p := range s.Profiles {
-		names = append(names, p.Name)
-	}
-	return names
 }
 
 // column formats a fixed-width table from rows of cells.
@@ -173,14 +171,4 @@ func formatTable(header []string, rows [][]string) string {
 		line(r)
 	}
 	return b.String()
-}
-
-// sortedKeys returns map keys in sorted order (deterministic output).
-func sortedKeys(m map[string]perfect.Outcome) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -27,7 +27,7 @@ type Table2Result struct {
 // RunTable2 executes the kernel × processor-count sweep; small selects
 // reduced slices for tests and quick reports.
 func RunTable2(env Env, small bool) (*Table2Result, error) {
-	return runAs[*Table2Result](env, "t2", Sizes{Table2Small: small})
+	return runAs[*Table2Result](env, "t2", Sizes{Table2Full: !small})
 }
 
 var (
@@ -37,9 +37,9 @@ var (
 
 func table2Points(env Env, s Sizes) []point {
 	// Each kernel's simulated slice is kept moderate.
-	vl, tm, rk, cg := 4096, 16384, 192, 16384
-	if s.Table2Small {
-		vl, tm, rk, cg = 1024, 4096, 96, 4096
+	vl, tm, rk, cg := 1024, 4096, 96, 4096
+	if s.Table2Full {
+		vl, tm, rk, cg = 4096, 16384, 192, 16384
 	}
 	workloads := []bench.WorkloadSpec{ // in table2Kernels order
 		{Kind: "vectorload", N: vl, Sweeps: 2},

@@ -1,6 +1,7 @@
 package tables
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -46,6 +47,26 @@ func BuildTable5(s *SuiteResult) *Table5Result {
 		res.Exceptions[name] = ppt.ExceptionsForStability(rates)
 	}
 	return res
+}
+
+// MarshalJSON encodes an undefined In(K, e) — e ≥ K, held as +Inf — as
+// null, since JSON has no infinity.
+func (t Table5Result) MarshalJSON() ([]byte, error) {
+	in := map[string][3]*float64{}
+	for sys, row := range t.In {
+		var out [3]*float64
+		for i, v := range row {
+			if !math.IsInf(v, 1) {
+				out[i] = &v
+			}
+		}
+		in[sys] = out
+	}
+	return json.Marshal(struct {
+		Systems    []string
+		In         map[string][3]*float64
+		Exceptions map[string]int
+	}{t.Systems, in, t.Exceptions})
 }
 
 // Format renders Table 5.
