@@ -56,11 +56,3 @@ func (c CM5) BandedMFLOPS(n, bw, p int) float64 {
 func (c CM5) BandedEfficiency(n, bw, p int) float64 {
 	return c.BandedMFLOPS(n, bw, p) / (float64(p) * c.NodePeakMFLOPS)
 }
-
-// BandedPoint bundles one sweep point's aggregate rate and PPT
-// efficiency, so sweep drivers can evaluate a comparator machine as a
-// single dispatchable job. CM5 is a pure value model: concurrent
-// evaluations are safe.
-func (c CM5) BandedPoint(n, bw, p int) (mflops, eff float64) {
-	return c.BandedMFLOPS(n, bw, p), c.BandedEfficiency(n, bw, p)
-}

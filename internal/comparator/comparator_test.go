@@ -74,31 +74,6 @@ func TestCM5CalibrationWindow(t *testing.T) {
 	}
 }
 
-func TestCM5NeverHighBand(t *testing.T) {
-	// The paper: "high performance was not achieved relative to 32, 256,
-	// or 512 processors" for 16K ≤ N ≤ 256K.
-	c := NewCM5()
-	for _, p := range []int{32, 256, 512} {
-		for _, bw := range []int{3, 11} {
-			for _, n := range []int{16 << 10, 64 << 10, 256 << 10} {
-				if eff := c.BandedEfficiency(n, bw, p); eff >= 0.5 {
-					t.Errorf("P=%d BW=%d N=%d: efficiency %.2f reaches high band", p, bw, n, eff)
-				}
-			}
-		}
-	}
-}
-
-func TestCM5IntermediateAt32(t *testing.T) {
-	// ...but it is scalable intermediate (≥ 1/(2·log₂P) = 0.1 at P=32).
-	c := NewCM5()
-	for _, n := range []int{16 << 10, 64 << 10, 256 << 10} {
-		if eff := c.BandedEfficiency(n, 11, 32); eff < 0.1 {
-			t.Errorf("BW=11 N=%d: efficiency %.2f below intermediate", n, eff)
-		}
-	}
-}
-
 func TestCM5CommunicationHurtsSmallN(t *testing.T) {
 	c := NewCM5()
 	small := c.BandedEfficiency(1<<10, 3, 512)

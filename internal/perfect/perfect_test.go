@@ -72,133 +72,49 @@ func TestSerialVariantRate(t *testing.T) {
 	}
 }
 
-func TestAutomatableBeatsKAPBeatsSerial(t *testing.T) {
-	pm := params.Default()
-	for _, p := range []Profile{ADM(), DYFESM()} {
-		serial, err := Run(pm, p, Spec{Variant: Serial})
-		if err != nil {
-			t.Fatal(err)
-		}
-		kap, err := Run(pm, p, Spec{Variant: KAP})
-		if err != nil {
-			t.Fatal(err)
-		}
-		auto, err := Run(pm, p, Spec{Variant: Auto})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !(auto.Seconds < kap.Seconds && kap.Seconds <= serial.Seconds*1.05) {
-			t.Errorf("%s: serial %.0f, KAP %.0f, auto %.0f — want strictly improving",
-				p.Name, serial.Seconds, kap.Seconds, auto.Seconds)
-		}
+// TestPerCodeStories checks the per-code properties the paper (or a
+// companion CSRD report) attributes to a code that need a point the
+// evaluation never runs; the rest are claims on the tables' catalogue
+// entries, checked by cedarreport.
+func TestPerCodeStories(t *testing.T) {
+	if testing.Short() {
+		t.Skip("per-code stories in -short mode")
 	}
-}
+	if raceEnabled {
+		t.Skip("per-code story simulations are too slow under the race detector")
+	}
+	pm := params.Default()
 
-func TestQCDAutomatableNearPaperValue(t *testing.T) {
-	// The paper: QCD automatable speedup is 1.8 (serial RNG dominates);
-	// hand parallelization of the generator yields 20.8.
-	pm := params.Default()
-	serial, err := Run(pm, QCD(), Spec{Variant: Serial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	auto, err := Run(pm, QCD(), Spec{Variant: Auto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hand, err := Run(pm, QCD(), Spec{Variant: Hand})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sAuto := serial.Seconds / auto.Seconds
-	sHand := serial.Seconds / hand.Seconds
-	if sAuto < 1.4 || sAuto > 2.4 {
-		t.Errorf("QCD automatable speedup %.2f, want ≈1.8", sAuto)
-	}
-	if sHand < 12 || sHand > 34 {
-		t.Errorf("QCD hand speedup %.2f, want ≈20.8", sHand)
-	}
-}
-
-func TestNoSyncHurtsFineGrainCodes(t *testing.T) {
-	pm := params.Default()
-	for _, p := range []Profile{DYFESM(), OCEAN()} {
-		auto, err := Run(pm, p, Spec{Variant: Auto})
+	t.Run("TRFD pays paging only on multiple clusters", func(t *testing.T) {
+		four, err := Run(pm, TRFD(), Spec{Variant: Auto})
 		if err != nil {
 			t.Fatal(err)
 		}
-		nosync, err := Run(pm, p, Spec{Variant: Auto, NoSync: true})
+		pm1 := pm
+		pm1.Clusters = 1
+		one, err := Run(pm1, TRFD(), Spec{Variant: Auto})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if nosync.Seconds <= auto.Seconds*1.05 {
-			t.Errorf("%s: no-sync %.1f s vs %.1f s — expected a clear slowdown",
-				p.Name, nosync.Seconds, auto.Seconds)
+		// The paper's point exactly: the multicluster version's TLB storm
+		// (≈4× the page faults, near half the time in virtual memory)
+		// eats the gain from having four times the processors — which is
+		// why the distributed-memory rewrite exists. Multicluster must
+		// NOT show healthy scaling here.
+		if one.Seconds/four.Seconds > 1.5 {
+			t.Errorf("TRFD 4-cluster scaling %.1f× over 1-cluster; the paging penalty should erase it",
+				one.Seconds/four.Seconds)
 		}
-	}
-}
-
-func TestNoPrefHurtsDYFESMMoreThanTRACK(t *testing.T) {
-	pm := params.Default()
-	ratio := func(p Profile) float64 {
-		auto, err := Run(pm, p, Spec{Variant: Auto, NoSync: true})
+		// The hand (distributed) version beats both.
+		hand, err := Run(pm, TRFD(), Spec{Variant: Hand})
 		if err != nil {
 			t.Fatal(err)
 		}
-		nopref, err := Run(pm, p, Spec{Variant: Auto, NoSync: true, NoPref: true})
-		if err != nil {
-			t.Fatal(err)
+		if hand.Seconds >= four.Seconds || hand.Seconds >= one.Seconds {
+			t.Errorf("TRFD hand %.1f s should beat both auto runs (%.1f, %.1f)",
+				hand.Seconds, four.Seconds, one.Seconds)
 		}
-		return nopref.Seconds / auto.Seconds
-	}
-	dy := ratio(DYFESM())
-	tr := ratio(TRACK())
-	if dy < 1.2 {
-		t.Errorf("DYFESM no-pref slowdown %.2f, want clear (vector global fetches)", dy)
-	}
-	if tr > dy {
-		t.Errorf("TRACK no-pref slowdown %.2f exceeds DYFESM's %.2f; scalar accesses cannot prefetch", tr, dy)
-	}
-}
-
-func TestHandIOFixBDNA(t *testing.T) {
-	pm := params.Default()
-	auto, err := Run(pm, BDNA(), Spec{Variant: Auto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hand, err := Run(pm, BDNA(), Spec{Variant: Hand})
-	if err != nil {
-		t.Fatal(err)
-	}
-	imp := auto.Seconds / hand.Seconds
-	// Table 4: 1.7× from replacing formatted with unformatted I/O.
-	if imp < 1.3 || imp > 2.4 {
-		t.Errorf("BDNA hand improvement %.2f×, want ≈1.7×", imp)
-	}
-}
-
-func TestTRFDPagingPenalty(t *testing.T) {
-	pm := params.Default()
-	auto, err := Run(pm, TRFD(), Spec{Variant: Auto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hand, err := Run(pm, TRFD(), Spec{Variant: Hand})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if imp := auto.Seconds / hand.Seconds; imp < 1.8 || imp > 4.5 {
-		t.Errorf("TRFD hand improvement %.2f×, want ≈2.8× (kernels + distributed memory)", imp)
-	}
-	// One cluster avoids the TLB penalty entirely.
-	pm1 := pm
-	pm1.Clusters = 1
-	one, err := Run(pm1, TRFD(), Spec{Variant: Auto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = one // the penalty appears only in the 4-cluster fixed seconds
+	})
 }
 
 func TestSummaryConversion(t *testing.T) {

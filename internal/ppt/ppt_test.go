@@ -45,8 +45,10 @@ func TestBands(t *testing.T) {
 	if BandOfEfficiency(0.5, 32) != High {
 		t.Error("Ep = .5 should be High")
 	}
-	if BandOfEfficiency(0.11, 32) != Intermediate {
-		t.Error("Ep = .11 on 32 should be Intermediate (threshold .1)")
+	for _, eff := range []float64{0.11, 0.2} {
+		if BandOfEfficiency(eff, 32) != Intermediate {
+			t.Errorf("Ep = %v on 32 should be Intermediate (threshold .1)", eff)
+		}
 	}
 }
 

@@ -213,3 +213,34 @@ func (rows ScaledCedar) Format() string {
 	}
 	return formatTable(header, out)
 }
+
+// netClaims: [Turn93] — relief comes from implementation, not the network
+// type: the as-built omega is no faster than deeper queues or a crossbar.
+var netClaims = []claim{
+	{id: "as built ≤ 8-word queues", kind: ordering, tol: 0.05, needs: Sizes{RankN: 96},
+		value: of(func(r NetworkAblation) []float64 { return []float64{r[0].MFLOPS, r[1].MFLOPS} })},
+	{id: "as built ≤ ideal crossbar", kind: ordering, tol: 0.05, needs: Sizes{RankN: 96},
+		value: of(func(r NetworkAblation) []float64 { return []float64{r[0].MFLOPS, r[2].MFLOPS} })},
+}
+
+// prefBlockClaims: every block size clearly beats no prefetch; past 32
+// words bigger blocks lose to contention, the mechanism of Table 2's RK row.
+var prefBlockClaims = []claim{
+	{id: "every block's gain over no prefetch", kind: floor, paper: 1.5, needs: Sizes{RankN: 96},
+		value: of(func(r PrefetchBlocks) []float64 {
+			return collect(r[1:], func(b PrefetchBlockRow) float64 { return b.MFLOPS / r[0].MFLOPS })
+		})},
+	{id: "512- over 32-word block MFLOPS", kind: floor, paper: 0.5, needs: Sizes{RankN: 96},
+		value: one(func(r PrefetchBlocks) float64 { return r[4].MFLOPS / r[1].MFLOPS })},
+	{id: "none < 512 ≤ 256 ≤ 128 ≤ 32 words", kind: ordering, tol: 0.01, needs: Sizes{RankN: 96},
+		value: of(func(r PrefetchBlocks) []float64 {
+			return []float64{r[0].MFLOPS, r[4].MFLOPS, r[3].MFLOPS, r[2].MFLOPS, r[1].MFLOPS}
+		})},
+}
+
+// scaledClaims: twice the clusters, with the network and memory scaled
+// in proportion, nearly doubles CG's rate — "capable of being scaled up".
+var scaledClaims = []claim{
+	{id: "CG speedup 4 → 8 clusters", kind: within, paper: 2, tol: 0.3,
+		value: one(func(r ScaledCedar) float64 { return r[1].CGMFLOPS / r[0].CGMFLOPS })},
+}

@@ -50,6 +50,8 @@ type Experiment struct {
 	// degrades makes a point that degrades under its plan a row of the
 	// table instead of the sweep's error.
 	degrades bool
+	// claims are the paper's claims about the table, which WriteReport checks.
+	claims []claim
 }
 
 // Namespace is the hub namespace the experiment's points report under
@@ -107,22 +109,22 @@ func fixed(title string) func(Sizes) string { return func(Sizes) string { return
 // catalogue lists every experiment of the evaluation once; WriteReport
 // and cedarsim each take an ordered list of names into it.
 var catalogue = []Experiment{
-	{Name: "overheads", Title: fixed("§3.2 runtime overheads"), points: overheadsPoints, table: overheadsTable},
+	{Name: "overheads", Title: fixed("§3.2 runtime overheads"), points: overheadsPoints, table: overheadsTable, claims: overheadsClaims},
 	{Name: "t1", Title: func(s Sizes) string { return fmt.Sprintf("Table 1 — rank-64 update (n=%d)", s.RankN) },
-		points: table1Points, table: table1Table},
-	{Name: "t2", Title: fixed("Table 2 — global memory performance"), points: table2Points, table: table2Table},
-	{Name: "membw", Title: fixed("[GJTV91] memory characterization"), points: memBWPoints, table: memBWTable},
-	{Name: "net", Title: fixed("[Turn93] network ablation"), points: netPoints, table: netTable},
-	{Name: "prefblock", Title: fixed("Prefetch block-size ablation"), points: prefBlockPoints, table: prefBlockTable},
-	{Name: "sched", Title: fixed("Loop scheduling ablation"), points: schedPoints, table: schedTable},
-	{Name: "scaled", Title: fixed("PPT5 probe — scaled Cedar"), points: scaledPoints, table: scaledTable},
+		points: table1Points, table: table1Table, claims: table1Claims()},
+	{Name: "t2", Title: fixed("Table 2 — global memory performance"), points: table2Points, table: table2Table, claims: table2Claims()},
+	{Name: "membw", Title: fixed("[GJTV91] memory characterization"), points: memBWPoints, table: memBWTable, claims: memBWClaims},
+	{Name: "net", Title: fixed("[Turn93] network ablation"), points: netPoints, table: netTable, claims: netClaims},
+	{Name: "prefblock", Title: fixed("Prefetch block-size ablation"), points: prefBlockPoints, table: prefBlockTable, claims: prefBlockClaims},
+	{Name: "sched", Title: fixed("Loop scheduling ablation"), points: schedPoints, table: schedTable, claims: schedClaims},
+	{Name: "scaled", Title: fixed("PPT5 probe — scaled Cedar"), points: scaledPoints, table: scaledTable, claims: scaledClaims},
 	{Name: "degraded", Title: fixed("Degraded mode — fault scenarios"), points: degradedPoints, table: degradedTable, degrades: true},
-	{Name: "t3", Title: fixed("Table 3 — Perfect Benchmarks"), points: suitePoints, ns: "perfect", table: suiteTable(BuildTable3)},
-	{Name: "t4", Title: fixed("Table 4 — manually altered Perfect codes"), points: suitePoints, ns: "perfect", table: suiteTable(BuildTable4)},
-	{Name: "t5", Title: fixed("Table 5 — instability"), points: suitePoints, ns: "perfect", table: suiteTable(BuildTable5)},
-	{Name: "t6", Title: fixed("Table 6 — restructuring efficiency"), points: suitePoints, ns: "perfect", table: suiteTable(BuildTable6)},
-	{Name: "fig3", Title: fixed("Figure 3 — YMP/8 vs Cedar efficiency"), points: suitePoints, ns: "perfect", table: suiteTable(BuildFigure3)},
-	{Name: "ppt4", Title: fixed("PPT4 — scalability"), points: ppt4Points, table: ppt4Table},
+	{Name: "t3", Title: fixed("Table 3 — Perfect Benchmarks"), points: suitePoints, ns: "perfect", table: suiteTable(BuildTable3), claims: table3Claims()},
+	{Name: "t4", Title: fixed("Table 4 — manually altered Perfect codes"), points: suitePoints, ns: "perfect", table: suiteTable(BuildTable4), claims: table4Claims()},
+	{Name: "t5", Title: fixed("Table 5 — instability"), points: suitePoints, ns: "perfect", table: suiteTable(BuildTable5), claims: table5Claims()},
+	{Name: "t6", Title: fixed("Table 6 — restructuring efficiency"), points: suitePoints, ns: "perfect", table: suiteTable(BuildTable6), claims: table6Claims},
+	{Name: "fig3", Title: fixed("Figure 3 — YMP/8 vs Cedar efficiency"), points: suitePoints, ns: "perfect", table: suiteTable(BuildFigure3), claims: figure3Claims},
+	{Name: "ppt4", Title: fixed("PPT4 — scalability"), points: ppt4Points, table: ppt4Table, claims: ppt4Claims},
 }
 
 // Kernels is the report's kernel-level half in section order; Evaluation

@@ -2,6 +2,7 @@ package tables
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"cedar/internal/comparator"
@@ -137,4 +138,25 @@ func (f *Figure3Result) plot() string {
 	b.WriteString("      0.0                 Cedar eff.                1.0\n")
 	b.WriteString("      (* = hand-optimized, o = automatable)\n")
 	return b.String()
+}
+
+// figure3Claims: the band tallies as counts of 13 codes (Cedar ¼ high and
+// none unacceptable, the YMP ½ high and one unacceptable), QCD's hand
+// speedup, and plausible efficiencies.
+var figure3Claims = []claim{
+	suiteCount("Cedar high", 13.0/4, 1, func(f *Figure3Result) int { return f.CedarHigh }),
+	suiteCount("Cedar intermediate", 13*3.0/4, 1, func(f *Figure3Result) int { return f.CedarInter }),
+	suiteCount("Cedar unacceptable", 0, 0, func(f *Figure3Result) int { return f.CedarUnacc }),
+	suiteCount("YMP/8 high", 6.5, 1, func(f *Figure3Result) int { return f.YMPHigh }),
+	suiteCount("YMP/8 intermediate", 6.5, 1, func(f *Figure3Result) int { return f.YMPInter }),
+	suiteCount("YMP/8 unacceptable", 1, 0, func(f *Figure3Result) int { return f.YMPUnacc }),
+	{id: "QCD hand speedup", kind: within, paper: 20.8, tol: 5, needs: codes("QCD"),
+		value: one(func(f *Figure3Result) float64 {
+			return 32 * f.Points[slices.IndexFunc(f.Points, func(p Figure3Point) bool { return p.Code == "QCD" })].CedarEff
+		})},
+	{id: "every Ep between 0 and 1.2", kind: within, paper: 0.6, tol: 0.6,
+		value: of(func(f *Figure3Result) []float64 {
+			return append(collect(f.Points, func(p Figure3Point) float64 { return p.CedarEff }),
+				collect(f.Points, func(p Figure3Point) float64 { return p.YMPEff })...)
+		})},
 }

@@ -65,6 +65,9 @@ func TestSyntheticTable4Math(t *testing.T) {
 	if got := by["ARC2D"].HandSec; got != 65 {
 		t.Errorf("ARC2D hand time %v", got)
 	}
+	if !strings.Contains(rows.Format(), "QCD") {
+		t.Error("format lost a code")
+	}
 }
 
 func TestSyntheticTable5Monotone(t *testing.T) {
@@ -73,6 +76,9 @@ func TestSyntheticTable5Monotone(t *testing.T) {
 	// Cedar ensemble {30, 3.6, 0.7}: In(3,0) = 42.86.
 	if in[0] < 42 || in[0] > 43.5 {
 		t.Errorf("Cedar In(3,0) = %v, want ≈42.9", in[0])
+	}
+	if !strings.Contains(t5.Format(), "In(13,0)") {
+		t.Error("format lost the In(13,0) column")
 	}
 	if t5.Exceptions["Cedar"] != 1 {
 		t.Errorf("Cedar exceptions %d, want 1 ({30,3.6} → 8.3 > 6; {3.6,.7} = 5.1 ≤ 6)",
@@ -125,8 +131,16 @@ func TestSyntheticTable6AndFigure3(t *testing.T) {
 	if f.CedarHigh != 2 || f.CedarInter != 1 || f.CedarUnacc != 0 {
 		t.Errorf("figure bands %d/%d/%d, want 2/1/0", f.CedarHigh, f.CedarInter, f.CedarUnacc)
 	}
-	if !strings.Contains(f.Format(), "|") {
-		t.Error("plot missing")
+	for _, p := range f.Points {
+		if !p.Hand {
+			t.Errorf("%s: should use its hand version", p.Code)
+		}
+	}
+	if out := f.Format(); !strings.Contains(out, "Cedar eff.") || !strings.Contains(out, "*") {
+		t.Error("scatter plot missing, or its hand-version points")
+	}
+	if !strings.Contains(t6.Format(), "High") {
+		t.Error("Table 6 format lost its bands")
 	}
 }
 

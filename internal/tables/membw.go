@@ -81,3 +81,10 @@ func (r *MemBWResult) Format() string {
 	s += fmt.Sprintf("observed peak %.0f MB/s (wiring peak %.0f MB/s; the companion study sustained ≈500)\n", r.PeakMBps(), params.WiringPeakMBps)
 	return s
 }
+
+// memBWClaims: unit-stride streams saturate near the ≈500 MB/s the
+// companion study observed, well below the 768 MB/s wiring peak.
+var memBWClaims = []claim{
+	{id: "observed peak MB/s", kind: within, paper: 500, tol: 75, needs: Sizes{MemBWWords: 2048},
+		value: one((*MemBWResult).PeakMBps)},
+}

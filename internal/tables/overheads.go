@@ -94,3 +94,15 @@ XDOALL iteration fetch (Cedar sync): %5.1f µs  (the hardware-synchronization wi
 CDOALL concurrent start:          %6.1f µs   (paper: a few µs)
 `, o.XDoallStartupUS, o.FetchNoSyncUS, o.FetchCedarSyncUS, o.CDoallStartUS)
 }
+
+// overheadsClaims: §3.2's ≈90 µs XDOALL start, ≈30 µs library fetch and few-µs CDOALL start.
+var overheadsClaims = []claim{
+	{id: "XDOALL startup µs", kind: within, paper: 90, tol: 15,
+		value: one(func(o *OverheadsResult) float64 { return o.XDoallStartupUS })},
+	{id: "iteration fetch µs, library", kind: within, paper: 30, tol: 10,
+		value: one(func(o *OverheadsResult) float64 { return o.FetchNoSyncUS })},
+	{id: "iteration fetch, library over Cedar sync", kind: floor, paper: 2,
+		value: one(func(o *OverheadsResult) float64 { return o.FetchNoSyncUS / o.FetchCedarSyncUS })},
+	{id: "CDOALL start µs", kind: within, paper: 5, tol: 4, // "a few µs"
+		value: one(func(o *OverheadsResult) float64 { return o.CDoallStartUS })},
+}

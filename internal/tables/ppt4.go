@@ -2,6 +2,8 @@ package tables
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"cedar/internal/bench"
 	"cedar/internal/comparator"
@@ -88,12 +90,13 @@ func ppt4Table(_ Sizes, pts []point, outs []bench.PointOutcome) Result {
 		}
 	}
 	// The CM-5 comparator is analytic: closed-form evaluations, no machine.
+	cm5 := comparator.NewCM5()
 	for _, bw := range []int{3, 11} {
 		for _, p := range []int{32, 256, 512} {
 			for _, n := range []int{16 << 10, 64 << 10, 256 << 10} {
-				mflops, eff := comparator.NewCM5().BandedPoint(n, bw, p)
+				eff := cm5.BandedEfficiency(n, bw, p)
 				res.CM5[bw] = append(res.CM5[bw], PPT4Point{
-					P: p, N: n, MFLOPS: mflops,
+					P: p, N: n, MFLOPS: cm5.BandedMFLOPS(n, bw, p),
 					Eff: eff, Band: ppt.BandOfEfficiency(eff, p),
 				})
 			}
@@ -160,4 +163,26 @@ func (r *PPT4Result) Format() string {
 	}
 	s += formatTable(header, rows)
 	return s
+}
+
+// ppt4Claims: the CM-5 is scalable intermediate, never high (comparator's
+// tests pin its 32-node rates); Cedar's CG is high at every processor
+// count from a knee at 64K, not the paper's 10–16K (known deviation 4).
+var ppt4Claims = []claim{
+	{id: "CM-5 band at every BW, P and N", kind: inBand, paper: float64(ppt.Intermediate),
+		value: of(func(r *PPT4Result) []float64 {
+			return collect(slices.Concat(r.CM5[3], r.CM5[11]), func(p PPT4Point) float64 { return float64(p.Band) })
+		})},
+	claim{id: "CG high-band knee, N in K words", kind: within, paper: 13, tol: 3,
+		value: one(func(r *PPT4Result) float64 {
+			low, knee := 0, math.Inf(1) // in N order: last N with a point below High, first N after it
+			for _, pt := range r.Cedar {
+				if pt.Band != ppt.High {
+					low, knee = pt.N, math.Inf(1)
+				} else if pt.N > low && math.IsInf(knee, 1) {
+					knee = float64(pt.N >> 10)
+				}
+			}
+			return knee
+		})}.deviates(64, "the CG proxy is High from 64K, not 10–16K: known deviation 4"),
 }

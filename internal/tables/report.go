@@ -30,7 +30,10 @@ type ReportConfig struct {
 
 // WriteReport regenerates the named experiments of the paper's evaluation
 // and writes a markdown-ish report to w, one section per name. It is the
-// programmatic equivalent of cedarsim over the same names.
+// programmatic equivalent of cedarsim over the same names, plus the check:
+// on the healthy as-built machine the paper's claims describe, it judges
+// every claim of every entry it ran and, after the whole report, returns
+// an error naming each broken one (the tally goes to Progress, if set).
 func WriteReport(w io.Writer, cfg ReportConfig) error {
 	exps, err := Experiments(cfg.Names...)
 	if err != nil {
@@ -49,7 +52,12 @@ func WriteReport(w io.Writer, cfg ReportConfig) error {
 		base.Clusters, base.CEsPerCluster, base.PeakMFLOPS(), base.EffectivePeakMFLOPS())
 
 	section := func(title string) { fmt.Fprintf(w, "\n## %s\n\n", title) }
+	checking := env.Faults == nil && env.Clusters == 0
+	var claims claimTally
 	err = RunAll(env, sizes, exps, func(e Experiment, res Result) error {
+		if checking {
+			claims.check(e, sizes, res)
+		}
 		section(e.Title(sizes))
 		_, err := fmt.Fprint(w, res.Format())
 		return err
@@ -66,5 +74,8 @@ func WriteReport(w io.Writer, cfg ReportConfig) error {
 	if cfg.Now != nil {
 		fmt.Fprintf(w, "\n---\nreport generated in %s of host time\n", cfg.Now().Sub(started).Round(time.Second))
 	}
-	return nil
+	if !checking {
+		return nil
+	}
+	return claims.report(env.Progress)
 }

@@ -1,6 +1,7 @@
 package tables
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +9,45 @@ import (
 	"cedar/internal/perfect"
 	"cedar/internal/scope"
 )
+
+// TestEvaluationHoldsThePapersClaims is the paper checking itself in one
+// pass: the whole evaluation at the smallest sizes every claim holds at —
+// n = 96, Table 2's reduced slices, all 13 codes. WriteReport judges each
+// claim of each entry: none may break and none may be skipped. Every
+// section is in the report.
+func TestEvaluationHoldsThePapersClaims(t *testing.T) {
+	if testing.Short() {
+		t.Skip("report generation in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("full-report simulation is too slow under the race detector")
+	}
+	var report, progress strings.Builder
+	err := WriteReport(&report, ReportConfig{Names: Evaluation, Sizes: Sizes{RankN: 96, Codes: perfect.All()},
+		Now: time.Now, Env: Env{Progress: &progress}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exps, _ := Experiments(Evaluation...)
+	claims := 0
+	for _, e := range exps {
+		if len(e.claims) == 0 {
+			t.Errorf("%s carries no claim", e.Name)
+		}
+		claims += len(e.claims)
+	}
+	lines := strings.Split(strings.TrimSpace(progress.String()), "\n")
+	if tally := lines[len(lines)-1]; !strings.HasPrefix(tally, fmt.Sprintf("claims: %d held, 0 skipped, ", claims)) || !strings.HasSuffix(tally, ", 0 broken") {
+		t.Errorf("tally %q, want all %d claims held and none skipped or broken", tally, claims)
+	}
+	for _, want := range []string{"# Cedar evaluation report", "Table 1", "Table 2", "GM/no-pref", "GM/cache", "lat@32",
+		"runtime overheads", "memory characterization", "network ablation", "Turn93", "scheduling ablation", "guided",
+		"scaled Cedar", "Table 3", "Table 4", "Table 5", "Table 6", "Figure 3", "PPT4", "QCD", "SPICE", "report generated"} {
+		if !strings.Contains(report.String(), want) {
+			t.Errorf("report missing %q", want)
+		}
+	}
+}
 
 func TestWriteReportKernelsOnly(t *testing.T) {
 	if testing.Short() {

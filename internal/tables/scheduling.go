@@ -2,6 +2,7 @@ package tables
 
 import (
 	"fmt"
+	"slices"
 
 	"cedar/internal/bench"
 	"cedar/internal/ce"
@@ -67,7 +68,7 @@ func schedPoints(env Env, _ Sizes) []point {
 	var pts []point
 	for _, row := range schedRows() {
 		sched, body := policies[row.Policy], bodies[row.Workload]
-		pts = append(pts, env.programPoint(fmt.Sprintf("sched/%s/%s/sync=%v", row.Workload, row.Policy, row.CedarSync),
+		pts = append(pts, env.programPoint("sched/"+row.key(),
 			bench.MachineSpec{}, func(m *core.Machine) (kernels.Result, error) {
 				rt := cfrt.New(m, cfrt.Config{UseCedarSync: row.CedarSync},
 					cfrt.XDoall{N: 512, Sched: sched, Body: body})
@@ -101,4 +102,34 @@ func (rows Scheduling) Format() string {
 	s += formatTable(header, out)
 	s += "static wins on balanced work; guided recovers balance at a fraction of self-scheduling's claim traffic\n"
 	return s
+}
+
+// schedClaims: static wins balanced work, self and guided absorb an
+// imbalanced tail, and lock-based claims cost 10× the Cedar sync path.
+var schedClaims = []claim{
+	{id: "balanced: static < guided < self", kind: ordering,
+		value: schedCycles("balanced/static/sync=true", "balanced/guided/sync=true", "balanced/self/sync=true")},
+	{id: "imbalanced: guided < static", kind: ordering,
+		value: schedCycles("imbalanced/guided/sync=true", "imbalanced/static/sync=true")},
+	{id: "imbalanced: self < static", kind: ordering,
+		value: schedCycles("imbalanced/self/sync=true", "imbalanced/static/sync=true")},
+	{id: "balanced self: library path over Cedar sync", kind: floor, paper: 10,
+		value: func(r Result) []float64 {
+			c := schedCycles("balanced/self/sync=false", "balanced/self/sync=true")(r)
+			return []float64{c[0] / c[1]}
+		}},
+}
+
+// key names a row as its point's scope does: workload/policy/sync=….
+func (r SchedulingRow) key() string {
+	return fmt.Sprintf("%s/%s/sync=%v", r.Workload, r.Policy, r.CedarSync)
+}
+
+// schedCycles reads the cycles of the rows with the given keys, in order.
+func schedCycles(keys ...string) func(Result) []float64 {
+	return of(func(s Scheduling) []float64 {
+		return collect(keys, func(k string) float64 {
+			return float64(s[slices.IndexFunc(s, func(r SchedulingRow) bool { return r.key() == k })].Cycles)
+		})
+	})
 }

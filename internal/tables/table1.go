@@ -100,3 +100,31 @@ func (t *Table1Result) Format() string {
 		100*t.CacheEfficiency())
 	return s
 }
+
+// table1Claims: the rows' ordering and the prefetch gain at every cluster
+// count, no-pref's latency-bound scaling, known deviations 2 and 5. Below
+// n = 96 a 64-wide update cannot keep a cluster busy.
+func table1Claims() []claim {
+	at := Sizes{RankN: 96}
+	gain := func(c int, paper, tol float64) claim {
+		return claim{id: fmt.Sprintf("prefetch gain @%dcl", c+1), kind: within, paper: paper, tol: tol, needs: at,
+			value: one(func(t *Table1Result) float64 { return t.PrefetchGain()[c] })}
+	}
+	cs := []claim{
+		gain(0, 3.5, 0.9), // 2.7 at n = 512 to 3.2 at n = 96
+		gain(1, 2.9, 0.5),
+		gain(2, 2.2, 0.15).deviates(2.85, "GM/pref saturates at 3 clusters, known deviation 2"),
+		gain(3, 1.9, 0.5),
+		{id: "GM/no-pref scaling 1 → 4 clusters", kind: within, paper: 4, tol: 0.5, needs: at,
+			value: one(func(t *Table1Result) float64 { return t.MFLOPS[0][3] / t.MFLOPS[0][0] })},
+		claim{id: "GM/pref MFLOPS @4cl", kind: within, paper: 104, tol: 3, needs: at,
+			value: one(func(t *Table1Result) float64 { return t.MFLOPS[1][3] })}.deviates(120, "GM/pref saturates early, known deviation 2"),
+		claim{id: "GM/cache efficiency @4cl", kind: within, paper: 0.74, tol: 0.08, needs: at,
+			value: one((*Table1Result).CacheEfficiency)}.deviates(0.86, "the A panel fits the cache below the paper's n = 1K, known deviation 5"),
+	}
+	for c := range 4 {
+		cs = append(cs, claim{id: fmt.Sprintf("GM/no-pref < GM/pref < GM/cache @%dcl", c+1), kind: ordering, needs: at,
+			value: of(func(t *Table1Result) []float64 { return []float64{t.MFLOPS[0][c], t.MFLOPS[1][c], t.MFLOPS[2][c]} })})
+	}
+	return cs
+}

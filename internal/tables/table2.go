@@ -100,3 +100,38 @@ func (t *Table2Result) Format() string {
 	s += "minimal latency 8 cycles, minimal interarrival 1 cycle (hardware floors)\n"
 	return s
 }
+
+// table2Claims: the hardware floors, blocks monitored at every point,
+// every kernel's latency growing with CE count, and RK the worst row at
+// every CE count.
+func table2Claims() []claim {
+	cs := []claim{
+		{id: "latency floor", kind: floor, paper: 8,
+			value: of(func(t *Table2Result) []float64 { return values(t, t.Latency, table2Kernels...) })},
+		{id: "interarrival floor", kind: floor, paper: 1,
+			value: of(func(t *Table2Result) []float64 { return values(t, t.Inter, table2Kernels...) })},
+		{id: "blocks monitored", kind: floor, paper: 1,
+			value: of(func(t *Table2Result) []float64 { return values(t, t.Blocks, table2Kernels...) })},
+	}
+	for _, k := range table2Kernels {
+		cs = append(cs, claim{id: k + " latency grows 8 → 16 → 32 CEs", kind: ordering,
+			value: of(func(t *Table2Result) []float64 { return values(t, t.Latency, k) })})
+	}
+	return append(cs, claim{id: "RK latency over the worst other kernel's, every CE count", kind: floor, paper: 1,
+		value: of(func(t *Table2Result) []float64 {
+			return collect(t.CEs, func(c int) float64 {
+				return t.Latency["RK"][c] / max(t.Latency["VL"][c], t.Latency["TM"][c], t.Latency["CG"][c])
+			})
+		})})
+}
+
+// values lists the named kernels' values, each in CE-count order.
+func values[N int64 | float64](t *Table2Result, byKernel map[string]map[int]N, kernels ...string) []float64 {
+	var vs []float64
+	for _, k := range kernels {
+		for _, c := range t.CEs {
+			vs = append(vs, float64(byKernel[k][c]))
+		}
+	}
+	return vs
+}

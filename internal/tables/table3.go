@@ -2,8 +2,10 @@ package tables
 
 import (
 	"fmt"
+	"slices"
 
 	"cedar/internal/comparator"
+	"cedar/internal/perfect"
 	"cedar/internal/ppt"
 )
 
@@ -125,4 +127,74 @@ func (rows Table4) Format() string {
 	s := formatTable(header, out)
 	s += "paper: ARC2D 68 s (2.1), BDNA 70 (1.7), FLO52 33, DYFESM 31, TRFD 7.5 (2.8), QCD 21 (11.4), SPICE 26\n"
 	return s
+}
+
+// row is the named code's row.
+func (t *Table3Result) row(code string) Table3Row {
+	i := slices.IndexFunc(t.Rows, func(r Table3Row) bool { return r.Code == code })
+	return t.Rows[i]
+}
+
+// rowClaim is a claim about one code's row, which it needs in Codes.
+func rowClaim(code, id string, kind claimKind, paper, tol float64, f func(Table3Row) []float64) claim {
+	return claim{id: code + " " + id, kind: kind, paper: paper, tol: tol, needs: codes(code),
+		value: of(func(t *Table3Result) []float64 { return f(t.row(code)) })}
+}
+
+// table3Claims: every code improves serial → KAP → automatable and loses
+// without Cedar sync, then prefetch; the per-code stories of the paper or
+// a companion CSRD report; the harmonic means (rates: known deviation 1).
+func table3Claims() []claim {
+	var cs []claim
+	for _, p := range perfect.All() {
+		cs = append(cs,
+			rowClaim(p.Name, "serial ≤ KAP ≤ automatable", ordering, 0, 0.05,
+				func(r Table3Row) []float64 { return []float64{1, r.KAPSpeedup, r.AutoSpeedup} }),
+			rowClaim(p.Name, "0 < NoPref ≤ NoSync ≤ automatable", ordering, 0, 0.06,
+				func(r Table3Row) []float64 { return []float64{0, r.NoPrefSpeedup, r.NoSyncSpeedup, r.AutoSpeedup} }))
+	}
+	speedup := func(r Table3Row) []float64 { return []float64{r.AutoSpeedup} }
+	band := func(r Table3Row) []float64 { return []float64{float64(ppt.BandOfSpeedup(r.AutoSpeedup, 32))} }
+	noSync := func(r Table3Row) []float64 { return []float64{r.AutoSpeedup / r.NoSyncSpeedup} }
+	noPref := func(r Table3Row) []float64 { return []float64{r.NoSyncSpeedup / r.NoPrefSpeedup} }
+	return append(cs,
+		rowClaim("ADM", "automatable band", inBand, float64(ppt.Intermediate), 0, band),
+		rowClaim("ARC2D", "automatable speedup", floor, 10, 0, speedup),
+		rowClaim("DYFESM", "NoSync slowdown", floor, 1.05, 0, noSync),
+		rowClaim("DYFESM", "NoPref slowdown", floor, 1.2, 0, noPref),
+		rowClaim("MDG", "automatable band", inBand, float64(ppt.High), 0, band),
+		rowClaim("MG3D", "automatable band", inBand, float64(ppt.Intermediate), 0, band),
+		rowClaim("OCEAN", "NoSync slowdown", floor, 1.5, 0, noSync),
+		rowClaim("QCD", "automatable speedup", within, 1.8, 0.5, speedup),
+		rowClaim("SPEC77", "automatable band", inBand, float64(ppt.Intermediate), 0, band),
+		rowClaim("TRACK", "NoPref slowdown", within, 1, 0.1, noPref),
+		rowClaim("SPICE", "0 < automatable MFLOPS < 1.5", ordering, 0, 0, func(r Table3Row) []float64 { return []float64{0, r.MFLOPS, 1.5} }),
+		claim{id: "ARC2D outruns SPICE", kind: ordering, needs: codes("ARC2D", "SPICE"),
+			value: of(func(t *Table3Result) []float64 {
+				return []float64{t.row("SPICE").AutoSpeedup, t.row("ARC2D").AutoSpeedup}
+			})},
+		claim{id: "every code's automatable MFLOPS over SPICE's", kind: floor, paper: 1, needs: allCodes,
+			value: of(func(t *Table3Result) []float64 {
+				return collect(t.Rows, func(r Table3Row) float64 { return r.MFLOPS / t.row("SPICE").MFLOPS })
+			})},
+		claim{id: "Cedar harmonic-mean MFLOPS", kind: within, paper: 3.2, tol: 0.3, needs: allCodes,
+			value: one(func(t *Table3Result) float64 { return t.CedarHarmonic })}.deviates(4.8, "proxy flop counts are chosen, not measured: known deviation 1"),
+		claim{id: "YMP/8 over Cedar, harmonic means", kind: within, paper: 7.4, tol: 2, needs: allCodes,
+			value: one(func(t *Table3Result) float64 { return t.RatioHarmonic })},
+	)
+}
+
+// table4Claims: every hand version beats the automatable reference, by
+// the paper's factor where Table 4 gives one.
+func table4Claims() []claim {
+	hand := func(code string, kind claimKind, paper, tol float64) claim {
+		return claim{id: code + " hand improvement", kind: kind, paper: paper, tol: tol, needs: codes(code),
+			value: of(func(rows Table4) []float64 {
+				return []float64{rows[slices.IndexFunc(rows, func(r Table4Row) bool { return r.Code == code })].Improvement}
+			})}
+	}
+	return []claim{
+		hand("ARC2D", within, 2.1, 0.5), hand("BDNA", within, 1.7, 0.5), hand("FLO52", floor, 1, 0), hand("DYFESM", floor, 1, 0),
+		hand("TRFD", within, 2.8, 1), hand("QCD", within, 11.4, 3), hand("SPICE", floor, 1, 0),
+	}
 }

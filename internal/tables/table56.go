@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 
 	"cedar/internal/comparator"
 	"cedar/internal/ppt"
@@ -130,4 +131,51 @@ func (t *Table6Result) Format() string {
 	s := formatTable(header, rows)
 	s += "paper: Cedar 1/9/3, Cray YMP 0/6/7\n"
 	return s
+}
+
+// table5Claims: instability falls as exceptions are allowed; with none,
+// Cedar's is the paper's and the YMP's is compressed (known deviation 3);
+// Cedar and the Cray-1 reach stability with fewer exceptions than the YMP.
+func table5Claims() []claim {
+	var cs []claim
+	for _, sys := range []string{"Cedar", "Cray 1", "YMP/8"} {
+		cs = append(cs, claim{id: sys + " In(13,e) falls with e", kind: ordering,
+			value: of(func(t *Table5Result) []float64 {
+				in := t.In[sys] // e = 6, 2, 0, less the undefined
+				return slices.DeleteFunc([]float64{in[2], in[1], in[0]}, func(v float64) bool { return math.IsInf(v, 1) })
+			})})
+	}
+	return append(cs,
+		claim{id: "Cedar In(13,0)", kind: within, paper: 63.4, tol: 6, needs: allCodes,
+			value: one(func(t *Table5Result) float64 { return t.In["Cedar"][0] })},
+		claim{id: "YMP/8 In(13,0)", kind: within, paper: 75.3, tol: 1, needs: allCodes,
+			value: one(func(t *Table5Result) float64 { return t.In["YMP/8"][0] })}.deviates(26.5, "a two-parameter Amdahl model cannot spread 13 codes as widely: known deviation 3"),
+		claim{id: "Cedar and Cray 1 stable with fewer exceptions than YMP/8", kind: ordering, needs: allCodes,
+			value: of(func(t *Table5Result) []float64 {
+				return []float64{float64(max(t.Exceptions["Cedar"], t.Exceptions["Cray 1"])), float64(t.Exceptions["YMP/8"])}
+			})},
+	)
+}
+
+// table6Claims: the band counts of both machines, Cedar's two off by one
+// code (known deviation 4), and every code counted once.
+var table6Claims = []claim{
+	suiteCount("Cedar high", 1, 0, func(t *Table6Result) int { return t.CedarHigh }),
+	suiteCount("Cedar intermediate", 9, 0, func(t *Table6Result) int { return t.CedarInter }).deviates(10, trackAtThreshold),
+	suiteCount("Cedar unacceptable", 3, 0, func(t *Table6Result) int { return t.CedarUnacc }).deviates(2, trackAtThreshold),
+	suiteCount("YMP/8 high", 0, 0, func(t *Table6Result) int { return t.YMPHigh }),
+	suiteCount("YMP/8 intermediate", 6, 0, func(t *Table6Result) int { return t.YMPInter }),
+	suiteCount("YMP/8 unacceptable", 7, 0, func(t *Table6Result) int { return t.YMPUnacc }),
+	{id: "every code in one band on each machine", kind: within,
+		value: of(func(t *Table6Result) []float64 {
+			return []float64{float64(t.CedarHigh + t.CedarInter + t.CedarUnacc - len(t.CedarEff)), float64(t.YMPHigh + t.YMPInter + t.YMPUnacc - len(t.YMPEff))}
+		})},
+}
+
+const trackAtThreshold = "TRACK sits at Ep 0.104, a hair above 0.1: known deviation 4"
+
+// suiteCount is a band count over the whole suite.
+func suiteCount[R Result](id string, paper, tol float64, count func(R) int) claim {
+	return claim{id: id + " codes", kind: within, paper: paper, tol: tol, needs: allCodes,
+		value: one(func(r R) float64 { return float64(count(r)) })}
 }

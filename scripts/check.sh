@@ -51,7 +51,9 @@ stage "go test ./..."
 # the cross-commit half of the byte-identity invariant, which the
 # in-process jobs/stepped gates cannot see — and
 # TestWriteReportDeterministic, which simulates both of the reports it
-# compares (nothing memoizes a sweep point between runs).
+# compares (nothing memoizes a sweep point between runs), and
+# TestEvaluationHoldsThePapersClaims, the one pass that checks every claim
+# of the paper the catalogue carries (n = 96, all 13 codes).
 #
 # Steady-state allocation gates (the count asserted is the production
 # build's, so this pass is the one that matters; they are single-goroutine
