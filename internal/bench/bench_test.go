@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -71,9 +72,9 @@ func TestUnknownKindErrorListsEveryKind(t *testing.T) {
 	if err == nil {
 		t.Fatal("kind \"sort\" validated")
 	}
-	for _, k := range kinds {
-		if !strings.Contains(err.Error(), k.name) {
-			t.Errorf("unknown-kind error %q omits the accepted kind %q", err, k.name)
+	for name := range kinds {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-kind error %q omits the accepted kind %q", err, name)
 		}
 	}
 }
@@ -220,9 +221,20 @@ func TestRunOutcomes(t *testing.T) {
 // TestWorkloadKindsNameEveryField pins the table of which fields each
 // kind reads: every WorkloadSpec field but Name and Kind is read by some
 // kind (so a field added to the spec cannot be left out of the table),
-// and for each kind a non-zero value validates in a field the kind reads
-// and is rejected, by JSON name, in one it does not.
+// and for each kind a valid value validates in a field the kind reads and
+// a non-zero one is rejected, by JSON name, in one it does not.
 func TestWorkloadKindsNameEveryField(t *testing.T) {
+	// required is the least spec of a kind that reads names and has no
+	// default for them; valid is a name each kind knows, by field.
+	required := map[string]WorkloadSpec{
+		"perfect": {Code: "QCD", Variant: "kap"},
+		"xdoall":  {Variant: "empty", Sched: "self"},
+	}
+	valid := map[string]map[string]string{
+		"rank":    {"variant": "pref"},
+		"perfect": {"code": "TRACK", "variant": "serial"},
+		"xdoall":  {"variant": "imbalanced", "sched": "guided"},
+	}
 	typ := reflect.TypeOf(WorkloadSpec{})
 	for i := 0; i < typ.NumField(); i++ {
 		field := typ.Field(i)
@@ -231,14 +243,17 @@ func TestWorkloadKindsNameEveryField(t *testing.T) {
 		}
 		jsonName, _, _ := strings.Cut(field.Tag.Get("json"), ",")
 		readers := 0
-		for _, k := range kinds {
-			kind, reads := k.name, k.reads
-			ws := WorkloadSpec{Name: "w", Kind: kind}
+		for kind, k := range kinds {
+			reads := k.reads
+			ws := required[kind]
+			ws.Name, ws.Kind = "w", kind
 			switch f := reflect.ValueOf(&ws).Elem().Field(i); f.Kind() {
 			case reflect.String:
-				f.SetString("pref") // the one string field is the rank variant
+				f.SetString(cmp.Or(valid[kind][jsonName], "x"))
 			case reflect.Int:
 				f.SetInt(3)
+			case reflect.Bool:
+				f.SetBool(true)
 			default:
 				t.Fatalf("WorkloadSpec.%s has kind %s: teach this test to set it", field.Name, f.Kind())
 			}

@@ -129,11 +129,17 @@ func (ms MachineSpec) Validate() error {
 // Validate checks the workload spec in isolation: a known kind, no
 // field set that the kind's kernel never reads (the whole spec is hashed
 // into the cedarserve response key, so such a field would make one
-// point many), a known rank variant, non-negative sizes.
+// point many), names the kind knows, non-negative sizes.
 func (ws WorkloadSpec) Validate() error {
-	k, err := ws.kind()
+	_, err := ws.checked()
+	return err
+}
+
+// checked is Validate that also returns the spec's kind.
+func (ws WorkloadSpec) checked() (kind, error) {
+	k, err := lookup("kind", ws.Kind, kinds)
 	if err != nil {
-		return err
+		return kind{}, fmt.Errorf("bench: workload %q: %w", ws.Name, err)
 	}
 	for _, f := range []struct {
 		name string
@@ -142,20 +148,24 @@ func (ws WorkloadSpec) Validate() error {
 		{"n", ws.N != 0}, {"variant", ws.Variant != ""}, {"sweeps", ws.Sweeps != 0},
 		{"iters", ws.Iters != 0}, {"bw", ws.BW != 0}, {"max_ces", ws.MaxCEs != 0},
 		{"ces", ws.CEs != 0}, {"gap", ws.Gap != 0}, {"stride", ws.Stride != 0},
+		{"code", ws.Code != ""}, {"sched", ws.Sched != ""}, {"block", ws.Block != 0},
+		{"nosync", ws.NoSync},
 	} {
 		if f.set && !slices.Contains(k.reads, f.name) {
-			return fmt.Errorf("bench: workload %q: kind %q does not read %q (it reads %s)",
+			return kind{}, fmt.Errorf("bench: workload %q: kind %q does not read %q (it reads %s)",
 				ws.Name, ws.Kind, f.name, strings.Join(k.reads, ", "))
 		}
 	}
-	if _, ok := rankModes[ws.Variant]; !ok {
-		return fmt.Errorf("bench: workload %q: unknown rank variant %q (want nopref, pref or cache)", ws.Name, ws.Variant)
+	if k.check != nil {
+		if err := k.check(ws); err != nil {
+			return kind{}, fmt.Errorf("bench: workload %q: %w", ws.Name, err)
+		}
 	}
 	if ws.N < 0 || ws.Sweeps < 0 || ws.Iters < 0 || ws.BW < 0 || ws.MaxCEs < 0 ||
-		ws.CEs < 0 || ws.Stride < 0 || ws.Gap < 0 {
-		return fmt.Errorf("bench: workload %q: sizes must be non-negative", ws.Name)
+		ws.CEs < 0 || ws.Stride < 0 || ws.Gap < 0 || ws.Block < 0 {
+		return kind{}, fmt.Errorf("bench: workload %q: sizes must be non-negative", ws.Name)
 	}
-	return nil
+	return k, nil
 }
 
 // WorkloadSpec is one workload axis entry: a paper kernel plus its
@@ -163,15 +173,15 @@ func (ws WorkloadSpec) Validate() error {
 // the ones its kind does not read (kinds) must stay zero.
 type WorkloadSpec struct {
 	Name string `json:"name"`
-	// Kind is one of "rank" (rank-64 update; Variant selects the memory
-	// mode), "vectorload", "trimat", "cg", "banded", or "membw" (the
-	// memory-characterization stream; CEs/Stride apply, N is words per CE).
+	// Kind names the kernel: one of kinds.
 	Kind string `json:"kind"`
 	// N is the problem order; a kind-specific default applies when 0. For
-	// membw it is the per-CE word count (default 4096).
+	// membw it is the per-CE word count (default 4096), for xdoall the
+	// iteration count.
 	N int `json:"n,omitempty"`
-	// Variant selects the rank-update memory mode: "nopref", "pref"
-	// (default) or "cache".
+	// Variant selects the rank-update memory mode ("nopref", "pref"
+	// (default) or "cache"), the Perfect code's version (perfect.Versions)
+	// or the xdoall loop body ("empty", "balanced" or "imbalanced").
 	Variant string `json:"variant,omitempty"`
 	// Sweeps is the vectorload sweep count (default 1).
 	Sweeps int `json:"sweeps,omitempty"`
@@ -179,7 +189,7 @@ type WorkloadSpec struct {
 	Iters int `json:"iters,omitempty"`
 	// BW is the banded-matvec diagonal count (default 11).
 	BW int `json:"bw,omitempty"`
-	// MaxCEs restricts the processor count for cg/banded; 0 = all.
+	// MaxCEs restricts the processor count for cg/banded/xdoall; 0 = all.
 	MaxCEs int `json:"max_ces,omitempty"`
 	// CEs is the membw participating-CE count (default 1).
 	CEs int `json:"ces,omitempty"`
@@ -189,6 +199,17 @@ type WorkloadSpec struct {
 	// Stride is the membw access stride in words (default 1; MemModules
 	// aims every reference at one module, the paper's worst case).
 	Stride int `json:"stride,omitempty"`
+	// Code names the Perfect code, exactly as perfect.All spells it
+	// ("QCD").
+	Code string `json:"code,omitempty"`
+	// Sched is the xdoall claim policy: "static", "self" or "guided".
+	Sched string `json:"sched,omitempty"`
+	// Block is the prefblock prefetch block in words (default 0: no
+	// prefetch).
+	Block int `json:"block,omitempty"`
+	// NoSync makes xdoall claim iterations through the library's lock path
+	// instead of the Cedar synchronization instructions.
+	NoSync bool `json:"nosync,omitempty"`
 }
 
 // FaultSpec is one fault axis entry: no plan (healthy), the built-in

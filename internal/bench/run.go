@@ -11,10 +11,12 @@ import (
 	"strings"
 	"time"
 
+	"cedar/internal/cfrt"
 	"cedar/internal/core"
 	"cedar/internal/fault"
 	"cedar/internal/fleet"
 	"cedar/internal/kernels"
+	"cedar/internal/perfect"
 	"cedar/internal/scope"
 )
 
@@ -72,12 +74,12 @@ func (pt Point) Build(hub *scope.Hub, stepped bool) (*core.Machine, error) {
 	return core.New(pt.Machine.Params(), core.Options{Fabric: fabric, Scope: hub, Faults: pt.Plan, Stepped: stepped})
 }
 
-// Run builds the point's machine, runs its workload's kernel and applies
-// the one degraded rule: a run abandoned under its plan is an outcome
-// with Status "degraded", not an error. Any other failure is returned
-// unwrapped; callers add the point's name.
+// Run validates the point's workload, builds its machine, runs the
+// workload's kernel and applies the one degraded rule: a run abandoned
+// under its plan is an outcome with Status "degraded", not an error. Any
+// other failure is returned unwrapped; callers add the point's name.
 func (pt Point) Run(hub *scope.Hub, stepped bool) (PointOutcome, error) {
-	k, err := pt.Workload.kind()
+	k, err := pt.Workload.checked()
 	if err != nil {
 		return PointOutcome{}, err
 	}
@@ -269,61 +271,116 @@ func runPoint(id string, pt Point, metrics []string, opt RunOptions) (Outcome, e
 	return out, nil
 }
 
-// kind is one workload kind, whole: its name, the WorkloadSpec fields its
-// kernel reads (by JSON name; Validate rejects any other) and the kernel
-// call with the kind's defaults applied. Adding a kind is one entry here.
+// kind is one workload kind, whole: the WorkloadSpec fields its kernel
+// reads (by JSON name; Validate rejects any other), the check that the
+// names in those fields are ones the kind knows (nil: it reads no name)
+// and the kernel call with the kind's defaults applied. Adding a kind is
+// one entry in kinds, under its name.
 type kind struct {
-	name  string
 	reads []string
+	check func(WorkloadSpec) error
 	run   func(*core.Machine, WorkloadSpec) (kernels.Result, error)
 }
 
-// kinds is in name order: the unknown-kind error lists it as it stands.
-var kinds = []kind{
-	{"banded", []string{"n", "bw", "max_ces"}, func(m *core.Machine, w WorkloadSpec) (kernels.Result, error) {
+var kinds = map[string]kind{
+	"banded": {[]string{"n", "bw", "max_ces"}, nil, func(m *core.Machine, w WorkloadSpec) (kernels.Result, error) {
 		return kernels.Banded(m, kernels.BandedConfig{N: cmp.Or(w.N, 64), BW: cmp.Or(w.BW, 11), MaxCEs: w.MaxCEs})
 	}},
-	{"cg", []string{"n", "iters", "max_ces"}, func(m *core.Machine, w WorkloadSpec) (kernels.Result, error) {
+	"cg": {[]string{"n", "iters", "max_ces"}, nil, func(m *core.Machine, w WorkloadSpec) (kernels.Result, error) {
 		return kernels.CG(m, kernels.CGConfig{N: cmp.Or(w.N, 64), Iters: cmp.Or(w.Iters, 2), MaxCEs: w.MaxCEs})
 	}},
-	{"latency", []string{"n", "gap"}, func(m *core.Machine, w WorkloadSpec) (kernels.Result, error) {
+	"latency": {[]string{"n", "gap"}, nil, func(m *core.Machine, w WorkloadSpec) (kernels.Result, error) {
 		return kernels.LoadLatency(m, cmp.Or(w.N, 2000), int64(w.Gap))
 	}},
-	{"membw", []string{"n", "ces", "stride"}, func(m *core.Machine, w WorkloadSpec) (kernels.Result, error) {
+	"membw": {[]string{"n", "ces", "stride"}, nil, func(m *core.Machine, w WorkloadSpec) (kernels.Result, error) {
 		// The stream kernel does no arithmetic; bandwidth lives in the
 		// gmem.* metrics, the deterministic cycle count is the result.
 		pt, err := kernels.MemBW(m, cmp.Or(w.CEs, 1), int64(cmp.Or(w.Stride, 1)), cmp.Or(w.N, 4096))
 		return kernels.Result{Result: core.Result{Cycles: pt.Cycles}}, err
 	}},
-	{"rank", []string{"n", "variant"}, func(m *core.Machine, w WorkloadSpec) (kernels.Result, error) {
-		return kernels.RankUpdate(m, cmp.Or(w.N, 64), rankModes[w.Variant])
+	"perfect": {[]string{"code", "variant"}, func(w WorkloadSpec) error {
+		_, _, err := w.perfectSpec()
+		return err
+	}, func(m *core.Machine, w WorkloadSpec) (kernels.Result, error) {
+		p, spec, _ := w.perfectSpec()
+		out, err := perfect.RunOn(m, p, spec)
+		return kernels.Result{Result: core.Result{Cycles: out.SimCycles, MFLOPS: out.MFLOPS, Seconds: out.Seconds}}, err
 	}},
-	{"trimat", []string{"n"}, func(m *core.Machine, w WorkloadSpec) (kernels.Result, error) {
+	"prefblock": {[]string{"n", "block"}, nil, func(m *core.Machine, w WorkloadSpec) (kernels.Result, error) {
+		return kernels.PanelSweep(m, cmp.Or(w.N, 64), w.Block)
+	}},
+	"rank": {[]string{"n", "variant"}, func(w WorkloadSpec) error {
+		_, err := lookup("rank variant", cmp.Or(w.Variant, "pref"), rankModes)
+		return err
+	}, func(m *core.Machine, w WorkloadSpec) (kernels.Result, error) {
+		return kernels.RankUpdate(m, cmp.Or(w.N, 64), rankModes[cmp.Or(w.Variant, "pref")])
+	}},
+	"startup": {nil, nil, func(m *core.Machine, _ WorkloadSpec) (kernels.Result, error) {
+		return kernels.XDoallStartup(m)
+	}},
+	"trimat": {[]string{"n"}, nil, func(m *core.Machine, w WorkloadSpec) (kernels.Result, error) {
 		return kernels.TriMat(m, cmp.Or(w.N, 64))
 	}},
-	{"vectorload", []string{"n", "sweeps"}, func(m *core.Machine, w WorkloadSpec) (kernels.Result, error) {
+	"vectorload": {[]string{"n", "sweeps"}, nil, func(m *core.Machine, w WorkloadSpec) (kernels.Result, error) {
 		return kernels.VectorLoad(m, cmp.Or(w.N, 1024), cmp.Or(w.Sweeps, 1))
+	}},
+	"xdoall": {[]string{"n", "max_ces", "variant", "sched", "nosync"}, func(w WorkloadSpec) error {
+		_, err := lookup("loop body", w.Variant, loopBodies)
+		if err == nil {
+			_, err = lookup("schedule", w.Sched, loopScheds)
+		}
+		return err
+	}, func(m *core.Machine, w WorkloadSpec) (kernels.Result, error) {
+		return kernels.Loop(m, kernels.LoopConfig{
+			N: cmp.Or(w.N, 512), MaxCEs: w.MaxCEs, Body: loopBodies[w.Variant], Sched: loopScheds[w.Sched], NoSync: w.NoSync,
+		})
 	}},
 }
 
-// rankModes maps WorkloadSpec.Variant to the rank-update memory mode.
-var rankModes = map[string]kernels.RKMode{
-	"": kernels.RKPref, "pref": kernels.RKPref, "nopref": kernels.RKNoPref, "cache": kernels.RKCache,
+// rankModes, loopBodies and loopScheds map the names a spec's variant
+// and sched hold to the rank update's memory mode and the xdoall loop's
+// body and claim policy.
+var (
+	rankModes  = map[string]kernels.RKMode{"pref": kernels.RKPref, "nopref": kernels.RKNoPref, "cache": kernels.RKCache}
+	loopBodies = map[string]cfrt.BodyFn{
+		"empty": kernels.EmptyBody, "balanced": kernels.BalancedBody, "imbalanced": kernels.ImbalancedBody,
+	}
+	loopScheds = map[string]cfrt.Schedule{
+		"static": cfrt.StaticSchedule, "self": cfrt.SelfSchedule, "guided": cfrt.GuidedSchedule,
+	}
+)
+
+// perfectSpec resolves a perfect workload's code and version, each by its
+// one spelling; a hand version exists only where Table 4 has one.
+func (ws WorkloadSpec) perfectSpec() (perfect.Profile, perfect.Spec, error) {
+	codes := map[string]perfect.Profile{}
+	for _, p := range perfect.All() {
+		codes[p.Name] = p
+	}
+	p, err := lookup("Perfect code", ws.Code, codes)
+	if err != nil {
+		return p, perfect.Spec{}, err
+	}
+	spec, err := lookup("Perfect version", ws.Variant, perfect.Versions())
+	if err == nil && spec.Variant == perfect.Hand && !perfect.HandOptimized()[ws.Code] {
+		err = fmt.Errorf("%s has no hand version (Table 4 lists none)", ws.Code)
+	}
+	return p, spec, err
 }
 
-// kind looks the spec's kind up in kinds.
-func (ws WorkloadSpec) kind() (kind, error) {
-	for _, k := range kinds {
-		if k.name == ws.Kind {
-			return k, nil
+// lookup returns what m holds under name, or an error that lists the
+// names m knows.
+func lookup[V any](what, name string, m map[string]V) (V, error) {
+	v, ok := m[name]
+	if !ok {
+		names := make([]string, 0, len(m))
+		for known := range m {
+			names = append(names, known)
 		}
+		slices.Sort(names)
+		return v, fmt.Errorf("unknown %s %q (want one of %s)", what, name, strings.Join(names, ", "))
 	}
-	names := make([]string, len(kinds))
-	for i, k := range kinds {
-		names[i] = k.name
-	}
-	return kind{}, fmt.Errorf("bench: workload %q: unknown kind %q (want one of %s)",
-		ws.Name, ws.Kind, strings.Join(names, ", "))
+	return v, nil
 }
 
 // filterMetrics keeps the samples whose name starts with any of the

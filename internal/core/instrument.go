@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cedar/internal/network"
-	"cedar/internal/perfmon"
 	"cedar/internal/scope"
 )
 
@@ -207,14 +206,4 @@ func attr(busy, stall, elapsed int64) scope.Attr {
 		stall = elapsed - busy
 	}
 	return scope.Attr{Busy: busy, Stall: stall, Idle: elapsed - busy - stall, Elapsed: elapsed}
-}
-
-// AttachSampler builds a cycle sampler over every gauge registered so far,
-// registers it with the engine (so it ticks after all components), and
-// returns it for histogram readout. interval is in cycles.
-func (m *Machine) AttachSampler(interval int64) *perfmon.Sampler {
-	s := perfmon.NewSampler(interval)
-	m.Scope.AttachSampler(s)
-	m.register(s)
-	return s
 }

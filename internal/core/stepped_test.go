@@ -14,8 +14,8 @@ import (
 // dependent load per round trip with a 100-cycle pause, the wheel's best
 // case — the stepped machine executes every cycle and the event machine
 // jumps most of them, and both report the same result. Every component
-// of the stepped machine, the attached sampler included, is registered
-// plain: all of them count as awake on an idle machine.
+// of the stepped machine is registered plain: all of them count as awake
+// on an idle machine.
 func TestSteppedMachineMatchesEventMachine(t *testing.T) {
 	run := func(stepped bool) (*core.Machine, kernels.Result) {
 		t.Helper()
@@ -23,7 +23,6 @@ func TestSteppedMachineMatchesEventMachine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.AttachSampler(64)
 		res, err := kernels.LoadLatency(m, 200, 100)
 		if err != nil {
 			t.Fatal(err)

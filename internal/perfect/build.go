@@ -24,6 +24,17 @@ type Spec struct {
 	NoSync bool
 }
 
+// Versions returns the suite's versions of a code by the names the
+// workload vocabulary spells them with; "hand" exists only for the codes
+// HandOptimized names.
+func Versions() map[string]Spec {
+	return map[string]Spec{
+		"serial": {Variant: Serial}, "kap": {Variant: KAP}, "auto": {Variant: Auto},
+		"auto-nosync": {Variant: Auto, NoSync: true}, "auto-nosync-nopref": {Variant: Auto, NoSync: true, NoPref: true},
+		"hand": {Variant: Hand},
+	}
+}
+
 // Outcome is one measured run, scaled to the full application.
 type Outcome struct {
 	Code      string

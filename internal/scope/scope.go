@@ -7,8 +7,7 @@
 //
 //   - a metrics registry: every component publishes named counters
 //     (monotonic, read from the component's own Stats) and gauges
-//     (instantaneous occupancies), snapshotable at any cycle and
-//     cycle-sampled into distributions via perfmon.Sampler;
+//     (instantaneous occupancies), snapshotable at any cycle;
 //   - a span/event tracer stamped in simulated cycles only, with a
 //     bounded buffer and drop accounting like the hardware tracer,
 //     exported as Chrome trace-event JSON (viewable in Perfetto or
@@ -233,22 +232,4 @@ func (h *Hub) WriteMetricsCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// AttachSampler registers every gauge known so far as a probe on s,
-// turning instantaneous occupancies into cycle-sampled distributions —
-// the paper's histogrammers hooked to hardware signals. Register s with
-// the simulation engine after the components it probes; gauges registered
-// after the call are not probed.
-func (h *Hub) AttachSampler(s *perfmon.Sampler) {
-	if h == nil || s == nil {
-		return
-	}
-	for _, m := range h.st.metrics {
-		if m.kind != KindGauge {
-			continue
-		}
-		read := m.read
-		s.Probe(m.name, func() int { return int(read()) })
-	}
 }

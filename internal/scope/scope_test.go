@@ -3,8 +3,6 @@ package scope
 import (
 	"strings"
 	"testing"
-
-	"cedar/internal/perfmon"
 )
 
 func TestNilHubIsInert(t *testing.T) {
@@ -14,7 +12,6 @@ func TestNilHubIsInert(t *testing.T) {
 	h.Span("t", "s", 0, 10)
 	h.Emit("t", "e", 5)
 	h.Attribute("ce", func() Attr { return Attr{Busy: 1} })
-	h.AttachSampler(perfmon.NewSampler(1))
 	if h.Sub("x") != nil {
 		t.Error("Sub of nil hub must be nil")
 	}
@@ -97,29 +94,6 @@ func TestWriteMetricsCSV(t *testing.T) {
 	want := "metric,kind,value\na,gauge,-1\nz,counter,9\n"
 	if b.String() != want {
 		t.Errorf("CSV = %q, want %q", b.String(), want)
-	}
-}
-
-func TestAttachSamplerProbesGaugesOnly(t *testing.T) {
-	h := NewHub()
-	depth := int64(0)
-	h.Gauge("queue.depth", func() int64 { return depth })
-	h.Counter("events", func() int64 { return 1000 })
-	s := perfmon.NewSampler(1)
-	h.AttachSampler(s)
-	if names := s.Probes(); len(names) != 1 || names[0] != "queue.depth" {
-		t.Fatalf("probes %v, want only the gauge", names)
-	}
-	for cy := int64(0); cy < 4; cy++ {
-		depth = cy
-		s.Tick(cy)
-	}
-	hist := s.Histogram("queue.depth")
-	if hist.Total() != 4 {
-		t.Errorf("%d samples, want 4", hist.Total())
-	}
-	if hist.Percentile(1.0) != 3 {
-		t.Errorf("max sampled depth %d, want 3", hist.Percentile(1.0))
 	}
 }
 

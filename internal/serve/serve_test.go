@@ -15,6 +15,8 @@ import (
 
 	"cedar/internal/bench"
 	"cedar/internal/fault"
+	"cedar/internal/params"
+	"cedar/internal/perfect"
 	"cedar/internal/store"
 )
 
@@ -195,6 +197,10 @@ func TestBadRequests(t *testing.T) {
 		{"bad rank variant", `{"workload":{"kind":"rank","variant":"turbo"}}`, "unknown rank variant"},
 		{"field the kind never reads", `{"workload":{"kind":"trimat","n":8,"bw":7}}`, `does not read "bw"`},
 		{"fields the kind never reads", `{"workload":{"kind":"trimat","n":8,"variant":"cache","sweeps":3,"gap":9}}`, `does not read "variant"`},
+		{"lower-case code", `{"workload":{"kind":"perfect","code":"qcd","variant":"kap"}}`, `unknown Perfect code "qcd" (want one of ADM, ARC2D`},
+		{"unknown code", `{"workload":{"kind":"perfect","code":"LINPACK","variant":"kap"}}`, `unknown Perfect code "LINPACK"`},
+		{"hand on TRACK", `{"workload":{"kind":"perfect","code":"TRACK","variant":"hand"}}`, "TRACK has no hand version"},
+		{"block on trimat", `{"workload":{"kind":"trimat","block":32}}`, `does not read "block"`},
 		{"fault path", `{"workload":{"kind":"trimat"},"fault":{"path":"/etc/passwd"}}`, "not accepted"},
 		{"fault demo+plan", `{"workload":{"kind":"trimat"},"fault":{"demo":true,"plan":{}}}`, "mutually exclusive"},
 		{"second object and garbage", reqBody + ` {"workload":{"kind":"nonsense"}} trailing garbage`, "data after the request object"},
@@ -368,6 +374,8 @@ func TestRequestKeyCoversEveryField(t *testing.T) {
 				f.SetString(f.String() + "x")
 			case reflect.Int:
 				f.SetInt(f.Int() + 1)
+			case reflect.Bool:
+				f.SetBool(!f.Bool())
 			default:
 				t.Fatalf("%s.%s has kind %s: teach this test to change it", typ.Name(), typ.Field(i).Name, f.Kind())
 			}
@@ -375,6 +383,32 @@ func TestRequestKeyCoversEveryField(t *testing.T) {
 				t.Errorf("changing %s.%s left the key unchanged", typ.Name(), typ.Field(i).Name)
 			}
 		}
+	}
+}
+
+// TestPerfectRequestIsTheSuitesPoint: a served Perfect request is the
+// suite's point — QCD's KAP version on the default machine — and reports
+// the cycles perfect.Run simulates for it, the number Table 3's row is
+// built from.
+func TestPerfectRequestIsTheSuitesPoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Perfect simulation in -short mode")
+	}
+	_, ts := newTestServer(t, Config{Jobs: 1})
+	code, _, body := postRun(t, ts.URL, `{"workload":{"kind":"perfect","code":"QCD","variant":"kap"}}`)
+	if code != http.StatusOK {
+		t.Fatalf("code = %d: %s", code, body)
+	}
+	var r Response
+	if err := json.Unmarshal(body, &r); err != nil {
+		t.Fatal(err)
+	}
+	want, err := perfect.Run(params.Default(), perfect.QCD(), perfect.Spec{Variant: perfect.KAP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Outcome.SimCycles != want.SimCycles || r.Outcome.MFLOPS != want.MFLOPS {
+		t.Errorf("served %d cycles, %v MFLOPS; perfect.Run %d, %v", r.Outcome.SimCycles, r.Outcome.MFLOPS, want.SimCycles, want.MFLOPS)
 	}
 }
 

@@ -237,7 +237,7 @@ func (e *Engine) Register(cs ...Component) []Handle {
 
 // pollAll re-queries every Sleeper's schedule against the current cycle.
 // It runs at every public run entry point, so state changes made between
-// runs — a controller assigned, a sampler attached — are picked up
+// runs — a controller assigned — are picked up
 // without requiring the mutator to know about wakes. Such a change may
 // raise a wake, so soonest is recomputed, not folded.
 func (e *Engine) pollAll() {

@@ -2,13 +2,8 @@ package tables
 
 import (
 	"fmt"
-	"slices"
 
 	"cedar/internal/bench"
-	"cedar/internal/ce"
-	"cedar/internal/cfrt"
-	"cedar/internal/core"
-	"cedar/internal/kernels"
 )
 
 // NetworkAblationRow is one fabric configuration's result on the
@@ -108,27 +103,10 @@ func RunPrefetchBlockAblation(env Env, n int) (PrefetchBlocks, error) {
 var blockSizes = []int{0, 32, 128, 256, 512}
 
 func prefBlockPoints(env Env, s Sizes) []point {
-	n := s.RankN
 	var pts []point
 	for _, block := range blockSizes {
-		pts = append(pts, env.programPoint(fmt.Sprintf("prefblock/%d", block), bench.MachineSpec{Clusters: 1},
-			func(m *core.Machine) (kernels.Result, error) {
-				aBase := m.AllocGlobalAligned(n*64, 64)
-				body := func(j int, q []ce.Instr) []ce.Instr {
-					q = slices.Grow(q, 64+1) // and the runtime's loop branch
-					for k := 0; k < 64; k++ {
-						q = append(q, ce.Instr{
-							Op: ce.OpVector, N: n, Flops: 2,
-							Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: aBase + uint64(k*n), Stride: 1, PrefBlock: block}},
-						})
-					}
-					return q
-				}
-				rt := cfrt.New(m, cfrt.Config{UseCedarSync: true},
-					cfrt.XDoall{N: n / 8, Static: true, Body: body})
-				res, err := rt.Run(1 << 40)
-				return kernels.Result{Result: res}, err
-			}))
+		pts = append(pts, env.point(fmt.Sprintf("prefblock/%d", block), bench.MachineSpec{Clusters: 1},
+			bench.WorkloadSpec{Kind: "prefblock", N: s.RankN, Block: block}))
 	}
 	return pts
 }

@@ -5,10 +5,8 @@ import (
 	"io"
 
 	"cedar/internal/bench"
-	"cedar/internal/core"
 	"cedar/internal/fault"
 	"cedar/internal/fleet"
-	"cedar/internal/kernels"
 	"cedar/internal/params"
 	"cedar/internal/scope"
 )
@@ -50,15 +48,11 @@ func (e Env) Machine() params.Machine {
 }
 
 // point is one sweep point: a bench.Point — what every campaign cell and
-// cedarserve request also is — and the hub namespace it reports under.
+// cedarserve request also is — and the hub namespace it reports under
+// ("t1/pref/2cl").
 type point struct {
-	// scope is the point's hub namespace ("t1/pref/2cl").
 	scope string
 	bench.Point
-	// program, when non-nil, runs on the point's machine in place of
-	// Workload: the sweeps (overheads, prefblock, sched, the Perfect
-	// suite) whose programs no workload kind names yet.
-	program func(*core.Machine) (kernels.Result, error)
 }
 
 // point is the usual sweep point: w under the Env's plan on ms, which
@@ -70,26 +64,9 @@ func (e Env) point(scope string, ms bench.MachineSpec, w bench.WorkloadSpec) poi
 	return point{scope: scope, Point: bench.Point{Machine: ms, Workload: w, Plan: e.Faults}}
 }
 
-// programPoint is a point that carries its program instead of a workload.
-func (e Env) programPoint(scope string, ms bench.MachineSpec, program func(*core.Machine) (kernels.Result, error)) point {
-	pt := e.point(scope, ms, bench.WorkloadSpec{})
-	pt.program = program
-	return pt
-}
-
-// run is bench.Point.Run, or for a program point the same Build and then
-// the program.
-func (pt point) run(hub *scope.Hub, stepped bool) (bench.PointOutcome, error) {
-	if pt.program == nil {
-		return pt.Run(hub, stepped)
-	}
-	m, err := pt.Build(hub, stepped)
-	if err != nil {
-		return bench.PointOutcome{}, err
-	}
-	res, err := pt.program(m)
-	return bench.PointOutcome{Result: res, Status: "ok"}, err
-}
+// runPoint is bench.Point.Run — a package variable only so tests can see
+// what sweep builds each point under without simulating it.
+var runPoint = bench.Point.Run
 
 // sweep runs one whole-machine simulation per point — every point, every
 // time — and returns the outcomes in point order. It is the only place a
@@ -101,7 +78,7 @@ func sweep(env Env, points []point, degradedOK bool) ([]bench.PointOutcome, erro
 	jobs := make([]fleet.Job[bench.PointOutcome], len(points))
 	for i, pt := range points {
 		jobs[i].Run = func(h *scope.Hub) (bench.PointOutcome, error) {
-			out, err := pt.run(h.Sub(pt.scope), env.Stepped)
+			out, err := runPoint(pt.Point, h.Sub(pt.scope), env.Stepped)
 			if err == nil && !degradedOK {
 				err = out.Err
 			}

@@ -2,17 +2,18 @@ package tables
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"cedar/internal/bench"
-	"cedar/internal/core"
 	"cedar/internal/fault"
-	"cedar/internal/kernels"
 	"cedar/internal/perfect"
 	"cedar/internal/scope"
 )
@@ -136,49 +137,79 @@ func TestHealthyEnvAfterFaultedEnv(t *testing.T) {
 	}
 }
 
-// TestOnePointTwoRoutesOneNumber: the network ablation's as-built row,
-// a bare bench.RunSpec and the committed smoke baseline's
-// cedar/rank48-pref/healthy are the same point — the prefetched rank-64
-// update of order 48 on the default machine — reached through tables,
-// through the campaign vocabulary and from disk. They agree.
+// TestOnePointTwoRoutesOneNumber: a catalogue table's row and a bare
+// bench.RunSpec of the same point — reached through tables and through the
+// campaign vocabulary — agree, and where the committed smoke baseline
+// holds the point too (cedar/rank48-pref/healthy: the prefetched rank-64
+// update of order 48 on the default machine), so does the number from
+// disk.
 func TestOnePointTwoRoutesOneNumber(t *testing.T) {
-	rows, err := RunNetworkAblation(Env{}, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := bench.RunSpec(bench.MachineSpec{}, bench.WorkloadSpec{Kind: "rank", N: 48, Variant: "pref"}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[0].Config != "omega 2-word queues (as built)" || rows[0].MFLOPS != out.MFLOPS {
-		t.Errorf("net row %+v, RunSpec %v MFLOPS: one point, two numbers", rows[0], out.MFLOPS)
-	}
 	art, err := bench.ReadArtifact("../../bench/BENCH_smoke.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pt := range art.Deterministic.Points {
-		if pt.ID == "cedar/rank48-pref/healthy" {
-			if pt.SimCycles != out.SimCycles || pt.MFLOPS != out.MFLOPS {
-				t.Errorf("RunSpec: %d cycles, %v MFLOPS; committed smoke baseline: %d, %v", out.SimCycles, out.MFLOPS, pt.SimCycles, pt.MFLOPS)
+	for _, tc := range []struct {
+		name string
+		// row runs the catalogue's route and returns the row's cycles and
+		// MFLOPS.
+		row      func() (int64, float64, error)
+		workload bench.WorkloadSpec
+		// smoke is the committed smoke baseline's ID for the point, if any.
+		smoke string
+	}{
+		{"net/omega-2w", func() (int64, float64, error) {
+			rows, err := RunNetworkAblation(Env{}, 48)
+			if err != nil || rows[0].Config != "omega 2-word queues (as built)" {
+				return 0, 0, cmp.Or(err, fmt.Errorf("row 0 is %q", rows[0].Config))
 			}
-			return
+			return -1, rows[0].MFLOPS, nil // the table keeps no cycles
+		}, bench.WorkloadSpec{Kind: "rank", N: 48, Variant: "pref"}, "cedar/rank48-pref/healthy"},
+		{"perfect/QCD/Automatable", func() (int64, float64, error) {
+			suite, err := RunSuite(Env{}, []perfect.Profile{perfect.QCD()})
+			o := suite.Auto["QCD"]
+			return o.SimCycles, o.MFLOPS, err
+		}, bench.WorkloadSpec{Kind: "perfect", Code: "QCD", Variant: "auto"}, ""},
+		{"overheads/fetch-lib-64", func() (int64, float64, error) {
+			outs, err := sweep(Env{}, overheadsPoints(Env{}, Sizes{})[1:2], false)
+			return outs[0].Cycles, outs[0].MFLOPS, err
+		}, bench.WorkloadSpec{Kind: "xdoall", N: 64, MaxCEs: 1, Variant: "empty", Sched: "self", NoSync: true}, ""},
+	} {
+		cycles, mflops, err := tc.row()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		out, err := bench.RunSpec(bench.MachineSpec{}, tc.workload, nil, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if (cycles >= 0 && cycles != out.SimCycles) || mflops != out.MFLOPS {
+			t.Errorf("%s: catalogue %d cycles, %v MFLOPS; RunSpec %d, %v: one point, two numbers",
+				tc.name, cycles, mflops, out.SimCycles, out.MFLOPS)
+		}
+		if tc.smoke == "" {
+			continue
+		}
+		i := slices.IndexFunc(art.Deterministic.Points, func(p bench.PointResult) bool { return p.ID == tc.smoke })
+		if i < 0 {
+			t.Errorf("bench/BENCH_smoke.json has no point %s", tc.smoke)
+		} else if pt := art.Deterministic.Points[i]; pt.SimCycles != out.SimCycles || pt.MFLOPS != out.MFLOPS {
+			t.Errorf("%s: RunSpec %d cycles, %v MFLOPS; committed smoke baseline %d, %v",
+				tc.name, out.SimCycles, out.MFLOPS, pt.SimCycles, pt.MFLOPS)
 		}
 	}
-	t.Error("bench/BENCH_smoke.json has no point cedar/rank48-pref/healthy")
 }
 
 // smallSizes are the catalogue's sizes in the tests that read its points.
 var smallSizes = Sizes{RankN: 32, MemBWWords: 64, Codes: []perfect.Profile{perfect.QCD(), perfect.TRACK()}}
 
 // TestCatalogueSpeaksCampaignVocabulary: every catalogue experiment's
-// points, read as data. A point that carries a workload is a valid
-// cedarbench/cedarserve spec on a valid machine; scope names are unique
-// within an experiment and start with its namespace, the prefix cedarsim
-// -json slices an experiment's metrics by; and a shared scope is the same
-// point — experiments that list one scope (t3 … fig3 share the Perfect
-// suite's) list the same machine, workload and plan under it, which is
-// what lets one call simulate it once.
+// points, read as data. Every point is a valid cedarbench/cedarserve spec
+// on a valid machine; scope names are unique within an experiment and
+// start with its namespace, the prefix cedarsim -json slices an
+// experiment's metrics by; and a shared scope is the same point —
+// experiments that list one scope (t3 … fig3 share the Perfect suite's)
+// list the same machine, workload and plan under it, which is what lets
+// one call simulate it once.
 func TestCatalogueSpeaksCampaignVocabulary(t *testing.T) {
 	env := Env{Faults: fault.DemoPlan()}
 	seen := map[string]point{}
@@ -196,52 +227,70 @@ func TestCatalogueSpeaksCampaignVocabulary(t *testing.T) {
 				t.Errorf("%s: scope %q names two of its points", e.Name, pt.scope)
 			}
 			mine[pt.scope] = true
-			if prev, ok := seen[pt.scope]; ok && (prev.Point != pt.Point || (prev.program == nil) != (pt.program == nil)) {
+			if prev, ok := seen[pt.scope]; ok && prev.Point != pt.Point {
 				t.Errorf("%s: scope %q names a point another experiment lists differently", e.Name, pt.scope)
 			}
 			seen[pt.scope] = pt
 			if err := pt.Machine.Validate(); err != nil {
 				t.Errorf("%s: %v", pt.scope, err)
 			}
-			if (pt.program == nil) == (pt.Workload == bench.WorkloadSpec{}) {
-				t.Errorf("%s: a point carries a workload or a program, exactly one", pt.scope)
-			}
-			if pt.program == nil {
-				if err := pt.Workload.Validate(); err != nil {
-					t.Errorf("%s: %v", pt.scope, err)
-				}
+			if err := pt.Workload.Validate(); err != nil {
+				t.Errorf("%s: %v", pt.scope, err)
 			}
 		}
 	}
 }
 
 // TestFaultedEnvReachesEveryExperiment: every point of every catalogue
-// entry, program points included, carries the Env's plan and is built
-// under it on the Env's engine. The degraded table is the deliberate
-// exception for the plan only: its scenarios name their own, so its
-// healthy row stays healthy under a faulted Env (TestFaultedRunDeterministic
-// checks that row really runs clean) and the Env's plan is one more row.
-// The plan is read off the points; the build is observed by sweeping the
-// same points with a probe for a program: an idle machine whose every
-// component is awake was registered through sim.Plain.
+// entry carries the Env's plan, and sweep builds it under that plan, on
+// the Env's engine and in its own namespace of the Env's hub. The degraded
+// table is the deliberate exception for the plan only: its scenarios name
+// their own, so its healthy row stays healthy under a faulted Env
+// (TestFaultedRunDeterministic checks that row really runs clean) and the
+// Env's plan is one more row. The plan is read off the points; the build
+// is observed by sweeping them with runPoint swapped for Point.Build alone,
+// which simulates nothing: an idle machine whose every component is awake
+// was registered through sim.Plain, and each scope registers its
+// engine.cycle once.
 func TestFaultedEnvReachesEveryExperiment(t *testing.T) {
+	defer func(run func(bench.Point, *scope.Hub, bool) (bench.PointOutcome, error)) { runPoint = run }(runPoint)
+	var mu sync.Mutex
+	var builds []string
+	runPoint = func(pt bench.Point, hub *scope.Hub, stepped bool) (bench.PointOutcome, error) {
+		m, err := pt.Build(hub, stepped)
+		if err != nil {
+			return bench.PointOutcome{}, err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		builds = append(builds, fmt.Sprintf("stepped=%v injector=%v",
+			len(m.Engine.AwakeComponents()) == m.Engine.Components(), m.Faults != nil))
+		return bench.PointOutcome{Status: "ok"}, nil
+	}
 	plan := fault.DemoPlan()
 	probed := func(e Experiment, env Env) []point {
+		env.Hub = scope.NewHub()
+		builds = nil
 		pts := e.points(env, smallSizes)
-		for i := range pts {
-			pt := pts[i]
-			pts[i].program = func(m *core.Machine) (kernels.Result, error) {
-				if stepped := len(m.Engine.AwakeComponents()) == m.Engine.Components(); stepped != env.Stepped {
-					t.Errorf("%s: machine built stepped=%v under an Env with Stepped=%v", pt.scope, stepped, env.Stepped)
-				}
-				if (m.Faults != nil) != (pt.Plan != nil) {
-					t.Errorf("%s: machine built with injector=%v for a point whose plan is %v", pt.scope, m.Faults != nil, pt.Plan)
-				}
-				return kernels.Result{}, nil
-			}
-		}
 		if _, err := sweep(env, pts, false); err != nil {
 			t.Errorf("%s: %v", e.Name, err)
+		}
+		var want []string
+		for _, pt := range pts {
+			want = append(want, fmt.Sprintf("stepped=%v injector=%v", env.Stepped, pt.Plan != nil))
+			if got := len(env.Hub.SnapshotUnder(pt.scope + "/engine.cycle")); got != 1 {
+				t.Errorf("%s: %s registered engine.cycle %d times", e.Name, pt.scope, got)
+			}
+		}
+		slices.Sort(builds)
+		slices.Sort(want)
+		if !slices.Equal(builds, want) {
+			t.Errorf("%s under stepped=%v: built %v, want %v", e.Name, env.Stepped, builds, want)
+		}
+		for _, m := range env.Hub.Snapshot() {
+			if strings.Contains(m.Name, "#") {
+				t.Errorf("%s: metric %s registered twice", e.Name, m.Name)
+			}
 		}
 		return pts
 	}

@@ -4,10 +4,6 @@ import (
 	"fmt"
 
 	"cedar/internal/bench"
-	"cedar/internal/ce"
-	"cedar/internal/cfrt"
-	"cedar/internal/core"
-	"cedar/internal/kernels"
 	"cedar/internal/params"
 )
 
@@ -40,16 +36,11 @@ const overheadsIters = 64
 // extra fetches), with and without Cedar synchronization.
 func overheadsPoints(env Env, _ Sizes) []point {
 	fetch := func(tag string, n int, sync bool) point {
-		return env.programPoint(fmt.Sprintf("overheads/fetch-%s-%d", tag, n), bench.MachineSpec{},
-			func(m *core.Machine) (kernels.Result, error) {
-				rt := cfrt.New(m, cfrt.Config{UseCedarSync: sync, MaxCEs: 1},
-					cfrt.XDoall{N: n, Body: emptyBody})
-				res, err := rt.Run(100_000_000)
-				return kernels.Result{Result: res}, err
-			})
+		return env.point(fmt.Sprintf("overheads/fetch-%s-%d", tag, n), bench.MachineSpec{},
+			bench.WorkloadSpec{Kind: "xdoall", N: n, MaxCEs: 1, Variant: "empty", Sched: "self", NoSync: !sync})
 	}
 	return []point{
-		env.programPoint("overheads/startup", bench.MachineSpec{}, timeToFirstIteration),
+		env.point("overheads/startup", bench.MachineSpec{}, bench.WorkloadSpec{Kind: "startup"}),
 		fetch("lib", overheadsIters, false), fetch("lib", 1, false),
 		fetch("sync", overheadsIters, true), fetch("sync", 1, true),
 	}
@@ -63,26 +54,6 @@ func overheadsTable(_ Sizes, pts []point, t []bench.PointOutcome) Result {
 		// CDOALL start: booked cost of the concurrent-start broadcast.
 		CDoallStartUS: float64(pts[0].Machine.Params().CDoallStart) * params.CycleNS / 1e3,
 	}
-}
-
-func emptyBody(_ int, q []ce.Instr) []ce.Instr {
-	return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 1})
-}
-
-// timeToFirstIteration measures XDOALL startup: the delay before any CE
-// executes the first iteration of a freshly started machine-wide loop.
-func timeToFirstIteration(m *core.Machine) (kernels.Result, error) {
-	first := int64(-1)
-	body := func(_ int, q []ce.Instr) []ce.Instr {
-		return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 1, OnDone: func(cy int64) {
-			if first < 0 {
-				first = cy
-			}
-		}})
-	}
-	rt := cfrt.New(m, cfrt.Config{UseCedarSync: true}, cfrt.XDoall{N: 64, Body: body})
-	_, err := rt.Run(100_000_000)
-	return kernels.Result{Result: core.Result{Cycles: first, Seconds: params.CyclesToSeconds(first)}}, err
 }
 
 // Format renders the measurements.

@@ -5,10 +5,6 @@ import (
 	"slices"
 
 	"cedar/internal/bench"
-	"cedar/internal/ce"
-	"cedar/internal/cfrt"
-	"cedar/internal/core"
-	"cedar/internal/kernels"
 	"cedar/internal/params"
 )
 
@@ -50,31 +46,10 @@ func schedRows() []SchedulingRow {
 }
 
 func schedPoints(env Env, _ Sizes) []point {
-	bodies := map[string]cfrt.BodyFn{
-		"balanced": func(i int, q []ce.Instr) []ce.Instr {
-			return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 60, Flops: 20})
-		},
-		"imbalanced": func(i int, q []ce.Instr) []ce.Instr {
-			cost := int64(15)
-			if i >= 480 {
-				cost = 2500
-			}
-			return append(q, ce.Instr{Op: ce.OpScalar, Cycles: cost, Flops: 20})
-		},
-	}
-	policies := map[string]cfrt.Schedule{
-		"static": cfrt.StaticSchedule, "self": cfrt.SelfSchedule, "guided": cfrt.GuidedSchedule,
-	}
 	var pts []point
 	for _, row := range schedRows() {
-		sched, body := policies[row.Policy], bodies[row.Workload]
-		pts = append(pts, env.programPoint("sched/"+row.key(),
-			bench.MachineSpec{}, func(m *core.Machine) (kernels.Result, error) {
-				rt := cfrt.New(m, cfrt.Config{UseCedarSync: row.CedarSync},
-					cfrt.XDoall{N: 512, Sched: sched, Body: body})
-				res, err := rt.Run(1 << 40)
-				return kernels.Result{Result: res}, err
-			}))
+		pts = append(pts, env.point("sched/"+row.key(), bench.MachineSpec{},
+			bench.WorkloadSpec{Kind: "xdoall", N: 512, Variant: row.Workload, Sched: row.Policy, NoSync: !row.CedarSync}))
 	}
 	return pts
 }

@@ -14,8 +14,6 @@ import (
 	"strings"
 
 	"cedar/internal/bench"
-	"cedar/internal/core"
-	"cedar/internal/kernels"
 	"cedar/internal/perfect"
 )
 
@@ -43,16 +41,10 @@ func RunSuite(env Env, codes []perfect.Profile) (*SuiteResult, error) {
 	return suiteResult(s, outs), nil
 }
 
-// suiteVersions are the versions every code runs, in point order; the
-// hand version only where Table 4 has one.
-var suiteVersions = []perfect.Spec{
-	{Variant: perfect.Serial},
-	{Variant: perfect.KAP},
-	{Variant: perfect.Auto},
-	{Variant: perfect.Auto, NoSync: true},
-	{Variant: perfect.Auto, NoSync: true, NoPref: true},
-	{Variant: perfect.Hand},
-}
+// suiteVersions are the versions every code runs, in point order
+// (perfect.Versions names them); the hand version only where Table 4 has
+// one.
+var suiteVersions = []string{"serial", "kap", "auto", "auto-nosync", "auto-nosync-nopref", "hand"}
 
 // suiteRun is one point of the suite: a code and its version.
 type suiteRun struct {
@@ -69,8 +61,8 @@ func suiteRuns(s Sizes) []suiteRun {
 	hand := perfect.HandOptimized()
 	var runs []suiteRun
 	for _, p := range codes {
-		for v, spec := range suiteVersions {
-			if spec.Variant != perfect.Hand || hand[p.Name] {
+		for v, version := range suiteVersions {
+			if version != "hand" || hand[p.Name] {
 				runs = append(runs, suiteRun{p, v})
 			}
 		}
@@ -81,21 +73,19 @@ func suiteRuns(s Sizes) []suiteRun {
 // suitePoints is the (code × version) sweep, one independent whole
 // simulation per point under "perfect/<code>/<version>".
 func suitePoints(env Env, s Sizes) []point {
+	versions := perfect.Versions()
 	var pts []point
 	for _, r := range suiteRuns(s) {
-		p, spec := r.code, suiteVersions[r.v]
-		pts = append(pts, env.programPoint(fmt.Sprintf("perfect/%s/%s", p.Name, label(spec)), bench.MachineSpec{},
-			func(m *core.Machine) (kernels.Result, error) {
-				out, err := perfect.RunOn(m, p, spec)
-				return kernels.Result{Result: core.Result{Cycles: out.SimCycles, MFLOPS: out.MFLOPS, Seconds: out.Seconds}}, err
-			}))
+		version := suiteVersions[r.v]
+		pts = append(pts, env.point(fmt.Sprintf("perfect/%s/%s", r.code.Name, label(versions[version])), bench.MachineSpec{},
+			bench.WorkloadSpec{Kind: "perfect", Code: r.code.Name, Variant: version}))
 	}
 	return pts
 }
 
 // suiteResult assembles the suite's outcomes, in suitePoints order.
 func suiteResult(s Sizes, outs []bench.PointOutcome) *SuiteResult {
-	res := &SuiteResult{}
+	res, versions := &SuiteResult{}, perfect.Versions()
 	dst := []*map[string]perfect.Outcome{&res.Serial, &res.KAP, &res.Auto, &res.NoSync, &res.NoPref, &res.Hand} // suiteVersions order
 	for _, m := range dst {
 		*m = map[string]perfect.Outcome{}
@@ -105,7 +95,7 @@ func suiteResult(s Sizes, outs []bench.PointOutcome) *SuiteResult {
 			res.Profiles = append(res.Profiles, r.code)
 		}
 		(*dst[r.v])[r.code.Name] = perfect.Outcome{
-			Code: r.code.Name, Variant: suiteVersions[r.v].Variant,
+			Code: r.code.Name, Variant: versions[suiteVersions[r.v]].Variant,
 			Seconds: outs[i].Seconds, MFLOPS: outs[i].MFLOPS, SimCycles: outs[i].Cycles,
 		}
 	}
@@ -137,7 +127,7 @@ func (s *SuiteResult) BestSeconds(code string) float64 {
 	return s.Auto[code].Seconds
 }
 
-// column formats a fixed-width table from rows of cells.
+// formatTable formats a fixed-width table from rows of cells.
 func formatTable(header []string, rows [][]string) string {
 	width := make([]int, len(header))
 	for i, h := range header {
