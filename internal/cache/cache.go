@@ -96,7 +96,7 @@ type Cache struct {
 	// (Submit and fills wake it), so skipped cycles contribute gap × the
 	// frozen classification.
 	lastTick int64
-	wake     func(at int64)
+	wake     sim.Handle
 }
 
 type firing struct {
@@ -180,22 +180,20 @@ func (c *Cache) Submit(ce int, addr uint64, write bool, value int64, sink Sink, 
 	q.buf[(q.head+q.n)%queueCap] = request{addr: addr, write: write, value: value, sink: sink, tag: tag}
 	q.n++
 	c.queued++
-	if c.wake != nil {
-		c.wake(0) // clamps to the currently executing cycle
-	}
+	c.wake.Wake(0) // clamps to the currently executing cycle
 	return true
 }
 
-// SetWaker installs the engine wake callback; Submit and fill use it to
+// SetWaker installs the cache's engine handle; Submit and fill wake it to
 // rouse a sleeping cache. Until one is wired the cache never sleeps.
-func (c *Cache) SetWaker(wake func(at int64)) { c.wake = wake }
+func (c *Cache) SetWaker(wake sim.Handle) { c.wake = wake }
 
 // NextWakeup implements sim.Sleeper: now while requests are queued (one
 // round-robin pass per cycle), the earliest pending completion
 // otherwise. Outstanding misses alone need no ticks — the cluster
 // memory's FillDone callback wakes the cache when the line lands.
 func (c *Cache) NextWakeup(now int64) int64 {
-	if c.wake == nil {
+	if c.wake.IsZero() {
 		return now
 	}
 	if c.queued > 0 {
@@ -455,8 +453,8 @@ func (c *Cache) fill(line uint64, cycle int64) {
 			}
 		}
 	}
-	if earliest != sim.Never && c.wake != nil {
-		c.wake(earliest)
+	if earliest != sim.Never {
+		c.wake.Wake(earliest)
 	}
 	c.putMSHR(m)
 }

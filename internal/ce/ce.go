@@ -30,16 +30,17 @@ type CE struct {
 	p      timing
 	fwd    network.Fabric
 	rev    network.Fabric
-	pfu    *prefetch.PFU
+	pfu    prefetch.PFU
 	cache  *cache.Cache
 	modFor func(uint64) int
 	ctrl   Controller
 
-	// pool recycles this CE's packets. Requests return to the issuing
-	// port as in-place replies, so the consumer in drainReplies retires
-	// them straight back here; the PFU shares the pool because it issues
-	// on the same port.
-	pool network.PacketPool
+	// pool recycles packets. Requests return to the issuing port as
+	// in-place replies, so the consumer in drainReplies retires them
+	// straight back here. It is the machine's one pool, shared by every CE
+	// and PFU (network.PacketPool): a packet retired here may be reissued
+	// by any of them.
+	pool *network.PacketPool
 
 	// reg is the instruction register: the controller fills it and the CE
 	// executes from it, so no controller storage is read after Next
@@ -77,7 +78,7 @@ type CE struct {
 	// across engine jumps: a sleeping CE's instruction state is frozen,
 	// so skipped cycles carry the frozen active/wait classification.
 	lastTick int64
-	wake     func(at int64)
+	wake     sim.Handle
 
 	// Fault recovery (degraded-mode runs).
 	faulty  bool  // fault plan active: poll the PFU for terminal errors
@@ -86,8 +87,7 @@ type CE struct {
 
 // timing is what a CE reads of params.Machine. A CE keeps these four
 // constants, not a copy of the whole parameter set: a copy is 272 bytes on
-// every CE of every machine built, and beside the instruction register it
-// pushes the CE up an allocator size class.
+// every CE of every machine built.
 type timing struct {
 	CELoadOverhead int
 	MaxOutstanding int
@@ -122,11 +122,15 @@ type streamState struct {
 	clusterInFlight int
 }
 
-// New builds a CE. cache may be nil for configurations under test without
-// a cluster hierarchy.
+// New builds a CE with its PFU inside it. It returns the CE by value for
+// the caller to store where it lives — a machine keeps all its CEs in one
+// slab — and the CE must not be copied once it is wired or run. cache may
+// be nil for configurations under test without a cluster hierarchy; pool
+// is the packet pool the CE and its PFU share with the rest of the
+// machine.
 func New(p params.Machine, id, clusterID, idInCluster, port int,
-	fwd, rev network.Fabric, cch *cache.Cache, modFor func(uint64) int) *CE {
-	c := &CE{
+	fwd, rev network.Fabric, cch *cache.Cache, modFor func(uint64) int, pool *network.PacketPool) CE {
+	return CE{
 		ID:          id,
 		Cluster:     clusterID,
 		IDInCluster: idInCluster,
@@ -139,16 +143,16 @@ func New(p params.Machine, id, clusterID, idInCluster, port int,
 		},
 		fwd:      fwd,
 		rev:      rev,
+		pfu:      *prefetch.New(p, port, fwd, modFor, pool),
 		cache:    cch,
 		modFor:   modFor,
+		pool:     pool,
 		lastTick: -1,
 	}
-	c.pfu = prefetch.New(p, port, fwd, modFor, &c.pool)
-	return c
 }
 
 // PFU exposes the CE's prefetch unit (for monitor attachment).
-func (c *CE) PFU() *prefetch.PFU { return c.pfu }
+func (c *CE) PFU() *prefetch.PFU { return &c.pfu }
 
 // ArmFaultRecovery enables degraded-mode operation: the PFU arms its
 // NACK/timeout retry machinery and the CE turns a retry-exhausted
@@ -211,18 +215,17 @@ func (c *CE) Idle() bool {
 		len(c.pendingStores) == 0 && !c.pfu.Busy()
 }
 
-// SetWaker installs the engine wake callback used by cache completions
-// and by PortReady. Until a waker is wired the CE never sleeps.
-func (c *CE) SetWaker(wake func(at int64)) { c.wake = wake }
+// SetWaker installs the CE's engine handle, woken by cache completions
+// and by PortReady. Until one is wired (the zero Handle) the CE never
+// sleeps.
+func (c *CE) SetWaker(wake sim.Handle) { c.wake = wake }
 
 // PortReady implements network.PortSink for the reverse fabric (the
 // machine installs the CE as the sink of its own port): a reply has landed,
 // consumable by an after-fabric sink from cycle at on. The CE ticks before
 // the reverse fabric, so it can take the packet one cycle later.
 func (c *CE) PortReady(_ int, at int64) {
-	if c.wake != nil {
-		c.wake(at + 1)
-	}
+	c.wake.Wake(at + 1)
 }
 
 // NextWakeup implements sim.Sleeper: the earliest cycle this CE must
@@ -230,7 +233,7 @@ func (c *CE) PortReady(_ int, at int64) {
 // push — the reverse network's PortReady and the cache's CacheDone —
 // so phases that only await them sleep indefinitely.
 func (c *CE) NextWakeup(now int64) int64 {
-	if c.wake == nil {
+	if c.wake.IsZero() {
 		return now
 	}
 	w := sim.Never
@@ -473,7 +476,7 @@ func (c *CE) execScalarGlobal(cycle int64) {
 // Returning prefetch words land in the 512-word prefetch buffer and other
 // replies in dedicated registers, so the port drains without back-pressure
 // (the CE-side transfer time is modeled as availability delay instead).
-// Consumed packets retire to the CE's pool — a reply is the rewritten
+// Consumed packets retire to the machine's pool — a reply is the rewritten
 // request, so this port is the end of the packet lifecycle. Panics on a
 // reply tag no unit claims: that is a routing bug, not a runtime
 // condition.
@@ -536,11 +539,9 @@ func (c *CE) CacheDone(tag uint64, at int64) {
 			st.clusterInFlight--
 		}
 	}
-	if c.wake != nil {
-		// The cache ticks after the CEs, so the completion is actionable
-		// on the next cycle; the engine clamps the wake accordingly.
-		c.wake(at)
-	}
+	// The cache ticks after the CEs, so the completion is actionable on the
+	// next cycle; the engine clamps the wake accordingly.
+	c.wake.Wake(at)
 }
 
 func (c *CE) offerStore(pkt *network.Packet) bool {

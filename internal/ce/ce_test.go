@@ -33,8 +33,10 @@ func newRig(t *testing.T, nCE int) *rig {
 	cm := cmem.New(p.CMemWordsPerCyc, p.CMemLatency, nil)
 	cch := cache.New(p, p.CEsPerCluster, cm)
 	r := &rig{p: p, eng: sim.New(), mem: mem, cch: cch, cm: cm}
-	for i := 0; i < nCE; i++ {
-		c := New(p, i, 0, i%p.CEsPerCluster, i, fwd, rev, cch, mem.ModuleFor)
+	ces, pool := make([]CE, nCE), new(network.PacketPool)
+	for i := range ces {
+		c := &ces[i]
+		*c = New(p, i, 0, i%p.CEsPerCluster, i, fwd, rev, cch, mem.ModuleFor, pool)
 		r.ces = append(r.ces, c)
 		r.eng.Register(c)
 	}

@@ -8,9 +8,12 @@ import (
 )
 
 // startVector initializes stream state for the current OpVector. The
-// stream and availability slices are reused across instructions: they
-// grow once to the widest vector the program issues and then stay put,
-// keeping this per-instruction path off the allocator. Panics if the
+// stream and availability slices are reused across instructions: per CE,
+// the stream slice grows once to the widest instruction and a stream's
+// availability record once to the longest unprefetched vector in its
+// position, then they stay put, keeping this per-instruction path off the
+// allocator. A prefetched stream keeps no availability record: its words
+// land in the PFU buffer, whose full bits are the record. Panics if the
 // instruction is malformed (N < 1, an unprefetched memory stream longer
 // than the 16-bit element tag space, prefetch on a non-global stream, or
 // more than one prefetched stream) — controller bugs, not runtime
@@ -31,7 +34,7 @@ func (c *CE) startVector(cycle int64) {
 	}
 	vs.freeAt = freeAt
 	if cap(streams) < len(in.Srcs) {
-		streams = make([]streamState, len(in.Srcs)) //lint:allow hotalloc grows once to the widest instruction, then reused
+		streams = make([]streamState, len(in.Srcs)) //lint:allow hotalloc first-touch: once per CE per wider instruction, then reused
 	}
 	vs.streams = streams[:len(in.Srcs)]
 	prefs := 0
@@ -39,14 +42,16 @@ func (c *CE) startVector(cycle int64) {
 		st := &vs.streams[i]
 		avail := st.avail[:0]
 		*st = streamState{s: s}
-		if s.Space != SpaceNone {
+		if s.Space != SpaceNone && s.PrefBlock == 0 {
 			if cap(avail) < in.N {
-				avail = make([]int64, in.N) //lint:allow hotalloc grows once to the longest vector, then reused
+				avail = make([]int64, in.N) //lint:allow hotalloc first-touch: once per CE and stream position per longer unprefetched vector, then reused
 			}
 			st.avail = avail[:in.N]
 			for e := range st.avail {
 				st.avail[e] = -1
 			}
+		} else {
+			st.avail = avail // kept, empty, for the next stream in this position
 		}
 		if s.Space != SpaceNone && s.PrefBlock == 0 && in.N > 0xffff {
 			panic("ce: unprefetched memory stream longer than 65535 elements; strip-mine or prefetch")

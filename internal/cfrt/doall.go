@@ -428,7 +428,9 @@ func (r *Runtime) cdJoin(c *ceCtl, cy int64) {
 	if last {
 		// The last arrival closes the loop instance's trace span:
 		// broadcast to join completion.
-		r.obs.Span(cs.track, "cdoall", cs.cdStartCy, doneAt)
+		if r.obs != nil {
+			r.obs.Span(cs.clusterTrack(), "cdoall", cs.cdStartCy, doneAt)
+		}
 		r.waitUntil(c, doneAt, stCDDone)
 		return
 	}

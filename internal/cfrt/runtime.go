@@ -82,9 +82,17 @@ type ceCtl struct {
 	// ev counts this participant's runtime events, indexed by kind-1.
 	ev [evKinds]int64
 	// phaseStart[k] is the cycle this participant entered phase k (-1
-	// until then); the span start is the minimum over participants.
+	// until then); the span start is the minimum over participants. Kept
+	// only under an observability hub.
 	phaseStart []int64
 }
+
+// qFirst is how many instructions of each participant's queue New carves
+// from the runtime's one queue slab: a branch and the instruction it
+// follows or leads to — a phase opening's poll, a loop body's iteration,
+// a spin's stall and retry. A queue that needs more grows into an array
+// of its own, once, and keeps it.
+const qFirst = 2
 
 type phaseRes struct {
 	counter  uint64
@@ -109,7 +117,19 @@ type clusterCtl struct {
 	donePhase int
 }
 
-// New builds a runtime for the given machine, config and phases.
+// clusterTrack returns cs's trace track, formatted on its first span.
+func (cs *clusterCtl) clusterTrack() string {
+	if cs.track == "" {
+		cs.track = fmt.Sprintf("cfrt/cluster%d", cs.cl.ID)
+	}
+	return cs.track
+}
+
+// New builds a runtime for the given machine, config and phases. The
+// participants' control blocks, cluster blocks, queue heads and
+// phase-entry cycles come from one slab each, so a runtime costs an
+// object per participant only for the two completion callbacks bound to
+// it.
 func New(m *core.Machine, cfg Config, phases ...Phase) *Runtime {
 	nclusters := cfg.Clusters
 	if nclusters <= 0 || nclusters > len(m.Clusters) {
@@ -120,6 +140,7 @@ func New(m *core.Machine, cfg Config, phases ...Phase) *Runtime {
 		cfg:         cfg,
 		ph:          phases,
 		ceIdx:       make([]int, len(m.CEs)),
+		obs:         m.Scope,
 		pollBackoff: 25,
 	}
 	for id := range r.ceIdx {
@@ -131,20 +152,44 @@ func New(m *core.Machine, cfg Config, phases ...Phase) *Runtime {
 			hasSDoall = true
 		}
 	}
-	for c := 0; c < nclusters; c++ {
-		cluster := m.Clusters[c]
-		cs := &clusterCtl{cl: cluster, donePhase: -1}
-		r.clusters = append(r.clusters, cs)
+	clusters := m.Clusters[:nclusters]
+	np := 0
+	for _, cl := range clusters {
+		np += len(cl.CEs)
+	}
+	if !hasSDoall && cfg.MaxCEs > 0 {
+		np = min(np, cfg.MaxCEs)
+	}
+	ctls, css := make([]ceCtl, np), make([]clusterCtl, nclusters)
+	r.ces, r.ctl, r.clusters = make([]*ce.CE, 0, np), make([]*ceCtl, np), make([]*clusterCtl, nclusters)
+	qs := make([]ce.Instr, np*qFirst)
+	var starts []int64
+	if r.obs != nil {
+		starts = make([]int64, np*len(phases))
+		for i := range starts {
+			starts[i] = -1
+		}
+	}
+	for c, cluster := range clusters {
+		cs := &css[c]
+		*cs = clusterCtl{cl: cluster, donePhase: -1}
+		r.clusters[c] = cs
 		for _, e := range cluster.CEs {
-			if !hasSDoall && cfg.MaxCEs > 0 && len(r.ces) >= cfg.MaxCEs {
+			ci := len(r.ces)
+			if ci == np {
 				break
 			}
-			r.ceIdx[e.ID] = len(r.ces)
+			r.ceIdx[e.ID] = ci
 			r.ces = append(r.ces, e)
-			ctl := &ceCtl{ci: len(r.ctl), cs: cs, clusterIdx: c}
+			ctl := &ctls[ci]
+			*ctl = ceCtl{ci: ci, cs: cs, clusterIdx: c, q: qs[ci*qFirst : ci*qFirst : (ci+1)*qFirst]}
+			if starts != nil {
+				k := len(phases)
+				ctl.phaseStart = starts[ci*k : (ci+1)*k : (ci+1)*k]
+			}
 			ctl.onDone = func(cycle int64) { r.advance(ctl, ctl.issued, 0, false, cycle) }
 			ctl.onResult = func(v int64, passed bool, cycle int64) { r.advance(ctl, ctl.issued, v, passed, cycle) }
-			r.ctl = append(r.ctl, ctl)
+			r.ctl[ci] = ctl
 		}
 	}
 	// Global words for scheduling: a phase flag, a claim lock, and
@@ -158,21 +203,12 @@ func New(m *core.Machine, cfg Config, phases ...Phase) *Runtime {
 			barFlag:  m.AllocGlobal(1),
 		})
 	}
-	if r.obs = m.Scope; r.obs != nil {
-		// Span labels, formatted once: a join or a barrier pass names its
-		// span by indexing.
-		for _, cs := range r.clusters {
-			cs.track = fmt.Sprintf("cfrt/cluster%d", cs.cl.ID)
-		}
+	if r.obs != nil {
+		// Phase span labels, formatted once: a barrier pass names its span
+		// by indexing.
 		r.phaseNames = make([]string, len(phases))
 		for k := range phases {
 			r.phaseNames[k] = r.phaseName(k)
-		}
-	}
-	for _, c := range r.ctl {
-		c.phaseStart = make([]int64, len(phases))
-		for i := range c.phaseStart {
-			c.phaseStart[i] = -1
 		}
 	}
 	r.obs.Counter("cfrt.phase_enters", func() int64 { return r.sumEv(EvPhaseEnter) })

@@ -23,7 +23,7 @@ type Memory struct {
 	queue   []pending
 	firing  []firing
 	busyCnt int64
-	wake    func(at int64)
+	wake    sim.Handle
 }
 
 // Sink receives transfer completions. Completions carry the caller's tag
@@ -70,19 +70,17 @@ func (m *Memory) Submit(words int, sink Sink, tag uint64) {
 		words = 1
 	}
 	m.queue = append(m.queue, pending{remaining: words, sink: sink, tag: tag})
-	if m.wake != nil {
-		m.wake(0) // clamps to the currently executing cycle
-	}
+	m.wake.Wake(0) // clamps to the currently executing cycle
 }
 
-// SetWaker installs the engine wake callback; Submit uses it to rouse a
-// sleeping memory. Until one is wired the memory never sleeps.
-func (m *Memory) SetWaker(wake func(at int64)) { m.wake = wake }
+// SetWaker installs the memory's engine handle; Submit wakes it to rouse
+// a sleeping memory. Until one is wired the memory never sleeps.
+func (m *Memory) SetWaker(wake sim.Handle) { m.wake = wake }
 
 // NextWakeup implements sim.Sleeper: now while transfers hold word
 // credits (one grant pass per cycle), the earliest completion otherwise.
 func (m *Memory) NextWakeup(now int64) int64 {
-	if m.wake == nil || len(m.queue) > 0 {
+	if m.wake.IsZero() || len(m.queue) > 0 {
 		return now
 	}
 	w := sim.Never

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
+	"strings"
 
 	"cedar/internal/network"
 	"cedar/internal/scope"
@@ -10,7 +11,11 @@ import (
 // instrument publishes every component's counters, gauges, and cycle
 // attribution on the machine's observability hub. All readings go through
 // closures over component state, so a machine built without a hub pays
-// nothing, and one built with a hub pays only at snapshot time.
+// nothing, and one built with a hub pays only at snapshot time. Nothing
+// here costs an object per CE, and a cluster costs its metrics' closures
+// only: the per-cluster metric names are substrings of one string, the
+// per-cluster attribution is one contributor per class, and the
+// prefetch-block spans go through one tracer shared by every PFU.
 func (m *Machine) instrument() {
 	h := m.Scope
 	if h == nil {
@@ -32,20 +37,27 @@ func (m *Machine) instrument() {
 	h.Counter("gmem.busy_cycles", func() int64 { return mem.Stats().BusyCyc })
 	h.Gauge("gmem.inflight", func() int64 { return int64(mem.InFlight()) })
 
-	for _, cl := range m.Clusters {
+	suffixes := [...]string{".cache.hits", ".cache.misses", ".cache.miss_attach", ".cache.writebacks",
+		".cache.stall_cycles", ".cache.mshr_in_use", ".cache.queued",
+		".bus.broadcasts", ".bus.claims", ".bus.joins", ".bus.wait_cycles"}
+	clusterNames := names(len(m.Clusters)*len(suffixes), func(b []byte, i int) []byte {
+		b = strconv.AppendInt(append(b, "cluster"...), int64(m.Clusters[i/len(suffixes)].ID), 10)
+		return append(b, suffixes[i%len(suffixes)]...)
+	})
+	for i, cl := range m.Clusters {
 		cc, bus := cl.Cache, cl.Bus
-		pre := fmt.Sprintf("cluster%d", cl.ID)
-		h.Counter(pre+".cache.hits", func() int64 { return cc.Stats().Hits })
-		h.Counter(pre+".cache.misses", func() int64 { return cc.Stats().Misses })
-		h.Counter(pre+".cache.miss_attach", func() int64 { return cc.Stats().MissAttach })
-		h.Counter(pre+".cache.writebacks", func() int64 { return cc.Stats().WriteBacks })
-		h.Counter(pre+".cache.stall_cycles", func() int64 { return cc.Stats().StallCyc })
-		h.Gauge(pre+".cache.mshr_in_use", func() int64 { return int64(cc.MSHRInUse()) })
-		h.Gauge(pre+".cache.queued", func() int64 { return int64(cc.QueuedRequests()) })
-		h.Counter(pre+".bus.broadcasts", func() int64 { return bus.Stats().Broadcasts })
-		h.Counter(pre+".bus.claims", func() int64 { return bus.Stats().Claims })
-		h.Counter(pre+".bus.joins", func() int64 { return bus.Stats().Joins })
-		h.Counter(pre+".bus.wait_cycles", func() int64 { return bus.Stats().WaitCyc })
+		name := clusterNames[i*len(suffixes):]
+		h.Counter(name[0], func() int64 { return cc.Stats().Hits })
+		h.Counter(name[1], func() int64 { return cc.Stats().Misses })
+		h.Counter(name[2], func() int64 { return cc.Stats().MissAttach })
+		h.Counter(name[3], func() int64 { return cc.Stats().WriteBacks })
+		h.Counter(name[4], func() int64 { return cc.Stats().StallCyc })
+		h.Gauge(name[5], func() int64 { return int64(cc.MSHRInUse()) })
+		h.Gauge(name[6], func() int64 { return int64(cc.QueuedRequests()) })
+		h.Counter(name[7], func() int64 { return bus.Stats().Broadcasts })
+		h.Counter(name[8], func() int64 { return bus.Stats().Claims })
+		h.Counter(name[9], func() int64 { return bus.Stats().Joins })
+		h.Counter(name[10], func() int64 { return bus.Stats().WaitCyc })
 	}
 
 	ces := m.CEs
@@ -107,20 +119,55 @@ func (m *Machine) instrument() {
 	// Prefetch-block lifetime spans: first issue to last arrival, one
 	// track per CE, matching the paper's single-processor block monitor
 	// but machine-wide.
-	for _, c := range ces {
-		track := fmt.Sprintf("pfu/ce%d", c.ID)
-		c.PFU().AddObserver(func(firstIssue int64, arrivals []int64) {
-			end := firstIssue
-			for _, a := range arrivals {
-				if a > end {
-					end = a
-				}
-			}
-			h.Span(track, "prefetch-block", firstIssue, end)
-		})
+	spans := &blockSpans{h: h, tracks: names(len(ces), func(b []byte, i int) []byte {
+		return strconv.AppendInt(append(b, "pfu/ce"...), int64(i), 10)
+	})}
+	for i, c := range ces {
+		c.PFU().SetTracer(spans, i)
 	}
 
 	m.attribute()
+}
+
+// blockSpans posts every PFU's prefetch blocks as trace spans, PFU i's
+// on track tracks[i] ("pfu/ce<i>").
+type blockSpans struct {
+	h      *scope.Hub
+	tracks []string
+}
+
+// Block implements prefetch.BlockTracer.
+func (s *blockSpans) Block(id int, firstIssue int64, arrivals []int64) {
+	end := firstIssue
+	for _, a := range arrivals {
+		if a > end {
+			end = a
+		}
+	}
+	s.h.Span(s.tracks[id], "prefetch-block", firstIssue, end)
+}
+
+// names returns n strings, name i being what format appends for i, as
+// substrings of one string sized exactly: n names cost a few objects, not
+// n. Each substring is taken from the builder as it grows; a builder
+// never rewrites what it holds, so every one stays valid.
+func names(n int, format func(b []byte, i int) []byte) []string {
+	var scratch []byte
+	total := 0
+	for i := 0; i < n; i++ {
+		scratch = format(scratch[:0], i)
+		total += len(scratch)
+	}
+	var all strings.Builder
+	all.Grow(total)
+	out := make([]string, n)
+	for i := range out {
+		scratch = format(scratch[:0], i)
+		start := all.Len()
+		all.Write(scratch)
+		out[i] = all.String()[start:]
+	}
+	return out
 }
 
 // instrumentFabric publishes one fabric's counters and occupancy gauge.
@@ -172,17 +219,23 @@ func (m *Machine) attribute() {
 		return attr(s.BusyCyc+s.DrainCyc, s.StallCyc, int64(mem.Modules())*eng.Cycle())
 	})
 
-	for _, cl := range m.Clusters {
-		cc, bus := cl.Cache, cl.Bus
-		h.Attribute("cache", func() scope.Attr {
-			s := cc.Stats()
-			return attr(s.BusyCyc, s.WaitCyc, eng.Cycle())
-		})
-		h.Attribute("ccbus", func() scope.Attr {
-			s := bus.Stats()
-			return attr(s.BusyCyc, s.WaitCyc, eng.Cycle())
-		})
-	}
+	// One contributor per class sums what one per cluster would: the hub
+	// adds contributors of a class, and each cluster is clamped alone.
+	clusters := m.Clusters
+	h.Attribute("cache", func() (a scope.Attr) {
+		for _, cl := range clusters {
+			s := cl.Cache.Stats()
+			a = sum(a, attr(s.BusyCyc, s.WaitCyc, eng.Cycle()))
+		}
+		return a
+	})
+	h.Attribute("ccbus", func() (a scope.Attr) {
+		for _, cl := range clusters {
+			s := cl.Bus.Stats()
+			a = sum(a, attr(s.BusyCyc, s.WaitCyc, eng.Cycle()))
+		}
+		return a
+	})
 
 	for _, f := range []network.Fabric{m.Fwd, m.Rev} {
 		f := f
@@ -206,4 +259,9 @@ func attr(busy, stall, elapsed int64) scope.Attr {
 		stall = elapsed - busy
 	}
 	return scope.Attr{Busy: busy, Stall: stall, Idle: elapsed - busy - stall, Elapsed: elapsed}
+}
+
+// sum adds two contributors' attributions.
+func sum(a, b scope.Attr) scope.Attr {
+	return scope.Attr{Busy: a.Busy + b.Busy, Stall: a.Stall + b.Stall, Idle: a.Idle + b.Idle, Elapsed: a.Elapsed + b.Elapsed}
 }

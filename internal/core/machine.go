@@ -93,6 +93,8 @@ type Machine struct {
 	stepped    bool
 	nextGlobal uint64
 	flopsBase  int64
+	// pool is the packet pool every CE and PFU of the machine shares.
+	pool network.PacketPool
 }
 
 // register appends cs to the engine's tick order — through sim.Plain on
@@ -107,6 +109,13 @@ func (m *Machine) register(cs ...sim.Component) []sim.Handle {
 }
 
 // New builds a machine. It returns an error for invalid parameter sets.
+//
+// A machine costs the host a number of objects set by its element types,
+// not by its element counts: CEs (with their PFUs inside), clusters and
+// the CE pointer tables are one slab each, every component is registered
+// in one call, wakers are sim.Handle values and the CEs share one packet
+// pool (DESIGN.md, "Demand-materialised state"). Only the per-cluster
+// cache, cluster memory and bus constructors still allocate per cluster.
 func New(p params.Machine, opt Options) (*Machine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -149,61 +158,73 @@ func New(p params.Machine, opt Options) (*Machine, error) {
 		}
 	}
 
-	for cl := 0; cl < p.Clusters; cl++ {
+	// CEs are spread across the port space for the same reason the memory
+	// modules are: destination tags must exercise every switch output
+	// digit or reply traffic funnels through a few first-stage outputs.
+	ceStride := max(p.NetPorts/p.CEs(), 1)
+	modFor := m.Mem.ModuleFor
+	ces, clusters := make([]ce.CE, p.CEs()), make([]Cluster, p.Clusters)
+	m.CEs, m.Clusters = make([]*ce.CE, len(ces)), make([]*Cluster, len(clusters))
+	// The tick order: each cluster's CEs, then the cluster's cache and
+	// memory (which the CEs submit to), then the fabrics and the global
+	// memory between them.
+	order := make([]sim.Component, 0, len(ces)+len(clusters)+3)
+	for cl := range clusters {
 		cm := cmem.New(p.CMemWordsPerCyc, p.CMemLatency, nil)
 		cc := cache.New(p, p.CEsPerCluster, cm)
-		cluster := &Cluster{
-			ID:    cl,
-			Bus:   ccbus.New(p, p.CEsPerCluster),
-			Cache: cc,
-			CMem:  cm,
-		}
-		// CEs are spread across the port space for the same reason the
-		// memory modules are: destination tags must exercise every
-		// switch output digit or reply traffic funnels through a few
-		// first-stage outputs.
-		ceStride := p.NetPorts / p.CEs()
-		if ceStride < 1 {
-			ceStride = 1
-		}
-		for i := 0; i < p.CEsPerCluster; i++ {
-			id := cl*p.CEsPerCluster + i
-			c := ce.New(p, id, cl, i, id*ceStride, fwd, rev, cc, m.Mem.ModuleFor)
+		lo, hi := cl*p.CEsPerCluster, (cl+1)*p.CEsPerCluster
+		cluster := &clusters[cl]
+		*cluster = Cluster{ID: cl, Bus: ccbus.New(p, p.CEsPerCluster), Cache: cc, CMem: cm, CEs: m.CEs[lo:hi:hi]}
+		m.Clusters[cl] = cluster
+		for id := lo; id < hi; id++ {
+			c := &ces[id]
+			*c = ce.New(p, id, cl, id-lo, id*ceStride, fwd, rev, cc, modFor, &m.pool)
 			if m.Faults.Retryable() {
 				// Only recoverable faults (NACKs, drops) arm the retry
 				// machinery: timeout watchdogs under a stall-only plan
 				// would add behavior the plan doesn't call for.
 				c.ArmFaultRecovery()
 			}
-			cluster.CEs = append(cluster.CEs, c)
-			m.CEs = append(m.CEs, c)
-			c.SetWaker(m.register(c)[0].Wake)
+			m.CEs[id] = c
 			rev.SetPortSink(c.Port, c)
+			order = append(order, c)
 		}
-		m.Clusters = append(m.Clusters, cluster)
-		// Cache and cluster memory tick as one composite, after the
-		// cluster's CEs (which submit to the cache) and with the cache
-		// ahead of the memory behind it.
-		ch := m.register(sim.SchedFunc{
-			ID: fmt.Sprintf("cluster%d", cl),
-			F:  func(cy int64) { cc.Tick(cy); cm.Tick(cy) },
-			W: func(now int64) int64 {
-				w := cc.NextWakeup(now)
-				if t := cm.NextWakeup(now); t < w {
-					w = t
-				}
-				return w
-			},
-		})[0]
-		cc.SetWaker(ch.Wake)
-		cm.SetWaker(ch.Wake)
+		order = append(order, (*clusterTick)(cluster))
 	}
-	hs := m.register(fwd, m.Mem, rev)
-	fwd.SetWaker(hs[0].Wake)
-	m.Mem.SetWaker(hs[1].Wake)
-	rev.SetWaker(hs[2].Wake)
+	hs := m.register(append(order, fwd, m.Mem, rev)...)
+	for cl, cluster := range m.Clusters {
+		base := cl * (p.CEsPerCluster + 1)
+		for i, c := range cluster.CEs {
+			c.SetWaker(hs[base+i])
+		}
+		cluster.Cache.SetWaker(hs[base+p.CEsPerCluster])
+		cluster.CMem.SetWaker(hs[base+p.CEsPerCluster])
+	}
+	hs = hs[len(order):]
+	fwd.SetWaker(hs[0])
+	m.Mem.SetWaker(hs[1])
+	rev.SetWaker(hs[2])
 	m.instrument()
 	return m, nil
+}
+
+// clusterTick is a cluster as the engine sees it: its cache and cluster
+// memory ticking as one component, the cache ahead of the memory behind
+// it. It is a conversion of *Cluster, so registering it allocates nothing.
+type clusterTick Cluster
+
+// Name implements sim.Component.
+func (c *clusterTick) Name() string { return fmt.Sprintf("cluster%d", c.ID) }
+
+// Tick implements sim.Component.
+func (c *clusterTick) Tick(cy int64) {
+	c.Cache.Tick(cy)
+	c.CMem.Tick(cy)
+}
+
+// NextWakeup implements sim.Sleeper: the earlier of the two parts' wakes.
+func (c *clusterTick) NextWakeup(now int64) int64 {
+	return min(c.Cache.NextWakeup(now), c.CMem.NextWakeup(now))
 }
 
 // MustNew builds a machine from a known-good configuration.

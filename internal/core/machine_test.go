@@ -1,10 +1,14 @@
 package core
 
 import (
+	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"cedar/internal/ce"
 	"cedar/internal/params"
+	"cedar/internal/scope"
 )
 
 func TestNewDefaultMachine(t *testing.T) {
@@ -151,34 +155,89 @@ func TestAttachBlockStats(t *testing.T) {
 // them (DESIGN.md, "Demand-materialised state"). An eager 512 KB tag store
 // or 512-slot PFU buffer per CE blows these budgets several times over.
 // The object budgets hold the wiring itself to account: per-line fabric
-// tables come from one slab per element type and port notification is an
-// interface on the consumer, so a per-port closure or a per-stage table
-// (406 and 5,064 objects before both went) shows up here.
+// tables come from one slab per element type, port notification is an
+// interface on the consumer, CEs and clusters are slabs and wakers are
+// handles by value, so a per-port closure or a per-stage table (406 and
+// 5,064 objects before both went) shows up here. Every experiment point
+// builds under a hub (bench.Point.Run), so the hub's instrumentation is
+// budgeted too.
 func TestBuildBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		p       params.Machine
+		hub     bool
 		budget  int64
 		objects int64
 	}{
-		{"Cedar", params.Default(), 256 << 10, 400},
-		{"Cedar64", params.Cedar64(), 3 << 20, 4700},
+		{"Cedar", params.Default(), false, 256 << 10, 92},
+		{"Cedar64", params.Cedar64(), false, 3 << 20, 690},
+		{"Cedar+hub", params.Default(), true, 256 << 10, 223},
+		{"Cedar64+hub", params.Cedar64(), true, 3 << 20, 1_559},
 	} {
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := New(tc.p, Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		got, objects := res.AllocedBytesPerOp(), res.AllocsPerOp()
-		if got > tc.budget {
-			t.Errorf("core.New(%s) allocates %d KB, budget %d KB", tc.name, got>>10, tc.budget>>10)
+		objects, bytes := buildCost(t, tc.p, tc.hub)
+		if bytes > tc.budget {
+			t.Errorf("core.New(%s) allocates %d KB, budget %d KB", tc.name, bytes>>10, tc.budget>>10)
 		}
 		if objects > tc.objects {
 			t.Errorf("core.New(%s) allocates %d objects, budget %d", tc.name, objects, tc.objects)
 		}
-		t.Logf("core.New(%s): %d KB, %d allocs, %.2f ms", tc.name, got>>10, objects, float64(res.NsPerOp())/1e6)
+		t.Logf("core.New(%s): %d KB, %d allocs", tc.name, bytes>>10, objects)
 	}
+}
+
+// TestBuildCostsNoObjectPerCE builds two paper machines 24 CEs apart (8
+// and 2 CEs per cluster) and requires them to differ by fewer than 24
+// objects, with and without a hub: one object per CE anywhere in core.New
+// fails it. What a cluster costs (its cache, cluster memory and bus
+// constructors) is the same on both machines.
+func TestBuildCostsNoObjectPerCE(t *testing.T) {
+	small := params.Default()
+	small.CEsPerCluster = 2
+	apart := int64(params.Default().CEs() - small.CEs())
+	for _, hub := range []bool{false, true} {
+		big, _ := buildCost(t, params.Default(), hub)
+		little, _ := buildCost(t, small, hub)
+		if big-little >= apart {
+			t.Errorf("hub %v: %d CEs cost %d objects, %d CEs %d: %d more for %d more CEs",
+				hub, params.Default().CEs(), big, small.CEs(), little, big-little, apart)
+		}
+		t.Logf("hub %v: %d objects at %d CEs, %d at %d", hub, big, params.Default().CEs(), little, small.CEs())
+	}
+}
+
+// buildCost returns what one core.New of p allocates, in objects and
+// bytes; with hub it builds as a bench point does, under a fresh hub that
+// records no spans (made before the count starts). It reads raw MemStats
+// deltas the way testing.AllocsPerRun keeps other goroutines out of them —
+// one P, the collector off — and takes the least of three counts.
+func buildCost(t *testing.T, p params.Machine, hub bool) (objects, bytes int64) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runs = 3
+	hubs := make([]*scope.Hub, 3*runs+1)
+	if hub {
+		for i := range hubs {
+			hubs[i] = scope.NewHub()
+			hubs[i].SetTraceCap(0)
+		}
+	}
+	build := func(h *scope.Hub) {
+		if _, err := New(p, Options{Scope: h}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build(hubs[3*runs]) // warm-up: first-use costs outside the count
+	objects, bytes = math.MaxInt64, math.MaxInt64
+	for try := 0; try < 3; try++ {
+		var a, b runtime.MemStats
+		runtime.ReadMemStats(&a)
+		for i := 0; i < runs; i++ {
+			build(hubs[try*runs+i])
+		}
+		runtime.ReadMemStats(&b)
+		objects = min(objects, int64(b.Mallocs-a.Mallocs)/runs)
+		bytes = min(bytes, int64(b.TotalAlloc-a.TotalAlloc)/runs)
+	}
+	return objects, bytes
 }

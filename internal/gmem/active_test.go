@@ -125,9 +125,9 @@ func newDiffRig(sc script, reference, wakers bool) *diffRig {
 	eng := sim.New()
 	hs := eng.Register(d, fwd, memc, rev)
 	if wakers {
-		fwd.SetWaker(hs[1].Wake)
-		mem.SetWaker(hs[2].Wake)
-		rev.SetWaker(hs[3].Wake)
+		fwd.SetWaker(hs[1])
+		mem.SetWaker(hs[2])
+		rev.SetWaker(hs[3])
 	}
 	return &diffRig{eng: eng, mem: mem, d: d}
 }

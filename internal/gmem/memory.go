@@ -53,13 +53,17 @@ type Memory struct {
 	// visits counts tickModule calls — the work unit the active set exists
 	// to cut (BenchmarkMemoryTick reports it per cycle).
 	visits int64
+	// widePipes and wideOuts hold every module's wide stages, carved on
+	// the first widen (module.pipe).
+	widePipes []inflight
+	wideOuts  []*network.Packet
 
 	stats Stats
 	// lastTick is the last executed cycle, for exact per-cycle counter
 	// accounting across engine jumps: a sleeping module's state is frozen,
 	// so the skipped cycles contribute gap × (frozen classification).
 	lastTick int64
-	wake     func(at int64)
+	wake     sim.Handle
 }
 
 // Stats holds cumulative memory-system counters. BusyCyc, DrainCyc and
@@ -89,13 +93,31 @@ type inflight struct {
 
 type module struct {
 	nextInit int64 // earliest cycle the module may initiate a request
-	pipe     []inflight
-	out      []*network.Packet // replies awaiting the reverse network
+	// pipe and out start narrow, one slot each carved by New from two
+	// slabs shared by every module: what a module serving one request at
+	// a time reaches. A module that needs a second slot widens: the first
+	// to do so carves every module's wide stages — pipeCap and outCap
+	// slots — from two more slabs. Three-index slices keep one module's
+	// growth out of its neighbour's stage; out never exceeds outCap, and
+	// only a fault plan's bank stalls push pipe past pipeCap, into an
+	// array of its own.
+	pipe []inflight
+	out  []*network.Packet // replies awaiting the reverse network
 }
+
+// narrow reports whether the module still runs on its one-slot stages.
+func (md *module) narrow() bool { return cap(md.out) < outCap }
 
 // outCap bounds banked-up replies before a module stalls initiation; it
 // models the module's reply staging buffer.
 const outCap = 4
+
+// pipeCap is what a healthy module holds in flight: one initiation per
+// MemService cycles, each retiring MemLatency (+ SyncOpLatency) cycles
+// later, plus the one a full reply stage can hold back.
+func pipeCap(p params.Machine) int {
+	return (p.MemLatency+p.SyncOpLatency)/max(p.MemService, 1) + 2
+}
 
 // New builds the memory system over the given fabrics. The store is shared
 // backdoor state: runtime code may Peek/Poke it directly for setup.
@@ -117,6 +139,10 @@ func New(p params.Machine, fwd, rev network.Fabric, data *Store) *Memory {
 		active:     make([]uint64, (p.MemModules+63)/64),
 		lastTick:   -1,
 	}
+	pipes, outs := make([]inflight, p.MemModules), make([]*network.Packet, p.MemModules)
+	for i := range m.mods {
+		m.mods[i].pipe, m.mods[i].out = pipes[i:i:i+1], outs[i:i:i+1]
+	}
 	m.remap()
 	if fwd != nil {
 		for i := range m.mods {
@@ -133,9 +159,7 @@ func New(p params.Machine, fwd, rev network.Fabric, data *Store) *Memory {
 func (m *Memory) PortReady(port int, at int64) {
 	i := port / m.portStride
 	m.active[i>>6] |= 1 << (i & 63)
-	if m.wake != nil {
-		m.wake(at)
-	}
+	m.wake.Wake(at)
 }
 
 // SetFaults installs a fault injector and remaps interleaving around
@@ -226,11 +250,11 @@ func (m *Memory) Tick(cycle int64) {
 	}
 }
 
-// SetWaker installs the engine wake callback, through which PortReady
+// SetWaker installs the memory's engine handle, through which PortReady
 // rouses a sleeping memory when a request lands at a module port. Until a
 // waker is wired the memory never sleeps: a future-wake answer could
 // strand arriving traffic.
-func (m *Memory) SetWaker(wake func(at int64)) { m.wake = wake }
+func (m *Memory) SetWaker(wake sim.Handle) { m.wake = wake }
 
 // NextWakeup implements sim.Sleeper: the earliest cycle any module must
 // act — now while replies are staged (one offer per cycle) or a
@@ -238,7 +262,7 @@ func (m *Memory) SetWaker(wake func(at int64)) { m.wake = wake }
 // or port arrival otherwise. Packets that arrive while the memory
 // sleeps wake it through PortReady.
 func (m *Memory) NextWakeup(now int64) int64 {
-	if m.wake == nil {
+	if m.wake.IsZero() {
 		return now
 	}
 	w := sim.Never
@@ -286,6 +310,9 @@ func (m *Memory) tickModule(i int, cycle int64) {
 
 	// Retire completed accesses into the reply stage.
 	for len(md.pipe) > 0 && md.pipe[0].done <= cycle && len(md.out) < outCap {
+		if len(md.out) == cap(md.out) {
+			m.widen(i)
+		}
 		f := md.pipe[0]
 		if f.nack {
 			md.out = append(md.out, nackReply(f.pkt))
@@ -337,8 +364,24 @@ func (m *Memory) tickModule(i int, cycle int64) {
 		panic(fmt.Sprintf("gmem: unexpected packet kind %v at module %d", pkt.Kind, i))
 	}
 	m.fwd.Poll(m.PortOf(i))
+	if len(md.pipe) == cap(md.pipe) && md.narrow() {
+		m.widen(i)
+	}
 	md.pipe = append(md.pipe, inflight{pkt: pkt, done: cycle + lat, nack: nack})
 	md.nextInit = cycle + int64(m.p.MemService)
+}
+
+// widen moves module i from its narrow stages to its wide ones, carving
+// every module's wide stages on the first call.
+func (m *Memory) widen(i int) {
+	k := pipeCap(m.p)
+	if m.widePipes == nil {
+		m.widePipes = make([]inflight, len(m.mods)*k)            //lint:allow hotalloc first-touch materialisation: once per machine, on the first module to hold two requests or replies
+		m.wideOuts = make([]*network.Packet, len(m.mods)*outCap) //lint:allow hotalloc first-touch materialisation: with widePipes, once per machine
+	}
+	md := &m.mods[i]
+	pipe, out := m.widePipes[i*k:(i+1)*k:(i+1)*k], m.wideOuts[i*outCap:(i+1)*outCap:(i+1)*outCap]
+	md.pipe, md.out = pipe[:copy(pipe, md.pipe)], out[:copy(out, md.out)]
 }
 
 // nackReply turns a refused prefetch read into its bounce, reusing the

@@ -184,11 +184,12 @@ func RankUpdate(m *core.Machine, n int, mode RKMode) (Result, error) {
 // Each CE loads total words in sweeps of n.
 func VectorLoad(m *core.Machine, n, sweeps int) (Result, error) {
 	base := m.AllocGlobalAligned(n*len(m.CEs), 64)
+	// Iteration i's one source stream, from one slab for the machine: the
+	// CE copies a stream on issue and never writes through Srcs.
+	srcs := make([]ce.Stream, len(m.CEs))
 	body := func(i int, q []ce.Instr) []ce.Instr {
-		return append(q, ce.Instr{
-			Op: ce.OpVector, N: n, Flops: 0,
-			Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: base + uint64(i*n), Stride: 1, PrefBlock: 32}},
-		})
+		srcs[i] = ce.Stream{Space: ce.SpaceGlobal, Base: base + uint64(i*n), Stride: 1, PrefBlock: 32}
+		return append(q, ce.Instr{Op: ce.OpVector, N: n, Flops: 0, Srcs: srcs[i : i+1 : i+1]})
 	}
 	phases := make([]cfrt.Phase, 0, sweeps)
 	for s := 0; s < sweeps; s++ {

@@ -27,7 +27,7 @@ type Crossbar struct {
 	inflight int
 	seq      int64
 	inj      *fault.Injector
-	wake     func(at int64)
+	wake     sim.Handle
 	sinks    []PortSink
 }
 
@@ -69,7 +69,7 @@ func (c *Crossbar) Idle() bool { return c.inflight == 0 }
 func (c *Crossbar) SetFaults(inj *fault.Injector) { c.inj = inj }
 
 // SetWaker implements Fabric.
-func (c *Crossbar) SetWaker(wake func(at int64)) { c.wake = wake }
+func (c *Crossbar) SetWaker(wake sim.Handle) { c.wake = wake }
 
 // SetPortSink implements Fabric.
 func (c *Crossbar) SetPortSink(port int, s PortSink) { c.sinks[port] = s }
@@ -80,7 +80,7 @@ func (c *Crossbar) SetPortSink(port int, s PortSink) { c.sinks[port] = s }
 // (readyAt -1, sorted first) need a tick now to be scheduled. Until a
 // waker is wired the fabric never sleeps: Offer could not rouse it.
 func (c *Crossbar) NextWakeup(now int64) int64 {
-	if c.wake == nil {
+	if c.wake.IsZero() {
 		return now
 	}
 	if len(c.pending) == 0 {
@@ -132,9 +132,7 @@ func (c *Crossbar) Offer(p *Packet) bool {
 	c.pending.push(pendingPkt{pkt: p, seq: c.seq})
 	c.stats.Offered++
 	c.inflight++
-	if c.wake != nil {
-		c.wake(0) // clamps to the currently executing cycle
-	}
+	c.wake.Wake(0) // clamps to the currently executing cycle
 	return true
 }
 

@@ -53,9 +53,9 @@ type Fabric interface {
 	// NextWakeup implements sim.Sleeper: now while any packet is in
 	// flight, Never when the fabric is empty.
 	NextWakeup(now int64) int64
-	// SetWaker installs the fabric's own wake callback (its engine
-	// handle); Offer invokes it so an injection rouses a sleeping fabric.
-	SetWaker(wake func(at int64))
+	// SetWaker installs the fabric's own engine handle; Offer wakes it so
+	// an injection rouses a sleeping fabric.
+	SetWaker(wake sim.Handle)
 	// SetPortSink installs the consumer of an egress port: its PortReady
 	// is invoked once for every packet that finishes arriving there.
 	SetPortSink(port int, s PortSink)
@@ -134,7 +134,7 @@ type Omega struct {
 	// wake is the fabric's own engine handle (Offer rouses a sleeping
 	// fabric through it); sinks[p] is told when a packet finishes arriving
 	// at egress port p. Both are optional.
-	wake  func(at int64)
+	wake  sim.Handle
 	sinks []PortSink
 	// lastRefuse[p] is the o.now stamp of port p's last counted refusal,
 	// deduplicating RefusedCyc to one per port-cycle.
@@ -292,7 +292,7 @@ func (o *Omega) Idle() bool { return o.inflight == 0 }
 func (o *Omega) SetFaults(inj *fault.Injector) { o.inj = inj }
 
 // SetWaker implements Fabric.
-func (o *Omega) SetWaker(wake func(at int64)) { o.wake = wake }
+func (o *Omega) SetWaker(wake sim.Handle) { o.wake = wake }
 
 // SetPortSink implements Fabric.
 func (o *Omega) SetPortSink(port int, s PortSink) { o.sinks[port] = s }
@@ -303,7 +303,7 @@ func (o *Omega) SetPortSink(port int, s PortSink) { o.sinks[port] = s }
 // sleep indefinitely once empty; Offer wakes it back up. Until a waker
 // is wired the fabric never sleeps: Offer could not rouse it.
 func (o *Omega) NextWakeup(now int64) int64 {
-	if o.wake == nil || o.inflight > 0 || len(o.ingressList) > 0 {
+	if o.wake.IsZero() || o.inflight > 0 || len(o.ingressList) > 0 {
 		return now
 	}
 	return sim.Never
@@ -364,11 +364,9 @@ func (o *Omega) Offer(p *Packet) bool {
 	o.ingressList = append(o.ingressList, p.Src)
 	o.stats.Offered++
 	o.inflight++
-	if o.wake != nil {
-		// Rouse a sleeping fabric: 0 clamps to the earliest legal cycle,
-		// which is the one currently executing (sources tick first).
-		o.wake(0)
-	}
+	// Rouse a sleeping fabric: 0 clamps to the earliest legal cycle, which
+	// is the one currently executing (sources tick first).
+	o.wake.Wake(0)
 	return true
 }
 

@@ -5,27 +5,23 @@ package network
 // forward fabric carries it, the memory module rewrites it in place into
 // the reply, the reverse fabric carries it back, and the issuing CE
 // consumes it — so the consumer can hand the dead packet straight back to
-// the pool that built it. Each CE owns one pool (shared with its PFU,
-// which issues on the same port): packets never migrate between CEs, so
-// the pool needs no locking and stays deterministic. A packet dropped by
-// fault injection simply never returns; the pool forgets it and the
-// garbage collector takes over.
+// the pool. A machine owns one pool, shared by every CE and PFU: a machine
+// runs on one goroutine, so the pool needs no locking and stays
+// deterministic, and a packet retired by one CE may be reissued by
+// another (Get zeroes it). A packet dropped by fault injection simply
+// never returns; the pool forgets it and the garbage collector takes over.
 //
-// An empty pool refills from a slab, 4 packets the first time and twice
-// the last up to 64, and sizes the freelist to hold every packet it has
-// built: a pool that peaks at P packets in flight costs two objects per
-// refill — at most 2·(5 + P/64) per run — instead of one per packet, and
-// Put never grows the list.
+// An empty pool refills from a slab as large as every packet it has built
+// so far (4 the first time), and sizes the freelist to hold all of them:
+// a machine that peaks at P packets in flight costs two objects per
+// refill — at most 2·(1 + log2(P/4)) per run — instead of one per packet,
+// and Put never grows the list.
 type PacketPool struct {
 	free []*Packet
-	slab int // packets in the last slab
 	made int // packets built so far
 }
 
-const (
-	poolFirstSlab = 4
-	poolMaxSlab   = 64
-)
+const poolFirstSlab = 4
 
 // Get returns a zeroed packet, reusing a retired one when available.
 func (p *PacketPool) Get() *Packet {
@@ -42,9 +38,9 @@ func (p *PacketPool) Get() *Packet {
 
 // refill restocks an empty pool with the next slab.
 func (p *PacketPool) refill() {
-	p.slab = min(max(2*p.slab, poolFirstSlab), poolMaxSlab)
-	p.made += p.slab
-	slab, free := make([]Packet, p.slab), make([]*Packet, 0, p.made) //lint:allow hotalloc pool refill: a slab and a freelist, at most 5 + peak/64 times per pool per run (slabs double from 4 to 64); steady state reuses retired packets
+	n := max(p.made, poolFirstSlab)
+	p.made += n
+	slab, free := make([]Packet, n), make([]*Packet, 0, p.made) //lint:allow hotalloc pool refill: a slab and a freelist, each doubling the machine's packets, at most 1 + log2(peak/4) times per machine per run; steady state reuses retired packets
 	for i := len(slab) - 1; i >= 0; i-- {
 		free = append(free, &slab[i])
 	}

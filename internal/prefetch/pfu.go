@@ -13,9 +13,9 @@
 // buffer.
 //
 // The host-side buffer is sized by the blocks a run arms, not by the
-// 512-word capacity: it grows to the longest block armed so far and each
-// Arm clears only that block's slots (DESIGN.md, "Demand-materialised
-// state").
+// 512-word capacity: it grows to the longest block armed so far, together
+// with the block's arrival record, and each Arm clears only that block's
+// slots (DESIGN.md, "Demand-materialised state").
 package prefetch
 
 import (
@@ -41,6 +41,14 @@ const TagBit = network.PrefetchTagBit
 // modify it nor retain it past the call.
 type BlockObserver func(firstIssue int64, arrivals []int64)
 
+// BlockTracer receives the same record as a BlockObserver, with the id its
+// PFU was given in SetTracer. One tracer serves every PFU of a machine, so
+// observing n PFUs costs the host no closure per PFU; arrivals carries the
+// BlockObserver contract.
+type BlockTracer interface {
+	Block(id int, firstIssue int64, arrivals []int64)
+}
+
 type slot struct {
 	full    bool
 	value   int64
@@ -60,9 +68,10 @@ type PFU struct {
 	modFor  func(addr uint64) int
 	pool    *network.PacketPool
 	observe BlockObserver
-	// extraObs holds additional block observers (the observability hub's
-	// prefetch-block tracer) that ride alongside the primary observe hook.
-	extraObs []BlockObserver
+	// tracer, when set, sees every block after observe (the observability
+	// hub's prefetch-block spans), as PFU traceID.
+	tracer  BlockTracer
+	traceID int
 
 	// buf holds the armed block's slots: len(buf) is the longest block
 	// armed so far, and only buf[:length] is live.
@@ -80,7 +89,9 @@ type PFU struct {
 	suspended   bool
 
 	firstIssue int64
-	arrivals   []int64
+	// arrivals records the block's arrival cycles in arrival order; its
+	// capacity grows with buf, so Deliver never grows it.
+	arrivals []int64
 
 	consumeIdx int
 
@@ -136,8 +147,8 @@ type Stats struct {
 
 // New builds a PFU for the CE on the given forward-network port. modFor
 // maps a word address to its memory module (egress port). pool recycles
-// issued packets — pass the owning CE's pool so replies drained on the
-// shared port retire into the same freelist; nil gets a private pool.
+// issued packets — pass the pool the CE draining the shared port retires
+// replies into (a machine's one pool); nil gets a private pool.
 func New(p params.Machine, port int, fwd network.Fabric, modFor func(uint64) int, pool *network.PacketPool) *PFU {
 	if pool == nil {
 		pool = &network.PacketPool{}
@@ -154,13 +165,9 @@ func New(p params.Machine, port int, fwd network.Fabric, modFor func(uint64) int
 // SetObserver installs the hardware-monitor hook.
 func (u *PFU) SetObserver(o BlockObserver) { u.observe = o }
 
-// AddObserver installs an additional block observer without displacing the
-// one set via SetObserver. Observers fire in installation order.
-func (u *PFU) AddObserver(o BlockObserver) {
-	if o != nil {
-		u.extraObs = append(u.extraObs, o)
-	}
-}
+// SetTracer installs a block tracer beside the observer, which sees every
+// block as PFU id; nil removes it.
+func (u *PFU) SetTracer(t BlockTracer, id int) { u.tracer, u.traceID = t, id }
 
 // Stats returns cumulative counters.
 func (u *PFU) Stats() Stats { return u.stats }
@@ -205,7 +212,9 @@ func (u *PFU) Arm(length int, stride int64, mask []bool) error {
 	u.timeoutQ = u.timeoutQ[:0]
 	u.err = nil
 	if length > len(u.buf) {
-		u.buf = make([]slot, length) //lint:allow hotalloc first-touch materialisation: at most one per longer block armed, ≤ PFUBufferWords slots per run
+		// A block records at most one arrival per element.
+		u.buf = make([]slot, length)          //lint:allow hotalloc first-touch materialisation: at most one per longer block armed, ≤ PFUBufferWords slots per run
+		u.arrivals = make([]int64, 0, length) //lint:allow hotalloc first-touch materialisation, with buf: at most one per longer block armed
 	} else {
 		clear(u.buf[:length])
 	}
@@ -507,13 +516,13 @@ func (u *PFU) Consumed() int { return u.consumeIdx }
 
 // flushBlock reports the completed (or abandoned) block to the observer.
 func (u *PFU) flushBlock() {
-	if u.fired && (u.observe != nil || len(u.extraObs) > 0) &&
+	if u.fired && (u.observe != nil || u.tracer != nil) &&
 		u.firstIssue >= 0 && len(u.arrivals) > 0 {
 		if u.observe != nil {
 			u.observe(u.firstIssue, u.arrivals)
 		}
-		for _, o := range u.extraObs {
-			o(u.firstIssue, u.arrivals)
+		if u.tracer != nil {
+			u.tracer.Block(u.traceID, u.firstIssue, u.arrivals)
 		}
 	}
 	u.fired = false

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -165,12 +166,19 @@ func New() *Engine {
 	return &Engine{soonest: Never}
 }
 
-// Handle names one registered component and carries wakes to it. The
-// zero Handle is valid and inert, so optional wiring can stay nil-free.
+// Handle names one registered component and carries wakes to it. It is a
+// value — an engine pointer and an index — so wiring a component's waker
+// costs no closure, and Wake is a direct call. The zero Handle is valid
+// and inert, so optional wiring can stay nil-free; IsZero tells a
+// component whether it has been wired at all.
 type Handle struct {
 	e   *Engine
 	idx int
 }
+
+// IsZero reports whether h is the zero Handle: no engine wired, so Wake
+// does nothing.
+func (h Handle) IsZero() bool { return h.e == nil }
 
 // Wake schedules the handle's component to tick no later than cycle at
 // (clamped to the earliest cycle it can still execute). It is how
@@ -212,9 +220,15 @@ func (e *Engine) setWake(i int, at int64) {
 // handles, one per component, for wake wiring. Newly registered
 // components are due immediately; their first NextWakeup requery (at the
 // next run entry) installs the real schedule, so registration order and
-// wiring order never race.
+// wiring order never race. The engine's per-component slices grow once
+// per call, so registering a machine in one call costs its slices, not a
+// doubling per component.
 func (e *Engine) Register(cs ...Component) []Handle {
 	hs := make([]Handle, len(cs))
+	e.components = slices.Grow(e.components, len(cs))
+	e.idlers = slices.Grow(e.idlers, len(cs))
+	e.sched = slices.Grow(e.sched, len(cs))
+	e.wake = slices.Grow(e.wake, len(cs))
 	for k, c := range cs {
 		i := len(e.components)
 		e.components = append(e.components, c)
