@@ -19,8 +19,9 @@
 //   - the Perfect Benchmarks® proxy suite (PerfectCodes, RunPerfect);
 //   - the Practical Parallelism Test methodology (Speedup, Efficiency,
 //     Instability, band classification);
-//   - and the experiment harness that regenerates every table and figure
-//     of the paper's evaluation (RunTable1 ... RunPPT4).
+//   - and the experiment catalogue that regenerates every table and
+//     figure of the paper's evaluation, each run by name (Experiments,
+//     RunAll, WriteReport).
 //
 // A minimal program:
 //
@@ -241,9 +242,17 @@ func BandOf(speedup float64, p int) Band { return ppt.BandOfSpeedup(speedup, p) 
 // e most extreme outliers.
 func Instability(perf []float64, e int) float64 { return ppt.Instability(perf, e) }
 
-// Experiment harness: every table and figure of the evaluation.
+// Experiment catalogue: every table and figure of the evaluation, run by
+// the name cedarsim takes ("t1", "degraded", ...):
+//
+//	exps, err := cedar.Experiments("t1")
+//	err = cedar.RunAll(cedar.Env{}, cedar.Sizes{RankN: 256}, exps,
+//		func(e cedar.Experiment, res cedar.ExperimentResult) error {
+//			fmt.Print(res.Format())
+//			return nil
+//		})
 type (
-	// Env is the run configuration every experiment runner takes: the
+	// Env is the run configuration every experiment runs under: the
 	// observing Hub, the fault plan, the worker count, the base machine
 	// width, the engine (Stepped) and where progress lines go. The zero
 	// Env is a quiet, unobserved healthy run on the as-built Cedar's
@@ -251,44 +260,43 @@ type (
 	// Env: two Envs in one process do not see each other, and every
 	// point simulates — nothing is memoized between runs.
 	Env = tables.Env
+	// Sizes are the problem sizes a run uses; each experiment reads the
+	// fields it has a use for.
+	Sizes = tables.Sizes
+	// Experiment is one catalogue entry: a sweep of simulated points and
+	// the table their outcomes make.
+	Experiment = tables.Experiment
+	// ExperimentResult is a finished experiment: Format renders it as the
+	// paper-layout table, and it marshals to cedarsim's -json result.
+	// (Result is taken by the machine's timing result.)
+	ExperimentResult = tables.Result
 	// Table1Result is the rank-64 update memory study.
 	Table1Result = tables.Table1Result
 	// Table2Result is the latency/interarrival study.
 	Table2Result = tables.Table2Result
-	// SuiteResult holds all Perfect variant outcomes.
-	SuiteResult = tables.SuiteResult
 	// PPT4Result is the scalability study.
 	PPT4Result = tables.PPT4Result
 )
 
-// RunTable1 regenerates Table 1 for matrices of order n.
-var RunTable1 = tables.RunTable1
+// Experiments returns the named catalogue entries in the order given, or
+// an error naming the first unknown name and listing the valid ones.
+var Experiments = tables.Experiments
 
-// RunTable2 regenerates Table 2 (small selects reduced kernel slices).
-var RunTable2 = tables.RunTable2
-
-// RunPerfectSuite runs every version of the given codes (nil for all
-// 13); feed the result to BuildTable3..BuildFigure3.
-var RunPerfectSuite = tables.RunSuite
-
-// Derived tables over a suite run.
-var (
-	BuildTable3  = tables.BuildTable3
-	BuildTable4  = tables.BuildTable4
-	BuildTable5  = tables.BuildTable5
-	BuildTable6  = tables.BuildTable6
-	BuildFigure3 = tables.BuildFigure3
-)
-
-// RunPPT4 regenerates the CG-vs-CM-5 scalability study.
-var RunPPT4 = tables.RunPPT4
+// RunAll runs experiments in order under an Env at the given sizes and
+// hands each result to emit as soon as its table is assembled; a point
+// two entries share simulates once per call.
+var RunAll = tables.RunAll
 
 // ReportConfig selects what WriteReport includes and at what scale.
 type ReportConfig = tables.ReportConfig
 
+// Kernels names the report's kernel-level half in section order;
 // Evaluation names every experiment of the paper's evaluation in report
 // order: the whole paper as ReportConfig.Names.
-var Evaluation = tables.Evaluation
+var (
+	Kernels    = tables.Kernels
+	Evaluation = tables.Evaluation
+)
 
 // WriteReport regenerates the paper's complete evaluation as one report.
 // With ReportConfig.Now left nil the output is byte-identical across
@@ -315,7 +323,7 @@ func FixedWork(instrs int, cycles int64) Controller {
 }
 
 // Observability: the cedarscope hub (see internal/scope). Build a machine
-// with Options{Scope: NewHub()} — or pass a Hub to any experiment runner —
+// with Options{Scope: NewHub()} — or run experiments under Env{Hub: ...} —
 // then export the run via WriteChromeTrace / WriteMetricsCSV or inspect
 // Snapshot / Attribution programmatically.
 type (
@@ -348,16 +356,6 @@ var FormatAttribution = scope.FormatAttribution
 // order, so every report, JSON, and trace artifact is byte-identical to a
 // sequential run. The worker count is Env.Jobs (the CLIs' -jobs flag).
 
-// RunOverheads measures the §3.2 runtime library costs.
-var RunOverheads = tables.RunOverheads
-
-// RunMemBW runs the [GJTV91] memory characterization sweep.
-var RunMemBW = tables.RunMemBW
-
-// RunSchedulingAblation compares static, self- and guided loop
-// scheduling with and without Cedar synchronization.
-var RunSchedulingAblation = tables.RunSchedulingAblation
-
 // Fault injection: the cedarfault layer (see internal/fault). A Plan is
 // seed-deterministic data; build a machine with Options{Faults: plan}
 // (or run an experiment under Env{Faults: plan}, what the CLIs' -faults
@@ -372,7 +370,7 @@ type (
 	Fault = fault.Fault
 	// FaultKind names a fault mechanism.
 	FaultKind = fault.Kind
-	// DegradedRow is one scenario of the degraded-mode table.
+	// DegradedRow is one scenario of the "degraded" experiment's table.
 	DegradedRow = tables.DegradedRow
 )
 
@@ -394,11 +392,6 @@ var LoadFaultPlan = fault.Load
 
 // DemoFaultPlan is the built-in dead-bank + stage-jam + NACK scenario.
 var DemoFaultPlan = fault.DemoPlan
-
-// RunDegraded measures the degraded-mode ablation: the prefetched
-// rank-n update under each fault class, plus the Env's plan when it has
-// one. The result's Format method renders the table.
-var RunDegraded = tables.RunDegraded
 
 // Benchmarking: the cedarbench campaign runner (see internal/bench). A
 // BenchCampaign declares a matrix of (machine × workload × fault plan);

@@ -56,6 +56,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		lg.Printf("unexpected arguments %v", extra)
 		return 2
 	}
+	if err := cliutil.AtLeastOne("n", *n); err != nil {
+		lg.Print(err)
+		return 2
+	}
 	cfg := tables.ReportConfig{
 		Names: tables.Evaluation,
 		Sizes: tables.Sizes{RankN: *n, FullPPT4: *full},

@@ -21,6 +21,8 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 	}{
 		{"zero jobs", []string{"-jobs", "0"}, 2, "-jobs"},
 		{"negative jobs", []string{"-jobs=-2"}, 2, "-jobs"},
+		{"zero n", []string{"-n", "0"}, 2, "-n must be at least 1, got 0"},
+		{"negative n", []string{"-n=-8"}, 2, "-n must be at least 1, got -8"},
 		{"missing plan file", []string{"-faults", filepath.Join(t.TempDir(), "nope.json")}, 2, "nope.json"},
 		{"malformed plan", []string{"-faults", malformed}, 2, "rate"},
 		{"unknown flag", []string{"-bogus"}, 2, "bogus"},

@@ -102,6 +102,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return 2
 	}
+	if err := cliutil.AtLeastOne("n", *n); err != nil {
+		lg.Print(err)
+		return 2
+	}
 	if shared.Faults != "" && !slices.Contains(names, "degraded") {
 		names = append(names, "degraded")
 	}

@@ -48,6 +48,8 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 	checkRejections(t, []rejection{
 		{"zero jobs", []string{"-jobs", "0", "overheads"}, 2, "-jobs"},
 		{"negative jobs", []string{"overheads", "-jobs=-2"}, 2, "-jobs"},
+		{"zero n", []string{"-n", "0", "t1"}, 2, "-n must be at least 1, got 0"},
+		{"negative n", []string{"t1", "-n=-8"}, 2, "-n must be at least 1, got -8"},
 		{"missing plan file", []string{"-faults", filepath.Join(dir, "nope.json")}, 2, "nope.json"},
 		{"malformed plan", []string{"-faults", malformed}, 2, "warp-core"},
 		{"unknown flag", []string{"-bogus"}, 2, "bogus"},

@@ -1,98 +1,67 @@
-// Stepped-vs-event equivalence: the event-wheel engine (internal/sim)
-// skips sleeping components and jumps the clock over empty cycles, and
-// its whole contract is that neither is observable — every artifact must
-// be byte-identical to the pure per-cycle stepped schedule. This file is
-// the dynamic gate on that contract, the event-wheel analogue of
-// TestParallelVsSequentialEquality: it runs the experiment suite once
-// under Env{Stepped: true} and once with the wheel on, and byte-compares
-// report text, JSON, Chrome trace, and metrics CSV.
+// Run equality: how a run executes must never show in what it produces.
+// The fleet pool (-jobs) dispatches whole points in parallel and merges
+// their hubs in submission order; the event wheel (internal/sim) skips
+// sleeping components and jumps the clock over empty cycles, where the
+// Stepped engine ticks every component every cycle. Each axis is two
+// RunAll calls over the same catalogue names, compared by bytes: report
+// text, the cedarsim -json payload, Chrome trace and metrics CSV.
 package cedar_test
 
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"cedar"
 )
 
-// suiteArtifacts runs the representative experiment slice (the same one
-// the -jobs equality gate uses) on the given engine and collects every
-// observable byte stream.
-func suiteArtifacts(t *testing.T, stepped bool) (report, jsonOut, trace, metrics []byte) {
+// artifacts are every byte stream a run is observed through.
+type artifacts struct {
+	report, jsonOut, trace, metrics []byte
+}
+
+// runArtifacts runs the named catalogue entries through RunAll under env
+// with a fresh hub, the way cedarsim runs them. The report is each
+// table's Format plus the attribution table; the JSON is cedarsim -json's
+// payload per entry (result plus the entry's metric slice) without the
+// run-metadata header, which records the jobs value, the one field
+// allowed to differ between byte-compared runs.
+func runArtifacts(t *testing.T, env cedar.Env, sizes cedar.Sizes, names ...string) artifacts {
 	t.Helper()
+	exps, err := cedar.Experiments(names...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	hub := cedar.NewHub()
-	env := cedar.Env{Hub: hub, Stepped: stepped}
-	var rep bytes.Buffer
-
-	t1, err := cedar.RunTable1(env, 64)
+	env.Hub = hub
+	var rep, js, tb, mb bytes.Buffer
+	enc := json.NewEncoder(&js)
+	enc.SetIndent("", "  ")
+	err = cedar.RunAll(env, sizes, exps, func(e cedar.Experiment, res cedar.ExperimentResult) error {
+		rep.WriteString(res.Format())
+		return enc.Encode(struct {
+			Result  cedar.ExperimentResult `json:"result"`
+			Metrics []cedar.MetricSample   `json:"metrics"`
+		}{res, hub.SnapshotUnder(e.Namespace())})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.WriteString(t1.Format())
-	ov, err := cedar.RunOverheads(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep.WriteString(ov.Format())
-	bw, err := cedar.RunMemBW(env, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep.WriteString(bw.Format())
 	rep.WriteString(cedar.FormatAttribution(hub.Attribution()))
-
-	jsonBytes, err := json.MarshalIndent(struct {
-		Result  *cedar.Table1Result  `json:"result"`
-		Metrics []cedar.MetricSample `json:"metrics"`
-	}{t1, hub.SnapshotUnder("t1")}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var tb, mb bytes.Buffer
 	if err := hub.WriteChromeTrace(&tb); err != nil {
 		t.Fatal(err)
 	}
 	if err := hub.WriteMetricsCSV(&mb); err != nil {
 		t.Fatal(err)
 	}
-	return rep.Bytes(), jsonBytes, tb.Bytes(), mb.Bytes()
+	return artifacts{rep.Bytes(), js.Bytes(), tb.Bytes(), mb.Bytes()}
 }
 
-// TestSteppedVsEventEquality is the event-wheel acceptance check. The
-// stepped run is ground truth (it is the schedule the machine model was
-// validated against); the event run must reproduce it exactly, down to
-// the cycle-stamped trace spans and the attribution table.
-func TestSteppedVsEventEquality(t *testing.T) {
-	sRep, sJSON, sTrace, sMetrics := suiteArtifacts(t, true)
-	eRep, eJSON, eTrace, eMetrics := suiteArtifacts(t, false)
-
-	for _, cmp := range []struct {
-		name      string
-		got, want []byte
-	}{
-		{"report text", eRep, sRep},
-		{"JSON output", eJSON, sJSON},
-		{"trace JSON", eTrace, sTrace},
-		{"metrics CSV", eMetrics, sMetrics},
-	} {
-		if !bytes.Equal(cmp.got, cmp.want) {
-			t.Errorf("%s differs between stepped and event engines", cmp.name)
-		}
-	}
-	if len(sMetrics) == 0 || len(sTrace) == 0 {
-		t.Error("equality check ran without artifacts; the hub saw nothing")
-	}
-}
-
-// TestSteppedVsEventDegraded extends the gate to faulted machines: the
-// injector draws from a counter-based PRNG keyed on (seed, component,
-// cycle), so skipping a component's no-op ticks must not perturb a
-// single draw. A divergence here means some fault site consumes
-// randomness on cycles the wheel skips.
-func TestSteppedVsEventDegraded(t *testing.T) {
-	plan := &cedar.FaultPlan{
+// demoPlan is the fault plan of the faulted gates: a dead bank, a jammed
+// network stage and transient prefetch NACKs.
+func demoPlan() *cedar.FaultPlan {
+	return &cedar.FaultPlan{
 		Seed: 0xCEDA,
 		Faults: []cedar.Fault{
 			{Kind: cedar.FaultBankDead, Module: 3},
@@ -100,17 +69,101 @@ func TestSteppedVsEventDegraded(t *testing.T) {
 			{Kind: cedar.FaultPFUNack, Module: -1, Rate: 0.02},
 		},
 	}
-	run := func(stepped bool) []byte {
-		t.Helper()
-		rows, err := cedar.RunDegraded(cedar.Env{Faults: plan, Stepped: stepped}, 48)
-		if err != nil {
-			t.Fatal(err)
+}
+
+// The healthy gates run a representative slice of the catalogue, the
+// faulted gates the degraded-mode table.
+var (
+	healthyNames, faultedNames = []string{"t1", "overheads", "membw"}, []string{"degraded"}
+	healthySizes, faultedSizes = cedar.Sizes{RankN: 64, MemBWWords: 256}, cedar.Sizes{RankN: 48}
+)
+
+// TestParallelVsSequentialEquality is the acceptance check of the fleet
+// pool: -jobs 8 must be invisible in every artifact against -jobs 1. It
+// runs under -race on purpose: the detector sees the real parallel
+// execution.
+func TestParallelVsSequentialEquality(t *testing.T) {
+	checkEquality(t, healthyNames, healthySizes, cedar.Env{Jobs: 1}, cedar.Env{Jobs: 8})
+}
+
+// TestFaultedRunDeterministic is the same check under a fault plan: the
+// injector draws from a counter-based PRNG keyed on (seed, component,
+// cycle), never from shared state, so a degraded run is as reproducible
+// at -jobs 8 as a healthy one.
+func TestFaultedRunDeterministic(t *testing.T) {
+	plan := demoPlan()
+	checkEquality(t, faultedNames, faultedSizes, cedar.Env{Faults: plan, Jobs: 1}, cedar.Env{Faults: plan, Jobs: 8})
+}
+
+// TestSteppedVsEventEquality is the acceptance check of the event wheel.
+// The stepped side is ground truth: it is the schedule the machine model
+// was validated against.
+func TestSteppedVsEventEquality(t *testing.T) {
+	checkEquality(t, healthyNames, healthySizes, cedar.Env{Stepped: true}, cedar.Env{})
+}
+
+// TestSteppedVsEventDegraded is the wheel's check under a fault plan: a
+// divergence means some fault site consumes randomness on a cycle the
+// wheel skips.
+func TestSteppedVsEventDegraded(t *testing.T) {
+	plan := demoPlan()
+	checkEquality(t, faultedNames, faultedSizes, cedar.Env{Faults: plan, Stepped: true}, cedar.Env{Faults: plan})
+}
+
+// checkEquality is the one harness of the four gates above: it runs names
+// under the reference env want and under got, with the worker count or
+// the engine the only difference, and requires every artifact
+// byte-identical.
+func checkEquality(t *testing.T, names []string, sizes cedar.Sizes, wantEnv, gotEnv cedar.Env) {
+	t.Helper()
+	want := runArtifacts(t, wantEnv, sizes, names...)
+	got := runArtifacts(t, gotEnv, sizes, names...)
+	for _, c := range []struct {
+		name      string
+		got, want []byte
+	}{
+		{"report text", got.report, want.report},
+		{"JSON output", got.jsonOut, want.jsonOut},
+		{"trace JSON", got.trace, want.trace},
+		{"metrics CSV", got.metrics, want.metrics},
+	} {
+		if !bytes.Equal(c.got, c.want) {
+			t.Errorf("%s differs from the reference side's", c.name)
 		}
-		return []byte(rows.Format())
 	}
-	stepped, event := run(true), run(false)
-	if !bytes.Equal(event, stepped) {
-		t.Errorf("degraded table differs between stepped and event engines:\nevent:\n%s\nstepped:\n%s",
-			event, stepped)
+	// Equal artifacts prove nothing if the hub saw nothing.
+	if !bytes.Contains(want.metrics, []byte("ce.active_cycles")) || !bytes.Contains(want.trace, []byte("traceEvents")) {
+		t.Error("the hub saw nothing: no ce.active_cycles counter or no Chrome trace events")
+	}
+	if slices.Contains(names, "degraded") {
+		checkFaultsFired(t, want)
+	}
+}
+
+// checkFaultsFired keeps a faulted row from passing vacuously: the
+// degraded table's healthy row must stay clean, some faulted row must
+// inject, and the metrics must carry the injector's fault.* counters.
+func checkFaultsFired(t *testing.T, a artifacts) {
+	t.Helper()
+	var payload struct{ Result []cedar.DegradedRow }
+	if err := json.Unmarshal(a.jsonOut, &payload); err != nil {
+		t.Fatal(err)
+	}
+	rows := payload.Result
+	if len(rows) < 2 {
+		t.Fatalf("degraded table has %d rows", len(rows))
+	}
+	if rows[0].Injected != 0 || rows[0].DeadMods != 0 {
+		t.Errorf("healthy baseline row saw faults: %+v", rows[0])
+	}
+	injected := int64(0)
+	for _, r := range rows[1:] {
+		injected += r.Injected + int64(r.DeadMods)
+	}
+	if injected == 0 {
+		t.Error("no scenario injected any fault; the plan never fired")
+	}
+	if !bytes.Contains(a.metrics, []byte("fault.")) {
+		t.Error("metrics CSV carries no fault.* counters")
 	}
 }

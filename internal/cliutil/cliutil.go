@@ -75,8 +75,10 @@ func Parse(fs *flag.FlagSet, args []string) ([]string, error) {
 func (f *Flags) Validate(fs *flag.FlagSet) error {
 	explicit := map[string]bool{}
 	fs.Visit(func(fl *flag.Flag) { explicit[fl.Name] = true })
-	if explicit["jobs"] && f.Jobs <= 0 {
-		return fmt.Errorf("-jobs must be at least 1, got %d", f.Jobs)
+	if explicit["jobs"] {
+		if err := AtLeastOne("jobs", f.Jobs); err != nil {
+			return err
+		}
 	}
 	if f.Clusters < 0 {
 		return fmt.Errorf("-clusters %d: params: clusters must be ≥ 1, got %d", f.Clusters, f.Clusters)
@@ -85,6 +87,15 @@ func (f *Flags) Validate(fs *flag.FlagSet) error {
 		if err := params.Scaled(f.Clusters).Validate(); err != nil {
 			return fmt.Errorf("-clusters %d: %w", f.Clusters, err)
 		}
+	}
+	return nil
+}
+
+// AtLeastOne is the check every count flag shares: a value of flag name
+// below 1 is a bad invocation, and the error says so (print it, exit 2).
+func AtLeastOne(name string, v int) error {
+	if v < 1 {
+		return fmt.Errorf("-%s must be at least 1, got %d", name, v)
 	}
 	return nil
 }

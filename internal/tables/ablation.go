@@ -16,18 +16,13 @@ type NetworkAblationRow struct {
 }
 
 // NetworkAblation is the [Turn93] fabric ablation, one row per
-// configuration.
-type NetworkAblation []NetworkAblationRow
-
-// RunNetworkAblation supports the [Turn93] claim quoted in §4.1: the
+// configuration. It supports the [Turn93] claim quoted in §4.1: the
 // contention degradation "is not inherent in the type of network used but
-// is a result of specific implementation constraints". It runs the
+// is a result of specific implementation constraints". The rows run the
 // prefetched rank-64 update on all 32 CEs under the omega network as
 // built (2-word queues), an omega with deeper (8-word) queues, and an
 // ideal crossbar of the same port bandwidth.
-func RunNetworkAblation(env Env, n int) (NetworkAblation, error) {
-	return runAs[NetworkAblation](env, "net", Sizes{RankN: n})
-}
+type NetworkAblation []NetworkAblationRow
 
 // netConfigs are the ablation's rows: display name, scope-namespace token
 // (no spaces) and what the machine changes.
@@ -90,14 +85,10 @@ type PrefetchBlockRow struct {
 }
 
 // PrefetchBlocks is the prefetch block-size ablation, one row per size.
+// It isolates design choice 2 of DESIGN.md: the compiler's 32-word blocks
+// versus RK's aggressive 256-word blocks versus no prefetch, on one
+// cluster.
 type PrefetchBlocks []PrefetchBlockRow
-
-// RunPrefetchBlockAblation isolates design choice 2 of DESIGN.md: the
-// compiler's 32-word blocks versus RK's aggressive 256-word blocks versus
-// no prefetch, on one cluster.
-func RunPrefetchBlockAblation(env Env, n int) (PrefetchBlocks, error) {
-	return runAs[PrefetchBlocks](env, "prefblock", Sizes{RankN: n})
-}
 
 // blockSizes are the swept block lengths in words; 0 is no prefetch.
 var blockSizes = []int{0, 32, 128, 256, 512}
@@ -141,16 +132,12 @@ type ScaledRow struct {
 	CGMFLOPS float64
 }
 
-// ScaledCedar is the PPT5 probe, one row per machine size.
+// ScaledCedar is the PPT5 probe, one row per machine size. It follows
+// §4.3's closing note ("collecting detailed simulation data for various
+// computations on scaled-up Cedar-like systems"): the prefetched rank-64
+// update and CG on Cedar scaled to 8 clusters with a proportionally
+// larger network and memory system.
 type ScaledCedar []ScaledRow
-
-// RunScaledCedar probes PPT5 (§4.3's closing note: "collecting detailed
-// simulation data for various computations on scaled-up Cedar-like
-// systems"): the prefetched rank-64 update and CG on Cedar scaled to 8
-// clusters with a proportionally larger network and memory system.
-func RunScaledCedar(env Env, n int) (ScaledCedar, error) {
-	return runAs[ScaledCedar](env, "scaled", Sizes{RankN: n})
-}
 
 var scaledClusters = []int{4, 8}
 

@@ -93,17 +93,6 @@ func RunAll(env Env, s Sizes, exps []Experiment, emit func(Experiment, Result) e
 	return nil
 }
 
-// runAs runs the named experiment alone for a RunTable1-style entry point
-// that promises its concrete result type.
-func runAs[R Result](env Env, name string, s Sizes) (r R, err error) {
-	exps, _ := Experiments(name) // callers pass literals
-	err = RunAll(env, s, exps, func(_ Experiment, res Result) error {
-		r = res.(R)
-		return nil
-	})
-	return r, err
-}
-
 func fixed(title string) func(Sizes) string { return func(Sizes) string { return title } }
 
 // catalogue lists every experiment of the evaluation once; WriteReport

@@ -48,7 +48,7 @@ func TestWriteReportGolden(t *testing.T) {
 // under env and returns every byte it can be observed through.
 func envArtifacts(t *testing.T, env Env) []byte {
 	t.Helper()
-	rows, err := RunNetworkAblation(env, 32)
+	rows, err := runOne[NetworkAblation](env, "net", Sizes{RankN: 32})
 	if err != nil {
 		t.Error(err)
 		return nil
@@ -124,7 +124,7 @@ func TestHealthyEnvAfterFaultedEnv(t *testing.T) {
 	healthySolo := envArtifacts(t, Env{})
 
 	hopeless := &fault.Plan{Seed: 1, Faults: []fault.Fault{{Kind: fault.PFUNack, Module: -1, Rate: 1}}}
-	if _, err := RunNetworkAblation(Env{Faults: hopeless}, 32); !errors.Is(err, fault.ErrDegraded) {
+	if _, err := runOne[NetworkAblation](Env{Faults: hopeless}, "net", Sizes{RankN: 32}); !errors.Is(err, fault.ErrDegraded) {
 		t.Fatalf("all-NACK plan: err = %v, want ErrDegraded", err)
 	}
 	faulted := envArtifacts(t, Env{Faults: fault.DemoPlan()})
@@ -158,16 +158,20 @@ func TestOnePointTwoRoutesOneNumber(t *testing.T) {
 		smoke string
 	}{
 		{"net/omega-2w", func() (int64, float64, error) {
-			rows, err := RunNetworkAblation(Env{}, 48)
+			rows, err := runOne[NetworkAblation](Env{}, "net", Sizes{RankN: 48})
 			if err != nil || rows[0].Config != "omega 2-word queues (as built)" {
 				return 0, 0, cmp.Or(err, fmt.Errorf("row 0 is %q", rows[0].Config))
 			}
 			return -1, rows[0].MFLOPS, nil // the table keeps no cycles
 		}, bench.WorkloadSpec{Kind: "rank", N: 48, Variant: "pref"}, "cedar/rank48-pref/healthy"},
 		{"perfect/QCD/Automatable", func() (int64, float64, error) {
-			suite, err := RunSuite(Env{}, []perfect.Profile{perfect.QCD()})
-			o := suite.Auto["QCD"]
-			return o.SimCycles, o.MFLOPS, err
+			s := Sizes{Codes: []perfect.Profile{perfect.QCD()}}
+			outs, err := sweep(Env{}, suitePoints(Env{}, s), false)
+			if err != nil {
+				return 0, 0, err
+			}
+			o := suiteResult(s, outs).Auto["QCD"]
+			return o.SimCycles, o.MFLOPS, nil
 		}, bench.WorkloadSpec{Kind: "perfect", Code: "QCD", Variant: "auto"}, ""},
 		{"overheads/fetch-lib-64", func() (int64, float64, error) {
 			outs, err := sweep(Env{}, overheadsPoints(Env{}, Sizes{})[1:2], false)

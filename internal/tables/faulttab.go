@@ -23,20 +23,15 @@ type DegradedRow struct {
 // degradedSeed keys the built-in scenarios' probability draws.
 const degradedSeed = 0xCEDA2
 
-// Degraded is the degraded-mode table, one row per fault scenario.
+// Degraded is the degraded-mode table, one row per fault scenario. It
+// measures graceful degradation: the prefetched rank-n update under a
+// healthy machine and under each fault class — a dead memory bank
+// (interleave remaps around it), a jammed first network stage, transient
+// module NACKs, and lossy links — plus the Env's own plan when it has
+// one. Every scenario names its plan itself, so the healthy row stays
+// healthy under a faulted Env. Failures surface as a row status, never
+// as a crashed table: that is the point of the exercise.
 type Degraded []DegradedRow
-
-// RunDegraded measures graceful degradation: the prefetched rank-n
-// update under a healthy machine and under each fault class — a dead
-// memory bank (interleave remaps around it), a jammed first network
-// stage, transient module NACKs, and lossy links — plus the Env's own
-// plan when it has one. Every scenario names its plan itself, so the
-// healthy row stays healthy under a faulted Env. Failures surface as a
-// row status, never as a crashed table: that is the point of the
-// exercise.
-func RunDegraded(env Env, n int) (Degraded, error) {
-	return runAs[Degraded](env, "degraded", Sizes{RankN: n})
-}
 
 // degradedScenarios are the built-in rows: display name, scope-namespace
 // token (no spaces) and the plan the row runs under.

@@ -17,13 +17,9 @@ type MemBWResult struct {
 	Points []kernels.MemBWPoint
 }
 
-// RunMemBW executes the sweep: CE counts across the machine, with unit
+// memBWPoints is the sweep: CE counts across the machine, with unit
 // stride (all modules), a half-modules power-of-two stride, and the
 // full-conflict stride that serializes every reference on one module.
-func RunMemBW(env Env, wordsPerCE int) (*MemBWResult, error) {
-	return runAs[*MemBWResult](env, "membw", Sizes{MemBWWords: wordsPerCE})
-}
-
 func memBWPoints(env Env, s Sizes) []point {
 	modules := env.Machine().MemModules
 	var pts []point

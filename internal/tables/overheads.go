@@ -19,13 +19,6 @@ type OverheadsResult struct {
 	CDoallStartUS    float64
 }
 
-// RunOverheads performs the microbenchmarks. The five machine runs are
-// independent points; the derived quantities are computed from the
-// reassembled times.
-func RunOverheads(env Env) (*OverheadsResult, error) {
-	return runAs[*OverheadsResult](env, "overheads", Sizes{})
-}
-
 // overheadsIters is the long loop of each fetch-cost pair.
 const overheadsIters = 64
 

@@ -39,12 +39,6 @@ type PPT4Result struct {
 // ppt4Iters is enough CG iterations to amortize startup.
 const ppt4Iters = 3
 
-// RunPPT4 executes the study. full selects the paper's largest sizes;
-// otherwise a reduced sweep with the same structure runs.
-func RunPPT4(env Env, full bool) (*PPT4Result, error) {
-	return runAs[*PPT4Result](env, "ppt4", Sizes{FullPPT4: full})
-}
-
 // ppt4Points is the CG sweep, then the banded one. The efficiency
 // baseline is a single CE running the same kernel; baseline and sweep
 // runs are all independent simulations, so every (n, p) pair — the p = 1

@@ -19,15 +19,11 @@ type SchedulingRow struct {
 	Cycles    int64
 }
 
-// Scheduling is the loop scheduling ablation, one row per measurement.
+// Scheduling is the loop scheduling ablation, one row per measurement:
+// a balanced and an imbalanced 512-iteration loop under static, self-
+// and guided scheduling, with and without the Cedar synchronization
+// instructions.
 type Scheduling []SchedulingRow
-
-// RunSchedulingAblation times a balanced and an imbalanced 512-iteration
-// loop under static, self- and guided scheduling, with and without the
-// Cedar synchronization instructions.
-func RunSchedulingAblation(env Env) (Scheduling, error) {
-	return runAs[Scheduling](env, "sched", Sizes{})
-}
 
 // schedRows are the ablation's measurements, less their cycle counts.
 func schedRows() []SchedulingRow {

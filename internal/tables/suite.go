@@ -29,18 +29,6 @@ type SuiteResult struct {
 	Hand   map[string]perfect.Outcome // Table 4 versions where they exist
 }
 
-// RunSuite executes every version of the given Perfect codes (nil = full
-// suite) on the Env's base machine: the points t3, t4, t5, t6 and fig3
-// share, and the SuiteResult their tables are built from.
-func RunSuite(env Env, codes []perfect.Profile) (*SuiteResult, error) {
-	s := Sizes{Codes: codes}
-	outs, err := sweep(env, suitePoints(env, s), false)
-	if err != nil {
-		return nil, err
-	}
-	return suiteResult(s, outs), nil
-}
-
 // suiteVersions are the versions every code runs, in point order
 // (perfect.Versions names them); the hand version only where Table 4 has
 // one.
@@ -70,8 +58,10 @@ func suiteRuns(s Sizes) []suiteRun {
 	return runs
 }
 
-// suitePoints is the (code × version) sweep, one independent whole
-// simulation per point under "perfect/<code>/<version>".
+// suitePoints is the (code × version) sweep on the Env's base machine,
+// one independent whole simulation per point under
+// "perfect/<code>/<version>": the points t3, t4, t5, t6 and fig3 share,
+// and the SuiteResult their tables are built from.
 func suitePoints(env Env, s Sizes) []point {
 	versions := perfect.Versions()
 	var pts []point

@@ -20,17 +20,13 @@ type Table1Result struct {
 	MFLOPS [][]float64 // [mode][clusters-1]
 }
 
-// RunTable1 executes the sweep. n is the matrix order (the paper used 1K;
-// 256 preserves the shape at a fraction of the simulation cost). Each
-// machine reports under its own t1/<mode>/<k>cl namespace.
-func RunTable1(env Env, n int) (*Table1Result, error) {
-	return runAs[*Table1Result](env, "t1", Sizes{RankN: n})
-}
-
 // table1Variants are the table's rows — GM/no-pref, GM/pref, GM/cache —
 // as the rank workload's Variant (and a scope name) spells them.
 var table1Variants = []string{"nopref", "pref", "cache"}
 
+// table1Points is the sweep. RankN is the matrix order (the paper used
+// 1K; 256 preserves the shape at a fraction of the simulation cost). Each
+// machine reports under its own t1/<mode>/<k>cl namespace.
 func table1Points(env Env, s Sizes) []point {
 	var pts []point
 	for _, variant := range table1Variants {

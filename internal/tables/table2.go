@@ -24,17 +24,13 @@ type Table2Result struct {
 	Blocks  map[string]map[int]int64
 }
 
-// RunTable2 executes the kernel × processor-count sweep; small selects
-// reduced slices for tests and quick reports.
-func RunTable2(env Env, small bool) (*Table2Result, error) {
-	return runAs[*Table2Result](env, "t2", Sizes{Table2Full: !small})
-}
-
 var (
 	table2Kernels = []string{"VL", "TM", "RK", "CG"}
 	table2CEs     = []int{8, 16, 32}
 )
 
+// table2Points is the kernel × processor-count sweep; without Table2Full
+// the reduced slices serve tests and quick reports.
 func table2Points(env Env, s Sizes) []point {
 	// Each kernel's simulated slice is kept moderate.
 	vl, tm, rk, cg := 1024, 4096, 96, 4096

@@ -9,6 +9,20 @@ import (
 	"cedar/internal/scope"
 )
 
+// runOne runs the named catalogue entry alone through RunAll and returns
+// its result as the entry's concrete type.
+func runOne[R Result](env Env, name string, s Sizes) (r R, err error) {
+	exps, err := Experiments(name)
+	if err != nil {
+		return r, err
+	}
+	err = RunAll(env, s, exps, func(_ Experiment, res Result) error {
+		r = res.(R)
+		return nil
+	})
+	return r, err
+}
+
 // TestSuiteRunsAllVariants: the suite's points give every code its five
 // versions, and a hand version exactly where Table 4 has one — read off
 // the assembly, without simulating.
@@ -26,8 +40,8 @@ func TestSuiteRunsAllVariants(t *testing.T) {
 // TestSharedPointsSimulateOnce: t3, t4, t5, t6 and fig3 run in one call
 // under a hub build each of the suite's points once — the later four reuse
 // t3's outcomes — so every point's engine.cycle is registered once and no
-// perfect/… metric carries a #2 suffix; and each table is the one the
-// suite's own run builds.
+// perfect/… metric carries a #2 suffix; and sharing is invisible: each
+// table is the one its entry makes when it runs alone.
 func TestSharedPointsSimulateOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("Perfect suite simulation is too slow under the race detector")
@@ -65,13 +79,13 @@ func TestSharedPointsSimulateOnce(t *testing.T) {
 		t.Errorf("%d machines registered under the hub, want the suite's %d", cycles, len(pts))
 	}
 
-	suite, err := RunSuite(Env{}, sizes.Codes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []Result{BuildTable3(suite), BuildTable4(suite), BuildTable5(suite), BuildTable6(suite), BuildFigure3(suite)} {
-		if got[i] != want.Format() {
-			t.Errorf("%s from the shared points:\n%s\nwant the suite's own:\n%s", exps[i].Name, got[i], want.Format())
+	for i, e := range exps {
+		alone, err := runOne[Result](Env{}, e.Name, sizes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := alone.Format(); got[i] != want {
+			t.Errorf("%s from the shared points:\n%s\nwant the entry's own run:\n%s", e.Name, got[i], want)
 		}
 	}
 }

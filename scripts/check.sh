@@ -96,11 +96,15 @@ stage "go test -race ./..."
 # above runs them unraced. Everything else runs here with the detector
 # watching:
 #
-# cedarfleet parallel-vs-sequential equality, pool enabled. The worker
-# pool must be invisible: -jobs 8 and -jobs 1 byte-identical
-# report/JSON/trace/metrics — for healthy runs and for fault-injected
-# (cedarfault) degraded runs alike (root: TestParallelVsSequentialEquality,
-# TestFaultedRunDeterministic, TestBenchArtifactDeterminism).
+# Jobs and engine equality, four gates over one harness of RunAll pairs
+# compared by bytes (root: checkEquality, whose runs return report text,
+# the -json payload, Chrome trace and metrics CSV; TestParallelVsSequentialEquality,
+# TestFaultedRunDeterministic, TestSteppedVsEventEquality,
+# TestSteppedVsEventDegraded). The cedarfleet worker pool
+# must be invisible, pool enabled: -jobs 8 and -jobs 1 byte-identical — for
+# healthy runs (t1 overheads membw) and for fault-injected (cedarfault)
+# degraded runs alike; so must the campaign runner's (root:
+# TestBenchArtifactDeterminism).
 # Three run configurations at once (tables: TestTwoEnvsAtOnce): a
 # demo-plan Env at jobs 1 beside a healthy Env at jobs 4 and a healthy
 # Env on the stepped engine, on one sweep, each byte-equal to its solo run
@@ -110,9 +114,9 @@ stage "go test -race ./..."
 #
 # Stepped-vs-event engine equivalence. The event wheel (internal/sim)
 # skips sleeping components and jumps the clock over empty cycles; both
-# must be invisible. Root TestSteppedVsEventEquality and
-# TestSteppedVsEventDegraded run the suite on both engines and
-# byte-compare every artifact; sim's
+# must be invisible. The root TestSteppedVsEvent* gates run those healthy
+# and degraded experiments on both engines and byte-compare every
+# artifact; sim's
 # TestRandomWakeInterleavingsMatchStepped is the seeded
 # random-interleaving property test against an engine of sim.Plain
 # wrappers, and also covers the hand-written wake-path scenarios (run
@@ -189,8 +193,9 @@ go test -run='^$' -fuzz='^FuzzBands$' -fuzztime="$FUZZTIME" ./internal/ppt
 go test -run='^$' -fuzz='^FuzzBlobOnDisk$' -fuzztime="$FUZZTIME" ./internal/store
 
 stage ""
-# The line ledger every re-anchor reads: non-test Go, whole module and
-# outside the frozen cmd/cedarperf.
-golines() { find . -name '*.go' ! -name '*_test.go' "$@" -print0 | xargs -0 cat | wc -l; }
-echo "non-test Go lines: $(golines) total, $(golines ! -path './cmd/cedarperf/*') outside cmd/cedarperf"
+# The line ledger every re-anchor reads: non-test and test Go, whole
+# module and outside the frozen cmd/cedarperf.
+golines() { find . -name '*.go' "$@" -print0 | xargs -0 cat | wc -l; }
+echo "non-test Go lines: $(golines ! -name '*_test.go') total, $(golines ! -name '*_test.go' ! -path './cmd/cedarperf/*') outside cmd/cedarperf"
+echo "test Go lines: $(golines -name '*_test.go') total, $(golines -name '*_test.go' ! -path './cmd/cedarperf/*') outside cmd/cedarperf"
 echo "OK in ${SECONDS}s: build, vet, cedarvet, tests (allocation gates, report goldens), race tests (jobs, stepped, data-path and serve equality), bench campaigns and fuzz smoke all green"
