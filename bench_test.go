@@ -76,14 +76,14 @@ func BenchmarkScopeOverhead(b *testing.B) {
 // speedup (≈1 on a single-core host; the 4-core acceptance target is
 // ≥2×).
 func BenchmarkSuiteParallel(b *testing.B) {
+	kernels, err := cedar.Experiments(cedar.Kernels...)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, jobs := range []int{1, 4} {
 		b.Run(fmt.Sprintf("jobs%d", jobs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				err := cedar.WriteReport(io.Discard, cedar.ReportConfig{
-					Names: cedar.Kernels,
-					Sizes: cedar.Sizes{RankN: benchSizes.RankN},
-					Env:   cedar.Env{Jobs: jobs},
-				})
+				err := cedar.WriteReport(io.Discard, cedar.Env{Jobs: jobs}, cedar.Sizes{RankN: benchSizes.RankN}, kernels)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -261,7 +261,7 @@ type (
 	// point simulates — nothing is memoized between runs.
 	Env = tables.Env
 	// Sizes are the problem sizes a run uses; each experiment reads the
-	// fields it has a use for.
+	// fields it has a use for, and a zero size runs at its default.
 	Sizes = tables.Sizes
 	// Experiment is one catalogue entry: a sweep of simulated points and
 	// the table their outcomes make.
@@ -287,20 +287,18 @@ var Experiments = tables.Experiments
 // two entries share simulates once per call.
 var RunAll = tables.RunAll
 
-// ReportConfig selects what WriteReport includes and at what scale.
-type ReportConfig = tables.ReportConfig
-
 // Kernels names the report's kernel-level half in section order;
 // Evaluation names every experiment of the paper's evaluation in report
-// order: the whole paper as ReportConfig.Names.
+// order: Experiments(Evaluation...) is the whole paper.
 var (
 	Kernels    = tables.Kernels
 	Evaluation = tables.Evaluation
 )
 
-// WriteReport regenerates the paper's complete evaluation as one report.
-// With ReportConfig.Now left nil the output is byte-identical across
-// runs (see the determinism invariants in DESIGN.md).
+// WriteReport is RunAll plus headings: it writes the experiments' tables
+// as one report and checks the paper's claims about them. Its output is
+// byte-identical across runs (see the determinism invariants in
+// DESIGN.md).
 var WriteReport = tables.WriteReport
 
 // Multiprogramming: the Xylem OS behaviour the paper's single-user runs

@@ -20,6 +20,7 @@ package main
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"log"
 	"os"
@@ -60,17 +61,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		lg.Print(err)
 		return 2
 	}
-	cfg := tables.ReportConfig{
-		Names: tables.Evaluation,
-		Sizes: tables.Sizes{RankN: *n, FullPPT4: *full},
-		// The CLI wants the elapsed-time trailer; library callers get
-		// byte-identical reports by leaving Now nil.
-		Now: time.Now,
-	}
+	names := tables.Evaluation
 	if *kernOnly {
-		cfg.Names = tables.Kernels
+		names = tables.Kernels
 	}
-	if cfg.Sizes.Codes, err = perfect.Select(*codes); err != nil {
+	exps, err := tables.Experiments(names...)
+	if err != nil {
+		lg.Print(err)
+		return 2
+	}
+	sizes := tables.Sizes{RankN: *n, FullPPT4: *full}
+	if sizes.Codes, err = perfect.Select(*codes); err != nil {
 		lg.Print(err)
 		return 2
 	}
@@ -81,13 +82,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer s.Abort()
 	// A hub in the Env adds the cycle-attribution section.
-	cfg.Env = s.Env
+	env := s.Env
 	if !*quiet {
-		cfg.Env.Progress = stderr
+		env.Progress = stderr
 	}
+	started := time.Now()
+	err = tables.WriteReport(stdout, env, sizes, exps)
+	fmt.Fprintf(stdout, "\n---\nreport generated in %s of host time\n", time.Since(started).Round(time.Second))
 	// A broken claim fails the run after the report and its artifacts are
 	// written.
-	if err := errors.Join(tables.WriteReport(stdout, cfg), s.Close(stdout, false)); err != nil {
+	if err := errors.Join(err, s.Close(stdout, false)); err != nil {
 		lg.Print(err)
 		return 1
 	}

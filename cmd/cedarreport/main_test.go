@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -41,5 +42,29 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 				t.Fatalf("run(%v) stderr %q does not mention %q", tc.args, stderr.String(), tc.stderrs)
 			}
 		})
+	}
+}
+
+// TestReportEndsWithTrailer: cedarreport times itself and the last line
+// it writes to stdout is the host-time trailer, after the report that
+// WriteReport writes without one.
+func TestReportEndsWithTrailer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("report generation in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("report generation is too slow under the race detector")
+	}
+	var stdout, stderr bytes.Buffer
+	if got := run([]string{"-kernels-only", "-n", "8", "-q"}, &stdout, &stderr); got != 0 {
+		t.Fatalf("run = %d, want 0 (stderr: %s)", got, stderr.String())
+	}
+	lines := strings.Split(strings.TrimSuffix(stdout.String(), "\n"), "\n")
+	if !strings.HasPrefix(stdout.String(), "# Cedar evaluation report\n") || len(lines) < 2 {
+		t.Fatalf("stdout is not a report:\n%s", stdout.String())
+	}
+	trailer := regexp.MustCompile(`^report generated in (\d+[hms])+ of host time$`)
+	if last := lines[len(lines)-1]; !trailer.MatchString(last) || lines[len(lines)-2] != "---" {
+		t.Errorf("stdout ends %q, %q; want the rule and the host-time trailer", lines[len(lines)-2], last)
 	}
 }

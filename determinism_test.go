@@ -103,11 +103,11 @@ func TestScopeArtifactsDeterminism(t *testing.T) {
 
 // TestReportBytesDeterminism generates the report header twice: with no
 // experiment named, WriteReport writes only the parts that depend on
-// nothing but the configuration.
+// nothing but the Env.
 func TestReportBytesDeterminism(t *testing.T) {
 	gen := func() string {
 		var b strings.Builder
-		err := cedar.WriteReport(&b, cedar.ReportConfig{})
+		err := cedar.WriteReport(&b, cedar.Env{}, cedar.Sizes{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -233,9 +233,6 @@ func New(m *core.Machine, cfg Config, phases ...Phase) *Runtime {
 	return r
 }
 
-// Participants returns the CEs this runtime drives.
-func (r *Runtime) Participants() []*ce.CE { return r.ces }
-
 // Run installs the runtime on its participants and runs to completion.
 func (r *Runtime) Run(limit int64) (core.Result, error) {
 	return r.m.RunOn(r.ces, r, limit)

@@ -47,11 +47,6 @@ func (y YMP8) rate1(c CodeSummary) float64 {
 	return 1 / ((1-c.VecFrac)/y.ScalarMFLOPS + c.VecFrac/y.VectorMFLOPS)
 }
 
-// SerialScalarSeconds is the all-scalar uniprocessor time.
-func (y YMP8) SerialScalarSeconds(c CodeSummary) float64 {
-	return float64(c.Flops) / (y.ScalarMFLOPS * 1e6)
-}
-
 // OneProcSeconds is the vectorized single-processor time.
 func (y YMP8) OneProcSeconds(c CodeSummary) float64 {
 	return float64(c.Flops) / (y.rate1(c) * 1e6)

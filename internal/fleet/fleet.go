@@ -15,8 +15,8 @@
 // A caller that owns a content-addressed run cache (NewCache, keyed via
 // Key over everything that determines the result) passes it in
 // Config.Cache: repeated keys then simulate once for the life of that
-// cache — the campaign runner's per-pass cache, the daemon's response
-// cache over its durable store. There is no process-wide cache: without
+// cache — the daemon's response cache over its durable store is the one
+// in this module. There is no process-wide cache: without
 // one in the Config every job runs (EXPERIMENTS.md, "The process-wide run
 // cache — measured traffic"). Caching applies only to unobserved jobs: a
 // cache hit skips the simulation, so it cannot replay instrumentation,
@@ -26,8 +26,8 @@
 // key — the one that computed it included — receives the same T, backing
 // arrays and pointees shared. A value returned through a cache is
 // therefore read-only to its receivers; one that needs to change it
-// copies it first. (The receivers in this module only read: serve writes
-// the cached bytes to the socket, bench marshals the outcomes.)
+// copies it first. (The one receiver in this module only reads: serve
+// writes the cached bytes to the socket.)
 package fleet
 
 import (

@@ -180,9 +180,6 @@ func (m *Memory) remap() {
 	}
 }
 
-// LiveModules returns how many modules are in service.
-func (m *Memory) LiveModules() int { return len(m.live) }
-
 // Name implements sim.Component.
 func (m *Memory) Name() string { return "gmem" }
 

@@ -59,12 +59,17 @@ func MemBW(m *core.Machine, nCE int, stride int64, wordsPerCE int) (MemBWPoint, 
 	if err != nil {
 		return MemBWPoint{}, err
 	}
-	words := int64(nCE * wordsPerCE)
-	wpc := float64(words) / float64(res.Cycles)
+	return NewMemBWPoint(nCE, stride, wordsPerCE, res.Cycles), nil
+}
+
+// NewMemBWPoint restates nCE CEs streaming wordsPerCE words each in cycles
+// as delivered bandwidth: the one words-per-cycle → MB/s derivation.
+func NewMemBWPoint(nCE int, stride int64, wordsPerCE int, cycles int64) MemBWPoint {
+	wpc := float64(nCE*wordsPerCE) / float64(cycles)
 	return MemBWPoint{
 		CEs: nCE, Stride: stride, WordsPerCE: wordsPerCE,
-		Cycles:        res.Cycles,
+		Cycles:        cycles,
 		WordsPerCycle: wpc,
 		MBps:          wpc * params.WordBytes * params.CyclesPerSecond / 1e6,
-	}, nil
+	}
 }

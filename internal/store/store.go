@@ -296,9 +296,6 @@ func (s *Store) Bytes() int64 {
 	return s.bytes
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()

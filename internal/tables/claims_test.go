@@ -71,7 +71,11 @@ func TestClaimKinds(t *testing.T) {
 func TestBrokenClaimFailsTheReportNotItsBytes(t *testing.T) {
 	report := func(env Env) (string, error) {
 		var b strings.Builder
-		err := WriteReport(&b, ReportConfig{Names: []string{"overheads"}, Env: env})
+		exps, err := Experiments("overheads")
+		if err != nil {
+			return "", err
+		}
+		err = WriteReport(&b, env, Sizes{}, exps)
 		return b.String(), err
 	}
 	clean, err := report(Env{})

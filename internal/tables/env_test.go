@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"slices"
 	"strings"
 	"sync"
@@ -17,31 +16,6 @@ import (
 	"cedar/internal/perfect"
 	"cedar/internal/scope"
 )
-
-// TestWriteReportGolden is the cross-commit half of the byte-identity
-// invariant: the kernel-level report must equal the bytes committed in
-// testdata. The in-process jobs/stepped gates compare a build
-// with itself and cannot see a refactor that moves every mode the same
-// way; this can. Regenerate the file only for a deliberate model change.
-func TestWriteReportGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("report generation in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("full-report simulation is too slow under the race detector")
-	}
-	want, err := os.ReadFile("testdata/report_kernels_n32.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := WriteReport(&got, ReportConfig{Names: Kernels, Sizes: Sizes{RankN: 32}}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("kernel report differs from testdata/report_kernels_n32.golden:\n%s", got.Bytes())
-	}
-}
 
 // envArtifacts runs one sweep — the network ablation, three 32-CE
 // prefetched rank updates, which every class of the demo plan touches —

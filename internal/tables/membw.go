@@ -33,18 +33,12 @@ func memBWPoints(env Env, s Sizes) []point {
 }
 
 // memBWTable restates each point's cycle count as delivered bandwidth,
-// the way kernels.MemBW does.
+// through the derivation kernels.MemBW uses.
 func memBWTable(_ Sizes, pts []point, outs []bench.PointOutcome) Result {
 	res := &MemBWResult{}
 	for i, out := range outs {
 		w := pts[i].Workload
-		wpc := float64(w.CEs*w.N) / float64(out.Cycles)
-		res.Points = append(res.Points, kernels.MemBWPoint{
-			CEs: w.CEs, Stride: int64(w.Stride), WordsPerCE: w.N,
-			Cycles:        out.Cycles,
-			WordsPerCycle: wpc,
-			MBps:          wpc * params.WordBytes * params.CyclesPerSecond / 1e6,
-		})
+		res.Points = append(res.Points, kernels.NewMemBWPoint(w.CEs, int64(w.Stride), w.N, out.Cycles))
 	}
 	return res
 }

@@ -1,32 +1,90 @@
 package tables
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"cedar/internal/perfect"
 	"cedar/internal/scope"
 )
 
-// TestEvaluationHoldsThePapersClaims is the paper checking itself in one
-// pass: the whole evaluation at the smallest sizes every claim holds at —
-// n = 96, Table 2's reduced slices, all 13 codes. WriteReport judges each
-// claim of each entry: none may break and none may be skipped. Every
-// section is in the report.
-func TestEvaluationHoldsThePapersClaims(t *testing.T) {
+// reportPass is one WriteReport call and everything it can be observed
+// through: the report, its Progress lines and its hub (nil if unobserved).
+type reportPass struct {
+	report, progress string
+	hub              *scope.Hub
+	err              error
+}
+
+// pointLines counts the pass's per-point Progress lines: one per
+// simulated point.
+func (p reportPass) pointLines() int {
+	n := 0
+	for _, line := range strings.Split(p.progress, "\n") {
+		if strings.HasPrefix(line, "  ") {
+			n++
+		}
+	}
+	return n
+}
+
+// tally is the pass's claims tally, the last Progress line.
+func (p reportPass) tally() string {
+	lines := strings.Split(strings.TrimSpace(p.progress), "\n")
+	return lines[len(lines)-1]
+}
+
+func writeReport(env Env, s Sizes, names ...string) reportPass {
+	exps, err := Experiments(names...)
+	if err != nil {
+		return reportPass{err: err}
+	}
+	var report, progress strings.Builder
+	env.Progress = &progress
+	err = WriteReport(&report, env, s, exps)
+	return reportPass{report: report.String(), progress: progress.String(), hub: env.Hub, err: err}
+}
+
+// The report gates read these passes, each built the first time a gate
+// asks for it: P1, the whole evaluation at the smallest sizes every claim
+// holds at — n = 96, Table 2's reduced slices, all 13 codes; P2, the
+// kernel-level report at n = 32 twice, each under its own hub.
+var (
+	evaluationPass = sync.OnceValue(func() reportPass {
+		return writeReport(Env{}, Sizes{RankN: 96, Codes: perfect.All()}, Evaluation...)
+	})
+	kernelPasses = sync.OnceValue(func() [2]reportPass {
+		var passes [2]reportPass
+		for i := range passes {
+			passes[i] = writeReport(Env{Hub: scope.NewHub()}, Sizes{RankN: 32}, Kernels...)
+		}
+		return passes
+	})
+)
+
+// reportGate skips a report gate where whole reports are too slow.
+func reportGate(t *testing.T) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("report generation in -short mode")
 	}
 	if raceEnabled {
 		t.Skip("full-report simulation is too slow under the race detector")
 	}
-	var report, progress strings.Builder
-	err := WriteReport(&report, ReportConfig{Names: Evaluation, Sizes: Sizes{RankN: 96, Codes: perfect.All()},
-		Now: time.Now, Env: Env{Progress: &progress}})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestEvaluationHoldsThePapersClaims is the paper checking itself in one
+// pass, P1: WriteReport judges each claim of each entry, none may break
+// and none may be skipped, and every section is in the report.
+func TestEvaluationHoldsThePapersClaims(t *testing.T) {
+	reportGate(t)
+	p := evaluationPass()
+	if p.err != nil {
+		t.Fatal(p.err)
 	}
 	exps, _ := Experiments(Evaluation...)
 	claims := 0
@@ -36,110 +94,115 @@ func TestEvaluationHoldsThePapersClaims(t *testing.T) {
 		}
 		claims += len(e.claims)
 	}
-	lines := strings.Split(strings.TrimSpace(progress.String()), "\n")
-	if tally := lines[len(lines)-1]; !strings.HasPrefix(tally, fmt.Sprintf("claims: %d held, 0 skipped, ", claims)) || !strings.HasSuffix(tally, ", 0 broken") {
+	if tally := p.tally(); !strings.HasPrefix(tally, fmt.Sprintf("claims: %d held, 0 skipped, ", claims)) || !strings.HasSuffix(tally, ", 0 broken") {
 		t.Errorf("tally %q, want all %d claims held and none skipped or broken", tally, claims)
 	}
 	for _, want := range []string{"# Cedar evaluation report", "Table 1", "Table 2", "GM/no-pref", "GM/cache", "lat@32",
 		"runtime overheads", "memory characterization", "network ablation", "Turn93", "scheduling ablation", "guided",
-		"scaled Cedar", "Table 3", "Table 4", "Table 5", "Table 6", "Figure 3", "PPT4", "QCD", "SPICE", "report generated"} {
-		if !strings.Contains(report.String(), want) {
+		"scaled Cedar", "Table 3", "Table 4", "Table 5", "Table 6", "Figure 3", "PPT4", "QCD", "SPICE"} {
+		if !strings.Contains(p.report, want) {
 			t.Errorf("report missing %q", want)
 		}
 	}
 }
 
-func TestWriteReportKernelsOnly(t *testing.T) {
-	if testing.Short() {
-		t.Skip("report generation in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("full-report simulation is too slow under the race detector")
-	}
-	var b strings.Builder
-	err := WriteReport(&b, ReportConfig{
-		Names: Kernels,
-		Sizes: Sizes{RankN: 96},
-		Now:   time.Now,
-	})
+// TestWriteReportGolden is the cross-commit half of the byte-identity
+// invariant: the kernel-level report of P2, up to the section its hub
+// adds, must equal the bytes committed in testdata — which were written
+// without a hub, so this also shows a hub changes nothing above that
+// section. The in-process jobs/stepped gates compare a build with itself
+// and cannot see a refactor that moves every mode the same way; this can.
+// Regenerate the file only for a deliberate model change.
+func TestWriteReportGolden(t *testing.T) {
+	reportGate(t)
+	want, err := os.ReadFile("testdata/report_kernels_n32.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := b.String()
+	p := kernelPasses()[0]
+	if p.err != nil {
+		t.Fatal(p.err)
+	}
+	got, _, found := strings.Cut(p.report, "\n## Cycle attribution\n")
+	if !found {
+		t.Fatal("the observed kernel report has no cycle-attribution section")
+	}
+	if !bytes.Equal([]byte(got), want) {
+		t.Errorf("kernel report differs from testdata/report_kernels_n32.golden:\n%s", got)
+	}
+}
+
+// TestWriteReportKernelsOnly reads P2's first pass: every kernel-level
+// section is there, the Perfect suite is not, and no claim broke.
+func TestWriteReportKernelsOnly(t *testing.T) {
+	reportGate(t)
+	p := kernelPasses()[0]
+	if p.err != nil {
+		t.Fatal(p.err)
+	}
 	for _, want := range []string{
 		"# Cedar evaluation report",
 		"Table 1", "Table 2", "GM/no-pref",
 		"runtime overheads", "memory characterization",
 		"network ablation", "scheduling ablation", "scaled Cedar",
-		"report generated",
 	} {
-		if !strings.Contains(out, want) {
+		if !strings.Contains(p.report, want) {
 			t.Errorf("report missing %q", want)
 		}
 	}
-	if strings.Contains(out, "Table 3") {
+	if strings.Contains(p.report, "Table 3") {
 		t.Error("kernels-only report should skip the Perfect suite")
+	}
+	if tally := p.tally(); !strings.HasSuffix(tally, ", 0 broken") {
+		t.Errorf("tally %q, want no claim broken", tally)
 	}
 }
 
+// TestWriteReportMethodologySections: the Perfect suite's five sections
+// on two codes, and none of the kernel-level ones.
 func TestWriteReportMethodologySections(t *testing.T) {
-	if testing.Short() {
-		t.Skip("report generation in -short mode")
+	reportGate(t)
+	p := writeReport(Env{}, Sizes{Codes: []perfect.Profile{perfect.QCD(), perfect.SPICE()}}, "t3", "t4", "t5", "t6", "fig3")
+	if p.err != nil {
+		t.Fatal(p.err)
 	}
-	if raceEnabled {
-		t.Skip("full-report simulation is too slow under the race detector")
-	}
-	var b strings.Builder
-	err := WriteReport(&b, ReportConfig{
-		Names: Evaluation[len(Kernels):],
-		Sizes: Sizes{Codes: []perfect.Profile{perfect.QCD(), perfect.SPICE()}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
 	for _, want := range []string{
-		"Table 3", "Table 4", "Table 5", "Table 6", "Figure 3", "PPT4",
+		"Table 3", "Table 4", "Table 5", "Table 6", "Figure 3",
 		"QCD", "SPICE",
 	} {
-		if !strings.Contains(out, want) {
+		if !strings.Contains(p.report, want) {
 			t.Errorf("report missing %q", want)
 		}
 	}
-	if strings.Contains(out, "Table 1 —") {
+	if strings.Contains(p.report, "Table 1 —") {
 		t.Error("kernel sections should be skipped")
 	}
 }
 
 // TestWriteReportDeterministic is the report half of the determinism
-// invariant: with no injected clock, two identical runs must produce
-// byte-identical output (see DESIGN.md "Determinism invariants"). Each
-// report observes its own hub, so the second is seen to simulate every
+// invariant: P2's two identical runs produce byte-identical output (see
+// DESIGN.md "Determinism invariants"). Each report observes its own hub
+// and writes its own Progress, so the second is seen to simulate every
 // point the first did: nothing is kept between calls.
 func TestWriteReportDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("report generation in -short mode")
+	reportGate(t)
+	passes := kernelPasses()
+	exps, _ := Experiments(Kernels...)
+	points := 0
+	for _, e := range exps {
+		points += len(e.points(Env{}, Sizes{RankN: 32}))
 	}
-	if raceEnabled {
-		t.Skip("full-report simulation is too slow under the race detector")
-	}
-	gen := func() (string, int) {
-		var b strings.Builder
-		hub := scope.NewHub()
-		err := WriteReport(&b, ReportConfig{
-			Names: Kernels,
-			Sizes: Sizes{RankN: 64},
-			Env:   Env{Hub: hub},
-		})
-		if err != nil {
-			t.Fatal(err)
+	for i, p := range passes {
+		if p.err != nil {
+			t.Fatal(p.err)
 		}
-		return b.String(), hub.Metrics()
+		if got := p.pointLines(); got != points {
+			t.Errorf("report %d wrote %d point lines, want every one of the %d points simulated", i+1, got, points)
+		}
 	}
-	first, metrics1 := gen()
-	second, metrics2 := gen()
-	if metrics1 == 0 || metrics2 != metrics1 {
-		t.Errorf("the reports registered %d and %d metrics: want the same nonzero count, every point simulated twice", metrics1, metrics2)
+	first, second := passes[0].report, passes[1].report
+	if m1, m2 := passes[0].hub.Metrics(), passes[1].hub.Metrics(); m1 == 0 || m2 != m1 {
+		t.Errorf("the reports registered %d and %d metrics: want the same nonzero count, every point simulated twice", m1, m2)
 	}
 	if first != second {
 		line := 1
@@ -154,6 +217,6 @@ func TestWriteReportDeterministic(t *testing.T) {
 		t.Fatalf("reports differ in length: %d vs %d bytes", len(first), len(second))
 	}
 	if strings.Contains(first, "report generated") {
-		t.Error("deterministic report (nil Now) must omit the wall-clock trailer")
+		t.Error("a library report must carry no wall-clock trailer")
 	}
 }

@@ -61,16 +61,6 @@ func (t *Table1Result) PrefetchGain() []float64 {
 	return g
 }
 
-// CacheGain returns GM/cache over GM/no-pref per cluster count (the
-// paper: 3.5 ... 3.8).
-func (t *Table1Result) CacheGain() []float64 {
-	g := make([]float64, 4)
-	for c := 0; c < 4; c++ {
-		g[c] = t.MFLOPS[2][c] / t.MFLOPS[0][c]
-	}
-	return g
-}
-
 // CacheEfficiency returns the 4-cluster GM/cache rate as a fraction of
 // the effective (vector-startup-limited) peak; the paper reports 74%.
 func (t *Table1Result) CacheEfficiency() float64 {

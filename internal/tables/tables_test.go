@@ -1,7 +1,9 @@
 package tables
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"cedar/internal/bench"
@@ -86,6 +88,49 @@ func TestSharedPointsSimulateOnce(t *testing.T) {
 		}
 		if want := alone.Format(); got[i] != want {
 			t.Errorf("%s from the shared points:\n%s\nwant the entry's own run:\n%s", e.Name, got[i], want)
+		}
+	}
+}
+
+// TestZeroSizesNameOneSize: a zero size runs at its default everywhere it
+// shows. t1 run at Sizes{} titles its section, records its result and
+// simulates every rank update at one order, and that order is a real one
+// — not a zero the rank kind would replace with its own. Read off the
+// points sweep is handed, with runPoint substituted so nothing simulates.
+func TestZeroSizesNameOneSize(t *testing.T) {
+	defer func(run func(bench.Point, *scope.Hub, bool) (bench.PointOutcome, error)) { runPoint = run }(runPoint)
+	var mu sync.Mutex
+	var orders []int
+	runPoint = func(pt bench.Point, _ *scope.Hub, _ bool) (bench.PointOutcome, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		orders = append(orders, pt.Workload.N)
+		return bench.PointOutcome{Status: "ok"}, nil
+	}
+	exps, err := Experiments("t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int
+	err = RunAll(Env{Jobs: 1}, Sizes{}, exps, func(_ Experiment, res Result) error {
+		n = res.(*Table1Result).N
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n <= 0 {
+		t.Errorf("Table1Result.N = %d at zero sizes, want the default order", n)
+	}
+	if title, want := exps[0].Title(Sizes{}), fmt.Sprintf("(n=%d)", n); !strings.HasSuffix(title, want) {
+		t.Errorf("title %q, want it to name the result's order %s", title, want)
+	}
+	if len(orders) == 0 {
+		t.Fatal("t1 simulated no point")
+	}
+	for _, order := range orders {
+		if order != n {
+			t.Errorf("a point simulates order %d, the result records %d", order, n)
 		}
 	}
 }

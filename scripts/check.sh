@@ -46,14 +46,19 @@ stage "go test ./..."
 # two passes gate.
 #
 # This unraced pass is the only one that runs the full-report integration
-# tests, among them TestWriteReportGolden (internal/tables): the kernel
-# report byte-compared against testdata generated at an earlier commit —
-# the cross-commit half of the byte-identity invariant, which the
-# in-process jobs/stepped gates cannot see — and
-# TestWriteReportDeterministic, which simulates both of the reports it
-# compares (nothing memoizes a sweep point between runs), and
-# TestEvaluationHoldsThePapersClaims, the one pass that checks every claim
-# of the paper the catalogue carries (n = 96, all 13 codes).
+# tests. The five report gates of internal/tables read four passes of
+# WriteReport: TestEvaluationHoldsThePapersClaims, the one pass that
+# checks every claim of the paper the catalogue carries (n = 96, all 13
+# codes); the kernel report at n = 32 twice, each under its own hub, which
+# TestWriteReportGolden byte-compares above the hub's attribution section
+# against testdata generated at an earlier commit — the cross-commit half
+# of the byte-identity invariant, which the in-process jobs/stepped gates
+# cannot see — TestWriteReportKernelsOnly reads, and
+# TestWriteReportDeterministic compares (both passes simulate every point:
+# nothing memoizes a sweep point between runs); and
+# TestWriteReportMethodologySections' five suite tables on two codes.
+# cmd/cedarreport's TestReportEndsWithTrailer runs the CLI once and
+# checks its host-time trailer.
 #
 # Steady-state allocation gates (the count asserted is the production
 # build's, so this pass is the one that matters; they are single-goroutine
