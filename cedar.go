@@ -83,7 +83,8 @@ const CycleNS = params.CycleNS
 func DefaultParams() Params { return params.Default() }
 
 // ScaledParams returns a Cedar-like machine scaled to the given cluster
-// count (the PPT5 probe).
+// count (the PPT5 probe). Part of the public facade, so it stays though
+// no command calls it.
 func ScaledParams(clusters int) Params { return params.Scaled(clusters) }
 
 // NewMachine builds a machine, panicking on invalid parameters; use
@@ -235,7 +236,8 @@ func Speedup(serial, parallel float64) float64 { return ppt.Speedup(serial, para
 func Efficiency(speedup float64, p int) float64 { return ppt.Efficiency(speedup, p) }
 
 // BandOf classifies a speedup on P processors against the P/2 and
-// P/(2·log₂P) thresholds.
+// P/(2·log₂P) thresholds. Part of the public facade, so it stays though
+// no command calls it.
 func BandOf(speedup float64, p int) Band { return ppt.BandOfSpeedup(speedup, p) }
 
 // Instability computes In(K, e): max/min performance after excluding the

@@ -27,25 +27,6 @@ const (
 	evKinds = int(EvCDJoin)
 )
 
-// EventName renders a runtime event kind.
-func EventName(kind uint16) string {
-	switch kind {
-	case EvPhaseEnter:
-		return "phase-enter"
-	case EvClaim:
-		return "claim"
-	case EvBarrierArrive:
-		return "barrier-arrive"
-	case EvBarrierPass:
-		return "barrier-pass"
-	case EvCDStart:
-		return "cdoall-start"
-	case EvCDJoin:
-		return "cdoall-join"
-	}
-	return "unknown"
-}
-
 // SetTracer attaches a perfmon tracer; nil detaches. Events are posted
 // with the participant's CE id and the cycle at which the triggering
 // instruction completed.

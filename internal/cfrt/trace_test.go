@@ -72,14 +72,3 @@ func TestTracerDetached(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestEventNames(t *testing.T) {
-	for _, k := range []uint16{EvPhaseEnter, EvClaim, EvBarrierArrive, EvBarrierPass, EvCDStart, EvCDJoin} {
-		if EventName(k) == "unknown" {
-			t.Errorf("kind %d unnamed", k)
-		}
-	}
-	if EventName(999) != "unknown" {
-		t.Error("unknown kind should report unknown")
-	}
-}

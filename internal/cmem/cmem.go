@@ -20,10 +20,9 @@ type Memory struct {
 	latency     int64
 	data        *gmem.Store
 
-	queue   []pending
-	firing  []firing
-	busyCnt int64
-	wake    sim.Handle
+	queue  []pending
+	firing []firing
+	wake   sim.Handle
 }
 
 // Sink receives transfer completions. Completions carry the caller's tag
@@ -98,9 +97,6 @@ func (m *Memory) NextWakeup(now int64) int64 {
 // Idle reports whether no transfers are queued or completing.
 func (m *Memory) Idle() bool { return len(m.queue) == 0 && len(m.firing) == 0 }
 
-// BusyCycles reports cycles with a non-empty queue, a utilization proxy.
-func (m *Memory) BusyCycles() int64 { return m.busyCnt }
-
 // Tick grants word credits to the queue head(s) and fires due completions.
 func (m *Memory) Tick(cycle int64) {
 	// Fire completions that are due. The list stays short (bounded by
@@ -120,7 +116,6 @@ func (m *Memory) Tick(cycle int64) {
 	if len(m.queue) == 0 {
 		return
 	}
-	m.busyCnt++
 	credit := m.wordsPerCyc
 	for credit > 0 && len(m.queue) > 0 {
 		h := &m.queue[0]

@@ -69,13 +69,17 @@ func TestZeroWordTransferClamped(t *testing.T) {
 	}
 }
 
+// TestBusyCycles: an 8-word transfer at 4 words/cycle holds the memory
+// for two cycles of credit grants, so it completes one latency after the
+// second.
 func TestBusyCycles(t *testing.T) {
 	m := New(4, 1, nil)
-	m.Submit(8, nil, 0)
+	var done int64 = -1
+	m.Submit(8, fillFunc(func(cy int64) { done = cy }), 0)
 	for cycle := int64(0); cycle < 10 && !m.Idle(); cycle++ {
 		m.Tick(cycle)
 	}
-	if m.BusyCycles() != 2 {
-		t.Errorf("busy cycles = %d, want 2 (8 words at 4/cycle)", m.BusyCycles())
+	if done != 2 {
+		t.Errorf("completion at %d, want 2 (8 words at 4/cycle granted in cycles 0 and 1, latency 1)", done)
 	}
 }

@@ -83,15 +83,6 @@ type CacheStats struct {
 // Served returns the lookups answered without a fresh computation.
 func (s CacheStats) Served() int64 { return s.Hits + s.Coalesced }
 
-// HitRate returns Served over Lookups (0 when the cache was never
-// consulted). Deterministic at any worker count, per CacheStats.
-func (s CacheStats) HitRate() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return float64(s.Served()) / float64(s.Lookups)
-}
-
 // Stats returns a snapshot of the cache's counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()

@@ -47,5 +47,7 @@ func (s *Store) Add(addr uint64, delta int64) int64 {
 	return old
 }
 
-// Footprint returns the number of allocated chunks, for tests.
+// Footprint returns the number of allocated chunks. Only tests call it:
+// it is the one way TestStoreSparse can see that the store allocates on
+// first write, not per address touched.
 func (s *Store) Footprint() int { return len(s.chunks) }

@@ -171,7 +171,9 @@ func (g *CallGraph) addEdge(from, to string) {
 	set[to] = true
 }
 
-// Calls reports whether an edge from → to exists.
+// Calls reports whether an edge from → to exists. Only tests call it:
+// the analyzers walk the edges themselves, and this is the one way
+// TestCallGraph can check a single edge the loader built.
 func (g *CallGraph) Calls(from, to string) bool { return g.edges[from][to] }
 
 // Reachable returns the set of function keys reachable from the roots

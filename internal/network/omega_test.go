@@ -375,16 +375,6 @@ func TestKindProperties(t *testing.T) {
 	if ReadReply.WireWords() != 1 || SyncReply.WireWords() != 1 || WriteAck.WireWords() != 1 {
 		t.Error("reply wire lengths wrong")
 	}
-	for _, k := range []Kind{ReadReq, WriteReq, SyncReq} {
-		if k.IsReply() {
-			t.Errorf("%v should not be a reply", k)
-		}
-	}
-	for _, k := range []Kind{ReadReply, WriteAck, SyncReply} {
-		if !k.IsReply() {
-			t.Errorf("%v should be a reply", k)
-		}
-	}
 }
 
 func TestTestOpEval(t *testing.T) {

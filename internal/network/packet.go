@@ -63,11 +63,6 @@ func (k Kind) WireWords() int {
 	}
 }
 
-// IsReply reports whether the kind travels on the reverse network.
-func (k Kind) IsReply() bool {
-	return k == ReadReply || k == WriteAck || k == SyncReply || k == NackReply
-}
-
 // PrefetchTagBit marks packet tags owned by a prefetch unit. It lives
 // here (rather than in internal/prefetch) because the memory modules
 // and the fault layer must recognize prefetch traffic: PFU reads are

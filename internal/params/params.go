@@ -152,13 +152,15 @@ func Scaled(clusters int) Machine {
 // Cedar16 is the 16-cluster scale-up preset: 128 CEs behind a 512-port
 // three-stage omega (the fabric widens with cluster count: one more
 // rank of 8×8 crossbars than the as-built two-stage network) and 128
-// interleaved memory modules.
+// interleaved memory modules. Only tests name it; it stays as a public
+// preset, the name the docs give Scaled(16).
 func Cedar16() Machine { return Scaled(16) }
 
 // Cedar64 is the 64-cluster scale-up preset: 512 CEs, a 512-port
 // three-stage omega running at full port occupancy, and 512 memory
 // modules — the largest configuration whose network the 8×8 switch
-// family reaches in three stages.
+// family reaches in three stages. Only tests name it; it stays as a
+// public preset, the name the docs give Scaled(64).
 func Cedar64() Machine { return Scaled(64) }
 
 // CEs returns the total number of computational elements.

@@ -61,7 +61,10 @@ const HistogramBins = 1 << 16
 
 // Histogram is a 64K-counter histogrammer. Out-of-range bins clamp to the
 // last counter (an overflow bucket), and counters saturate at 2³²-1 like
-// the 32-bit hardware counters.
+// the 32-bit hardware counters. Only tests read one back (Count, Mean,
+// Percentile) today; the reading side stays for the end-of-run audit's
+// latency and interarrival bounds and cedarserve's per-tier latency, both
+// planned in ROADMAP.md.
 type Histogram struct {
 	// bins holds the counters up to the highest bin touched so far; the
 	// rest of the size hardware counters are zero and not stored.
@@ -229,7 +232,9 @@ func (b *BlockStats) MeanLatency() float64 {
 	return float64(b.latSum) / float64(b.blocks)
 }
 
-// MinLatency returns the smallest observed first-word latency.
+// MinLatency returns the smallest observed first-word latency. Only
+// tests call it, and the accessors below; they stay for the reason
+// Histogram gives.
 func (b *BlockStats) MinLatency() int64 {
 	if b.blocks == 0 {
 		return 0

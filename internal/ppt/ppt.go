@@ -85,8 +85,9 @@ func BandOfEfficiency(eff float64, p int) Band {
 // Instability computes In(K, e) for an ensemble of K performance values:
 // the max/min ratio after excluding the e most extreme outliers, choosing
 // exclusions (from either end) to minimize the ratio — i.e. the best
-// contiguous window of K−e values in sorted order. Stability is its
-// inverse. It returns +Inf when a window contains a non-positive value.
+// contiguous window of K−e values in sorted order. The paper's stability
+// St(K, e) is its inverse. It returns +Inf when a window contains a
+// non-positive value.
 func Instability(perf []float64, e int) float64 {
 	k := len(perf)
 	if k == 0 || e < 0 || e >= k {
@@ -107,15 +108,6 @@ func Instability(perf []float64, e int) float64 {
 		}
 	}
 	return best
-}
-
-// Stability returns St(K, e) = 1 / In(K, e).
-func Stability(perf []float64, e int) float64 {
-	in := Instability(perf, e)
-	if math.IsInf(in, 1) {
-		return 0
-	}
-	return 1 / in
 }
 
 // StableWorkstationLevel is the paper's threshold: a system is stable if
@@ -168,7 +160,10 @@ func BandCounts(effs []float64, p int) (high, intermediate, unacceptable int) {
 // ScalabilityCriterion reports PPT4's acceptability over a sweep of
 // (processor count, efficiency) points: every point must be High or
 // Intermediate and the performance stability across the sweep must be
-// within the factor-2 range (0.5 ≤ St ≤ 1 with e = 0).
+// within the factor-2 range (0.5 ≤ St ≤ 1 with e = 0). Only tests call
+// it today; it stays as §4.3's verdict, which the ppt4 table is to state
+// per (machine, N) point (ROADMAP, "PPT4 judged by the paper's own
+// criterion").
 func ScalabilityCriterion(perf []float64, effs []float64, ps []int) bool {
 	if len(effs) != len(ps) {
 		return false
@@ -179,16 +174,4 @@ func ScalabilityCriterion(perf []float64, effs []float64, ps []int) bool {
 		}
 	}
 	return Instability(perf, 0) <= 2
-}
-
-// EquivalentYears converts a speedup into years of historical
-// supercomputing progress at the paper's 10×/7-years rate: the FPPP's
-// motivation that "a 1000 processor machine would provide about 15
-// equivalent years of electronics-advancement speed improvement" when it
-// runs in the acceptable-to-high band.
-func EquivalentYears(speedup float64) float64 {
-	if speedup <= 0 {
-		return 0
-	}
-	return 7 * math.Log10(speedup)
 }

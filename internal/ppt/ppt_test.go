@@ -91,16 +91,6 @@ func TestInstabilityDegenerate(t *testing.T) {
 	}
 }
 
-func TestStabilityInverse(t *testing.T) {
-	perf := []float64{2, 4}
-	if s := Stability(perf, 0); s != 0.5 {
-		t.Errorf("St = %v, want 0.5", s)
-	}
-	if s := Stability([]float64{0}, 0); s != 0 {
-		t.Errorf("St of zero perf = %v, want 0", s)
-	}
-}
-
 func TestExceptionsForStability(t *testing.T) {
 	// Workstation-stable already.
 	if e := ExceptionsForStability([]float64{1, 2, 3}); e != 0 {
@@ -190,21 +180,5 @@ func TestScalabilityCriterion(t *testing.T) {
 	}
 	if ScalabilityCriterion([]float64{1}, []float64{0.7, 0.6}, []int{8}) {
 		t.Error("mismatched lengths should fail")
-	}
-}
-
-func TestEquivalentYears(t *testing.T) {
-	if EquivalentYears(10) != 7 {
-		t.Errorf("10× = %v years, want 7", EquivalentYears(10))
-	}
-	if EquivalentYears(0) != 0 || EquivalentYears(-3) != 0 {
-		t.Error("non-positive speedups should be 0")
-	}
-	// The paper's 1000-processor remark: speedups between the acceptable
-	// and high levels (P/2logP = 50, P/2 = 500) land around 15 years.
-	lo := EquivalentYears(AcceptableThreshold(1000))
-	hi := EquivalentYears(HighThreshold(1000))
-	if lo > 15 || hi < 15 {
-		t.Errorf("1000-processor band [%.1f, %.1f] years should straddle ≈15", lo, hi)
 	}
 }

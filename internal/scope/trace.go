@@ -72,7 +72,9 @@ func (h *Hub) SetTraceCap(n int) {
 	h.st.spanCap = n
 }
 
-// Spans returns the captured trace in posting order.
+// Spans returns the captured trace in posting order. Only tests call it:
+// it is the one way TestForkAdoptMatchesSequential and network's
+// TestOccupancyArbiterMatchesScan compare two traces span by span.
 func (h *Hub) Spans() []Span {
 	if h == nil {
 		return nil
@@ -81,6 +83,8 @@ func (h *Hub) Spans() []Span {
 }
 
 // TraceDropped returns the number of events lost to the buffer bound.
+// Only tests call it: it is the one way TestTraceCapAndDropAccounting and
+// TestForkAdoptDropAccounting read the count without parsing a trace.
 func (h *Hub) TraceDropped() int64 {
 	if h == nil {
 		return 0

@@ -266,7 +266,11 @@ func (e *Engine) pollAll() {
 // Cycle returns the number of cycles executed so far.
 func (e *Engine) Cycle() int64 { return e.cycle }
 
-// Components returns the number of registered components.
+// Components returns the number of registered components. Only tests
+// call it: with AwakeComponents it is the one way a gate tells a stepped
+// machine (every component always awake) from an event-wheel one —
+// core's TestSteppedMachineMatchesEventMachine and tables'
+// TestFaultedEnvReachesEveryExperiment.
 func (e *Engine) Components() int { return len(e.components) }
 
 // FastForwarded returns the number of cycles the engine jumped over
@@ -278,7 +282,8 @@ func (e *Engine) FastForwarded() int64 { return e.skipped }
 // before the current cycle — the ones that would tick now, i.e. the set
 // keeping the clock from jumping. Plain (non-Sleeper) components are
 // always awake. Diagnostic: it re-queries every Sleeper, so call it
-// between runs, not per cycle.
+// between runs, not per cycle. Only tests call it, for the reason
+// Components gives.
 func (e *Engine) AwakeComponents() []string {
 	var names []string
 	for i, c := range e.components {

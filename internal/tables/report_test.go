@@ -2,6 +2,7 @@ package tables
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"strings"
@@ -50,12 +51,14 @@ func writeReport(env Env, s Sizes, names ...string) reportPass {
 }
 
 // The report gates read these passes, each built the first time a gate
-// asks for it: P1, the whole evaluation at the smallest sizes every claim
-// holds at — n = 96, Table 2's reduced slices, all 13 codes; P2, the
-// kernel-level report at n = 32 twice, each under its own hub.
+// asks for it: P1, the whole evaluation plus degraded at the smallest
+// sizes every claim holds at — n = 96, Table 2's reduced slices, all 13
+// codes — which is every catalogue entry, so the model manifest hashes
+// it; P2, the kernel-level report at n = 32 twice, each under its own hub.
 var (
+	modelSizes     = Sizes{RankN: 96, Codes: perfect.All()}
 	evaluationPass = sync.OnceValue(func() reportPass {
-		return writeReport(Env{}, Sizes{RankN: 96, Codes: perfect.All()}, Evaluation...)
+		return writeReport(Env{}, modelSizes, append(Evaluation[:len(Evaluation):len(Evaluation)], "degraded")...)
 	})
 	kernelPasses = sync.OnceValue(func() [2]reportPass {
 		var passes [2]reportPass
@@ -104,6 +107,101 @@ func TestEvaluationHoldsThePapersClaims(t *testing.T) {
 			t.Errorf("report missing %q", want)
 		}
 	}
+}
+
+// manifest is the model as one value: a "<sha256>  <name>" line per
+// catalogue entry in Names order, hashing the entry's section of the
+// pass's report, then the Progress line (scope, exact cycles, MFLOPS) of
+// each point the entry lists at s, in list order. The pass must have run
+// every entry.
+func (p reportPass) manifest(s Sizes) (string, error) {
+	sections := map[string]string{}
+	for _, sec := range strings.Split(p.report, "\n## ")[1:] {
+		title, _, _ := strings.Cut(sec, "\n")
+		sections[title] = "## " + sec
+	}
+	lines := map[string]string{}
+	for _, line := range strings.Split(p.progress, "\n") {
+		if !strings.HasPrefix(line, "  ") {
+			continue
+		}
+		scope := strings.Fields(line)[0]
+		if _, dup := lines[scope]; dup {
+			return "", fmt.Errorf("scope %s simulated twice", scope)
+		}
+		lines[scope] = line + "\n"
+	}
+	exps, _ := Experiments(Names()...)
+	var out strings.Builder
+	for _, e := range exps {
+		sec, ok := sections[e.Title(s)]
+		if !ok {
+			return "", fmt.Errorf("%s: no %q section", e.Name, e.Title(s))
+		}
+		h := sha256.New()
+		h.Write([]byte(sec))
+		for _, pt := range e.points(Env{}, s.resolved()) {
+			line, ok := lines[pt.scope]
+			if !ok {
+				return "", fmt.Errorf("%s: point %s wrote no Progress line", e.Name, pt.scope)
+			}
+			h.Write([]byte(line))
+		}
+		fmt.Fprintf(&out, "%x  %s\n", h.Sum(nil), e.Name)
+	}
+	return out.String(), nil
+}
+
+// TestModelManifest is the cross-commit pin on the whole model: P1's
+// manifest must equal testdata/model.sha256, so one cycle moved in any
+// catalogue point fails tier-1 and names its entries. On a mismatch it
+// prints the replacement file; copy it over the committed one only for a
+// deliberate model change (DESIGN.md, "The model as one committed value").
+func TestModelManifest(t *testing.T) {
+	reportGate(t)
+	p := evaluationPass()
+	if p.err != nil {
+		t.Fatal(p.err)
+	}
+	got, err := p.manifest(modelSizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/model.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	byName := func(file string) map[string]string {
+		lines := map[string]string{}
+		for _, line := range strings.Split(file, "\n") {
+			if _, name, ok := strings.Cut(line, "  "); ok {
+				lines[name] = line
+			}
+		}
+		return lines
+	}
+	gotBy, wantBy := byName(got), byName(string(want))
+	var moved []string
+	for _, name := range Names() {
+		switch w, ok := wantBy[name]; {
+		case !ok:
+			moved = append(moved, name+" (missing)")
+		case w != gotBy[name]:
+			moved = append(moved, name)
+		}
+	}
+	for _, line := range strings.Split(string(want), "\n") {
+		if _, name, ok := strings.Cut(line, "  "); ok && gotBy[name] == "" {
+			moved = append(moved, name+" (extra)")
+		}
+	}
+	if len(moved) == 0 {
+		moved = append(moved, "no entry's line, but the file's order or layout")
+	}
+	t.Errorf("the model moved: %s. For a deliberate model change, testdata/model.sha256 becomes:\n%s", strings.Join(moved, ", "), got)
 }
 
 // TestWriteReportGolden is the cross-commit half of the byte-identity

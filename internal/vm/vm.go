@@ -1,6 +1,5 @@
-// Package vm models Cedar's virtual memory: 4 KB pages over a physical
-// address space split between cluster and global memory, with per-cluster
-// translation state.
+// Package vm models the cost of Cedar's virtual memory: 4 KB pages whose
+// translations each cluster faults in on first touch.
 //
 // The behaviour that matters to the paper is the TRFD study [MaEG92]: a
 // multicluster program takes TLB-miss faults when each additional cluster
@@ -12,62 +11,6 @@
 package vm
 
 import "cedar/internal/params"
-
-// Space identifies which half of the physical address space a page
-// belongs to: cluster memory in the lower half, global in the upper.
-type Space uint8
-
-// Address spaces.
-const (
-	SpaceCluster Space = iota
-	SpaceGlobal
-)
-
-// PageTable tracks, per cluster, which global pages the cluster has a
-// valid translation for. It is deliberately simple: the paper's fault
-// behaviour is about first-touch per cluster, not replacement.
-type PageTable struct {
-	p        params.Machine
-	clusters []map[uint64]bool
-	stats    Stats
-}
-
-// Stats counts translation activity.
-type Stats struct {
-	Hits   int64
-	Faults int64
-}
-
-// New builds translation state for a machine.
-func New(p params.Machine) *PageTable {
-	pt := &PageTable{p: p, clusters: make([]map[uint64]bool, p.Clusters)}
-	for i := range pt.clusters {
-		pt.clusters[i] = make(map[uint64]bool)
-	}
-	return pt
-}
-
-// PageOf returns the page number of a word address.
-func (pt *PageTable) PageOf(addr uint64) uint64 {
-	return addr / uint64(pt.p.PageWords)
-}
-
-// Touch records an access by a cluster to the page holding addr and
-// reports the cycles of translation overhead it costs: zero for a hit,
-// TLBMissCost for the cluster's first touch.
-func (pt *PageTable) Touch(cluster int, addr uint64) int64 {
-	page := pt.PageOf(addr)
-	if pt.clusters[cluster][page] {
-		pt.stats.Hits++
-		return 0
-	}
-	pt.clusters[cluster][page] = true
-	pt.stats.Faults++
-	return int64(pt.p.TLBMissCost)
-}
-
-// Stats returns cumulative counters.
-func (pt *PageTable) Stats() Stats { return pt.stats }
 
 // FirstTouchFaults predicts the fault count for a footprint of the given
 // words shared by n clusters: every cluster first-touches every page

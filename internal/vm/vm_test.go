@@ -2,42 +2,9 @@ package vm
 
 import (
 	"testing"
-	"testing/quick"
 
 	"cedar/internal/params"
 )
-
-func TestTouchFirstTouchFaults(t *testing.T) {
-	p := params.Default()
-	pt := New(p)
-	// First touch by cluster 0 faults; second is a hit.
-	if c := pt.Touch(0, 100); c != int64(p.TLBMissCost) {
-		t.Errorf("first touch cost %d, want %d", c, p.TLBMissCost)
-	}
-	if c := pt.Touch(0, 101); c != 0 {
-		t.Errorf("same-page touch cost %d, want 0", c)
-	}
-	// A different cluster touching the same page faults again — the
-	// TRFD phenomenon.
-	if c := pt.Touch(1, 100); c != int64(p.TLBMissCost) {
-		t.Errorf("other-cluster touch cost %d, want %d", c, p.TLBMissCost)
-	}
-	st := pt.Stats()
-	if st.Faults != 2 || st.Hits != 1 {
-		t.Errorf("stats %+v, want 2 faults 1 hit", st)
-	}
-}
-
-func TestPageOf(t *testing.T) {
-	p := params.Default()
-	pt := New(p)
-	if pt.PageOf(0) != 0 || pt.PageOf(uint64(p.PageWords)-1) != 0 {
-		t.Error("first page wrong")
-	}
-	if pt.PageOf(uint64(p.PageWords)) != 1 {
-		t.Error("second page wrong")
-	}
-}
 
 func TestFirstTouchFaultsScaleWithClusters(t *testing.T) {
 	p := params.Default()
@@ -64,19 +31,5 @@ func TestMulticlusterPenalty(t *testing.T) {
 	s2 := MulticlusterPenaltySeconds(p, words, 2)
 	if s2 >= s4 {
 		t.Error("penalty should grow with clusters")
-	}
-}
-
-func TestTouchIdempotentProperty(t *testing.T) {
-	p := params.Default()
-	pt := New(p)
-	f := func(addr uint64, cluster uint8) bool {
-		cl := int(cluster) % p.Clusters
-		pt.Touch(cl, addr)
-		// Any repeat touch is free.
-		return pt.Touch(cl, addr) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }

@@ -72,8 +72,3 @@ func DefaultTasks() TaskModel {
 		SwitchCycles: int64(params.MicrosToCycles(500)),
 	}
 }
-
-// SpawnSeconds prices creating n cluster tasks.
-func (t TaskModel) SpawnSeconds(n int) float64 {
-	return params.CyclesToSeconds(int64(n) * t.SpawnCycles)
-}

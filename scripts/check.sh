@@ -46,14 +46,17 @@ stage "go test ./..."
 # two passes gate.
 #
 # This unraced pass is the only one that runs the full-report integration
-# tests. The five report gates of internal/tables read four passes of
-# WriteReport: TestEvaluationHoldsThePapersClaims, the one pass that
-# checks every claim of the paper the catalogue carries (n = 96, all 13
-# codes); the kernel report at n = 32 twice, each under its own hub, which
-# TestWriteReportGolden byte-compares above the hub's attribution section
-# against testdata generated at an earlier commit — the cross-commit half
-# of the byte-identity invariant, which the in-process jobs/stepped gates
-# cannot see — TestWriteReportKernelsOnly reads, and
+# tests. The six report gates of internal/tables read four passes of
+# WriteReport: P1, the evaluation plus degraded at n = 96 with all 13
+# codes (175 points), the one pass that checks every claim of the paper
+# the catalogue carries (TestEvaluationHoldsThePapersClaims) and that
+# TestModelManifest hashes into testdata/model.sha256, one line per
+# catalogue entry — the cross-commit pin on every entry's section and
+# every point's exact cycles; the kernel report at n = 32 twice, each
+# under its own hub, which TestWriteReportGolden byte-compares above the
+# hub's attribution section against testdata generated at an earlier
+# commit (the report format at other sizes), TestWriteReportKernelsOnly
+# reads, and
 # TestWriteReportDeterministic compares (both passes simulate every point:
 # nothing memoizes a sweep point between runs); and
 # TestWriteReportMethodologySections' five suite tables on two codes.
