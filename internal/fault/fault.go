@@ -209,25 +209,14 @@ func Load(path string) (*Plan, error) {
 	return &p, nil
 }
 
-// Fingerprint returns a stable content string for cache keying; nil and
-// empty plans fingerprint to "".
-func (p *Plan) Fingerprint() string {
+// Hash returns a short content hash of the plan for run-metadata headers:
+// 16 hex digits of the SHA-256 of the seed and the %#v rendering of the
+// faults. Nil and empty plans hash to "".
+func (p *Plan) Hash() string {
 	if p == nil || len(p.Faults) == 0 {
 		return ""
 	}
-	return fmt.Sprintf("%d:%#v", p.Seed, p.Faults)
-}
-
-// Hash returns a short content hash of the plan — 16 hex digits of the
-// SHA-256 of Fingerprint — for run-metadata headers, where the full
-// fingerprint (a %#v dump of every fault) would be noise. Nil and empty
-// plans hash to "".
-func (p *Plan) Hash() string {
-	fp := p.Fingerprint()
-	if fp == "" {
-		return ""
-	}
-	sum := sha256.Sum256([]byte(fp))
+	sum := sha256.Sum256(fmt.Appendf(nil, "%d:%#v", p.Seed, p.Faults))
 	return hex.EncodeToString(sum[:8])
 }
 

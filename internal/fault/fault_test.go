@@ -240,21 +240,24 @@ func TestJamDelayWindowed(t *testing.T) {
 	}
 }
 
-func TestFingerprint(t *testing.T) {
+// TestHash: nil and fault-free plans hash to "", the demo plan to the
+// value every committed BENCH header and -json meta header carries, and
+// the seed is part of the hash.
+func TestHash(t *testing.T) {
 	var nilPlan *Plan
-	if fp := nilPlan.Fingerprint(); fp != "" {
-		t.Fatalf("nil fingerprint %q", fp)
+	if h := nilPlan.Hash(); h != "" {
+		t.Fatalf("nil hash %q", h)
 	}
-	if fp := (&Plan{Seed: 3}).Fingerprint(); fp != "" {
-		t.Fatalf("empty fingerprint %q", fp)
+	if h := (&Plan{Seed: 3}).Hash(); h != "" {
+		t.Fatalf("empty hash %q", h)
 	}
-	a := DemoPlan().Fingerprint()
-	if a == "" || a != DemoPlan().Fingerprint() {
-		t.Fatal("demo fingerprint unstable")
+	a := DemoPlan().Hash()
+	if a != "fe7e7461041ec078" {
+		t.Fatalf("demo hash %q, want fe7e7461041ec078 (bench/BENCH_smoke.json's header)", a)
 	}
 	other := DemoPlan()
 	other.Seed++
-	if other.Fingerprint() == a {
-		t.Fatal("different seeds share a fingerprint")
+	if other.Hash() == a {
+		t.Fatal("different seeds share a hash")
 	}
 }

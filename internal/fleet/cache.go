@@ -121,8 +121,8 @@ func NewCache() *Cache {
 // (fault.ErrDegraded with partial results): the entry is pinned to its
 // key, and a later healthy run of the same inputs can never be served it
 // as long as the key names the plan — which is the caller's job: the
-// plan fingerprint is an explicit Key part wherever a plan can apply,
-// so the healthy run presents a different key. The only uncached
+// plan is part of whatever the key is built from wherever a plan can
+// apply, so the healthy run presents a different key. The only uncached
 // outcome is a panic: the entry is poisoned with an error for any
 // coalesced waiters (so they fail instead of hanging), dropped from the
 // map (so the key stays retryable), and the panic unwinds through to the
@@ -203,6 +203,8 @@ func (c *Cache) Len() int {
 // label keeps experiments with coincidentally equal inputs (and different
 // result types) apart. Nothing ambient is mixed in: an input the parts do
 // not name — a fault plan, say — is an input the key does not cover.
+// Its one caller left is cmd/cedarperf, whose debts (ROADMAP, "Debts
+// behind the frozen seam") include deleting it.
 func Key(kind string, parts ...any) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s", kind)

@@ -12,11 +12,11 @@
 // Adopt), which keeps -trace and -metrics output stable under any worker
 // count.
 //
-// A caller that owns a content-addressed run cache (NewCache, keyed via
-// Key over everything that determines the result) passes it in
-// Config.Cache: repeated keys then simulate once for the life of that
+// A caller that owns a content-addressed run cache (NewCache, keyed by a
+// content address over everything that determines the result) passes it
+// in Config.Cache: repeated keys then simulate once for the life of that
 // cache — the daemon's response cache over its durable store is the one
-// in this module. There is no process-wide cache: without
+// in this module, keyed by the sha256 of the served point's JSON. There is no process-wide cache: without
 // one in the Config every job runs (EXPERIMENTS.md, "The process-wide run
 // cache — measured traffic"). Caching applies only to unobserved jobs: a
 // cache hit skips the simulation, so it cannot replay instrumentation,
@@ -42,9 +42,9 @@ import (
 // self-contained computation) producing a T.
 type Job[T any] struct {
 	// Key, when non-empty, memoizes the job in Config.Cache. It must be
-	// content-addressed over every input that affects the result (build it
-	// with Key). Jobs observed by a hub, and runs without a cache, ignore
-	// it.
+	// content-addressed over every input that affects the result (serve's
+	// is the sha256 of the point's JSON). Jobs observed by a hub, and runs
+	// without a cache, ignore it.
 	Key string
 	// Run executes the point. hub is the job's private scope view (nil
 	// when the caller runs unobserved); the job must build all mutable

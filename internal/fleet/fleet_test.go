@@ -449,12 +449,12 @@ func TestErrorsCachedForever(t *testing.T) {
 // under a fault plan must never be served to a healthy run of the same
 // inputs. Key mixes nothing ambient in, so the protection is the caller
 // naming the plan as a key part — which is what this pins: same kind and
-// sizes, different plan fingerprint, different entry.
+// sizes, different plan hash, different entry.
 func TestHealthyAfterFaultedNotServedDegraded(t *testing.T) {
 	cache := NewCache()
 	var computes atomic.Int64
 	point := func(plan *fault.Plan) Job[string] {
-		return Job[string]{Key: Key("exp", "rank", 48, plan.Fingerprint()), Run: func(*scope.Hub) (string, error) {
+		return Job[string]{Key: Key("exp", "rank", 48, plan.Hash()), Run: func(*scope.Hub) (string, error) {
 			computes.Add(1)
 			if plan != nil {
 				return "partial", fault.ErrDegraded

@@ -24,13 +24,14 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync/atomic"
 
 	"cedar/internal/bench"
@@ -75,8 +76,9 @@ type Request struct {
 // Response is the response body for a served experiment point.
 type Response struct {
 	Schema int `json:"schema"`
-	// Key is the content-addressed cache key the response is stored
-	// under — equal keys guarantee byte-equal bodies.
+	// Key is the content address the response is cached and stored
+	// under: the sha256 of the JSON of the schema version, the point and
+	// the metric list. Equal keys guarantee byte-equal bodies.
 	Key      string        `json:"key"`
 	Machine  string        `json:"machine,omitempty"`
 	Workload string        `json:"workload,omitempty"`
@@ -273,7 +275,10 @@ func resolveFault(fs *bench.FaultSpec) (*fault.Plan, error) {
 // it came from ("run" for a fresh simulation, "cache" for anything
 // served without one: memory hit, coalesced wait, or durable store).
 func (s *Server) respond(req Request, plan *fault.Plan, metrics []string) ([]byte, string, error) {
-	key := requestKey(req, plan, metrics)
+	key, err := requestKey(req, plan, metrics)
+	if err != nil {
+		return nil, "", err
+	}
 	computed := false
 	job := fleet.Job[[]byte]{
 		Key: key,
@@ -314,19 +319,23 @@ func (s *Server) respond(req Request, plan *fault.Plan, metrics []string) ([]byt
 	return res[0], source, nil
 }
 
-// requestKey builds the content-addressed key a response is cached and
-// stored under: the schema version plus every semantic input, with the
-// fault plan folded in as its fingerprint (plans are pointers, whose
-// %#v rendering is not stable). Machine and workload names participate
-// because they appear in the response body — equal keys must mean
-// byte-equal bodies.
-func requestKey(req Request, plan *fault.Plan, metrics []string) string {
-	fp := ""
-	if plan != nil {
-		fp = plan.Fingerprint()
+// requestKey is the content address a response is cached and stored
+// under: the hex sha256 of the JSON encoding of everything the body
+// depends on — the schema version, the point (both specs and the
+// resolved fault plan) and the metric list. The names are spec fields
+// and appear in the body, so equal keys mean byte-equal bodies. It fails
+// only when a value has no JSON encoding (a fault kind without a name).
+func requestKey(req Request, plan *fault.Plan, metrics []string) (string, error) {
+	b, err := json.Marshal(struct {
+		Schema  int         `json:"schema"`
+		Point   bench.Point `json:"point"`
+		Metrics []string    `json:"metrics"`
+	}{SchemaVersion, bench.Point{Machine: req.Machine, Workload: req.Workload, Plan: plan}, metrics})
+	if err != nil {
+		return "", fmt.Errorf("serve: keying the request: %w", err)
 	}
-	return fleet.Key("serve", SchemaVersion, req.Machine, req.Workload, fp,
-		strings.Join(metrics, ","))
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // handleStats reports the server's counters. Operational data — the

@@ -3,10 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -332,57 +334,154 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// mustKey is requestKey for inputs that always have a JSON encoding.
+func mustKey(t *testing.T, req Request, plan *fault.Plan, metrics []string) string {
+	t.Helper()
+	k, err := requestKey(req, plan, metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
 // TestRequestKeyDistinguishesInputs: the inputs beside the specs — the
 // fault plan and the metric filter — move the cache key, and identical
-// inputs keep it, so distinct experiments can never share bytes.
+// inputs keep it, so distinct experiments can never share bytes. The
+// metric list is keyed as a list: one prefix holding a comma is not the
+// two prefixes either side of it.
 func TestRequestKeyDistinguishesInputs(t *testing.T) {
 	base := Request{
 		Machine:  bench.MachineSpec{Name: "m"},
 		Workload: bench.WorkloadSpec{Name: "w", Kind: "trimat", N: 16},
 	}
 	metrics := bench.DefaultMetrics
-	k0 := requestKey(base, nil, metrics)
-	for what, k := range map[string]string{
-		"fault plan": requestKey(base, fault.DemoPlan(), metrics),
-		"metrics":    requestKey(base, nil, []string{"gmem."}),
+	k0 := mustKey(t, base, nil, metrics)
+	for _, tc := range []struct{ what, a, b string }{
+		{"fault plan", k0, mustKey(t, base, fault.DemoPlan(), metrics)},
+		{"metrics", k0, mustKey(t, base, nil, []string{"gmem."})},
+		{"metric list split at a comma", mustKey(t, base, nil, []string{"gmem.,pfu."}), mustKey(t, base, nil, []string{"gmem.", "pfu."})},
 	} {
-		if k == k0 {
-			t.Errorf("changing %s did not change the key", what)
+		if tc.a == tc.b {
+			t.Errorf("changing the %s did not change the key", tc.what)
 		}
 	}
-	if again := requestKey(base, nil, metrics); again != k0 {
+	if again := mustKey(t, base, nil, metrics); again != k0 {
 		t.Error("identical inputs produced different keys")
 	}
 }
 
-// TestRequestKeyCoversEveryField: the response key is built from the specs
-// themselves, so every field of the machine and the workload spec moves it
-// — the names too, because they appear in the response body. A field added
-// to either spec can never let two different requests share one response.
+// TestRequestKeyCoversEveryField: the response key is built from the point
+// itself, so every field of the machine spec, the workload spec and the
+// resolved fault plan — its seed and every field of every fault of the
+// demo plan — moves it; the names too, because they appear in the response
+// body. A field added to a spec or a plan, or one hidden from the JSON
+// encoding, can never let two different requests share one response.
 func TestRequestKeyCoversEveryField(t *testing.T) {
-	base := Request{
-		Machine:  bench.MachineSpec{Name: "m"},
-		Workload: bench.WorkloadSpec{Name: "w", Kind: "cg", N: 64},
-	}
-	k0 := requestKey(base, nil, bench.DefaultMetrics)
-	for _, spec := range []string{"Machine", "Workload"} {
-		typ := reflect.ValueOf(base).FieldByName(spec).Type()
-		for i := 0; i < typ.NumField(); i++ {
-			req := base
-			switch f := reflect.ValueOf(&req).Elem().FieldByName(spec).Field(i); f.Kind() {
-			case reflect.String:
-				f.SetString(f.String() + "x")
-			case reflect.Int:
-				f.SetInt(f.Int() + 1)
-			case reflect.Bool:
-				f.SetBool(!f.Bool())
-			default:
-				t.Fatalf("%s.%s has kind %s: teach this test to change it", typ.Name(), typ.Field(i).Name, f.Kind())
-			}
-			if requestKey(req, nil, bench.DefaultMetrics) == k0 {
-				t.Errorf("changing %s.%s left the key unchanged", typ.Name(), typ.Field(i).Name)
-			}
+	point := func() bench.Point {
+		return bench.Point{
+			Machine:  bench.MachineSpec{Name: "m"},
+			Workload: bench.WorkloadSpec{Name: "w", Kind: "cg", N: 64},
+			Plan:     fault.DemoPlan(),
 		}
+	}
+	key := func(pt bench.Point) string {
+		return mustKey(t, Request{Machine: pt.Machine, Workload: pt.Workload}, pt.Plan, bench.DefaultMetrics)
+	}
+	k0 := key(point())
+	base := point()
+	names, _ := leaves("Point", reflect.ValueOf(&base).Elem())
+	for i, name := range names {
+		pt := point()
+		_, vals := leaves("Point", reflect.ValueOf(&pt).Elem())
+		if !flip(vals[i]) {
+			t.Fatalf("%s (%s) cannot be changed: teach flip its type, or export it", name, vals[i].Type())
+		}
+		if key(pt) == k0 {
+			t.Errorf("changing %s left the key unchanged", name)
+		}
+	}
+}
+
+// leaves returns the name and value of every scalar field under v,
+// descending into structs, pointers and slices.
+func leaves(name string, v reflect.Value) (names []string, vals []reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		return leaves(name, v.Elem())
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			n, f := leaves(name+"."+v.Type().Field(i).Name, v.Field(i))
+			names, vals = append(names, n...), append(vals, f...)
+		}
+		return names, vals
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			n, f := leaves(fmt.Sprintf("%s[%d]", name, i), v.Index(i))
+			names, vals = append(names, n...), append(vals, f...)
+		}
+		return names, vals
+	}
+	return []string{name}, []reflect.Value{v}
+}
+
+// flip sets v to another value of its type — a fault kind to another
+// known kind — and reports false for a type it does not know or a field
+// it cannot set.
+func flip(v reflect.Value) bool {
+	if !v.CanSet() {
+		return false
+	}
+	if v.Type() == reflect.TypeOf(fault.Kind(0)) {
+		k := fault.BankDead
+		if fault.Kind(v.Uint()) == k {
+			k = fault.StageJam
+		}
+		v.SetUint(uint64(k))
+		return true
+	}
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Float64:
+		v.SetFloat(v.Float() + 1)
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	default:
+		return false
+	}
+	return true
+}
+
+// TestHitBudget: a repeat request answered from the memory tier —
+// decode, validate, key, lookup and write, through Handler — allocates
+// at most what it did when the key became the sha256 of the point's JSON.
+// Every request builds its key, hits included, so the key's cost is on
+// this path.
+func TestHitBudget(t *testing.T) {
+	budget := 42.0
+	if raceEnabled {
+		budget *= 1.15
+	}
+	h := New(Config{Jobs: 1}).Handler()
+	var rec *httptest.ResponseRecorder
+	serve := func() {
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(reqBody)))
+	}
+	serve() // the miss that simulates and fills the cache
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	got := testing.AllocsPerRun(100, serve)
+	if src := rec.Header().Get("X-Cedar-Source"); rec.Code != http.StatusOK || src != "cache" {
+		t.Fatalf("repeat request: code=%d source=%q, want 200 from the cache", rec.Code, src)
+	}
+	if got > budget {
+		t.Errorf("a memory-tier hit allocates %.0f objects, budget %.0f", got, budget)
+	} else {
+		t.Logf("memory-tier hit: %.0f objects", got)
 	}
 }
 

@@ -154,9 +154,8 @@ func (s *Store) blobPath(file string) string {
 	return filepath.Join(s.dir, blobDir, file)
 }
 
-// fileNameFor derives the blob file name from the cache key. Keys carry
-// a "kind:" prefix and hex tail; hashing the whole key gives a uniform,
-// filesystem-safe name regardless of key shape.
+// fileNameFor derives the blob file name from the cache key: its sha256
+// in hex, a uniform, filesystem-safe name whatever the key's shape.
 func fileNameFor(key string) string {
 	sum := sha256.Sum256([]byte(key))
 	return hex.EncodeToString(sum[:])

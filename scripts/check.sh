@@ -91,6 +91,10 @@ stage "go test ./..."
 # the two points that wait the most (TRACK auto without Cedar sync, QCD
 # under KAP) stay within 294 and 223 objects, machine included (under
 # -race, which keeps slices.Grow's temporary, within those + 15%).
+# TestHitBudget (serve) is the same idea for one served request: a repeat
+# answered from the memory tier through Handler, key included, stays
+# within 42 objects (+ 15% under -race, whose sync.Pool drops some of
+# what is put back).
 go test ./...
 
 stage "data-path benchmarks at 1x"
