@@ -6,45 +6,19 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"cedar/internal/scope"
 )
 
-// Cache is a content-addressed, single-flight run cache: the first job to
+// Cache is a content-addressed, single-flight memo: the first job to
 // present a key computes the value while concurrent presenters of the same
 // key wait for it, and later presenters reuse it outright. Simulations are
 // deterministic, so a cached outcome is indistinguishable from a re-run.
-//
-// An optional SecondLevel (SetStore) turns the cache into the first tier
-// of a two-level lookup: in-process map, then durable byte store, then
-// compute. Only []byte values round-trip through the second level.
+// It holds values in memory for its own life and nothing else: a caller
+// that wants a durable tier (the serving daemon's store) reads and writes
+// it inside its job's Run.
 type Cache struct {
-	mu     sync.Mutex
-	m      map[string]*entry
-	second SecondLevel
-	stats  CacheStats
-}
-
-// SecondLevel is a durable byte store behind the in-process cache —
-// internal/store's Store implements it. On a first presentation of a key
-// the cache consults Get before computing, and writes a freshly computed
-// []byte value through with Put. Values of any other type bypass the
-// second level entirely (the store is byte-addressed; cedarserve's
-// response bodies are the intended tenants). Both slices are the cached
-// value itself, which every presenter of the key receives: Put must not
-// modify its argument, and Get must not reuse what it returned.
-type SecondLevel interface {
-	Get(key string) ([]byte, bool)
-	Put(key string, blob []byte)
-}
-
-// SetStore attaches (or, with nil, detaches) the cache's second level.
-// Attach before the first lookup: entries already cached in memory are
-// not written back.
-func (c *Cache) SetStore(s SecondLevel) {
-	c.mu.Lock()
-	c.second = s
-	c.mu.Unlock()
+	mu    sync.Mutex
+	m     map[string]*entry
+	stats CacheStats
 }
 
 // errComputePanicked poisons a single-flight entry whose computation
@@ -74,10 +48,6 @@ type CacheStats struct {
 	Misses    int64 // first presentations, each computed exactly once
 	Hits      int64 // served from a finished entry
 	Coalesced int64 // waited on an in-flight computation of the same key
-	// DiskHits counts the subset of Misses answered by the second-level
-	// store without computing (Misses - DiskHits presentations actually
-	// ran the job). Always zero when no store is attached.
-	DiskHits int64
 }
 
 // Served returns the lookups answered without a fresh computation.
@@ -90,19 +60,6 @@ func (c *Cache) Stats() CacheStats {
 	return c.stats
 }
 
-// Publish registers the cache's counters and entry count on h under the
-// fleet.cache.* namespace. Note the Hits/Coalesced caveat on CacheStats:
-// runs that must be byte-identical across -jobs values should only rely
-// on lookups, misses and the derived served count.
-func (c *Cache) Publish(h *scope.Hub) {
-	h.Counter("fleet.cache.lookups", func() int64 { return c.Stats().Lookups })
-	h.Counter("fleet.cache.misses", func() int64 { return c.Stats().Misses })
-	h.Counter("fleet.cache.hits", func() int64 { return c.Stats().Hits })
-	h.Counter("fleet.cache.coalesced", func() int64 { return c.Stats().Coalesced })
-	h.Counter("fleet.cache.diskhits", func() int64 { return c.Stats().DiskHits })
-	h.Gauge("fleet.cache.entries", func() int64 { return int64(c.Len()) })
-}
-
 // NewCache returns an empty cache.
 func NewCache() *Cache {
 	return &Cache{m: map[string]*entry{}}
@@ -110,9 +67,7 @@ func NewCache() *Cache {
 
 // do returns the cached value for key, computing it via compute on first
 // presentation. Concurrent callers of the same key block until the first
-// computation finishes (single flight). When a second level is attached,
-// a first presentation consults it before computing, and a computed
-// []byte value is written through.
+// computation finishes (single flight).
 //
 // Error-caching contract: errors are cached exactly like values, for the
 // life of the entry. The simulator is deterministic, so a failing
@@ -143,20 +98,7 @@ func (c *Cache) do(key string, compute func() (any, error)) (any, error) {
 	c.stats.Misses++
 	e := &entry{done: make(chan struct{})}
 	c.m[key] = e
-	second := c.second
 	c.mu.Unlock()
-
-	if second != nil {
-		if blob, ok := second.Get(key); ok {
-			e.val = blob
-			c.mu.Lock()
-			c.stats.DiskHits++
-			e.complete = true
-			c.mu.Unlock()
-			close(e.done)
-			return e.val, nil
-		}
-	}
 
 	finished := false
 	defer func() {
@@ -175,11 +117,6 @@ func (c *Cache) do(key string, compute func() (any, error)) (any, error) {
 	}()
 	e.val, e.err = compute()
 	finished = true
-	if e.err == nil && second != nil {
-		if blob, ok := e.val.([]byte); ok {
-			second.Put(key, blob)
-		}
-	}
 	c.mu.Lock()
 	e.complete = true
 	c.mu.Unlock()

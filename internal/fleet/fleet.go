@@ -15,12 +15,14 @@
 // A caller that owns a content-addressed run cache (NewCache, keyed by a
 // content address over everything that determines the result) passes it
 // in Config.Cache: repeated keys then simulate once for the life of that
-// cache — the daemon's response cache over its durable store is the one
-// in this module, keyed by the sha256 of the served point's JSON. There is no process-wide cache: without
-// one in the Config every job runs (EXPERIMENTS.md, "The process-wide run
-// cache — measured traffic"). Caching applies only to unobserved jobs: a
-// cache hit skips the simulation, so it cannot replay instrumentation,
-// and jobs running under a hub therefore always execute.
+// cache. The cache is a pure in-memory single-flight memo; the daemon's
+// response cache, keyed by the sha256 of the served point's JSON, is the
+// one in this module, and the daemon reads and writes its own disk tier
+// inside the job it hands the cache. There is no process-wide cache:
+// without one in the Config every job runs (EXPERIMENTS.md, "The
+// process-wide run cache — measured traffic"). Caching applies only to
+// unobserved jobs: a cache hit skips the simulation, so it cannot replay
+// instrumentation, and jobs running under a hub therefore always execute.
 //
 // A cache hands out the value it holds, not a copy: every presenter of a
 // key — the one that computed it included — receives the same T, backing

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -298,37 +297,6 @@ func TestCacheStatsDeterministicAtAnyWorkerCount(t *testing.T) {
 	}
 }
 
-// TestCachePublish: fleet.cache.* metrics land on the hub and read the
-// live counters.
-func TestCachePublish(t *testing.T) {
-	cache := NewCache()
-	hub := scope.NewHub()
-	cache.Publish(hub)
-	if _, err := Run(Config{Jobs: 1, Cache: cache}, []Job[int]{
-		{Key: "a", Run: func(*scope.Hub) (int, error) { return 1, nil }},
-		{Key: "a", Run: func(*scope.Hub) (int, error) { return 1, nil }},
-		{Key: "b", Run: func(*scope.Hub) (int, error) { return 2, nil }},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]int64{}
-	for _, s := range hub.Snapshot() {
-		got[s.Name] = s.Value
-	}
-	want := map[string]int64{
-		"fleet.cache.lookups":   3,
-		"fleet.cache.misses":    2,
-		"fleet.cache.hits":      1,
-		"fleet.cache.coalesced": 0,
-		"fleet.cache.entries":   2,
-	}
-	for name, v := range want {
-		if got[name] != v {
-			t.Errorf("%s = %d, want %d (snapshot: %v)", name, got[name], v, got)
-		}
-	}
-}
-
 // TestWorkerPanicRethrownOnCaller is the pool-crash regression: a
 // panicking Job.Run must not kill the process from a worker goroutine.
 // The panic is captured in the pool and rethrown on Run's caller — where
@@ -482,89 +450,5 @@ func TestHealthyAfterFaultedNotServedDegraded(t *testing.T) {
 	}
 	if n := computes.Load(); n != 2 {
 		t.Fatalf("computes = %d, want 2 (degraded entry reused under its own key)", n)
-	}
-}
-
-// fakeStore is an in-memory SecondLevel for two-level lookup tests.
-type fakeStore struct {
-	mu   sync.Mutex
-	m    map[string][]byte
-	puts int
-	gets int
-}
-
-func newFakeStore() *fakeStore { return &fakeStore{m: map[string][]byte{}} }
-
-func (f *fakeStore) Get(key string) ([]byte, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.gets++
-	b, ok := f.m[key]
-	return b, ok
-}
-
-func (f *fakeStore) Put(key string, blob []byte) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.puts++
-	f.m[key] = append([]byte(nil), blob...)
-}
-
-// TestSecondLevelStore: the two-level lookup contract. A computed []byte
-// value is written through to the store; a fresh cache (a "restarted
-// process") sharing the store answers the same key from disk without
-// computing, and counts it as a DiskHit.
-func TestSecondLevelStore(t *testing.T) {
-	disk := newFakeStore()
-	var computes atomic.Int64
-	job := Job[[]byte]{Key: "blob-point", Run: func(*scope.Hub) ([]byte, error) {
-		computes.Add(1)
-		return []byte(`{"simcycles":12345}`), nil
-	}}
-
-	warm := NewCache()
-	warm.SetStore(disk)
-	first, err := Run(Config{Jobs: 1, Cache: warm}, []Job[[]byte]{job})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if disk.puts != 1 {
-		t.Fatalf("store saw %d puts, want 1 (write-through on compute)", disk.puts)
-	}
-
-	cold := NewCache() // fresh process: empty memory, same disk
-	cold.SetStore(disk)
-	second, err := Run(Config{Jobs: 1, Cache: cold}, []Job[[]byte]{job})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := computes.Load(); n != 1 {
-		t.Fatalf("computes = %d, want 1 (cold cache must answer from the store)", n)
-	}
-	if !bytes.Equal(first[0], second[0]) {
-		t.Fatalf("disk-served value differs from computed:\n%s\n%s", first[0], second[0])
-	}
-	st := cold.Stats()
-	if st.Misses != 1 || st.DiskHits != 1 {
-		t.Fatalf("cold stats %+v, want 1 miss answered by 1 disk hit", st)
-	}
-}
-
-// TestSecondLevelBypassedForNonBytes: values that are not []byte never
-// reach the store — it is byte-addressed.
-func TestSecondLevelBypassedForNonBytes(t *testing.T) {
-	disk := newFakeStore()
-	cache := NewCache()
-	cache.SetStore(disk)
-	if _, err := Run(Config{Jobs: 1, Cache: cache}, []Job[int]{
-		{Key: "int-point", Run: func(*scope.Hub) (int, error) { return 7, nil }},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if disk.puts != 0 {
-		t.Fatalf("store saw %d puts for a non-byte value, want 0", disk.puts)
-	}
-	if st := cache.Stats(); st.DiskHits != 0 {
-		t.Fatalf("DiskHits = %d, want 0", st.DiskHits)
 	}
 }

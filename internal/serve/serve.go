@@ -9,18 +9,22 @@
 //     once, cached as bytes, and every later identical request is served
 //     those exact bytes. A cached response is byte-identical to a fresh
 //     simulation — the same invariant the -jobs equality gates pin,
-//     extended across process restarts when a durable store backs the
-//     cache.
+//     extended across process restarts when Config.Store gives the
+//     daemon a durable tier.
 //   - Single flight. In-flight identical requests coalesce on the fleet
-//     run cache: the first computes, the rest wait and share the result.
+//     run cache, an in-memory memo: the first computes, the rest wait and
+//     share the result. The first presenter of a key reads the durable
+//     store before simulating and writes a simulated body to it after, so
+//     lookups go memory, then disk, then simulate.
 //   - Crash isolation. A panicking simulation is captured by the handler
 //     and reported as a 500 error response; it poisons only the waiters
 //     coalesced on the same key (the key stays retryable) and never
 //     takes down the daemon.
 //
 // Admission is a bounded worker pool: at most Config.Jobs simulations run
-// concurrently, enforced by a semaphore acquired inside the compute path —
-// coalesced waiters and cache hits never hold a slot.
+// concurrently, enforced by a semaphore held for the simulation alone —
+// coalesced waiters, cache hits and store reads and writes never hold a
+// slot.
 package serve
 
 import (
@@ -38,6 +42,7 @@ import (
 	"cedar/internal/fault"
 	"cedar/internal/fleet"
 	"cedar/internal/scope"
+	"cedar/internal/store"
 )
 
 // SchemaVersion stamps every response body (and its cache key), so a
@@ -49,13 +54,9 @@ const SchemaVersion = 1
 type Config struct {
 	// Jobs bounds concurrently running simulations; 0 means GOMAXPROCS.
 	Jobs int
-	// Store, when non-nil, backs the in-process response cache with a
-	// durable second level — internal/store's Store is the intended
-	// implementation. Responses survive daemon restarts through it.
-	Store fleet.SecondLevel
-	// Hub, when non-nil, receives the server's serve.* counters and the
-	// response cache's fleet.cache.* counters.
-	Hub *scope.Hub
+	// Store, when non-nil, is the durable tier under the in-process
+	// response cache: responses survive daemon restarts through it.
+	Store *store.Store
 }
 
 // Request is one submitted experiment point. The specs are exactly the
@@ -102,14 +103,28 @@ type Stats struct {
 	Simulations int64 `json:"simulations"`
 	// Panics counts simulation panics converted into 500 responses.
 	Panics int64 `json:"panics"`
+	// WriteErrors counts responses whose body could not be written to
+	// the client, such as one that hung up.
+	WriteErrors int64 `json:"write_errors"`
 	// Cache is the response cache's counter snapshot.
-	Cache fleet.CacheStats `json:"cache"`
+	Cache CacheStats `json:"cache"`
+}
+
+// CacheStats counts the response cache's two tiers: the in-memory memo's
+// counters, and DiskHits, the subset of its Misses the durable store
+// answered without simulating (Misses - DiskHits presentations
+// simulated; always zero without a store). The embedding keeps the JSON
+// object flat.
+type CacheStats struct {
+	fleet.CacheStats
+	DiskHits int64
 }
 
 // Server computes and caches experiment responses. Create with New;
 // serve its Handler.
 type Server struct {
 	cache *fleet.Cache
+	store *store.Store
 	sem   chan struct{}
 
 	requests    atomic.Int64
@@ -117,35 +132,25 @@ type Server struct {
 	simulations atomic.Int64
 	panics      atomic.Int64
 	writeErrors atomic.Int64
+	diskHits    atomic.Int64
 }
 
 // runSpec is the simulation entry point — a package variable only so
 // tests can substitute a panicking or counting implementation.
 var runSpec = bench.RunSpec
 
-// New builds a Server with a fresh response cache, optionally backed by
-// cfg.Store and observed through cfg.Hub.
+// New builds a Server with a fresh response cache over cfg.Store, if
+// any.
 func New(cfg Config) *Server {
 	jobs := cfg.Jobs
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	s := &Server{
+	return &Server{
 		cache: fleet.NewCache(),
+		store: cfg.Store,
 		sem:   make(chan struct{}, jobs),
 	}
-	if cfg.Store != nil {
-		s.cache.SetStore(cfg.Store)
-	}
-	if cfg.Hub != nil {
-		s.cache.Publish(cfg.Hub)
-		cfg.Hub.Counter("serve.requests", func() int64 { return s.requests.Load() })
-		cfg.Hub.Counter("serve.badrequests", func() int64 { return s.badRequests.Load() })
-		cfg.Hub.Counter("serve.simulations", func() int64 { return s.simulations.Load() })
-		cfg.Hub.Counter("serve.panics", func() int64 { return s.panics.Load() })
-		cfg.Hub.Counter("serve.writeerrors", func() int64 { return s.writeErrors.Load() })
-	}
-	return s
 }
 
 // Stats returns a snapshot of the server's counters.
@@ -155,7 +160,8 @@ func (s *Server) Stats() Stats {
 		BadRequests: s.badRequests.Load(),
 		Simulations: s.simulations.Load(),
 		Panics:      s.panics.Load(),
-		Cache:       s.cache.Stats(),
+		WriteErrors: s.writeErrors.Load(),
+		Cache:       CacheStats{CacheStats: s.cache.Stats(), DiskHits: s.diskHits.Load()},
 	}
 }
 
@@ -282,28 +288,21 @@ func (s *Server) respond(req Request, plan *fault.Plan, metrics []string) ([]byt
 	computed := false
 	job := fleet.Job[[]byte]{
 		Key: key,
+		// The first presenter of the key: the disk tier, then a
+		// simulation whose body the disk tier keeps.
 		Run: func(*scope.Hub) ([]byte, error) {
-			// Admission: bound concurrent simulations, not concurrent
-			// requests — only the computing presenter holds a slot.
-			s.sem <- struct{}{}
-			defer func() { <-s.sem }()
+			if s.store != nil {
+				if body, ok := s.store.Get(key); ok {
+					s.diskHits.Add(1)
+					return body, nil
+				}
+			}
 			computed = true
-			s.simulations.Add(1)
-			out, err := runSpec(req.Machine, req.Workload, plan, metrics)
-			if err != nil {
-				return nil, err
+			body, err := s.simulate(key, req, plan, metrics)
+			if err == nil && s.store != nil {
+				s.store.Put(key, body)
 			}
-			body, err := json.Marshal(Response{
-				Schema:   SchemaVersion,
-				Key:      key,
-				Machine:  req.Machine.Name,
-				Workload: req.Workload.Name,
-				Outcome:  out,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return append(body, '\n'), nil
+			return body, err
 		},
 	}
 	// res[0] is the cached slice itself, shared with every other request
@@ -317,6 +316,30 @@ func (s *Server) respond(req Request, plan *fault.Plan, metrics []string) ([]byt
 		source = "run"
 	}
 	return res[0], source, nil
+}
+
+// simulate runs a submission and encodes its response body. Admission:
+// it holds a slot for the simulation alone, bounding concurrent
+// simulations, not concurrent requests.
+func (s *Server) simulate(key string, req Request, plan *fault.Plan, metrics []string) ([]byte, error) {
+	s.sem <- struct{}{}
+	defer func() { <-s.sem }()
+	s.simulations.Add(1)
+	out, err := runSpec(req.Machine, req.Workload, plan, metrics)
+	if err != nil {
+		return nil, err
+	}
+	body, err := json.Marshal(Response{
+		Schema:   SchemaVersion,
+		Key:      key,
+		Machine:  req.Machine.Name,
+		Workload: req.Workload.Name,
+		Outcome:  out,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return append(body, '\n'), nil
 }
 
 // requestKey is the content address a response is cached and stored

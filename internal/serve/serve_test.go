@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -117,8 +118,8 @@ func TestCacheHitByteEquality(t *testing.T) {
 	if sims := s2.Stats().Simulations; sims != 0 {
 		t.Fatalf("restarted server simulated %d times, want 0", sims)
 	}
-	if hits := s2.Stats().Cache.DiskHits; hits != 1 {
-		t.Fatalf("restarted server disk hits = %d, want 1", hits)
+	if c := s2.Stats().Cache; c.Misses != 1 || c.DiskHits != 1 {
+		t.Fatalf("restarted server cache %+v, want 1 miss answered by 1 disk hit", c)
 	}
 
 	// And across a true reopen of the store directory.
@@ -180,6 +181,91 @@ func TestCoalescedRequestsShareOneSimulation(t *testing.T) {
 		if !bytes.Equal(bodies[0], bodies[i]) {
 			t.Fatalf("request %d served different bytes", i)
 		}
+	}
+}
+
+// TestDiskHitTakesNoSlot: a key the durable store holds is answered from
+// disk without simulating and without an admission slot — it is served
+// while another key's simulation holds the only one.
+func TestDiskHitTakesNoSlot(t *testing.T) {
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Jobs: 1, Store: st})
+	if code, source, b := postRun(t, ts.URL, altBody); code != http.StatusOK || source != "run" {
+		t.Fatalf("filling the store: code=%d source=%q body=%s", code, source, b)
+	}
+
+	started, release := make(chan struct{}), make(chan struct{})
+	old := runSpec
+	runSpec = func(ms bench.MachineSpec, ws bench.WorkloadSpec, plan *fault.Plan, metrics []string) (bench.Outcome, error) {
+		close(started)
+		<-release
+		return old(ms, ws, plan, metrics)
+	}
+	defer func() { runSpec = old }()
+
+	s, ts := newTestServer(t, Config{Jobs: 1, Store: st})
+	done := make(chan int)
+	go func() {
+		code, _, _ := postRun(t, ts.URL, reqBody)
+		done <- code
+	}()
+	<-started // reqBody's simulation holds the only slot
+	hit := make(chan string, 1)
+	go func() {
+		code, source, _ := postRun(t, ts.URL, altBody)
+		hit <- fmt.Sprintf("%d %s", code, source)
+	}()
+	select {
+	case got := <-hit:
+		if got != "200 cache" {
+			t.Errorf("stored key behind a held slot answered %q, want \"200 cache\"", got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("stored key waited for the held admission slot")
+	}
+	close(release)
+	if code := <-done; code != http.StatusOK {
+		t.Errorf("slot holder: code=%d", code)
+	}
+	if c := s.Stats(); c.Simulations != 1 || c.Cache.DiskHits != 1 {
+		t.Errorf("stats %+v, want 1 simulation and 1 disk hit", c)
+	}
+}
+
+// TestFailedSimulationLeavesNoBlob: a simulation that panics or returns
+// an error writes nothing to the durable store, so a restart cannot serve
+// a failure as a stored response.
+func TestFailedSimulationLeavesNoBlob(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(bench.MachineSpec, bench.WorkloadSpec, *fault.Plan, []string) (bench.Outcome, error)
+	}{
+		{"panic", func(bench.MachineSpec, bench.WorkloadSpec, *fault.Plan, []string) (bench.Outcome, error) {
+			panic("injected simulator bug")
+		}},
+		{"error", func(bench.MachineSpec, bench.WorkloadSpec, *fault.Plan, []string) (bench.Outcome, error) {
+			return bench.Outcome{}, errors.New("injected simulator error")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			old := runSpec
+			runSpec = tc.run
+			defer func() { runSpec = old }()
+			st, err := store.Open(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, ts := newTestServer(t, Config{Jobs: 1, Store: st})
+			if code, _, b := postRun(t, ts.URL, reqBody); code != http.StatusInternalServerError {
+				t.Fatalf("code=%d body=%s, want 500", code, b)
+			}
+			if st.Len() != 0 {
+				t.Errorf("store holds %d blobs after a failed simulation, want 0", st.Len())
+			}
+		})
 	}
 }
 
@@ -303,7 +389,9 @@ func TestStoreEvictionOverAPI(t *testing.T) {
 	}
 }
 
-// TestStatsEndpoint: the operational counters are served as JSON.
+// TestStatsEndpoint: the operational counters are served as JSON, in a
+// fixed shape operators read: the top-level keys in order, and the cache
+// object flat — the memory tier's counters, then DiskHits.
 func TestStatsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Jobs: 1})
 	postRun(t, ts.URL, reqBody)
@@ -312,12 +400,75 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = resp.Body.Close() }()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var stats Stats
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+	var wire struct{ Cache json.RawMessage }
+	if err := json.Unmarshal(raw, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &wire); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Requests != 1 || stats.Simulations != 1 || stats.Cache.Misses != 1 {
 		t.Errorf("stats %+v, want 1 request, 1 simulation, 1 miss", stats)
+	}
+	top, cache := objectKeys(t, raw), objectKeys(t, wire.Cache)
+	if want := []string{"requests", "bad_requests", "simulations", "panics", "write_errors", "cache"}; !reflect.DeepEqual(top, want) {
+		t.Errorf("/v1/stats keys %v, want %v", top, want)
+	}
+	if want := []string{"Lookups", "Misses", "Hits", "Coalesced", "DiskHits"}; !reflect.DeepEqual(cache, want) {
+		t.Errorf("/v1/stats cache keys %v, want %v", cache, want)
+	}
+}
+
+// objectKeys returns the keys of the JSON object raw in wire order.
+func objectKeys(t *testing.T, raw []byte) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object: %s", raw)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
+}
+
+// failingWriter is a ResponseWriter whose body writes fail, as they do
+// once a client has hung up.
+type failingWriter struct{ *httptest.ResponseRecorder }
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("client hung up") }
+
+// TestWriteErrorsCounted: a body the client never receives is counted,
+// on the liveness probe and on a memory-tier hit alike.
+func TestWriteErrorsCounted(t *testing.T) {
+	s := New(Config{Jobs: 1})
+	h := s.Handler()
+	post := func() *http.Request {
+		return httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(reqBody))
+	}
+	h.ServeHTTP(httptest.NewRecorder(), post()) // the miss that fills the cache
+	h.ServeHTTP(failingWriter{httptest.NewRecorder()}, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	hit := failingWriter{httptest.NewRecorder()}
+	h.ServeHTTP(hit, post())
+	if src := hit.Header().Get("X-Cedar-Source"); src != "cache" {
+		t.Fatalf("second request source %q, want a memory-tier hit", src)
+	}
+	if got := s.Stats().WriteErrors; got != 2 {
+		t.Errorf("WriteErrors = %d, want 2", got)
 	}
 }
 

@@ -1,9 +1,9 @@
-// Package store is the durable second level of the run cache: an
-// on-disk, content-addressed, size-bounded blob store keyed by the fleet
-// run-cache keys (sha256 over every input that affects a result). It
-// implements fleet.SecondLevel, so attaching a Store to a fleet.Cache
-// turns the in-process memo into a two-level lookup — memory, then disk,
-// then simulate — and cedarserve's cached responses survive process
+// Package store is cedarserve's durable response tier: an on-disk,
+// content-addressed, size-bounded blob store keyed by the daemon's
+// request keys (sha256 over every input that affects a response). The
+// serving daemon owns it: a first presentation of a key reads Get before
+// simulating and Puts the body it simulated, so the lookup goes memory,
+// then disk, then simulate, and cached responses survive process
 // restarts.
 //
 // Layout under the root directory — the directory is the index, and
@@ -43,8 +43,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"cedar/internal/scope"
 )
 
 const (
@@ -77,7 +75,7 @@ type entry struct {
 }
 
 // Stats counts store activity since Open. Counters are monotonic for the
-// life of the Store so scope can publish them.
+// life of the Store, so two snapshots difference into a phase's counts.
 type Stats struct {
 	Gets      int64 // lookups presented
 	Hits      int64 // answered from a verified blob
@@ -173,7 +171,8 @@ func header(payload []byte) (h [headerLen]byte) {
 // Get returns the blob stored under key, verifying the payload against
 // the checksum in its own header. A failed verification drops the blob
 // and reads as a miss, so callers re-simulate instead of consuming a
-// corrupt result. Implements fleet.SecondLevel.
+// corrupt result. The returned slice is the caller's: the store keeps
+// no reference to it.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -200,8 +199,8 @@ func (s *Store) Get(key string) ([]byte, bool) {
 // the size budget. A blob under an existing key replaces it (the key
 // schema makes different bytes a simulator-version change, not a
 // collision). Errors are counted, not returned — the store is a cache,
-// and a failed write only costs a future re-simulation. Implements
-// fleet.SecondLevel; the blob slice is not retained.
+// and a failed write only costs a future re-simulation. The blob slice
+// is not retained.
 func (s *Store) Put(key string, blob []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -300,18 +299,4 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats
-}
-
-// Publish registers the store's counters and gauges on h under the
-// store.* namespace.
-func (s *Store) Publish(h *scope.Hub) {
-	h.Counter("store.gets", func() int64 { return s.Stats().Gets })
-	h.Counter("store.hits", func() int64 { return s.Stats().Hits })
-	h.Counter("store.misses", func() int64 { return s.Stats().Misses })
-	h.Counter("store.puts", func() int64 { return s.Stats().Puts })
-	h.Counter("store.evictions", func() int64 { return s.Stats().Evictions })
-	h.Counter("store.corrupt", func() int64 { return s.Stats().Corrupt })
-	h.Counter("store.errors", func() int64 { return s.Stats().Errors })
-	h.Gauge("store.entries", func() int64 { return int64(s.Len()) })
-	h.Gauge("store.bytes", func() int64 { return s.Bytes() })
 }

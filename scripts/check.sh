@@ -158,7 +158,12 @@ stage "go test -race ./..."
 # TestPanicBecomes500). The cache hands out the slice it holds, so the
 # first of those also fires concurrent hits at one key and requires the
 # body still to equal the first (fleet: TestCacheHandsOutTheCachedValue
-# is the contract from the cache's side). The store's own half is its
+# is the contract from the cache's side). The daemon owns its disk tier:
+# a stored key is served while another key's simulation holds the only
+# admission slot, a panicking or failing simulation leaves no blob, and a
+# body the client never receives is counted (serve: TestDiskHitTakesNoSlot,
+# TestFailedSimulationLeavesNoBlob, TestWriteErrorsCounted; TestStatsEndpoint
+# pins /v1/stats' key order). The store's own half is its
 # durable round trip and what a crash can leave behind a Put — old blob,
 # new blob or none, never torn bytes, no index to disagree with them
 # (store: TestRoundTripDeterminism, TestCrashAtEveryStep,
