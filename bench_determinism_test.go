@@ -56,7 +56,7 @@ func TestBenchArtifactDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := cedar.DiffBenchArtifacts(art1, art2, cedar.BenchDiffOptions{})
+	rep, err := cedar.DiffBenchArtifacts(art1, art2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestBenchArtifactDeterminism(t *testing.T) {
 		t.Errorf("identical campaigns diff dirty: %s", rep.Format())
 	}
 	art2.Deterministic.Points[0].SimCycles = art2.Deterministic.Points[0].SimCycles * 11 / 10
-	rep, err = cedar.DiffBenchArtifacts(art1, art2, cedar.BenchDiffOptions{})
+	rep, err = cedar.DiffBenchArtifacts(art1, art2)
 	if err != nil {
 		t.Fatal(err)
 	}

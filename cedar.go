@@ -400,7 +400,8 @@ var DemoFaultPlan = fault.DemoPlan
 // counters, attribution, cache rates) is byte-identical at any worker
 // count, with wall time and allocations kept in a separate measured
 // section. cmd/cedarbench is the CLI face; scripts/check.sh runs the
-// smoke campaign and diffs against the committed baseline on every PR.
+// smoke campaign and diffs it against the committed baseline, at fixed
+// thresholds, on every PR.
 type (
 	// BenchCampaign is one declarative benchmark matrix.
 	BenchCampaign = bench.Campaign
@@ -410,16 +411,14 @@ type (
 	// BenchWorkloadSpec is one workload axis entry (a paper kernel plus
 	// sizing).
 	BenchWorkloadSpec = bench.WorkloadSpec
-	// BenchFaultSpec is one fault axis entry (healthy, demo, file or
-	// inline plan).
+	// BenchFaultSpec is one fault axis entry (healthy, demo or inline
+	// plan).
 	BenchFaultSpec = bench.FaultSpec
 	// BenchArtifact is a campaign execution (a BENCH_<area>.json file).
 	BenchArtifact = bench.Artifact
 	// BenchRunOptions tunes a campaign execution (jobs override, wall
 	// clock, progress writer).
 	BenchRunOptions = bench.RunOptions
-	// BenchDiffOptions sets the regression thresholds for a diff.
-	BenchDiffOptions = bench.DiffOptions
 	// BenchDiffReport is the outcome of comparing two artifacts.
 	BenchDiffReport = bench.DiffReport
 )
@@ -434,5 +433,6 @@ var RunBenchCampaign = bench.Run
 var ReadBenchArtifact = bench.ReadArtifact
 
 // DiffBenchArtifacts compares a new artifact against an old baseline,
-// flagging simcycle and allocation regressions past the thresholds.
+// flagging simcycle and allocation regressions past its fixed
+// thresholds (5% and 30%) and any point that vanished or changed status.
 var DiffBenchArtifacts = bench.Diff

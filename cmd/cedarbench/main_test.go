@@ -61,21 +61,17 @@ func TestRunModeProducesArtifact(t *testing.T) {
 	}
 }
 
-// TestRunModeClustersAndStepped: -clusters rewrites the campaign —
-// a machine entry with no scaled base of its own starts from the flag's,
-// one that names its base keeps it — and -stepped builds this run's
-// machines on the reference engine without moving a deterministic byte.
-func TestRunModeClustersAndStepped(t *testing.T) {
+// TestRunModeStepped: -stepped builds this run's machines on the
+// reference engine without moving a deterministic byte.
+func TestRunModeStepped(t *testing.T) {
 	dir := t.TempDir()
-	campaign := func(baseSpec string) string {
-		return `{"area": "w", "machines": [{"name": "base"` + baseSpec + `}, {"name": "own", "scaled": 8}],
-			"workloads": [{"name": "vl", "kind": "vectorload", "n": 256}]}`
-	}
-	det := func(cfg string, flags ...string) []byte {
+	cfg := write(t, dir, "c.json", `{"area": "w", "machines": [{"name": "base"}, {"name": "own", "scaled": 8}],
+		"workloads": [{"name": "vl", "kind": "vectorload", "n": 256}]}`)
+	det := func(flags ...string) []byte {
 		t.Helper()
 		out := filepath.Join(dir, "a.json")
 		var stdout, stderr bytes.Buffer
-		args := append([]string{"run", "-config", write(t, dir, "c.json", cfg), "-out", out, "-q"}, flags...)
+		args := append([]string{"run", "-config", cfg, "-out", out, "-q"}, flags...)
 		if code := run(args, &stdout, &stderr); code != 0 {
 			t.Fatalf("run %v: exit %d, stderr: %s", flags, code, stderr.String())
 		}
@@ -89,16 +85,7 @@ func TestRunModeClustersAndStepped(t *testing.T) {
 		}
 		return b
 	}
-	asBuilt := det(campaign(""))
-	flagged := det(campaign(""), "-clusters", "16")
-	if bytes.Equal(flagged, asBuilt) {
-		t.Error("-clusters 16 did not reach the default-machine point")
-	}
-	if explicit := det(campaign(`, "scaled": 16`)); !bytes.Equal(flagged, explicit) {
-		t.Errorf("-clusters 16 is not the campaign with scaled: 16 written out:\n%s\nvs\n%s", flagged, explicit)
-	}
-
-	if stepped := det(campaign(""), "-stepped"); !bytes.Equal(stepped, asBuilt) {
+	if stepped, asBuilt := det("-stepped"), det(); !bytes.Equal(stepped, asBuilt) {
 		t.Error("-stepped changed the deterministic section")
 	}
 }
@@ -152,13 +139,14 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{name: "no mode", want: 2},
 		{name: "unknown mode", args: []string{"frobnicate"}, want: 2},
+		{name: "diff mode spelled as a flag", args: []string{"-diff", base, base}, want: 2, stderr: `"-diff"`},
 		{name: "run bad flag", args: []string{"run", "-no-such-flag"}, want: 2},
 		// Both carry a loadable config: without one the missing -config
 		// alone is exit 2 and flag validation is never reached. (-out keeps
 		// a run that wrongly gets through from writing beside the sources.)
 		{name: "run bad jobs", args: []string{"run", "-config", cfg, "-out", scrap, "-jobs", "-3"}, want: 2, stderr: "-jobs"},
 		{name: "run shards flag removed", args: []string{"run", "-shards", "2"}, want: 2},
-		{name: "run bad clusters", args: []string{"run", "-config", cfg, "-out", scrap, "-clusters", "-2"}, want: 2, stderr: "-clusters"},
+		{name: "run clusters flag removed", args: []string{"run", "-config", cfg, "-out", scrap, "-clusters", "16"}, want: 2, stderr: "-clusters"},
 		{name: "run missing config", args: []string{"run", "-config", filepath.Join(dir, "nope.json")}, want: 2},
 		{name: "run without config", args: []string{"run", "-q"}, want: 2, stderr: "-config"},
 		{name: "run invalid config", args: []string{"run", "-config", badCfg}, want: 2},
@@ -166,11 +154,12 @@ func TestExitCodes(t *testing.T) {
 		{name: "diff extra path", args: []string{"diff", base, base, base}, want: 2},
 		{name: "diff missing args", args: []string{"diff", base}, want: 2},
 		{name: "diff missing file", args: []string{"diff", base, filepath.Join(dir, "nope.json")}, want: 2},
-		{name: "diff bad threshold", args: []string{"diff", base, base, "-threshold", "lots"}, want: 2},
+		// The thresholds are constants: a flag that would widen one is
+		// refused, not honoured, wherever it stands.
+		{name: "diff threshold flag removed", args: []string{"diff", base, worse, "-threshold", "20%"}, want: 2, stderr: "-threshold"},
+		{name: "diff alloc-threshold flag removed", args: []string{"diff", "-alloc-threshold", "20%", base, worse}, want: 2, stderr: "-alloc-threshold"},
 		{name: "diff clean", args: []string{"diff", base, base}, want: 0},
 		{name: "diff regression", args: []string{"diff", base, worse}, want: 1},
-		{name: "diff regression flags first", args: []string{"diff", "-threshold", "5%", base, worse}, want: 1},
-		{name: "diff wide threshold absorbs", args: []string{"diff", base, worse, "-threshold", "20%"}, want: 0},
 	}
 	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer
@@ -187,27 +176,5 @@ func TestExitCodes(t *testing.T) {
 	run([]string{"diff", base, worse}, &stdout, &stderr)
 	if !strings.Contains(stdout.String(), "REGRESSION") || !strings.Contains(stdout.String(), "simcycles") {
 		t.Errorf("regression output: %q", stdout.String())
-	}
-}
-
-func TestParseThreshold(t *testing.T) {
-	cases := []struct {
-		in   string
-		want float64
-		ok   bool
-	}{
-		{"5%", 0.05, true},
-		{"0.05", 0.05, true},
-		{" 30% ", 0.30, true},
-		{"0", 0, true},
-		{"-5%", 0, false},
-		{"lots", 0, false},
-		{"%", 0, false},
-	}
-	for _, tc := range cases {
-		got, err := parseThreshold(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("parseThreshold(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
-		}
 	}
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"cmp"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -80,11 +79,11 @@ func TestUnknownKindErrorListsEveryKind(t *testing.T) {
 }
 
 func TestFaultSpecSourcesAreExclusive(t *testing.T) {
-	fs := FaultSpec{Name: "both", Demo: true, Path: "x.json"}
-	if _, err := fs.Resolve(""); err == nil {
-		t.Fatal("demo+path should be rejected")
+	fs := FaultSpec{Name: "both", Demo: true, Plan: fault.DemoPlan()}
+	if _, err := fs.Resolve(); err == nil {
+		t.Fatal("demo+plan should be rejected")
 	}
-	plan, err := FaultSpec{Name: "healthy"}.Resolve("")
+	plan, err := FaultSpec{Name: "healthy"}.Resolve()
 	if err != nil || plan != nil {
 		t.Fatalf("healthy spec: got plan=%v err=%v", plan, err)
 	}
@@ -92,43 +91,21 @@ func TestFaultSpecSourcesAreExclusive(t *testing.T) {
 
 func TestLoadRejectsUnknownFields(t *testing.T) {
 	// "shards" was a campaign axis until the intra-run parallel engine
-	// was removed; a config still carrying it must fail by name, not run
-	// with the axis silently dropped.
-	for name, value := range map[string]string{"surprise": "1", "shards": "[1,4]"} {
+	// was removed, and a fault's "path" named a plan file until the
+	// vocabulary stopped naming files; a config still carrying either
+	// must fail by name, not run with the setting silently dropped.
+	for name, extra := range map[string]string{
+		"surprise": `"surprise":1`,
+		"shards":   `"shards":[1,4]`,
+		"path":     `"faults":[{"name":"f","path":"p.json"}]`,
+	} {
 		path := filepath.Join(t.TempDir(), "c.json")
-		if err := os.WriteFile(path, []byte(`{"area":"x","machines":[{"name":"m"}],"workloads":[{"name":"w","kind":"trimat"}],"`+name+`":`+value+`}`), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(`{"area":"x","machines":[{"name":"m"}],"workloads":[{"name":"w","kind":"trimat"}],`+extra+`}`), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), name) {
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
 			t.Errorf("unknown field %s should fail load by name, got %v", name, err)
 		}
-	}
-}
-
-func TestLoadResolvesFaultPathsRelativeToConfig(t *testing.T) {
-	dir := t.TempDir()
-	planJSON, err := json.Marshal(fault.DemoPlan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "plan.json"), planJSON, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg := `{"area":"x","machines":[{"name":"m"}],"workloads":[{"name":"w","kind":"trimat","n":16}],"faults":[{"name":"f","path":"plan.json"}]}`
-	path := filepath.Join(dir, "c.json")
-	if err := os.WriteFile(path, []byte(cfg), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := c.Faults[0].Resolve(c.baseDir)
-	if err != nil {
-		t.Fatalf("relative plan path should resolve against config dir: %v", err)
-	}
-	if plan.Hash() != fault.DemoPlan().Hash() {
-		t.Fatalf("loaded plan differs from demo plan")
 	}
 }
 

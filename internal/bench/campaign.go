@@ -7,7 +7,7 @@
 // scope counter snapshots, busy/stall/idle attribution — is
 // byte-identical at any -jobs value, while measured fields (wall time, allocations) live
 // in a separate section excluded from byte comparisons. Diff compares
-// two artifacts against a regression threshold; cmd/cedarbench is the
+// two artifacts against fixed regression thresholds; cmd/cedarbench is the
 // CLI face and scripts/check.sh runs the smoke campaign every PR so the
 // perf trajectory extends one artifact at a time.
 package bench
@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 
@@ -56,9 +55,6 @@ type Campaign struct {
 	// selects DefaultMetrics. A whole-machine snapshot would bloat the
 	// committed artifacts, so points carry a curated slice.
 	Metrics []string `json:"metrics,omitempty"`
-
-	// baseDir resolves relative fault-plan paths; set by Load.
-	baseDir string
 }
 
 // DefaultMetrics is the metric-prefix filter applied when a campaign
@@ -213,42 +209,27 @@ type WorkloadSpec struct {
 }
 
 // FaultSpec is one fault axis entry: no plan (healthy), the built-in
-// demo plan, a plan file, or an inline plan. At most one source may be
-// set.
+// demo plan, or an inline plan. At most one source may be set. The
+// vocabulary names no file, so a campaign is self-contained and a
+// cedarserve client cannot point the daemon at a server-side path.
 type FaultSpec struct {
 	Name string `json:"name"`
 	// Demo selects fault.DemoPlan (dead bank + stage jam + NACKs).
 	Demo bool `json:"demo,omitempty"`
-	// Path names a JSON plan file, resolved relative to the campaign
-	// config file when not absolute.
-	Path string `json:"path,omitempty"`
 	// Plan is an inline plan.
 	Plan *fault.Plan `json:"plan,omitempty"`
 }
 
-// Resolve loads the spec's plan (nil for a healthy entry), resolving a
-// relative Path against baseDir. It is the one place the sources'
-// mutual exclusion and an inline plan's validity are checked — the
-// campaign runner and cedarserve both come through here.
-func (fs FaultSpec) Resolve(baseDir string) (*fault.Plan, error) {
-	sources := 0
-	for _, set := range []bool{fs.Demo, fs.Path != "", fs.Plan != nil} {
-		if set {
-			sources++
-		}
-	}
-	if sources > 1 {
-		return nil, fmt.Errorf("bench: fault %q: demo, path and plan are mutually exclusive", fs.Name)
-	}
+// Resolve returns the spec's plan (nil for a healthy entry). It is the
+// one place the sources' mutual exclusion and an inline plan's validity
+// are checked — the campaign runner and cedarserve both come through
+// here.
+func (fs FaultSpec) Resolve() (*fault.Plan, error) {
 	switch {
+	case fs.Demo && fs.Plan != nil:
+		return nil, fmt.Errorf("bench: fault %q: demo and plan are mutually exclusive", fs.Name)
 	case fs.Demo:
 		return fault.DemoPlan(), nil
-	case fs.Path != "":
-		path := fs.Path
-		if !filepath.IsAbs(path) && baseDir != "" {
-			path = filepath.Join(baseDir, path)
-		}
-		return fault.Load(path)
 	case fs.Plan != nil:
 		if err := fs.Plan.Validate(); err != nil {
 			return nil, fmt.Errorf("bench: fault %q: %w", fs.Name, err)
@@ -261,8 +242,7 @@ func (fs FaultSpec) Resolve(baseDir string) (*fault.Plan, error) {
 // Validate checks the campaign against the schema: a named area, at
 // least one entry per mandatory axis, unique non-empty names, known
 // kinds, and positive jobs values. Fault plans are validated when
-// resolved at run time (files may legitimately not exist yet at config
-// authoring time).
+// resolved at run time.
 func (c *Campaign) Validate() error {
 	if c.Schema != 0 && c.Schema != SchemaVersion {
 		return fmt.Errorf("bench: campaign schema %d not supported (tool speaks %d)", c.Schema, SchemaVersion)
@@ -324,9 +304,8 @@ func (c *Campaign) Validate() error {
 	return nil
 }
 
-// Load reads and validates a campaign config file. Relative fault-plan
-// paths inside the config resolve against the config file's directory,
-// so campaigns stay relocatable.
+// Load reads and validates a campaign config file. A field the schema
+// does not know is an error, not a silently dropped setting.
 func Load(path string) (*Campaign, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -341,6 +320,5 @@ func Load(path string) (*Campaign, error) {
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	c.baseDir = filepath.Dir(path)
 	return &c, nil
 }

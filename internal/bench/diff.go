@@ -5,23 +5,18 @@ import (
 	"strings"
 )
 
-// DiffOptions sets the regression thresholds as fractions (0.05 = 5%).
-type DiffOptions struct {
-	// CycleThreshold flags a point whose simcycles grew by more than this
-	// fraction. 0 selects the 5% default; simcycles are deterministic, so
-	// the threshold exists only to absorb intentional small modelling
-	// changes.
-	CycleThreshold float64
-	// AllocThreshold flags a matrix pass whose malloc count grew by more
-	// than this fraction. 0 selects the 30% default — deliberately loose,
-	// since allocation counts drift with the Go toolchain.
-	AllocThreshold float64
-}
-
-// Default thresholds (see DiffOptions).
+// The regression thresholds, as fractions of the baseline. They are
+// fixed for the same reason the paper's performance levels are: a gate
+// judged against a per-run setting is not one gate.
 const (
-	DefaultCycleThreshold = 0.05
-	DefaultAllocThreshold = 0.30
+	// cycleThreshold flags a point whose simcycles grew by more than 5%.
+	// Simcycles are deterministic, so any growth is a model change; the
+	// margin only absorbs an intentional small modelling change.
+	cycleThreshold = 0.05
+	// allocThreshold flags a pass whose malloc count grew by more than
+	// 30% — deliberately loose, since allocation counts drift with the Go
+	// toolchain and the host.
+	allocThreshold = 0.30
 )
 
 // staleBaseline is the baseline-to-measured malloc ratio above which
@@ -32,13 +27,13 @@ const staleBaseline = 1.3
 // baseline.
 type DiffReport struct {
 	Area string `json:"area"`
-	// Regressions is what makes the diff fail: simcycle growth past the
-	// threshold, malloc growth past the alloc threshold, or a point that
-	// disappeared from the matrix.
+	// Regressions is what makes the diff fail: simcycle growth past
+	// cycleThreshold, malloc growth past allocThreshold, a point that
+	// disappeared from the matrix, or a point whose status changed.
 	Regressions []DiffLine `json:"regressions,omitempty"`
 	// Improvements and Notes are informational. A "stale baseline" note
 	// says the baseline's malloc count is so far above the measured one
-	// that AllocThreshold, a fraction of the baseline, no longer guards
+	// that allocThreshold, a fraction of the baseline, no longer guards
 	// the measured level: refresh the committed artifact.
 	Improvements []DiffLine `json:"improvements,omitempty"`
 	Notes        []string   `json:"notes,omitempty"`
@@ -47,7 +42,7 @@ type DiffReport struct {
 // DiffLine is one compared quantity.
 type DiffLine struct {
 	ID     string  `json:"id"`     // point ID, or "jobs=N allocs" for a pass
-	Metric string  `json:"metric"` // "simcycles" or "mallocs"
+	Metric string  `json:"metric"` // "simcycles", "mallocs", or `status "a" -> "b", simcycles`
 	Old    int64   `json:"old"`
 	New    int64   `json:"new"`
 	Delta  float64 `json:"delta"` // fractional change, (new-old)/old; 0 when ZeroBase
@@ -86,25 +81,16 @@ func (r *DiffReport) Format() string {
 }
 
 // Diff compares two artifacts of the same area: per-point simcycles
-// against CycleThreshold and per-pass malloc counts (matched by jobs
-// value) against AllocThreshold. A point present in old but missing from
-// new is a regression — a shrinking matrix must be an explicit baseline
-// update, never a silent pass. New points and improvements are noted
-// without failing.
-func Diff(old, new *Artifact, opt DiffOptions) (*DiffReport, error) {
+// against cycleThreshold and per-pass malloc counts (matched by jobs
+// value) against allocThreshold. A point present in old but missing from
+// new is a regression, and so is a point whose status changed: both mean
+// the matrix or the model changed, which must be an explicit baseline
+// update, never a silent pass (an abandoned degraded run stops early, so
+// its fewer simcycles would otherwise read as an improvement). New
+// points and improvements are noted without failing.
+func Diff(old, new *Artifact) (*DiffReport, error) {
 	if old.Header.Area != new.Header.Area {
 		return nil, fmt.Errorf("bench: diff across areas %q vs %q", old.Header.Area, new.Header.Area)
-	}
-	cycThr := opt.CycleThreshold
-	if cycThr == 0 {
-		cycThr = DefaultCycleThreshold
-	}
-	allocThr := opt.AllocThreshold
-	if allocThr == 0 {
-		allocThr = DefaultAllocThreshold
-	}
-	if cycThr < 0 || allocThr < 0 {
-		return nil, fmt.Errorf("bench: thresholds must be non-negative")
 	}
 
 	r := &DiffReport{Area: new.Header.Area}
@@ -119,29 +105,23 @@ func Diff(old, new *Artifact, opt DiffOptions) (*DiffReport, error) {
 			continue
 		}
 		delete(newPoints, op.ID)
+		l := DiffLine{ID: op.ID, Metric: "simcycles", Old: op.SimCycles, New: np.SimCycles}
 		if op.SimCycles == 0 {
 			// A zero baseline has no defined fractional change; any growth
 			// is reported as new-vs-zero instead of +Inf% (and a 0 -> 0
 			// point is genuinely unchanged).
-			if np.SimCycles != 0 {
-				r.Regressions = append(r.Regressions, DiffLine{
-					ID: op.ID, Metric: "simcycles", Old: 0, New: np.SimCycles, ZeroBase: true})
-			}
-			if op.Status != np.Status {
-				r.Notes = append(r.Notes, fmt.Sprintf("%s: status %q -> %q", op.ID, op.Status, np.Status))
-			}
-			continue
+			l.ZeroBase = true
+		} else {
+			l.Delta = float64(np.SimCycles-op.SimCycles) / float64(op.SimCycles)
 		}
-		delta := float64(np.SimCycles-op.SimCycles) / float64(op.SimCycles)
-		l := DiffLine{ID: op.ID, Metric: "simcycles", Old: op.SimCycles, New: np.SimCycles, Delta: delta}
 		switch {
-		case delta > cycThr:
+		case op.Status != np.Status:
+			l.Metric = fmt.Sprintf("status %q -> %q, simcycles", op.Status, np.Status)
 			r.Regressions = append(r.Regressions, l)
-		case delta < -cycThr:
+		case l.ZeroBase && np.SimCycles != 0, l.Delta > cycleThreshold:
+			r.Regressions = append(r.Regressions, l)
+		case l.Delta < -cycleThreshold:
 			r.Improvements = append(r.Improvements, l)
-		}
-		if op.Status != np.Status {
-			r.Notes = append(r.Notes, fmt.Sprintf("%s: status %q -> %q", op.ID, op.Status, np.Status))
 		}
 	}
 	// Iterate new's own order (not the leftover map) so notes are stable.
@@ -182,9 +162,9 @@ func Diff(old, new *Artifact, opt DiffOptions) (*DiffReport, error) {
 		l := DiffLine{ID: id, Metric: "mallocs",
 			Old: int64(om.Mallocs), New: int64(nm.Mallocs), Delta: delta}
 		switch {
-		case delta > allocThr:
+		case delta > allocThreshold:
 			r.Regressions = append(r.Regressions, l)
-		case delta < -allocThr:
+		case delta < -allocThreshold:
 			r.Improvements = append(r.Improvements, l)
 		}
 		if float64(om.Mallocs) > staleBaseline*float64(nm.Mallocs) {

@@ -22,7 +22,7 @@ func fix() *Artifact {
 }
 
 func TestDiffNoChange(t *testing.T) {
-	r, err := Diff(fix(), fix(), DiffOptions{})
+	r, err := Diff(fix(), fix())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,47 +36,80 @@ func TestDiffNoChange(t *testing.T) {
 
 func TestDiffFlagsSimcycleRegression(t *testing.T) {
 	n := fix()
-	n.Deterministic.Points[0].SimCycles = 1100 // +10% > 5% default
-	r, err := Diff(fix(), n, DiffOptions{})
+	n.Deterministic.Points[0].SimCycles = 1100 // +10% > 5%
+	r, err := Diff(fix(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Regressions) != 1 || r.Regressions[0].Metric != "simcycles" || r.Regressions[0].ID != "m/w1/healthy" {
 		t.Fatalf("want one simcycle regression: %s", r.Format())
 	}
-	// A wider threshold absorbs the same delta.
-	r, err = Diff(fix(), n, DiffOptions{CycleThreshold: 0.15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.HasRegressions() {
-		t.Fatalf("15%% threshold should absorb a 10%% delta: %s", r.Format())
+	// The threshold is 5%: +5% passes, one more cycle does not.
+	for cycles, want := range map[int64]bool{1050: false, 1051: true} {
+		n.Deterministic.Points[0].SimCycles = cycles
+		r, err := Diff(fix(), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.HasRegressions() != want {
+			t.Errorf("1000 -> %d simcycles: regression %v, want %v: %s", cycles, r.HasRegressions(), want, r.Format())
+		}
 	}
 }
 
+// TestDiffFlagsImprovementAndStatusChange: fewer simcycles at the same
+// status is an improvement and passes; a status change fails the diff
+// whatever the cycles did — an abandoned degraded run stops early, so
+// its drop must not read as a win.
 func TestDiffFlagsImprovementAndStatusChange(t *testing.T) {
-	n := fix()
-	n.Deterministic.Points[1].SimCycles = 1500 // -25%
-	n.Deterministic.Points[1].Status = "degraded"
-	r, err := Diff(fix(), n, DiffOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.HasRegressions() {
-		t.Fatalf("improvement must not fail the diff: %s", r.Format())
-	}
-	if len(r.Improvements) != 1 || r.Improvements[0].ID != "m/w2/healthy" {
-		t.Fatalf("want one improvement: %s", r.Format())
-	}
-	if len(r.Notes) != 1 || !strings.Contains(r.Notes[0], "degraded") {
-		t.Fatalf("status flip should be noted: %v", r.Notes)
+	for _, tc := range []struct {
+		name      string
+		oldCycles int64 // m/w2's baseline simcycles
+		newCycles int64
+		status    string // m/w2's new status
+	}{
+		{"pure improvement passes", 2000, 1500, "ok"},
+		{"status flip with fewer cycles fails", 2000, 1500, "degraded"},
+		{"status flip with unchanged cycles fails", 2000, 2000, "degraded"},
+		{"status flip at a zero baseline fails", 0, 0, "degraded"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			old, n := fix(), fix()
+			old.Deterministic.Points[1].SimCycles = tc.oldCycles
+			n.Deterministic.Points[1].SimCycles = tc.newCycles
+			n.Deterministic.Points[1].Status = tc.status
+			r, err := Diff(old, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := r.Format()
+			if len(r.Notes) != 0 {
+				t.Errorf("want no notes: %s", out)
+			}
+			if tc.status == "ok" {
+				if r.HasRegressions() || len(r.Improvements) != 1 || r.Improvements[0].ID != "m/w2/healthy" {
+					t.Fatalf("want one improvement and no regression: %s", out)
+				}
+				return
+			}
+			if len(r.Regressions) != 1 || len(r.Improvements) != 0 || r.Regressions[0].ID != "m/w2/healthy" {
+				t.Fatalf("want one regression on m/w2/healthy and no improvement: %s", out)
+			}
+			if l := r.Regressions[0]; l.Old != tc.oldCycles || l.New != tc.newCycles ||
+				!strings.Contains(l.Metric, `"ok"`) || !strings.Contains(l.Metric, `"degraded"`) {
+				t.Errorf("regression must name both statuses and carry the simcycles: %+v", l)
+			}
+			if strings.Contains(out, "Inf") || strings.Contains(out, "NaN") {
+				t.Errorf("zero baseline leaked Inf/NaN: %q", out)
+			}
+		})
 	}
 }
 
 func TestDiffMissingPointIsRegression(t *testing.T) {
 	n := fix()
 	n.Deterministic.Points = n.Deterministic.Points[:1]
-	r, err := Diff(fix(), n, DiffOptions{})
+	r, err := Diff(fix(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +122,7 @@ func TestDiffNewPointIsNote(t *testing.T) {
 	n := fix()
 	n.Deterministic.Points = append(n.Deterministic.Points,
 		PointResult{ID: "m/w3/healthy", Outcome: Outcome{Status: "ok", SimCycles: 10}})
-	r, err := Diff(fix(), n, DiffOptions{})
+	r, err := Diff(fix(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +156,16 @@ func TestDiffFlagsAllocRegression(t *testing.T) {
 		wantRegression bool
 		wantNote       string
 	}{
-		{"+50% is past the 30% default", 1, 15000, true, ""},
+		{"+50% is past the 30% threshold", 1, 15000, true, ""},
+		{"+30% is within it", 1, 13000, false, ""},
+		{"one more malloc is past it", 1, 13001, true, ""},
 		{"a pass the baseline never ran is not comparable", 8, 15000, false, ""},
 		{"first pass per jobs value is the baseline", 1, 10000, false, ""},
 		{"baseline within 1.3x of measured", 1, 8000, false, ""},
 		{"baseline past 1.3x measured warns without failing", 1, 7000, false, "stale baseline"},
 	} {
 		n := &Artifact{Header: Header{Area: "t"}, Measured: Measured{Runs: []RunMeasure{{Jobs: tc.jobs, Mallocs: tc.mallocs}}}}
-		r, err := Diff(old, n, DiffOptions{})
+		r, err := Diff(old, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,14 +205,6 @@ func TestDiffZeroBaselines(t *testing.T) {
 			},
 		},
 		{
-			name: "simcycles zero baseline still notes status flip",
-			mutate: func(old, new *Artifact) {
-				old.Deterministic.Points[0].SimCycles = 0
-				new.Deterministic.Points[0].SimCycles = 0
-				new.Deterministic.Points[0].Status = "degraded"
-			},
-		},
-		{
 			name: "mallocs zero to nonzero",
 			mutate: func(old, new *Artifact) {
 				old.Measured.Runs[0].Mallocs = 0
@@ -197,7 +224,7 @@ func TestDiffZeroBaselines(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			old, n := fix(), fix()
 			tc.mutate(old, n)
-			r, err := Diff(old, n, DiffOptions{})
+			r, err := Diff(old, n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,13 +252,10 @@ func TestDiffZeroBaselines(t *testing.T) {
 	}
 }
 
-func TestDiffRejectsMismatchedAreasAndBadThresholds(t *testing.T) {
+func TestDiffRejectsMismatchedAreas(t *testing.T) {
 	n := fix()
 	n.Header.Area = "other"
-	if _, err := Diff(fix(), n, DiffOptions{}); err == nil {
+	if _, err := Diff(fix(), n); err == nil {
 		t.Fatal("cross-area diff should error")
-	}
-	if _, err := Diff(fix(), fix(), DiffOptions{CycleThreshold: -1}); err == nil {
-		t.Fatal("negative threshold should error")
 	}
 }

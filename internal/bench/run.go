@@ -133,7 +133,7 @@ func Run(c *Campaign, opt RunOptions) (*Artifact, error) {
 	plans := make([]*fault.Plan, len(faults))
 	faultMeta := make([]FaultMeta, len(faults))
 	for i, fs := range faults {
-		plan, err := fs.Resolve(c.baseDir)
+		plan, err := fs.Resolve()
 		if err != nil {
 			return nil, err
 		}

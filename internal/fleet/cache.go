@@ -124,13 +124,6 @@ func (c *Cache) do(key string, compute func() (any, error)) (any, error) {
 	return e.val, e.err
 }
 
-// Len returns the number of cached (or in-flight) keys.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
 // Key builds a content-addressed cache key: a stable hash over the
 // experiment kind and every input that affects the result (machine
 // parameters, workload profile or size, scheduling policy, ablation

@@ -65,9 +65,9 @@ type Config struct {
 type Request struct {
 	Machine  bench.MachineSpec  `json:"machine"`
 	Workload bench.WorkloadSpec `json:"workload"`
-	// Fault optionally injects a plan: Demo or an inline Plan. Path is
-	// rejected — the daemon does not read server-side files on behalf of
-	// clients.
+	// Fault optionally injects a plan: Demo or an inline Plan. The
+	// vocabulary names no file, so a client cannot make the daemon read
+	// one.
 	Fault *bench.FaultSpec `json:"fault,omitempty"`
 	// Metrics filters the scope snapshot captured into the outcome by
 	// name prefix; empty selects bench.DefaultMetrics.
@@ -250,30 +250,17 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request) (Request, *fault
 	if err := req.Workload.Validate(); err != nil {
 		return req, nil, nil, err
 	}
-	plan, err := resolveFault(req.Fault)
-	if err != nil {
-		return req, nil, nil, err
+	var plan *fault.Plan
+	if req.Fault != nil {
+		if plan, err = req.Fault.Resolve(); err != nil {
+			return req, nil, nil, err
+		}
 	}
 	metrics := req.Metrics
 	if len(metrics) == 0 {
 		metrics = bench.DefaultMetrics
 	}
 	return req, plan, metrics, nil
-}
-
-// resolveFault materializes a request's fault plan: nil (healthy), the
-// built-in demo plan, or a validated inline plan. Plan files are a
-// campaign-runner affordance; a daemon reading server-side paths named
-// by clients would be a confused deputy, so Path is rejected here and the
-// rest is the campaign runner's resolver.
-func resolveFault(fs *bench.FaultSpec) (*fault.Plan, error) {
-	if fs == nil {
-		return nil, nil
-	}
-	if fs.Path != "" {
-		return nil, errors.New("serve: fault.path is not accepted; inline the plan or use demo")
-	}
-	return fs.Resolve("")
 }
 
 // respond produces the response body for a validated submission — from

@@ -289,7 +289,7 @@ func TestBadRequests(t *testing.T) {
 		{"unknown code", `{"workload":{"kind":"perfect","code":"LINPACK","variant":"kap"}}`, `unknown Perfect code "LINPACK"`},
 		{"hand on TRACK", `{"workload":{"kind":"perfect","code":"TRACK","variant":"hand"}}`, "TRACK has no hand version"},
 		{"block on trimat", `{"workload":{"kind":"trimat","block":32}}`, `does not read "block"`},
-		{"fault path", `{"workload":{"kind":"trimat"},"fault":{"path":"/etc/passwd"}}`, "not accepted"},
+		{"fault path", `{"workload":{"kind":"trimat"},"fault":{"path":"/etc/passwd"}}`, `unknown field "path"`},
 		{"fault demo+plan", `{"workload":{"kind":"trimat"},"fault":{"demo":true,"plan":{}}}`, "mutually exclusive"},
 		{"second object and garbage", reqBody + ` {"workload":{"kind":"nonsense"}} trailing garbage`, "data after the request object"},
 		{"unbounded padding", reqBody + strings.Repeat(" ", 5<<20), "request body too large"},

@@ -185,7 +185,7 @@ stage "cedarbench smoke campaign + regression diff"
 # gates simcycles (tight, they are deterministic) and allocations
 # (loose, they drift with the toolchain) against the committed baseline.
 go run ./cmd/cedarbench run -config bench/campaigns/smoke.json -out artifacts/BENCH_smoke.json -q
-go run ./cmd/cedarbench diff bench/BENCH_smoke.json artifacts/BENCH_smoke.json -threshold 5% -alloc-threshold 30%
+go run ./cmd/cedarbench diff bench/BENCH_smoke.json artifacts/BENCH_smoke.json
 
 stage "cedarbench latency campaign (event-wheel win) + regression diff"
 # The latency campaign is dominated by long memory waits — exactly what
@@ -193,13 +193,13 @@ stage "cedarbench latency campaign (event-wheel win) + regression diff"
 # gate on the wheel's scheduling (a missed wake changes cycle counts
 # before it changes anything else).
 go run ./cmd/cedarbench run -config bench/campaigns/latency.json -out artifacts/BENCH_latency.json -q
-go run ./cmd/cedarbench diff bench/BENCH_latency.json artifacts/BENCH_latency.json -threshold 5% -alloc-threshold 30%
+go run ./cmd/cedarbench diff bench/BENCH_latency.json artifacts/BENCH_latency.json
 
 stage "cedarbench wide campaign (16/64-cluster presets) + regression diff"
 # The wide campaign is the simcycle baseline for the scale-up machines:
 # the diff gates Cedar16 and Cedar64 like any other committed baseline.
 go run ./cmd/cedarbench run -config bench/campaigns/wide.json -out artifacts/BENCH_wide.json -q
-go run ./cmd/cedarbench diff bench/BENCH_wide.json artifacts/BENCH_wide.json -threshold 5% -alloc-threshold 30%
+go run ./cmd/cedarbench diff bench/BENCH_wide.json artifacts/BENCH_wide.json
 
 stage "fuzz smoke ($FUZZTIME per target)"
 go test -run='^$' -fuzz='^FuzzOmegaRouting$' -fuzztime="$FUZZTIME" ./internal/network
