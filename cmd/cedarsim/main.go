@@ -1,36 +1,46 @@
-// Command cedarsim runs experiments of the paper's evaluation by
-// catalogue name and prints each one's table: overheads (§3.2), t1 and t2
-// (the memory study), membw ([GJTV91]), net, prefblock and sched (the
-// design ablations), scaled (PPT5), degraded (fault scenarios), t3 and t4
-// (the Perfect results), t5, t6 and fig3 (the methodology) and ppt4.
+// Command cedarsim regenerates the paper's evaluation — every table,
+// figure, microbenchmark and ablation — as one markdown report on stdout,
+// a heading per catalogue entry. With no names it runs the whole
+// evaluation, every entry but degraded (expect several minutes at
+// defaults); names pick entries: overheads (§3.2), t1 and t2 (the memory
+// study), membw ([GJTV91]), net, prefblock and sched (the design
+// ablations), scaled (PPT5), degraded (fault scenarios), t3 and t4 (the
+// Perfect results), t5, t6 and fig3 (the methodology) and ppt4. On the
+// healthy default machine it also checks the paper's claims about each
+// entry it ran and exits 1 naming any that broke; stdout is the same
+// report either way.
 //
 // Usage:
 //
-//	cedarsim [flags] name...
-//	cedarsim -n 512 t1
+//	cedarsim [flags] [name...]
+//	cedarsim > report.md                 # the whole evaluation
+//	cedarsim -n 512 -full                # closer to paper-scale problems
+//	cedarsim -codes ARC2D,QCD,SPICE      # fast Perfect subset
 //	cedarsim -small t2 net prefblock sched
-//	cedarsim -codes ARC2D,QCD,SPICE t3 t4 t5 t6 fig3
-//	cedarsim -full ppt4
-//	cedarsim -faults plan.json t1   # every machine under the plan, plus degraded
-//	cedarsim -faults demo           # degraded under the built-in dead-bank scenario
+//	cedarsim -faults plan.json t1        # every machine under the plan, plus degraded
+//	cedarsim -faults demo degraded       # the built-in dead-bank scenario
 //
 // Flags may come before or after the names. Names run in the order given,
 // and a point several of them share (t3 … fig3 share the Perfect suite's)
-// simulates once. cedarreport runs every name but degraded as one report.
+// simulates once. -small runs t2 on its reduced kernel slices and membw at
+// 2,048 words per CE, the sizes of the committed report golden.
 //
 // Any run accepts -trace FILE (Chrome trace-event JSON for Perfetto or
-// chrome://tracing) and -metrics FILE (metrics snapshot CSV); -json embeds
-// the per-run metric snapshot next to each result. -jobs N simulates
+// chrome://tracing) and -metrics FILE (metrics snapshot CSV); with either,
+// the report ends with a cycle-attribution section. -json replaces the
+// report with one JSON document per entry, embedding the entry's metric
+// snapshot next to its result and leading with a self-describing
+// run-metadata header; claims are not checked. -jobs N simulates
 // independent experiment points in parallel; output is byte-identical at
 // any job count. -faults installs a seed-deterministic fault plan for
 // every machine the command builds and adds the degraded-mode table.
 // Progress goes to stderr, one line per simulated point; -q silences it.
-// -cpuprofile/-memprofile write pprof profiles of the run; -json output
-// leads with a self-describing run-metadata header.
+// -cpuprofile/-memprofile write pprof profiles of the run.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -45,17 +55,13 @@ import (
 	"cedar/internal/tables"
 )
 
-// emit prints either the formatted table or its JSON representation.
-// JSON output leads with the run-metadata header (schema, tool, jobs,
-// fault plan), making every artifact self-describing; with a hub
-// attached it also carries the experiment's slice of the metrics
-// registry alongside the result. The header is the only jobs-dependent
-// part — byte comparisons across -jobs values look at result+metrics.
-func emit(w io.Writer, asJSON bool, hub *scope.Hub, meta cliutil.Meta, prefix string, res tables.Result) error {
-	if !asJSON {
-		_, err := fmt.Fprintln(w, res.Format())
-		return err
-	}
+// emit prints one result as JSON, led by the run-metadata header
+// (schema, tool, jobs, fault plan) that makes every artifact
+// self-describing; with a hub attached it also carries the experiment's
+// slice of the metrics registry alongside the result. The header is the
+// only jobs-dependent part — byte comparisons across -jobs values look
+// at result+metrics.
+func emit(w io.Writer, hub *scope.Hub, meta cliutil.Meta, prefix string, res tables.Result) error {
 	var out interface{}
 	if hub != nil {
 		out = struct {
@@ -85,18 +91,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("cedarsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "Usage: cedarsim [flags] name...")
+		fmt.Fprintln(stderr, "Usage: cedarsim [flags] [name...]")
 		fmt.Fprintln(stderr, "names:", strings.Join(tables.Names(), " "))
 		fs.PrintDefaults()
 	}
 	var (
 		n      = fs.Int("n", 256, "rank-64 update order of t1, net, prefblock, scaled and degraded (paper: 1K)")
-		small  = fs.Bool("small", false, "reduced kernel slices for t2")
+		small  = fs.Bool("small", false, "the report golden's sizes: reduced kernel slices for t2, 2,048 words per CE for membw")
 		full   = fs.Bool("full", false, "include the paper's largest CG sizes in ppt4")
 		codes  = fs.String("codes", "", "comma-separated Perfect subset for t3, t4, t5, t6 and fig3 (default: all 13)")
-		asJSON = fs.Bool("json", false, "emit results as JSON instead of tables")
+		asJSON = fs.Bool("json", false, "emit results as JSON instead of the report")
 		quiet  = fs.Bool("q", false, "suppress per-point progress lines")
-		shared = cliutil.Register(fs, true)
+		shared = cliutil.Register(fs)
 	)
 	names, err := cliutil.Parse(fs, args)
 	if err != nil {
@@ -106,19 +112,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		lg.Print(err)
 		return 2
 	}
-	if shared.Faults != "" && !slices.Contains(names, "degraded") {
-		names = append(names, "degraded")
-	}
 	if len(names) == 0 {
-		fs.Usage()
-		return 2
+		names = tables.Evaluation
+	}
+	if shared.Faults != "" && !slices.Contains(names, "degraded") {
+		names = append(names[:len(names):len(names)], "degraded")
 	}
 	exps, err := tables.Experiments(names...)
 	if err != nil {
 		lg.Print(err)
 		return 2
 	}
-	sizes := tables.Sizes{RankN: *n, Table2Full: !*small, MemBWWords: 4096, FullPPT4: *full}
+	sizes := tables.Sizes{RankN: *n, FullPPT4: *full}
+	if !*small {
+		sizes.Table2Full, sizes.MemBWWords = true, 4096
+	}
 	if sizes.Codes, err = perfect.Select(*codes); err != nil {
 		lg.Print(err)
 		return 2
@@ -130,19 +138,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		lg.Print(err)
 		return 2
 	}
-	defer s.Abort()
 	env := s.Env
 	if !*quiet {
 		env.Progress = stderr
 	}
-	meta := cliutil.NewMeta("cedarsim", env.Jobs, env.Faults)
-	err = tables.RunAll(env, sizes, exps, func(e tables.Experiment, res tables.Result) error {
-		return emit(stdout, *asJSON, env.Hub, meta, e.Namespace(), res)
-	})
-	if err == nil {
-		err = s.Close(stdout, !*asJSON)
+	if *asJSON {
+		meta := cliutil.NewMeta("cedarsim", env.Jobs, env.Faults)
+		err = tables.RunAll(env, sizes, exps, func(e tables.Experiment, res tables.Result) error {
+			return emit(stdout, env.Hub, meta, e.Namespace(), res)
+		})
+	} else {
+		err = tables.WriteReport(stdout, env, sizes, exps)
 	}
-	if err != nil {
+	// A broken claim fails the run after the report and its artifacts are
+	// written.
+	if err := errors.Join(err, s.Close()); err != nil {
 		lg.Print(err)
 		return 1
 	}

@@ -54,10 +54,31 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		{"malformed plan", []string{"-faults", malformed}, 2, "warp-core"},
 		{"unknown flag", []string{"-bogus"}, 2, "bogus"},
 		{"unknown flag after a name", []string{"t1", "-bogus"}, 2, "bogus"},
-		{"nothing selected", []string{}, 2, "Usage"},
 		{"unknown ablation", []string{"t1", "pref"}, 2, `no experiment named "pref" (valid: overheads, t1, t2,`},
 		{"unknown table", []string{"t7"}, 2, `no experiment named "t7" (valid: overheads, t1, t2,`},
 		{"all is not a name", []string{"all"}, 2, `"all"`},
+	})
+}
+
+// TestRunRejectsBadEvaluationInvocations names no entry, so the run is
+// the whole evaluation: the invalid -jobs, -n, -faults and -codes values
+// must stop it before anything is simulated, and a stray word is an entry
+// name that must match one.
+func TestRunRejectsBadEvaluationInvocations(t *testing.T) {
+	dir := t.TempDir()
+	malformed := writePlan(t, dir, "bad.json", `{"faults": [{"kind": "stage-jam", "rate": 40}]}`)
+	checkRejections(t, []rejection{
+		{"zero jobs", []string{"-jobs", "0"}, 2, "-jobs"},
+		{"negative jobs", []string{"-jobs=-2"}, 2, "-jobs"},
+		{"zero n", []string{"-n", "0"}, 2, "-n must be at least 1, got 0"},
+		{"negative n", []string{"-n=-8"}, 2, "-n must be at least 1, got -8"},
+		{"missing plan file", []string{"-faults", filepath.Join(dir, "nope.json")}, 2, "nope.json"},
+		{"malformed plan", []string{"-faults", malformed}, 2, "rate"},
+		{"unknown flag", []string{"-bogus"}, 2, "bogus"},
+		{"no matching codes", []string{"-codes", "NOSUCH"}, 2, "NOSUCH"},
+		{"one typo among the codes", []string{"-codes", "QCD,TRAK"}, 2, `"TRAK" (valid: ADM, ARC2D`},
+		{"stray argument after the flags", []string{"-n", "512", "extra"}, 2, `no experiment named "extra" (valid: overheads,`},
+		{"stray argument before the flags", []string{"extra", "-n", "512"}, 2, `no experiment named "extra" (valid: overheads,`},
 	})
 }
 
@@ -91,4 +112,28 @@ func TestRunRejectsBadMethodologyInvocations(t *testing.T) {
 		{"unparsable plan", []string{"-faults", unparsable, "t5", "t6", "fig3"}, 2, "garbage.json"},
 		{"unknown flag", []string{"t5", "-bogus", "t6", "fig3"}, 2, "bogus"},
 	})
+}
+
+// TestSmallKernelsMatchTheGolden: -small means the library's default
+// sizes, so the eight kernel-level entries at -n 32 write exactly the
+// committed report golden — headings, tables and nothing after them.
+func TestSmallKernelsMatchTheGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("report generation in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("report generation is too slow under the race detector")
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "internal", "tables", "testdata", "report_kernels_n32.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-q", "-small", "-n", "32", "overheads", "t1", "t2", "membw", "net", "prefblock", "sched", "scaled"}
+	var stdout, stderr bytes.Buffer
+	if got := run(args, &stdout, &stderr); got != 0 {
+		t.Fatalf("run(%v) = %d, want 0 (stderr: %s)", args, got, stderr.String())
+	}
+	if got := stdout.String(); got != string(want) {
+		t.Errorf("run(%v) wrote:\n%s\nwant the golden:\n%s", args, got, want)
+	}
 }

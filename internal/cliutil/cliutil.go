@@ -1,15 +1,15 @@
-// Package cliutil holds the flag plumbing shared by the commands: one
-// registration of the shared flags, one validation of them, and one
-// session that turns them into the run configuration (tables.Env) and
-// owes the artifacts at exit. Keeping it in one place means the commands
-// cannot drift apart in how they reject bad invocations or in what a
-// flag means.
+// Package cliutil holds the flag plumbing the commands share: Parse
+// (flags and positional arguments in any order), one validation of the
+// shared flags (AtLeastOne, Flags.Validate), the pprof profiles, the
+// run-metadata header, and cedarsim's session, which turns the shared
+// flags into the run configuration (tables.Env) and writes the artifacts
+// when the run ends. Keeping it in one place means the commands cannot
+// drift apart in how they reject bad invocations or in what a flag means.
 package cliutil
 
 import (
 	"flag"
 	"fmt"
-	"io"
 
 	"cedar/internal/fault"
 	"cedar/internal/params"
@@ -34,16 +34,13 @@ type Flags struct {
 }
 
 // Register declares the shared flags on fs and returns where their
-// values land once fs is parsed. -clusters is offered only by commands
-// whose experiments all start from the base machine.
-func Register(fs *flag.FlagSet, clusters bool) *Flags {
+// values land once fs is parsed.
+func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.Trace, "trace", "", "write a Chrome trace-event JSON file (Perfetto / chrome://tracing)")
 	fs.StringVar(&f.Metrics, "metrics", "", "write the metrics snapshot as CSV")
 	fs.IntVar(&f.Jobs, "jobs", 0, "parallel experiment jobs (0 = GOMAXPROCS); output is identical at any value")
-	if clusters {
-		fs.IntVar(&f.Clusters, "clusters", 0, "simulated machine width in clusters (0 = as-built 4; 16/64 = scale-up presets)")
-	}
+	fs.IntVar(&f.Clusters, "clusters", 0, "simulated machine width in clusters (0 = as-built 4; 16/64 = scale-up presets)")
 	fs.StringVar(&f.Faults, "faults", "", "JSON fault plan (or \"demo\") injected into every simulated machine")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to this file")
@@ -117,7 +114,7 @@ type Session struct {
 // and builds the hub. The hub exists
 // whenever -trace or -metrics is given or observe is set; otherwise
 // machines are built uninstrumented at zero cost. Every error is a bad
-// invocation: print it and exit 2. Defer Abort, and Close on success.
+// invocation: print it and exit 2. Close the session once the run ends.
 func (f *Flags) Open(fs *flag.FlagSet, observe bool) (*Session, error) {
 	if err := f.Validate(fs); err != nil {
 		return nil, err
@@ -146,22 +143,12 @@ func (f *Flags) Open(fs *flag.FlagSet, observe bool) (*Session, error) {
 	}, nil
 }
 
-// Close ends a successful run: with attribution set and a hub attached
-// it prints the cycle-attribution table to stdout, then it writes the
-// -trace/-metrics artifacts and stops the profiles.
-func (s *Session) Close(stdout io.Writer, attribution bool) error {
-	if hub := s.Env.Hub; hub != nil && attribution {
-		fmt.Fprintln(stdout, "cycle attribution")
-		fmt.Fprint(stdout, scope.FormatAttribution(hub.Attribution()))
-	}
+// Close ends a run, failed or not: it writes the -trace/-metrics
+// artifacts and stops the profiles.
+func (s *Session) Close() error {
 	err := scope.WriteArtifacts(s.Env.Hub, s.flags.Trace, s.flags.Metrics)
 	if perr := s.prof.Stop(); err == nil {
 		err = perr
 	}
 	return err
 }
-
-// Abort stops the profiles of a run that is ending without Close — the
-// failure paths. A no-op after Close. Its own error is dropped: the
-// failure that ended the run is the one worth reporting.
-func (s *Session) Abort() { _ = s.prof.Stop() }

@@ -13,22 +13,18 @@ import (
 	"cedar/internal/tables"
 )
 
-// open registers the shared flags (with -clusters), parses args and
-// opens the session, as every command does; a parse error is returned
-// like any other bad invocation (the commands exit 2 on either).
+// open registers the shared flags, parses args and opens the session, as
+// cedarsim does; a parse error is returned like any other bad invocation
+// (the command exits 2 on either).
 func open(t *testing.T, args ...string) (*Session, error) {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	shared := Register(fs, true)
+	shared := Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	s, err := shared.Open(fs, false)
-	if err == nil {
-		t.Cleanup(s.Abort)
-	}
-	return s, err
+	return shared.Open(fs, false)
 }
 
 // TestParseMixesFlagsAndArguments: flags before, between and after the
@@ -38,7 +34,7 @@ func TestParseMixesFlagsAndArguments(t *testing.T) {
 	fs.SetOutput(io.Discard)
 	n := fs.Int("n", 0, "")
 	q := fs.Bool("q", false, "")
-	shared := Register(fs, false)
+	shared := Register(fs)
 	pos, err := Parse(fs, []string{"t1", "-n", "32", "t2", "-q", "-jobs", "2", "t3"})
 	if err != nil {
 		t.Fatal(err)
@@ -155,9 +151,8 @@ func TestSetupShardsAndClusters(t *testing.T) {
 	}
 }
 
-// TestSessionArtifacts: Close owes what the flags asked for — the
-// attribution printout only when asked and observed, the trace and
-// metrics files, the profiles — and Abort after Close is a no-op.
+// TestSessionArtifacts: Close owes what the flags asked for — the trace
+// and metrics files, the profiles — and nothing when nothing was asked.
 func TestSessionArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	trace, metrics, mem := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.csv"), filepath.Join(dir, "mem.pb.gz")
@@ -168,27 +163,21 @@ func TestSessionArtifacts(t *testing.T) {
 	if s.Env.Hub == nil {
 		t.Fatal("-trace/-metrics did not build a hub")
 	}
-	var out strings.Builder
-	if err := s.Close(&out, true); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if !strings.HasPrefix(out.String(), "cycle attribution\n") {
-		t.Errorf("Close(attribution) printed %q", out.String())
 	}
 	for _, path := range []string{trace, metrics, mem} {
 		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
 			t.Errorf("%s missing or empty after Close (err %v)", path, err)
 		}
 	}
-	s.Abort()
 
-	// Unobserved, nothing owed: Close prints and writes nothing.
+	// Unobserved, nothing owed: Close writes nothing and succeeds.
 	if s, err = open(t); err != nil {
 		t.Fatal(err)
 	}
-	out.Reset()
-	if err := s.Close(&out, true); err != nil || out.Len() != 0 {
-		t.Errorf("unobserved Close = %v, printed %q", err, out.String())
+	if err := s.Close(); err != nil {
+		t.Errorf("unobserved Close = %v", err)
 	}
 }
 

@@ -75,7 +75,7 @@ func TestSerialVariantRate(t *testing.T) {
 // TestPerCodeStories checks the per-code properties the paper (or a
 // companion CSRD report) attributes to a code that need a point the
 // evaluation never runs; the rest are claims on the tables' catalogue
-// entries, checked by cedarreport.
+// entries, checked by cedarsim's report.
 func TestPerCodeStories(t *testing.T) {
 	if testing.Short() {
 		t.Skip("per-code stories in -short mode")

@@ -66,8 +66,8 @@ func TestClaimKinds(t *testing.T) {
 
 // TestBrokenClaimFailsTheReportNotItsBytes: a broken claim planted on an
 // entry makes WriteReport name it in its error after writing exactly the
-// report it writes without it; under a fault plan or on a scaled machine
-// nothing is checked.
+// report it writes without it, also when -clusters 4 names the default
+// machine; under a fault plan or on a scaled machine nothing is checked.
 func TestBrokenClaimFailsTheReportNotItsBytes(t *testing.T) {
 	report := func(env Env) (string, error) {
 		var b strings.Builder
@@ -89,11 +89,16 @@ func TestBrokenClaimFailsTheReportNotItsBytes(t *testing.T) {
 		value: one(func(o *OverheadsResult) float64 { return o.XDoallStartupUS })})
 
 	got, err := report(Env{})
-	if want := "overheads: planted: measured 90.44, paper ≥ 1000"; err == nil || !strings.Contains(err.Error(), want) {
+	want := "overheads: planted: measured 90.44, paper ≥ 1000"
+	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("WriteReport with a broken claim: err = %v, want it to name %q", err, want)
 	}
 	if got != clean {
 		t.Errorf("the report with a broken claim:\n%s\nwant the bytes without it:\n%s", got, clean)
+	}
+	// Four clusters is the as-built machine, named or not, so it is judged.
+	if _, err := report(Env{Clusters: 4}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Env{Clusters: 4} with a broken claim: err = %v, want it to name %q", err, want)
 	}
 	for _, env := range []Env{{Faults: fault.DemoPlan()}, {Clusters: 8}} {
 		if _, err := report(env); err != nil {

@@ -60,8 +60,9 @@ stage "go test ./..."
 # TestWriteReportDeterministic compares (both passes simulate every point:
 # nothing memoizes a sweep point between runs); and
 # TestWriteReportMethodologySections' five suite tables on two codes.
-# cmd/cedarreport's TestReportEndsWithTrailer runs the CLI once and
-# checks its host-time trailer.
+# cmd/cedarsim's TestSmallKernelsMatchTheGolden runs the CLI once at
+# -small -n 32 over the eight kernel-level names and compares its stdout
+# with the same golden, byte for byte.
 #
 # Steady-state allocation gates (the count asserted is the production
 # build's, so this pass is the one that matters; they are single-goroutine
