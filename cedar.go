@@ -333,11 +333,16 @@ type (
 	Hub = scope.Hub
 	// MetricSample is one named metric reading.
 	MetricSample = scope.Sample
+	// MetricKind says whether a Hub.Table metric is a counter or a gauge.
+	MetricKind = scope.Kind
 	// TraceSpan is one captured trace record.
 	TraceSpan = scope.Span
 	// AttributionRow is one component class's busy/stall/idle totals.
 	AttributionRow = scope.AttrRow
 )
+
+// MetricCounter and MetricGauge are the two metric kinds.
+const MetricCounter, MetricGauge = scope.KindCounter, scope.KindGauge
 
 // NewHub builds an empty observability hub.
 func NewHub() *Hub { return scope.NewHub() }

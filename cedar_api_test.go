@@ -135,3 +135,20 @@ func TestScaledParamsThroughFacade(t *testing.T) {
 		t.Fatal("machine does not match params")
 	}
 }
+
+// TestMetricTableThroughFacade: a downstream program publishes its own
+// metrics beside a machine's, one table for both.
+func TestMetricTableThroughFacade(t *testing.T) {
+	hub := cedar.NewHub()
+	cedar.NewMachine(cedar.DefaultParams(), cedar.Options{Scope: hub})
+	hub.Sub("app").Table([]string{"steps", "queue"}, []cedar.MetricKind{cedar.MetricCounter, cedar.MetricGauge},
+		func(dst []int64) { dst[0], dst[1] = 12, 3 })
+	got := hub.SnapshotUnder("app")
+	want := []cedar.MetricSample{{Name: "app/queue", Kind: "gauge", Value: 3}, {Name: "app/steps", Kind: "counter", Value: 12}}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("app metrics = %+v, want %+v", got, want)
+	}
+	if n := len(hub.Snapshot()); n <= len(want) {
+		t.Errorf("hub holds %d metrics: the machine's tables are missing", n)
+	}
+}

@@ -15,7 +15,7 @@ import (
 // stages, runtime queues — so a first-touch allocation that comes back
 // per element shows up here.
 func TestPointRunBudget(t *testing.T) {
-	const budget = 1_282
+	const budget = 1_036
 	pt := Point{
 		Machine:  MachineSpec{Name: "cedar16", Scaled: 16},
 		Workload: WorkloadSpec{Name: "cedar16-vl512", Kind: "vectorload", N: 512, Sweeps: 1},

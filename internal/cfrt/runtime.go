@@ -210,12 +210,11 @@ func New(m *core.Machine, cfg Config, phases ...Phase) *Runtime {
 		for k := range phases {
 			r.phaseNames[k] = r.phaseName(k)
 		}
+		r.obs.Table(metricNames, metricKinds, func(dst []int64) {
+			dst[0], dst[1], dst[2] = r.sumEv(EvPhaseEnter), r.sumEv(EvClaim), r.sumEv(EvBarrierArrive)
+			dst[3], dst[4] = r.sumEv(EvCDStart), r.sumEv(EvCDJoin)
+		})
 	}
-	r.obs.Counter("cfrt.phase_enters", func() int64 { return r.sumEv(EvPhaseEnter) })
-	r.obs.Counter("cfrt.claims", func() int64 { return r.sumEv(EvClaim) })
-	r.obs.Counter("cfrt.barrier_arrivals", func() int64 { return r.sumEv(EvBarrierArrive) })
-	r.obs.Counter("cfrt.cd_starts", func() int64 { return r.sumEv(EvCDStart) })
-	r.obs.Counter("cfrt.cd_joins", func() int64 { return r.sumEv(EvCDJoin) })
 	// Library path lengths: the non-sync claim performs the full lock /
 	// read / increment / write / unlock sequence over the network (≈4
 	// round trips ≈ 52 cycles); the rest of the ≈30 µs iteration fetch

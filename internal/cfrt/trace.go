@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cedar/internal/perfmon"
+	"cedar/internal/scope"
 )
 
 // Event kinds the runtime posts to an attached tracer — the paper's
@@ -55,6 +56,12 @@ func (r *Runtime) sumEv(kind uint16) int64 {
 	}
 	return v
 }
+
+// The runtime's hub table: five event kinds, each summed by sumEv.
+var (
+	metricNames = []string{"cfrt.phase_enters", "cfrt.claims", "cfrt.barrier_arrivals", "cfrt.cd_starts", "cfrt.cd_joins"}
+	metricKinds = []scope.Kind{scope.KindCounter, scope.KindCounter, scope.KindCounter, scope.KindCounter, scope.KindCounter}
+)
 
 // observe folds a runtime event into the scope hub: every kind bumps the
 // participant's counter, the first phase entry opens the phase span, and

@@ -8,14 +8,45 @@ import (
 	"cedar/internal/scope"
 )
 
+const counter, gauge = scope.KindCounter, scope.KindGauge
+
+// The fixed metric tables: names and kinds, index for index with what
+// each table's read fills in instrument.
+var (
+	engineNames = []string{"engine.cycle", "engine.idle_components"}
+	engineKinds = []scope.Kind{counter, gauge}
+
+	fabricNames = [2][]string{ // net.fwd, net.rev
+		{"net.fwd.offered", "net.fwd.refused", "net.fwd.delivered", "net.fwd.word_hops", "net.fwd.queued_words"},
+		{"net.rev.offered", "net.rev.refused", "net.rev.delivered", "net.rev.word_hops", "net.rev.queued_words"}}
+	fabricKinds = []scope.Kind{counter, counter, counter, counter, gauge}
+
+	gmemNames = []string{"gmem.reads", "gmem.writes", "gmem.syncops", "gmem.stalls", "gmem.busy_cycles", "gmem.inflight"}
+	gmemKinds = []scope.Kind{counter, counter, counter, counter, counter, gauge}
+
+	// A cluster's metrics are "cluster<ID>" and one of these suffixes.
+	clusterSuffixes = []string{".cache.hits", ".cache.misses", ".cache.miss_attach", ".cache.writebacks",
+		".cache.stall_cycles", ".cache.mshr_in_use", ".cache.queued",
+		".bus.broadcasts", ".bus.claims", ".bus.joins", ".bus.wait_cycles"}
+	clusterKinds = []scope.Kind{counter, counter, counter, counter, counter, gauge, gauge,
+		counter, counter, counter, counter}
+
+	ceNames = []string{"ce.flops", "ce.active_cycles", "ce.wait_cycles", "ce.stores_outstanding",
+		"pfu.blocks", "pfu.issued", "pfu.returned", "pfu.dropped", "pfu.suspends", "pfu.refused_cycles", "pfu.outstanding"}
+	ceKinds = []scope.Kind{counter, counter, counter, gauge, counter, counter, counter, counter, counter, counter, gauge}
+
+	faultNames = []string{"fault.bank_stalls", "fault.stage_jams", "fault.link_drops", "fault.pfu_nacks",
+		"fault.dead_modules", "fault.pfu_retries", "fault.pfu_timeouts", "fault.failed_ces"}
+	faultKinds = []scope.Kind{counter, counter, counter, counter, gauge, counter, counter, counter}
+)
+
 // instrument publishes every component's counters, gauges, and cycle
-// attribution on the machine's observability hub. All readings go through
-// closures over component state, so a machine built without a hub pays
-// nothing, and one built with a hub pays only at snapshot time. Nothing
-// here costs an object per CE, and a cluster costs its metrics' closures
-// only: the per-cluster metric names are substrings of one string, the
-// per-cluster attribution is one contributor per class, and the
-// prefetch-block spans go through one tracer shared by every PFU.
+// attribution on the machine's observability hub: one metric table per
+// source, read from component state only when a snapshot is taken.
+// Nothing here costs an object per CE or per cluster: all clusters are
+// one table whose names are substrings of one string, the per-cluster
+// attribution is one contributor per class, and the prefetch-block spans
+// go through one tracer shared by every PFU.
 func (m *Machine) instrument() {
 	h := m.Scope
 	if h == nil {
@@ -23,97 +54,66 @@ func (m *Machine) instrument() {
 	}
 
 	eng := m.Engine
-	h.Counter("engine.cycle", eng.Cycle)
-	h.Gauge("engine.idle_components", func() int64 { return int64(eng.IdleCount()) })
-
-	instrumentFabric(h, "net.fwd", m.Fwd)
-	instrumentFabric(h, "net.rev", m.Rev)
-
-	mem := m.Mem
-	h.Counter("gmem.reads", func() int64 { return mem.Stats().Reads })
-	h.Counter("gmem.writes", func() int64 { return mem.Stats().Writes })
-	h.Counter("gmem.syncops", func() int64 { return mem.Stats().SyncOps })
-	h.Counter("gmem.stalls", func() int64 { return mem.Stats().Stalls })
-	h.Counter("gmem.busy_cycles", func() int64 { return mem.Stats().BusyCyc })
-	h.Gauge("gmem.inflight", func() int64 { return int64(mem.InFlight()) })
-
-	suffixes := [...]string{".cache.hits", ".cache.misses", ".cache.miss_attach", ".cache.writebacks",
-		".cache.stall_cycles", ".cache.mshr_in_use", ".cache.queued",
-		".bus.broadcasts", ".bus.claims", ".bus.joins", ".bus.wait_cycles"}
-	clusterNames := names(len(m.Clusters)*len(suffixes), func(b []byte, i int) []byte {
-		b = strconv.AppendInt(append(b, "cluster"...), int64(m.Clusters[i/len(suffixes)].ID), 10)
-		return append(b, suffixes[i%len(suffixes)]...)
+	h.Table(engineNames, engineKinds, func(dst []int64) {
+		dst[0], dst[1] = eng.Cycle(), int64(eng.IdleCount())
 	})
-	for i, cl := range m.Clusters {
-		cc, bus := cl.Cache, cl.Bus
-		name := clusterNames[i*len(suffixes):]
-		h.Counter(name[0], func() int64 { return cc.Stats().Hits })
-		h.Counter(name[1], func() int64 { return cc.Stats().Misses })
-		h.Counter(name[2], func() int64 { return cc.Stats().MissAttach })
-		h.Counter(name[3], func() int64 { return cc.Stats().WriteBacks })
-		h.Counter(name[4], func() int64 { return cc.Stats().StallCyc })
-		h.Gauge(name[5], func() int64 { return int64(cc.MSHRInUse()) })
-		h.Gauge(name[6], func() int64 { return int64(cc.QueuedRequests()) })
-		h.Counter(name[7], func() int64 { return bus.Stats().Broadcasts })
-		h.Counter(name[8], func() int64 { return bus.Stats().Claims })
-		h.Counter(name[9], func() int64 { return bus.Stats().Joins })
-		h.Counter(name[10], func() int64 { return bus.Stats().WaitCyc })
+
+	for i, f := range [...]network.Fabric{m.Fwd, m.Rev} {
+		h.Table(fabricNames[i], fabricKinds, func(dst []int64) {
+			s := f.Stats()
+			dst[0], dst[1], dst[2], dst[3] = s.Offered, s.Refused, s.Delivered, s.WordHops
+			dst[4] = int64(f.Queued())
+		})
 	}
 
+	mem := m.Mem
+	h.Table(gmemNames, gmemKinds, func(dst []int64) {
+		s := mem.Stats()
+		dst[0], dst[1], dst[2], dst[3], dst[4] = s.Reads, s.Writes, s.SyncOps, s.Stalls, s.BusyCyc
+		dst[5] = int64(mem.InFlight())
+	})
+
+	clusters := m.Clusters
+	width := len(clusterSuffixes)
+	clusterNames := names(len(clusters)*width, func(b []byte, i int) []byte {
+		b = strconv.AppendInt(append(b, "cluster"...), int64(clusters[i/width].ID), 10)
+		return append(b, clusterSuffixes[i%width]...)
+	})
+	kinds := make([]scope.Kind, len(clusterNames))
+	for i := range kinds {
+		kinds[i] = clusterKinds[i%width]
+	}
+	h.Table(clusterNames, kinds, func(dst []int64) {
+		for i, cl := range clusters {
+			d, cs, bs := dst[i*width:], cl.Cache.Stats(), cl.Bus.Stats()
+			d[0], d[1], d[2], d[3], d[4] = cs.Hits, cs.Misses, cs.MissAttach, cs.WriteBacks, cs.StallCyc
+			d[5], d[6] = int64(cl.Cache.MSHRInUse()), int64(cl.Cache.QueuedRequests())
+			d[7], d[8], d[9], d[10] = bs.Broadcasts, bs.Claims, bs.Joins, bs.WaitCyc
+		}
+	})
+
 	ces := m.CEs
-	h.Counter("ce.flops", func() int64 {
-		var v int64
+	h.Table(ceNames, ceKinds, func(dst []int64) {
+		clear(dst)
 		for _, c := range ces {
-			v += c.Flops()
+			pfu := c.PFU()
+			ps := pfu.Stats()
+			for i, v := range [...]int64{c.Flops(), c.ActiveCycles(), c.WaitCycles(), int64(c.StoresOutstanding()),
+				ps.Blocks, ps.Issued, ps.Returned, ps.Dropped, ps.Suspends, ps.RefusedCyc, int64(pfu.Outstanding())} {
+				dst[i] += v
+			}
 		}
-		return v
-	})
-	h.Counter("ce.active_cycles", func() int64 {
-		var v int64
-		for _, c := range ces {
-			v += c.ActiveCycles()
-		}
-		return v
-	})
-	h.Counter("ce.wait_cycles", func() int64 {
-		var v int64
-		for _, c := range ces {
-			v += c.WaitCycles()
-		}
-		return v
-	})
-	h.Gauge("ce.stores_outstanding", func() int64 {
-		var v int64
-		for _, c := range ces {
-			v += int64(c.StoresOutstanding())
-		}
-		return v
-	})
-	h.Counter("pfu.blocks", func() int64 { return m.pfuStats().Blocks })
-	h.Counter("pfu.issued", func() int64 { return m.pfuStats().Issued })
-	h.Counter("pfu.returned", func() int64 { return m.pfuStats().Returned })
-	h.Counter("pfu.dropped", func() int64 { return m.pfuStats().Dropped })
-	h.Counter("pfu.suspends", func() int64 { return m.pfuStats().Suspends })
-	h.Counter("pfu.refused_cycles", func() int64 { return m.pfuStats().RefusedCyc })
-	h.Gauge("pfu.outstanding", func() int64 {
-		var v int64
-		for _, c := range ces {
-			v += int64(c.PFU().Outstanding())
-		}
-		return v
 	})
 
 	// Fault-injection and recovery counters, only on faulted machines so
 	// healthy metrics artifacts stay identical to the pre-fault layout.
 	if inj := m.Faults; inj != nil {
-		h.Counter("fault.bank_stalls", func() int64 { return inj.Stats().BankStalls })
-		h.Counter("fault.stage_jams", func() int64 { return inj.Stats().StageJams })
-		h.Counter("fault.link_drops", func() int64 { return inj.Stats().LinkDrops })
-		h.Counter("fault.pfu_nacks", func() int64 { return inj.Stats().PFUNacks })
-		h.Gauge("fault.dead_modules", func() int64 { return int64(inj.DeadModules()) })
-		h.Counter("fault.pfu_retries", func() int64 { return m.FaultCounters().Retries })
-		h.Counter("fault.pfu_timeouts", func() int64 { return m.FaultCounters().Timeouts })
-		h.Counter("fault.failed_ces", func() int64 { return int64(m.FaultCounters().FailedCE) })
+		h.Table(faultNames, faultKinds, func(dst []int64) {
+			s, fc := inj.Stats(), m.FaultCounters()
+			dst[0], dst[1], dst[2], dst[3] = s.BankStalls, s.StageJams, s.LinkDrops, s.PFUNacks
+			dst[4] = int64(inj.DeadModules())
+			dst[5], dst[6], dst[7] = fc.Retries, fc.Timeouts, int64(fc.FailedCE)
+		})
 	}
 
 	// Prefetch-block lifetime spans: first issue to last arrival, one
@@ -168,31 +168,6 @@ func names(n int, format func(b []byte, i int) []byte) []string {
 		out[i] = all.String()[start:]
 	}
 	return out
-}
-
-// instrumentFabric publishes one fabric's counters and occupancy gauge.
-func instrumentFabric(h *scope.Hub, pre string, f network.Fabric) {
-	h.Counter(pre+".offered", func() int64 { return f.Stats().Offered })
-	h.Counter(pre+".refused", func() int64 { return f.Stats().Refused })
-	h.Counter(pre+".delivered", func() int64 { return f.Stats().Delivered })
-	h.Counter(pre+".word_hops", func() int64 { return f.Stats().WordHops })
-	h.Gauge(pre+".queued_words", func() int64 { return int64(f.Queued()) })
-}
-
-// pfuStats sums prefetch counters over every CE.
-func (m *Machine) pfuStats() (s struct {
-	Blocks, Issued, Returned, Dropped, Suspends, RefusedCyc int64
-}) {
-	for _, c := range m.CEs {
-		ps := c.PFU().Stats()
-		s.Blocks += ps.Blocks
-		s.Issued += ps.Issued
-		s.Returned += ps.Returned
-		s.Dropped += ps.Dropped
-		s.Suspends += ps.Suspends
-		s.RefusedCyc += ps.RefusedCyc
-	}
-	return s
 }
 
 // attribute registers the machine's busy/stall/idle contributors. Each

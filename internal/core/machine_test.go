@@ -171,8 +171,8 @@ func TestBuildBudget(t *testing.T) {
 	}{
 		{"Cedar", params.Default(), false, 256 << 10, 92},
 		{"Cedar64", params.Cedar64(), false, 3 << 20, 690},
-		{"Cedar+hub", params.Default(), true, 256 << 10, 223},
-		{"Cedar64+hub", params.Cedar64(), true, 3 << 20, 1_559},
+		{"Cedar+hub", params.Default(), true, 256 << 10, 125},
+		{"Cedar64+hub", params.Cedar64(), true, 3 << 20, 725},
 	} {
 		objects, bytes := buildCost(t, tc.p, tc.hub)
 		if bytes > tc.budget {
@@ -203,6 +203,23 @@ func TestBuildCostsNoObjectPerCE(t *testing.T) {
 		}
 		t.Logf("hub %v: %d objects at %d CEs, %d at %d", hub, big, params.Default().CEs(), little, small.CEs())
 	}
+}
+
+// TestInstrumentCostsNoObjectPerCluster requires the hub's
+// instrumentation to cost Cedar64 (64 clusters) the objects it costs
+// paper Cedar (4 clusters), within 2: a metric closure or a name per
+// cluster fails it.
+func TestInstrumentCostsNoObjectPerCluster(t *testing.T) {
+	extra := func(p params.Machine) int64 {
+		with, _ := buildCost(t, p, true)
+		without, _ := buildCost(t, p, false)
+		return with - without
+	}
+	small, big := extra(params.Default()), extra(params.Cedar64())
+	if big-small > 2 || small-big > 2 {
+		t.Errorf("the hub costs Cedar %d objects, Cedar64 %d: more than 2 apart", small, big)
+	}
+	t.Logf("the hub costs Cedar %d objects, Cedar64 %d", small, big)
 }
 
 // buildCost returns what one core.New of p allocates, in objects and

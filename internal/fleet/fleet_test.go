@@ -50,7 +50,7 @@ func TestHubBytesIdenticalAcrossWorkerCounts(t *testing.T) {
 			i := i
 			jobs[i] = Job[int]{Run: func(h *scope.Hub) (int, error) {
 				sub := h.Sub(fmt.Sprintf("job%d", i))
-				sub.Counter("value", func() int64 { return int64(i) })
+				sub.Table([]string{"value"}, []scope.Kind{scope.KindCounter}, func(dst []int64) { dst[0] = int64(i) })
 				sub.Span("work", "run", int64(i*10), int64(i*10+3))
 				sub.Attribute("job", func() scope.Attr { return scope.Attr{Busy: int64(i)} })
 				return i, nil
@@ -140,7 +140,7 @@ func TestHubDisablesCache(t *testing.T) {
 	cache := NewCache()
 	job := Job[int]{Key: "observed-point", Run: func(h *scope.Hub) (int, error) {
 		computes.Add(1)
-		h.Counter("ran", func() int64 { return 1 })
+		h.Table([]string{"ran"}, []scope.Kind{scope.KindCounter}, func(dst []int64) { dst[0] = 1 })
 		return 7, nil
 	}}
 	hub := scope.NewHub()
@@ -155,8 +155,8 @@ func TestHubDisablesCache(t *testing.T) {
 	if st := cache.Stats(); st.Lookups != 0 {
 		t.Errorf("cache saw %d lookups from observed runs, want 0 (never presented the key)", st.Lookups)
 	}
-	if hub.Metrics() != 3 {
-		t.Errorf("hub has %d metrics, want 3", hub.Metrics())
+	if n := len(hub.Snapshot()); n != 3 {
+		t.Errorf("hub has %d metrics, want 3", n)
 	}
 }
 

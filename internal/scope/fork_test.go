@@ -2,6 +2,7 @@ package scope
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -11,9 +12,9 @@ import (
 func TestForkAdoptMatchesSequential(t *testing.T) {
 	post := func(h *Hub, run int) {
 		sub := h.Sub("run")
-		sub.Counter("ops", func() int64 { return int64(run) })
-		sub.Counter("ops", func() int64 { return int64(run + 100) }) // collides
-		sub.Gauge("depth", func() int64 { return 7 })
+		sub.Table([]string{"ops", "ops", "depth"}, []Kind{KindCounter, KindCounter, KindGauge}, func(dst []int64) {
+			dst[0], dst[1], dst[2] = int64(run), int64(run+100), 7 // the two ops collide
+		})
 		sub.Span("track", "work", int64(run*10), int64(run*10+5))
 		sub.Attribute("ce", func() Attr { return Attr{Busy: int64(run)} })
 	}
@@ -117,7 +118,7 @@ func TestForkAdoptNil(t *testing.T) {
 	h := NewHub()
 	h.Adopt(nil)
 	h.Adopt(h)
-	if h.Metrics() != 0 {
+	if len(h.Snapshot()) != 0 {
 		t.Error("self/nil adopt changed the hub")
 	}
 }
@@ -125,7 +126,7 @@ func TestForkAdoptNil(t *testing.T) {
 func TestForkInheritsPrefix(t *testing.T) {
 	h := NewHub()
 	child := h.Sub("sweep").Fork()
-	child.Counter("runs", func() int64 { return 1 })
+	one(child, "runs", KindCounter, 1)
 	h.Adopt(child)
 	if got := h.SnapshotUnder("sweep"); len(got) != 1 || got[0].Name != "sweep/runs" {
 		t.Errorf("adopted metric = %+v, want one sweep/runs", got)
@@ -180,5 +181,47 @@ func TestForkAdoptBothChildrenAtCap(t *testing.T) {
 		if want := (Span{Track: "t", Name: "s", Start: int64(i), End: int64(i + 1)}); s != want {
 			t.Errorf("span %d = %+v, want %+v", i, s, want)
 		}
+	}
+}
+
+// TestTableMatchesOneAtATime: a table of mixed counters and gauges,
+// registered through a Sub view of a forked child and adopted, writes the
+// CSV that registering each of its metrics alone, in order, writes —
+// colliding names and a second run's table included.
+func TestTableMatchesOneAtATime(t *testing.T) {
+	names := []string{"hits", "depth", "hits", "stalls"}
+	kinds := []Kind{KindCounter, KindGauge, KindCounter, KindCounter}
+	vals := []int64{3, -2, 5, 8}
+
+	tables := NewHub()
+	for run := 0; run < 2; run++ {
+		child := tables.Fork()
+		child.Sub("m").Table(names, kinds, func(dst []int64) {
+			for i, v := range vals {
+				dst[i] = v + int64(run)
+			}
+		})
+		tables.Adopt(child)
+	}
+
+	singles := NewHub()
+	for run := 0; run < 2; run++ {
+		for i, name := range names {
+			one(singles.Sub("m"), name, kinds[i], vals[i]+int64(run))
+		}
+	}
+
+	var got, want bytes.Buffer
+	if err := tables.WriteMetricsCSV(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := singles.WriteMetricsCSV(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("table CSV:\n%s\none at a time:\n%s", got.String(), want.String())
+	}
+	if !strings.Contains(got.String(), "m/hits#4,counter,6\n") || !strings.Contains(got.String(), "m/depth#2,gauge,-1\n") {
+		t.Errorf("CSV lacks the second run's suffixed rows:\n%s", got.String())
 	}
 }

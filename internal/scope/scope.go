@@ -5,9 +5,9 @@
 //
 // A Hub has three faces:
 //
-//   - a metrics registry: every component publishes named counters
-//     (monotonic, read from the component's own Stats) and gauges
-//     (instantaneous occupancies), snapshotable at any cycle;
+//   - a metrics registry: every source publishes one table of named
+//     counters (monotonic, read from the component's own Stats) and
+//     gauges (instantaneous occupancies), snapshotable at any cycle;
 //   - a span/event tracer stamped in simulated cycles only, with a
 //     bounded buffer and drop accounting like the hardware tracer,
 //     exported as Chrome trace-event JSON (viewable in Perfetto or
@@ -18,14 +18,16 @@
 // A nil *Hub is valid: every method short-circuits, so instrumentation
 // stays in place at near-zero cost when observability is off. All emitted
 // artifacts are byte-identical across identical runs — metrics are read
-// through deterministic closures, snapshots are sorted by name, and the
+// through deterministic functions, snapshots are sorted by name, and the
 // trace carries only simulated cycles (never wall clock).
 package scope
 
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 
 	"cedar/internal/perfmon"
 )
@@ -51,11 +53,13 @@ func (k Kind) String() string {
 	return "counter"
 }
 
-type metric struct {
-	name string // final name, uniquified against the owning state
-	base string // prefix-joined name before uniquification, for Adopt replay
-	kind Kind
-	read func() int64
+// table is one source's metrics: a fixed list of names, registered under
+// one view's prefix, whose values one call of read fills.
+type table struct {
+	prefix string
+	names  []string
+	kinds  []Kind
+	read   func(dst []int64)
 }
 
 // Hub is one observability nexus, shared by every component of a machine
@@ -68,8 +72,7 @@ type Hub struct {
 
 // state is shared across all Sub views of one hub.
 type state struct {
-	metrics []metric
-	taken   map[string]int
+	tables  []table
 	spans   []Span
 	spanCap int
 	dropped int64
@@ -79,7 +82,7 @@ type state struct {
 // NewHub builds an empty hub with the default trace capacity (one
 // hardware tracer unit: perfmon.TracerCap events).
 func NewHub() *Hub {
-	return &Hub{st: &state{taken: map[string]int{}, spanCap: perfmon.TracerCap}}
+	return &Hub{st: &state{spanCap: perfmon.TracerCap}}
 }
 
 // Sub returns a view of the hub that prefixes every metric name and trace
@@ -99,24 +102,21 @@ func (h *Hub) join(name string) string {
 	return h.prefix + "/" + name
 }
 
-// register adds a metric, uniquifying colliding names deterministically
-// ("x", "x#2", "x#3", ...) so two runtimes on one machine cannot clobber
-// each other's registrations.
-func (h *Hub) register(name string, kind Kind, read func() int64) {
-	h.st.add(metric{base: h.join(name), kind: kind, read: read})
-}
-
-// add uniquifies m's base name against this state's taken map and appends
-// the metric. Registration and Adopt replay share it, so a forked child's
-// metrics land under exactly the names a sequential run would have used.
-func (st *state) add(m metric) {
-	n := st.taken[m.base]
-	st.taken[m.base] = n + 1
-	m.name = m.base
-	if n > 0 {
-		m.name = fmt.Sprintf("%s#%d", m.base, n+1)
+// Table publishes one source's metrics, the hub's only registration:
+// names[i] is a counter or a gauge as kinds[i] says, and one call of read
+// fills dst[i] for every i. The hub keeps names and kinds without copying
+// them, so they must not change; read must be deterministic and stay
+// valid for the life of the hub. Colliding names (two runtimes on one
+// machine) are told apart when a snapshot is taken. Panics if names and
+// kinds differ in length.
+func (h *Hub) Table(names []string, kinds []Kind, read func(dst []int64)) {
+	if h == nil || read == nil {
+		return
 	}
-	st.metrics = append(st.metrics, m)
+	if len(kinds) != len(names) {
+		panic(fmt.Sprintf("scope: Table of %d names with %d kinds", len(names), len(kinds)))
+	}
+	h.st.tables = append(h.st.tables, table{prefix: h.prefix, names: names, kinds: kinds, read: read})
 }
 
 // Fork returns a detached hub with the same prefix and trace capacity but
@@ -127,14 +127,14 @@ func (h *Hub) Fork() *Hub {
 	if h == nil {
 		return nil
 	}
-	return &Hub{prefix: h.prefix, st: &state{taken: map[string]int{}, spanCap: h.st.spanCap}}
+	return &Hub{prefix: h.prefix, st: &state{spanCap: h.st.spanCap}}
 }
 
-// Adopt merges a forked child back into h: metric registrations replay
-// through h's uniquification (via their base names), spans append under
-// h's capacity with drop accounting, and attribution contributors carry
-// over. Adopting children in the order their jobs were submitted
-// reproduces the sequential run's artifacts byte for byte: names, span
+// Adopt merges a forked child back into h: its metric tables append after
+// h's, spans append under h's capacity with drop accounting, and
+// attribution contributors carry over. Adopting children in the order
+// their jobs were submitted reproduces the sequential run's artifacts
+// byte for byte: names (made unique only when a snapshot is taken), span
 // order, and the dropped-event count all match, because a child inherits
 // the parent's capacity and drops are additive. Adopt of or onto nil is a
 // no-op.
@@ -142,40 +142,12 @@ func (h *Hub) Adopt(child *Hub) {
 	if h == nil || child == nil || h.st == child.st {
 		return
 	}
-	for _, m := range child.st.metrics {
-		h.st.add(metric{base: m.base, kind: m.kind, read: m.read})
-	}
+	h.st.tables = append(h.st.tables, child.st.tables...)
 	for _, s := range child.st.spans {
 		h.add(s)
 	}
 	h.st.dropped += child.st.dropped
 	h.st.attribs = append(h.st.attribs, child.st.attribs...)
-}
-
-// Counter publishes a monotonic count read on demand through read. The
-// closure must be deterministic and must stay valid for the life of the
-// hub.
-func (h *Hub) Counter(name string, read func() int64) {
-	if h == nil || read == nil {
-		return
-	}
-	h.register(name, KindCounter, read)
-}
-
-// Gauge publishes an instantaneous value read on demand through read.
-func (h *Hub) Gauge(name string, read func() int64) {
-	if h == nil || read == nil {
-		return
-	}
-	h.register(name, KindGauge, read)
-}
-
-// Metrics returns the number of registered metrics.
-func (h *Hub) Metrics() int {
-	if h == nil {
-		return 0
-	}
-	return len(h.st.metrics)
 }
 
 // Sample is one metric reading.
@@ -192,12 +164,49 @@ func (h *Hub) Snapshot() []Sample {
 	if h == nil {
 		return nil
 	}
-	out := make([]Sample, 0, len(h.st.metrics))
-	for _, m := range h.st.metrics {
-		out = append(out, Sample{Name: m.name, Kind: m.kind.String(), Value: m.read()})
+	n := 0
+	for _, t := range h.st.tables {
+		n += len(t.names)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	out := make([]Sample, 0, n)
+	vals := make([]int64, n) // each table reads into its own stretch
+	for _, t := range h.st.tables {
+		v := vals[len(out) : len(out)+len(t.names)]
+		t.read(v)
+		for i, name := range t.names {
+			if t.prefix != "" {
+				name = t.prefix + "/" + name
+			}
+			out = append(out, Sample{Name: name, Kind: t.kinds[i].String(), Value: v[i]})
+		}
+	}
+	uniquify(out)
 	return out
+}
+
+// uniquify sorts samples by name and makes their names unique: after the
+// first sample of a name come name#2, name#3, ... in registration order,
+// skipping any name#k a sample was registered under (two names made here
+// differ in the name or in the k).
+func uniquify(out []Sample) {
+	named := func(s Sample, name string) int { return strings.Compare(s.Name, name) }
+	byName := func(a, b Sample) int { return named(a, b.Name) }
+	slices.SortStableFunc(out, byName)
+	base, k := "", 0
+	for i := range out {
+		if i == 0 || out[i].Name != base {
+			base, k = out[i].Name, 1
+			continue
+		}
+		// A registered name#k sorts after every sample named name, so it
+		// is in the tail past i, which no rename has touched yet.
+		for taken := true; taken; {
+			k++
+			out[i].Name = base + "#" + strconv.Itoa(k)
+			_, taken = slices.BinarySearchFunc(out[i+1:], out[i].Name, named)
+		}
+	}
+	slices.SortFunc(out, byName) // a renamed sample may sort elsewhere
 }
 
 // SnapshotUnder returns the samples whose name equals prefix or starts
