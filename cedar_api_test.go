@@ -43,7 +43,7 @@ func TestRuntimeThroughFacade(t *testing.T) {
 	rt := cedar.NewRuntime(m, cedar.RuntimeConfig{UseCedarSync: true},
 		cedar.XDoall{N: 16, Body: func(i int, q []cedar.Instr) []cedar.Instr {
 			return append(q, cedar.Instr{Op: cedar.OpScalar, Cycles: 10, Flops: 5,
-				OnDone: func(int64) { ran++ }})
+				Done: func(int, int64, bool, int64) { ran++ }})
 		}})
 	res, err := rt.Run(10_000_000)
 	if err != nil {

@@ -44,8 +44,8 @@ type CE struct {
 
 	// reg is the instruction register: the controller fills it and the CE
 	// executes from it, so no controller storage is read after Next
-	// returns — an instruction's OnResult may rewrite the queue slot it
-	// was issued from, and the CE still reads Flops and OnDone afterwards.
+	// returns — a load's Done may rewrite the queue slot it was issued
+	// from, and the CE still reads Flops afterwards.
 	// cur points at reg while an instruction is in progress, nil when idle.
 	reg Instr
 	cur *Instr
@@ -357,13 +357,22 @@ func (c *CE) fetch(cycle int64) {
 	}
 }
 
+// retire ends the current instruction, then fires its Done with value 0.
 func (c *CE) retire(cycle int64) {
-	done := c.cur.OnDone
+	done := c.cur.Done
 	c.cur = nil
 	if done != nil {
-		done(cycle)
+		done(c.ID, 0, false, cycle)
 	}
 	// Allow back-to-back fetch next tick (1-cycle issue overhead).
+}
+
+// complete fires the current load's or sync's Done with the value it
+// returned, while the instruction is still in progress.
+func (c *CE) complete(value int64, passed bool, cycle int64) {
+	if done := c.cur.Done; done != nil {
+		done(c.ID, value, passed, cycle)
+	}
 }
 
 // execute advances the current instruction by one cycle. Panics on an
@@ -413,10 +422,8 @@ func (c *CE) execute(cycle int64) {
 				c.started = false
 			}
 		} else if c.scalarBack && cycle >= c.scalarDoneAt {
-			if c.cur.OnResult != nil {
-				c.cur.OnResult(0, true, cycle)
-			}
-			c.retire(cycle)
+			c.complete(0, true, cycle)
+			c.cur = nil
 		}
 
 	case OpClusterStore:
@@ -464,11 +471,9 @@ func (c *CE) execScalarGlobal(cycle int64) {
 	}
 	if c.scalarBack && cycle >= c.scalarDoneAt {
 		c.issuedScalar = false
-		if c.cur.OnResult != nil {
-			c.cur.OnResult(c.scalarVal, c.scalarPassed, cycle)
-		}
+		c.complete(c.scalarVal, c.scalarPassed, cycle)
 		c.flops += c.cur.Flops
-		c.retire(cycle)
+		c.cur = nil
 	}
 }
 

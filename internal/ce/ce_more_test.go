@@ -11,7 +11,7 @@ func TestClusterScalarLoadStore(t *testing.T) {
 	var got int64 = -1
 	r.ces[0].SetController(prog(
 		&Instr{Op: OpClusterStore, Addr: 40, Value: 55},
-		&Instr{Op: OpClusterLoad, Addr: 40, OnResult: func(v int64, _ bool, cy int64) {
+		&Instr{Op: OpClusterLoad, Addr: 40, Done: func(_ int, v int64, _ bool, cy int64) {
 			got = r.cm.Store().Load(40)
 		}},
 	))
@@ -76,9 +76,9 @@ func TestFenceWaitsForAllStores(t *testing.T) {
 	instrs := []*Instr{}
 	for i := 0; i < 16; i++ {
 		instrs = append(instrs, &Instr{Op: OpGlobalStore, Addr: uint64(i * 7),
-			OnDone: func(cy int64) { lastStore = cy }})
+			Done: func(_ int, _ int64, _ bool, cy int64) { lastStore = cy }})
 	}
-	instrs = append(instrs, &Instr{Op: OpFence, OnDone: func(cy int64) { fenceAt = cy }})
+	instrs = append(instrs, &Instr{Op: OpFence, Done: func(_ int, _ int64, _ bool, cy int64) { fenceAt = cy }})
 	r.ces[0].SetController(prog(instrs...))
 	r.run(t, 100000)
 	if fenceAt <= lastStore {
@@ -141,7 +141,7 @@ func TestSyncTestFailureReported(t *testing.T) {
 	r.ces[0].SetController(prog(&Instr{
 		Op: OpSync, Addr: 9, Test: network.TestEQ, TestArg: 0,
 		Mut: network.OpWrite, Value: 1,
-		OnResult: func(_ int64, p bool, _ int64) { passed = p },
+		Done: func(_ int, _ int64, p bool, _ int64) { passed = p },
 	}))
 	r.run(t, 1000)
 	if passed {

@@ -82,7 +82,7 @@ func TestGlobalLoadThirteenCycles(t *testing.T) {
 	var got int64
 	r.ces[0].SetController(prog(&Instr{
 		Op: OpGlobalLoad, Addr: 500,
-		OnResult: func(v int64, _ bool, cy int64) { got = v; doneAt = cy },
+		Done: func(_ int, v int64, _ bool, cy int64) { got = v; doneAt = cy },
 	}))
 	r.run(t, 1000)
 	if got != 31 {
@@ -102,7 +102,7 @@ func TestSyncRoundTrip(t *testing.T) {
 	r.ces[0].SetController(prog(&Instr{
 		Op: OpSync, Addr: 64, Test: network.TestGT, TestArg: 0,
 		Mut: network.OpSub, Value: 1,
-		OnResult: func(v int64, p bool, _ int64) { got = v; passed = p },
+		Done: func(_ int, v int64, p bool, _ int64) { got = v; passed = p },
 	}))
 	r.run(t, 1000)
 	if got != 5 || !passed {
@@ -262,7 +262,7 @@ func TestProgramControllerSequences(t *testing.T) {
 	r := newRig(t, 2)
 	order := make(map[int][]int)
 	mk := func(ce, tag int) *Instr {
-		return &Instr{Op: OpScalar, Cycles: 1, OnDone: func(int64) {
+		return &Instr{Op: OpScalar, Cycles: 1, Done: func(int, int64, bool, int64) {
 			order[ce] = append(order[ce], tag)
 		}}
 	}
@@ -336,7 +336,7 @@ func TestGeneratorMatchesProgram(t *testing.T) {
 	stored := run(func(ceID int, done *[]int64) Controller {
 		p := &Program{}
 		for i := 0; i < n; i++ {
-			in := &Instr{OnDone: func(cy int64) { *done = append(*done, cy) }}
+			in := &Instr{Done: func(_ int, _ int64, _ bool, cy int64) { *done = append(*done, cy) }}
 			fill(ceID, i, in)
 			p.Instrs = append(p.Instrs, in)
 		}
@@ -345,12 +345,12 @@ func TestGeneratorMatchesProgram(t *testing.T) {
 	// One Generator shared by both CEs, as a kernel would share it.
 	var sinks [2]*[]int64
 	gen := NewGenerator(2, n, func(ceID, i int, in *Instr) {
-		if in.Op != 0 || in.Cycles != 0 || in.Flops != 0 || in.Addr != 0 || in.OnDone != nil {
+		if in.Op != 0 || in.Cycles != 0 || in.Flops != 0 || in.Addr != 0 || in.Done != nil {
 			t.Errorf("ce%d instr %d: scratch not zeroed before fill", ceID, i)
 		}
 		fill(ceID, i, in)
 		done := sinks[ceID]
-		in.OnDone = func(cy int64) { *done = append(*done, cy) }
+		in.Done = func(_ int, _ int64, _ bool, cy int64) { *done = append(*done, cy) }
 	})
 	streamed := run(func(ceID int, done *[]int64) Controller {
 		sinks[ceID] = done

@@ -90,12 +90,13 @@ type Instr struct {
 	Mut     network.MutOp
 	TestArg int64
 
-	// OnResult fires when a load or sync completes, with the returned
-	// value (and for sync, whether the test passed).
-	OnResult func(value int64, passed bool, cycle int64)
-
-	// OnDone fires when the instruction retires.
-	OnDone func(cycle int64)
+	// Done is the instruction's completion, fired once with the id of the
+	// CE that ran it. A load or sync fires it when its value comes back,
+	// with that value (and for a sync, whether the test passed); any other
+	// instruction fires it when it retires, with value 0 and passed false.
+	// A controller that binds one Done for all its CEs tells them apart by
+	// ceID, so issuing an instruction costs it no closure.
+	Done func(ceID int, value int64, passed bool, cycle int64)
 }
 
 // Status is a Controller response.
@@ -118,7 +119,7 @@ const (
 // or leaves it alone and returns Wait or Finished. The CE executes from
 // its register and never looks at controller storage again, so whatever a
 // controller filled in from is dead the moment Next returns: it may be
-// rewritten from inside the instruction's own OnResult. in arrives
+// rewritten from inside the instruction's own Done. in arrives
 // holding the previous instruction; a controller assigns all of it.
 //
 // A CE has one instruction in progress and asks for the next only after

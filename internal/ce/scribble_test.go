@@ -12,7 +12,8 @@ import (
 )
 
 // scribbleLog is what one CE's program observed: the cycle each
-// instruction retired at, in order, and every value an OnResult returned.
+// instruction completed at, in order, and every value a load or sync
+// returned.
 type scribbleLog struct {
 	done    []string
 	results []string
@@ -23,11 +24,6 @@ type scribbleLog struct {
 // values their Test-And-Adds return depend on the order the machine
 // serves them in; the last sync's test fails.
 func scribbleProgram(id int, base uint64, log *scribbleLog) []ce.Instr {
-	result := func(i int) func(int64, bool, int64) {
-		return func(v int64, passed bool, cy int64) {
-			log.results = append(log.results, fmt.Sprintf("%d:%d/%v@%d", i, v, passed, cy))
-		}
-	}
 	prog := []ce.Instr{
 		{Op: ce.OpScalar, Cycles: int64(7 + 5*id), Flops: 3},
 		{Op: ce.OpSync, Addr: base, Test: network.TestAlways, Mut: network.OpAdd, Value: int64(10 + id), Flops: 1},
@@ -41,12 +37,13 @@ func scribbleProgram(id int, base uint64, log *scribbleLog) []ce.Instr {
 		{Op: ce.OpScalar, Cycles: 4, Flops: 5},
 	}
 	for i := range prog {
-		i := i
-		switch prog[i].Op {
-		case ce.OpSync, ce.OpGlobalLoad:
-			prog[i].OnResult = result(i)
+		i, load := i, prog[i].Op == ce.OpSync || prog[i].Op == ce.OpGlobalLoad
+		prog[i].Done = func(_ int, v int64, passed bool, cy int64) {
+			log.done = append(log.done, fmt.Sprintf("%d@%d", i, cy))
+			if load {
+				log.results = append(log.results, fmt.Sprintf("%d:%d/%v@%d", i, v, passed, cy))
+			}
 		}
-		prog[i].OnDone = func(cy int64) { log.done = append(log.done, fmt.Sprintf("%d@%d", i, cy)) }
 	}
 	return prog
 }
@@ -61,7 +58,7 @@ func (p perCE) Next(ceID int, cycle int64, in *ce.Instr) ce.Status {
 // scribbler issues a sequence the hostile way the Controller contract
 // allows: every instruction passes through one reused scratch slot that
 // is poisoned the moment Next returns, and again from inside the
-// instruction's own OnResult — which is what a runtime does when a poll's
+// instruction's own Done — which is what a runtime does when a poll's
 // completion appends to the queue slot the poll was issued from.
 type scribbler struct {
 	t       *testing.T
@@ -73,8 +70,7 @@ type scribbler struct {
 func (s *scribbler) poison() {
 	s.scratch = ce.Instr{
 		Op: ce.OpFence, Cycles: 1 << 40, Flops: -1 << 40, N: -1, Addr: 1 << 60,
-		OnResult: func(int64, bool, int64) { s.t.Error("CE called the poisoned scratch's OnResult") },
-		OnDone:   func(int64) { s.t.Error("CE called the poisoned scratch's OnDone") },
+		Done: func(int, int64, bool, int64) { s.t.Error("CE called the poisoned scratch's Done") },
 	}
 }
 
@@ -84,10 +80,10 @@ func (s *scribbler) Next(_ int, _ int64, in *ce.Instr) ce.Status {
 	}
 	s.scratch = s.prog[s.pos]
 	s.pos++
-	if onResult := s.scratch.OnResult; onResult != nil {
-		s.scratch.OnResult = func(v int64, passed bool, cy int64) {
+	if done := s.scratch.Done; done != nil {
+		s.scratch.Done = func(id int, v int64, passed bool, cy int64) {
 			s.poison()
-			onResult(v, passed, cy)
+			done(id, v, passed, cy)
 			s.poison()
 		}
 	}
@@ -99,8 +95,8 @@ func (s *scribbler) Next(_ int, _ int64, in *ce.Instr) ce.Status {
 // TestScribblingControllerMatchesProgram pins the ownership half of the
 // Controller contract: the CE executes from its own register, so a
 // controller whose storage is rewritten as soon as Next returns — and
-// again from inside OnResult, before the CE reads the instruction's Flops
-// and OnDone — gives the same cycles, flops, returned values and OnDone
+// again from inside a load's Done, before the CE reads the instruction's
+// Flops — gives the same cycles, flops, returned values and completion
 // order as a Program holding every instruction forever. One CE in each of
 // two clusters.
 func TestScribblingControllerMatchesProgram(t *testing.T) {

@@ -5,10 +5,10 @@ import "cedar/internal/ce"
 // step names a point in a participant's control flow: what the completion
 // of a runtime-issued instruction does next. An instruction carries its
 // step in N, a field only vector instructions read; Next notes it as the
-// instruction goes to the CE, and the participant's one OnDone and one
-// OnResult hand it to advance. Steps that follow a wait (spinWait.then,
-// frame.then) are the same codes: a wait ends by running, or by issuing a
-// branch that carries, the step it was given.
+// instruction goes to the CE, and the runtime's one Done hands it to
+// advance. Steps that follow a wait (spinWait.then, frame.then) are the
+// same codes: a wait ends by running, or by issuing a branch that carries,
+// the step it was given.
 type step uint8
 
 const (
@@ -125,7 +125,7 @@ func (r *Runtime) advance(c *ceCtl, s step, v int64, passed bool, cy int64) {
 			// Last arrival releases the others.
 			c.enq(ce.Instr{
 				Op: ce.OpGlobalStore, Addr: r.res[c.k].barFlag, Value: 1,
-				N: int(stBarrierRelease), OnDone: c.onDone,
+				N: int(stBarrierRelease), Done: c.done,
 			})
 		} else {
 			r.pollFlag(c, r.res[c.k].barFlag, 1, stNextPhase)
@@ -163,7 +163,7 @@ func (r *Runtime) advance(c *ceCtl, s step, v int64, passed bool, cy int64) {
 	case stLockHeld:
 		c.enq(ce.Instr{
 			Op: ce.OpGlobalLoad, Addr: r.res[c.k].counter,
-			N: int(stClaimRead), OnResult: c.onResult,
+			N: int(stClaimRead), Done: c.done,
 		})
 
 	case stClaimRead:

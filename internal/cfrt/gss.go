@@ -69,14 +69,14 @@ func (r *Runtime) claim(c *ceCtl) {
 	if c.loop == xdGuided {
 		c.enq(scalarInstr(r.syncPathCycles), ce.Instr{
 			Op: ce.OpGlobalLoad, Addr: counter,
-			N: int(stGuidedRead), OnResult: c.onResult,
+			N: int(stGuidedRead), Done: c.done,
 		})
 		return
 	}
 	c.enq(scalarInstr(r.syncPathCycles), ce.Instr{
 		Op: ce.OpSync, Addr: counter,
 		Test: network.TestAlways, Mut: network.OpAdd, Value: 1,
-		N: int(stClaimed), OnResult: c.onResult,
+		N: int(stClaimed), Done: c.done,
 	})
 }
 
@@ -94,7 +94,7 @@ func (r *Runtime) guidedClaim(c *ceCtl, v int64) {
 	c.enq(ce.Instr{
 		Op: ce.OpSync, Addr: r.res[c.k].counter,
 		Test: network.TestAlways, Mut: network.OpAdd, Value: int64(c.chunk),
-		N: int(stGuidedClaimed), OnResult: c.onResult,
+		N: int(stGuidedClaimed), Done: c.done,
 	})
 }
 
@@ -110,6 +110,6 @@ func (r *Runtime) claimUnderLock(c *ceCtl, v int64) {
 	c.enq(
 		ce.Instr{Op: ce.OpGlobalStore, Addr: r.res[c.k].counter, Value: v + int64(c.chunk)},
 		ce.Instr{Op: ce.OpGlobalStore, Addr: r.lockAddr, Value: 0,
-			N: int(stClaimUnlocked), OnDone: c.onDone},
+			N: int(stClaimUnlocked), Done: c.done},
 	)
 }

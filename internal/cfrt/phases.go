@@ -32,11 +32,12 @@
 // Instructions are values from the body to the CE: a participant's queue
 // is a []ce.Instr and Next copies the head into the CE's own instruction
 // register. Control flow is per-participant state: a frame (phase, loop,
-// chunk, claim, cluster phase, CDOALL in flight) advanced by two
-// completion callbacks bound once in New, and waits — the barrier flag
-// poll, the claim lock — that reissue one instruction. So neither a queued
-// instruction, a failed poll, an iteration, a claim nor a join is a heap
-// object (DESIGN.md, "Instruction ownership").
+// chunk, claim, cluster phase, CDOALL in flight) advanced by the one
+// completion callback New binds for the whole runtime, and waits — the
+// barrier flag poll, the claim lock — that reissue one instruction. So
+// neither a participant, a queued instruction, a failed poll, an
+// iteration, a claim nor a join is a heap object (DESIGN.md, "Instruction
+// ownership").
 package cfrt
 
 import "cedar/internal/ce"

@@ -14,15 +14,15 @@ type unit struct{ phase, iter, sub int }
 // randomProgram draws the next program of a seeded sequence: cluster
 // count, runtime config and a mix of phase types, scheduling policies and
 // cluster restrictions. want lists every unit the program must run; ran
-// (when non-nil) is called from each unit's OnDone. A Serial body draws
+// (when non-nil) is called from each unit's Done. A Serial body draws
 // its cost when the runtime invokes it, so the program must run before
 // the next one is drawn for the sequence to repeat.
 func randomProgram(rng *rand.Rand, ran func(unit)) (clusters int, cfg Config, phases []Phase, want []unit) {
-	done := func(u unit) func(int64) {
+	done := func(u unit) func(int, int64, bool, int64) {
 		if ran == nil {
 			return nil
 		}
-		return func(int64) { ran(u) }
+		return func(int, int64, bool, int64) { ran(u) }
 	}
 	clusters = 1 + rng.Intn(4)
 	cfg = Config{
@@ -39,7 +39,7 @@ func randomProgram(rng *rand.Rand, ran func(unit)) (clusters int, cfg Config, ph
 			want = append(want, unit{pi, 0, 0})
 			phases = append(phases, Serial{Body: func(q []ce.Instr) []ce.Instr {
 				return append(q, ce.Instr{Op: ce.OpScalar, Cycles: int64(1 + rng.Intn(40)),
-					OnDone: done(unit{pi, 0, 0})})
+					Done: done(unit{pi, 0, 0})})
 			}})
 		case 1: // XDoall with a random policy
 			n := 1 + rng.Intn(60)
@@ -51,7 +51,7 @@ func randomProgram(rng *rand.Rand, ran func(unit)) (clusters int, cfg Config, ph
 			phases = append(phases, XDoall{N: n, Sched: sched,
 				Body: func(i int, q []ce.Instr) []ce.Instr {
 					return append(q, ce.Instr{Op: ce.OpScalar, Cycles: cost,
-						OnDone: done(unit{pi, i, 0})})
+						Done: done(unit{pi, i, 0})})
 				}})
 		default: // SDoall with a CDoall nest
 			n := 1 + rng.Intn(6)
@@ -68,7 +68,7 @@ func randomProgram(rng *rand.Rand, ran func(unit)) (clusters int, cfg Config, ph
 					return []ClusterPhase{CDoall{N: inner,
 						Body: func(j int, q []ce.Instr) []ce.Instr {
 							return append(q, ce.Instr{Op: ce.OpScalar, Cycles: cost,
-								OnDone: done(unit{pi, i, j + 1})})
+								Done: done(unit{pi, i, j + 1})})
 						}}}
 				}})
 		}

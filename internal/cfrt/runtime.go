@@ -60,12 +60,13 @@ type ceCtl struct {
 	finished bool
 	// issued is the step code of the instruction Next handed over last —
 	// the one in the CE's register, and so the only one whose completion
-	// can fire. onDone and onResult are the OnDone and OnResult of every
-	// runtime-issued instruction, bound once in New: they advance frame by
-	// the step issued names, so no control-flow transfer builds a closure.
-	issued   step
-	onDone   func(cycle int64)
-	onResult func(value int64, passed bool, cycle int64)
+	// can fire. done is the Done of every runtime-issued instruction: the
+	// runtime's one completion callback, bound once in New and shared by
+	// every participant, which advances the frame of the CE that fired it
+	// by the step that CE's issued names, so no control-flow transfer
+	// builds a closure.
+	issued step
+	done   func(ceID int, value int64, passed bool, cycle int64)
 	// wait is the spin this participant is in, if any.
 	wait spinWait
 	// cs and clusterIdx are the participant's cluster and its index among
@@ -127,9 +128,9 @@ func (cs *clusterCtl) clusterTrack() string {
 
 // New builds a runtime for the given machine, config and phases. The
 // participants' control blocks, cluster blocks, queue heads and
-// phase-entry cycles come from one slab each, so a runtime costs an
-// object per participant only for the two completion callbacks bound to
-// it.
+// phase-entry cycles come from one slab each and every participant shares
+// the runtime's one completion callback, so a runtime costs no object per
+// participant.
 func New(m *core.Machine, cfg Config, phases ...Phase) *Runtime {
 	nclusters := cfg.Clusters
 	if nclusters <= 0 || nclusters > len(m.Clusters) {
@@ -163,6 +164,7 @@ func New(m *core.Machine, cfg Config, phases ...Phase) *Runtime {
 	ctls, css := make([]ceCtl, np), make([]clusterCtl, nclusters)
 	r.ces, r.ctl, r.clusters = make([]*ce.CE, 0, np), make([]*ceCtl, np), make([]*clusterCtl, nclusters)
 	qs := make([]ce.Instr, np*qFirst)
+	done := r.complete
 	var starts []int64
 	if r.obs != nil {
 		starts = make([]int64, np*len(phases))
@@ -182,13 +184,11 @@ func New(m *core.Machine, cfg Config, phases ...Phase) *Runtime {
 			r.ceIdx[e.ID] = ci
 			r.ces = append(r.ces, e)
 			ctl := &ctls[ci]
-			*ctl = ceCtl{ci: ci, cs: cs, clusterIdx: c, q: qs[ci*qFirst : ci*qFirst : (ci+1)*qFirst]}
+			*ctl = ceCtl{ci: ci, cs: cs, clusterIdx: c, q: qs[ci*qFirst : ci*qFirst : (ci+1)*qFirst], done: done}
 			if starts != nil {
 				k := len(phases)
 				ctl.phaseStart = starts[ci*k : (ci+1)*k : (ci+1)*k]
 			}
-			ctl.onDone = func(cycle int64) { r.advance(ctl, ctl.issued, 0, false, cycle) }
-			ctl.onResult = func(v int64, passed bool, cycle int64) { r.advance(ctl, ctl.issued, v, passed, cycle) }
 			r.ctl[ci] = ctl
 		}
 	}
@@ -240,6 +240,14 @@ func (r *Runtime) Run(limit int64) (core.Result, error) {
 // P returns the participant count.
 func (r *Runtime) P() int { return len(r.ces) }
 
+// complete is the Done of every runtime-issued instruction: it advances
+// the participant on CE ceID by the step of the instruction that CE was
+// handed last.
+func (r *Runtime) complete(ceID int, v int64, passed bool, cycle int64) {
+	c := r.ctl[r.ceIdx[ceID]]
+	r.advance(c, c.issued, v, passed, cycle)
+}
+
 // Next implements ce.Controller.
 func (r *Runtime) Next(ceID int, cycle int64, in *ce.Instr) ce.Status {
 	ci := r.ceIdx[ceID]
@@ -251,7 +259,7 @@ func (r *Runtime) Next(ceID int, cycle int64, in *ce.Instr) ce.Status {
 		if c.head < len(c.q) {
 			*in = c.q[c.head]
 			c.issued = step(in.N)
-			// Drop the slot's references: its closures and streams are
+			// Drop the slot's references: its callback and streams are
 			// the CE's now.
 			c.q[c.head] = ce.Instr{}
 			if c.head++; c.head == len(c.q) {
@@ -277,7 +285,7 @@ func (c *ceCtl) enq(ins ...ce.Instr) {
 // the runtime's "branch" primitive (costs one issue cycle, like real
 // control flow at loop ends).
 func (c *ceCtl) branch(s step) {
-	c.q = append(c.q, ce.Instr{Op: ce.OpScalar, N: int(s), OnDone: c.onDone})
+	c.q = append(c.q, ce.Instr{Op: ce.OpScalar, N: int(s), Done: c.done})
 }
 
 // enterPhase routes a participant into phase k: it fills the frame with
@@ -336,7 +344,7 @@ func (r *Runtime) barrier(c *ceCtl) {
 	c.enq(ce.Instr{
 		Op: ce.OpSync, Addr: r.res[c.k].barCount,
 		Test: network.TestAlways, Mut: network.OpAdd, Value: 1,
-		N: int(stBarrierArrive), OnResult: c.onResult,
+		N: int(stBarrierArrive), Done: c.done,
 	})
 }
 
@@ -360,7 +368,7 @@ func (r *Runtime) spin(c *ceCtl, try ce.Instr, backoff, limit int64, then step) 
 	if c.wait.then != stNone {
 		panic("cfrt: wait started inside an unfinished wait")
 	}
-	try.N, try.OnResult = int(stSpin), c.onResult
+	try.N, try.Done = int(stSpin), c.done
 	c.wait = spinWait{try: try, backoff: backoff, limit: limit, then: then}
 	c.q = append(c.q, try)
 }

@@ -19,6 +19,28 @@ func mach(t *testing.T, clusters int) *core.Machine {
 	return m
 }
 
+// TestRuntimeCostsNoObjectPerParticipant requires cfrt.New to cost
+// Cedar64 (512 participants) the objects it costs paper Cedar (32), within
+// 8: an object per participant, such as a completion callback bound to
+// each, puts them hundreds apart.
+func TestRuntimeCostsNoObjectPerParticipant(t *testing.T) {
+	one := func(_ int, q []ce.Instr) []ce.Instr { return append(q, scalarInstr(1)) }
+	cost := func(p params.Machine) float64 {
+		m, err := core.New(p, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			New(m, Config{UseCedarSync: true}, XDoall{N: 64, Body: one})
+		})
+	}
+	small, big := cost(params.Default()), cost(params.Cedar64())
+	if big-small > 8 || small-big > 8 {
+		t.Errorf("cfrt.New costs Cedar %.0f objects, Cedar64 %.0f: more than 8 apart", small, big)
+	}
+	t.Logf("cfrt.New costs Cedar %.0f objects, Cedar64 %.0f", small, big)
+}
+
 // recorder collects which CE ran which iteration at what cycle.
 type record struct {
 	iter  int
@@ -30,7 +52,7 @@ func bodyRecording(recs *[]record, work int64) BodyFn {
 	return func(iter int, q []ce.Instr) []ce.Instr {
 		return append(q, ce.Instr{
 			Op: ce.OpScalar, Cycles: work,
-			OnDone: func(cy int64) {
+			Done: func(_ int, _ int64, _ bool, cy int64) {
 				*recs = append(*recs, record{iter: iter, cycle: cy})
 			},
 		})
@@ -125,7 +147,7 @@ func TestSerialPhaseRunsOnCEZeroOnly(t *testing.T) {
 	rt := New(m, Config{UseCedarSync: true},
 		Serial{Body: func(q []ce.Instr) []ce.Instr {
 			return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 500, Flops: 123,
-				OnDone: func(int64) { ran++ }})
+				Done: func(int, int64, bool, int64) { ran++ }})
 		}})
 	res, err := rt.Run(10_000_000)
 	if err != nil {
@@ -143,14 +165,14 @@ func TestPhasesAreOrderedByBarriers(t *testing.T) {
 	m := mach(t, 4)
 	var phase1End, phase2Start int64 = -1, 1 << 62
 	b1 := func(iter int, q []ce.Instr) []ce.Instr {
-		return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 40, OnDone: func(cy int64) {
+		return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 40, Done: func(_ int, _ int64, _ bool, cy int64) {
 			if cy > phase1End {
 				phase1End = cy
 			}
 		}})
 	}
 	b2 := func(iter int, q []ce.Instr) []ce.Instr {
-		return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 40, OnDone: func(cy int64) {
+		return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 40, Done: func(_ int, _ int64, _ bool, cy int64) {
 			start := cy - 40
 			if start < phase2Start {
 				phase2Start = start
@@ -181,7 +203,7 @@ func TestSDoallCDoallNest(t *testing.T) {
 				}},
 				CDoall{N: 16, Body: func(j int, q []ce.Instr) []ce.Instr {
 					return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 25,
-						OnDone: func(int64) { seen[key{i, j}]++ }})
+						Done: func(int, int64, bool, int64) { seen[key{i, j}]++ }})
 				}},
 			}
 		}})
@@ -235,7 +257,7 @@ func TestSDoallStaticAffinity(t *testing.T) {
 		SDoall{N: 12, Static: true, Body: func(i int) []ClusterPhase {
 			return []ClusterPhase{CDoall{N: 8, Body: func(j int, q []ce.Instr) []ce.Instr {
 				return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 30,
-					OnDone: func(int64) { seen[key{i, j}]++ }})
+					Done: func(int, int64, bool, int64) { seen[key{i, j}]++ }})
 			}}}
 		}})
 	if _, err := rt.Run(100_000_000); err != nil {
@@ -284,7 +306,7 @@ func TestTwoSDoallPhasesBackToBack(t *testing.T) {
 		return SDoall{N: 4, Body: func(i int) []ClusterPhase {
 			return []ClusterPhase{CDoall{N: 8, Body: func(j int, q []ce.Instr) []ce.Instr {
 				return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 10,
-					OnDone: func(int64) { count++ }})
+					Done: func(int, int64, bool, int64) { count++ }})
 			}}}
 		}}
 	}
@@ -352,7 +374,7 @@ func TestSteadyStateAllocsControllerQueue(t *testing.T) {
 				t.Fatalf("instruction %d: status %v, register %+v", want, st, reg)
 			}
 		}
-		if st := rt.Next(id, 0, &reg); st != ce.Ready || reg.Cycles != 0 || reg.OnDone == nil || c.issued != stIterDone {
+		if st := rt.Next(id, 0, &reg); st != ce.Ready || reg.Cycles != 0 || reg.Done == nil || c.issued != stIterDone {
 			t.Fatalf("loop branch behind the body: status %v, register %+v, step %d", st, reg, c.issued)
 		}
 		if rt.Next(id, 0, &reg) == ce.Ready {

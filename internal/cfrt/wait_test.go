@@ -69,7 +69,7 @@ func TestSteadyStateAllocsWaitLoops(t *testing.T) {
 				return append(q,
 					ce.Instr{Op: ce.OpSync, Addr: r.lockAddr,
 						Test: network.TestEQ, TestArg: 0, Mut: network.OpWrite, Value: 1,
-						OnResult: func(_ int64, passed bool, _ int64) {
+						Done: func(_ int, _ int64, passed bool, _ int64) {
 							if !passed {
 								t.Error("the body's Test-And-Set lost the claim lock: nobody is made to retry")
 							}
@@ -191,12 +191,12 @@ func TestWaitStateDoesNotLeakIntoNextWait(t *testing.T) {
 	// fetch-add as the first of two arrivals, which starts the flag poll.
 	arrive := func(k int) {
 		t.Helper()
-		issue("phase-entry branch").OnDone(0)
+		issue("phase-entry branch").Done(id, 0, false, 0)
 		in := issue("barrier arrival")
 		if in.Op != ce.OpSync || in.Addr != r.res[k].barCount {
 			t.Fatalf("phase %d: arrival is %+v, want a sync on the barrier count", k, in)
 		}
-		in.OnResult(0, true, 0)
+		in.Done(id, 0, true, 0)
 		if w := c.wait; w.then != stNextPhase || w.try.Addr != r.res[k].barFlag || w.backoff != r.pollBackoff {
 			t.Fatalf("phase %d: flag poll starts as %+v, want backoff %d on this phase's flag", k, w, r.pollBackoff)
 		}
@@ -205,7 +205,7 @@ func TestWaitStateDoesNotLeakIntoNextWait(t *testing.T) {
 	// reports the stall the runtime issues before the next attempt.
 	fail := func() int64 {
 		t.Helper()
-		issue("poll attempt").OnResult(0, false, 0)
+		issue("poll attempt").Done(id, 0, false, 0)
 		return issue("backoff stall").Cycles
 	}
 
@@ -218,7 +218,7 @@ func TestWaitStateDoesNotLeakIntoNextWait(t *testing.T) {
 	if c.wait.backoff != pollBackoffCap {
 		t.Fatalf("first wait's backoff = %d, want the cap %d", c.wait.backoff, pollBackoffCap)
 	}
-	issue("passing poll attempt").OnResult(1, true, 0)
+	issue("passing poll attempt").Done(id, 1, true, 0)
 	if c.wait.then != stNone || c.wait.backoff != 0 {
 		t.Errorf("wait state not cleared by its pass: %+v", c.wait)
 	}
@@ -230,7 +230,7 @@ func TestWaitStateDoesNotLeakIntoNextWait(t *testing.T) {
 	if got := fail(); got != r.pollBackoff {
 		t.Errorf("second wait's first stall = %d cycles, want the base %d", got, r.pollBackoff)
 	}
-	issue("passing poll attempt").OnResult(1, true, 0)
+	issue("passing poll attempt").Done(id, 1, true, 0)
 	var in ce.Instr
 	if st := r.Next(id, 0, &in); st != ce.Finished {
 		t.Errorf("after the last barrier Next says %v, want Finished", st)

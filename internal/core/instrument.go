@@ -137,14 +137,8 @@ type blockSpans struct {
 }
 
 // Block implements prefetch.BlockTracer.
-func (s *blockSpans) Block(id int, firstIssue int64, arrivals []int64) {
-	end := firstIssue
-	for _, a := range arrivals {
-		if a > end {
-			end = a
-		}
-	}
-	s.h.Span(s.tracks[id], "prefetch-block", firstIssue, end)
+func (s *blockSpans) Block(id int, firstIssue, lastArrival int64) {
+	s.h.Span(s.tracks[id], "prefetch-block", firstIssue, max(firstIssue, lastArrival))
 }
 
 // names returns n strings, name i being what format appends for i, as

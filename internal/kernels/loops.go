@@ -17,12 +17,15 @@ import (
 // executes the first iteration of a freshly started machine-wide loop.
 func XDoallStartup(m *core.Machine) (Result, error) {
 	first := int64(-1)
+	// One completion for every iteration: a body builds values, never
+	// heap objects.
+	done := func(_ int, _ int64, _ bool, cy int64) {
+		if first < 0 {
+			first = cy
+		}
+	}
 	body := func(_ int, q []ce.Instr) []ce.Instr {
-		return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 1, OnDone: func(cy int64) {
-			if first < 0 {
-				first = cy
-			}
-		}})
+		return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 1, Done: done})
 	}
 	rt := cfrt.New(m, cfrt.Config{UseCedarSync: true}, cfrt.XDoall{N: 64, Body: body})
 	_, err := rt.Run(100_000_000)

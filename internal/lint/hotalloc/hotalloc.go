@@ -71,19 +71,22 @@
 //
 // The third kind is not a missing construct but a missing call edge: a
 // continuation reached only through a func-valued field. The runtime's
-// scheduling runs inside ce.Instr.OnResult and OnDone, which the CE's
-// Tick calls as c.cur.OnResult(...) — a dynamic call the module call
-// graph has no callee for — and cfrt is not a hot package, so nothing a
-// completion callback allocates is ever reported. cfrt's flag poll and
+// scheduling runs inside ce.Instr.Done, which the CE's Tick calls as
+// done(c.ID, ...) — a dynamic call the module call graph has no callee
+// for — and cfrt is not a hot package, so nothing a completion callback
+// allocates is ever reported. cfrt's flag poll and
 // lock retry built a closure and two heap instructions per failed
 // attempt that way, every few hundred cycles for as long as a CE waited:
 // 78% of the suite workload's objects; the closure chain it built per
 // iteration, claim, join and barrier was 56% of what was left. Both are
-// participant state now (DESIGN.md, "Instruction ownership"), and the
-// guard is again dynamic: TestSteadyStateAllocsWaitLoops (internal/cfrt)
-// runs a barrier spin and a contended lock claim at two wait lengths,
+// participant state now, and the runtime binds its one Done once, not per
+// participant (DESIGN.md, "Instruction ownership"). The guard is again
+// dynamic: TestSteadyStateAllocsWaitLoops (internal/cfrt) runs a barrier
+// spin and a contended lock claim at two wait lengths,
 // TestSteadyStateAllocsLoops (internal/cfrt) runs every loop shape at two
-// iteration counts, each requiring equal object counts, and TestRunBudget
+// iteration counts, each requiring equal object counts,
+// TestRuntimeCostsNoObjectPerParticipant (internal/cfrt) requires
+// cfrt.New to cost Cedar64 what it costs paper Cedar, and TestRunBudget
 // (internal/perfect) bounds whole proxy runs.
 //
 // # What only it sees

@@ -174,12 +174,14 @@ func TestKAPOneClusterConfinement(t *testing.T) {
 // value, waits held as participant state and loops as a participant frame
 // (DESIGN.md, "Instruction ownership") they cost ≈770 and ≈660 objects;
 // with the machine and the runtime built from slabs and sized on first
-// touch (DESIGN.md, "Demand-materialised state") ≈268 and ≈203 — the
-// budgets are those × 1.1. A closure chain per iteration puts them back
-// at 7,000 and 1,100, a closure per poll or a heap Instr per body
-// instruction at 328,000 and 169,000. Under -race the compiler keeps the
-// temporary behind every slices.Grow (TRACK ≈304), so a raced build gets
-// 15% more.
+// touch (DESIGN.md, "Demand-materialised state") ≈263 and ≈198; with one
+// completion callback per runtime and no arrival record on an unobserved
+// PFU ≈200 and ≈135 — the budgets are those × 1.1. Two callbacks per
+// participant and a record per PFU put them back at ≈263 and ≈198, a
+// closure chain per iteration at 7,000 and 1,100, a closure per poll or a
+// heap Instr per body instruction at 328,000 and 169,000. Under -race the
+// compiler keeps the temporary behind every slices.Grow, so a raced build
+// gets 15% more.
 func TestRunBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -187,8 +189,8 @@ func TestRunBudget(t *testing.T) {
 		spec   Spec
 		budget float64
 	}{
-		{"TRACK auto-nosync", TRACK(), Spec{Variant: Auto, NoSync: true}, 294},
-		{"QCD kap", QCD(), Spec{Variant: KAP}, 223},
+		{"TRACK auto-nosync", TRACK(), Spec{Variant: Auto, NoSync: true}, 220},
+		{"QCD kap", QCD(), Spec{Variant: KAP}, 149},
 	} {
 		tc.prof.Reps *= 2
 		if raceEnabled {

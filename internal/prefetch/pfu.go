@@ -13,9 +13,10 @@
 // buffer.
 //
 // The host-side buffer is sized by the blocks a run arms, not by the
-// 512-word capacity: it grows to the longest block armed so far, together
-// with the block's arrival record, and each Arm clears only that block's
-// slots (DESIGN.md, "Demand-materialised state").
+// 512-word capacity: it grows to the longest block armed so far, and each
+// Arm clears only that block's slots. The block's arrival record exists
+// only on a PFU a monitor observes (DESIGN.md, "Demand-materialised
+// state").
 package prefetch
 
 import (
@@ -38,15 +39,17 @@ const TagBit = network.PrefetchTagBit
 // address was issued to the forward network and the cycle each datum
 // returned from the reverse network. arrivals is the PFU's own record,
 // in arrival order, reused for the next block: an observer must neither
-// modify it nor retain it past the call.
+// modify it nor retain it past the call. Only a PFU with an observer keeps
+// the record.
 type BlockObserver func(firstIssue int64, arrivals []int64)
 
-// BlockTracer receives the same record as a BlockObserver, with the id its
-// PFU was given in SetTracer. One tracer serves every PFU of a machine, so
-// observing n PFUs costs the host no closure per PFU; arrivals carries the
-// BlockObserver contract.
+// BlockTracer receives a block's lifetime: the cycle its first address was
+// issued and the latest cycle a datum of it returned, with the id its PFU
+// was given in SetTracer. One tracer serves every PFU of a machine, so
+// observing n PFUs costs the host no closure per PFU, and no arrival
+// record either.
 type BlockTracer interface {
-	Block(id int, firstIssue int64, arrivals []int64)
+	Block(id int, firstIssue, lastArrival int64)
 }
 
 type slot struct {
@@ -62,7 +65,7 @@ type slot struct {
 
 // PFU is one CE's prefetch unit.
 type PFU struct {
-	p       params.Machine
+	p       limits
 	port    int
 	fwd     network.Fabric
 	modFor  func(addr uint64) int
@@ -89,9 +92,12 @@ type PFU struct {
 	suspended   bool
 
 	firstIssue int64
-	// arrivals records the block's arrival cycles in arrival order; its
-	// capacity grows with buf, so Deliver never grows it.
-	arrivals []int64
+	// lastArrival is the latest cycle a datum of the block returned (-1:
+	// none yet). arrivals records every arrival cycle in arrival order,
+	// but only under an observer, which alone reads it; its capacity
+	// grows to the longest block armed, so Deliver never grows it.
+	lastArrival int64
+	arrivals    []int64
 
 	consumeIdx int
 
@@ -105,6 +111,16 @@ type PFU struct {
 	err        error
 
 	stats Stats
+}
+
+// limits is what a PFU reads of params.Machine. A PFU keeps these four
+// constants, not a copy of the whole parameter set: a copy is 272 bytes on
+// every CE of every machine built.
+type limits struct {
+	BufferWords    int
+	MaxOutstanding int
+	PageWords      int
+	CELoadOverhead int
 }
 
 // retryEntry schedules one element reissue no earlier than cycle at.
@@ -154,7 +170,12 @@ func New(p params.Machine, port int, fwd network.Fabric, modFor func(uint64) int
 		pool = &network.PacketPool{}
 	}
 	return &PFU{
-		p:      p,
+		p: limits{
+			BufferWords:    p.PFUBufferWords,
+			MaxOutstanding: p.PFUMaxOutstanding,
+			PageWords:      p.PageWords,
+			CELoadOverhead: p.CELoadOverhead,
+		},
 		port:   port,
 		fwd:    fwd,
 		modFor: modFor,
@@ -190,8 +211,8 @@ func (u *PFU) Outstanding() int { return u.outstanding }
 // Arming invalidates the buffer: outstanding replies from earlier blocks
 // will be dropped on return.
 func (u *PFU) Arm(length int, stride int64, mask []bool) error {
-	if length < 1 || length > u.p.PFUBufferWords {
-		return fmt.Errorf("prefetch: block length %d outside 1..%d", length, u.p.PFUBufferWords) //lint:allow hotalloc reject-path error construction, not steady-state work
+	if length < 1 || length > u.p.BufferWords {
+		return fmt.Errorf("prefetch: block length %d outside 1..%d", length, u.p.BufferWords) //lint:allow hotalloc reject-path error construction, not steady-state work
 	}
 	if mask != nil && len(mask) != length {
 		return fmt.Errorf("prefetch: mask length %d != block length %d", len(mask), length) //lint:allow hotalloc reject-path error construction, not steady-state work
@@ -207,16 +228,19 @@ func (u *PFU) Arm(length int, stride int64, mask []bool) error {
 	u.issuedIdx = 0
 	u.consumeIdx = 0
 	u.outstanding = 0
+	u.lastArrival = -1
 	u.arrivals = u.arrivals[:0]
 	u.retryQ = u.retryQ[:0]
 	u.timeoutQ = u.timeoutQ[:0]
 	u.err = nil
 	if length > len(u.buf) {
-		// A block records at most one arrival per element.
-		u.buf = make([]slot, length)          //lint:allow hotalloc first-touch materialisation: at most one per longer block armed, ≤ PFUBufferWords slots per run
-		u.arrivals = make([]int64, 0, length) //lint:allow hotalloc first-touch materialisation, with buf: at most one per longer block armed
+		u.buf = make([]slot, length) //lint:allow hotalloc first-touch materialisation: at most one per longer block armed, ≤ PFUBufferWords slots per run
 	} else {
 		clear(u.buf[:length])
+	}
+	if u.observe != nil && length > cap(u.arrivals) {
+		// A block records at most one arrival per element.
+		u.arrivals = make([]int64, 0, length) //lint:allow hotalloc first-touch materialisation under an observer: at most one per longer block armed
 	}
 	return nil
 }
@@ -288,7 +312,7 @@ func (u *PFU) NextWakeup(now int64) int64 {
 		if u.mask != nil && !u.mask[u.issuedIdx] {
 			return now // masked elements are marked consumable by ticking
 		}
-		if u.outstanding < u.p.PFUMaxOutstanding {
+		if u.outstanding < u.p.MaxOutstanding {
 			return now // an issue (or its refusal) is attempted every cycle
 		}
 		// Port saturated: a reply must free a slot first.
@@ -348,7 +372,7 @@ func (u *PFU) Tick(cycle int64) {
 	if u.issuedIdx >= u.length {
 		return
 	}
-	if u.outstanding >= u.p.PFUMaxOutstanding {
+	if u.outstanding >= u.p.MaxOutstanding {
 		return
 	}
 	addr := u.nextAddr
@@ -426,7 +450,7 @@ func (u *PFU) reissue(cycle int64) bool {
 			u.retryQ = u.retryQ[:len(u.retryQ)-1]
 			return false
 		}
-		if u.outstanding >= u.p.PFUMaxOutstanding {
+		if u.outstanding >= u.p.MaxOutstanding {
 			return false
 		}
 		if !u.issueElement(e.idx, u.buf[e.idx].addr, cycle) {
@@ -493,7 +517,10 @@ func (u *PFU) Deliver(pkt *network.Packet, cycle int64) bool {
 		u.outstanding--
 	}
 	u.stats.Returned++
-	u.arrivals = append(u.arrivals, cycle)
+	u.lastArrival = max(u.lastArrival, cycle)
+	if u.observe != nil {
+		u.arrivals = append(u.arrivals, cycle)
+	}
 	return true
 }
 
@@ -514,15 +541,15 @@ func (u *PFU) TryConsume(cycle int64) (int64, bool) {
 // Consumed reports how many elements the CE has taken from the buffer.
 func (u *PFU) Consumed() int { return u.consumeIdx }
 
-// flushBlock reports the completed (or abandoned) block to the observer.
+// flushBlock reports the completed (or abandoned) block to the observer
+// and the tracer, if any datum of it returned.
 func (u *PFU) flushBlock() {
-	if u.fired && (u.observe != nil || u.tracer != nil) &&
-		u.firstIssue >= 0 && len(u.arrivals) > 0 {
+	if u.fired && u.firstIssue >= 0 && u.lastArrival >= 0 {
 		if u.observe != nil {
 			u.observe(u.firstIssue, u.arrivals)
 		}
 		if u.tracer != nil {
-			u.tracer.Block(u.traceID, u.firstIssue, u.arrivals)
+			u.tracer.Block(u.traceID, u.firstIssue, u.lastArrival)
 		}
 	}
 	u.fired = false

@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"slices"
 	"testing"
 
 	"cedar/internal/gmem"
@@ -375,5 +376,111 @@ func TestSteadyStateAllocsRearm(t *testing.T) {
 	}
 	if blocks == 0 || words != 32*blocks {
 		t.Errorf("observer saw %d blocks, %d words; want 32 words per block", blocks, words)
+	}
+}
+
+// TestUnobservedPFUKeepsNoArrivalRecord: the arrival record is for a
+// monitor, so a PFU's first Arm allocates its buffer alone, and the record
+// beside it only when an observer is installed; a block run without one
+// leaves the PFU with no record at all.
+func TestUnobservedPFUKeepsNoArrivalRecord(t *testing.T) {
+	p, pool := params.Default(), &network.PacketPool{}
+	for _, tc := range []struct {
+		name    string
+		observe BlockObserver
+		want    float64
+	}{
+		{"unobserved", nil, 1},
+		{"observed", func(int64, []int64) {}, 2},
+	} {
+		const runs = 10
+		pfus := make([]*PFU, runs+1) // AllocsPerRun warms up with one more call
+		for i := range pfus {
+			pfus[i] = New(p, 0, nil, nil, pool)
+			pfus[i].SetObserver(tc.observe)
+		}
+		next := 0
+		got := testing.AllocsPerRun(runs, func() {
+			if err := pfus[next].Arm(32, 1, nil); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		if got != tc.want {
+			t.Errorf("%s: a first Arm allocates %.0f objects, want %.0f", tc.name, got, tc.want)
+		}
+	}
+
+	r := newRig(t)
+	if err := r.pfu.Arm(32, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.pfu.Fire(0); err != nil {
+		t.Fatal(err)
+	}
+	r.runUntilDone(t, 10000)
+	r.pfu.Finish()
+	if r.pfu.arrivals != nil {
+		t.Errorf("an unobserved PFU kept a %d-cycle arrival record", cap(r.pfu.arrivals))
+	}
+}
+
+// blockLife is one block as a BlockTracer saw it.
+type blockLife struct{ first, last int64 }
+
+// lives is a BlockTracer that records every block.
+type lives []blockLife
+
+func (l *lives) Block(_ int, firstIssue, lastArrival int64) {
+	*l = append(*l, blockLife{firstIssue, lastArrival})
+}
+
+// TestBlockSpanEndsAtLastArrival runs blocks on one PFU with both an
+// observer and a tracer, under the retry machinery, and answers them with
+// the replies a faulted run sees beside the real ones: a NACK while a word
+// is in flight, then — later than any real arrival — a duplicate of a word
+// that already arrived, a NACK for one, a reply past the block's end and
+// a reply of the block before. Only a real arrival may end a block: every
+// block the tracer sees must end at the latest arrival the observer
+// recorded for it.
+func TestBlockSpanEndsAtLastArrival(t *testing.T) {
+	r := newRig(t)
+	r.pfu.ArmRetry()
+	var observed, traced lives
+	r.pfu.SetObserver(func(first int64, arrivals []int64) {
+		observed = append(observed, blockLife{first, slices.Max(arrivals)})
+	})
+	r.pfu.SetTracer(&traced, 0)
+	reply := func(kind network.Kind, epoch uint32, idx int, cycle int64) {
+		t.Helper()
+		pkt := &network.Packet{Kind: kind, Tag: TagBit | (epoch&0x7fff)<<16 | uint32(idx)}
+		if !r.pfu.Deliver(pkt, cycle) {
+			t.Fatalf("PFU-tagged reply %v not claimed", pkt)
+		}
+	}
+	const n = 16
+	for blk := 0; blk < 3; blk++ {
+		if err := r.pfu.Arm(n, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.pfu.Fire(uint64(100 * blk)); err != nil {
+			t.Fatal(err)
+		}
+		r.eng.Run(4) // the first words are in flight, none back
+		reply(network.NackReply, r.pfu.epoch, 0, r.eng.Cycle())
+		r.runUntilDone(t, 10000)
+		late := r.eng.Cycle() + 100
+		reply(network.ReadReply, r.pfu.epoch, 1, late)
+		reply(network.NackReply, r.pfu.epoch, 2, late)
+		reply(network.ReadReply, r.pfu.epoch, n, late)
+		reply(network.ReadReply, r.pfu.epoch-1, 3, late)
+	}
+	r.pfu.Finish()
+	st := r.pfu.Stats()
+	if st.Nacks != 3 || st.Dropped != 3*4 {
+		t.Fatalf("%d NACKs and %d dropped replies, want 3 and 12: the faulted replies did not land as planned", st.Nacks, st.Dropped)
+	}
+	if len(observed) != 3 || !slices.Equal(traced, observed) {
+		t.Errorf("tracer saw blocks %v, observer (first issue, latest arrival) %v", traced, observed)
 	}
 }

@@ -82,18 +82,26 @@ stage "go test ./..."
 # Cedar sync and lock path) allocates the same number of objects at N and
 # at 4N iterations.
 # TestBuildBudget (core) is the same idea for construction: core.New
-# allocates a machine's wiring (≤ 256 KB and 92 objects Cedar, ≤ 3 MB and
-# 690 Cedar64; under a hub as every point builds, 125 and 725), never
+# allocates a machine's wiring (≤ 243 KB and 92 objects Cedar, ≤ 2,874 KB
+# and 690 Cedar64; under a hub as every point builds, 125 and 725), never
 # its capacity, and TestBuildCostsNoObjectPerCE fails on one object per
 # CE (two machines 24 CEs apart must differ by fewer than 24 objects).
 # TestInstrumentCostsNoObjectPerCluster (core) fails on one object per
 # cluster in the hub's instrumentation: what the hub adds to core.New
 # must be the same on Cedar64 (64 clusters) as on Cedar (4), within 2.
+# TestRuntimeCostsNoObjectPerParticipant (cfrt) fails on one object per
+# participant in cfrt.New: a runtime over Cedar64 (512 CEs) must cost
+# what one over Cedar (32) costs, within 8 — one completion callback per
+# runtime, none per CE. TestUnobservedPFUKeepsNoArrivalRecord (prefetch):
+# a PFU's first Arm allocates its buffer alone, and the arrival record
+# beside it only under a BlockObserver; TestBlockSpanEndsAtLastArrival
+# (prefetch): the last arrival a tracer is handed instead of the record
+# is the record's maximum, NACKs, duplicates and stale replies included.
 # TestPointRunBudget (bench) is the same idea for a whole point, first
-# touches included: sharded's cedar16-vl512 stays within 1,036 objects.
+# touches included: sharded's cedar16-vl512 stays within 616 objects.
 # TestRunBudget (perfect) is the same idea for a whole Perfect proxy run:
 # the two points that wait the most (TRACK auto without Cedar sync, QCD
-# under KAP) stay within 294 and 223 objects, machine included (under
+# under KAP) stay within 220 and 149 objects, machine included (under
 # -race, which keeps slices.Grow's temporary, within those + 15%).
 # TestHitBudget (serve) is the same idea for one served request: a repeat
 # answered from the memory tier through Handler, key included, stays
