@@ -41,7 +41,6 @@
 package cedar
 
 import (
-	"cedar/internal/bench"
 	"cedar/internal/ce"
 	"cedar/internal/cfrt"
 	"cedar/internal/core"
@@ -54,6 +53,14 @@ import (
 	"cedar/internal/tables"
 	"cedar/internal/xylem"
 )
+
+// The facade keeps a name if the package doc, an Example, a root test or
+// README uses it, or if a kept name needs it: as the type of a parameter,
+// result or field (Hub.Spans keeps TraceSpan), or as a member of its
+// constant or var block (OpSync stays beside OpScalar). Everything else
+// is reached through the commands: cedarsim runs the catalogue by name,
+// cedarbench runs campaigns, and README maps each name that left the
+// facade to the command that replaces it.
 
 // Machine is a configured Cedar system: clusters of CEs, networks, global
 // memory, and allocators for placing workload data.
@@ -83,8 +90,8 @@ const CycleNS = params.CycleNS
 func DefaultParams() Params { return params.Default() }
 
 // ScaledParams returns a Cedar-like machine scaled to the given cluster
-// count (the PPT5 probe). Part of the public facade, so it stays though
-// no command calls it.
+// count (the PPT5 probe); TestScaledParamsThroughFacade keeps it in the
+// facade.
 func ScaledParams(clusters int) Params { return params.Scaled(clusters) }
 
 // NewMachine builds a machine, panicking on invalid parameters; use
@@ -136,6 +143,9 @@ type (
 	// CDoall spreads iterations across one cluster via the concurrency
 	// control bus.
 	CDoall = cfrt.CDoall
+	// ClusterPhase is one step of an SDoall iteration, run by one
+	// cluster: a ClusterSerial or a CDoall.
+	ClusterPhase = cfrt.ClusterPhase
 	// ClusterSerial runs on a cluster's master CE.
 	ClusterSerial = cfrt.ClusterSerial
 )
@@ -153,10 +163,6 @@ type (
 	RKMode = kernels.RKMode
 	// CGConfig configures the conjugate gradient kernel.
 	CGConfig = kernels.CGConfig
-	// BandedConfig configures the banded matrix-vector kernel.
-	BandedConfig = kernels.BandedConfig
-	// MemBWPoint is one memory-characterization measurement.
-	MemBWPoint = kernels.MemBWPoint
 )
 
 // Rank-update variants (Table 1).
@@ -181,16 +187,6 @@ func TriMat(m *Machine, n int) (KernelResult, error) { return kernels.TriMat(m, 
 
 // CG runs the 5-diagonal conjugate gradient solver of the PPT4 study.
 func CG(m *Machine, cfg CGConfig) (KernelResult, error) { return kernels.CG(m, cfg) }
-
-// Banded computes the banded matrix-vector product of the PPT4 CM-5
-// comparison on the simulated Cedar.
-func Banded(m *Machine, cfg BandedConfig) (KernelResult, error) { return kernels.Banded(m, cfg) }
-
-// MemBW measures delivered global-memory bandwidth for a CE count and
-// stride — the [GJTV91] characterization.
-func MemBW(m *Machine, nCE int, stride int64, wordsPerCE int) (MemBWPoint, error) {
-	return kernels.MemBW(m, nCE, stride, wordsPerCE)
-}
 
 // Perfect Benchmark proxies.
 type (
@@ -236,8 +232,7 @@ func Speedup(serial, parallel float64) float64 { return ppt.Speedup(serial, para
 func Efficiency(speedup float64, p int) float64 { return ppt.Efficiency(speedup, p) }
 
 // BandOf classifies a speedup on P processors against the P/2 and
-// P/(2·log₂P) thresholds. Part of the public facade, so it stays though
-// no command calls it.
+// P/(2·log₂P) thresholds; ExampleBandOf keeps it in the facade.
 func BandOf(speedup float64, p int) Band { return ppt.BandOfSpeedup(speedup, p) }
 
 // Instability computes In(K, e): max/min performance after excluding the
@@ -272,12 +267,6 @@ type (
 	// paper-layout table, and it marshals to cedarsim's -json result.
 	// (Result is taken by the machine's timing result.)
 	ExperimentResult = tables.Result
-	// Table1Result is the rank-64 update memory study.
-	Table1Result = tables.Table1Result
-	// Table2Result is the latency/interarrival study.
-	Table2Result = tables.Table2Result
-	// PPT4Result is the scalability study.
-	PPT4Result = tables.PPT4Result
 )
 
 // Experiments returns the named catalogue entries in the order given, or
@@ -355,12 +344,6 @@ var WriteScopeArtifacts = scope.WriteArtifacts
 // FormatAttribution renders the per-class cycle attribution table.
 var FormatAttribution = scope.FormatAttribution
 
-// Parallel orchestration: the cedarfleet pool (see internal/fleet). Each
-// simulated machine remains single-goroutine — the pool dispatches whole
-// independent experiment points and reassembles results in submission
-// order, so every report, JSON, and trace artifact is byte-identical to a
-// sequential run. The worker count is Env.Jobs (the CLIs' -jobs flag).
-
 // Fault injection: the cedarfault layer (see internal/fault). A Plan is
 // seed-deterministic data; build a machine with Options{Faults: plan}
 // (or run an experiment under Env{Faults: plan}, what the CLIs' -faults
@@ -392,52 +375,5 @@ const (
 // mode; check with errors.Is.
 var ErrDegraded = fault.ErrDegraded
 
-// LoadFaultPlan reads and validates a JSON fault plan file.
-var LoadFaultPlan = fault.Load
-
 // DemoFaultPlan is the built-in dead-bank + stage-jam + NACK scenario.
 var DemoFaultPlan = fault.DemoPlan
-
-// Benchmarking: the cedarbench campaign runner (see internal/bench). A
-// BenchCampaign declares a matrix of (machine × workload × fault plan);
-// RunBenchCampaign executes every point through the fleet pool and
-// returns a BenchArtifact whose deterministic section (simcycles, scope
-// counters, attribution, cache rates) is byte-identical at any worker
-// count, with wall time and allocations kept in a separate measured
-// section. cmd/cedarbench is the CLI face; scripts/check.sh runs the
-// smoke campaign and diffs it against the committed baseline, at fixed
-// thresholds, on every PR.
-type (
-	// BenchCampaign is one declarative benchmark matrix.
-	BenchCampaign = bench.Campaign
-	// BenchMachineSpec is one machine axis entry (default Cedar plus
-	// named overrides).
-	BenchMachineSpec = bench.MachineSpec
-	// BenchWorkloadSpec is one workload axis entry (a paper kernel plus
-	// sizing).
-	BenchWorkloadSpec = bench.WorkloadSpec
-	// BenchFaultSpec is one fault axis entry (healthy, demo or inline
-	// plan).
-	BenchFaultSpec = bench.FaultSpec
-	// BenchArtifact is a campaign execution (a BENCH_<area>.json file).
-	BenchArtifact = bench.Artifact
-	// BenchRunOptions tunes a campaign execution (jobs override, wall
-	// clock, progress writer).
-	BenchRunOptions = bench.RunOptions
-	// BenchDiffReport is the outcome of comparing two artifacts.
-	BenchDiffReport = bench.DiffReport
-)
-
-// LoadBenchCampaign reads and validates a campaign config file.
-var LoadBenchCampaign = bench.Load
-
-// RunBenchCampaign executes a campaign and returns its artifact.
-var RunBenchCampaign = bench.Run
-
-// ReadBenchArtifact loads a BENCH_<area>.json artifact file.
-var ReadBenchArtifact = bench.ReadArtifact
-
-// DiffBenchArtifacts compares a new artifact against an old baseline,
-// flagging simcycle and allocation regressions past its fixed
-// thresholds (5% and 30%) and any point that vanished or changed status.
-var DiffBenchArtifacts = bench.Diff

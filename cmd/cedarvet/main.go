@@ -31,9 +31,8 @@
 //
 // Scope: paramhygiene, cycleint and the whole-module hotalloc run
 // everywhere; nondeterminism and errflow cover the root package and
-// internal/** (the simulator proper) — commands and examples may
-// legitimately read the wall clock, exit the process, and print
-// unchecked. hotalloc's reachability runs over the packages the patterns
+// internal/** (the simulator proper) — commands may legitimately read
+// the wall clock, exit the process, and print unchecked. hotalloc's reachability runs over the packages the patterns
 // loaded, so its verdict — and the staleness of a //lint:allow hotalloc —
 // is complete only on ./... .
 package main

@@ -23,6 +23,16 @@ stage() {
 stage "go build ./..."
 go build ./...
 
+# gofmt before vet: a stage that fails when gofmt -l lists any file, so
+# formatting drift is caught by name rather than in review.
+stage "gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+  echo "$unformatted"
+  echo "gofmt: the files above need formatting (gofmt -w)" >&2
+  exit 1
+fi
+
 stage "go vet ./..."
 go vet ./...
 
@@ -127,8 +137,8 @@ stage "go test -race ./..."
 # TestSteppedVsEventDegraded). The cedarfleet worker pool
 # must be invisible, pool enabled: -jobs 8 and -jobs 1 byte-identical — for
 # healthy runs (t1 overheads membw) and for fault-injected (cedarfault)
-# degraded runs alike; so must the campaign runner's (root:
-# TestBenchArtifactDeterminism).
+# degraded runs alike; so must the campaign runner's, on the omega and
+# the crossbar machine (root: TestBenchArtifactDeterminism).
 # Three run configurations at once (tables: TestTwoEnvsAtOnce): a
 # demo-plan Env at jobs 1 beside a healthy Env at jobs 4 and a healthy
 # Env on the stepped engine, on one sweep, each byte-equal to its solo run
@@ -227,4 +237,4 @@ stage ""
 golines() { find . -name '*.go' "$@" -print0 | xargs -0 cat | wc -l; }
 echo "non-test Go lines: $(golines ! -name '*_test.go') total, $(golines ! -name '*_test.go' ! -path './cmd/cedarperf/*') outside cmd/cedarperf"
 echo "test Go lines: $(golines -name '*_test.go') total, $(golines -name '*_test.go' ! -path './cmd/cedarperf/*') outside cmd/cedarperf"
-echo "OK in ${SECONDS}s: build, vet, cedarvet, tests (allocation gates, report goldens), race tests (jobs, stepped, data-path and serve equality), bench campaigns and fuzz smoke all green"
+echo "OK in ${SECONDS}s: build, gofmt, vet, cedarvet, tests (allocation gates, report goldens), race tests (jobs, stepped, data-path and serve equality), bench campaigns and fuzz smoke all green"
