@@ -113,27 +113,3 @@ func TestRunRejectsBadMethodologyInvocations(t *testing.T) {
 		{"unknown flag", []string{"t5", "-bogus", "t6", "fig3"}, 2, "bogus"},
 	})
 }
-
-// TestSmallKernelsMatchTheGolden: -small means the library's default
-// sizes, so the eight kernel-level entries at -n 32 write exactly the
-// committed report golden — headings, tables and nothing after them.
-func TestSmallKernelsMatchTheGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("report generation in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("report generation is too slow under the race detector")
-	}
-	want, err := os.ReadFile(filepath.Join("..", "..", "internal", "tables", "testdata", "report_kernels_n32.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	args := []string{"-q", "-small", "-n", "32", "overheads", "t1", "t2", "membw", "net", "prefblock", "sched", "scaled"}
-	var stdout, stderr bytes.Buffer
-	if got := run(args, &stdout, &stderr); got != 0 {
-		t.Fatalf("run(%v) = %d, want 0 (stderr: %s)", args, got, stderr.String())
-	}
-	if got := stdout.String(); got != string(want) {
-		t.Errorf("run(%v) wrote:\n%s\nwant the golden:\n%s", args, got, want)
-	}
-}

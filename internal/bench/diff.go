@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -87,7 +88,8 @@ func (r *DiffReport) Format() string {
 // the matrix or the model changed, which must be an explicit baseline
 // update, never a silent pass (an abandoned degraded run stops early, so
 // its fewer simcycles would otherwise read as an improvement). New
-// points and improvements are noted without failing.
+// points and improvements are noted without failing, and so is a
+// deterministic section that differs without a line saying so.
 func Diff(old, new *Artifact) (*DiffReport, error) {
 	if old.Header.Area != new.Header.Area {
 		return nil, fmt.Errorf("bench: diff across areas %q vs %q", old.Header.Area, new.Header.Area)
@@ -128,6 +130,14 @@ func Diff(old, new *Artifact) (*DiffReport, error) {
 	for _, np := range new.Deterministic.Points {
 		if _, leftover := newPoints[np.ID]; leftover {
 			r.Notes = append(r.Notes, fmt.Sprintf("%s: new point (simcycles %d)", np.ID, np.SimCycles))
+		}
+	}
+	// A deterministic section that moved within the thresholds (a metric,
+	// or simcycles within 5%) fails nothing here, since exactness is the
+	// tier-1 campaign gate's, but it is not "no change" either.
+	if len(r.Regressions)+len(r.Improvements)+len(r.Notes) == 0 {
+		if where := firstDifference(old.Deterministic, new.Deterministic); where != "" {
+			r.Notes = append(r.Notes, "deterministic section differs within the thresholds, first at "+where)
 		}
 	}
 
@@ -173,4 +183,55 @@ func Diff(old, new *Artifact) (*DiffReport, error) {
 		}
 	}
 	return r, nil
+}
+
+// firstDifference names the first point whose deterministic record
+// differs between old and new, in matrix order, and the first thing in
+// it that does; "" if the sections are equal.
+func firstDifference(old, new Deterministic) string {
+	for i := range max(len(old.Points), len(new.Points)) {
+		switch {
+		case i >= len(new.Points):
+			return old.Points[i].ID + ": gone"
+		case i >= len(old.Points):
+			return new.Points[i].ID + ": new point"
+		}
+		o, n := old.Points[i], new.Points[i]
+		if what := pointDifference(o, n); what != "" {
+			return n.ID + ": " + what
+		}
+	}
+	return ""
+}
+
+// pointDifference names the first field of two records of one matrix
+// slot that differs, metrics by name; "" if they are equal.
+func pointDifference(o, n PointResult) string {
+	switch {
+	case o.ID != n.ID:
+		return "was " + o.ID
+	case o.SimCycles != n.SimCycles:
+		return fmt.Sprintf("simcycles %d -> %d", o.SimCycles, n.SimCycles)
+	case o.Status != n.Status:
+		return fmt.Sprintf("status %q -> %q", o.Status, n.Status)
+	}
+	for i := range max(len(o.Metrics), len(n.Metrics)) {
+		switch {
+		case i >= len(n.Metrics):
+			return "metric " + o.Metrics[i].Name + " gone"
+		case i >= len(o.Metrics), o.Metrics[i].Name != n.Metrics[i].Name:
+			return "metric " + n.Metrics[i].Name + " added"
+		case o.Metrics[i] != n.Metrics[i]:
+			return fmt.Sprintf("metric %s %d -> %d", n.Metrics[i].Name, o.Metrics[i].Value, n.Metrics[i].Value)
+		}
+	}
+	switch {
+	case o.Flops != n.Flops, o.MFLOPS != n.MFLOPS:
+		return fmt.Sprintf("flops %d -> %d, mflops %v -> %v", o.Flops, n.Flops, o.MFLOPS, n.MFLOPS)
+	case o.Faults != n.Faults:
+		return fmt.Sprintf("fault counters %+v -> %+v", o.Faults, n.Faults)
+	case !slices.Equal(o.Attribution, n.Attribution):
+		return "attribution"
+	}
+	return ""
 }

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"cedar/internal/scope"
 )
 
 // fix builds a two-point artifact with measured runs for diff tests.
@@ -257,5 +259,35 @@ func TestDiffRejectsMismatchedAreas(t *testing.T) {
 	n.Header.Area = "other"
 	if _, err := Diff(fix(), n); err == nil {
 		t.Fatal("cross-area diff should error")
+	}
+}
+
+// TestDiffNotesAMoveWithinTheThresholds: a metric that moved, or
+// simcycles that moved by less than 5%, fails nothing, but the report is
+// not "no change": a note names the first point and what moved in it.
+func TestDiffNotesAMoveWithinTheThresholds(t *testing.T) {
+	withMetric := func(v int64) *Artifact {
+		a := fix()
+		a.Deterministic.Points[1].Metrics = []scope.Sample{{Name: "gmem.stalls", Kind: "counter", Value: v}}
+		return a
+	}
+	cycles := fix()
+	cycles.Deterministic.Points[0].SimCycles = 1030
+	for _, tc := range []struct {
+		name     string
+		old, new *Artifact
+		want     string
+	}{
+		{"one metric value", withMetric(3), withMetric(4), "first at m/w2/healthy: metric gmem.stalls 3 -> 4"},
+		{"simcycles +3%", fix(), cycles, "first at m/w1/healthy: simcycles 1000 -> 1030"},
+	} {
+		r, err := Diff(tc.old, tc.new)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := r.Format()
+		if r.HasRegressions() || strings.Contains(out, "no change") || !strings.Contains(out, tc.want) {
+			t.Errorf("%s: want no regression and a note saying %q, got: %s", tc.name, tc.want, out)
+		}
 	}
 }

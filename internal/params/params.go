@@ -65,14 +65,11 @@ type Machine struct {
 	CacheBytes       int // shared cache size (512 KB)
 	CacheLineBytes   int // line size (32 B)
 	CacheWays        int // set associativity (1 = direct mapped)
-	CacheBanks       int // interleaving (4)
 	CacheWordsPerCyc int // cluster cache bandwidth in words/cycle (8)
 	CacheHitLatency  int // cycles for a hit
 	CacheMissPerCE   int // outstanding misses allowed per CE (2)
 	CMemLatency      int // cluster memory access latency
 	CMemWordsPerCyc  int // cluster memory bandwidth in words/cycle (4 = half cache)
-	ClusterMemWords  int // cluster memory capacity in 8-byte words (32 MB)
-	GlobalMemWords   int // global memory capacity in 8-byte words (64 MB)
 
 	// Virtual memory.
 	PageWords    int // page size in 8-byte words (4 KB = 512 words)
@@ -91,6 +88,9 @@ type Machine struct {
 // 8-CE clusters, a 64-port two-stage omega network of 8×8 crossbars, and
 // 32 interleaved global memory modules. It means the same machine in
 // every process; a run on a wider machine says so explicitly (Scaled).
+// Three published figures no mechanism reads have no field: the cluster
+// cache's four-bank interleave, the 32 MB of cluster memory and the
+// 64 MB of global memory.
 func Default() Machine {
 	return Machine{
 		Clusters:      4,
@@ -117,14 +117,11 @@ func Default() Machine {
 		CacheBytes:       512 << 10,
 		CacheLineBytes:   32,
 		CacheWays:        1,
-		CacheBanks:       4,
 		CacheWordsPerCyc: 8,
 		CacheHitLatency:  2,
 		CacheMissPerCE:   2,
 		CMemLatency:      10,
 		CMemWordsPerCyc:  4,
-		ClusterMemWords:  (32 << 20) / WordBytes,
-		GlobalMemWords:   (64 << 20) / WordBytes,
 
 		PageWords:    512,
 		TLBMissCost:  300,

@@ -2,13 +2,13 @@ package tables
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"os"
 	"strings"
 	"sync"
 	"testing"
 
+	"cedar/internal/manifest"
 	"cedar/internal/perfect"
 	"cedar/internal/scope"
 )
@@ -138,25 +138,25 @@ func (p reportPass) manifest(s Sizes) (string, error) {
 		if !ok {
 			return "", fmt.Errorf("%s: no %q section", e.Name, e.Title(s))
 		}
-		h := sha256.New()
-		h.Write([]byte(sec))
+		hashed := []byte(sec)
 		for _, pt := range e.points(Env{}, s.resolved()) {
 			line, ok := lines[pt.scope]
 			if !ok {
 				return "", fmt.Errorf("%s: point %s wrote no Progress line", e.Name, pt.scope)
 			}
-			h.Write([]byte(line))
+			hashed = append(hashed, line...)
 		}
-		fmt.Fprintf(&out, "%x  %s\n", h.Sum(nil), e.Name)
+		out.WriteString(manifest.Line(e.Name, hashed))
 	}
 	return out.String(), nil
 }
 
 // TestModelManifest is the cross-commit pin on the whole model: P1's
 // manifest must equal testdata/model.sha256, so one cycle moved in any
-// catalogue point fails tier-1 and names its entries. On a mismatch it
-// prints the replacement file; copy it over the committed one only for a
-// deliberate model change (DESIGN.md, "The model as one committed value").
+// catalogue point fails tier-1 and names its entries. On a mismatch
+// manifest.Check prints the replacement file; copy it over the committed
+// one only for a deliberate model change (DESIGN.md, "Byte identity as
+// committed values").
 func TestModelManifest(t *testing.T) {
 	reportGate(t)
 	p := evaluationPass()
@@ -167,41 +167,9 @@ func TestModelManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile("testdata/model.sha256")
-	if err != nil {
-		t.Fatal(err)
+	if err := manifest.Check("testdata/model.sha256", got); err != nil {
+		t.Error(err)
 	}
-	if got == string(want) {
-		return
-	}
-	byName := func(file string) map[string]string {
-		lines := map[string]string{}
-		for _, line := range strings.Split(file, "\n") {
-			if _, name, ok := strings.Cut(line, "  "); ok {
-				lines[name] = line
-			}
-		}
-		return lines
-	}
-	gotBy, wantBy := byName(got), byName(string(want))
-	var moved []string
-	for _, name := range Names() {
-		switch w, ok := wantBy[name]; {
-		case !ok:
-			moved = append(moved, name+" (missing)")
-		case w != gotBy[name]:
-			moved = append(moved, name)
-		}
-	}
-	for _, line := range strings.Split(string(want), "\n") {
-		if _, name, ok := strings.Cut(line, "  "); ok && gotBy[name] == "" {
-			moved = append(moved, name+" (extra)")
-		}
-	}
-	if len(moved) == 0 {
-		moved = append(moved, "no entry's line, but the file's order or layout")
-	}
-	t.Errorf("the model moved: %s. For a deliberate model change, testdata/model.sha256 becomes:\n%s", strings.Join(moved, ", "), got)
 }
 
 // TestWriteReportGolden is the cross-commit half of the byte-identity

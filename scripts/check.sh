@@ -70,9 +70,15 @@ stage "go test ./..."
 # TestWriteReportDeterministic compares (both passes simulate every point:
 # nothing memoizes a sweep point between runs); and
 # TestWriteReportMethodologySections' five suite tables on two codes.
-# cmd/cedarsim's TestSmallKernelsMatchTheGolden runs the CLI once at
-# -small -n 32 over the eight kernel-level names and compares its stdout
-# with the same golden, byte for byte.
+# Two more identity gates run in this pass only (they skip under -race,
+# like the report gates): cmd/cedarsim's TestIdentityManifest runs the
+# four cedarsim invocations listed in its testdata/identity.sha256
+# in-process and hashes their stdout, -trace and -metrics into that file
+# (its -small -n 32 run's report must also start with the golden);
+# internal/bench's TestCampaignsMatchTheCommittedBaselines requires the
+# three committed campaigns, and the smoke campaign on the stepped
+# engine, to equal bench/BENCH_<area>.json byte for byte up to the
+# measured section.
 #
 # Steady-state allocation gates (the count asserted is the production
 # build's, so this pass is the one that matters; they are single-goroutine
@@ -171,6 +177,10 @@ stage "go test -race ./..."
 # across skipped ticks; gmem: TestActiveSetMatchesEveryModule,
 # TestWiredMemoryIsSkipped).
 #
+# cedarserve's bytes across commits: TestIdentityManifest (serve) pins
+# two response bodies, key included, and the store's blob names in
+# testdata/identity.sha256.
+#
 # cedarserve cached-vs-fresh response equality. The serving daemon's cache
 # must be invisible: a response served from the in-process cache, from a
 # coalesced in-flight computation, or from the durable on-disk store
@@ -201,25 +211,27 @@ stage "go test -race ./..."
 go test -race ./...
 
 stage "cedarbench smoke campaign + regression diff"
-# The smoke campaign runs the full matrix once per declared jobs value
-# ([1, 8]) and fails itself if the deterministic sections differ, so a
-# successful run is a cross-jobs byte-equality proof. The diff then
-# gates simcycles (tight, they are deterministic) and allocations
-# (loose, they drift with the toolchain) against the committed baseline.
+# Exact deterministic bytes of all three campaigns are gated in tier-1
+# (TestCampaignsMatchTheCommittedBaselines). These stages remain the
+# measured allocation gate (diff: mallocs within 30% of the baseline,
+# beside its 5% simcycle threshold) and the end-to-end smoke of
+# cedarbench run itself, which runs the
+# matrix once per declared jobs value ([1, 8]) and fails on any
+# cross-jobs byte difference.
 go run ./cmd/cedarbench run -config bench/campaigns/smoke.json -out artifacts/BENCH_smoke.json -q
 go run ./cmd/cedarbench diff bench/BENCH_smoke.json artifacts/BENCH_smoke.json
 
 stage "cedarbench latency campaign (event-wheel win) + regression diff"
-# The latency campaign is dominated by long memory waits — exactly what
-# the event wheel jumps over — so its simcycles are also the regression
-# gate on the wheel's scheduling (a missed wake changes cycle counts
-# before it changes anything else).
+# The latency campaign is dominated by long memory waits, which the event
+# wheel jumps over. Its exact bytes are gated in tier-1; this stage is
+# its measured allocation gate and end-to-end cedarbench run smoke.
 go run ./cmd/cedarbench run -config bench/campaigns/latency.json -out artifacts/BENCH_latency.json -q
 go run ./cmd/cedarbench diff bench/BENCH_latency.json artifacts/BENCH_latency.json
 
 stage "cedarbench wide campaign (16/64-cluster presets) + regression diff"
-# The wide campaign is the simcycle baseline for the scale-up machines:
-# the diff gates Cedar16 and Cedar64 like any other committed baseline.
+# The wide campaign covers Cedar16 and Cedar64. Its exact bytes are gated
+# in tier-1; this stage is its measured allocation gate and end-to-end
+# cedarbench run smoke.
 go run ./cmd/cedarbench run -config bench/campaigns/wide.json -out artifacts/BENCH_wide.json -q
 go run ./cmd/cedarbench diff bench/BENCH_wide.json artifacts/BENCH_wide.json
 
@@ -237,4 +249,4 @@ stage ""
 golines() { find . -name '*.go' "$@" -print0 | xargs -0 cat | wc -l; }
 echo "non-test Go lines: $(golines ! -name '*_test.go') total, $(golines ! -name '*_test.go' ! -path './cmd/cedarperf/*') outside cmd/cedarperf"
 echo "test Go lines: $(golines -name '*_test.go') total, $(golines -name '*_test.go' ! -path './cmd/cedarperf/*') outside cmd/cedarperf"
-echo "OK in ${SECONDS}s: build, gofmt, vet, cedarvet, tests (allocation gates, report goldens), race tests (jobs, stepped, data-path and serve equality), bench campaigns and fuzz smoke all green"
+echo "OK in ${SECONDS}s: build, gofmt, vet, cedarvet, tests (allocation gates, report goldens, identity manifests), race tests (jobs, stepped, data-path and serve equality), bench campaigns and fuzz smoke all green"
