@@ -39,7 +39,7 @@ func runNamed(b *testing.B, env cedar.Env, name string) {
 
 // BenchmarkExperiment regenerates each catalogue entry alone, one
 // sub-benchmark per name. The paper's quantities are the tables'
-// cells; WriteReport checks them against the paper as claims.
+// cells; RunAll judges them against the paper as claims.
 func BenchmarkExperiment(b *testing.B) {
 	for _, name := range tables.Names() {
 		b.Run(name, func(b *testing.B) {

@@ -275,7 +275,9 @@ var Experiments = tables.Experiments
 
 // RunAll runs experiments in order under an Env at the given sizes and
 // hands each result to emit as soon as its table is assembled; a point
-// two entries share simulates once per call.
+// two entries share simulates once per call. On the healthy default
+// machine it judges the paper's claims about every entry it ran and,
+// after the last emit, returns the broken ones as its error.
 var RunAll = tables.RunAll
 
 // Kernels names the report's kernel-level half in section order;
@@ -287,7 +289,8 @@ var (
 )
 
 // WriteReport is RunAll plus headings: it writes the experiments' tables
-// as one report and checks the paper's claims about them. Its output is
+// as one report, each followed by one line per paper claim about it. Its
+// output is
 // byte-identical across runs (see the determinism invariants in
 // DESIGN.md).
 var WriteReport = tables.WriteReport

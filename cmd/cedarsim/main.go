@@ -5,10 +5,11 @@
 // defaults); names pick entries: overheads (§3.2), t1 and t2 (the memory
 // study), membw ([GJTV91]), net, prefblock and sched (the design
 // ablations), scaled (PPT5), degraded (fault scenarios), t3 and t4 (the
-// Perfect results), t5, t6 and fig3 (the methodology) and ppt4. On the
-// healthy default machine it also checks the paper's claims about each
-// entry it ran and exits 1 naming any that broke; stdout is the same
-// report either way.
+// Perfect results), t5, t6 and fig3 (the methodology) and ppt4. Each
+// section ends with one line per paper claim about the entry: what was
+// measured and what the paper says. On the healthy default machine
+// cedarsim also judges those claims, with or without -json, and exits 1
+// naming any that broke; stdout is the same either way.
 //
 // Usage:
 //
@@ -30,11 +31,11 @@
 // the report ends with a cycle-attribution section. -json replaces the
 // report with one JSON document per entry, embedding the entry's metric
 // snapshot next to its result and leading with a self-describing
-// run-metadata header; claims are not checked. -jobs N simulates
-// independent experiment points in parallel; output is byte-identical at
-// any job count. -faults installs a seed-deterministic fault plan for
-// every machine the command builds and adds the degraded-mode table.
-// Progress goes to stderr, one line per simulated point; -q silences it.
+// run-metadata header. -jobs N simulates independent experiment points in
+// parallel; output is byte-identical at any job count. -faults installs a
+// seed-deterministic fault plan for every machine the command builds and
+// adds the degraded-mode table. Progress goes to stderr, one line per
+// simulated point and then the claims tally; -q silences both.
 // -cpuprofile/-memprofile write pprof profiles of the run.
 package main
 
@@ -150,8 +151,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		err = tables.WriteReport(stdout, env, sizes, exps)
 	}
-	// A broken claim fails the run after the report and its artifacts are
-	// written.
+	// A broken claim fails the run after the report or the JSON documents,
+	// and the artifacts, are written.
 	if err := errors.Join(err, s.Close()); err != nil {
 		lg.Print(err)
 		return 1

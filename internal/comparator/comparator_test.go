@@ -60,20 +60,6 @@ func TestCray1SlowerThanYMP(t *testing.T) {
 	}
 }
 
-func TestCM5CalibrationWindow(t *testing.T) {
-	// Paper: 32-node CM-5, 16K ≤ N ≤ 256K: BW=3 delivers 28-32 MFLOPS,
-	// BW=11 delivers 58-67 MFLOPS.
-	c := NewCM5()
-	for _, n := range []int{16 << 10, 64 << 10, 256 << 10} {
-		if mf := c.BandedMFLOPS(n, 3, 32); mf < 24 || mf > 36 {
-			t.Errorf("BW=3 N=%d: %.1f MFLOPS, want ≈28-32", n, mf)
-		}
-		if mf := c.BandedMFLOPS(n, 11, 32); mf < 52 || mf > 72 {
-			t.Errorf("BW=11 N=%d: %.1f MFLOPS, want ≈58-67", n, mf)
-		}
-	}
-}
-
 func TestCM5CommunicationHurtsSmallN(t *testing.T) {
 	c := NewCM5()
 	small := c.BandedEfficiency(1<<10, 3, 512)

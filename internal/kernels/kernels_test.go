@@ -52,18 +52,6 @@ func TestRankUpdatePrefetchBeatsNoPref(t *testing.T) {
 	}
 }
 
-func TestRankUpdateNoPrefNearPaperRate(t *testing.T) {
-	m := mach(t, 1)
-	res, err := RankUpdate(m, testN, RKNoPref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Paper: 14.5 MFLOPS on one cluster.
-	if res.MFLOPS < 11 || res.MFLOPS > 18 {
-		t.Errorf("GM/no-pref one cluster = %.1f MFLOPS, want ≈14.5", res.MFLOPS)
-	}
-}
-
 func TestRankUpdateCacheScalesAcrossClusters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cluster sweep in -short mode")

@@ -73,9 +73,7 @@ func (rows NetworkAblation) Format() string {
 			fmt.Sprintf("%.2f", r.Inter),
 		})
 	}
-	s := formatTable(header, out)
-	s += "[Turn93]: degradation is an implementation constraint (shallow queues), not the network type\n"
-	return s
+	return formatTable(header, out)
 }
 
 // PrefetchBlockRow is one prefetch block size's rank-update rate.

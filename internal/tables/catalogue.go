@@ -58,7 +58,8 @@ type Experiment struct {
 	// degrades makes a point that degrades under its plan a row of the
 	// table instead of the sweep's error.
 	degrades bool
-	// claims are the paper's claims about the table, which WriteReport checks.
+	// claims are the paper's claims about the table, which RunAll judges
+	// and WriteReport prints under it.
 	claims []claim
 }
 
@@ -76,8 +77,14 @@ func (e Experiment) Title(s Sizes) string { return e.title(s.resolved()) }
 // lists a scope an earlier one already simulated reuses that outcome (t3,
 // t4, t5, t6 and fig3 share the Perfect suite's points). Nothing is kept
 // between calls. A zero size runs at its default (see Sizes).
+//
+// On the healthy default machine the paper's claims describe, RunAll
+// also judges every claim of every entry it ran, writes the tally to
+// env.Progress, if set, and, after the last emit, returns an error naming
+// each broken claim.
 func RunAll(env Env, s Sizes, exps []Experiment, emit func(Experiment, Result) error) error {
 	s = s.resolved()
+	claims := claimTally{machine: unjudged(env)}
 	done := map[string]bench.PointOutcome{}
 	for _, e := range exps {
 		pts := e.points(env, s)
@@ -98,11 +105,13 @@ func RunAll(env Env, s Sizes, exps []Experiment, emit func(Experiment, Result) e
 		for i, pt := range pts {
 			all[i] = done[pt.scope]
 		}
-		if err := emit(e, e.table(s, pts, all)); err != nil {
+		res := e.table(s, pts, all)
+		claims.judge(e, s, res)
+		if err := emit(e, res); err != nil {
 			return err
 		}
 	}
-	return nil
+	return claims.report(env.Progress)
 }
 
 func fixed(title string) func(Sizes) string { return func(Sizes) string { return title } }

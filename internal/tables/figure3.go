@@ -84,13 +84,7 @@ func (f *Figure3Result) Format() string {
 			v,
 		})
 	}
-	s := formatTable(header, rows)
-	s += fmt.Sprintf("Cedar bands H/I/U: %d/%d/%d (paper: ≈1/4 high, ≈3/4 intermediate, 0 unacceptable)\n",
-		f.CedarHigh, f.CedarInter, f.CedarUnacc)
-	s += fmt.Sprintf("YMP   bands H/I/U: %d/%d/%d (paper: ≈half high, half intermediate, 1 unacceptable)\n",
-		f.YMPHigh, f.YMPInter, f.YMPUnacc)
-	s += "\n" + f.plot()
-	return s
+	return formatTable(header, rows) + "\n" + f.plot()
 }
 
 // plot draws a crude scatter: x = Cedar efficiency, y = YMP efficiency.
@@ -142,7 +136,7 @@ func (f *Figure3Result) plot() string {
 
 // figure3Claims: the band tallies as counts of 13 codes (Cedar ¼ high and
 // none unacceptable, the YMP ½ high and one unacceptable), QCD's hand
-// speedup, and plausible efficiencies.
+// speedup, and every efficiency between 0 and 1.2.
 var figure3Claims = []claim{
 	suiteCount("Cedar high", 13.0/4, 1, func(f *Figure3Result) int { return f.CedarHigh }),
 	suiteCount("Cedar intermediate", 13*3.0/4, 1, func(f *Figure3Result) int { return f.CedarInter }),
@@ -154,9 +148,10 @@ var figure3Claims = []claim{
 		value: one(func(f *Figure3Result) float64 {
 			return 32 * f.Points[slices.IndexFunc(f.Points, func(p Figure3Point) bool { return p.Code == "QCD" })].CedarEff
 		})},
-	{id: "every Ep between 0 and 1.2", kind: within, paper: 0.6, tol: 0.6,
+	{id: "every Ep between 0 and 1.2", kind: ordering,
 		value: of(func(f *Figure3Result) []float64 {
-			return append(collect(f.Points, func(p Figure3Point) float64 { return p.CedarEff }),
+			eps := append(collect(f.Points, func(p Figure3Point) float64 { return p.CedarEff }),
 				collect(f.Points, func(p Figure3Point) float64 { return p.YMPEff })...)
+			return []float64{0, slices.Min(eps), slices.Max(eps), 1.2}
 		})},
 }

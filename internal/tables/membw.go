@@ -66,15 +66,14 @@ func (r *MemBWResult) Format() string {
 			fmt.Sprintf("%.0f", pt.MBps),
 		})
 	}
-	s := "memory system characterization [GJTV91]\n"
-	s += formatTable(header, rows)
-	s += fmt.Sprintf("observed peak %.0f MB/s (wiring peak %.0f MB/s; the companion study sustained ≈500)\n", r.PeakMBps(), params.WiringPeakMBps)
-	return s
+	return "memory system characterization [GJTV91]\n" + formatTable(header, rows) +
+		fmt.Sprintf("observed peak %.0f MB/s (wiring peak %.0f MB/s)\n", r.PeakMBps(), params.WiringPeakMBps)
 }
 
 // memBWClaims: unit-stride streams saturate near the ≈500 MB/s the
-// companion study observed, well below the 768 MB/s wiring peak.
+// companion study observed: within ±60, so never above 560 MB/s, well
+// below the 768 MB/s wiring peak.
 var memBWClaims = []claim{
-	{id: "observed peak MB/s", kind: within, paper: 500, tol: 75, needs: Sizes{MemBWWords: 2048},
+	{id: "observed peak MB/s", kind: within, paper: 500, tol: 60, needs: Sizes{MemBWWords: 2048},
 		value: one((*MemBWResult).PeakMBps)},
 }

@@ -52,10 +52,10 @@ func overheadsTable(_ Sizes, pts []point, t []bench.PointOutcome) Result {
 // Format renders the measurements.
 func (o *OverheadsResult) Format() string {
 	return fmt.Sprintf(`runtime library overheads (measured on the simulated machine)
-XDOALL loop startup:              %6.1f µs   (paper: ≈90 µs)
-XDOALL iteration fetch (library): %6.1f µs   (paper: ≈30 µs)
+XDOALL loop startup:              %6.1f µs
+XDOALL iteration fetch (library): %6.1f µs
 XDOALL iteration fetch (Cedar sync): %5.1f µs  (the hardware-synchronization win)
-CDOALL concurrent start:          %6.1f µs   (paper: a few µs)
+CDOALL concurrent start:          %6.1f µs
 `, o.XDoallStartupUS, o.FetchNoSyncUS, o.FetchCedarSyncUS, o.CDoallStartUS)
 }
 

@@ -26,7 +26,8 @@ type PPT4Point struct {
 // performance for matrices larger than roughly 10-16K and intermediate
 // below; the 32-processor Cedar delivers 34-48 MFLOPS over 10K ≤ N ≤
 // 172K; the CM-5 never reaches the high band and delivers 28-32 (BW=3)
-// and 58-67 (BW=11) MFLOPS on 32 nodes.
+// and 58-67 (BW=11) MFLOPS on 32 nodes; per processor, the two are
+// roughly equivalent.
 type PPT4Result struct {
 	Cedar []PPT4Point
 	CM5   map[int][]PPT4Point // bandwidth -> points
@@ -99,74 +100,43 @@ func ppt4Table(_ Sizes, pts []point, outs []bench.PointOutcome) Result {
 	return res
 }
 
-// Cedar32Range returns the min and max 32-CE MFLOPS over N ≥ 10K (the
-// paper: 34 to 48).
-func (r *PPT4Result) Cedar32Range() (lo, hi float64) {
-	lo, hi = 1e18, 0
-	for _, pt := range r.Cedar {
-		if pt.P == 32 && pt.N >= 10<<10 {
-			if pt.MFLOPS < lo {
-				lo = pt.MFLOPS
-			}
-			if pt.MFLOPS > hi {
-				hi = pt.MFLOPS
-			}
-		}
-	}
-	return
-}
-
 // Format renders both halves of the study.
 func (r *PPT4Result) Format() string {
 	header := []string{"P", "N", "MFLOPS", "eff", "band"}
+	row := func(pt PPT4Point, eff, band string) []string {
+		return []string{fmt.Sprintf("%d", pt.P), fmt.Sprintf("%d", pt.N), fmt.Sprintf("%.1f", pt.MFLOPS), eff, band}
+	}
+	sweep := func(pts []PPT4Point) string {
+		var rows [][]string
+		for _, pt := range pts {
+			rows = append(rows, row(pt, fmt.Sprintf("%.2f", pt.Eff), pt.Band.String()))
+		}
+		return formatTable(header, rows) + "\n"
+	}
+	s := "Cedar CG scalability\n" + sweep(r.Cedar)
 	var rows [][]string
-	for _, pt := range r.Cedar {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", pt.P), fmt.Sprintf("%d", pt.N),
-			fmt.Sprintf("%.1f", pt.MFLOPS), fmt.Sprintf("%.2f", pt.Eff),
-			pt.Band.String(),
-		})
-	}
-	s := "Cedar CG scalability (paper: high band for N above ≈10-16K; 34-48 MFLOPS at 32 CEs)\n"
-	s += formatTable(header, rows)
-	lo, hi := r.Cedar32Range()
-	s += fmt.Sprintf("32-CE CG range over N ≥ 10K: %.1f - %.1f MFLOPS (paper: 34 - 48)\n\n", lo, hi)
 	for _, bw := range []int{3, 11} {
-		s += fmt.Sprintf("CM-5 banded matvec BW=%d (paper 32 nodes: %s MFLOPS; never high band)\n",
-			bw, map[int]string{3: "28-32", 11: "58-67"}[bw])
-		rows = rows[:0]
-		for _, pt := range r.CM5[bw] {
-			rows = append(rows, []string{
-				fmt.Sprintf("%d", pt.P), fmt.Sprintf("%d", pt.N),
-				fmt.Sprintf("%.1f", pt.MFLOPS), fmt.Sprintf("%.2f", pt.Eff),
-				pt.Band.String(),
-			})
-		}
-		s += formatTable(header, rows) + "\n"
-	}
-	s += "banded matvec on Cedar itself (32 CEs; the paper: per-processor rates of the two systems are roughly equivalent)\n"
-	rows = rows[:0]
-	for _, bw := range []int{3, 11} {
+		s += fmt.Sprintf("CM-5 banded matvec BW=%d\n", bw) + sweep(r.CM5[bw])
 		for _, pt := range r.CedarBanded[bw] {
-			rows = append(rows, []string{
-				fmt.Sprintf("%d", pt.P), fmt.Sprintf("%d", pt.N),
-				fmt.Sprintf("%.1f", pt.MFLOPS),
-				fmt.Sprintf("BW=%d", bw), "",
-			})
+			rows = append(rows, row(pt, fmt.Sprintf("BW=%d", bw), ""))
 		}
 	}
-	s += formatTable(header, rows)
-	return s
+	return s + "banded matvec on Cedar itself (32 CEs)\n" + formatTable(header, rows)
 }
 
-// ppt4Claims: the CM-5 is scalable intermediate, never high (comparator's
-// tests pin its 32-node rates); Cedar's CG is high at every processor
-// count from a knee at 64K, not the paper's 10–16K (known deviation 4).
+// ppt4Claims: the CM-5 is scalable intermediate, never high, inside the
+// paper's 32-node windows; Cedar's CG is high at every processor count
+// from a knee at 64K, not the paper's 10–16K (known deviation 4); Cedar's
+// 32-CE kernels run about twice the paper's rates (known deviation 6).
 var ppt4Claims = []claim{
 	{id: "CM-5 band at every BW, P and N", kind: inBand, paper: float64(ppt.Intermediate),
 		value: of(func(r *PPT4Result) []float64 {
 			return collect(slices.Concat(r.CM5[3], r.CM5[11]), func(p PPT4Point) float64 { return float64(p.Band) })
 		})},
+	{id: "CM-5 32-node MFLOPS, BW=3", kind: within, paper: 30, tol: 2, // 28–32
+		value: of(func(r *PPT4Result) []float64 { return mflopsAt32(r.CM5[3], 0) })},
+	{id: "CM-5 32-node MFLOPS, BW=11", kind: within, paper: 62.5, tol: 4.5, // 58–67
+		value: of(func(r *PPT4Result) []float64 { return mflopsAt32(r.CM5[11], 0) })},
 	claim{id: "CG high-band knee, N in K words", kind: within, paper: 13, tol: 3,
 		value: one(func(r *PPT4Result) float64 {
 			low, knee := 0, math.Inf(1) // in N order: last N with a point below High, first N after it
@@ -179,4 +149,25 @@ var ppt4Claims = []claim{
 			}
 			return knee
 		})}.deviates(64, "the CG proxy is High from 64K, not 10–16K: known deviation 4"),
+	claim{id: "32-CE CG MFLOPS, N ≥ 10K", kind: within, paper: 41, tol: 7, // 34–48
+		value: of(func(r *PPT4Result) []float64 { return mflopsAt32(r.Cedar, 10<<10) })}.deviates(75.2, "the CG proxy runs ≈2× the real code's rate: known deviation 6"),
+	// "Roughly equivalent" per-processor rates: within ±25%. Both sides
+	// have 32 processors, so the ratio of rates is the per-processor one.
+	claim{id: "Cedar over CM-5 per-processor MFLOPS @32, banded", kind: within, paper: 1, tol: 0.25,
+		value: of(func(r *PPT4Result) []float64 {
+			var ratios []float64
+			for _, bw := range []int{3, 11} {
+				for _, c := range r.CedarBanded[bw] {
+					cm5 := r.CM5[bw][slices.IndexFunc(r.CM5[bw], func(p PPT4Point) bool { return p.P == 32 && p.N == c.N })]
+					ratios = append(ratios, c.MFLOPS/cm5.MFLOPS)
+				}
+			}
+			return ratios
+		})}.deviates(1.75, "Cedar's banded kernel is fast like the CG proxy: known deviation 6"),
+}
+
+// mflopsAt32 lists the rates of pts' 32-processor points with N ≥ minN.
+func mflopsAt32(pts []PPT4Point, minN int) []float64 {
+	pts = slices.DeleteFunc(slices.Clone(pts), func(p PPT4Point) bool { return p.P != 32 || p.N < minN })
+	return collect(pts, func(p PPT4Point) float64 { return p.MFLOPS })
 }

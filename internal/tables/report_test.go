@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -81,7 +82,7 @@ func reportGate(t *testing.T) {
 }
 
 // TestEvaluationHoldsThePapersClaims is the paper checking itself in one
-// pass, P1: WriteReport judges each claim of each entry, none may break
+// pass, P1: RunAll judges each claim of each entry, none may break
 // and none may be skipped, and every section is in the report.
 func TestEvaluationHoldsThePapersClaims(t *testing.T) {
 	reportGate(t)
@@ -105,6 +106,80 @@ func TestEvaluationHoldsThePapersClaims(t *testing.T) {
 		"scaled Cedar", "Table 3", "Table 4", "Table 5", "Table 6", "Figure 3", "PPT4", "QCD", "SPICE"} {
 		if !strings.Contains(p.report, want) {
 			t.Errorf("report missing %q", want)
+		}
+	}
+}
+
+// TestPaperFiguresOnlyInClaims keeps each paper figure stated once: in
+// P1's report every line that mentions the paper is one of its section's
+// claim lines — the entry's claims, in order, closing the section — so no
+// Format types a paper figure that no claim judges.
+func TestPaperFiguresOnlyInClaims(t *testing.T) {
+	reportGate(t)
+	p := evaluationPass()
+	if p.err != nil {
+		t.Fatal(p.err)
+	}
+	titled := map[string]Experiment{}
+	for _, e := range catalogue {
+		titled[e.Title(modelSizes)] = e
+	}
+	sections := strings.Split(p.report, "\n## ")
+	for _, sec := range sections {
+		lines := strings.Split(strings.TrimRight(sec, "\n"), "\n")
+		e := titled[lines[0]] // the report's header is no entry: no claims
+		body, claimed := lines[:len(lines)-len(e.claims)], lines[len(lines)-len(e.claims):]
+		for i, c := range e.claims {
+			if !strings.HasPrefix(claimed[i], c.id+": measured ") || !strings.Contains(claimed[i], ", paper ") {
+				t.Errorf("%s: line %q, want claim %q rendered", e.Name, claimed[i], c.id)
+			}
+		}
+		for _, line := range body {
+			if strings.Contains(strings.ToLower(line), "paper") {
+				t.Errorf("%q mentions the paper but is no claim's line (section %q)", line, lines[0])
+			}
+		}
+	}
+	if len(sections) != len(catalogue)+1 {
+		t.Errorf("P1 has %d sections, want every one of the %d entries", len(sections)-1, len(catalogue))
+	}
+}
+
+// TestKnownDeviationsAreListed: EXPERIMENTS.md's "Known deviations,
+// summarized" states each deviating claim's numbers on a line of its own,
+// "- `<entry>: <id>` is <model> ± <tol> vs <paper>", rendered from the
+// claim, and has no other such line: the list is checked, not retyped.
+func TestKnownDeviationsAreListed(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, found := strings.Cut(string(doc), "\n## Known deviations, summarized\n")
+	if !found {
+		t.Fatal(`EXPERIMENTS.md has no "Known deviations, summarized" section`)
+	}
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	var listed, want []string
+	for _, line := range strings.Split(sec, "\n") {
+		if line = strings.TrimSpace(line); strings.HasPrefix(line, "- `") {
+			listed = append(listed, line)
+		}
+	}
+	for _, e := range catalogue {
+		for _, c := range e.claims {
+			if c.deviation != "" {
+				want = append(want, fmt.Sprintf("- `%s: %s` is %.4g ± %.4g vs %.4g", e.Name, c.id, c.measured, c.tol, c.paper))
+			}
+		}
+	}
+	for _, line := range want {
+		if !slices.Contains(listed, line) {
+			t.Errorf("EXPERIMENTS.md does not list %s", line)
+		}
+	}
+	for _, line := range listed {
+		if !slices.Contains(want, line) {
+			t.Errorf("EXPERIMENTS.md lists %s, which no deviating claim renders", line)
 		}
 	}
 }

@@ -69,10 +69,7 @@ func (rows Scheduling) Format() string {
 			fmt.Sprintf("%.0f", float64(r.Cycles)*params.CycleNS/1e3),
 		})
 	}
-	s := "loop scheduling ablation (512 iterations, 32 CEs)\n"
-	s += formatTable(header, out)
-	s += "static wins on balanced work; guided recovers balance at a fraction of self-scheduling's claim traffic\n"
-	return s
+	return "loop scheduling ablation (512 iterations, 32 CEs)\n" + formatTable(header, out)
 }
 
 // schedClaims: static wins balanced work, self and guided absorb an

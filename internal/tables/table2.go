@@ -92,9 +92,7 @@ func (t *Table2Result) Format() string {
 		}
 		rows = append(rows, row)
 	}
-	s := formatTable(header, rows)
-	s += "minimal latency 8 cycles, minimal interarrival 1 cycle (hardware floors)\n"
-	return s
+	return formatTable(header, rows)
 }
 
 // table2Claims: the hardware floors, blocks monitored at every point,

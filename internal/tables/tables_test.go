@@ -1,6 +1,7 @@
 package tables
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -116,7 +117,9 @@ func TestZeroSizesNameOneSize(t *testing.T) {
 		n = res.(*Table1Result).N
 		return nil
 	})
-	if err != nil {
+	// The substituted outcomes are zeros, which break t1's claims: RunAll's
+	// verdict on made-up points, not this test's subject.
+	if err != nil && !errors.As(err, new(brokenClaims)) {
 		t.Fatal(err)
 	}
 	if n <= 0 {

@@ -58,10 +58,12 @@ stage "go test ./..."
 # This unraced pass is the only one that runs the full-report integration
 # tests. The six report gates of internal/tables read four passes of
 # WriteReport: P1, the evaluation plus degraded at n = 96 with all 13
-# codes (175 points), the one pass that checks every claim of the paper
-# the catalogue carries (TestEvaluationHoldsThePapersClaims) and that
-# TestModelManifest hashes into testdata/model.sha256, one line per
-# catalogue entry — the cross-commit pin on every entry's section and
+# codes (175 points), the one pass that judges every claim of the paper
+# the catalogue carries (TestEvaluationHoldsThePapersClaims), whose lines
+# that mention the paper must each be one of its section's rendered claim
+# lines (TestPaperFiguresOnlyInClaims: no Format types a paper figure),
+# and that TestModelManifest hashes into testdata/model.sha256, one line
+# per catalogue entry — the cross-commit pin on every entry's section and
 # every point's exact cycles; the kernel report at n = 32 twice, each
 # under its own hub, which TestWriteReportGolden byte-compares above the
 # hub's attribution section against testdata generated at an earlier
@@ -78,7 +80,11 @@ stage "go test ./..."
 # internal/bench's TestCampaignsMatchTheCommittedBaselines requires the
 # three committed campaigns, and the smoke campaign on the stepped
 # engine, to equal bench/BENCH_<area>.json byte for byte up to the
-# measured section.
+# measured section. The paper's figures have one more gate, which
+# simulates nothing and runs in both passes: internal/tables'
+# TestKnownDeviationsAreListed requires EXPERIMENTS.md's "Known
+# deviations, summarized" to list exactly the lines rendered from the
+# catalogue's deviating claims.
 #
 # Steady-state allocation gates (the count asserted is the production
 # build's, so this pass is the one that matters; they are single-goroutine
