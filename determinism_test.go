@@ -1,9 +1,8 @@
 // End-to-end determinism regression: the simulator's whole value as a
 // reproduction rests on identical runs producing identical cycle counts
-// and identical report bytes. cedarvet (cmd/cedarvet) enforces the
-// invariants statically; this test enforces them dynamically by running
-// the same workloads twice in one process. See DESIGN.md "Determinism
-// invariants and cedarvet".
+// and identical report bytes. This test enforces that by running the
+// same workloads twice in one process and comparing the bytes. See
+// DESIGN.md "Static checks".
 package cedar_test
 
 import (

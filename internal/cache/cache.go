@@ -235,7 +235,7 @@ func (c *Cache) fillSet(line uint64) []frame {
 	pi := (line % c.numSets) / pageSets
 	if c.pages[pi] == nil {
 		sets := min(pageSets, c.numSets-pi*pageSets)
-		c.pages[pi] = make([]frame, sets*uint64(c.ways)) //lint:allow hotalloc first-touch materialisation: at most one per tag-store page per run
+		c.pages[pi] = make([]frame, sets*uint64(c.ways)) // first touch: at most one per tag-store page per run
 	}
 	return c.set(line)
 }
@@ -309,7 +309,7 @@ func (c *Cache) Tick(cycle int64) {
 	// ticks actually ran, or skipping a sleeping cache's no-op ticks
 	// would reorder service relative to the stepped schedule.
 	credit := c.p.CacheWordsPerCyc
-	start := int((cycle + 1) % int64(c.nCE)) //lint:allow cycleint remainder bounded by nCE, fits int
+	start := int((cycle + 1) % int64(c.nCE))
 	for scan := 0; scan < c.nCE && credit > 0; scan++ {
 		ce := (start + scan) % c.nCE
 		for served := 0; served < 2 && credit > 0 && c.queues[ce].n > 0; served++ {
@@ -403,7 +403,7 @@ func (c *Cache) getMSHR() *mshr {
 		c.mshrFree = c.mshrFree[:n-1]
 		return m
 	}
-	return &mshr{} //lint:allow hotalloc pool refill on first use; steady state reuses retired MSHRs
+	return &mshr{} // pool refill on first use; steady state reuses retired MSHRs
 }
 
 // putMSHR retires a completed miss entry for reuse.

@@ -331,8 +331,8 @@ func (s *countSink) CacheDone(uint64, int64) { s.done++ }
 // cache: once the per-CE rings exist, the firing list has grown and the
 // MSHR free-list has filled, neither a hit stream nor a stream that opens
 // a fresh line on every fourth access may allocate in Submit or Tick.
-// (The hotalloc analyzer cannot see a slide-forward slice queue — append
-// growth is not a syntactic allocation — so this test is the guard.)
+// (A slide-forward slice queue allocates through append growth alone,
+// which no syntactic rule sees, so this test is the guard.)
 func TestSteadyStateAllocsSubmitTick(t *testing.T) {
 	for _, hit := range []bool{true, false} {
 		r := newRig()

@@ -173,7 +173,7 @@ func (c *CE) fail(err error, cycle int64) {
 	if c.failErr != nil {
 		return
 	}
-	c.failErr = fmt.Errorf("ce%d: %w", c.ID, err) //lint:allow hotalloc terminal fault path, runs at most once per CE per run
+	c.failErr = fmt.Errorf("ce%d: %w", c.ID, err) // terminal: at most once per CE per run
 	c.cur = nil
 	c.finished = true
 	c.doneAt = cycle

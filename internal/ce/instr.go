@@ -141,7 +141,7 @@ type Program struct {
 // Next implements Controller: every CE runs the same sequence privately.
 func (p *Program) Next(ceID int, cycle int64, in *Instr) Status {
 	if p.pos == nil {
-		p.pos = make(map[int]int) //lint:allow hotalloc one-time lazy initialisation per program, not per-cycle work
+		p.pos = make(map[int]int) // lazily, once per program
 	}
 	i := p.pos[ceID]
 	if i >= len(p.Instrs) {

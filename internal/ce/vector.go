@@ -34,7 +34,7 @@ func (c *CE) startVector(cycle int64) {
 	}
 	vs.freeAt = freeAt
 	if cap(streams) < len(in.Srcs) {
-		streams = make([]streamState, len(in.Srcs)) //lint:allow hotalloc first-touch: once per CE per wider instruction, then reused
+		streams = make([]streamState, len(in.Srcs)) // first touch: once per CE per wider instruction, then reused
 	}
 	vs.streams = streams[:len(in.Srcs)]
 	prefs := 0
@@ -44,7 +44,7 @@ func (c *CE) startVector(cycle int64) {
 		*st = streamState{s: s}
 		if s.Space != SpaceNone && s.PrefBlock == 0 {
 			if cap(avail) < in.N {
-				avail = make([]int64, in.N) //lint:allow hotalloc first-touch: once per CE and stream position per longer unprefetched vector, then reused
+				avail = make([]int64, in.N) // first touch: once per CE and stream position per longer unprefetched vector, then reused
 			}
 			st.avail = avail[:in.N]
 			for e := range st.avail {

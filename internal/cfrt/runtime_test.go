@@ -348,9 +348,8 @@ func TestVectorBodiesThroughRuntime(t *testing.T) {
 // it was handed and is then refilled — the shape of every claim / body /
 // barrier round — must reuse one buffer, so Next, enq and an appending
 // body allocate nothing once it has grown, and every instruction reaches
-// the CE's register by value, in order. (Out of the hotalloc analyzer's
-// reach: a slide-forward slice queue allocates through append growth
-// only.)
+// the CE's register by value, in order. (A slide-forward slice queue
+// allocates through append growth only, which no syntactic rule sees.)
 func TestSteadyStateAllocsControllerQueue(t *testing.T) {
 	m := mach(t, 1)
 	rt := New(m, Config{UseCedarSync: true}, Serial{Body: func(q []ce.Instr) []ce.Instr { return q }})

@@ -113,7 +113,8 @@ func Run[T any](cfg Config, jobs []Job[T]) ([]T, error) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		//lint:allow nondeterminism the pool runs whole independent simulations; each engine stays single-goroutine and results merge in submission order
+		// The pool runs whole independent simulations: each engine stays
+		// single-goroutine, and results merge in submission order.
 		go func() {
 			defer wg.Done()
 			for {

@@ -373,8 +373,8 @@ func (m *Memory) tickModule(i int, cycle int64) {
 func (m *Memory) widen(i int) {
 	k := pipeCap(m.p)
 	if m.widePipes == nil {
-		m.widePipes = make([]inflight, len(m.mods)*k)            //lint:allow hotalloc first-touch materialisation: once per machine, on the first module to hold two requests or replies
-		m.wideOuts = make([]*network.Packet, len(m.mods)*outCap) //lint:allow hotalloc first-touch materialisation: with widePipes, once per machine
+		m.widePipes = make([]inflight, len(m.mods)*k)            // first touch: once per machine, on the first module to hold two requests or replies
+		m.wideOuts = make([]*network.Packet, len(m.mods)*outCap) // with widePipes, once per machine
 	}
 	md := &m.mods[i]
 	pipe, out := m.widePipes[i*k:(i+1)*k:(i+1)*k], m.wideOuts[i*outCap:(i+1)*outCap:(i+1)*outCap]

@@ -34,7 +34,7 @@ func (s *Store) StoreWord(addr uint64, v int64) {
 	key := addr / chunkWords
 	c := s.chunks[key]
 	if c == nil {
-		c = new([chunkWords]int64) //lint:allow hotalloc first-touch chunk allocation, amortised over the whole run
+		c = new([chunkWords]int64) // first touch: once per chunk per run
 		s.chunks[key] = c
 	}
 	c[addr%chunkWords] = v

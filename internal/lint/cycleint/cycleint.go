@@ -8,11 +8,14 @@
 // is int64 (or names Cycle) and the expression or its type mentions
 // cycle. A struct field is flagged when its name mentions cycle but its
 // type is a narrower integer. Plain int conversions of non-cycle values
-// (word counts, indices) stay clean.
+// (word counts, indices) stay clean, and so does a remainder by a divisor
+// widened from the destination type (int(cycle % int64(n)) with n an
+// int), which always fits.
 package cycleint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"regexp"
 
@@ -22,7 +25,6 @@ import (
 // Analyzer is the cycleint check.
 var Analyzer = &lint.Analyzer{
 	Name: "cycleint",
-	Doc:  "forbid narrowing int64 cycle counts to int/int32 in conversions and struct fields",
 	Run:  run,
 }
 
@@ -70,7 +72,7 @@ func checkConversion(pass *lint.Pass, call *ast.CallExpr) {
 	if !ok || (sb.Kind() != types.Int64 && sb.Kind() != types.Uint64) {
 		return
 	}
-	if !cycleFlavored(call.Args[0], src) {
+	if !cycleFlavored(call.Args[0], src) || remainderFits(pass, call.Args[0], tv.Type) {
 		return
 	}
 	pass.Reportf(call.Pos(), "narrowing int64 cycle count %s to %s truncates long simulations; keep cycle arithmetic in int64", exprString(call.Args[0]), tv.Type.String())
@@ -92,6 +94,25 @@ func checkFields(pass *lint.Pass, st *ast.StructType) {
 			}
 		}
 	}
+}
+
+// remainderFits reports whether e is a remainder by a divisor widened
+// from dst, as in int(cycle % int64(n)) with n an int: the result is
+// smaller in magnitude than n, so it fits where n came from.
+func remainderFits(pass *lint.Pass, e ast.Expr, dst types.Type) bool {
+	rem, ok := ast.Unparen(e).(*ast.BinaryExpr)
+	if !ok || rem.Op != token.REM {
+		return false
+	}
+	conv, ok := ast.Unparen(rem.Y).(*ast.CallExpr)
+	if !ok || len(conv.Args) != 1 {
+		return false
+	}
+	if tv, ok := pass.Info.Types[conv.Fun]; !ok || !tv.IsType() {
+		return false
+	}
+	n := pass.Info.TypeOf(conv.Args[0])
+	return n != nil && types.Identical(n, dst)
 }
 
 // cycleFlavored reports whether the expression or its type talks about

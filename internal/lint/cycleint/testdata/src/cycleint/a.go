@@ -31,7 +31,11 @@ func namedType(t simCycles) int32 {
 	return int32(t) // want `narrowing int64 cycle count t to int32`
 }
 
-// The escape hatch: a justified allow.
-func bounded(deltaCycles int64) int {
-	return int(deltaCycles) //lint:allow cycleint delta bounded by one quantum, fits int32
+// A remainder by an int divisor fits in an int; one by an int64 divisor
+// need not.
+func remainders(cycle int64, n int, d int64) int {
+	a := int((cycle + 1) % int64(n))
+	b := int(cycle % d)          // want `narrowing int64 cycle count expression to int`
+	c := int32(cycle % int64(n)) // want `narrowing int64 cycle count expression to int32`
+	return a + b + int(c)
 }

@@ -25,7 +25,6 @@ import (
 // Analyzer is the errflow check.
 var Analyzer = &lint.Analyzer{
 	Name: "errflow",
-	Doc:  "internal code must propagate errors: no undocumented panic, no os.Exit, no discarded error returns",
 	Run:  run,
 }
 

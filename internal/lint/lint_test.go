@@ -1,65 +1,10 @@
 package lint
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"os"
 	"path/filepath"
 	"testing"
 )
-
-func parseOne(t *testing.T, src string) (*token.FileSet, *Directives) {
-	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "x.go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fset, ParseDirectives(fset, []*ast.File{f})
-}
-
-func TestDirectiveCoversOwnAndNextLine(t *testing.T) {
-	_, d := parseOne(t, `package p
-
-func f() int {
-	x := 1 //lint:allow democheck trailing form
-	//lint:allow democheck own-line form
-	y := 2
-	z := 3
-	return x + y + z
-}
-`)
-	mk := func(line int, check string) Diagnostic {
-		return Diagnostic{Pos: token.Position{Filename: "x.go", Line: line}, Check: check}
-	}
-	if !d.Suppressed(mk(4, "democheck")) {
-		t.Error("trailing directive should suppress its own line")
-	}
-	if !d.Suppressed(mk(6, "democheck")) {
-		t.Error("own-line directive should suppress the next line")
-	}
-	if d.Suppressed(mk(7, "democheck")) {
-		t.Error("line 7 has no directive")
-	}
-	if d.Suppressed(mk(4, "othercheck")) {
-		t.Error("directive is per-check")
-	}
-}
-
-func TestMalformedDirectiveReported(t *testing.T) {
-	_, d := parseOne(t, `package p
-
-//lint:allow nondeterminism
-var x = 1
-`)
-	if len(d.Malformed) != 1 {
-		t.Fatalf("want 1 malformed directive, got %d", len(d.Malformed))
-	}
-	if d.Suppressed(Diagnostic{Pos: token.Position{Filename: "x.go", Line: 3}, Check: MalformedCheck}) {
-		t.Error("malformed-directive diagnostics must not be suppressible")
-	}
-}
 
 func TestFindModuleRoot(t *testing.T) {
 	root, err := FindModuleRoot(".")

@@ -5,14 +5,12 @@
 //
 // Each expectation is written at the end of the offending line:
 //
-//	t := time.Now() // want `time\.Now`
+//	x := rand.Intn(10) // want `rand\.Intn`
 //
 // The backquoted text is a regular expression matched against the
 // diagnostic message; several expectations may share one line. Every
 // diagnostic must be matched by a want and every want must be matched by
 // a diagnostic, so clean (negative) lines simply carry no comment.
-// //lint:allow suppressions are applied before matching, which lets the
-// golden packages test the suppression mechanism itself.
 package linttest
 
 import (
@@ -45,59 +43,34 @@ func Run(t *testing.T, a *lint.Analyzer, dir string) {
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
 	}
-	matchWants(t, []*lint.Package{pkg}, diags)
-}
-
-// RunModule analyzes the golden module in dir — a directory with its own
-// go.mod — with a whole Suite (every check enabled, stale-suppression
-// audit included) and matches the result against // want comments across
-// all of the module's files. This is the harness for module analyzers
-// (hotalloc), which need several packages at once, and for the
-// suppression audit, which only runs on full Suite passes.
-func RunModule(t *testing.T, suite *lint.Suite, dir string) {
-	t.Helper()
-	loader, err := lint.NewLoader(dir)
-	if err != nil {
-		t.Fatalf("loader for %s: %v", dir, err)
-	}
-	pkgs, err := loader.Load("./...")
-	if err != nil {
-		t.Fatalf("loading %s: %v", dir, err)
-	}
-	diags, err := suite.Run(pkgs, nil)
-	if err != nil {
-		t.Fatalf("running suite on %s: %v", dir, err)
-	}
-	matchWants(t, pkgs, diags)
+	matchWants(t, pkg, diags)
 }
 
 // matchWants checks diagnostics against the // want comments of the
 // golden sources: every diagnostic needs a matching want on its line and
 // every want needs a matching diagnostic.
-func matchWants(t *testing.T, pkgs []*lint.Package, diags []lint.Diagnostic) {
+func matchWants(t *testing.T, pkg *lint.Package, diags []lint.Diagnostic) {
 	t.Helper()
 	type key struct {
 		file string
 		line int
 	}
 	wants := map[key][]*regexp.Regexp{}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					idx := strings.Index(c.Text, "// want ")
-					if idx < 0 {
-						continue
+	for _, f := range pkg.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				idx := strings.Index(c.Text, "// want ")
+				if idx < 0 {
+					continue
+				}
+				pos := pkg.Fset.Position(c.Pos())
+				k := key{filepath.Base(pos.Filename), pos.Line}
+				for _, m := range wantRE.FindAllStringSubmatch(c.Text[idx:], -1) {
+					re, err := regexp.Compile(m[1])
+					if err != nil {
+						t.Fatalf("%s:%d: bad want regexp %q: %v", pos.Filename, pos.Line, m[1], err)
 					}
-					pos := pkg.Fset.Position(c.Pos())
-					k := key{filepath.Base(pos.Filename), pos.Line}
-					for _, m := range wantRE.FindAllStringSubmatch(c.Text[idx:], -1) {
-						re, err := regexp.Compile(m[1])
-						if err != nil {
-							t.Fatalf("%s:%d: bad want regexp %q: %v", pos.Filename, pos.Line, m[1], err)
-						}
-						wants[k] = append(wants[k], re)
-					}
+					wants[k] = append(wants[k], re)
 				}
 			}
 		}
@@ -160,5 +133,5 @@ func load(dir string) (*lint.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &lint.Package{Path: path, Dir: dir, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
+	return &lint.Package{Path: path, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }

@@ -11,29 +11,17 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"slices"
-	"sort"
 	"strings"
 )
 
 // Package is one type-checked package ready for analysis.
 type Package struct {
 	// Path is the import path ("cedar/internal/tables").
-	Path string
-	// Module is the module path from go.mod ("cedar"); Path is always
-	// Module or Module + "/...".
-	Module string
-	// Dir is the absolute directory holding the sources.
-	Dir   string
+	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-
-	// whole records that the load this package came from covered the
-	// whole module ("./..."), the only kind of load on which a module
-	// analyzer's silence means anything (see Suite.Run).
-	whole bool
 }
 
 // Loader type-checks packages of one module using only the standard
@@ -148,36 +136,29 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// Load type-checks the packages matching the patterns for analysis.
-// Patterns are directory-based like the go tool's: "./..." for the whole
-// module, "./internal/..." for a subtree, or "./internal/tables" for one
-// package. Analysis packages include their in-package _test.go files;
-// external (_test-package) files are skipped.
-func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	dirs, err := l.expand(patterns)
-	if err != nil {
-		return nil, err
-	}
-	whole := slices.Equal(patterns, []string{"./..."})
-	if !whole {
-		all, err := l.expand([]string{"./..."})
-		if err != nil {
-			return nil, err
-		}
-		whole = slices.Equal(dirs, all)
-	}
+// Load type-checks every package of the module for analysis, walking
+// the module root in directory order and skipping testdata, vendor and
+// directories whose names start with "." or "_". Analysis packages
+// include their in-package _test.go files; external (_test-package)
+// files are skipped.
+func (l *Loader) Load() ([]*Package, error) {
 	var pkgs []*Package
-	for _, dir := range dirs {
-		p, err := l.loadDir(dir)
-		if err != nil {
-			return nil, err
+	err := filepath.WalkDir(l.Root, func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
 		}
+		name := d.Name()
+		if dir != l.Root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+			name == "testdata" || name == "vendor") {
+			return fs.SkipDir
+		}
+		p, err := l.loadDir(dir)
 		if p != nil {
-			p.whole = whole
 			pkgs = append(pkgs, p)
 		}
-	}
-	return pkgs, nil
+		return err
+	})
+	return pkgs, err
 }
 
 func (l *Loader) loadDir(dir string) (*Package, error) {
@@ -209,7 +190,7 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %w", path, err)
 	}
-	return &Package{Path: path, Module: l.Module, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info}, nil
+	return &Package{Path: path, Fset: l.Fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // parseDir parses the package in dir. Only files of the primary
@@ -267,68 +248,4 @@ func (l *Loader) parseDir(dir string, includeTests bool) ([]*ast.File, error) {
 		files = append(files, p.file)
 	}
 	return files, nil
-}
-
-// expand resolves patterns to package directories (sorted, deduplicated).
-func (l *Loader) expand(patterns []string) ([]string, error) {
-	seen := map[string]bool{}
-	var dirs []string
-	add := func(dir string) {
-		if !seen[dir] {
-			seen[dir] = true
-			dirs = append(dirs, dir)
-		}
-	}
-	for _, pat := range patterns {
-		recursive := false
-		if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-			recursive = true
-			pat = rest
-			if pat == "." || pat == "" {
-				pat = "."
-			}
-		}
-		base := filepath.Join(l.Root, filepath.FromSlash(strings.TrimPrefix(pat, "./")))
-		if !recursive {
-			add(base)
-			continue
-		}
-		err := filepath.WalkDir(base, func(p string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() {
-				return nil
-			}
-			name := d.Name()
-			if p != base && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-				name == "testdata" || name == "vendor" || name == "scripts") {
-				return fs.SkipDir
-			}
-			if hasGoFiles(p) {
-				add(p)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	sort.Strings(dirs)
-	return dirs, nil
-}
-
-func hasGoFiles(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") &&
-			!strings.HasPrefix(name, ".") && !strings.HasPrefix(name, "_") {
-			return true
-		}
-	}
-	return false
 }

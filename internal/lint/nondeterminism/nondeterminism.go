@@ -1,14 +1,18 @@
-// Package nondeterminism flags constructs that can make a simulation run
-// irreproducible: wall-clock reads, the process-global math/rand source,
-// sleeps, goroutine spawns, and channel selects. The Cedar simulator is a
-// single-threaded cycle-level model whose ticking order is part of the
-// model, so any of these either leaks host time into results or races the
-// tick order.
+// Package nondeterminism flags the process-global math/rand source, in
+// tests as in the simulator: randomness must flow through an explicitly
+// seeded rand.New(rand.NewSource(seed)), so a run — and a failing
+// property test — replays.
 //
-// _test.go files are exempt from the wall-clock and concurrency rules
-// (tests may time themselves and exercise goroutines), but the global
-// math/rand source stays flagged everywhere: tests must seed explicitly
-// via rand.New(rand.NewSource(seed)) so failures replay.
+// A seed drawn from the global source in a property test changes no
+// output that any gate compares, so only this rule sees it. The other
+// determinism invariants are executed by tests instead:
+//   - no wall clock in results: TestWriteReportDeterministic, the report
+//     golden and the cedarsim identity manifest compare output bytes;
+//   - no goroutine or select racing the tick order: the jobs and engine
+//     equality gates (TestParallelVsSequentialEquality,
+//     TestSteppedVsEventEquality) compare whole runs, the steady-state
+//     allocation and run budgets count the host work of a tick, and
+//     go test -race watches whatever concurrency remains.
 package nondeterminism
 
 import (
@@ -21,17 +25,7 @@ import (
 // Analyzer is the nondeterminism check.
 var Analyzer = &lint.Analyzer{
 	Name: "nondeterminism",
-	Doc: "forbid wall-clock time, the global math/rand source, sleeps, " +
-		"goroutines and selects inside the simulator",
-	Run: run,
-}
-
-// wallClockFuncs are the time-package functions that read or depend on
-// the host clock. Types like time.Time and time.Duration stay usable.
-var wallClockFuncs = map[string]bool{
-	"Now": true, "Since": true, "Until": true, "Sleep": true,
-	"Tick": true, "After": true, "AfterFunc": true,
-	"NewTimer": true, "NewTicker": true,
+	Run:  run,
 }
 
 // seededConstructors are the math/rand functions that build an explicitly
@@ -44,33 +38,17 @@ var seededConstructors = map[string]bool{
 
 func run(pass *lint.Pass) error {
 	for _, f := range pass.Files {
-		isTest := pass.IsTestFile(f)
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.GoStmt:
-				if !isTest {
-					pass.Reportf(n.Pos(), "goroutine spawn in simulator code; the tick order is part of the model and must stay single-threaded")
-				}
-			case *ast.SelectStmt:
-				if !isTest {
-					pass.Reportf(n.Pos(), "channel select in simulator code; case choice is scheduler-dependent and breaks cycle reproducibility")
-				}
-			case *ast.SelectorExpr:
-				pkgPath, ok := packageOf(pass, n)
-				if !ok {
-					break
-				}
-				name := n.Sel.Name
-				switch pkgPath {
-				case "time":
-					if wallClockFuncs[name] && !isTest && isFunc(pass, n.Sel) {
-						pass.Reportf(n.Pos(), "time.%s is wall-clock and leaks host time into the model; inject the value or drop it from deterministic output", name)
-					}
-				case "math/rand", "math/rand/v2":
-					if !seededConstructors[name] && isFunc(pass, n.Sel) {
-						pass.Reportf(n.Pos(), "global math/rand source (rand.%s) is not reproducibly seeded; use rand.New(rand.NewSource(seed))", name)
-					}
-				}
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			pkgPath, ok := packageOf(pass, sel)
+			if !ok || (pkgPath != "math/rand" && pkgPath != "math/rand/v2") {
+				return true
+			}
+			if name := sel.Sel.Name; !seededConstructors[name] && isFunc(pass, sel.Sel) {
+				pass.Reportf(sel.Pos(), "global math/rand source (rand.%s) is not reproducibly seeded; use rand.New(rand.NewSource(seed))", name)
 			}
 			return true
 		})

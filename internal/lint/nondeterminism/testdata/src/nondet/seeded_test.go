@@ -1,17 +1,8 @@
 package nondet
 
-import (
-	"math/rand"
-	"time"
-)
+import "math/rand"
 
-// Test files may read the clock and spawn goroutines...
-func timingHarness(done chan bool) time.Time {
-	go func() { done <- true }()
-	return time.Now()
-}
-
-// ...but must still seed their randomness so failures replay.
+// Test files must seed their randomness too, so failures replay.
 func fuzzInputs() []int {
 	rng := rand.New(rand.NewSource(42))
 	out := make([]int, 8)

@@ -37,9 +37,7 @@ import (
 // Analyzer is the paramhygiene check.
 var Analyzer = &lint.Analyzer{
 	Name: "paramhygiene",
-	Doc: "forbid hardcoded copies of the paper's machine parameters " +
-		"outside internal/params",
-	Run: run,
+	Run:  run,
 }
 
 // knownValue is one entry of the paper's parameter table.

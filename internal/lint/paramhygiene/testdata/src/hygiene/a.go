@@ -43,9 +43,3 @@ func ungatedUses() int {
 func banner() string {
 	return fmt.Sprintf("wiring peak 768 MB/s at a 170 ns cycle") // want `paper figure "768 MB/s" baked into string`
 }
-
-// The escape hatch documents a deliberate duplicate.
-func allowed() int {
-	const tileDepth = 512 //lint:allow paramhygiene tile depth tuned independently of the PFU
-	return tileDepth
-}

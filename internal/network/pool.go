@@ -40,7 +40,7 @@ func (p *PacketPool) Get() *Packet {
 func (p *PacketPool) refill() {
 	n := max(p.made, poolFirstSlab)
 	p.made += n
-	slab, free := make([]Packet, n), make([]*Packet, 0, p.made) //lint:allow hotalloc pool refill: a slab and a freelist, each doubling the machine's packets, at most 1 + log2(peak/4) times per machine per run; steady state reuses retired packets
+	slab, free := make([]Packet, n), make([]*Packet, 0, p.made) // pool refill: a slab and a freelist, each doubling the machine's packets, at most 1 + log2(peak/4) times per machine per run; steady state reuses retired packets
 	for i := len(slab) - 1; i >= 0; i-- {
 		free = append(free, &slab[i])
 	}

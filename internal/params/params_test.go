@@ -162,8 +162,9 @@ func TestMFLOPSRoundTripProperty(t *testing.T) {
 }
 
 func TestPaperConstants(t *testing.T) {
-	// The named paper figures are what cedarvet's paramhygiene check
-	// points violators at; pin them so they cannot drift silently.
+	// The named paper figures are what the paramhygiene check
+	// (internal/lint) points violators at; pin them so they cannot drift
+	// silently.
 	if WordBytes != 8 {
 		t.Errorf("WordBytes = %d, want 8", WordBytes)
 	}

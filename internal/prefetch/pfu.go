@@ -105,6 +105,15 @@ type PFU struct {
 	// generate recoverable faults (NACKs, link drops). Healthy machines
 	// never touch any of it, so their schedules are bit-identical to a
 	// build without this machinery.
+	//
+	// Both queues grow by append and are emptied, not freed, by Arm, so a
+	// faulted run pays a logarithmic number of growths per PFU, not one
+	// per fault: retryQ holds an element at most once (it enters when its
+	// request is NACKed or times out, and leaves when reissued), so at
+	// most the block length, ≤ PFUBufferWords; timeoutQ gains one entry
+	// per issue, at most one a cycle, and each leaves retryTimeout cycles
+	// later, so at most retryTimeout. bench's
+	// TestFaultRecoveryCostsNoObjectPerFault derives its slack from this.
 	retryArmed bool
 	retryQ     []retryEntry // elements awaiting reissue after backoff
 	timeoutQ   []timeoutEntry
@@ -212,10 +221,10 @@ func (u *PFU) Outstanding() int { return u.outstanding }
 // will be dropped on return.
 func (u *PFU) Arm(length int, stride int64, mask []bool) error {
 	if length < 1 || length > u.p.BufferWords {
-		return fmt.Errorf("prefetch: block length %d outside 1..%d", length, u.p.BufferWords) //lint:allow hotalloc reject-path error construction, not steady-state work
+		return fmt.Errorf("prefetch: block length %d outside 1..%d", length, u.p.BufferWords)
 	}
 	if mask != nil && len(mask) != length {
-		return fmt.Errorf("prefetch: mask length %d != block length %d", len(mask), length) //lint:allow hotalloc reject-path error construction, not steady-state work
+		return fmt.Errorf("prefetch: mask length %d != block length %d", len(mask), length)
 	}
 	u.flushBlock()
 	u.epoch++
@@ -234,13 +243,13 @@ func (u *PFU) Arm(length int, stride int64, mask []bool) error {
 	u.timeoutQ = u.timeoutQ[:0]
 	u.err = nil
 	if length > len(u.buf) {
-		u.buf = make([]slot, length) //lint:allow hotalloc first-touch materialisation: at most one per longer block armed, ≤ PFUBufferWords slots per run
+		u.buf = make([]slot, length) // first touch: ≤ PFUBufferWords slots per run
 	} else {
 		clear(u.buf[:length])
 	}
 	if u.observe != nil && length > cap(u.arrivals) {
 		// A block records at most one arrival per element.
-		u.arrivals = make([]int64, 0, length) //lint:allow hotalloc first-touch materialisation under an observer: at most one per longer block armed
+		u.arrivals = make([]int64, 0, length)
 	}
 	return nil
 }
@@ -470,7 +479,6 @@ func (u *PFU) scheduleRetry(idx int, cycle int64) {
 	s := &u.buf[idx]
 	s.tries++
 	if s.tries > retryMax {
-		//lint:allow hotalloc terminal fault path, runs at most once per block
 		u.err = fmt.Errorf("prefetch: element %d unreachable after %d retries (addr %#x)",
 			idx, retryMax, s.addr)
 		u.fired = false // give up the block; Busy() turns false
