@@ -27,7 +27,8 @@ const goldenArgs = "-q -small -n 32 -codes QCD,TRACK -trace trace.json -metrics 
 // document without its header, which records the host), then the trace,
 // then the metrics. manifest.Check names the lines that moved. The
 // goldenArgs run's report must also start with
-// internal/tables/testdata/report_kernels_n32.golden, byte for byte.
+// internal/tables/testdata/report_kernels_n32.golden, byte for byte. It
+// skips under -short and -race.
 func TestIdentityManifest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("report generation in -short mode")

@@ -113,7 +113,8 @@ func TestSteppedVsEventDegraded(t *testing.T) {
 // checkEquality is the one harness of the four gates above: it runs names
 // under the reference env want and under got, with the worker count or
 // the engine the only difference, and requires every artifact
-// byte-identical.
+// byte-identical: the report text, the -json payload, the Chrome trace
+// and the metrics CSV.
 func checkEquality(t *testing.T, names []string, sizes cedar.Sizes, wantEnv, gotEnv cedar.Env) {
 	t.Helper()
 	want := runArtifacts(t, wantEnv, sizes, names...)

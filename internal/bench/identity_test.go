@@ -18,7 +18,7 @@ var measuredKey = []byte("\n  \"measured\": {")
 // does, and the smoke campaign on the stepped engine has the same
 // deterministic section. A mismatch names the first point that moved and
 // what moved in it. cedarbench diff keeps its thresholds for the
-// measured section.
+// measured section. It skips under -short and -race.
 func TestCampaignsMatchTheCommittedBaselines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("committed campaigns in -short mode")

@@ -19,8 +19,8 @@
 // response cache, keyed by the sha256 of the served point's JSON, is the
 // one in this module, and the daemon reads and writes its own disk tier
 // inside the job it hands the cache. There is no process-wide cache:
-// without one in the Config every job runs (EXPERIMENTS.md, "The
-// process-wide run cache — measured traffic"). Caching applies only to
+// without one in the Config every job runs (bench/history/PR18/NOTES.md
+// has the traffic the process-wide one served). Caching applies only to
 // unobserved jobs: a cache hit skips the simulation, so it cannot replay
 // instrumentation, and jobs running under a hub therefore always execute.
 //

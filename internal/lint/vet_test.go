@@ -19,7 +19,8 @@ import (
 // nondeterminism and errflow the root package and internal/**, the
 // simulator proper: commands may exit the process and print unchecked.
 // Each rule is here because it catches a planted bug the rest of tier-1
-// passes (EXPERIMENTS.md, "cedarvet — what each check has caught").
+// passes (bench/history/PR41/vet-mutants.txt). It skips under -race, so
+// tier-1's unraced pass is the one that runs it.
 func TestModuleIsLintClean(t *testing.T) {
 	if raceEnabled {
 		t.Skip("type-checking the whole module from source is slow under the race detector, and nothing it checks is a race")

@@ -80,7 +80,9 @@ func wirePlan() *fault.Plan {
 // same accepted offers, the same (port, packet) deliveries in the same
 // order, the same Stats and the same injections in the same order. The
 // injector's draws are pure functions of (wire, cycle), so the fired
-// events and counts are everything a call sequence can show.
+// events and counts are everything a call sequence can show. It runs on
+// six geometries, and assertOccupancy checks the production omega after
+// every Tick.
 func TestOccupancyArbiterMatchesScan(t *testing.T) {
 	for _, g := range omegaGeometries {
 		g := g

@@ -58,7 +58,8 @@ func postRun(t *testing.T, base, body string) (int, string, []byte) {
 // invariant, gated in check.sh: a cached response must be byte-identical
 // to the freshly simulated one — within one server, across servers
 // sharing the durable store (a daemon restart), and across a true store
-// reopen.
+// reopen. Concurrent hits on one key must each get the first body, since
+// the cache hands out the slice it holds.
 func TestCacheHitByteEquality(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir, 0)
@@ -611,7 +612,8 @@ func flip(v reflect.Value) bool {
 // decode, validate, key, lookup and write, through Handler — allocates
 // at most what it did when the key became the sha256 of the point's JSON.
 // Every request builds its key, hits included, so the key's cost is on
-// this path.
+// this path. Under -race the budget is 15% higher: the race runtime's
+// sync.Pool drops some of what is put back.
 func TestHitBudget(t *testing.T) {
 	budget := 42.0
 	if raceEnabled {

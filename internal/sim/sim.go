@@ -24,7 +24,7 @@
 //
 // There is one schedule and one goroutine per engine. A second,
 // intra-run parallel schedule was tried, measured slower on every
-// workload and removed (EXPERIMENTS.md, "Intra-run parallelism");
+// workload and removed (bench/history/PR16/NOTES.md);
 // parallelism lives between runs, in internal/fleet.
 package sim
 

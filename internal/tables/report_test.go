@@ -70,7 +70,9 @@ var (
 	})
 )
 
-// reportGate skips a report gate where whole reports are too slow.
+// reportGate skips a report gate under -short and under -race, where whole
+// reports are too slow: tier-1's unraced pass is the one that runs the
+// report gates.
 func reportGate(t *testing.T) {
 	t.Helper()
 	if testing.Short() {
@@ -149,6 +151,7 @@ func TestPaperFiguresOnlyInClaims(t *testing.T) {
 // summarized" states each deviating claim's numbers on a line of its own,
 // "- `<entry>: <id>` is <model> ± <tol> vs <paper>", rendered from the
 // claim, and has no other such line: the list is checked, not retyped.
+// It simulates nothing, so it runs under -race too.
 func TestKnownDeviationsAreListed(t *testing.T) {
 	doc, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
@@ -322,7 +325,7 @@ func TestWriteReportMethodologySections(t *testing.T) {
 
 // TestWriteReportDeterministic is the report half of the determinism
 // invariant: P2's two identical runs produce byte-identical output (see
-// DESIGN.md "Determinism invariants"). Each report observes its own hub
+// DESIGN.md "Byte identity as committed values"). Each report observes its own hub
 // and writes its own Progress, so the second is seen to simulate every
 // point the first did: nothing is kept between calls.
 func TestWriteReportDeterministic(t *testing.T) {
