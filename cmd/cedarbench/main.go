@@ -1,25 +1,22 @@
-// Command cedarbench runs declarative performance campaigns and diffs
-// their artifacts — the perf-trajectory tool scripts/check.sh and CI
-// drive on every PR.
+// Command cedarbench runs declarative performance campaigns.
 //
 // Usage:
 //
 //	cedarbench run -config bench/campaigns/smoke.json   # -> BENCH_smoke.json
 //	cedarbench run -config c.json -out artifacts/BENCH_area.json
 //	cedarbench run -config c.json -jobs 8               # override the campaign's jobs list
-//	cedarbench run -config c.json -cpuprofile cpu.pb.gz # attribute a flagged regression
+//	cedarbench run -config c.json -cpuprofile cpu.pb.gz # profile the host time
 //	cedarbench run -config c.json -stepped              # same bytes on the per-cycle engine
-//	cedarbench diff old.json new.json
 //
 // `run` executes every (machine × workload × fault) point of the
 // campaign through the fleet pool once per declared jobs value and
 // writes a BENCH_<area>.json artifact; the run fails if the
 // deterministic section is not byte-identical across passes. A campaign
 // names its own machines (a scale-up point is an entry with "scaled":
-// 16) and fault plans. `diff` compares two artifacts and exits 1 when a
-// point's simcycles grew by more than 5%, a pass's allocations by more
-// than 30%, or a point vanished or changed status — CI's regression
-// gate, with fixed thresholds.
+// 16) and fault plans. The committed campaigns' artifacts under bench/
+// are pinned by internal/bench's TestCampaignsMatchTheCommittedBaselines,
+// which lists every point that moved; re-take one with `run` for a
+// deliberate model change.
 package main
 
 import (
@@ -43,17 +40,14 @@ func main() {
 // in, so tests can drive invalid invocations without forking.
 func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
-		fmt.Fprintln(stderr, "cedarbench: usage: cedarbench run|diff [flags]")
+		fmt.Fprintln(stderr, "cedarbench: usage: cedarbench run [flags]")
 		return 2
 	}
-	switch args[0] {
-	case "run":
-		return runCampaign(args[1:], stdout, stderr)
-	case "diff":
-		return runDiff(args[1:], stdout, stderr)
+	if args[0] != "run" {
+		fmt.Fprintf(stderr, "cedarbench: unknown mode %q (want run)\n", args[0])
+		return 2
 	}
-	fmt.Fprintf(stderr, "cedarbench: unknown mode %q (want run or diff)\n", args[0])
-	return 2
+	return runCampaign(args[1:], stdout, stderr)
 }
 
 func runCampaign(args []string, stdout, stderr io.Writer) int {
@@ -128,40 +122,5 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	fmt.Fprintf(stdout, "wrote %s: %d points × jobs %v\n", path, art.Header.Points, art.Header.Jobs)
-	return 0
-}
-
-func runDiff(args []string, stdout, stderr io.Writer) int {
-	lg := log.New(stderr, "cedarbench: ", 0)
-	fs := flag.NewFlagSet("cedarbench diff", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	fs.Usage = func() { fmt.Fprintln(stderr, "cedarbench: usage: cedarbench diff old.json new.json") }
-	paths, err := cliutil.Parse(fs, args)
-	if err != nil {
-		return 2
-	}
-	if len(paths) != 2 {
-		fs.Usage()
-		return 2
-	}
-	old, err := bench.ReadArtifact(paths[0])
-	if err != nil {
-		lg.Print(err)
-		return 2
-	}
-	cur, err := bench.ReadArtifact(paths[1])
-	if err != nil {
-		lg.Print(err)
-		return 2
-	}
-	report, err := bench.Diff(old, cur)
-	if err != nil {
-		lg.Print(err)
-		return 2
-	}
-	fmt.Fprint(stdout, report.Format())
-	if report.HasRegressions() {
-		return 1
-	}
 	return 0
 }

@@ -113,23 +113,6 @@ func TestExitCodes(t *testing.T) {
 	cfg := write(t, dir, "c.json", miniConfig)
 	badCfg := write(t, dir, "bad.json", `{"area":"x"}`)
 
-	// Build one good artifact, then a mutated copy with a 10% simcycle
-	// regression and a plain copy for the clean diff.
-	base := filepath.Join(dir, "base.json")
-	var out, errb bytes.Buffer
-	if code := run([]string{"run", "-config", cfg, "-out", base, "-q", "-jobs", "1"}, &out, &errb); code != 0 {
-		t.Fatalf("setup run failed: %s", errb.String())
-	}
-	art, err := bench.ReadArtifact(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	art.Deterministic.Points[0].SimCycles = art.Deterministic.Points[0].SimCycles * 11 / 10
-	worse := filepath.Join(dir, "worse.json")
-	if err := art.Write(worse); err != nil {
-		t.Fatal(err)
-	}
-
 	scrap := filepath.Join(dir, "scrap.json")
 	cases := []struct {
 		name   string
@@ -139,7 +122,8 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{name: "no mode", want: 2},
 		{name: "unknown mode", args: []string{"frobnicate"}, want: 2},
-		{name: "diff mode spelled as a flag", args: []string{"-diff", base, base}, want: 2, stderr: `"-diff"`},
+		// The campaigns' one gate is the tier-1 pin of their baselines.
+		{name: "diff mode retired", args: []string{"diff", cfg, cfg}, want: 2, stderr: `unknown mode "diff"`},
 		{name: "run bad flag", args: []string{"run", "-no-such-flag"}, want: 2},
 		// Both carry a loadable config: without one the missing -config
 		// alone is exit 2 and flag validation is never reached. (-out keeps
@@ -151,15 +135,6 @@ func TestExitCodes(t *testing.T) {
 		{name: "run without config", args: []string{"run", "-q"}, want: 2, stderr: "-config"},
 		{name: "run invalid config", args: []string{"run", "-config", badCfg}, want: 2},
 		{name: "run stray argument", args: []string{"run", "-config", cfg, "-out", scrap, "extra"}, want: 2, stderr: "unexpected arguments [extra]"},
-		{name: "diff extra path", args: []string{"diff", base, base, base}, want: 2},
-		{name: "diff missing args", args: []string{"diff", base}, want: 2},
-		{name: "diff missing file", args: []string{"diff", base, filepath.Join(dir, "nope.json")}, want: 2},
-		// The thresholds are constants: a flag that would widen one is
-		// refused, not honoured, wherever it stands.
-		{name: "diff threshold flag removed", args: []string{"diff", base, worse, "-threshold", "20%"}, want: 2, stderr: "-threshold"},
-		{name: "diff alloc-threshold flag removed", args: []string{"diff", "-alloc-threshold", "20%", base, worse}, want: 2, stderr: "-alloc-threshold"},
-		{name: "diff clean", args: []string{"diff", base, base}, want: 0},
-		{name: "diff regression", args: []string{"diff", base, worse}, want: 1},
 	}
 	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer
@@ -169,12 +144,5 @@ func TestExitCodes(t *testing.T) {
 		if !strings.Contains(stderr.String(), tc.stderr) {
 			t.Errorf("%s: stderr %q does not name %q", tc.name, stderr.String(), tc.stderr)
 		}
-	}
-
-	// The regression diff names the offending point.
-	var stdout, stderr bytes.Buffer
-	run([]string{"diff", base, worse}, &stdout, &stderr)
-	if !strings.Contains(stdout.String(), "REGRESSION") || !strings.Contains(stdout.String(), "simcycles") {
-		t.Errorf("regression output: %q", stdout.String())
 	}
 }

@@ -15,9 +15,8 @@ import (
 // pure functions of the campaign config, byte-identical at any worker
 // count and across machines — and Measured, which holds wall time and
 // allocation deltas that vary run to run. Byte comparisons and the
-// determinism gates look only at DeterministicBytes; Diff applies a
-// tight threshold to the deterministic simcycles and a loose one to the
-// measured allocations.
+// determinism gates look only at DeterministicBytes; no gate reads the
+// measured section.
 type Artifact struct {
 	Header        Header        `json:"header"`
 	Deterministic Deterministic `json:"deterministic"`

@@ -109,17 +109,21 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	}
 }
 
-// TestRunDeterministicAcrossJobs is the package-level half of the
-// determinism gate: two executions at different worker counts must agree
-// byte-for-byte on the deterministic section. (Run's internal self-check
-// covers multi-pass campaigns; this covers separate processes-worth of
-// state — fresh hubs.)
+// TestRunDeterministicAcrossJobs is the campaign runner's determinism
+// gate: two executions at different worker counts, on the omega machine
+// and the crossbar one, must agree byte for byte on the deterministic
+// section. (Run's internal self-check covers multi-pass campaigns; this
+// covers separate processes' worth of state — fresh hubs.) It runs under
+// -race too, so the detector watches the jobs = 8 pass execute in
+// parallel.
 func TestRunDeterministicAcrossJobs(t *testing.T) {
-	a1, err := Run(mini(), RunOptions{Jobs: 1})
+	c := mini()
+	c.Machines = append(c.Machines, MachineSpec{Name: "cedar-xbar", Fabric: "crossbar"})
+	a1, err := Run(c, RunOptions{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a8, err := Run(mini(), RunOptions{Jobs: 8})
+	a8, err := Run(c, RunOptions{Jobs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

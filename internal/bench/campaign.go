@@ -5,11 +5,11 @@
 // drives every point through the cedarfleet pool and emits a
 // BENCH_<area>.json Artifact whose deterministic section — simcycles,
 // scope counter snapshots, busy/stall/idle attribution — is
-// byte-identical at any -jobs value, while measured fields (wall time, allocations) live
-// in a separate section excluded from byte comparisons. Diff compares
-// two artifacts against fixed regression thresholds; cmd/cedarbench is the
-// CLI face and scripts/check.sh runs the smoke campaign every PR so the
-// perf trajectory extends one artifact at a time.
+// byte-identical at any -jobs value, while measured fields (wall time,
+// allocations) live in a separate section excluded from byte
+// comparisons. cmd/cedarbench is the CLI face; the committed campaigns'
+// artifacts under bench/ are pinned exactly, up to their measured
+// section, by TestCampaignsMatchTheCommittedBaselines.
 package bench
 
 import (
@@ -25,8 +25,8 @@ import (
 )
 
 // SchemaVersion identifies the campaign-config and artifact wire format.
-// Bump it on any incompatible change so old baselines fail loudly in
-// Diff instead of comparing apples to oranges.
+// Bump it on any incompatible change so ReadArtifact refuses an old
+// baseline loudly instead of comparing apples to oranges.
 const SchemaVersion = 1
 
 // Campaign declares one benchmark matrix. The experiment points are the

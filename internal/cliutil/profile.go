@@ -9,9 +9,8 @@ import (
 
 // Profiles is the pprof plumbing behind the shared -cpuprofile and
 // -memprofile flags: StartProfiles begins collection, Stop finishes it.
-// A regression flagged by `cedarbench diff` should be attributable in
-// one re-run with these flags — that is the whole point of having them
-// on every command.
+// A host-time regression should be attributable in one re-run with
+// these flags — that is the whole point of having them on every command.
 type Profiles struct {
 	cpu     *os.File
 	memPath string

@@ -214,6 +214,32 @@ func TestRunEmpty(t *testing.T) {
 	}
 }
 
+// TestPoolCostsNoObjectPerJob: dispatching a job allocates nothing, on
+// the inline path (one worker) and on the pool, so what a campaign pass
+// allocates is its cells' own cost (bench's TestPointRunBudget) plus a
+// constant per pass. A pass of 64 jobs may cost no more objects than a
+// pass of 8; one object per job would add 56.
+func TestPoolCostsNoObjectPerJob(t *testing.T) {
+	allocs := func(workers, n int) float64 {
+		jobs := make([]Job[int], n)
+		for i := range jobs {
+			jobs[i].Run = func(*scope.Hub) (int, error) { return i, nil }
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Run(Config{Jobs: workers}, jobs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, workers := range []int{1, 2} {
+		few, many := allocs(workers, 8), allocs(workers, 64)
+		if many > few {
+			t.Errorf("%d workers: 64 jobs allocate %.1f objects, 8 jobs %.1f", workers, many, few)
+		}
+		t.Logf("%d workers: %.1f objects for 8 jobs, %.1f for 64", workers, few, many)
+	}
+}
+
 // TestJobsDefault: Config.Jobs == 0 means GOMAXPROCS workers, read at the
 // call — there is no process-wide override. Two jobs that each wait for
 // the other to start can only finish if both are running at once.

@@ -44,19 +44,6 @@ stage "go test -race ./..."
 # Every gate that does not skip itself under -race, with the detector watching.
 go test -race ./...
 
-stage "cedarbench smoke campaign + regression diff"
-# Each campaign stage: the measured allocation gate (cedarbench diff) and an end-to-end cedarbench run.
-go run ./cmd/cedarbench run -config bench/campaigns/smoke.json -out artifacts/BENCH_smoke.json -q
-go run ./cmd/cedarbench diff bench/BENCH_smoke.json artifacts/BENCH_smoke.json
-
-stage "cedarbench latency campaign (event-wheel win) + regression diff"
-go run ./cmd/cedarbench run -config bench/campaigns/latency.json -out artifacts/BENCH_latency.json -q
-go run ./cmd/cedarbench diff bench/BENCH_latency.json artifacts/BENCH_latency.json
-
-stage "cedarbench wide campaign (16/64-cluster presets) + regression diff"
-go run ./cmd/cedarbench run -config bench/campaigns/wide.json -out artifacts/BENCH_wide.json -q
-go run ./cmd/cedarbench diff bench/BENCH_wide.json artifacts/BENCH_wide.json
-
 stage "fuzz smoke ($FUZZTIME per target)"
 go test -run='^$' -fuzz='^FuzzOmegaRouting$' -fuzztime="$FUZZTIME" ./internal/network
 go test -run='^$' -fuzz='^FuzzInstability$' -fuzztime="$FUZZTIME" ./internal/ppt
@@ -68,4 +55,4 @@ stage ""
 golines() { find . -name '*.go' "$@" -print0 | xargs -0 cat | wc -l; }
 echo "non-test Go lines: $(golines ! -name '*_test.go') total, $(golines ! -name '*_test.go' ! -path './cmd/cedarperf/*') outside cmd/cedarperf"
 echo "test Go lines: $(golines -name '*_test.go') total, $(golines -name '*_test.go' ! -path './cmd/cedarperf/*') outside cmd/cedarperf"
-echo "OK in ${SECONDS}s: build, gofmt, vet, tests (static checks, allocation gates, report goldens, identity manifests), race tests (jobs, stepped, data-path and serve equality), bench campaigns and fuzz smoke all green"
+echo "OK in ${SECONDS}s: build, gofmt, vet, tests (static checks, allocation gates, report goldens, identity manifests), race tests (jobs, stepped, data-path and serve equality) and fuzz smoke all green"
