@@ -2,21 +2,22 @@
 //
 // Usage:
 //
-//	cedarbench run -config bench/campaigns/smoke.json   # -> BENCH_smoke.json
+//	cedarbench run -config c.json                       # -> BENCH_<area>.json
 //	cedarbench run -config c.json -out artifacts/BENCH_area.json
-//	cedarbench run -config c.json -jobs 8               # override the campaign's jobs list
 //	cedarbench run -config c.json -cpuprofile cpu.pb.gz # profile the host time
-//	cedarbench run -config c.json -stepped              # same bytes on the per-cycle engine
+//	cedarbench run -q -config bench/campaigns/smoke.json -out bench/BENCH_smoke.json
 //
 // `run` executes every (machine × workload × fault) point of the
-// campaign through the fleet pool once per declared jobs value and
+// campaign through the fleet pool once per value of its jobs list and
 // writes a BENCH_<area>.json artifact; the run fails if the
 // deterministic section is not byte-identical across passes. A campaign
 // names its own machines (a scale-up point is an entry with "scaled":
-// 16) and fault plans. The committed campaigns' artifacts under bench/
-// are pinned by internal/bench's TestCampaignsMatchTheCommittedBaselines,
-// which lists every point that moved; re-take one with `run` for a
-// deliberate model change.
+// 16), fault plans and jobs, and the artifact records nothing else, so
+// it is the same bytes on any host. The committed campaigns' artifacts
+// under bench/ are pinned whole by internal/bench's
+// TestCampaignsMatchTheCommittedBaselines, which lists every point that
+// moved; for a deliberate model change, re-take one with the last line
+// above.
 package main
 
 import (
@@ -26,7 +27,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"time"
 
 	"cedar/internal/bench"
 	"cedar/internal/cliutil"
@@ -57,11 +57,9 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 	var (
 		config  = fs.String("config", "", "campaign config JSON (required; the standing ones are under bench/campaigns)")
 		out     = fs.String("out", "", "artifact path (default BENCH_<area>.json in the current directory)")
-		jobs    = fs.Int("jobs", 0, "override the campaign's jobs list with one worker count")
 		quiet   = fs.Bool("q", false, "suppress progress lines")
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = fs.String("memprofile", "", "write a heap profile to this file")
-		stepped = fs.Bool("stepped", false, "build every machine on the pure per-cycle stepped engine (no event wheel); the deterministic section must not change — compare wall times to measure the wheel's win")
 	)
 	extra, err := cliutil.Parse(fs, args)
 	if err != nil {
@@ -69,13 +67,6 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 	}
 	if len(extra) > 0 {
 		lg.Printf("unexpected arguments %v", extra)
-		return 2
-	}
-	// Campaigns declare their own fault plans and machines; the shared
-	// flags contribute only their validation here.
-	shared := cliutil.Flags{Jobs: *jobs}
-	if err := shared.Validate(fs); err != nil {
-		lg.Print(err)
 		return 2
 	}
 	if *config == "" {
@@ -108,9 +99,9 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 		lg.Print(err)
 		return 2
 	}
-	opt := bench.RunOptions{Jobs: *jobs, Now: time.Now, Progress: stderr, Stepped: *stepped}
-	if *quiet {
-		opt.Progress = nil
+	var opt bench.RunOptions
+	if !*quiet {
+		opt.Progress = stderr
 	}
 	art, err := bench.Run(c, opt)
 	if err != nil {

@@ -2,9 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -23,10 +20,9 @@ const goldenArgs = "-q -small -n 32 -codes QCD,TRACK -trace trace.json -metrics 
 // "<sha256>  <stream> <args>" line per output of each invocation it
 // lists, and is the only list of them. The test drives run in-process on
 // each args (exit 0 required), writing -trace and -metrics files into a
-// temporary directory, and recomputes the file: stdout (each -json
-// document without its header, which records the host), then the trace,
-// then the metrics. manifest.Check names the lines that moved. The
-// goldenArgs run's report must also start with
+// temporary directory, and recomputes the file: stdout, then the trace,
+// then the metrics, each whole. manifest.Check names the lines that
+// moved. The goldenArgs run's report must also start with
 // internal/tables/testdata/report_kernels_n32.golden, byte for byte. It
 // skips under -short and -race.
 func TestIdentityManifest(t *testing.T) {
@@ -98,9 +94,6 @@ func invoke(t *testing.T, args string) []stream {
 		t.Fatalf("cedarsim %s: exit %d, want 0 (stderr: %s)", args, code, stderr.String())
 	}
 	out := []stream{{"stdout", stdout.Bytes()}}
-	if slices.Contains(argv, "-json") {
-		out[0].data = withoutHeaders(t, stdout.Bytes())
-	}
 	for _, name := range []string{"trace", "metrics"} {
 		if p, ok := files[name]; ok {
 			b, err := os.ReadFile(p)
@@ -111,28 +104,6 @@ func invoke(t *testing.T, args string) []stream {
 		}
 	}
 	return out
-}
-
-// withoutHeaders re-encodes each -json document compactly, keys sorted,
-// without its header: the header records jobs, gomaxprocs and num_cpu.
-func withoutHeaders(t *testing.T, b []byte) []byte {
-	t.Helper()
-	var out []byte
-	dec := json.NewDecoder(bytes.NewReader(b))
-	for {
-		var doc map[string]json.RawMessage
-		if err := dec.Decode(&doc); errors.Is(err, io.EOF) {
-			return out
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		delete(doc, "header")
-		line, err := json.Marshal(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(append(out, line...), '\n')
-	}
 }
 
 // checkGoldenPrefix: the kernel-level report goldenArgs writes, up to the

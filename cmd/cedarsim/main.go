@@ -30,11 +30,11 @@
 // chrome://tracing) and -metrics FILE (metrics snapshot CSV); with either,
 // the report ends with a cycle-attribution section. -json replaces the
 // report with one JSON document per entry, embedding the entry's metric
-// snapshot next to its result and leading with a self-describing
-// run-metadata header. -jobs N simulates independent experiment points in
-// parallel; output is byte-identical at any job count. -faults installs a
-// seed-deterministic fault plan for every machine the command builds and
-// adds the degraded-mode table. Progress goes to stderr, one line per
+// snapshot next to its result and leading with a header that names the
+// tool and the fault plan. -jobs N simulates independent experiment points
+// in parallel; output, -json header included, is byte-identical at any
+// job count. -faults installs a seed-deterministic fault plan for every
+// machine the command builds and adds the degraded-mode table. Progress goes to stderr, one line per
 // simulated point and then the claims tally; -q silences both.
 // -cpuprofile/-memprofile write pprof profiles of the run.
 package main
@@ -51,31 +51,47 @@ import (
 	"strings"
 
 	"cedar/internal/cliutil"
+	"cedar/internal/fault"
 	"cedar/internal/perfect"
 	"cedar/internal/scope"
 	"cedar/internal/tables"
 )
 
-// emit prints one result as JSON, led by the run-metadata header
-// (schema, tool, jobs, fault plan) that makes every artifact
-// self-describing; with a hub attached it also carries the experiment's
-// slice of the metrics registry alongside the result. The header is the
-// only jobs-dependent part — byte comparisons across -jobs values look
-// at result+metrics.
-func emit(w io.Writer, hub *scope.Hub, meta cliutil.Meta, prefix string, res tables.Result) error {
-	var out interface{}
-	if hub != nil {
-		out = struct {
-			Header  cliutil.Meta   `json:"header"`
-			Result  interface{}    `json:"result"`
-			Metrics []scope.Sample `json:"metrics"`
-		}{meta, res, hub.SnapshotUnder(prefix)}
-	} else {
-		out = struct {
-			Header cliutil.Meta `json:"header"`
-			Result interface{}  `json:"result"`
-		}{meta, res}
+// headerSchema versions the -json header (4: the header names the
+// invocation's inputs only, no longer the jobs value or the host's
+// parallelism).
+const headerSchema = 4
+
+// header leads every -json document, so that the document says which
+// tool wrote it under which fault plan. It records the run's inputs and
+// never its host: the documents are the same bytes at any -jobs.
+type header struct {
+	Schema int    `json:"schema"`
+	Tool   string `json:"tool"`
+	// FaultSeed and FaultPlan identify the run's fault plan (absent when
+	// healthy); FaultPlan is the plan's short content hash.
+	FaultSeed uint64 `json:"fault_seed,omitempty"`
+	FaultPlan string `json:"fault_plan,omitempty"`
+}
+
+// newHeader builds the header of a run under plan (nil: healthy).
+func newHeader(plan *fault.Plan) header {
+	h := header{Schema: headerSchema, Tool: "cedarsim"}
+	if plan != nil {
+		h.FaultSeed, h.FaultPlan = plan.Seed, plan.Hash()
 	}
+	return h
+}
+
+// emit prints one result as JSON, led by the header, with the
+// experiment's slice of hub's metrics registry alongside it (-json always
+// observes).
+func emit(w io.Writer, hub *scope.Hub, h header, prefix string, res tables.Result) error {
+	out := struct {
+		Header  header         `json:"header"`
+		Result  interface{}    `json:"result"`
+		Metrics []scope.Sample `json:"metrics"`
+	}{h, res, hub.SnapshotUnder(prefix)}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
@@ -144,9 +160,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		env.Progress = stderr
 	}
 	if *asJSON {
-		meta := cliutil.NewMeta("cedarsim", env.Jobs, env.Faults)
+		h := newHeader(env.Faults)
 		err = tables.RunAll(env, sizes, exps, func(e tables.Experiment, res tables.Result) error {
-			return emit(stdout, env.Hub, meta, e.Namespace(), res)
+			return emit(stdout, env.Hub, h, e.Namespace(), res)
 		})
 	} else {
 		err = tables.WriteReport(stdout, env, sizes, exps)

@@ -113,3 +113,19 @@ func TestRunRejectsBadMethodologyInvocations(t *testing.T) {
 		{"unknown flag", []string{"t5", "-bogus", "t6", "fig3"}, 2, "bogus"},
 	})
 }
+
+// TestJSONDoesNotDependOnJobs: -json stdout, each document's header
+// included, is the same bytes at -jobs 1 and -jobs 2, as the flag's help
+// text says.
+func TestJSONDoesNotDependOnJobs(t *testing.T) {
+	var outs [2]bytes.Buffer
+	for i, jobs := range []string{"1", "2"} {
+		var stderr bytes.Buffer
+		if code := run([]string{"-q", "-small", "-json", "-jobs", jobs, "overheads"}, &outs[i], &stderr); code != 0 {
+			t.Fatalf("-jobs %s: exit %d (stderr: %s)", jobs, code, stderr.String())
+		}
+	}
+	if !bytes.Equal(outs[0].Bytes(), outs[1].Bytes()) {
+		t.Errorf("-json stdout differs between -jobs 1 and -jobs 2:\n%s\n---\n%s", outs[0].Bytes(), outs[1].Bytes())
+	}
+}

@@ -24,9 +24,7 @@ type artifacts struct {
 // runArtifacts runs the named catalogue entries through RunAll under env
 // with a fresh hub, the way cedarsim runs them. The report is each
 // table's Format plus the attribution table; the JSON is cedarsim -json's
-// payload per entry (result plus the entry's metric slice) without the
-// run-metadata header, which records the jobs value, the one field
-// allowed to differ between byte-compared runs.
+// payload per entry, the result plus the entry's metric slice.
 func runArtifacts(t *testing.T, env cedar.Env, sizes cedar.Sizes, names ...string) artifacts {
 	t.Helper()
 	exps, err := cedar.Experiments(names...)

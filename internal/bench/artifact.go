@@ -10,24 +10,20 @@ import (
 	"cedar/internal/scope"
 )
 
-// Artifact is one campaign execution, written as BENCH_<area>.json. The
-// schema's load-bearing property is the split between Deterministic —
-// pure functions of the campaign config, byte-identical at any worker
-// count and across machines — and Measured, which holds wall time and
-// allocation deltas that vary run to run. Byte comparisons and the
-// determinism gates look only at DeterministicBytes; no gate reads the
-// measured section.
+// Artifact is one campaign execution, written as BENCH_<area>.json: a
+// header, a function of the campaign config, and the Deterministic
+// section, a pure function of it too, byte-identical at any worker count,
+// on either engine and across machines. It records the campaign's inputs
+// and never its host, so a committed artifact is compared whole.
 type Artifact struct {
 	Header        Header        `json:"header"`
 	Deterministic Deterministic `json:"deterministic"`
-	Measured      Measured      `json:"measured"`
 }
 
 // Header is the self-describing run metadata: schema version, tool,
 // campaign identity, and the fault plans in play. It names the jobs
-// values the campaign ran at, so it is excluded from the deterministic
-// byte comparison (two runs at different -jobs overrides must still
-// produce identical deterministic sections).
+// values the campaign ran at, so runs of one campaign at other jobs
+// lists compare their DeterministicBytes, not their headers.
 type Header struct {
 	Schema int    `json:"schema"`
 	Tool   string `json:"tool"`
@@ -84,40 +80,6 @@ type Outcome struct {
 	// Attribution is the busy/stall/idle cycle breakdown per hardware
 	// class.
 	Attribution []scope.AttrRow `json:"attribution,omitempty"`
-	// WallNS is the point's own wall time. Measured, not deterministic —
-	// excluded from the JSON here and surfaced under Measured.Points.
-	WallNS int64 `json:"-"`
-}
-
-// Measured holds everything timing- and environment-dependent.
-type Measured struct {
-	// GoMaxProcs and NumCPU record how much host parallelism the measured
-	// runs actually had. A committed artifact's throughput can only be
-	// read in that context: -jobs 8 on a 1-CPU host is a schedule change,
-	// not a speedup.
-	GoMaxProcs int `json:"gomaxprocs"`
-	NumCPU     int `json:"num_cpu"`
-	// Runs has one entry per jobs pass.
-	Runs []RunMeasure `json:"runs"`
-	// Points carries per-point wall times from the first pass.
-	Points []PointMeasure `json:"points,omitempty"`
-}
-
-// RunMeasure is one matrix pass's cost.
-type RunMeasure struct {
-	Jobs int `json:"jobs"`
-	// WallNS is the pass's wall-clock duration (0 when no clock was
-	// injected — e.g. library runs under the nondeterminism lint).
-	WallNS int64 `json:"wall_ns,omitempty"`
-	// Mallocs and AllocBytes are runtime.MemStats deltas across the pass.
-	Mallocs    uint64 `json:"mallocs"`
-	AllocBytes uint64 `json:"alloc_bytes"`
-}
-
-// PointMeasure is one point's wall time in the first pass.
-type PointMeasure struct {
-	ID     string `json:"id"`
-	WallNS int64  `json:"wall_ns"`
 }
 
 // DeterministicBytes returns the canonical encoding of the deterministic

@@ -25,7 +25,7 @@ func TestPointRunBudget(t *testing.T) {
 		Workload: WorkloadSpec{Name: "cedar16-vl512", Kind: "vectorload", N: 512, Sweeps: 1},
 	}
 	got := testing.AllocsPerRun(3, func() {
-		if _, err := runPoint(pt.Workload.Name, pt, DefaultMetrics, RunOptions{}); err != nil {
+		if _, err := runPoint(pt.Workload.Name, pt, DefaultMetrics, false); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -5,11 +5,10 @@
 // drives every point through the cedarfleet pool and emits a
 // BENCH_<area>.json Artifact whose deterministic section — simcycles,
 // scope counter snapshots, busy/stall/idle attribution — is
-// byte-identical at any -jobs value, while measured fields (wall time,
-// allocations) live in a separate section excluded from byte
-// comparisons. cmd/cedarbench is the CLI face; the committed campaigns'
-// artifacts under bench/ are pinned exactly, up to their measured
-// section, by TestCampaignsMatchTheCommittedBaselines.
+// byte-identical at any worker count. The artifact records no host fact,
+// so cmd/cedarbench, the CLI face, writes the same bytes on any machine,
+// and TestCampaignsMatchTheCommittedBaselines pins the committed
+// campaigns' artifacts under bench/ whole.
 package bench
 
 import (
@@ -45,10 +44,9 @@ type Campaign struct {
 	Workloads []WorkloadSpec `json:"workloads"`
 	Faults    []FaultSpec    `json:"faults,omitempty"`
 	// Jobs lists the fleet worker counts to execute the matrix at, one
-	// full pass per value. The
-	// deterministic section must agree byte-for-byte across passes (Run
-	// verifies this); the measured section records one wall-time and
-	// allocation entry per pass. Empty means a single pass at 1.
+	// full pass per value. The deterministic section must agree
+	// byte-for-byte across passes (Run verifies this). Empty means a
+	// single pass at 1.
 	Jobs []int `json:"jobs,omitempty"`
 	// Metrics lists the scope counter/gauge name prefixes captured into
 	// each point's deterministic record ("gmem.", "pfu.", ...). Empty

@@ -11,20 +11,14 @@ import (
 	"cedar/internal/scope"
 )
 
-// measuredKey starts an encoded artifact's measured section: everything
-// before it (the header, a function of the campaign config, and the
-// deterministic section) is what a committed baseline pins byte for byte.
-var measuredKey = []byte("\n  \"measured\": {")
-
 // TestCampaignsMatchTheCommittedBaselines is the campaigns' cross-commit
 // pin and their only gate: each committed campaign, run at its own jobs
-// list, encodes up to its measured section exactly as the committed
-// bench/BENCH_<area>.json does, and the smoke campaign on the stepped
-// engine has the same deterministic section. A mismatch lists every point
-// that moved, went or is new, and what moved in each (movedPoints), so a
-// deliberate model change reads its per-point diff here. The measured
-// section is not compared: what a cell allocates is TestPointRunBudget's.
-// It skips under -short and -race.
+// list, encodes exactly as the committed bench/BENCH_<area>.json does,
+// whole file, and the smoke campaign run once on the stepped engine has
+// the same deterministic section. A mismatch lists every point that
+// moved, went or is new, and what moved in each (movedPoints), so a
+// deliberate model change reads its per-point diff here, and it names the
+// command that re-takes the baseline. It skips under -short and -race.
 func TestCampaignsMatchTheCommittedBaselines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("committed campaigns in -short mode")
@@ -32,64 +26,71 @@ func TestCampaignsMatchTheCommittedBaselines(t *testing.T) {
 	if raceEnabled {
 		t.Skip("committed campaigns are too slow under the race detector")
 	}
-	root := filepath.Join("..", "..", "bench")
+	root := filepath.Join("..", "..")
 	for _, area := range []string{"smoke", "latency", "wide"} {
-		c, err := Load(filepath.Join(root, "campaigns", area+".json"))
+		config := "bench/campaigns/" + area + ".json"
+		baseline := "bench/BENCH_" + area + ".json"
+		c, err := Load(filepath.Join(root, config))
 		if err != nil {
 			t.Fatal(err)
 		}
-		baseline := filepath.Join(root, "BENCH_"+area+".json")
+		want, err := os.ReadFile(filepath.Join(root, baseline))
+		if err != nil {
+			t.Fatal(err)
+		}
+		old, err := ReadArtifact(filepath.Join(root, baseline))
+		if err != nil {
+			t.Fatal(err)
+		}
+		retake := fmt.Sprintf("for a deliberate model change, re-take it with go run ./cmd/cedarbench run -q -config %s -out %s", config, baseline)
 		art, err := Run(c, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkBaseline(t, baseline, area, art)
-		if area != "smoke" {
-			continue
-		}
-		stepped, err := Run(c, RunOptions{Jobs: 2, Stepped: true})
+		got, err := art.Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
-		// One pass is enough here: its header names jobs [2], so the
-		// comparison reads its deterministic section under the header above.
-		stepped.Header = art.Header
-		checkBaseline(t, baseline, "stepped smoke", stepped)
+		if !bytes.Equal(got, want) {
+			reportMoves(t, area+" campaign", baseline, retake, old, art)
+		}
+		if area != "smoke" {
+			continue
+		}
+		// One pass is enough: its header names jobs [2], so the stepped run
+		// is compared by its deterministic section alone.
+		one := *c
+		one.Jobs = []int{2}
+		stepped, err := Run(&one, RunOptions{Stepped: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotDet, err := stepped.DeterministicBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDet, err := old.DeterministicBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotDet, wantDet) {
+			reportMoves(t, "stepped smoke campaign", baseline, retake, old, stepped)
+		}
 	}
 }
 
-// checkBaseline compares art, the campaign run called name, encoded up
-// to its measured section, with the committed artifact at path.
-func checkBaseline(t *testing.T, path, name string, art *Artifact) {
+// reportMoves fails the test for the campaign run called name, which
+// differs from old, the committed artifact at baseline, listing the
+// points that moved.
+func reportMoves(t *testing.T, name, baseline, retake string, old, art *Artifact) {
 	t.Helper()
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := art.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantPrefix, _, okWant := bytes.Cut(want, measuredKey)
-	gotPrefix, _, okGot := bytes.Cut(got, measuredKey)
-	if !okWant || !okGot {
-		t.Fatalf("%s campaign or %s has no measured section", name, path)
-	}
-	if bytes.Equal(gotPrefix, wantPrefix) {
-		return
-	}
-	old, err := ReadArtifact(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const retake = "for a deliberate model change, re-take the baseline with cedarbench run"
 	moved := movedPoints(old.Deterministic, art.Deterministic)
 	if len(moved) == 0 {
-		t.Errorf("%s campaign differs from %s in its header or encoding, in no point; %s", name, path, retake)
+		t.Errorf("%s differs from %s in its header or encoding, in no point; %s", name, baseline, retake)
 		return
 	}
-	t.Errorf("%s campaign differs from %s; %s. Points that moved, went or are new: %d\n\t%s",
-		name, path, retake, len(moved), strings.Join(moved, "\n\t"))
+	t.Errorf("%s differs from %s; %s. Points that moved, went or are new: %d\n\t%s",
+		name, baseline, retake, len(moved), strings.Join(moved, "\n\t"))
 }
 
 // movedPoints lists what differs between two deterministic sections, one

@@ -6,10 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"slices"
 	"strings"
-	"time"
 
 	"cedar/internal/cfrt"
 	"cedar/internal/core"
@@ -20,22 +18,13 @@ import (
 	"cedar/internal/scope"
 )
 
-// RunOptions tunes one campaign execution.
+// RunOptions tunes one campaign execution; neither field changes the
+// artifact.
 type RunOptions struct {
-	// Jobs, when > 0, overrides the campaign's jobs list with this single
-	// worker count — the CLI's -jobs flag.
-	Jobs int
-	// Now, when non-nil, supplies the wall clock for the measured
-	// section (the CLI passes time.Now). Nil omits wall times — library
-	// and test runs stay clean under the nondeterminism lint, and the
-	// deterministic section never depends on the clock either way.
-	Now func() time.Time
 	// Progress, when non-nil, receives one line per matrix pass.
 	Progress io.Writer
 	// Stepped builds every point's machine as the pure per-cycle reference
-	// (core.Options.Stepped) — the CLI's -stepped flag. The deterministic
-	// section must not change; compare wall times to price the event
-	// wheel.
+	// (core.Options.Stepped), the equivalence gates' other side.
 	Stepped bool
 }
 
@@ -115,9 +104,6 @@ func Run(c *Campaign, opt RunOptions) (*Artifact, error) {
 		return nil, err
 	}
 	jobsList := c.Jobs
-	if opt.Jobs > 0 {
-		jobsList = []int{opt.Jobs}
-	}
 	if len(jobsList) == 0 {
 		jobsList = []int{1}
 	}
@@ -168,8 +154,6 @@ func Run(c *Campaign, opt RunOptions) (*Artifact, error) {
 		Points: len(points),
 		Faults: faultMeta,
 	}}
-	art.Measured.GoMaxProcs = runtime.GOMAXPROCS(0)
-	art.Measured.NumCPU = runtime.NumCPU()
 
 	var baseline []byte
 	for passIdx, j := range jobsList {
@@ -178,21 +162,14 @@ func Run(c *Campaign, opt RunOptions) (*Artifact, error) {
 			// The job builds its own hub (the fleet-level hub stays nil) and
 			// returns its metrics and attribution as plain result data.
 			fjobs[i].Run = func(*scope.Hub) (Outcome, error) {
-				return runPoint(cells[i].ID, pt, metrics, opt)
+				return runPoint(cells[i].ID, pt, metrics, opt.Stepped)
 			}
 		}
 
-		var ms0, ms1 runtime.MemStats
-		runtime.ReadMemStats(&ms0)
-		var start time.Time
-		if opt.Now != nil {
-			start = opt.Now()
-		}
 		results, err := fleet.Run(fleet.Config{Jobs: j}, fjobs)
 		if err != nil {
 			return nil, err
 		}
-		runtime.ReadMemStats(&ms1)
 
 		det := Deterministic{Points: slices.Clone(cells)}
 		for i, out := range results {
@@ -207,21 +184,11 @@ func Run(c *Campaign, opt RunOptions) (*Artifact, error) {
 		if passIdx == 0 {
 			art.Deterministic = det
 			baseline = b
-			for i, out := range results {
-				if out.WallNS > 0 {
-					art.Measured.Points = append(art.Measured.Points, PointMeasure{ID: cells[i].ID, WallNS: out.WallNS})
-				}
-			}
 		} else if !bytes.Equal(b, baseline) {
 			return nil, fmt.Errorf("bench: determinism violation — deterministic section at jobs=%d differs from jobs=%d",
 				j, jobsList[0])
 		}
 
-		run := RunMeasure{Jobs: j, Mallocs: ms1.Mallocs - ms0.Mallocs, AllocBytes: ms1.TotalAlloc - ms0.TotalAlloc}
-		if opt.Now != nil {
-			run.WallNS = opt.Now().Sub(start).Nanoseconds()
-		}
-		art.Measured.Runs = append(art.Measured.Runs, run)
 		if opt.Progress != nil {
 			fmt.Fprintf(opt.Progress, "bench %s: pass %d/%d (jobs=%d): %d points\n",
 				c.Area, passIdx+1, len(jobsList), j, len(points))
@@ -243,29 +210,21 @@ func RunSpec(ms MachineSpec, ws WorkloadSpec, plan *fault.Plan, metrics []string
 	if len(metrics) == 0 {
 		metrics = DefaultMetrics
 	}
-	return runPoint(ms.Name+"/"+ws.Name, Point{Machine: ms, Workload: ws, Plan: plan}, metrics, RunOptions{})
+	return runPoint(ms.Name+"/"+ws.Name, Point{Machine: ms, Workload: ws, Plan: plan}, metrics, false)
 }
 
 // runPoint is Point.Run on a private hub, then the hub's snapshot: the
-// identity-free outcome. Of opt it reads the clock and the engine choice;
-// id names the point in errors.
-func runPoint(id string, pt Point, metrics []string, opt RunOptions) (Outcome, error) {
+// identity-free outcome. id names the point in errors.
+func runPoint(id string, pt Point, metrics []string, stepped bool) (Outcome, error) {
 	hub := scope.NewHub()
 	// An Outcome carries the hub's metrics and attribution, never a span:
 	// capture nothing rather than a record per prefetch block and phase.
 	hub.SetTraceCap(0)
-	var start time.Time
-	if opt.Now != nil {
-		start = opt.Now()
-	}
-	res, err := pt.Run(hub, opt.Stepped)
+	res, err := pt.Run(hub, stepped)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("bench: point %s: %w", id, err)
 	}
 	out := Outcome{Status: res.Status, SimCycles: res.Cycles, Flops: res.Flops, MFLOPS: res.MFLOPS, Faults: res.Faults}
-	if opt.Now != nil {
-		out.WallNS = opt.Now().Sub(start).Nanoseconds()
-	}
 	out.Metrics = filterMetrics(hub.Snapshot(), metrics)
 	out.Attribution = hub.Attribution()
 	return out, nil

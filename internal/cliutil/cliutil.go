@@ -1,9 +1,8 @@
 // Package cliutil holds the flag plumbing the commands share: Parse
 // (flags and positional arguments in any order), one validation of the
-// shared flags (AtLeastOne, Flags.Validate), the pprof profiles, the
-// run-metadata header, and cedarsim's session, which turns the shared
-// flags into the run configuration (tables.Env) and writes the artifacts
-// when the run ends. Keeping it in one place means the commands cannot
+// shared flags (AtLeastOne, Flags.Validate), the pprof profiles and
+// cedarsim's session, which turns the shared flags into the run
+// configuration (tables.Env) and writes the artifacts when the run ends. Keeping it in one place means the commands cannot
 // drift apart in how they reject bad invocations or in what a flag means.
 package cliutil
 

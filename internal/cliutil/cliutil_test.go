@@ -180,16 +180,3 @@ func TestSessionArtifacts(t *testing.T) {
 		t.Errorf("unobserved Close = %v", err)
 	}
 }
-
-func TestNewMetaHostFields(t *testing.T) {
-	m := NewMeta("test", 0, nil)
-	if m.Jobs != m.GoMaxProcs {
-		t.Errorf("Meta.Jobs = %d for an unset -jobs, want GOMAXPROCS (%d)", m.Jobs, m.GoMaxProcs)
-	}
-	if m.GoMaxProcs < 1 || m.NumCPU < 1 {
-		t.Errorf("host fields unset: %+v", m)
-	}
-	if m.Schema != MetaSchema {
-		t.Errorf("Schema = %d, want %d", m.Schema, MetaSchema)
-	}
-}

@@ -4,8 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"cedar/internal/fault"
 )
 
 func TestProfilesWriteBothFiles(t *testing.T) {
@@ -61,21 +59,5 @@ func TestProfilesBadPath(t *testing.T) {
 	}
 	if err := p.Stop(); err == nil {
 		t.Fatal("unwritable memprofile path should error at stop")
-	}
-}
-
-func TestNewMeta(t *testing.T) {
-	m := NewMeta("cedarsim", 3, nil)
-	if m.Schema != MetaSchema || m.Tool != "cedarsim" || m.Jobs != 3 {
-		t.Fatalf("healthy meta: %+v", m)
-	}
-	if m.FaultSeed != 0 || m.FaultPlan != "" {
-		t.Fatalf("healthy meta carries fault fields: %+v", m)
-	}
-
-	plan := fault.DemoPlan()
-	m = NewMeta("judge", 0, plan)
-	if m.FaultSeed != plan.Seed || m.FaultPlan != plan.Hash() || m.FaultPlan == "" {
-		t.Fatalf("faulted meta: %+v", m)
 	}
 }

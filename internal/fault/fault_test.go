@@ -241,7 +241,7 @@ func TestJamDelayWindowed(t *testing.T) {
 }
 
 // TestHash: nil and fault-free plans hash to "", the demo plan to the
-// value every committed BENCH header and -json meta header carries, and
+// value every committed BENCH header and cedarsim -json header carries, and
 // the seed is part of the hash.
 func TestHash(t *testing.T) {
 	var nilPlan *Plan
