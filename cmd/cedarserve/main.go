@@ -89,7 +89,7 @@ func setup(args []string, stderr io.Writer) (http.Handler, string, int) {
 		addr     = fs.String("addr", "localhost:8347", "listen address (host:port)")
 		storeDir = fs.String("store", "", "durable response store directory (empty: in-memory cache only)")
 		storeMax = fs.Int("store-max-mb", 1024, "store size budget in MiB before LRU eviction (0 = unbounded)")
-		jobs     = fs.Int("jobs", 0, "max concurrently running simulations (0 = GOMAXPROCS)")
+		jobs     = fs.Int("jobs", 0, "max concurrently running simulations (default GOMAXPROCS; a value you set must be at least 1)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, "", 2
@@ -118,10 +118,7 @@ func setup(args []string, stderr io.Writer) (http.Handler, string, int) {
 			return nil, "", 2
 		}
 	}
-	// Faults and machines arrive per request; the shared flags contribute
-	// only their validation.
-	shared := cliutil.Flags{Jobs: *jobs}
-	if err := shared.Validate(fs); err != nil {
+	if err := cliutil.CheckJobs(fs, *jobs); err != nil {
 		lg.Print(err)
 		return nil, "", 2
 	}

@@ -52,6 +52,7 @@ import (
 
 	"cedar/internal/cliutil"
 	"cedar/internal/fault"
+	"cedar/internal/params"
 	"cedar/internal/perfect"
 	"cedar/internal/scope"
 	"cedar/internal/tables"
@@ -97,6 +98,32 @@ func emit(w io.Writer, hub *scope.Hub, h header, prefix string, res tables.Resul
 	return enc.Encode(out)
 }
 
+// checkClusters rejects a -clusters width that names no valid machine (0
+// keeps the as-built one).
+func checkClusters(clusters int) error {
+	if clusters < 0 {
+		return fmt.Errorf("-clusters %d: params: clusters must be ≥ 1, got %d", clusters, clusters)
+	}
+	if clusters > 0 {
+		if err := params.Scaled(clusters).Validate(); err != nil {
+			return fmt.Errorf("-clusters %d: %w", clusters, err)
+		}
+	}
+	return nil
+}
+
+// loadPlan reads the -faults plan: none when empty, the built-in
+// dead-bank-plus-network-fault scenario for "demo", else a JSON file.
+func loadPlan(faults string) (*fault.Plan, error) {
+	switch faults {
+	case "":
+		return nil, nil
+	case "demo":
+		return fault.DemoPlan(), nil
+	}
+	return fault.Load(faults)
+}
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -119,7 +146,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		codes  = fs.String("codes", "", "comma-separated Perfect subset for t3, t4, t5, t6 and fig3 (default: all 13)")
 		asJSON = fs.Bool("json", false, "emit results as JSON instead of the report")
 		quiet  = fs.Bool("q", false, "suppress per-point progress lines")
-		shared = cliutil.Register(fs)
+
+		trace    = fs.String("trace", "", "write a Chrome trace-event JSON file (Perfetto / chrome://tracing)")
+		metrics  = fs.String("metrics", "", "write the metrics snapshot as CSV")
+		jobs     = fs.Int("jobs", 0, "parallel experiment jobs (default GOMAXPROCS; a value you set must be at least 1); output is identical at any value")
+		clusters = fs.Int("clusters", 0, "simulated machine width in clusters (0 = as-built 4; 16/64 = scale-up presets)")
+		faults   = fs.String("faults", "", "JSON fault plan (or \"demo\") injected into every simulated machine")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf  = fs.String("memprofile", "", "write a heap profile to this file")
 	)
 	names, err := cliutil.Parse(fs, args)
 	if err != nil {
@@ -132,7 +166,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(names) == 0 {
 		names = tables.Evaluation
 	}
-	if shared.Faults != "" && !slices.Contains(names, "degraded") {
+	if *faults != "" && !slices.Contains(names, "degraded") {
 		names = append(names[:len(names):len(names)], "degraded")
 	}
 	exps, err := tables.Experiments(names...)
@@ -148,14 +182,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		lg.Print(err)
 		return 2
 	}
-	// -json wants each experiment's metrics next to its result, so it
-	// observes even without -trace/-metrics.
-	s, err := shared.Open(fs, *asJSON)
+	env := tables.Env{Jobs: *jobs, Clusters: *clusters}
+	if err := cliutil.CheckJobs(fs, *jobs); err != nil {
+		lg.Print(err)
+		return 2
+	}
+	if err := checkClusters(*clusters); err != nil {
+		lg.Print(err)
+		return 2
+	}
+	if env.Faults, err = loadPlan(*faults); err != nil {
+		lg.Print(err)
+		return 2
+	}
+	prof, err := cliutil.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
 		lg.Print(err)
 		return 2
 	}
-	env := s.Env
+	// The hub exists whenever an artifact asks for it; -json wants each
+	// experiment's metrics next to its result, so it observes too.
+	// Otherwise machines are built uninstrumented at zero cost.
+	if *trace != "" || *metrics != "" || *asJSON {
+		env.Hub = scope.NewHub()
+	}
 	if !*quiet {
 		env.Progress = stderr
 	}
@@ -168,8 +218,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err = tables.WriteReport(stdout, env, sizes, exps)
 	}
 	// A broken claim fails the run after the report or the JSON documents,
-	// and the artifacts, are written.
-	if err := errors.Join(err, s.Close()); err != nil {
+	// and the artifacts and profiles, are written.
+	if err := errors.Join(err, scope.WriteArtifacts(env.Hub, *trace, *metrics), prof.Stop()); err != nil {
 		lg.Print(err)
 		return 1
 	}

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"cedar/internal/fault"
 )
 
 // rejection is one invalid invocation: run must exit want and name
@@ -127,5 +130,100 @@ func TestJSONDoesNotDependOnJobs(t *testing.T) {
 	}
 	if !bytes.Equal(outs[0].Bytes(), outs[1].Bytes()) {
 		t.Errorf("-json stdout differs between -jobs 1 and -jobs 2:\n%s\n---\n%s", outs[0].Bytes(), outs[1].Bytes())
+	}
+}
+
+// runOK runs cedarsim on args, which must exit 0, and returns its stdout.
+func runOK(t *testing.T, args ...string) []byte {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("run(%v) = %d, want 0 (stderr: %s)", args, code, stderr.String())
+	}
+	return stdout.Bytes()
+}
+
+// TestSetupJobsValidation: an explicit -jobs below 1 is rejected (the
+// TestRunRejects* tests hold those rows), but only after the names are
+// resolved, so a bad name is what a run with both reports. Unset, -jobs
+// means GOMAXPROCS workers, and an explicit count gives the same output.
+func TestSetupJobsValidation(t *testing.T) {
+	checkRejections(t, []rejection{
+		{"zero jobs and a bad name", []string{"-jobs", "0", "t7"}, 2, `no experiment named "t7"`},
+	})
+	unset := runOK(t, "-q", "-small", "overheads")
+	if set := runOK(t, "-q", "-small", "-jobs", "3", "overheads"); !bytes.Equal(set, unset) {
+		t.Errorf("-jobs 3 report differs from the default's:\n%s\n---\n%s", set, unset)
+	}
+}
+
+// firstHeader runs cedarsim -json on args and returns the header of its
+// first document.
+func firstHeader(t *testing.T, args ...string) header {
+	t.Helper()
+	var doc struct{ Header header }
+	if err := json.NewDecoder(bytes.NewReader(runOK(t, append([]string{"-q", "-json"}, args...)...))).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc.Header
+}
+
+// TestSetupFaultPlans: -faults demo installs the built-in plan, a plan
+// file is loaded as written, and the plan belongs to its run: a later run
+// without -faults is healthy. The -json header names the plan a run used.
+func TestSetupFaultPlans(t *testing.T) {
+	if h := firstHeader(t, "-n", "32", "-faults", "demo", "overheads"); h != newHeader(fault.DemoPlan()) {
+		t.Errorf("-faults demo header = %+v, want the demo plan's", h)
+	}
+	good := writePlan(t, t.TempDir(), "plan.json", `{"seed": 7, "faults": [{"kind": "bank-dead", "module": 2}]}`)
+	plan, err := fault.Load(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := firstHeader(t, "-n", "32", "-faults", good, "overheads"); h != newHeader(plan) || h.FaultSeed != 7 {
+		t.Errorf("-faults %s header = %+v, want %+v", good, h, newHeader(plan))
+	}
+	if h := firstHeader(t, "overheads"); h != newHeader(nil) {
+		t.Errorf("run without -faults after faulted runs: header %+v, want healthy", h)
+	}
+}
+
+// TestSetupFaultErrors: a plan file that fails validation is a bad
+// invocation (missing and malformed files are TestRunRejects* rows).
+func TestSetupFaultErrors(t *testing.T) {
+	bad := writePlan(t, t.TempDir(), "bad.json", `{"seed": 1, "faults": [{"kind": "bank-dead", "module": -1}]}`)
+	checkRejections(t, []rejection{
+		{"module below 0", []string{"-faults", bad, "overheads"}, 2, "needs an explicit module ≥ 0"},
+	})
+}
+
+// TestSetupShardsAndClusters: -shards left with the intra-run parallel
+// engine, so the flag package rejects it, and an invalid width is
+// rejected by params validation. A valid width's output is pinned by the
+// identity manifest's -clusters 16 line.
+func TestSetupShardsAndClusters(t *testing.T) {
+	checkRejections(t, []rejection{
+		{"shards", []string{"-shards", "2", "overheads"}, 2, "flag provided but not defined: -shards"},
+		{"negative clusters", []string{"-clusters", "-2", "overheads"}, 2, "-clusters -2: params: clusters must be ≥ 1, got -2"},
+	})
+}
+
+// TestSessionArtifacts: a run owes what its flags asked for — the trace
+// and metrics files, which add the attribution section to the report, and
+// the heap profile — and nothing when nothing was asked.
+func TestSessionArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	trace, metrics, mem := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.csv"), filepath.Join(dir, "mem.pb.gz")
+	report := runOK(t, "-q", "-small", "-trace", trace, "-metrics", metrics, "-memprofile", mem, "overheads")
+	if !bytes.Contains(report, []byte("## Cycle attribution")) {
+		t.Error("-trace/-metrics report has no cycle-attribution section")
+	}
+	for _, path := range []string{trace, metrics, mem} {
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Errorf("%s missing or empty after the run (err %v)", path, err)
+		}
+	}
+	if report := runOK(t, "-q", "-small", "overheads"); bytes.Contains(report, []byte("## Cycle attribution")) {
+		t.Error("unobserved report has a cycle-attribution section")
 	}
 }

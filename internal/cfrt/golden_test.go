@@ -12,16 +12,14 @@ import (
 	"cedar/internal/ce"
 	"cedar/internal/core"
 	"cedar/internal/params"
-	"cedar/internal/perfmon"
 )
 
 // goldenRun executes one program on a fresh machine — on the stepped
-// engine when asked — with a tracer attached and renders its golden line:
-// total cycles, event count and an FNV-64a hash of the tracer's event
-// stream in posting order.
+// engine when asked — recording what it posts, and renders its golden
+// line: total cycles, event count and an FNV-64a hash of the event stream
+// in posting order.
 func goldenRun(t *testing.T, stepped bool, name string, clusters int, cfg Config, phases []Phase) string {
 	t.Helper()
-	tr := perfmon.NewTracer(4)
 	p := params.Default()
 	p.Clusters = clusters
 	m, err := core.New(p, core.Options{Stepped: stepped})
@@ -29,18 +27,18 @@ func goldenRun(t *testing.T, stepped bool, name string, clusters int, cfg Config
 		t.Fatal(err)
 	}
 	rt := New(m, cfg, phases...)
-	rt.SetTracer(tr)
+	evs := recordEvents(rt)
 	res, err := rt.Run(500_000_000)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	h := fnv.New64a()
-	for _, e := range tr.Events() {
+	for _, e := range *evs {
 		if err := binary.Write(h, binary.LittleEndian, e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return fmt.Sprintf("%s cycles=%d events=%d fnv64a=%016x\n", name, res.Cycles, len(tr.Events()), h.Sum64())
+	return fmt.Sprintf("%s cycles=%d events=%d fnv64a=%016x\n", name, res.Cycles, len(*evs), h.Sum64())
 }
 
 // goldenLines runs the pinned programs on the given engine:

@@ -6,7 +6,6 @@ import (
 	"cedar/internal/ce"
 	"cedar/internal/core"
 	"cedar/internal/network"
-	"cedar/internal/perfmon"
 	"cedar/internal/scope"
 )
 
@@ -33,8 +32,9 @@ type Runtime struct {
 	syncPathCycles int64
 	pollBackoff    int64
 
-	// tracer receives software events when attached (SetTracer).
-	tracer *perfmon.Tracer
+	// onPost, when set, sees every posted event with its participant's
+	// CE id. Only package cfrt's tests set it, to read the event stream.
+	onPost func(cycle int64, kind uint16, ceID int, value int64)
 
 	// obs is the machine's observability hub (nil when off). Runtime
 	// events double as scope counters and phase/loop trace spans;

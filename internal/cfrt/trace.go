@@ -3,13 +3,12 @@ package cfrt
 import (
 	"fmt"
 
-	"cedar/internal/perfmon"
 	"cedar/internal/scope"
 )
 
-// Event kinds the runtime posts to an attached tracer — the paper's
-// software event tracing ("It is also possible to post events to the
-// performance hardware from programs executing on Cedar").
+// Event kinds the runtime posts to the hub — the paper's software event
+// tracing ("It is also possible to post events to the performance
+// hardware from programs executing on Cedar").
 const (
 	// EvPhaseEnter: a CE entered phase Value.
 	EvPhaseEnter uint16 = iota + 1
@@ -28,24 +27,14 @@ const (
 	evKinds = int(EvCDJoin)
 )
 
-// SetTracer attaches a perfmon tracer; nil detaches. Events are posted
-// with the participant's CE id and the cycle at which the triggering
-// instruction completed.
-func (r *Runtime) SetTracer(tr *perfmon.Tracer) { r.tracer = tr }
-
-// post records a runtime event if a tracer is attached, and feeds the
-// observability hub's counters and phase spans.
+// post feeds one runtime event, stamped with the cycle at which the
+// triggering instruction completed, to the observability hub's counters
+// and phase spans, and to onPost when a test has set it.
 func (r *Runtime) post(ci int, cycle int64, kind uint16, value int64) {
 	r.observe(ci, cycle, kind, value)
-	if r.tracer == nil {
-		return
+	if r.onPost != nil {
+		r.onPost(cycle, kind, r.ces[ci].ID, value)
 	}
-	r.tracer.Post(perfmon.Event{
-		Cycle: cycle,
-		Kind:  kind,
-		CE:    int32(r.ces[ci].ID),
-		Value: value,
-	})
 }
 
 // sumEv totals one event kind over every participant.

@@ -7,7 +7,6 @@ import (
 
 	"cedar/internal/ce"
 	"cedar/internal/network"
-	"cedar/internal/perfmon"
 )
 
 // leastMallocs builds and runs a program three times and reports its
@@ -176,8 +175,7 @@ func TestSteadyStateAllocsLoops(t *testing.T) {
 func TestWaitStateDoesNotLeakIntoNextWait(t *testing.T) {
 	nothing := Serial{Body: func(q []ce.Instr) []ce.Instr { return q }}
 	r := New(mach(t, 1), Config{UseCedarSync: true, MaxCEs: 2}, nothing, nothing)
-	tr := perfmon.NewTracer(1)
-	r.SetTracer(tr)
+	evs := recordEvents(r)
 	c, id := r.ctl[1], r.ces[1].ID
 	issue := func(what string) ce.Instr {
 		t.Helper()
@@ -236,7 +234,7 @@ func TestWaitStateDoesNotLeakIntoNextWait(t *testing.T) {
 		t.Errorf("after the last barrier Next says %v, want Finished", st)
 	}
 	enters := 0
-	for _, e := range tr.Events() {
+	for _, e := range *evs {
 		if e.Kind == EvPhaseEnter {
 			enters++
 		}

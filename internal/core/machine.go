@@ -92,7 +92,6 @@ type Machine struct {
 
 	stepped    bool
 	nextGlobal uint64
-	flopsBase  int64
 	// pool is the packet pool every CE and PFU of the machine shares.
 	pool network.PacketPool
 }

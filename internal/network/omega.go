@@ -123,9 +123,8 @@ type Omega struct {
 	ingressBusy []uint8
 	ingressList []int
 
-	egressCap int
-	stats     Stats
-	inflight  int
+	stats    Stats
+	inflight int
 	// heads counts the queue heads tickStage has inspected — the work
 	// unit the occupancy bits exist to cut (BenchmarkOmegaTick reports it
 	// per hop, the differential test compares it with the full scan's).
@@ -248,7 +247,6 @@ func NewOmega(cfg OmegaConfig) *Omega {
 		st:          make([]stage, stages),
 		egress:      newWordQueues(n, egressCap),
 		ingressBusy: carve(),
-		egressCap:   egressCap,
 		sinks:       make([]PortSink, n),
 		lastRefuse:  make([]int64, n),
 	}

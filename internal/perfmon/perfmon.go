@@ -1,11 +1,9 @@
-// Package perfmon is the software analogue of Cedar's external performance
-// monitoring hardware: time-stamped event tracers (1M events each,
-// cascadable) and histogrammers (64K 32-bit counters), plus the derived
-// statistics the paper reports — first-word latency and interarrival time
-// of prefetch blocks (Table 2) and MFLOPS accounting.
-//
-// Programs can also post software events, mirroring the paper's note that
-// software event tracing posts events to the performance hardware.
+// Package perfmon is the histogrammer half of Cedar's external
+// performance monitoring hardware: 64K-counter histogrammers, and the
+// prefetch-block statistics the paper's Table 2 reports from them
+// (first-word latency and interarrival time). The rack's other half, the
+// time-stamped event tracer, is the scope hub's span buffer
+// (scope.TracerCap).
 package perfmon
 
 import (
@@ -13,48 +11,6 @@ import (
 	"math"
 	"slices"
 )
-
-// Event is one time-stamped trace record.
-type Event struct {
-	Cycle int64
-	Kind  uint16
-	CE    int32
-	Value int64
-}
-
-// TracerCap is the capacity of one hardware event tracer.
-const TracerCap = 1 << 20
-
-// Tracer collects time-stamped events. When full it drops new events and
-// counts them, like the hardware filling up; cascade by raising units.
-type Tracer struct {
-	events  []Event
-	units   int
-	dropped int64
-}
-
-// NewTracer builds a tracer cascaded from n hardware units (n ≥ 1).
-func NewTracer(units int) *Tracer {
-	if units < 1 {
-		units = 1
-	}
-	return &Tracer{units: units}
-}
-
-// Post records an event if capacity remains.
-func (t *Tracer) Post(e Event) {
-	if len(t.events) >= t.units*TracerCap {
-		t.dropped++
-		return
-	}
-	t.events = append(t.events, e)
-}
-
-// Events returns the captured trace.
-func (t *Tracer) Events() []Event { return t.events }
-
-// Dropped returns the number of events lost to capacity.
-func (t *Tracer) Dropped() int64 { return t.dropped }
 
 // HistogramBins is the counter count of one histogrammer unit.
 const HistogramBins = 1 << 16

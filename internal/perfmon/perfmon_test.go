@@ -8,29 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestTracerCapacityAndDrops(t *testing.T) {
-	tr := NewTracer(1)
-	for i := 0; i < TracerCap+10; i++ {
-		tr.Post(Event{Cycle: int64(i)})
-	}
-	if len(tr.Events()) != TracerCap {
-		t.Errorf("captured %d, want %d", len(tr.Events()), TracerCap)
-	}
-	if tr.Dropped() != 10 {
-		t.Errorf("dropped %d, want 10", tr.Dropped())
-	}
-}
-
-func TestTracerCascade(t *testing.T) {
-	tr := NewTracer(2)
-	for i := 0; i < TracerCap+10; i++ {
-		tr.Post(Event{})
-	}
-	if tr.Dropped() != 0 {
-		t.Error("cascaded tracer dropped events below combined capacity")
-	}
-}
-
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram(1)
 	h.Add(5)

@@ -8,8 +8,8 @@ import (
 
 // WriteArtifacts writes the hub's trace (Chrome trace-event JSON) and
 // metrics (CSV) to the given paths; an empty path skips that artifact.
-// The CLIs' -trace and -metrics flags funnel here so every tool emits
-// identical formats.
+// cedarsim's -trace and -metrics flags and the facade's
+// WriteScopeArtifacts funnel here, so both emit identical formats.
 func WriteArtifacts(h *Hub, tracePath, metricsPath string) error {
 	if tracePath != "" {
 		if err := writeFile(tracePath, h.WriteChromeTrace); err != nil {

@@ -8,10 +8,10 @@
 //   - a metrics registry: every source publishes one table of named
 //     counters (monotonic, read from the component's own Stats) and
 //     gauges (instantaneous occupancies), snapshotable at any cycle;
-//   - a span/event tracer stamped in simulated cycles only, with a
-//     bounded buffer and drop accounting like the hardware tracer,
-//     exported as Chrome trace-event JSON (viewable in Perfetto or
-//     chrome://tracing);
+//   - a span/event tracer stamped in simulated cycles only: the hardware
+//     event tracer, one unit of TracerCap events by default, cascaded by
+//     SetTraceCap, with drop accounting when full, exported as Chrome
+//     trace-event JSON (viewable in Perfetto or chrome://tracing);
 //   - a cycle-attribution report: busy/stall/idle per component class,
 //     answering "where did the cycles go".
 //
@@ -28,8 +28,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-
-	"cedar/internal/perfmon"
 )
 
 // Kind classifies a registered metric.
@@ -80,9 +78,9 @@ type state struct {
 }
 
 // NewHub builds an empty hub with the default trace capacity (one
-// hardware tracer unit: perfmon.TracerCap events).
+// hardware tracer unit: TracerCap events).
 func NewHub() *Hub {
-	return &Hub{st: &state{spanCap: perfmon.TracerCap}}
+	return &Hub{st: &state{spanCap: TracerCap}}
 }
 
 // Sub returns a view of the hub that prefixes every metric name and trace

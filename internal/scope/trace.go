@@ -62,9 +62,13 @@ func (h *Hub) add(s Span) {
 	}
 }
 
-// SetTraceCap bounds the span buffer (default perfmon.TracerCap). Call
-// before any events are posted; shrinking below the current length only
-// affects future posts.
+// TracerCap is the capacity of one hardware event tracer unit (1M
+// events), the span buffer's default bound.
+const TracerCap = 1 << 20
+
+// SetTraceCap bounds the span buffer (default TracerCap), cascading
+// tracer units as the hardware does. Call before any events are posted;
+// shrinking below the current length only affects future posts.
 func (h *Hub) SetTraceCap(n int) {
 	if h == nil || n < 0 {
 		return
@@ -83,7 +87,8 @@ func (h *Hub) Spans() []Span {
 }
 
 // TraceDropped returns the number of events lost to the buffer bound.
-// Only tests call it: it is the one way TestTraceCapAndDropAccounting and
+// Only tests call it: it is the one way TestTraceCapAndDropAccounting,
+// TestTracerCapacityAndDrops, TestTracerCascade and
 // TestForkAdoptDropAccounting read the count without parsing a trace.
 func (h *Hub) TraceDropped() int64 {
 	if h == nil {

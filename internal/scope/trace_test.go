@@ -53,6 +53,33 @@ func TestTraceCapAndDropAccounting(t *testing.T) {
 	}
 }
 
+// TestTracerCapacityAndDrops: a new hub's span buffer is one hardware
+// tracer unit, TracerCap events; the events past it are counted, not kept.
+func TestTracerCapacityAndDrops(t *testing.T) {
+	h := NewHub()
+	for i := int64(0); i < TracerCap+10; i++ {
+		h.Emit("t", "e", i)
+	}
+	if len(h.Spans()) != TracerCap {
+		t.Errorf("kept %d spans, want %d", len(h.Spans()), TracerCap)
+	}
+	if h.TraceDropped() != 10 {
+		t.Errorf("dropped %d, want 10", h.TraceDropped())
+	}
+}
+
+// TestTracerCascade: two cascaded units hold what overflows one.
+func TestTracerCascade(t *testing.T) {
+	h := NewHub()
+	h.SetTraceCap(2 * TracerCap)
+	for i := int64(0); i < TracerCap+10; i++ {
+		h.Emit("t", "e", i)
+	}
+	if h.TraceDropped() != 0 {
+		t.Errorf("a two-unit buffer dropped %d of %d events", h.TraceDropped(), TracerCap+10)
+	}
+}
+
 func TestWriteChromeTraceShape(t *testing.T) {
 	h := NewHub()
 	h.Span("beta", "work", 0, 200)
