@@ -195,6 +195,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		lg.Print(err)
 		return 2
 	}
+	if err := tables.Fit(env, sizes, exps); err != nil {
+		lg.Printf("%v (-clusters %d)", err, *clusters)
+		return 2
+	}
 	prof, err := cliutil.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
 		lg.Print(err)

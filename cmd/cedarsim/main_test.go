@@ -198,13 +198,18 @@ func TestSetupFaultErrors(t *testing.T) {
 }
 
 // TestSetupShardsAndClusters: -shards left with the intra-run parallel
-// engine, so the flag package rejects it, and an invalid width is
-// rejected by params validation. A valid width's output is pinned by the
-// identity manifest's -clusters 16 line.
+// engine, so the flag package rejects it, an invalid width is rejected by
+// params validation, and a valid width too narrow for a selected point
+// (membw streams from up to 32 CEs) by tables.Fit, alone or in the whole
+// evaluation. A valid width's output is pinned by the identity manifest's
+// -clusters 16 line.
 func TestSetupShardsAndClusters(t *testing.T) {
+	const narrow = "membw/32ce/stride1 needs 32 CEs; the machine has 16 (-clusters 2)"
 	checkRejections(t, []rejection{
 		{"shards", []string{"-shards", "2", "overheads"}, 2, "flag provided but not defined: -shards"},
 		{"negative clusters", []string{"-clusters", "-2", "overheads"}, 2, "-clusters -2: params: clusters must be ≥ 1, got -2"},
+		{"membw on two clusters", []string{"-q", "-small", "-clusters", "2", "membw"}, 2, narrow},
+		{"evaluation on two clusters", []string{"-q", "-clusters", "2"}, 2, narrow},
 	})
 }
 

@@ -12,6 +12,7 @@
 package bench
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -127,6 +128,18 @@ func (ms MachineSpec) Validate() error {
 func (ws WorkloadSpec) Validate() error {
 	_, err := ws.checked()
 	return err
+}
+
+// Fits reports whether a machine with parameters m can host the
+// workload: the checks Validate cannot make without the machine. Its
+// callers run it before building anything, so a point its machine cannot
+// host is a refused request, not a failed run. It states one need today:
+// membw's participating CEs.
+func (ws WorkloadSpec) Fits(m params.Machine) error {
+	if need := cmp.Or(ws.CEs, 1); ws.Kind == "membw" && need > m.CEs() {
+		return fmt.Errorf("needs %d CEs; the machine has %d", need, m.CEs())
+	}
+	return nil
 }
 
 // checked is Validate that also returns the spec's kind.

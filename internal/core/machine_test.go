@@ -160,9 +160,12 @@ func TestAttachBlockStats(t *testing.T) {
 // handles by value, so a per-port closure or a per-stage table (406 and
 // 5,064 objects before both went) shows up here. Every experiment point
 // builds under a hub (bench.Point.Run), so the hub's instrumentation is
-// budgeted too. The byte budgets are ≈154 KB and ≈1,745 KB under a hub
-// with the headroom they had when every PFU held a whole params.Machine
-// (≈162 KB and ≈1,865 KB, budgets 256 KB and 3 MB).
+// budgeted too. Cedar and Cedar64 cost ≈78 and ≈622 objects (≈108 and
+// ≈653 under a hub), each budget × 1.1.
+// The byte budgets are ≈86 KB and ≈1,182 KB under a hub, budgets 112 KB
+// and 1,400 KB: a fabric line costs the packets queued on it, and giving
+// the reverse fabric's egress ports back a 65-slot ring each (33 KB on
+// Cedar, 266 KB on Cedar64) fails all four.
 func TestBuildBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -171,10 +174,10 @@ func TestBuildBudget(t *testing.T) {
 		budget  int64
 		objects int64
 	}{
-		{"Cedar", params.Default(), false, 243 << 10, 92},
-		{"Cedar64", params.Cedar64(), false, 2_874 << 10, 690},
-		{"Cedar+hub", params.Default(), true, 243 << 10, 125},
-		{"Cedar64+hub", params.Cedar64(), true, 2_874 << 10, 725},
+		{"Cedar", params.Default(), false, 112 << 10, 86},
+		{"Cedar64", params.Cedar64(), false, 1_400 << 10, 684},
+		{"Cedar+hub", params.Default(), true, 112 << 10, 119},
+		{"Cedar64+hub", params.Cedar64(), true, 1_400 << 10, 718},
 	} {
 		objects, bytes := buildCost(t, tc.p, tc.hub)
 		if bytes > tc.budget {

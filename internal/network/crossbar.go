@@ -20,9 +20,9 @@ type Crossbar struct {
 	ports   int
 	latency int64 // minimum transit cycles, matching the omega's stage count
 
-	pending  pktHeap // packets in transit, ordered by arrival time
-	egress   []unboundedQueue
-	outFree  []int64 // next cycle each egress port may deliver a word
+	pending  pktHeap     // packets in transit, ordered by arrival time
+	egress   []wordQueue // unbounded: pushed without canAccept
+	outFree  []int64     // next cycle each egress port may deliver a word
 	stats    Stats
 	inflight int
 	seq      int64
@@ -45,7 +45,7 @@ func NewCrossbar(name string, ports int, latency int) *Crossbar {
 		name:    name,
 		ports:   ports,
 		latency: int64(latency),
-		egress:  make([]unboundedQueue, ports),
+		egress:  make([]wordQueue, ports),
 		outFree: make([]int64, ports),
 		sinks:   make([]PortSink, ports),
 	}
@@ -96,7 +96,7 @@ func (c *Crossbar) NextWakeup(now int64) int64 {
 // NextAt implements Fabric: crossbar egress packets are consumable as
 // soon as they are queued.
 func (c *Crossbar) NextAt(port int, now int64) int64 {
-	if c.egress[port].headPkt() == nil {
+	if c.egress[port].head == nil {
 		return sim.Never
 	}
 	return now
@@ -110,10 +110,7 @@ func (c *Crossbar) Queued() int {
 		w += c.pending[i].pkt.Words()
 	}
 	for p := range c.egress {
-		q := &c.egress[p]
-		for i := q.head; i < len(q.pkts); i++ {
-			w += q.pkts[i].Words()
-		}
+		w += c.egress[p].words
 	}
 	return w
 }
@@ -184,7 +181,7 @@ func (c *Crossbar) Tick(cycle int64) {
 
 // Peek implements Fabric.
 func (c *Crossbar) Peek(port int) *Packet {
-	return c.egress[port].headPkt()
+	return c.egress[port].head
 }
 
 // Poll implements Fabric.
@@ -198,35 +195,6 @@ func (c *Crossbar) Poll(port int) *Packet {
 }
 
 var _ Fabric = (*Crossbar)(nil)
-
-// unboundedQueue is the ideal crossbar's infinite egress buffer.
-type unboundedQueue struct {
-	pkts []*Packet
-	head int
-}
-
-func (q *unboundedQueue) push(p *Packet) { q.pkts = append(q.pkts, p) }
-
-func (q *unboundedQueue) headPkt() *Packet {
-	if q.head >= len(q.pkts) {
-		return nil
-	}
-	return q.pkts[q.head]
-}
-
-func (q *unboundedQueue) pop() *Packet {
-	if q.head >= len(q.pkts) {
-		return nil
-	}
-	p := q.pkts[q.head]
-	q.pkts[q.head] = nil
-	q.head++
-	if q.head == len(q.pkts) {
-		q.pkts = q.pkts[:0]
-		q.head = 0
-	}
-	return p
-}
 
 type pendingPkt struct {
 	pkt       *Packet

@@ -118,6 +118,9 @@ type Omega struct {
 	st []stage
 	// egress[p] is the delivery queue at egress port p.
 	egress []wordQueue
+	// stageWords and egressWords are the capacities of a stage line and
+	// an egress port's delivery queue, in words.
+	stageWords, egressWords int
 	// ingressBusy[p] counts remaining cycles port p's ingress wire is
 	// occupied; ingressList tracks the busy ones.
 	ingressBusy []uint8
@@ -172,8 +175,8 @@ type stage struct {
 	// occ has one bit per input line, set exactly while the line's queue
 	// is non-empty. Switch sw owns the occBits-wide field at bit
 	// sw*occBits (input i at bit i of it), so a switch's inputs never
-	// straddle a word whatever the radix. count is the packets queued at
-	// the stage: Σ in[l].len().
+	// straddle a word whatever the radix. count is the packets queued on
+	// the stage's input lines.
 	occ   []uint64
 	count int
 }
@@ -226,12 +229,13 @@ func NewOmega(cfg OmegaConfig) *Omega {
 	if egressCap == 0 {
 		egressCap = 2 * cfg.QueueWords
 	}
-	// Per-line state is carved from one slab per element type, the way
-	// newWordQueues carves its rings, and the per-line counters are bytes
-	// (a digit, a round-robin pointer and a wire's busy cycles are all
-	// below maxRadix): what a fabric costs core.New is eleven objects
-	// whatever its stage count.
+	// Per-line state is carved from one slab per element type — the stage
+	// and egress lines' queues from one []wordQueue — and the per-line
+	// counters are bytes (a digit, a round-robin pointer and a wire's busy
+	// cycles are all below maxRadix): what a fabric costs core.New is
+	// eight objects whatever its stage count.
 	n, k := cfg.Ports, cfg.Radix
+	queues := make([]wordQueue, (stages+1)*n)
 	bytes := make([]uint8, (1+3*stages)*n)
 	carve := func() []uint8 {
 		s := bytes[:n:n]
@@ -245,7 +249,9 @@ func NewOmega(cfg OmegaConfig) *Omega {
 		ports:       n,
 		shuf:        make([]wire, n),
 		st:          make([]stage, stages),
-		egress:      newWordQueues(n, egressCap),
+		egress:      queues[stages*n:],
+		stageWords:  2 * cfg.QueueWords,
+		egressWords: egressCap,
 		ingressBusy: carve(),
 		sinks:       make([]PortSink, n),
 		lastRefuse:  make([]int64, n),
@@ -259,7 +265,6 @@ func NewOmega(cfg OmegaConfig) *Omega {
 		o.shuf[l] = wire{line: int32(line), bit: int32(line/k<<occShift + line%k)}
 	}
 	occWords := (n/k<<occShift + 63) / 64
-	queues := newWordQueues(stages*n, 2*cfg.QueueWords)
 	occ := make([]uint64, stages*occWords)
 	// Stage t routes on digit stages-1-t of the destination (tag control).
 	for t, div := stages-1, 1; t >= 0; t, div = t-1, div*k {
@@ -309,7 +314,7 @@ func (o *Omega) NextWakeup(now int64) int64 {
 
 // NextAt implements Fabric.
 func (o *Omega) NextAt(port int, now int64) int64 {
-	h := o.egress[port].headPkt()
+	h := o.egress[port].head
 	if h == nil {
 		return sim.Never
 	}
@@ -351,7 +356,7 @@ func (o *Omega) Offer(p *Packet) bool {
 	}
 	st, to := &o.st[0], o.shuf[p.Src]
 	q := &st.in[to.line]
-	if !q.canAccept(p.Words()) {
+	if !q.canAccept(p.Words(), o.stageWords) {
 		o.refuse(p.Src)
 		return false
 	}
@@ -380,7 +385,7 @@ func (st *stage) arrive(bit int32) {
 // depart accounts a packet popped from q, the queue of the input line
 // whose occupancy bit is bit.
 func (st *stage) depart(q *wordQueue, bit int32) {
-	if q.n == 0 {
+	if q.head == nil {
 		st.occ[bit>>6] &^= 1 << (bit & 63)
 	}
 	st.count--
@@ -399,7 +404,7 @@ func (o *Omega) refuse(port int) {
 
 // Peek implements Fabric.
 func (o *Omega) Peek(port int) *Packet {
-	h := o.egress[port].headPkt()
+	h := o.egress[port].head
 	if h == nil || h.readyAt >= o.now {
 		return nil
 	}
@@ -475,7 +480,7 @@ func (o *Omega) tickStage(t int, cycle int64) {
 			outMask := uint32(0)
 			for m := inputs; m != 0; m &= m - 1 {
 				inp := uint(bits.TrailingZeros32(m))
-				h := in[base+int(inp)].first()
+				h := in[base+int(inp)].head
 				o.heads++
 				if h.readyAt > cycle {
 					continue
@@ -504,7 +509,7 @@ func (o *Omega) tickStage(t int, cycle int64) {
 				}
 				inp := bits.TrailingZeros32(c)
 				src := &in[base+inp]
-				h := src.first()
+				h := src.head
 				if o.inj != nil && droppable(h) && o.inj.LinkDrop(o.name, t, gout, cycle) {
 					// The wire eats the packet: it leaves its queue and
 					// never arrives. Only idempotent prefetch reads are
@@ -514,11 +519,11 @@ func (o *Omega) tickStage(t int, cycle int64) {
 					o.inflight--
 					continue
 				}
-				dst, to := &o.egress[gout], o.shuf[gout]
+				dst, capWords, to := &o.egress[gout], o.egressWords, o.shuf[gout]
 				if !last {
-					dst = &o.st[t+1].in[to.line]
+					dst, capWords = &o.st[t+1].in[to.line], o.stageWords
 				}
-				if !dst.canAccept(h.Words()) {
+				if !dst.canAccept(h.Words(), capWords) {
 					continue // head-of-line blocking: this output stalls
 				}
 				src.pop()

@@ -29,7 +29,8 @@ var omegaGeometries = []struct{ radix, ports int }{
 // assertOccupancy checks the invariants the occupancy-driven tick rests
 // on: a stage's occupancy bit is set exactly while the line's queue is
 // non-empty (and no other bit ever is), its count is the sum of its queue
-// lengths, and inflight is everything queued in the stages and at egress.
+// lengths, inflight is everything queued in the stages and at egress, and
+// every queue is a well-formed list (queueLen).
 func assertOccupancy(t testing.TB, o *Omega) {
 	t.Helper()
 	total := 0
@@ -38,8 +39,9 @@ func assertOccupancy(t testing.TB, o *Omega) {
 		want := make([]uint64, len(st.occ))
 		n := 0
 		for l := range st.in {
-			n += st.in[l].len()
-			if !st.in[l].empty() {
+			ln := queueLen(t, &st.in[l])
+			n += ln
+			if ln > 0 {
 				bit := l/o.radix<<occShift + l%o.radix
 				want[bit>>6] |= 1 << (bit & 63)
 			}
@@ -55,11 +57,39 @@ func assertOccupancy(t testing.TB, o *Omega) {
 		total += n
 	}
 	for p := range o.egress {
-		total += o.egress[p].len()
+		total += queueLen(t, &o.egress[p])
 	}
 	if o.inflight != total {
 		t.Fatalf("inflight = %d, stages and egress hold %d", o.inflight, total)
 	}
+}
+
+// queueLen walks q from head and returns its packet count, failing unless
+// the walk ends (at a nil link) on tail and words is the sum of the
+// packets' Words. A stale link — a packet still linked when it is pushed
+// again or returned to the pool — breaks one of the three.
+func queueLen(t testing.TB, q *wordQueue) int {
+	if q.head == nil {
+		if q.tail != nil || q.words != 0 {
+			t.Fatalf("empty queue has tail %v and %d words", q.tail, q.words)
+		}
+		return 0
+	}
+	n, words, last := 0, 0, q.head
+	for p := q.head; p != nil; p = p.next {
+		if n++; n > 1<<20 {
+			t.Fatal("queue list does not end: a link cycles")
+		}
+		words += p.Words()
+		last = p
+	}
+	if last != q.tail {
+		t.Fatalf("queue walk of %d packets ends at %v, tail is %v", n, last, q.tail)
+	}
+	if words != q.words {
+		t.Fatalf("queue holds %d words, counts %d", words, q.words)
+	}
+	return n
 }
 
 // wirePlan jams and drops on every stage of the fabric under test (which

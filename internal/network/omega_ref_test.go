@@ -8,7 +8,10 @@ import "cedar/internal/fault"
 // k-step scan from the pointer, and the route digit computed as
 // dst / div % k per head per hop. It is kept, like the formulas in
 // TestRoutingTablesMatchFormulas, as the definition the production arbiter
-// must reproduce cycle for cycle; the differential tests drive both.
+// must reproduce cycle for cycle; the differential tests drive both. Its
+// lines are ringQueues, the fixed rings the production fabric's linked
+// FIFOs replaced, so the tests compare those FIFOs with their predecessor
+// too.
 type scanOmega struct {
 	name     string
 	radix    int
@@ -17,8 +20,8 @@ type scanOmega struct {
 	shufTab  []int
 	routeDiv []int
 
-	in          [][]wordQueue
-	egress      []wordQueue
+	in          [][]ringQueue
+	egress      []ringQueue
 	rr          [][]int
 	outBusy     [][]int
 	busyWires   [][]int
@@ -50,8 +53,8 @@ func newScanOmega(cfg OmegaConfig) *scanOmega {
 		ports:       cfg.Ports,
 		shufTab:     make([]int, cfg.Ports),
 		routeDiv:    make([]int, stages),
-		in:          make([][]wordQueue, stages),
-		egress:      newWordQueues(cfg.Ports, egressCap),
+		in:          make([][]ringQueue, stages),
+		egress:      newRingQueues(cfg.Ports, egressCap),
 		rr:          make([][]int, stages),
 		outBusy:     make([][]int, stages),
 		busyWires:   make([][]int, stages),
@@ -70,7 +73,7 @@ func newScanOmega(cfg OmegaConfig) *scanOmega {
 		o.routeDiv[t] = div
 	}
 	for t := 0; t < stages; t++ {
-		o.in[t] = newWordQueues(cfg.Ports, 2*cfg.QueueWords)
+		o.in[t] = newRingQueues(cfg.Ports, 2*cfg.QueueWords)
 		o.rr[t] = make([]int, cfg.Ports)
 		o.outBusy[t] = make([]int, cfg.Ports)
 		o.swCount[t] = make([]int, cfg.Ports/cfg.Radix)
@@ -228,4 +231,66 @@ func (o *scanOmega) tickStage(t int, cycle int64) {
 			}
 		}
 	}
+}
+
+// ringQueue is the omega line as it was before the packets carried their
+// own link: a fixed ring of capWords+1 slots (at most one packet per
+// word, plus the oversized packet an empty queue must accept) carrying
+// its own capacity.
+type ringQueue struct {
+	capWords int
+	words    int
+	ring     []*Packet
+	head     int
+	n        int
+}
+
+// newRingQueues builds n queues of capWords words whose rings are carved
+// from one slab.
+func newRingQueues(n, capWords int) []ringQueue {
+	slots := capWords + 1
+	slab := make([]*Packet, n*slots)
+	qs := make([]ringQueue, n)
+	for i := range qs {
+		qs[i] = ringQueue{capWords: capWords, ring: slab[i*slots : (i+1)*slots : (i+1)*slots]}
+	}
+	return qs
+}
+
+func (q *ringQueue) canAccept(w int) bool {
+	if q.n == 0 {
+		return true
+	}
+	return q.n < len(q.ring) && q.words+w <= q.capWords
+}
+
+func (q *ringQueue) push(p *Packet) {
+	i := q.head + q.n
+	if i >= len(q.ring) {
+		i -= len(q.ring)
+	}
+	q.ring[i] = p
+	q.n++
+	q.words += p.Words()
+}
+
+func (q *ringQueue) headPkt() *Packet {
+	if q.n == 0 {
+		return nil
+	}
+	return q.ring[q.head]
+}
+
+func (q *ringQueue) pop() *Packet {
+	if q.n == 0 {
+		return nil
+	}
+	p := q.ring[q.head]
+	q.ring[q.head] = nil
+	if q.head++; q.head == len(q.ring) {
+		q.head = 0
+	}
+	q.n--
+	q.words -= p.Words()
+	return p
 }

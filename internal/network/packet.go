@@ -151,27 +151,27 @@ func (m MutOp) Apply(v, arg int64) int64 {
 	return v
 }
 
-// Packet is one message on a Cedar network.
+// Packet is one message on a Cedar network. The one-byte fields and Tag
+// share the first word, so a packet with its link is nine words.
 type Packet struct {
 	Kind Kind
-	Src  int    // ingress port
-	Dst  int    // egress port
-	Addr uint64 // global word address (8-byte words)
-
-	// Tag lets the issuer match replies to requests (for example, a
-	// prefetch buffer slot index).
-	Tag uint32
-
-	// Value is the store data (WriteReq), operand (SyncReq), or returned
-	// value (ReadReply, SyncReply).
-	Value int64
-
 	// Test/Mut describe a SyncReq command; TestArg is the comparison
 	// operand. SyncReply sets TestPassed.
 	Test       TestOp
 	Mut        MutOp
-	TestArg    int64
 	TestPassed bool
+	// Tag lets the issuer match replies to requests (for example, a
+	// prefetch buffer slot index).
+	Tag uint32
+
+	Src  int    // ingress port
+	Dst  int    // egress port
+	Addr uint64 // global word address (8-byte words)
+
+	// Value is the store data (WriteReq), operand (SyncReq), or returned
+	// value (ReadReply, SyncReply).
+	Value   int64
+	TestArg int64
 
 	// Issue is the cycle the original request entered the forward
 	// network; replies copy it so the issuer can compute round-trip
@@ -181,6 +181,10 @@ type Packet struct {
 	// readyAt gates cut-through: the packet may not leave a queue before
 	// this cycle (it is still arriving, or it just moved this cycle).
 	readyAt int64
+
+	// next links the packet into the one list that holds it — the pool's
+	// freelist or a fabric queue — and is meaningful only while one does.
+	next *Packet
 }
 
 // Words returns the wire length of the packet.

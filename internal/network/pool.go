@@ -11,13 +11,17 @@ package network
 // another (Get zeroes it). A packet dropped by fault injection simply
 // never returns; the pool forgets it and the garbage collector takes over.
 //
+// The freelist threads through the packets' next links, the same link
+// the fabrics' queues use: a packet is in at most one list at a time —
+// the pool's, one fabric queue's, or none while a component holds it.
+// That is why Put needs the only live reference.
+//
 // An empty pool refills from a slab as large as every packet it has built
-// so far (4 the first time), and sizes the freelist to hold all of them:
-// a machine that peaks at P packets in flight costs two objects per
-// refill — at most 2·(1 + log2(P/4)) per run — instead of one per packet,
-// and Put never grows the list.
+// so far (4 the first time): a machine that peaks at P packets in flight
+// costs one object per refill — at most 1 + log2(P/4) per run — instead
+// of one per packet, and Put never grows anything.
 type PacketPool struct {
-	free []*Packet
+	free *Packet
 	made int // packets built so far
 }
 
@@ -25,31 +29,29 @@ const poolFirstSlab = 4
 
 // Get returns a zeroed packet, reusing a retired one when available.
 func (p *PacketPool) Get() *Packet {
-	if len(p.free) == 0 {
+	if p.free == nil {
 		p.refill()
 	}
-	n := len(p.free)
-	pkt := p.free[n-1]
-	p.free[n-1] = nil
-	p.free = p.free[:n-1]
+	pkt := p.free
+	p.free = pkt.next
 	*pkt = Packet{}
 	return pkt
 }
 
-// refill restocks an empty pool with the next slab.
+// refill restocks an empty pool with the next slab, linked in order.
 func (p *PacketPool) refill() {
 	n := max(p.made, poolFirstSlab)
 	p.made += n
-	slab, free := make([]Packet, n), make([]*Packet, 0, p.made) // pool refill: a slab and a freelist, each doubling the machine's packets, at most 1 + log2(peak/4) times per machine per run; steady state reuses retired packets
-	for i := len(slab) - 1; i >= 0; i-- {
-		free = append(free, &slab[i])
+	slab := make([]Packet, n) // pool refill: one slab doubling the machine's packets, at most 1 + log2(peak/4) times per machine per run; steady state reuses retired packets
+	for i := range slab[:n-1] {
+		slab[i].next = &slab[i+1]
 	}
-	p.free = free
+	p.free = &slab[0]
 }
 
 // Put retires a packet. The caller must hold the only live reference.
 func (p *PacketPool) Put(pkt *Packet) {
 	if pkt != nil {
-		p.free = append(p.free, pkt)
+		pkt.next, p.free = p.free, pkt
 	}
 }

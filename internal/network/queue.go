@@ -1,85 +1,51 @@
 package network
 
-// wordQueue is a FIFO of packets with a capacity measured in 64-bit words,
-// matching the word-granular buffering of the Cedar crossbar ports. It is
-// a fixed ring buffer: queues sit on the simulator's hottest path and must
-// not allocate per packet.
+// wordQueue is a FIFO of packets threaded through their next links. Its
+// capacity in 64-bit words, matching the word-granular buffering of the
+// Cedar crossbar ports, belongs to the fabric that owns the line and is
+// passed to canAccept. A queue costs the packets in it, which the pool
+// has already paid for: it owns no storage, so a line that never sees a
+// packet costs three words, and push and pop never allocate. A packet is
+// in at most one list at a time (PacketPool says which lists there are).
+type wordQueue struct {
+	head, tail *Packet
+	words      int
+}
+
+// canAccept reports whether a packet of w words may be pushed now onto a
+// line of capWords words.
 //
 // An empty queue always accepts one packet even if the packet is longer
 // than the capacity; this models cut-through of a long packet that is
 // streaming across the queue and avoids deadlock for packets longer than
-// the two-word hardware buffers.
-type wordQueue struct {
-	capWords int
-	words    int
-	ring     []*Packet
-	head     int
-	n        int
+// the two-word hardware buffers. The word bound also bounds the packet
+// count, because every packet is at least one word (Kind.WireWords).
+func (q *wordQueue) canAccept(w, capWords int) bool {
+	return q.head == nil || q.words+w <= capWords
 }
 
-// newWordQueues builds n queues of capWords words whose rings are carved
-// from one slab, so a fabric stage costs one allocation, not one per line.
-// The three-index slices cap each ring at its own slots.
-func newWordQueues(n, capWords int) []wordQueue {
-	// At most one packet per word, plus one slot for the oversized
-	// packet an empty queue must accept.
-	slots := capWords + 1
-	slab := make([]*Packet, n*slots)
-	qs := make([]wordQueue, n)
-	for i := range qs {
-		qs[i] = wordQueue{capWords: capWords, ring: slab[i*slots : (i+1)*slots : (i+1)*slots]}
-	}
-	return qs
-}
-
-// canAccept reports whether a packet of w words may be pushed now.
-func (q *wordQueue) canAccept(w int) bool {
-	if q.n == 0 {
-		return true
-	}
-	return q.n < len(q.ring) && q.words+w <= q.capWords
-}
-
-// push appends the packet. The caller must have checked canAccept.
+// push appends the packet, which no list may hold. The caller must have
+// checked canAccept, unless the line is unbounded.
 func (q *wordQueue) push(p *Packet) {
-	i := q.head + q.n
-	if i >= len(q.ring) {
-		i -= len(q.ring)
+	if q.head == nil {
+		q.head = p
+	} else {
+		q.tail.next = p
 	}
-	q.ring[i] = p
-	q.n++
+	q.tail = p
 	q.words += p.Words()
 }
 
-// headPkt returns the oldest packet without removing it, or nil.
-func (q *wordQueue) headPkt() *Packet {
-	if q.n == 0 {
-		return nil
-	}
-	return q.ring[q.head]
-}
-
-// first returns the oldest packet of a queue the caller knows is
-// non-empty (the omega's occupancy bits say so), skipping headPkt's check.
-func (q *wordQueue) first() *Packet { return q.ring[q.head] }
-
-// pop removes and returns the oldest packet, or nil.
+// pop removes and returns the oldest packet, its link cleared, or nil.
 func (q *wordQueue) pop() *Packet {
-	if q.n == 0 {
+	p := q.head
+	if p == nil {
 		return nil
 	}
-	p := q.ring[q.head]
-	q.ring[q.head] = nil
-	if q.head++; q.head == len(q.ring) {
-		q.head = 0
+	q.head, p.next = p.next, nil
+	if q.head == nil {
+		q.tail = nil
 	}
-	q.n--
 	q.words -= p.Words()
 	return p
 }
-
-// empty reports whether the queue holds no packets.
-func (q *wordQueue) empty() bool { return q.n == 0 }
-
-// len returns the number of queued packets.
-func (q *wordQueue) len() int { return q.n }

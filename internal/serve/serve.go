@@ -250,6 +250,9 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request) (Request, *fault
 	if err := req.Workload.Validate(); err != nil {
 		return req, nil, nil, err
 	}
+	if err := req.Workload.Fits(req.Machine.Params()); err != nil {
+		return req, nil, nil, fmt.Errorf("workload %q on machine %q: %w", req.Workload.Name, req.Machine.Name, err)
+	}
 	var plan *fault.Plan
 	if req.Fault != nil {
 		if plan, err = req.Fault.Resolve(); err != nil {

@@ -281,6 +281,8 @@ func TestBadRequests(t *testing.T) {
 		{"unknown field", `{"machine":{"name":"m","fabrik":"omega"}}`, "unknown field"},
 		{"bad fabric", `{"machine":{"fabric":"hypercube"},"workload":{"kind":"trimat"}}`, "unknown fabric"},
 		{"impossible machine", `{"machine":{"name":"m","clusters":64},"workload":{"name":"w","kind":"rank","n":8}}`, "params: NetPorts"},
+		{"workload wider than the machine", `{"machine":{"name":"c2","clusters":2},"workload":{"name":"m","kind":"membw","ces":32}}`,
+			`workload "m" on machine "c2": needs 32 CEs; the machine has 16`},
 		{"bad kind", `{"workload":{"kind":"sort"}}`, "unknown kind"},
 		{"negative size", `{"workload":{"kind":"trimat","n":-4}}`, "non-negative"},
 		{"bad rank variant", `{"workload":{"kind":"rank","variant":"turbo"}}`, "unknown rank variant"},

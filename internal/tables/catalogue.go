@@ -71,12 +71,30 @@ func (e Experiment) Namespace() string { return cmp.Or(e.ns, e.Name) }
 // Title is the experiment's report section heading when it runs at s.
 func (e Experiment) Title(s Sizes) string { return e.title(s.resolved()) }
 
+// Fit returns an error naming the first point of exps, listed under env
+// at sizes s, that its machine cannot host (bench.WorkloadSpec.Fits) —
+// "membw/32ce/stride1 needs 32 CEs; the machine has 16" on a two-cluster
+// Env — or nil. It simulates nothing. RunAll calls it before its first
+// point; a CLI calls it first to report a usage error.
+func Fit(env Env, s Sizes, exps []Experiment) error {
+	s = s.resolved()
+	for _, e := range exps {
+		for _, pt := range e.points(env, s) {
+			if err := pt.Workload.Fits(pt.Machine.Params()); err != nil {
+				return fmt.Errorf("%s %w", pt.scope, err)
+			}
+		}
+	}
+	return nil
+}
+
 // RunAll runs the experiments in order under env at the given sizes and
 // hands each result to emit as soon as its table is assembled. A scope
 // names one point, and each simulates once per call: an experiment that
 // lists a scope an earlier one already simulated reuses that outcome (t3,
 // t4, t5, t6 and fig3 share the Perfect suite's points). Nothing is kept
-// between calls. A zero size runs at its default (see Sizes).
+// between calls. A zero size runs at its default (see Sizes). A point
+// its machine cannot host (Fit) fails the call before anything simulates.
 //
 // On the healthy default machine the paper's claims describe, RunAll
 // also judges every claim of every entry it ran, writes the tally to
@@ -84,6 +102,9 @@ func (e Experiment) Title(s Sizes) string { return e.title(s.resolved()) }
 // each broken claim.
 func RunAll(env Env, s Sizes, exps []Experiment, emit func(Experiment, Result) error) error {
 	s = s.resolved()
+	if err := Fit(env, s, exps); err != nil {
+		return err
+	}
 	claims := claimTally{machine: unjudged(env)}
 	done := map[string]bench.PointOutcome{}
 	for _, e := range exps {

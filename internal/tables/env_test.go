@@ -295,3 +295,29 @@ func TestFaultedEnvReachesEveryExperiment(t *testing.T) {
 		}
 	}
 }
+
+// TestUnfitPointFailsBeforeSimulating: on a two-cluster Env (16 CEs) the
+// whole evaluation lists membw's 32-CE streams, so RunAll fails naming the
+// first of them and the need before any point runs — with runPoint
+// substituted, nothing may reach it — while the as-built machine hosts
+// the whole evaluation.
+func TestUnfitPointFailsBeforeSimulating(t *testing.T) {
+	defer func(run func(bench.Point, *scope.Hub, bool) (bench.PointOutcome, error)) { runPoint = run }(runPoint)
+	var ran sync.Once
+	runPoint = func(pt bench.Point, _ *scope.Hub, _ bool) (bench.PointOutcome, error) {
+		ran.Do(func() { t.Errorf("point %s/%s ran", pt.Machine.Name, pt.Workload.Kind) })
+		return bench.PointOutcome{Status: "ok"}, nil
+	}
+	exps, err := Experiments(Evaluation...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "membw/32ce/stride1 needs 32 CEs; the machine has 16"
+	err = RunAll(Env{Jobs: 1, Clusters: 2}, smallSizes, exps, func(Experiment, Result) error { return nil })
+	if err == nil || err.Error() != want {
+		t.Errorf("RunAll on two clusters: %v, want %q", err, want)
+	}
+	if err := Fit(Env{}, smallSizes, exps); err != nil {
+		t.Errorf("the as-built machine cannot host the evaluation: %v", err)
+	}
+}
