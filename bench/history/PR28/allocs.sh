@@ -5,13 +5,14 @@
 # workload's points once untimed, then once more with every allocation
 # sampled (runtime.MemProfileRate = 1), and prints objects/op and KB/op
 # (MemStats deltas over the sampled pass ÷ points) and the top allocation
-# sites of that pass by object count (go tool pprof -sample_index=
-# alloc_objects -top). It first prints what core.New costs in objects on
-# Cedar and Cedar64, with and without a hub, and per CE and per cluster
-# (from Cedar at 2 CEs per cluster and at 2 clusters). The points are
-# cedarperf's, at full scale; suite
-# runs its eleven Perfect proxies serially, so it prints the same objects
-# as a jobs-2 pass but no timing.
+# sites of that pass twice: by object count (go tool pprof -sample_index=
+# alloc_objects -top), the sites behind mallocs_per_op, then by bytes
+# (-sample_index=alloc_space), the sites behind alloc_kb_per_op. It first
+# prints what core.New costs in objects on Cedar and Cedar64, with and
+# without a hub, and per CE and per cluster (from Cedar at 2 CEs per
+# cluster and at 2 clusters). The points are cedarperf's, at full scale;
+# suite runs its eleven Perfect proxies serially, so it prints the same
+# objects as a jobs-2 pass but no timing.
 set -euo pipefail
 OUT=$(mkdir -p "$1" && cd "$1" && pwd)
 probe=internal/bench/zz_allocs_probe_test.go
@@ -175,5 +176,8 @@ echo
 for w in dense sparse sharded suite; do
   echo
   ALLOCS_WORKLOAD=$w ALLOCS_PROFILE="$OUT/$w.mprof" "$OUT/bench.test" -test.run '^TestZZAllocs$' -test.count=1 | grep 'objects/op'
+  echo "by objects:"
   go tool pprof -sample_index=alloc_objects -top -nodecount=30 "$OUT/bench.test" "$OUT/$w.mprof" 2>/dev/null | sed -n '/^ *flat/,$p'
+  echo "by bytes:"
+  go tool pprof -sample_index=alloc_space -top -nodecount=20 "$OUT/bench.test" "$OUT/$w.mprof" 2>/dev/null | sed -n '/^ *flat/,$p'
 done

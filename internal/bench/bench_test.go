@@ -64,6 +64,32 @@ func TestValidateRejectsBadCampaigns(t *testing.T) {
 	}
 }
 
+// TestLoadRefusesACellItsMachineCannotHost: a campaign is checked cell by
+// cell before it runs, so a two-cluster machine (16 CEs) paired with a
+// 32-CE membw workload fails at Load and names the cell; the committed
+// campaigns all still load.
+func TestLoadRefusesACellItsMachineCannotHost(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c.json")
+	body := `{"area":"x","machines":[{"name":"cedar"},{"name":"c2","clusters":2}],` +
+		`"workloads":[{"name":"tri","kind":"trimat"},{"name":"bw32","kind":"membw","ces":32}]}`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(path)
+	if err == nil || !strings.Contains(err.Error(), "cell c2/bw32: needs 32 CEs; the machine has 16") {
+		t.Errorf("Load = %v, want the cell c2/bw32 refused for its 32 CEs", err)
+	}
+	configs, err := filepath.Glob("../../bench/campaigns/*.json")
+	if err != nil || len(configs) < 3 {
+		t.Fatalf("committed campaigns: %v, %v", configs, err)
+	}
+	for _, config := range configs {
+		if _, err := Load(config); err != nil {
+			t.Errorf("committed campaign: %v", err)
+		}
+	}
+}
+
 // TestUnknownKindErrorListsEveryKind: the rejection names every kind the
 // validator accepts — the list is derived from kinds, not kept beside it.
 func TestUnknownKindErrorListsEveryKind(t *testing.T) {

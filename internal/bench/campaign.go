@@ -133,8 +133,9 @@ func (ws WorkloadSpec) Validate() error {
 // Fits reports whether a machine with parameters m can host the
 // workload: the checks Validate cannot make without the machine. Its
 // callers run it before building anything, so a point its machine cannot
-// host is a refused request, not a failed run. It states one need today:
-// membw's participating CEs.
+// host is a refused request, not a failed run: cedarsim and the catalogue
+// (tables.Fit), cedarserve, and Campaign.Validate for every machine ×
+// workload cell. It states one need today: membw's participating CEs.
 func (ws WorkloadSpec) Fits(m params.Machine) error {
 	if need := cmp.Or(ws.CEs, 1); ws.Kind == "membw" && need > m.CEs() {
 		return fmt.Errorf("needs %d CEs; the machine has %d", need, m.CEs())
@@ -299,6 +300,17 @@ func (c *Campaign) Validate() error {
 		}
 		if err := w.Validate(); err != nil {
 			return err
+		}
+	}
+	// A cell its machine cannot host fails the campaign here, at Load and
+	// by name; in the run it would fail only after every cell before it
+	// had simulated.
+	for _, m := range c.Machines {
+		p := m.Params()
+		for _, w := range c.Workloads {
+			if err := w.Fits(p); err != nil {
+				return fmt.Errorf("bench: cell %s/%s: %w", m.Name, w.Name, err)
+			}
 		}
 	}
 	seen = map[string]bool{}

@@ -45,7 +45,10 @@ type request struct {
 const queueCap = 8
 
 // ring is one CE's request queue: a fixed circular buffer of queueCap
-// slots, so accepting and serving an access never allocates.
+// slots, so accepting and serving an access never allocates. A cache's
+// rings are one slab, made by its first Submit: a cluster whose CEs never
+// use the cache (every point that streams only global memory) pays for
+// no request queue.
 type ring struct {
 	buf  [queueCap]request
 	head int
@@ -71,7 +74,7 @@ type mshr struct {
 
 // Cache is one cluster's shared cache in front of its cluster memory.
 type Cache struct {
-	p   params.Machine
+	p   timing
 	mem *cmem.Memory
 
 	nCE       int
@@ -83,8 +86,8 @@ type Cache struct {
 	// pages[i] holds sets [i*pageSets, (i+1)*pageSets), ways frames each;
 	// nil until the first fill into that range.
 	pages    [][]frame
-	queues   []ring
-	queued   int // requests across all queues
+	queues   []ring // nCE rings; nil until the first Submit
+	queued   int    // requests across all queues
 	missOut  []int
 	mshrs    map[uint64]*mshr
 	mshrFree []*mshr // retired entries, reused so misses stop allocating
@@ -97,6 +100,15 @@ type Cache struct {
 	// frozen classification.
 	lastTick int64
 	wake     sim.Handle
+}
+
+// timing is what a cache reads of params.Machine once it is built. A
+// cache keeps these three constants, not a copy of the whole parameter
+// set: a copy is 272 bytes on every cluster of every machine built.
+type timing struct {
+	CacheWordsPerCyc int
+	CacheHitLatency  int
+	CacheMissPerCE   int
 }
 
 type firing struct {
@@ -139,14 +151,17 @@ func New(p params.Machine, nCE int, mem *cmem.Memory) *Cache {
 		panic("cache: fewer lines than ways")
 	}
 	c := &Cache{
-		p:         p,
+		p: timing{
+			CacheWordsPerCyc: p.CacheWordsPerCyc,
+			CacheHitLatency:  p.CacheHitLatency,
+			CacheMissPerCE:   p.CacheMissPerCE,
+		},
 		mem:       mem,
 		nCE:       nCE,
 		lineWords: lineWords,
 		numSets:   numSets,
 		ways:      ways,
 		pages:     make([][]frame, (numSets+pageSets-1)/pageSets),
-		queues:    make([]ring, nCE),
 		missOut:   make([]int, nCE),
 		mshrs:     make(map[uint64]*mshr),
 	}
@@ -172,6 +187,9 @@ func (c *Cache) QueuedRequests() int { return c.queued }
 func (c *Cache) Submit(ce int, addr uint64, write bool, value int64, sink Sink, tag uint64) bool {
 	if ce < 0 || ce >= c.nCE {
 		panic(fmt.Sprintf("cache: CE %d out of range", ce))
+	}
+	if c.queues == nil {
+		c.queues = make([]ring, c.nCE) // first touch: once per cache, on its first access
 	}
 	q := &c.queues[ce]
 	if q.n == queueCap {
@@ -307,7 +325,12 @@ func (c *Cache) Tick(cycle int64) {
 	// CacheWordsPerCyc budget. The scan start rotates with the cycle
 	// number, not a tick counter: arbitration must not depend on how many
 	// ticks actually ran, or skipping a sleeping cache's no-op ticks
-	// would reorder service relative to the stepped schedule.
+	// would reorder service relative to the stepped schedule. With no
+	// request queued the pass would serve nothing, and the rings may not
+	// exist yet.
+	if c.queued == 0 {
+		return
+	}
 	credit := c.p.CacheWordsPerCyc
 	start := int((cycle + 1) % int64(c.nCE))
 	for scan := 0; scan < c.nCE && credit > 0; scan++ {

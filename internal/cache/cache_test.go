@@ -367,3 +367,31 @@ func TestSteadyStateAllocsSubmitTick(t *testing.T) {
 		}
 	}
 }
+
+// TestRingsAppearOnFirstSubmit: a cache whose CEs never use it holds no
+// request queue however long it ticks, and its first Submit makes every
+// CE's ring as one object.
+func TestRingsAppearOnFirstSubmit(t *testing.T) {
+	r := newRig()
+	for i := 0; i < 100; i++ {
+		r.tick()
+	}
+	if r.c.queues != nil {
+		t.Fatalf("an unused cache holds %d request rings", len(r.c.queues))
+	}
+	const runs = 10
+	caches := make([]*Cache, runs+1) // AllocsPerRun warms up with one more call
+	for i := range caches {
+		caches[i] = New(r.p, r.p.CEsPerCluster, r.mem)
+	}
+	next := 0
+	if got := testing.AllocsPerRun(runs, func() {
+		caches[next].Submit(r.p.CEsPerCluster-1, 100, true, 1, nil, 0)
+		next++
+	}); got != 1 {
+		t.Errorf("a first Submit allocates %.0f objects, want 1: the ring slab", got)
+	}
+	if n := len(caches[0].queues); n != r.p.CEsPerCluster {
+		t.Errorf("first Submit made %d rings, want one per CE (%d)", n, r.p.CEsPerCluster)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"cedar/internal/cache"
 	"cedar/internal/cmem"
@@ -62,6 +63,17 @@ func (r *rig) run(t *testing.T, limit int64) {
 }
 
 func prog(instrs ...*Instr) *Program { return &Program{Instrs: instrs} }
+
+// TestInstrLayout pins Instr at 96 bytes on 64-bit hosts: its three
+// one-byte fields (Op, Test, Mut) share a word. Every cfrt queue, the
+// queue slab and each CE's register hold Instrs by value, so a field
+// order that pads each byte to a word of its own (104 bytes) costs them
+// all.
+func TestInstrLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(Instr{}) != 96 {
+		t.Errorf("Instr is %d bytes, want 96: Op, Test and Mut share a word", unsafe.Sizeof(Instr{}))
+	}
+}
 
 func TestScalarTiming(t *testing.T) {
 	r := newRig(t, 1)

@@ -70,6 +70,12 @@ const (
 // Instr is one CE instruction.
 type Instr struct {
 	Op Op
+	// Test and Mut are a sync's test and mutation (operands TestArg and
+	// Value, below). They sit beside Op so that the three bytes share one
+	// word: an Instr is 96 bytes, and every controller queue and CE
+	// register holds Instrs by value.
+	Test network.TestOp
+	Mut  network.MutOp
 
 	// OpScalar.
 	Cycles int64
@@ -86,8 +92,6 @@ type Instr struct {
 	// Scalar memory / sync operations.
 	Addr    uint64
 	Value   int64
-	Test    network.TestOp
-	Mut     network.MutOp
 	TestArg int64
 
 	// Done is the instruction's completion, fired once with the id of the

@@ -160,12 +160,13 @@ func TestAttachBlockStats(t *testing.T) {
 // handles by value, so a per-port closure or a per-stage table (406 and
 // 5,064 objects before both went) shows up here. Every experiment point
 // builds under a hub (bench.Point.Run), so the hub's instrumentation is
-// budgeted too. Cedar and Cedar64 cost ≈78 and ≈622 objects (≈108 and
-// ≈653 under a hub), each budget × 1.1.
-// The byte budgets are ≈86 KB and ≈1,182 KB under a hub, budgets 112 KB
-// and 1,400 KB: a fabric line costs the packets queued on it, and giving
-// the reverse fabric's egress ports back a 65-slot ring each (33 KB on
-// Cedar, 266 KB on Cedar64) fails all four.
+// budgeted too. Cedar and Cedar64 cost ≈74 and ≈558 objects (≈104 and
+// ≈589 under a hub), and ≈67 and ≈913 KB (≈72 and ≈960 KB under a hub),
+// each budget × 1.1. A fabric line costs the packets queued on it and a
+// cache's request rings appear on its first Submit: giving the reverse
+// fabric's egress ports back a 65-slot ring each (33 KB on Cedar, 266 KB
+// on Cedar64), or every cache its rings at construction (3.2 KB and an
+// object per cluster), fails these budgets.
 func TestBuildBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -174,10 +175,10 @@ func TestBuildBudget(t *testing.T) {
 		budget  int64
 		objects int64
 	}{
-		{"Cedar", params.Default(), false, 112 << 10, 86},
-		{"Cedar64", params.Cedar64(), false, 1_400 << 10, 684},
-		{"Cedar+hub", params.Default(), true, 112 << 10, 119},
-		{"Cedar64+hub", params.Cedar64(), true, 1_400 << 10, 718},
+		{"Cedar", params.Default(), false, 74 << 10, 81},
+		{"Cedar64", params.Cedar64(), false, 1_004 << 10, 614},
+		{"Cedar+hub", params.Default(), true, 79 << 10, 114},
+		{"Cedar64+hub", params.Cedar64(), true, 1_056 << 10, 648},
 	} {
 		objects, bytes := buildCost(t, tc.p, tc.hub)
 		if bytes > tc.budget {

@@ -261,3 +261,40 @@ func TestHash(t *testing.T) {
 		t.Fatal("different seeds share a hash")
 	}
 }
+
+// TestRetryableCoversEveryBounceAndDrop: a machine arms its PFUs' retry
+// machinery exactly when Retryable says so, and a PFU without it panics on
+// a NACK (an unanswered element would stall its CE forever). So every
+// kind that can bounce a prefetch read or lose one must make a plan
+// Retryable, and — since recovery adds timeout watchdogs to the schedule
+// — no other kind may. Each kind runs at rate 1 on every module and wire,
+// probed over 64 cycles.
+func TestRetryableCoversEveryBounceAndDrop(t *testing.T) {
+	p := params.Default()
+	for k := range kindNames {
+		f := Fault{Kind: k, Module: -1, Stage: -1, Line: -1, Rate: 1, Extra: 1}
+		if k == BankDead {
+			f.Module = 0
+		}
+		in, err := NewInjector(p, &Plan{Seed: 1, Faults: []Fault{f}})
+		if err != nil {
+			t.Fatalf("%s: %v", k, err)
+		}
+		loses := false
+		for cycle := int64(0); cycle < 64; cycle++ {
+			for mod := 0; mod < p.MemModules; mod++ {
+				loses = loses || in.PFUNack(mod, cycle)
+			}
+			for _, fabric := range []string{"fwd", "rev"} {
+				for stage := 0; stage < 4; stage++ {
+					for line := 0; line < p.NetPorts; line++ {
+						loses = loses || in.LinkDrop(fabric, stage, line, cycle)
+					}
+				}
+			}
+		}
+		if loses != in.Retryable() {
+			t.Errorf("%s: bounces or drops prefetch reads: %v, Retryable: %v", k, loses, in.Retryable())
+		}
+	}
+}

@@ -12,10 +12,14 @@
 // the PFU only handles physical addresses. Arming again invalidates the
 // buffer.
 //
-// The host-side buffer is sized by the blocks a run arms, not by the
-// 512-word capacity: it grows to the longest block armed so far, and each
-// Arm clears only that block's slots. The block's arrival record exists
-// only on a PFU a monitor observes (DESIGN.md, "Demand-materialised
+// The host-side buffer is the hardware's: a slot per word holds the word
+// and its arrival cycle, whose zero is the empty bit. It is sized by the
+// blocks a run arms, not by the 512-word capacity: it grows to the longest
+// block armed so far, and each Arm clears only that block's slots. What
+// fault recovery needs per element (the issued address, whether a request
+// is in flight, the reissues so far) lives in a side table that only a
+// PFU with ArmRetry grows, by the same rule; the block's arrival record
+// exists only on a PFU a monitor observes (DESIGN.md, "Demand-materialised
 // state").
 package prefetch
 
@@ -52,15 +56,19 @@ type BlockTracer interface {
 	Block(id int, firstIssue, lastArrival int64)
 }
 
+// slot is one prefetch-buffer word. at is the word's arrival cycle + 1,
+// so the zero slot is an empty one: 0 is the clear full/empty bit.
 type slot struct {
-	full    bool
-	value   int64
-	arrival int64
+	value int64
+	at    int64
+}
 
-	// Retry bookkeeping (used only under fault injection).
+// retrySlot is one element's fault-recovery bookkeeping, kept beside the
+// buffer only on a retry-armed PFU.
+type retrySlot struct {
 	addr     uint64 // issued physical address, for reissue
+	tries    int32  // reissues so far
 	inflight bool   // a request for this element is in the network
-	tries    int    // reissues so far
 }
 
 // PFU is one CE's prefetch unit.
@@ -77,8 +85,10 @@ type PFU struct {
 	traceID int
 
 	// buf holds the armed block's slots: len(buf) is the longest block
-	// armed so far, and only buf[:length] is live.
+	// armed so far, and only buf[:length] is live. retry is its fault-
+	// recovery twin, grown by the same rule on a retry-armed PFU alone.
 	buf   []slot
+	retry []retrySlot
 	epoch uint32
 
 	armed       bool
@@ -104,7 +114,8 @@ type PFU struct {
 	// Fault recovery: armed only when the machine's fault plan can
 	// generate recoverable faults (NACKs, link drops). Healthy machines
 	// never touch any of it, so their schedules are bit-identical to a
-	// build without this machinery.
+	// build without this machinery: on them every element is issued once
+	// per block and answered once, so a reply needs no in-flight check.
 	//
 	// Both queues grow by append and are emptied, not freed, by Arm, so a
 	// faulted run pays a logarithmic number of growths per PFU, not one
@@ -203,8 +214,9 @@ func (u *PFU) SetTracer(t BlockTracer, id int) { u.tracer, u.traceID = t, id }
 func (u *PFU) Stats() Stats { return u.stats }
 
 // ArmRetry enables the NACK/timeout recovery machinery. Machines call
-// it when their fault plan can generate recoverable faults; it stays
-// off otherwise so healthy schedules are untouched.
+// it when their fault plan can generate recoverable faults, before the
+// first Arm (which grows the per-element retry table); it stays off
+// otherwise so healthy schedules are untouched.
 func (u *PFU) ArmRetry() { u.retryArmed = true }
 
 // Err returns the terminal fault error, set when an element exhausted
@@ -246,6 +258,13 @@ func (u *PFU) Arm(length int, stride int64, mask []bool) error {
 		u.buf = make([]slot, length) // first touch: ≤ PFUBufferWords slots per run
 	} else {
 		clear(u.buf[:length])
+	}
+	if u.retryArmed {
+		if length > len(u.retry) {
+			u.retry = make([]retrySlot, length) // with buf: a retry-armed PFU's longest block
+		} else {
+			clear(u.retry[:length])
+		}
 	}
 	if u.observe != nil && length > cap(u.arrivals) {
 		// A block records at most one arrival per element.
@@ -350,10 +369,10 @@ func (u *PFU) NextConsumableAt() (int64, bool) {
 		return 0, false
 	}
 	s := &u.buf[u.consumeIdx]
-	if !s.full {
+	if s.at == 0 {
 		return 0, false
 	}
-	return s.arrival + int64(u.p.CELoadOverhead), true
+	return s.at - 1 + int64(u.p.CELoadOverhead), true
 }
 
 // Tick issues at most one request into the forward network (the PFU shares
@@ -374,8 +393,7 @@ func (u *PFU) Tick(cycle int64) {
 	}
 	for u.issuedIdx < u.length && u.mask != nil && !u.mask[u.issuedIdx] {
 		// Masked-off elements are never fetched; mark them consumable.
-		u.buf[u.issuedIdx].full = true
-		u.buf[u.issuedIdx].arrival = cycle
+		u.buf[u.issuedIdx].at = cycle + 1
 		u.issuedIdx++
 	}
 	if u.issuedIdx >= u.length {
@@ -400,8 +418,8 @@ func (u *PFU) Tick(cycle int64) {
 	}
 }
 
-// issueElement offers one element read to the forward network and books
-// the retry state on success.
+// issueElement offers one element read to the forward network and, on a
+// retry-armed PFU, books the retry state on success.
 func (u *PFU) issueElement(idx int, addr uint64, cycle int64) bool {
 	pkt := u.pool.Get()
 	pkt.Kind = network.ReadReq
@@ -419,10 +437,10 @@ func (u *PFU) issueElement(idx int, addr uint64, cycle int64) bool {
 		u.firstIssue = cycle
 	}
 	u.outstanding++
-	s := &u.buf[idx]
-	s.addr = addr
-	s.inflight = true
 	if u.retryArmed {
+		r := &u.retry[idx]
+		r.addr = addr
+		r.inflight = true
 		u.timeoutQ = append(u.timeoutQ, timeoutEntry{idx: idx, deadline: cycle + retryTimeout})
 	}
 	return true
@@ -434,11 +452,11 @@ func (u *PFU) expireTimeouts(cycle int64) {
 		e := u.timeoutQ[0]
 		copy(u.timeoutQ, u.timeoutQ[1:])
 		u.timeoutQ = u.timeoutQ[:len(u.timeoutQ)-1]
-		s := &u.buf[e.idx]
-		if s.full || !s.inflight {
+		r := &u.retry[e.idx]
+		if u.buf[e.idx].at != 0 || !r.inflight {
 			continue // answered, or already NACKed and rescheduled
 		}
-		s.inflight = false
+		r.inflight = false
 		u.outstanding--
 		u.stats.Timeouts++
 		u.scheduleRetry(e.idx, cycle)
@@ -453,7 +471,7 @@ func (u *PFU) reissue(cycle int64) bool {
 		if e.at > cycle {
 			continue
 		}
-		if u.buf[e.idx].full {
+		if u.buf[e.idx].at != 0 {
 			// The "lost" reply arrived after all; drop the retry.
 			copy(u.retryQ[qi:], u.retryQ[qi+1:])
 			u.retryQ = u.retryQ[:len(u.retryQ)-1]
@@ -462,7 +480,7 @@ func (u *PFU) reissue(cycle int64) bool {
 		if u.outstanding >= u.p.MaxOutstanding {
 			return false
 		}
-		if !u.issueElement(e.idx, u.buf[e.idx].addr, cycle) {
+		if !u.issueElement(e.idx, u.retry[e.idx].addr, cycle) {
 			return true // port refused; retry stays queued
 		}
 		u.stats.Retries++
@@ -476,23 +494,29 @@ func (u *PFU) reissue(cycle int64) bool {
 // scheduleRetry books an element reissue after exponential backoff, or
 // fails the block when the retry budget is exhausted.
 func (u *PFU) scheduleRetry(idx int, cycle int64) {
-	s := &u.buf[idx]
-	s.tries++
-	if s.tries > retryMax {
+	r := &u.retry[idx]
+	r.tries++
+	if r.tries > retryMax {
 		u.err = fmt.Errorf("prefetch: element %d unreachable after %d retries (addr %#x)",
-			idx, retryMax, s.addr)
+			idx, retryMax, r.addr)
 		u.fired = false // give up the block; Busy() turns false
 		return
 	}
-	backoff := int64(retryBase) << (s.tries - 1)
+	backoff := int64(retryBase) << (r.tries - 1)
 	u.retryQ = append(u.retryQ, retryEntry{idx: idx, at: cycle + backoff})
 }
 
 // Deliver hands the PFU a reply polled from the reverse network by its CE.
-// It reports whether the packet belonged to this PFU.
+// It reports whether the packet belonged to this PFU. Panics on a NACK
+// when ArmRetry was not called: only a plan that arms recovery
+// (fault.Injector.Retryable) makes modules bounce reads, so the bounce is
+// a wiring bug, and an unarmed PFU would wait for its element forever.
 func (u *PFU) Deliver(pkt *network.Packet, cycle int64) bool {
 	if pkt.Tag&TagBit == 0 {
 		return false
+	}
+	if pkt.Kind == network.NackReply && !u.retryArmed {
+		panic("prefetch: NACK at a PFU without fault recovery armed")
 	}
 	epoch := (pkt.Tag &^ TagBit) >> 16
 	idx := int(pkt.Tag & 0xffff)
@@ -503,25 +527,28 @@ func (u *PFU) Deliver(pkt *network.Packet, cycle int64) bool {
 	s := &u.buf[idx]
 	if pkt.Kind == network.NackReply {
 		// The module refused service; back off and reissue.
-		if s.full || !s.inflight {
+		r := &u.retry[idx]
+		if s.at != 0 || !r.inflight {
 			u.stats.Dropped++ // the element already made it another way
 			return true
 		}
-		s.inflight = false
+		r.inflight = false
 		u.outstanding--
 		u.stats.Nacks++
 		u.scheduleRetry(idx, cycle)
 		return true
 	}
-	if s.full {
+	if s.at != 0 {
 		u.stats.Dropped++
 		return true
 	}
-	s.full = true
 	s.value = pkt.Value
-	s.arrival = cycle
-	if s.inflight {
-		s.inflight = false
+	s.at = cycle + 1
+	switch {
+	case !u.retryArmed:
+		u.outstanding-- // the element's one request
+	case u.retry[idx].inflight:
+		u.retry[idx].inflight = false
 		u.outstanding--
 	}
 	u.stats.Returned++
@@ -539,7 +566,7 @@ func (u *PFU) TryConsume(cycle int64) (int64, bool) {
 		return 0, false
 	}
 	s := &u.buf[u.consumeIdx]
-	if !s.full || cycle < s.arrival+int64(u.p.CELoadOverhead) {
+	if s.at == 0 || cycle < s.at-1+int64(u.p.CELoadOverhead) {
 		return 0, false
 	}
 	u.consumeIdx++

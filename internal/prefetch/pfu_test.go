@@ -1,6 +1,9 @@
 package prefetch
 
 import (
+	"math"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -377,6 +380,96 @@ func TestSteadyStateAllocsRearm(t *testing.T) {
 	if blocks == 0 || words != 32*blocks {
 		t.Errorf("observer saw %d blocks, %d words; want 32 words per block", blocks, words)
 	}
+}
+
+// TestNackAtUnarmedPFUPanics: a NACK can only come from a plan that
+// arms recovery, so one reaching a PFU without ArmRetry is a wiring bug.
+// Queued for a reissue nothing would make, it would leave the block
+// never Done and its CE asleep; it panics instead.
+func TestNackAtUnarmedPFUPanics(t *testing.T) {
+	r := newRig(t)
+	if err := r.pfu.Arm(4, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.pfu.Fire(0); err != nil {
+		t.Fatal(err)
+	}
+	r.eng.Run(2) // element 0 is in flight
+	defer func() {
+		if recover() == nil {
+			t.Error("a NACK at an unarmed PFU was accepted")
+		}
+	}()
+	r.pfu.Deliver(&network.Packet{Kind: network.NackReply, Tag: TagBit | (r.pfu.epoch&0x7fff)<<16}, r.eng.Cycle())
+}
+
+// TestArmCostsItsWords is the PFU's byte gate: a slot is the word and its
+// arrival, so blocks of 256, 64, 256 and 32 words cost a healthy PFU one
+// 4 KB buffer (16 bytes a word) and nothing more, and a retry-armed one
+// that buffer and one retry table of the same length, grown once. A slot
+// that carries the retry bookkeeping again (48 bytes) fails the healthy
+// budget threefold.
+func TestArmCostsItsWords(t *testing.T) {
+	p, pool := params.Default(), &network.PacketPool{}
+	blocks := func(u *PFU) {
+		for _, n := range []int{256, 64, 256, 32} {
+			if err := u.Arm(n, 1, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		retry   bool
+		objects int64
+		bytes   int64
+	}{
+		{"healthy", false, 1, 4 << 10},
+		{"retry-armed", true, 2, 8 << 10},
+	} {
+		objects, bytes := armCost(func() *PFU {
+			u := New(p, 0, nil, nil, pool)
+			if tc.retry {
+				u.ArmRetry()
+			}
+			return u
+		}, blocks)
+		if objects != tc.objects || bytes > tc.bytes {
+			t.Errorf("%s: four blocks cost %d objects and %d bytes, want %d and ≤ %d",
+				tc.name, objects, bytes, tc.objects, tc.bytes)
+		}
+		t.Logf("%s: %d objects, %d bytes", tc.name, objects, bytes)
+	}
+	u := New(p, 0, nil, nil, pool)
+	blocks(u)
+	if u.retry != nil {
+		t.Errorf("a healthy PFU grew a %d-slot retry table", len(u.retry))
+	}
+}
+
+// armCost is what f costs, run on a fresh PFU from mk, in objects and
+// bytes: least of three tries of ten runs each, on one P with GC off, so
+// no other goroutine's allocations land in the count.
+func armCost(mk func() *PFU, f func(*PFU)) (objects, bytes int64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runs = 10
+	objects, bytes = math.MaxInt64, math.MaxInt64
+	for try := 0; try < 3; try++ {
+		us := make([]*PFU, runs)
+		for i := range us {
+			us[i] = mk()
+		}
+		var a, b runtime.MemStats
+		runtime.ReadMemStats(&a)
+		for _, u := range us {
+			f(u)
+		}
+		runtime.ReadMemStats(&b)
+		objects = min(objects, int64(b.Mallocs-a.Mallocs)/runs)
+		bytes = min(bytes, int64(b.TotalAlloc-a.TotalAlloc)/runs)
+	}
+	return objects, bytes
 }
 
 // TestUnobservedPFUKeepsNoArrivalRecord: the arrival record is for a
