@@ -7,7 +7,10 @@
 # (MemStats deltas over the sampled pass ÷ points) and the top allocation
 # sites of that pass twice: by object count (go tool pprof -sample_index=
 # alloc_objects -top), the sites behind mallocs_per_op, then by bytes
-# (-sample_index=alloc_space), the sites behind alloc_kb_per_op. It first
+# (-sample_index=alloc_space), the sites behind alloc_kb_per_op, and for
+# each of the top three by bytes its callers and callees (go tool pprof
+# -peek), which name the body or constructor behind a generic site such as
+# slices.Grow. It first
 # prints what core.New costs in objects on Cedar and Cedar64, with and
 # without a hub, and per CE and per cluster (from Cedar at 2 CEs per
 # cluster and at 2 clusters). The points are cedarperf's, at full scale;
@@ -180,4 +183,13 @@ for w in dense sparse sharded suite; do
   go tool pprof -sample_index=alloc_objects -top -nodecount=30 "$OUT/bench.test" "$OUT/$w.mprof" 2>/dev/null | sed -n '/^ *flat/,$p'
   echo "by bytes:"
   go tool pprof -sample_index=alloc_space -top -nodecount=20 "$OUT/bench.test" "$OUT/$w.mprof" 2>/dev/null | sed -n '/^ *flat/,$p'
+  echo "callers of the top three by bytes:"
+  go tool pprof -sample_index=alloc_space -top -nodecount=3 "$OUT/bench.test" "$OUT/$w.mprof" 2>/dev/null |
+    sed -n '/^ *flat/,$p' | tail -n +2 |
+    sed -E 's/^ *([^ ]+ +){5}//; s/ \(inline\)$//' |
+    while IFS= read -r fn; do
+      re=$(printf '%s' "$fn" | sed 's/[][\.*^$(){}+?|]/\\&/g')
+      go tool pprof -sample_index=alloc_space -peek "^$re\$" "$OUT/bench.test" "$OUT/$w.mprof" 2>/dev/null |
+        sed -n '/^ *flat/,$p' | grep -v -- '^-*+-*$'
+    done
 done

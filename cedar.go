@@ -29,13 +29,18 @@
 //	res, err := cedar.RankUpdate(m, 256, cedar.RKPref)
 //	fmt.Printf("%.1f MFLOPS\n", res.MFLOPS)
 //
-// A custom workload is a list of runtime phases. A loop body appends the
-// iteration's instructions to the queue it is handed, as append does —
-// instructions are values, never retained pointers:
+// A custom workload is a list of runtime phases. A loop body writes
+// instruction k of iteration i into the CE's own instruction register and
+// reports whether that instruction exists; the CE asks for k = 0, 1, … as
+// it becomes free:
 //
 //	rt := cedar.NewRuntime(m, cedar.RuntimeConfig{UseCedarSync: true},
-//		cedar.XDoall{N: 100, Body: func(i int, q []cedar.Instr) []cedar.Instr {
-//			return append(q, cedar.Instr{Op: cedar.OpScalar, Cycles: 25, Flops: 4})
+//		cedar.XDoall{N: 100, Body: func(i, k int, in *cedar.Instr) bool {
+//			if k > 0 {
+//				return false
+//			}
+//			in.Op, in.Cycles, in.Flops = cedar.OpScalar, 25, 4
+//			return true
 //		}})
 //	res, err := rt.Run(10_000_000)
 package cedar

@@ -41,9 +41,13 @@ func TestRuntimeThroughFacade(t *testing.T) {
 	m := cedar.NewMachine(cedar.DefaultParams(), cedar.Options{})
 	ran := 0
 	rt := cedar.NewRuntime(m, cedar.RuntimeConfig{UseCedarSync: true},
-		cedar.XDoall{N: 16, Body: func(i int, q []cedar.Instr) []cedar.Instr {
-			return append(q, cedar.Instr{Op: cedar.OpScalar, Cycles: 10, Flops: 5,
-				Done: func(int, int64, bool, int64) { ran++ }})
+		cedar.XDoall{N: 16, Body: func(i, k int, in *cedar.Instr) bool {
+			if k > 0 {
+				return false
+			}
+			*in = cedar.Instr{Op: cedar.OpScalar, Cycles: 10, Flops: 5,
+				Done: func(int, int64, bool, int64) { ran++ }}
+			return true
 		}})
 	res, err := rt.Run(10_000_000)
 	if err != nil {

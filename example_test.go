@@ -23,17 +23,19 @@ func Example() {
 	base := m.AllocGlobalAligned(iters*vecLen, 64)
 
 	// Each iteration is one chained multiply-add sweep over its slice,
-	// prefetched in 256-word blocks.
-	body := func(i int, q []cedar.Instr) []cedar.Instr {
-		return append(q, cedar.Instr{
-			Op: cedar.OpVector, N: vecLen, Flops: 2,
-			Srcs: []cedar.Stream{{
-				Space:     cedar.SpaceGlobal,
-				Base:      base + uint64(i*vecLen),
-				Stride:    1,
-				PrefBlock: 256,
-			}},
-		})
+	// prefetched in 256-word blocks. The body writes the iteration's
+	// instruction k into the CE's register and reports whether there is
+	// one; the streams are built once, and the CE copies them on issue.
+	srcs := make([]cedar.Stream, iters)
+	for i := range srcs {
+		srcs[i] = cedar.Stream{Space: cedar.SpaceGlobal, Base: base + uint64(i*vecLen), Stride: 1, PrefBlock: 256}
+	}
+	body := func(i, k int, in *cedar.Instr) bool {
+		if k > 0 {
+			return false
+		}
+		*in = cedar.Instr{Op: cedar.OpVector, N: vecLen, Flops: 2, Srcs: srcs[i : i+1 : i+1]}
+		return true
 	}
 
 	// An XDOALL self-schedules the iterations over all 32 CEs using the
@@ -63,8 +65,12 @@ func Example() {
 // barriers spin while its gang partners run the other task.
 func ExampleNewTimeSharer() {
 	p := cedar.DefaultParams()
-	body := func(i int, q []cedar.Instr) []cedar.Instr {
-		return append(q, cedar.Instr{Op: cedar.OpScalar, Cycles: 50, Flops: 10})
+	body := func(_, k int, in *cedar.Instr) bool {
+		if k > 0 {
+			return false
+		}
+		*in = cedar.Instr{Op: cedar.OpScalar, Cycles: 50, Flops: 10}
+		return true
 	}
 	phases := func() []cedar.Phase {
 		var phs []cedar.Phase
@@ -107,14 +113,22 @@ func ExampleNewTimeSharer() {
 // eight CEs through the concurrency control bus.
 func ExampleSDoall() {
 	m := cedar.NewMachine(cedar.DefaultParams(), cedar.Options{})
-	inner := func(j int, q []cedar.Instr) []cedar.Instr {
-		return append(q, cedar.Instr{Op: cedar.OpScalar, Cycles: 40, Flops: 8})
+	inner := func(_, k int, in *cedar.Instr) bool {
+		if k > 0 {
+			return false
+		}
+		*in = cedar.Instr{Op: cedar.OpScalar, Cycles: 40, Flops: 8}
+		return true
 	}
 	rt := cedar.NewRuntime(m, cedar.RuntimeConfig{UseCedarSync: true},
 		cedar.SDoall{N: 8, Body: func(i int) []cedar.ClusterPhase {
 			return []cedar.ClusterPhase{
-				cedar.ClusterSerial{Body: func(q []cedar.Instr) []cedar.Instr {
-					return append(q, cedar.Instr{Op: cedar.OpScalar, Cycles: 100, Flops: 1})
+				cedar.ClusterSerial{Body: func(_, k int, in *cedar.Instr) bool {
+					if k > 0 {
+						return false
+					}
+					*in = cedar.Instr{Op: cedar.OpScalar, Cycles: 100, Flops: 1}
+					return true
 				}},
 				cedar.CDoall{N: 32, Body: inner},
 			}
@@ -135,8 +149,12 @@ func ExampleSDoall() {
 func ExampleNewRuntime() {
 	m := cedar.NewMachine(cedar.DefaultParams(), cedar.Options{})
 	rt := cedar.NewRuntime(m, cedar.RuntimeConfig{UseCedarSync: true},
-		cedar.XDoall{N: 100, Body: func(i int, q []cedar.Instr) []cedar.Instr {
-			return append(q, cedar.Instr{Op: cedar.OpScalar, Cycles: 25, Flops: 4})
+		cedar.XDoall{N: 100, Body: func(i, k int, in *cedar.Instr) bool {
+			if k > 0 {
+				return false
+			}
+			*in = cedar.Instr{Op: cedar.OpScalar, Cycles: 25, Flops: 4}
+			return true
 		}})
 	res, err := rt.Run(10_000_000)
 	if err != nil {

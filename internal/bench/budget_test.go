@@ -15,11 +15,12 @@ import (
 // — PFU buffers, packet-pool refills, memory-module reply stages, runtime
 // queues — and what the outcome copies out of the hub, so a first-touch
 // allocation that comes back per element, or a per-cell cost on the
-// outcome path, shows up here: ≈560 objects, budget × 1.1; an arrival
+// outcome path, shows up here: ≈495 objects, budget × 1.1; an arrival
 // record per PFU and two completion callbacks per participant put
-// Point.Run alone at ≈942.
+// Point.Run alone at ≈942, and a cache page index, miss-count slice and
+// miss table built with each of its 16 caches at ≈543.
 func TestPointRunBudget(t *testing.T) {
-	const budget = 616
+	const budget = 544
 	pt := Point{
 		Machine:  MachineSpec{Name: "cedar16", Scaled: 16},
 		Workload: WorkloadSpec{Name: "cedar16-vl512", Kind: "vectorload", N: 512, Sweeps: 1},

@@ -44,15 +44,17 @@ type request struct {
 // queueCap bounds each CE's pending requests at the cache.
 const queueCap = 8
 
-// ring is one CE's request queue: a fixed circular buffer of queueCap
-// slots, so accepting and serving an access never allocates. A cache's
-// rings are one slab, made by its first Submit: a cluster whose CEs never
-// use the cache (every point that streams only global memory) pays for
-// no request queue.
+// ring is one CE's side of the cache: its request queue, a fixed circular
+// buffer of queueCap slots, so accepting and serving an access never
+// allocates, and the count of its misses in flight. A cache's rings are
+// one slab, made by its first Submit: a cluster whose CEs never use the
+// cache (every point that streams only global memory) pays for no request
+// queue and no miss count.
 type ring struct {
-	buf  [queueCap]request
-	head int
-	n    int
+	buf     [queueCap]request
+	head    int
+	n       int
+	missOut int
 }
 
 // pageSets is the number of sets per tag-store page.
@@ -84,11 +86,12 @@ type Cache struct {
 	clock     int64 // LRU stamp source
 
 	// pages[i] holds sets [i*pageSets, (i+1)*pageSets), ways frames each;
-	// nil until the first fill into that range.
-	pages    [][]frame
-	queues   []ring // nCE rings; nil until the first Submit
-	queued   int    // requests across all queues
-	missOut  []int
+	// nil until the first fill into that range. The index itself is nil
+	// until the first fill.
+	pages  [][]frame
+	queues []ring // nCE rings; nil until the first Submit
+	queued int    // requests across all queues
+	// mshrs holds the misses in flight by line; nil until the first miss.
 	mshrs    map[uint64]*mshr
 	mshrFree []*mshr // retired entries, reused so misses stop allocating
 
@@ -161,9 +164,6 @@ func New(p params.Machine, nCE int, mem *cmem.Memory) *Cache {
 		lineWords: lineWords,
 		numSets:   numSets,
 		ways:      ways,
-		pages:     make([][]frame, (numSets+pageSets-1)/pageSets),
-		missOut:   make([]int, nCE),
-		mshrs:     make(map[uint64]*mshr),
 	}
 	c.lastTick = -1
 	return c
@@ -235,9 +235,12 @@ func (c *Cache) Idle() bool {
 }
 
 // set returns the frames of the set holding line, or nil when no fill has
-// reached the set's page yet (every frame in it is empty). It never
-// allocates.
+// reached the set's page yet (every frame in it is empty), and so also
+// before any fill has made the page index. It never allocates.
 func (c *Cache) set(line uint64) []frame {
+	if c.pages == nil {
+		return nil
+	}
 	s := line % c.numSets
 	pg := c.pages[s/pageSets]
 	if pg == nil {
@@ -248,8 +251,11 @@ func (c *Cache) set(line uint64) []frame {
 }
 
 // fillSet is set for the one caller that writes a tag: it materialises
-// the page on first touch.
+// the page index on the cache's first fill and the page on first touch.
 func (c *Cache) fillSet(line uint64) []frame {
+	if c.pages == nil {
+		c.pages = make([][]frame, (c.numSets+pageSets-1)/pageSets) // first touch: once per cache, on its first fill
+	}
 	pi := (line % c.numSets) / pageSets
 	if c.pages[pi] == nil {
 		sets := min(pageSets, c.numSets-pi*pageSets)
@@ -379,14 +385,17 @@ func (c *Cache) serveHead(ce int, cycle int64) bool {
 	}
 
 	// New miss: needs one of the CE's two miss slots.
-	if c.missOut[ce] >= c.p.CacheMissPerCE {
+	if q.missOut >= c.p.CacheMissPerCE {
 		return false
 	}
 	c.stats.Misses++
-	c.missOut[ce]++
+	q.missOut++
 	m := c.getMSHR()
 	m.owner = ce
 	m.waiting = append(m.waiting, r)
+	if c.mshrs == nil {
+		c.mshrs = make(map[uint64]*mshr) // first touch: once per cache, on its first miss
+	}
 	c.mshrs[line] = m
 	c.popHead(q)
 
@@ -452,7 +461,7 @@ func (c *Cache) fill(line uint64, cycle int64) {
 		c.lastTick = cycle
 	}
 	delete(c.mshrs, line)
-	c.missOut[m.owner]--
+	c.queues[m.owner].missOut--
 	fr := victim(c.fillSet(line))
 	c.clock++
 	fr.line = line

@@ -89,8 +89,8 @@ func (e *eagerTags) access(line uint64, write bool) {
 // materialiseAll brings every tag-store page into being, as the eager
 // constructor used to.
 func (c *Cache) materialiseAll() {
-	for pi := range c.pages {
-		c.fillSet(uint64(pi) * pageSets)
+	for s := uint64(0); s < c.numSets; s += pageSets {
+		c.fillSet(s)
 	}
 }
 

@@ -77,9 +77,8 @@ const (
 // iteration, next claim, next cluster phase, join, barrier — reads and
 // writes these fields from advance; none builds a closure.
 type frame struct {
-	k    int      // current phase
-	loop loopKind // and its loop
-	n    int      // iterations of the phase's loop
+	k int // current phase (its loop: loop, below)
+	n int // iterations of the phase's loop
 
 	// XDOALL: the chunk [lo, hi) in progress.
 	body   BodyFn
@@ -95,15 +94,44 @@ type frame struct {
 	work  []ClusterPhase
 	j     int
 
-	// The CDOALL in flight and the claimed block [cdLo, cdHi) of it.
+	// The CDOALL in flight and the claimed block [cdLo, cdHi) of it, and
+	// the join generation a worker waits on (watch, below).
 	cd         CDoall
 	cdLo, cdHi int
-	watch      watchKind
 	joinGen    int64
 
-	// waitUntil: stall to cycle until, then run step then.
+	// waitUntil: stall to cycle until, then run step then (below).
 	until int64
-	then  step
+
+	// The body in progress (nil: none): instruction runK of iteration
+	// runIter() of run is the next Next issues once the queue is empty,
+	// and when run reports none the runtime issues the loop branch
+	// carrying runThen — or, for a Serial phase (runThen stNone), the
+	// barrier.
+	run  BodyFn
+	runK int
+
+	// The one-byte codes, together so that they share a word: the
+	// phase's loop, what a participant with an empty queue watches the
+	// bus for, the step a waitUntil runs and the step behind the body.
+	loop    loopKind
+	watch   watchKind
+	then    step
+	runThen step
+}
+
+// runIter is the iteration of the body in progress. The step behind the
+// body names its loop, whose frame fields already hold the iteration: lo
+// for an XDOALL, cdLo for a CDOALL, and 0 for a Serial or ClusterSerial
+// body.
+func (c *ceCtl) runIter() int {
+	switch c.runThen {
+	case stIterDone:
+		return c.lo
+	case stCDIterDone:
+		return c.cdLo
+	}
+	return 0
 }
 
 // advance runs step s of participant c: the one place a completion
@@ -266,12 +294,22 @@ func (r *Runtime) startWork(c *ceCtl) {
 	}
 }
 
-// runBody appends iteration iter of body to the participant's queue and,
-// behind it, the loop branch that runs step then — the one instruction a
-// body's reservation leaves room for.
-func (c *ceCtl) runBody(body BodyFn, iter int, then step) {
-	c.q = body(iter, c.q)
-	c.branch(then)
+// runBody starts the participant's current iteration of body (runIter):
+// Next issues its instructions one at a time behind whatever the queue
+// holds, then the loop branch that runs step then (stNone: the phase
+// barrier).
+func (c *ceCtl) runBody(body BodyFn, then step) {
+	c.run, c.runK, c.runThen = body, 0, then
+}
+
+// bodyDone ends the body in progress: it issues what follows the body.
+func (r *Runtime) bodyDone(c *ceCtl) {
+	c.run = nil
+	if c.runThen == stNone {
+		r.barrier(c)
+		return
+	}
+	c.branch(c.runThen)
 }
 
 // runChunk executes what is left of the XDOALL chunk [lo, hi), one
@@ -281,7 +319,7 @@ func (c *ceCtl) runBody(body BodyFn, iter int, then step) {
 func (r *Runtime) runChunk(c *ceCtl) {
 	switch {
 	case c.lo < c.hi:
-		c.runBody(c.body, c.lo, stIterDone)
+		c.runBody(c.body, stIterDone)
 	case c.loop == xdStatic:
 		r.barrier(c)
 	default:
@@ -345,8 +383,7 @@ func (r *Runtime) runClusterWork(c *ceCtl) {
 		// Data private to an SDOALL iteration but shared by the cluster
 		// lives in cluster memory; the serial part runs on the master
 		// while workers keep watching the bus.
-		c.q = cp.Body(c.q)
-		c.branch(stClusterNext)
+		c.runBody(cp.Body, stClusterNext)
 
 	case CDoall:
 		c.cd = cp
@@ -417,7 +454,7 @@ func (r *Runtime) runCDBlock(c *ceCtl) {
 		c.branch(stCDClaim)
 		return
 	}
-	c.runBody(c.cd.Body, c.cdLo, stCDIterDone)
+	c.runBody(c.cd.Body, stCDIterDone)
 }
 
 // cdJoin arrives at the cluster join and waits for it to complete.

@@ -55,20 +55,23 @@ func goldenLines(t *testing.T, stepped bool) []byte {
 		out.WriteString(goldenRun(t, stepped, fmt.Sprintf("random/%d", trial), clusters, cfg, phases))
 	}
 	scalar := func(cycles, flops int64) BodyFn {
-		return func(_ int, q []ce.Instr) []ce.Instr {
-			return append(q, ce.Instr{Op: ce.OpScalar, Cycles: cycles, Flops: flops})
-		}
+		return only(func(_ int, in *ce.Instr) { *in = ce.Instr{Op: ce.OpScalar, Cycles: cycles, Flops: flops} })
 	}
 	out.WriteString(goldenRun(t, stepped, "guided-nosync", 4, Config{},
 		[]Phase{XDoall{N: 150, Sched: GuidedSchedule, Body: scalar(40, 8)}}))
 	out.WriteString(goldenRun(t, stepped, "static-nest", 4, Config{UseCedarSync: true},
 		[]Phase{SDoall{N: 8, Static: true, Body: func(i int) []ClusterPhase {
 			return []ClusterPhase{
-				ClusterSerial{Body: func(q []ce.Instr) []ce.Instr {
-					return append(q,
-						ce.Instr{Op: ce.OpScalar, Cycles: 20},
-						ce.Instr{Op: ce.OpGlobalLoad, Addr: uint64(64 + i)},
-					)
+				ClusterSerial{Body: func(_, k int, in *ce.Instr) bool {
+					switch k {
+					case 0:
+						*in = ce.Instr{Op: ce.OpScalar, Cycles: 20}
+					case 1:
+						*in = ce.Instr{Op: ce.OpGlobalLoad, Addr: uint64(64 + i)}
+					default:
+						return false
+					}
+					return true
 				}},
 				CDoall{N: 20, Static: true, Body: scalar(int64(15+i), 4)},
 				CDoall{N: 12, Body: scalar(25, 2)},
@@ -86,14 +89,10 @@ func loopShapeLines(t *testing.T, stepped bool) []byte {
 	t.Helper()
 	var out bytes.Buffer
 	scalar := func(cycles, flops int64) BodyFn {
-		return func(_ int, q []ce.Instr) []ce.Instr {
-			return append(q, ce.Instr{Op: ce.OpScalar, Cycles: cycles, Flops: flops})
-		}
+		return only(func(_ int, in *ce.Instr) { *in = ce.Instr{Op: ce.OpScalar, Cycles: cycles, Flops: flops} })
 	}
-	serial := func(cycles int64) func(q []ce.Instr) []ce.Instr {
-		return func(q []ce.Instr) []ce.Instr {
-			return append(q, ce.Instr{Op: ce.OpScalar, Cycles: cycles})
-		}
+	serial := func(cycles int64) BodyFn {
+		return only(func(_ int, in *ce.Instr) { *in = ce.Instr{Op: ce.OpScalar, Cycles: cycles} })
 	}
 	out.WriteString(goldenRun(t, stepped, "claimed-nest-nosync", 3, Config{},
 		[]Phase{SDoall{N: 10, Body: func(i int) []ClusterPhase {

@@ -106,13 +106,12 @@ func TestGuidedBalancesIrregularLoop(t *testing.T) {
 	// much worse than self-scheduling (which has perfect balance), and
 	// must clearly beat static chunking (which strands the expensive
 	// tail on one CE).
-	body := func(i int, q []ce.Instr) []ce.Instr {
-		cost := int64(10)
+	body := only(func(i int, in *ce.Instr) {
+		*in = ce.Instr{Op: ce.OpScalar, Cycles: 10}
 		if i >= 480 {
-			cost = 2000 // expensive tail
+			in.Cycles = 2000 // expensive tail
 		}
-		return append(q, ce.Instr{Op: ce.OpScalar, Cycles: cost})
-	}
+	})
 	run := func(sched Schedule) int64 {
 		m := mach(t, 4)
 		rt := New(m, Config{UseCedarSync: true},

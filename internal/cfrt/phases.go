@@ -20,54 +20,66 @@
 // Loops can be self-scheduled or statically chunked, again matching the
 // runtime library options the paper describes.
 //
-// A program is a list of phases whose bodies append instructions to the
-// queue of whichever CE runs the iteration:
+// A program is a list of phases whose bodies write, one at a time, the
+// instructions of whichever iteration a CE runs:
 //
 //	rt := cfrt.New(m, cfrt.Config{UseCedarSync: true},
-//		cfrt.XDoall{N: 100, Body: func(i int, q []ce.Instr) []ce.Instr {
-//			return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 25, Flops: 4})
+//		cfrt.XDoall{N: 100, Body: func(i, k int, in *ce.Instr) bool {
+//			if k > 0 {
+//				return false
+//			}
+//			*in = ce.Instr{Op: ce.OpScalar, Cycles: 25, Flops: 4}
+//			return true
 //		}})
 //	res, err := rt.Run(10_000_000)
 //
-// Instructions are values from the body to the CE: a participant's queue
-// is a []ce.Instr and Next copies the head into the CE's own instruction
-// register. Control flow is per-participant state: a frame (phase, loop,
-// chunk, claim, cluster phase, CDOALL in flight) advanced by the one
+// A CE asks for one instruction at a time, as the paper's CEs fetch an
+// iteration's instructions: Next writes a body's next instruction straight
+// into the CE's own instruction register, and a participant's queue holds
+// only the few instructions the runtime issues itself. Control flow is
+// per-participant state: a frame (phase, loop, chunk, claim, cluster
+// phase, CDOALL in flight, body in progress) advanced by the one
 // completion callback New binds for the whole runtime, and waits — the
 // barrier flag poll, the claim lock — that reissue one instruction. So
-// neither a participant, a queued instruction, a failed poll, an
-// iteration, a claim nor a join is a heap object (DESIGN.md, "Instruction
-// ownership").
+// neither a participant, an instruction, a failed poll, an iteration, a
+// claim nor a join is a heap object, and no participant holds a whole
+// iteration (DESIGN.md, "Instruction ownership").
 package cfrt
 
 import "cedar/internal/ce"
 
-// BodyFn appends the instruction sequence of one loop iteration to q and
-// returns the extended slice, as append does. q is the executing CE's own
-// instruction queue: a body only appends — it neither reads, rewrites nor
-// retains q — and the runtime copies each instruction into the CE's
-// register when it issues, so a body builds values, never heap objects:
+// BodyFn is a loop body: it writes instruction k of iteration iter into
+// in and reports whether that instruction exists. The runtime asks for k
+// = 0, 1, … in order, once each, as the executing CE becomes free, with in
+// zeroed — it is the CE's own instruction register — and behind the first
+// k the body reports false issues whatever follows the body (the loop
+// branch). A body that reports false at k = 0 is empty:
 //
-//	func(i int, q []ce.Instr) []ce.Instr {
-//		return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 25, Flops: 4})
+//	func(i, k int, in *ce.Instr) bool {
+//		if k > 0 {
+//			return false
+//		}
+//		in.Op, in.Cycles, in.Flops = ce.OpScalar, 25, 4
+//		return true
 //	}
 //
-// A body that knows its length n reserves it once — slices.Grow(q, n+1):
-// its instructions and the loop branch the runtime issues behind every
-// body — instead of letting a long sequence grow the queue one doubling
-// at a time, or an exact fit be doubled by that one branch. Srcs slices
-// and Dst pointers stay owned by the body that built them; the runtime
-// never recycles them.
-type BodyFn func(iter int, q []ce.Instr) []ce.Instr
+// The CE copies the streams Srcs names when the instruction issues, so
+// the iteration's next instruction may reuse that storage; another
+// iteration may not, since it can run on another CE at the same time. The
+// CE reads *Dst for as long as the instruction runs, so Dst must point at
+// storage the body keeps for the whole run. A body whose streams are
+// built once, per kernel call or per phase, allocates nothing when it is
+// called.
+type BodyFn func(iter, k int, in *ce.Instr) bool
 
 // Phase is one machine-wide step of a program. Phases are separated by
 // multicluster barriers through global memory.
 type Phase interface{ isPhase() }
 
 // Serial runs on CE 0 while every other CE waits at the phase barrier.
-// Body appends like a BodyFn without the iteration number.
+// Body is called with iter 0.
 type Serial struct {
-	Body func(q []ce.Instr) []ce.Instr
+	Body BodyFn
 }
 
 func (Serial) isPhase() {}
@@ -110,9 +122,10 @@ func (SDoall) isPhase() {}
 // ClusterPhase is one step of an SDOALL iteration, executed by one cluster.
 type ClusterPhase interface{ isClusterPhase() }
 
-// ClusterSerial runs on the cluster's master CE.
+// ClusterSerial runs on the cluster's master CE. Body is called with iter
+// 0.
 type ClusterSerial struct {
-	Body func(q []ce.Instr) []ce.Instr
+	Body BodyFn
 }
 
 func (ClusterSerial) isClusterPhase() {}

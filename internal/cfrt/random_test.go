@@ -37,10 +37,10 @@ func randomProgram(rng *rand.Rand, ran func(unit)) (clusters int, cfg Config, ph
 		switch rng.Intn(3) {
 		case 0: // Serial
 			want = append(want, unit{pi, 0, 0})
-			phases = append(phases, Serial{Body: func(q []ce.Instr) []ce.Instr {
-				return append(q, ce.Instr{Op: ce.OpScalar, Cycles: int64(1 + rng.Intn(40)),
-					Done: done(unit{pi, 0, 0})})
-			}})
+			phases = append(phases, Serial{Body: only(func(_ int, in *ce.Instr) {
+				*in = ce.Instr{Op: ce.OpScalar, Cycles: int64(1 + rng.Intn(40)),
+					Done: done(unit{pi, 0, 0})}
+			})})
 		case 1: // XDoall with a random policy
 			n := 1 + rng.Intn(60)
 			sched := Schedule(rng.Intn(3))
@@ -49,10 +49,10 @@ func randomProgram(rng *rand.Rand, ran func(unit)) (clusters int, cfg Config, ph
 			}
 			cost := int64(1 + rng.Intn(80))
 			phases = append(phases, XDoall{N: n, Sched: sched,
-				Body: func(i int, q []ce.Instr) []ce.Instr {
-					return append(q, ce.Instr{Op: ce.OpScalar, Cycles: cost,
-						Done: done(unit{pi, i, 0})})
-				}})
+				Body: only(func(i int, in *ce.Instr) {
+					*in = ce.Instr{Op: ce.OpScalar, Cycles: cost,
+						Done: done(unit{pi, i, 0})}
+				})})
 		default: // SDoall with a CDoall nest
 			n := 1 + rng.Intn(6)
 			inner := 1 + rng.Intn(12)
@@ -66,10 +66,10 @@ func randomProgram(rng *rand.Rand, ran func(unit)) (clusters int, cfg Config, ph
 			phases = append(phases, SDoall{N: n, Static: static,
 				Body: func(i int) []ClusterPhase {
 					return []ClusterPhase{CDoall{N: inner,
-						Body: func(j int, q []ce.Instr) []ce.Instr {
-							return append(q, ce.Instr{Op: ce.OpScalar, Cycles: cost,
-								Done: done(unit{pi, i, j + 1})})
-						}}}
+						Body: only(func(j int, in *ce.Instr) {
+							*in = ce.Instr{Op: ce.OpScalar, Cycles: cost,
+								Done: done(unit{pi, i, j + 1})}
+						})}}
 				}})
 		}
 	}

@@ -50,11 +50,13 @@ type Runtime struct {
 type ceCtl struct {
 	// ci is the participant's index in Runtime.ces and Runtime.ctl.
 	ci int
-	// q[head:] are the instructions still to issue, by value: Next copies
-	// one into the CE's register and advances head rather than reslicing,
-	// and rewinds both once the queue drains, so a participant's steady
-	// issue/refill cycle reuses one buffer and no runtime-issued
-	// instruction is a heap object. Loop bodies append to q directly.
+	// q[head:] are the runtime-issued instructions still to issue, by
+	// value: Next copies one into the CE's register and advances head
+	// rather than reslicing, and rewinds both once the queue drains, so a
+	// participant's steady issue/refill cycle reuses one buffer and no
+	// runtime-issued instruction is a heap object. A loop body's
+	// instructions never pass through q: Next writes them into the CE's
+	// register (frame.run).
 	q        []ce.Instr
 	head     int
 	finished bool
@@ -90,9 +92,10 @@ type ceCtl struct {
 
 // qFirst is how many instructions of each participant's queue New carves
 // from the runtime's one queue slab: a branch and the instruction it
-// follows or leads to — a phase opening's poll, a loop body's iteration,
-// a spin's stall and retry. A queue that needs more grows into an array
-// of its own, once, and keeps it.
+// follows or leads to — a phase opening's poll, a spin's stall and retry.
+// A queue that needs more (the loop initiator's startup, store and branch
+// behind its phase-entry branch) grows into an array of its own, once, and
+// keeps it.
 const qFirst = 2
 
 type phaseRes struct {
@@ -248,7 +251,8 @@ func (r *Runtime) complete(ceID int, v int64, passed bool, cycle int64) {
 	r.advance(c, c.issued, v, passed, cycle)
 }
 
-// Next implements ce.Controller.
+// Next implements ce.Controller: the queue first, then the body in
+// progress, whose next instruction is written into the CE's register.
 func (r *Runtime) Next(ceID int, cycle int64, in *ce.Instr) ce.Status {
 	ci := r.ceIdx[ceID]
 	if ci < 0 {
@@ -259,13 +263,22 @@ func (r *Runtime) Next(ceID int, cycle int64, in *ce.Instr) ce.Status {
 		if c.head < len(c.q) {
 			*in = c.q[c.head]
 			c.issued = step(in.N)
-			// Drop the slot's references: its callback and streams are
-			// the CE's now.
+			// Drop the slot's references: its callback is the CE's now.
 			c.q[c.head] = ce.Instr{}
 			if c.head++; c.head == len(c.q) {
 				c.q, c.head = c.q[:0], 0
 			}
 			return ce.Ready
+		}
+		if c.run != nil {
+			*in = ce.Instr{}
+			if c.run(c.runIter(), c.runK, in) {
+				c.runK++
+				c.issued = stNone
+				return ce.Ready
+			}
+			r.bodyDone(c)
+			continue
 		}
 		if c.finished {
 			return ce.Finished
@@ -304,7 +317,9 @@ func (r *Runtime) enterPhase(c *ceCtl, k int) {
 	switch ph := r.ph[k].(type) {
 	case Serial:
 		if c.ci == 0 {
-			c.q = ph.Body(c.q)
+			// The barrier follows the body (runThen stNone).
+			c.runBody(ph.Body, stNone)
+			return
 		}
 		r.barrier(c)
 

@@ -24,7 +24,7 @@ func mach(t *testing.T, clusters int) *core.Machine {
 // 8: an object per participant, such as a completion callback bound to
 // each, puts them hundreds apart.
 func TestRuntimeCostsNoObjectPerParticipant(t *testing.T) {
-	one := func(_ int, q []ce.Instr) []ce.Instr { return append(q, scalarInstr(1)) }
+	one := only(func(_ int, in *ce.Instr) { *in = scalarInstr(1) })
 	cost := func(p params.Machine) float64 {
 		m, err := core.New(p, core.Options{})
 		if err != nil {
@@ -48,15 +48,27 @@ type record struct {
 	cycle int64
 }
 
+// only is the body whose every iteration is the one instruction set
+// writes.
+func only(set func(iter int, in *ce.Instr)) BodyFn {
+	return func(iter, k int, in *ce.Instr) bool {
+		if k > 0 {
+			return false
+		}
+		set(iter, in)
+		return true
+	}
+}
+
 func bodyRecording(recs *[]record, work int64) BodyFn {
-	return func(iter int, q []ce.Instr) []ce.Instr {
-		return append(q, ce.Instr{
+	return only(func(iter int, in *ce.Instr) {
+		*in = ce.Instr{
 			Op: ce.OpScalar, Cycles: work,
 			Done: func(_ int, _ int64, _ bool, cy int64) {
 				*recs = append(*recs, record{iter: iter, cycle: cy})
 			},
-		})
-	}
+		}
+	})
 }
 
 func coverage(t *testing.T, recs []record, n int) {
@@ -145,10 +157,10 @@ func TestSerialPhaseRunsOnCEZeroOnly(t *testing.T) {
 	m := mach(t, 2)
 	ran := 0
 	rt := New(m, Config{UseCedarSync: true},
-		Serial{Body: func(q []ce.Instr) []ce.Instr {
-			return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 500, Flops: 123,
-				Done: func(int, int64, bool, int64) { ran++ }})
-		}})
+		Serial{Body: only(func(_ int, in *ce.Instr) {
+			*in = ce.Instr{Op: ce.OpScalar, Cycles: 500, Flops: 123,
+				Done: func(int, int64, bool, int64) { ran++ }}
+		})})
 	res, err := rt.Run(10_000_000)
 	if err != nil {
 		t.Fatal(err)
@@ -164,21 +176,21 @@ func TestSerialPhaseRunsOnCEZeroOnly(t *testing.T) {
 func TestPhasesAreOrderedByBarriers(t *testing.T) {
 	m := mach(t, 4)
 	var phase1End, phase2Start int64 = -1, 1 << 62
-	b1 := func(iter int, q []ce.Instr) []ce.Instr {
-		return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 40, Done: func(_ int, _ int64, _ bool, cy int64) {
+	b1 := only(func(_ int, in *ce.Instr) {
+		*in = ce.Instr{Op: ce.OpScalar, Cycles: 40, Done: func(_ int, _ int64, _ bool, cy int64) {
 			if cy > phase1End {
 				phase1End = cy
 			}
-		}})
-	}
-	b2 := func(iter int, q []ce.Instr) []ce.Instr {
-		return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 40, Done: func(_ int, _ int64, _ bool, cy int64) {
+		}}
+	})
+	b2 := only(func(_ int, in *ce.Instr) {
+		*in = ce.Instr{Op: ce.OpScalar, Cycles: 40, Done: func(_ int, _ int64, _ bool, cy int64) {
 			start := cy - 40
 			if start < phase2Start {
 				phase2Start = start
 			}
-		}})
-	}
+		}}
+	})
 	rt := New(m, Config{UseCedarSync: true},
 		XDoall{N: 64, Body: b1},
 		XDoall{N: 64, Body: b2},
@@ -198,13 +210,13 @@ func TestSDoallCDoallNest(t *testing.T) {
 	rt := New(m, Config{UseCedarSync: true},
 		SDoall{N: 8, Body: func(i int) []ClusterPhase {
 			return []ClusterPhase{
-				ClusterSerial{Body: func(q []ce.Instr) []ce.Instr {
-					return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 20})
-				}},
-				CDoall{N: 16, Body: func(j int, q []ce.Instr) []ce.Instr {
-					return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 25,
-						Done: func(int, int64, bool, int64) { seen[key{i, j}]++ }})
-				}},
+				ClusterSerial{Body: only(func(_ int, in *ce.Instr) {
+					*in = ce.Instr{Op: ce.OpScalar, Cycles: 20}
+				})},
+				CDoall{N: 16, Body: only(func(j int, in *ce.Instr) {
+					*in = ce.Instr{Op: ce.OpScalar, Cycles: 25,
+						Done: func(int, int64, bool, int64) { seen[key{i, j}]++ }}
+				})},
 			}
 		}})
 	if _, err := rt.Run(100_000_000); err != nil {
@@ -225,9 +237,9 @@ func TestSDoallUsesAllClusterCEs(t *testing.T) {
 	byCE := make(map[int]int)
 	rt := New(m, Config{UseCedarSync: true},
 		SDoall{N: 1, Body: func(i int) []ClusterPhase {
-			return []ClusterPhase{CDoall{N: 160, Body: func(j int, q []ce.Instr) []ce.Instr {
-				return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 200})
-			}}}
+			return []ClusterPhase{CDoall{N: 160, Body: only(func(_ int, in *ce.Instr) {
+				*in = ce.Instr{Op: ce.OpScalar, Cycles: 200}
+			})}}
 		}})
 	res, err := rt.Run(100_000_000)
 	if err != nil {
@@ -255,10 +267,10 @@ func TestSDoallStaticAffinity(t *testing.T) {
 	seen := make(map[key]int)
 	rt := New(m, Config{UseCedarSync: true},
 		SDoall{N: 12, Static: true, Body: func(i int) []ClusterPhase {
-			return []ClusterPhase{CDoall{N: 8, Body: func(j int, q []ce.Instr) []ce.Instr {
-				return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 30,
-					Done: func(int, int64, bool, int64) { seen[key{i, j}]++ }})
-			}}}
+			return []ClusterPhase{CDoall{N: 8, Body: only(func(j int, in *ce.Instr) {
+				*in = ce.Instr{Op: ce.OpScalar, Cycles: 30,
+					Done: func(int, int64, bool, int64) { seen[key{i, j}]++ }}
+			})}}
 		}})
 	if _, err := rt.Run(100_000_000); err != nil {
 		t.Fatal(err)
@@ -277,9 +289,9 @@ func TestClustersRestriction(t *testing.T) {
 	// Confining execution to one cluster: only 8 CEs work.
 	m := mach(t, 4)
 	rt := New(m, Config{UseCedarSync: true, Clusters: 1},
-		XDoall{N: 64, Body: func(i int, q []ce.Instr) []ce.Instr {
-			return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 100, Flops: 10})
-		}})
+		XDoall{N: 64, Body: only(func(_ int, in *ce.Instr) {
+			*in = ce.Instr{Op: ce.OpScalar, Cycles: 100, Flops: 10}
+		})})
 	if rt.P() != 8 {
 		t.Fatalf("participants = %d, want 8", rt.P())
 	}
@@ -304,10 +316,10 @@ func TestTwoSDoallPhasesBackToBack(t *testing.T) {
 	count := 0
 	phase := func() Phase {
 		return SDoall{N: 4, Body: func(i int) []ClusterPhase {
-			return []ClusterPhase{CDoall{N: 8, Body: func(j int, q []ce.Instr) []ce.Instr {
-				return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 10,
-					Done: func(int, int64, bool, int64) { count++ }})
-			}}}
+			return []ClusterPhase{CDoall{N: 8, Body: only(func(_ int, in *ce.Instr) {
+				*in = ce.Instr{Op: ce.OpScalar, Cycles: 10,
+					Done: func(int, int64, bool, int64) { count++ }}
+			})}}
 		}}
 	}
 	rt := New(m, Config{UseCedarSync: true}, phase(), phase())
@@ -323,13 +335,12 @@ func TestVectorBodiesThroughRuntime(t *testing.T) {
 	// End-to-end: an XDOALL whose body is a prefetched global vector op.
 	m := mach(t, 4)
 	rt := New(m, Config{UseCedarSync: true},
-		XDoall{N: 64, Body: func(i int, q []ce.Instr) []ce.Instr {
-			base := uint64(i * 512)
-			return append(q, ce.Instr{
+		XDoall{N: 64, Body: only(func(i int, in *ce.Instr) {
+			*in = ce.Instr{
 				Op: ce.OpVector, N: 256, Flops: 2,
-				Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: base, Stride: 1, PrefBlock: 256}},
-			})
-		}})
+				Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: uint64(i * 512), Stride: 1, PrefBlock: 256}},
+			}
+		})})
 	res, err := rt.Run(100_000_000)
 	if err != nil {
 		t.Fatal(err)
@@ -346,28 +357,31 @@ func TestVectorBodiesThroughRuntime(t *testing.T) {
 // TestSteadyStateAllocsControllerQueue is the runtime allocation gate on
 // the controller instruction queue: a participant that issues everything
 // it was handed and is then refilled — the shape of every claim / body /
-// barrier round — must reuse one buffer, so Next, enq and an appending
-// body allocate nothing once it has grown, and every instruction reaches
-// the CE's register by value, in order. (A slide-forward slice queue
-// allocates through append growth only, which no syntactic rule sees.)
+// barrier round — must reuse one buffer, so Next, enq and a body allocate
+// nothing once the queue has grown, and every instruction reaches the
+// CE's register by value, in order: the queue first, then the body, then
+// the loop branch. (A slide-forward slice queue allocates through append
+// growth only, which no syntactic rule sees.)
 func TestSteadyStateAllocsControllerQueue(t *testing.T) {
 	m := mach(t, 1)
-	rt := New(m, Config{UseCedarSync: true}, Serial{Body: func(q []ce.Instr) []ce.Instr { return q }})
+	rt := New(m, Config{UseCedarSync: true}, Serial{Body: func(int, int, *ce.Instr) bool { return false }})
 	id := rt.ces[0].ID
 	var reg ce.Instr
 	for rt.Next(id, 0, &reg) == ce.Ready { // drain what New enqueued
 	}
-	body := func(first int, q []ce.Instr) []ce.Instr {
-		for i := 0; i < 7; i++ {
-			q = append(q, scalarInstr(int64(first+i)))
+	body := func(first, k int, in *ce.Instr) bool {
+		if k == 7 {
+			return false
 		}
-		return q
+		*in = scalarInstr(int64(first + k))
+		return true
 	}
 	c := rt.ctl[0]
 	round := func() {
 		c.enq(scalarInstr(1), scalarInstr(2), scalarInstr(3))
 		c.enq(scalarInstr(4), scalarInstr(5))
-		c.runBody(body, 6, stIterDone)
+		c.lo = 6
+		c.runBody(body, stIterDone)
 		for want := int64(1); want <= 12; want++ {
 			if st := rt.Next(id, 0, &reg); st != ce.Ready || reg.Cycles != want {
 				t.Fatalf("instruction %d: status %v, register %+v", want, st, reg)
@@ -379,8 +393,8 @@ func TestSteadyStateAllocsControllerQueue(t *testing.T) {
 		if rt.Next(id, 0, &reg) == ce.Ready {
 			t.Fatal("queue not drained after issuing every instruction")
 		}
-		if c.head != 0 || len(c.q) != 0 {
-			t.Fatalf("drained queue not rewound: head %d, len %d", c.head, len(c.q))
+		if c.head != 0 || len(c.q) != 0 || c.run != nil {
+			t.Fatalf("drained queue not rewound: head %d, len %d, body in progress %v", c.head, len(c.q), c.run != nil)
 		}
 	}
 	round()

@@ -28,13 +28,9 @@ func recordEvents(r *Runtime) *[]event {
 func TestTracerCapturesRuntimeEvents(t *testing.T) {
 	m := mach(t, 2)
 	rt := New(m, Config{UseCedarSync: true},
-		XDoall{N: 24, Body: func(i int, q []ce.Instr) []ce.Instr {
-			return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 20})
-		}},
+		XDoall{N: 24, Body: only(func(_ int, in *ce.Instr) { *in = ce.Instr{Op: ce.OpScalar, Cycles: 20} })},
 		SDoall{N: 2, Body: func(i int) []ClusterPhase {
-			return []ClusterPhase{CDoall{N: 8, Body: func(j int, q []ce.Instr) []ce.Instr {
-				return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 10})
-			}}}
+			return []ClusterPhase{CDoall{N: 8, Body: only(func(_ int, in *ce.Instr) { *in = ce.Instr{Op: ce.OpScalar, Cycles: 10} })}}
 		}},
 	)
 	evs := recordEvents(rt)
@@ -81,9 +77,7 @@ func TestTracerCapturesRuntimeEvents(t *testing.T) {
 func TestTracerDetached(t *testing.T) {
 	m := mach(t, 1)
 	rt := New(m, Config{UseCedarSync: true},
-		XDoall{N: 4, Body: func(i int, q []ce.Instr) []ce.Instr {
-			return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 5})
-		}})
+		XDoall{N: 4, Body: only(func(_ int, in *ce.Instr) { *in = ce.Instr{Op: ce.OpScalar, Cycles: 5} })})
 	// No hub and no hook: posting must have nowhere to go and not fail.
 	if _, err := rt.Run(10_000_000); err != nil {
 		t.Fatal(err)

@@ -9,13 +9,13 @@ import (
 	"cedar/internal/network"
 )
 
-// leastMallocs builds and runs a program three times and reports its
-// length in cycles and the fewest objects Run allocated. The counts come
-// from raw MemStats, so the caller keeps everyone else's allocations out of
-// them the way testing.AllocsPerRun does: one P and no collection (which
-// would also empty the pools a run draws on); the least of three drops a
-// stray runtime allocation.
-func leastMallocs(t *testing.T, build func() *Runtime) (cycles int64, mallocs uint64) {
+// leastAllocs builds and runs a program three times and reports its
+// length in cycles and the fewest objects and bytes Run allocated. The
+// counts come from raw MemStats, so the caller keeps everyone else's
+// allocations out of them the way testing.AllocsPerRun does: one P and no
+// collection (which would also empty the pools a run draws on); the least
+// of three drops a stray runtime allocation.
+func leastAllocs(t *testing.T, build func() *Runtime) (cycles int64, mallocs, bytes uint64) {
 	t.Helper()
 	for i := 0; i < 3; i++ {
 		rt := build()
@@ -29,9 +29,12 @@ func leastMallocs(t *testing.T, build func() *Runtime) (cycles int64, mallocs ui
 		if n := after.Mallocs - before.Mallocs; i == 0 || n < mallocs {
 			mallocs = n
 		}
+		if n := after.TotalAlloc - before.TotalAlloc; i == 0 || n < bytes {
+			bytes = n
+		}
 		cycles = res.Cycles
 	}
-	return cycles, mallocs
+	return cycles, mallocs, bytes
 }
 
 // TestSteadyStateAllocsWaitLoops is the allocation gate on waiting: what
@@ -46,12 +49,11 @@ func leastMallocs(t *testing.T, build func() *Runtime) (cycles int64, mallocs ui
 func TestSteadyStateAllocsWaitLoops(t *testing.T) {
 	barrierSpin := func(hold int64) *Runtime {
 		return New(mach(t, 1), Config{UseCedarSync: true},
-			XDoall{N: 8, Static: true, Body: func(i int, q []ce.Instr) []ce.Instr {
-				if i == 0 {
-					return append(q, scalarInstr(hold))
+			XDoall{N: 8, Static: true, Body: only(func(i int, in *ce.Instr) {
+				if *in = scalarInstr(1); i == 0 {
+					in.Cycles = hold
 				}
-				return append(q, scalarInstr(1))
-			}})
+			})})
 	}
 	// Two CEs self-schedule two iterations on the lock path. Whoever draws
 	// the second takes the claim lock again from inside its body — the
@@ -61,20 +63,28 @@ func TestSteadyStateAllocsWaitLoops(t *testing.T) {
 	lockRetries := func(hold int64) *Runtime {
 		var r *Runtime
 		r = New(mach(t, 1), Config{MaxCEs: 2},
-			XDoall{N: 2, Body: func(i int, q []ce.Instr) []ce.Instr {
-				if i == 0 {
-					return append(q, scalarInstr(1))
-				}
-				return append(q,
-					ce.Instr{Op: ce.OpSync, Addr: r.lockAddr,
+			XDoall{N: 2, Body: func(i, k int, in *ce.Instr) bool {
+				switch {
+				case i == 0 && k == 0:
+					*in = scalarInstr(1)
+				case i == 0:
+					return false
+				case k == 0:
+					*in = ce.Instr{Op: ce.OpSync, Addr: r.lockAddr,
 						Test: network.TestEQ, TestArg: 0, Mut: network.OpWrite, Value: 1,
 						Done: func(_ int, _ int64, passed bool, _ int64) {
 							if !passed {
 								t.Error("the body's Test-And-Set lost the claim lock: nobody is made to retry")
 							}
-						}},
-					scalarInstr(hold),
-					ce.Instr{Op: ce.OpGlobalStore, Addr: r.lockAddr, Value: 0})
+						}}
+				case k == 1:
+					*in = scalarInstr(hold)
+				case k == 2:
+					*in = ce.Instr{Op: ce.OpGlobalStore, Addr: r.lockAddr, Value: 0}
+				default:
+					return false
+				}
+				return true
 			}})
 		return r
 	}
@@ -86,7 +96,8 @@ func TestSteadyStateAllocsWaitLoops(t *testing.T) {
 		build func(hold int64) *Runtime
 	}{{"barrier spin", barrierSpin}, {"lock retries", lockRetries}} {
 		at := func(hold int64) (int64, uint64) {
-			return leastMallocs(t, func() *Runtime { return tc.build(hold) })
+			cycles, mallocs, _ := leastAllocs(t, func() *Runtime { return tc.build(hold) })
+			return cycles, mallocs
 		}
 		at(hold) // warm what the first run of a process grows
 		shortCy, short := at(hold)
@@ -113,7 +124,7 @@ func TestSteadyStateAllocsWaitLoops(t *testing.T) {
 // as a closure chain each iteration costs 2–8 objects and the longer runs
 // allocate hundreds to thousands more.
 func TestSteadyStateAllocsLoops(t *testing.T) {
-	one := func(_ int, q []ce.Instr) []ce.Instr { return append(q, scalarInstr(1)) }
+	one := only(func(_ int, in *ce.Instr) { *in = scalarInstr(1) })
 	xdoall := func(cfg Config, sched Schedule) func(n int) *Runtime {
 		return func(n int) *Runtime {
 			return New(mach(t, 2), cfg, XDoall{N: n, Sched: sched, Static: sched == StaticSchedule, Body: one})
@@ -124,7 +135,7 @@ func TestSteadyStateAllocsLoops(t *testing.T) {
 	sdoall := func(cfg Config, static bool) func(n int) *Runtime {
 		return func(n int) *Runtime {
 			work := []ClusterPhase{
-				ClusterSerial{Body: func(q []ce.Instr) []ce.Instr { return append(q, scalarInstr(1)) }},
+				ClusterSerial{Body: one},
 				CDoall{N: n, Static: true, Body: one},
 				CDoall{N: n, Body: one},
 			}
@@ -149,7 +160,8 @@ func TestSteadyStateAllocsLoops(t *testing.T) {
 		{"sdoall claimed, lock path", sdoall(Config{}, false)},
 	} {
 		at := func(n int) (int64, uint64) {
-			return leastMallocs(t, func() *Runtime { return tc.build(n) })
+			cycles, mallocs, _ := leastAllocs(t, func() *Runtime { return tc.build(n) })
+			return cycles, mallocs
 		}
 		at(4 * n) // warm what the first run of a process grows
 		shortCy, short := at(n)
@@ -173,7 +185,7 @@ func TestSteadyStateAllocsLoops(t *testing.T) {
 // the second must start from the base backoff with its own flag and step,
 // and each phase is entered once.
 func TestWaitStateDoesNotLeakIntoNextWait(t *testing.T) {
-	nothing := Serial{Body: func(q []ce.Instr) []ce.Instr { return q }}
+	nothing := Serial{Body: func(int, int, *ce.Instr) bool { return false }}
 	r := New(mach(t, 1), Config{UseCedarSync: true, MaxCEs: 2}, nothing, nothing)
 	evs := recordEvents(r)
 	c, id := r.ctl[1], r.ces[1].ID

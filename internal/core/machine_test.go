@@ -160,13 +160,16 @@ func TestAttachBlockStats(t *testing.T) {
 // handles by value, so a per-port closure or a per-stage table (406 and
 // 5,064 objects before both went) shows up here. Every experiment point
 // builds under a hub (bench.Point.Run), so the hub's instrumentation is
-// budgeted too. Cedar and Cedar64 cost ≈74 and ≈558 objects (≈104 and
-// ≈589 under a hub), and ≈67 and ≈913 KB (≈72 and ≈960 KB under a hub),
-// each budget × 1.1. A fabric line costs the packets queued on it and a
-// cache's request rings appear on its first Submit: giving the reverse
-// fabric's egress ports back a 65-slot ring each (33 KB on Cedar, 266 KB
-// on Cedar64), or every cache its rings at construction (3.2 KB and an
-// object per cluster), fails these budgets.
+// budgeted too. Cedar and Cedar64 cost ≈62 and ≈366 objects (≈92 and
+// ≈397 under a hub), and ≈60 and ≈794 KB (≈65 and ≈841 KB under a hub),
+// each budget × 1.1. A fabric line costs the packets queued on it, a
+// cache's request rings and miss counts appear on its first Submit, its
+// tag-store page index on its first fill and its miss table on its first
+// miss: giving the reverse fabric's egress ports back a 65-slot ring each
+// (33 KB on Cedar, 266 KB on Cedar64), every cache its rings at
+// construction (3.2 KB and an object per cluster), or its page index,
+// miss counts and miss table (three objects per cluster: Cedar64 at 558)
+// fails these budgets.
 func TestBuildBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -175,10 +178,10 @@ func TestBuildBudget(t *testing.T) {
 		budget  int64
 		objects int64
 	}{
-		{"Cedar", params.Default(), false, 74 << 10, 81},
-		{"Cedar64", params.Cedar64(), false, 1_004 << 10, 614},
-		{"Cedar+hub", params.Default(), true, 79 << 10, 114},
-		{"Cedar64+hub", params.Cedar64(), true, 1_056 << 10, 648},
+		{"Cedar", params.Default(), false, 66 << 10, 68},
+		{"Cedar64", params.Cedar64(), false, 873 << 10, 402},
+		{"Cedar+hub", params.Default(), true, 71 << 10, 101},
+		{"Cedar64+hub", params.Cedar64(), true, 925 << 10, 436},
 	} {
 		objects, bytes := buildCost(t, tc.p, tc.hub)
 		if bytes > tc.budget {

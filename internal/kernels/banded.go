@@ -45,31 +45,41 @@ func Banded(m *core.Machine, cfg BandedConfig) (Result, error) {
 		p = cfg.MaxCEs
 	}
 
-	body := func(part int, q []ce.Instr) []ce.Instr {
-		lo := part * n / p
-		cnt := (part+1)*n/p - lo
-		if cnt <= 0 {
-			return q
+	// Part part's streams, built once: x and then each diagonal at
+	// srcs[w·part:] (w = BW+1), y at ys[part]. x goes into registers (the
+	// halo is covered by the partition overlap in the register file).
+	w := cfg.BW + 1
+	srcs := make([]ce.Stream, w*p)
+	ys := make([]ce.Stream, p)
+	for part := range ys {
+		off := uint64(part * n / p)
+		srcs[w*part] = ce.Stream{Space: ce.SpaceGlobal, Base: xBase + off, Stride: 1, PrefBlock: 32}
+		for d, base := range diags {
+			srcs[w*part+1+d] = ce.Stream{Space: ce.SpaceGlobal, Base: base + off, Stride: 1, PrefBlock: 32}
 		}
-		off := uint64(lo)
-		// x into registers (the halo is covered by the partition overlap
-		// in the register file).
-		q = append(q, ce.Instr{Op: ce.OpVector, N: cnt, Flops: 0,
-			Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: xBase + off, Stride: 1, PrefBlock: 32}}})
-		for d := 0; d < cfg.BW; d++ {
-			flops := int64(2)
-			if d == cfg.BW-1 {
-				flops = 1 // final sweep carries the last register add
+		ys[part] = ce.Stream{Space: ce.SpaceGlobal, Base: yBase + off, Stride: 1}
+	}
+	// Instruction 0 loads x, instruction 1+d is diagonal d's chained
+	// multiply-add sweep, and the last stores y.
+	body := func(part, k int, in *ce.Instr) bool {
+		cnt := (part+1)*n/p - part*n/p
+		if cnt <= 0 || k > w {
+			return false
+		}
+		in.Op, in.N = ce.OpVector, cnt
+		switch s := w*part + k; {
+		case k == 0:
+			in.Srcs = srcs[s : s+1 : s+1]
+		case k < w:
+			in.Flops = 2
+			if k == w-1 {
+				in.Flops = 1 // final sweep carries the last register add
 			}
-			q = append(q, ce.Instr{
-				Op: ce.OpVector, N: cnt, Flops: flops,
-				Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: diags[d] + off, Stride: 1, PrefBlock: 32}},
-			})
+			in.Srcs = srcs[s : s+1 : s+1]
+		default:
+			in.Dst = &ys[part]
 		}
-		return append(q, ce.Instr{
-			Op: ce.OpVector, N: cnt, Flops: 0,
-			Dst: &ce.Stream{Space: ce.SpaceGlobal, Base: yBase + off, Stride: 1},
-		})
+		return true
 	}
 	return run(m, cfrt.Config{UseCedarSync: true, MaxCEs: cfg.MaxCEs}, 1<<40,
 		cfrt.XDoall{N: p, Static: true, Body: body})

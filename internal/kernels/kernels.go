@@ -16,7 +16,6 @@ package kernels
 
 import (
 	"fmt"
-	"slices"
 
 	"cedar/internal/ce"
 	"cedar/internal/cfrt"
@@ -74,26 +73,36 @@ func run(m *core.Machine, cfg cfrt.Config, limit int64, phases ...cfrt.Phase) (R
 // rkRank is the rank of the update: the A panel is n×rkRank.
 const rkRank = 64
 
-// rkColumn appends one column's worth of the update to q: rkRank chained
-// multiply-add sweeps, sweep k reading the length-n stream src(k), then
-// the store of the column of C at cCol. It reserves its rkRank+1
-// instructions and the runtime's loop branch once — grown an append at a
-// time, a queue doubles its way to a column per CE and the rank-update
-// points' allocated bytes go up, not down — and the source streams come
-// from one slab: a body is built per column per CE, and one allocation
-// per instruction would make program construction outweigh the
-// simulation.
-func rkColumn(q []ce.Instr, n int, cCol uint64, src func(k int) ce.Stream) []ce.Instr {
-	q = slices.Grow(q, rkRank+2)
-	srcs := make([]ce.Stream, rkRank)
-	for k := range srcs {
-		srcs[k] = src(k)
-		q = append(q, ce.Instr{Op: ce.OpVector, N: n, Flops: 2, Srcs: srcs[k : k+1 : k+1]})
+// rankBody is the body whose iteration j is column j of the update:
+// rkRank chained multiply-add sweeps, sweep k reading the length-n stream
+// panel[(k+skew·j) mod rkRank], then the store of the column cols[j] of
+// C. The panel and the columns are slabs built once per kernel call (the
+// panel once per cluster for GM/cache): the CE copies a source stream on
+// issue and reads the store's stream while it runs, so a column allocates
+// nothing.
+func rankBody(n int, panel, cols []ce.Stream, skew int) cfrt.BodyFn {
+	return func(j, k int, in *ce.Instr) bool {
+		switch {
+		case k < rkRank:
+			s := (k + skew*j) % rkRank
+			in.Op, in.N, in.Flops, in.Srcs = ce.OpVector, n, 2, panel[s:s+1:s+1]
+		case k == rkRank:
+			in.Op, in.N, in.Dst = ce.OpVector, n, &cols[j]
+		default:
+			return false
+		}
+		return true
 	}
-	return append(q, ce.Instr{
-		Op: ce.OpVector, N: n, Flops: 0,
-		Dst: &ce.Stream{Space: ce.SpaceGlobal, Base: cCol, Stride: 1},
-	})
+}
+
+// panelStreams returns the rkRank column streams of an n-row panel at
+// base: column k starts k·n words in.
+func panelStreams(space ce.Space, base uint64, n, pref int) []ce.Stream {
+	panel := make([]ce.Stream, rkRank)
+	for k := range panel {
+		panel[k] = ce.Stream{Space: space, Base: base + uint64(k*n), Stride: 1, PrefBlock: pref}
+	}
+	return panel
 }
 
 // RankUpdate computes a rank-64 update to an n×n matrix: C += A·B with A
@@ -101,6 +110,10 @@ func rkColumn(q []ce.Instr, n int, cCol uint64, src func(k int) ce.Stream) []ce.
 func RankUpdate(m *core.Machine, n int, mode RKMode) (Result, error) {
 	aBase := m.AllocGlobalAligned(n*rkRank, 64)
 	cBase := m.AllocGlobalAligned(n*n, 64)
+	cols := make([]ce.Stream, n)
+	for j := range cols {
+		cols[j] = ce.Stream{Space: ce.SpaceGlobal, Base: cBase + uint64(j*n), Stride: 1}
+	}
 
 	switch mode {
 	case RKNoPref, RKPref:
@@ -110,17 +123,11 @@ func RankUpdate(m *core.Machine, n int, mode RKMode) (Result, error) {
 		}
 		// One XDOALL over the n columns of C; each column performs 64
 		// chained multiply-add sweeps over a column of A, then stores
-		// the column of C.
-		body := func(j int, q []ce.Instr) []ce.Instr {
-			return rkColumn(q, n, cBase+uint64(j*n), func(kk int) ce.Stream {
-				// Skew the panel sweep by column so concurrent CEs read
-				// different columns of A instead of marching over the
-				// same addresses in lockstep (the hand-coded kernel's
-				// access pattern).
-				k := (kk + j) % rkRank
-				return ce.Stream{Space: ce.SpaceGlobal, Base: aBase + uint64(k*n), Stride: 1, PrefBlock: pref}
-			})
-		}
+		// the column of C. The panel sweep is skewed by column so
+		// concurrent CEs read different columns of A instead of marching
+		// over the same addresses in lockstep (the hand-coded kernel's
+		// access pattern).
+		body := rankBody(n, panelStreams(ce.SpaceGlobal, aBase, n, pref), cols, 1)
 		return run(m, cfrt.Config{UseCedarSync: true}, 1<<40,
 			cfrt.XDoall{N: n, Static: true, Body: body})
 
@@ -130,31 +137,37 @@ func RankUpdate(m *core.Machine, n int, mode RKMode) (Result, error) {
 		// columns of C are distributed over clusters; all A accesses hit
 		// the cached work array.
 		words := n * rkRank
-		workBase := make([]uint64, len(m.Clusters))
-		for i, cl := range m.Clusters {
-			workBase[i] = cl.AllocLocal(words)
-		}
 		per := len(m.Clusters[0].CEs)
 		chunk := (words + per - 1) / per
+		// Part part of the copy reads copySrc[part] and writes
+		// copyDst[i·per+part] on cluster i.
+		copySrc := make([]ce.Stream, per)
+		for part := range copySrc {
+			copySrc[part] = ce.Stream{Space: ce.SpaceGlobal, Base: aBase + uint64(part*chunk), Stride: 1, PrefBlock: rkPrefBlock}
+		}
+		copyDst := make([]ce.Stream, len(m.Clusters)*per)
+		columns := make([]cfrt.BodyFn, len(m.Clusters))
+		for i, cl := range m.Clusters {
+			workBase := cl.AllocLocal(words)
+			for part := 0; part < per; part++ {
+				copyDst[i*per+part] = ce.Stream{Space: ce.SpaceCluster, Base: workBase + uint64(part*chunk), Stride: 1}
+			}
+			lo := i * n / len(m.Clusters)
+			columns[i] = rankBody(n, panelStreams(ce.SpaceCluster, workBase, n, 0), cols[lo:], 0)
+		}
 		copyPhase := cfrt.SDoall{
 			N: len(m.Clusters), Static: true,
 			Body: func(i int) []cfrt.ClusterPhase {
 				return []cfrt.ClusterPhase{cfrt.CDoall{
 					N: per, Static: true,
-					Body: func(part int, q []ce.Instr) []ce.Instr {
-						lo := part * chunk
-						cnt := chunk
-						if lo+cnt > words {
-							cnt = words - lo
+					Body: func(part, k int, in *ce.Instr) bool {
+						cnt := min(chunk, words-part*chunk)
+						if k > 0 || cnt <= 0 {
+							return false
 						}
-						if cnt <= 0 {
-							return q
-						}
-						return append(q, ce.Instr{
-							Op: ce.OpVector, N: cnt, Flops: 0,
-							Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: aBase + uint64(lo), Stride: 1, PrefBlock: rkPrefBlock}},
-							Dst:  &ce.Stream{Space: ce.SpaceCluster, Base: workBase[i] + uint64(lo), Stride: 1},
-						})
+						in.Op, in.N = ce.OpVector, cnt
+						in.Srcs, in.Dst = copySrc[part:part+1:part+1], &copyDst[i*per+part]
+						return true
 					},
 				}}
 			},
@@ -164,14 +177,7 @@ func RankUpdate(m *core.Machine, n int, mode RKMode) (Result, error) {
 			Body: func(i int) []cfrt.ClusterPhase {
 				lo := i * n / len(m.Clusters)
 				hi := (i + 1) * n / len(m.Clusters)
-				return []cfrt.ClusterPhase{cfrt.CDoall{
-					N: hi - lo,
-					Body: func(jj int, q []ce.Instr) []ce.Instr {
-						return rkColumn(q, n, cBase+uint64((lo+jj)*n), func(k int) ce.Stream {
-							return ce.Stream{Space: ce.SpaceCluster, Base: workBase[i] + uint64(k*n), Stride: 1}
-						})
-					},
-				}}
+				return []cfrt.ClusterPhase{cfrt.CDoall{N: hi - lo, Body: columns[i]}}
 			},
 		}
 		return run(m, cfrt.Config{UseCedarSync: true}, 1<<40, copyPhase, computePhase)
@@ -187,9 +193,15 @@ func VectorLoad(m *core.Machine, n, sweeps int) (Result, error) {
 	// Iteration i's one source stream, from one slab for the machine: the
 	// CE copies a stream on issue and never writes through Srcs.
 	srcs := make([]ce.Stream, len(m.CEs))
-	body := func(i int, q []ce.Instr) []ce.Instr {
+	for i := range srcs {
 		srcs[i] = ce.Stream{Space: ce.SpaceGlobal, Base: base + uint64(i*n), Stride: 1, PrefBlock: 32}
-		return append(q, ce.Instr{Op: ce.OpVector, N: n, Flops: 0, Srcs: srcs[i : i+1 : i+1]})
+	}
+	body := func(i, k int, in *ce.Instr) bool {
+		if k > 0 {
+			return false
+		}
+		in.Op, in.N, in.Srcs = ce.OpVector, n, srcs[i:i+1:i+1]
+		return true
 	}
 	phases := make([]cfrt.Phase, 0, sweeps)
 	for s := 0; s < sweeps; s++ {
@@ -211,31 +223,34 @@ func TriMat(m *core.Machine, n int) (Result, error) {
 	yBase := m.AllocGlobalAligned(n, 64)
 
 	p := len(m.CEs)
-	body := func(part int, q []ce.Instr) []ce.Instr {
-		lo := part * n / p
-		hi := (part + 1) * n / p
-		cnt := hi - lo
-		if cnt <= 0 {
-			return q
+	// Part part's streams, built once: x and the three diagonals at
+	// srcs[4·part:], y at ys[part].
+	srcs := make([]ce.Stream, 4*p)
+	ys := make([]ce.Stream, p)
+	for part := range ys {
+		off := uint64(part * n / p)
+		for d, base := range [4]uint64{xBase, diag[0], diag[1], diag[2]} {
+			srcs[4*part+d] = ce.Stream{Space: ce.SpaceGlobal, Base: base + off, Stride: 1, PrefBlock: 32}
 		}
-		off := uint64(lo)
-		return append(q,
-			// Load x into vector registers (no flops).
-			ce.Instr{Op: ce.OpVector, N: cnt, Flops: 0,
-				Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: xBase + off, Stride: 1, PrefBlock: 32}}},
-			// a(i)·x(i-1): multiply-add against the sub-diagonal.
-			ce.Instr{Op: ce.OpVector, N: cnt, Flops: 2,
-				Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: diag[0] + off, Stride: 1, PrefBlock: 32}}},
-			// b(i)·x(i): multiply-add against the main diagonal.
-			ce.Instr{Op: ce.OpVector, N: cnt, Flops: 2,
-				Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: diag[1] + off, Stride: 1, PrefBlock: 32}}},
-			// c(i)·x(i+1): multiply and final register-register add.
-			ce.Instr{Op: ce.OpVector, N: cnt, Flops: 1,
-				Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: diag[2] + off, Stride: 1, PrefBlock: 32}}},
-			// Store y.
-			ce.Instr{Op: ce.OpVector, N: cnt, Flops: 0,
-				Dst: &ce.Stream{Space: ce.SpaceGlobal, Base: yBase + off, Stride: 1}},
-		)
+		ys[part] = ce.Stream{Space: ce.SpaceGlobal, Base: yBase + off, Stride: 1}
+	}
+	// Instruction k's flops per element: load x into vector registers;
+	// a(i)·x(i-1), b(i)·x(i) as multiply-adds against the sub- and main
+	// diagonals; c(i)·x(i+1) as a multiply and the final register-register
+	// add; store y.
+	flops := [5]int64{0, 2, 2, 1, 0}
+	body := func(part, k int, in *ce.Instr) bool {
+		cnt := (part+1)*n/p - part*n/p
+		if cnt <= 0 || k >= len(flops) {
+			return false
+		}
+		in.Op, in.N, in.Flops = ce.OpVector, cnt, flops[k]
+		if s := 4*part + k; k < 4 {
+			in.Srcs = srcs[s : s+1 : s+1]
+		} else {
+			in.Dst = &ys[part]
+		}
+		return true
 	}
 	return run(m, cfrt.Config{UseCedarSync: true}, 1<<40,
 		cfrt.XDoall{N: p, Static: true, Body: body})

@@ -1,8 +1,6 @@
 package kernels
 
 import (
-	"slices"
-
 	"cedar/internal/ce"
 	"cedar/internal/cfrt"
 	"cedar/internal/core"
@@ -24,8 +22,12 @@ func XDoallStartup(m *core.Machine) (Result, error) {
 			first = cy
 		}
 	}
-	body := func(_ int, q []ce.Instr) []ce.Instr {
-		return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 1, Done: done})
+	body := func(_, k int, in *ce.Instr) bool {
+		if k > 0 {
+			return false
+		}
+		in.Op, in.Cycles, in.Done = ce.OpScalar, 1, done
+		return true
 	}
 	rt := cfrt.New(m, cfrt.Config{UseCedarSync: true}, cfrt.XDoall{N: 64, Body: body})
 	_, err := rt.Run(100_000_000)
@@ -56,39 +58,47 @@ func Loop(m *core.Machine, cfg LoopConfig) (Result, error) {
 }
 
 // EmptyBody is one scalar cycle: a loop of it costs its fetches.
-func EmptyBody(_ int, q []ce.Instr) []ce.Instr {
-	return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 1})
+func EmptyBody(_, k int, in *ce.Instr) bool {
+	if k > 0 {
+		return false
+	}
+	in.Op, in.Cycles = ce.OpScalar, 1
+	return true
 }
 
 // BalancedBody is 60 cycles and 20 flops in every iteration.
-func BalancedBody(_ int, q []ce.Instr) []ce.Instr {
-	return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 60, Flops: 20})
+func BalancedBody(_, k int, in *ce.Instr) bool {
+	if k > 0 {
+		return false
+	}
+	in.Op, in.Cycles, in.Flops = ce.OpScalar, 60, 20
+	return true
 }
 
 // ImbalancedBody is 15 cycles an iteration but 2500 in iterations 480 on:
 // the tail that static scheduling leaves on a few CEs.
-func ImbalancedBody(i int, q []ce.Instr) []ce.Instr {
-	cost := int64(15)
-	if i >= 480 {
-		cost = 2500
+func ImbalancedBody(i, k int, in *ce.Instr) bool {
+	if k > 0 {
+		return false
 	}
-	return append(q, ce.Instr{Op: ce.OpScalar, Cycles: cost, Flops: 20})
+	in.Op, in.Cycles, in.Flops = ce.OpScalar, 15, 20
+	if i >= 480 {
+		in.Cycles = 2500
+	}
+	return true
 }
 
 // PanelSweep is the rank-64 update's panel traffic alone: n/8 statically
 // scheduled iterations, each 64 multiply-add sweeps down the n×64 panel in
 // global memory, prefetched in blocks of block words (0: no prefetch).
 func PanelSweep(m *core.Machine, n, block int) (Result, error) {
-	aBase := m.AllocGlobalAligned(n*rkRank, 64)
-	body := func(j int, q []ce.Instr) []ce.Instr {
-		q = slices.Grow(q, rkRank+1) // and the runtime's loop branch
-		for k := 0; k < rkRank; k++ {
-			q = append(q, ce.Instr{
-				Op: ce.OpVector, N: n, Flops: 2,
-				Srcs: []ce.Stream{{Space: ce.SpaceGlobal, Base: aBase + uint64(k*n), Stride: 1, PrefBlock: block}},
-			})
+	panel := panelStreams(ce.SpaceGlobal, m.AllocGlobalAligned(n*rkRank, 64), n, block)
+	body := func(_, k int, in *ce.Instr) bool {
+		if k >= rkRank {
+			return false
 		}
-		return q
+		in.Op, in.N, in.Flops, in.Srcs = ce.OpVector, n, 2, panel[k:k+1:k+1]
+		return true
 	}
 	rt := cfrt.New(m, cfrt.Config{UseCedarSync: true},
 		cfrt.XDoall{N: n / 8, Static: true, Body: body})

@@ -2,7 +2,6 @@ package perfect
 
 import (
 	"fmt"
-	"slices"
 
 	"cedar/internal/ce"
 	"cedar/internal/cfrt"
@@ -212,12 +211,20 @@ func (b *builder) placement(seg *Segment) Placement {
 // serialPhase is a chunk running on CE 0 only.
 func (b *builder) serialPhase(seg *Segment, flops int64, vector bool) cfrt.Phase {
 	if !vector {
-		return cfrt.Serial{Body: func(q []ce.Instr) []ce.Instr {
-			return append(q, ce.Instr{Op: ce.OpScalar, Cycles: flops * scalarCPF, Flops: flops})
-		}}
+		return cfrt.Serial{Body: scalarBody(flops)}
 	}
-	ins := b.vectorOps(nil, seg, flops, b.segArray(seg, flops))
-	return cfrt.Serial{Body: func(q []ce.Instr) []ce.Instr { return append(q, ins...) }}
+	return cfrt.Serial{Body: b.vectorBody(seg, flops, b.segArray(seg, flops), 1)}
+}
+
+// scalarBody is the body of one scalar instruction of flops.
+func scalarBody(flops int64) cfrt.BodyFn {
+	return func(_, k int, in *ce.Instr) bool {
+		if k > 0 {
+			return false
+		}
+		in.Op, in.Cycles, in.Flops = ce.OpScalar, flops*scalarCPF, flops
+		return true
+	}
 }
 
 // parallelPhase is a chunk spread across the machine.
@@ -233,15 +240,14 @@ func (b *builder) parallelPhase(seg *Segment, flops int64, vector bool) cfrt.Pha
 	grainFlops := flops / int64(n)
 	arr := b.segArray(seg, flops)
 
-	body := func(iter int, q []ce.Instr) []ce.Instr {
-		switch {
-		case seg.ScalarAccess:
-			return b.scalarAccessBody(q, seg, grainFlops, arr, iter)
-		case vector:
-			return b.vectorOps(q, seg, grainFlops, arr.at(iter))
-		default:
-			return append(q, ce.Instr{Op: ce.OpScalar, Cycles: grainFlops * scalarCPF, Flops: grainFlops})
-		}
+	var body cfrt.BodyFn
+	switch {
+	case seg.ScalarAccess:
+		body = scalarAccessBody(seg, grainFlops, arr)
+	case vector:
+		body = b.vectorBody(seg, grainFlops, arr, n)
+	default:
+		body = scalarBody(grainFlops)
 	}
 
 	if b.spec.Variant == Hand && seg.Hier {
@@ -258,8 +264,8 @@ func (b *builder) parallelPhase(seg *Segment, flops int64, vector bool) cfrt.Pha
 			if cnt < 0 {
 				cnt = 0
 			}
-			return []cfrt.ClusterPhase{cfrt.CDoall{N: cnt, Body: func(j int, q []ce.Instr) []ce.Instr {
-				return body(lo+j, q)
+			return []cfrt.ClusterPhase{cfrt.CDoall{N: cnt, Body: func(j, k int, in *ce.Instr) bool {
+				return body(lo+j, k, in)
 			}}}
 		}}
 	}
@@ -317,40 +323,49 @@ func (b *builder) segArray(seg *Segment, flops int64) segArray {
 	return segArray{place: PlaceGlobal, base: base, words: uint64(words), grainWords: uint64(grainWords)}
 }
 
-// vectorOps appends vector instructions totalling the given flops with
-// the segment's memory intensity.
-func (b *builder) vectorOps(q []ce.Instr, seg *Segment, flops int64, arr segArray) []ce.Instr {
+// vectorBody is the body whose iteration iter is vector instructions
+// totalling flops with the segment's memory intensity, over arr.at(iter),
+// for a loop of iters iterations. An iteration's operand streams come from
+// one slab for the phase, indexed by iteration: the CE copies them when
+// the instruction issues, so each instruction of the iteration rewrites
+// its iteration's slots.
+func (b *builder) vectorBody(seg *Segment, flops int64, arr segArray, iters int) cfrt.BodyFn {
 	elems := int(flops / 2)
 	if elems < 4 {
 		elems = 4
 	}
 	const maxOp = 2048
 	wpf := seg.WordsPerFlop
-	opIdx := 0
-	for rem := elems; rem > 0; rem -= maxOp {
-		n := rem
-		if n > maxOp {
-			n = maxOp
-		}
-		in := ce.Instr{Op: ce.OpVector, N: n, Flops: 2}
-		nstreams := 0
+	// nstreams is instruction k's operand count; the first has the most.
+	nstreams := func(k int) int {
 		switch {
 		case wpf >= 0.9:
-			nstreams = 2
+			return 2
 		case wpf >= 0.4:
-			nstreams = 1
-		case wpf >= 0.15:
-			if opIdx%2 == 0 {
-				nstreams = 1
+			return 1
+		case wpf >= 0.15 && k%2 == 0:
+			return 1
+		}
+		return 0
+	}
+	width := nstreams(0)
+	srcs := make([]ce.Stream, iters*width)
+	return func(iter, k int, in *ce.Instr) bool {
+		rem := elems - k*maxOp
+		if rem <= 0 {
+			return false
+		}
+		n := min(rem, maxOp)
+		in.Op, in.N, in.Flops = ce.OpVector, n, 2
+		if ns := nstreams(k); ns > 0 {
+			a, at := arr.at(iter), iter*width
+			in.Srcs = srcs[at : at+ns : at+ns]
+			for s := range in.Srcs {
+				in.Srcs[s] = b.stream(a, n, s == 0)
 			}
 		}
-		for s := 0; s < nstreams; s++ {
-			in.Srcs = append(in.Srcs, b.stream(arr, n, s == 0))
-		}
-		q = append(q, in)
-		opIdx++
+		return true
 	}
-	return q
 }
 
 // stream builds one operand stream over the segment array. Only the first
@@ -372,7 +387,7 @@ func (b *builder) stream(arr segArray, n int, first bool) ce.Stream {
 
 // scalarAccessBody models TRACK-style work: scalar global loads
 // interleaved with short scalar computation.
-func (b *builder) scalarAccessBody(q []ce.Instr, seg *Segment, flops int64, arr segArray, iter int) []ce.Instr {
+func scalarAccessBody(seg *Segment, flops int64, arr segArray) cfrt.BodyFn {
 	loads := int(float64(flops) * seg.WordsPerFlop)
 	if loads < 1 {
 		loads = 1
@@ -381,13 +396,15 @@ func (b *builder) scalarAccessBody(q []ce.Instr, seg *Segment, flops int64, arr 
 		loads = 48
 	}
 	per := flops / int64(loads)
-	q = slices.Grow(q, 2*loads+1) // and the runtime's loop branch
-	for l := 0; l < loads; l++ {
-		addr := arr.base + (uint64(iter*loads+l)*7)%arr.words
-		q = append(q,
-			ce.Instr{Op: ce.OpGlobalLoad, Addr: addr},
-			ce.Instr{Op: ce.OpScalar, Cycles: per * scalarCPF, Flops: per},
-		)
+	return func(iter, k int, in *ce.Instr) bool {
+		switch {
+		case k >= 2*loads:
+			return false
+		case k%2 == 0:
+			in.Op, in.Addr = ce.OpGlobalLoad, arr.base+(uint64(iter*loads+k/2)*7)%arr.words
+		default:
+			in.Op, in.Cycles, in.Flops = ce.OpScalar, per*scalarCPF, per
+		}
+		return true
 	}
-	return q
 }

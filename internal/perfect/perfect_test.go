@@ -169,19 +169,21 @@ func TestKAPOneClusterConfinement(t *testing.T) {
 // at the slice length cedarperf's suite workload uses (twice the paper's
 // Reps). The two points are the ones whose cost used to be waiting, not
 // work: TRACK auto without Cedar synchronization spends its run retrying
-// the claim lock and building 96-instruction scalar-access bodies, QCD
+// the claim lock and issuing 96-instruction scalar-access bodies, QCD
 // under KAP spends it polling barrier flags. With instructions queued by
 // value, waits held as participant state and loops as a participant frame
 // (DESIGN.md, "Instruction ownership") they cost ≈770 and ≈660 objects;
 // with the machine and the runtime built from slabs and sized on first
 // touch (DESIGN.md, "Demand-materialised state") ≈263 and ≈198; with one
 // completion callback per runtime and no arrival record on an unobserved
-// PFU ≈200 and ≈135 — the budgets are those × 1.1. Two callbacks per
-// participant and a record per PFU put them back at ≈263 and ≈198, a
-// closure chain per iteration at 7,000 and 1,100, a closure per poll or a
-// heap Instr per body instruction at 328,000 and 169,000. Under -race the
-// compiler keeps the temporary behind every slices.Grow, so a raced build
-// gets 15% more.
+// PFU ≈200 and ≈135; with bodies asked for one instruction at a time, a
+// vector phase's streams in one slab and a cache's miss state made on
+// first use ≈142 and ≈108 (≈146 and ≈112 under -race) — the budgets are
+// those × 1.1. Queued whole iterations and eager cache state put them
+// back at ≈186 and ≈121, two callbacks per participant and a record per
+// PFU at ≈263 and ≈198, a closure chain per iteration at 7,000 and 1,100,
+// a closure per poll or a heap Instr per body instruction at 328,000 and
+// 169,000.
 func TestRunBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -189,13 +191,10 @@ func TestRunBudget(t *testing.T) {
 		spec   Spec
 		budget float64
 	}{
-		{"TRACK auto-nosync", TRACK(), Spec{Variant: Auto, NoSync: true}, 220},
-		{"QCD kap", QCD(), Spec{Variant: KAP}, 149},
+		{"TRACK auto-nosync", TRACK(), Spec{Variant: Auto, NoSync: true}, 156},
+		{"QCD kap", QCD(), Spec{Variant: KAP}, 119},
 	} {
 		tc.prof.Reps *= 2
-		if raceEnabled {
-			tc.budget *= 1.15
-		}
 		got := testing.AllocsPerRun(2, func() {
 			if _, err := Run(params.Default(), tc.prof, tc.spec); err != nil {
 				t.Fatal(err)

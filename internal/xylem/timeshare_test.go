@@ -59,8 +59,12 @@ func TestTimeSharerSingleTaskNoOverhead(t *testing.T) {
 // task.
 func TestMultiprogrammingPerturbsBarrierCode(t *testing.T) {
 	p := params.Default()
-	body := func(i int, q []ce.Instr) []ce.Instr {
-		return append(q, ce.Instr{Op: ce.OpScalar, Cycles: 50, Flops: 10})
+	body := func(_, k int, in *ce.Instr) bool {
+		if k > 0 {
+			return false
+		}
+		*in = ce.Instr{Op: ce.OpScalar, Cycles: 50, Flops: 10}
+		return true
 	}
 	barrierPhases := func() []cfrt.Phase {
 		var phs []cfrt.Phase
