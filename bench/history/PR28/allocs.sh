@@ -11,9 +11,9 @@
 # each of the top three by bytes its callers and callees (go tool pprof
 # -peek), which name the body or constructor behind a generic site such as
 # slices.Grow. It first
-# prints what core.New costs in objects on Cedar and Cedar64, with and
-# without a hub, and per CE and per cluster (from Cedar at 2 CEs per
-# cluster and at 2 clusters). The points are cedarperf's, at full scale;
+# prints what core.New costs in objects and KB on Cedar and Cedar64, with
+# and without a hub, and in objects per CE and per cluster (from Cedar at
+# 2 CEs per cluster and at 2 clusters). The points are cedarperf's, at full scale;
 # suite runs its eleven Perfect proxies serially, so it prints the same
 # objects as a jobs-2 pass but no timing.
 set -euo pipefail
@@ -109,10 +109,11 @@ func zzOps(workload string) []func() {
 }
 
 // zzBuild is what one core.New of p allocates under a hub as bench
-// points build (hub false: none), least of three, on one P.
-func zzBuild(p params.Machine, hub bool) uint64 {
+// points build (hub false: none), in objects and bytes, each the least of
+// three, on one P.
+func zzBuild(p params.Machine, hub bool) (objects, bytes uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	best := uint64(math.MaxUint64)
+	objects, bytes = math.MaxUint64, math.MaxUint64
 	for try := 0; try < 3; try++ {
 		var h *scope.Hub
 		if hub {
@@ -125,20 +126,23 @@ func zzBuild(p params.Machine, hub bool) uint64 {
 			panic(err)
 		}
 		runtime.ReadMemStats(&b)
-		best = min(best, b.Mallocs-a.Mallocs)
+		objects = min(objects, b.Mallocs-a.Mallocs)
+		bytes = min(bytes, b.TotalAlloc-a.TotalAlloc)
 	}
-	return best
+	return objects, bytes
 }
 
 func TestZZBuild(t *testing.T) {
 	twoCEs, twoClusters := params.Default(), params.Default()
 	twoCEs.CEsPerCluster, twoClusters.Clusters = 2, 2
+	objects := func(p params.Machine, hub bool) uint64 { n, _ := zzBuild(p, hub); return n }
 	for _, hub := range []bool{false, true} {
-		full := zzBuild(params.Default(), hub)
-		perCE := float64(full-zzBuild(twoCEs, hub)) / 24
-		perCluster := float64(full-zzBuild(twoClusters, hub))/2 - 8*perCE
-		fmt.Printf("core.New hub=%v: Cedar %d objects, Cedar64 %d; per CE %.1f, per cluster (beside its CEs) %.1f\n",
-			hub, full, zzBuild(params.Cedar64(), hub), perCE, perCluster)
+		full, fullBytes := zzBuild(params.Default(), hub)
+		wide, wideBytes := zzBuild(params.Cedar64(), hub)
+		perCE := float64(full-objects(twoCEs, hub)) / 24
+		perCluster := float64(full-objects(twoClusters, hub))/2 - 8*perCE
+		fmt.Printf("core.New hub=%v: Cedar %d objects (%.1f KB), Cedar64 %d (%.1f KB); per CE %.1f, per cluster (beside its CEs) %.1f\n",
+			hub, full, float64(fullBytes)/1024, wide, float64(wideBytes)/1024, perCE, perCluster)
 	}
 }
 

@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"cedar/internal/fault"
@@ -15,12 +18,13 @@ import (
 // — PFU buffers, packet-pool refills, memory-module reply stages, runtime
 // queues — and what the outcome copies out of the hub, so a first-touch
 // allocation that comes back per element, or a per-cell cost on the
-// outcome path, shows up here: ≈495 objects, budget × 1.1; an arrival
+// outcome path, shows up here: ≈472 objects, budget × 1.1; an arrival
 // record per PFU and two completion callbacks per participant put
-// Point.Run alone at ≈942, and a cache page index, miss-count slice and
-// miss table built with each of its 16 caches at ≈543.
+// Point.Run alone at ≈942, a cache page index, miss-count slice and miss
+// table built with each of its 16 caches at ≈543, and a page map built
+// with each of its 17 memory stores at ≈488.
 func TestPointRunBudget(t *testing.T) {
-	const budget = 544
+	const budget = 519
 	pt := Point{
 		Machine:  MachineSpec{Name: "cedar16", Scaled: 16},
 		Workload: WorkloadSpec{Name: "cedar16-vl512", Kind: "vectorload", N: 512, Sweeps: 1},
@@ -34,6 +38,42 @@ func TestPointRunBudget(t *testing.T) {
 		t.Errorf("%s allocates %.0f objects, budget %d", pt.Workload.Name, got, budget)
 	}
 	t.Logf("%s: %.0f objects", pt.Workload.Name, got)
+}
+
+// TestDensePointByteBudget bounds the bytes one dense kernel cell
+// allocates: runPoint on cedarperf's dense point rank48-nopref (Cedar, a
+// rank-48 update without prefetch), whose vector stores carry the value 0
+// into global memory. TestPointRunBudget counts objects, and a memory page
+// is one object whatever its size, so only a byte count sees pages come
+// back: ≈161 KB, budget × 1.1, where a 32 KB page for the first store of
+// any value put it at ≈225 KB. It reads raw MemStats deltas as core's
+// buildCost does: one P, the collector off, the least of three.
+func TestDensePointByteBudget(t *testing.T) {
+	const budget = 177 << 10
+	pt := Point{
+		Machine:  MachineSpec{Name: "cedar"},
+		Workload: WorkloadSpec{Name: "rank48-nopref", Kind: "rank", N: 48, Variant: "nopref"},
+	}
+	run := func() {
+		if _, err := runPoint(pt.Workload.Name, pt, DefaultMetrics, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run() // warm-up: first-use costs outside the count
+	bytes := uint64(math.MaxUint64)
+	for try := 0; try < 3; try++ {
+		var a, b runtime.MemStats
+		runtime.ReadMemStats(&a)
+		run()
+		runtime.ReadMemStats(&b)
+		bytes = min(bytes, b.TotalAlloc-a.TotalAlloc)
+	}
+	if bytes > budget {
+		t.Errorf("%s allocates %d KB, budget %d KB", pt.Workload.Name, bytes>>10, budget>>10)
+	}
+	t.Logf("%s: %d bytes (%d KB)", pt.Workload.Name, bytes, bytes>>10)
 }
 
 // TestFaultRecoveryCostsNoObjectPerFault runs a prefetched vectorload

@@ -64,9 +64,11 @@ type CE struct {
 	// Vector execution.
 	vec vecState
 
-	// Store tracking (global write acks).
+	// Store tracking (global write acks). pendingStores holds, in order,
+	// up to storePendingCap retired stores the forward fabric refused,
+	// linked through the packets themselves: a refusal costs no object.
 	storesOutstanding int
-	pendingStores     []*network.Packet
+	pendingStores     network.WordQueue
 
 	// Accounting.
 	flops     int64
@@ -209,10 +211,10 @@ func (c *CE) Name() string { return fmt.Sprintf("ce%d", c.ID) }
 // stores drain, so the run can end and report the degradation.
 func (c *CE) Idle() bool {
 	if c.failErr != nil {
-		return c.storesOutstanding == 0 && len(c.pendingStores) == 0
+		return c.storesOutstanding == 0 && c.pendingStores.Head() == nil
 	}
 	return c.finished && c.cur == nil && c.storesOutstanding == 0 &&
-		len(c.pendingStores) == 0 && !c.pfu.Busy()
+		c.pendingStores.Head() == nil && !c.pfu.Busy()
 }
 
 // SetWaker installs the CE's engine handle, woken by cache completions
@@ -242,7 +244,7 @@ func (c *CE) NextWakeup(now int64) int64 {
 	if t := c.rev.NextAt(c.Port, now-1); t != sim.Never && t+1 < w {
 		w = t + 1
 	}
-	if len(c.pendingStores) > 0 {
+	if c.pendingStores.Head() != nil {
 		return now // retryStores offers every cycle
 	}
 	if c.cur == nil {
@@ -409,7 +411,7 @@ func (c *CE) execute(cycle int64) {
 		}
 
 	case OpFence:
-		if c.storesOutstanding == 0 && len(c.pendingStores) == 0 {
+		if c.storesOutstanding == 0 && c.pendingStores.Head() == nil {
 			c.retire(cycle)
 		}
 
@@ -549,26 +551,23 @@ func (c *CE) CacheDone(tag uint64, at int64) {
 	c.wake.Wake(at)
 }
 
+// offerStore issues a store, or queues it behind the stores the fabric
+// refused; it reports false, and keeps nothing, when the queue is full.
 func (c *CE) offerStore(pkt *network.Packet) bool {
-	if len(c.pendingStores) > 0 {
-		// Preserve order behind earlier refused stores.
-		if len(c.pendingStores) >= storePendingCap {
-			return false
-		}
-		c.pendingStores = append(c.pendingStores, pkt)
-		return true
-	}
-	if c.fwd.Offer(pkt) {
+	// Only with no refused store waiting may a store pass them: stores
+	// reach the fabric in order.
+	if c.pendingStores.Head() == nil && c.fwd.Offer(pkt) {
 		c.storesOutstanding++
 		return true
 	}
-	if len(c.pendingStores) >= storePendingCap {
+	if !c.pendingStores.CanAccept(pkt.Words(), storePendingCap*network.WriteReq.WireWords()) {
 		return false
 	}
-	c.pendingStores = append(c.pendingStores, pkt)
+	c.pendingStores.Push(pkt)
 	return true
 }
 
+// storePendingCap is how many refused stores a CE holds.
 const storePendingCap = 8
 
 // offerVecStore issues one vector-element global store.
@@ -587,13 +586,15 @@ func (c *CE) offerVecStore(addr uint64, cycle int64) bool {
 	return false
 }
 
+// retryStores offers the refused stores, oldest first, until the fabric
+// refuses one again. A store leaves the queue before it is offered, since
+// the fabric's queue links it through the same field.
 func (c *CE) retryStores() {
-	for len(c.pendingStores) > 0 {
-		if !c.fwd.Offer(c.pendingStores[0]) {
+	for pkt := c.pendingStores.Pop(); pkt != nil; pkt = c.pendingStores.Pop() {
+		if !c.fwd.Offer(pkt) {
+			c.pendingStores.PushFront(pkt)
 			return
 		}
 		c.storesOutstanding++
-		copy(c.pendingStores, c.pendingStores[1:])
-		c.pendingStores = c.pendingStores[:len(c.pendingStores)-1]
 	}
 }

@@ -381,3 +381,57 @@ func TestGeneratorMatchesProgram(t *testing.T) {
 		t.Errorf("exhausted generator returned status %v, want Finished", st)
 	}
 }
+
+// storeStream issues n scalar global stores, all to memory module 0, and
+// counts the stalls: the times the CE asks for the next store more than
+// two cycles after the last, because the store before it found the CE's
+// queue of refused stores full.
+type storeStream struct {
+	n, i   int
+	last   int64
+	stalls int
+}
+
+func (s *storeStream) Next(_ int, cycle int64, in *Instr) Status {
+	if s.i > 0 && cycle-s.last > 2 {
+		s.stalls++
+	}
+	s.last = cycle
+	if s.i == s.n {
+		return Finished
+	}
+	in.Op, in.Addr, in.Value = OpGlobalStore, uint64(32*s.i), int64(s.i+1)
+	s.i++
+	return Ready
+}
+
+// TestRefusedStoresCostNoObject saturates the forward fabric with stores:
+// the CE issues one a cycle, all to one module, and a two-word store holds
+// the CE's ingress wire two cycles, so the fabric refuses them and they
+// wait in the CE until its queue is full (storePendingCap) and the CE
+// stalls. Each measured run starts from the CE as New built it, its queue
+// empty, so a queue that grows on a CE's first refusal pays on every run:
+// refused stores must cost no object.
+func TestRefusedStoresCostNoObject(t *testing.T) {
+	r := newRig(t, 1)
+	c := r.ces[0]
+	built, ctrl := *c, new(storeStream)
+	done := func() bool { return c.Idle() }
+	allocs := testing.AllocsPerRun(5, func() {
+		*c, *ctrl = built, storeStream{n: 64}
+		c.SetController(ctrl)
+		if err := r.eng.RunUntil(done, 100_000); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if ctrl.stalls == 0 || c.fwd.Stats().Refused == 0 {
+		t.Fatalf("the fabric refused %d stores and the CE stalled %d times on a full queue; want both", c.fwd.Stats().Refused, ctrl.stalls)
+	}
+	if allocs != 0 {
+		t.Errorf("a run of refused stores allocates %.0f objects, want 0", allocs)
+	}
+	if got := r.mem.Store().Load(32 * 63); got != 64 {
+		t.Errorf("last store wrote %d, want 64", got)
+	}
+	t.Logf("refused %d offers, %d stalls", c.fwd.Stats().Refused, ctrl.stalls)
+}

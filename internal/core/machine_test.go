@@ -160,16 +160,18 @@ func TestAttachBlockStats(t *testing.T) {
 // handles by value, so a per-port closure or a per-stage table (406 and
 // 5,064 objects before both went) shows up here. Every experiment point
 // builds under a hub (bench.Point.Run), so the hub's instrumentation is
-// budgeted too. Cedar and Cedar64 cost ≈62 and ≈366 objects (≈92 and
-// ≈397 under a hub), and ≈60 and ≈794 KB (≈65 and ≈841 KB under a hub),
+// budgeted too. Cedar and Cedar64 cost ≈52 and ≈292 objects (≈82 and
+// ≈323 under a hub), and ≈60 and ≈787 KB (≈64 and ≈834 KB under a hub),
 // each budget × 1.1. A fabric line costs the packets queued on it, a
 // cache's request rings and miss counts appear on its first Submit, its
 // tag-store page index on its first fill and its miss table on its first
-// miss: giving the reverse fabric's egress ports back a 65-slot ring each
-// (33 KB on Cedar, 266 KB on Cedar64), every cache its rings at
-// construction (3.2 KB and an object per cluster), or its page index,
-// miss counts and miss table (three objects per cluster: Cedar64 at 558)
-// fails these budgets.
+// miss, and a memory store's page map on its first nonzero store: giving
+// the reverse fabric's egress ports back a 65-slot ring each (33 KB on
+// Cedar, 266 KB on Cedar64), every cache its rings at construction (3.2
+// KB and an object per cluster), or its page index, miss counts and miss
+// table (three objects per cluster: Cedar64 at 558), or every global and
+// cluster memory store its page map at construction (65 stores: Cedar64
+// at 357) fails these budgets.
 func TestBuildBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -178,10 +180,10 @@ func TestBuildBudget(t *testing.T) {
 		budget  int64
 		objects int64
 	}{
-		{"Cedar", params.Default(), false, 66 << 10, 68},
-		{"Cedar64", params.Cedar64(), false, 873 << 10, 402},
-		{"Cedar+hub", params.Default(), true, 71 << 10, 101},
-		{"Cedar64+hub", params.Cedar64(), true, 925 << 10, 436},
+		{"Cedar", params.Default(), false, 66 << 10, 57},
+		{"Cedar64", params.Cedar64(), false, 867 << 10, 321},
+		{"Cedar+hub", params.Default(), true, 71 << 10, 90},
+		{"Cedar64+hub", params.Cedar64(), true, 918 << 10, 355},
 	} {
 		objects, bytes := buildCost(t, tc.p, tc.hub)
 		if bytes > tc.budget {

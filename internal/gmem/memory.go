@@ -136,6 +136,7 @@ func New(p params.Machine, fwd, rev network.Fabric, data *Store) *Memory {
 		data:       data,
 		mods:       make([]module, p.MemModules),
 		portStride: stride,
+		live:       make([]int, 0, p.MemModules),
 		active:     make([]uint64, (p.MemModules+63)/64),
 		lastTick:   -1,
 	}
@@ -170,7 +171,8 @@ func (m *Memory) SetFaults(inj *fault.Injector) {
 	m.remap()
 }
 
-// remap rebuilds the live-module list from the injector's dead set.
+// remap rebuilds the live-module list from the injector's dead set, in
+// the one slice New made with room for every module.
 func (m *Memory) remap() {
 	m.live = m.live[:0]
 	for i := range m.mods {

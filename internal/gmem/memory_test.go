@@ -3,8 +3,8 @@ package gmem
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
+	"cedar/internal/fault"
 	"cedar/internal/network"
 	"cedar/internal/params"
 	"cedar/internal/sim"
@@ -304,38 +304,6 @@ func TestManyPortsLatencyDegradesUnderLoad(t *testing.T) {
 	}
 }
 
-func TestStoreSparse(t *testing.T) {
-	s := NewStore()
-	if s.Load(1<<40) != 0 {
-		t.Error("untouched word should read 0")
-	}
-	s.StoreWord(1<<40, 9)
-	if s.Load(1<<40) != 9 {
-		t.Error("round trip failed")
-	}
-	if old := s.Add(1<<40, 5); old != 9 {
-		t.Errorf("Add old = %d, want 9", old)
-	}
-	if s.Load(1<<40) != 14 {
-		t.Error("Add did not store")
-	}
-	if s.Footprint() != 1 {
-		t.Errorf("footprint %d, want 1 chunk", s.Footprint())
-	}
-}
-
-func TestStoreRoundTripProperty(t *testing.T) {
-	s := NewStore()
-	f := func(addr uint64, v int64) bool {
-		addr %= 1 << 33
-		s.StoreWord(addr, v)
-		return s.Load(addr) == v
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestRandomTrafficConservesReplies(t *testing.T) {
 	r := newRig(t)
 	rng := rand.New(rand.NewSource(3))
@@ -357,5 +325,38 @@ func TestRandomTrafficConservesReplies(t *testing.T) {
 	st := r.mem.Stats()
 	if st.Reads+st.Writes != int64(n) {
 		t.Errorf("memory stats count %d, want %d", st.Reads+st.Writes, n)
+	}
+}
+
+// TestNewCostsNoObjectPerModule builds memories of 32 and 2 modules, with
+// and without a dead bank, and requires them to cost the same objects:
+// New carves every per-module table from slabs sized once, so a table that
+// grows by append as modules are added (a live-module list appended from
+// nil is four more objects at 32 modules than at 2) fails here.
+func TestNewCostsNoObjectPerModule(t *testing.T) {
+	store := NewStore()
+	cost := func(modules int, dead bool) float64 {
+		p := params.Default()
+		p.MemModules = modules
+		var inj *fault.Injector
+		if dead {
+			var err error
+			if inj, err = fault.NewInjector(p, &fault.Plan{Faults: []fault.Fault{{Kind: fault.BankDead, Module: 1}}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(10, func() {
+			m := New(p, nil, nil, store)
+			if dead {
+				m.SetFaults(inj)
+			}
+		})
+	}
+	for _, dead := range []bool{false, true} {
+		wide, narrow := cost(32, dead), cost(2, dead)
+		if wide != narrow {
+			t.Errorf("dead bank %v: New costs %.0f objects at 32 modules, %.0f at 2", dead, wide, narrow)
+		}
+		t.Logf("dead bank %v: %.0f objects at 32 modules and %.0f at 2", dead, wide, narrow)
 	}
 }

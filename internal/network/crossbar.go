@@ -21,7 +21,7 @@ type Crossbar struct {
 	latency int64 // minimum transit cycles, matching the omega's stage count
 
 	pending  pktHeap     // packets in transit, ordered by arrival time
-	egress   []wordQueue // unbounded: pushed without canAccept
+	egress   []WordQueue // unbounded: pushed without CanAccept
 	outFree  []int64     // next cycle each egress port may deliver a word
 	stats    Stats
 	inflight int
@@ -45,7 +45,7 @@ func NewCrossbar(name string, ports int, latency int) *Crossbar {
 		name:    name,
 		ports:   ports,
 		latency: int64(latency),
-		egress:  make([]wordQueue, ports),
+		egress:  make([]WordQueue, ports),
 		outFree: make([]int64, ports),
 		sinks:   make([]PortSink, ports),
 	}
@@ -171,7 +171,7 @@ func (c *Crossbar) Tick(cycle int64) {
 			continue
 		}
 		p := c.pending.pop().pkt
-		c.egress[p.Dst].push(p)
+		c.egress[p.Dst].Push(p)
 		if s := c.sinks[p.Dst]; s != nil {
 			// Consumable this very cycle by an after-fabric sink.
 			s.PortReady(p.Dst, cycle)
@@ -186,7 +186,7 @@ func (c *Crossbar) Peek(port int) *Packet {
 
 // Poll implements Fabric.
 func (c *Crossbar) Poll(port int) *Packet {
-	p := c.egress[port].pop()
+	p := c.egress[port].Pop()
 	if p != nil {
 		c.stats.Delivered++
 		c.inflight--

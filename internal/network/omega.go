@@ -117,7 +117,7 @@ type Omega struct {
 
 	st []stage
 	// egress[p] is the delivery queue at egress port p.
-	egress []wordQueue
+	egress []WordQueue
 	// stageWords and egressWords are the capacities of a stage line and
 	// an egress port's delivery queue, in words.
 	stageWords, egressWords int
@@ -159,7 +159,7 @@ type wire struct {
 // stage is one switch column with the queues at its inputs.
 type stage struct {
 	// in[l] is the queue at input line l.
-	in []wordQueue
+	in []WordQueue
 	// digit[d] is the switch output a packet for egress port d takes here:
 	// base-k digit stages-1-t of d (tag control), tabulated so a hop costs
 	// a byte load instead of two divisions by a runtime radix.
@@ -230,12 +230,12 @@ func NewOmega(cfg OmegaConfig) *Omega {
 		egressCap = 2 * cfg.QueueWords
 	}
 	// Per-line state is carved from one slab per element type — the stage
-	// and egress lines' queues from one []wordQueue — and the per-line
+	// and egress lines' queues from one []WordQueue — and the per-line
 	// counters are bytes (a digit, a round-robin pointer and a wire's busy
 	// cycles are all below maxRadix): what a fabric costs core.New is
 	// eight objects whatever its stage count.
 	n, k := cfg.Ports, cfg.Radix
-	queues := make([]wordQueue, (stages+1)*n)
+	queues := make([]WordQueue, (stages+1)*n)
 	bytes := make([]uint8, (1+3*stages)*n)
 	carve := func() []uint8 {
 		s := bytes[:n:n]
@@ -356,12 +356,12 @@ func (o *Omega) Offer(p *Packet) bool {
 	}
 	st, to := &o.st[0], o.shuf[p.Src]
 	q := &st.in[to.line]
-	if !q.canAccept(p.Words(), o.stageWords) {
+	if !q.CanAccept(p.Words(), o.stageWords) {
 		o.refuse(p.Src)
 		return false
 	}
 	p.readyAt = o.now
-	q.push(p)
+	q.Push(p)
 	st.arrive(to.bit)
 	o.ingressBusy[p.Src] = uint8(p.Words())
 	o.ingressList = append(o.ingressList, p.Src)
@@ -384,7 +384,7 @@ func (st *stage) arrive(bit int32) {
 
 // depart accounts a packet popped from q, the queue of the input line
 // whose occupancy bit is bit.
-func (st *stage) depart(q *wordQueue, bit int32) {
+func (st *stage) depart(q *WordQueue, bit int32) {
 	if q.head == nil {
 		st.occ[bit>>6] &^= 1 << (bit & 63)
 	}
@@ -416,7 +416,7 @@ func (o *Omega) Poll(port int) *Packet {
 	if o.Peek(port) == nil {
 		return nil
 	}
-	p := o.egress[port].pop()
+	p := o.egress[port].Pop()
 	o.stats.Delivered++
 	o.inflight--
 	return p
@@ -514,7 +514,7 @@ func (o *Omega) tickStage(t int, cycle int64) {
 					// The wire eats the packet: it leaves its queue and
 					// never arrives. Only idempotent prefetch reads are
 					// droppable; the PFU reissues the element.
-					src.pop()
+					src.Pop()
 					st.depart(src, int32(swBit+inp))
 					o.inflight--
 					continue
@@ -523,13 +523,13 @@ func (o *Omega) tickStage(t int, cycle int64) {
 				if !last {
 					dst, capWords = &o.st[t+1].in[to.line], o.stageWords
 				}
-				if !dst.canAccept(h.Words(), capWords) {
+				if !dst.CanAccept(h.Words(), capWords) {
 					continue // head-of-line blocking: this output stalls
 				}
-				src.pop()
+				src.Pop()
 				st.depart(src, int32(swBit+inp))
 				h.readyAt = cycle + int64(h.Words())
-				dst.push(h)
+				dst.Push(h)
 				if !last {
 					o.st[t+1].arrive(to.bit)
 				} else if s := o.sinks[gout]; s != nil {

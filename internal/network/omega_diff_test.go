@@ -68,7 +68,7 @@ func assertOccupancy(t testing.TB, o *Omega) {
 // the walk ends (at a nil link) on tail and words is the sum of the
 // packets' Words. A stale link — a packet still linked when it is pushed
 // again or returned to the pool — breaks one of the three.
-func queueLen(t testing.TB, q *wordQueue) int {
+func queueLen(t testing.TB, q *WordQueue) int {
 	if q.head == nil {
 		if q.tail != nil || q.words != 0 {
 			t.Fatalf("empty queue has tail %v and %d words", q.tail, q.words)

@@ -12,9 +12,10 @@ package network
 // never returns; the pool forgets it and the garbage collector takes over.
 //
 // The freelist threads through the packets' next links, the same link
-// the fabrics' queues use: a packet is in at most one list at a time —
-// the pool's, one fabric queue's, or none while a component holds it.
-// That is why Put needs the only live reference.
+// every WordQueue uses: a packet is in at most one list at a time — the
+// pool's, one fabric queue's, one CE's queue of stores the forward fabric
+// refused, or none while a component holds it. That is why Put needs the
+// only live reference.
 //
 // An empty pool refills from a slab as large as every packet it has built
 // so far (4 the first time): a machine that peaks at P packets in flight

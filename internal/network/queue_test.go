@@ -9,42 +9,55 @@ import (
 // accepts exactly capWords one-word packets and refuses the next, a
 // two-word packet is refused while one word is free, an empty line
 // accepts one packet longer than its capacity (cut-through) and nothing
-// after it, and pop returns the packets in order with their links cleared.
+// after it, Pop returns the packets in order with their links cleared, and
+// a packet popped and put back with PushFront is the next one out, on a
+// full line and on an empty one.
 func TestWordQueueEdges(t *testing.T) {
 	const capWords = 4
-	var q wordQueue
+	var q WordQueue
 	pkts := make([]Packet, capWords)
 	for i := range pkts {
-		if !q.canAccept(1, capWords) {
+		if !q.CanAccept(1, capWords) {
 			t.Fatalf("line of %d words refused one-word packet %d", capWords, i)
 		}
-		q.push(&pkts[i])
+		q.Push(&pkts[i])
 	}
-	if q.canAccept(1, capWords) {
+	if q.CanAccept(1, capWords) {
 		t.Fatalf("full line of %d words accepts one more word", capWords)
 	}
-	q.pop()
-	if q.canAccept(WriteReq.WireWords(), capWords) {
+	if p := q.Pop(); p != &pkts[0] || q.Head() != &pkts[1] {
+		t.Fatalf("Pop returned %p, head %p; want %p, %p", p, q.Head(), &pkts[0], &pkts[1])
+	}
+	q.PushFront(&pkts[0])
+	if q.Head() != &pkts[0] || q.CanAccept(1, capWords) {
+		t.Fatal("PushFront did not restore the full line's head")
+	}
+	q.Pop()
+	if q.CanAccept(WriteReq.WireWords(), capWords) {
 		t.Fatal("line with one word free accepts a two-word packet")
 	}
-	if !q.canAccept(ReadReq.WireWords(), capWords) {
+	if !q.CanAccept(ReadReq.WireWords(), capWords) {
 		t.Fatal("line with one word free refuses a one-word packet")
 	}
 	for i := 1; i < len(pkts); i++ {
-		if p := q.pop(); p != &pkts[i] || p.next != nil {
+		if p := q.Pop(); p != &pkts[i] || p.next != nil {
 			t.Fatalf("pop %d returned %p (next %v), want %p unlinked", i, p, p.next, &pkts[i])
 		}
 	}
-	if q.pop() != nil || q.head != nil || q.tail != nil || q.words != 0 {
+	if q.Pop() != nil || q.head != nil || q.tail != nil || q.words != 0 {
 		t.Fatalf("drained line is %+v, want empty", q)
+	}
+	q.PushFront(&pkts[0])
+	if q.head != &pkts[0] || q.tail != &pkts[0] || q.words != 1 || q.Pop() != &pkts[0] || q.tail != nil {
+		t.Fatalf("PushFront onto an empty line then Pop leaves %+v, want empty", q)
 	}
 
 	long := Packet{Kind: WriteReq}
-	if !q.canAccept(long.Words(), 1) {
+	if !q.CanAccept(long.Words(), 1) {
 		t.Fatal("empty one-word line refuses a two-word packet")
 	}
-	q.push(&long)
-	if q.canAccept(ReadReq.WireWords(), 1) {
+	q.Push(&long)
+	if q.CanAccept(ReadReq.WireWords(), 1) {
 		t.Fatal("one-word line holding an oversized packet accepts another")
 	}
 }
