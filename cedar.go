@@ -307,7 +307,7 @@ type TimeSharer = xylem.TimeSharer
 // NewTimeSharer gang-schedules several programs onto one machine with the
 // given quantum (cycles), paying Xylem's cluster-task switch cost.
 func NewTimeSharer(p Params, quantum int64, tasks ...Controller) *TimeSharer {
-	return xylem.NewTimeSharer(p, xylem.DefaultTasks(), quantum, tasks...)
+	return xylem.NewTimeSharer(p, quantum, tasks...)
 }
 
 // Controller feeds instructions to CEs; Runtime and TimeSharer implement it.

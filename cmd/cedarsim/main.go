@@ -52,7 +52,6 @@ import (
 
 	"cedar/internal/cliutil"
 	"cedar/internal/fault"
-	"cedar/internal/params"
 	"cedar/internal/perfect"
 	"cedar/internal/scope"
 	"cedar/internal/tables"
@@ -98,16 +97,11 @@ func emit(w io.Writer, hub *scope.Hub, h header, prefix string, res tables.Resul
 	return enc.Encode(out)
 }
 
-// checkClusters rejects a -clusters width that names no valid machine (0
-// keeps the as-built one).
+// checkClusters rejects a negative -clusters width (0 keeps the as-built
+// machine); tables.Fit checks each point's machine at a positive one.
 func checkClusters(clusters int) error {
 	if clusters < 0 {
 		return fmt.Errorf("-clusters %d: params: clusters must be ≥ 1, got %d", clusters, clusters)
-	}
-	if clusters > 0 {
-		if err := params.Scaled(clusters).Validate(); err != nil {
-			return fmt.Errorf("-clusters %d: %w", clusters, err)
-		}
 	}
 	return nil
 }
@@ -196,7 +190,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if err := tables.Fit(env, sizes, exps); err != nil {
-		lg.Printf("%v (-clusters %d)", err, *clusters)
+		if *clusters > 0 {
+			err = fmt.Errorf("%w (-clusters %d)", err, *clusters)
+		}
+		lg.Print(err)
 		return 2
 	}
 	prof, err := cliutil.StartProfiles(*cpuProf, *memProf)

@@ -198,11 +198,13 @@ func TestSetupFaultErrors(t *testing.T) {
 }
 
 // TestSetupShardsAndClusters: -shards left with the intra-run parallel
-// engine, so the flag package rejects it, an invalid width is rejected by
-// params validation, and a valid width too narrow for a selected point
-// (membw streams from up to 32 CEs) by tables.Fit, alone or in the whole
-// evaluation. A valid width's output is pinned by the identity manifest's
-// -clusters 16 line.
+// engine, so the flag package rejects it, a negative width is rejected,
+// and a valid width too narrow for a selected point (membw streams from
+// up to 32 CEs; t1 widens its one-cluster base to two and four clusters,
+// which one cluster's 8-port network cannot wire) by tables.Fit, alone or
+// in the whole evaluation, as is a size past what a kernel can run. A
+// valid width's output is pinned by the identity manifest's -clusters 16
+// line.
 func TestSetupShardsAndClusters(t *testing.T) {
 	const narrow = "membw/32ce/stride1 needs 32 CEs; the machine has 16 (-clusters 2)"
 	checkRejections(t, []rejection{
@@ -210,6 +212,10 @@ func TestSetupShardsAndClusters(t *testing.T) {
 		{"negative clusters", []string{"-clusters", "-2", "overheads"}, 2, "-clusters -2: params: clusters must be ≥ 1, got -2"},
 		{"membw on two clusters", []string{"-q", "-small", "-clusters", "2", "membw"}, 2, narrow},
 		{"evaluation on two clusters", []string{"-q", "-clusters", "2"}, 2, narrow},
+		{"t1 on one cluster", []string{"-q", "-small", "-n", "32", "-clusters", "1", "t1"}, 2,
+			"cedarsim: t1/nopref/2cl params: NetPorts (8) smaller than CE count (16) (-clusters 1)\n"},
+		{"t1 past the CE's element tags", []string{"-n", "70000", "t1"}, 2,
+			"cedarsim: t1/nopref/1cl n 70000 exceeds the 65535 elements of an unprefetched vector stream\n"},
 	})
 }
 

@@ -66,18 +66,27 @@ func TestValidateRejectsBadCampaigns(t *testing.T) {
 
 // TestLoadRefusesACellItsMachineCannotHost: a campaign is checked cell by
 // cell before it runs, so a two-cluster machine (16 CEs) paired with a
-// 32-CE membw workload fails at Load and names the cell; the committed
-// campaigns all still load.
+// 32-CE membw workload, or a plan that kills a module the machine lacks,
+// fails at Load and names the cell; the committed campaigns all still
+// load.
 func TestLoadRefusesACellItsMachineCannotHost(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "c.json")
-	body := `{"area":"x","machines":[{"name":"cedar"},{"name":"c2","clusters":2}],` +
-		`"workloads":[{"name":"tri","kind":"trimat"},{"name":"bw32","kind":"membw","ces":32}]}`
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Load(path)
-	if err == nil || !strings.Contains(err.Error(), "cell c2/bw32: needs 32 CEs; the machine has 16") {
-		t.Errorf("Load = %v, want the cell c2/bw32 refused for its 32 CEs", err)
+	for _, tc := range []struct{ name, body, want string }{
+		{"workload wider than its machine",
+			`{"area":"x","machines":[{"name":"cedar"},{"name":"c2","clusters":2}],` +
+				`"workloads":[{"name":"tri","kind":"trimat"},{"name":"bw32","kind":"membw","ces":32}]}`,
+			"cell c2/bw32: needs 32 CEs; the machine has 16"},
+		{"plan on a module the machine lacks",
+			`{"area":"x","machines":[{"name":"cedar"}],"workloads":[{"name":"tri","kind":"trimat"}],` +
+				`"faults":[{"name":"healthy"},{"name":"dead40","plan":{"faults":[{"kind":"bank-dead","module":40}]}}]}`,
+			"cell cedar/tri/dead40: fault: fault 0 (bank-dead): module 40 outside 0..31"},
+	} {
+		path := filepath.Join(t.TempDir(), "c.json")
+		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Load = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 	configs, err := filepath.Glob("../../bench/campaigns/*.json")
 	if err != nil || len(configs) < 3 {
@@ -93,7 +102,7 @@ func TestLoadRefusesACellItsMachineCannotHost(t *testing.T) {
 // TestUnknownKindErrorListsEveryKind: the rejection names every kind the
 // validator accepts — the list is derived from kinds, not kept beside it.
 func TestUnknownKindErrorListsEveryKind(t *testing.T) {
-	err := WorkloadSpec{Name: "w", Kind: "sort"}.Validate()
+	err := Point{Workload: WorkloadSpec{Name: "w", Kind: "sort"}}.Validate()
 	if err == nil {
 		t.Fatal("kind \"sort\" validated")
 	}
@@ -220,6 +229,7 @@ func TestWorkloadKindsNameEveryField(t *testing.T) {
 	required := map[string]WorkloadSpec{
 		"perfect": {Code: "QCD", Variant: "kap"},
 		"xdoall":  {Variant: "empty", Sched: "self"},
+		"banded":  {BW: 3}, // so that n = 3 holds its bandwidth
 	}
 	valid := map[string]map[string]string{
 		"rank":    {"variant": "pref"},
@@ -248,7 +258,7 @@ func TestWorkloadKindsNameEveryField(t *testing.T) {
 			default:
 				t.Fatalf("WorkloadSpec.%s has kind %s: teach this test to set it", field.Name, f.Kind())
 			}
-			err := ws.Validate()
+			err := Point{Workload: ws}.Validate()
 			if slices.Contains(reads, jsonName) {
 				readers++
 				if err != nil {

@@ -119,3 +119,35 @@ func TestFaultRecoveryCostsNoObjectPerFault(t *testing.T) {
 		t.Logf("%s: %.0f objects at 1 sweep, %.0f at 4", fabric, one, four)
 	}
 }
+
+// TestValidateAllocatesNothing: Point.Validate, which every admission path
+// runs on every point (Point.Run runs it again), costs no object on a
+// valid point — every healthy and demo-faulted cell of the smoke campaign
+// and a point of each kind. Its errors are built only on the way out.
+func TestValidateAllocatesNothing(t *testing.T) {
+	c, err := Load("../../bench/campaigns/smoke.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var points []Point
+	for _, m := range c.Machines {
+		for _, w := range c.Workloads {
+			points = append(points, Point{Machine: m, Workload: w}, Point{Machine: m, Workload: w, Plan: fault.DemoPlan()})
+		}
+	}
+	for _, w := range []WorkloadSpec{
+		{Kind: "banded", BW: 3}, {Kind: "latency", Gap: 5}, {Kind: "membw", CEs: 32},
+		{Kind: "perfect", Code: "QCD", Variant: "hand"}, {Kind: "prefblock", Block: 32}, {Kind: "rank", Variant: "nopref"},
+		{Kind: "startup"}, {Kind: "trimat"}, {Kind: "xdoall", Variant: "empty", Sched: "guided"},
+	} {
+		points = append(points, Point{Workload: w})
+	}
+	for _, pt := range points {
+		if err := pt.Validate(); err != nil {
+			t.Fatalf("%s/%s: %v", pt.Machine.Name, pt.Workload.Name, err)
+		}
+		if got := testing.AllocsPerRun(10, func() { _ = pt.Validate() }); got != 0 {
+			t.Errorf("%s/%s (plan %v): Validate allocates %.0f objects, want 0", pt.Machine.Name, pt.Workload.Kind, pt.Plan != nil, got)
+		}
+	}
+}

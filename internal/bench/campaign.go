@@ -12,11 +12,9 @@
 package bench
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
-	"slices"
 	"strings"
 
 	"cedar/internal/core"
@@ -68,8 +66,6 @@ type MachineSpec struct {
 	// scaled-Cedar base — instead of params.Default().
 	Scaled        int `json:"scaled,omitempty"`
 	Clusters      int `json:"clusters,omitempty"`
-	CEsPerCluster int `json:"ces_per_cluster,omitempty"`
-	MemModules    int `json:"mem_modules,omitempty"`
 	NetQueueWords int `json:"net_queue_words,omitempty"`
 	// Fabric selects the interconnect: "", "omega" or "crossbar".
 	Fabric string `json:"fabric,omitempty"`
@@ -83,12 +79,6 @@ func (ms MachineSpec) Params() params.Machine {
 	}
 	if ms.Clusters > 0 {
 		p.Clusters = ms.Clusters
-	}
-	if ms.CEsPerCluster > 0 {
-		p.CEsPerCluster = ms.CEsPerCluster
-	}
-	if ms.MemModules > 0 {
-		p.MemModules = ms.MemModules
 	}
 	if ms.NetQueueWords > 0 {
 		p.NetQueueWords = ms.NetQueueWords
@@ -104,76 +94,26 @@ func (ms MachineSpec) fabricKind() (core.FabricKind, error) {
 	case "crossbar":
 		return core.FabricCrossbar, nil
 	}
-	return core.FabricOmega, fmt.Errorf("bench: machine %q: unknown fabric %q (want omega or crossbar)", ms.Name, ms.Fabric)
+	return core.FabricOmega, fmt.Errorf("unknown fabric %q (want omega or crossbar)", ms.Fabric)
 }
 
-// Validate checks the machine spec in isolation — what cedarserve runs
-// on a submitted config before building anything: a known fabric, and a
-// parameter set core.New will accept, so an impossible machine is a
-// rejected config and never a failed (and cached) simulation.
+// Validate checks the machine spec alone, by Point.Validate's machine
+// rules, for a caller that holds no workload.
 func (ms MachineSpec) Validate() error {
-	if _, err := ms.fabricKind(); err != nil {
-		return err
-	}
-	if err := ms.Params().Validate(); err != nil {
+	if err := ms.validate(ms.Params()); err != nil {
 		return fmt.Errorf("bench: machine %q: %w", ms.Name, err)
 	}
 	return nil
 }
 
-// Validate checks the workload spec in isolation: a known kind, no
-// field set that the kind's kernel never reads (the whole spec is hashed
-// into the cedarserve response key, so such a field would make one
-// point many), names the kind knows, non-negative sizes.
-func (ws WorkloadSpec) Validate() error {
-	_, err := ws.checked()
+// validate is the machine half of Point.Validate on the spec's
+// parameters p: a known fabric, and a parameter set core.New accepts.
+func (ms MachineSpec) validate(p params.Machine) error {
+	_, err := ms.fabricKind()
+	if err == nil {
+		err = p.Validate()
+	}
 	return err
-}
-
-// Fits reports whether a machine with parameters m can host the
-// workload: the checks Validate cannot make without the machine. Its
-// callers run it before building anything, so a point its machine cannot
-// host is a refused request, not a failed run: cedarsim and the catalogue
-// (tables.Fit), cedarserve, and Campaign.Validate for every machine ×
-// workload cell. It states one need today: membw's participating CEs.
-func (ws WorkloadSpec) Fits(m params.Machine) error {
-	if need := cmp.Or(ws.CEs, 1); ws.Kind == "membw" && need > m.CEs() {
-		return fmt.Errorf("needs %d CEs; the machine has %d", need, m.CEs())
-	}
-	return nil
-}
-
-// checked is Validate that also returns the spec's kind.
-func (ws WorkloadSpec) checked() (kind, error) {
-	k, err := lookup("kind", ws.Kind, kinds)
-	if err != nil {
-		return kind{}, fmt.Errorf("bench: workload %q: %w", ws.Name, err)
-	}
-	for _, f := range []struct {
-		name string
-		set  bool
-	}{
-		{"n", ws.N != 0}, {"variant", ws.Variant != ""}, {"sweeps", ws.Sweeps != 0},
-		{"iters", ws.Iters != 0}, {"bw", ws.BW != 0}, {"max_ces", ws.MaxCEs != 0},
-		{"ces", ws.CEs != 0}, {"gap", ws.Gap != 0}, {"stride", ws.Stride != 0},
-		{"code", ws.Code != ""}, {"sched", ws.Sched != ""}, {"block", ws.Block != 0},
-		{"nosync", ws.NoSync},
-	} {
-		if f.set && !slices.Contains(k.reads, f.name) {
-			return kind{}, fmt.Errorf("bench: workload %q: kind %q does not read %q (it reads %s)",
-				ws.Name, ws.Kind, f.name, strings.Join(k.reads, ", "))
-		}
-	}
-	if k.check != nil {
-		if err := k.check(ws); err != nil {
-			return kind{}, fmt.Errorf("bench: workload %q: %w", ws.Name, err)
-		}
-	}
-	if ws.N < 0 || ws.Sweeps < 0 || ws.Iters < 0 || ws.BW < 0 || ws.MaxCEs < 0 ||
-		ws.CEs < 0 || ws.Stride < 0 || ws.Gap < 0 || ws.Block < 0 {
-		return kind{}, fmt.Errorf("bench: workload %q: sizes must be non-negative", ws.Name)
-	}
-	return k, nil
 }
 
 // WorkloadSpec is one workload axis entry: a paper kernel plus its
@@ -232,29 +172,23 @@ type FaultSpec struct {
 	Plan *fault.Plan `json:"plan,omitempty"`
 }
 
-// Resolve returns the spec's plan (nil for a healthy entry). It is the
-// one place the sources' mutual exclusion and an inline plan's validity
-// are checked — the campaign runner and cedarserve both come through
-// here.
+// Resolve returns the spec's plan (nil for a healthy entry), refusing a
+// spec that names both sources. What the plan must be to run on a
+// machine is Point.Validate's to decide.
 func (fs FaultSpec) Resolve() (*fault.Plan, error) {
 	switch {
 	case fs.Demo && fs.Plan != nil:
 		return nil, fmt.Errorf("bench: fault %q: demo and plan are mutually exclusive", fs.Name)
 	case fs.Demo:
 		return fault.DemoPlan(), nil
-	case fs.Plan != nil:
-		if err := fs.Plan.Validate(); err != nil {
-			return nil, fmt.Errorf("bench: fault %q: %w", fs.Name, err)
-		}
-		return fs.Plan, nil
 	}
-	return nil, nil
+	return fs.Plan, nil
 }
 
-// Validate checks the campaign against the schema: a named area, at
-// least one entry per mandatory axis, unique non-empty names, known
-// kinds, and positive jobs values. Fault plans are validated when
-// resolved at run time.
+// Validate checks the campaign against the schema (a named area, each
+// mandatory axis non-empty, unique names, jobs ≥ 1) and every cell with
+// Point.Validate, so a cell that cannot run fails at Load, named
+// machine/workload, or with its fault too if only its plan fails it.
 func (c *Campaign) Validate() error {
 	if c.Schema != 0 && c.Schema != SchemaVersion {
 		return fmt.Errorf("bench: campaign schema %d not supported (tool speaks %d)", c.Schema, SchemaVersion)
@@ -289,28 +223,11 @@ func (c *Campaign) Validate() error {
 		if err := check("machine", m.Name, seen); err != nil {
 			return err
 		}
-		if err := m.Validate(); err != nil {
-			return err
-		}
 	}
 	seen = map[string]bool{}
 	for _, w := range c.Workloads {
 		if err := check("workload", w.Name, seen); err != nil {
 			return err
-		}
-		if err := w.Validate(); err != nil {
-			return err
-		}
-	}
-	// A cell its machine cannot host fails the campaign here, at Load and
-	// by name; in the run it would fail only after every cell before it
-	// had simulated.
-	for _, m := range c.Machines {
-		p := m.Params()
-		for _, w := range c.Workloads {
-			if err := w.Fits(p); err != nil {
-				return fmt.Errorf("bench: cell %s/%s: %w", m.Name, w.Name, err)
-			}
 		}
 	}
 	seen = map[string]bool{}
@@ -322,6 +239,19 @@ func (c *Campaign) Validate() error {
 	for _, j := range c.Jobs {
 		if j < 1 {
 			return fmt.Errorf("bench: jobs values must be ≥ 1, got %d", j)
+		}
+	}
+	points, cells, _, err := c.matrix()
+	if err != nil {
+		return err
+	}
+	for i, pt := range points {
+		if err := pt.Validate(); err != nil {
+			id := cells[i].ID
+			if (Point{Machine: pt.Machine, Workload: pt.Workload}).Validate() != nil {
+				id = cells[i].Machine + "/" + cells[i].Workload // it fails healthy too
+			}
+			return fmt.Errorf("bench: cell %s: %w", id, err)
 		}
 	}
 	return nil

@@ -7,6 +7,10 @@ import (
 	"cedar/internal/sim"
 )
 
+// MaxUnprefetched is the longest unprefetched memory stream a vector
+// instruction may carry: the CE tags each element's request in 16 bits.
+const MaxUnprefetched = 0xffff
+
 // startVector initializes stream state for the current OpVector. The
 // stream and availability slices are reused across instructions: per CE,
 // the stream slice grows once to the widest instruction and a stream's
@@ -53,7 +57,7 @@ func (c *CE) startVector(cycle int64) {
 		} else {
 			st.avail = avail // kept, empty, for the next stream in this position
 		}
-		if s.Space != SpaceNone && s.PrefBlock == 0 && in.N > 0xffff {
+		if s.Space != SpaceNone && s.PrefBlock == 0 && in.N > MaxUnprefetched {
 			panic("ce: unprefetched memory stream longer than 65535 elements; strip-mine or prefetch")
 		}
 		if s.PrefBlock > 0 {
@@ -98,7 +102,6 @@ func (c *CE) armBlock(st *streamState, first int, cycle int64) {
 // requests, complete at most one element, and drain pending stores.
 func (c *CE) execVector(cycle int64) {
 	vs := &c.vec
-	in := c.cur
 
 	// Issue phase for each stream.
 	for i := range vs.streams {
@@ -121,7 +124,6 @@ func (c *CE) execVector(cycle int64) {
 		// elementReady consumes a word from the PFU buffer as a side
 		// effect; a consumed word must complete this cycle.
 		if vs.pipeFree+1 <= cycle && c.elementReady(e, cycle) {
-			c.consumeElement(e, cycle)
 			vs.pipeFree = cycle
 			vs.completed++
 			vs.stripCharged = vs.completed%c.p.MaxVL != 0
@@ -137,7 +139,6 @@ func (c *CE) execVector(cycle int64) {
 
 	// Retirement: all elements completed and all stores issued.
 	if vs.completed == vs.n && vs.storesQueued == 0 {
-		_ = in
 		c.pfu.Finish() // flush the last block to the performance monitor
 		c.retire(cycle)
 	}
@@ -310,9 +311,6 @@ func (c *CE) elementReady(e int, cycle int64) bool {
 	}
 	return true
 }
-
-// consumeElement is a hook point for value semantics; timing-only for now.
-func (c *CE) consumeElement(e int, cycle int64) {}
 
 // issueVecStores drains the per-element store queue in order.
 func (c *CE) issueVecStores(cycle int64) {

@@ -40,7 +40,7 @@ func TestBodyIsAskedOneInstructionAtATime(t *testing.T) {
 	}
 	r := New(mach(t, 1), Config{UseCedarSync: true, MaxCEs: 1},
 		Serial{Body: body("s", func(int) int { return 2 })},
-		XDoall{N: 6, Static: true, Body: body("xd", func(i int) int { return i % 3 })})
+		XDoall{N: 6, Sched: StaticSchedule, Body: body("xd", func(i int) int { return i % 3 })})
 	names := map[step]string{
 		stPhaseEnter: "enter", stBarrierArrive: "arrive", stBarrierRelease: "release",
 		stLoopStart: "start", stIterDone: "branch",
@@ -106,7 +106,7 @@ func TestBodyLengthCostsNoHostMemory(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	at := func(n int) uint64 {
 		_, _, bytes := leastAllocs(t, func() *Runtime {
-			return New(mach(t, 4), Config{UseCedarSync: true}, XDoall{N: 64, Static: true, Body: ofLength(n)})
+			return New(mach(t, 4), Config{UseCedarSync: true}, XDoall{N: 64, Sched: StaticSchedule, Body: ofLength(n)})
 		})
 		return bytes
 	}

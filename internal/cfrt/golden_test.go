@@ -102,9 +102,9 @@ func loopShapeLines(t *testing.T, stepped bool) []byte {
 			}
 		}}}))
 	out.WriteString(goldenRun(t, stepped, "static-uneven", 2, Config{UseCedarSync: true},
-		[]Phase{XDoall{N: 37, Static: true, Body: scalar(20, 4)}}))
+		[]Phase{XDoall{N: 37, Sched: StaticSchedule, Body: scalar(20, 4)}}))
 	out.WriteString(goldenRun(t, stepped, "static-sparse", 1, Config{},
-		[]Phase{XDoall{N: 5, Static: true, Body: scalar(35, 1)}}))
+		[]Phase{XDoall{N: 5, Sched: StaticSchedule, Body: scalar(35, 1)}}))
 	out.WriteString(goldenRun(t, stepped, "three-phase", 2, Config{UseCedarSync: true},
 		[]Phase{
 			Serial{Body: serial(120)},

@@ -128,17 +128,3 @@ func TestGuidedBalancesIrregularLoop(t *testing.T) {
 		t.Errorf("guided (%d cyc) not better than static (%d cyc) on an imbalanced tail", guided, static)
 	}
 }
-
-func TestStaticShorthandStillWorks(t *testing.T) {
-	x := XDoall{Static: true}
-	if x.schedule() != StaticSchedule {
-		t.Error("Static flag should select StaticSchedule")
-	}
-	x = XDoall{Sched: GuidedSchedule}
-	if x.schedule() != GuidedSchedule {
-		t.Error("Sched field ignored")
-	}
-	if (XDoall{}).schedule() != SelfSchedule {
-		t.Error("default should be self-scheduling")
-	}
-}

@@ -88,20 +88,9 @@ func (Serial) isPhase() {}
 type XDoall struct {
 	N    int
 	Body BodyFn
-	// Static pre-chunks iterations instead of self-scheduling claims
-	// (shorthand for Sched: StaticSchedule).
-	Static bool
-	// Sched selects the scheduling policy when Static is false:
-	// SelfSchedule (default) or GuidedSchedule.
+	// Sched selects the scheduling policy: SelfSchedule (default),
+	// GuidedSchedule or StaticSchedule.
 	Sched Schedule
-}
-
-// schedule resolves the effective policy.
-func (x XDoall) schedule() Schedule {
-	if x.Static {
-		return StaticSchedule
-	}
-	return x.Sched
 }
 
 func (XDoall) isPhase() {}

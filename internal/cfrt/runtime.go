@@ -325,7 +325,7 @@ func (r *Runtime) enterPhase(c *ceCtl, k int) {
 
 	case XDoall:
 		c.n, c.body = ph.N, ph.Body
-		switch ph.schedule() {
+		switch ph.Sched {
 		case StaticSchedule:
 			c.loop = xdStatic
 		case GuidedSchedule:

@@ -102,7 +102,7 @@ func TestXDoallStaticCoversAll(t *testing.T) {
 	m := mach(t, 2)
 	var recs []record
 	rt := New(m, Config{UseCedarSync: true},
-		XDoall{N: 37, Static: true, Body: bodyRecording(&recs, 10)})
+		XDoall{N: 37, Sched: StaticSchedule, Body: bodyRecording(&recs, 10)})
 	if _, err := rt.Run(10_000_000); err != nil {
 		t.Fatal(err)
 	}

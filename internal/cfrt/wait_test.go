@@ -49,7 +49,7 @@ func leastAllocs(t *testing.T, build func() *Runtime) (cycles int64, mallocs, by
 func TestSteadyStateAllocsWaitLoops(t *testing.T) {
 	barrierSpin := func(hold int64) *Runtime {
 		return New(mach(t, 1), Config{UseCedarSync: true},
-			XDoall{N: 8, Static: true, Body: only(func(i int, in *ce.Instr) {
+			XDoall{N: 8, Sched: StaticSchedule, Body: only(func(i int, in *ce.Instr) {
 				if *in = scalarInstr(1); i == 0 {
 					in.Cycles = hold
 				}
@@ -127,7 +127,7 @@ func TestSteadyStateAllocsLoops(t *testing.T) {
 	one := only(func(_ int, in *ce.Instr) { *in = scalarInstr(1) })
 	xdoall := func(cfg Config, sched Schedule) func(n int) *Runtime {
 		return func(n int) *Runtime {
-			return New(mach(t, 2), cfg, XDoall{N: n, Sched: sched, Static: sched == StaticSchedule, Body: one})
+			return New(mach(t, 2), cfg, XDoall{N: n, Sched: sched, Body: one})
 		}
 	}
 	// An SDOALL body returns the cluster phases of its iteration; these

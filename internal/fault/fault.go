@@ -18,8 +18,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
+
+	"cedar/internal/params"
 )
 
 // Kind names a fault mechanism.
@@ -141,52 +144,76 @@ type Plan struct {
 	Faults []Fault `json:"faults"`
 }
 
-// Validate checks the plan against machine-independent invariants.
-// Machine-dependent checks (module in range) happen in NewInjector.
+// Validate checks the plan against machine-independent invariants;
+// ValidateOn adds the machine's. It allocates nothing on a valid plan.
 func (p *Plan) Validate() error {
 	if p == nil {
 		return nil
 	}
 	for i := range p.Faults {
 		f := &p.Faults[i]
-		where := fmt.Sprintf("fault %d (%s)", i, f.Kind)
+		where := func() string { return fmt.Sprintf("fault %d (%s)", i, f.Kind) }
 		switch f.Kind {
 		case BankDead:
 			if f.Module < 0 {
-				return fmt.Errorf("fault: %s: needs an explicit module ≥ 0", where)
+				return fmt.Errorf("fault: %s: needs an explicit module ≥ 0", where())
 			}
 		case BankStall:
 			if f.Module < -1 {
-				return fmt.Errorf("fault: %s: module must be ≥ -1", where)
+				return fmt.Errorf("fault: %s: module must be ≥ -1", where())
 			}
 			if f.Extra < 1 {
-				return fmt.Errorf("fault: %s: needs extra ≥ 1 stall cycles", where)
+				return fmt.Errorf("fault: %s: needs extra ≥ 1 stall cycles", where())
 			}
 		case StageJam, LinkDrop:
 			if f.Fabric != "" && f.Fabric != "fwd" && f.Fabric != "rev" {
-				return fmt.Errorf("fault: %s: fabric must be \"fwd\", \"rev\" or empty, got %q", where, f.Fabric)
+				return fmt.Errorf("fault: %s: fabric must be \"fwd\", \"rev\" or empty, got %q", where(), f.Fabric)
 			}
 			if f.Stage < -1 || f.Line < -1 {
-				return fmt.Errorf("fault: %s: stage and line must be ≥ -1", where)
+				return fmt.Errorf("fault: %s: stage and line must be ≥ -1", where())
 			}
 		case PFUNack:
 			if f.Module < -1 {
-				return fmt.Errorf("fault: %s: module must be ≥ -1", where)
+				return fmt.Errorf("fault: %s: module must be ≥ -1", where())
 			}
 		default:
 			return fmt.Errorf("fault: fault %d: unknown kind %d", i, uint8(f.Kind))
 		}
 		if f.Kind != BankDead {
 			if f.Rate <= 0 || f.Rate > 1 {
-				return fmt.Errorf("fault: %s: rate must be in (0, 1], got %g", where, f.Rate)
+				return fmt.Errorf("fault: %s: rate must be in (0, 1], got %g", where(), f.Rate)
 			}
 		}
 		if f.From < 0 {
-			return fmt.Errorf("fault: %s: from must be ≥ 0", where)
+			return fmt.Errorf("fault: %s: from must be ≥ 0", where())
 		}
 		if f.Until != 0 && f.Until <= f.From {
-			return fmt.Errorf("fault: %s: until %d must be 0 (open) or > from %d", where, f.Until, f.From)
+			return fmt.Errorf("fault: %s: until %d must be 0 (open) or > from %d", where(), f.Until, f.From)
 		}
+	}
+	return nil
+}
+
+// ValidateOn is every rule the plan must meet on machine m: Validate's,
+// every module named inside 0..m.MemModules-1 and one module left alive.
+// NewInjector and bench.Point.Validate call it; it allocates nothing on a
+// valid plan.
+func (p *Plan) ValidateOn(m params.Machine) error {
+	if err := p.Validate(); err != nil || p == nil {
+		return err
+	}
+	dead := 0
+	for i := range p.Faults {
+		f := &p.Faults[i]
+		if f.Module >= m.MemModules {
+			return fmt.Errorf("fault: fault %d (%s): module %d outside 0..%d", i, f.Kind, f.Module, m.MemModules-1)
+		}
+		if f.Kind == BankDead && !slices.ContainsFunc(p.Faults[:i], func(g Fault) bool { return g.Kind == BankDead && g.Module == f.Module }) {
+			dead++
+		}
+	}
+	if dead >= m.MemModules {
+		return fmt.Errorf("fault: all %d memory modules dead", m.MemModules)
 	}
 	return nil
 }

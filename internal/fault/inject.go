@@ -1,8 +1,6 @@
 package fault
 
 import (
-	"fmt"
-
 	"cedar/internal/params"
 	"cedar/internal/scope"
 )
@@ -35,22 +33,18 @@ type Injector struct {
 	stats Stats
 }
 
-// NewInjector validates the plan against a machine configuration and
+// NewInjector validates the plan on machine p (Plan.ValidateOn) and
 // builds its injector. A nil or empty plan yields a nil injector.
 func NewInjector(p params.Machine, plan *Plan) (*Injector, error) {
 	if plan == nil || len(plan.Faults) == 0 {
 		return nil, nil
 	}
-	if err := plan.Validate(); err != nil {
+	if err := plan.ValidateOn(p); err != nil {
 		return nil, err
 	}
 	in := &Injector{plan: plan, dead: make([]bool, p.MemModules)}
 	for i := range plan.Faults {
 		f := &plan.Faults[i]
-		if f.Module >= p.MemModules {
-			return nil, fmt.Errorf("fault: fault %d (%s): module %d outside 0..%d",
-				i, f.Kind, f.Module, p.MemModules-1)
-		}
 		switch f.Kind {
 		case BankDead:
 			if !in.dead[f.Module] {
@@ -66,9 +60,6 @@ func NewInjector(p params.Machine, plan *Plan) (*Injector, error) {
 		case PFUNack:
 			in.nacks = append(in.nacks, i)
 		}
-	}
-	if in.nDead >= p.MemModules {
-		return nil, fmt.Errorf("fault: all %d memory modules dead", p.MemModules)
 	}
 	return in, nil
 }

@@ -82,7 +82,7 @@ func Banded(m *core.Machine, cfg BandedConfig) (Result, error) {
 		return true
 	}
 	return run(m, cfrt.Config{UseCedarSync: true, MaxCEs: cfg.MaxCEs}, 1<<40,
-		cfrt.XDoall{N: p, Static: true, Body: body})
+		cfrt.XDoall{N: p, Sched: cfrt.StaticSchedule, Body: body})
 }
 
 // BandedFlopsCedar returns the nominal flop count (2·BW−1 per row).

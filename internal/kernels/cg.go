@@ -129,8 +129,8 @@ func CG(m *core.Machine, cfg CGConfig) (Result, error) {
 	var phases []cfrt.Phase
 	for it := 0; it < cfg.Iters; it++ {
 		phases = append(phases,
-			cfrt.XDoall{N: p, Static: true, Body: matvecBody},
-			cfrt.XDoall{N: p, Static: true, Body: updateBody},
+			cfrt.XDoall{N: p, Sched: cfrt.StaticSchedule, Body: matvecBody},
+			cfrt.XDoall{N: p, Sched: cfrt.StaticSchedule, Body: updateBody},
 		)
 	}
 	return run(m, cfrt.Config{UseCedarSync: true, MaxCEs: cfg.MaxCEs}, 1<<40, phases...)

@@ -129,7 +129,7 @@ func RankUpdate(m *core.Machine, n int, mode RKMode) (Result, error) {
 		// access pattern).
 		body := rankBody(n, panelStreams(ce.SpaceGlobal, aBase, n, pref), cols, 1)
 		return run(m, cfrt.Config{UseCedarSync: true}, 1<<40,
-			cfrt.XDoall{N: n, Static: true, Body: body})
+			cfrt.XDoall{N: n, Sched: cfrt.StaticSchedule, Body: body})
 
 	case RKCache:
 		// Phase 1: each cluster copies the A panel into a cluster work
@@ -205,7 +205,7 @@ func VectorLoad(m *core.Machine, n, sweeps int) (Result, error) {
 	}
 	phases := make([]cfrt.Phase, 0, sweeps)
 	for s := 0; s < sweeps; s++ {
-		phases = append(phases, cfrt.XDoall{N: len(m.CEs), Static: true, Body: body})
+		phases = append(phases, cfrt.XDoall{N: len(m.CEs), Sched: cfrt.StaticSchedule, Body: body})
 	}
 	return run(m, cfrt.Config{UseCedarSync: true}, 1<<40, phases...)
 }
@@ -253,5 +253,5 @@ func TriMat(m *core.Machine, n int) (Result, error) {
 		return true
 	}
 	return run(m, cfrt.Config{UseCedarSync: true}, 1<<40,
-		cfrt.XDoall{N: p, Static: true, Body: body})
+		cfrt.XDoall{N: p, Sched: cfrt.StaticSchedule, Body: body})
 }

@@ -101,7 +101,7 @@ func PanelSweep(m *core.Machine, n, block int) (Result, error) {
 		return true
 	}
 	rt := cfrt.New(m, cfrt.Config{UseCedarSync: true},
-		cfrt.XDoall{N: n / 8, Static: true, Body: body})
+		cfrt.XDoall{N: n / 8, Sched: cfrt.StaticSchedule, Body: body})
 	res, err := rt.Run(1 << 40)
 	return Result{Result: res}, err
 }

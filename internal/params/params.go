@@ -208,11 +208,6 @@ func (m Machine) Validate() error {
 	return nil
 }
 
-// MicrosToCycles converts microseconds to CE cycles, rounding to nearest.
-func MicrosToCycles(us float64) int {
-	return int(us*1000/CycleNS + 0.5)
-}
-
 // CyclesToSeconds converts a cycle count to wall-clock seconds on Cedar.
 func CyclesToSeconds(cycles int64) float64 {
 	return float64(cycles) * CycleNS / 1e9

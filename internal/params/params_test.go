@@ -91,15 +91,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
-func TestMicrosToCycles(t *testing.T) {
-	if got := MicrosToCycles(90); got < 525 || got > 533 {
-		t.Errorf("MicrosToCycles(90) = %d, want ≈529", got)
-	}
-	if got := MicrosToCycles(0); got != 0 {
-		t.Errorf("MicrosToCycles(0) = %d, want 0", got)
-	}
-}
-
 func TestCyclesToSeconds(t *testing.T) {
 	// 5,882,353 cycles ≈ 1 second.
 	cps := CyclesPerSecond

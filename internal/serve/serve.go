@@ -226,7 +226,8 @@ const maxRequestBytes = 1 << 20
 
 // decode parses and validates a submission — one JSON object of at most
 // maxRequestBytes and nothing after it — resolving its fault plan and
-// metric filter. All rejections are client errors.
+// metric filter; the point it names is admitted by bench.Point.Validate
+// alone. All rejections are client errors.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request) (Request, *fault.Plan, []string, error) {
 	var req Request
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
@@ -244,20 +245,14 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request) (Request, *fault
 	if err != nil {
 		return req, nil, nil, fmt.Errorf("decoding request: %w", err)
 	}
-	if err := req.Machine.Validate(); err != nil {
-		return req, nil, nil, err
-	}
-	if err := req.Workload.Validate(); err != nil {
-		return req, nil, nil, err
-	}
-	if err := req.Workload.Fits(req.Machine.Params()); err != nil {
-		return req, nil, nil, fmt.Errorf("workload %q on machine %q: %w", req.Workload.Name, req.Machine.Name, err)
-	}
 	var plan *fault.Plan
 	if req.Fault != nil {
 		if plan, err = req.Fault.Resolve(); err != nil {
 			return req, nil, nil, err
 		}
+	}
+	if err := (bench.Point{Machine: req.Machine, Workload: req.Workload, Plan: plan}).Validate(); err != nil {
+		return req, nil, nil, fmt.Errorf("workload %q on machine %q: %w", req.Workload.Name, req.Machine.Name, err)
 	}
 	metrics := req.Metrics
 	if len(metrics) == 0 {

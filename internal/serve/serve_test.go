@@ -294,6 +294,21 @@ func TestBadRequests(t *testing.T) {
 		{"block on trimat", `{"workload":{"kind":"trimat","block":32}}`, `does not read "block"`},
 		{"fault path", `{"workload":{"kind":"trimat"},"fault":{"path":"/etc/passwd"}}`, `unknown field "path"`},
 		{"fault demo+plan", `{"workload":{"kind":"trimat"},"fault":{"demo":true,"plan":{}}}`, "mutually exclusive"},
+		{"fault on a module the machine lacks", `{"workload":{"kind":"trimat"},"fault":{"plan":{"faults":[{"kind":"bank-dead","module":40}]}}}`,
+			"module 40 outside 0..31"},
+		{"every module dead", `{"machine":{"clusters":1,"scaled":1},"workload":{"kind":"trimat"},"fault":{"plan":{"faults":[` +
+			`{"kind":"bank-dead","module":0},{"kind":"bank-dead","module":1},{"kind":"bank-dead","module":2},{"kind":"bank-dead","module":3},` +
+			`{"kind":"bank-dead","module":4},{"kind":"bank-dead","module":5},{"kind":"bank-dead","module":6},{"kind":"bank-dead","module":7}]}}}`,
+			"all 8 memory modules dead"},
+		{"invalid inline plan", `{"workload":{"kind":"trimat"},"fault":{"plan":{"faults":[{"kind":"pfu-nack"}]}}}`, "rate must be in (0, 1]"},
+		{"even bandwidth", `{"workload":{"kind":"banded","bw":4}}`, "bw 4 must be odd and at most n 64"},
+		{"order below bandwidth", `{"workload":{"kind":"banded","n":5,"bw":11}}`, "bw 11 must be odd and at most n 5"},
+		{"unprefetched rank past the CE's tags", `{"workload":{"kind":"rank","n":65536,"variant":"nopref"}}`,
+			"n 65536 exceeds the 65535 elements of an unprefetched vector stream"},
+		{"nopref rank at 70000", `{"workload":{"kind":"rank","n":70000,"variant":"nopref"}}`, "n 70000 exceeds"},
+		{"cached rank at 70000", `{"workload":{"kind":"rank","n":70000,"variant":"cache"}}`, "n 70000 exceeds"},
+		{"unprefetched panel at 70000", `{"workload":{"kind":"prefblock","n":70000}}`, "n 70000 exceeds"},
+		{"block past the prefetch buffer", `{"workload":{"kind":"prefblock","n":1024,"block":1024}}`, "block 1024 exceeds the 512-word prefetch buffer"},
 		{"second object and garbage", reqBody + ` {"workload":{"kind":"nonsense"}} trailing garbage`, "data after the request object"},
 		{"unbounded padding", reqBody + strings.Repeat(" ", 5<<20), "request body too large"},
 	}
@@ -315,8 +330,19 @@ func TestBadRequests(t *testing.T) {
 	if got := s.Stats().BadRequests; got != int64(len(cases)) {
 		t.Errorf("bad request counter = %d, want %d", got, len(cases))
 	}
-	if got := s.Stats().Simulations; got != 0 {
-		t.Errorf("%d simulations ran for malformed submissions", got)
+	if st := s.Stats(); st.Simulations != 0 || st.Panics != 0 {
+		t.Errorf("malformed submissions ran %d simulations and %d panicked", st.Simulations, st.Panics)
+	}
+	// The last row's neighbours are admitted: the longest unprefetched
+	// stream the CE tags, and a prefetched rank past it.
+	for _, ws := range []bench.WorkloadSpec{
+		{Kind: "rank", N: 65535, Variant: "nopref"},
+		{Kind: "rank", N: 70000, Variant: "pref"},
+		{Kind: "prefblock", N: 70000, Block: 64},
+	} {
+		if err := (bench.Point{Workload: ws}).Validate(); err != nil {
+			t.Errorf("%+v: %v, want it admitted", ws, err)
+		}
 	}
 }
 

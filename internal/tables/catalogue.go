@@ -72,15 +72,15 @@ func (e Experiment) Namespace() string { return cmp.Or(e.ns, e.Name) }
 func (e Experiment) Title(s Sizes) string { return e.title(s.resolved()) }
 
 // Fit returns an error naming the first point of exps, listed under env
-// at sizes s, that its machine cannot host (bench.WorkloadSpec.Fits) —
-// "membw/32ce/stride1 needs 32 CEs; the machine has 16" on a two-cluster
-// Env — or nil. It simulates nothing. RunAll calls it before its first
-// point; a CLI calls it first to report a usage error.
+// at sizes s, that cannot run (bench.Point.Validate) — "membw/32ce/stride1
+// needs 32 CEs; the machine has 16" on a two-cluster Env — or nil. It
+// simulates nothing. RunAll calls it before its first point; a CLI calls
+// it first to report a usage error.
 func Fit(env Env, s Sizes, exps []Experiment) error {
 	s = s.resolved()
 	for _, e := range exps {
 		for _, pt := range e.points(env, s) {
-			if err := pt.Workload.Fits(pt.Machine.Params()); err != nil {
+			if err := pt.Validate(); err != nil {
 				return fmt.Errorf("%s %w", pt.scope, err)
 			}
 		}

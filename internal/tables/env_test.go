@@ -209,10 +209,7 @@ func TestCatalogueSpeaksCampaignVocabulary(t *testing.T) {
 				t.Errorf("%s: scope %q names a point another experiment lists differently", e.Name, pt.scope)
 			}
 			seen[pt.scope] = pt
-			if err := pt.Machine.Validate(); err != nil {
-				t.Errorf("%s: %v", pt.scope, err)
-			}
-			if err := pt.Workload.Validate(); err != nil {
+			if err := pt.Validate(); err != nil {
 				t.Errorf("%s: %v", pt.scope, err)
 			}
 		}
@@ -319,5 +316,40 @@ func TestUnfitPointFailsBeforeSimulating(t *testing.T) {
 	}
 	if err := Fit(Env{}, smallSizes, exps); err != nil {
 		t.Errorf("the as-built machine cannot host the evaluation: %v", err)
+	}
+}
+
+// TestEveryWidthFitsOrFailsByName is the catalogue's width table: at each
+// -clusters width cedarsim offers or a user may type, under the demo plan,
+// Fit on the whole evaluation plus degraded either refuses naming one
+// point it lists, or admits every point, and then each one passes
+// Point.Validate and builds. Nothing simulates.
+func TestEveryWidthFitsOrFailsByName(t *testing.T) {
+	exps, err := Experiments(append(Evaluation[:len(Evaluation):len(Evaluation)], "degraded")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := Sizes{Table2Full: true, MemBWWords: 4096, FullPPT4: true}
+	for _, width := range []int{1, 2, 3, 4, 8, 16, 64} {
+		env := Env{Clusters: width, Faults: fault.DemoPlan()}
+		var pts []point
+		for _, e := range exps {
+			pts = append(pts, e.points(env, sizes.resolved())...)
+		}
+		if err := Fit(env, sizes, exps); err != nil {
+			if !slices.ContainsFunc(pts, func(pt point) bool { return strings.HasPrefix(err.Error(), pt.scope+" ") }) {
+				t.Errorf("-clusters %d: %q names none of the %d points", width, err, len(pts))
+			}
+			t.Logf("-clusters %d: %v", width, err)
+			continue
+		}
+		for _, pt := range pts {
+			if err := pt.Validate(); err != nil {
+				t.Errorf("-clusters %d: Fit admitted %s, which Validate refuses: %v", width, pt.scope, err)
+			} else if _, err := pt.Build(nil, false); err != nil {
+				t.Errorf("-clusters %d: %s does not build: %v", width, pt.scope, err)
+			}
+		}
+		t.Logf("-clusters %d: %d points admitted and built", width, len(pts))
 	}
 }

@@ -23,7 +23,6 @@ import (
 type TimeSharer struct {
 	p       params.Machine
 	quantum int64
-	sw      int64 // context switch cost in cycles
 	tasks   []ce.Controller
 
 	cluster  []tsCluster
@@ -40,17 +39,20 @@ type tsCluster struct {
 	pendingSwitch []bool
 }
 
+// switchCycles is a cluster-task context switch, 500 µs at 170 ns: the
+// millisecond regime that pushed Cedar programs toward loop parallelism.
+const switchCycles = 2941
+
 // NewTimeSharer builds a sharer over the given programs. quantum is the
-// scheduling quantum in cycles; the context switch cost comes from the
-// task model.
-func NewTimeSharer(p params.Machine, tm TaskModel, quantum int64, tasks ...ce.Controller) *TimeSharer {
+// scheduling quantum in cycles; each rotation costs a cluster's CEs a
+// context switch (switchCycles).
+func NewTimeSharer(p params.Machine, quantum int64, tasks ...ce.Controller) *TimeSharer {
 	if quantum < 1 {
 		quantum = 1
 	}
 	t := &TimeSharer{
 		p:       p,
 		quantum: quantum,
-		sw:      tm.SwitchCycles,
 		tasks:   tasks,
 		cluster: make([]tsCluster, p.Clusters),
 		doneAt:  make([]int64, len(tasks)),
@@ -97,7 +99,7 @@ func (t *TimeSharer) Next(ceID int, cycle int64, in *ce.Instr) ce.Status {
 		// must not eat the whole quantum, so it is added on top —
 		// otherwise a quantum shorter than a context switch would rotate
 		// forever without running anything.
-		cl.switchAt = cycle + t.sw + t.quantum
+		cl.switchAt = cycle + switchCycles + t.quantum
 		next := t.nextLiveTask(cl.current)
 		if next != cl.current {
 			cl.current = next
@@ -109,7 +111,7 @@ func (t *TimeSharer) Next(ceID int, cycle int64, in *ce.Instr) ce.Status {
 	}
 	if cl.pendingSwitch[inCluster] {
 		cl.pendingSwitch[inCluster] = false
-		*in = ce.Instr{Op: ce.OpScalar, Cycles: t.sw}
+		*in = ce.Instr{Op: ce.OpScalar, Cycles: switchCycles}
 		return ce.Ready
 	}
 

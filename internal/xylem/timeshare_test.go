@@ -14,7 +14,7 @@ func TestTimeSharerRunsBothTasksToCompletion(t *testing.T) {
 	m := core.MustNew(p, core.Options{})
 	a := NewFixedWork(40, 100)
 	b := NewFixedWork(40, 100)
-	ts := NewTimeSharer(p, DefaultTasks(), 2000, a, b)
+	ts := NewTimeSharer(p, 2000, a, b)
 	res, err := m.Run(ts, 100_000_000)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ func TestTimeSharerRunsBothTasksToCompletion(t *testing.T) {
 func TestTimeSharerSingleTaskNoOverhead(t *testing.T) {
 	p := params.Default()
 	m := core.MustNew(p, core.Options{})
-	ts := NewTimeSharer(p, DefaultTasks(), 2000, NewFixedWork(20, 50))
+	ts := NewTimeSharer(p, 2000, NewFixedWork(20, 50))
 	res, err := m.Run(ts, 10_000_000)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestMultiprogrammingPerturbsBarrierCode(t *testing.T) {
 	mShared := core.MustNew(p, core.Options{})
 	rtShared := cfrt.New(mShared, cfrt.Config{UseCedarSync: true}, barrierPhases()...)
 	bg := NewFixedWork(400, 200)
-	ts := NewTimeSharer(p, DefaultTasks(), 3000, rtShared, bg)
+	ts := NewTimeSharer(p, 3000, rtShared, bg)
 	if _, err := mShared.Run(ts, 1<<40); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestMultiprogrammingPerturbsBarrierCode(t *testing.T) {
 }
 
 func TestTimeSharerQuantumClamp(t *testing.T) {
-	ts := NewTimeSharer(params.Default(), DefaultTasks(), 0, NewFixedWork(1, 1))
+	ts := NewTimeSharer(params.Default(), 0, NewFixedWork(1, 1))
 	if ts.quantum != 1 {
 		t.Errorf("quantum %d, want clamp to 1", ts.quantum)
 	}

@@ -55,20 +55,3 @@ func (io IOModel) Seconds(words int64, mode IOMode) float64 {
 	dev := float64(words) / io.DeviceWordsPerSec
 	return cpu + dev
 }
-
-// TaskModel prices Xylem cluster-task operations.
-type TaskModel struct {
-	// SpawnCycles is the cost of creating a gang-scheduled cluster task.
-	SpawnCycles int64
-	// SwitchCycles is a cluster-task context switch.
-	SwitchCycles int64
-}
-
-// DefaultTasks returns costs in the millisecond regime that pushed Cedar
-// programs toward loop-level parallelism instead of task spawning.
-func DefaultTasks() TaskModel {
-	return TaskModel{
-		SpawnCycles:  int64(params.MicrosToCycles(3000)),
-		SwitchCycles: int64(params.MicrosToCycles(500)),
-	}
-}

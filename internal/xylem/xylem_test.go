@@ -38,12 +38,10 @@ func TestIOScalesLinearly(t *testing.T) {
 	}
 }
 
-func TestTaskSpawnIsMilliseconds(t *testing.T) {
-	tm := DefaultTasks()
-	if s := params.CyclesToSeconds(tm.SpawnCycles); s < 1e-3 || s > 20e-3 {
-		t.Errorf("cluster task spawn %.4f s, want milliseconds", s)
-	}
-	if tm.SwitchCycles <= 0 {
-		t.Error("context switch must cost cycles")
+// TestContextSwitchIsHalfAMillisecond: a cluster-task switch costs the
+// 500 µs the millisecond task regime implies, in whole CE cycles.
+func TestContextSwitchIsHalfAMillisecond(t *testing.T) {
+	if us := params.CyclesToSeconds(switchCycles) * 1e6; us < 499.9 || us > 500.1 {
+		t.Errorf("context switch %d cycles = %.2f µs, want 500", switchCycles, us)
 	}
 }

@@ -49,6 +49,7 @@ go test -run='^$' -fuzz='^FuzzOmegaRouting$' -fuzztime="$FUZZTIME" ./internal/ne
 go test -run='^$' -fuzz='^FuzzInstability$' -fuzztime="$FUZZTIME" ./internal/ppt
 go test -run='^$' -fuzz='^FuzzBands$' -fuzztime="$FUZZTIME" ./internal/ppt
 go test -run='^$' -fuzz='^FuzzBlobOnDisk$' -fuzztime="$FUZZTIME" ./internal/store
+go test -run='^$' -fuzz='^FuzzPointValidate$' -fuzztime="$FUZZTIME" ./internal/bench
 
 stage ""
 # The Go line counts, whole module and outside the frozen cmd/cedarperf.
