@@ -4,7 +4,8 @@
 # probe test into internal/bench (removed again on exit), runs each
 # workload's points once untimed, then once more with every allocation
 # sampled (runtime.MemProfileRate = 1), and prints objects/op and KB/op
-# (MemStats deltas over the sampled pass ÷ points) and the top allocation
+# (MemStats deltas over the sampled pass ÷ points, to two and three
+# decimals, so a sub-KB move shows) and the top allocation
 # sites of that pass twice: by object count (go tool pprof -sample_index=
 # alloc_objects -top), the sites behind mallocs_per_op, then by bytes
 # (-sample_index=alloc_space), the sites behind alloc_kb_per_op, and for
@@ -172,7 +173,8 @@ func TestZZAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := uint64(len(ops))
-	fmt.Printf("%s: %d points, %d objects/op, %d KB/op\n", w, n, (b.Mallocs-a.Mallocs)/n, (b.TotalAlloc-a.TotalAlloc)/n>>10)
+	fmt.Printf("%s: %d points, %.2f objects/op, %.3f KB/op\n", w, n,
+		float64(b.Mallocs-a.Mallocs)/float64(n), float64(b.TotalAlloc-a.TotalAlloc)/float64(n)/1024)
 }
 GO
 go test -c -o "$OUT/bench.test" ./internal/bench

@@ -17,9 +17,10 @@ package ccbus
 
 import "cedar/internal/params"
 
-// Bus is one cluster's concurrency control bus.
+// Bus is one cluster's concurrency control bus. A cluster holds it by
+// value.
 type Bus struct {
-	p       params.Machine
+	p       timing
 	nCE     int
 	busFree int64
 
@@ -49,9 +50,26 @@ type Stats struct {
 	BusyCyc int64
 }
 
-// New builds a bus for a cluster of nCE processors.
-func New(p params.Machine, nCE int) *Bus {
-	return &Bus{p: p, nCE: nCE}
+// timing is what a bus reads of params.Machine. A bus keeps these three
+// constants, not a copy of the whole parameter set: a copy is 272 bytes in
+// every cluster of every machine built.
+type timing struct {
+	CDoallStart      int
+	CCBusClaim       int
+	BarrierClusterCy int
+}
+
+// New builds a bus for a cluster of nCE processors, by value for the
+// caller to store where it lives.
+func New(p params.Machine, nCE int) Bus {
+	return Bus{
+		p: timing{
+			CDoallStart:      p.CDoallStart,
+			CCBusClaim:       p.CCBusClaim,
+			BarrierClusterCy: p.BarrierClusterCy,
+		},
+		nCE: nCE,
+	}
 }
 
 // Stats returns cumulative counters.

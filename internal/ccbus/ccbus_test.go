@@ -7,7 +7,8 @@ import (
 )
 
 func newBus() *Bus {
-	return New(params.Default(), 8)
+	b := New(params.Default(), 8)
+	return &b
 }
 
 func TestConcurrentStartCost(t *testing.T) {

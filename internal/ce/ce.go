@@ -35,12 +35,12 @@ type CE struct {
 	modFor func(uint64) int
 	ctrl   Controller
 
-	// pool recycles packets. Requests return to the issuing port as
-	// in-place replies, so the consumer in drainReplies retires them
-	// straight back here. It is the machine's one pool, shared by every CE
-	// and PFU (network.PacketPool): a packet retired here may be reissued
-	// by any of them.
-	pool *network.PacketPool
+	// sh is the machine's shared state. Its pool recycles packets:
+	// requests return to the issuing port as in-place replies, so the
+	// consumer in drainReplies retires them straight back there, and a
+	// packet retired here may be reissued by any CE or PFU of the machine.
+	// Its stream slab holds the CE's stream table.
+	sh *Shared
 
 	// reg is the instruction register: the controller fills it and the CE
 	// executes from it, so no controller storage is read after Next
@@ -124,14 +124,23 @@ type streamState struct {
 	clusterInFlight int
 }
 
+// Shared is what every CE of a machine carves from: the packet pool,
+// whose word slab holds the PFUs' buffers (network.PacketPool), and the
+// slab the CEs' stream tables come from. A machine holds one by value and
+// hands each CE a pointer, so k CEs taking equal tables on first touch
+// cost 1 + log2(k) objects, not k. The zero Shared is ready.
+type Shared struct {
+	pool    network.PacketPool
+	streams network.Slab[streamState]
+}
+
 // New builds a CE with its PFU inside it. It returns the CE by value for
 // the caller to store where it lives — a machine keeps all its CEs in one
 // slab — and the CE must not be copied once it is wired or run. cache may
-// be nil for configurations under test without a cluster hierarchy; pool
-// is the packet pool the CE and its PFU share with the rest of the
-// machine.
+// be nil for configurations under test without a cluster hierarchy; sh
+// is the state the CE and its PFU share with the rest of the machine.
 func New(p params.Machine, id, clusterID, idInCluster, port int,
-	fwd, rev network.Fabric, cch *cache.Cache, modFor func(uint64) int, pool *network.PacketPool) CE {
+	fwd, rev network.Fabric, cch *cache.Cache, modFor func(uint64) int, sh *Shared) CE {
 	return CE{
 		ID:          id,
 		Cluster:     clusterID,
@@ -145,10 +154,10 @@ func New(p params.Machine, id, clusterID, idInCluster, port int,
 		},
 		fwd:      fwd,
 		rev:      rev,
-		pfu:      *prefetch.New(p, port, fwd, modFor, pool),
+		pfu:      *prefetch.New(p, port, fwd, modFor, &sh.pool),
 		cache:    cch,
 		modFor:   modFor,
-		pool:     pool,
+		sh:       sh,
 		lastTick: -1,
 	}
 }
@@ -396,7 +405,7 @@ func (c *CE) execute(cycle int64) {
 		c.execScalarGlobal(cycle)
 
 	case OpGlobalStore:
-		pkt := c.pool.Get()
+		pkt := c.sh.pool.Get()
 		pkt.Kind = network.WriteReq
 		pkt.Src = c.Port
 		pkt.Dst = c.modFor(c.cur.Addr)
@@ -407,7 +416,7 @@ func (c *CE) execute(cycle int64) {
 		if c.offerStore(pkt) {
 			c.retire(cycle)
 		} else {
-			c.pool.Put(pkt)
+			c.sh.pool.Put(pkt)
 		}
 
 	case OpFence:
@@ -447,7 +456,7 @@ func (c *CE) execute(cycle int64) {
 
 func (c *CE) execScalarGlobal(cycle int64) {
 	if !c.issuedScalar {
-		pkt := c.pool.Get()
+		pkt := c.sh.pool.Get()
 		pkt.Src = c.Port
 		pkt.Dst = c.modFor(c.cur.Addr)
 		pkt.Addr = c.cur.Addr
@@ -467,7 +476,7 @@ func (c *CE) execScalarGlobal(cycle int64) {
 			c.issuedScalar = true
 			c.scalarBack = false
 		} else {
-			c.pool.Put(pkt)
+			c.sh.pool.Put(pkt)
 		}
 		return
 	}
@@ -494,7 +503,7 @@ func (c *CE) drainReplies(cycle int64) {
 			return
 		}
 		if c.pfu.Deliver(pkt, cycle) {
-			c.pool.Put(pkt)
+			c.sh.pool.Put(pkt)
 			continue
 		}
 		switch pkt.Tag & tagKindMask {
@@ -521,7 +530,7 @@ func (c *CE) drainReplies(cycle int64) {
 		default:
 			panic(fmt.Sprintf("ce%d: unmatched reply %v", c.ID, pkt))
 		}
-		c.pool.Put(pkt)
+		c.sh.pool.Put(pkt)
 	}
 }
 
@@ -572,7 +581,7 @@ const storePendingCap = 8
 
 // offerVecStore issues one vector-element global store.
 func (c *CE) offerVecStore(addr uint64, cycle int64) bool {
-	pkt := c.pool.Get()
+	pkt := c.sh.pool.Get()
 	pkt.Kind = network.WriteReq
 	pkt.Src = c.Port
 	pkt.Dst = c.modFor(addr)
@@ -582,7 +591,7 @@ func (c *CE) offerVecStore(addr uint64, cycle int64) bool {
 	if c.offerStore(pkt) {
 		return true
 	}
-	c.pool.Put(pkt)
+	c.sh.pool.Put(pkt)
 	return false
 }
 

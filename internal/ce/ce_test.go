@@ -34,10 +34,10 @@ func newRig(t *testing.T, nCE int) *rig {
 	cm := cmem.New(p.CMemWordsPerCyc, p.CMemLatency, nil)
 	cch := cache.New(p, p.CEsPerCluster, cm)
 	r := &rig{p: p, eng: sim.New(), mem: mem, cch: cch, cm: cm}
-	ces, pool := make([]CE, nCE), new(network.PacketPool)
+	ces, sh := make([]CE, nCE), new(Shared)
 	for i := range ces {
 		c := &ces[i]
-		*c = New(p, i, 0, i%p.CEsPerCluster, i, fwd, rev, cch, mem.ModuleFor, pool)
+		*c = New(p, i, 0, i%p.CEsPerCluster, i, fwd, rev, cch, mem.ModuleFor, sh)
 		r.ces = append(r.ces, c)
 		r.eng.Register(c)
 	}
@@ -72,6 +72,15 @@ func prog(instrs ...*Instr) *Program { return &Program{Instrs: instrs} }
 func TestInstrLayout(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(Instr{}) != 96 {
 		t.Errorf("Instr is %d bytes, want 96: Op, Test and Mut share a word", unsafe.Sizeof(Instr{}))
+	}
+}
+
+// TestCELayout pins CE at 944 bytes on 64-bit hosts. A machine holds its
+// CEs in one slab, so every byte a CE grows costs Cedar64 512; what the
+// CEs of a machine share lives in Shared, reached through one pointer.
+func TestCELayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(CE{}) > 944 {
+		t.Errorf("CE is %d bytes, want at most 944", unsafe.Sizeof(CE{}))
 	}
 }
 

@@ -13,15 +13,15 @@ const MaxUnprefetched = 0xffff
 
 // startVector initializes stream state for the current OpVector. The
 // stream and availability slices are reused across instructions: per CE,
-// the stream slice grows once to the widest instruction and a stream's
-// availability record once to the longest unprefetched vector in its
-// position, then they stay put, keeping this per-instruction path off the
-// allocator. A prefetched stream keeps no availability record: its words
-// land in the PFU buffer, whose full bits are the record. Panics if the
-// instruction is malformed (N < 1, an unprefetched memory stream longer
-// than the 16-bit element tag space, prefetch on a non-global stream, or
-// more than one prefetched stream) — controller bugs, not runtime
-// conditions.
+// the stream slice grows once to the widest instruction, carved from the
+// machine's stream slab (Shared), and a stream's availability record once
+// to the longest unprefetched vector in its position, then they stay put,
+// keeping this per-instruction path off the allocator. A prefetched
+// stream keeps no availability record: its words land in the PFU buffer,
+// whose full bits are the record. Panics if the instruction is malformed
+// (N < 1, an unprefetched memory stream longer than the 16-bit element
+// tag space, prefetch on a non-global stream, or more than one prefetched
+// stream) — controller bugs, not runtime conditions.
 func (c *CE) startVector(cycle int64) {
 	in := c.cur
 	if in.N < 1 {
@@ -38,7 +38,7 @@ func (c *CE) startVector(cycle int64) {
 	}
 	vs.freeAt = freeAt
 	if cap(streams) < len(in.Srcs) {
-		streams = make([]streamState, len(in.Srcs)) // first touch: once per CE per wider instruction, then reused
+		streams = c.sh.streams.Take(len(in.Srcs)) // first touch, from the machine's stream slab: once per CE per wider instruction, then reused
 	}
 	vs.streams = streams[:len(in.Srcs)]
 	prefs := 0
@@ -173,7 +173,7 @@ func (c *CE) issueStream(st *streamState, si int, cycle int64) {
 		if st.issued < vs.n && vs.outstanding < c.p.MaxOutstanding {
 			e := st.issued
 			addr := uint64(int64(st.s.Base) + st.s.Stride*int64(e))
-			pkt := c.pool.Get()
+			pkt := c.sh.pool.Get()
 			pkt.Kind = network.ReadReq
 			pkt.Src = c.Port
 			pkt.Dst = c.modFor(addr)
@@ -184,7 +184,7 @@ func (c *CE) issueStream(st *streamState, si int, cycle int64) {
 				st.issued++
 				vs.outstanding++
 			} else {
-				c.pool.Put(pkt)
+				c.sh.pool.Put(pkt)
 			}
 		}
 
@@ -304,7 +304,7 @@ func (c *CE) elementReady(e int, cycle int64) bool {
 	for i := range c.vec.streams {
 		st := &c.vec.streams[i]
 		if st.s.PrefBlock > 0 {
-			if _, ok := c.pfu.TryConsume(cycle); !ok {
+			if !c.pfu.TryConsume(cycle) {
 				return false
 			}
 		}

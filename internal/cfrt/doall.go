@@ -430,7 +430,7 @@ func (r *Runtime) pollBus(c *ceCtl, cy int64) bool {
 // cdClaim self-schedules (or block-claims) CDOALL iterations on the bus;
 // an exhausted loop leads to the join.
 func (r *Runtime) cdClaim(c *ceCtl, cy int64) {
-	bus := c.cs.cl.Bus
+	bus := &c.cs.cl.Bus
 	var first, count int
 	var at int64
 	if c.cd.Static {

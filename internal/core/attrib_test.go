@@ -44,7 +44,7 @@ func TestAttributionConservation(t *testing.T) {
 	// Drive the concurrency bus directly (instructions do not reach it),
 	// including a transaction booked past the end of the run so the
 	// ccbus busy clamp is exercised.
-	bus := m.Clusters[0].Bus
+	bus := &m.Clusters[0].Bus
 	bus.ConcurrentStart(0, 16)
 	for i := 0; i < 20; i++ {
 		bus.Claim(int64(i))

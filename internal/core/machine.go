@@ -60,7 +60,7 @@ type Options struct {
 // Cluster is one Alliant FX/8.
 type Cluster struct {
 	ID    int
-	Bus   *ccbus.Bus
+	Bus   ccbus.Bus
 	Cache *cache.Cache
 	CMem  *cmem.Memory
 	CEs   []*ce.CE
@@ -92,8 +92,9 @@ type Machine struct {
 
 	stepped    bool
 	nextGlobal uint64
-	// pool is the packet pool every CE and PFU of the machine shares.
-	pool network.PacketPool
+	// shared is the packet pool and the slabs every CE and PFU of the
+	// machine carves from.
+	shared ce.Shared
 }
 
 // register appends cs to the engine's tick order — through sim.Plain on
@@ -114,7 +115,7 @@ func (m *Machine) register(cs ...sim.Component) []sim.Handle {
 // the CE pointer tables are one slab each, every component is registered
 // in one call, wakers are sim.Handle values and the CEs share one packet
 // pool (DESIGN.md, "Demand-materialised state"). Only the per-cluster
-// cache, cluster memory and bus constructors still allocate per cluster.
+// cache and cluster memory constructors still allocate per cluster.
 func New(p params.Machine, opt Options) (*Machine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -177,7 +178,7 @@ func New(p params.Machine, opt Options) (*Machine, error) {
 		m.Clusters[cl] = cluster
 		for id := lo; id < hi; id++ {
 			c := &ces[id]
-			*c = ce.New(p, id, cl, id-lo, id*ceStride, fwd, rev, cc, modFor, &m.pool)
+			*c = ce.New(p, id, cl, id-lo, id*ceStride, fwd, rev, cc, modFor, &m.shared)
 			if m.Faults.Retryable() {
 				// Only recoverable faults (NACKs, drops) arm the retry
 				// machinery: timeout watchdogs under a stall-only plan

@@ -160,9 +160,12 @@ func TestAttachBlockStats(t *testing.T) {
 // handles by value, so a per-port closure or a per-stage table (406 and
 // 5,064 objects before both went) shows up here. Every experiment point
 // builds under a hub (bench.Point.Run), so the hub's instrumentation is
-// budgeted too. Cedar and Cedar64 cost ≈52 and ≈292 objects (≈82 and
-// ≈323 under a hub), and ≈60 and ≈787 KB (≈64 and ≈834 KB under a hub),
-// each budget × 1.1. A fabric line costs the packets queued on it, a
+// budgeted too. Cedar and Cedar64 cost ≈48 and ≈228 objects (≈78 and
+// ≈259 under a hub), and ≈59 and ≈773 KB (≈64 and ≈819 KB under a hub),
+// each budget × 1.1. A cluster holds its bus by value, with the three
+// timing constants it reads: a bus behind a pointer with a copy of the
+// parameter set (an object per cluster) puts Cedar64 at 292. A fabric
+// line costs the packets queued on it, a
 // cache's request rings and miss counts appear on its first Submit, its
 // tag-store page index on its first fill and its miss table on its first
 // miss, and a memory store's page map on its first nonzero store: giving
@@ -180,10 +183,10 @@ func TestBuildBudget(t *testing.T) {
 		budget  int64
 		objects int64
 	}{
-		{"Cedar", params.Default(), false, 66 << 10, 57},
-		{"Cedar64", params.Cedar64(), false, 867 << 10, 321},
-		{"Cedar+hub", params.Default(), true, 71 << 10, 90},
-		{"Cedar64+hub", params.Cedar64(), true, 918 << 10, 355},
+		{"Cedar", params.Default(), false, 65 << 10, 53},
+		{"Cedar64", params.Cedar64(), false, 850 << 10, 251},
+		{"Cedar+hub", params.Default(), true, 70 << 10, 86},
+		{"Cedar64+hub", params.Cedar64(), true, 902 << 10, 285},
 	} {
 		objects, bytes := buildCost(t, tc.p, tc.hub)
 		if bytes > tc.budget {
@@ -199,7 +202,7 @@ func TestBuildBudget(t *testing.T) {
 // TestBuildCostsNoObjectPerCE builds two paper machines 24 CEs apart (8
 // and 2 CEs per cluster) and requires them to differ by fewer than 24
 // objects, with and without a hub: one object per CE anywhere in core.New
-// fails it. What a cluster costs (its cache, cluster memory and bus
+// fails it. What a cluster costs (its cache and cluster memory
 // constructors) is the same on both machines.
 func TestBuildCostsNoObjectPerCE(t *testing.T) {
 	small := params.Default()

@@ -21,9 +21,15 @@ package network
 // so far (4 the first time): a machine that peaks at P packets in flight
 // costs one object per refill — at most 1 + log2(P/4) per run — instead
 // of one per packet, and Put never grows anything.
+//
+// The pool also holds the machine's word slab (Words), from which every
+// PFU sharing the pool carves its prefetch buffer: the PFUs of a machine
+// reach it through the pool they already hold, so n buffers cost
+// 1 + log2(n) objects rather than n.
 type PacketPool struct {
-	free *Packet
-	made int // packets built so far
+	free  *Packet
+	made  int // packets built so far
+	words Slab[int64]
 }
 
 const poolFirstSlab = 4
@@ -55,4 +61,34 @@ func (p *PacketPool) Put(pkt *Packet) {
 	if pkt != nil {
 		pkt.next, p.free = p.free, pkt
 	}
+}
+
+// Words returns a zeroed region of n words from the pool's word slab,
+// for a PFU's prefetch buffer.
+func (p *PacketPool) Words(n int) []int64 { return p.words.Take(n) }
+
+// Slab carves zeroed slices from chunks it makes on demand, by the pool's
+// refill rule: a take that does not fit the current chunk's remainder
+// opens a fresh chunk as large as every chunk made so far (and at least
+// the take), abandoning that remainder. So k equal takes cost 1 + log2(k)
+// chunks when k is a power of two, instead of k objects. A taken region
+// has cap == len, so an append to it reallocates instead of reaching its
+// neighbour, and it is never handed out again: a slab serves state that,
+// once touched, lives as long as its machine. The zero Slab is empty and
+// ready.
+type Slab[T any] struct {
+	free []T // the current chunk's untaken tail
+	made int // elements in every chunk made so far
+}
+
+// Take returns n zeroed elements.
+func (s *Slab[T]) Take(n int) []T {
+	if n > len(s.free) {
+		c := max(s.made, n)
+		s.made += c
+		s.free = make([]T, c) // slab refill: each chunk at least doubles what the slab made, so at most 1 + log2(made/first chunk) chunks per slab
+	}
+	t := s.free[:n:n]
+	s.free = s.free[n:]
+	return t
 }

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -126,5 +127,45 @@ func TestPacketPoolThreadsItsFreelist(t *testing.T) {
 	}
 	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(Packet{}) != 72 {
 		t.Errorf("Packet is %d bytes, want 72: its one-byte fields and Tag share a word", unsafe.Sizeof(Packet{}))
+	}
+}
+
+// TestSlabCarvesZeroedRegions pins the slab's four properties. Every take
+// is zeroed, although every word taken before it was written. A take's
+// cap is its len, so an append to it reallocates instead of reaching the
+// next region. k equal takes cost 1 + log2(k) chunks when k is a power of
+// two: eight cost four, holding one, one, two and four takes. A take
+// larger than the chunk's remainder gets a fresh chunk as large as every
+// chunk made so far: after chunks of n, n and 2n, a take of n+1 misses the
+// n words left and opens a chunk of 4n, which holds the 3n-1 after it.
+func TestSlabCarvesZeroedRegions(t *testing.T) {
+	const n = 32
+	var s Slab[int64]
+	var taken [][]int64
+	for i := 0; i < 8; i++ {
+		r := s.Take(n)
+		if cap(r) != len(r) || slices.ContainsFunc(r, func(v int64) bool { return v != 0 }) {
+			t.Fatalf("take %d: len %d, cap %d, words %v; want a zeroed region with cap == len", i, len(r), cap(r), r)
+		}
+		for j := range r {
+			r[j] = int64(i + 1)
+		}
+		_ = append(r, -1) // must not write the next region
+		taken = append(taken, r)
+	}
+	for i, r := range taken {
+		if slices.ContainsFunc(r, func(v int64) bool { return v != int64(i+1) }) {
+			t.Fatalf("take %d holds %v: regions overlap", i, r)
+		}
+	}
+	for _, takes := range [][]int{{n, n, n, n, n, n, n, n}, {n, n, n, n + 1, 3*n - 1}} {
+		if chunks := testing.AllocsPerRun(10, func() {
+			s = Slab[int64]{}
+			for _, k := range takes {
+				s.Take(k)
+			}
+		}); chunks != 4 {
+			t.Errorf("takes %v cost %.0f objects, want 4 chunks", takes, chunks)
+		}
 	}
 }

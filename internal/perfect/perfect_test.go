@@ -178,9 +178,11 @@ func TestKAPOneClusterConfinement(t *testing.T) {
 // completion callback per runtime and no arrival record on an unobserved
 // PFU ≈200 and ≈135; with bodies asked for one instruction at a time, a
 // vector phase's streams in one slab and a cache's miss state made on
-// first use ≈142 and ≈108 (≈146 and ≈112 under -race) — the budgets are
-// those × 1.1. Queued whole iterations and eager cache state put them
-// back at ≈186 and ≈121, two callbacks per participant and a record per
+// first use ≈142 and ≈108; with PFU buffers and stream tables carved from
+// the machine's slabs and each cluster's bus held by value ≈97 and ≈95
+// (≈101 and ≈99 under -race) — the budgets are those × 1.1. Queued whole
+// iterations and eager cache state put them back at ≈186 and ≈121, two
+// callbacks per participant and a record per
 // PFU at ≈263 and ≈198, a closure chain per iteration at 7,000 and 1,100,
 // a closure per poll or a heap Instr per body instruction at 328,000 and
 // 169,000.
@@ -191,8 +193,8 @@ func TestRunBudget(t *testing.T) {
 		spec   Spec
 		budget float64
 	}{
-		{"TRACK auto-nosync", TRACK(), Spec{Variant: Auto, NoSync: true}, 156},
-		{"QCD kap", QCD(), Spec{Variant: KAP}, 119},
+		{"TRACK auto-nosync", TRACK(), Spec{Variant: Auto, NoSync: true}, 107},
+		{"QCD kap", QCD(), Spec{Variant: KAP}, 105},
 	} {
 		tc.prof.Reps *= 2
 		got := testing.AllocsPerRun(2, func() {

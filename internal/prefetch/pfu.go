@@ -12,10 +12,13 @@
 // the PFU only handles physical addresses. Arming again invalidates the
 // buffer.
 //
-// The host-side buffer is the hardware's: a slot per word holds the word
-// and its arrival cycle, whose zero is the empty bit. It is sized by the
-// blocks a run arms, not by the 512-word capacity: it grows to the longest
-// block armed so far, and each Arm clears only that block's slots. What
+// The host-side buffer is the hardware's full/empty bits and timing: a slot
+// per word is one word, the word's arrival cycle + 1, whose zero is the
+// empty bit. The prefetched value itself is not kept: the CE consumes a
+// word for its timing alone. The buffer is sized by the blocks a run arms,
+// not by the 512-word capacity: it grows to the longest block armed so
+// far, carved from the word slab of the PFU's packet pool (a machine's
+// PFUs share one), and each Arm clears only that block's slots. What
 // fault recovery needs per element (the issued address, whether a request
 // is in flight, the reissues so far) lives in a side table that only a
 // PFU with ArmRetry grows, by the same rule; the block's arrival record
@@ -56,13 +59,6 @@ type BlockTracer interface {
 	Block(id int, firstIssue, lastArrival int64)
 }
 
-// slot is one prefetch-buffer word. at is the word's arrival cycle + 1,
-// so the zero slot is an empty one: 0 is the clear full/empty bit.
-type slot struct {
-	value int64
-	at    int64
-}
-
 // retrySlot is one element's fault-recovery bookkeeping, kept beside the
 // buffer only on a retry-armed PFU.
 type retrySlot struct {
@@ -84,10 +80,12 @@ type PFU struct {
 	tracer  BlockTracer
 	traceID int
 
-	// buf holds the armed block's slots: len(buf) is the longest block
-	// armed so far, and only buf[:length] is live. retry is its fault-
-	// recovery twin, grown by the same rule on a retry-armed PFU alone.
-	buf   []slot
+	// buf holds the armed block's slots, one per word: the word's arrival
+	// cycle + 1, so a zero slot is an empty one (the clear full/empty
+	// bit). len(buf) is the longest block armed so far, and only
+	// buf[:length] is live. retry is its fault-recovery twin, grown by the
+	// same rule on a retry-armed PFU alone.
+	buf   []int64
 	retry []retrySlot
 	epoch uint32
 
@@ -183,8 +181,9 @@ type Stats struct {
 
 // New builds a PFU for the CE on the given forward-network port. modFor
 // maps a word address to its memory module (egress port). pool recycles
-// issued packets — pass the pool the CE draining the shared port retires
-// replies into (a machine's one pool); nil gets a private pool.
+// issued packets and holds the word slab the buffer is carved from — pass
+// the pool the CE draining the shared port retires replies into (a
+// machine's one pool); nil gets a private pool, with its own slab.
 func New(p params.Machine, port int, fwd network.Fabric, modFor func(uint64) int, pool *network.PacketPool) *PFU {
 	if pool == nil {
 		pool = &network.PacketPool{}
@@ -255,7 +254,7 @@ func (u *PFU) Arm(length int, stride int64, mask []bool) error {
 	u.timeoutQ = u.timeoutQ[:0]
 	u.err = nil
 	if length > len(u.buf) {
-		u.buf = make([]slot, length) // first touch: ≤ PFUBufferWords slots per run
+		u.buf = u.pool.Words(length) // first touch, from the machine's word slab: ≤ PFUBufferWords slots per run
 	} else {
 		clear(u.buf[:length])
 	}
@@ -368,11 +367,11 @@ func (u *PFU) NextConsumableAt() (int64, bool) {
 	if u.consumeIdx >= u.length {
 		return 0, false
 	}
-	s := &u.buf[u.consumeIdx]
-	if s.at == 0 {
+	at := u.buf[u.consumeIdx]
+	if at == 0 {
 		return 0, false
 	}
-	return s.at - 1 + int64(u.p.CELoadOverhead), true
+	return at - 1 + int64(u.p.CELoadOverhead), true
 }
 
 // Tick issues at most one request into the forward network (the PFU shares
@@ -393,7 +392,7 @@ func (u *PFU) Tick(cycle int64) {
 	}
 	for u.issuedIdx < u.length && u.mask != nil && !u.mask[u.issuedIdx] {
 		// Masked-off elements are never fetched; mark them consumable.
-		u.buf[u.issuedIdx].at = cycle + 1
+		u.buf[u.issuedIdx] = cycle + 1
 		u.issuedIdx++
 	}
 	if u.issuedIdx >= u.length {
@@ -453,7 +452,7 @@ func (u *PFU) expireTimeouts(cycle int64) {
 		copy(u.timeoutQ, u.timeoutQ[1:])
 		u.timeoutQ = u.timeoutQ[:len(u.timeoutQ)-1]
 		r := &u.retry[e.idx]
-		if u.buf[e.idx].at != 0 || !r.inflight {
+		if u.buf[e.idx] != 0 || !r.inflight {
 			continue // answered, or already NACKed and rescheduled
 		}
 		r.inflight = false
@@ -471,7 +470,7 @@ func (u *PFU) reissue(cycle int64) bool {
 		if e.at > cycle {
 			continue
 		}
-		if u.buf[e.idx].at != 0 {
+		if u.buf[e.idx] != 0 {
 			// The "lost" reply arrived after all; drop the retry.
 			copy(u.retryQ[qi:], u.retryQ[qi+1:])
 			u.retryQ = u.retryQ[:len(u.retryQ)-1]
@@ -524,11 +523,11 @@ func (u *PFU) Deliver(pkt *network.Packet, cycle int64) bool {
 		u.stats.Dropped++ // stale reply from an invalidated block
 		return true
 	}
-	s := &u.buf[idx]
+	at := &u.buf[idx]
 	if pkt.Kind == network.NackReply {
 		// The module refused service; back off and reissue.
 		r := &u.retry[idx]
-		if s.at != 0 || !r.inflight {
+		if *at != 0 || !r.inflight {
 			u.stats.Dropped++ // the element already made it another way
 			return true
 		}
@@ -538,12 +537,11 @@ func (u *PFU) Deliver(pkt *network.Packet, cycle int64) bool {
 		u.scheduleRetry(idx, cycle)
 		return true
 	}
-	if s.at != 0 {
+	if *at != 0 {
 		u.stats.Dropped++
 		return true
 	}
-	s.value = pkt.Value
-	s.at = cycle + 1
+	*at = cycle + 1
 	switch {
 	case !u.retryArmed:
 		u.outstanding-- // the element's one request
@@ -559,18 +557,19 @@ func (u *PFU) Deliver(pkt *network.Packet, cycle int64) bool {
 	return true
 }
 
-// TryConsume returns the next element in request order if it has arrived
-// and cleared the CE-side transfer pipeline (CELoadOverhead cycles).
-func (u *PFU) TryConsume(cycle int64) (int64, bool) {
+// TryConsume takes the next element in request order if it has arrived
+// and cleared the CE-side transfer pipeline (CELoadOverhead cycles), and
+// reports whether it could.
+func (u *PFU) TryConsume(cycle int64) bool {
 	if u.consumeIdx >= u.length {
-		return 0, false
+		return false
 	}
-	s := &u.buf[u.consumeIdx]
-	if s.at == 0 || cycle < s.at-1+int64(u.p.CELoadOverhead) {
-		return 0, false
+	at := u.buf[u.consumeIdx]
+	if at == 0 || cycle < at-1+int64(u.p.CELoadOverhead) {
+		return false
 	}
 	u.consumeIdx++
-	return s.value, true
+	return true
 }
 
 // Consumed reports how many elements the CE has taken from the buffer.

@@ -9,9 +9,9 @@ import (
 )
 
 // refPFU is the PFU as it was before its buffer shrank to a word and its
-// arrival: a 48-byte slot carrying the word, a full flag, the arrival
-// cycle and every element's retry bookkeeping, on every PFU whether or
-// not fault recovery is armed. It is kept, like the network package's
+// arrival: a slot carrying a full flag, the arrival cycle and every
+// element's retry bookkeeping, on every PFU whether or not fault recovery
+// is armed, less only the prefetched word, which no caller reads. It is kept, like the network package's
 // scan omega, as the definition the production PFU must reproduce call
 // for call; TestPFUMatchesReference drives both. Only the block tracer is
 // left out: it reads lastArrival, which the observer's record covers.
@@ -55,7 +55,6 @@ type refPFU struct {
 
 type refSlot struct {
 	full    bool
-	value   int64
 	arrival int64
 
 	// Retry bookkeeping (used only under fault injection).
@@ -394,7 +393,6 @@ func (u *refPFU) Deliver(pkt *network.Packet, cycle int64) bool {
 		return true
 	}
 	s.full = true
-	s.value = pkt.Value
 	s.arrival = cycle
 	if s.inflight {
 		s.inflight = false
@@ -408,18 +406,19 @@ func (u *refPFU) Deliver(pkt *network.Packet, cycle int64) bool {
 	return true
 }
 
-// TryConsume returns the next element in request order if it has arrived
-// and cleared the CE-side transfer pipeline (CELoadOverhead cycles).
-func (u *refPFU) TryConsume(cycle int64) (int64, bool) {
+// TryConsume takes the next element in request order if it has arrived
+// and cleared the CE-side transfer pipeline (CELoadOverhead cycles), and
+// reports whether it could.
+func (u *refPFU) TryConsume(cycle int64) bool {
 	if u.consumeIdx >= u.length {
-		return 0, false
+		return false
 	}
 	s := &u.buf[u.consumeIdx]
 	if !s.full || cycle < s.arrival+int64(u.p.CELoadOverhead) {
-		return 0, false
+		return false
 	}
 	u.consumeIdx++
-	return s.value, true
+	return true
 }
 
 // Consumed reports how many elements the CE has taken from the buffer.

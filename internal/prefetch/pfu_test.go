@@ -14,13 +14,28 @@ import (
 )
 
 // rig wires one PFU to memory through real fabrics, with a glue component
-// that drains the reverse port into the PFU (the CE's role).
+// that drains the reverse port into the PFU (the CE's role). The PFU
+// offers its requests through a tap on the forward fabric.
 type rig struct {
 	p          params.Machine
 	eng        *sim.Engine
 	pfu        *PFU
-	mem        *gmem.Memory
+	fwd        *tap
 	autoResume bool // resume immediately on page crossing, as a CE would
+}
+
+// tap is a forward fabric that records every request it accepts.
+type tap struct {
+	network.Fabric
+	sent []request
+}
+
+func (w *tap) Offer(p *network.Packet) bool {
+	if !w.Fabric.Offer(p) {
+		return false
+	}
+	w.sent = append(w.sent, request{tag: p.Tag, addr: p.Addr, dst: p.Dst, issue: p.Issue})
+	return true
 }
 
 func newRig(t *testing.T) *rig {
@@ -29,10 +44,10 @@ func newRig(t *testing.T) *rig {
 	fwd := network.NewOmega(network.OmegaConfig{Name: "fwd", Ports: p.NetPorts, Radix: p.NetRadix, QueueWords: p.NetQueueWords})
 	rev := network.NewOmega(network.OmegaConfig{Name: "rev", Ports: p.NetPorts, Radix: p.NetRadix, QueueWords: p.NetQueueWords})
 	mem := gmem.New(p, fwd, rev, nil)
-	pool := &network.PacketPool{}
-	pfu := New(p, 0, fwd, mem.ModuleFor, pool)
+	pool, in := &network.PacketPool{}, &tap{Fabric: fwd}
+	pfu := New(p, 0, in, mem.ModuleFor, pool)
 	eng := sim.New()
-	r := &rig{p: p, eng: eng, pfu: pfu, mem: mem}
+	r := &rig{p: p, eng: eng, pfu: pfu, fwd: in}
 	drainer := sim.Func{ID: "ce0", F: func(cycle int64) {
 		for {
 			pkt := rev.Poll(0)
@@ -62,9 +77,6 @@ func (r *rig) runUntilDone(t *testing.T, limit int64) {
 
 func TestPrefetchBlockCompletes(t *testing.T) {
 	r := newRig(t)
-	for i := 0; i < 32; i++ {
-		r.mem.Store().StoreWord(uint64(100+2*i), int64(1000+i))
-	}
 	if err := r.pfu.Arm(32, 2, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +85,7 @@ func TestPrefetchBlockCompletes(t *testing.T) {
 	}
 	r.runUntilDone(t, 10000)
 
-	r.consumeAll(t, 32, 1000)
+	r.consumeAll(t, 32, 100, 2)
 	st := r.pfu.Stats()
 	if st.Issued != 32 || st.Returned != 32 {
 		t.Errorf("stats %+v, want 32 issued/returned", st)
@@ -138,6 +150,7 @@ func TestPrefetchModuleConflictStride(t *testing.T) {
 	if cyc > limit {
 		t.Errorf("single-module stream took %d cycles for %d words (limit %d)", cyc, n, limit)
 	}
+	r.consumeAll(t, n, 0, int64(r.p.MemModules)) // across seven page-crossing resumes
 }
 
 func TestPageCrossingSuspends(t *testing.T) {
@@ -165,6 +178,7 @@ func TestPageCrossingSuspends(t *testing.T) {
 	if r.pfu.Stats().Suspends != 1 {
 		t.Errorf("suspends = %d, want 1", r.pfu.Stats().Suspends)
 	}
+	r.consumeAll(t, 16, start, 1)
 }
 
 func TestRearmInvalidatesOutstanding(t *testing.T) {
@@ -194,7 +208,7 @@ func TestRearmInvalidatesOutstanding(t *testing.T) {
 	got := 0
 	for cycle := r.eng.Cycle(); got < 8 && cycle < r.eng.Cycle()+100; cycle++ {
 		for {
-			if _, ok := r.pfu.TryConsume(cycle); !ok {
+			if !r.pfu.TryConsume(cycle) {
 				break
 			}
 			got++
@@ -258,29 +272,37 @@ func TestConsumeRespectsCEOverhead(t *testing.T) {
 	}
 	r.runUntilDone(t, 1000)
 	arrived := r.eng.Cycle()
-	if _, ok := r.pfu.TryConsume(arrived); ok {
+	if r.pfu.TryConsume(arrived) {
 		t.Error("consumable immediately at arrival; CE transfer overhead ignored")
 	}
-	if _, ok := r.pfu.TryConsume(arrived + int64(r.p.CELoadOverhead)); !ok {
+	if !r.pfu.TryConsume(arrived + int64(r.p.CELoadOverhead)) {
 		t.Error("not consumable after CE overhead elapsed")
 	}
 }
 
-// consumeAll drains the armed block in order and checks element i holds
-// base+i.
-func (r *rig) consumeAll(t *testing.T, n int, base int64) {
+// consumeAll drains the finished block of n elements in order and checks
+// that element i was read from base + i·stride: the buffer keeps no word,
+// so the request issued for element i is what ties it to its address.
+func (r *rig) consumeAll(t *testing.T, n int, base uint64, stride int64) {
 	t.Helper()
+	i := 0
+	for _, q := range r.fwd.sent {
+		if (q.tag&^TagBit)>>16 != r.pfu.epoch&0x7fff {
+			continue // an earlier block's request
+		}
+		want := uint64(int64(base) + int64(i)*stride)
+		if idx := int(q.tag & 0xffff); idx != i || q.addr != want {
+			t.Fatalf("request %d: element %d at %d, want element %d at %d", i, idx, q.addr, i, want)
+		}
+		i++
+	}
+	if i != n {
+		t.Fatalf("block issued %d requests, want %d", i, n)
+	}
 	got := 0
 	deadline := r.eng.Cycle() + int64(r.p.CELoadOverhead) + 5
 	for cycle := r.eng.Cycle(); cycle < deadline && got < n; cycle++ {
-		for {
-			v, ok := r.pfu.TryConsume(cycle)
-			if !ok {
-				break
-			}
-			if v != base+int64(got) {
-				t.Fatalf("element %d = %d, want %d", got, v, base+int64(got))
-			}
+		for r.pfu.TryConsume(cycle) {
 			got++
 		}
 	}
@@ -291,13 +313,10 @@ func (r *rig) consumeAll(t *testing.T, n int, base int64) {
 
 // TestRearmShorterThenLonger walks the buffer through the three cases of
 // its block-sized life: first growth, a shorter block (only its own slots
-// are cleared, the tail keeps block one's words) and a block longer than
-// any before (which must not see that tail as already arrived).
+// are cleared, the tail keeps block one's arrivals) and a block longer
+// than any before (which must not see that tail as already arrived).
 func TestRearmShorterThenLonger(t *testing.T) {
 	r := newRig(t)
-	for i := 0; i < 200; i++ {
-		r.mem.Store().StoreWord(uint64(i), int64(7000+i))
-	}
 	if len(r.pfu.buf) != 0 {
 		t.Fatalf("New allocated a %d-slot buffer; it should wait for Arm", len(r.pfu.buf))
 	}
@@ -306,8 +325,8 @@ func TestRearmShorterThenLonger(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < blk.n; i++ {
-			if s := r.pfu.buf[i]; s != (slot{}) {
-				t.Fatalf("block of %d: slot %d not cleared by Arm: %+v", blk.n, i, s)
+			if at := r.pfu.buf[i]; at != 0 {
+				t.Fatalf("block of %d: slot %d not cleared by Arm: arrived at %d", blk.n, i, at-1)
 			}
 		}
 		if _, ok := r.pfu.NextConsumableAt(); ok {
@@ -317,7 +336,7 @@ func TestRearmShorterThenLonger(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.runUntilDone(t, 10000)
-		r.consumeAll(t, blk.n, int64(7000+blk.at))
+		r.consumeAll(t, blk.n, uint64(blk.at), 1)
 	}
 	if got := len(r.pfu.buf); got != 128 {
 		t.Errorf("buffer holds %d slots after blocks of 64, 8, 128, 8; want 128 (the longest)", got)
@@ -403,14 +422,16 @@ func TestNackAtUnarmedPFUPanics(t *testing.T) {
 	r.pfu.Deliver(&network.Packet{Kind: network.NackReply, Tag: TagBit | (r.pfu.epoch&0x7fff)<<16}, r.eng.Cycle())
 }
 
-// TestArmCostsItsWords is the PFU's byte gate: a slot is the word and its
-// arrival, so blocks of 256, 64, 256 and 32 words cost a healthy PFU one
-// 4 KB buffer (16 bytes a word) and nothing more, and a retry-armed one
-// that buffer and one retry table of the same length, grown once. A slot
-// that carries the retry bookkeeping again (48 bytes) fails the healthy
-// budget threefold.
+// TestArmCostsItsWords is the PFU's byte gate: a slot is the word's
+// arrival, so blocks of 256, 64, 256 and 32 words cost a healthy PFU on a
+// pool of its own one 2 KB buffer (8 bytes a word), carved from that
+// pool's word slab, and nothing more, and a retry-armed one that buffer
+// and one retry table of the same length, grown once. A slot that carries
+// the word again (16 bytes) fails the healthy budget twofold. PFUs sharing
+// a pool share its slab: eight first Arms on one pool cost 1 + log2(8)
+// objects, where a buffer made per PFU costs eight.
 func TestArmCostsItsWords(t *testing.T) {
-	p, pool := params.Default(), &network.PacketPool{}
+	p := params.Default()
 	blocks := func(u *PFU) {
 		for _, n := range []int{256, 64, 256, 32} {
 			if err := u.Arm(n, 1, nil); err != nil {
@@ -424,11 +445,11 @@ func TestArmCostsItsWords(t *testing.T) {
 		objects int64
 		bytes   int64
 	}{
-		{"healthy", false, 1, 4 << 10},
-		{"retry-armed", true, 2, 8 << 10},
+		{"healthy", false, 1, 2 << 10},
+		{"retry-armed", true, 2, 6 << 10},
 	} {
 		objects, bytes := armCost(func() *PFU {
-			u := New(p, 0, nil, nil, pool)
+			u := New(p, 0, nil, nil, nil)
 			if tc.retry {
 				u.ArmRetry()
 			}
@@ -440,10 +461,33 @@ func TestArmCostsItsWords(t *testing.T) {
 		}
 		t.Logf("%s: %d objects, %d bytes", tc.name, objects, bytes)
 	}
-	u := New(p, 0, nil, nil, pool)
+	u := New(p, 0, nil, nil, nil)
 	blocks(u)
 	if u.retry != nil {
 		t.Errorf("a healthy PFU grew a %d-slot retry table", len(u.retry))
+	}
+
+	const k = 8
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	shared := uint64(math.MaxUint64)
+	for try := 0; try < 3; try++ {
+		pool, pfus := &network.PacketPool{}, make([]*PFU, k)
+		for i := range pfus {
+			pfus[i] = New(p, i, nil, nil, pool)
+		}
+		var a, b runtime.MemStats
+		runtime.ReadMemStats(&a)
+		for _, u := range pfus {
+			if err := u.Arm(32, 1, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&b)
+		shared = min(shared, b.Mallocs-a.Mallocs)
+	}
+	if shared != 4 {
+		t.Errorf("%d PFUs on one pool: first Arms cost %d objects, want 4 (1 + log2(%d) slab chunks)", k, shared, k)
 	}
 }
 
@@ -473,11 +517,11 @@ func armCost(mk func() *PFU, f func(*PFU)) (objects, bytes int64) {
 }
 
 // TestUnobservedPFUKeepsNoArrivalRecord: the arrival record is for a
-// monitor, so a PFU's first Arm allocates its buffer alone, and the record
-// beside it only when an observer is installed; a block run without one
-// leaves the PFU with no record at all.
+// monitor, so a PFU's first Arm on a pool of its own allocates its buffer
+// alone, and the record beside it only when an observer is installed; a
+// block run without one leaves the PFU with no record at all.
 func TestUnobservedPFUKeepsNoArrivalRecord(t *testing.T) {
-	p, pool := params.Default(), &network.PacketPool{}
+	p := params.Default()
 	for _, tc := range []struct {
 		name    string
 		observe BlockObserver
@@ -489,7 +533,7 @@ func TestUnobservedPFUKeepsNoArrivalRecord(t *testing.T) {
 		const runs = 10
 		pfus := make([]*PFU, runs+1) // AllocsPerRun warms up with one more call
 		for i := range pfus {
-			pfus[i] = New(p, 0, nil, nil, pool)
+			pfus[i] = New(p, 0, nil, nil, nil)
 			pfus[i].SetObserver(tc.observe)
 		}
 		next := 0
