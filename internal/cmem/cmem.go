@@ -19,6 +19,9 @@ type Memory struct {
 	wordsPerCyc int
 	latency     int64
 	data        *gmem.Store
+	// own is the store a Memory built without one uses: held by value, so
+	// it costs no object of its own.
+	own gmem.Store
 
 	queue  []pending
 	firing []firing
@@ -46,15 +49,16 @@ type firing struct {
 }
 
 // New builds a cluster memory with the given bandwidth (words/cycle) and
-// access latency (cycles). A nil store allocates a fresh one.
+// access latency (cycles). A nil store gives the memory one of its own.
 func New(wordsPerCyc int, latency int, data *gmem.Store) *Memory {
-	if data == nil {
-		data = gmem.NewStore()
-	}
 	if wordsPerCyc < 1 {
 		wordsPerCyc = 1
 	}
-	return &Memory{wordsPerCyc: wordsPerCyc, latency: int64(latency), data: data}
+	m := &Memory{wordsPerCyc: wordsPerCyc, latency: int64(latency), data: data}
+	if data == nil {
+		m.data = &m.own
+	}
+	return m
 }
 
 // Store returns the backdoor store.

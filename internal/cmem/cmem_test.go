@@ -1,6 +1,10 @@
 package cmem
 
-import "testing"
+import (
+	"testing"
+
+	"cedar/internal/gmem"
+)
 
 // fillFunc adapts a completion closure to the Sink interface so tests can
 // keep asserting on completion cycles.
@@ -81,5 +85,27 @@ func TestBusyCycles(t *testing.T) {
 	}
 	if done != 2 {
 		t.Errorf("completion at %d, want 2 (8 words at 4/cycle granted in cycles 0 and 1, latency 1)", done)
+	}
+}
+
+// TestNewKeepsItsOwnStoreInline requires New without a store to cost the
+// objects New with one costs: the memory holds its own store by value, so
+// a store allocated beside every cluster memory fails here. Two such
+// memories must still not share it.
+func TestNewKeepsItsOwnStoreInline(t *testing.T) {
+	shared := gmem.NewStore()
+	var m *Memory // kept, so the compiler cannot place an inlined New on the stack
+	own := testing.AllocsPerRun(10, func() { m = New(4, 10, nil) })
+	given := testing.AllocsPerRun(10, func() { m = New(4, 10, shared) })
+	if m == nil || own == 0 {
+		t.Fatalf("New allocates %.0f objects: the measurement saw nothing", own)
+	}
+	if own != given {
+		t.Errorf("New costs %.0f objects with its own store, %.0f given one", own, given)
+	}
+	a, b := New(4, 10, nil), New(4, 10, nil)
+	a.Store().StoreWord(7, 1)
+	if b.Store().Load(7) != 0 || a.Store().Load(7) != 1 {
+		t.Error("two cluster memories built without a store share one")
 	}
 }

@@ -160,11 +160,16 @@ func TestAttachBlockStats(t *testing.T) {
 // handles by value, so a per-port closure or a per-stage table (406 and
 // 5,064 objects before both went) shows up here. Every experiment point
 // builds under a hub (bench.Point.Run), so the hub's instrumentation is
-// budgeted too. Cedar and Cedar64 cost ≈48 and ≈228 objects (≈78 and
-// ≈259 under a hub), and ≈59 and ≈773 KB (≈64 and ≈819 KB under a hub),
-// each budget × 1.1. A cluster holds its bus by value, with the three
-// timing constants it reads: a bus behind a pointer with a copy of the
-// parameter set (an object per cluster) puts Cedar64 at 292. A fabric
+// budgeted too. Cedar and Cedar64 cost ≈42 and ≈162 objects (≈72 and
+// ≈193 under a hub), and ≈59 and ≈770 KB (≈63 and ≈817 KB under a hub),
+// each budget × 1.1. A global or cluster memory built without a store
+// holds its own by value: a store object beside each (65 on Cedar64) puts
+// Cedar64 at ≈227. The engine keeps its per-component state in one slice
+// and its due bitmaps in another: a slice per field, or a wheel and heap
+// allocated apart, cost an object or two more. A cluster holds its bus
+// by value, with the three timing constants it reads: a bus behind a
+// pointer with a copy of the parameter set (an object per cluster) puts
+// Cedar64 at 292. A fabric
 // line costs the packets queued on it, a
 // cache's request rings and miss counts appear on its first Submit, its
 // tag-store page index on its first fill and its miss table on its first
@@ -183,10 +188,10 @@ func TestBuildBudget(t *testing.T) {
 		budget  int64
 		objects int64
 	}{
-		{"Cedar", params.Default(), false, 65 << 10, 53},
-		{"Cedar64", params.Cedar64(), false, 850 << 10, 251},
-		{"Cedar+hub", params.Default(), true, 70 << 10, 86},
-		{"Cedar64+hub", params.Cedar64(), true, 902 << 10, 285},
+		{"Cedar", params.Default(), false, 65 << 10, 46},
+		{"Cedar64", params.Cedar64(), false, 847 << 10, 178},
+		{"Cedar+hub", params.Default(), true, 70 << 10, 79},
+		{"Cedar64+hub", params.Cedar64(), true, 898 << 10, 212},
 	} {
 		objects, bytes := buildCost(t, tc.p, tc.hub)
 		if bytes > tc.budget {

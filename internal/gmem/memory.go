@@ -31,10 +31,12 @@ import (
 // NextWakeup, Idle and InFlight walk that set only (DESIGN.md,
 // "Occupancy-driven data path").
 type Memory struct {
-	p          params.Machine
-	fwd        network.Fabric
-	rev        network.Fabric
-	data       *Store
+	fwd  network.Fabric
+	rev  network.Fabric
+	data *Store
+	// own is the store a Memory built without one uses: held by value, so
+	// it costs no object of its own.
+	own        Store
 	mods       []module
 	portStride int
 
@@ -64,6 +66,10 @@ type Memory struct {
 	// so the skipped cycles contribute gap × (frozen classification).
 	lastTick int64
 	wake     sim.Handle
+
+	// latency, syncLat and service are the three machine constants a
+	// module's timing reads (MemLatency, SyncOpLatency, MemService).
+	latency, syncLat, service int64
 }
 
 // Stats holds cumulative memory-system counters. BusyCyc, DrainCyc and
@@ -115,22 +121,22 @@ const outCap = 4
 // pipeCap is what a healthy module holds in flight: one initiation per
 // MemService cycles, each retiring MemLatency (+ SyncOpLatency) cycles
 // later, plus the one a full reply stage can hold back.
-func pipeCap(p params.Machine) int {
-	return (p.MemLatency+p.SyncOpLatency)/max(p.MemService, 1) + 2
+func (m *Memory) pipeCap() int {
+	return int((m.latency+m.syncLat)/max(m.service, 1)) + 2
 }
 
 // New builds the memory system over the given fabrics. The store is shared
-// backdoor state: runtime code may Peek/Poke it directly for setup.
+// backdoor state: runtime code may Peek/Poke it directly for setup. A nil
+// store gives the memory one of its own.
 func New(p params.Machine, fwd, rev network.Fabric, data *Store) *Memory {
-	if data == nil {
-		data = NewStore()
-	}
 	stride := 1
 	if fwd != nil && fwd.Ports() > p.MemModules {
 		stride = fwd.Ports() / p.MemModules
 	}
 	m := &Memory{
-		p:          p,
+		latency:    int64(p.MemLatency),
+		syncLat:    int64(p.SyncOpLatency),
+		service:    int64(p.MemService),
 		fwd:        fwd,
 		rev:        rev,
 		data:       data,
@@ -139,6 +145,9 @@ func New(p params.Machine, fwd, rev network.Fabric, data *Store) *Memory {
 		live:       make([]int, 0, p.MemModules),
 		active:     make([]uint64, (p.MemModules+63)/64),
 		lastTick:   -1,
+	}
+	if data == nil {
+		m.data = &m.own
 	}
 	pipes, outs := make([]inflight, p.MemModules), make([]*network.Packet, p.MemModules)
 	for i := range m.mods {
@@ -342,7 +351,7 @@ func (m *Memory) tickModule(i int, cycle int64) {
 	if pkt == nil {
 		return
 	}
-	lat := int64(m.p.MemLatency) + m.inj.BankStall(i, cycle)
+	lat := m.latency + m.inj.BankStall(i, cycle)
 	nack := false
 	switch pkt.Kind {
 	case network.ReadReq:
@@ -358,7 +367,7 @@ func (m *Memory) tickModule(i int, cycle int64) {
 		m.stats.Writes++
 	case network.SyncReq:
 		m.stats.SyncOps++
-		lat += int64(m.p.SyncOpLatency)
+		lat += m.syncLat
 	default:
 		panic(fmt.Sprintf("gmem: unexpected packet kind %v at module %d", pkt.Kind, i))
 	}
@@ -367,13 +376,13 @@ func (m *Memory) tickModule(i int, cycle int64) {
 		m.widen(i)
 	}
 	md.pipe = append(md.pipe, inflight{pkt: pkt, done: cycle + lat, nack: nack})
-	md.nextInit = cycle + int64(m.p.MemService)
+	md.nextInit = cycle + m.service
 }
 
 // widen moves module i from its narrow stages to its wide ones, carving
 // every module's wide stages on the first call.
 func (m *Memory) widen(i int) {
-	k := pipeCap(m.p)
+	k := m.pipeCap()
 	if m.widePipes == nil {
 		m.widePipes = make([]inflight, len(m.mods)*k)            // first touch: once per machine, on the first module to hold two requests or replies
 		m.wideOuts = make([]*network.Packet, len(m.mods)*outCap) // with widePipes, once per machine

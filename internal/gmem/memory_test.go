@@ -360,3 +360,22 @@ func TestNewCostsNoObjectPerModule(t *testing.T) {
 		t.Logf("dead bank %v: %.0f objects at 32 modules and %.0f at 2", dead, wide, narrow)
 	}
 }
+
+// TestNewKeepsItsOwnStoreInline requires New without a store to cost the
+// objects New with one costs: the memory holds its own store by value, so
+// a store allocated beside every Memory fails here. Two such memories must
+// still not share it.
+func TestNewKeepsItsOwnStoreInline(t *testing.T) {
+	p := params.Default()
+	shared := NewStore()
+	own := testing.AllocsPerRun(10, func() { New(p, nil, nil, nil) })
+	given := testing.AllocsPerRun(10, func() { New(p, nil, nil, shared) })
+	if own != given {
+		t.Errorf("New costs %.0f objects with its own store, %.0f given one", own, given)
+	}
+	a, b := New(p, nil, nil, nil), New(p, nil, nil, nil)
+	a.Store().StoreWord(7, 1)
+	if b.Store().Load(7) != 0 || a.Store().Load(7) != 1 {
+		t.Error("two memories built without a store share one")
+	}
+}

@@ -179,8 +179,10 @@ func TestKAPOneClusterConfinement(t *testing.T) {
 // PFU ≈200 and ≈135; with bodies asked for one instruction at a time, a
 // vector phase's streams in one slab and a cache's miss state made on
 // first use ≈142 and ≈108; with PFU buffers and stream tables carved from
-// the machine's slabs and each cluster's bus held by value ≈97 and ≈95
-// (≈101 and ≈99 under -race) — the budgets are those × 1.1. Queued whole
+// the machine's slabs and each cluster's bus held by value ≈97 and ≈95;
+// with each memory's store held by value and the engine's per-component
+// state in one slice ≈91 and ≈89 (≈94 and ≈92 under -race) — the budgets
+// are those × 1.1. Queued whole
 // iterations and eager cache state put them back at ≈186 and ≈121, two
 // callbacks per participant and a record per
 // PFU at ≈263 and ≈198, a closure chain per iteration at 7,000 and 1,100,
@@ -193,8 +195,8 @@ func TestRunBudget(t *testing.T) {
 		spec   Spec
 		budget float64
 	}{
-		{"TRACK auto-nosync", TRACK(), Spec{Variant: Auto, NoSync: true}, 107},
-		{"QCD kap", QCD(), Spec{Variant: KAP}, 105},
+		{"TRACK auto-nosync", TRACK(), Spec{Variant: Auto, NoSync: true}, 101},
+		{"QCD kap", QCD(), Spec{Variant: KAP}, 98},
 	} {
 		tc.prof.Reps *= 2
 		got := testing.AllocsPerRun(2, func() {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -255,8 +256,11 @@ func TestPlainHidesSleeper(t *testing.T) {
 	hs := e.Register(Plain(w), Plain(napper))
 	hs[0].Wake(3)
 	hs[1].Wake(1 << 20)
-	if e.soonest != Never || e.wake[0] != 0 || e.wake[1] != 0 {
-		t.Errorf("Wake on Plain components left a mark: soonest %d, wake %v", e.soonest, e.wake)
+	// Registration posted both for cycle 0, bits 0 and 1 of slot 0; the
+	// wakes change nothing: no wake moves, no bit or heap element appears.
+	if e.entries[0].wake != 0 || e.entries[1].wake != 0 || e.wheel[0] != 0b11 || e.occ != 1 || e.heapLen != 0 {
+		t.Errorf("Wake on Plain components left a mark: wakes %d and %d, slot 0 %b, occupied slots %b, heap %d",
+			e.entries[0].wake, e.entries[1].wake, e.wheel[0], e.occ, e.heapLen)
 	}
 	if got := e.AwakeComponents(); len(got) != 2 {
 		t.Errorf("AwakeComponents = %v, want both (plain components are always awake)", got)
@@ -394,7 +398,7 @@ func TestFastForwardWakeOnLimitBoundary(t *testing.T) {
 // TestFastForwardedAcrossReentry pins the skipped-cycle accounting when
 // RunUntil is re-entered mid-run and a wake lands exactly on the
 // re-entered deadline (start+limit). The seam this guards: each RunUntil
-// computes its deadline from its own start cycle, and tryJump clamps to
+// computes its deadline from its own start cycle, and a jump clamps to
 // that deadline, so FastForwarded must accumulate exactly the cycles no
 // tick ran — never double-counting a deadline cycle across re-entries
 // and never overshooting a clamp.
@@ -541,5 +545,30 @@ func TestRegisterShardContract(t *testing.T) {
 	if got.FastForwarded() != want.FastForwarded() || got.Cycle() != want.Cycle() || want.FastForwarded() == 0 {
 		t.Errorf("cycle/jumped = %d/%d via RegisterShard, %d/%d via Register (jumps must be nonzero)",
 			got.Cycle(), got.FastForwarded(), want.Cycle(), want.FastForwarded())
+	}
+}
+
+// BenchmarkEnginePass states the pass's cost in what it visits: one
+// component due every cycle among 39 (a Cedar machine's count) and among
+// 579 components, the rest asleep. A pass that scans every component
+// costs fifteen times more at 579; one that visits the due components
+// costs the same at both. ns/op is per executed cycle.
+func BenchmarkEnginePass(b *testing.B) {
+	for _, n := range []int{39, 579} {
+		b.Run(fmt.Sprintf("components=%d", n), func(b *testing.B) {
+			e := New()
+			ticks := 0
+			cs := []Component{SchedFunc{ID: "due", F: func(int64) { ticks++ }, W: func(now int64) int64 { return now }}}
+			for i := 1; i < n; i++ {
+				cs = append(cs, SchedFunc{ID: "asleep", F: func(int64) {}, W: func(int64) int64 { return Never }})
+			}
+			e.Register(cs...)
+			e.Run(1)
+			b.ResetTimer()
+			e.Run(int64(b.N))
+			if ticks != b.N+1 {
+				b.Fatalf("the due component ticked %d times in %d cycles", ticks, b.N+1)
+			}
+		})
 	}
 }

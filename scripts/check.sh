@@ -37,8 +37,8 @@ stage "go test ./..."
 go test ./...
 
 stage "data-path benchmarks at 1x"
-# One iteration of the data-path benchmarks, so the command that states their win keeps building.
-go test -run '^$' -bench '^(BenchmarkOmegaTick|BenchmarkMemoryTick)$' -benchtime=1x ./internal/network ./internal/gmem
+# One iteration of the data-path and engine-pass benchmarks, so the command that states their win keeps building.
+go test -run '^$' -bench '^(BenchmarkOmegaTick|BenchmarkMemoryTick|BenchmarkEnginePass)$' -benchtime=1x ./internal/network ./internal/gmem ./internal/sim
 
 stage "go test -race ./..."
 # Every gate that does not skip itself under -race, with the detector watching.
@@ -50,6 +50,7 @@ go test -run='^$' -fuzz='^FuzzInstability$' -fuzztime="$FUZZTIME" ./internal/ppt
 go test -run='^$' -fuzz='^FuzzBands$' -fuzztime="$FUZZTIME" ./internal/ppt
 go test -run='^$' -fuzz='^FuzzBlobOnDisk$' -fuzztime="$FUZZTIME" ./internal/store
 go test -run='^$' -fuzz='^FuzzPointValidate$' -fuzztime="$FUZZTIME" ./internal/bench
+go test -run='^$' -fuzz='^FuzzWakeInterleavings$' -fuzztime="$FUZZTIME" ./internal/sim
 
 stage ""
 # The Go line counts, whole module and outside the frozen cmd/cedarperf.
